@@ -76,8 +76,10 @@ const (
 	// FaultDropWrite swallows the Nth write on the wrapped connection
 	// (reports success, sends nothing). On a control connection each write
 	// is one framed message, so this drops exactly one ack or commit
-	// notice. Never schedule it on a data connection: dropping part of a
-	// gob stream corrupts the stream rather than losing a message.
+	// notice. Never schedule it on a data connection: one write there is one
+	// whole frame too, but a run of tuples (or a punctuation, a barrier, the
+	// EOS) — the frames carry no sequence numbers, TCP never loses one, and
+	// the drop would be silent data loss no recovery protocol repairs.
 	FaultDropWrite
 	// FaultFailOp fails the Nth Put on the wrapped backend. Under a
 	// write-behind Async backend this poisons the queue — exactly the

@@ -60,7 +60,7 @@ func TestGenerateWellFormed(t *testing.T) {
 					t.Fatalf("seed %d: drop-write would eat the handshake message: %s", seed, p)
 				}
 				if f.Kind == FaultDropWrite && f.Target == TargetData {
-					t.Fatalf("seed %d: drop-write on a gob data stream corrupts it: %s", seed, p)
+					t.Fatalf("seed %d: drop-write on a data connection silently loses a frame of tuples: %s", seed, p)
 				}
 			}
 			if fatal > maxFatal {

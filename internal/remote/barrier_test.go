@@ -2,7 +2,7 @@ package remote
 
 import (
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"math/rand"
 	"net"
 	"strings"
@@ -59,6 +59,23 @@ func (s *gatedSource) Next(ctx exec.Context) (bool, error) {
 	}
 	s.pos.Store(int64(pos))
 	return true, nil
+}
+
+// rawWriter crafts frames straight onto a transport, bypassing Sink, so
+// tests can put anything — including what Sink would never send — on the
+// wire.
+func rawWriter(conn net.Conn) *frameWriter { return newFrameWriter(conn, 0, new(atomic.Int64)) }
+
+func rawTuples(w *frameWriter, ts ...stream.Tuple) error {
+	for _, t := range ts {
+		w.buf = t.AppendBinary(w.buf)
+	}
+	return w.flush(frameTuples, len(ts))
+}
+
+func rawBarrier(w *frameWriter, epoch int64, mode byte) error {
+	w.buf = append(binary.AppendVarint(w.buf, epoch), mode)
+	return w.flush(frameBarrier, 0)
 }
 
 // wireBarrier is one barrier observation on the consumer side.
@@ -230,27 +247,31 @@ func TestBarrierFrameWireRoundTrip(t *testing.T) {
 		var wantBarriers []sent
 		wantTuples := 0
 		epoch := int64(0)
-		frames := make([]frame, 0, 64)
+		var frames []func(*frameWriter) error
 		for i := 0; i < 2+rng.Intn(60); i++ {
 			switch rng.Intn(3) {
 			case 0, 1:
-				frames = append(frames, frame{Kind: frameTuple, Tuple: mkTuple(int64(i), int64(i)*1000, 50)})
-				wantTuples++
+				run := make([]stream.Tuple, 1+rng.Intn(4))
+				for j := range run {
+					run[j] = mkTuple(int64(i), int64(i)*1000, 50)
+				}
+				frames = append(frames, func(w *frameWriter) error { return rawTuples(w, run...) })
+				wantTuples += len(run)
 			default:
 				epoch += 1 + rng.Int63n(3)
-				mode := snapshot.CaptureMode(rng.Intn(2))
-				frames = append(frames, frame{Kind: frameBarrier, Seq: epoch, Intent: uint8(mode)})
-				wantBarriers = append(wantBarriers, sent{epoch, mode})
+				e, mode := epoch, snapshot.CaptureMode(rng.Intn(2))
+				frames = append(frames, func(w *frameWriter) error { return rawBarrier(w, e, byte(mode)) })
+				wantBarriers = append(wantBarriers, sent{e, mode})
 			}
 		}
 		go func() {
-			enc := gob.NewEncoder(c1)
+			w := rawWriter(c1)
 			for _, f := range frames {
-				if err := enc.Encode(f); err != nil {
+				if f(w) != nil {
 					return
 				}
 			}
-			enc.Encode(frame{Kind: frameEOS})
+			w.flush(frameEOS, 0)
 		}()
 
 		rsrc := NewSource("in", schema, c2)
@@ -284,14 +305,14 @@ func TestBarrierFrameWireRoundTrip(t *testing.T) {
 func TestBarrierFrameCorrupt(t *testing.T) {
 	// Unknown capture mode in an otherwise valid barrier frame.
 	c1, c2 := net.Pipe()
-	go gob.NewEncoder(c1).Encode(frame{Kind: frameBarrier, Seq: 1, Intent: 7})
+	go rawBarrier(rawWriter(c1), 1, 7)
 	rsrc := NewSource("in", schema, c2)
 	rsrc.SetBarrierHook(func(int64, snapshot.CaptureMode) error { return nil })
 	if h := exec.NewSourceHarness(rsrc).RunSource(10); h.Err() == nil {
 		t.Error("unknown capture mode accepted")
 	}
 
-	// Random garbage instead of a gob stream.
+	// Random garbage instead of a frame stream.
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 50; i++ {
 		c1, c2 := net.Pipe()
@@ -311,7 +332,7 @@ func TestBarrierFrameCorrupt(t *testing.T) {
 	// clean end of stream.
 	c1, c2 = net.Pipe()
 	go func() {
-		gob.NewEncoder(c1).Encode(frame{Kind: frameTuple, Tuple: mkTuple(1, 1000, 50)})
+		rawTuples(rawWriter(c1), mkTuple(1, 1000, 50))
 		c1.Close()
 	}()
 	h := exec.NewSourceHarness(NewSource("in", schema, c2)).RunSource(100)

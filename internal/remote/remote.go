@@ -10,13 +10,15 @@
 // connection — the dashed arrow of Figure 2(b), now crossing a machine
 // boundary.
 //
-// Wire format: gob frames, one direction per duplex half. Tuples and
-// embedded punctuation flow downstream; feedback frames flow upstream.
+// Wire format (frame.go): length-prefixed binary frames, one direction per
+// duplex half. Runs of tuples, embedded punctuation and checkpoint barriers
+// flow downstream; feedback frames flow upstream. Every payload is in the
+// engine's shared binary encodings (stream.Tuple, punct.Pattern,
+// core.Feedback), so there is one wire format per kind of thing.
 package remote
 
 import (
-	"bufio"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -28,35 +30,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
+	"repro/internal/queue"
 	"repro/internal/snapshot"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
-
-// countingWriter/countingReader sit between the gob codec's bufio layer and
-// the connection, so the byte counters see exactly what crosses the wire
-// (one atomic add per flushed buffer / filled read, not per frame).
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n.Add(int64(n))
-	return n, err
-}
-
-type countingReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(int64(n))
-	return n, err
-}
 
 // Remote edges participate in distributed cuts: the sink forwards barriers
 // in-band over the wire, the source hands them to the local coordination
@@ -64,43 +42,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 var (
 	_ exec.BarrierForwarder = (*Sink)(nil)
 	_ exec.BarrierReceiver  = (*Source)(nil)
+	_ exec.TupleBatcher     = (*Sink)(nil)
 )
-
-// frame kinds.
-const (
-	frameTuple = iota
-	framePunct
-	frameEOS
-	frameFeedback
-	// frameBarrier carries a checkpoint barrier in-band on the data path:
-	// Seq is the epoch, Intent the capture mode. It must not be reordered
-	// past tuples — the cut's position on the wire is the cut.
-	frameBarrier
-)
-
-// frame is one wire message (downstream or upstream). Punctuation patterns
-// travel in the shared binary encoding (punct.Pattern.MarshalBinary — the
-// same codec the checkpoint subsystem uses), so there is exactly one
-// pattern wire format in the system.
-type frame struct {
-	Kind    uint8
-	Tuple   stream.Tuple
-	Pattern []byte // punctuation or feedback pattern (punct wire encoding)
-	Intent  uint8  // feedback intent; capture mode on barrier frames
-	Origin  string
-	Hops    int
-	Seq     int64 // feedback sequence; epoch on barrier frames
-}
-
-func marshalPattern(p punct.Pattern) []byte { return p.AppendBinary(nil) }
-
-func unmarshalPattern(raw []byte) (punct.Pattern, error) {
-	var p punct.Pattern
-	if err := p.UnmarshalBinary(raw); err != nil {
-		return punct.Pattern{}, err
-	}
-	return p, nil
-}
 
 // Sink is an exec.Operator with no outputs: everything it receives is
 // framed onto the connection. Feedback frames arriving from the remote
@@ -112,28 +55,29 @@ type Sink struct {
 	SinkName string
 	Schema   stream.Schema
 	Conn     net.Conn
-	// FlushEvery bounds batching: the write buffer is flushed after this
-	// many tuples (default 64) and on every punctuation, mirroring the
-	// paged-queue flush rule.
+	// FlushEvery bounds batching: the open run of tuples is closed and
+	// written as one frame after this many tuples (default 64) and ahead of
+	// every punctuation, barrier and EOS, mirroring the paged-queue flush
+	// rule.
 	FlushEvery int
-	// WriteTimeout bounds each write to the connection. A wedged peer — one
-	// that stops reading but keeps the connection open — then surfaces as a
-	// node error instead of blocking the pipeline (and any checkpoint
+	// WriteTimeout bounds each frame write to the connection. A wedged peer
+	// — one that stops reading but keeps the connection open — then surfaces
+	// as a node error instead of blocking the pipeline (and any checkpoint
 	// barrier behind it) forever. 0 disables the deadline: backpressure
 	// from a merely slow consumer stalls the producer indefinitely, as a
 	// paged queue would.
 	WriteTimeout time.Duration
 
-	w       *bufio.Writer
-	enc     *gob.Encoder
-	pending int
+	w       *frameWriter
+	pending int          // tuples in the open run (w.buf)
+	every   int          // FlushEvery with its default applied
 	readErr atomic.Value // error from the feedback reader
 	closing atomic.Bool
 	started bool
 	wg      sync.WaitGroup
 
 	// Counters are atomics so /metrics can scrape them while the plan
-	// runs; bytes counters tick per flushed buffer, not per frame.
+	// runs; all of them tick per frame, none per tuple.
 	sent, feedbackIn     atomic.Int64
 	framesOut            atomic.Int64
 	bytesOut, feedbackBy atomic.Int64
@@ -161,105 +105,114 @@ func (s *Sink) OutSchemas() []stream.Schema { return nil }
 // Open implements exec.Operator: it starts the feedback reader. The
 // runtime guarantees Context.SendFeedback is safe from other goroutines.
 func (s *Sink) Open(ctx exec.Context) error {
-	s.w = bufio.NewWriter(&countingWriter{w: s.Conn, n: &s.bytesOut})
-	s.enc = gob.NewEncoder(s.w)
+	s.w = newFrameWriter(s.Conn, s.WriteTimeout, &s.bytesOut)
+	if s.every = s.FlushEvery; s.every <= 0 {
+		s.every = 64
+	}
 	s.started = true
-	dec := gob.NewDecoder(&countingReader{r: s.Conn, n: &s.feedbackBy})
+	fr := newFrameReader(s.Conn, &s.feedbackBy)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		for {
-			var f frame
-			if err := dec.Decode(&f); err != nil {
+			kind, _, body, err := fr.next()
+			if err != nil {
 				if err != io.EOF && !s.closing.Load() {
 					s.readErr.Store(err)
 				}
 				return
 			}
-			if f.Kind != frameFeedback {
-				s.readErr.Store(fmt.Errorf("remote: unexpected frame kind %d on feedback path", f.Kind))
+			if kind != frameFeedback {
+				s.readErr.Store(fmt.Errorf("remote: unexpected %s frame on feedback path", frameNames[kind]))
 				return
 			}
-			pat, err := unmarshalPattern(f.Pattern)
-			if err != nil {
-				s.readErr.Store(fmt.Errorf("remote: decode feedback pattern: %w", err))
+			var f core.Feedback
+			if err := f.UnmarshalBinary(body); err != nil {
+				s.readErr.Store(fmt.Errorf("remote: decode feedback frame: %w", err))
 				return
 			}
 			s.feedbackIn.Add(1)
-			ctx.SendFeedback(0, core.Feedback{
-				Intent:  core.Intent(f.Intent),
-				Pattern: pat,
-				Origin:  f.Origin,
-				Hops:    f.Hops + 1,
-				Seq:     f.Seq,
-			})
+			f.Hops++
+			ctx.SendFeedback(0, f)
 		}
 	}()
 	return nil
 }
 
-func (s *Sink) flushEvery() int {
-	if s.FlushEvery <= 0 {
-		return 64
-	}
-	return s.FlushEvery
-}
-
-// armDeadline applies WriteTimeout ahead of encodes and flushes; gob may
-// flush the bufio writer mid-encode, so every encode is covered too.
-func (s *Sink) armDeadline() {
-	if s.WriteTimeout > 0 {
-		_ = s.Conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-	}
-}
-
-// ProcessTuple implements exec.Operator.
+// ProcessTuple implements exec.Operator: the tuple joins the open run.
+//
+//pace:hotpath
 func (s *Sink) ProcessTuple(_ int, t stream.Tuple, _ exec.Context) error {
-	s.armDeadline()
-	if err := s.enc.Encode(frame{Kind: frameTuple, Tuple: t}); err != nil {
-		return fmt.Errorf("remote: encode tuple: %w", err)
-	}
-	s.sent.Add(1)
-	s.framesOut.Add(1)
+	s.w.buf = t.AppendBinary(s.w.buf)
 	s.pending++
-	if s.pending >= s.flushEvery() {
-		s.pending = 0
-		if err := s.w.Flush(); err != nil {
-			return fmt.Errorf("remote: flush to peer: %w", err)
+	if s.pending >= s.every || len(s.w.buf) >= runBytes {
+		return s.flushRun()
+	}
+	return nil
+}
+
+// ProcessTupleBatch implements exec.TupleBatcher: a page run is encoded
+// back to back into the open run.
+//
+//pace:hotpath
+func (s *Sink) ProcessTupleBatch(_ int, items []queue.Item, _ exec.Context) error {
+	for i := range items {
+		if err := s.ProcessTuple(0, items[i].Tuple, nil); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// ProcessPunct implements exec.Operator: punctuation flushes, like the
-// paged queues.
-func (s *Sink) ProcessPunct(_ int, e punct.Embedded, _ exec.Context) error {
-	s.armDeadline()
-	if err := s.enc.Encode(frame{Kind: framePunct, Pattern: marshalPattern(e.Pattern)}); err != nil {
-		return fmt.Errorf("remote: encode punct: %w", err)
+// flushRun closes the open run, if any, and writes it as one data frame.
+//
+//pace:hotpath
+func (s *Sink) flushRun() error {
+	if s.pending == 0 {
+		return nil
 	}
-	s.framesOut.Add(1)
+	n := s.pending
 	s.pending = 0
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("remote: flush to peer: %w", err)
+	if err := s.w.flush(frameTuples, n); err != nil {
+		return err
 	}
+	s.sent.Add(int64(n))
+	s.framesOut.Add(1)
 	return nil
 }
 
-// ForwardBarrier implements exec.BarrierForwarder: the checkpoint barrier
-// crosses the process boundary as a wire frame, positioned after every
-// tuple that preceded the local cut (they are already in the gob stream)
-// and flushed immediately so the downstream subplan can start its aligned
-// cut without waiting for a page to fill.
-func (s *Sink) ForwardBarrier(epoch int64, mode snapshot.CaptureMode, _ exec.Context) error {
-	s.armDeadline()
-	if err := s.enc.Encode(frame{Kind: frameBarrier, Seq: epoch, Intent: uint8(mode)}); err != nil {
-		return fmt.Errorf("remote: encode barrier epoch %d: %w", epoch, err)
+// control writes the body appended to s.w.buf by the caller as one control
+// frame. The open run must have been flushed first.
+func (s *Sink) control(kind byte) error {
+	if err := s.w.flush(kind, 0); err != nil {
+		return err
 	}
 	s.framesOut.Add(1)
-	s.pending = 0
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("remote: flush barrier epoch %d: %w", epoch, err)
+	return nil
+}
+
+// ProcessPunct implements exec.Operator: punctuation closes the run, like
+// the paged queues, and follows it in a frame of its own.
+func (s *Sink) ProcessPunct(_ int, e punct.Embedded, _ exec.Context) error {
+	if err := s.flushRun(); err != nil {
+		return err
+	}
+	s.w.buf = e.Pattern.AppendBinary(s.w.buf)
+	return s.control(framePunct)
+}
+
+// ForwardBarrier implements exec.BarrierForwarder: the checkpoint barrier
+// crosses the process boundary as a wire frame of its own, written after the
+// run holding every tuple that preceded the local cut and at once, so the
+// downstream subplan can start its aligned cut without waiting for a run to
+// fill.
+func (s *Sink) ForwardBarrier(epoch int64, mode snapshot.CaptureMode, _ exec.Context) error {
+	if err := s.flushRun(); err != nil {
+		return err
+	}
+	s.w.buf = append(binary.AppendVarint(s.w.buf, epoch), byte(mode))
+	if err := s.control(frameBarrier); err != nil {
+		return fmt.Errorf("remote: barrier epoch %d: %w", epoch, err)
 	}
 	return nil
 }
@@ -271,7 +224,7 @@ type closeWriter interface{ CloseWrite() error }
 // close its half after EOS.
 const closeDrainTimeout = 10 * time.Second
 
-// Close implements exec.Operator: EOS frame, flush, close the write half.
+// Close implements exec.Operator: last run, EOS frame, close the write half.
 //
 // On transports that support it, the write half is closed first and the
 // feedback reader drains until the remote side closes: a full Close with
@@ -281,14 +234,8 @@ func (s *Sink) Close(exec.Context) error {
 	var firstErr error
 	s.closing.Store(true)
 	if s.started {
-		s.armDeadline()
-		if err := s.enc.Encode(frame{Kind: frameEOS}); err != nil {
-			firstErr = err
-		} else {
-			s.framesOut.Add(1)
-		}
-		if err := s.w.Flush(); err != nil && firstErr == nil {
-			firstErr = err
+		if firstErr = s.flushRun(); firstErr == nil {
+			firstErr = s.control(frameEOS)
 		}
 	}
 	if cw, ok := s.Conn.(closeWriter); ok && s.started && firstErr == nil {
@@ -328,7 +275,7 @@ func (s *Sink) Stats() (sent, feedbackIn int64) {
 func (s *Sink) TelemetryVars() []telemetry.Var {
 	return []telemetry.Var{
 		{Name: "pace_remote_tuples_sent_total", Help: "Tuples framed onto the connection.", Kind: telemetry.Counter, Value: s.sent.Load},
-		{Name: "pace_remote_frames_sent_total", Help: "Frames (tuple, punct, barrier, EOS) written to the wire.", Kind: telemetry.Counter, Value: s.framesOut.Load},
+		{Name: "pace_remote_frames_sent_total", Help: "Frames (tuple run, punct, barrier, EOS) written to the wire.", Kind: telemetry.Counter, Value: s.framesOut.Load},
 		{Name: "pace_remote_bytes_sent_total", Help: "Bytes written to the connection.", Kind: telemetry.Counter, Value: s.bytesOut.Load},
 		{Name: "pace_remote_bytes_received_total", Help: "Feedback-path bytes read from the connection.", Kind: telemetry.Counter, Value: s.feedbackBy.Load},
 		{Name: "pace_remote_feedback_received_total", Help: "Feedback frames received from the remote consumer.", Kind: telemetry.Counter, Value: s.feedbackIn.Load},
@@ -349,14 +296,15 @@ type Source struct {
 	// the connection, or stalled mid-barrier — surfaces as a node error
 	// instead of blocking the plan (and any barrier alignment waiting on
 	// this edge) forever. It is an idle bound, not a rate bound: every
-	// Next call re-arms it, so it only fires after a full timeout with no
-	// frame at all. Set it well above the longest legitimate gap between
-	// frames (source think time, feedback-driven droughts). Zero disables.
+	// Next call — one frame, so one run of tuples — re-arms it, so it only
+	// fires after a full timeout with no frame at all. Set it well above
+	// the longest legitimate gap between frames (source think time,
+	// feedback-driven droughts). Zero disables.
 	ReadTimeout time.Duration
 
-	dec  *gob.Decoder
-	w    *bufio.Writer
-	enc  *gob.Encoder
+	r    *frameReader
+	w    *frameWriter   // feedback path
+	run  []stream.Tuple // the decoded run, reused; its values live in a per-frame arena
 	done bool
 
 	// barrierHook (SetBarrierHook) hands wire barriers to the local
@@ -400,22 +348,22 @@ func (s *Source) OutSchemas() []stream.Schema { return []stream.Schema{s.Schema}
 
 // Open implements exec.Source.
 func (s *Source) Open(exec.Context) error {
-	s.dec = gob.NewDecoder(&countingReader{r: s.Conn, n: &s.bytesIn})
-	s.w = bufio.NewWriter(&countingWriter{w: s.Conn, n: &s.feedbackBy})
-	s.enc = gob.NewEncoder(s.w)
+	s.r = newFrameReader(s.Conn, &s.bytesIn)
+	s.w = newFrameWriter(s.Conn, 0, &s.feedbackBy)
 	return nil
 }
 
-// Next implements exec.Source: one frame per call.
+// Next implements exec.Source: one frame per call, so one call, one control
+// recheck and one batched emit per run of tuples.
 func (s *Source) Next(ctx exec.Context) (bool, error) {
 	if s.done {
 		return false, nil
 	}
 	if s.ReadTimeout > 0 {
-		_ = s.Conn.SetReadDeadline(time.Now().Add(s.ReadTimeout))
+		_ = s.Conn.SetReadDeadline(time.Now().Add(s.ReadTimeout)) // an unsupported deadline only loses the bound
 	}
-	var f frame
-	if err := s.dec.Decode(&f); err != nil {
+	kind, count, body, err := s.r.next()
+	if err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
 			s.deadlineHits.Add(1)
@@ -430,23 +378,28 @@ func (s *Source) Next(ctx exec.Context) (bool, error) {
 			s.done = true
 			return false, fmt.Errorf("remote: connection closed before end of stream (producer crashed?)")
 		}
-		return false, fmt.Errorf("remote: decode: %w", err)
+		return false, err
 	}
 	s.framesIn.Add(1)
-	switch f.Kind {
-	case frameTuple:
-		s.received.Add(1)
-		ctx.Emit(f.Tuple)
+	switch kind {
+	case frameTuples:
+		if err := s.emitRun(count, body, ctx); err != nil {
+			return false, err
+		}
 	case framePunct:
-		pat, err := unmarshalPattern(f.Pattern)
-		if err != nil {
-			return false, fmt.Errorf("remote: decode punct pattern: %w", err)
+		var pat punct.Pattern
+		if err := pat.UnmarshalBinary(body); err != nil {
+			return false, fmt.Errorf("remote: decode punctuation frame: %w", err)
 		}
 		ctx.EmitPunct(punct.NewEmbedded(pat))
 	case frameBarrier:
-		mode := snapshot.CaptureMode(f.Intent)
+		epoch, n := binary.Varint(body)
+		if n <= 0 || len(body) != n+1 {
+			return false, fmt.Errorf("remote: malformed barrier frame (%d bytes)", len(body))
+		}
+		mode := snapshot.CaptureMode(body[n])
 		if mode != snapshot.CaptureFull && mode != snapshot.CaptureDelta {
-			return false, fmt.Errorf("remote: barrier epoch %d carries unknown capture mode %d", f.Seq, f.Intent)
+			return false, fmt.Errorf("remote: barrier epoch %d carries unknown capture mode %d", epoch, body[n])
 		}
 		if s.barrierHook != nil {
 			// The hook registers the epoch with the local coordinator
@@ -455,38 +408,60 @@ func (s *Source) Next(ctx exec.Context) (bool, error) {
 			// cut, which is what keeps parallel remote edges consistent
 			// (each cuts at its own barrier, not when the first edge's
 			// barrier registered the epoch).
-			if err := s.barrierHook(f.Seq, mode); err != nil {
-				return false, fmt.Errorf("remote: barrier epoch %d: %w", f.Seq, err)
+			if err := s.barrierHook(epoch, mode); err != nil {
+				return false, fmt.Errorf("remote: barrier epoch %d: %w", epoch, err)
 			}
 			if inj, ok := ctx.(exec.SourceBarrierInjector); ok {
-				inj.InjectWireBarrier(f.Seq)
+				inj.InjectWireBarrier(epoch)
 			}
 		}
 	case frameEOS:
+		if len(body) != 0 {
+			return false, fmt.Errorf("remote: end-of-stream frame: %d trailing bytes", len(body))
+		}
 		s.done = true
 		return false, nil
 	default:
-		return false, fmt.Errorf("remote: unexpected frame kind %d on data path", f.Kind)
+		return false, fmt.Errorf("remote: unexpected %s frame on data path", frameNames[kind])
 	}
 	return true, nil
+}
+
+// emitRun decodes a data frame's tuples into one fresh value arena — the
+// tuples go downstream and keep aliasing it, so it cannot be reused — and
+// emits them as one batch.
+func (s *Source) emitRun(count int, body []byte, ctx exec.Context) error {
+	arity := s.Schema.Arity()
+	// A tuple is at least its arity prefix, one kind byte per value and its
+	// sequence number: a count the body cannot hold must not size the arena.
+	if count*(arity+2) > len(body) {
+		return fmt.Errorf("remote: tuple-run frame claims %d tuples of arity %d in %d bytes", count, arity, len(body))
+	}
+	run, rest, err := stream.DecodeTuples(s.run[:0], make([]stream.Value, 0, count*arity), body, arity, count)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d trailing bytes", len(rest))
+	}
+	if err != nil {
+		return fmt.Errorf("remote: decode tuple-run frame: %w", err)
+	}
+	s.run = run
+	s.received.Add(int64(count))
+	if be, ok := ctx.(exec.BatchEmitter); ok {
+		be.EmitBatch(run)
+	} else {
+		for _, t := range run {
+			ctx.Emit(t)
+		}
+	}
+	return nil
 }
 
 // ProcessFeedback implements exec.Source: feedback crosses the wire
 // against the stream direction.
 func (s *Source) ProcessFeedback(_ int, f core.Feedback, _ exec.Context) error {
 	s.feedbackOut.Add(1)
-	err := s.enc.Encode(frame{
-		Kind:    frameFeedback,
-		Pattern: marshalPattern(f.Pattern),
-		Intent:  uint8(f.Intent),
-		Origin:  f.Origin,
-		Hops:    f.Hops,
-		Seq:     f.Seq,
-	})
-	if err != nil {
-		return fmt.Errorf("remote: encode feedback: %w", err)
-	}
-	return s.w.Flush()
+	s.w.buf = f.AppendBinary(s.w.buf)
+	return s.w.flush(frameFeedback, 0)
 }
 
 // Close implements exec.Source.
@@ -503,7 +478,7 @@ func (s *Source) Stats() (received, feedbackOut int64) {
 func (s *Source) TelemetryVars() []telemetry.Var {
 	return []telemetry.Var{
 		{Name: "pace_remote_tuples_received_total", Help: "Tuples replayed from the remote producer.", Kind: telemetry.Counter, Value: s.received.Load},
-		{Name: "pace_remote_frames_received_total", Help: "Frames (tuple, punct, barrier, EOS) read from the wire.", Kind: telemetry.Counter, Value: s.framesIn.Load},
+		{Name: "pace_remote_frames_received_total", Help: "Frames (tuple run, punct, barrier, EOS) read from the wire.", Kind: telemetry.Counter, Value: s.framesIn.Load},
 		{Name: "pace_remote_bytes_received_total", Help: "Bytes read from the connection.", Kind: telemetry.Counter, Value: s.bytesIn.Load},
 		{Name: "pace_remote_bytes_sent_total", Help: "Feedback-path bytes written to the connection.", Kind: telemetry.Counter, Value: s.feedbackBy.Load},
 		{Name: "pace_remote_feedback_sent_total", Help: "Feedback frames sent to the remote producer.", Kind: telemetry.Counter, Value: s.feedbackOut.Load},

@@ -186,27 +186,6 @@ func TestRemoteEdgeOverTCP(t *testing.T) {
 	}
 }
 
-func TestWirePatternRoundTrip(t *testing.T) {
-	pats := []punct.Pattern{
-		punct.AllWild(3),
-		punct.OnAttr(3, 1, punct.Le(stream.TimeMicros(100))),
-		punct.NewPattern(
-			punct.OneOf(stream.Int(1), stream.Int(2)),
-			punct.Range(stream.TimeMicros(5), stream.TimeMicros(9)),
-			punct.Ne(stream.Float(50)),
-		),
-	}
-	for _, p := range pats {
-		back, err := unmarshalPattern(marshalPattern(p))
-		if err != nil {
-			t.Fatalf("wire round trip %v: %v", p, err)
-		}
-		if !p.Equal(back) {
-			t.Errorf("wire round trip: %v → %v", p, back)
-		}
-	}
-}
-
 func TestRemotePunctuationCrossesWire(t *testing.T) {
 	c1, c2 := net.Pipe()
 	sink := NewSink("out", schema, c1)

@@ -66,11 +66,9 @@ func (e *Encoder) PutValues(vals []stream.Value) {
 	}
 }
 
-// PutTuple appends a tuple (values plus sequence number).
-func (e *Encoder) PutTuple(t stream.Tuple) {
-	e.PutValues(t.Values)
-	e.PutInt64(t.Seq)
-}
+// PutTuple appends a tuple (values plus sequence number) in the shared
+// tuple wire encoding.
+func (e *Encoder) PutTuple(t stream.Tuple) { e.buf = t.AppendBinary(e.buf) }
 
 // PutPattern appends a punctuation pattern in the shared wire encoding.
 func (e *Encoder) PutPattern(p punct.Pattern) { e.buf = p.AppendBinary(e.buf) }
@@ -217,9 +215,16 @@ func (d *Decoder) GetValues() []stream.Value {
 
 // GetTuple reads a tuple.
 func (d *Decoder) GetTuple() stream.Tuple {
-	vals := d.GetValues()
-	seq := d.GetInt64()
-	return stream.Tuple{Values: vals, Seq: seq}
+	if d.err != nil {
+		return stream.Tuple{}
+	}
+	t, rest, err := stream.DecodeTuple(d.buf)
+	if err != nil {
+		d.fail("%v", err)
+		return stream.Tuple{}
+	}
+	d.buf = rest
+	return t
 }
 
 // GetPattern reads a punctuation pattern.

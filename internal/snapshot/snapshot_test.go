@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -56,6 +57,19 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("%d trailing bytes", d.Remaining())
+	}
+}
+
+// PutTuple is the shared tuple wire encoding (golden bytes:
+// stream.TestTupleBinaryGolden), nothing of its own.
+func TestPutTupleIsStreamWireFormat(t *testing.T) {
+	tup := stream.Tuple{Values: []stream.Value{stream.Int(4), stream.String_("x"), stream.Null}, Seq: 99}
+	e := NewEncoder()
+	e.PutTuple(tup)
+	e.PutTuple(stream.Tuple{})
+	got, _ := e.Bytes()
+	if want := (stream.Tuple{}).AppendBinary(tup.AppendBinary(nil)); !bytes.Equal(got, want) {
+		t.Fatalf("PutTuple wrote %x, stream.Tuple.AppendBinary %x", got, want)
 	}
 }
 

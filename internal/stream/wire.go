@@ -6,12 +6,13 @@ import (
 	"math"
 )
 
-// Binary value codec shared by the network edge (internal/remote) and the
-// checkpoint subsystem (internal/snapshot): kind byte followed by a
-// kind-specific payload. Integer domains use zigzag varints (timestamps and
-// small ints dominate real streams), floats are fixed 8-byte IEEE bits,
-// strings are length-prefixed. The encoding is self-delimiting, so values
-// can be concatenated without framing.
+// Binary value codec shared by the network edge (internal/remote data frames
+// carry runs of tuples in it) and the checkpoint subsystem
+// (internal/snapshot): kind byte followed by a kind-specific payload.
+// Integer domains use zigzag varints (timestamps and small ints dominate real
+// streams), floats are fixed 8-byte IEEE bits, strings are length-prefixed.
+// The encoding is self-delimiting, so values can be concatenated without
+// framing.
 
 // AppendBinary appends the value's binary encoding to b and returns the
 // extended buffer.
@@ -61,4 +62,76 @@ func DecodeValue(b []byte) (Value, []byte, error) {
 		return String_(string(b[n : n+int(l)])), b[n+int(l):], nil
 	}
 	return Null, nil, fmt.Errorf("stream: decode value: unknown kind %d", kind)
+}
+
+// Binary tuple codec — the one tuple wire format in the system, written by
+// checkpoint blobs (snapshot.Encoder.PutTuple) and by remote data frames:
+//
+//	varint(arity) | arity × value | varint(seq)
+
+// AppendBinary appends the tuple's binary encoding to b and returns the
+// extended buffer.
+//
+//pace:hotpath
+func (t Tuple) AppendBinary(b []byte) []byte {
+	b = binary.AppendVarint(b, int64(len(t.Values)))
+	for i := range t.Values {
+		b = t.Values[i].AppendBinary(b)
+	}
+	return binary.AppendVarint(b, t.Seq)
+}
+
+// DecodeTuple decodes one tuple of any arity from the front of b, returning
+// the tuple and the remaining bytes.
+func DecodeTuple(b []byte) (Tuple, []byte, error) {
+	arity, n := binary.Varint(b)
+	// Every value costs at least one byte, so an arity beyond the buffer is
+	// corrupt and must not size an allocation.
+	if n <= 0 || arity < 0 || arity > int64(len(b)-n) {
+		return Tuple{}, nil, fmt.Errorf("stream: decode tuple: bad arity")
+	}
+	vals, seq, rest, err := decodeTupleBody(make([]Value, 0, arity), b[n:], int(arity))
+	if err != nil {
+		return Tuple{}, nil, err
+	}
+	return Tuple{Values: vals, Seq: seq}, rest, nil
+}
+
+// DecodeTuples decodes a run of n tuples, each of the given arity, from the
+// front of b. The tuples are appended to dst and their values to arena, which
+// the tuples alias: a caller that passes an arena with room for n×arity values
+// pays one allocation for the whole run. It returns the extended dst and the
+// remaining bytes.
+func DecodeTuples(dst []Tuple, arena []Value, b []byte, arity, n int) ([]Tuple, []byte, error) {
+	for i := 0; i < n; i++ {
+		a, k := binary.Varint(b)
+		if k <= 0 || a != int64(arity) {
+			return dst, nil, fmt.Errorf("stream: decode tuple %d of %d: arity %d (%d bytes left), want %d", i, n, a, len(b), arity)
+		}
+		start := len(arena)
+		var seq int64
+		var err error
+		if arena, seq, b, err = decodeTupleBody(arena, b[k:], arity); err != nil {
+			return dst, nil, fmt.Errorf("stream: decode tuple %d of %d: %w", i, n, err)
+		}
+		dst = append(dst, Tuple{Values: arena[start:len(arena):len(arena)], Seq: seq})
+	}
+	return dst, b, nil
+}
+
+// decodeTupleBody decodes arity values and the sequence number that follow a
+// tuple's arity prefix, appending the values to vals.
+func decodeTupleBody(vals []Value, b []byte, arity int) ([]Value, int64, []byte, error) {
+	for j := 0; j < arity; j++ {
+		v, rest, err := DecodeValue(b)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		vals, b = append(vals, v), rest
+	}
+	seq, n := binary.Varint(b)
+	if n <= 0 {
+		return nil, 0, nil, fmt.Errorf("stream: decode tuple: bad sequence number")
+	}
+	return vals, seq, b[n:], nil
 }
