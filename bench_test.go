@@ -528,9 +528,12 @@ func (noopCtx) NumInputs() int                  { return 1 }
 func (noopCtx) NumOutputs() int                 { return 1 }
 func (noopCtx) Logf(string, ...any)             {}
 
-// BenchmarkFusedKernel measures the flat kernel alone — one ProcessTuple
-// through select+project+map. The acceptance bar is 0 allocs/op in steady
-// state (also pinned by the fuse package's zero-alloc test).
+// BenchmarkFusedKernel measures the kernel alone, on the two shapes its
+// allocation pins cover (internal/fuse): identity — select + carry-all
+// project + carry-all map, one ProcessTuple per op, 0 allocs/op — and mapping
+// — select + project dropping a column + map computing one, driven by
+// 64-tuple runs as the runtime drives it, one slab allocation per run
+// (reported per tuple: 1/64 allocs/op).
 func BenchmarkFusedKernel(b *testing.B) {
 	schema := gen.TrafficSchema
 	expr, err := op.NewExpr(schema.Arity(),
@@ -539,32 +542,61 @@ func BenchmarkFusedKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	keep := make([]string, schema.Arity())
-	outs := make([]op.MapAttr, schema.Arity())
-	for i := range keep {
-		keep[i] = schema.Field(i).Name
-		outs[i] = op.Carry(keep[i])
+	hot := func() *op.Select {
+		return &op.Select{OpName: "hot", Schema: schema, Expr: expr, Mode: op.FeedbackExploit}
 	}
-	fused, err := fuse.New([]exec.Operator{
-		&op.Select{OpName: "hot", Schema: schema, Expr: expr, Mode: op.FeedbackExploit},
-		&op.Project{OpName: "keep", In: schema, Keep: keep},
-		&op.Map{OpName: "norm", In: schema, Outs: outs},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := noopCtx{}
-	if err := fused.Open(ctx); err != nil {
-		b.Fatal(err)
-	}
-	t := stream.NewTuple(stream.Int(3), stream.Int(7), stream.TimeMicros(500_000), stream.Float(60))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fused.ProcessTuple(0, t, ctx); err != nil {
+	open := func(b *testing.B, ops ...exec.Operator) *fuse.Fused {
+		fused, err := fuse.New(ops)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if err := fused.Open(noopCtx{}); err != nil {
+			b.Fatal(err)
+		}
+		return fused
 	}
+	t := stream.NewTuple(stream.Int(3), stream.Int(7), stream.TimeMicros(500_000), stream.Float(60))
+
+	b.Run("identity", func(b *testing.B) {
+		keep := make([]string, schema.Arity())
+		outs := make([]op.MapAttr, schema.Arity())
+		for i := range keep {
+			keep[i] = schema.Field(i).Name
+			outs[i] = op.Carry(keep[i])
+		}
+		fused := open(b, hot(),
+			&op.Project{OpName: "keep", In: schema, Keep: keep},
+			&op.Map{OpName: "norm", In: schema, Outs: outs})
+		ctx := noopCtx{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := fused.ProcessTuple(0, t, ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("mapping", func(b *testing.B) {
+		keep := &op.Project{OpName: "keep", In: schema, Keep: []string{"segment", "ts", "speed"}}
+		fused := open(b, hot(), keep,
+			&op.Map{OpName: "kph", In: keep.OutSchemas()[0], Outs: []op.MapAttr{
+				op.Carry("segment"), op.Carry("ts"),
+				op.Compute("kph", stream.KindFloat, func(t stream.Tuple) stream.Value { return stream.Float(t.At(2).F * 1.609344) }),
+			}})
+		run := make([]queue.Item, 64)
+		for i := range run {
+			run[i] = queue.TupleItem(t)
+		}
+		ctx := noopCtx{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += len(run) {
+			if err := fused.ProcessTupleBatch(0, run, ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -346,17 +347,20 @@ func TestCheckpointNotRunning(t *testing.T) {
 // blockingSource emits nothing until its gate is closed, blocking inside
 // Next — the one shape of source that cannot poll for a pending
 // checkpoint, which is how a checkpoint comes to be cancelled with
-// barriers already injected elsewhere.
+// barriers already injected elsewhere. Its last tuple waits for a second
+// gate, hold, without blocking: Next returns empty-handed until hold is
+// closed, so the source keeps cutting for checkpoints but cannot end.
+// opened is closed by Open, which the runner calls once the graph runs.
 type blockingSource struct {
-	schema stream.Schema
-	tuples []stream.Tuple
-	gate   chan struct{}
-	pos    int
+	schema             stream.Schema
+	tuples             []stream.Tuple
+	opened, gate, hold chan struct{}
+	pos                int
 }
 
 func (s *blockingSource) Name() string                { return "blocking" }
 func (s *blockingSource) OutSchemas() []stream.Schema { return []stream.Schema{s.schema} }
-func (s *blockingSource) Open(Context) error          { return nil }
+func (s *blockingSource) Open(Context) error          { close(s.opened); return nil }
 func (s *blockingSource) Close(Context) error         { return nil }
 func (s *blockingSource) ProcessFeedback(int, core.Feedback, Context) error {
 	return nil
@@ -366,6 +370,14 @@ func (s *blockingSource) Next(ctx Context) (bool, error) {
 	<-s.gate
 	if s.pos >= len(s.tuples) {
 		return false, nil
+	}
+	if s.pos == len(s.tuples)-1 {
+		select {
+		case <-s.hold:
+		default:
+			runtime.Gosched()
+			return true, nil
+		}
 	}
 	ctx.Emit(s.tuples[s.pos])
 	s.pos++
@@ -398,36 +410,42 @@ func TestCheckpointCancelThenRetry(t *testing.T) {
 		}
 		return ts
 	}
-	build := func(gateOpen bool) (*Graph, chan struct{}, *Collector) {
+	build := func(gatesOpen bool) (*Graph, *blockingSource, *Collector) {
 		g := NewGraph()
 		a := &SliceSource{SourceName: "a", Schema: oneInt, Tuples: mk(nA), BatchSize: 4}
-		bsrc := &blockingSource{schema: oneInt, tuples: mk(nB), gate: make(chan struct{})}
-		if gateOpen {
+		bsrc := &blockingSource{schema: oneInt, tuples: mk(nB),
+			opened: make(chan struct{}), gate: make(chan struct{}), hold: make(chan struct{})}
+		if gatesOpen {
 			close(bsrc.gate)
+			close(bsrc.hold)
 		}
 		sa, sb := g.AddSource(a), g.AddSource(bsrc)
 		sum := g.Add(&summing2{}, From(sa), From(sb))
 		sink := NewCollector("sink", oneInt)
 		g.Add(sink, From(sum))
-		return g, bsrc.gate, sink
+		return g, bsrc, sink
 	}
 
-	g1, gate, _ := build(false)
+	g1, blocked, _ := build(false)
 	runErr := make(chan error, 1)
 	go func() { runErr <- g1.Run() }()
 
 	// Checkpoint 1: source "a" injects its barrier, "blocking" never does;
 	// the checkpoint must time out, leaving a stale partial alignment at
-	// the summing operator.
+	// the summing operator. (Asked for before the graph runs, it would be
+	// refused instead, and nothing below would be tested.)
+	<-blocked.opened
 	ctx1, cancel1 := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel1()
-	if _, err := g1.Checkpoint(ctx1); err == nil {
-		t.Fatal("checkpoint with a blocked source must time out")
+	if _, err := g1.Checkpoint(ctx1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("checkpoint with a blocked source: %v, want a timeout", err)
 	}
 
 	// Release the blocked source and retry: the stale freeze must lift and
-	// the new epoch must complete.
-	close(gate)
+	// the new epoch must complete. The source's last tuple stays held until
+	// it has — 35 k tuples can drain in less time than the retry takes to
+	// land, and a plan that has finished cannot be checkpointed.
+	close(blocked.gate)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel2()
 	var snap *snapshot.Snapshot
@@ -442,6 +460,7 @@ func TestCheckpointCancelThenRetry(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	close(blocked.hold)
 	g1.Kill()
 	if err := <-runErr; err != nil && !errors.Is(err, ErrKilled) {
 		t.Fatal(err)

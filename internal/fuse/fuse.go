@@ -76,6 +76,10 @@ type step struct {
 	identity bool
 	attrMap  core.AttrMap
 	inv      []int
+	// vals is the scratch an intermediate mapping step writes its output
+	// into (nil for the chain's last mapping step, which writes the run's
+	// slab). It is read by the next step and never leaves runSteps.
+	vals []stream.Value
 
 	// guards live in the step's OUTPUT attribute space, exactly like the
 	// unfused operator's table.
@@ -84,9 +88,14 @@ type step struct {
 	meter     *work.Meter
 
 	// Counters are atomics so /metrics can scrape per-constituent work
-	// while the plan runs; the batch path still adds once per batch per
-	// step, preserving the batched-counters contract (DESIGN.md §2.3).
+	// while the plan runs; the kernel adds once per run per step, preserving
+	// the batched-counters contract (DESIGN.md §2.3).
 	nIn, nOut, suppressed, punctDropped atomic.Int64
+
+	// Per-run kernel state (runSteps): the hoisted guard check and the
+	// tuples this step dropped in the current run.
+	guarded bool
+	dropped int64
 }
 
 // Fused runs a chain of stateless operators as one exec node.
@@ -97,10 +106,15 @@ type Fused struct {
 	in    stream.Schema
 	steps []step
 	name  string
-	// scratch backs ProcessTupleBatch's survivor filtering; reused across
-	// batches (operators are single-goroutine) so the steady state is
-	// allocation-free. Transient within one call — never checkpointed.
+	// lastMap is the index of the chain's last non-identity mapping step,
+	// the one that writes emitted tuples (-1: no step rebuilds tuples and
+	// survivors are the inputs themselves); outArity is its output arity.
+	lastMap, outArity int
+	// scratch backs the kernel loop's survivor list and one its run of one
+	// (ProcessTuple); reused across runs (operators are single-goroutine).
+	// Transient within one call — never checkpointed.
 	scratch []stream.Tuple
+	one     [1]queue.Item
 
 	// Kernel-level feedback accounting (feedback is off the tuple path).
 	fbReceived, fbExploited, fbForwarded atomic.Int64
@@ -156,6 +170,16 @@ func New(ops []exec.Operator) (*Fused, error) {
 		}
 		names = append(names, o.Name())
 	}
+	f.lastMap = -1
+	for i := range f.steps {
+		if st := &f.steps[i]; st.kind != kSelect && !st.identity {
+			if f.lastMap >= 0 {
+				prev := &f.steps[f.lastMap]
+				prev.vals = make([]stream.Value, len(prev.toInput))
+			}
+			f.lastMap, f.outArity = i, len(st.toInput)
+		}
+	}
 	f.in = ops[0].InSchemas()[0]
 	f.name = "fused(" + strings.Join(names, "+") + ")"
 	return f, nil
@@ -207,54 +231,107 @@ func (f *Fused) Open(exec.Context) error {
 	return nil
 }
 
-// ProcessTuple implements exec.Operator: the flat kernel loop. Each step
-// performs exactly the unfused operator's per-tuple work — guard probe,
-// predicate/cost, attribute mapping — but the tuple moves to the next step
-// by local variable, not by page handoff, and only the survivor of the whole
-// chain is emitted.
+// ProcessTuple implements exec.Operator: a run of one through the kernel
+// loop (runSteps). The runtime uses it for barrier alignment and singleton
+// runs; everything else arrives through ProcessTupleBatch.
 //
 //pace:hotpath
 func (f *Fused) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
-	if out, ok := f.runTuple(t); ok {
+	if out, ok := f.runOne(t); ok {
 		ctx.Emit(out)
 	}
 	return nil
 }
 
-// runTuple pushes one tuple through the step table and reports whether it
-// survived the whole chain — the kernel core shared by ProcessTuple and the
-// prefix path (Prefixed), which emit survivors differently.
-func (f *Fused) runTuple(t stream.Tuple) (stream.Tuple, bool) {
-	cur := t
-	for i := range f.steps {
-		st := &f.steps[i]
-		st.nIn.Add(1)
-		switch st.kind {
-		case kSelect:
-			if st.mode != op.FeedbackIgnore && st.guards.Suppress(cur) {
-				st.suppressed.Add(1)
-				return stream.Tuple{}, false
+// runOne pushes a single tuple through the kernel as a run of one and
+// reports whether it survived the whole chain — shared by ProcessTuple and
+// the prefix path (Prefixed), which emit survivors differently.
+//
+//pace:hotpath
+func (f *Fused) runOne(t stream.Tuple) (stream.Tuple, bool) {
+	f.one[0].Tuple = t
+	out := f.runSteps(f.one[:])
+	if len(out) == 0 {
+		return stream.Tuple{}, false
+	}
+	return out[0], true
+}
+
+// ProcessTupleBatch implements exec.TupleBatcher: a run of consecutive
+// tuples goes through the kernel loop in one call and the survivors are
+// emitted in order as one run. Exactly equivalent to calling ProcessTuple
+// per item; the runtime mixes both paths freely.
+//
+//pace:hotpath
+func (f *Fused) ProcessTupleBatch(_ int, items []queue.Item, ctx exec.Context) error {
+	buf := f.runSteps(items)
+	if be, ok := ctx.(exec.BatchEmitter); ok {
+		be.EmitBatch(buf)
+	} else {
+		for i := range buf {
+			ctx.Emit(buf[i])
+		}
+	}
+	return nil
+}
+
+// runSteps is the kernel loop: every tuple of the run goes through the step
+// table — guard probe, predicate/cost, attribute mapping, exactly the unfused
+// operator's per-tuple work — moving from step to step by local variable, and
+// the survivors come back in order. The returned slice is backed by f.scratch
+// and valid until the next call: the caller hands it off (emit or
+// batch-apply) before then.
+//
+// Each output tuple is written once. A mapping step that is not the chain's
+// last writes into its own scratch (st.vals), which the next step reads and
+// nothing else ever sees; the last mapping step writes into the run's slab,
+// one allocation per run, made when the first tuple reaches it. A survivor
+// keeps its slot as slab[:n:n] (cap == len: an append on an emitted tuple
+// cannot reach its neighbour); a tuple dropped by a later select or guard
+// leaves its slot to the next one. A chain with no mapping step allocates
+// nothing: its survivors are the input tuples.
+//
+// Guard probes are hoisted per run (feedback only arrives between runs, so
+// a table cannot change mid-run) and the per-step counters move once per
+// run: a step's input is its predecessor's output, so counting the drops is
+// enough.
+//
+//pace:hotpath
+func (f *Fused) runSteps(items []queue.Item) []stream.Tuple {
+	for si := range f.steps {
+		st := &f.steps[si]
+		st.guarded = st.mode != op.FeedbackIgnore && st.guards.Active() > 0
+	}
+	out := f.scratch[:0]
+	var slab []stream.Value // unused rest of the run's slab
+tuples:
+	for i := range items {
+		cur := items[i].Tuple
+		for si := range f.steps {
+			st := &f.steps[si]
+			if st.kind == kSelect {
+				if st.guarded && st.guards.Suppress(cur) {
+					st.suppressed.Add(1)
+					st.dropped++
+					continue tuples
+				}
+				if st.cost > 0 {
+					st.meter.Do(st.cost)
+				}
+				if (st.expr != nil && !st.expr.Eval(cur)) || (st.cond != nil && !st.cond(cur)) {
+					st.dropped++
+					continue tuples
+				}
+				continue
 			}
-			if st.cost > 0 {
-				st.meter.Do(st.cost)
-			}
-			if st.expr != nil && !st.expr.Eval(cur) {
-				return stream.Tuple{}, false
-			}
-			if st.cond != nil && !st.cond(cur) {
-				return stream.Tuple{}, false
-			}
-		case kProject:
 			if !st.identity {
-				cur = cur.Project(st.toInput)
-			}
-			if st.mode != op.FeedbackIgnore && st.guards.Suppress(cur) {
-				st.suppressed.Add(1)
-				return stream.Tuple{}, false
-			}
-		case kMap:
-			if !st.identity {
-				vals := make([]stream.Value, len(st.toInput))
+				vals := st.vals
+				if si == f.lastMap {
+					if len(slab) < f.outArity {
+						slab = make([]stream.Value, (len(items)-i)*f.outArity) //pace:allow-alloc the run's slab: one allocation per run, owned by the tuples emitted from it
+					}
+					vals = slab[:f.outArity:f.outArity]
+				}
 				for o, src := range st.toInput {
 					if src >= 0 {
 						vals[o] = cur.Values[src]
@@ -264,122 +341,27 @@ func (f *Fused) runTuple(t stream.Tuple) (stream.Tuple, bool) {
 				}
 				cur = stream.Tuple{Values: vals, Seq: cur.Seq}
 			}
-			if st.mode != op.FeedbackIgnore && st.guards.Suppress(cur) {
+			if st.guarded && st.guards.Suppress(cur) {
 				st.suppressed.Add(1)
-				return stream.Tuple{}, false
+				st.dropped++
+				continue tuples
 			}
 		}
-		st.nOut.Add(1)
-	}
-	return cur, true
-}
-
-// ProcessTupleBatch implements exec.TupleBatcher: a run of consecutive
-// tuples goes through each step as one tight loop — counters batched, the
-// guard-table check hoisted per batch (feedback only arrives between
-// batches, so the table cannot change mid-run) — and the survivors are
-// emitted in order. Exactly equivalent to calling ProcessTuple per item;
-// the runtime mixes both paths freely.
-//
-//pace:hotpath
-func (f *Fused) ProcessTupleBatch(_ int, items []queue.Item, ctx exec.Context) error {
-	buf := f.runBatchItems(items)
-	if be, ok := ctx.(exec.BatchEmitter); ok {
-		be.EmitBatch(buf)
-	} else {
-		for i := range buf {
-			ctx.Emit(buf[i])
+		if f.lastMap >= 0 {
+			slab = slab[f.outArity:]
 		}
+		out = append(out, cur)
 	}
-	f.scratch = buf[:0]
-	return nil
-}
-
-// runBatchItems loads a queue run into the reused scratch buffer and runs
-// the step table over it, returning the survivors. The returned slice is
-// backed by f.scratch and is valid until the next run*/Process* call — the
-// caller must hand it off (emit or batch-apply) before then, not retain it.
-//
-//pace:hotpath
-func (f *Fused) runBatchItems(items []queue.Item) []stream.Tuple {
-	buf := f.scratch[:0]
-	for i := range items {
-		buf = append(buf, items[i].Tuple)
-	}
-	buf = f.runSteps(buf)
-	f.scratch = buf
-	return buf
-}
-
-// runSteps filters/transforms buf in place through the step table, one tight
-// loop per step with batched counters and the guard probe hoisted per batch
-// (feedback only arrives between batches, so the table cannot change
-// mid-run). Returns the surviving prefix of buf.
-func (f *Fused) runSteps(buf []stream.Tuple) []stream.Tuple {
+	f.scratch = out
+	n := int64(len(items))
 	for si := range f.steps {
 		st := &f.steps[si]
-		st.nIn.Add(int64(len(buf)))
-		guarded := st.mode != op.FeedbackIgnore && st.guards.Active() > 0
-		if st.kind != kSelect && st.identity && !guarded {
-			// Identity projection/rename with no active guards: every tuple
-			// passes through unchanged, so only the counters move.
-			st.nOut.Add(int64(len(buf)))
-			continue
-		}
-		out := buf[:0] // in-place filter: writes trail reads
-		switch st.kind {
-		case kSelect:
-			for _, t := range buf {
-				if guarded && st.guards.Suppress(t) {
-					st.suppressed.Add(1)
-					continue
-				}
-				if st.cost > 0 {
-					st.meter.Do(st.cost)
-				}
-				if st.expr != nil && !st.expr.Eval(t) {
-					continue
-				}
-				if st.cond != nil && !st.cond(t) {
-					continue
-				}
-				out = append(out, t)
-			}
-		case kProject:
-			for _, t := range buf {
-				if !st.identity {
-					t = t.Project(st.toInput)
-				}
-				if guarded && st.guards.Suppress(t) {
-					st.suppressed.Add(1)
-					continue
-				}
-				out = append(out, t)
-			}
-		case kMap:
-			for _, t := range buf {
-				if !st.identity {
-					vals := make([]stream.Value, len(st.toInput))
-					for o, src := range st.toInput {
-						if src >= 0 {
-							vals[o] = t.Values[src]
-						} else {
-							vals[o] = st.fns[o](t)
-						}
-					}
-					t = stream.Tuple{Values: vals, Seq: t.Seq}
-				}
-				if guarded && st.guards.Suppress(t) {
-					st.suppressed.Add(1)
-					continue
-				}
-				out = append(out, t)
-			}
-		}
-		st.nOut.Add(int64(len(out)))
-		buf = out
+		st.nIn.Add(n)
+		n -= st.dropped
+		st.dropped = 0
+		st.nOut.Add(n)
 	}
-	return buf
+	return out
 }
 
 // ProcessPunct implements exec.Operator: the chain relays punctuation iff

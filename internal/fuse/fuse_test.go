@@ -467,8 +467,9 @@ func TestRewriteLeavesSingletonsAlone(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel allocation: the fused hot loop must not allocate for identity-
-// shaped chains (select + carry-all map), matching the unfused steady state.
+// Kernel allocation: a chain that rebuilds no tuple (select + carry-all
+// project/map) allocates nothing; a chain that does (project dropping a
+// column, map computing one) allocates the run's slab and nothing else.
 // ---------------------------------------------------------------------------
 
 // discardCtx is a no-op exec.Context for direct kernel measurement.
@@ -515,6 +516,65 @@ func TestFusedKernelZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fused kernel allocates %.1f per tuple, want 0", allocs)
+	}
+}
+
+// mappingChain is the shape the benchmark's stateless workload runs: select →
+// project that drops a column → map with one computed attribute. Its select
+// keeps tuples with a ≤ 3.
+func mappingChain(t testing.TB) *Fused {
+	expr, err := op.NewExpr(chainSchema.Arity(),
+		op.ExprStep{Col: 0, Name: "a", Pred: punct.Le(stream.Int(3))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := &op.Project{OpName: "keep", In: chainSchema, Keep: []string{"a", "ts", "v"}}
+	fused, err := New([]exec.Operator{
+		&op.Select{OpName: "sel", Schema: chainSchema, Expr: expr, Mode: op.FeedbackExploit},
+		keep,
+		&op.Map{OpName: "double", In: keep.OutSchemas()[0], Outs: []op.MapAttr{
+			op.Carry("a"), op.Carry("ts"),
+			op.Compute("v2", stream.KindFloat, func(t stream.Tuple) stream.Value { return stream.Float(2 * t.At(2).F) }),
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fused.Open(discardCtx{}); err != nil {
+		t.Fatal(err)
+	}
+	return fused
+}
+
+// TestFusedKernelMappingAllocs pins the mapping-shaped chain: one slab per
+// run however many tuples survive, one per surviving single tuple, nothing
+// for a tuple the select drops before any step rebuilds it.
+func TestFusedKernelMappingAllocs(t *testing.T) {
+	fused := mappingChain(t)
+	ctx := discardCtx{}
+	run := make([]queue.Item, 64) // the select keeps 4 of every 5
+	for i := range run {
+		run[i] = queue.TupleItem(stream.NewTuple(stream.Int(int64(i%5)), stream.Int(7),
+			stream.TimeMicros(int64(i)*1000), stream.Float(55)))
+	}
+	if err := fused.ProcessTupleBatch(0, run, ctx); err != nil {
+		t.Fatal(err) // warm: survivor scratch grown
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		_ = fused.ProcessTupleBatch(0, run, ctx)
+	}); n > 1 {
+		t.Fatalf("mapping kernel allocates %.1f per 64-tuple run, want at most 1", n)
+	}
+	kept, dropped := run[0].Tuple, run[4].Tuple
+	if n := testing.AllocsPerRun(500, func() {
+		_ = fused.ProcessTuple(0, kept, ctx)
+	}); n != 1 {
+		t.Fatalf("mapping kernel allocates %.1f per surviving tuple, want 1", n)
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		_ = fused.ProcessTuple(0, dropped, ctx)
+	}); n != 0 {
+		t.Fatalf("mapping kernel allocates %.1f per dropped tuple, want 0", n)
 	}
 }
 
@@ -610,6 +670,124 @@ func TestFusedBatchEqualsPerTuple(t *testing.T) {
 		if !reflect.DeepEqual(single.StepStats(), batched.StepStats()) {
 			t.Fatalf("seed %d: step stats diverge:\n per-tuple: %+v\n batch:     %+v",
 				seed, single.StepStats(), batched.StepStats())
+		}
+	}
+}
+
+// ownCtx keeps every emitted tuple as emitted — Values still pointing
+// wherever the kernel put them — beside a deep copy taken at that instant.
+type ownCtx struct {
+	discardCtx
+	t      *testing.T
+	got    []stream.Tuple
+	copies []stream.Tuple
+}
+
+func (c *ownCtx) Emit(t stream.Tuple) {
+	if cap(t.Values) != len(t.Values) {
+		c.t.Errorf("emitted tuple %v has cap %d over len %d: an append would reach its neighbour",
+			t, cap(t.Values), len(t.Values))
+	}
+	c.got = append(c.got, t)
+	c.copies = append(c.copies, t.Clone())
+}
+
+// check fails if anything the kernel did since has changed an emitted tuple.
+func (c *ownCtx) check(when string) {
+	for i := range c.got {
+		if !reflect.DeepEqual(c.got[i], c.copies[i]) {
+			c.t.Fatalf("%s: emitted tuple %d changed under its holder: was %v, now %v",
+				when, i, c.copies[i], c.got[i])
+		}
+	}
+}
+
+// ownBatchCtx adds the batched emit a live runner provides.
+type ownBatchCtx struct{ *ownCtx }
+
+func (c ownBatchCtx) EmitBatch(ts []stream.Tuple) {
+	for i := range ts {
+		c.Emit(ts[i])
+	}
+}
+
+// TestFusedEmittedTuplesOwnTheirValues is the slab ownership rule (DESIGN.md
+// §2.4): whatever the kernel runs afterwards — further runs, single tuples,
+// punctuation, feedback that turns guards on — a tuple it emitted keeps its
+// values, no emitted tuple has room to grow into another, and the inputs are
+// never written. Scratch escaping the kernel loop, two survivors sharing a
+// slot, or a slab reused across runs would each fail here.
+func TestFusedEmittedTuplesOwnTheirValues(t *testing.T) {
+	for seed := int64(0); seed < 150; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		specs := randChain(rng)
+		outSchema := specs[len(specs)-1].out
+		ops := make([]exec.Operator, len(specs))
+		for i, s := range specs {
+			ops[i] = s.build()
+		}
+		fused, err := New(ops)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		own := &ownCtx{t: t}
+		var ctx exec.Context = own
+		if seed%2 == 0 {
+			ctx = ownBatchCtx{own}
+		}
+		if err := fused.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var inputs, inputCopies []stream.Tuple
+		var seq int64
+		for ev := 0; ev < 20; ev++ {
+			when := fmt.Sprintf("seed %d event %d", seed, ev)
+			switch r := rng.Intn(10); {
+			case r < 5:
+				run := make([]queue.Item, 1+rng.Intn(70))
+				for i := range run {
+					tp := randTuple(rng, ev*100+i)
+					run[i] = queue.TupleItem(tp)
+					inputs, inputCopies = append(inputs, tp), append(inputCopies, tp.Clone())
+				}
+				if err := fused.ProcessTupleBatch(0, run, ctx); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+			case r < 7:
+				tp := randTuple(rng, ev*100)
+				inputs, inputCopies = append(inputs, tp), append(inputCopies, tp.Clone())
+				if err := fused.ProcessTuple(0, tp, ctx); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+			case r < 8:
+				if err := fused.ProcessPunct(0, punct.NewEmbedded(randPattern(rng, chainSchema)), ctx); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+			default:
+				seq++
+				f := core.Feedback{Intent: core.Assumed, Pattern: randPattern(rng, outSchema), Origin: "downstream", Seq: seq}
+				if err := fused.ProcessFeedback(0, f, ctx); err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+			}
+			own.check(when)
+		}
+		if !reflect.DeepEqual(inputs, inputCopies) {
+			t.Fatalf("seed %d: the kernel wrote into its input tuples", seed)
+		}
+		// No two emitted tuples share memory: stamp each with its own index,
+		// then find every stamp where it was put.
+		for i, tp := range own.got {
+			for j := range tp.Values {
+				tp.Values[j] = stream.Int(int64(i))
+			}
+		}
+		for i, tp := range own.got {
+			for j := range tp.Values {
+				if tp.Values[j].I != int64(i) {
+					t.Fatalf("seed %d: emitted tuples %d and %d overlap", seed, i, tp.Values[j].I)
+				}
+			}
 		}
 	}
 }

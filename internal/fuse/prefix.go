@@ -1,8 +1,8 @@
 // Stage 2 of the plan compiler: Prefixed attaches stateless prefix kernels
 // to a stateful consumer's input ports. The kernel (a Fused step table) runs
 // inside the consumer's page loop — guard probe, compiled predicate,
-// attribute mapping, in-place survivor filtering in the kernel's reused
-// scratch buffer — and the survivors go straight into the consumer's batched
+// attribute mapping, survivors gathered in the kernel's reused scratch
+// buffer — and the survivors go straight into the consumer's batched
 // apply path (exec.TupleBatchApplier) when it has one, or its per-tuple path
 // otherwise. The wrapped node keeps the stateful operator's entire control
 // surface: barrier alignment is untouched (the runtime still sees one node),
@@ -133,13 +133,13 @@ func (p *Prefixed) Open(ctx exec.Context) error {
 	return p.inner.Open(p.wrap(ctx))
 }
 
-// ProcessTuple implements exec.Operator: the kernel filters/maps, the inner
-// operator folds the survivor. Used by the runtime's per-item path (barrier
-// alignment, singleton runs).
+// ProcessTuple implements exec.Operator: the kernel filters/maps the tuple
+// as a run of one, the inner operator folds the survivor. Used by the
+// runtime's per-item path (barrier alignment, singleton runs).
 func (p *Prefixed) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
 	w := p.wrap(ctx)
 	if k := p.Kernel(input); k != nil {
-		out, ok := k.runTuple(t)
+		out, ok := k.runOne(t)
 		if !ok {
 			return nil
 		}
@@ -148,10 +148,10 @@ func (p *Prefixed) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) err
 	return p.inner.ProcessTuple(input, t, w)
 }
 
-// ProcessTupleBatch implements exec.TupleBatcher: the kernel runs its step
-// table over the whole run with in-place survivor filtering, then hands the
-// survivors to the inner operator's batched apply path in one call (falling
-// back to per-tuple when the inner operator has none).
+// ProcessTupleBatch implements exec.TupleBatcher: the kernel loop takes the
+// whole run, then the survivors go to the inner operator's batched apply
+// path in one call (falling back to per-tuple when the inner operator has
+// none).
 func (p *Prefixed) ProcessTupleBatch(input int, items []queue.Item, ctx exec.Context) error {
 	w := p.wrap(ctx)
 	k := p.Kernel(input)
@@ -166,7 +166,7 @@ func (p *Prefixed) ProcessTupleBatch(input int, items []queue.Item, ctx exec.Con
 		}
 		return nil
 	}
-	buf := k.runBatchItems(items)
+	buf := k.runSteps(items)
 	if len(buf) == 0 {
 		return nil
 	}

@@ -2,9 +2,10 @@ package op
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -98,6 +99,17 @@ type Aggregate struct {
 	lastKey      []byte
 	batchScratch []stream.Tuple
 
+	// minOpen is a lower bound on the smallest window id holding a state
+	// entry, so a punctuation that closes no window skips the state scan
+	// (flushThrough). Lowered on group insert, recomputed by every scan that
+	// does run, left alone by purges (a bound that is too low costs one
+	// scan, never a result); minOpenUnknown after a restore rebuilt state.
+	minOpen int64
+	// due and run back a flush's sorted work list and its current run of
+	// results; reused, transient, never checkpointed.
+	due []dueGroup
+	run []stream.Tuple
+
 	// Changelog for incremental snapshots (state.go): keys mutated or
 	// deleted since the previous capture. nil until the first capture
 	// enables tracking, so plans that never checkpoint pay nothing.
@@ -122,6 +134,23 @@ type aggGroup struct {
 	sum       float64
 	min, max  float64
 }
+
+// dueGroup is one state entry picked for emission: its key and window id
+// sit beside the pointer so ordering the list touches neither the state map
+// nor the groups.
+type dueGroup struct {
+	wid int64
+	key string
+	g   *aggGroup
+}
+
+const (
+	// minOpenUnknown makes every flush scan: no window id is below it.
+	minOpenUnknown = math.MinInt64
+	// flushSlabTuples bounds the results built in one value slab, and so
+	// what one retained result can pin: at most this many results' values.
+	flushSlabTuples = 256
+)
 
 // Name implements exec.Operator.
 func (a *Aggregate) Name() string {
@@ -183,6 +212,7 @@ func (a *Aggregate) Open(exec.Context) error {
 		a.mustInit()
 	}
 	a.state = map[string]*aggGroup{}
+	a.minOpen = math.MaxInt64
 	a.guardsOut = core.NewGuardTable(a.out.Arity())
 	a.guardsPrefix = core.NewGuardTable(a.out.Arity())
 	a.chlogDirty, a.chlogDead = nil, nil
@@ -308,6 +338,7 @@ func (a *Aggregate) ProcessTuple(input int, t stream.Tuple, _ exec.Context) erro
 			owned := append([]stream.Value(nil), groupVals...) //pace:allow-alloc first sighting of a (window, group): the state entry owns its key values
 			g = &aggGroup{wid: wid, groupVals: owned, min: math.Inf(1), max: math.Inf(-1)}
 			a.state[string(a.keyScratch)] = g
+			a.minOpen = min(a.minOpen, wid)
 		}
 		g.count++
 		if a.ValAttr >= 0 {
@@ -372,6 +403,7 @@ func (a *Aggregate) ApplyTupleBatch(input int, ts []stream.Tuple, _ exec.Context
 					owned := append([]stream.Value(nil), groupVals...) //pace:allow-alloc first sighting of a (window, group): the state entry owns its key values
 					g = &aggGroup{wid: wid, groupVals: owned, min: math.Inf(1), max: math.Inf(-1)}
 					a.state[string(a.keyScratch)] = g
+					a.minOpen = min(a.minOpen, wid)
 				}
 				a.noteDirty(a.keyScratch)
 				lastG = g
@@ -428,25 +460,19 @@ func (a *Aggregate) value(g *aggGroup) float64 {
 	return 0
 }
 
-func (a *Aggregate) resultTuple(g *aggGroup) stream.Tuple {
-	vals := make([]stream.Value, a.out.Arity())
+// fillResult writes g's result into vals, a slice of the output arity.
+func (a *Aggregate) fillResult(vals []stream.Value, g *aggGroup) {
 	copy(vals, g.groupVals)
 	vals[a.wstartIdx] = a.wstartValue(g.wid)
 	vals[a.valueIdx] = stream.Float(a.value(g))
-	return stream.NewTuple(vals...)
 }
 
-func (a *Aggregate) emitResult(g *aggGroup, ctx exec.Context) {
-	t := a.resultTuple(g)
-	if a.Mode != FeedbackIgnore && a.guardsOut.Suppress(t) {
-		a.outSuppressed++
-		return
-	}
-	if a.EmitCost > 0 {
-		a.meter.Do(a.EmitCost)
-	}
-	a.outTuples++
-	ctx.Emit(t)
+// probeResult is g's current result in the scratch buffer prefixTuple uses,
+// under the same rule: for matching only, never emitted or retained.
+func (a *Aggregate) probeResult(g *aggGroup) stream.Tuple {
+	t := a.prefixTuple(g.wid, g.groupVals)
+	t.Values[a.valueIdx] = stream.Float(a.value(g))
+	return t
 }
 
 // ProcessPunct implements exec.Operator: punctuation on the windowing
@@ -492,21 +518,67 @@ func (a *Aggregate) wstartTsValue(start int64) stream.Value {
 }
 
 // flushThrough emits and purges every state entry with wid ≤ lastFull, in
-// deterministic (wid, group) order.
+// deterministic (wid, key) order. Most punctuation closes no window — the
+// minOpen bound answers that without touching state. Otherwise one scan
+// gathers the due entries (and recomputes the bound from the rest), one sort
+// orders them, and the results are built in value slabs of at most
+// flushSlabTuples tuples — one allocation per slab, each result owning its
+// slot as slab[:n:n] — and handed downstream a run at a time. A result the
+// output guards suppress leaves its slot to the next one.
 func (a *Aggregate) flushThrough(lastFull int64, ctx exec.Context) {
-	var due []string
+	if lastFull < a.minOpen {
+		return
+	}
+	due := a.due[:0]
+	minOpen := int64(math.MaxInt64)
 	for k, g := range a.state {
 		if g.wid <= lastFull {
-			due = append(due, k)
+			due = append(due, dueGroup{wid: g.wid, key: k, g: g})
+		} else {
+			minOpen = min(minOpen, g.wid)
 		}
 	}
-	sort.Strings(due)
-	sort.SliceStable(due, func(i, j int) bool { return a.state[due[i]].wid < a.state[due[j]].wid })
-	for _, k := range due {
-		a.emitResult(a.state[k], ctx)
-		delete(a.state, k)
-		a.noteDead(k)
+	a.minOpen = minOpen
+	slices.SortFunc(due, func(x, y dueGroup) int {
+		if c := cmp.Compare(x.wid, y.wid); c != 0 {
+			return c
+		}
+		return strings.Compare(x.key, y.key)
+	})
+	be, batched := ctx.(exec.BatchEmitter)
+	arity := a.out.Arity()
+	for rest := due; len(rest) > 0; {
+		n := min(len(rest), flushSlabTuples)
+		slab := make([]stream.Value, n*arity)
+		run := a.run[:0]
+		for _, d := range rest[:n] {
+			t := stream.Tuple{Values: slab[:arity:arity]}
+			a.fillResult(t.Values, d.g)
+			delete(a.state, d.key)
+			a.noteDead(d.key)
+			if a.Mode != FeedbackIgnore && a.guardsOut.Suppress(t) {
+				a.outSuppressed++
+				continue
+			}
+			if a.EmitCost > 0 {
+				a.meter.Do(a.EmitCost)
+			}
+			a.outTuples++
+			run = append(run, t)
+			slab = slab[arity:]
+		}
+		if batched {
+			be.EmitBatch(run)
+		} else {
+			for i := range run {
+				ctx.Emit(run[i])
+			}
+		}
+		a.run = run
+		rest = rest[n:]
 	}
+	clear(due) // the scratch must not pin the groups it just purged
+	a.due = due[:0]
 }
 
 // ProcessEOS implements exec.Operator.
@@ -549,14 +621,16 @@ func (a *Aggregate) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) er
 		// result still appears when the window closes.
 		var due []string
 		for k, g := range a.state {
-			if f.Pattern.Matches(a.resultTuple(g)) {
+			if f.Pattern.Matches(a.probeResult(g)) {
 				due = append(due, k)
 			}
 		}
-		sort.Strings(due)
+		slices.Sort(due)
 		for _, k := range due {
 			a.partialsEmitted++
-			ctx.Emit(a.resultTuple(a.state[k]))
+			vals := make([]stream.Value, a.out.Arity())
+			a.fillResult(vals, a.state[k])
+			ctx.Emit(stream.Tuple{Values: vals})
 		}
 		resp.Actions = append(resp.Actions, core.ActUnblock)
 		return nil
@@ -613,7 +687,7 @@ func (a *Aggregate) purgeMatching(p punct.Pattern, shape core.AggShape) {
 		case core.AggShapeGroup:
 			hit = p.Matches(a.prefixTuple(g.wid, g.groupVals))
 		case core.AggShapeValueUp, core.AggShapeValueDown:
-			hit = p.Matches(a.resultTuple(g))
+			hit = p.Matches(a.probeResult(g))
 		default:
 			continue
 		}
@@ -651,7 +725,7 @@ func (a *Aggregate) installInputGuard(f core.Feedback, shape core.AggShape) {
 func (a *Aggregate) snapshotMatching(p punct.Pattern) []*aggGroup {
 	var out []*aggGroup
 	for _, g := range a.state {
-		if p.Matches(a.resultTuple(g)) {
+		if p.Matches(a.probeResult(g)) {
 			out = append(out, g)
 		}
 	}

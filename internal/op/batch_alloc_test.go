@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/punct"
 	"repro/internal/stream"
 	"repro/internal/window"
@@ -75,11 +76,57 @@ func TestAggregateBatchFoldZeroAlloc(t *testing.T) {
 	}
 }
 
-// batchEmitCtx is discardCtx plus the batched emit hook, so the split test
-// covers the EmitBatchTo path a live runner provides.
+// batchEmitCtx is discardCtx plus the batched emit hooks a live runner
+// provides.
 type batchEmitCtx struct{ discardCtx }
 
+func (batchEmitCtx) EmitBatch([]stream.Tuple)        {}
 func (batchEmitCtx) EmitBatchTo(int, []stream.Tuple) {}
+
+// TestAggregateFlushSlabAllocs pins the window flush: one value slab per
+// flushSlabTuples results and nothing else once the work-list and run
+// scratch have grown — no per-result tuple, no sort closure — and nothing at
+// all for a punctuation that closes no window. Under both emit paths.
+func TestAggregateFlushSlabAllocs(t *testing.T) {
+	const groups = 1000
+	slabs := float64((groups + flushSlabTuples - 1) / flushSlabTuples)
+	for _, ctx := range []exec.Context{batchEmitCtx{}, discardCtx{}} {
+		a := foldAggregate()
+		if err := a.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		wid := int64(0)
+		fill := func() {
+			for g := int64(0); g < groups; g++ {
+				_ = a.ProcessTuple(0, traffic(g, 0, wid*allocTestMinute, 55), ctx)
+			}
+		}
+		fill()
+		a.flushThrough(wid, ctx) // warm: work list and run scratch grown
+		// A flush needs state to flush, so measure fill+flush against fill
+		// alone (the map keeps its buckets either way).
+		refill := testing.AllocsPerRun(10, func() {
+			wid++
+			fill()
+			clear(a.state)
+		})
+		cycle := testing.AllocsPerRun(10, func() {
+			wid++
+			fill()
+			a.flushThrough(wid, ctx)
+		})
+		if got := cycle - refill; got > slabs {
+			t.Fatalf("%T: flushing %d results allocates %.0f, want at most %.0f slabs", ctx, groups, got, slabs)
+		}
+		if st := a.Stats(); st.OpenGroups != 0 || st.Out == 0 {
+			t.Fatalf("%T: flush left %d groups open after %d results", ctx, st.OpenGroups, st.Out)
+		}
+		fill()
+		if n := testing.AllocsPerRun(100, func() { a.flushThrough(wid-1, ctx) }); n != 0 {
+			t.Fatalf("%T: a flush that closes nothing allocates %.1f, want 0", ctx, n)
+		}
+	}
+}
 
 // TestSplitBatchApplyZeroAlloc pins Split's partition-hash batch path at 0
 // allocs per run, under both the batched and the per-tuple emit fallback.

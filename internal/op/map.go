@@ -46,7 +46,10 @@ type MapAttr struct {
 	From string
 	// Kind is required for computed attributes (ignored when carried).
 	Kind stream.Kind
-	// Fn computes the value for computed attributes.
+	// Fn computes the value for computed attributes. It must not retain
+	// t.Values (nor a slice of it) past its return: inside a fused kernel
+	// the argument can be a scratch tuple the next input overwrites
+	// (DESIGN.md §2.4). Values copied out of it are safe to keep.
 	Fn func(t stream.Tuple) stream.Value
 }
 
@@ -56,7 +59,8 @@ func Carry(name string) MapAttr { return MapAttr{Name: name, From: name} }
 // CarryAs builds a carried output attribute under a new name.
 func CarryAs(name, from string) MapAttr { return MapAttr{Name: name, From: from} }
 
-// Compute builds a computed output attribute.
+// Compute builds a computed output attribute. fn reads its argument and
+// returns; it must not retain the argument's Values (see MapAttr.Fn).
 func Compute(name string, kind stream.Kind, fn func(stream.Tuple) stream.Value) MapAttr {
 	return MapAttr{Name: name, Kind: kind, Fn: fn}
 }

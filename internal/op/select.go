@@ -28,6 +28,7 @@ type Select struct {
 	OpName string
 	Schema stream.Schema
 	// Cond keeps tuples for which it returns true; nil keeps everything.
+	// Like MapAttr.Fn it must not retain its argument's Values.
 	Cond func(stream.Tuple) bool
 	// Expr, when set, is a compiled flat filter evaluated before Cond —
 	// the closure-free form PaceQL WHERE clauses and fused kernels use.

@@ -179,7 +179,7 @@ func (a *Aggregate) decodeGroup(dec *snapshot.Decoder) (string, *aggGroup) {
 //pace:allow-nonote restore-only helper; LoadState/ApplyDelta reset the changelog after it runs
 func (a *Aggregate) dropCovered(k string, g *aggGroup) {
 	if a.guardsPrefix.Suppress(a.prefixTuple(g.wid, g.groupVals)) ||
-		a.guardsOut.Suppress(a.resultTuple(g)) {
+		a.guardsOut.Suppress(a.probeResult(g)) {
 		a.purged++
 		delete(a.state, k)
 	}
@@ -203,6 +203,7 @@ func (a *Aggregate) LoadState(dec *snapshot.Decoder) error {
 		return err
 	}
 	a.state = state
+	a.minOpen = minOpenUnknown
 	for k, g := range state {
 		a.dropCovered(k, g)
 	}
@@ -217,6 +218,7 @@ func (a *Aggregate) LoadState(dec *snapshot.Decoder) error {
 //
 //pace:allow-nonote restore path; the applied cut is the new changelog baseline, rebuilt wholesale
 func (a *Aggregate) ApplyDelta(dec *snapshot.Decoder) error {
+	a.minOpen = minOpenUnknown
 	nd := dec.GetInt()
 	for i := 0; i < nd && dec.Err() == nil; i++ {
 		delete(a.state, dec.GetString())
