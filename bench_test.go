@@ -316,28 +316,24 @@ func BenchmarkGuardTableSuppress(b *testing.B) {
 	}
 }
 
+// BenchmarkAggregateFold times the aggregate's fold alone, per tuple, on the
+// shapes experiments.NewFoldBench describes: hot (nine groups, every fold a
+// hit; 0 allocs/op, pinned by TestAggregateFoldZeroAlloc), insert (a new
+// group per tuple, the window emitted and dropped every 8192) and
+// insert-tracked (the same between delta captures).
 func BenchmarkAggregateFold(b *testing.B) {
-	const minute = int64(60_000_000)
-	a := &op.Aggregate{
-		In: gen.TrafficSchema, Kind: core.AggAvg,
-		TsAttr: 2, ValAttr: 3, GroupBy: []int{0},
-		Window: window.Tumbling(minute),
-	}
-	h := exec.NewHarness(a)
-	// The measured loop reuses a precomputed tuple ring: building a tuple
-	// per iteration (variadic NewTuple) used to charge 1 alloc/op to a fold
-	// path that is itself allocation-free (pinned by
-	// TestAggregateFoldZeroAlloc).
-	ring := make([]stream.Tuple, 8192)
-	for i := range ring {
-		ring[i] = stream.NewTuple(
-			stream.Int(int64(i%9)), stream.Int(0),
-			stream.TimeMicros(int64(i)*1000), stream.Float(55))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Tuple(0, ring[i%len(ring)])
+	for _, shape := range experiments.FoldShapes {
+		b.Run(shape, func(b *testing.B) {
+			f, err := experiments.NewFoldBench(shape)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := f.Fold(b.N); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

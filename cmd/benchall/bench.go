@@ -123,6 +123,19 @@ func writeBenchJSON(path, label string, fuse bool) error {
 			100*(telNs[true]-telNs[false])/telNs[false])
 	}
 
+	// The aggregate's fold alone, per tuple (BenchmarkAggregateFold's
+	// shapes): every fold a hit, every fold a new group with the window
+	// emitted and dropped every 8192, and the same between delta captures.
+	for _, shape := range experiments.FoldShapes {
+		name := "BenchmarkAggregateFold/" + shape
+		ns, err := measureAggregateFold(shape)
+		if err != nil {
+			return err
+		}
+		results[name] = benchResult{NsPerOp: ns}
+		fmt.Printf("%-42s %12.1f ns/op\n", name, ns)
+	}
+
 	// Partitioned-aggregate scaling: pipeline with Aggregate parallelized
 	// at n=1,2,4,8 (per-tuple cost makes it compute-bound; the curve
 	// tracks available cores).
@@ -332,6 +345,29 @@ func measureFusedAggregate(fused bool, n int) float64 {
 		}
 	}
 	return best
+}
+
+// measureAggregateFold folds 2^20 tuples of the given shape into a fresh
+// aggregate (experiments.NewFoldBench, the loop BenchmarkAggregateFold
+// times) and returns the best-of-3 time per tuple in nanoseconds.
+func measureAggregateFold(shape string) (float64, error) {
+	const n = 1 << 20
+	best := float64(0)
+	for rep := 0; rep < 3; rep++ {
+		f, err := experiments.NewFoldBench(shape)
+		if err != nil {
+			return 0, err
+		}
+		start := time.Now()
+		if err := f.Fold(n); err != nil {
+			return 0, err
+		}
+		ns := float64(time.Since(start).Nanoseconds()) / n
+		if best == 0 || ns < best {
+			best = ns
+		}
+	}
+	return best, nil
 }
 
 // measureRecovery starts the parked Parallel(n) aggregate plan once, takes

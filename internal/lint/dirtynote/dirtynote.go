@@ -9,11 +9,11 @@
 //
 // Tracked maps are declared, not inferred: the operator marks its
 // changelog-covered fields with //pace:tracked in the struct definition
-// (Aggregate.state, Join.leftTable/rightTable). The analyzer then follows
+// (Join.leftTable/rightTable). The analyzer then follows
 // the codebase's aliasing idioms — a local assigned from a receiver-rooted
 // expression of a tracked map type (table := j.table(side)) is treated as
 // the map; a pointer local obtained by indexing or ranging a tracked map
-// (g := a.state[k]) is treated as an element, so writes through it also
+// (g := b.state[k]) is treated as an element, so writes through it also
 // demand a noteDirty. Whole-map assignment (j.leftTable = make(...)) is a
 // reset, not an entry mutation, and is exempt.
 //

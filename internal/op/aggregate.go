@@ -1,12 +1,8 @@
 package op
 
 import (
-	"bytes"
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -36,6 +32,8 @@ import (
 //   - window-bound feedback (on wstart) → translated to an input-timestamp
 //     guard via the window spec (Example 2's "skip windows w3, w4", which a
 //     bottom-of-plan filter cannot express).
+//
+//pace:allow-nonote state lives in aggStore, whose methods are the only mutators and keep the changelog themselves; there is no tracked map to pair notes with
 type Aggregate struct {
 	exec.Base
 	OpName string
@@ -63,58 +61,33 @@ type Aggregate struct {
 	// Mode/Propagate configure feedback as in Select.
 	Mode      FeedbackMode
 	Propagate bool
-	// MaxChangelog caps the incremental-snapshot changelog (dirty + dead
-	// keys). Tracking starts at the first capture and records every
-	// mutation thereafter; if checkpointing then stops — coordinator gone,
-	// persistent storage failures — the changelog would grow without bound.
-	// Crossing the cap collapses it and makes the next capture full (which
-	// re-enables tracking). 0 means the scaled default,
-	// max(DefaultMaxChangelog, live state size); an explicit positive value
-	// is an absolute limit; negative disables the cap.
-	MaxChangelog int
 
 	responseLog
-	out          stream.Schema
-	groupOutIdx  []int // positions of group attrs in output schema
-	wstartIdx    int   // position of wstart in output schema
-	valueIdx     int   // position of the aggregate value in output schema
-	attrMap      core.AttrMap
-	state        map[string]*aggGroup //pace:tracked
-	guardsOut    *core.GuardTable     // emit-time guards (output patterns)
-	guardsPrefix *core.GuardTable     // input-time guards (non-value patterns)
+	out         stream.Schema
+	groupOutIdx []int // positions of group attrs in output schema
+	wstartIdx   int   // position of wstart in output schema
+	valueIdx    int   // position of the aggregate value in output schema
+	attrMap     core.AttrMap
+	// store holds the (window, group) accumulators and their changelog; it
+	// is the only code that mutates them (aggstore.go).
+	store        aggStore
+	guardsOut    *core.GuardTable // emit-time guards (output patterns)
+	guardsPrefix *core.GuardTable // input-time guards (non-value patterns)
 	meter        work.Meter
 	// scratch backs probe-only tuples (prefixTuple): guards do not retain
 	// what they match against, so the buffer is reused across probes.
 	scratch []stream.Value
-	// groupScratch backs the per-tuple group-value projection until a new
-	// state entry actually needs to own it.
+	// groupScratch backs the per-tuple group-value projection; the store
+	// copies it into a window's arena when the group is new.
 	groupScratch []stream.Value
-	// keyScratch backs the per-tuple state-key encoding; the map is probed
-	// with string(keyScratch) so the key string is materialized only when
-	// a new entry is inserted.
-	keyScratch []byte
-	// lastKey backs the batch path's consecutive-key cache (ApplyTupleBatch);
-	// batchScratch backs ProcessTupleBatch's item unwrapping. Both reused,
-	// transient, never checkpointed.
-	lastKey      []byte
+	// batchScratch backs ProcessTupleBatch's item unwrapping and one makes
+	// ProcessTuple's tuple a run of one. due and run back a flush's sorted
+	// work list and its current run of results. All reused, transient, never
+	// checkpointed.
 	batchScratch []stream.Tuple
-
-	// minOpen is a lower bound on the smallest window id holding a state
-	// entry, so a punctuation that closes no window skips the state scan
-	// (flushThrough). Lowered on group insert, recomputed by every scan that
-	// does run, left alone by purges (a bound that is too low costs one
-	// scan, never a result); minOpenUnknown after a restore rebuilt state.
-	minOpen int64
-	// due and run back a flush's sorted work list and its current run of
-	// results; reused, transient, never checkpointed.
-	due []dueGroup
-	run []stream.Tuple
-
-	// Changelog for incremental snapshots (state.go): keys mutated or
-	// deleted since the previous capture. nil until the first capture
-	// enables tracking, so plans that never checkpoint pay nothing.
-	chlogDirty map[string]bool
-	chlogDead  map[string]bool
+	one          [1]stream.Tuple
+	due          keyOrder
+	run          []stream.Tuple
 
 	inTuples, outTuples, folded, inSuppressed, outSuppressed, purged int64
 	partialsEmitted                                                  int64
@@ -127,30 +100,9 @@ type Aggregate struct {
 	fb fbCounters
 }
 
-type aggGroup struct {
-	wid       int64
-	groupVals []stream.Value
-	count     int64
-	sum       float64
-	min, max  float64
-}
-
-// dueGroup is one state entry picked for emission: its key and window id
-// sit beside the pointer so ordering the list touches neither the state map
-// nor the groups.
-type dueGroup struct {
-	wid int64
-	key string
-	g   *aggGroup
-}
-
-const (
-	// minOpenUnknown makes every flush scan: no window id is below it.
-	minOpenUnknown = math.MinInt64
-	// flushSlabTuples bounds the results built in one value slab, and so
-	// what one retained result can pin: at most this many results' values.
-	flushSlabTuples = 256
-)
+// flushSlabTuples bounds the results built in one value slab, and so what
+// one retained result can pin: at most this many results' values.
+const flushSlabTuples = 256
 
 // Name implements exec.Operator.
 func (a *Aggregate) Name() string {
@@ -211,68 +163,10 @@ func (a *Aggregate) Open(exec.Context) error {
 	if a.out.Arity() == 0 {
 		a.mustInit()
 	}
-	a.state = map[string]*aggGroup{}
-	a.minOpen = math.MaxInt64
+	a.store.reset(len(a.GroupBy))
 	a.guardsOut = core.NewGuardTable(a.out.Arity())
 	a.guardsPrefix = core.NewGuardTable(a.out.Arity())
-	a.chlogDirty, a.chlogDead = nil, nil
 	return nil
-}
-
-// noteDirty records a state-key mutation in the changelog. The lookup form
-// keeps the hot path allocation-free: string(k) only materializes on the
-// first mutation of a key per capture interval.
-func (a *Aggregate) noteDirty(k []byte) {
-	if a.chlogDirty == nil {
-		return
-	}
-	if !a.chlogDirty[string(k)] {
-		a.chlogDirty[string(k)] = true
-	}
-	if len(a.chlogDead) > 0 {
-		delete(a.chlogDead, string(k))
-	}
-	a.capChangelog()
-}
-
-// noteDead records a state-key deletion in the changelog.
-func (a *Aggregate) noteDead(k string) {
-	if a.chlogDirty == nil {
-		return
-	}
-	delete(a.chlogDirty, k)
-	a.chlogDead[k] = true
-	a.capChangelog()
-}
-
-// capChangelog bounds changelog memory when checkpointing has stopped:
-// past the cap the changelog is collapsed — tracking turns off, so
-// CaptureState answers the next delta request with a full capture, exactly
-// as if no capture had ever happened, and re-enables tracking at that cut.
-// The default cap scales with the live state: a changelog larger than the
-// state itself means a delta has no advantage over a full capture (the
-// dead-key-accumulation failure mode), while a fixed constant would
-// collapse perfectly healthy intervals on high-cardinality plans.
-func (a *Aggregate) capChangelog() {
-	limit := a.MaxChangelog
-	if limit < 0 {
-		return
-	}
-	if limit == 0 {
-		limit = DefaultMaxChangelog
-		if n := len(a.state); n > limit {
-			limit = n
-		}
-	}
-	if len(a.chlogDirty)+len(a.chlogDead) > limit {
-		a.chlogDirty, a.chlogDead = nil, nil
-	}
-}
-
-func (a *Aggregate) appendStateKey(b []byte, wid int64, t stream.Tuple) []byte {
-	b = strconv.AppendInt(b, wid, 10)
-	b = append(b, ';')
-	return t.AppendKey(b, a.GroupBy)
 }
 
 // prefixTuple builds the output-schema tuple for a (window, group) with the
@@ -295,10 +189,7 @@ func (a *Aggregate) prefixTuple(wid int64, groupVals []stream.Value) stream.Tupl
 
 func (a *Aggregate) wstartValue(wid int64) stream.Value {
 	start, _ := a.Window.Extent(wid)
-	if a.In.Field(a.TsAttr).Kind == stream.KindTime {
-		return stream.TimeMicros(start)
-	}
-	return stream.Int(start)
+	return a.wstartTsValue(start)
 }
 
 // errUnexpectedInput keeps the formatting allocation out of the annotated
@@ -307,67 +198,21 @@ func (a *Aggregate) errUnexpectedInput(input int) error {
 	return fmt.Errorf("op: aggregate %q: tuple on unexpected input %d (single-input operator; check plan wiring)", a.Name(), input)
 }
 
-// ProcessTuple implements exec.Operator.
+// ProcessTuple implements exec.Operator: a run of one through the fold loop.
 //
 //pace:hotpath
-func (a *Aggregate) ProcessTuple(input int, t stream.Tuple, _ exec.Context) error {
-	if input != 0 {
-		return a.errUnexpectedInput(input)
-	}
-	a.inTuples++
-	lo, hi := a.Window.WindowsOf(t.At(a.TsAttr).I)
-	// The projection lives in a reused scratch buffer; it is copied into an
-	// owned slice only when a new state entry must retain it.
-	groupVals := a.groupScratch[:0]
-	for _, g := range a.GroupBy {
-		groupVals = append(groupVals, t.At(g))
-	}
-	a.groupScratch = groupVals
-	for wid := lo; wid <= hi; wid++ {
-		if a.Mode == FeedbackExploit && a.guardsPrefix.Suppress(a.prefixTuple(wid, groupVals)) {
-			a.inSuppressed++
-			continue
-		}
-		if a.Cost > 0 {
-			a.meter.Do(a.Cost)
-		}
-		a.folded++
-		a.keyScratch = a.appendStateKey(a.keyScratch[:0], wid, t)
-		g := a.state[string(a.keyScratch)]
-		if g == nil {
-			owned := append([]stream.Value(nil), groupVals...) //pace:allow-alloc first sighting of a (window, group): the state entry owns its key values
-			g = &aggGroup{wid: wid, groupVals: owned, min: math.Inf(1), max: math.Inf(-1)}
-			a.state[string(a.keyScratch)] = g
-			a.minOpen = min(a.minOpen, wid)
-		}
-		g.count++
-		if a.ValAttr >= 0 {
-			v := t.At(a.ValAttr)
-			if !v.IsNull() {
-				f := v.AsFloat()
-				g.sum += f
-				if f < g.min {
-					g.min = f
-				}
-				if f > g.max {
-					g.max = f
-				}
-			}
-		}
-		a.noteDirty(a.keyScratch)
-	}
-	return nil
+func (a *Aggregate) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
+	a.one[0] = t
+	return a.ApplyTupleBatch(input, a.one[:], ctx)
 }
 
-// ApplyTupleBatch implements exec.TupleBatchApplier: a run of tuples —
-// typically the survivors of a fused prefix kernel — folds into state as one
-// tight loop. Exactly equivalent to calling ProcessTuple on each tuple in
-// order, with the per-batch invariants exploited: the guard probe is hoisted
-// (feedback only arrives between batches, so the prefix guard table cannot
-// change mid-run), and consecutive tuples hitting the same (window, group)
-// key skip the hash probe and coalesce to one changelog dirty note (legal
-// because nothing purges state mid-batch and dirty notes are idempotent —
-// DESIGN.md §10.6).
+// ApplyTupleBatch implements exec.TupleBatchApplier, and is the operator's
+// one fold loop: a run of tuples — typically the survivors of a fused prefix
+// kernel — folds into state. The per-run invariant is exploited: feedback
+// only arrives between runs, so the prefix guard table cannot change mid-run
+// and its Active check is hoisted. The group values are hashed once per
+// tuple and no key is encoded; the store finds or inserts the accumulator
+// and stamps it dirty (DESIGN.md §10.6).
 //
 //pace:hotpath
 func (a *Aggregate) ApplyTupleBatch(input int, ts []stream.Tuple, _ exec.Context) error {
@@ -376,18 +221,17 @@ func (a *Aggregate) ApplyTupleBatch(input int, ts []stream.Tuple, _ exec.Context
 	}
 	a.inTuples += int64(len(ts))
 	exploit := a.Mode == FeedbackExploit && a.guardsPrefix.Active() > 0
-	var lastG *aggGroup
-	lastKey := a.lastKey[:0]
 	for i := range ts {
 		t := ts[i]
 		lo, hi := a.Window.WindowsOf(t.At(a.TsAttr).I)
-		groupVals := a.groupScratch[:0]
+		key := a.groupScratch[:0]
 		for _, g := range a.GroupBy {
-			groupVals = append(groupVals, t.At(g))
+			key = append(key, t.At(g))
 		}
-		a.groupScratch = groupVals
+		a.groupScratch = key
+		h := hashKey(key)
 		for wid := lo; wid <= hi; wid++ {
-			if exploit && a.guardsPrefix.Suppress(a.prefixTuple(wid, groupVals)) {
+			if exploit && a.guardsPrefix.Suppress(a.prefixTuple(wid, key)) {
 				a.inSuppressed++
 				continue
 			}
@@ -395,20 +239,7 @@ func (a *Aggregate) ApplyTupleBatch(input int, ts []stream.Tuple, _ exec.Context
 				a.meter.Do(a.Cost)
 			}
 			a.folded++
-			a.keyScratch = a.appendStateKey(a.keyScratch[:0], wid, t)
-			g := lastG
-			if g == nil || !bytes.Equal(a.keyScratch, lastKey) {
-				g = a.state[string(a.keyScratch)]
-				if g == nil {
-					owned := append([]stream.Value(nil), groupVals...) //pace:allow-alloc first sighting of a (window, group): the state entry owns its key values
-					g = &aggGroup{wid: wid, groupVals: owned, min: math.Inf(1), max: math.Inf(-1)}
-					a.state[string(a.keyScratch)] = g
-					a.minOpen = min(a.minOpen, wid)
-				}
-				a.noteDirty(a.keyScratch)
-				lastG = g
-				lastKey = append(lastKey[:0], a.keyScratch...)
-			}
+			g := a.store.upsert(wid, h, key)
 			g.count++
 			if a.ValAttr >= 0 {
 				v := t.At(a.ValAttr)
@@ -425,7 +256,6 @@ func (a *Aggregate) ApplyTupleBatch(input int, ts []stream.Tuple, _ exec.Context
 			}
 		}
 	}
-	a.lastKey = lastKey
 	return nil
 }
 
@@ -460,18 +290,24 @@ func (a *Aggregate) value(g *aggGroup) float64 {
 	return 0
 }
 
-// fillResult writes g's result into vals, a slice of the output arity.
-func (a *Aggregate) fillResult(vals []stream.Value, g *aggGroup) {
-	copy(vals, g.groupVals)
-	vals[a.wstartIdx] = a.wstartValue(g.wid)
-	vals[a.valueIdx] = stream.Float(a.value(g))
+// fillResult writes the result of a group into vals, a slice of the output
+// arity. The group values are copied: a result never aliases the arena.
+func (a *Aggregate) fillResult(vals []stream.Value, w *aggWindow, slot int32) {
+	copy(vals, w.key(slot))
+	vals[a.wstartIdx] = a.wstartValue(w.wid)
+	vals[a.valueIdx] = stream.Float(a.value(&w.groups[slot]))
 }
 
-// probeResult is g's current result in the scratch buffer prefixTuple uses,
-// under the same rule: for matching only, never emitted or retained.
-func (a *Aggregate) probeResult(g *aggGroup) stream.Tuple {
-	t := a.prefixTuple(g.wid, g.groupVals)
-	t.Values[a.valueIdx] = stream.Float(a.value(g))
+// probePrefix and probeResult are a group's prefix tuple and its current
+// result in the scratch buffer prefixTuple uses, under the same rule: for
+// matching only, never emitted or retained.
+func (a *Aggregate) probePrefix(w *aggWindow, slot int32) stream.Tuple {
+	return a.prefixTuple(w.wid, w.key(slot))
+}
+
+func (a *Aggregate) probeResult(w *aggWindow, slot int32) stream.Tuple {
+	t := a.probePrefix(w, slot)
+	t.Values[a.valueIdx] = stream.Float(a.value(&w.groups[slot]))
 	return t
 }
 
@@ -517,68 +353,55 @@ func (a *Aggregate) wstartTsValue(start int64) stream.Value {
 	return stream.Int(start)
 }
 
-// flushThrough emits and purges every state entry with wid ≤ lastFull, in
-// deterministic (wid, key) order. Most punctuation closes no window — the
-// minOpen bound answers that without touching state. Otherwise one scan
-// gathers the due entries (and recomputes the bound from the rest), one sort
-// orders them, and the results are built in value slabs of at most
-// flushSlabTuples tuples — one allocation per slab, each result owning its
-// slot as slab[:n:n] — and handed downstream a run at a time. A result the
-// output guards suppress leaves its slot to the next one.
+// flushThrough emits and closes every open window with wid ≤ lastFull, in
+// deterministic (wid, key) order. The open windows are held in wid order, so
+// most punctuation — which closes no window — is answered by looking at the
+// first. A due window's groups are ordered by their encoded keys, one sort,
+// and the results are built in value slabs of at most flushSlabTuples tuples
+// — one allocation per slab, each result owning its slot as slab[:n:n] — and
+// handed downstream a run at a time. A result the output guards suppress
+// leaves its slot to the next one. Then the window is dropped whole.
 func (a *Aggregate) flushThrough(lastFull int64, ctx exec.Context) {
-	if lastFull < a.minOpen {
-		return
-	}
-	due := a.due[:0]
-	minOpen := int64(math.MaxInt64)
-	for k, g := range a.state {
-		if g.wid <= lastFull {
-			due = append(due, dueGroup{wid: g.wid, key: k, g: g})
-		} else {
-			minOpen = min(minOpen, g.wid)
-		}
-	}
-	a.minOpen = minOpen
-	slices.SortFunc(due, func(x, y dueGroup) int {
-		if c := cmp.Compare(x.wid, y.wid); c != 0 {
-			return c
-		}
-		return strings.Compare(x.key, y.key)
-	})
 	be, batched := ctx.(exec.BatchEmitter)
 	arity := a.out.Arity()
-	for rest := due; len(rest) > 0; {
-		n := min(len(rest), flushSlabTuples)
-		slab := make([]stream.Value, n*arity)
-		run := a.run[:0]
-		for _, d := range rest[:n] {
-			t := stream.Tuple{Values: slab[:arity:arity]}
-			a.fillResult(t.Values, d.g)
-			delete(a.state, d.key)
-			a.noteDead(d.key)
-			if a.Mode != FeedbackIgnore && a.guardsOut.Suppress(t) {
-				a.outSuppressed++
-				continue
-			}
-			if a.EmitCost > 0 {
-				a.meter.Do(a.EmitCost)
-			}
-			a.outTuples++
-			run = append(run, t)
-			slab = slab[arity:]
-		}
-		if batched {
-			be.EmitBatch(run)
-		} else {
-			for i := range run {
-				ctx.Emit(run[i])
+	for w := a.store.first(); w != nil && w.wid <= lastFull; w = a.store.first() {
+		a.due.reset(w.k)
+		for slot := range w.groups {
+			if !w.groups[slot].dead {
+				a.due.add(int32(slot), w.key(int32(slot)))
 			}
 		}
-		a.run = run
-		rest = rest[n:]
+		a.due.sort()
+		for rest := a.due.rows; len(rest) > 0; {
+			n := min(len(rest), flushSlabTuples)
+			slab := make([]stream.Value, n*arity)
+			run := a.run[:0]
+			for _, d := range rest[:n] {
+				t := stream.Tuple{Values: slab[:arity:arity]}
+				a.fillResult(t.Values, w, d.slot)
+				if a.Mode != FeedbackIgnore && a.guardsOut.Suppress(t) {
+					a.outSuppressed++
+					continue
+				}
+				if a.EmitCost > 0 {
+					a.meter.Do(a.EmitCost)
+				}
+				a.outTuples++
+				run = append(run, t)
+				slab = slab[arity:]
+			}
+			if batched {
+				be.EmitBatch(run)
+			} else {
+				for i := range run {
+					ctx.Emit(run[i])
+				}
+			}
+			a.run = run
+			rest = rest[n:]
+		}
+		a.store.closeFirst()
 	}
-	clear(due) // the scratch must not pin the groups it just purged
-	a.due = due[:0]
 }
 
 // ProcessEOS implements exec.Operator.
@@ -619,18 +442,21 @@ func (a *Aggregate) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) er
 		// (§3.4's financial-speculator example — a partial answer soon
 		// beats a full answer too late). State is retained; the final
 		// result still appears when the window closes.
-		var due []string
-		for k, g := range a.state {
-			if f.Pattern.Matches(a.probeResult(g)) {
-				due = append(due, k)
+		// Partials leave in the flush's (wid, key) order.
+		for _, w := range a.store.wins {
+			a.due.reset(w.k)
+			for slot := range w.groups {
+				if !w.groups[slot].dead && f.Pattern.Matches(a.probeResult(w, int32(slot))) {
+					a.due.add(int32(slot), w.key(int32(slot)))
+				}
 			}
-		}
-		slices.Sort(due)
-		for _, k := range due {
-			a.partialsEmitted++
-			vals := make([]stream.Value, a.out.Arity())
-			a.fillResult(vals, a.state[k])
-			ctx.Emit(stream.Tuple{Values: vals})
+			a.due.sort()
+			for _, d := range a.due.rows {
+				a.partialsEmitted++
+				vals := make([]stream.Value, a.out.Arity())
+				a.fillResult(vals, w, d.slot)
+				ctx.Emit(stream.Tuple{Values: vals})
+			}
 		}
 		resp.Actions = append(resp.Actions, core.ActUnblock)
 		return nil
@@ -681,20 +507,19 @@ func (a *Aggregate) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) er
 // value-bound shapes on monotone aggregates the current partial decides
 // (it can only move further into the subset).
 func (a *Aggregate) purgeMatching(p punct.Pattern, shape core.AggShape) {
-	for k, g := range a.state {
+	for w, slot := range a.store.each {
 		var hit bool
 		switch shape {
 		case core.AggShapeGroup:
-			hit = p.Matches(a.prefixTuple(g.wid, g.groupVals))
+			hit = p.Matches(a.probePrefix(w, slot))
 		case core.AggShapeValueUp, core.AggShapeValueDown:
-			hit = p.Matches(a.probeResult(g))
+			hit = p.Matches(a.probeResult(w, slot))
 		default:
-			continue
+			return
 		}
 		if hit {
 			a.purged++
-			delete(a.state, k)
-			a.noteDead(k)
+			a.store.purge(w, slot)
 		}
 	}
 }
@@ -707,29 +532,21 @@ func (a *Aggregate) installInputGuard(f core.Feedback, shape core.AggShape) {
 	case core.AggShapeGroup:
 		a.guardsPrefix.Install(f)
 	case core.AggShapeValueUp, core.AggShapeValueDown:
-		// Guard the specific (window, group) pairs that were purged:
-		// equality patterns on the prefix.
-		for _, g := range a.snapshotMatching(f.Pattern) {
-			pat := punct.AllWild(a.out.Arity())
-			for i := range a.groupOutIdx {
-				pat = pat.With(a.groupOutIdx[i], punct.Eq(g.groupVals[i]))
+		// Guard the specific (window, group) pairs about to be purged —
+		// those whose current result matches: equality patterns on the
+		// prefix.
+		for w, slot := range a.store.each {
+			if !f.Pattern.Matches(a.probeResult(w, slot)) {
+				continue
 			}
-			pat = pat.With(a.wstartIdx, punct.Eq(a.wstartValue(g.wid)))
+			pat := punct.AllWild(a.out.Arity())
+			for i, v := range w.key(slot) {
+				pat = pat.With(a.groupOutIdx[i], punct.Eq(v))
+			}
+			pat = pat.With(a.wstartIdx, punct.Eq(a.wstartValue(w.wid)))
 			a.guardsPrefix.Install(core.Feedback{Intent: core.Assumed, Pattern: pat, Origin: f.Origin, Seq: f.Seq})
 		}
 	}
-}
-
-// snapshotMatching returns state entries whose current result matches p.
-// It must run before purgeMatching removes those entries.
-func (a *Aggregate) snapshotMatching(p punct.Pattern) []*aggGroup {
-	var out []*aggGroup
-	for _, g := range a.state {
-		if p.Matches(a.probeResult(g)) {
-			out = append(out, g)
-		}
-	}
-	return out
 }
 
 // propagate relays feedback upstream: group-bound patterns go through the
@@ -825,7 +642,7 @@ func (a *Aggregate) Stats() AggregateStats {
 		OutSuppressed: a.outSuppressed,
 		Purged:        a.purged,
 		Partials:      a.partialsEmitted,
-		OpenGroups:    len(a.state),
+		OpenGroups:    a.store.live(),
 		WorkUnits:     a.meter.Total(),
 	}
 }

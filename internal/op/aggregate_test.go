@@ -2,6 +2,7 @@ package op
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -281,6 +282,24 @@ func TestAggregateDemandedEmitsPartials(t *testing.T) {
 	}
 	if a.Stats().Partials != 1 {
 		t.Error("partials counter")
+	}
+
+	// Sliding windows hold several windows open at once: the partials leave
+	// in the flush's order — window 9 before window 10, by number — not in
+	// the order of "9;…" and "10;…" as strings.
+	s := &Aggregate{In: trafficSchema, Kind: core.AggCount, TsAttr: 2, ValAttr: -1, GroupBy: []int{0},
+		Window: window.Sliding(3*minute, minute), Mode: FeedbackExploit}
+	h = exec.NewHarness(s)
+	h.Tuple(0, traffic(2, 1, 10*minute+1, 50)) // windows 8, 9, 10
+	h.Tuple(0, traffic(1, 1, 10*minute+2, 50))
+	h.Feedback(0, core.NewDemanded(punct.AllWild(3)))
+	var got2 [][2]int64
+	for _, tp := range h.OutTuples(0) {
+		got2 = append(got2, [2]int64{tp.At(1).I / minute, tp.At(0).AsInt()})
+	}
+	want := [][2]int64{{8, 1}, {8, 2}, {9, 1}, {9, 2}, {10, 1}, {10, 2}}
+	if !reflect.DeepEqual(got2, want) {
+		t.Fatalf("partials over sliding windows left as (window, segment) %v, want %v", got2, want)
 	}
 }
 

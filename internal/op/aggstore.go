@@ -1,0 +1,478 @@
+package op
+
+import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"math"
+	"slices"
+
+	"repro/internal/stream"
+)
+
+// aggStore is the aggregate's state: the open windows in window-id order,
+// each owning its groups, and the changelog incremental snapshots are cut
+// from. Every mutation of aggregate state goes through its methods, so the
+// changelog cannot miss one (DESIGN.md §7.2, §10.7).
+//
+// The window is the unit state is born in, punctuated shut in and discarded
+// in: a closing window is emitted and dropped whole — no per-group delete —
+// and its memory is kept for the next window to open (at most
+// aggSpareWindows of them). Nothing that leaves the store — an emitted
+// result, a capture — may alias a window's arena (§2.4).
+//
+// Changelog, relative to the previous capture or load: a group that is
+// inserted or folded into is flagged dirty and listed in its window's dirty
+// slots, so a delta capture walks only those; closing windows moves one
+// watermark (closedThrough) instead of noting each group dead; a group purged
+// one by one by feedback is recorded in purged. The changelog is always on and
+// bounded by construction: dirty slots belong to open windows, purged records
+// of a window are forgotten when it closes, and the watermark is one number.
+type aggStore struct {
+	k     int          // group columns
+	wins  []*aggWindow // open windows, ascending wid
+	spare []*aggWindow // closed windows kept for reuse
+	last  *aggWindow   // the window the last upsert hit
+
+	// based is set once a capture or load has fixed a baseline a delta can
+	// be relative to.
+	based bool
+	// closedThrough: every window with wid ≤ it has been closed since the
+	// baseline (a late tuple may have opened it again since; its groups are
+	// then dirty). -1 when none has.
+	closedThrough int64
+	purged        []aggPurged
+}
+
+// aggSpareWindows bounds the closed windows kept for reuse. One serves a
+// plan that closes a window as it opens the next; the second absorbs a late
+// tuple that re-opens a closed window for a moment.
+const aggSpareWindows = 2
+
+// aggMinIndex is a new window's index size (a power of two).
+const aggMinIndex = 64
+
+// aggGroup is one (window, group) accumulator: a slot of its window's slab.
+type aggGroup struct {
+	count    int64
+	sum      float64
+	min, max float64
+	// dirty: changed since the baseline, and listed in the window's dirty
+	// slots. dead: purged by feedback; the slot and its index entry stay, so
+	// a later tuple for the group revives it in place.
+	dirty, dead bool
+}
+
+var emptyGroup = aggGroup{min: math.Inf(1), max: math.Inf(-1)}
+
+// aggPurged records one group purged by feedback; key is an owned copy.
+type aggPurged struct {
+	wid int64
+	key []stream.Value
+}
+
+// aggWindow is one open window: a dense slab of groups in insertion order,
+// their group values side by side in an arena, and an open-addressing index
+// over the group values' hash.
+type aggWindow struct {
+	wid    int64
+	k      int
+	groups []aggGroup
+	vals   []stream.Value // slot i's group values at [i*k, (i+1)*k)
+	// index: linear probing, hash<<32 | slot+1, 0 for empty; its length is a
+	// power of two at least twice len(groups).
+	index []uint64
+	dirty []int32 // slots changed since the baseline
+	last  int32   // the slot the last upsert hit; -1 in an empty window
+	dead  int     // dead slots
+}
+
+// key returns slot's group values. It aliases the arena: read it, copy out
+// of it, never keep or emit it.
+func (w *aggWindow) key(slot int32) []stream.Value {
+	return w.vals[int(slot)*w.k : (int(slot)+1)*w.k]
+}
+
+func (w *aggWindow) live() int { return len(w.groups) - w.dead }
+
+// hashKey hashes group values under the identity Tuple.AppendKey encodes:
+// the kind, and the payload bits that kind uses.
+//
+//pace:hotpath
+func hashKey(key []stream.Value) uint32 {
+	h := uint64(len(key))
+	for i := range key {
+		v := &key[i]
+		var x uint64
+		switch v.Kind {
+		case stream.KindNull:
+		case stream.KindString:
+			x = 14695981039346656037
+			for j := 0; j < len(v.S); j++ {
+				x = (x ^ uint64(v.S[j])) * 1099511628211
+			}
+		case stream.KindFloat:
+			x = math.Float64bits(v.F)
+		default:
+			x = uint64(v.I)
+		}
+		h = (h ^ x ^ uint64(v.Kind)<<59) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return uint32((h * 0xd6e8feb86659fd93) >> 32)
+}
+
+// sameKey reports whether two group-value rows are the same group: equal
+// exactly when their Tuple.AppendKey encodings are.
+//
+//pace:hotpath
+func sameKey(a, b []stream.Value) bool {
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.Kind != y.Kind {
+			return false
+		}
+		switch x.Kind {
+		case stream.KindNull:
+		case stream.KindString:
+			if x.S != y.S {
+				return false
+			}
+		case stream.KindFloat:
+			if math.Float64bits(x.F) != math.Float64bits(y.F) {
+				return false
+			}
+		default:
+			if x.I != y.I {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// reset empties the store for group rows of k values.
+func (s *aggStore) reset(k int) { *s = aggStore{k: k, closedThrough: -1} }
+
+// live counts the groups held.
+func (s *aggStore) live() int {
+	n := 0
+	for _, w := range s.wins {
+		n += w.live()
+	}
+	return n
+}
+
+// first returns the open window with the smallest id, or nil.
+func (s *aggStore) first() *aggWindow {
+	if len(s.wins) == 0 {
+		return nil
+	}
+	return s.wins[0]
+}
+
+// each ranges over the live groups, windows in id order.
+func (s *aggStore) each(yield func(*aggWindow, int32) bool) {
+	for _, w := range s.wins {
+		for slot := range w.groups {
+			if !w.groups[slot].dead && !yield(w, int32(slot)) {
+				return
+			}
+		}
+	}
+}
+
+// window finds the open window wid, or opens it. Windows open at the end of
+// the list almost always; a late tuple's lands wherever its id belongs.
+//
+//pace:hotpath
+func (s *aggStore) window(wid int64) *aggWindow {
+	i := len(s.wins)
+	for i > 0 && s.wins[i-1].wid > wid {
+		i--
+	}
+	if i > 0 && s.wins[i-1].wid == wid {
+		return s.wins[i-1]
+	}
+	var w *aggWindow
+	if n := len(s.spare); n > 0 {
+		w, s.spare = s.spare[n-1], s.spare[:n-1]
+	} else {
+		w = &aggWindow{k: s.k, last: -1} //pace:allow-alloc amortised: a window is allocated only while fewer than aggSpareWindows have closed
+	}
+	w.wid = wid
+	s.wins = append(s.wins, nil)
+	copy(s.wins[i+1:], s.wins[i:])
+	s.wins[i] = w
+	return w
+}
+
+// upsert returns the accumulator of (wid, key), inserting an empty one for a
+// group not seen in that window, and flags it dirty. h is hashKey(key). The
+// pointer is into the window's slab: use it before the next upsert.
+//
+//pace:hotpath
+func (s *aggStore) upsert(wid int64, h uint32, key []stream.Value) *aggGroup {
+	w := s.last
+	if w == nil || w.wid != wid {
+		w = s.window(wid)
+		s.last = w
+	}
+	slot := w.last
+	if slot < 0 || !sameKey(w.key(slot), key) {
+		slot = w.findOrInsert(h, key)
+		w.last = slot
+	}
+	g := &w.groups[slot]
+	if g.dead {
+		dirty := g.dirty
+		*g = emptyGroup
+		g.dirty = dirty
+		w.dead--
+	}
+	if !g.dirty {
+		g.dirty = true
+		w.dirty = append(w.dirty, slot)
+	}
+	return g
+}
+
+// lookup probes the index for key, whose hash is h. It returns the key's
+// slot, or -1 and the index position an insert of it would take.
+//
+//pace:hotpath
+func (w *aggWindow) lookup(h uint32, key []stream.Value) (slot int32, at uint32) {
+	mask := uint32(len(w.index) - 1)
+	for at = h & mask; w.index[at] != 0; at = (at + 1) & mask {
+		e := w.index[at]
+		if uint32(e>>32) == h {
+			if slot := int32(uint32(e)) - 1; sameKey(w.key(slot), key) {
+				return slot, at
+			}
+		}
+	}
+	return -1, at
+}
+
+// findOrInsert returns the slot of key, appending an empty group for a key
+// the window has not seen.
+//
+//pace:hotpath
+func (w *aggWindow) findOrInsert(h uint32, key []stream.Value) int32 {
+	if 2*(len(w.groups)+1) > len(w.index) {
+		w.grow()
+	}
+	slot, at := w.lookup(h, key)
+	if slot >= 0 {
+		return slot
+	}
+	slot = int32(len(w.groups))
+	w.index[at] = uint64(h)<<32 | uint64(slot+1)
+	w.groups = append(w.groups, emptyGroup) //pace:allow-alloc amortised slab growth; a recycled window already has the capacity
+	w.vals = append(w.vals, key...)         //pace:allow-alloc amortised arena growth, likewise
+	return slot
+}
+
+// grow doubles the index and re-places its entries; they carry their hash,
+// so the slab is not read. A recycled window keeps its index and does not
+// come here again until it outgrows its predecessors.
+func (w *aggWindow) grow() {
+	old := w.index
+	w.index = make([]uint64, max(2*len(old), aggMinIndex))
+	mask := uint32(len(w.index) - 1)
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		i := uint32(e>>32) & mask
+		for w.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		w.index[i] = e
+	}
+}
+
+// find returns the window and slot of a live group; the window is nil when
+// there is none.
+func (s *aggStore) find(wid int64, key []stream.Value) (*aggWindow, int32) {
+	for _, w := range s.wins {
+		if w.wid != wid || len(w.index) == 0 {
+			continue
+		}
+		if slot, _ := w.lookup(hashKey(key), key); slot >= 0 && !w.groups[slot].dead {
+			return w, slot
+		}
+		break
+	}
+	return nil, -1
+}
+
+// purge removes one live group. The window keeps the slot.
+func (s *aggStore) purge(w *aggWindow, slot int32) {
+	w.groups[slot].dead = true
+	w.dead++
+	s.purged = append(s.purged, aggPurged{wid: w.wid, key: slices.Clone(w.key(slot))})
+}
+
+// closeFirst drops the open window with the smallest id, whole, and keeps
+// its memory for a window yet to open.
+//
+//pace:hotpath
+func (s *aggStore) closeFirst() {
+	w := s.wins[0]
+	n := copy(s.wins, s.wins[1:])
+	s.wins[n] = nil
+	s.wins = s.wins[:n]
+	if s.last == w {
+		s.last = nil
+	}
+	s.closedThrough = max(s.closedThrough, w.wid)
+	if len(s.purged) > 0 {
+		s.forgetPurged()
+	}
+	if len(s.spare) < aggSpareWindows {
+		clear(w.vals) // a spare must not pin the strings of a closed window
+		clear(w.index)
+		w.groups, w.vals, w.dirty = w.groups[:0], w.vals[:0], w.dirty[:0]
+		w.last, w.dead = -1, 0
+		s.spare = append(s.spare, w)
+	}
+}
+
+// forgetPurged drops the purge records the watermark now covers.
+func (s *aggStore) forgetPurged() {
+	s.purged = slices.DeleteFunc(s.purged, func(p aggPurged) bool { return p.wid <= s.closedThrough })
+}
+
+// restore sets the accumulator of (wid, key) to a decoded one without
+// touching the changelog: a loaded cut is the baseline, not a change.
+func (s *aggStore) restore(wid int64, key []stream.Value, acc aggGroup) (*aggWindow, int32) {
+	w := s.window(wid)
+	slot := w.findOrInsert(hashKey(key), key)
+	g := &w.groups[slot]
+	if g.dead {
+		w.dead--
+	}
+	acc.dirty, acc.dead = g.dirty, false
+	*g = acc
+	return w, slot
+}
+
+// aggCapture is a copy of groups taken at a cut — all of them, or the dirty
+// ones with the rest of the changelog — that shares nothing with the store:
+// the windows it was taken from may close and be reused before it is encoded.
+type aggCapture struct {
+	k             int
+	closedThrough int64
+	purged        []aggPurged
+	wins          []aggCapWindow // ascending wid
+	groups        []aggGroup
+	vals          []stream.Value
+}
+
+// aggCapWindow says the next n captured groups belong to window wid.
+type aggCapWindow struct {
+	wid int64
+	n   int
+}
+
+func (c *aggCapture) key(i int32) []stream.Value { return c.vals[int(i)*c.k : (int(i)+1)*c.k] }
+
+func (c *aggCapture) add(w *aggWindow, slot int32) {
+	if g := &w.groups[slot]; !g.dead {
+		c.groups = append(c.groups, *g)
+		c.vals = append(c.vals, w.key(slot)...)
+	}
+}
+
+// capture copies the live groups (or, for a delta, the dirty ones and the
+// changelog) and makes this cut the baseline of the next delta.
+func (s *aggStore) capture(delta bool) *aggCapture {
+	n := 0
+	for _, w := range s.wins {
+		if delta {
+			n += len(w.dirty)
+		} else {
+			n += w.live()
+		}
+	}
+	c := &aggCapture{k: s.k, closedThrough: -1,
+		wins:   make([]aggCapWindow, 0, len(s.wins)),
+		groups: make([]aggGroup, 0, n),
+		vals:   make([]stream.Value, 0, n*s.k)}
+	for _, w := range s.wins {
+		before := len(c.groups)
+		if delta {
+			for _, slot := range w.dirty {
+				c.add(w, slot)
+			}
+		} else {
+			for slot := range w.groups {
+				c.add(w, int32(slot))
+			}
+		}
+		if got := len(c.groups) - before; got > 0 {
+			c.wins = append(c.wins, aggCapWindow{wid: w.wid, n: got})
+		}
+		for _, slot := range w.dirty {
+			w.groups[slot].dirty = false
+		}
+		w.dirty = w.dirty[:0]
+	}
+	if delta {
+		c.closedThrough, c.purged = s.closedThrough, s.purged
+	}
+	s.rebase()
+	return c
+}
+
+// rebase makes the state as it stands the baseline of the next delta. A
+// capture ends with it, having cleared the dirty slots, and so does a
+// restore, whose closes and purges replay a change already in the chain.
+func (s *aggStore) rebase() { s.based, s.closedThrough, s.purged = true, -1, nil }
+
+// keyOrder puts the groups of one window in the order of their encoded keys
+// (Tuple.AppendKey's bytes, the order results have always been emitted in).
+// The encoding is built here, once per group, into one reused buffer.
+type keyOrder struct {
+	rows []keyRow
+	buf  []byte
+	cols []int // 0..k-1, AppendKey's column list
+}
+
+// keyRow is one group to order: where its encoded key sits in buf, and the
+// key's first eight bytes (big-endian, zero-padded), which decide nearly
+// every comparison without touching buf.
+type keyRow struct {
+	prefix   uint64
+	off, end int32
+	slot     int32
+}
+
+func (o *keyOrder) reset(k int) {
+	o.rows, o.buf = o.rows[:0], o.buf[:0]
+	for len(o.cols) < k {
+		o.cols = append(o.cols, len(o.cols))
+	}
+}
+
+// add appends one group; slot is whatever the caller wants back.
+//
+//pace:hotpath
+func (o *keyOrder) add(slot int32, key []stream.Value) {
+	off := len(o.buf)
+	o.buf = stream.Tuple{Values: key}.AppendKey(o.buf, o.cols[:len(key)])
+	var head [8]byte
+	copy(head[:], o.buf[off:])
+	o.rows = append(o.rows, keyRow{prefix: binary.BigEndian.Uint64(head[:]), off: int32(off), end: int32(len(o.buf)), slot: slot})
+}
+
+func (o *keyOrder) sort() {
+	buf := o.buf
+	slices.SortFunc(o.rows, func(x, y keyRow) int {
+		if c := cmp.Compare(x.prefix, y.prefix); c != 0 {
+			return c
+		}
+		return bytes.Compare(buf[x.off:x.end], buf[y.off:y.end])
+	})
+}

@@ -67,7 +67,7 @@ func TestAggregateBatchFoldZeroAlloc(t *testing.T) {
 	}
 	ring := foldRing(64)
 	if err := a.ApplyTupleBatch(0, ring, discardCtx{}); err != nil {
-		t.Fatal(err) // warm: state entries, key scratch, lastKey buffer
+		t.Fatal(err) // warm: the window and its groups, the projection scratch
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		_ = a.ApplyTupleBatch(0, ring, discardCtx{})
@@ -85,8 +85,9 @@ func (batchEmitCtx) EmitBatchTo(int, []stream.Tuple) {}
 
 // TestAggregateFlushSlabAllocs pins the window flush: one value slab per
 // flushSlabTuples results and nothing else once the work-list and run
-// scratch have grown — no per-result tuple, no sort closure — and nothing at
-// all for a punctuation that closes no window. Under both emit paths.
+// scratch have grown — no per-result tuple, no sort closure, and nothing for
+// the window itself, which is the one closed before — and nothing at all for
+// a punctuation that closes no window. Under both emit paths.
 func TestAggregateFlushSlabAllocs(t *testing.T) {
 	const groups = 1000
 	slabs := float64((groups + flushSlabTuples - 1) / flushSlabTuples)
@@ -102,13 +103,13 @@ func TestAggregateFlushSlabAllocs(t *testing.T) {
 			}
 		}
 		fill()
-		a.flushThrough(wid, ctx) // warm: work list and run scratch grown
+		a.flushThrough(wid, ctx) // warm: work list, run scratch, and the window the next fills reuse
 		// A flush needs state to flush, so measure fill+flush against fill
-		// alone (the map keeps its buckets either way).
+		// and a close that emits nothing (fill builds its tuples).
 		refill := testing.AllocsPerRun(10, func() {
 			wid++
 			fill()
-			clear(a.state)
+			a.store.closeFirst()
 		})
 		cycle := testing.AllocsPerRun(10, func() {
 			wid++
@@ -125,6 +126,37 @@ func TestAggregateFlushSlabAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { a.flushThrough(wid-1, ctx) }); n != 0 {
 			t.Fatalf("%T: a flush that closes nothing allocates %.1f, want 0", ctx, n)
 		}
+	}
+}
+
+// TestAggregateInsertAllocs pins the insert path — the tuple that opens a
+// group, which over a wide key space is nearly every tuple: 8192 groups the
+// operator has never seen, into a window whose predecessor has closed,
+// allocate nothing. No key string, no group, no map bucket: the closed
+// window's slab, arena and index are the new window's.
+func TestAggregateInsertAllocs(t *testing.T) {
+	const groups = 8192
+	a := foldAggregate()
+	if err := a.Open(discardCtx{}); err != nil {
+		t.Fatal(err)
+	}
+	wid := int64(0)
+	tu := traffic(0, 0, 0, 55) // one tuple rewritten in place: the aggregate keeps none of it
+	cycle := func() {
+		tu.Values[2] = stream.TimeMicros(wid * allocTestMinute)
+		for g := int64(0); g < groups; g++ {
+			tu.Values[0] = stream.Int(wid*groups + g)
+			_ = a.ProcessTuple(0, tu, discardCtx{})
+		}
+		if got := a.Stats().OpenGroups; got != groups {
+			t.Fatalf("window %d holds %d groups, want %d", wid, got, groups)
+		}
+		a.store.closeFirst()
+		wid++
+	}
+	cycle() // the first window grows its slab, arena and index; the rest reuse them
+	if n := testing.AllocsPerRun(5, cycle); n != 0 {
+		t.Fatalf("inserting %d new groups into a recycled window allocates %.0f, want 0", groups, n)
 	}
 }
 

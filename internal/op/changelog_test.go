@@ -4,71 +4,71 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/punct"
 	"repro/internal/snapshot"
+	"repro/internal/stream"
 )
 
-// TestAggregateChangelogCap: once a capture has enabled changelog tracking,
-// a run that stops checkpointing must not accumulate dirty/dead keys
-// forever. Crossing MaxChangelog collapses the changelog (bounded memory),
-// and the next delta request upgrades to a full capture whose restored
-// state is identical to the live operator's.
-func TestAggregateChangelogCap(t *testing.T) {
+// TestAggregateChangelogBounded: a run that stops checkpointing must not
+// accumulate changelog forever. The aggregate's is bounded by construction —
+// dirty slots belong to open windows, a closed window leaves one watermark
+// behind, a purge record is forgotten when its window closes — so after
+// 10 000 windows opened, purged in and closed with no capture in between its
+// footprint is at most the live groups plus a constant, and the next delta,
+// applied to the last base, still reassembles the live state exactly.
+func TestAggregateChangelogBounded(t *testing.T) {
 	a := minuteAvg(FeedbackExploit, false)
-	a.MaxChangelog = 4
 	h := exec.NewHarness(a)
+	h.Tuples(traffic(1, 1, 10*1_000_000, 40), traffic(2, 1, 20*1_000_000, 30))
+	base := captureBlob(t, a, snapshot.CaptureFull)
 
-	// First capture enables tracking.
-	h.Tuples(traffic(1, 1, 10*1_000_000, 40))
-	if _, err := a.CaptureState(snapshot.CaptureFull); err != nil {
-		t.Fatal(err)
-	}
-	if a.chlogDirty == nil {
-		t.Fatal("tracking not enabled after first capture")
-	}
-
-	// "Checkpointing stops": mutate far more keys than the cap allows.
-	for seg := int64(0); seg < 12; seg++ {
-		h.Tuples(traffic(seg, 1, 10*1_000_000, 50))
+	const windows = 10_000
+	for w := int64(0); w < windows; w++ {
+		for seg := int64(0); seg < 3; seg++ {
+			h.Tuples(traffic(seg, 1, w*minute+seg, 50))
+		}
+		if w%1000 == 0 { // a purge record per thousand windows, each forgotten at its window's close
+			h.Tuples(traffic(100+w, 1, w*minute, 50))
+			h.Feedback(0, core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(100+w)))))
+		}
+		if w > 0 {
+			h.Punct(0, tsPunct(w*minute-1)) // closes window w-1
+		}
 	}
 	if h.Err() != nil {
 		t.Fatal(h.Err())
 	}
-	if a.chlogDirty != nil || a.chlogDead != nil {
-		t.Fatalf("changelog not collapsed past the cap (dirty=%d dead=%d)",
-			len(a.chlogDirty), len(a.chlogDead))
+	if got := a.Stats().Purged; got != windows/1000 {
+		t.Fatalf("%d groups purged, want %d", got, windows/1000)
+	}
+	live := a.Stats().OpenGroups
+	footprint := len(a.store.purged)
+	for _, w := range a.store.wins {
+		footprint += len(w.dirty)
+	}
+	if live != 3 || footprint > live+1 {
+		t.Fatalf("after %d windows with no capture: %d live groups, changelog footprint %d (want at most live + 1)", windows, live, footprint)
+	}
+	if n := len(a.store.wins) + len(a.store.spare); n > 1+aggSpareWindows {
+		t.Fatalf("%d windows held, want at most one open and %d spare", n, aggSpareWindows)
 	}
 
-	// Bounded from here on: further mutations must not revive tracking.
-	for seg := int64(0); seg < 12; seg++ {
-		h.Tuples(traffic(seg, 2, 20*1_000_000, 60))
-	}
-	if a.chlogDirty != nil || a.chlogDead != nil {
-		t.Fatal("collapsed changelog grew again without a capture")
-	}
-
-	// The next delta request upgrades to a full capture...
-	cap1, err := a.CaptureState(snapshot.CaptureDelta)
+	c, err := a.CaptureState(snapshot.CaptureDelta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cap1.Delta {
-		t.Fatal("capped operator answered a delta; must upgrade to full")
+	if !c.Delta {
+		t.Fatal("a bounded changelog never collapses: the capture after a long gap must still be a delta")
 	}
-	// ...which re-enables tracking at the new baseline.
-	if a.chlogDirty == nil {
-		t.Fatal("tracking not re-enabled by the upgraded full capture")
-	}
-
-	// And the full capture restores to exactly the live state.
 	twin := minuteAvg(FeedbackExploit, false)
-	ht := exec.NewHarness(twin)
-	if ht.Err() != nil {
+	if ht := exec.NewHarness(twin); ht.Err() != nil {
 		t.Fatal(ht.Err())
 	}
-	applyChain(t, twin, encodeCap(t, cap1))
+	applyChain(t, twin, base, encodeCap(t, c))
 	if got, want := fullBlob(t, twin), fullBlob(t, a); !bytes.Equal(got, want) {
-		t.Fatalf("restored state differs from live state (%dB vs %dB)", len(got), len(want))
+		t.Fatalf("base + delta differs from a full capture of the live state (%dB vs %dB)", len(got), len(want))
 	}
 }
 

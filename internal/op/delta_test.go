@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
 	"repro/internal/snapshot"
@@ -60,59 +61,89 @@ func applyChain(t *testing.T, to snapshot.Stater, base []byte, deltas ...[]byte)
 	}
 }
 
-// TestAggregateDeltaCapture: base capture + two deltas (covering group
-// mutation, creation, and punctuation-driven deletion) reassemble into a
-// state byte-identical to a direct full serialization.
+// TestAggregateDeltaCapture: a base capture and three deltas — covering group
+// mutation and creation, a feedback purge inside an open window, a window
+// closed by punctuation, and late tuples that re-open it before the next
+// capture and again after it — reassemble into a state byte-identical to a
+// direct full serialization, and equal to the plain-map model's.
 func TestAggregateDeltaCapture(t *testing.T) {
 	a := minuteAvg(FeedbackExploit, false)
 	h := exec.NewHarness(a)
-	h.Tuples(
+	m := newAggModel(a)
+	tuples := func(ts ...stream.Tuple) {
+		for _, tu := range ts {
+			m.fold(tu)
+		}
+		h.Tuples(ts...)
+	}
+	var blobs [][]byte
+	var cuts []modelCut
+	capture := func(mode snapshot.CaptureMode) {
+		t.Helper()
+		c, err := a.CaptureState(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Delta != (mode == snapshot.CaptureDelta) {
+			t.Fatalf("capture %d: Delta = %v", len(blobs), c.Delta)
+		}
+		blobs = append(blobs, encodeCap(t, c))
+		cuts = append(cuts, m.cut())
+	}
+	tuples(
 		traffic(1, 1, 10*1_000_000, 40),
 		traffic(2, 1, 20*1_000_000, 30),
 		traffic(3, 1, 40*1_000_000, 55),
 	)
-	cap0, err := a.CaptureState(snapshot.CaptureFull)
-	if err != nil {
-		t.Fatal(err)
-	}
+	capture(snapshot.CaptureFull)
 
-	// Interval 1: mutate one group, create another.
-	h.Tuples(
+	// Interval 1: mutate one group, create another, purge a third.
+	tuples(
 		traffic(1, 2, 30*1_000_000, 60),
 		traffic(4, 1, 50*1_000_000, 70),
 	)
-	cap1, err := a.CaptureState(snapshot.CaptureDelta)
-	if err != nil {
-		t.Fatal(err)
+	purge := core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(3))))
+	if m.feedback(purge) != 1 {
+		t.Fatal("the model purged nothing")
 	}
-	if !cap1.Delta {
-		t.Fatal("second capture is not a delta")
+	h.Feedback(0, purge)
+	capture(snapshot.CaptureDelta)
+	if len(blobs[1]) >= len(blobs[0]) {
+		t.Fatalf("delta (%dB) not smaller than base (%dB) for a 2-group change over 3", len(blobs[1]), len(blobs[0]))
 	}
 
-	// Interval 2: close the first window — groups are emitted and deleted.
+	// Interval 2: close the first window — its groups are emitted and
+	// dropped — then a late tuple opens it again.
+	m.flush(a.Window.LastFullWindow(2 * minute))
 	h.Punct(0, tsPunct(2*minute))
-	h.Tuples(traffic(5, 1, 130*1_000_000, 45))
-	cap2, err := a.CaptureState(snapshot.CaptureDelta)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tuples(
+		traffic(5, 1, 130*1_000_000, 45),
+		traffic(2, 3, 25*1_000_000, 35),
+	)
+	capture(snapshot.CaptureDelta)
+
+	// Interval 3: another late tuple for the window closed before the
+	// previous capture.
+	tuples(traffic(6, 1, 35*1_000_000, 65))
+	capture(snapshot.CaptureDelta)
 	if h.Err() != nil {
 		t.Fatal(h.Err())
 	}
-
-	base, d1, d2 := encodeCap(t, cap0), encodeCap(t, cap1), encodeCap(t, cap2)
-	if len(d1) >= len(base) {
-		t.Fatalf("delta (%dB) not smaller than base (%dB) for a 2-group change over 3", len(d1), len(base))
-	}
+	m.check(t, "live")
 
 	twin := minuteAvg(FeedbackExploit, false)
 	ht := exec.NewHarness(twin)
 	if ht.Err() != nil {
 		t.Fatal(ht.Err())
 	}
-	applyChain(t, twin, base, d1, d2)
+	applyChain(t, twin, blobs[0], blobs[1:]...)
 	if got, want := fullBlob(t, twin), fullBlob(t, a); !bytes.Equal(got, want) {
 		t.Fatalf("reassembled state differs from live state (%dB vs %dB)", len(got), len(want))
+	}
+	m.restore(twin, cuts)
+	m.check(t, "twin")
+	if n := twin.Stats().OpenGroups; n != 3 {
+		t.Fatalf("twin holds %d groups, want 3 (two of them in the re-opened window)", n)
 	}
 }
 

@@ -58,8 +58,13 @@ type Join struct {
 	// every new join key arriving on input 0.
 	Impatient bool
 	// MaxChangelog caps the incremental-snapshot changelog summed over both
-	// sides (dirty + dead keys); see Aggregate.MaxChangelog for semantics
-	// (0 = scaled default, positive = absolute, negative = disabled).
+	// sides (dirty + dead keys). Tracking starts at the first capture and
+	// records every mutation thereafter; if checkpointing then stops —
+	// coordinator gone, persistent storage failures — the changelog would
+	// grow without bound. Crossing the cap collapses it and makes the next
+	// capture full (which re-enables tracking). 0 means the scaled default,
+	// max(DefaultMaxChangelog, live table size); an explicit positive value
+	// is an absolute limit; negative disables the cap.
 	MaxChangelog int
 	// Adaptive, if set, is invoked for every accepted input tuple and may
 	// produce feedback toward either input — the §3.3 "Adaptive" source
@@ -241,10 +246,14 @@ func (j *Join) noteDead(side int, key string) {
 	j.capChangelog()
 }
 
-// capChangelog bounds changelog memory when checkpointing has stopped; see
-// Aggregate.capChangelog (the default limit scales with live table size
-// the same way). Collapsing turns tracking off on both sides, so the next
-// capture is full and re-enables it.
+// capChangelog bounds changelog memory when checkpointing has stopped: past
+// the cap the changelog is collapsed — tracking turns off on both sides, so
+// CaptureState answers the next delta request with a full capture, exactly as
+// if no capture had ever happened, and re-enables tracking at that cut. The
+// default cap scales with the live tables: a changelog larger than the state
+// itself means a delta has no advantage over a full capture (the
+// dead-key-accumulation failure mode), while a fixed constant would collapse
+// perfectly healthy intervals on high-cardinality plans.
 func (j *Join) capChangelog() {
 	limit := j.MaxChangelog
 	if limit < 0 {

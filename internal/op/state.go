@@ -24,18 +24,19 @@ func errInputCountChanged(kind, name string, got, want int) error {
 // returned Capture.Encode runs on a background goroutine after the barrier
 // releases. The phase-1 invariant is that the view must not alias anything
 // the operator mutates afterwards: aggGroup/joinEntry structs are copied by
-// value (their Tuple/Value contents are immutable once stored), guard
-// tables are flattened with snapshot.GuardsView, and map-typed auxiliaries
-// are copied.
+// value (their Tuple/Value contents are immutable once stored; the
+// aggregate's group values are copied out of their window's arena, which is
+// reused), guard tables are flattened with snapshot.GuardsView, and
+// map-typed auxiliaries are copied.
 //
 // Aggregate and Join — the operators whose state grows with the data — keep
-// a changelog (keys mutated/deleted since the previous capture) and answer
+// a changelog (what changed since the previous capture) and answer
 // CaptureDelta with O(changes) views; the other operators' state is O(1)-ish
 // in the stream, so they always capture fully.
 //
-// The state blob formats of full captures are unchanged from the one-phase
-// implementation, so LoadState is shared; delta blobs have their own format
-// consumed by ApplyDelta.
+// Join's full blobs are in the one-phase implementation's format, so
+// LoadState is shared; delta blobs have their own format consumed by
+// ApplyDelta. Aggregate's blobs, full and delta, open with a layout marker.
 //
 // Restore additionally honors the paper's state-purging argument at
 // recovery time: any state entry covered by an assumed-feedback guard in
@@ -45,7 +46,7 @@ func errInputCountChanged(kind, name string, got, want int) error {
 // since the feedback's issuer has disclaimed the subset — Definition 1
 // permits any response up to full suppression).
 
-// DefaultMaxChangelog is the floor of the default cap on an operator's
+// DefaultMaxChangelog is the floor of the default cap on Join's
 // incremental-snapshot changelog (dirty + dead keys); the effective
 // default is max(DefaultMaxChangelog, live state size), so a healthy
 // checkpoint cadence never hits it even on high-cardinality plans — a
@@ -84,75 +85,69 @@ func sortedKeys(m map[string]bool) []string {
 // Aggregate.
 // ---------------------------------------------------------------------------
 
-// aggCapEntry is one captured (window, group) accumulator. The aggGroup is
-// copied by value; groupVals is shared with the live entry, which never
-// mutates it after insertion.
-type aggCapEntry struct {
-	key string
-	g   aggGroup
-}
+// aggLayout opens every Aggregate state blob, full or delta. It is negative
+// because the layout before it began with an entry count, which never is: a
+// blob written by that build is refused, not misparsed.
+const aggLayout = -1
 
-// CaptureState implements snapshot.TwoPhase.
+// CaptureState implements snapshot.TwoPhase. Phase 1 copies the groups (all,
+// or the dirty ones with the watermark and the purge records) out of the
+// store; the windows they sat in may close and be reused before phase 2 runs.
 func (a *Aggregate) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, error) {
-	delta := mode == snapshot.CaptureDelta && a.chlogDirty != nil
-	var entries []aggCapEntry
-	var dead []string
-	if delta {
-		entries = make([]aggCapEntry, 0, len(a.chlogDirty))
-		for k := range a.chlogDirty {
-			if g := a.state[k]; g != nil {
-				entries = append(entries, aggCapEntry{key: k, g: *g})
-			} else {
-				dead = append(dead, k)
-			}
-		}
-		dead = append(dead, sortedKeys(a.chlogDead)...)
-	} else {
-		entries = make([]aggCapEntry, 0, len(a.state))
-		for k, g := range a.state {
-			entries = append(entries, aggCapEntry{key: k, g: *g})
-		}
-	}
-	// The capture is the new baseline: drain the changelog and (on the
-	// first capture) enable tracking.
-	a.chlogDirty = make(map[string]bool)
-	a.chlogDead = make(map[string]bool)
+	delta := mode == snapshot.CaptureDelta && a.store.based
+	c := a.store.capture(delta)
 	guardsOut := snapshot.GuardsView(a.guardsOut)
 	guardsPrefix := snapshot.GuardsView(a.guardsPrefix)
 	counters := []int64{a.inTuples, a.outTuples, a.folded, a.inSuppressed,
 		a.outSuppressed, a.purged, a.partialsEmitted}
-	encodeEntry := func(enc *snapshot.Encoder, e *aggCapEntry) {
-		enc.PutString(e.key)
-		enc.PutInt64(e.g.wid)
-		enc.PutValues(e.g.groupVals)
-		enc.PutInt64(e.g.count)
-		enc.PutFloat64(e.g.sum)
-		enc.PutFloat64(e.g.min)
-		enc.PutFloat64(e.g.max)
-	}
 	return snapshot.Capture{
 		Delta: delta,
 		Encode: func(enc *snapshot.Encoder) error {
-			sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+			enc.PutInt64(aggLayout)
 			if delta {
-				sort.Strings(dead)
-				enc.PutInt(len(dead))
-				for _, k := range dead {
-					enc.PutString(k)
+				enc.PutInt64(c.closedThrough)
+				enc.PutInt(len(c.purged))
+				for _, p := range c.purged {
+					enc.PutInt64(p.wid)
+					enc.PutValues(p.key)
 				}
 			}
-			enc.PutInt(len(entries))
-			for i := range entries {
-				encodeEntry(enc, &entries[i])
-			}
+			c.encodeGroups(enc)
 			snapshot.PutGuardsView(enc, guardsOut)
 			snapshot.PutGuardsView(enc, guardsPrefix)
-			for _, c := range counters {
-				enc.PutInt64(c)
+			for _, n := range counters {
+				enc.PutInt64(n)
 			}
 			return nil
 		},
 	}, nil
+}
+
+// encodeGroups writes the captured groups window by window, each window's in
+// encoded-key order, so equal states encode to equal bytes whatever order
+// their groups were inserted in.
+func (c *aggCapture) encodeGroups(enc *snapshot.Encoder) {
+	enc.PutInt(len(c.wins))
+	var order keyOrder
+	at := int32(0)
+	for _, cw := range c.wins {
+		enc.PutInt64(cw.wid)
+		enc.PutInt(cw.n)
+		order.reset(c.k)
+		for i := at; i < at+int32(cw.n); i++ {
+			order.add(i, c.key(i))
+		}
+		order.sort()
+		for _, r := range order.rows {
+			g := &c.groups[r.slot]
+			enc.PutValues(c.key(r.slot))
+			enc.PutInt64(g.count)
+			enc.PutFloat64(g.sum)
+			enc.PutFloat64(g.min)
+			enc.PutFloat64(g.max)
+		}
+		at += int32(cw.n)
+	}
 }
 
 // SaveState implements snapshot.Stater (one-shot capture + encode).
@@ -160,90 +155,136 @@ func (a *Aggregate) SaveState(enc *snapshot.Encoder) error {
 	return snapshot.EncodeCapture(a, enc)
 }
 
-func (a *Aggregate) decodeGroup(dec *snapshot.Decoder) (string, *aggGroup) {
-	k := dec.GetString()
-	return k, &aggGroup{
-		wid:       dec.GetInt64(),
-		groupVals: dec.GetValues(),
-		count:     dec.GetInt64(),
-		sum:       dec.GetFloat64(),
-		min:       dec.GetFloat64(),
-		max:       dec.GetFloat64(),
-	}
-}
-
-// dropCovered applies assumption-driven state dropping to one restored
-// entry: guards asserted at the cut cover subsets the consumer disclaimed,
-// so their state need not survive recovery.
-//
-//pace:allow-nonote restore-only helper; LoadState/ApplyDelta reset the changelog after it runs
-func (a *Aggregate) dropCovered(k string, g *aggGroup) {
-	if a.guardsPrefix.Suppress(a.prefixTuple(g.wid, g.groupVals)) ||
-		a.guardsOut.Suppress(a.probeResult(g)) {
-		a.purged++
-		delete(a.state, k)
-	}
-}
-
-// LoadState implements snapshot.Stater.
-func (a *Aggregate) LoadState(dec *snapshot.Decoder) error {
-	n := dec.GetInt()
-	state := make(map[string]*aggGroup, dec.CountHint(n))
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		k, g := a.decodeGroup(dec)
-		state[k] = g
-	}
-	a.guardsOut = snapshot.GetGuards(dec, a.out.Arity())
-	a.guardsPrefix = snapshot.GetGuards(dec, a.out.Arity())
-	for _, c := range []*int64{&a.inTuples, &a.outTuples, &a.folded, &a.inSuppressed,
-		&a.outSuppressed, &a.purged, &a.partialsEmitted} {
-		*c = dec.GetInt64()
-	}
+// checkLayout reads the layout marker of a state blob.
+func (a *Aggregate) checkLayout(dec *snapshot.Decoder) error {
+	got := dec.GetInt64()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	a.state = state
-	a.minOpen = minOpenUnknown
-	for k, g := range state {
-		a.dropCovered(k, g)
+	if got != aggLayout {
+		return fmt.Errorf("op: aggregate %q: state blob has layout %d, this build reads layout %d (snapshot written by another version of the operator)",
+			a.Name(), got, aggLayout)
 	}
-	// The loaded cut is the delta baseline for the restored run.
-	a.chlogDirty = make(map[string]bool)
-	a.chlogDead = make(map[string]bool)
 	return nil
 }
 
-// ApplyDelta implements snapshot.DeltaStater: deletions first, then
-// upserts, then the cut's guards and counters replace the current ones.
-//
-//pace:allow-nonote restore path; the applied cut is the new changelog baseline, rebuilt wholesale
-func (a *Aggregate) ApplyDelta(dec *snapshot.Decoder) error {
-	a.minOpen = minOpenUnknown
-	nd := dec.GetInt()
-	for i := 0; i < nd && dec.Err() == nil; i++ {
-		delete(a.state, dec.GetString())
+// errGroupWidth reports a snapshot whose groups do not have the operator's
+// GroupBy width.
+func (a *Aggregate) errGroupWidth(got int) error {
+	return fmt.Errorf("op: aggregate %q: groups by %d attributes but the snapshot's groups carry %d (plan drift)",
+		a.Name(), len(a.GroupBy), got)
+}
+
+// decodeGroups reads what encodeGroups wrote into st and returns where each
+// group landed.
+func (a *Aggregate) decodeGroups(dec *snapshot.Decoder, st *aggStore) ([]aggRef, error) {
+	var refs []aggRef
+	nw := dec.GetInt()
+	for i := 0; i < nw && dec.Err() == nil; i++ {
+		wid := dec.GetInt64()
+		n := dec.GetInt()
+		for j := 0; j < n && dec.Err() == nil; j++ {
+			key := dec.GetValues()
+			acc := aggGroup{count: dec.GetInt64(), sum: dec.GetFloat64(), min: dec.GetFloat64(), max: dec.GetFloat64()}
+			if dec.Err() != nil {
+				break
+			}
+			if len(key) != st.k {
+				return nil, a.errGroupWidth(len(key))
+			}
+			w, slot := st.restore(wid, key, acc)
+			refs = append(refs, aggRef{w, slot})
+		}
 	}
-	n := dec.GetInt()
-	upserted := make([]string, 0, dec.CountHint(n))
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		k, g := a.decodeGroup(dec)
-		a.state[k] = g
-		upserted = append(upserted, k)
-	}
+	return refs, dec.Err()
+}
+
+// aggRef names one group of the store.
+type aggRef struct {
+	w    *aggWindow
+	slot int32
+}
+
+// loadTail reads the guards and counters every Aggregate blob ends with.
+func (a *Aggregate) loadTail(dec *snapshot.Decoder) {
 	a.guardsOut = snapshot.GetGuards(dec, a.out.Arity())
 	a.guardsPrefix = snapshot.GetGuards(dec, a.out.Arity())
 	for _, c := range []*int64{&a.inTuples, &a.outTuples, &a.folded, &a.inSuppressed,
 		&a.outSuppressed, &a.purged, &a.partialsEmitted} {
 		*c = dec.GetInt64()
 	}
+}
+
+// dropCovered applies assumption-driven state dropping to restored groups:
+// guards asserted at the cut cover subsets the consumer disclaimed, so their
+// state need not survive recovery.
+func (a *Aggregate) dropCovered(refs []aggRef) {
+	for _, r := range refs {
+		if a.guardsPrefix.Suppress(a.probePrefix(r.w, r.slot)) ||
+			a.guardsOut.Suppress(a.probeResult(r.w, r.slot)) {
+			a.purged++
+			a.store.purge(r.w, r.slot)
+		}
+	}
+}
+
+// LoadState implements snapshot.Stater. The loaded cut is the baseline of the
+// restored run's next delta.
+func (a *Aggregate) LoadState(dec *snapshot.Decoder) error {
+	if err := a.checkLayout(dec); err != nil {
+		return err
+	}
+	var st aggStore
+	st.reset(len(a.GroupBy))
+	refs, err := a.decodeGroups(dec, &st)
+	if err != nil {
+		return err
+	}
+	a.loadTail(dec)
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	for _, k := range upserted {
-		if g := a.state[k]; g != nil {
-			a.dropCovered(k, g)
+	a.store = st
+	a.dropCovered(refs)
+	a.store.rebase()
+	return nil
+}
+
+// ApplyDelta implements snapshot.DeltaStater: windows through the watermark
+// go, then the groups purged one by one, then the upserts land, then the
+// cut's guards and counters replace the current ones. The applied cut is the
+// new baseline: what applying it did to the store is no change to report.
+func (a *Aggregate) ApplyDelta(dec *snapshot.Decoder) error {
+	if err := a.checkLayout(dec); err != nil {
+		return err
+	}
+	closedThrough := dec.GetInt64()
+	for w := a.store.first(); dec.Err() == nil && w != nil && w.wid <= closedThrough; w = a.store.first() {
+		a.store.closeFirst()
+	}
+	np := dec.GetInt()
+	for i := 0; i < np && dec.Err() == nil; i++ {
+		wid, key := dec.GetInt64(), dec.GetValues()
+		if dec.Err() != nil {
+			break
+		}
+		if len(key) != a.store.k {
+			return a.errGroupWidth(len(key))
+		}
+		if w, slot := a.store.find(wid, key); w != nil {
+			a.store.purge(w, slot)
 		}
 	}
+	refs, err := a.decodeGroups(dec, &a.store)
+	if err != nil {
+		return err
+	}
+	a.loadTail(dec)
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	a.dropCovered(refs)
+	a.store.rebase()
 	return nil
 }
 

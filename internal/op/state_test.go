@@ -1,6 +1,7 @@
 package op
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -79,6 +80,48 @@ func TestAggregateStateRoundTrip(t *testing.T) {
 	}
 	if a2.Stats().In != a1.Stats().In+1 {
 		t.Fatalf("input accounting lost: %d after restore", a2.Stats().In)
+	}
+}
+
+// TestAggregateRefusesStaleLayout: a state blob written before the aggregate's
+// blobs carried a layout marker — an entry count, then per entry the key
+// string, wid, group values and accumulators — is refused by name, full or
+// delta, for any entry count, instead of being misparsed into state.
+func TestAggregateRefusesStaleLayout(t *testing.T) {
+	for entries := 0; entries < 3; entries++ {
+		enc := snapshot.NewEncoder()
+		enc.PutInt(entries)
+		for i := 0; i < entries; i++ {
+			enc.PutString("0;\x011;")
+			enc.PutInt64(0)
+			enc.PutValues([]stream.Value{stream.Int(1)})
+			enc.PutInt64(2)
+			enc.PutFloat64(70)
+			enc.PutFloat64(30)
+			enc.PutFloat64(40)
+		}
+		enc.PutInt(0) // output guards
+		enc.PutInt(0) // prefix guards
+		for c := 0; c < 7; c++ {
+			enc.PutInt64(2)
+		}
+		stale, err := enc.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := minuteAvg(FeedbackExploit, false)
+		if h := exec.NewHarness(a); h.Err() != nil {
+			t.Fatal(h.Err())
+		}
+		for name, load := range map[string]func(*snapshot.Decoder) error{"LoadState": a.LoadState, "ApplyDelta": a.ApplyDelta} {
+			err := load(snapshot.NewDecoder(stale))
+			if err == nil || !strings.Contains(err.Error(), `"average"`) || !strings.Contains(err.Error(), "layout") {
+				t.Fatalf("%s of a stale blob with %d entries: %v, want an error naming the operator and the layout", name, entries, err)
+			}
+			if got := a.Stats(); got.OpenGroups != 0 || got.In != 0 {
+				t.Fatalf("%s of a stale blob left state behind: %+v", name, got)
+			}
+		}
 	}
 }
 

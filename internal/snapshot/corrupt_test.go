@@ -16,6 +16,11 @@ func TestDecodeCorruptionIsTyped(t *testing.T) {
 		"empty":     {},
 		"truncated": blob[:len(blob)-3],
 		"torn head": blob[:len(magicV3)+2],
+		// The generations written before the checksum are no longer read: a
+		// decoder with no CRC in front of it is how a stale operator layout
+		// would reach a LoadState.
+		"pasnap2": append([]byte("pasnap2\n"), blob[len(magicV3)+4:]...),
+		"pasnap1": append([]byte("pasnap1\n"), blob[len(magicV3)+4:]...),
 	}
 	for i := 0; i < 8; i++ {
 		mut := append([]byte(nil), blob...)
@@ -30,35 +35,6 @@ func TestDecodeCorruptionIsTyped(t *testing.T) {
 	}
 	if _, err := Decode(blob); err != nil {
 		t.Fatalf("pristine blob: %v", err)
-	}
-}
-
-// Blobs written by the pre-checksum format (v2 magic, no CRC) must still
-// decode: upgrading the binary must not orphan existing chains.
-func TestDecodeV2Compat(t *testing.T) {
-	s := mkSnap(7, 6)
-	e := NewEncoder()
-	e.buf = append(e.buf, magic...)
-	e.PutInt64(s.Epoch)
-	e.PutInt64(s.Base)
-	e.PutInt(len(s.Nodes))
-	for _, n := range s.Nodes {
-		e.PutInt(n.ID)
-		e.PutString(n.Name)
-		e.PutBool(n.Delta)
-		e.PutBytes(n.State)
-		e.PutInt(len(n.Deltas))
-	}
-	v2, err := e.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Decode(v2)
-	if err != nil {
-		t.Fatalf("v2 decode: %v", err)
-	}
-	if back.Epoch != 7 || back.Base != 6 || string(back.Nodes[0].State) != "d7" {
-		t.Fatalf("v2 round trip drifted: %+v", back)
 	}
 }
 
@@ -108,8 +84,8 @@ func TestChainLatestIntactNothingIntact(t *testing.T) {
 	}
 }
 
-// Manifest damage must also be typed, and old-format manifests must still
-// decode.
+// Manifest damage must also be typed; so is a manifest of the generation
+// written before the checksum, which is no longer read.
 func TestManifestCorruptionIsTyped(t *testing.T) {
 	m := &DistManifest{Epoch: 4, Parts: []DistPart{{Part: "coord", Epoch: 4, Chain: "ep0000000004-full"}}}
 	blob := m.Encode()
@@ -117,31 +93,11 @@ func TestManifestCorruptionIsTyped(t *testing.T) {
 		"truncated": blob[:len(blob)-2],
 		"bit flip":  append(append([]byte(nil), blob[:len(blob)-1]...), blob[len(blob)-1]^1),
 		"garbage":   []byte("dm but not really"),
+		"padist1":   append([]byte("padist1\n"), blob[len(distMagic)+4:]...),
 	} {
 		if _, err := DecodeDistManifest(data); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("%s: err = %v, want ErrCorruptSnapshot", name, err)
 		}
-	}
-	// v1 (no checksum) still decodes.
-	e := NewEncoder()
-	e.buf = append(e.buf, distMagic...)
-	e.PutInt64(m.Epoch)
-	e.PutInt(len(m.Parts))
-	for _, p := range m.Parts {
-		e.PutString(p.Part)
-		e.PutInt64(p.Epoch)
-		e.PutString(p.Chain)
-	}
-	v1, err := e.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeDistManifest(v1)
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if back.Epoch != 4 || len(back.Parts) != 1 || back.Parts[0].Part != "coord" {
-		t.Fatalf("v1 round trip drifted: %+v", back)
 	}
 }
 

@@ -56,22 +56,19 @@ type DistManifest struct {
 	Parts []DistPart
 }
 
-// distMagicV2 guards manifest decoding against arbitrary files and, like
-// the snapshot v3 format, carries a CRC-32C of the payload so a torn or
-// bit-rotted manifest surfaces as ErrCorruptSnapshot — the signal the
-// restore path needs to fall back to the previous committed head instead
-// of treating damage as a coordinator bug. distMagic (v1, no checksum) is
-// still decoded.
-var (
-	distMagicV2 = []byte("padist2\n")
-	distMagic   = []byte("padist1\n")
-)
+// distMagic guards manifest decoding against arbitrary files and, like the
+// snapshot format, carries a CRC-32C of the payload so a torn or bit-rotted
+// manifest surfaces as ErrCorruptSnapshot — the signal the restore path needs
+// to fall back to the previous committed head instead of treating damage as a
+// coordinator bug. The generation before it, which had no checksum, is not
+// read.
+var distMagic = []byte("padist2\n")
 
-// Encode serializes the manifest: v2 magic, CRC-32C of the payload
+// Encode serializes the manifest: magic, CRC-32C of the payload
 // (little-endian), then the payload.
 func (m *DistManifest) Encode() []byte {
 	e := NewEncoder()
-	e.buf = append(e.buf, distMagicV2...)
+	e.buf = append(e.buf, distMagic...)
 	e.buf = append(e.buf, 0, 0, 0, 0) // crc placeholder, patched below
 	e.PutInt64(m.Epoch)
 	e.PutInt(len(m.Parts))
@@ -81,26 +78,21 @@ func (m *DistManifest) Encode() []byte {
 		e.PutString(p.Chain)
 	}
 	b, _ := e.Bytes() // the encoder has no failing paths
-	crc := crc32.Checksum(b[len(distMagicV2)+4:], crcTable)
-	binary.LittleEndian.PutUint32(b[len(distMagicV2):], crc)
+	crc := crc32.Checksum(b[len(distMagic)+4:], crcTable)
+	binary.LittleEndian.PutUint32(b[len(distMagic):], crc)
 	return b
 }
 
-// DecodeDistManifest parses a manifest serialized by Encode (either format
-// version). Every failure wraps ErrCorruptSnapshot.
+// DecodeDistManifest parses a manifest serialized by Encode. Every failure
+// wraps ErrCorruptSnapshot.
 func DecodeDistManifest(data []byte) (*DistManifest, error) {
-	switch {
-	case len(data) >= len(distMagicV2)+4 && string(data[:len(distMagicV2)]) == string(distMagicV2):
-		payload := data[len(distMagicV2)+4:]
-		want := binary.LittleEndian.Uint32(data[len(distMagicV2):])
-		if got := crc32.Checksum(payload, crcTable); got != want {
-			return nil, corruptf("manifest checksum mismatch (stored %08x, computed %08x)", want, got)
-		}
-		data = payload
-	case len(data) >= len(distMagic) && string(data[:len(distMagic)]) == string(distMagic):
-		data = data[len(distMagic):]
-	default:
+	if len(data) < len(distMagic)+4 || string(data[:len(distMagic)]) != string(distMagic) {
 		return nil, corruptf("not a distributed manifest (bad magic)")
+	}
+	want := binary.LittleEndian.Uint32(data[len(distMagic):])
+	data = data[len(distMagic)+4:]
+	if got := crc32.Checksum(data, crcTable); got != want {
+		return nil, corruptf("manifest checksum mismatch (stored %08x, computed %08x)", want, got)
 	}
 	d := NewDecoder(data)
 	m := &DistManifest{Epoch: d.GetInt64()}

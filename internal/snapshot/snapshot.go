@@ -102,18 +102,14 @@ type Snapshot struct {
 // IsFull reports whether the snapshot restores on its own (no parent).
 func (s *Snapshot) IsFull() bool { return s.Base == 0 }
 
-// magic guards against feeding arbitrary files to Decode. magicV3 (the
-// written format) carries a CRC-32C of the payload so bit rot and torn
-// writes on weaker backends surface as ErrCorruptSnapshot at load time —
-// before a restore commits to the epoch — instead of as a structural decode
-// error (or worse, silently wrong state) mid-restore. magic (v2, no
-// checksum) and magicV1 (pre-chain: no Base, no per-node delta segments)
-// are still decoded.
-var (
-	magicV3 = []byte("pasnap3\n")
-	magic   = []byte("pasnap2\n")
-	magicV1 = []byte("pasnap1\n")
-)
+// magicV3 guards against feeding arbitrary files to Decode. The format
+// carries a CRC-32C of the payload so bit rot and torn writes on weaker
+// backends surface as ErrCorruptSnapshot at load time — before a restore
+// commits to the epoch — instead of as a structural decode error (or worse,
+// silently wrong state) mid-restore. It is the only generation read: the two
+// before it had no checksum, so nothing stood between a blob of theirs and
+// an operator's LoadState.
+var magicV3 = []byte("pasnap3\n")
 
 // Encode serializes the snapshot: v3 magic, CRC-32C of the payload
 // (little-endian), then the payload.
@@ -140,33 +136,20 @@ func (s *Snapshot) Encode() []byte {
 	return b
 }
 
-// Decode parses a snapshot serialized by Encode (any format version).
-// Every failure wraps ErrCorruptSnapshot: the magic matched no known
-// version, the v3 checksum disagrees with the payload, or the payload is
-// structurally damaged.
+// Decode parses a snapshot serialized by Encode. Every failure wraps
+// ErrCorruptSnapshot: the magic is not this format's, the checksum disagrees
+// with the payload, or the payload is structurally damaged.
 func Decode(data []byte) (*Snapshot, error) {
-	v1 := false
-	switch {
-	case len(data) >= len(magicV3)+4 && string(data[:len(magicV3)]) == string(magicV3):
-		payload := data[len(magicV3)+4:]
-		want := binary.LittleEndian.Uint32(data[len(magicV3):])
-		if got := crc32.Checksum(payload, crcTable); got != want {
-			return nil, corruptf("checksum mismatch (stored %08x, computed %08x)", want, got)
-		}
-		data = payload
-	case len(data) >= len(magic) && string(data[:len(magic)]) == string(magic):
-		data = data[len(magic):]
-	case len(data) >= len(magicV1) && string(data[:len(magicV1)]) == string(magicV1):
-		v1 = true
-		data = data[len(magicV1):]
-	default:
+	if len(data) < len(magicV3)+4 || string(data[:len(magicV3)]) != string(magicV3) {
 		return nil, corruptf("not a snapshot (bad magic)")
 	}
-	d := NewDecoder(data)
-	s := &Snapshot{Epoch: d.GetInt64()}
-	if !v1 {
-		s.Base = d.GetInt64()
+	payload := data[len(magicV3)+4:]
+	want := binary.LittleEndian.Uint32(data[len(magicV3):])
+	if got := crc32.Checksum(payload, crcTable); got != want {
+		return nil, corruptf("checksum mismatch (stored %08x, computed %08x)", want, got)
 	}
+	d := NewDecoder(payload)
+	s := &Snapshot{Epoch: d.GetInt64(), Base: d.GetInt64()}
 	n := d.GetInt()
 	if d.Err() != nil {
 		return nil, corrupted(d.Err())
@@ -175,16 +158,10 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, corruptf("negative node count")
 	}
 	for i := 0; i < n; i++ {
-		ns := NodeState{ID: d.GetInt(), Name: d.GetString()}
-		if !v1 {
-			ns.Delta = d.GetBool()
-		}
-		ns.State = d.GetBytes()
-		if !v1 {
-			nd := d.GetInt()
-			for j := 0; j < nd && d.Err() == nil; j++ {
-				ns.Deltas = append(ns.Deltas, d.GetBytes())
-			}
+		ns := NodeState{ID: d.GetInt(), Name: d.GetString(), Delta: d.GetBool(), State: d.GetBytes()}
+		nd := d.GetInt()
+		for j := 0; j < nd && d.Err() == nil; j++ {
+			ns.Deltas = append(ns.Deltas, d.GetBytes())
 		}
 		if d.Err() != nil {
 			return nil, corrupted(d.Err())
