@@ -399,7 +399,6 @@ func runFusedPipeline(b *testing.B, items []queue.Item, fused bool, tel *telemet
 // same stateless chain with and without Builder.Compile. The fused variant
 // runs select+project+map as one flat kernel — two queue hops instead of
 // four, no intermediate emits — and must beat the unfused twin ≥2×.
-// cmd/benchall records both variants into BENCH_pipeline.json.
 func BenchmarkFusedPipeline(b *testing.B) {
 	// Punctuated stream, like every workload in this engine: a progress
 	// punctuation on ts every 50 tuples. Unfused, each punctuation crosses
@@ -466,7 +465,7 @@ func runFusedAggregate(b *testing.B, items []queue.Item, fused bool) {
 // select+project→GROUP BY pipeline with and without Builder.Compile. The
 // fused variant must beat the unfused twin ≥1.3× — the honest bar against a
 // baseline that already takes the batched fold (ProcessTupleBatch) on its
-// own node. cmd/benchall records both variants into BENCH_pipeline.json.
+// own node.
 func BenchmarkFusedAggregate(b *testing.B) {
 	const n = 100_000
 	items := pipelineItems(n)
@@ -486,8 +485,7 @@ func BenchmarkFusedAggregate(b *testing.B) {
 // compiled hot-path pipeline with a metrics registry attached
 // (telemetry=true) against the bare twin. The counters batch at page
 // granularity (exec/runner.go flushPageStats), so the instrumented variant
-// must stay within 5% of uninstrumented; cmd/benchall records both into
-// BENCH_pipeline.json and the delta is the regression gate.
+// must stay within 5% of uninstrumented.
 func BenchmarkInstrumentedPipeline(b *testing.B) {
 	const n = 100_000
 	items := pipelineItems(n)
@@ -602,10 +600,7 @@ func BenchmarkFusedKernel(b *testing.B) {
 // BenchmarkParallelAggregate measures the scaling of a partitioned
 // aggregate: source → split(segment) → n × aggregate → merge → sink. The
 // per-tuple Cost makes the aggregate compute-bound so the speedup tracks
-// cores (flat on a single-core host). The fixture and plan are shared
-// with cmd/benchall (experiments.ParallelTrafficItems /
-// RunParallelAggregate) so BENCH_pipeline.json records this exact
-// workload.
+// cores (flat on a single-core host).
 func BenchmarkParallelAggregate(b *testing.B) {
 	items := experiments.ParallelTrafficItems(50_000)
 	cost := work.UnitsFor(time.Microsecond)

@@ -5,13 +5,11 @@
 //
 // Usage:
 //
-//	benchall [-quick] [-bench-json FILE] [-label NAME]
+//	benchall [-quick]
 //
 // -quick shrinks the workloads (~10× faster) while preserving every shape
-// the paper reports. -bench-json measures the hot-path pipeline benchmarks
-// in-process and appends a labelled run to FILE (conventionally
-// BENCH_pipeline.json at the repo root), so the perf trajectory is tracked
-// across PRs against the recorded seed baseline.
+// the paper reports. Performance is measured elsewhere: bench/ (see
+// BENCHMARK.json) is the engine's benchmark.
 package main
 
 import (
@@ -24,18 +22,7 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "reduced-scale run")
-	benchJSON := flag.String("bench-json", "", "measure hot-path benchmarks and append a run to this JSON baseline file")
-	label := flag.String("label", "manual", "label for the appended -bench-json run")
-	fuse := flag.Bool("fuse", true, "measure the compiled (operator-fused) pipeline variant alongside the unfused twin in -bench-json mode")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, *label, *fuse); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	fmt.Println("==================================================================")
 	fmt.Println(" Reproduction: Inter-Operator Feedback in DSMSs via Punctuation")

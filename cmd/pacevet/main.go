@@ -1,6 +1,6 @@
 // Command pacevet is the engine's invariant checker: a multichecker that
 // runs the internal/lint analyzers (hotpathalloc, atomicfield,
-// staterstate, dirtynote) over Go package patterns. It exits non-zero
+// staterstate) over Go package patterns. It exits non-zero
 // when any analyzer reports a finding, so CI treats invariant drift like
 // a compile error.
 //
@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/atomicfield"
-	"repro/internal/lint/dirtynote"
 	"repro/internal/lint/hotpathalloc"
 	"repro/internal/lint/load"
 	"repro/internal/lint/staterstate"
@@ -34,7 +33,6 @@ var analyzers = []*analysis.Analyzer{
 	hotpathalloc.Analyzer,
 	atomicfield.Analyzer,
 	staterstate.Analyzer,
-	dirtynote.Analyzer,
 }
 
 // finding is one diagnostic resolved to a position, the unit of both

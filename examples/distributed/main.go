@@ -80,10 +80,13 @@ func (s *pacedSource) Next(ctx exec.Context) (bool, error) {
 	return true, nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *pacedSource) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt64(s.pos.Load())
-	return nil
+// CaptureState implements snapshot.Stater: the replay position is the state.
+func (s *pacedSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	pos := s.pos.Load()
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt64(pos)
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.

@@ -14,8 +14,8 @@ import (
 // Graph.Checkpoint injects one barrier epoch at every source; barriers flow
 // in-band through the paged queues, the node runner aligns them across
 // inputs (runner.go), and each node deposits its phase-1 capture here at
-// its cut. The cut is two-phase (DESIGN.md §7): at the barrier the node
-// only takes a cheap consistent view of its state (snapshot.TwoPhase) and
+// its cut. The cut is two-phase (DESIGN.md §6.2): at the barrier the node
+// only takes a cheap consistent view of its state (snapshot.Stater) and
 // the barrier releases immediately; serialization — and, for chain-backed
 // checkpoints, persistence — happens afterwards on a background goroutine,
 // so the stall a checkpoint imposes on the pipeline no longer scales with
@@ -55,12 +55,6 @@ type CheckpointStatus struct {
 	Bytes  int
 }
 
-// nodeCut is one node's phase-1 contribution.
-type nodeCut struct {
-	cap  snapshot.Capture
-	blob []byte // legacy one-phase Staters: encoded synchronously at the cut
-}
-
 // chkResult is delivered to blocking Checkpoint callers.
 type chkResult struct {
 	snap *snapshot.Snapshot
@@ -74,14 +68,14 @@ type inflight struct {
 	mode  snapshot.CaptureMode
 	chain *snapshot.Chain // optional persistence target
 
-	pending  map[NodeID]bool    // nodes that have not cut yet
-	cuts     map[NodeID]nodeCut // phase-1 captures
-	err      error              // first failure; poisons the checkpoint
-	hold     time.Duration      // max single-node capture duration
-	captured chan struct{}      // closed when every node has cut
-	result   chan chkResult     // buffered; delivered by the finisher
-	prevDone chan struct{}      // previous checkpoint's finish ticket
-	done     chan struct{}      // closed when finished or cancelled
+	pending  map[NodeID]bool             // nodes that have not cut yet
+	cuts     map[NodeID]snapshot.Capture // phase-1 captures; the zero Capture for a stateless node
+	err      error                       // first failure; poisons the checkpoint
+	hold     time.Duration               // max single-node capture duration
+	captured chan struct{}               // closed when every node has cut
+	result   chan chkResult              // buffered; delivered by the finisher
+	prevDone chan struct{}               // previous checkpoint's finish ticket
+	done     chan struct{}               // closed when finished or cancelled
 
 	// abandoned/finished (under chkMu) coordinate a caller that gives up
 	// after the capture phase with the background finisher: a chain-less
@@ -267,7 +261,7 @@ func (g *Graph) trigger(forceEpoch int64, mode snapshot.CaptureMode, chain *snap
 		mode:     mode,
 		chain:    chain,
 		pending:  make(map[NodeID]bool, len(g.liveNodes)),
-		cuts:     make(map[NodeID]nodeCut),
+		cuts:     make(map[NodeID]snapshot.Capture),
 		captured: make(chan struct{}),
 		result:   make(chan chkResult, 1),
 		done:     make(chan struct{}),
@@ -377,7 +371,7 @@ func (g *Graph) supersedeLocked(newer int64) {
 // epochs (a cancelled checkpoint's barrier still draining) are ignored.
 // When the last node acks, the barrier phase is over: the checkpoint
 // leaves the coordinator and finishes on a background goroutine.
-func (g *Graph) ackNode(id NodeID, epoch int64, cut nodeCut, err error, hold time.Duration) {
+func (g *Graph) ackNode(id NodeID, epoch int64, cut snapshot.Capture, err error, hold time.Duration) {
 	g.chkMu.Lock()
 	defer g.chkMu.Unlock()
 	c := g.activeChk
@@ -435,12 +429,9 @@ func (g *Graph) finishCheckpoint(c *inflight) {
 		for _, n := range g.nodes {
 			cut := c.cuts[n.id]
 			ns := snapshot.NodeState{ID: int(n.id), Name: n.name()}
-			switch {
-			case len(cut.blob) > 0:
-				ns.State = cut.blob
-			case cut.cap.Encode != nil:
+			if cut.Encode != nil {
 				enc := snapshot.NewEncoder()
-				if eerr := cut.cap.Encode(enc); eerr != nil && err == nil {
+				if eerr := cut.Encode(enc); eerr != nil && err == nil {
 					err = fmt.Errorf("exec: node %q: encode state: %w", n.name(), eerr)
 				}
 				blob, berr := enc.Bytes()
@@ -448,7 +439,7 @@ func (g *Graph) finishCheckpoint(c *inflight) {
 					err = fmt.Errorf("exec: node %q: encode state: %w", n.name(), berr)
 				}
 				ns.State = blob
-				ns.Delta = cut.cap.Delta
+				ns.Delta = cut.Delta
 			}
 			bytes += len(ns.State)
 			snap.Nodes = append(snap.Nodes, ns)
@@ -543,7 +534,7 @@ func (g *Graph) nodeExit(n *node, runErr error) {
 		c := g.activeChk
 		g.chkMu.Unlock()
 		if c != nil {
-			g.ackNode(n.id, c.epoch, nodeCut{},
+			g.ackNode(n.id, c.epoch, snapshot.Capture{},
 				fmt.Errorf("exec: node %q stopped before checkpoint %d completed", n.name(), c.epoch), 0)
 		}
 		return
@@ -575,30 +566,18 @@ func (n *node) stater() snapshot.Stater {
 	return s
 }
 
-// captureNode takes one node's phase-1 capture. Two-phase Staters hand
-// back a view; legacy one-phase Staters are serialized on the spot (their
-// cut still pays O(state) at the barrier, as before the refactor).
-func captureNode(n *node, mode snapshot.CaptureMode) (nodeCut, error) {
+// captureNode takes one node's phase-1 capture: a view of its state, encoded
+// later off the barrier. A node that is not a Stater contributes nothing.
+func captureNode(n *node, mode snapshot.CaptureMode) (snapshot.Capture, error) {
 	st := n.stater()
 	if st == nil {
-		return nodeCut{}, nil
+		return snapshot.Capture{}, nil
 	}
-	if tp, ok := st.(snapshot.TwoPhase); ok {
-		cap, err := tp.CaptureState(mode)
-		if err != nil {
-			return nodeCut{}, fmt.Errorf("exec: node %q: capture state: %w", n.name(), err)
-		}
-		return nodeCut{cap: cap}, nil
-	}
-	enc := snapshot.NewEncoder()
-	if err := st.SaveState(enc); err != nil {
-		return nodeCut{}, fmt.Errorf("exec: node %q: save state: %w", n.name(), err)
-	}
-	blob, err := enc.Bytes()
+	cut, err := st.CaptureState(mode)
 	if err != nil {
-		return nodeCut{}, fmt.Errorf("exec: node %q: save state: %w", n.name(), err)
+		return snapshot.Capture{}, fmt.Errorf("exec: node %q: capture state: %w", n.name(), err)
 	}
-	return nodeCut{blob: blob}, nil
+	return cut, nil
 }
 
 // stagedState is the restore payload for one node: a complete base blob
@@ -773,9 +752,11 @@ func (g *Graph) restoreNode(n *node) error {
 		return fmt.Errorf("exec: restore: node %q: %w", n.name(), err)
 	}
 	for i, blob := range st.deltas {
-		ds, ok := sp.(snapshot.DeltaStater)
+		ds, ok := sp.(interface {
+			ApplyDelta(*snapshot.Decoder) error
+		})
 		if !ok {
-			return fmt.Errorf("exec: restore: node %q carries delta state but does not implement snapshot.DeltaStater", n.name())
+			return fmt.Errorf("exec: restore: node %q carries delta state but has no ApplyDelta", n.name())
 		}
 		dec := snapshot.NewDecoder(blob)
 		if err := ds.ApplyDelta(dec); err != nil {

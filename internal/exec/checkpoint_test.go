@@ -50,10 +50,13 @@ func (s *gatedSource) Next(ctx Context) (bool, error) {
 	return true, nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *gatedSource) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt(s.pos)
-	return nil
+// CaptureState implements snapshot.Stater.
+func (s *gatedSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	pos := s.pos
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt(pos)
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.
@@ -174,12 +177,15 @@ func (s *summing2) Close(ctx Context) error {
 	return nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *summing2) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt64(s.sum)
-	enc.PutInt64(s.perIn[0])
-	enc.PutInt64(s.perIn[1])
-	return nil
+// CaptureState implements snapshot.Stater.
+func (s *summing2) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	sum, perIn := s.sum, s.perIn
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt64(sum)
+		enc.PutInt64(perIn[0])
+		enc.PutInt64(perIn[1])
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.
@@ -191,54 +197,57 @@ func (s *summing2) LoadState(dec *snapshot.Decoder) error {
 }
 
 // TestCheckpointAlignsMultiInput checkpoints a 2-input stateful operator
-// mid-stream under full concurrency (run with -race): the barrier must be
-// aligned across both inputs, so kill + restore conserves the exact total.
+// mid-stream (run with -race): the barrier must be aligned across both
+// inputs, so kill + restore conserves the exact total. Both sources park at
+// a gate, at different positions, so the checkpoint is asked for while the
+// plan is running and cannot drain — not raced against 40 000 tuples with a
+// retry loop — and what the sources emitted last is still on its way to the
+// operator when the barriers follow it.
 func TestCheckpointAlignsMultiInput(t *testing.T) {
-	const n = 20_000
-	mk := func() []stream.Tuple {
-		ts := make([]stream.Tuple, n)
-		for i := range ts {
-			ts[i] = intTuple(1)
-		}
-		return ts
+	const n, gateA, gateB = 20_000, 7_000, 13_000
+	ones := make([]stream.Tuple, n)
+	for i := range ones {
+		ones[i] = intTuple(1)
 	}
-	build := func() (*Graph, *Collector) {
+	build := func(gatesOpen bool) (*Graph, [2]*gatedSource, *Collector) {
 		g := NewGraph()
-		a := &SliceSource{SourceName: "a", Schema: oneInt, Tuples: mk(), BatchSize: 8}
-		b := &SliceSource{SourceName: "b", Schema: oneInt, Tuples: mk(), BatchSize: 8}
-		sa, sb := g.AddSource(a), g.AddSource(b)
-		sum := g.Add(&summing2{}, From(sa), From(sb))
+		srcs := [2]*gatedSource{
+			{name: "a", schema: oneInt, tuples: ones, gateAt: gateA},
+			{name: "b", schema: oneInt, tuples: ones, gateAt: gateB},
+		}
+		srcs[0].gate.Store(gatesOpen)
+		srcs[1].gate.Store(gatesOpen)
+		sum := g.Add(&summing2{}, From(g.AddSource(srcs[0])), From(g.AddSource(srcs[1])))
 		sink := NewCollector("sink", oneInt)
 		g.Add(sink, From(sum))
-		return g, sink
+		return g, srcs, sink
 	}
 
-	g1, _ := build()
+	g1, srcs, _ := build(false)
 	runErr := make(chan error, 1)
 	go func() { runErr <- g1.Run() }()
-
-	// Checkpoint while both sources are mid-stream.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var snap *snapshot.Snapshot
-	for {
-		s, err := g1.Checkpoint(ctx)
-		if err == nil {
-			snap = s
-			break
-		}
-		// The graph may not have started yet; anything else is fatal.
-		if ctx.Err() != nil {
-			t.Fatal(err)
+	for deadline := time.Now().Add(30 * time.Second); srcs[0].emitted.Load() < gateA || srcs[1].emitted.Load() < gateB; {
+		if time.Now().After(deadline) {
+			t.Fatalf("sources stuck at %d/%d and %d/%d", srcs[0].emitted.Load(), gateA, srcs[1].emitted.Load(), gateB)
 		}
 		time.Sleep(time.Millisecond)
 	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	snap, err := g1.Checkpoint(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Let the stream go on before the crash: nothing after the cut may be in it.
+	srcs[0].gate.Store(true)
+	srcs[1].gate.Store(true)
 	g1.Kill()
 	if err := <-runErr; err != nil && !errors.Is(err, ErrKilled) {
 		t.Fatal(err)
 	}
 
-	g2, sink2 := build()
+	g2, _, sink2 := build(true)
 	if err := g2.RestoreSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -384,10 +393,13 @@ func (s *blockingSource) Next(ctx Context) (bool, error) {
 	return true, nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *blockingSource) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt(s.pos)
-	return nil
+// CaptureState implements snapshot.Stater.
+func (s *blockingSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	pos := s.pos
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt(pos)
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.

@@ -52,18 +52,13 @@ func (s *limitedSource) Next(ctx Context) (bool, error) {
 	return true, nil
 }
 
-// CaptureState implements snapshot.TwoPhase.
+// CaptureState implements snapshot.Stater.
 func (s *limitedSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 	pos := s.pos.Load()
 	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
 		enc.PutInt64(pos)
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (s *limitedSource) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(s, enc)
 }
 
 // LoadState implements snapshot.Stater.
@@ -188,7 +183,7 @@ func TestIncrementalCheckpointChainRestore(t *testing.T) {
 	}
 }
 
-// slowCapSource is a two-phase source whose Encode blocks until released —
+// slowCapSource is a source whose Encode blocks until released —
 // the probe for "the barrier does not wait for encoding".
 type slowCapSource struct {
 	limitedSource
@@ -196,7 +191,7 @@ type slowCapSource struct {
 	release       chan struct{}
 }
 
-// CaptureState implements snapshot.TwoPhase.
+// CaptureState implements snapshot.Stater.
 func (s *slowCapSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 	pos := s.pos.Load()
 	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
@@ -208,11 +203,6 @@ func (s *slowCapSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, er
 		enc.PutInt64(pos)
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (s *slowCapSource) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(s, enc)
 }
 
 // TestEncodeRunsOffTheBarrier: while a checkpoint's phase-2 encoding is
@@ -415,8 +405,10 @@ func (s *stuckSource) Next(Context) (bool, error) {
 	return true, nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *stuckSource) SaveState(enc *snapshot.Encoder) error { return nil }
+// CaptureState implements snapshot.Stater.
+func (s *stuckSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	return snapshot.Capture{}, nil
+}
 
 // LoadState implements snapshot.Stater.
 func (s *stuckSource) LoadState(dec *snapshot.Decoder) error { return nil }

@@ -136,7 +136,7 @@ func (s *SliceSource) ProcessFeedback(_ int, f core.Feedback, _ Context) error {
 // Close implements Source.
 func (s *SliceSource) Close(Context) error { return nil }
 
-// CaptureState implements snapshot.TwoPhase: the source's durable state is
+// CaptureState implements snapshot.Stater: the source's durable state is
 // its replay position plus its feedback guards, so a restored source
 // resumes exactly behind the barrier it cut — the tuples downstream did
 // not capture are regenerated, nothing is replayed twice.
@@ -149,11 +149,6 @@ func (s *SliceSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, erro
 		snapshot.PutGuardsView(enc, guards)
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (s *SliceSource) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(s, enc)
 }
 
 // LoadState implements snapshot.Stater.
@@ -259,7 +254,7 @@ func (s *ReaderSource) ProcessFeedback(_ int, f core.Feedback, _ Context) error 
 // Close implements Source.
 func (s *ReaderSource) Close(Context) error { return nil }
 
-// CaptureState implements snapshot.TwoPhase: the replay position is the
+// CaptureState implements snapshot.Stater: the replay position is the
 // exact byte offset of consumed input (plus tuple count for sequence-number
 // continuity), so a restored source re-reads from the cut onwards — byte
 // identical to the uninterrupted run for any io.ReadSeeker input.
@@ -274,11 +269,6 @@ func (s *ReaderSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, err
 		snapshot.PutGuardsView(enc, guards)
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (s *ReaderSource) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(s, enc)
 }
 
 // LoadState implements snapshot.Stater: R must be an io.Seeker (a file,
@@ -310,8 +300,6 @@ func (s *ReaderSource) Skipped() int64 { return s.skipped }
 
 // Collector is a sink that records everything it receives. It is safe to
 // read after Graph.Run returns; a mutex also allows sampling mid-run.
-//
-//pace:allow-nonote deltas are append-suffixes of the received log; there is no keyed state to changelog
 type Collector struct {
 	SinkName string
 	Schema   stream.Schema
@@ -415,7 +403,7 @@ func (c *Collector) ProcessEOS(int, Context) error { return nil }
 // Close implements Operator.
 func (c *Collector) Close(Context) error { return nil }
 
-// CaptureState implements snapshot.TwoPhase: everything received up to the
+// CaptureState implements snapshot.Stater: everything received up to the
 // cut is part of the sink's state, so a restored run appends the
 // regenerated post-cut stream to the pre-cut record — the union is
 // exactly-once. Deltas ship only the items recorded since the previous
@@ -452,11 +440,6 @@ func (c *Collector) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, e
 	}}, nil
 }
 
-// SaveState implements snapshot.Stater.
-func (c *Collector) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(c, enc)
-}
-
 func decodeCollectorItems(dec *snapshot.Decoder) ([]queue.Item, int64) {
 	count := dec.GetInt64()
 	n := dec.GetInt()
@@ -485,7 +468,7 @@ func (c *Collector) LoadState(dec *snapshot.Decoder) error {
 	return nil
 }
 
-// ApplyDelta implements snapshot.DeltaStater: the delta's items append to
+// ApplyDelta merges a delta capture (snapshot.Stater): the delta's items append to
 // the record and its count replaces the total.
 func (c *Collector) ApplyDelta(dec *snapshot.Decoder) error {
 	items, count := decodeCollectorItems(dec)

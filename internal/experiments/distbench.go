@@ -19,8 +19,7 @@ import (
 // parked mid-stream and ready to take distributed checkpoints repeatedly:
 // the measured span of one Checkpoint call is the full cross-process epoch
 // — barrier injection, wire crossing, the follower's aligned cut and
-// persist, the ack, and the manifest commit. Shared by
-// BenchmarkRemoteBarrier and cmd/benchall.
+// persist, the ack, and the manifest commit (BenchmarkRemoteBarrier).
 type DistBench struct {
 	dc        *exec.DistCoordinator
 	coordG    *exec.Graph

@@ -13,8 +13,8 @@ import (
 	"repro/internal/window"
 )
 
-// The aggregate-fold microbenchmark, shared by BenchmarkAggregateFold in
-// bench_test.go and cmd/benchall so both time the same loop. Three shapes:
+// The aggregate-fold microbenchmark behind BenchmarkAggregateFold in
+// bench_test.go. Three shapes:
 //
 //   - hot: nine groups in one-minute windows, a tuple at a time — every fold
 //     finds its group.

@@ -20,7 +20,7 @@ import (
 // open (window, group) accumulators; between checkpoints the driver
 // touches a fixed number of groups, so a delta capture is O(touch) while a
 // full serialization is O(groups). BenchmarkBarrierHold/Checkpoint-
-// LargeState in bench_test.go (and cmd/benchall) drive this harness.
+// LargeState in bench_test.go drive this harness.
 
 // stepSchema is the benchmark stream: (k, ts, v).
 var stepSchema = stream.MustSchema(

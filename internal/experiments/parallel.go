@@ -13,10 +13,9 @@ import (
 )
 
 // ParallelTrafficItems builds the punctuated traffic stream used by the
-// partitioned-aggregate scaling benchmarks (bench_test.go and cmd/benchall
-// share this fixture so BENCH_pipeline.json measures the same workload the
-// go-test benchmark reports): 64 segments so hash partitioning spreads
-// across up to 8 partitions, punctuation every 512 tuples.
+// partitioned-aggregate scaling benchmarks (bench_test.go): 64 segments so
+// hash partitioning spreads across up to 8 partitions, punctuation every
+// 512 tuples.
 func ParallelTrafficItems(n int) []queue.Item {
 	items := make([]queue.Item, 0, n+n/512+1)
 	ts := int64(0)

@@ -19,9 +19,7 @@ import (
 )
 
 // Recovery benchmarks: checkpoint overhead and recovery time on the same
-// partitioned-aggregate plan the scaling benchmarks use, shared by
-// bench_test.go and cmd/benchall so BENCH_pipeline.json records exactly
-// the workload the go-test benchmarks report.
+// partitioned-aggregate plan the scaling benchmarks use (bench_test.go).
 
 // gatedTrafficSource replays ParallelTrafficItems, parking (live, not
 // blocked) at gateAt until the gate opens, so a checkpoint can be taken
@@ -68,10 +66,13 @@ func (s *gatedTrafficSource) Next(ctx exec.Context) (bool, error) {
 	return true, nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *gatedTrafficSource) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt64(s.pos.Load())
-	return nil
+// CaptureState implements snapshot.Stater: the replay position is the state.
+func (s *gatedTrafficSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	pos := s.pos.Load()
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt64(pos)
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.

@@ -27,11 +27,10 @@ import (
 )
 
 // Prefixed wraps a stateful consumer with per-input prefix kernels.
-//
-//pace:allow-nonote delegates all Stater/DeltaStater calls to the wrapped operator, which owns the changelog
 type Prefixed struct {
 	inner   exec.Operator
-	kernels []*Fused // indexed by input port; nil = no prefix on that port
+	state   snapshot.Stater // inner, as the checkpoint participant it is
+	kernels []*Fused        // indexed by input port; nil = no prefix on that port
 	ins     []stream.Schema
 	name    string
 
@@ -42,7 +41,7 @@ type Prefixed struct {
 }
 
 // NewPrefixed wraps inner with kernels (one slot per input port, nil slots
-// allowed). The inner operator must be a snapshot.TwoPhase — every absorb
+// allowed). The inner operator must be a snapshot.Stater — every absorb
 // target (Aggregate, Join, Impute, Pace, Split) is — so checkpoint identity
 // is preserved by delegation; each kernel's output schema must match the
 // inner input it feeds.
@@ -50,15 +49,16 @@ func NewPrefixed(inner exec.Operator, kernels []*Fused) (*Prefixed, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("fuse: prefix around nil operator")
 	}
-	if _, ok := inner.(snapshot.TwoPhase); !ok {
-		return nil, fmt.Errorf("fuse: prefix target %q is not a snapshot.TwoPhase stateful operator", inner.Name())
+	state, ok := inner.(snapshot.Stater)
+	if !ok {
+		return nil, fmt.Errorf("fuse: prefix target %q is not a snapshot.Stater stateful operator", inner.Name())
 	}
 	ins := inner.InSchemas()
 	if len(kernels) != len(ins) {
 		return nil, fmt.Errorf("fuse: prefix target %q has %d inputs, got %d kernel slots",
 			inner.Name(), len(ins), len(kernels))
 	}
-	p := &Prefixed{inner: inner, kernels: kernels, ins: append([]stream.Schema(nil), ins...)}
+	p := &Prefixed{inner: inner, state: state, kernels: kernels, ins: append([]stream.Schema(nil), ins...)}
 	var parts []string
 	any := false
 	for i, k := range kernels {
@@ -216,29 +216,24 @@ func (p *Prefixed) Close(ctx exec.Context) error {
 	return p.inner.Close(p.wrap(ctx))
 }
 
-// SaveState implements snapshot.Stater by delegation: the prefix is
+// CaptureState implements snapshot.Stater by delegation: the prefix is
 // stateless (guard tables rebuild from feedback, like every guarded
 // operator), so the node's checkpoint payload is exactly the inner
 // operator's.
-func (p *Prefixed) SaveState(e *snapshot.Encoder) error {
-	return p.inner.(snapshot.Stater).SaveState(e)
+func (p *Prefixed) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, error) {
+	return p.state.CaptureState(mode)
 }
 
 // LoadState implements snapshot.Stater by delegation.
-func (p *Prefixed) LoadState(d *snapshot.Decoder) error {
-	return p.inner.(snapshot.Stater).LoadState(d)
-}
+func (p *Prefixed) LoadState(d *snapshot.Decoder) error { return p.state.LoadState(d) }
 
-// CaptureState implements snapshot.TwoPhase by delegation.
-func (p *Prefixed) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, error) {
-	return p.inner.(snapshot.TwoPhase).CaptureState(mode)
-}
-
-// ApplyDelta implements snapshot.DeltaStater by delegation. Inner operators
-// that never produce delta captures (Impute, Pace, Split) never receive
-// ApplyDelta — restore only calls it for epochs holding delta blobs.
+// ApplyDelta delegates a delta blob. Inner operators that never capture
+// deltas (Impute, Pace, Split) never receive one — restore only calls it for
+// epochs holding delta blobs.
 func (p *Prefixed) ApplyDelta(d *snapshot.Decoder) error {
-	ds, ok := p.inner.(snapshot.DeltaStater)
+	ds, ok := p.state.(interface {
+		ApplyDelta(*snapshot.Decoder) error
+	})
 	if !ok {
 		return fmt.Errorf("fuse: %q: delta blob for non-incremental operator %q", p.name, p.inner.Name())
 	}

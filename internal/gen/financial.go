@@ -110,7 +110,7 @@ func (s *TickSource) ProcessFeedback(int, core.Feedback, exec.Context) error {
 // Close implements exec.Source.
 func (s *TickSource) Close(exec.Context) error { return nil }
 
-// CaptureState implements snapshot.TwoPhase: the stream clock, the
+// CaptureState implements snapshot.Stater: the stream clock, the
 // per-pair random-walk levels, and the RNG state replay the tick stream
 // bit-identically from the cut.
 func (s *TickSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
@@ -126,11 +126,6 @@ func (s *TickSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error
 		}
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (s *TickSource) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(s, enc)
 }
 
 // LoadState implements snapshot.Stater.

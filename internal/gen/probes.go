@@ -136,7 +136,7 @@ func (s *ProbeSource) Close(exec.Context) error { return nil }
 // Stats reports (emitted, suppressed-at-source).
 func (s *ProbeSource) Stats() (emitted, skipped int64) { return s.emitted, s.skipped }
 
-// CaptureState implements snapshot.TwoPhase (replayable position: period
+// CaptureState implements snapshot.Stater (replayable position: period
 // clock, sequence counter, RNG state).
 func (s *ProbeSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 	now, seq, emitted, skipped, r := s.now, s.seq, s.emitted, s.skipped, s.rng
@@ -150,11 +150,6 @@ func (s *ProbeSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, erro
 		snapshot.PutGuardsView(enc, guards)
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (s *ProbeSource) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(s, enc)
 }
 
 // LoadState implements snapshot.Stater.

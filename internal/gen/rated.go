@@ -100,7 +100,7 @@ func (s *RatedSource) Close(exec.Context) error { return nil }
 // Skipped reports tuples suppressed at the source.
 func (s *RatedSource) Skipped() int64 { return s.skipped }
 
-// CaptureState implements snapshot.TwoPhase: the replay position is the
+// CaptureState implements snapshot.Stater: the replay position is the
 // item cursor; the wall-clock anchor is re-derived on restore so the
 // target rate resumes without a burst.
 func (s *RatedSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
@@ -112,11 +112,6 @@ func (s *RatedSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, erro
 		snapshot.PutGuardsView(enc, guards)
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (s *RatedSource) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(s, enc)
 }
 
 // LoadState implements snapshot.Stater.

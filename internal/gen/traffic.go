@@ -189,7 +189,7 @@ func (s *TrafficSource) Stats() (emitted, skipped int64) { return s.emitted, s.s
 // WorkUnits reports ingest cost burned so far.
 func (s *TrafficSource) WorkUnits() int64 { return s.meter.total() }
 
-// CaptureState implements snapshot.TwoPhase: the replay position is the
+// CaptureState implements snapshot.Stater: the replay position is the
 // round clock, the intra-round cursor, and the RNG state — restoring them
 // continues the synthetic stream bit-identically from the cut.
 func (s *TrafficSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
@@ -207,11 +207,6 @@ func (s *TrafficSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, er
 		snapshot.PutGuardsView(enc, guards)
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (s *TrafficSource) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(s, enc)
 }
 
 // LoadState implements snapshot.Stater.

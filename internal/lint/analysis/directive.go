@@ -12,10 +12,8 @@ import (
 //	//pace:hotpath                — function doc: the body must not allocate
 //	//pace:stateless <reason>     — type doc: operator deliberately opts out
 //	                                of snapshot.Stater
-//	//pace:tracked                — field: delta-changelog-tracked state map
 //	//pace:allow-alloc <reason>   — line waiver for hotpathalloc
 //	//pace:allow-nonatomic <r>    — line waiver for atomicfield
-//	//pace:allow-nonote <reason>  — line or function/type waiver for dirtynote
 //
 // A line waiver suppresses findings on its own line and, when it stands
 // alone, on the line directly below it. Reasons are free text; the

@@ -72,12 +72,14 @@ func (s *saved) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error 
 	return nil
 }
 
-func (s *saved) SaveState(enc *snapshot.Encoder) error { return nil }
+func (s *saved) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	return snapshot.Capture{}, nil
+}
 func (s *saved) LoadState(dec *snapshot.Decoder) error { return nil }
 
 // stale kept its waiver after growing a snapshot.
 //
-//pace:stateless leftover from before it implemented SaveState
+//pace:stateless leftover from before it implemented Stater
 type stale struct { // want "contradictory //pace:stateless"
 	exec.Base
 	n int64
@@ -92,7 +94,9 @@ func (s *stale) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error 
 	return nil
 }
 
-func (s *stale) SaveState(enc *snapshot.Encoder) error { return nil }
+func (s *stale) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	return snapshot.Capture{}, nil
+}
 func (s *stale) LoadState(dec *snapshot.Decoder) error { return nil }
 
 // unexplained waives without saying why.

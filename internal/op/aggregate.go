@@ -32,8 +32,6 @@ import (
 //   - window-bound feedback (on wstart) → translated to an input-timestamp
 //     guard via the window spec (Example 2's "skip windows w3, w4", which a
 //     bottom-of-plan filter cannot express).
-//
-//pace:allow-nonote state lives in aggStore, whose methods are the only mutators and keep the changelog themselves; there is no tracked map to pair notes with
 type Aggregate struct {
 	exec.Base
 	OpName string

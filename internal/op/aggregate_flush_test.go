@@ -32,10 +32,10 @@ type flushBatchCtx struct{ *flushCtx }
 
 func (c flushBatchCtx) EmitBatch(ts []stream.Tuple) { c.tuples = append(c.tuples, ts...) }
 
-// captureBlob takes a capture of a in the given mode and encodes it.
-func captureBlob(t *testing.T, a *Aggregate, mode snapshot.CaptureMode) []byte {
+// captureBlob takes a capture of st in the given mode and encodes it.
+func captureBlob(t *testing.T, st snapshot.Stater, mode snapshot.CaptureMode) []byte {
 	t.Helper()
-	c, err := a.CaptureState(mode)
+	c, err := st.CaptureState(mode)
 	if err != nil {
 		t.Fatal(err)
 	}

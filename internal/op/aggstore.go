@@ -13,7 +13,7 @@ import (
 // aggStore is the aggregate's state: the open windows in window-id order,
 // each owning its groups, and the changelog incremental snapshots are cut
 // from. Every mutation of aggregate state goes through its methods, so the
-// changelog cannot miss one (DESIGN.md §7.2, §10.7).
+// changelog cannot miss one (DESIGN.md §7.1, §10.7).
 //
 // The window is the unit state is born in, punctuated shut in and discarded
 // in: a closing window is emitted and dropped whole — no per-group delete —
@@ -49,8 +49,8 @@ type aggStore struct {
 // tuple that re-opens a closed window for a moment.
 const aggSpareWindows = 2
 
-// aggMinIndex is a new window's index size (a power of two).
-const aggMinIndex = 64
+// keyMinIndex is a new key table's index size (a power of two).
+const keyMinIndex = 64
 
 // aggGroup is one (window, group) accumulator: a slot of its window's slab.
 type aggGroup struct {
@@ -71,26 +71,33 @@ type aggPurged struct {
 	key []stream.Value
 }
 
-// aggWindow is one open window: a dense slab of groups in insertion order,
-// their group values side by side in an arena, and an open-addressing index
-// over the group values' hash.
-type aggWindow struct {
-	wid    int64
-	k      int
-	groups []aggGroup
-	vals   []stream.Value // slot i's group values at [i*k, (i+1)*k)
-	// index: linear probing, hash<<32 | slot+1, 0 for empty; its length is a
-	// power of two at least twice len(groups).
+// keyTable holds rows of k key values side by side in an arena and an
+// open-addressing index over them: linear probing, one word per row —
+// hash<<32 | row+1, 0 for empty — in a table whose length is a power of two
+// at least twice the rows. Key identity is hashKey's and sameKey's. An
+// aggWindow keeps its groups' values in one, a joinSide its distinct keys.
+type keyTable struct {
+	k     int
+	n     int            // rows
+	vals  []stream.Value // row i's values at [i*k, (i+1)*k)
 	index []uint64
-	dirty []int32 // slots changed since the baseline
-	last  int32   // the slot the last upsert hit; -1 in an empty window
-	dead  int     // dead slots
 }
 
-// key returns slot's group values. It aliases the arena: read it, copy out
-// of it, never keep or emit it.
-func (w *aggWindow) key(slot int32) []stream.Value {
-	return w.vals[int(slot)*w.k : (int(slot)+1)*w.k]
+// key returns a row's values. It aliases the arena: read it, copy out of it,
+// never keep or emit it.
+func (t *keyTable) key(row int32) []stream.Value {
+	return t.vals[int(row)*t.k : (int(row)+1)*t.k]
+}
+
+// aggWindow is one open window: a dense slab of groups in insertion order
+// beside the table of their group values, slot for row.
+type aggWindow struct {
+	keyTable
+	wid    int64
+	groups []aggGroup
+	dirty  []int32 // slots changed since the baseline
+	last   int32   // the slot the last upsert hit; -1 in an empty window
+	dead   int     // dead slots
 }
 
 func (w *aggWindow) live() int { return len(w.groups) - w.dead }
@@ -198,7 +205,7 @@ func (s *aggStore) window(wid int64) *aggWindow {
 	if n := len(s.spare); n > 0 {
 		w, s.spare = s.spare[n-1], s.spare[:n-1]
 	} else {
-		w = &aggWindow{k: s.k, last: -1} //pace:allow-alloc amortised: a window is allocated only while fewer than aggSpareWindows have closed
+		w = &aggWindow{keyTable: keyTable{k: s.k}, last: -1} //pace:allow-alloc amortised: a window is allocated only while fewer than aggSpareWindows have closed
 	}
 	w.wid = wid
 	s.wins = append(s.wins, nil)
@@ -220,7 +227,7 @@ func (s *aggStore) upsert(wid int64, h uint32, key []stream.Value) *aggGroup {
 	}
 	slot := w.last
 	if slot < 0 || !sameKey(w.key(slot), key) {
-		slot = w.findOrInsert(h, key)
+		slot = w.intern(h, key)
 		w.last = slot
 	}
 	g := &w.groups[slot]
@@ -238,58 +245,79 @@ func (s *aggStore) upsert(wid int64, h uint32, key []stream.Value) *aggGroup {
 }
 
 // lookup probes the index for key, whose hash is h. It returns the key's
-// slot, or -1 and the index position an insert of it would take.
+// row, or -1 and the index position an insert of it would take. The index
+// must have been sized: intern does it, a table that holds a row has one.
 //
 //pace:hotpath
-func (w *aggWindow) lookup(h uint32, key []stream.Value) (slot int32, at uint32) {
-	mask := uint32(len(w.index) - 1)
-	for at = h & mask; w.index[at] != 0; at = (at + 1) & mask {
-		e := w.index[at]
+func (t *keyTable) lookup(h uint32, key []stream.Value) (row int32, at uint32) {
+	mask := uint32(len(t.index) - 1)
+	for at = h & mask; t.index[at] != 0; at = (at + 1) & mask {
+		e := t.index[at]
 		if uint32(e>>32) == h {
-			if slot := int32(uint32(e)) - 1; sameKey(w.key(slot), key) {
-				return slot, at
+			if row := int32(uint32(e)) - 1; sameKey(t.key(row), key) {
+				return row, at
 			}
 		}
 	}
 	return -1, at
 }
 
-// findOrInsert returns the slot of key, appending an empty group for a key
-// the window has not seen.
+// intern returns the row of key, appending one for a key the table has not
+// seen.
 //
 //pace:hotpath
-func (w *aggWindow) findOrInsert(h uint32, key []stream.Value) int32 {
-	if 2*(len(w.groups)+1) > len(w.index) {
-		w.grow()
+func (t *keyTable) intern(h uint32, key []stream.Value) (row int32, added bool) {
+	if 2*(t.n+1) > len(t.index) {
+		t.grow()
 	}
-	slot, at := w.lookup(h, key)
-	if slot >= 0 {
-		return slot
+	row, at := t.lookup(h, key)
+	if row >= 0 {
+		return row, false
 	}
-	slot = int32(len(w.groups))
-	w.index[at] = uint64(h)<<32 | uint64(slot+1)
-	w.groups = append(w.groups, emptyGroup) //pace:allow-alloc amortised slab growth; a recycled window already has the capacity
-	w.vals = append(w.vals, key...)         //pace:allow-alloc amortised arena growth, likewise
-	return slot
+	row = int32(t.n)
+	t.index[at] = uint64(h)<<32 | uint64(row+1)
+	t.vals = append(t.vals, key...) //pace:allow-alloc amortised arena growth; a recycled table already has the capacity
+	t.n++
+	return row, true
 }
 
 // grow doubles the index and re-places its entries; they carry their hash,
-// so the slab is not read. A recycled window keeps its index and does not
+// so the arena is not read. A recycled table keeps its index and does not
 // come here again until it outgrows its predecessors.
-func (w *aggWindow) grow() {
-	old := w.index
-	w.index = make([]uint64, max(2*len(old), aggMinIndex))
-	mask := uint32(len(w.index) - 1)
+func (t *keyTable) grow() {
+	old := t.index
+	t.index = make([]uint64, max(2*len(old), keyMinIndex))
+	mask := uint32(len(t.index) - 1)
 	for _, e := range old {
 		if e == 0 {
 			continue
 		}
 		i := uint32(e>>32) & mask
-		for w.index[i] != 0 {
+		for t.index[i] != 0 {
 			i = (i + 1) & mask
 		}
-		w.index[i] = e
+		t.index[i] = e
 	}
+}
+
+// clear empties the table and keeps its memory, zeroed so that it pins no
+// strings of the rows it held.
+func (t *keyTable) clear() {
+	clear(t.vals)
+	clear(t.index)
+	t.vals, t.n = t.vals[:0], 0
+}
+
+// intern returns the slot of key, appending an empty group for a key the
+// window has not seen.
+//
+//pace:hotpath
+func (w *aggWindow) intern(h uint32, key []stream.Value) int32 {
+	slot, added := w.keyTable.intern(h, key)
+	if added {
+		w.groups = append(w.groups, emptyGroup) //pace:allow-alloc amortised slab growth; a recycled window already has the capacity
+	}
+	return slot
 }
 
 // find returns the window and slot of a live group; the window is nil when
@@ -331,9 +359,8 @@ func (s *aggStore) closeFirst() {
 		s.forgetPurged()
 	}
 	if len(s.spare) < aggSpareWindows {
-		clear(w.vals) // a spare must not pin the strings of a closed window
-		clear(w.index)
-		w.groups, w.vals, w.dirty = w.groups[:0], w.vals[:0], w.dirty[:0]
+		w.keyTable.clear() // a spare must not pin the strings of a closed window
+		w.groups, w.dirty = w.groups[:0], w.dirty[:0]
 		w.last, w.dead = -1, 0
 		s.spare = append(s.spare, w)
 	}
@@ -348,7 +375,7 @@ func (s *aggStore) forgetPurged() {
 // touching the changelog: a loaded cut is the baseline, not a change.
 func (s *aggStore) restore(wid int64, key []stream.Value, acc aggGroup) (*aggWindow, int32) {
 	w := s.window(wid)
-	slot := w.findOrInsert(hashKey(key), key)
+	slot := w.intern(hashKey(key), key)
 	g := &w.groups[slot]
 	if g.dead {
 		w.dead--

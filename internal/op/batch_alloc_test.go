@@ -200,7 +200,7 @@ func TestJoinBatchGuardZeroAlloc(t *testing.T) {
 	for i := range ring {
 		ring[i] = traffic(3, 0, int64(i)*1000, 55)
 	}
-	j.guardsL.Install(core.NewAssumed(punct.OnAttr(4, 0, punct.Eq(stream.Int(3)))))
+	j.guardsIn[0].Install(core.NewAssumed(punct.OnAttr(4, 0, punct.Eq(stream.Int(3)))))
 	if n := testing.AllocsPerRun(200, func() {
 		_ = j.ApplyTupleBatch(0, ring, discardCtx{})
 	}); n != 0 {

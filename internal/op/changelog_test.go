@@ -72,48 +72,76 @@ func TestAggregateChangelogBounded(t *testing.T) {
 	}
 }
 
-// TestJoinChangelogCap: the same bound for Join, summed over both sides.
-func TestJoinChangelogCap(t *testing.T) {
+// TestJoinChangelogBounded: the same bound for Join, which used to need a cap
+// (MaxChangelog) to have one. The join's changelog is one watermark per side
+// plus notes on baseline entries — purged one by one, or matched — that are
+// forgotten as the watermark passes them, so 10 000 punctuated windows
+// inserted, matched, purged by feedback and purged by punctuation with no
+// capture in between leave at most the live entries plus a constant behind,
+// and the next delta, applied to the last base, reassembles the live state.
+func TestJoinChangelogBounded(t *testing.T) {
 	j := deltaJoin()
-	j.MaxChangelog = 4
+	j.Impatient = true
 	h := exec.NewHarness(j)
-
-	h.Tuple(0, lrTuple(1, 1000, 1))
-	if _, err := j.CaptureState(snapshot.CaptureFull); err != nil {
-		t.Fatal(err)
+	const held = 50 // left entries the baseline holds, timestamps 40..89
+	for k := int64(0); k < held; k++ {
+		h.Tuple(0, lrTuple(1000+k, 40+k, 1))
 	}
-	if j.chlogDirty[0] == nil {
-		t.Fatal("tracking not enabled after first capture")
+	base := captureBlob(t, j, snapshot.CaptureFull)
+
+	// Every baseline entry is matched, one is purged by feedback: a note each,
+	// until the watermark passes them.
+	for k := int64(0); k < held; k++ {
+		h.Tuple(1, lrTuple(1000+k, 95, 2))
+	}
+	h.Feedback(0, core.NewAssumed(punct.OnAttr(5, 2, punct.Eq(stream.Float(1))).With(0, punct.Eq(stream.Int(1007)))))
+	if n := len(j.store.sides[0].matched) + len(j.store.sides[0].purged); n != held+1 {
+		t.Fatalf("%d notes on the left side, want %d matched and 1 purged", n, held+1)
 	}
 
-	for k := int64(0); k < 6; k++ {
-		h.Tuple(0, lrTuple(k, 2000, 2))
-		h.Tuple(1, lrTuple(k, 2000, 3))
+	const windows = 10_000
+	for w := int64(1); w <= windows; w++ {
+		ts := w * 100
+		for k := int64(0); k < 3; k++ {
+			h.Tuple(0, lrTuple(k, ts+k, 1))
+			h.Tuple(1, lrTuple(k, ts+k+10, 2)) // matches the left entry of this window, and older ones still held
+		}
+		if w%1000 == 0 { // a one-by-one purge per thousand windows, forgotten when the watermark passes
+			h.Tuple(0, lrTuple(100+w, ts, 3))
+			h.Feedback(0, core.NewAssumed(punct.OnAttr(5, 0, punct.Eq(stream.Int(100+w)))))
+		}
+		h.Punct(0, ts3Punct(ts-1)) // purges the right entries of window w-1
+		h.Punct(1, ts3Punct(ts-1)) // and the left ones
 	}
 	if h.Err() != nil {
 		t.Fatal(h.Err())
 	}
-	for side := 0; side < 2; side++ {
-		if j.chlogDirty[side] != nil || j.chlogDead[side] != nil {
-			t.Fatalf("side %d changelog not collapsed past the cap", side)
-		}
+	st := j.Stats()
+	if st.PurgedByFeedback != 1+windows/1000 {
+		t.Fatalf("%d entries purged by feedback, want %d", st.PurgedByFeedback, 1+windows/1000)
+	}
+	live, footprint := st.LeftEntries+st.RightEntries, 0
+	for _, side := range j.store.all() {
+		footprint += len(side.purged) + len(side.matched)
+	}
+	if live != 6 || footprint > live+1 {
+		t.Fatalf("after %d windows with no capture: %d live entries, changelog footprint %d (want at most live + 1)", windows, live, footprint)
 	}
 
-	cap1, err := j.CaptureState(snapshot.CaptureDelta)
+	c, err := j.CaptureState(snapshot.CaptureDelta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cap1.Delta {
-		t.Fatal("capped join answered a delta; must upgrade to full")
+	if !c.Delta {
+		t.Fatal("a bounded changelog never collapses: the capture after a long gap must still be a delta")
 	}
-
 	twin := deltaJoin()
-	ht := exec.NewHarness(twin)
-	if ht.Err() != nil {
+	twin.Impatient = true
+	if ht := exec.NewHarness(twin); ht.Err() != nil {
 		t.Fatal(ht.Err())
 	}
-	applyChain(t, twin, encodeCap(t, cap1))
+	applyChain(t, twin, base, encodeCap(t, c))
 	if got, want := fullBlob(t, twin), fullBlob(t, j); !bytes.Equal(got, want) {
-		t.Fatalf("restored state differs from live state (%dB vs %dB)", len(got), len(want))
+		t.Fatalf("base + delta differs from a full capture of the live state (%dB vs %dB)", len(got), len(want))
 	}
 }

@@ -29,7 +29,7 @@ func encodeCap(t *testing.T, c snapshot.Capture) []byte {
 func fullBlob(t *testing.T, st snapshot.Stater) []byte {
 	t.Helper()
 	enc := snapshot.NewEncoder()
-	if err := st.SaveState(enc); err != nil {
+	if err := snapshot.EncodeCapture(st, enc); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := enc.Bytes()
@@ -46,9 +46,11 @@ func applyChain(t *testing.T, to snapshot.Stater, base []byte, deltas ...[]byte)
 	if err := to.LoadState(dec); err != nil {
 		t.Fatalf("load base: %v", err)
 	}
-	ds, ok := to.(snapshot.DeltaStater)
+	ds, ok := to.(interface {
+		ApplyDelta(*snapshot.Decoder) error
+	})
 	if !ok {
-		t.Fatal("twin does not implement DeltaStater")
+		t.Fatal("twin has no ApplyDelta")
 	}
 	for i, d := range deltas {
 		dec := snapshot.NewDecoder(d)
@@ -167,8 +169,8 @@ func ts3Punct(us int64) punct.Embedded {
 	return punct.NewEmbedded(punct.OnAttr(3, 1, punct.Le(stream.TimeMicros(us))))
 }
 
-// TestJoinDeltaCapture: the join's per-key bucket deltas (inserts, matched
-// flips on the opposite side, punctuation purges) reassemble into a state
+// TestJoinDeltaCapture: the join's deltas (inserts, matched flips on the
+// opposite side, punctuation purges) reassemble into a state
 // byte-identical to a direct full serialization.
 func TestJoinDeltaCapture(t *testing.T) {
 	j := deltaJoin()

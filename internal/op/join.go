@@ -3,6 +3,7 @@ package op
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -57,15 +58,6 @@ type Join struct {
 	// Impatient enables desired-feedback production toward input 1 for
 	// every new join key arriving on input 0.
 	Impatient bool
-	// MaxChangelog caps the incremental-snapshot changelog summed over both
-	// sides (dirty + dead keys). Tracking starts at the first capture and
-	// records every mutation thereafter; if checkpointing then stops —
-	// coordinator gone, persistent storage failures — the changelog would
-	// grow without bound. Crossing the cap collapses it and makes the next
-	// capture full (which re-enables tracking). 0 means the scaled default,
-	// max(DefaultMaxChangelog, live table size); an explicit positive value
-	// is an absolute limit; negative disables the cap.
-	MaxChangelog int
 	// Adaptive, if set, is invoked for every accepted input tuple and may
 	// produce feedback toward either input — the §3.3 "Adaptive" source
 	// category, where an operator discovers opportunities in its own
@@ -75,29 +67,26 @@ type Join struct {
 	Adaptive func(input int, t stream.Tuple, send func(toInput int, f core.Feedback))
 
 	responseLog
-	out                 stream.Schema
-	rightCarry          []int // right attrs carried to output (non-keys)
-	part                core.JoinPartition
-	leftMap, rightMap   core.AttrMap
-	leftTable           map[string][]*joinEntry //pace:tracked
-	rightTable          map[string][]*joinEntry //pace:tracked
-	guardsL, guardsR    *core.GuardTable
-	guardsOut           *core.GuardTable
-	leftWM, rightWM     int64
-	leftWMSet, rightWMS bool
-	lastOutWM           int64
-	lastOutWMSet        bool
-	leftEOS, rightEOS   bool
-	probeCounts         map[int64]int64 // thrifty: tuples per probe window
-	probeDone           int64           // thrifty: windows already checked
-	impatientKeys       map[string]bool
-	feedbackSeq         int64
-	// Changelog for incremental snapshots (state.go), indexed by side
-	// (0 = left table, 1 = right table): keys whose entry lists changed or
-	// vanished since the previous capture. nil until the first capture
-	// enables tracking.
-	chlogDirty [2]map[string]bool
-	chlogDead  [2]map[string]bool
+	out        stream.Schema
+	rightCarry []int // right attrs carried to output (non-keys)
+	part       core.JoinPartition
+	inMap      [2]core.AttrMap // output attribute → attribute of input 0 / 1
+	// askedTs is the position within LeftKeys of the left timestamp
+	// attribute, or -1: when the timestamp is part of the key, left
+	// punctuation proves old keys cannot recur and the asked set sheds them.
+	askedTs int
+	// store holds the entries of both inputs, the impatient join's asked
+	// keys, and their changelog; it is the only code that mutates them
+	// (joinstore.go).
+	store        joinStore
+	guardsIn     [2]*core.GuardTable
+	guardsOut    *core.GuardTable
+	wm           [2]watermark // per-input punctuation progress and EOS
+	lastOutWM    int64
+	lastOutWMSet bool
+	probeCounts  map[int64]int64 // thrifty: tuples per probe window
+	probeDone    int64           // thrifty: windows already checked
+	feedbackSeq  int64
 
 	emitted, outerEmitted, suppressedIn, suppressedOut, purgedByFeedback int64
 	thriftySent, impatientSent                                           int64
@@ -111,12 +100,6 @@ type Join struct {
 	// batchScratch backs ProcessTupleBatch's item unwrapping; reused across
 	// batches, transient, never checkpointed.
 	batchScratch []stream.Tuple
-}
-
-type joinEntry struct {
-	t       stream.Tuple
-	ts      int64
-	matched bool
 }
 
 // Name implements exec.Operator.
@@ -196,8 +179,11 @@ func (j *Join) mustInit() {
 	for rIdx, src := range j.rightCarry {
 		rm[j.Left.Arity()+rIdx] = src
 	}
-	j.leftMap = core.AttrMap{InputArity: j.Left.Arity(), ToInput: lm}
-	j.rightMap = core.AttrMap{InputArity: j.Right.Arity(), ToInput: rm}
+	j.inMap = [2]core.AttrMap{
+		{InputArity: j.Left.Arity(), ToInput: lm},
+		{InputArity: j.Right.Arity(), ToInput: rm},
+	}
+	j.askedTs = slices.Index(j.LeftKeys, j.LeftTs)
 }
 
 // Open implements exec.Operator.
@@ -205,74 +191,12 @@ func (j *Join) Open(exec.Context) error {
 	if j.out.Arity() == 0 {
 		j.mustInit()
 	}
-	j.leftTable = map[string][]*joinEntry{}
-	j.rightTable = map[string][]*joinEntry{}
-	j.guardsL = core.NewGuardTable(j.Left.Arity())
-	j.guardsR = core.NewGuardTable(j.Right.Arity())
+	j.store.reset(j.LeftKeys, j.RightKeys)
+	j.guardsIn = [2]*core.GuardTable{core.NewGuardTable(j.Left.Arity()), core.NewGuardTable(j.Right.Arity())}
 	j.guardsOut = core.NewGuardTable(j.out.Arity())
 	j.probeCounts = map[int64]int64{}
 	j.probeDone = -1
-	j.impatientKeys = map[string]bool{}
-	j.chlogDirty = [2]map[string]bool{}
-	j.chlogDead = [2]map[string]bool{}
 	return nil
-}
-
-// table returns the build table for a side (0 = left, 1 = right).
-func (j *Join) table(side int) map[string][]*joinEntry {
-	if side == 0 {
-		return j.leftTable
-	}
-	return j.rightTable
-}
-
-// noteDirty records a changed entry list in the changelog.
-func (j *Join) noteDirty(side int, key string) {
-	if j.chlogDirty[side] == nil {
-		return
-	}
-	j.chlogDirty[side][key] = true
-	delete(j.chlogDead[side], key)
-	j.capChangelog()
-}
-
-// noteDead records a vanished entry list in the changelog.
-func (j *Join) noteDead(side int, key string) {
-	if j.chlogDirty[side] == nil {
-		return
-	}
-	delete(j.chlogDirty[side], key)
-	j.chlogDead[side][key] = true
-	j.capChangelog()
-}
-
-// capChangelog bounds changelog memory when checkpointing has stopped: past
-// the cap the changelog is collapsed — tracking turns off on both sides, so
-// CaptureState answers the next delta request with a full capture, exactly as
-// if no capture had ever happened, and re-enables tracking at that cut. The
-// default cap scales with the live tables: a changelog larger than the state
-// itself means a delta has no advantage over a full capture (the
-// dead-key-accumulation failure mode), while a fixed constant would collapse
-// perfectly healthy intervals on high-cardinality plans.
-func (j *Join) capChangelog() {
-	limit := j.MaxChangelog
-	if limit < 0 {
-		return
-	}
-	if limit == 0 {
-		limit = DefaultMaxChangelog
-		if n := len(j.leftTable) + len(j.rightTable); n > limit {
-			limit = n
-		}
-	}
-	total := 0
-	for side := 0; side < 2; side++ {
-		total += len(j.chlogDirty[side]) + len(j.chlogDead[side])
-	}
-	if total > limit {
-		j.chlogDirty = [2]map[string]bool{}
-		j.chlogDead = [2]map[string]bool{}
-	}
 }
 
 func (j *Join) outTuple(l, r stream.Tuple) stream.Tuple {
@@ -314,50 +238,57 @@ func (j *Join) emitOuter(l stream.Tuple, ctx exec.Context) {
 
 // ProcessTuple implements exec.Operator.
 func (j *Join) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
-	switch input {
-	case 0:
-		return j.processLeft(t, ctx)
-	case 1:
-		return j.processRight(t, ctx)
+	if input != 0 && input != 1 {
+		return j.errInput("tuple", input)
 	}
-	return fmt.Errorf("op: join %q: tuple on unexpected input %d (two-input operator; check plan wiring)", j.Name(), input)
-}
-
-func (j *Join) processLeft(t stream.Tuple, ctx exec.Context) error {
-	if j.Mode == FeedbackExploit && j.guardsL.Suppress(t) {
+	if j.Mode == FeedbackExploit && j.guardsIn[input].Suppress(t) {
 		j.suppressedIn++
 		return nil
 	}
-	return j.applyLeft(t, ctx)
+	j.apply(input, t, ctx)
+	return nil
 }
 
-// applyLeft is processLeft past the input-guard probe: build, probe, emit.
+func (j *Join) errInput(what string, input int) error {
+	return fmt.Errorf("op: join %q: %s on unexpected input %d (two-input operator; check plan wiring)", j.Name(), what, input)
+}
+
+// apply is ProcessTuple past the input-guard probe: probe the other side's
+// entries for partners, oldest first, then keep the tuple for partners yet
+// to come.
 //
 //pace:hotpath
-func (j *Join) applyLeft(t stream.Tuple, ctx exec.Context) error {
-	key := t.Key(j.LeftKeys)
-	if j.Impatient && !j.impatientKeys[key] {
-		j.impatientKeys[key] = true
+func (j *Join) apply(side int, t stream.Tuple, ctx exec.Context) {
+	mine, other := &j.store.sides[side], &j.store.sides[1-side]
+	key := t.AppendProjected(j.store.key[:0], mine.cols)
+	j.store.key = key
+	h := hashKey(key)
+	if side == 0 && j.Impatient && j.store.asked.first(h, key) < 0 {
+		ts := int64(math.MaxInt64)
+		if j.askedTs >= 0 {
+			ts = key[j.askedTs].I
+		}
+		j.store.asked.insert(h, key, stream.Tuple{Values: slices.Clone(key)}, ts, false) //pace:allow-alloc one copy of the key per distinct key asked for
 		j.sendImpatient(t, ctx)
 	}
-	e := &joinEntry{t: t, ts: j.tsOf(t, j.LeftTs)} //pace:allow-alloc every arriving tuple is retained in the hash table; the entry is the state
-	for _, r := range j.rightTable[key] {
-		if j.Residual == nil || j.Residual(t, r.t) {
-			if !r.matched {
-				r.matched = true
-				j.noteDirty(1, key)
-			}
-			e.matched = true
-			j.emitJoined(t, r.t, ctx)
+	matched := false
+	for i := other.first(h, key); i >= 0; i = other.entries[i].next {
+		l, r := t, other.entries[i].t
+		if side == 1 {
+			l, r = r, l
+		}
+		if j.Residual == nil || j.Residual(l, r) {
+			other.setMatched(i)
+			matched = true
+			j.emitJoined(l, r, ctx)
 		}
 	}
-	if j.ThriftyWindow != nil && j.ThriftyProbe == 0 {
-		j.countProbe(e.ts)
+	ts := j.tsOf(side, t)
+	if j.ThriftyWindow != nil && j.ThriftyProbe == side {
+		j.countProbe(ts)
 	}
-	j.leftTable[key] = append(j.leftTable[key], e)
-	j.noteDirty(0, key)
-	j.runAdaptive(0, t, ctx)
-	return nil
+	mine.insert(h, key, t, ts, matched)
+	j.runAdaptive(side, t, ctx)
 }
 
 // runAdaptive invokes the Adaptive hook, if configured.
@@ -375,39 +306,6 @@ func (j *Join) runAdaptive(input int, t stream.Tuple, ctx exec.Context) {
 	})
 }
 
-func (j *Join) processRight(t stream.Tuple, ctx exec.Context) error {
-	if j.Mode == FeedbackExploit && j.guardsR.Suppress(t) {
-		j.suppressedIn++
-		return nil
-	}
-	return j.applyRight(t, ctx)
-}
-
-// applyRight is processRight past the input-guard probe.
-//
-//pace:hotpath
-func (j *Join) applyRight(t stream.Tuple, ctx exec.Context) error {
-	key := t.Key(j.RightKeys)
-	e := &joinEntry{t: t, ts: j.tsOf(t, j.RightTs)} //pace:allow-alloc every arriving tuple is retained in the hash table; the entry is the state
-	for _, l := range j.leftTable[key] {
-		if j.Residual == nil || j.Residual(l.t, t) {
-			if !l.matched {
-				l.matched = true
-				j.noteDirty(0, key)
-			}
-			e.matched = true
-			j.emitJoined(l.t, t, ctx)
-		}
-	}
-	if j.ThriftyWindow != nil && j.ThriftyProbe == 1 {
-		j.countProbe(e.ts)
-	}
-	j.rightTable[key] = append(j.rightTable[key], e)
-	j.noteDirty(1, key)
-	j.runAdaptive(1, t, ctx)
-	return nil
-}
-
 // ApplyTupleBatch implements exec.TupleBatchApplier: a symmetric hash join
 // has per-tuple probe-and-emit obligations, so the batch path keeps the
 // tuple loop but hoists the input-guard probe — one Active() check per run
@@ -415,26 +313,17 @@ func (j *Join) applyRight(t stream.Tuple, ctx exec.Context) error {
 // (ProcessFeedback and ProcessPunct never interleave with a batch), so the
 // hoisted decision holds for the whole run.
 func (j *Join) ApplyTupleBatch(input int, ts []stream.Tuple, ctx exec.Context) error {
-	var guards *core.GuardTable
-	var apply func(t stream.Tuple, ctx exec.Context) error
-	switch input {
-	case 0:
-		guards, apply = j.guardsL, j.applyLeft
-	case 1:
-		guards, apply = j.guardsR, j.applyRight
-	default:
-		return fmt.Errorf("op: join %q: tuple on unexpected input %d (two-input operator; check plan wiring)", j.Name(), input)
+	if input != 0 && input != 1 {
+		return j.errInput("tuple", input)
 	}
+	guards := j.guardsIn[input]
 	guarded := j.Mode == FeedbackExploit && guards.Active() > 0
 	for i := range ts {
-		t := ts[i]
-		if guarded && guards.Suppress(t) {
+		if guarded && guards.Suppress(ts[i]) {
 			j.suppressedIn++
 			continue
 		}
-		if err := apply(t, ctx); err != nil {
-			return err
-		}
+		j.apply(input, ts[i], ctx)
 	}
 	return nil
 }
@@ -450,7 +339,17 @@ func (j *Join) ProcessTupleBatch(input int, items []queue.Item, ctx exec.Context
 	return j.ApplyTupleBatch(input, buf, ctx)
 }
 
-func (j *Join) tsOf(t stream.Tuple, attr int) int64 {
+// tsAttr returns the timestamp attribute of an input's schema, or -1.
+func (j *Join) tsAttr(input int) int {
+	if input == 0 {
+		return j.LeftTs
+	}
+	return j.RightTs
+}
+
+// tsOf returns the timestamp punctuation purges t by.
+func (j *Join) tsOf(input int, t stream.Tuple) int64 {
+	attr := j.tsAttr(input)
 	if attr < 0 {
 		return math.MaxInt64
 	}
@@ -524,25 +423,18 @@ func (j *Join) tsValue(input int, v int64) stream.Value {
 }
 
 // ProcessPunct implements exec.Operator: timestamp punctuation purges the
-// opposite table and may emit output punctuation and thrifty feedback.
+// opposite side and may emit output punctuation and thrifty feedback.
 func (j *Join) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error {
 	if input != 0 && input != 1 {
-		return fmt.Errorf("op: join %q: punctuation on unexpected input %d (two-input operator; check plan wiring)", j.Name(), input)
+		return j.errInput("punctuation", input)
 	}
-	tsAttr := j.LeftTs
-	if input == 1 {
-		tsAttr = j.RightTs
-	}
+	tsAttr := j.tsAttr(input)
 	if tsAttr < 0 {
 		return nil
 	}
 	bound := e.Pattern.Bound()
 	if len(bound) != 1 || bound[0] != tsAttr {
-		if input == 0 {
-			j.guardsL.ObservePunct(e)
-		} else {
-			j.guardsR.ObservePunct(e)
-		}
+		j.guardsIn[input].ObservePunct(e)
 		return nil
 	}
 	pr := e.Pattern.Pred(tsAttr)
@@ -555,55 +447,37 @@ func (j *Join) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error
 	default:
 		return nil
 	}
-	if input == 0 {
-		j.guardsL.ObservePunct(e)
-		if !j.leftWMSet || wm > j.leftWM {
-			j.leftWM, j.leftWMSet = wm, true
-		}
-		// No more left tuples ≤ wm: right entries at or below can never
-		// match again.
-		j.purgeTable(1, wm, false, ctx)
-		if j.ThriftyWindow != nil && j.ThriftyProbe == 0 {
-			j.checkThrifty(wm, ctx)
-		}
-	} else {
-		j.guardsR.ObservePunct(e)
-		if !j.rightWMS || wm > j.rightWM {
-			j.rightWM, j.rightWMS = wm, true
-		}
-		j.purgeTable(0, wm, j.LeftOuter, ctx)
-		if j.ThriftyWindow != nil && j.ThriftyProbe == 1 {
-			j.checkThrifty(wm, ctx)
-		}
+	j.guardsIn[input].ObservePunct(e)
+	if w := &j.wm[input]; !w.set || wm > w.v {
+		w.v, w.set = wm, true
+	}
+	// No more tuples ≤ wm on this input: the other side's entries at or
+	// below can never match again, and a left key that carries its timestamp
+	// cannot be seen again.
+	j.purgeOpposite(input, wm, ctx)
+	if j.ThriftyWindow != nil && j.ThriftyProbe == input {
+		j.checkThrifty(wm, ctx)
 	}
 	j.emitOutputPunct(ctx)
 	return nil
 }
 
-// purgeTable drops the given side's entries with ts ≤ wm; for the left
-// table under LeftOuter, unmatched entries are emitted null-padded first.
-func (j *Join) purgeTable(side int, wm int64, outer bool, ctx exec.Context) {
-	table := j.table(side)
-	for k, entries := range table {
-		kept := entries[:0]
-		for _, e := range entries {
-			if e.ts <= wm {
-				if outer && !e.matched {
-					j.emitOuter(e.t, ctx)
-				}
-				continue
+// purgeOpposite drops what progress to wm on input (math.MaxInt64 at its
+// EOS) proves dead: the other side's entries with ts ≤ wm — under LeftOuter,
+// unmatched left entries are emitted null-padded first, in arrival order —
+// and, for the left input, the asked keys that cannot recur.
+func (j *Join) purgeOpposite(input int, wm int64, ctx exec.Context) {
+	var victim func(*joinEntry)
+	if input == 1 && j.LeftOuter {
+		victim = func(e *joinEntry) {
+			if !e.matched {
+				j.emitOuter(e.t, ctx)
 			}
-			kept = append(kept, e)
 		}
-		switch {
-		case len(kept) == len(entries):
-		case len(kept) == 0:
-			delete(table, k)
-			j.noteDead(side, k)
-		default:
-			table[k] = kept
-			j.noteDirty(side, k)
-		}
+	}
+	j.store.sides[1-input].purgeThrough(wm, victim)
+	if input == 0 {
+		j.store.asked.purgeThrough(wm, nil)
 	}
 }
 
@@ -613,15 +487,15 @@ func (j *Join) emitOutputPunct(ctx exec.Context) {
 	if j.LeftTs < 0 || j.RightTs < 0 {
 		return
 	}
-	lw, rw := j.leftWM, j.rightWM
-	if j.leftEOS {
+	lw, rw := j.wm[0].v, j.wm[1].v
+	if j.wm[0].eos {
 		lw = math.MaxInt64
-	} else if !j.leftWMSet {
+	} else if !j.wm[0].set {
 		return
 	}
-	if j.rightEOS {
+	if j.wm[1].eos {
 		rw = math.MaxInt64
-	} else if !j.rightWMS {
+	} else if !j.wm[1].set {
 		return
 	}
 	wm := lw
@@ -643,15 +517,10 @@ func (j *Join) emitOutputPunct(ctx exec.Context) {
 // ProcessEOS implements exec.Operator.
 func (j *Join) ProcessEOS(input int, ctx exec.Context) error {
 	if input != 0 && input != 1 {
-		return fmt.Errorf("op: join %q: EOS on unexpected input %d (two-input operator; check plan wiring)", j.Name(), input)
+		return j.errInput("EOS", input)
 	}
-	if input == 0 {
-		j.leftEOS = true
-		j.purgeTable(1, math.MaxInt64, false, ctx)
-	} else {
-		j.rightEOS = true
-		j.purgeTable(0, math.MaxInt64, j.LeftOuter, ctx)
-	}
+	j.wm[input].eos = true
+	j.purgeOpposite(input, math.MaxInt64, ctx)
 	return nil
 }
 
@@ -678,7 +547,7 @@ func (j *Join) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) error {
 		return nil
 	}
 	shape := core.ClassifyJoinPattern(f.Pattern, j.part)
-	plan := core.JoinCharacterization(shape, f.Pattern, j.leftMap, j.rightMap)
+	plan := core.JoinCharacterization(shape, f.Pattern, j.inMap[0], j.inMap[1])
 	resp.Note = plan.Explanation
 
 	j.guardsOut.Install(f)
@@ -690,10 +559,14 @@ func (j *Join) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) error {
 	for _, act := range plan.Actions {
 		switch act {
 		case core.ActPurgeState:
-			j.purgeByFeedback(shape, f.Pattern)
+			for _, side := range carriers(shape) {
+				j.purgeByFeedback(side, f.Pattern)
+			}
 			resp.Actions = append(resp.Actions, core.ActPurgeState)
 		case core.ActGuardInput:
-			j.guardInputs(shape, f)
+			for _, side := range carriers(shape) {
+				j.guardInput(side, f)
+			}
 			resp.Actions = append(resp.Actions, core.ActGuardInput)
 		}
 	}
@@ -719,7 +592,7 @@ func (j *Join) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) error {
 // carries every bound attribute.
 func (j *Join) relayToCarriers(f core.Feedback, resp *core.Response, ctx exec.Context) {
 	resp.Propagated = make([]*core.Feedback, 2)
-	for side, m := range []core.AttrMap{j.leftMap, j.rightMap} {
+	for side, m := range j.inMap {
 		if prop := core.SafePropagation(f.Pattern, m); prop.OK {
 			relayed := f.Relayed(prop.Pattern)
 			ctx.SendFeedback(side, relayed)
@@ -732,62 +605,34 @@ func (j *Join) relayToCarriers(f core.Feedback, resp *core.Response, ctx exec.Co
 	}
 }
 
-// purgeByFeedback removes hash-table entries covered by the feedback,
-// matching each side's entries against the pattern projected into that
-// side's input schema.
-func (j *Join) purgeByFeedback(shape core.JoinShape, p punct.Pattern) {
-	purgeSide := func(side int, m core.AttrMap) {
-		prop := core.SafePropagation(p, m)
-		if !prop.OK {
-			return
-		}
-		table := j.table(side)
-		for k, entries := range table {
-			kept := entries[:0]
-			for _, e := range entries {
-				if prop.Pattern.Matches(e.t) {
-					j.purgedByFeedback++
-					continue
-				}
-				kept = append(kept, e)
-			}
-			switch {
-			case len(kept) == len(entries):
-			case len(kept) == 0:
-				delete(table, k)
-				j.noteDead(side, k)
-			default:
-				table[k] = kept
-				j.noteDirty(side, k)
-			}
-		}
-	}
+// carriers lists the inputs whose state and tuples a pattern of the given
+// shape describes (Table 2): both for a join-attribute pattern, one for a
+// pattern bound on that side.
+func carriers(shape core.JoinShape) []int {
 	switch shape {
 	case core.JoinShapeJ:
-		purgeSide(0, j.leftMap)
-		purgeSide(1, j.rightMap)
+		return []int{0, 1}
 	case core.JoinShapeL, core.JoinShapeLJ:
-		purgeSide(0, j.leftMap)
+		return []int{0}
 	case core.JoinShapeR, core.JoinShapeJR:
-		purgeSide(1, j.rightMap)
+		return []int{1}
+	}
+	return nil
+}
+
+// purgeByFeedback removes one side's entries covered by the feedback: those
+// matching the pattern projected into that side's input schema.
+func (j *Join) purgeByFeedback(side int, p punct.Pattern) {
+	if prop := core.SafePropagation(p, j.inMap[side]); prop.OK {
+		n := j.store.sides[side].purgeWhere(func(e *joinEntry) bool { return prop.Pattern.Matches(e.t) })
+		j.purgedByFeedback += int64(n)
 	}
 }
 
-// guardInputs installs input guards on the side(s) that carry the pattern.
-func (j *Join) guardInputs(shape core.JoinShape, f core.Feedback) {
-	install := func(g *core.GuardTable, m core.AttrMap) {
-		if prop := core.SafePropagation(f.Pattern, m); prop.OK {
-			g.Install(core.Feedback{Intent: core.Assumed, Pattern: prop.Pattern, Origin: f.Origin, Seq: f.Seq})
-		}
-	}
-	switch shape {
-	case core.JoinShapeJ:
-		install(j.guardsL, j.leftMap)
-		install(j.guardsR, j.rightMap)
-	case core.JoinShapeL, core.JoinShapeLJ:
-		install(j.guardsL, j.leftMap)
-	case core.JoinShapeR, core.JoinShapeJR:
-		install(j.guardsR, j.rightMap)
+// guardInput installs an input guard on a side that carries the pattern.
+func (j *Join) guardInput(side int, f core.Feedback) {
+	if prop := core.SafePropagation(f.Pattern, j.inMap[side]); prop.OK {
+		j.guardsIn[side].Install(core.Feedback{Intent: core.Assumed, Pattern: prop.Pattern, Origin: f.Origin, Seq: f.Seq})
 	}
 }
 
@@ -807,13 +652,6 @@ type JoinStats struct {
 
 // Stats reports tuple accounting.
 func (j *Join) Stats() JoinStats {
-	count := func(t map[string][]*joinEntry) int {
-		n := 0
-		for _, es := range t {
-			n += len(es)
-		}
-		return n
-	}
 	return JoinStats{
 		Emitted:          j.emitted,
 		OuterEmitted:     j.outerEmitted,
@@ -822,7 +660,7 @@ func (j *Join) Stats() JoinStats {
 		PurgedByFeedback: j.purgedByFeedback,
 		ThriftySent:      j.thriftySent,
 		ImpatientSent:    j.impatientSent,
-		LeftEntries:      count(j.leftTable),
-		RightEntries:     count(j.rightTable),
+		LeftEntries:      len(j.store.sides[0].entries),
+		RightEntries:     len(j.store.sides[1].entries),
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
+	"repro/internal/snapshot"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -135,6 +136,48 @@ func TestJoinLeftOuterEmitsOnPurge(t *testing.T) {
 	}
 }
 
+// TestJoinLeftOuterOrderDeterministic: unmatched left entries leave in the
+// order they arrived — by right punctuation, and by the flush at right EOS —
+// and identical runs emit identical sequences. (The tables were Go maps once,
+// and the purge walked them in map-iteration order.)
+func TestJoinLeftOuterOrderDeterministic(t *testing.T) {
+	const keys = 32
+	run := func(flush func(h *exec.Harness)) []stream.Tuple {
+		j := newTestJoin(FeedbackIgnore, false)
+		j.LeftOuter = true
+		h := exec.NewHarness(j)
+		for i := int64(0); i < keys; i++ {
+			h.Tuple(0, probe(i*37%keys, 100, float64(i))) // keys in no particular order; v is the arrival number
+		}
+		flush(h)
+		if h.Err() != nil {
+			t.Fatal(h.Err())
+		}
+		return h.OutTuples(0)
+	}
+	for name, flush := range map[string]func(h *exec.Harness){
+		"punctuation": func(h *exec.Harness) { h.Punct(1, leftPunct(100)) },
+		"EOS":         func(h *exec.Harness) { h.EOS(1) },
+	} {
+		first := run(flush)
+		if len(first) != keys {
+			t.Fatalf("%s: %d outer results, want %d", name, len(first), keys)
+		}
+		for i, tp := range first {
+			if tp.At(2).AsFloat() != float64(i) || !tp.At(3).IsNull() {
+				t.Fatalf("%s: result %d is %v, want the %dth left arrival null-padded", name, i, tp, i)
+			}
+		}
+		for rep := 1; rep < 20; rep++ {
+			for i, tp := range run(flush) {
+				if !tp.Equal(first[i]) {
+					t.Fatalf("%s: run %d emitted %v at %d, the first run %v", name, rep, tp, i, first[i])
+				}
+			}
+		}
+	}
+}
+
 func TestJoinLeftOuterEOSFlush(t *testing.T) {
 	j := newTestJoin(FeedbackIgnore, false)
 	j.LeftOuter = true
@@ -250,6 +293,53 @@ func TestImpatientJoinSendsDesired(t *testing.T) {
 	h.Tuple(0, probe(3, 700, 46))
 	if len(h.SentFeedback(1)) != 1 {
 		t.Error("duplicate keys must not re-send desired feedback")
+	}
+}
+
+// TestImpatientAskedSetBounded: the set of keys already asked for holds only
+// keys that can still recur. With the timestamp among the join keys — the
+// paper's ?[period, segment, *] shape — left punctuation for a period retires
+// its keys, so over 10 000 periods × 8 segments the set, and each delta, stay
+// the size of one period; every key is still asked for exactly once.
+func TestImpatientAskedSetBounded(t *testing.T) {
+	const periods, segments = 10_000, 8
+	period := func(h *exec.Harness, p int64) {
+		for rep := 0; rep < 2; rep++ { // each key twice: asked for once
+			for seg := int64(0); seg < segments; seg++ {
+				h.Tuple(0, probe(seg, p, 45))
+			}
+		}
+	}
+	one := newTestJoin(FeedbackExploit, false)
+	one.Impatient = true
+	period(exec.NewHarness(one), periods)
+	onePeriod := len(captureBlob(t, one, snapshot.CaptureFull))
+
+	j := newTestJoin(FeedbackExploit, false)
+	j.Impatient = true
+	h := exec.NewHarness(j)
+	for p := int64(0); p < periods; p++ {
+		period(h, p)
+		if p%100 == 0 {
+			c, err := j.CaptureState(snapshot.CaptureDelta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(encodeCap(t, c)); c.Delta != (p > 0) || n > 2*onePeriod {
+				t.Fatalf("period %d: capture (delta=%v) is %dB; one period of state is %dB", p, c.Delta, n, onePeriod)
+			}
+		}
+		h.Punct(0, leftPunct(p))
+		h.Punct(1, leftPunct(p))
+		if n := len(j.store.asked.entries); n != 0 {
+			t.Fatalf("period %d: %d keys still held after the period was punctuated shut", p, n)
+		}
+	}
+	if h.Err() != nil {
+		t.Fatal(h.Err())
+	}
+	if got := j.Stats().ImpatientSent; got != periods*segments {
+		t.Fatalf("ImpatientSent = %d, want %d (once per key)", got, periods*segments)
 	}
 }
 

@@ -2,6 +2,8 @@ package op
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -17,26 +19,24 @@ func errInputCountChanged(kind, name string, got, want int) error {
 		kind, name, got, want)
 }
 
-// Two-phase snapshot.Stater implementations for the stateful operators
-// (contract: DESIGN.md §7). CaptureState runs at the node's barrier-aligned
-// cut on its own goroutine and only clones a consistent view — accumulator
-// structs, guard lists, drained changelogs — never serializing there; the
-// returned Capture.Encode runs on a background goroutine after the barrier
-// releases. The phase-1 invariant is that the view must not alias anything
-// the operator mutates afterwards: aggGroup/joinEntry structs are copied by
-// value (their Tuple/Value contents are immutable once stored; the
-// aggregate's group values are copied out of their window's arena, which is
-// reused), guard tables are flattened with snapshot.GuardsView, and
-// map-typed auxiliaries are copied.
+// snapshot.Stater implementations for the stateful operators (contract:
+// DESIGN.md §6.2). CaptureState runs at the node's barrier-aligned cut on its
+// own goroutine and only clones a consistent view — accumulator structs,
+// guard lists, drained changelogs — never serializing there; the returned
+// Capture.Encode runs on a background goroutine after the barrier releases.
+// The phase-1 invariant is that the view must not alias anything the operator
+// mutates afterwards: aggGroup/joinEntry structs are copied by value (their
+// Tuple/Value contents are immutable once stored; the aggregate's group
+// values are copied out of their window's arena, which is reused, and the
+// join's entries out of their slab, which is compacted in place), guard
+// tables are flattened with snapshot.GuardsView, and map-typed auxiliaries
+// are copied.
 //
 // Aggregate and Join — the operators whose state grows with the data — keep
-// a changelog (what changed since the previous capture) and answer
-// CaptureDelta with O(changes) views; the other operators' state is O(1)-ish
-// in the stream, so they always capture fully.
-//
-// Join's full blobs are in the one-phase implementation's format, so
-// LoadState is shared; delta blobs have their own format consumed by
-// ApplyDelta. Aggregate's blobs, full and delta, open with a layout marker.
+// a changelog (what changed since the previous capture) in their stores and
+// answer CaptureDelta with O(changes) views consumed by ApplyDelta; the other
+// operators' state is O(1)-ish in the stream, so they always capture fully.
+// Aggregate's and Join's blobs, full and delta, open with a layout marker.
 //
 // Restore additionally honors the paper's state-purging argument at
 // recovery time: any state entry covered by an assumed-feedback guard in
@@ -46,26 +46,15 @@ func errInputCountChanged(kind, name string, got, want int) error {
 // since the feedback's issuer has disclaimed the subset — Definition 1
 // permits any response up to full suppression).
 
-// DefaultMaxChangelog is the floor of the default cap on Join's
-// incremental-snapshot changelog (dirty + dead keys); the effective
-// default is max(DefaultMaxChangelog, live state size), so a healthy
-// checkpoint cadence never hits it even on high-cardinality plans — a
-// capture drains the changelog, and a changelog that outgrows the state
-// itself (dead keys accumulating because checkpointing stopped) collapses,
-// making the next capture full.
-const DefaultMaxChangelog = 1 << 16
-
 var (
-	_ snapshot.TwoPhase    = (*Aggregate)(nil)
-	_ snapshot.TwoPhase    = (*Join)(nil)
-	_ snapshot.TwoPhase    = (*Impute)(nil)
-	_ snapshot.TwoPhase    = (*Pace)(nil)
-	_ snapshot.TwoPhase    = (*Merge)(nil)
-	_ snapshot.TwoPhase    = (*Split)(nil)
-	_ snapshot.TwoPhase    = (*Duplicate)(nil)
-	_ snapshot.TwoPhase    = (*Prioritize)(nil)
-	_ snapshot.DeltaStater = (*Aggregate)(nil)
-	_ snapshot.DeltaStater = (*Join)(nil)
+	_ snapshot.Stater = (*Aggregate)(nil)
+	_ snapshot.Stater = (*Join)(nil)
+	_ snapshot.Stater = (*Impute)(nil)
+	_ snapshot.Stater = (*Pace)(nil)
+	_ snapshot.Stater = (*Merge)(nil)
+	_ snapshot.Stater = (*Split)(nil)
+	_ snapshot.Stater = (*Duplicate)(nil)
+	_ snapshot.Stater = (*Prioritize)(nil)
 )
 
 // sortedKeys flattens a string set into a sorted slice.
@@ -90,7 +79,7 @@ func sortedKeys(m map[string]bool) []string {
 // blob written by that build is refused, not misparsed.
 const aggLayout = -1
 
-// CaptureState implements snapshot.TwoPhase. Phase 1 copies the groups (all,
+// CaptureState implements snapshot.Stater. Phase 1 copies the groups (all,
 // or the dirty ones with the watermark and the purge records) out of the
 // store; the windows they sat in may close and be reused before phase 2 runs.
 func (a *Aggregate) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, error) {
@@ -150,20 +139,16 @@ func (c *aggCapture) encodeGroups(enc *snapshot.Encoder) {
 	}
 }
 
-// SaveState implements snapshot.Stater (one-shot capture + encode).
-func (a *Aggregate) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(a, enc)
-}
-
-// checkLayout reads the layout marker of a state blob.
-func (a *Aggregate) checkLayout(dec *snapshot.Decoder) error {
+// checkLayout reads the layout marker a state blob of the named operator
+// opens with and refuses any other than want.
+func checkLayout(dec *snapshot.Decoder, kind, name string, want int64) error {
 	got := dec.GetInt64()
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if got != aggLayout {
-		return fmt.Errorf("op: aggregate %q: state blob has layout %d, this build reads layout %d (snapshot written by another version of the operator)",
-			a.Name(), got, aggLayout)
+	if got != want {
+		return fmt.Errorf("op: %s %q: state blob has layout %d, this build reads layout %d (snapshot written by another version of the operator)",
+			kind, name, got, want)
 	}
 	return nil
 }
@@ -231,7 +216,7 @@ func (a *Aggregate) dropCovered(refs []aggRef) {
 // LoadState implements snapshot.Stater. The loaded cut is the baseline of the
 // restored run's next delta.
 func (a *Aggregate) LoadState(dec *snapshot.Decoder) error {
-	if err := a.checkLayout(dec); err != nil {
+	if err := checkLayout(dec, "aggregate", a.Name(), aggLayout); err != nil {
 		return err
 	}
 	var st aggStore
@@ -250,12 +235,12 @@ func (a *Aggregate) LoadState(dec *snapshot.Decoder) error {
 	return nil
 }
 
-// ApplyDelta implements snapshot.DeltaStater: windows through the watermark
+// ApplyDelta merges a delta capture: windows through the watermark
 // go, then the groups purged one by one, then the upserts land, then the
 // cut's guards and counters replace the current ones. The applied cut is the
 // new baseline: what applying it did to the store is no change to report.
 func (a *Aggregate) ApplyDelta(dec *snapshot.Decoder) error {
-	if err := a.checkLayout(dec); err != nil {
+	if err := checkLayout(dec, "aggregate", a.Name(), aggLayout); err != nil {
 		return err
 	}
 	closedThrough := dec.GetInt64()
@@ -292,297 +277,183 @@ func (a *Aggregate) ApplyDelta(dec *snapshot.Decoder) error {
 // Join.
 // ---------------------------------------------------------------------------
 
-// joinCapKey is one captured hash-table bucket: the key plus value copies
-// of its entries (matched mutates in place on the live entries).
-type joinCapKey struct {
-	key     string
-	entries []joinEntry
-}
-
-func captureBucket(key string, es []*joinEntry) joinCapKey {
-	c := joinCapKey{key: key, entries: make([]joinEntry, len(es))}
-	for i, e := range es {
-		c.entries[i] = *e
-	}
-	return c
-}
+// joinLayout opens every Join state blob, full or delta. Like aggLayout it is
+// negative because the layout before it began with an entry count.
+const joinLayout = -1
 
 // joinCap is the captured view of a Join.
 type joinCap struct {
-	delta bool
-	sides [2][]joinCapKey
-	dead  [2][]string
-
-	leftWM, rightWM     int64
-	leftWMSet, rightWMS bool
-	lastOutWM           int64
-	lastOutWMSet        bool
-	leftEOS, rightEOS   bool
-	probeCounts         map[int64]int64
-	probeDone           int64
-	impatient           []string
-	feedbackSeq         int64
-	guardsL, guardsR    []core.Feedback
-	guardsOut           []core.Feedback
-	counters            [7]int64
+	delta        bool
+	sides        [3]joinSideCut // left, right, asked
+	wm           [2]watermark
+	lastOutWM    int64
+	lastOutWMSet bool
+	probeCounts  map[int64]int64
+	probeDone    int64
+	feedbackSeq  int64
+	guardsIn     [2][]core.Feedback
+	guardsOut    []core.Feedback
+	counters     [7]int64
 }
 
-// CaptureState implements snapshot.TwoPhase.
+// CaptureState implements snapshot.Stater.
 func (j *Join) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, error) {
-	v := &joinCap{delta: mode == snapshot.CaptureDelta && j.chlogDirty[0] != nil}
-	for side := 0; side < 2; side++ {
-		table := j.table(side)
-		if v.delta {
-			v.sides[side] = make([]joinCapKey, 0, len(j.chlogDirty[side]))
-			for k := range j.chlogDirty[side] {
-				if es := table[k]; len(es) > 0 {
-					v.sides[side] = append(v.sides[side], captureBucket(k, es))
-				} else {
-					v.dead[side] = append(v.dead[side], k)
-				}
-			}
-			v.dead[side] = append(v.dead[side], sortedKeys(j.chlogDead[side])...)
-		} else {
-			v.sides[side] = make([]joinCapKey, 0, len(table))
-			for k, es := range table {
-				v.sides[side] = append(v.sides[side], captureBucket(k, es))
-			}
-		}
-		j.chlogDirty[side] = make(map[string]bool)
-		j.chlogDead[side] = make(map[string]bool)
+	v := &joinCap{delta: mode == snapshot.CaptureDelta && j.store.based}
+	for i, side := range j.store.all() {
+		v.sides[i] = side.capture(v.delta)
 	}
-	v.leftWM, v.leftWMSet = j.leftWM, j.leftWMSet
-	v.rightWM, v.rightWMS = j.rightWM, j.rightWMS
+	j.store.rebase()
+	v.wm = j.wm
 	v.lastOutWM, v.lastOutWMSet = j.lastOutWM, j.lastOutWMSet
-	v.leftEOS, v.rightEOS = j.leftEOS, j.rightEOS
 	v.probeCounts = make(map[int64]int64, len(j.probeCounts))
 	for w, c := range j.probeCounts {
 		v.probeCounts[w] = c
 	}
 	v.probeDone = j.probeDone
-	v.impatient = sortedKeys(j.impatientKeys)
 	v.feedbackSeq = j.feedbackSeq
-	v.guardsL = snapshot.GuardsView(j.guardsL)
-	v.guardsR = snapshot.GuardsView(j.guardsR)
+	v.guardsIn = [2][]core.Feedback{snapshot.GuardsView(j.guardsIn[0]), snapshot.GuardsView(j.guardsIn[1])}
 	v.guardsOut = snapshot.GuardsView(j.guardsOut)
 	v.counters = [7]int64{j.emitted, j.outerEmitted, j.suppressedIn,
 		j.suppressedOut, j.purgedByFeedback, j.thriftySent, j.impatientSent}
 	return snapshot.Capture{Delta: v.delta, Encode: v.encode}, nil
 }
 
-func putJoinEntry(enc *snapshot.Encoder, e *joinEntry) {
-	enc.PutTuple(e.t)
-	enc.PutInt64(e.ts)
-	enc.PutBool(e.matched)
-}
-
-// encode is phase 2; it sees only the captured view.
+// encode is phase 2; it sees only the captured view. Per side: the next id,
+// in a delta the changelog (watermark, purged ids, matched ids), then the
+// entries in arrival order — all of them, or those inserted since the
+// baseline.
 func (v *joinCap) encode(enc *snapshot.Encoder) error {
-	for side := 0; side < 2; side++ {
-		buckets := v.sides[side]
-		sort.Slice(buckets, func(a, b int) bool { return buckets[a].key < buckets[b].key })
+	enc.PutInt64(joinLayout)
+	for i := range v.sides {
+		c := &v.sides[i]
+		enc.PutInt64(c.nextID)
 		if v.delta {
-			dead := v.dead[side]
-			sort.Strings(dead)
-			enc.PutInt(len(dead))
-			for _, k := range dead {
-				enc.PutString(k)
-			}
-			enc.PutInt(len(buckets))
-			for i := range buckets {
-				enc.PutString(buckets[i].key)
-				enc.PutInt(len(buckets[i].entries))
-				for e := range buckets[i].entries {
-					putJoinEntry(enc, &buckets[i].entries[e])
-				}
-			}
-		} else {
-			// Legacy full format: flat entry list in key order, keys
-			// recomputed from the tuples on load.
-			total := 0
-			for i := range buckets {
-				total += len(buckets[i].entries)
-			}
-			enc.PutInt(total)
-			for i := range buckets {
-				for e := range buckets[i].entries {
-					putJoinEntry(enc, &buckets[i].entries[e])
+			enc.PutInt64(c.purgedThrough)
+			for _, notes := range [][]joinNote{c.purged, c.matched} {
+				enc.PutInt(len(notes))
+				for _, n := range notes {
+					enc.PutInt64(n.id)
 				}
 			}
 		}
+		enc.PutInt(len(c.entries))
+		for e := range c.entries {
+			e := &c.entries[e]
+			enc.PutInt64(e.id)
+			enc.PutTuple(e.t)
+			enc.PutInt64(e.ts)
+			enc.PutBool(e.matched)
+		}
 	}
-	v.encodeAux(enc)
-	return nil
-}
-
-// encodeAux writes the watermark/thrifty/guard/counter tail shared by full
-// and delta blobs.
-func (v *joinCap) encodeAux(enc *snapshot.Encoder) {
-	enc.PutInt64(v.leftWM)
-	enc.PutBool(v.leftWMSet)
-	enc.PutInt64(v.rightWM)
-	enc.PutBool(v.rightWMS)
+	for _, w := range v.wm {
+		enc.PutInt64(w.v)
+		enc.PutBool(w.set)
+		enc.PutBool(w.eos)
+	}
 	enc.PutInt64(v.lastOutWM)
 	enc.PutBool(v.lastOutWMSet)
-	enc.PutBool(v.leftEOS)
-	enc.PutBool(v.rightEOS)
 	wids := make([]int64, 0, len(v.probeCounts))
 	for w := range v.probeCounts {
 		wids = append(wids, w)
 	}
-	sort.Slice(wids, func(a, b int) bool { return wids[a] < wids[b] })
+	slices.Sort(wids)
 	enc.PutInt(len(wids))
 	for _, w := range wids {
 		enc.PutInt64(w)
 		enc.PutInt64(v.probeCounts[w])
 	}
 	enc.PutInt64(v.probeDone)
-	enc.PutInt(len(v.impatient))
-	for _, k := range v.impatient {
-		enc.PutString(k)
-	}
 	enc.PutInt64(v.feedbackSeq)
-	snapshot.PutGuardsView(enc, v.guardsL)
-	snapshot.PutGuardsView(enc, v.guardsR)
+	snapshot.PutGuardsView(enc, v.guardsIn[0])
+	snapshot.PutGuardsView(enc, v.guardsIn[1])
 	snapshot.PutGuardsView(enc, v.guardsOut)
 	for _, c := range v.counters {
 		enc.PutInt64(c)
 	}
-}
-
-// SaveState implements snapshot.Stater.
-func (j *Join) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(j, enc)
-}
-
-// loadAux reads the shared tail (see joinCap.encodeAux).
-func (j *Join) loadAux(dec *snapshot.Decoder) {
-	j.leftWM = dec.GetInt64()
-	j.leftWMSet = dec.GetBool()
-	j.rightWM = dec.GetInt64()
-	j.rightWMS = dec.GetBool()
-	j.lastOutWM = dec.GetInt64()
-	j.lastOutWMSet = dec.GetBool()
-	j.leftEOS = dec.GetBool()
-	j.rightEOS = dec.GetBool()
-	nw := dec.GetInt()
-	j.probeCounts = make(map[int64]int64, dec.CountHint(nw))
-	for i := 0; i < nw && dec.Err() == nil; i++ {
-		w := dec.GetInt64()
-		j.probeCounts[w] = dec.GetInt64()
-	}
-	j.probeDone = dec.GetInt64()
-	ni := dec.GetInt()
-	j.impatientKeys = make(map[string]bool, dec.CountHint(ni))
-	for i := 0; i < ni && dec.Err() == nil; i++ {
-		j.impatientKeys[dec.GetString()] = true
-	}
-	j.feedbackSeq = dec.GetInt64()
-	j.guardsL = snapshot.GetGuards(dec, j.Left.Arity())
-	j.guardsR = snapshot.GetGuards(dec, j.Right.Arity())
-	j.guardsOut = snapshot.GetGuards(dec, j.out.Arity())
-	for _, c := range []*int64{&j.emitted, &j.outerEmitted, &j.suppressedIn,
-		&j.suppressedOut, &j.purgedByFeedback, &j.thriftySent, &j.impatientSent} {
-		*c = dec.GetInt64()
-	}
-}
-
-func getJoinEntry(dec *snapshot.Decoder) *joinEntry {
-	return &joinEntry{t: dec.GetTuple(), ts: dec.GetInt64(), matched: dec.GetBool()}
-}
-
-// LoadState implements snapshot.Stater.
-//
-//pace:allow-nonote restore path; the loaded cut is the new changelog baseline, rebuilt wholesale
-func (j *Join) LoadState(dec *snapshot.Decoder) error {
-	// Tables are re-read after the guards so assumption-driven dropping can
-	// consult them — but the wire order must match the encoder, so stash
-	// the raw entries first.
-	type rawEntry struct {
-		e    *joinEntry
-		side int
-	}
-	var raw []rawEntry
-	for side := 0; side < 2; side++ {
-		n := dec.GetInt()
-		for i := 0; i < n && dec.Err() == nil; i++ {
-			raw = append(raw, rawEntry{e: getJoinEntry(dec), side: side})
-		}
-	}
-	j.loadAux(dec)
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	j.leftTable = make(map[string][]*joinEntry)
-	j.rightTable = make(map[string][]*joinEntry)
-	for _, r := range raw {
-		guards, keys, table := j.guardsL, j.LeftKeys, j.leftTable
-		if r.side == 1 {
-			guards, keys, table = j.guardsR, j.RightKeys, j.rightTable
-		}
-		if guards.Suppress(r.e.t) {
-			j.purgedByFeedback++
-			continue
-		}
-		table[r.e.t.Key(keys)] = append(table[r.e.t.Key(keys)], r.e)
-	}
-	j.chlogDirty = [2]map[string]bool{{}, {}}
-	j.chlogDead = [2]map[string]bool{{}, {}}
 	return nil
 }
 
-// ApplyDelta implements snapshot.DeltaStater: per side, deletions then
-// per-key bucket replacement, then the aux tail replaces current values.
-// Replaced buckets are re-filtered through the cut's input guards, the
-// same assumption-driven dropping LoadState applies.
-//
-//pace:allow-nonote restore path; the applied cut is the new changelog baseline, rebuilt wholesale
+// LoadState implements snapshot.Stater.
+func (j *Join) LoadState(dec *snapshot.Decoder) error {
+	return j.restore(dec, false)
+}
+
+// ApplyDelta merges a delta capture into the loaded state.
 func (j *Join) ApplyDelta(dec *snapshot.Decoder) error {
-	var replaced [2][]string
-	for side := 0; side < 2; side++ {
-		table := j.table(side)
-		nd := dec.GetInt()
-		for i := 0; i < nd && dec.Err() == nil; i++ {
-			delete(table, dec.GetString())
+	return j.restore(dec, true)
+}
+
+// restore reads what joinCap.encode wrote and replays it on the store — a
+// full blob on an emptied one — then lets the cut's scalars, guards and
+// counters replace the current ones and re-applies the §6.3
+// assumption-driven dropping: entries the cut's input guards cover go. The
+// restored cut is the baseline of the next delta: what replaying it did to
+// the store is no change to report.
+func (j *Join) restore(dec *snapshot.Decoder, delta bool) error {
+	if err := checkLayout(dec, "join", j.Name(), joinLayout); err != nil {
+		return err
+	}
+	var cuts [3]joinSideCut
+	for i := range cuts {
+		c := &cuts[i]
+		c.nextID, c.purgedThrough = dec.GetInt64(), math.MinInt64
+		if delta {
+			c.purgedThrough = dec.GetInt64()
+			for _, notes := range []*[]joinNote{&c.purged, &c.matched} {
+				n := dec.GetInt()
+				for k := 0; k < n && dec.Err() == nil; k++ {
+					*notes = append(*notes, joinNote{id: dec.GetInt64()})
+				}
+			}
 		}
 		n := dec.GetInt()
-		for i := 0; i < n && dec.Err() == nil; i++ {
-			k := dec.GetString()
-			ne := dec.GetInt()
-			es := make([]*joinEntry, 0, dec.CountHint(ne))
-			for e := 0; e < ne && dec.Err() == nil; e++ {
-				es = append(es, getJoinEntry(dec))
-			}
-			table[k] = es
-			replaced[side] = append(replaced[side], k)
+		c.entries = make([]joinEntry, 0, dec.CountHint(n))
+		for k := 0; k < n && dec.Err() == nil; k++ {
+			c.entries = append(c.entries, joinEntry{id: dec.GetInt64(), t: dec.GetTuple(), ts: dec.GetInt64(), matched: dec.GetBool()})
 		}
 	}
-	j.loadAux(dec)
+	var wm [2]watermark
+	for i := range wm {
+		wm[i] = watermark{v: dec.GetInt64(), set: dec.GetBool(), eos: dec.GetBool()}
+	}
+	lastOutWM, lastOutWMSet := dec.GetInt64(), dec.GetBool()
+	nw := dec.GetInt()
+	probeCounts := make(map[int64]int64, dec.CountHint(nw))
+	for i := 0; i < nw && dec.Err() == nil; i++ {
+		w := dec.GetInt64()
+		probeCounts[w] = dec.GetInt64()
+	}
+	probeDone, feedbackSeq := dec.GetInt64(), dec.GetInt64()
+	guardsIn := [2]*core.GuardTable{snapshot.GetGuards(dec, j.Left.Arity()), snapshot.GetGuards(dec, j.Right.Arity())}
+	guardsOut := snapshot.GetGuards(dec, j.out.Arity())
+	var counters [7]int64
+	for i := range counters {
+		counters[i] = dec.GetInt64()
+	}
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	for side := 0; side < 2; side++ {
-		guards := j.guardsL
-		if side == 1 {
-			guards = j.guardsR
-		}
-		table := j.table(side)
-		for _, k := range replaced[side] {
-			kept := table[k][:0]
-			for _, e := range table[k] {
-				if guards.Suppress(e.t) {
-					j.purgedByFeedback++
-					continue
-				}
-				kept = append(kept, e)
-			}
-			if len(kept) == 0 {
-				delete(table, k)
-			} else {
-				table[k] = kept
-			}
+
+	if !delta {
+		j.store.reset(j.LeftKeys, j.RightKeys)
+	}
+	for i, side := range j.store.all() {
+		side.apply(&cuts[i])
+	}
+	j.wm, j.lastOutWM, j.lastOutWMSet = wm, lastOutWM, lastOutWMSet
+	j.probeCounts, j.probeDone, j.feedbackSeq = probeCounts, probeDone, feedbackSeq
+	j.guardsIn, j.guardsOut = guardsIn, guardsOut
+	for i, c := range []*int64{&j.emitted, &j.outerEmitted, &j.suppressedIn,
+		&j.suppressedOut, &j.purgedByFeedback, &j.thriftySent, &j.impatientSent} {
+		*c = counters[i]
+	}
+	for side, guards := range j.guardsIn {
+		if guards.Active() > 0 {
+			n := j.store.sides[side].removeWhere(func(e *joinEntry) bool { return guards.Suppress(e.t) }, nil)
+			j.purgedByFeedback += int64(n)
 		}
 	}
+	j.store.rebase()
 	return nil
 }
 
@@ -590,7 +461,7 @@ func (j *Join) ApplyDelta(dec *snapshot.Decoder) error {
 // Impute.
 // ---------------------------------------------------------------------------
 
-// CaptureState implements snapshot.TwoPhase: the guard table is the whole
+// CaptureState implements snapshot.Stater: the guard table is the whole
 // point — losing it on crash would re-expose the archive to lookups the
 // feedback already disclaimed. The state is O(guards), so capture is
 // always full.
@@ -604,11 +475,6 @@ func (im *Impute) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 		enc.PutInt64(passed)
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (im *Impute) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(im, enc)
 }
 
 // LoadState implements snapshot.Stater.
@@ -636,7 +502,7 @@ type paceCap struct {
 	perIn       []PaceInputStats
 }
 
-// CaptureState implements snapshot.TwoPhase: the high watermark and
+// CaptureState implements snapshot.Stater: the high watermark and
 // feedback cutoff are what make a restored PACE keep its promises — a
 // fresh one would re-admit tuples the old instance's feedback already
 // disclaimed.
@@ -667,11 +533,6 @@ func (p *Pace) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 		}
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (p *Pace) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(p, enc)
 }
 
 // LoadState implements snapshot.Stater.
@@ -723,7 +584,7 @@ type mergeCap struct {
 	counters [4]int64
 }
 
-// CaptureState implements snapshot.TwoPhase: the alignment state —
+// CaptureState implements snapshot.Stater: the alignment state —
 // per-input frontiers, asserted patterns, the pending list, and the
 // already-emitted merged frontier — must survive recovery, otherwise a
 // restored merge could re-emit punctuation it already promised (downstream
@@ -777,11 +638,6 @@ func (m *Merge) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 		}
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (m *Merge) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(m, enc)
 }
 
 // LoadState implements snapshot.Stater.
@@ -838,7 +694,7 @@ type splitCap struct {
 	outPer       []int64
 }
 
-// CaptureState implements snapshot.TwoPhase: per-partition guards
+// CaptureState implements snapshot.Stater: per-partition guards
 // (feedback each partition has asserted), the already-relayed set, and the
 // round-robin cursor — the cursor matters for keyless splits, where a
 // restored run must continue the same routing sequence to stay canonically
@@ -875,11 +731,6 @@ func (s *Split) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 		}
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (s *Split) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(s, enc)
 }
 
 // LoadState implements snapshot.Stater.
@@ -920,7 +771,7 @@ type dupCap struct {
 	counters   [3]int64
 }
 
-// CaptureState implements snapshot.TwoPhase. Found by the staterstate
+// CaptureState implements snapshot.Stater. Found by the staterstate
 // analyzer: Duplicate accumulated per-consumer guard tables and the
 // already-relayed pattern set with no Stater, so a restored instance
 // forgot every assertion its consumers had made — it stopped exploiting
@@ -950,11 +801,6 @@ func (d *Duplicate) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error)
 		}
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (d *Duplicate) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(d, enc)
 }
 
 // LoadState implements snapshot.Stater.
@@ -992,7 +838,7 @@ type prioCap struct {
 	counters [4]int64
 }
 
-// CaptureState implements snapshot.TwoPhase. Found by the staterstate
+// CaptureState implements snapshot.Stater. Found by the staterstate
 // analyzer: the reorder buffer holds tuples already consumed from
 // upstream but not yet emitted, so unlike the engine's genuinely
 // stateless pass-throughs a restore without it drops rows from the
@@ -1021,11 +867,6 @@ func (p *Prioritize) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error
 		}
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (p *Prioritize) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(p, enc)
 }
 
 // LoadState implements snapshot.Stater.

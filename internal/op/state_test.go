@@ -12,12 +12,12 @@ import (
 )
 
 // saveLoad round-trips an operator's state through the snapshot codec into
-// a freshly opened twin. It mimics the runtime sequence exactly: SaveState
-// on the live operator, Open on the twin, then LoadState.
+// a freshly opened twin. It mimics the runtime sequence exactly: a full
+// capture of the live operator, Open on the twin, then LoadState.
 func saveLoad(t *testing.T, from, to snapshot.Stater, openTo func() error) {
 	t.Helper()
 	enc := snapshot.NewEncoder()
-	if err := from.SaveState(enc); err != nil {
+	if err := snapshot.EncodeCapture(from, enc); err != nil {
 		t.Fatalf("save: %v", err)
 	}
 	blob, err := enc.Bytes()
@@ -242,6 +242,57 @@ func TestJoinRestoreDropsGuardedEntries(t *testing.T) {
 	}
 }
 
+// TestJoinRefusesStaleLayout: a Join blob in the layout before joinLayout —
+// per side a count and {tuple, ts, matched} entries, or in a delta a dead-key
+// list and per-key buckets, each opening with a count — is refused with an
+// error naming the operator, not misparsed.
+func TestJoinRefusesStaleLayout(t *testing.T) {
+	for entries := 0; entries < 3; entries++ {
+		enc := snapshot.NewEncoder()
+		for side := 0; side < 2; side++ {
+			enc.PutInt(entries)
+			for i := 0; i < entries; i++ {
+				enc.PutTuple(traffic(1, 1, 10, 40))
+				enc.PutInt64(10)
+				enc.PutBool(false)
+			}
+		}
+		for wm := 0; wm < 3; wm++ {
+			enc.PutInt64(0)
+			enc.PutBool(false)
+		}
+		enc.PutBool(false) // left EOS
+		enc.PutBool(false) // right EOS
+		enc.PutInt(0)      // thrifty windows
+		enc.PutInt64(-1)   // probeDone
+		enc.PutInt(0)      // impatient keys
+		enc.PutInt64(0)    // feedbackSeq
+		for guards := 0; guards < 3; guards++ {
+			enc.PutInt(0)
+		}
+		for c := 0; c < 7; c++ {
+			enc.PutInt64(2)
+		}
+		stale, err := enc.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := testJoin(FeedbackExploit)
+		if h := exec.NewHarness(j); h.Err() != nil {
+			t.Fatal(h.Err())
+		}
+		for name, load := range map[string]func(*snapshot.Decoder) error{"LoadState": j.LoadState, "ApplyDelta": j.ApplyDelta} {
+			err := load(snapshot.NewDecoder(stale))
+			if err == nil || !strings.Contains(err.Error(), `"j"`) || !strings.Contains(err.Error(), "layout") {
+				t.Fatalf("%s of a stale blob with %d entries: %v, want an error naming the operator and the layout", name, entries, err)
+			}
+			if got := j.Stats(); got != (JoinStats{}) {
+				t.Fatalf("%s of a stale blob left state behind: %+v", name, got)
+			}
+		}
+	}
+}
+
 // TestPaceStateRoundTrip: a restored PACE keeps dropping tuples its
 // pre-crash feedback disclaimed, instead of re-admitting them with a fresh
 // watermark.
@@ -376,7 +427,7 @@ func TestStateRoundTripRejectsFanChange(t *testing.T) {
 		t.Fatal(h1.Err())
 	}
 	enc := snapshot.NewEncoder()
-	if err := m1.SaveState(enc); err != nil {
+	if err := snapshot.EncodeCapture(m1, enc); err != nil {
 		t.Fatal(err)
 	}
 	blob, _ := enc.Bytes()

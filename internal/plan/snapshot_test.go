@@ -62,10 +62,13 @@ func (s *gatedItems) Next(ctx exec.Context) (bool, error) {
 	return true, nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *gatedItems) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt64(s.pos.Load())
-	return nil
+// CaptureState implements snapshot.Stater.
+func (s *gatedItems) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	pos := s.pos.Load()
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt64(pos)
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.
@@ -196,13 +199,16 @@ func (s *feedSource) ProcessFeedback(_ int, f core.Feedback, _ exec.Context) err
 	return nil
 }
 
-// SaveState implements snapshot.Stater.
-func (s *feedSource) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt64(s.i)
-	enc.PutInt64(s.ts)
-	enc.PutInt64(s.skipped.Load())
-	snapshot.PutGuards(enc, s.guards)
-	return nil
+// CaptureState implements snapshot.Stater.
+func (s *feedSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	i, ts, skipped, guards := s.i, s.ts, s.skipped.Load(), snapshot.GuardsView(s.guards)
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt64(i)
+		enc.PutInt64(ts)
+		enc.PutInt64(skipped)
+		snapshot.PutGuardsView(enc, guards)
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.
@@ -250,11 +256,14 @@ func (d *feedSink) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 	return nil
 }
 
-// SaveState implements snapshot.Stater.
-func (d *feedSink) SaveState(enc *snapshot.Encoder) error {
-	enc.PutInt64(d.seen)
-	enc.PutBool(d.sent)
-	return nil
+// CaptureState implements snapshot.Stater.
+func (d *feedSink) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	seen, sent := d.seen, d.sent
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt64(seen)
+		enc.PutBool(sent)
+		return nil
+	}}, nil
 }
 
 // LoadState implements snapshot.Stater.

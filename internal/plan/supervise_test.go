@@ -51,18 +51,13 @@ func (s *pacedItems) Next(ctx exec.Context) (bool, error) {
 	return true, nil
 }
 
-// CaptureState implements snapshot.TwoPhase.
+// CaptureState implements snapshot.Stater.
 func (s *pacedItems) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 	pos := s.pos.Load()
 	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
 		enc.PutInt64(pos)
 		return nil
 	}}, nil
-}
-
-// SaveState implements snapshot.Stater.
-func (s *pacedItems) SaveState(enc *snapshot.Encoder) error {
-	return snapshot.EncodeCapture(s, enc)
 }
 
 // LoadState implements snapshot.Stater.

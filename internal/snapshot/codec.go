@@ -10,8 +10,8 @@ import (
 )
 
 // Encoder builds one node's state blob. Errors are sticky: the first
-// failure poisons the encoder and Bytes reports it, so operator SaveState
-// implementations can chain Put calls without per-call checks.
+// failure poisons the encoder and Bytes reports it, so Capture.Encode
+// functions can chain Put calls without per-call checks.
 type Encoder struct {
 	buf []byte
 	err error

@@ -13,17 +13,30 @@ import (
 // an unexpired guard can only suppress tuples the stream will never
 // produce (DESIGN.md §6.3).
 
-// PutGuards appends the table's installed guards to the encoder. A nil
-// table encodes as empty.
-func PutGuards(e *Encoder, g *core.GuardTable) {
+// GuardsView snapshots a guard table's installed feedback list into an
+// immutable slice for a phase-1 capture (the table itself keeps mutating
+// after the barrier releases; Feedback values are immutable). A nil table
+// yields nil.
+func GuardsView(g *core.GuardTable) []core.Feedback {
 	if g == nil {
-		e.PutInt(0)
-		return
+		return nil
 	}
 	guards := g.Guards()
-	e.PutInt(len(guards))
-	for _, gd := range guards {
-		e.PutFeedback(gd.Source)
+	if len(guards) == 0 {
+		return nil
+	}
+	fs := make([]core.Feedback, len(guards))
+	for i, gd := range guards {
+		fs[i] = gd.Source
+	}
+	return fs
+}
+
+// PutGuardsView appends a captured guard list; GetGuards reads it back.
+func PutGuardsView(e *Encoder, fs []core.Feedback) {
+	e.PutInt(len(fs))
+	for _, f := range fs {
+		e.PutFeedback(f)
 	}
 }
 

@@ -49,19 +49,6 @@ func corrupted(err error) error {
 // arm64), shared by snapshot and manifest checksums.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Stater is the optional interface operators and sources implement to
-// participate in checkpoints. SaveState is called on the operator's own
-// goroutine at a consistent cut (barrier alignment for operators, between
-// Next calls for sources); LoadState is called after Open, before any
-// data, on a freshly built plan. The contract is documented in DESIGN.md
-// §6.2: capture owned mutable state (accumulators, guards, replay
-// positions), never in-flight tuples or anything derived from schema or
-// configuration.
-type Stater interface {
-	SaveState(enc *Encoder) error
-	LoadState(dec *Decoder) error
-}
-
 // NodeState is one node's contribution to a snapshot.
 type NodeState struct {
 	// ID is the node's position in the plan (exec.NodeID); restore
@@ -73,7 +60,7 @@ type NodeState struct {
 	// operator.
 	Name string
 	// Delta marks State as a delta relative to the node's state in the
-	// snapshot this one chains from (applied via DeltaStater.ApplyDelta);
+	// snapshot this one chains from (applied via the Stater's ApplyDelta);
 	// false means State is complete and replaces whatever came before.
 	Delta bool
 	// State is the blob the node's Stater wrote (empty for stateless

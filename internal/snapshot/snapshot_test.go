@@ -162,7 +162,7 @@ func TestGuardsRoundTrip(t *testing.T) {
 		Pattern: punct.OnAttr(3, 1, punct.Lt(stream.TimeMicros(500))), Origin: "pace", Seq: 3})
 
 	e := NewEncoder()
-	PutGuards(e, g)
+	PutGuardsView(e, GuardsView(g))
 	blob, err := e.Bytes()
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestGuardsRoundTrip(t *testing.T) {
 	}
 	// Nil table encodes as empty.
 	e2 := NewEncoder()
-	PutGuards(e2, nil)
+	PutGuardsView(e2, GuardsView(nil))
 	blob2, _ := e2.Bytes()
 	if GetGuards(NewDecoder(blob2), 3).Active() != 0 {
 		t.Fatal("nil table must restore empty")

@@ -1,25 +1,33 @@
 package snapshot
 
-import (
-	"repro/internal/core"
-)
-
-// Two-phase capture (DESIGN.md §7). The one-phase Stater contract
-// serializes at the barrier, so the cut cost scales with state size. The
-// two-phase contract splits the cut:
+// Stater is the one contract by which operators and sources take part in
+// checkpoints (DESIGN.md §6.2). A cut has two phases:
 //
-//   - phase 1 — CaptureState — runs on the operator's goroutine at its
-//     barrier-aligned cut and only takes a consistent *view* of the state:
-//     cloned accumulator structs, copied guard lists, a drained changelog.
-//     The invariant is that the view must not alias any state the operator
-//     will mutate after the barrier releases; the cost is O(view), which
-//     for delta captures is O(changes since the previous capture).
+//   - phase 1 — CaptureState — runs on the node's own goroutine at its
+//     consistent cut (barrier alignment for operators, between Next calls for
+//     sources) and only takes a *view* of the owned mutable state:
+//     accumulators, guards, replay positions, a drained changelog; never
+//     in-flight tuples or anything derived from schema or configuration. The
+//     view must not alias anything the operator mutates after the barrier
+//     releases; its cost is O(view), which for a delta is O(changes since the
+//     previous capture).
 //   - phase 2 — Capture.Encode — runs on a background goroutine after the
-//     barrier has released (the operator is already processing post-barrier
-//     tuples) and serializes the view.
+//     barrier has released and serializes the view.
 //
-// Staters that do not implement TwoPhase keep the legacy behaviour: the
-// runtime calls SaveState synchronously at the barrier.
+// LoadState is called after Open, before any data, on a freshly built plan,
+// with a blob a full capture wrote.
+//
+// An operator that may return Capture.Delta additionally has the method
+//
+//	ApplyDelta(dec *Decoder) error
+//
+// which merges one delta blob into already-loaded state during restore; it is
+// only ever called after LoadState (or a previous ApplyDelta) on the same
+// operator.
+type Stater interface {
+	CaptureState(mode CaptureMode) (Capture, error)
+	LoadState(dec *Decoder) error
+}
 
 // CaptureMode selects what phase 1 captures.
 type CaptureMode int
@@ -31,9 +39,10 @@ const (
 	CaptureFull CaptureMode = iota
 	// CaptureDelta captures only the state changed since the previous
 	// capture (full or delta) and drains the changelog. An operator with no
-	// capture history yet answers with a full capture instead (Delta=false
-	// on the returned Capture) — the coordinator never has to know whether
-	// an operator can honour a delta request.
+	// capture history yet, or one that never captures deltas, answers with a
+	// full capture instead (Delta=false on the returned Capture) — the
+	// coordinator never has to know whether an operator can honour a delta
+	// request.
 	CaptureDelta
 )
 
@@ -41,7 +50,7 @@ const (
 // plus the encoder that serializes it.
 type Capture struct {
 	// Delta marks the blob as a delta relative to the operator's previous
-	// capture; restore applies it with DeltaStater.ApplyDelta on top of the
+	// capture; restore applies it with ApplyDelta on top of the
 	// already-loaded predecessor state. A full blob (Delta=false) replaces:
 	// restore calls LoadState, discarding anything staged before it.
 	Delta bool
@@ -52,56 +61,12 @@ type Capture struct {
 	Encode func(*Encoder) error
 }
 
-// TwoPhase is the two-phase variant of Stater. CaptureState replaces
-// SaveState at the barrier; SaveState remains as the one-shot form
-// (conventionally implemented as CaptureState(CaptureFull) + Encode).
-type TwoPhase interface {
-	Stater
-	CaptureState(mode CaptureMode) (Capture, error)
-}
-
-// DeltaStater is implemented by operators whose captures can be deltas;
-// ApplyDelta merges one delta blob into already-loaded state during
-// restore. It is only ever called after LoadState (or a previous
-// ApplyDelta) on the same operator.
-type DeltaStater interface {
-	ApplyDelta(dec *Decoder) error
-}
-
-// EncodeCapture runs both phases back to back: the conventional SaveState
-// implementation for a TwoPhase operator.
-func EncodeCapture(st TwoPhase, enc *Encoder) error {
+// EncodeCapture runs both phases of a full capture back to back: the
+// synchronous form, for callers that are not at a barrier.
+func EncodeCapture(st Stater, enc *Encoder) error {
 	c, err := st.CaptureState(CaptureFull)
 	if err != nil {
 		return err
 	}
 	return c.Encode(enc)
-}
-
-// GuardsView snapshots a guard table's installed feedback list into an
-// immutable slice for a phase-1 capture (the table itself keeps mutating
-// after the barrier releases; Feedback values are immutable). A nil table
-// yields nil.
-func GuardsView(g *core.GuardTable) []core.Feedback {
-	if g == nil {
-		return nil
-	}
-	guards := g.Guards()
-	if len(guards) == 0 {
-		return nil
-	}
-	fs := make([]core.Feedback, len(guards))
-	for i, gd := range guards {
-		fs[i] = gd.Source
-	}
-	return fs
-}
-
-// PutGuardsView appends a captured guard list in the same wire form as
-// PutGuards, so GetGuards decodes either.
-func PutGuardsView(e *Encoder, fs []core.Feedback) {
-	e.PutInt(len(fs))
-	for _, f := range fs {
-		e.PutFeedback(f)
-	}
 }
