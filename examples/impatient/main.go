@@ -75,7 +75,7 @@ func main() {
 	sink.OnTuple = func(t stream.Tuple) { order = append(order, t.At(0).AsInt()) }
 
 	g := repro.NewGraph()
-	g.SetQueueOptions(repro.QueueOptions{PageSize: 4, Depth: 2, FlushOnPunct: true})
+	g.SetQueueOptions(repro.QueueOptions{PageSize: 4, Depth: 2})
 	vn := g.AddSource(vsrc)
 	sn := g.AddSource(ssrc)
 	pn := g.Add(prio, repro.From(sn))

@@ -79,7 +79,7 @@ func main() {
 	// Small pages and shallow queues: backpressure keeps the source only
 	// slightly ahead of the sink, so the relayed feedback arrives while
 	// most of the stream is still ungenerated.
-	g.SetQueueOptions(repro.QueueOptions{PageSize: 8, Depth: 2, FlushOnPunct: true})
+	g.SetQueueOptions(repro.QueueOptions{PageSize: 8, Depth: 2})
 	srcNode := g.AddSource(src)
 	fNode := g.Add(filter, repro.From(srcNode))
 	g.Add(sink, repro.From(fNode))

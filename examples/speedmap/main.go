@@ -133,7 +133,7 @@ func main() {
 	// Shallow queues keep the two branches advancing in rough lockstep,
 	// so the join's adaptive feedback lands while the matching vehicle
 	// windows are still upstream.
-	g.SetQueueOptions(repro.QueueOptions{PageSize: 8, Depth: 2, FlushOnPunct: true})
+	g.SetQueueOptions(repro.QueueOptions{PageSize: 8, Depth: 2})
 	pn := g.AddSource(probes)
 	cn := g.Add(clean, repro.From(pn))
 	an := g.Add(agg, repro.From(cn))

@@ -137,7 +137,7 @@ func main() {
 	disp.zooms = absZooms
 
 	g := repro.NewGraph()
-	g.SetQueueOptions(repro.QueueOptions{PageSize: 8, Depth: 2, FlushOnPunct: true})
+	g.SetQueueOptions(repro.QueueOptions{PageSize: 8, Depth: 2})
 	sn := g.AddSource(src)
 	qn := g.Add(quality, repro.From(sn))
 	an := g.Add(avg, repro.From(qn))

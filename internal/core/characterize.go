@@ -13,7 +13,7 @@ import (
 // correct for that shape, plus the safe propagations.
 //
 // The operators in package op consult these plans; the tests and
-// cmd/tables verify that enacting them satisfies Definition 1.
+// `cmd/experiments tables` verify that enacting them satisfies Definition 1.
 
 // ResponsePlan is the prescribed reaction to one feedback shape.
 type ResponsePlan struct {
@@ -342,7 +342,7 @@ func JoinCharacterization(shape JoinShape, p punct.Pattern, leftMap, rightMap At
 	}
 }
 
-// PlanString renders a response plan as a table row for cmd/tables.
+// PlanString renders a response plan as a table row for `cmd/experiments tables`.
 func (p ResponsePlan) PlanString() string {
 	acts := ""
 	for i, a := range p.Actions {

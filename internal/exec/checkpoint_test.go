@@ -79,7 +79,7 @@ func TestCheckpointRestoreQuiescent(t *testing.T) {
 		g := NewGraph()
 		// Page size 1 so every emitted tuple reaches the sink immediately
 		// (the gate pauses the source below one default page).
-		g.SetQueueOptions(queue.Options{PageSize: 1, FlushOnPunct: true})
+		g.SetQueueOptions(queue.Options{PageSize: 1})
 		src := &gatedSource{name: "gated", schema: oneInt, tuples: tuples, gateAt: gateAt}
 		src.gate.Store(gateOpen)
 		sid := g.AddSource(src)

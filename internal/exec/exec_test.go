@@ -2,7 +2,8 @@ package exec
 
 import (
 	"fmt"
-	"strings"
+	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -63,9 +64,9 @@ func TestGraphRunLinearPipeline(t *testing.T) {
 	}
 }
 
-// TestGraphEdgesAndReport checks the edge→consumer map built in prepare
-// (one exact consumer per edge, no node rescans) and edge labelling.
-func TestGraphEdgesAndReport(t *testing.T) {
+// TestGraphEdges checks the edge→consumer map built in prepare (one exact
+// consumer per edge, no node rescans), edge labelling and traffic counts.
+func TestGraphEdges(t *testing.T) {
 	g := NewGraph()
 	src := g.AddSource(NewSliceSource("src", oneInt, intTuple(1), intTuple(2)))
 	mid := g.Add(&passthrough{name: "mid"}, From(src))
@@ -79,26 +80,18 @@ func TestGraphEdgesAndReport(t *testing.T) {
 	if len(edges) != 2 {
 		t.Fatalf("got %d edges, want 2", len(edges))
 	}
-	want := map[string]string{"src": "mid", "mid": "sink"}
+	want := map[string]EdgeInfo{
+		"src": {Producer: "src", Consumer: "mid"},
+		"mid": {Producer: "mid", Consumer: "sink", Label: "part=0/1"},
+	}
 	for _, e := range edges {
-		if want[e.Producer] != e.Consumer {
-			t.Errorf("edge %s[%d] -> %s, want consumer %s", e.Producer, e.Out, e.Consumer, want[e.Producer])
+		if e.Stats.Tuples != 2 {
+			t.Errorf("edge %s -> %s counted %d tuples, want 2", e.Producer, e.Consumer, e.Stats.Tuples)
 		}
-		if e.Producer == "src" && e.Stats.Tuples != 2 {
-			t.Errorf("src edge counted %d tuples, want 2", e.Stats.Tuples)
+		e.Stats, e.Depth = queue.Stats{}, 0
+		if e != want[e.Producer] {
+			t.Errorf("edge %+v, want %+v", e, want[e.Producer])
 		}
-		if e.Producer == "mid" && e.Label != "part=0/1" {
-			t.Errorf("mid edge label %q, want part=0/1", e.Label)
-		}
-	}
-	var buf strings.Builder
-	g.Report(&buf)
-	out := buf.String()
-	if !strings.Contains(out, "mid[0]") || !strings.Contains(out, "sink[0]") || !strings.Contains(out, "part=0/1") {
-		t.Fatalf("report missing consumers or labels:\n%s", out)
-	}
-	if strings.Contains(out, "?") {
-		t.Fatalf("report has unresolved consumers:\n%s", out)
 	}
 }
 
@@ -224,45 +217,63 @@ func (f *feedbackSink) ProcessTuple(_ int, t stream.Tuple, ctx Context) error {
 	return nil
 }
 
+// feedbackGatedSource parks a SliceSource before the tuple at gateAt until
+// the source's own ProcessFeedback has run. Both run on the source's runner
+// goroutine, which drains control between Next calls, so the parked source
+// needs no clock: it yields and is asked again.
+type feedbackGatedSource struct {
+	*SliceSource
+	gateAt int
+}
+
+func (s *feedbackGatedSource) Next(ctx Context) (bool, error) {
+	if s.pos == s.gateAt && len(s.received) == 0 {
+		runtime.Gosched()
+		return true, nil
+	}
+	return s.SliceSource.Next(ctx)
+}
+
 func TestEndToEndFeedbackSuppressesAtSource(t *testing.T) {
-	// The sink asks to ignore v ≥ 1000 after seeing 10 tuples; the
-	// feedback-aware source must eventually stop emitting them.
-	tuples := make([]stream.Tuple, 5000)
+	// The sink asks to ignore v ≥ 1000 after seeing 10 tuples. The source
+	// waits before tuple 1000 for that feedback to reach it, so its guard is
+	// installed before any v ≥ 1000 is offered: it must skip exactly those.
+	const total, gateAt = 5000, 1000
+	tuples := make([]stream.Tuple, total)
 	for i := range tuples {
 		tuples[i] = intTuple(int64(i))
 	}
 	src := NewSliceSource("src", oneInt, tuples...)
 	src.FeedbackAware = true
-	src.BatchSize = 8
+	src.BatchSize = 8 // divides gateAt: a Next call ends exactly at the gate
 	relay := &passthrough{name: "relay", relay: true}
 	sink := &feedbackSink{
 		name:    "sink",
 		trigger: 10,
-		pattern: punct.OnAttr(1, 0, punct.Ge(stream.Int(1000))),
+		pattern: punct.OnAttr(1, 0, punct.Ge(stream.Int(gateAt))),
 	}
 	g := NewGraph()
-	s := g.AddSource(src)
+	s := g.AddSource(&feedbackGatedSource{SliceSource: src, gateAt: gateAt})
 	r := g.Add(relay, From(s))
 	g.Add(sink, From(r))
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if src.Skipped() == 0 {
-		t.Error("source should have skipped suppressed tuples")
+	if got := src.Skipped(); got != total-gateAt {
+		t.Errorf("source skipped %d tuples, want exactly %d", got, total-gateAt)
 	}
 	if len(relay.feedback) != 1 {
 		t.Errorf("relay saw %d feedback messages", len(relay.feedback))
 	}
 	// Definition 1: the sink must have received every tuple outside the
-	// subset.
-	outside := 0
-	for _, tp := range sink.got {
-		if tp.At(0).AsInt() < 1000 {
-			outside++
-		}
+	// subset — and, the guard being in place in time, nothing inside it.
+	if len(sink.got) != gateAt {
+		t.Fatalf("sink received %d tuples, want %d", len(sink.got), gateAt)
 	}
-	if outside != 1000 {
-		t.Errorf("non-subset tuples received: %d, want 1000", outside)
+	for i, tp := range sink.got {
+		if tp.At(0).AsInt() != int64(i) {
+			t.Fatalf("sink tuple %d is %v", i, tp)
+		}
 	}
 }
 
@@ -285,6 +296,20 @@ func TestHarnessRecordsEverything(t *testing.T) {
 	h.Reset()
 	if len(h.Out(0)) != 0 {
 		t.Error("reset")
+	}
+	// A run emitted as one is recorded as its tuples, in order.
+	run := []stream.Tuple{intTuple(3), intTuple(4)}
+	h.EmitBatch(run)
+	h.EmitBatchTo(0, run)
+	per := NewHarness(p)
+	for _, tp := range run {
+		per.Emit(tp)
+	}
+	for _, tp := range run {
+		per.EmitTo(0, tp)
+	}
+	if !reflect.DeepEqual(h.Out(0), per.Out(0)) {
+		t.Errorf("batched emits recorded %v, per-tuple emits %v", h.Out(0), per.Out(0))
 	}
 }
 
@@ -406,24 +431,6 @@ func TestGraphMultiInputOperator(t *testing.T) {
 				t.Fatalf("input b order broken at %d", v)
 			}
 			lastB = v
-		}
-	}
-}
-
-func TestGraphReport(t *testing.T) {
-	g := NewGraph()
-	src := g.AddSource(NewSliceSource("src", oneInt, intTuple(1), intTuple(2)))
-	mid := g.Add(&passthrough{name: "mid"}, From(src))
-	g.Add(NewCollector("sink", oneInt), From(mid))
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	g.Report(&sb)
-	out := sb.String()
-	for _, want := range []string{"src", "mid", "sink", "tuples=2"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
 }

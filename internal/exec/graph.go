@@ -70,15 +70,14 @@ type consumerRef struct {
 // Graph is a query plan: a DAG of sources and operators. Build it with
 // AddSource/Add, then execute with Run.
 type Graph struct {
-	nodes     []*node
-	opts      queue.Options
-	ctrlEvery int // items between control rechecks (0 = default)
-	log       io.Writer
-	prepared  bool
-	err       error // first wiring error, surfaced by Run
+	nodes    []*node
+	opts     queue.Options
+	log      io.Writer
+	prepared bool
+	err      error // first wiring error, surfaced by Run
 
 	// consumers maps each wired edge to its (unique) consumer; built once
-	// during prepare so Report and Edges need no per-edge node rescans.
+	// during prepare so Edges needs no per-edge node rescans.
 	consumers map[edgeKey]consumerRef
 	// labels annotates edges (e.g. "part=2/4" on partition edges); set any
 	// time before Run via LabelEdge.
@@ -130,15 +129,9 @@ func (g *Graph) markWireBarrier(id NodeID) {
 }
 
 // SetQueueOptions overrides the inter-operator connection configuration for
-// edges wired afterwards (benchmarks use this to ablate page size).
+// edges wired afterwards (tests and examples shrink the page so that short
+// streams cross it).
 func (g *Graph) SetQueueOptions(opts queue.Options) { g.opts = opts }
-
-// SetControlInterval sets K, the number of page items an operator
-// processes between control-queue rechecks (default
-// DefaultControlInterval). Smaller K tightens the bound on how far
-// feedback can trail the tuple it should overtake; K=1 restores the
-// per-item recheck of the original §5 loop.
-func (g *Graph) SetControlInterval(k int) { g.ctrlEvery = k }
 
 // SetLog directs operator diagnostics to w.
 func (g *Graph) SetLog(w io.Writer) { g.log = w }
@@ -238,8 +231,7 @@ func (g *Graph) prepare() error {
 
 // LabelEdge annotates the edge leaving the given output port (partitioned
 // plans label split→replica and replica→merge edges with their partition
-// index). Call any time before or after Run; Report and Edges surface the
-// label.
+// index). Call any time before or after Run; Edges surfaces the label.
 func (g *Graph) LabelEdge(p Port, label string) {
 	if g.labels == nil {
 		g.labels = make(map[edgeKey]string)
@@ -248,7 +240,9 @@ func (g *Graph) LabelEdge(p Port, label string) {
 }
 
 // EdgeInfo describes one wired edge of the plan: producer output port,
-// consumer input port, optional label, and traffic counters.
+// consumer input port, optional label, and the queue's own traffic counters.
+// What the consumer did with the traffic (suppressed, dropped) is the
+// consumer's to report: its Stats and its pace_op_* telemetry vars.
 type EdgeInfo struct {
 	Producer string
 	Out      int
@@ -256,22 +250,10 @@ type EdgeInfo struct {
 	Input    int
 	Label    string
 	Stats    queue.Stats
-	// Suppressed and PunctDropped report what the consumer did with the
-	// edge's traffic — tuples its guard tables suppressed and punctuation
-	// it could not relay — matching what fuse.Fused exposes per
-	// constituent. Populated only for consumers whose counters are
-	// scrape-safe atomics (Select/Project/Map and fused kernels).
-	Suppressed   int64
-	PunctDropped int64
 	// Depth is the number of pages currently buffered in the edge queue, a
 	// point-in-time backpressure gauge.
 	Depth int
 }
-
-// suppressionReporter / punctDropReporter are the consumer-side accounting
-// surfaces Edges discovers by assertion.
-type suppressionReporter interface{ SuppressedTuples() int64 }
-type punctDropReporter interface{ PunctDropped() int64 }
 
 // Edges returns every wired edge with its traffic counters, in node order.
 // Valid after Run (nil before prepare; counters all-zero before Run ends).
@@ -287,14 +269,6 @@ func (g *Graph) Edges() []EdgeInfo {
 			if ref, ok := g.consumers[k]; ok {
 				e.Consumer = ref.node.name()
 				e.Input = ref.input
-				if ref.node.op != nil {
-					if s, ok := ref.node.op.(suppressionReporter); ok {
-						e.Suppressed = s.SuppressedTuples()
-					}
-					if p, ok := ref.node.op.(punctDropReporter); ok {
-						e.PunctDropped = p.PunctDropped()
-					}
-				}
 			} else {
 				e.Consumer = "?"
 			}
@@ -302,22 +276,6 @@ func (g *Graph) Edges() []EdgeInfo {
 		}
 	}
 	return out
-}
-
-// Report writes a per-edge traffic summary of the plan: one line per wired
-// connection with tuple/punctuation/page/control counts, using the
-// edge→consumer map built in prepare. Valid after Run (all-zero before).
-func (g *Graph) Report(w io.Writer) {
-	for _, e := range g.Edges() {
-		consumer := fmt.Sprintf("%s[%d]", e.Consumer, e.Input)
-		label := ""
-		if e.Label != "" {
-			label = "  " + e.Label
-		}
-		st := e.Stats
-		fmt.Fprintf(w, "%s[%d] -> %-16s tuples=%-8d puncts=%-6d pages=%-6d punct-flushes=%-6d controls=%d suppressed=%d%s\n",
-			e.Producer, e.Out, consumer, st.Tuples, st.Puncts, st.Pages, st.PunctFlushes, st.Controls, e.Suppressed, label)
-	}
 }
 
 // EdgeStats returns traffic counters for the edge leaving the given output

@@ -176,6 +176,16 @@ func (h *Harness) EmitTo(port int, t stream.Tuple) {
 	h.outs[port] = append(h.outs[port], queue.TupleItem(t))
 }
 
+// EmitBatch implements Context.
+func (h *Harness) EmitBatch(ts []stream.Tuple) { h.EmitBatchTo(0, ts) }
+
+// EmitBatchTo implements Context.
+func (h *Harness) EmitBatchTo(port int, ts []stream.Tuple) {
+	for _, t := range ts {
+		h.EmitTo(port, t)
+	}
+}
+
 // EmitPunct implements Context.
 func (h *Harness) EmitPunct(e punct.Embedded) { h.EmitPunctTo(0, e) }
 

@@ -63,10 +63,9 @@ func (s *SliceSource) Next(ctx Context) (bool, error) {
 		n = 16
 	}
 	// The logical stream is Tuples followed by Items; pos indexes the
-	// concatenation. A feedback-unaware source never suppresses, so runs of
-	// tuples go downstream in one batched emit when the runtime offers it.
-	be, _ := ctx.(BatchEmitter)
-	batch := be != nil && !s.FeedbackAware
+	// concatenation. A feedback-unaware source never suppresses, so its runs
+	// of tuples go downstream in one emit each.
+	batch := !s.FeedbackAware
 	total := len(s.Tuples) + len(s.Items)
 	i := 0
 	if batch && s.pos < len(s.Tuples) {
@@ -74,7 +73,7 @@ func (s *SliceSource) Next(ctx Context) (bool, error) {
 		if end > len(s.Tuples) {
 			end = len(s.Tuples)
 		}
-		be.EmitBatch(s.Tuples[s.pos:end])
+		ctx.EmitBatch(s.Tuples[s.pos:end])
 		i = end - s.pos
 		s.pos = end
 	}
@@ -99,7 +98,7 @@ func (s *SliceSource) Next(ctx Context) (bool, error) {
 			for ; j < lim && s.Items[j].Kind == queue.ItemTuple; j++ {
 				buf = append(buf, s.Items[j].Tuple)
 			}
-			be.EmitBatch(buf)
+			ctx.EmitBatch(buf)
 			s.batch = buf[:0]
 			i += j - base
 			s.pos += j - base

@@ -9,6 +9,13 @@
 //
 //   - Graph/Run: the concurrent runtime (goroutine per operator);
 //   - Harness: a deterministic, synchronous driver used by unit tests.
+//
+// Both hand operators the same Context, whose emit surface takes single
+// tuples and runs of tuples alike: an operator that holds a run emits it as
+// one, and there is no second, per-tuple way to send it. An operator's
+// counters live in the operator (atomics, read through its Stats and exported
+// through telemetry.VarExporter); the graph reports only what the queues
+// themselves count (Edges).
 package exec
 
 import (
@@ -20,7 +27,7 @@ import (
 
 // Context is the surface through which an operator interacts with the
 // runtime: emitting data and punctuation downstream, and sending feedback
-// punctuation upstream. Emit/EmitPunct must only be called from the
+// punctuation upstream. The Emit* methods must only be called from the
 // operator's own callback goroutine; SendFeedback is additionally safe
 // from other goroutines under the Graph runtime (network transports use
 // this to relay remote feedback as it arrives).
@@ -29,6 +36,14 @@ type Context interface {
 	Emit(t stream.Tuple)
 	// EmitTo sends a tuple to the given output port.
 	EmitTo(port int, t stream.Tuple)
+	// EmitBatch sends a run of tuples, in order, to output port 0: the
+	// runtime pays its page-capacity check per chunk instead of per tuple.
+	// Implementations copy the tuples out before returning and must not
+	// retain the slice; the caller may reuse it at once.
+	EmitBatch(ts []stream.Tuple)
+	// EmitBatchTo sends a run of tuples to the given output port (Split
+	// partitions a run into one sub-run per port).
+	EmitBatchTo(port int, ts []stream.Tuple)
 	// EmitPunct sends embedded punctuation to output port 0.
 	EmitPunct(e punct.Embedded)
 	// EmitPunctTo sends embedded punctuation to the given output port.
@@ -104,20 +119,10 @@ type TupleBatchApplier interface {
 	ApplyTupleBatch(input int, ts []stream.Tuple, ctx Context) error
 }
 
-// BatchEmitter is an optional Context fast path: a runtime context that
-// accepts a run of tuples for output port 0 in one call, paying the page
-// capacity check per chunk instead of per tuple. Exactly equivalent to
-// calling Emit on each tuple in order. Callers must not retain the slice
-// after the call; implementations must not retain it either.
+// BatchEmitter names Context's EmitBatch method on its own. Every Context
+// satisfies it; it is kept because the frozen bench/ module asserts it.
 type BatchEmitter interface {
 	EmitBatch(ts []stream.Tuple)
-}
-
-// BatchEmitterTo extends BatchEmitter to an arbitrary output port, for
-// multi-output operators (Split) that partition a run into per-port
-// sub-batches. Exactly equivalent to calling EmitTo on each tuple in order.
-type BatchEmitterTo interface {
-	EmitBatchTo(port int, ts []stream.Tuple)
 }
 
 // Source is a self-driving operator with no inputs. The runtime repeatedly

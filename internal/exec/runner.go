@@ -123,7 +123,6 @@ type nodeRunner struct {
 	dataCh chan inEvent
 	ctrlCh chan ctrlEvent
 
-	ctrlEvery    int    // items between control rechecks (K)
 	shutdownOuts bitset // outputs whose consumers sent shutdown
 	stopping     bool
 	batcher      TupleBatcher // non-nil when the operator takes tuple runs whole
@@ -160,10 +159,6 @@ type alignState struct {
 
 func (r *nodeRunner) run() error {
 	n := r.node
-	r.ctrlEvery = r.graph.ctrlEvery
-	if r.ctrlEvery <= 0 {
-		r.ctrlEvery = DefaultControlInterval
-	}
 	r.batcher, _ = n.op.(TupleBatcher)
 	r.nm = n.nm
 	r.trace = r.graph.tracer()
@@ -448,7 +443,7 @@ func (r *nodeRunner) pageLoop(ev inEvent) error {
 		// Re-check control every K items so feedback overtakes
 		// pending tuples within a bounded window without paying
 		// a channel poll per tuple.
-		if i%r.ctrlEvery == 0 {
+		if i%DefaultControlInterval == 0 {
 			r.pgChecks++
 			if err := r.drainControl(r.onFeedback); err != nil {
 				return err
@@ -464,7 +459,7 @@ func (r *nodeRunner) pageLoop(ev inEvent) error {
 		// freeze/defer logic.
 		if r.batcher != nil && r.align == nil && items[i].Kind == queue.ItemTuple {
 			j := i + 1
-			for lim := i + r.ctrlEvery - i%r.ctrlEvery; j < len(items) && j < lim &&
+			for lim := i + DefaultControlInterval - i%DefaultControlInterval; j < len(items) && j < lim &&
 				items[j].Kind == queue.ItemTuple; j++ {
 			}
 			if err := r.batcher.ProcessTupleBatch(ev.input, items[i:j], r); err != nil {
@@ -694,16 +689,16 @@ func (r *nodeRunner) EmitTo(port int, t stream.Tuple) {
 	r.node.outConns[port].PutTuple(t)
 }
 
-// EmitBatch implements BatchEmitter: a run of tuples goes to output port 0
-// with one page-capacity check per chunk instead of per tuple.
+// EmitBatch implements Context: a run of tuples goes to output port 0 with
+// one page-capacity check per chunk instead of per tuple.
 //
 //pace:hotpath
 func (r *nodeRunner) EmitBatch(ts []stream.Tuple) {
 	r.node.outConns[0].PutTuples(ts)
 }
 
-// EmitBatchTo implements BatchEmitterTo: a per-port sub-batch (e.g. one
-// Split partition's share of a run) goes out in one call.
+// EmitBatchTo implements Context: a per-port sub-batch (e.g. one Split
+// partition's share of a run) goes out in one call.
 //
 //pace:hotpath
 func (r *nodeRunner) EmitBatchTo(port int, ts []stream.Tuple) {

@@ -63,7 +63,7 @@ func (g *Graph) registerTelemetry() {
 
 // edgeSnapshots converts the live edge set into telemetry's plain structs;
 // runs at scrape time, concurrently with the plan (Edges reads only the
-// queues' atomic stats and the consumers' scrape-safe counters).
+// queues' atomic stats).
 func (g *Graph) edgeSnapshots() []telemetry.EdgeStat {
 	edges := g.Edges()
 	out := make([]telemetry.EdgeStat, len(edges))
@@ -72,9 +72,7 @@ func (g *Graph) edgeSnapshots() []telemetry.EdgeStat {
 			Producer: e.Producer, Out: e.Out,
 			Consumer: e.Consumer, Input: e.Input, Label: e.Label,
 			Tuples: e.Stats.Tuples, Puncts: e.Stats.Puncts,
-			Pages: e.Stats.Pages, PunctFlushes: e.Stats.PunctFlushes,
-			Controls:   e.Stats.Controls,
-			Suppressed: e.Suppressed, PunctDropped: e.PunctDropped,
+			Pages: e.Stats.Pages, Controls: e.Stats.Controls,
 			Depth: e.Depth,
 		}
 	}

@@ -100,7 +100,7 @@ func RunFigure1b(feedback bool, hours int) (Figure1bResult, error) {
 	sink := exec.NewCollector("map", join.OutSchemas()[0])
 
 	g := exec.NewGraph()
-	g.SetQueueOptions(queue.Options{PageSize: 8, Depth: 2, FlushOnPunct: true})
+	g.SetQueueOptions(queue.Options{PageSize: 8, Depth: 2})
 	pn := g.AddSource(probes)
 	cn := g.Add(clean, exec.From(pn))
 	an := g.Add(agg, exec.From(cn))

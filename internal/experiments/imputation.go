@@ -162,7 +162,7 @@ func RunImputation(cfg ImputationConfig) (ImputationResult, error) {
 	// pages: with ~1 ms imputation service time, a large output page
 	// would hold finished tuples for many milliseconds of batching delay
 	// — a meaningful fraction of the tolerance.
-	g.SetQueueOptions(queue.Options{PageSize: 4, Depth: 16384, FlushOnPunct: true})
+	g.SetQueueOptions(queue.Options{PageSize: 4, Depth: 16384})
 	s := g.AddSource(src)
 	d := g.Add(dup, exec.From(s))
 	cl := g.Add(selClean, exec.FromPort(d, 0))

@@ -84,16 +84,9 @@ func (c SpeedmapConfig) withDefaults() SpeedmapConfig {
 		// weights above then place F2 and F3 near the paper's 39%/35%.
 		inputs := int64(c.Hours) * 180 * int64(c.Segments) * int64(c.Detectors)
 		results := int64(c.Hours) * 60 * int64(c.Segments) // 1-minute windows
-		c.EmitCost = int(inputs * int64(c.IngestCost+c.FilterCost+c.FoldCost) / maxi64(results, 1))
+		c.EmitCost = int(inputs * int64(c.IngestCost+c.FilterCost+c.FoldCost) / max(results, 1))
 	}
 	return c
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // SpeedmapResult is one Figure 7 data point.

@@ -264,14 +264,7 @@ func (f *Fused) runOne(t stream.Tuple) (stream.Tuple, bool) {
 //
 //pace:hotpath
 func (f *Fused) ProcessTupleBatch(_ int, items []queue.Item, ctx exec.Context) error {
-	buf := f.runSteps(items)
-	if be, ok := ctx.(exec.BatchEmitter); ok {
-		be.EmitBatch(buf)
-	} else {
-		for i := range buf {
-			ctx.Emit(buf[i])
-		}
-	}
+	ctx.EmitBatch(f.runSteps(items))
 	return nil
 }
 
@@ -515,26 +508,6 @@ func (f *Fused) StepStats() []StepStat {
 		out[i] = s
 	}
 	return out
-}
-
-// SuppressedTuples reports guard suppressions across all constituents,
-// scrape-safe; exec.Graph surfaces it per edge (EdgeInfo.Suppressed).
-func (f *Fused) SuppressedTuples() int64 {
-	var total int64
-	for i := range f.steps {
-		total += f.steps[i].suppressed.Load()
-	}
-	return total
-}
-
-// PunctDropped reports punctuation consumed inside the kernel because its
-// bound attributes did not survive some constituent's mapping.
-func (f *Fused) PunctDropped() int64 {
-	var total int64
-	for i := range f.steps {
-		total += f.steps[i].punctDropped.Load()
-	}
-	return total
 }
 
 // TelemetryVars implements telemetry.VarExporter: the standard pace_op_*

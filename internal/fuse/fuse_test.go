@@ -299,8 +299,7 @@ func TestFusedEqualsUnfusedProperty(t *testing.T) {
 				in, out, sup, dropped = o.Stats()
 				responses = o.Responses()
 			case *op.Map:
-				in, out, sup = o.Stats()
-				dropped = o.PunctDropped()
+				in, out, sup, dropped = o.Stats()
 				responses = o.Responses()
 			}
 			if st.In != in || st.Out != out || st.Suppressed != sup || st.PunctDropped != dropped || st.CostBurned != cost {
@@ -477,6 +476,8 @@ type discardCtx struct{}
 
 func (discardCtx) Emit(stream.Tuple)               {}
 func (discardCtx) EmitTo(int, stream.Tuple)        {}
+func (discardCtx) EmitBatch([]stream.Tuple)        {}
+func (discardCtx) EmitBatchTo(int, []stream.Tuple) {}
 func (discardCtx) EmitPunct(punct.Embedded)        {}
 func (discardCtx) EmitPunctTo(int, punct.Embedded) {}
 func (discardCtx) SendFeedback(int, core.Feedback) {}
@@ -584,8 +585,14 @@ type captureCtx struct {
 	fb    []core.Feedback
 }
 
-func (c *captureCtx) Emit(t stream.Tuple)                 { c.items = append(c.items, queue.TupleItem(t)) }
-func (c *captureCtx) EmitTo(_ int, t stream.Tuple)        { c.Emit(t) }
+func (c *captureCtx) Emit(t stream.Tuple)                  { c.items = append(c.items, queue.TupleItem(t)) }
+func (c *captureCtx) EmitTo(_ int, t stream.Tuple)         { c.Emit(t) }
+func (c *captureCtx) EmitBatchTo(_ int, ts []stream.Tuple) { c.EmitBatch(ts) }
+func (c *captureCtx) EmitBatch(ts []stream.Tuple) {
+	for _, t := range ts {
+		c.Emit(t)
+	}
+}
 func (c *captureCtx) EmitPunct(e punct.Embedded)          { c.items = append(c.items, queue.PunctItem(e)) }
 func (c *captureCtx) EmitPunctTo(_ int, e punct.Embedded) { c.EmitPunct(e) }
 func (c *captureCtx) SendFeedback(_ int, f core.Feedback) { c.fb = append(c.fb, f) }
@@ -702,10 +709,7 @@ func (c *ownCtx) check(when string) {
 	}
 }
 
-// ownBatchCtx adds the batched emit a live runner provides.
-type ownBatchCtx struct{ *ownCtx }
-
-func (c ownBatchCtx) EmitBatch(ts []stream.Tuple) {
+func (c *ownCtx) EmitBatch(ts []stream.Tuple) {
 	for i := range ts {
 		c.Emit(ts[i])
 	}
@@ -731,11 +735,7 @@ func TestFusedEmittedTuplesOwnTheirValues(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		own := &ownCtx{t: t}
-		var ctx exec.Context = own
-		if seed%2 == 0 {
-			ctx = ownBatchCtx{own}
-		}
-		if err := fused.Open(ctx); err != nil {
+		if err := fused.Open(own); err != nil {
 			t.Fatal(err)
 		}
 		var inputs, inputCopies []stream.Tuple
@@ -750,23 +750,23 @@ func TestFusedEmittedTuplesOwnTheirValues(t *testing.T) {
 					run[i] = queue.TupleItem(tp)
 					inputs, inputCopies = append(inputs, tp), append(inputCopies, tp.Clone())
 				}
-				if err := fused.ProcessTupleBatch(0, run, ctx); err != nil {
+				if err := fused.ProcessTupleBatch(0, run, own); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
 			case r < 7:
 				tp := randTuple(rng, ev*100)
 				inputs, inputCopies = append(inputs, tp), append(inputCopies, tp.Clone())
-				if err := fused.ProcessTuple(0, tp, ctx); err != nil {
+				if err := fused.ProcessTuple(0, tp, own); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
 			case r < 8:
-				if err := fused.ProcessPunct(0, punct.NewEmbedded(randPattern(rng, chainSchema)), ctx); err != nil {
+				if err := fused.ProcessPunct(0, punct.NewEmbedded(randPattern(rng, chainSchema)), own); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
 			default:
 				seq++
 				f := core.Feedback{Intent: core.Assumed, Pattern: randPattern(rng, outSchema), Origin: "downstream", Seq: seq}
-				if err := fused.ProcessFeedback(0, f, ctx); err != nil {
+				if err := fused.ProcessFeedback(0, f, own); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
 			}

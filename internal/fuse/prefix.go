@@ -240,35 +240,6 @@ func (p *Prefixed) ApplyDelta(d *snapshot.Decoder) error {
 	return ds.ApplyDelta(d)
 }
 
-// SuppressedTuples reports guard suppressions across all kernels plus the
-// inner operator's own, scrape-safe.
-func (p *Prefixed) SuppressedTuples() int64 {
-	var total int64
-	for _, k := range p.kernels {
-		if k != nil {
-			total += k.SuppressedTuples()
-		}
-	}
-	if sr, ok := p.inner.(interface{ SuppressedTuples() int64 }); ok {
-		total += sr.SuppressedTuples()
-	}
-	return total
-}
-
-// PunctDropped reports punctuation consumed inside the prefix kernels.
-func (p *Prefixed) PunctDropped() int64 {
-	var total int64
-	for _, k := range p.kernels {
-		if k != nil {
-			total += k.PunctDropped()
-		}
-	}
-	if pr, ok := p.inner.(interface{ PunctDropped() int64 }); ok {
-		total += pr.PunctDropped()
-	}
-	return total
-}
-
 // CostBurned reports evaluation work done across the prefix kernels.
 func (p *Prefixed) CostBurned() int64 {
 	var total int64
@@ -326,8 +297,7 @@ func (p *Prefixed) String() string {
 // prefixedCtx is the context the inner operator sees: identical to the
 // runtime's except that upstream feedback traverses the input's kernel steps
 // (reverse chain order, guard installs, pattern re-expression) before leaving
-// the node, and batch emission capabilities are forwarded explicitly — Go
-// interface embedding does not promote optional interfaces.
+// the node. Everything else, emission included, is the embedded context's.
 type prefixedCtx struct {
 	exec.Context
 	p *Prefixed
@@ -344,26 +314,4 @@ func (c *prefixedCtx) SendFeedback(input int, fb core.Feedback) {
 		fb = out
 	}
 	c.Context.SendFeedback(input, fb)
-}
-
-// EmitBatch implements exec.BatchEmitter with per-tuple fallback.
-func (c *prefixedCtx) EmitBatch(ts []stream.Tuple) {
-	if be, ok := c.Context.(exec.BatchEmitter); ok {
-		be.EmitBatch(ts)
-		return
-	}
-	for i := range ts {
-		c.Context.Emit(ts[i])
-	}
-}
-
-// EmitBatchTo implements exec.BatchEmitterTo with per-tuple fallback.
-func (c *prefixedCtx) EmitBatchTo(port int, ts []stream.Tuple) {
-	if be, ok := c.Context.(exec.BatchEmitterTo); ok {
-		be.EmitBatchTo(port, ts)
-		return
-	}
-	for i := range ts {
-		c.Context.EmitTo(port, ts[i])
-	}
 }

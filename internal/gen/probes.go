@@ -94,7 +94,7 @@ func (s *ProbeSource) Next(ctx exec.Context) (bool, error) {
 	for seg := int64(0); seg < int64(s.cfg.Segments); seg++ {
 		trueSpeed := diurnal(minuteOfDay, seg)
 		// Congestion breeds probes: density scales inversely with speed.
-		mean := s.cfg.VehiclesPerPeriod * (60 / maxf(trueSpeed, 10))
+		mean := s.cfg.VehiclesPerPeriod * (60 / max(trueSpeed, 10))
 		n := s.rng.Poisson(mean)
 		for v := 0; v < n; v++ {
 			s.seq++
@@ -161,13 +161,6 @@ func (s *ProbeSource) LoadState(dec *snapshot.Decoder) error {
 	s.rng.load(dec)
 	s.guards = snapshot.GetGuards(dec, ProbeSchema.Arity())
 	return dec.Err()
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // diurnal proxies the archive's ground-truth speed profile.

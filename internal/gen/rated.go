@@ -161,10 +161,3 @@ func ImputationStream(n int, startMicros, spacing int64, punctEvery int) []queue
 	}
 	return items
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

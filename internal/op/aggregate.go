@@ -360,7 +360,6 @@ func (a *Aggregate) wstartTsValue(start int64) stream.Value {
 // handed downstream a run at a time. A result the output guards suppress
 // leaves its slot to the next one. Then the window is dropped whole.
 func (a *Aggregate) flushThrough(lastFull int64, ctx exec.Context) {
-	be, batched := ctx.(exec.BatchEmitter)
 	arity := a.out.Arity()
 	for w := a.store.first(); w != nil && w.wid <= lastFull; w = a.store.first() {
 		a.due.reset(w.k)
@@ -388,13 +387,7 @@ func (a *Aggregate) flushThrough(lastFull int64, ctx exec.Context) {
 				run = append(run, t)
 				slab = slab[arity:]
 			}
-			if batched {
-				be.EmitBatch(run)
-			} else {
-				for i := range run {
-					ctx.Emit(run[i])
-				}
-			}
+			ctx.EmitBatch(run)
 			a.run = run
 			rest = rest[n:]
 		}

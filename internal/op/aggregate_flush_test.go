@@ -12,25 +12,20 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/punct"
 	"repro/internal/snapshot"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
 
-// flushCtx records what an aggregate emits, per tuple.
+// flushCtx records what an aggregate emits.
 type flushCtx struct {
 	discardCtx
 	tuples []stream.Tuple
 }
 
-func (c *flushCtx) Emit(t stream.Tuple) { c.tuples = append(c.tuples, t) }
-
-// flushBatchCtx adds the batched emit a live runner provides.
-type flushBatchCtx struct{ *flushCtx }
-
-func (c flushBatchCtx) EmitBatch(ts []stream.Tuple) { c.tuples = append(c.tuples, ts...) }
+func (c *flushCtx) Emit(t stream.Tuple)         { c.tuples = append(c.tuples, t) }
+func (c *flushCtx) EmitBatch(ts []stream.Tuple) { c.tuples = append(c.tuples, ts...) }
 
 // captureBlob takes a capture of st in the given mode and encodes it.
 func captureBlob(t *testing.T, st snapshot.Stater, mode snapshot.CaptureMode) []byte {
@@ -295,14 +290,10 @@ func TestAggregateFlushEqualsReference(t *testing.T) {
 		}
 		kind := []core.AggKind{core.AggMax, core.AggCount, core.AggAvg}[rng.Intn(3)]
 		rec := &flushCtx{}
-		var ctx exec.Context = rec
-		if seed%2 == 0 {
-			ctx = flushBatchCtx{rec}
-		}
 		build := func() *Aggregate {
 			a := &Aggregate{In: trafficSchema, Kind: kind, TsAttr: 2, ValAttr: 3, GroupBy: []int{0},
 				Window: spec, Mode: FeedbackExploit}
-			if err := a.Open(ctx); err != nil {
+			if err := a.Open(rec); err != nil {
 				t.Fatal(err)
 			}
 			return a
@@ -323,7 +314,7 @@ func TestAggregateFlushEqualsReference(t *testing.T) {
 				}
 				tu := traffic(int64(rng.Intn(6)), 0, ts, float64(rng.Intn(100)))
 				m.fold(tu)
-				if err := a.ProcessTuple(0, tu, ctx); err != nil {
+				if err := a.ProcessTuple(0, tu, rec); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
 			case r < 16: // punctuation; small steps close nothing
@@ -341,7 +332,7 @@ func TestAggregateFlushEqualsReference(t *testing.T) {
 				}
 				prevFull = max(prevFull, lastFull)
 				rec.tuples = rec.tuples[:0]
-				if err := a.ProcessPunct(0, tsPunct(wm), ctx); err != nil {
+				if err := a.ProcessPunct(0, tsPunct(wm), rec); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
 				if len(want) != len(rec.tuples) || (len(want) > 0 && !reflect.DeepEqual(want, rec.tuples)) {
@@ -355,7 +346,7 @@ func TestAggregateFlushEqualsReference(t *testing.T) {
 					f = core.NewAssumed(punct.OnAttr(3, 2, punct.Ge(stream.Float(float64(1+rng.Intn(90))))))
 				}
 				purged += m.feedback(f)
-				if err := a.ProcessFeedback(0, f, ctx); err != nil {
+				if err := a.ProcessFeedback(0, f, rec); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
 			default: // capture: full, then deltas; restore the chain into a fresh twin at any length
@@ -385,7 +376,7 @@ func TestAggregateFlushEqualsReference(t *testing.T) {
 		// EOS flushes whatever is left, in the same order.
 		want := m.flush(1 << 62)
 		rec.tuples = rec.tuples[:0]
-		if err := a.ProcessEOS(0, ctx); err != nil {
+		if err := a.ProcessEOS(0, rec); err != nil {
 			t.Fatal(err)
 		}
 		if len(want) != len(rec.tuples) || (len(want) > 0 && !reflect.DeepEqual(want, rec.tuples)) {

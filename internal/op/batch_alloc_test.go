@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/punct"
 	"repro/internal/stream"
 	"repro/internal/window"
@@ -36,8 +35,8 @@ func foldRing(n int) []stream.Tuple {
 }
 
 // TestAggregateFoldZeroAlloc pins the per-tuple fold at 0 allocs/op once
-// the touched (window, group) entries exist — the path
-// BenchmarkAggregateFold measures.
+// the touched (window, group) entries exist — the path bench/'s
+// op.agg_fold_ns_per_tuple rung times.
 func TestAggregateFoldZeroAlloc(t *testing.T) {
 	a := foldAggregate()
 	if err := a.Open(discardCtx{}); err != nil {
@@ -76,56 +75,48 @@ func TestAggregateBatchFoldZeroAlloc(t *testing.T) {
 	}
 }
 
-// batchEmitCtx is discardCtx plus the batched emit hooks a live runner
-// provides.
-type batchEmitCtx struct{ discardCtx }
-
-func (batchEmitCtx) EmitBatch([]stream.Tuple)        {}
-func (batchEmitCtx) EmitBatchTo(int, []stream.Tuple) {}
-
 // TestAggregateFlushSlabAllocs pins the window flush: one value slab per
 // flushSlabTuples results and nothing else once the work-list and run
 // scratch have grown — no per-result tuple, no sort closure, and nothing for
 // the window itself, which is the one closed before — and nothing at all for
-// a punctuation that closes no window. Under both emit paths.
+// a punctuation that closes no window.
 func TestAggregateFlushSlabAllocs(t *testing.T) {
 	const groups = 1000
 	slabs := float64((groups + flushSlabTuples - 1) / flushSlabTuples)
-	for _, ctx := range []exec.Context{batchEmitCtx{}, discardCtx{}} {
-		a := foldAggregate()
-		if err := a.Open(ctx); err != nil {
-			t.Fatal(err)
+	ctx := discardCtx{}
+	a := foldAggregate()
+	if err := a.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wid := int64(0)
+	fill := func() {
+		for g := int64(0); g < groups; g++ {
+			_ = a.ProcessTuple(0, traffic(g, 0, wid*allocTestMinute, 55), ctx)
 		}
-		wid := int64(0)
-		fill := func() {
-			for g := int64(0); g < groups; g++ {
-				_ = a.ProcessTuple(0, traffic(g, 0, wid*allocTestMinute, 55), ctx)
-			}
-		}
+	}
+	fill()
+	a.flushThrough(wid, ctx) // warm: work list, run scratch, and the window the next fills reuse
+	// A flush needs state to flush, so measure fill+flush against fill
+	// and a close that emits nothing (fill builds its tuples).
+	refill := testing.AllocsPerRun(10, func() {
+		wid++
 		fill()
-		a.flushThrough(wid, ctx) // warm: work list, run scratch, and the window the next fills reuse
-		// A flush needs state to flush, so measure fill+flush against fill
-		// and a close that emits nothing (fill builds its tuples).
-		refill := testing.AllocsPerRun(10, func() {
-			wid++
-			fill()
-			a.store.closeFirst()
-		})
-		cycle := testing.AllocsPerRun(10, func() {
-			wid++
-			fill()
-			a.flushThrough(wid, ctx)
-		})
-		if got := cycle - refill; got > slabs {
-			t.Fatalf("%T: flushing %d results allocates %.0f, want at most %.0f slabs", ctx, groups, got, slabs)
-		}
-		if st := a.Stats(); st.OpenGroups != 0 || st.Out == 0 {
-			t.Fatalf("%T: flush left %d groups open after %d results", ctx, st.OpenGroups, st.Out)
-		}
+		a.store.closeFirst()
+	})
+	cycle := testing.AllocsPerRun(10, func() {
+		wid++
 		fill()
-		if n := testing.AllocsPerRun(100, func() { a.flushThrough(wid-1, ctx) }); n != 0 {
-			t.Fatalf("%T: a flush that closes nothing allocates %.1f, want 0", ctx, n)
-		}
+		a.flushThrough(wid, ctx)
+	})
+	if got := cycle - refill; got > slabs {
+		t.Fatalf("flushing %d results allocates %.0f, want at most %.0f slabs", groups, got, slabs)
+	}
+	if st := a.Stats(); st.OpenGroups != 0 || st.Out == 0 {
+		t.Fatalf("flush left %d groups open after %d results", st.OpenGroups, st.Out)
+	}
+	fill()
+	if n := testing.AllocsPerRun(100, func() { a.flushThrough(wid-1, ctx) }); n != 0 {
+		t.Fatalf("a flush that closes nothing allocates %.1f, want 0", n)
 	}
 }
 
@@ -161,7 +152,7 @@ func TestAggregateInsertAllocs(t *testing.T) {
 }
 
 // TestSplitBatchApplyZeroAlloc pins Split's partition-hash batch path at 0
-// allocs per run, under both the batched and the per-tuple emit fallback.
+// allocs per run.
 func TestSplitBatchApplyZeroAlloc(t *testing.T) {
 	s := &Split{Schema: trafficSchema, N: 4, Key: []int{0}, Mode: FeedbackExploit}
 	if err := s.Open(discardCtx{}); err != nil {
@@ -172,14 +163,9 @@ func TestSplitBatchApplyZeroAlloc(t *testing.T) {
 		t.Fatal(err) // warm: sub-batch scratch sized and grown
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		_ = s.ApplyTupleBatch(0, ring, batchEmitCtx{})
-	}); n != 0 {
-		t.Fatalf("split batch apply (batched emit) allocates %.1f per batch, want 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
 		_ = s.ApplyTupleBatch(0, ring, discardCtx{})
 	}); n != 0 {
-		t.Fatalf("split batch apply (EmitTo fallback) allocates %.1f per batch, want 0", n)
+		t.Fatalf("split batch apply allocates %.1f per batch, want 0", n)
 	}
 }
 

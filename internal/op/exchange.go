@@ -201,20 +201,13 @@ func (s *Split) ApplyTupleBatch(input int, ts []stream.Tuple, ctx exec.Context) 
 		}
 		sub[d] = append(sub[d], t)
 	}
-	be, batched := ctx.(exec.BatchEmitterTo)
 	for d := 0; d < n; d++ {
 		run := sub[d]
 		if len(run) == 0 {
 			continue
 		}
 		s.outPer[d] += int64(len(run))
-		if batched {
-			be.EmitBatchTo(d, run)
-		} else {
-			for i := range run {
-				ctx.EmitTo(d, run[i])
-			}
-		}
+		ctx.EmitBatchTo(d, run)
 	}
 	return nil
 }

@@ -26,7 +26,7 @@ func TestMergeAlignmentProperty(t *testing.T) {
 			k := 2 + rng.Intn(3)
 
 			g := exec.NewGraph()
-			g.SetQueueOptions(queue.Options{PageSize: 1 + rng.Intn(8), FlushOnPunct: true})
+			g.SetQueueOptions(queue.Options{PageSize: 1 + rng.Intn(8)})
 			mg := &Merge{Schema: trafficSchema, K: k, Mode: FeedbackExploit, Propagate: true}
 			ports := make([]exec.Port, k)
 			for part := 0; part < k; part++ {

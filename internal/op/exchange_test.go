@@ -348,6 +348,8 @@ type discardCtx struct{}
 
 func (discardCtx) Emit(stream.Tuple)               {}
 func (discardCtx) EmitTo(int, stream.Tuple)        {}
+func (discardCtx) EmitBatch([]stream.Tuple)        {}
+func (discardCtx) EmitBatchTo(int, []stream.Tuple) {}
 func (discardCtx) EmitPunct(punct.Embedded)        {}
 func (discardCtx) EmitPunctTo(int, punct.Embedded) {}
 func (discardCtx) SendFeedback(int, core.Feedback) {}

@@ -212,17 +212,11 @@ func (m *Map) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) error {
 	return nil
 }
 
-// Stats reports tuple accounting.
-func (m *Map) Stats() (in, out, suppressed int64) {
-	return m.nIn.Load(), m.nOut.Load(), m.suppressed.Load()
+// Stats reports tuple accounting; punctDropped counts punctuation consumed
+// here because its bound attributes did not survive the attribute mapping.
+func (m *Map) Stats() (in, out, suppressed, punctDropped int64) {
+	return m.nIn.Load(), m.nOut.Load(), m.suppressed.Load(), m.punctDropped.Load()
 }
-
-// PunctDropped reports punctuation consumed here because its bound
-// attributes did not survive the attribute mapping.
-func (m *Map) PunctDropped() int64 { return m.punctDropped.Load() }
-
-// SuppressedTuples reports guard suppressions, scrape-safe.
-func (m *Map) SuppressedTuples() int64 { return m.suppressed.Load() }
 
 // TelemetryVars implements telemetry.VarExporter.
 func (m *Map) TelemetryVars() []telemetry.Var {

@@ -6,8 +6,8 @@
 // Every operator runs under the exec runtime and, where the paper
 // characterizes it, plays the producer / exploiter / relayer feedback roles
 // using the characterizations in package core. Operators keep a response
-// log (core.Response) that tests and cmd/tables inspect to verify enacted
-// behaviour against Tables 1 and 2.
+// log (core.Response) that tests and `cmd/experiments tables` inspect to
+// verify enacted behaviour against Tables 1 and 2.
 package op
 
 import (

@@ -181,13 +181,6 @@ func (p *Project) Stats() (in, out, suppressed, punctDropped int64) {
 	return p.nIn.Load(), p.nOut.Load(), p.suppressed.Load(), p.punctDropped.Load()
 }
 
-// SuppressedTuples reports guard suppressions, scrape-safe.
-func (p *Project) SuppressedTuples() int64 { return p.suppressed.Load() }
-
-// PunctDropped reports punctuation consumed here because its bound
-// attributes did not survive the projection.
-func (p *Project) PunctDropped() int64 { return p.punctDropped.Load() }
-
 // TelemetryVars implements telemetry.VarExporter.
 func (p *Project) TelemetryVars() []telemetry.Var {
 	vars := append(tupleVars(&p.nIn, &p.nOut, &p.suppressed), p.fb.vars()...)

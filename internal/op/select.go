@@ -135,10 +135,6 @@ func (s *Select) Stats() (in, out, suppressed int64) {
 	return s.in.Load(), s.out.Load(), s.suppressed.Load()
 }
 
-// SuppressedTuples reports guard suppressions, scrape-safe; exec.Graph
-// surfaces it per edge (EdgeInfo.Suppressed).
-func (s *Select) SuppressedTuples() int64 { return s.suppressed.Load() }
-
 // TelemetryVars implements telemetry.VarExporter.
 func (s *Select) TelemetryVars() []telemetry.Var {
 	return append(tupleVars(&s.in, &s.out, &s.suppressed), s.fb.vars()...)

@@ -3,18 +3,24 @@ package plan
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/fuse"
 	"repro/internal/op"
 	"repro/internal/punct"
+	"repro/internal/queue"
 	"repro/internal/snapshot"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 	"repro/internal/window"
 )
 
@@ -407,5 +413,130 @@ func TestExplainRendersFusedKernels(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Explain output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// fedSource emits one page of traffic, then nothing until feedback has
+// reached it, then the rest: every guard that feedback installed on its way
+// upstream is in place before the rest is offered. (Its Next and
+// ProcessFeedback run on one goroutine, which drains control between calls.)
+type fedSource struct {
+	schema     stream.Schema
+	head, rest []stream.Tuple
+	sent, fed  bool
+}
+
+func (s *fedSource) Name() string                { return "fedsrc" }
+func (s *fedSource) OutSchemas() []stream.Schema { return []stream.Schema{s.schema} }
+func (s *fedSource) Open(exec.Context) error     { return nil }
+func (s *fedSource) Close(exec.Context) error    { return nil }
+func (s *fedSource) ProcessFeedback(int, core.Feedback, exec.Context) error {
+	s.fed = true
+	return nil
+}
+
+func (s *fedSource) Next(ctx exec.Context) (bool, error) {
+	switch {
+	case !s.sent:
+		ctx.EmitBatch(s.head)
+		s.sent = true
+	case !s.fed:
+		runtime.Gosched()
+	default:
+		ctx.EmitBatch(s.rest)
+		return false, nil
+	}
+	return true, nil
+}
+
+// scrapeOpSeries renders the registry as /metrics does and returns the one
+// sample of the named series whose label block contains label.
+func scrapeOpSeries(t *testing.T, reg *telemetry.Registry, name, label string) int64 {
+	t.Helper()
+	var buf strings.Builder
+	reg.WritePrometheus(&buf)
+	var found []int64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.HasPrefix(line, name+"{") || !strings.Contains(line, label) {
+			continue
+		}
+		v, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		found = append(found, v)
+	}
+	if len(found) != 1 {
+		t.Fatalf("%d samples of %s with %s, want 1:\n%s", len(found), name, label, buf.String())
+	}
+	return found[0]
+}
+
+// TestSuppressedCounterHasOneHome runs select → project → sink with a guard
+// that suppresses a known share of the input, unfused and compiled. The
+// operator's own counter is the only copy: what /metrics reports as
+// pace_op_suppressed_tuples_total is what Select.Stats() returns, and the
+// select step inside the fused kernel reports the same number.
+func TestSuppressedCounterHasOneHome(t *testing.T) {
+	const restTuples, segments = 900, 9
+	run := func(compile bool) (*Builder, *telemetry.Registry) {
+		src := &fedSource{schema: testSchema}
+		for i := int64(0); i < queue.DefaultPageSize+restTuples; i++ {
+			tp := reading(i%segments, 1000*(i+1), 55)
+			if i < queue.DefaultPageSize {
+				src.head = append(src.head, tp) // exactly one page: it is handed on as it fills
+			} else {
+				src.rest = append(src.rest, tp)
+			}
+		}
+		b := New()
+		b.Source(src).
+			SelectExpr("hot", op.ExprStep{Col: 2, Name: "speed", Pred: punct.Ge(stream.Float(10))}).
+			Project("keep", "segment", "ts", "speed").
+			Into(&feedSink{schema: testSchema, quota: math.MaxInt64}) // asserts ¬[segment=2] after 10 tuples
+		if compile {
+			b.Compile()
+		}
+		tel := telemetry.New()
+		b.EnableTelemetry(tel)
+		if err := b.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return b, tel.Registry
+	}
+
+	b, reg := run(false)
+	var sel *op.Select
+	for id := 0; id < b.Graph().NumNodes(); id++ {
+		if s, ok := b.Graph().OperatorAt(exec.NodeID(id)).(*op.Select); ok {
+			sel = s
+		}
+	}
+	if sel == nil {
+		t.Fatalf("no select node in the unfused plan:\n%s", b.Explain())
+	}
+	_, _, want := sel.Stats()
+	if want != restTuples/segments {
+		t.Fatalf("select suppressed %d tuples, want %d (every segment-2 tuple sent after the feedback)", want, restTuples/segments)
+	}
+	if got := scrapeOpSeries(t, reg, "pace_op_suppressed_tuples_total", `op="hot"`); got != want {
+		t.Errorf("unfused: scraped %d, Select.Stats() says %d", got, want)
+	}
+
+	b, reg = run(true)
+	var kernel *fuse.Fused
+	for id := 0; id < b.Graph().NumNodes(); id++ {
+		if k, ok := b.Graph().OperatorAt(exec.NodeID(id)).(*fuse.Fused); ok {
+			kernel = k
+		}
+	}
+	if kernel == nil {
+		t.Fatalf("no fused kernel in the compiled plan:\n%s", b.Explain())
+	}
+	if st := kernel.StepStats()[0]; st.Name != "hot" || st.Suppressed != want {
+		t.Errorf("fused: step %+v, want hot with %d suppressed", st, want)
+	}
+	if got := scrapeOpSeries(t, reg, "pace_op_suppressed_tuples_total", `step="hot"`); got != want {
+		t.Errorf("fused: scraped %d for the select step, unfused Select.Stats() says %d", got, want)
 	}
 }

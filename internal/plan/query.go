@@ -86,13 +86,6 @@ func lex(s string) []string {
 	return toks
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ---------------------------------------------------------------------------
 // Parser.
 // ---------------------------------------------------------------------------

@@ -32,10 +32,6 @@ type Options struct {
 	PageSize int
 	// Depth is the data channel capacity in pages (default 16).
 	Depth int
-	// FlushOnPunct flushes the current page whenever punctuation is
-	// appended (NiagaraST behaviour, default true). The bench harness
-	// ablates this.
-	FlushOnPunct bool
 }
 
 func (o Options) withDefaults() Options {
@@ -50,16 +46,15 @@ func (o Options) withDefaults() Options {
 
 // DefaultOptions returns the standard connection configuration.
 func DefaultOptions() Options {
-	return Options{FlushOnPunct: true}.withDefaults()
+	return Options{}.withDefaults()
 }
 
 // Stats counts traffic over a connection.
 type Stats struct {
-	Tuples       int64
-	Puncts       int64
-	Pages        int64
-	PunctFlushes int64
-	Controls     int64
+	Tuples   int64
+	Puncts   int64 // each one flushed the page it ended
+	Pages    int64
+	Controls int64
 }
 
 // Conn is one directed producer→consumer edge: a paged data queue flowing
@@ -85,11 +80,10 @@ type Conn struct {
 	ctrlItems  []Control
 	ctrlNotify chan struct{} // capacity 1: "queue may be non-empty"
 
-	tuples       atomic.Int64
-	puncts       atomic.Int64
-	pages        atomic.Int64
-	punctFlushes atomic.Int64
-	controls     atomic.Int64
+	tuples   atomic.Int64
+	puncts   atomic.Int64
+	pages    atomic.Int64
+	controls atomic.Int64
 }
 
 // New creates a connection.
@@ -146,19 +140,14 @@ func (c *Conn) PutTuples(ts []stream.Tuple) {
 }
 
 // PutPunct appends embedded punctuation. Punctuation flushes the page
-// (unless FlushOnPunct is disabled) so that progress information is never
-// stuck behind a partially-filled page.
+// (NiagaraST behaviour) so that progress information is never stuck behind
+// a partially-filled page.
 //
 //pace:hotpath
 func (c *Conn) PutPunct(e punct.Embedded) {
 	c.cur.AppendPunct(&e) //pace:allow-alloc puncts are rare and boxed by design: the Item slot stores a pointer
 	c.puncts.Add(1)
-	if c.opts.FlushOnPunct {
-		c.punctFlushes.Add(1)
-		c.Flush()
-	} else if c.cur.Full(c.opts.PageSize) {
-		c.Flush()
-	}
+	c.Flush()
 }
 
 // PutBarrier appends a checkpoint barrier and flushes unconditionally: the
@@ -276,10 +265,9 @@ func (c *Conn) Depth() int { return len(c.data) }
 // Stats returns a snapshot of traffic counters.
 func (c *Conn) Stats() Stats {
 	return Stats{
-		Tuples:       c.tuples.Load(),
-		Puncts:       c.puncts.Load(),
-		Pages:        c.pages.Load(),
-		PunctFlushes: c.punctFlushes.Load(),
-		Controls:     c.controls.Load(),
+		Tuples:   c.tuples.Load(),
+		Puncts:   c.puncts.Load(),
+		Pages:    c.pages.Load(),
+		Controls: c.controls.Load(),
 	}
 }

@@ -28,7 +28,7 @@ func drain(c *Conn) []Item {
 }
 
 func TestConnPreservesOrder(t *testing.T) {
-	c := New(Options{PageSize: 4, FlushOnPunct: true})
+	c := New(Options{PageSize: 4})
 	const n = 100
 	go func() {
 		for i := int64(0); i < n; i++ {
@@ -53,7 +53,7 @@ func TestConnPreservesOrder(t *testing.T) {
 }
 
 func TestConnPunctuationFlushesPage(t *testing.T) {
-	c := New(Options{PageSize: 1000, FlushOnPunct: true})
+	c := New(Options{PageSize: 1000})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -69,28 +69,9 @@ func TestConnPunctuationFlushesPage(t *testing.T) {
 	}
 	<-done
 	st := c.Stats()
-	if st.PunctFlushes != 1 || st.Tuples != 2 || st.Puncts != 1 {
+	if st.Tuples != 2 || st.Puncts != 1 {
 		t.Errorf("stats: %+v", st)
 	}
-}
-
-func TestConnNoFlushOnPunctOption(t *testing.T) {
-	c := New(Options{PageSize: 4, FlushOnPunct: false})
-	go func() {
-		c.PutTuple(tupleOf(1))
-		c.PutPunct(punctLE(1))
-		c.PutTuple(tupleOf(2))
-		c.PutTuple(tupleOf(3)) // page of 4 fills here
-		c.CloseSend()
-	}()
-	p, ok := c.Recv()
-	if !ok || p.Len() != 4 {
-		t.Fatalf("first page should be full (4 items), got %d", p.Len())
-	}
-	if c.Stats().PunctFlushes != 0 {
-		t.Error("no punct flush expected")
-	}
-	drain(c)
 }
 
 func TestConnControlChannel(t *testing.T) {
@@ -211,7 +192,7 @@ func TestPutTuplesEquivalence(t *testing.T) {
 				}
 				return out
 			}
-			single := New(Options{PageSize: ps, FlushOnPunct: true})
+			single := New(Options{PageSize: ps})
 			go func() {
 				for r, batch := range mkBatches() {
 					for _, tp := range batch {
@@ -225,7 +206,7 @@ func TestPutTuplesEquivalence(t *testing.T) {
 			}()
 			want := drainPages(single)
 
-			batched := New(Options{PageSize: ps, FlushOnPunct: true})
+			batched := New(Options{PageSize: ps})
 			go func() {
 				for r, batch := range mkBatches() {
 					batched.PutTuples(batch)

@@ -70,8 +70,7 @@ type Page struct {
 }
 
 // DefaultPageSize is the number of items per page; chosen to amortize
-// channel operations without adding noticeable latency. The bench harness
-// ablates this (see bench_test.go).
+// channel operations without adding noticeable latency.
 const DefaultPageSize = 64
 
 // NewPage allocates an empty page with the given capacity.

@@ -9,15 +9,14 @@ import (
 	"repro/internal/stream"
 )
 
-// Property: for any page size, flush policy, and item mix, a Conn delivers
+// Property: for any page size, depth and item mix, a Conn delivers
 // exactly the produced sequence, in order, terminated by EOS.
 func TestConnDeliveryProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		opts := Options{
-			PageSize:     1 + r.Intn(65),
-			Depth:        1 + r.Intn(8),
-			FlushOnPunct: r.Intn(2) == 0,
+			PageSize: 1 + r.Intn(65),
+			Depth:    1 + r.Intn(8),
 		}
 		c := New(opts)
 		n := r.Intn(500)
@@ -67,12 +66,12 @@ func TestConnDeliveryProperty(t *testing.T) {
 	}
 }
 
-// Property: punctuation is never delayed behind a partial page when
-// FlushOnPunct is set — the page containing a punctuation ends with it.
+// Property: punctuation is never delayed behind a partial page — the page
+// containing a punctuation ends with it.
 func TestPunctTerminatesPageProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		c := New(Options{PageSize: 2 + r.Intn(32), FlushOnPunct: true})
+		c := New(Options{PageSize: 2 + r.Intn(32)})
 		n := 50 + r.Intn(200)
 		go func() {
 			for i := 0; i < n; i++ {

@@ -19,9 +19,8 @@ func TestPageRecyclingNoAliasing(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		opts := Options{
-			PageSize:     1 + r.Intn(65),
-			Depth:        1 + r.Intn(4), // shallow: maximizes page reuse in flight
-			FlushOnPunct: r.Intn(2) == 0,
+			PageSize: 1 + r.Intn(65),
+			Depth:    1 + r.Intn(4), // shallow: maximizes page reuse in flight
 		}
 		c := New(opts)
 		n := 200 + r.Intn(800)

@@ -61,10 +61,9 @@ type recorder struct {
 	got          []wireItem
 }
 
-func (r *recorder) Emit(t stream.Tuple) { r.got = append(r.got, wireItem{tuple: &t}) }
 func (r *recorder) EmitBatch(ts []stream.Tuple) {
 	for _, t := range ts {
-		r.Emit(t)
+		r.got = append(r.got, wireItem{tuple: &t})
 	}
 }
 func (r *recorder) EmitPunct(e punct.Embedded) { r.got = append(r.got, wireItem{pat: &e.Pattern}) }
@@ -272,7 +271,6 @@ type batchCounter struct {
 	tuples int
 }
 
-func (c *batchCounter) Emit(stream.Tuple)           { c.tuples++ }
 func (c *batchCounter) EmitBatch(ts []stream.Tuple) { c.tuples += len(ts) }
 
 // TestEncodeRunAllocs pins the encode path: in steady state a page run is

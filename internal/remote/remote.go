@@ -446,13 +446,7 @@ func (s *Source) emitRun(count int, body []byte, ctx exec.Context) error {
 	}
 	s.run = run
 	s.received.Add(int64(count))
-	if be, ok := ctx.(exec.BatchEmitter); ok {
-		be.EmitBatch(run)
-	} else {
-		for _, t := range run {
-			ctx.Emit(t)
-		}
-	}
+	ctx.EmitBatch(run)
 	return nil
 }
 

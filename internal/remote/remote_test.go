@@ -44,7 +44,7 @@ func runDistributed(t *testing.T, conn1, conn2 net.Conn, n int, feedbackTrigger 
 	// queues keep the source close behind the wire so feedback lands
 	// while most of the stream is ungenerated.
 	gp := exec.NewGraph()
-	gp.SetQueueOptions(queue.Options{PageSize: 4, Depth: 2, FlushOnPunct: true})
+	gp.SetQueueOptions(queue.Options{PageSize: 4, Depth: 2})
 	sel := &selectRelay{}
 	sp := gp.AddSource(src)
 	fp := gp.Add(sel, exec.From(sp))
@@ -55,7 +55,7 @@ func runDistributed(t *testing.T, conn1, conn2 net.Conn, n int, feedbackTrigger 
 	col := exec.NewCollector("col", schema)
 	fbSink := &triggerSink{inner: col, trigger: feedbackTrigger}
 	gc := exec.NewGraph()
-	gc.SetQueueOptions(queue.Options{PageSize: 4, Depth: 2, FlushOnPunct: true})
+	gc.SetQueueOptions(queue.Options{PageSize: 4, Depth: 2})
 	sc := gc.AddSource(rsrc)
 	gc.Add(fbSink, exec.From(sc))
 

@@ -99,19 +99,16 @@ type NodeMetrics struct {
 // closure exec installs via SetEdges. Plain values — no queue types — keep
 // telemetry a leaf package.
 type EdgeStat struct {
-	Producer     string `json:"producer"`
-	Out          int    `json:"out"`
-	Consumer     string `json:"consumer"`
-	Input        int    `json:"input"`
-	Label        string `json:"label,omitempty"`
-	Tuples       int64  `json:"tuples"`
-	Puncts       int64  `json:"puncts"`
-	Pages        int64  `json:"pages"`
-	PunctFlushes int64  `json:"punct_flushes"`
-	Controls     int64  `json:"controls"`
-	Suppressed   int64  `json:"suppressed"`
-	PunctDropped int64  `json:"punct_dropped"`
-	Depth        int    `json:"queue_depth_pages"`
+	Producer string `json:"producer"`
+	Out      int    `json:"out"`
+	Consumer string `json:"consumer"`
+	Input    int    `json:"input"`
+	Label    string `json:"label,omitempty"`
+	Tuples   int64  `json:"tuples"`
+	Puncts   int64  `json:"puncts"`
+	Pages    int64  `json:"pages"`
+	Controls int64  `json:"controls"`
+	Depth    int    `json:"queue_depth_pages"`
 }
 
 // nodeEntry is one registered node: identity, hot-path metrics, and the
@@ -280,12 +277,9 @@ var edgeCounters = []struct {
 	load       func(EdgeStat) int64
 }{
 	{"pace_edge_tuples_total", "Tuples delivered on the edge.", Counter, func(e EdgeStat) int64 { return e.Tuples }},
-	{"pace_edge_puncts_total", "Punctuations delivered on the edge.", Counter, func(e EdgeStat) int64 { return e.Puncts }},
+	{"pace_edge_puncts_total", "Punctuations delivered on the edge (each flushes its page).", Counter, func(e EdgeStat) int64 { return e.Puncts }},
 	{"pace_edge_pages_total", "Pages transferred on the edge.", Counter, func(e EdgeStat) int64 { return e.Pages }},
-	{"pace_edge_punct_flushes_total", "Partial-page flushes forced by punctuation.", Counter, func(e EdgeStat) int64 { return e.PunctFlushes }},
 	{"pace_edge_controls_total", "Control messages (feedback/shutdown) on the edge.", Counter, func(e EdgeStat) int64 { return e.Controls }},
-	{"pace_edge_suppressed_tuples_total", "Tuples the consumer's guards suppressed.", Counter, func(e EdgeStat) int64 { return e.Suppressed }},
-	{"pace_edge_punct_dropped_total", "Punctuations the consumer could not relay.", Counter, func(e EdgeStat) int64 { return e.PunctDropped }},
 	{"pace_edge_queue_depth_pages", "Pages currently buffered in the edge queue.", Gauge, func(e EdgeStat) int64 { return int64(e.Depth) }},
 }
 

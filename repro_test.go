@@ -140,7 +140,7 @@ func TestConcurrentFeedbackStress(t *testing.T) {
 	_ = seq
 
 	g := repro.NewGraph()
-	g.SetQueueOptions(repro.QueueOptions{PageSize: 8, Depth: 2, FlushOnPunct: true})
+	g.SetQueueOptions(repro.QueueOptions{PageSize: 8, Depth: 2})
 	s := g.AddSource(src)
 	f := g.Add(sel, repro.From(s))
 
