@@ -91,8 +91,7 @@ func TestSpeedmapShape(t *testing.T) {
 		t.Skip("CPU-heavy experiment")
 	}
 	base := SpeedmapConfig{Hours: 2, SwitchEveryMinutes: 2}
-	var work [4]int64
-	var results [4]int64
+	var work, results, feedbacks [4]int64
 	for s := F0; s <= F3; s++ {
 		cfg := base
 		cfg.Scheme = s
@@ -101,7 +100,7 @@ func TestSpeedmapShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		work[s] = r.WorkUnits
-		results[s] = r.Results
+		results[s], feedbacks[s] = r.Results, r.Feedbacks
 	}
 	// Work units are deterministic: require the strict ladder there.
 	if !(work[F0] > work[F1] && work[F1] > work[F2] && work[F2] > work[F3]) {
@@ -114,9 +113,30 @@ func TestSpeedmapShape(t *testing.T) {
 	if f3 := float64(work[F3]) / float64(work[F0]); f3 > 0.55 {
 		t.Errorf("F3 relative work = %.2f, want ≤ 0.55", f3)
 	}
-	// F0 produces all results; schemes only ever suppress.
-	if results[F1] >= results[F0] || results[F3] > results[F1] {
-		t.Errorf("result counts: %v", results)
+	// F0 produces every (segment, minute) cell. A scheme only ever suppresses,
+	// and only what the viewer's feedback describes: the viewer announced
+	// periods 1..feedbacks, each naming every segment but the visible one, so
+	// the visible cell of those minutes and every cell of the others must
+	// arrive. How many of the described cells leak past a guard not yet
+	// installed is the scheduler's business, one run to the next — which is
+	// why two schemes' counts are not compared with each other.
+	minutes, segments := int64(base.Hours)*60, int64(base.withDefaults().Segments)
+	if results[F0] != minutes*segments {
+		t.Fatalf("F0 produced %d results, want every one of %d cells", results[F0], minutes*segments)
+	}
+	for s := F1; s <= F3; s++ {
+		undescribed := int64(0)
+		for m := int64(0); m < minutes; m++ {
+			if p := m / int64(base.SwitchEveryMinutes); p >= 1 && p <= feedbacks[s] {
+				undescribed++
+			} else {
+				undescribed += segments
+			}
+		}
+		if feedbacks[s] == 0 || results[s] > results[F0] || results[s] < undescribed {
+			t.Errorf("%v: %d results after %d feedbacks, want between %d (the cells no feedback describes) and %d (F0)",
+				s, results[s], feedbacks[s], undescribed, results[F0])
+		}
 	}
 }
 

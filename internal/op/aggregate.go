@@ -78,13 +78,11 @@ type Aggregate struct {
 	// groupScratch backs the per-tuple group-value projection; the store
 	// copies it into a window's arena when the group is new.
 	groupScratch []stream.Value
-	// batchScratch backs ProcessTupleBatch's item unwrapping and one makes
-	// ProcessTuple's tuple a run of one. due and run back a flush's sorted
-	// work list and its current run of results. All reused, transient, never
-	// checkpointed.
+	// batchScratch backs ProcessTupleBatch's item unwrapping, one makes
+	// ProcessTuple's tuple a run of one, and run backs the current run of
+	// results out of emitWindow. All reused, transient, never checkpointed.
 	batchScratch []stream.Tuple
 	one          [1]stream.Tuple
-	due          keyOrder
 	run          []stream.Tuple
 
 	inTuples, outTuples, folded, inSuppressed, outSuppressed, purged int64
@@ -288,14 +286,6 @@ func (a *Aggregate) value(g *aggGroup) float64 {
 	return 0
 }
 
-// fillResult writes the result of a group into vals, a slice of the output
-// arity. The group values are copied: a result never aliases the arena.
-func (a *Aggregate) fillResult(vals []stream.Value, w *aggWindow, slot int32) {
-	copy(vals, w.key(slot))
-	vals[a.wstartIdx] = a.wstartValue(w.wid)
-	vals[a.valueIdx] = stream.Float(a.value(&w.groups[slot]))
-}
-
 // probePrefix and probeResult are a group's prefix tuple and its current
 // result in the scratch buffer prefixTuple uses, under the same rule: for
 // matching only, never emitted or retained.
@@ -351,48 +341,70 @@ func (a *Aggregate) wstartTsValue(start int64) stream.Value {
 	return stream.Int(start)
 }
 
-// flushThrough emits and closes every open window with wid ≤ lastFull, in
-// deterministic (wid, key) order. The open windows are held in wid order, so
-// most punctuation — which closes no window — is answered by looking at the
-// first. A due window's groups are ordered by their encoded keys, one sort,
-// and the results are built in value slabs of at most flushSlabTuples tuples
-// — one allocation per slab, each result owning its slot as slab[:n:n] — and
-// handed downstream a run at a time. A result the output guards suppress
-// leaves its slot to the next one. Then the window is dropped whole.
+// flushThrough emits and closes every open window with wid ≤ lastFull,
+// windows in wid order. The open windows are held in that order, so most
+// punctuation — which closes no window — is answered by looking at the first.
+// A due window is emitted (emitWindow) and dropped whole.
 func (a *Aggregate) flushThrough(lastFull int64, ctx exec.Context) {
-	arity := a.out.Arity()
 	for w := a.store.first(); w != nil && w.wid <= lastFull; w = a.store.first() {
-		a.due.reset(w.k)
-		for slot := range w.groups {
-			if !w.groups[slot].dead {
-				a.due.add(int32(slot), w.key(int32(slot)))
-			}
-		}
-		a.due.sort()
-		for rest := a.due.rows; len(rest) > 0; {
-			n := min(len(rest), flushSlabTuples)
-			slab := make([]stream.Value, n*arity)
-			run := a.run[:0]
-			for _, d := range rest[:n] {
-				t := stream.Tuple{Values: slab[:arity:arity]}
-				a.fillResult(t.Values, w, d.slot)
-				if a.Mode != FeedbackIgnore && a.guardsOut.Suppress(t) {
-					a.outSuppressed++
-					continue
-				}
-				if a.EmitCost > 0 {
-					a.meter.Do(a.EmitCost)
-				}
-				a.outTuples++
-				run = append(run, t)
-				slab = slab[arity:]
-			}
-			ctx.EmitBatch(run)
-			a.run = run
-			rest = rest[n:]
-		}
+		a.emitWindow(w, nil, ctx)
 		a.store.closeFirst()
 	}
+}
+
+// emitWindow emits one window's results in slot order — the order its groups'
+// first tuples arrived in, tombstones skipped; no key is encoded and nothing
+// is sorted (DESIGN.md §10.7). With partial nil these are the window's final
+// results: one the output guards suppress is dropped, the rest are charged
+// EmitCost. With a pattern they are the partial results a Demanded feedback
+// asks for: the groups whose current result it matches. Results are built in
+// value slabs of at most flushSlabTuples tuples — one allocation per slab,
+// each result owning its slot as slab[:arity:arity] — and handed downstream
+// a run at a time; a result that is dropped leaves its slot to the next.
+//
+//pace:hotpath
+func (a *Aggregate) emitWindow(w *aggWindow, partial *punct.Pattern, ctx exec.Context) {
+	arity := a.out.Arity()
+	wstart := a.wstartValue(w.wid)
+	guarded := a.Mode != FeedbackIgnore
+	left := w.live() // live groups not yet visited: each takes at most one slot
+	var slab []stream.Value
+	run := a.run[:0]
+	for slot := range w.groups {
+		g := &w.groups[slot]
+		if g.dead {
+			continue
+		}
+		if len(slab) == 0 {
+			ctx.EmitBatch(run)
+			run = run[:0]
+			slab = make([]stream.Value, min(left, flushSlabTuples)*arity) //pace:allow-alloc the results' values: one slab per flushSlabTuples results, owned by them
+		}
+		left--
+		t := stream.Tuple{Values: slab[:arity:arity]}
+		copy(t.Values, w.key(int32(slot)))
+		t.Values[a.wstartIdx] = wstart
+		t.Values[a.valueIdx] = stream.Float(a.value(g))
+		if partial != nil {
+			if !partial.Matches(t) {
+				continue
+			}
+			a.partialsEmitted++
+		} else {
+			if guarded && a.guardsOut.Suppress(t) {
+				a.outSuppressed++
+				continue
+			}
+			if a.EmitCost > 0 {
+				a.meter.Do(a.EmitCost)
+			}
+			a.outTuples++
+		}
+		run = append(run, t)
+		slab = slab[arity:]
+	}
+	ctx.EmitBatch(run)
+	a.run = run
 }
 
 // ProcessEOS implements exec.Operator.
@@ -433,21 +445,10 @@ func (a *Aggregate) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) er
 		// (§3.4's financial-speculator example — a partial answer soon
 		// beats a full answer too late). State is retained; the final
 		// result still appears when the window closes.
-		// Partials leave in the flush's (wid, key) order.
+		// Partials leave as the flush's results do: windows in wid order,
+		// each in slot order.
 		for _, w := range a.store.wins {
-			a.due.reset(w.k)
-			for slot := range w.groups {
-				if !w.groups[slot].dead && f.Pattern.Matches(a.probeResult(w, int32(slot))) {
-					a.due.add(int32(slot), w.key(int32(slot)))
-				}
-			}
-			a.due.sort()
-			for _, d := range a.due.rows {
-				a.partialsEmitted++
-				vals := make([]stream.Value, a.out.Arity())
-				a.fillResult(vals, w, d.slot)
-				ctx.Emit(stream.Tuple{Values: vals})
-			}
+			a.emitWindow(w, &f.Pattern, ctx)
 		}
 		resp.Actions = append(resp.Actions, core.ActUnblock)
 		return nil

@@ -285,8 +285,8 @@ func TestAggregateDemandedEmitsPartials(t *testing.T) {
 	}
 
 	// Sliding windows hold several windows open at once: the partials leave
-	// in the flush's order — window 9 before window 10, by number — not in
-	// the order of "9;…" and "10;…" as strings.
+	// in the flush's order — window 9 before window 10, by number, and within
+	// a window the segment whose first tuple arrived first (2, here).
 	s := &Aggregate{In: trafficSchema, Kind: core.AggCount, TsAttr: 2, ValAttr: -1, GroupBy: []int{0},
 		Window: window.Sliding(3*minute, minute), Mode: FeedbackExploit}
 	h = exec.NewHarness(s)
@@ -297,7 +297,7 @@ func TestAggregateDemandedEmitsPartials(t *testing.T) {
 	for _, tp := range h.OutTuples(0) {
 		got2 = append(got2, [2]int64{tp.At(1).I / minute, tp.At(0).AsInt()})
 	}
-	want := [][2]int64{{8, 1}, {8, 2}, {9, 1}, {9, 2}, {10, 1}, {10, 2}}
+	want := [][2]int64{{8, 2}, {8, 1}, {9, 2}, {9, 1}, {10, 2}, {10, 1}}
 	if !reflect.DeepEqual(got2, want) {
 		t.Fatalf("partials over sliding windows left as (window, segment) %v, want %v", got2, want)
 	}

@@ -1,9 +1,6 @@
 package op
 
 import (
-	"bytes"
-	"cmp"
-	"encoding/binary"
 	"math"
 	"slices"
 
@@ -58,8 +55,9 @@ type aggGroup struct {
 	sum      float64
 	min, max float64
 	// dirty: changed since the baseline, and listed in the window's dirty
-	// slots. dead: purged by feedback; the slot and its index entry stay, so
-	// a later tuple for the group revives it in place.
+	// slots. dead: purged by feedback; the slot stays as a tombstone and is
+	// never used again — a later tuple for the group takes a fresh slot at
+	// the end (aggWindow.intern).
 	dirty, dead bool
 }
 
@@ -90,7 +88,10 @@ func (t *keyTable) key(row int32) []stream.Value {
 }
 
 // aggWindow is one open window: a dense slab of groups in insertion order
-// beside the table of their group values, slot for row.
+// beside the table of their group values, slot for row. Slot order is the
+// order the window's results, partials and captures leave in, and it is
+// canonical: a twin restored from any capture chain holds the live groups in
+// the same relative order (DESIGN.md §10.7).
 type aggWindow struct {
 	keyTable
 	wid    int64
@@ -231,12 +232,6 @@ func (s *aggStore) upsert(wid int64, h uint32, key []stream.Value) *aggGroup {
 		w.last = slot
 	}
 	g := &w.groups[slot]
-	if g.dead {
-		dirty := g.dirty
-		*g = emptyGroup
-		g.dirty = dirty
-		w.dead--
-	}
 	if !g.dirty {
 		g.dirty = true
 		w.dirty = append(w.dirty, slot)
@@ -274,11 +269,19 @@ func (t *keyTable) intern(h uint32, key []stream.Value) (row int32, added bool) 
 	if row >= 0 {
 		return row, false
 	}
-	row = int32(t.n)
+	return t.add(at, h, key), true
+}
+
+// add appends a row for key and points the index entry at — the position
+// lookup returned for it, empty or the key's own — to the new row.
+//
+//pace:hotpath
+func (t *keyTable) add(at, h uint32, key []stream.Value) int32 {
+	row := int32(t.n)
 	t.index[at] = uint64(h)<<32 | uint64(row+1)
 	t.vals = append(t.vals, key...) //pace:allow-alloc amortised arena growth; a recycled table already has the capacity
 	t.n++
-	return row, true
+	return row
 }
 
 // grow doubles the index and re-places its entries; they carry their hash,
@@ -308,26 +311,34 @@ func (t *keyTable) clear() {
 	t.vals, t.n = t.vals[:0], 0
 }
 
-// intern returns the slot of key, appending an empty group for a key the
-// window has not seen.
+// intern returns the slot of key's live group, appending an empty group for a
+// key the window does not hold — one it has not seen, or one whose slot was
+// purged: the tombstone keeps its place and the index entry is repointed to
+// the fresh slot. A restored twin never saw the tombstone and appends too, so
+// both hold the group at the end.
 //
 //pace:hotpath
 func (w *aggWindow) intern(h uint32, key []stream.Value) int32 {
-	slot, added := w.keyTable.intern(h, key)
-	if added {
-		w.groups = append(w.groups, emptyGroup) //pace:allow-alloc amortised slab growth; a recycled window already has the capacity
+	if 2*(w.n+1) > len(w.index) {
+		w.grow()
 	}
-	return slot
+	slot, at := w.lookup(h, key)
+	if slot >= 0 && !w.groups[slot].dead {
+		return slot
+	}
+	w.groups = append(w.groups, emptyGroup) //pace:allow-alloc amortised slab growth; a recycled window already has the capacity
+	return w.add(at, h, key)
 }
 
 // find returns the window and slot of a live group; the window is nil when
 // there is none.
 func (s *aggStore) find(wid int64, key []stream.Value) (*aggWindow, int32) {
+	h := hashKey(key)
 	for _, w := range s.wins {
 		if w.wid != wid || len(w.index) == 0 {
 			continue
 		}
-		if slot, _ := w.lookup(hashKey(key), key); slot >= 0 && !w.groups[slot].dead {
+		if slot, _ := w.lookup(h, key); slot >= 0 && !w.groups[slot].dead {
 			return w, slot
 		}
 		break
@@ -335,10 +346,13 @@ func (s *aggStore) find(wid int64, key []stream.Value) (*aggWindow, int32) {
 	return nil, -1
 }
 
-// purge removes one live group. The window keeps the slot.
+// purge removes one live group. Its slot becomes a tombstone.
 func (s *aggStore) purge(w *aggWindow, slot int32) {
 	w.groups[slot].dead = true
 	w.dead++
+	if w.last == slot {
+		w.last = -1 // the next upsert must go through intern, past the tombstone
+	}
 	s.purged = append(s.purged, aggPurged{wid: w.wid, key: slices.Clone(w.key(slot))})
 }
 
@@ -372,16 +386,14 @@ func (s *aggStore) forgetPurged() {
 }
 
 // restore sets the accumulator of (wid, key) to a decoded one without
-// touching the changelog: a loaded cut is the baseline, not a change.
+// touching the changelog: a loaded cut is the baseline, not a change. Groups
+// the window does not hold take slots in the order they are restored, which
+// is the order the capturing store held them in.
 func (s *aggStore) restore(wid int64, key []stream.Value, acc aggGroup) (*aggWindow, int32) {
 	w := s.window(wid)
 	slot := w.intern(hashKey(key), key)
-	g := &w.groups[slot]
-	if g.dead {
-		w.dead--
-	}
-	acc.dirty, acc.dead = g.dirty, false
-	*g = acc
+	acc.dirty = w.groups[slot].dirty
+	w.groups[slot] = acc
 	return w, slot
 }
 
@@ -457,49 +469,3 @@ func (s *aggStore) capture(delta bool) *aggCapture {
 // capture ends with it, having cleared the dirty slots, and so does a
 // restore, whose closes and purges replay a change already in the chain.
 func (s *aggStore) rebase() { s.based, s.closedThrough, s.purged = true, -1, nil }
-
-// keyOrder puts the groups of one window in the order of their encoded keys
-// (Tuple.AppendKey's bytes, the order results have always been emitted in).
-// The encoding is built here, once per group, into one reused buffer.
-type keyOrder struct {
-	rows []keyRow
-	buf  []byte
-	cols []int // 0..k-1, AppendKey's column list
-}
-
-// keyRow is one group to order: where its encoded key sits in buf, and the
-// key's first eight bytes (big-endian, zero-padded), which decide nearly
-// every comparison without touching buf.
-type keyRow struct {
-	prefix   uint64
-	off, end int32
-	slot     int32
-}
-
-func (o *keyOrder) reset(k int) {
-	o.rows, o.buf = o.rows[:0], o.buf[:0]
-	for len(o.cols) < k {
-		o.cols = append(o.cols, len(o.cols))
-	}
-}
-
-// add appends one group; slot is whatever the caller wants back.
-//
-//pace:hotpath
-func (o *keyOrder) add(slot int32, key []stream.Value) {
-	off := len(o.buf)
-	o.buf = stream.Tuple{Values: key}.AppendKey(o.buf, o.cols[:len(key)])
-	var head [8]byte
-	copy(head[:], o.buf[off:])
-	o.rows = append(o.rows, keyRow{prefix: binary.BigEndian.Uint64(head[:]), off: int32(off), end: int32(len(o.buf)), slot: slot})
-}
-
-func (o *keyOrder) sort() {
-	buf := o.buf
-	slices.SortFunc(o.rows, func(x, y keyRow) int {
-		if c := cmp.Compare(x.prefix, y.prefix); c != 0 {
-			return c
-		}
-		return bytes.Compare(buf[x.off:x.end], buf[y.off:y.end])
-	})
-}

@@ -76,10 +76,10 @@ func TestAggregateBatchFoldZeroAlloc(t *testing.T) {
 }
 
 // TestAggregateFlushSlabAllocs pins the window flush: one value slab per
-// flushSlabTuples results and nothing else once the work-list and run
-// scratch have grown — no per-result tuple, no sort closure, and nothing for
-// the window itself, which is the one closed before — and nothing at all for
-// a punctuation that closes no window.
+// flushSlabTuples results and nothing else once the run scratch has grown —
+// no per-result tuple, no work list, no sort, and nothing for the window
+// itself, which is the one closed before — and nothing at all for a
+// punctuation that closes no window.
 func TestAggregateFlushSlabAllocs(t *testing.T) {
 	const groups = 1000
 	slabs := float64((groups + flushSlabTuples - 1) / flushSlabTuples)
@@ -95,7 +95,7 @@ func TestAggregateFlushSlabAllocs(t *testing.T) {
 		}
 	}
 	fill()
-	a.flushThrough(wid, ctx) // warm: work list, run scratch, and the window the next fills reuse
+	a.flushThrough(wid, ctx) // warm: run scratch, and the window the next fills reuse
 	// A flush needs state to flush, so measure fill+flush against fill
 	// and a close that emits nothing (fill builds its tuples).
 	refill := testing.AllocsPerRun(10, func() {

@@ -12,7 +12,7 @@ import (
 )
 
 // encodeCap runs a capture's phase 2 and returns the blob.
-func encodeCap(t *testing.T, c snapshot.Capture) []byte {
+func encodeCap(t testing.TB, c snapshot.Capture) []byte {
 	t.Helper()
 	enc := snapshot.NewEncoder()
 	if err := c.Encode(enc); err != nil {

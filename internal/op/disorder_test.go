@@ -2,6 +2,8 @@ package op
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -67,16 +69,29 @@ func TestAggregateOrderAgnostic(t *testing.T) {
 	// Sort input by epoch first so punctuation boundaries are honest.
 	ordered := shuffleWithinEpochs(rand.New(rand.NewSource(1)), input, epoch, 2)
 	shuffled := shuffleWithinEpochs(r, input, epoch, 2)
+	// A window's results are a set the closing punctuation delimits: they
+	// leave in the order their groups first arrived, which disorder changes.
+	// What it must not change is which results each window has.
+	perWindow := func(ts []stream.Tuple) map[int64][]string {
+		m := map[int64][]string{}
+		for _, tp := range ts {
+			m[tp.At(1).I] = append(m[tp.At(1).I], tp.String())
+		}
+		for _, rows := range m {
+			sort.Strings(rows)
+		}
+		return m
+	}
 	ref := run(ordered)
 	alt := run(shuffled)
 	if len(ref) != len(alt) {
 		t.Fatalf("result cardinality differs: %d vs %d", len(ref), len(alt))
 	}
-	// Results are emitted deterministically sorted, so compare directly.
-	for i := range ref {
-		if !ref[i].Equal(alt[i]) {
-			t.Fatalf("result %d differs under disorder: %v vs %v", i, ref[i], alt[i])
-		}
+	if reflect.DeepEqual(ref, alt) {
+		t.Fatal("the shuffle left the output sequence as it was: the test exercised no disorder")
+	}
+	if got, want := perWindow(alt), perWindow(ref); !reflect.DeepEqual(got, want) {
+		t.Fatalf("results per window differ under disorder:\n  %v\nvs\n  %v", got, want)
 	}
 }
 

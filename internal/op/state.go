@@ -112,24 +112,19 @@ func (a *Aggregate) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, e
 	}, nil
 }
 
-// encodeGroups writes the captured groups window by window, each window's in
-// encoded-key order, so equal states encode to equal bytes whatever order
-// their groups were inserted in.
+// encodeGroups writes the captured groups window by window in the order they
+// were captured in — slot order for a full capture, dirty-list order for a
+// delta — which is canonical (DESIGN.md §10.7): equal histories encode to
+// equal bytes, in the live operator and in a twin restored from its chain.
 func (c *aggCapture) encodeGroups(enc *snapshot.Encoder) {
 	enc.PutInt(len(c.wins))
-	var order keyOrder
 	at := int32(0)
 	for _, cw := range c.wins {
 		enc.PutInt64(cw.wid)
 		enc.PutInt(cw.n)
-		order.reset(c.k)
 		for i := at; i < at+int32(cw.n); i++ {
-			order.add(i, c.key(i))
-		}
-		order.sort()
-		for _, r := range order.rows {
-			g := &c.groups[r.slot]
-			enc.PutValues(c.key(r.slot))
+			g := &c.groups[i]
+			enc.PutValues(c.key(i))
 			enc.PutInt64(g.count)
 			enc.PutFloat64(g.sum)
 			enc.PutFloat64(g.min)
@@ -160,8 +155,8 @@ func (a *Aggregate) errGroupWidth(got int) error {
 		a.Name(), len(a.GroupBy), got)
 }
 
-// decodeGroups reads what encodeGroups wrote into st and returns where each
-// group landed.
+// decodeGroups reads what encodeGroups wrote into st, in blob order, and
+// returns where each group landed.
 func (a *Aggregate) decodeGroups(dec *snapshot.Decoder, st *aggStore) ([]aggRef, error) {
 	var refs []aggRef
 	nw := dec.GetInt()
@@ -202,9 +197,13 @@ func (a *Aggregate) loadTail(dec *snapshot.Decoder) {
 
 // dropCovered applies assumption-driven state dropping to restored groups:
 // guards asserted at the cut cover subsets the consumer disclaimed, so their
-// state need not survive recovery.
+// state need not survive recovery. A blob may name a group twice (nothing this
+// build writes does): it landed in one slot, which is purged once.
 func (a *Aggregate) dropCovered(refs []aggRef) {
 	for _, r := range refs {
+		if r.w.groups[r.slot].dead {
+			continue
+		}
 		if a.guardsPrefix.Suppress(a.probePrefix(r.w, r.slot)) ||
 			a.guardsOut.Suppress(a.probeResult(r.w, r.slot)) {
 			a.purged++

@@ -7,8 +7,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"sync"
 	"time"
 )
@@ -109,23 +107,6 @@ func (s *Series) LateCount(class Class, tolerance int64) int {
 		}
 	}
 	return n
-}
-
-// WriteTSV dumps the series as "seq\toutput_ms\tclass\tlate_us" rows,
-// sorted by output time — the data behind Figures 5 and 6.
-func (s *Series) WriteTSV(w io.Writer) error {
-	pts := s.Points()
-	sort.Slice(pts, func(i, j int) bool { return pts[i].OutputAt < pts[j].OutputAt })
-	if _, err := fmt.Fprintln(w, "seq\toutput_ms\tclass\tlate_us"); err != nil {
-		return err
-	}
-	for _, p := range pts {
-		if _, err := fmt.Fprintf(w, "%d\t%.1f\t%s\t%d\n",
-			p.Seq, float64(p.OutputAt.Microseconds())/1000, p.Class, p.LateBy); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Sparkline renders a crude terminal visualization of output progress for

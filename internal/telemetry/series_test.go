@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestSeriesLatenessAgainstWatermark(t *testing.T) {
 	s := NewSeries()
@@ -43,22 +40,6 @@ func TestSeriesWatermarkMonotone(t *testing.T) {
 	pts := s.Points()
 	if pts[2].LateBy != 1000 {
 		t.Errorf("lateness against a monotone watermark: %d", pts[2].LateBy)
-	}
-}
-
-func TestSeriesWriteTSV(t *testing.T) {
-	s := NewSeries()
-	s.Observe(7, Imputed, 100)
-	var sb strings.Builder
-	if err := s.WriteTSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.HasPrefix(out, "seq\toutput_ms\tclass\tlate_us\n") {
-		t.Errorf("header: %q", out)
-	}
-	if !strings.Contains(out, "imputed") {
-		t.Errorf("row: %q", out)
 	}
 }
 
