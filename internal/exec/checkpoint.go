@@ -314,6 +314,17 @@ func (g *Graph) trigger(forceEpoch int64, mode snapshot.CaptureMode, chain *snap
 	return c, nil
 }
 
+// retirePending clears the pending checkpoint and signals every node's wake:
+// a node parked mid-alignment for the retired epoch re-checks
+// alignmentStale on waking, so no runner polls a clock for a cancellation.
+// Called with chkMu held.
+func (g *Graph) retirePending() {
+	g.pendingChk.Store(nil)
+	for _, n := range g.nodes {
+		n.wake.Signal()
+	}
+}
+
 // cancelCheckpoint abandons a checkpoint whose caller gave up waiting. If
 // the capture phase had already completed, the background finisher keeps
 // going (the snapshot may still persist); otherwise the epoch is dead —
@@ -337,7 +348,7 @@ func (g *Graph) cancelCheckpoint(c *inflight, cause error) {
 		return
 	}
 	g.activeChk = nil
-	g.pendingChk.Store(nil)
+	g.retirePending()
 	g.chainBroken = true
 	g.recordStatusLocked(CheckpointStatus{
 		Epoch: c.epoch, Base: c.base, Done: false, BarrierHold: c.hold,
@@ -355,7 +366,7 @@ func (g *Graph) cancelCheckpoint(c *inflight, cause error) {
 func (g *Graph) supersedeLocked(newer int64) {
 	c := g.activeChk
 	g.activeChk = nil
-	g.pendingChk.Store(nil)
+	g.retirePending()
 	g.chainBroken = true
 	g.recordStatusLocked(CheckpointStatus{
 		Epoch: c.epoch, Base: c.base, Done: false, BarrierHold: c.hold,
@@ -389,7 +400,7 @@ func (g *Graph) ackNode(id NodeID, epoch int64, cut snapshot.Capture, err error,
 	g.recordEpoch("capture", epoch, g.nodes[id].name(), hold, err)
 	if len(c.pending) == 0 {
 		g.activeChk = nil
-		g.pendingChk.Store(nil)
+		g.retirePending()
 		g.lastCapEpoch = c.epoch
 		close(c.captured)
 		// Every node has cut: the barrier phase is over. hold is now the

@@ -35,6 +35,9 @@ type node struct {
 	// Wired during prepare():
 	inConns  []*queue.Conn // consumer side
 	outConns []*queue.Conn // producer side
+	// wake is where the node's one goroutine parks: every input ring, every
+	// output ring and every output edge's control queue signal it.
+	wake *queue.Wake
 
 	// nm holds the node's hot-path telemetry counters; nil unless a
 	// telemetry sink is attached (telemetry.go).
@@ -203,6 +206,7 @@ func (g *Graph) prepare() error {
 	g.consumers = make(map[edgeKey]consumerRef)
 	for _, n := range g.nodes {
 		n.outConns = make([]*queue.Conn, n.numOutputs())
+		n.wake = queue.NewWake()
 	}
 	for _, n := range g.nodes {
 		n.inConns = make([]*queue.Conn, len(n.inputs))
@@ -213,6 +217,7 @@ func (g *Graph) prepare() error {
 					p.Out, g.nodes[p.Node].name())
 			}
 			c := queue.New(g.opts)
+			c.Bind(n.wake, g.nodes[p.Node].wake)
 			conns[k] = c
 			g.consumers[k] = consumerRef{node: n, input: i}
 			n.inConns[i] = c

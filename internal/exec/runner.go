@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/queue"
@@ -49,19 +48,7 @@ func (g *Graph) Run() error {
 	g.chkMu.Unlock()
 	for _, n := range g.nodes {
 		wg.Add(1)
-		go func(n *node) {
-			defer wg.Done()
-			r := &nodeRunner{node: n, graph: g, done: done}
-			err := r.run()
-			if err != nil {
-				fail(fmt.Errorf("exec: node %q: %w", n.name(), err))
-			}
-			// Checkpoint bookkeeping: a clean exit records the node's
-			// final state as its cut; a dying one fails any active
-			// checkpoint. Runs after run()'s deferred cleanup, so EOS has
-			// already been sent downstream.
-			g.nodeExit(n, err)
-		}(n)
+		go g.runNode(n, done, fail, &wg)
 	}
 	wg.Wait()
 	g.chkMu.Lock()
@@ -73,17 +60,18 @@ func (g *Graph) Run() error {
 	return runErr
 }
 
-// inEvent is one page arriving on an input port.
-type inEvent struct {
-	input int
-	page  *queue.Page
-	ok    bool // false: channel closed (should not happen before EOS item)
-}
-
-// ctrlEvent is one control message arriving from an output port's consumer.
-type ctrlEvent struct {
-	output int
-	msg    queue.Control
+// runNode is one node's goroutine, the only one the node has.
+func (g *Graph) runNode(n *node, done <-chan struct{}, fail func(error), wg *sync.WaitGroup) {
+	defer wg.Done()
+	r := &nodeRunner{node: n, graph: g, done: done}
+	err := r.run()
+	if err != nil {
+		fail(fmt.Errorf("exec: node %q: %w", n.name(), err))
+	}
+	// Checkpoint bookkeeping: a clean exit records the node's final state
+	// as its cut; a dying one fails any active checkpoint. Runs after
+	// run()'s deferred cleanup, so EOS has already been sent downstream.
+	g.nodeExit(n, err)
 }
 
 // bitset tracks a small set of output-port indices without a map on the
@@ -119,9 +107,6 @@ type nodeRunner struct {
 	node  *node
 	graph *Graph
 	done  <-chan struct{}
-
-	dataCh chan inEvent
-	ctrlCh chan ctrlEvent
 
 	shutdownOuts bitset // outputs whose consumers sent shutdown
 	stopping     bool
@@ -163,74 +148,14 @@ func (r *nodeRunner) run() error {
 	r.nm = n.nm
 	r.trace = r.graph.tracer()
 	r.shutdownOuts = newBitset(len(n.outConns))
-	r.ctrlCh = make(chan ctrlEvent, 4*len(n.outConns)+1)
-	// One buffered slot per input keeps single-input steady state from
-	// serializing forwarder and operator on an unbuffered rendezvous.
-	r.dataCh = make(chan inEvent, len(n.inConns))
 
-	var fwd sync.WaitGroup
-	stopFwd := make(chan struct{})
+	// Abort input connections on the way out so upstream producers parked
+	// on full rings can finish.
 	defer func() {
-		close(stopFwd)
-		// Abort input connections so upstream producers blocked on full
-		// queues can finish; then drain forwarders.
 		for _, c := range n.inConns {
 			c.Abort()
 		}
-		go func() {
-			for ev := range r.dataCh {
-				queue.Release(ev.page)
-			}
-		}()
-		fwd.Wait()
-		close(r.dataCh)
 	}()
-
-	// Control forwarders: one per output edge (messages from consumers).
-	// The conn-side control queue is unbounded so senders never block;
-	// the forwarder moves messages into the node's priority channel.
-	for out, c := range n.outConns {
-		fwd.Add(1)
-		go func(out int, c *queue.Conn) {
-			defer fwd.Done()
-			for {
-				select {
-				case <-c.ControlNotify():
-					for {
-						m, ok := c.PollControl()
-						if !ok {
-							break
-						}
-						select {
-						case r.ctrlCh <- ctrlEvent{output: out, msg: m}:
-						case <-stopFwd:
-							return
-						}
-					}
-				case <-stopFwd:
-					return
-				}
-			}
-		}(out, c)
-	}
-	// Data forwarders: one per input edge.
-	for in, c := range n.inConns {
-		fwd.Add(1)
-		go func(in int, c *queue.Conn) {
-			defer fwd.Done()
-			for {
-				p, ok := c.Recv()
-				if !ok {
-					return
-				}
-				select {
-				case r.dataCh <- inEvent{input: in, page: p, ok: true}:
-				case <-stopFwd:
-					return
-				}
-			}
-		}(in, c)
-	}
 
 	// Always close outputs on the way out so downstream sees EOS.
 	defer func() {
@@ -263,7 +188,7 @@ func (r *nodeRunner) runSource() error {
 	// side of the epoch.
 	wireCut := r.graph.wireBarrier[r.node.id]
 	for !r.stopping {
-		if err := r.drainControl(r.onFeedback); err != nil {
+		if err := r.drainControl(); err != nil {
 			return err
 		}
 		if r.stopping {
@@ -279,6 +204,9 @@ func (r *nodeRunner) runSource() error {
 		case <-r.done:
 			r.stopping = true
 		default:
+			// Next may block (a paced source sleeps, a remote one reads a
+			// socket): no consumer stays parked on pages already published.
+			r.node.wake.Kick()
 			more, err := src.Next(r)
 			if err != nil {
 				return err
@@ -337,71 +265,37 @@ func (r *nodeRunner) runOperator() error {
 	r.inEOS = make([]bool, len(r.node.inConns))
 	for r.openInputs > 0 && !r.stopping {
 		// Control before data (§5: control messages are high-priority).
-		if err := r.drainControl(r.onFeedback); err != nil {
+		if err := r.drainControl(); err != nil {
 			return err
 		}
 		if r.stopping {
 			break
 		}
 		// A cancelled checkpoint's freeze must lift even if the frozen
-		// input never sees another item (its EOS may already be deferred).
+		// input never sees another item (its EOS may already be deferred);
+		// whoever retires a checkpoint signals every node's wake.
 		if r.align != nil && r.alignmentStale() {
 			if err := r.abandonAlignment(); err != nil {
 				return err
 			}
 		}
-		// Steady-state fast path: the control queue was just drained, so if
-		// a page is already buffered take it without the full blocking
-		// select. done stays in the non-blocking poll so a global abort is
-		// still observed within one page even while input is backlogged.
-		var ev inEvent
+		// done is polled once per round, so a global abort is observed
+		// within a page per input even while input is backlogged.
 		select {
 		case <-r.done:
 			r.stopping = true
 			continue
-		case ev = <-r.dataCh:
 		default:
-			if r.align != nil {
-				// Aligning: wake periodically so a checkpoint cancelled
-				// while every channel is quiet is still noticed above.
-				t := time.NewTimer(10 * time.Millisecond)
-				select {
-				case <-r.done:
-					r.stopping = true
-				case ce := <-r.ctrlCh:
-					if err := r.handleControl(ce, r.onFeedback); err != nil {
-						t.Stop()
-						return err
-					}
-				case ev = <-r.dataCh:
-				case <-t.C:
-				}
-				t.Stop()
-				if ev.page == nil {
-					continue
-				}
-				break
-			}
-			select {
-			case <-r.done:
-				r.stopping = true
-				continue
-			case ce := <-r.ctrlCh:
-				if err := r.handleControl(ce, r.onFeedback); err != nil {
-					return err
-				}
-				continue
-			case ev = <-r.dataCh:
-			}
 		}
-		err := r.processPage(ev)
-		// Ownership transfer complete on every exit: nothing above retains
-		// the page (operators copy what they keep, and frozen-input items
-		// are copied into the alignment buffer), so it goes back to the
-		// recycling pool before any error propagates.
-		queue.Release(ev.page)
+		idle, err := r.pollInputs()
 		if err != nil {
 			return err
+		}
+		// The one place the node blocks for input: every ring came up
+		// empty and armed, so data, control and checkpoint retirement all
+		// arrive as a token on the node's wake.
+		if idle && !r.node.wake.Park(r.done) {
+			r.stopping = true
 		}
 	}
 	// Deferred-item replay (alignment abandon) can tally outside a page.
@@ -409,8 +303,36 @@ func (r *nodeRunner) runOperator() error {
 	return op.Close(r)
 }
 
-func (r *nodeRunner) processPage(ev inEvent) error {
-	err := r.pageLoop(ev)
+// pollInputs takes at most one page from every open input without blocking
+// and processes it; idle reports that no input had one.
+//
+//pace:hotpath
+func (r *nodeRunner) pollInputs() (idle bool, _ error) {
+	idle = true
+	for in, c := range r.node.inConns {
+		if r.inEOS[in] {
+			continue
+		}
+		p := c.TryRecv()
+		if p == nil {
+			continue
+		}
+		idle = false
+		err := r.processPage(in, p)
+		// Ownership transfer complete on every exit: nothing above retains
+		// the page (operators copy what they keep, and frozen-input items
+		// are copied into the alignment buffer), so it goes back to the
+		// recycling pool before any error propagates.
+		queue.Release(p)
+		if err != nil || r.stopping {
+			return false, err
+		}
+	}
+	return idle, nil
+}
+
+func (r *nodeRunner) processPage(input int, p *queue.Page) error {
+	err := r.pageLoop(input, p)
 	r.flushPageStats()
 	return err
 }
@@ -437,15 +359,15 @@ func (r *nodeRunner) flushPageStats() {
 }
 
 //pace:hotpath
-func (r *nodeRunner) pageLoop(ev inEvent) error {
-	items := ev.page.Items
+func (r *nodeRunner) pageLoop(input int, p *queue.Page) error {
+	items := p.Items
 	for i := 0; i < len(items); i++ {
-		// Re-check control every K items so feedback overtakes
-		// pending tuples within a bounded window without paying
-		// a channel poll per tuple.
+		// Re-check control every K items so feedback overtakes pending
+		// tuples within a bounded window; with nothing pending the check
+		// is one atomic load per output edge.
 		if i%DefaultControlInterval == 0 {
 			r.pgChecks++
-			if err := r.drainControl(r.onFeedback); err != nil {
+			if err := r.drainControl(); err != nil {
 				return err
 			}
 			if r.stopping {
@@ -462,7 +384,7 @@ func (r *nodeRunner) pageLoop(ev inEvent) error {
 			for lim := i + DefaultControlInterval - i%DefaultControlInterval; j < len(items) && j < lim &&
 				items[j].Kind == queue.ItemTuple; j++ {
 			}
-			if err := r.batcher.ProcessTupleBatch(ev.input, items[i:j], r); err != nil {
+			if err := r.batcher.ProcessTupleBatch(input, items[i:j], r); err != nil {
 				return err
 			}
 			r.pgTuples += int64(j - i)
@@ -473,7 +395,7 @@ func (r *nodeRunner) pageLoop(ev inEvent) error {
 			i = j - 1
 			continue
 		}
-		if err := r.processItem(ev.input, &items[i]); err != nil {
+		if err := r.processItem(input, &items[i]); err != nil {
 			return err
 		}
 	}
@@ -634,32 +556,31 @@ func (r *nodeRunner) maybeCompleteAlignment() error {
 	return nil
 }
 
-// drainControl handles all pending control messages without blocking.
-func (r *nodeRunner) drainControl(onFeedback func(int, core.Feedback) error) error {
-	for {
-		select {
-		case ce := <-r.ctrlCh:
-			if err := r.handleControl(ce, onFeedback); err != nil {
+// drainControl handles all pending control messages without blocking, each
+// output edge's batch in arrival order.
+func (r *nodeRunner) drainControl() error {
+	for out, c := range r.node.outConns {
+		for _, m := range c.PollControl() {
+			if err := r.handleControl(out, m); err != nil {
 				return err
 			}
-		default:
-			return nil
 		}
 	}
+	return nil
 }
 
-func (r *nodeRunner) handleControl(ce ctrlEvent, onFeedback func(int, core.Feedback) error) error {
-	switch ce.msg.Kind {
+func (r *nodeRunner) handleControl(out int, m queue.Control) error {
+	switch m.Kind {
 	case queue.CtrlFeedback:
 		if r.nm != nil {
 			r.nm.FeedbackIn.Add(1)
 		}
 		if r.trace.Enabled() {
-			r.trace.Record("feedback", r.node.name(), ce.msg.Feedback.Seq, ce.msg.Feedback.String())
+			r.trace.Record("feedback", r.node.name(), m.Feedback.Seq, m.Feedback.String())
 		}
-		return onFeedback(ce.output, ce.msg.Feedback)
+		return r.onFeedback(out, m.Feedback)
 	case queue.CtrlShutdown:
-		r.shutdownOuts.set(ce.output)
+		r.shutdownOuts.set(out)
 		if r.shutdownOuts.count == len(r.node.outConns) && len(r.node.outConns) > 0 {
 			// Every consumer has asked us to stop: stop, and relay the
 			// shutdown upstream.
@@ -670,7 +591,7 @@ func (r *nodeRunner) handleControl(ce ctrlEvent, onFeedback func(int, core.Feedb
 		}
 		return nil
 	}
-	return fmt.Errorf("unknown control message kind %d", ce.msg.Kind)
+	return fmt.Errorf("unknown control message kind %d", m.Kind)
 }
 
 // ---------------------------------------------------------------------------

@@ -73,7 +73,9 @@ func (g *Graph) edgeSnapshots() []telemetry.EdgeStat {
 			Consumer: e.Consumer, Input: e.Input, Label: e.Label,
 			Tuples: e.Stats.Tuples, Puncts: e.Stats.Puncts,
 			Pages: e.Stats.Pages, Controls: e.Stats.Controls,
-			Depth: e.Depth,
+			Depth:         e.Depth,
+			ConsumerParks: e.Stats.ConsumerParks,
+			ProducerParks: e.Stats.ProducerParks,
 		}
 	}
 	return out

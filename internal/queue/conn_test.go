@@ -78,12 +78,12 @@ func TestConnControlChannel(t *testing.T) {
 	c := New(DefaultOptions())
 	fb := core.NewAssumed(punct.OnAttr(1, 0, punct.Le(stream.Int(5))))
 	c.SendFeedback(fb)
-	m, ok := c.PollControl()
-	if !ok || m.Kind != CtrlFeedback || m.Feedback.Intent != core.Assumed {
-		t.Fatalf("control: %+v ok=%v", m, ok)
+	ms := c.PollControl()
+	if len(ms) != 1 || ms[0].Kind != CtrlFeedback || ms[0].Feedback.Intent != core.Assumed {
+		t.Fatalf("control: %+v", ms)
 	}
-	if _, ok := c.PollControl(); ok {
-		t.Error("control channel should be empty")
+	if ms := c.PollControl(); len(ms) != 0 {
+		t.Error("control queue should be empty")
 	}
 	if c.Stats().Controls != 1 {
 		t.Error("control counter")
@@ -118,8 +118,11 @@ func TestConnSendControlAfterProducerDone(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.SendControl(Control{Kind: CtrlShutdown})
 	}
-	if _, ok := c.PollControl(); ok {
+	if ms := c.PollControl(); len(ms) != 0 {
 		t.Error("post-EOS control messages must be dropped")
+	}
+	if n := c.Stats().Controls; n != 0 {
+		t.Errorf("Controls counts accepted messages only, got %d", n)
 	}
 }
 
@@ -130,20 +133,13 @@ func TestConnControlNeverBlocksSender(t *testing.T) {
 	for i := 0; i < 100_000; i++ {
 		c.SendControl(Control{Kind: CtrlFeedback})
 	}
-	n := 0
-	for {
-		if _, ok := c.PollControl(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 100_000 {
+	if n := len(c.PollControl()); n != 100_000 {
 		t.Errorf("drained %d control messages, want 100000", n)
 	}
 }
 
 func TestPageHelpers(t *testing.T) {
-	p := NewPage(4)
+	p := GetPage(4)
 	p.Append(TupleItem(tupleOf(1)))
 	p.Append(PunctItem(punctLE(1)))
 	p.Append(EOSItem())

@@ -4,9 +4,11 @@
 // high-priority messages (feedback punctuation, shutdown).
 //
 // Pages batch tuples to limit context switching between operator
-// goroutines; a page is flushed to the queue when it is full OR when a
+// goroutines; a page is published to the queue when it is full OR when a
 // punctuation is written to it, so a slow stream cannot indefinitely delay
-// punctuation behind a partially-filled page.
+// punctuation behind a partially-filled page. The queue is a ring of pages
+// whose wake-ups have hysteresis (Conn), so the switch is paid per half
+// ring, not per page; punctuation wakes the consumer whatever the fill.
 package queue
 
 import (
@@ -70,13 +72,8 @@ type Page struct {
 }
 
 // DefaultPageSize is the number of items per page; chosen to amortize
-// channel operations without adding noticeable latency.
+// ring operations without adding noticeable latency.
 const DefaultPageSize = 64
-
-// NewPage allocates an empty page with the given capacity.
-func NewPage(capacity int) *Page {
-	return &Page{Items: make([]Item, 0, capacity)}
-}
 
 // Len returns the number of items in the page.
 func (p *Page) Len() int { return len(p.Items) }
@@ -152,8 +149,8 @@ func (p *Page) Reset() {
 }
 
 // pagePool recycles pages across producer/consumer goroutines. Ownership
-// transfers with the page: a producer owns a page until it is flushed into
-// a queue, the consumer owns it from Recv until Release, and nobody may
+// transfers with the page: a producer owns a page until it is published into
+// a ring, the consumer owns it from Recv until Release, and nobody may
 // touch a page (or aliases into its Items) after releasing it.
 var pagePool = sync.Pool{New: func() any { return new(Page) }}
 

@@ -202,7 +202,12 @@ func TestBarrierDroppedWithoutHook(t *testing.T) {
 // surface as a node error within the configured write deadline instead of
 // blocking the plan forever.
 func TestSinkWriteDeadline(t *testing.T) {
-	c1, _ := net.Pipe() // the other end never reads
+	c1, c2 := net.Pipe() // the other end never reads
+	// A node that fails is not Closed (ROADMAP item 8), so the sink does not
+	// close its connection: the test owns the pipe and ends the sink's
+	// feedback reader with it.
+	defer c1.Close()
+	defer c2.Close()
 	tuples := make([]stream.Tuple, 64)
 	for i := range tuples {
 		tuples[i] = mkTuple(int64(i), int64(i)*1000, 50)

@@ -109,6 +109,11 @@ type EdgeStat struct {
 	Pages    int64  `json:"pages"`
 	Controls int64  `json:"controls"`
 	Depth    int    `json:"queue_depth_pages"`
+	// ConsumerParks counts the times the consumer blocked on this edge
+	// empty (waiting for input), ProducerParks the times the producer
+	// blocked on it full (blocked on output).
+	ConsumerParks int64 `json:"consumer_parks"`
+	ProducerParks int64 `json:"producer_parks"`
 }
 
 // nodeEntry is one registered node: identity, hot-path metrics, and the
@@ -281,6 +286,8 @@ var edgeCounters = []struct {
 	{"pace_edge_pages_total", "Pages transferred on the edge.", Counter, func(e EdgeStat) int64 { return e.Pages }},
 	{"pace_edge_controls_total", "Control messages (feedback/shutdown) on the edge.", Counter, func(e EdgeStat) int64 { return e.Controls }},
 	{"pace_edge_queue_depth_pages", "Pages currently buffered in the edge queue.", Gauge, func(e EdgeStat) int64 { return int64(e.Depth) }},
+	{"pace_edge_consumer_parks_total", "Times the consumer blocked with the edge queue empty (waiting for input).", Counter, func(e EdgeStat) int64 { return e.ConsumerParks }},
+	{"pace_edge_producer_parks_total", "Times the producer blocked with the edge queue full (blocked on output).", Counter, func(e EdgeStat) int64 { return e.ProducerParks }},
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
