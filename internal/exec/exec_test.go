@@ -209,7 +209,7 @@ func (f *feedbackSink) InSchemas() []stream.Schema  { return []stream.Schema{one
 func (f *feedbackSink) OutSchemas() []stream.Schema { return nil }
 func (f *feedbackSink) ProcessTuple(_ int, t stream.Tuple, ctx Context) error {
 	f.seen++
-	f.got = append(f.got, t)
+	f.got = append(f.got, t.Clone())
 	if !f.sent && f.seen >= f.trigger {
 		f.sent = true
 		ctx.SendFeedback(0, core.NewAssumed(f.pattern))

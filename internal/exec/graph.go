@@ -38,6 +38,11 @@ type node struct {
 	// wake is where the node's one goroutine parks: every input ring, every
 	// output ring and every output edge's control queue signal it.
 	wake *queue.Wake
+	// aliases names the slabs the tuples the node is emitting may alias — its
+	// input page's and the one it last drew (Slab); every output page filled
+	// meanwhile adopts them. The node's goroutine moves it from activation to
+	// activation (runner.go).
+	aliases queue.Aliases
 
 	// nm holds the node's hot-path telemetry counters; nil unless a
 	// telemetry sink is attached (telemetry.go).
@@ -218,6 +223,7 @@ func (g *Graph) prepare() error {
 			}
 			c := queue.New(g.opts)
 			c.Bind(n.wake, g.nodes[p.Node].wake)
+			c.BindAliases(&g.nodes[p.Node].aliases)
 			conns[k] = c
 			g.consumers[k] = consumerRef{node: n, input: i}
 			n.inConns[i] = c

@@ -354,7 +354,8 @@ func (c *Collector) ProcessTuple(_ int, t stream.Tuple, ctx Context) error {
 	}
 	c.mu.Lock()
 	if !c.Discard {
-		c.items = append(c.items, queue.TupleItem(t))
+		// The record outlives the callback: it owns a clone.
+		c.items = append(c.items, queue.TupleItem(t.Clone()))
 	}
 	askShutdown := c.Limit > 0 && n >= c.Limit && !c.shutdown
 	if askShutdown {

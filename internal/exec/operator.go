@@ -67,9 +67,34 @@ type Context interface {
 	Logf(format string, args ...any)
 }
 
+// Slab returns n values for the run of tuples the caller is building: each
+// tuple takes its share as slab[:k:k] and is emitted before the caller asks
+// for another slab or returns from the callback it is in. Under the Graph
+// runtime the memory is recycled — it belongs to the pages that receive those
+// tuples and goes back to a pool when the last of them is released — so it
+// arrives holding a previous run's values and the caller writes every value it
+// hands out. Any other context (the Harness, a test's fake) gets fresh memory.
+//
+//pace:hotpath
+func Slab(ctx Context, n int) []stream.Value {
+	if r, ok := ctx.(interface{ Slab(int) []stream.Value }); ok {
+		return r.Slab(n)
+	}
+	return make([]stream.Value, n) //pace:allow-alloc a context without pages: nothing to recycle into, the tuples own garbage-collected memory
+}
+
 // Operator is a stream operator with zero or more inputs and zero or more
 // outputs. Implementations are single-goroutine: the runtime serializes all
 // callbacks on one operator.
+//
+// A tuple handed to ProcessTuple (or to a batch method below) is valid until
+// that callback returns: its Values may sit in a recycled slab that the
+// runtime gives back once the page that delivered the tuple is released.
+// Emitting the tuple, or a new tuple sharing its Values, inside the callback
+// is always safe — the output pages take over the slab — and copying a Value
+// out is too (Values are plain data). An operator that keeps a tuple past the
+// callback (join state, a reorder buffer, a collecting sink) keeps
+// Tuple.Clone() of it.
 type Operator interface {
 	// Name identifies the operator instance in logs and stats.
 	Name() string
@@ -102,8 +127,9 @@ type Operator interface {
 // slice has Kind ItemTuple. The call must be exactly equivalent to invoking
 // ProcessTuple on each tuple in order — same emissions, same state, same
 // stats — because the runtime freely mixes the two paths (per-item dispatch
-// remains in use for barrier alignment and singleton runs). The slice and
-// its backing page are only valid for the duration of the call.
+// remains in use for barrier alignment and singleton runs). The slice, its
+// backing page and the tuples' Values are only valid for the duration of the
+// call (see Operator: keep Tuple.Clone() of what must outlive it).
 type TupleBatcher interface {
 	ProcessTupleBatch(input int, items []queue.Item, ctx Context) error
 }
@@ -113,8 +139,9 @@ type TupleBatcher interface {
 // bare tuples (e.g. a fused prefix kernel filtering survivors in its scratch
 // buffer) and hands the run straight to the stateful consumer. The call must
 // be exactly equivalent to invoking ProcessTuple on each tuple in order —
-// same emissions, same state, same stats. The slice is only valid for the
-// duration of the call and must not be retained or mutated.
+// same emissions, same state, same stats. The slice and the tuples' Values
+// are only valid for the duration of the call and must not be retained or
+// mutated (keep Tuple.Clone() of what must outlive it).
 type TupleBatchApplier interface {
 	ApplyTupleBatch(input int, ts []stream.Tuple, ctx Context) error
 }
@@ -127,7 +154,11 @@ type BatchEmitter interface {
 
 // Source is a self-driving operator with no inputs. The runtime repeatedly
 // calls Next, interleaving feedback delivery between calls, until Next
-// returns false.
+// returns false. One Next call is one callback in the sense of Operator: a
+// source that builds a run of tuples in a Slab emits it before Next returns,
+// and a source that keeps a tuple it has emitted — to replay it — keeps
+// Tuple.Clone() of it or builds it in memory of its own (as remote.Source
+// does with each frame's arena, and SliceSource with its input).
 type Source interface {
 	// Name identifies the source in logs and stats.
 	Name() string

@@ -157,8 +157,10 @@ func (r *nodeRunner) run() error {
 		}
 	}()
 
-	// Always close outputs on the way out so downstream sees EOS.
+	// Always close outputs on the way out so downstream sees EOS. The slab a
+	// closing flush drew goes with its pages.
 	defer func() {
+		n.aliases.End()
 		for _, c := range n.outConns {
 			c.CloseSend()
 		}
@@ -170,11 +172,23 @@ func (r *nodeRunner) run() error {
 	return r.runOperator()
 }
 
+// runSource opens the source, drives it and closes it. A source that was
+// opened is closed on every path — a failed one too, or its connection and
+// goroutines would outlive the run; the first error wins.
 func (r *nodeRunner) runSource() error {
 	src := r.node.src
 	if err := src.Open(r); err != nil {
 		return err
 	}
+	err := r.sourceLoop()
+	if cerr := src.Close(r); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func (r *nodeRunner) sourceLoop() error {
+	src := r.node.src
 	if err := r.graph.restoreNode(r.node); err != nil {
 		return err
 	}
@@ -207,7 +221,10 @@ func (r *nodeRunner) runSource() error {
 			// Next may block (a paced source sleeps, a remote one reads a
 			// socket): no consumer stays parked on pages already published.
 			r.node.wake.Kick()
+			// One Next call is one activation: the slab it drew is retired
+			// when it returns.
 			more, err := src.Next(r)
+			r.node.aliases.End()
 			if err != nil {
 				return err
 			}
@@ -216,7 +233,7 @@ func (r *nodeRunner) runSource() error {
 			}
 		}
 	}
-	return src.Close(r)
+	return nil
 }
 
 // maybeCutSource checks for a newly requested checkpoint and, if one is
@@ -250,11 +267,23 @@ func (r *nodeRunner) InjectWireBarrier(epoch int64) {
 	}
 }
 
+// runOperator opens the operator, drives it and closes it; like a source, an
+// opened operator is closed on the error path too (a failed remote.Sink holds
+// a connection and a feedback reader), and the first error wins.
 func (r *nodeRunner) runOperator() error {
 	op := r.node.op
 	if err := op.Open(r); err != nil {
 		return err
 	}
+	err := r.operatorLoop()
+	if cerr := op.Close(r); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func (r *nodeRunner) operatorLoop() error {
+	op := r.node.op
 	if err := r.graph.restoreNode(r.node); err != nil {
 		return err
 	}
@@ -300,7 +329,7 @@ func (r *nodeRunner) runOperator() error {
 	}
 	// Deferred-item replay (alignment abandon) can tally outside a page.
 	r.flushPageStats()
-	return op.Close(r)
+	return nil
 }
 
 // pollInputs takes at most one page from every open input without blocking
@@ -331,8 +360,12 @@ func (r *nodeRunner) pollInputs() (idle bool, _ error) {
 	return idle, nil
 }
 
+// processPage is one activation: tuples emitted while it runs may alias the
+// input page's slabs or the slab the operator last drew.
 func (r *nodeRunner) processPage(input int, p *queue.Page) error {
+	r.node.aliases.Begin(p)
 	err := r.pageLoop(input, p)
+	r.node.aliases.End()
 	r.flushPageStats()
 	return err
 }
@@ -411,9 +444,13 @@ func (r *nodeRunner) processItem(input int, it *queue.Item) error {
 		if !r.alignmentStale() {
 			// Input already delivered this epoch's barrier: everything
 			// behind it is on the far side of the cut, so it waits until
-			// the cut is taken. The item is copied out — the page is
-			// recycled first.
-			a.deferred[input] = append(a.deferred[input], *it)
+			// the cut is taken. The item is copied out and a tuple's values
+			// cloned — the page and its slabs are recycled first.
+			d := *it
+			if d.Kind == queue.ItemTuple {
+				d.Tuple = d.Tuple.Clone() //pace:allow-alloc only while a barrier alignment holds this input frozen
+			}
+			a.deferred[input] = append(a.deferred[input], d)
 			return nil
 		}
 		// The aligning epoch's checkpoint was cancelled: lift the freeze
@@ -597,6 +634,10 @@ func (r *nodeRunner) handleControl(out int, m queue.Control) error {
 // ---------------------------------------------------------------------------
 // Context implementation.
 // ---------------------------------------------------------------------------
+
+// Slab is what exec.Slab finds behind a node's context: a recycled slab that
+// the pages receiving the tuples built in it will own.
+func (r *nodeRunner) Slab(n int) []stream.Value { return r.node.aliases.Get(n) }
 
 // Emit implements Context.
 //

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/punct"
+	"repro/internal/queue"
 	"repro/internal/telemetry"
 )
 
@@ -58,6 +59,20 @@ func (g *Graph) registerTelemetry() {
 		Help: "Punctuation patterns compiled process-wide.",
 		Kind: telemetry.Counter, Value: punct.CompiledCount,
 	})
+	// Is slab recycling happening: requests, and those the pool could not
+	// serve. Unlike the park counters beside them these are process-wide —
+	// a slab's pool outlives the edges it travelled.
+	reg.AddGlobal(
+		telemetry.Var{
+			Name: "pace_slab_gets_total",
+			Help: "Value slabs requested for runs of rebuilt tuples, process-wide.",
+			Kind: telemetry.Counter, Value: func() int64 { gets, _ := queue.SlabStats(); return gets },
+		},
+		telemetry.Var{
+			Name: "pace_slab_misses_total",
+			Help: "Slab requests the recycling pool could not serve (fresh allocations), process-wide.",
+			Kind: telemetry.Counter, Value: func() int64 { _, misses := queue.SlabStats(); return misses },
+		})
 	reg.SetEdges(g.edgeSnapshots)
 }
 

@@ -237,7 +237,7 @@ func (f *Fused) Open(exec.Context) error {
 //
 //pace:hotpath
 func (f *Fused) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
-	if out, ok := f.runOne(t); ok {
+	if out, ok := f.runOne(t, ctx); ok {
 		ctx.Emit(out)
 	}
 	return nil
@@ -248,9 +248,9 @@ func (f *Fused) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 // the prefix path (Prefixed), which emit survivors differently.
 //
 //pace:hotpath
-func (f *Fused) runOne(t stream.Tuple) (stream.Tuple, bool) {
+func (f *Fused) runOne(t stream.Tuple, ctx exec.Context) (stream.Tuple, bool) {
 	f.one[0].Tuple = t
-	out := f.runSteps(f.one[:])
+	out := f.runSteps(f.one[:], ctx)
 	if len(out) == 0 {
 		return stream.Tuple{}, false
 	}
@@ -264,7 +264,7 @@ func (f *Fused) runOne(t stream.Tuple) (stream.Tuple, bool) {
 //
 //pace:hotpath
 func (f *Fused) ProcessTupleBatch(_ int, items []queue.Item, ctx exec.Context) error {
-	ctx.EmitBatch(f.runSteps(items))
+	ctx.EmitBatch(f.runSteps(items, ctx))
 	return nil
 }
 
@@ -278,11 +278,11 @@ func (f *Fused) ProcessTupleBatch(_ int, items []queue.Item, ctx exec.Context) e
 // Each output tuple is written once. A mapping step that is not the chain's
 // last writes into its own scratch (st.vals), which the next step reads and
 // nothing else ever sees; the last mapping step writes into the run's slab,
-// one allocation per run, made when the first tuple reaches it. A survivor
-// keeps its slot as slab[:n:n] (cap == len: an append on an emitted tuple
-// cannot reach its neighbour); a tuple dropped by a later select or guard
-// leaves its slot to the next one. A chain with no mapping step allocates
-// nothing: its survivors are the input tuples.
+// drawn from ctx (exec.Slab: recycled memory the output pages will own) when
+// the first tuple reaches it. A survivor keeps its slot as slab[:n:n] (cap ==
+// len: an append on an emitted tuple cannot reach its neighbour); a tuple
+// dropped by a later select or guard leaves its slot to the next one. A chain
+// with no mapping step draws nothing: its survivors are the input tuples.
 //
 // Guard probes are hoisted per run (feedback only arrives between runs, so
 // a table cannot change mid-run) and the per-step counters move once per
@@ -290,7 +290,7 @@ func (f *Fused) ProcessTupleBatch(_ int, items []queue.Item, ctx exec.Context) e
 // enough.
 //
 //pace:hotpath
-func (f *Fused) runSteps(items []queue.Item) []stream.Tuple {
+func (f *Fused) runSteps(items []queue.Item, ctx exec.Context) []stream.Tuple {
 	for si := range f.steps {
 		st := &f.steps[si]
 		st.guarded = st.mode != op.FeedbackIgnore && st.guards.Active() > 0
@@ -321,7 +321,7 @@ tuples:
 				vals := st.vals
 				if si == f.lastMap {
 					if len(slab) < f.outArity {
-						slab = make([]stream.Value, (len(items)-i)*f.outArity) //pace:allow-alloc the run's slab: one allocation per run, owned by the tuples emitted from it
+						slab = exec.Slab(ctx, (len(items)-i)*f.outArity)
 					}
 					vals = slab[:f.outArity:f.outArity]
 				}

@@ -681,32 +681,37 @@ func TestFusedBatchEqualsPerTuple(t *testing.T) {
 	}
 }
 
-// ownCtx keeps every emitted tuple as emitted — Values still pointing
-// wherever the kernel put them — beside a deep copy taken at that instant.
+// ownCtx is a one-goroutine stand-in for the node runner: the kernel's slabs
+// are recycled ones (Slab), what it emits goes onto real pages that adopt
+// them, and the pages are consumed — checked against deep copies taken at
+// emission, then released — at the test's own, lagging pace.
 type ownCtx struct {
 	discardCtx
 	t      *testing.T
-	got    []stream.Tuple
-	copies []stream.Tuple
+	slabs  queue.Aliases
+	conn   *queue.Conn
+	copies []stream.Tuple // every emitted tuple, cloned as it was emitted
+	seen   int            // copies[:seen] were consumed
+	// rebuilt: the chain has a mapping step, so what it emits is its own
+	// memory (and not its inputs') and may be written to find overlaps.
+	rebuilt bool
 }
+
+func newOwnCtx(t *testing.T, pageSize int) *ownCtx {
+	c := &ownCtx{t: t, conn: queue.New(queue.Options{PageSize: pageSize, Depth: 1 << 12})}
+	c.conn.BindAliases(&c.slabs)
+	return c
+}
+
+func (c *ownCtx) Slab(n int) []stream.Value { return c.slabs.Get(n) }
 
 func (c *ownCtx) Emit(t stream.Tuple) {
 	if cap(t.Values) != len(t.Values) {
 		c.t.Errorf("emitted tuple %v has cap %d over len %d: an append would reach its neighbour",
 			t, cap(t.Values), len(t.Values))
 	}
-	c.got = append(c.got, t)
+	c.conn.PutTuple(t)
 	c.copies = append(c.copies, t.Clone())
-}
-
-// check fails if anything the kernel did since has changed an emitted tuple.
-func (c *ownCtx) check(when string) {
-	for i := range c.got {
-		if !reflect.DeepEqual(c.got[i], c.copies[i]) {
-			c.t.Fatalf("%s: emitted tuple %d changed under its holder: was %v, now %v",
-				when, i, c.copies[i], c.got[i])
-		}
-	}
 }
 
 func (c *ownCtx) EmitBatch(ts []stream.Tuple) {
@@ -715,12 +720,54 @@ func (c *ownCtx) EmitBatch(ts []stream.Tuple) {
 	}
 }
 
+// consume takes up to max published pages. Whatever the kernel has done since
+// it emitted them, their tuples read as emitted; then each tuple is stamped
+// with its own index through its Values, so two tuples sharing memory — on
+// this page or on one consumed later — cannot both read right.
+func (c *ownCtx) consume(when string, max int) {
+	for ; max > 0; max-- {
+		p := c.conn.TryRecv()
+		if p == nil {
+			return
+		}
+		first := c.seen
+		for _, it := range p.Items {
+			if it.Kind != queue.ItemTuple {
+				continue
+			}
+			if !reflect.DeepEqual(it.Tuple, c.copies[c.seen]) {
+				c.t.Fatalf("%s: emitted tuple %d changed on its page: was %v, now %v", when, c.seen, c.copies[c.seen], it.Tuple)
+			}
+			c.seen++
+		}
+		if !c.rebuilt {
+			queue.Release(p)
+			continue
+		}
+		for i, it := range p.Items[:c.seen-first] {
+			for j := range it.Tuple.Values {
+				it.Tuple.Values[j] = stream.Int(int64(first + i))
+			}
+		}
+		for i, it := range p.Items[:c.seen-first] {
+			for _, v := range it.Tuple.Values {
+				if v.I != int64(first+i) {
+					c.t.Fatalf("%s: emitted tuples %d and %d overlap", when, first+i, v.I)
+				}
+			}
+		}
+		queue.Release(p)
+	}
+}
+
 // TestFusedEmittedTuplesOwnTheirValues is the slab ownership rule (DESIGN.md
-// §2.4): whatever the kernel runs afterwards — further runs, single tuples,
-// punctuation, feedback that turns guards on — a tuple it emitted keeps its
-// values, no emitted tuple has room to grow into another, and the inputs are
-// never written. Scratch escaping the kernel loop, two survivors sharing a
-// slot, or a slab reused across runs would each fail here.
+// §2.4) from the kernel's side: whatever it runs afterwards — further runs in
+// slabs the pool hands back, single tuples, punctuation, feedback that turns
+// guards on — a tuple it emitted keeps its values for as long as a page
+// carrying it is alive, no emitted tuple has room to grow into another, no
+// two share memory, and the inputs are never written. Scratch escaping the
+// kernel loop, two survivors sharing a slot, or a slab drawn again while a
+// page still holds its tuples would each fail here.
 func TestFusedEmittedTuplesOwnTheirValues(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -734,14 +781,16 @@ func TestFusedEmittedTuplesOwnTheirValues(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		own := &ownCtx{t: t}
+		own := newOwnCtx(t, 1+rng.Intn(40))
+		own.rebuilt = fused.lastMap >= 0
 		if err := fused.Open(own); err != nil {
 			t.Fatal(err)
 		}
 		var inputs, inputCopies []stream.Tuple
 		var seq int64
-		for ev := 0; ev < 20; ev++ {
+		for ev := 0; ev < 30; ev++ {
 			when := fmt.Sprintf("seed %d event %d", seed, ev)
+			own.slabs.Begin(nil) // one callback is one activation
 			switch r := rng.Intn(10); {
 			case r < 5:
 				run := make([]queue.Item, 1+rng.Intn(70))
@@ -770,24 +819,16 @@ func TestFusedEmittedTuplesOwnTheirValues(t *testing.T) {
 					t.Fatalf("%s: %v", when, err)
 				}
 			}
-			own.check(when)
+			own.slabs.End()
+			own.consume(when, rng.Intn(3))
+		}
+		own.conn.CloseSend()
+		own.consume(fmt.Sprintf("seed %d end", seed), 1<<12)
+		if own.seen != len(own.copies) {
+			t.Fatalf("seed %d: consumed %d of %d emitted tuples", seed, own.seen, len(own.copies))
 		}
 		if !reflect.DeepEqual(inputs, inputCopies) {
 			t.Fatalf("seed %d: the kernel wrote into its input tuples", seed)
-		}
-		// No two emitted tuples share memory: stamp each with its own index,
-		// then find every stamp where it was put.
-		for i, tp := range own.got {
-			for j := range tp.Values {
-				tp.Values[j] = stream.Int(int64(i))
-			}
-		}
-		for i, tp := range own.got {
-			for j := range tp.Values {
-				if tp.Values[j].I != int64(i) {
-					t.Fatalf("seed %d: emitted tuples %d and %d overlap", seed, i, tp.Values[j].I)
-				}
-			}
 		}
 	}
 }

@@ -1,0 +1,5 @@
+//go:build !race
+
+package fuse
+
+const raceBuild = false

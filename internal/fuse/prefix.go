@@ -139,7 +139,7 @@ func (p *Prefixed) Open(ctx exec.Context) error {
 func (p *Prefixed) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
 	w := p.wrap(ctx)
 	if k := p.Kernel(input); k != nil {
-		out, ok := k.runOne(t)
+		out, ok := k.runOne(t, ctx)
 		if !ok {
 			return nil
 		}
@@ -166,7 +166,7 @@ func (p *Prefixed) ProcessTupleBatch(input int, items []queue.Item, ctx exec.Con
 		}
 		return nil
 	}
-	buf := k.runSteps(items)
+	buf := k.runSteps(items, ctx)
 	if len(buf) == 0 {
 		return nil
 	}
@@ -302,6 +302,10 @@ type prefixedCtx struct {
 	exec.Context
 	p *Prefixed
 }
+
+// Slab lets exec.Slab reach the runtime through the wrapper, so the inner
+// operator's runs (a window flush) are built in recycled slabs too.
+func (c *prefixedCtx) Slab(n int) []stream.Value { return exec.Slab(c.Context, n) }
 
 // SendFeedback routes inner-originated and relayed feedback through the
 // input's prefix kernel, exactly as it would hop through the unfused chain.

@@ -97,7 +97,7 @@ type Aggregate struct {
 }
 
 // flushSlabTuples bounds the results built in one value slab, and so what
-// one retained result can pin: at most this many results' values.
+// one page still in flight can keep from being recycled.
 const flushSlabTuples = 256
 
 // Name implements exec.Operator.
@@ -358,9 +358,10 @@ func (a *Aggregate) flushThrough(lastFull int64, ctx exec.Context) {
 // results: one the output guards suppress is dropped, the rest are charged
 // EmitCost. With a pattern they are the partial results a Demanded feedback
 // asks for: the groups whose current result it matches. Results are built in
-// value slabs of at most flushSlabTuples tuples — one allocation per slab,
-// each result owning its slot as slab[:arity:arity] — and handed downstream
-// a run at a time; a result that is dropped leaves its slot to the next.
+// value slabs of at most flushSlabTuples tuples — exec.Slab: recycled memory
+// the output pages own, each result taking its slot as slab[:arity:arity] —
+// and every slab's run is handed downstream before the next slab is drawn; a
+// result that is dropped leaves its slot to the next.
 //
 //pace:hotpath
 func (a *Aggregate) emitWindow(w *aggWindow, partial *punct.Pattern, ctx exec.Context) {
@@ -378,7 +379,7 @@ func (a *Aggregate) emitWindow(w *aggWindow, partial *punct.Pattern, ctx exec.Co
 		if len(slab) == 0 {
 			ctx.EmitBatch(run)
 			run = run[:0]
-			slab = make([]stream.Value, min(left, flushSlabTuples)*arity) //pace:allow-alloc the results' values: one slab per flushSlabTuples results, owned by them
+			slab = exec.Slab(ctx, min(left, flushSlabTuples)*arity)
 		}
 		left--
 		t := stream.Tuple{Values: slab[:arity:arity]}

@@ -287,7 +287,7 @@ func (j *Join) apply(side int, t stream.Tuple, ctx exec.Context) {
 	if j.ThriftyWindow != nil && j.ThriftyProbe == side {
 		j.countProbe(ts)
 	}
-	mine.insert(h, key, t, ts, matched)
+	mine.insert(h, key, mine.keep(t), ts, matched)
 	j.runAdaptive(side, t, ctx)
 }
 

@@ -47,6 +47,11 @@ type joinSide struct {
 	chains  []joinChain // per key row
 	minTs   int64       // lower bound on the smallest ts held
 
+	// arena is the unused rest of the chunk arriving tuples' values are
+	// copied into (keep): an entry outlives the callback that delivered its
+	// tuple, whose own values are recycled with their page.
+	arena []stream.Value
+
 	nextID        int64 // id of the next entry to arrive
 	baseID        int64 // entries with a smaller id were held at the baseline
 	purgedThrough int64 // largest watermark purged to since the baseline; math.MinInt64 when none
@@ -114,8 +119,29 @@ func (s *joinSide) first(h uint32, key []stream.Value) int32 {
 	return s.chains[row].head
 }
 
-// insert appends an arriving tuple; key is its key on this side, h the
-// key's hash.
+// joinArenaValues sizes the chunks keep copies into, and so what one entry
+// that outlives its neighbours can pin.
+const joinArenaValues = 512
+
+// keep returns a copy of t that the side owns: an input tuple's values are
+// only good until the callback that delivered it returns, and an entry stays
+// until punctuation or feedback purges it. Copies are carved from a chunk, so
+// the store allocates once per chunk, not per tuple.
+//
+//pace:hotpath
+func (s *joinSide) keep(t stream.Tuple) stream.Tuple {
+	n := len(t.Values)
+	if len(s.arena) < n {
+		s.arena = make([]stream.Value, max(n, joinArenaValues)) //pace:allow-alloc one chunk per joinArenaValues values retained: the copy is the state
+	}
+	vals := s.arena[:n:n]
+	s.arena = s.arena[n:]
+	copy(vals, t.Values)
+	return stream.Tuple{Values: vals, Seq: t.Seq}
+}
+
+// insert appends an arriving tuple, which the side owns from here on (keep);
+// key is its key on this side, h the key's hash.
 //
 //pace:hotpath
 func (s *joinSide) insert(h uint32, key []stream.Value, t stream.Tuple, ts int64, matched bool) {

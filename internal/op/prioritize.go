@@ -91,7 +91,8 @@ func (p *Prioritize) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error
 		ctx.Emit(t)
 		return nil
 	}
-	p.pending = append(p.pending, t)
+	// The buffer outlives the callback: it owns a clone.
+	p.pending = append(p.pending, t.Clone())
 	for len(p.pending) > p.cap() {
 		p.emitOldest(ctx)
 	}

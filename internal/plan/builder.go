@@ -80,7 +80,8 @@ func (b *Builder) Fusions() []fuse.Fusion { return b.fusions }
 
 // EnableTelemetry attaches a telemetry sink to the underlying graph and
 // publishes this plan as the sink's /statusz payload — the Explain
-// rendering plus live per-edge traffic snapshots pulled at scrape time.
+// rendering plus live per-edge traffic snapshots and the process-wide
+// counters (slab requests and pool misses) pulled at scrape time.
 // Call after the plan is assembled (and compiled, if it will be) and
 // before Run; chainable. Per-node metrics register inside Run.
 func (b *Builder) EnableTelemetry(t *telemetry.Telemetry) *Builder {
@@ -90,8 +91,9 @@ func (b *Builder) EnableTelemetry(t *telemetry.Telemetry) *Builder {
 	b.g.SetTelemetry(t)
 	t.SetStatus(func() any {
 		return map[string]any{
-			"plan":  b.Explain(),
-			"edges": t.Registry.EdgeSnapshots(),
+			"plan":    b.Explain(),
+			"edges":   t.Registry.EdgeSnapshots(),
+			"globals": t.Registry.Globals(),
 		}
 	})
 	return b

@@ -144,8 +144,9 @@ type Conn struct {
 	opts Options
 	half int // ring fill at which a parked peer is woken, from either end
 
-	cur    *Page // producer-owned current page
-	closed bool  // producer-owned: CloseSend called
+	cur     *Page    // producer-owned current page
+	closed  bool     // producer-owned: CloseSend called
+	aliases *Aliases // producer-owned: the slabs the tuples being put may alias
 
 	cons *Wake // where the consumer parks
 	prod *Wake // where the producer parks
@@ -181,6 +182,8 @@ func New(opts Options) *Conn {
 		half: max(1, opts.Depth/2),
 		ring: make([]*Page, opts.Depth),
 		cur:  GetPage(opts.PageSize),
+		// An unbound producer puts tuples that alias no slab.
+		aliases: new(Aliases),
 	}
 	c.Bind(NewWake(), NewWake())
 	return c
@@ -195,14 +198,29 @@ func (c *Conn) Bind(consumer, producer *Wake) {
 	producer.outs = append(producer.outs, c)
 }
 
+// BindAliases makes every page the producer fills adopt the slabs a names at
+// the moment of the put. Call before the connection is used.
+func (c *Conn) BindAliases(a *Aliases) { c.aliases = a }
+
 // ---------------------------------------------------------------------------
 // Producer side.
 // ---------------------------------------------------------------------------
+
+// adopt makes the current page an owner of the slabs the tuples about to be
+// put may alias, once per page and set.
+//
+//pace:hotpath
+func (c *Conn) adopt() {
+	if c.cur.stamp != c.aliases.stamp {
+		c.cur.adopt(c.aliases)
+	}
+}
 
 // PutTuple appends a tuple, publishing the page if it fills.
 //
 //pace:hotpath
 func (c *Conn) PutTuple(t stream.Tuple) {
+	c.adopt()
 	c.cur.AppendTuple(t)
 	c.tuples.Add(1)
 	if c.cur.Full(c.opts.PageSize) {
@@ -227,6 +245,7 @@ func (c *Conn) PutTuples(ts []stream.Tuple) {
 		if room > len(ts) {
 			room = len(ts)
 		}
+		c.adopt()
 		c.cur.AppendTuples(ts[:room])
 		ts = ts[room:]
 	}

@@ -110,10 +110,14 @@ func TestConnAbortUnblocksProducer(t *testing.T) {
 
 func TestConnSendControlAfterProducerDone(t *testing.T) {
 	c := New(DefaultOptions())
+	closed := make(chan struct{})
 	go func() {
 		c.CloseSend()
+		close(closed)
 	}()
 	drain(c)
+	// The EOS page is published before CloseSend marks the producer gone.
+	<-closed
 	// Producer gone: control sends are dropped as moot.
 	for i := 0; i < 10; i++ {
 		c.SendControl(Control{Kind: CtrlShutdown})

@@ -66,9 +66,13 @@ func BarrierItem(epoch int64) Item {
 // BarrierEpoch returns the checkpoint epoch of an ItemBarrier.
 func (it Item) BarrierEpoch() int64 { return it.Tuple.Seq }
 
-// Page is a batch of items moved between operators as a unit.
+// Page is a batch of items moved between operators as a unit. It owns a
+// reference to every slab it adopted — the slabs its tuples' Values may alias
+// — and gives them up in Release.
 type Page struct {
 	Items []Item
+	slabs []*Slab
+	stamp uint64 // the producer's Aliases stamp the page last adopted under
 }
 
 // DefaultPageSize is the number of items per page; chosen to amortize
@@ -140,18 +144,39 @@ func (p *Page) AppendPunct(e *punct.Embedded) {
 	slot.Punct = e
 }
 
+// adopt makes the page an owner of every slab the producer's tuples may alias
+// right now: none of them is recycled before the page is released. A page
+// touched under several sets may adopt a slab twice; it then releases it
+// twice.
+//
+//pace:hotpath
+func (p *Page) adopt(a *Aliases) {
+	for _, s := range a.slabs {
+		s.refs.Add(1)
+		p.slabs = append(p.slabs, s) //pace:allow-alloc amortised growth: a recycled page keeps the capacity
+	}
+	p.stamp = a.stamp
+}
+
 // Reset clears the page for reuse. Item slots are zeroed so a recycled
 // page does not pin tuple values or predicate slices from its previous
-// life in the garbage collector.
+// life in the garbage collector, and the page's slabs are given up.
 func (p *Page) Reset() {
 	clear(p.Items)
 	p.Items = p.Items[:0]
+	for i, s := range p.slabs {
+		s.release()
+		p.slabs[i] = nil
+	}
+	p.slabs = p.slabs[:0]
+	p.stamp = 0
 }
 
 // pagePool recycles pages across producer/consumer goroutines. Ownership
 // transfers with the page: a producer owns a page until it is published into
 // a ring, the consumer owns it from Recv until Release, and nobody may
-// touch a page (or aliases into its Items) after releasing it.
+// touch a page (or aliases into its Items, or its tuples' Values) after
+// releasing it.
 var pagePool = sync.Pool{New: func() any { return new(Page) }}
 
 // GetPage draws a cleared page with at least the given capacity from the
@@ -165,9 +190,10 @@ func GetPage(capacity int) *Page {
 	return p
 }
 
-// Release returns a page to the recycling pool. The caller promises it
-// holds no references into p.Items; tuples copied out of the page (their
-// Values slices are owned by the tuple, never by the page) remain valid.
+// Release returns a page to the recycling pool and drops its slab references.
+// The caller promises it holds no references into p.Items, and no tuple of
+// the page whose Values it did not clone: the last page to release a slab
+// recycles it, and the values are overwritten.
 func Release(p *Page) {
 	if p == nil {
 		return

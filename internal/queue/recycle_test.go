@@ -9,51 +9,78 @@ import (
 	"repro/internal/stream"
 )
 
-// Property: page recycling never aliases data still held downstream. A
-// consumer that copies tuples out of a page and immediately Releases it —
-// the runtime's ownership-transfer contract — must observe exactly the
-// produced sequence even while the producer is drawing recycled pages from
-// the pool and overwriting their Item slots. Run under -race this also
-// proves the pool's hand-off is properly synchronized.
+// Property: recycling never hands a consumer memory that is still in use or
+// takes away memory it is still entitled to. The producer builds every run of
+// tuples in a recycled slab (Aliases.Get) exactly as the runtime's run-building
+// sites do; the consumer honours the contract — a tuple is read while its page
+// is held, what outlives the page is a clone — and releases each page at once,
+// so the producer is overwriting recycled pages and recycled slabs throughout.
+// Every tuple must read right on arrival, every clone and every punctuation
+// bound must still read right once the stream has ended. Run under -race this
+// also proves the pools' hand-offs are properly synchronized, and the race
+// build's sentinel makes a slab recycled too early unmistakable.
 func TestPageRecyclingNoAliasing(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		opts := Options{
 			PageSize: 1 + r.Intn(65),
-			Depth:    1 + r.Intn(4), // shallow: maximizes page reuse in flight
+			Depth:    1 + r.Intn(4), // shallow: maximizes page and slab reuse in flight
 		}
 		c := New(opts)
+		var aliases Aliases
+		c.BindAliases(&aliases)
 		n := 200 + r.Intn(800)
+		runs := make([]int, 0, n) // run lengths, drawn here: r is not shared
+		for left := n; left > 0; left -= runs[len(runs)-1] {
+			runs = append(runs, min(left, 1+r.Intn(40)))
+		}
 		go func() {
-			for i := 0; i < n; i++ {
-				if i%7 == 3 {
-					c.PutPunct(punct.NewEmbedded(punct.OnAttr(2, 0, punct.Le(stream.Int(int64(i))))))
-				} else {
-					c.PutTuple(stream.NewTuple(stream.Int(int64(i)), stream.String_("payload")).WithSeq(int64(i)))
+			i := 0
+			for _, run := range runs {
+				aliases.Begin(nil)
+				slab := aliases.Get(2 * run)
+				for ; run > 0; run, i = run-1, i+1 {
+					if i%7 == 3 {
+						c.PutPunct(punct.NewEmbedded(punct.OnAttr(2, 0, punct.Le(stream.Int(int64(i))))))
+						continue
+					}
+					vals := slab[:2:2]
+					slab = slab[2:]
+					vals[0], vals[1] = stream.Int(int64(i)), stream.String_("payload")
+					c.PutTuple(stream.Tuple{Values: vals, Seq: int64(i)})
 				}
+				aliases.End()
 			}
 			c.CloseSend()
 		}()
 
-		// Retain tuples and punct bounds long after their pages have been
-		// recycled; verify them only once the stream ends.
-		var gotTuples []stream.Tuple
+		right := func(t stream.Tuple, i int) bool {
+			return t.Seq == int64(i) && t.At(0) == stream.Int(int64(i)) && t.At(1).AsString() == "payload"
+		}
+		var kept []stream.Tuple
 		var gotPuncts []int64
+		ok, next := true, 0
 		for {
-			p, ok := c.Recv()
-			if !ok {
+			p, more := c.Recv()
+			if !more {
 				break
 			}
 			for _, it := range p.Items {
 				switch it.Kind {
 				case ItemTuple:
-					gotTuples = append(gotTuples, it.Tuple)
+					if next%7 == 3 {
+						next++
+					}
+					ok = ok && right(it.Tuple, next)
+					kept = append(kept, it.Tuple.Clone())
+					next++
 				case ItemPunct:
 					gotPuncts = append(gotPuncts, it.Punct.Pattern.Pred(0).Val.AsInt())
 				}
 			}
-			// Ownership transfer: nothing above retains the page or slices
-			// of p.Items, so the producer may overwrite it from here on.
+			// Ownership transfer: nothing above retains the page, slices of
+			// p.Items or its tuples' values, so the producer may overwrite
+			// all of them from here on.
 			Release(p)
 		}
 
@@ -66,16 +93,12 @@ func TestPageRecyclingNoAliasing(t *testing.T) {
 				pi++
 				continue
 			}
-			if ti >= len(gotTuples) {
-				return false
-			}
-			got := gotTuples[ti]
-			if got.Seq != int64(i) || got.At(0).AsInt() != int64(i) || got.At(1).AsString() != "payload" {
+			if ti >= len(kept) || !right(kept[ti], i) {
 				return false
 			}
 			ti++
 		}
-		return ti == len(gotTuples) && pi == len(gotPuncts)
+		return ok && ti == len(kept) && pi == len(gotPuncts)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

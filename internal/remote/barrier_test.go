@@ -202,11 +202,10 @@ func TestBarrierDroppedWithoutHook(t *testing.T) {
 // surface as a node error within the configured write deadline instead of
 // blocking the plan forever.
 func TestSinkWriteDeadline(t *testing.T) {
-	c1, c2 := net.Pipe() // the other end never reads
-	// A node that fails is not Closed (ROADMAP item 8), so the sink does not
-	// close its connection: the test owns the pipe and ends the sink's
-	// feedback reader with it.
-	defer c1.Close()
+	// The other end never reads. The failed sink is closed by the runtime
+	// like any other node, which closes c1 and ends its feedback reader: the
+	// leak gate in TestMain holds the test to that.
+	c1, c2 := net.Pipe()
 	defer c2.Close()
 	tuples := make([]stream.Tuple, 64)
 	for i := range tuples {

@@ -427,9 +427,10 @@ func (s *Source) Next(ctx exec.Context) (bool, error) {
 	return true, nil
 }
 
-// emitRun decodes a data frame's tuples into one fresh value arena — the
-// tuples go downstream and keep aliasing it, so it cannot be reused — and
-// emits them as one batch.
+// emitRun decodes a data frame's tuples into one fresh value arena and emits
+// them as one batch. The arena is garbage-collected memory no page adopts —
+// what a source is allowed to emit (exec.Source) — and deliberately not an
+// exec.Slab yet: ROADMAP item 1d says what that waits for.
 func (s *Source) emitRun(count int, body []byte, ctx exec.Context) error {
 	arity := s.Schema.Arity()
 	// A tuple is at least its arity prefix, one kind byte per value and its

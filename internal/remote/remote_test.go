@@ -252,3 +252,46 @@ func TestSourceReadTimeout(t *testing.T) {
 		t.Fatal("Next did not time out")
 	}
 }
+
+// TestSourceDrawsNoSlab: the wire decoder builds each frame's tuples in an
+// arena of its own — garbage-collected memory no page adopts, not an exec.Slab
+// (ROADMAP item 1d says what that waits for) — so a consumer plan with no other
+// run builder requests no slab, and over a long stream, with the pages that
+// carry the tuples recycled many times over, what the plan kept is still what
+// the producer sent (under -race a slab adopted by mistake would arrive
+// poisoned).
+func TestSourceDrawsNoSlab(t *testing.T) {
+	const n = 20_000
+	tuples := make([]stream.Tuple, n)
+	for i := range tuples {
+		tuples[i] = mkTuple(int64(i), int64(i)*1000, float64(i)/4)
+	}
+	c1, c2 := net.Pipe()
+	gp := exec.NewGraph()
+	gp.Add(NewSink("wire-out", schema, c1), exec.From(gp.AddSource(exec.NewSliceSource("src", schema, tuples...))))
+	gc := exec.NewGraph()
+	col := exec.NewCollector("col", schema)
+	gc.Add(col, exec.From(gc.AddSource(NewSource("wire-in", schema, c2))))
+
+	gets0, _ := queue.SlabStats()
+	errP := make(chan error, 1)
+	go func() { errP <- gp.Run() }()
+	if err := gc.Run(); err != nil {
+		t.Fatalf("consumer graph: %v", err)
+	}
+	if err := <-errP; err != nil {
+		t.Fatalf("producer graph: %v", err)
+	}
+	got := col.Tuples()
+	if len(got) != n {
+		t.Fatalf("%d tuples crossed, want %d", len(got), n)
+	}
+	for i, tp := range got {
+		if tp.Seq != tuples[i].Seq || !tp.Equal(tuples[i]) {
+			t.Fatalf("tuple %d crossed as %v, want %v", i, tp, tuples[i])
+		}
+	}
+	if gets, _ := queue.SlabStats(); gets != gets0 {
+		t.Errorf("%d slab requests from a plan whose only run builder is the wire decoder", gets-gets0)
+	}
+}

@@ -41,7 +41,7 @@ func Serve(addr string, t *Telemetry) (*Server, error) {
 			for i := range ids {
 				nodes[i] = map[string]any{"id": ids[i], "op": names[i]}
 			}
-			st = map[string]any{"nodes": nodes, "edges": t.Registry.EdgeSnapshots()}
+			st = map[string]any{"nodes": nodes, "edges": t.Registry.EdgeSnapshots(), "globals": t.Registry.Globals()}
 		}
 		writeJSON(w, st)
 	})

@@ -159,6 +159,23 @@ func (r *Registry) AddGlobal(vars ...Var) {
 	r.mu.Unlock()
 }
 
+// Globals evaluates the process-wide vars, by name, for /statusz.
+func (r *Registry) Globals() map[string]int64 {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	globals := append([]Var(nil), r.globals...)
+	r.mu.Unlock()
+	out := make(map[string]int64, len(globals))
+	for _, v := range globals {
+		if v.Value != nil {
+			out[v.Name] = v.Value()
+		}
+	}
+	return out
+}
+
 // SetEdges installs the edge-snapshot closure; it is called once per
 // scrape and must be safe concurrently with the running plan.
 func (r *Registry) SetEdges(fn func() []EdgeStat) {

@@ -42,7 +42,7 @@ func (f *fbAfter) InSchemas() []repro.Schema  { return []repro.Schema{f.schema} 
 func (f *fbAfter) OutSchemas() []repro.Schema { return nil }
 func (f *fbAfter) ProcessTuple(_ int, t stream.Tuple, ctx repro.Context) error {
 	f.mu.Lock()
-	f.got = append(f.got, t)
+	f.got = append(f.got, t.Clone())
 	f.arrived++
 	send := !f.sent && f.arrived >= f.after
 	if send {
@@ -134,7 +134,7 @@ func TestConcurrentFeedbackStress(t *testing.T) {
 	sink.Discard = true
 	sink.OnTuple = func(t repro.Tuple) {
 		mu.Lock()
-		got = append(got, t)
+		got = append(got, t.Clone())
 		mu.Unlock()
 	}
 	_ = seq
