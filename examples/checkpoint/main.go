@@ -41,6 +41,7 @@ import (
 // replay position, so recovery regenerates exactly the tuples behind the
 // barrier.
 type pausableSource struct {
+	exec.Base
 	items   []queue.Item
 	pauseAt int
 	release atomic.Bool
@@ -49,11 +50,6 @@ type pausableSource struct {
 
 func (s *pausableSource) Name() string                { return "traffic" }
 func (s *pausableSource) OutSchemas() []stream.Schema { return []stream.Schema{gen.TrafficSchema} }
-func (s *pausableSource) Open(exec.Context) error     { return nil }
-func (s *pausableSource) Close(exec.Context) error    { return nil }
-func (s *pausableSource) ProcessFeedback(int, core.Feedback, exec.Context) error {
-	return nil
-}
 
 func (s *pausableSource) Next(ctx exec.Context) (bool, error) {
 	pos := int(s.pos.Load())

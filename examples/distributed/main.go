@@ -51,15 +51,13 @@ import (
 // pacedSource replays a fixed item sequence at a trickle, so checkpoint
 // epochs land mid-stream; its snapshot state is the replay position.
 type pacedSource struct {
+	exec.Base
 	items []queue.Item
 	pos   atomic.Int64
 }
 
-func (s *pacedSource) Name() string                                           { return "traffic" }
-func (s *pacedSource) OutSchemas() []stream.Schema                            { return []stream.Schema{gen.TrafficSchema} }
-func (s *pacedSource) Open(exec.Context) error                                { return nil }
-func (s *pacedSource) Close(exec.Context) error                               { return nil }
-func (s *pacedSource) ProcessFeedback(int, core.Feedback, exec.Context) error { return nil }
+func (s *pacedSource) Name() string                { return "traffic" }
+func (s *pacedSource) OutSchemas() []stream.Schema { return []stream.Schema{gen.TrafficSchema} }
 
 func (s *pacedSource) Next(ctx exec.Context) (bool, error) {
 	pos := int(s.pos.Load())

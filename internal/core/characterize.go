@@ -12,8 +12,9 @@ import (
 // binds, and yields a ResponsePlan: the local exploit actions that are
 // correct for that shape, plus the safe propagations.
 //
-// The operators in package op consult these plans; the tests and
-// `cmd/experiments tables` verify that enacting them satisfies Definition 1.
+// An operator's Characterize returns these plans and a Responder enacts
+// them; the tests and `cmd/experiments tables` verify that enacting them
+// satisfies Definition 1.
 
 // ResponsePlan is the prescribed reaction to one feedback shape.
 type ResponsePlan struct {
@@ -25,6 +26,42 @@ type ResponsePlan struct {
 	Propagate []*punct.Pattern
 	// Explanation mirrors the table row's prose, for the demonstrator.
 	Explanation string
+}
+
+// ---------------------------------------------------------------------------
+// The trivial rows: operators with no state a feedback could describe.
+// ---------------------------------------------------------------------------
+
+// Stateless characterizes an operator that keeps nothing a feedback could
+// describe (§4.3: "assumed punctuation can simply be added to its select
+// condition"). Assumed feedback is answered with the given guard actions —
+// which guards make sense is the operator's to say: both for a filter whose
+// input and output guard coincide, the output alone for a source — and
+// feedback of any intent is relayed to each input whose mapping carries every
+// bound attribute (Definition 2): the identity for SELECT, UNION and MERGE,
+// the attribute mapping for PROJECT, MAP and IMPUTE, none for a source.
+func Stateless(f Feedback, guard []Action, maps ...AttrMap) ResponsePlan {
+	plan := ResponsePlan{Propagate: make([]*punct.Pattern, len(maps))}
+	if f.Intent == Assumed {
+		plan.Actions = append(plan.Actions, guard...)
+	}
+	relay := false
+	for i, pr := range SafePropagationMulti(f.Pattern, maps) {
+		if pr.OK {
+			pat := pr.Pattern
+			plan.Propagate[i] = &pat
+			relay = true
+		} else {
+			plan.Explanation = "propagation refused: " + pr.Reason
+		}
+	}
+	if relay {
+		plan.Actions = append(plan.Actions, ActPropagate)
+	}
+	if len(plan.Actions) == 0 {
+		plan.Actions = []Action{ActNone}
+	}
+	return plan
 }
 
 // ---------------------------------------------------------------------------
@@ -151,15 +188,11 @@ func ClassifyAggPattern(p punct.Pattern, groupIdx []int, valueIdx int) AggShape 
 //	¬[*,≤a]  → guard output only for monotone-up; symmetric purge for
 //	           monotone-down aggregates (MIN)
 //	mixed    → guard output only
-func AggCharacterization(kind AggKind, shape AggShape, p punct.Pattern, inputMap AttrMap) ResponsePlan {
-	return AggCharacterizationGiven(kind, shape, p, inputMap, false)
-}
-
-// AggCharacterizationGiven is AggCharacterization with an extra domain
-// guarantee: nonNegativeInputs upgrades SUM to monotone-up, enabling the
-// purge/guard-input response on upward-closed value bounds (speeds,
-// counts, volumes and most physical measurements qualify).
-func AggCharacterizationGiven(kind AggKind, shape AggShape, p punct.Pattern, inputMap AttrMap, nonNegativeInputs bool) ResponsePlan {
+//
+// nonNegativeInputs is a domain guarantee that upgrades SUM to monotone-up,
+// enabling the purge/guard-input response on upward-closed value bounds
+// (speeds, counts, volumes and most physical measurements qualify).
+func AggCharacterization(kind AggKind, shape AggShape, p punct.Pattern, inputMap AttrMap, nonNegativeInputs bool) ResponsePlan {
 	switch shape {
 	case AggShapeGroup:
 		plan := ResponsePlan{

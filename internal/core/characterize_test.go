@@ -42,7 +42,7 @@ func TestTable1Count(t *testing.T) {
 
 	// Row 1: ¬[g,*] → purge group, guard input, propagate g.
 	p := punct.OnAttr(2, 0, punct.Eq(stream.Int(7)))
-	plan := AggCharacterization(AggCount, ClassifyAggPattern(p, group, 1), p, m)
+	plan := AggCharacterization(AggCount, ClassifyAggPattern(p, group, 1), p, m, false)
 	wantActions(t, "¬[g,*]", plan, ActPurgeState, ActGuardInput, ActPropagate)
 	if plan.Propagate[0] == nil {
 		t.Fatal("¬[g,*] must propagate")
@@ -54,18 +54,18 @@ func TestTable1Count(t *testing.T) {
 
 	// Row 2: ¬[*,a] → guard output only.
 	p = punct.OnAttr(2, 1, punct.Eq(stream.Float(5)))
-	plan = AggCharacterization(AggCount, ClassifyAggPattern(p, group, 1), p, m)
+	plan = AggCharacterization(AggCount, ClassifyAggPattern(p, group, 1), p, m, false)
 	wantActions(t, "¬[*,a]", plan, ActGuardOutput)
 
 	// Row 3: ¬[*,≥a] → purge matching, guard input, close windows
 	// (COUNT is monotone-up). No propagation: future groups may be small.
 	p = punct.OnAttr(2, 1, punct.Ge(stream.Float(5)))
-	plan = AggCharacterization(AggCount, ClassifyAggPattern(p, group, 1), p, m)
+	plan = AggCharacterization(AggCount, ClassifyAggPattern(p, group, 1), p, m, false)
 	wantActions(t, "¬[*,≥a]", plan, ActPurgeState, ActGuardInput, ActCloseWindows)
 
 	// Row 4: ¬[*,≤a] → guard output only for COUNT.
 	p = punct.OnAttr(2, 1, punct.Le(stream.Float(5)))
-	plan = AggCharacterization(AggCount, ClassifyAggPattern(p, group, 1), p, m)
+	plan = AggCharacterization(AggCount, ClassifyAggPattern(p, group, 1), p, m, false)
 	wantActions(t, "¬[*,≤a]", plan, ActGuardOutput)
 }
 
@@ -79,36 +79,36 @@ func TestAggMonotonicityVariants(t *testing.T) {
 	down := punct.OnAttr(2, 1, punct.Le(stream.Float(5)))
 
 	// SUM with ≥: not monotone → guard output only.
-	plan := AggCharacterization(AggSum, ClassifyAggPattern(up, group, 1), up, m)
+	plan := AggCharacterization(AggSum, ClassifyAggPattern(up, group, 1), up, m, false)
 	wantActions(t, "SUM ¬[*,≥a]", plan, ActGuardOutput)
 
 	// AVG with ≥: not monotone → guard output only.
-	plan = AggCharacterization(AggAvg, ClassifyAggPattern(up, group, 1), up, m)
+	plan = AggCharacterization(AggAvg, ClassifyAggPattern(up, group, 1), up, m, false)
 	wantActions(t, "AVG ¬[*,≥a]", plan, ActGuardOutput)
 
 	// MAX with ≥: monotone-up → purge/guard/close (the §3.5 MAX example).
-	plan = AggCharacterization(AggMax, ClassifyAggPattern(up, group, 1), up, m)
+	plan = AggCharacterization(AggMax, ClassifyAggPattern(up, group, 1), up, m, false)
 	wantActions(t, "MAX ¬[*,≥a]", plan, ActPurgeState, ActGuardInput, ActCloseWindows)
 
 	// MAX with ≤: can still drop below? No — MAX only grows; a window
 	// currently above the bound may not fall back, but one below may rise
 	// out. Purging ≤-matching windows is incorrect → guard output.
-	plan = AggCharacterization(AggMax, ClassifyAggPattern(down, group, 1), down, m)
+	plan = AggCharacterization(AggMax, ClassifyAggPattern(down, group, 1), down, m, false)
 	wantActions(t, "MAX ¬[*,≤a]", plan, ActGuardOutput)
 
 	// MIN with ≤: monotone-down → symmetric purge.
-	plan = AggCharacterization(AggMin, ClassifyAggPattern(down, group, 1), down, m)
+	plan = AggCharacterization(AggMin, ClassifyAggPattern(down, group, 1), down, m, false)
 	wantActions(t, "MIN ¬[*,≤a]", plan, ActPurgeState, ActGuardInput, ActCloseWindows)
 
 	// MIN with ≥: guard output only.
-	plan = AggCharacterization(AggMin, ClassifyAggPattern(up, group, 1), up, m)
+	plan = AggCharacterization(AggMin, ClassifyAggPattern(up, group, 1), up, m, false)
 	wantActions(t, "MIN ¬[*,≥a]", plan, ActGuardOutput)
 
 	// SUM with ≥ under a non-negativity guarantee: monotone-up after all.
-	plan = AggCharacterizationGiven(AggSum, ClassifyAggPattern(up, group, 1), up, m, true)
+	plan = AggCharacterization(AggSum, ClassifyAggPattern(up, group, 1), up, m, true)
 	wantActions(t, "SUM(≥0) ¬[*,≥a]", plan, ActPurgeState, ActGuardInput, ActCloseWindows)
 	// The guarantee never helps the downward bound.
-	plan = AggCharacterizationGiven(AggSum, ClassifyAggPattern(down, group, 1), down, m, true)
+	plan = AggCharacterization(AggSum, ClassifyAggPattern(down, group, 1), down, m, true)
 	wantActions(t, "SUM(≥0) ¬[*,≤a]", plan, ActGuardOutput)
 }
 

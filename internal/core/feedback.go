@@ -47,19 +47,6 @@ func (i Intent) String() string {
 	return fmt.Sprintf("intent(%d)", uint8(i))
 }
 
-// ParseIntent accepts either the sigil or the name.
-func ParseIntent(s string) (Intent, error) {
-	switch strings.TrimSpace(s) {
-	case "¬", "not", "assumed":
-		return Assumed, nil
-	case "?", "desired":
-		return Desired, nil
-	case "!", "demanded":
-		return Demanded, nil
-	}
-	return Assumed, fmt.Errorf("core: unknown intent %q", s)
-}
-
 // Feedback is one feedback punctuation. It is not part of the stream: it
 // travels on the control channel, against the data direction, with priority
 // over pending tuples (§5, "Inter-Operator Communication").

@@ -29,6 +29,7 @@ type Guard struct {
 // and is single-goroutine by construction.
 type GuardTable struct {
 	guards []Guard
+	arity  int
 	scheme *punct.Scheme
 	// merged counts guards dropped because a newer guard subsumed them.
 	merged int
@@ -40,7 +41,21 @@ type GuardTable struct {
 
 // NewGuardTable creates an empty table for streams of the given arity.
 func NewGuardTable(arity int) *GuardTable {
-	return &GuardTable{scheme: punct.NewScheme(arity)}
+	return &GuardTable{arity: arity, scheme: punct.NewScheme(arity)}
+}
+
+// Arity returns the arity of the streams the table guards.
+func (g *GuardTable) Arity() int { return g.arity }
+
+// Restore replaces the table's content with a captured guard list. The
+// expiration tracker restarts empty: a guard whose subset the stream already
+// promised complete expires again at the next covering punctuation, and until
+// then can only suppress tuples the stream will never produce.
+func (g *GuardTable) Restore(fs []Feedback) {
+	g.guards, g.scheme = nil, punct.NewScheme(g.arity)
+	for _, f := range fs {
+		g.Install(f)
+	}
 }
 
 // Install adds a guard for the feedback's pattern. Guards subsumed by the
@@ -108,6 +123,17 @@ func (g *GuardTable) ObservePunct(e punct.Embedded) int {
 	g.guards = kept
 	g.expired += released
 	return released
+}
+
+// covers reports whether an installed guard's pattern is implied by p: the
+// table already holds feedback describing all of p.
+func (g *GuardTable) covers(p punct.Pattern) bool {
+	for i := range g.guards {
+		if p.Implies(g.guards[i].Pattern) {
+			return true
+		}
+	}
+	return false
 }
 
 // Supportable applies the §4.4 admissibility test to a candidate feedback

@@ -1,0 +1,99 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/punct"
+	"repro/internal/stream"
+)
+
+func TestClamp(t *testing.T) {
+	pat := punct.OnAttr(2, 0, punct.Eq(stream.Int(1)))
+	full := ResponsePlan{
+		Actions:   []Action{ActPurgeState, ActGuardInput, ActPropagate},
+		Propagate: []*punct.Pattern{&pat},
+	}
+	refused := ResponsePlan{Actions: []Action{ActGuardOutput}, Propagate: []*punct.Pattern{nil}}
+	relayOnly := ResponsePlan{Actions: []Action{ActPropagate}, Propagate: []*punct.Pattern{&pat}}
+	cases := []struct {
+		name      string
+		plan      ResponsePlan
+		intent    Intent
+		mode      Mode
+		propagate bool
+		want      []Action
+		relays    bool
+	}{
+		{"ignore is the null response", full, Assumed, ModeIgnore, true, []Action{ActNone}, false},
+		{"ignore relays nothing", relayOnly, Desired, ModeIgnore, true, []Action{ActNone}, false},
+		{"guard-output keeps the output guard alone", full, Assumed, ModeGuardOutput, true, []Action{ActGuardOutput}, false},
+		{"guard-output is about assumed feedback", relayOnly, Desired, ModeGuardOutput, true, []Action{ActNone}, false},
+		{"guard-output invents no exploitation", relayOnly, Assumed, ModeGuardOutput, true, []Action{ActNone}, false},
+		{"exploit is the row", full, Assumed, ModeExploit, true, full.Actions, true},
+		{"exploit without Propagate stays local", full, Assumed, ModeExploit, false, []Action{ActPurgeState, ActGuardInput}, false},
+		{"no pattern survives, nothing to relay", refused, Assumed, ModeExploit, true, []Action{ActGuardOutput}, false},
+		{"relay only", relayOnly, Desired, ModeExploit, true, []Action{ActPropagate}, true},
+		{"relay only, not asked to", relayOnly, Desired, ModeExploit, false, []Action{ActNone}, false},
+	}
+	for _, c := range cases {
+		got := c.plan.Clamp(c.intent, c.mode, c.propagate)
+		if !reflect.DeepEqual(got.Actions, c.want) {
+			t.Errorf("%s: actions %v, want %v", c.name, got.Actions, c.want)
+		}
+		if relays := len(got.Propagate) > 0 && got.Propagate[0] != nil; relays != c.relays {
+			t.Errorf("%s: relays=%v, want %v", c.name, relays, c.relays)
+		}
+	}
+}
+
+// fixedRow answers every feedback with one plan.
+type fixedRow struct{ plan ResponsePlan }
+
+func (r fixedRow) Characterize(int, Feedback) ResponsePlan { return r.plan }
+
+// upstream records what a responder relays.
+type upstream struct{ sent []Feedback }
+
+func (u *upstream) SendFeedback(_ int, f Feedback) { u.sent = append(u.sent, f) }
+func (u *upstream) NumInputs() int                 { return 1 }
+
+func TestResponderExpiresEverythingItHolds(t *testing.T) {
+	window := func(hi int64) punct.Pattern { return punct.OnAttr(2, 0, punct.Le(ts(hi))) }
+	var r Responder[*upstream]
+	row := &fixedRow{}
+	r.Bind(row, ModeExploit, true, 2, 2)
+	demand := r.Demands()
+	pin := r.Pinned(0, 2)
+	var up upstream
+	for round := int64(1); round <= 5; round++ {
+		p := window(round * 100)
+		row.plan = ResponsePlan{Actions: []Action{ActGuardOutput, ActPropagate}, Propagate: []*punct.Pattern{&p}}
+		for port := 0; port < 2; port++ {
+			if err := r.Respond(port, NewAssumed(p), &up); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Respond(port, NewDemanded(p), &up); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pin.Install(NewAssumed(p))
+		if got := len(up.sent); got != int(2*round) {
+			t.Fatalf("round %d: %d relays, want each pattern once per intent", round, got)
+		}
+		r.Observe(0, punct.NewEmbedded(p))
+		if pin.Active() != 0 || r.OutTables()[0].Active() != 1 {
+			t.Fatalf("round %d: input punctuation expires the input table and no other", round)
+		}
+		r.Observe(Output, punct.NewEmbedded(p))
+		if n := r.OutTables()[0].Active() + r.OutTables()[1].Active() + demand[0].Active() + demand[1].Active() + len(r.Relayed()); n != 0 {
+			t.Fatalf("round %d: %d entries outlive the punctuation that covers them", round, n)
+		}
+	}
+	if err := r.Respond(2, NewAssumed(window(1)), &up); err == nil {
+		t.Error("feedback on an output the operator does not have must be an error")
+	}
+	if r.Received() != 20 || r.Exploited() != 20 || r.Forwarded() != 10 {
+		t.Errorf("counters %d/%d/%d, want 20/20/10", r.Received(), r.Exploited(), r.Forwarded())
+	}
+}

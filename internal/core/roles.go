@@ -4,22 +4,12 @@ package core
 // feedback (§1): producers discover processing opportunities and issue
 // feedback; exploiters act on received feedback within their own logic;
 // relayers map feedback through their schema transformation and pass it
-// upstream. An operator may play all three. The interfaces below are
-// implemented by operators in package op; the exec runtime uses them to
-// decide how to route control messages.
-
-// FeedbackSink receives feedback arriving from downstream. The emit
-// callback lets the implementation relay (possibly transformed) feedback to
-// a specific input port; implementations that only exploit never call it.
-type FeedbackSink interface {
-	// AcceptFeedback processes one feedback punctuation from downstream.
-	// emit(input, f) forwards feedback to the operator's input number
-	// `input`.
-	AcceptFeedback(f Feedback, emit func(input int, f Feedback))
-}
+// upstream. An operator may play all three. A producer sends feedback through
+// its runtime context; exploiting and relaying are what a Responder enacts
+// from the operator's characterization (responder.go).
 
 // Action enumerates the response vocabulary of §4.3, used by operator
-// characterizations (Tables 1 and 2) and by response logs in tests.
+// characterizations (Tables 1 and 2) and by the responses a Responder traces.
 type Action uint8
 
 const (
@@ -66,9 +56,8 @@ func (a Action) String() string {
 	return "action(?)"
 }
 
-// Response records what an operator did with one feedback punctuation.
-// Operators append responses to a log that tests and the Tables 1/2
-// demonstrator inspect.
+// Response records what an operator did with one feedback punctuation; a
+// Responder keeps the last TraceCap of them (Trace).
 type Response struct {
 	Feedback Feedback
 	Actions  []Action

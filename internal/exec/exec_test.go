@@ -227,7 +227,7 @@ type feedbackGatedSource struct {
 }
 
 func (s *feedbackGatedSource) Next(ctx Context) (bool, error) {
-	if s.pos == s.gateAt && len(s.received) == 0 {
+	if s.pos == s.gateAt && s.Received() == 0 {
 		runtime.Gosched()
 		return true, nil
 	}

@@ -18,6 +18,7 @@ import (
 // set, tuples matching a received assumed-feedback pattern are skipped at
 // the source — the strongest possible exploitation.
 type SliceSource struct {
+	Responding
 	SourceName string
 	Schema     stream.Schema
 	Items      []queue.Item
@@ -30,10 +31,9 @@ type SliceSource struct {
 	// BatchSize items are emitted per Next call (default 16).
 	BatchSize int
 
-	pos      int
-	guards   *core.GuardTable
-	received []core.Feedback
-	skipped  int64
+	pos     int
+	guards  *core.GuardTable
+	skipped int64
 	// batch backs the run-of-tuples fast path in Next; transient scratch,
 	// never part of captured state.
 	batch []stream.Tuple
@@ -52,8 +52,29 @@ func (s *SliceSource) OutSchemas() []stream.Schema { return []stream.Schema{s.Sc
 
 // Open implements Source.
 func (s *SliceSource) Open(Context) error {
-	s.guards = core.NewGuardTable(s.Schema.Arity())
+	s.guards = s.BindSource(s.FeedbackAware, s.Schema.Arity())
 	return nil
+}
+
+// BindSource binds the responder of a source whose stream has the given
+// arity and returns its one guard table. A feedback-aware source is the
+// strongest exploiter there is — what it guards is never generated — and has
+// nothing upstream to relay to; an unaware one ignores what it is told.
+func (r *Responding) BindSource(aware bool, arity int) *core.GuardTable {
+	mode := core.ModeIgnore
+	if aware {
+		mode = core.ModeExploit
+	}
+	r.Bind(sourceRow{}, mode, false, 1, arity)
+	return r.OutTables()[0]
+}
+
+// sourceRow is a source's characterization: guard the output.
+type sourceRow struct{}
+
+// Characterize implements core.Characterizer.
+func (sourceRow) Characterize(_ int, f core.Feedback) core.ResponsePlan {
+	return core.Stateless(f, []core.Action{core.ActGuardOutput})
 }
 
 // Next implements Source.
@@ -115,25 +136,12 @@ func (s *SliceSource) Next(ctx Context) (bool, error) {
 			}
 			ctx.Emit(it.Tuple)
 		case queue.ItemPunct:
-			s.guards.ObservePunct(*it.Punct)
+			s.Observe(core.Output, *it.Punct)
 			ctx.EmitPunct(*it.Punct)
 		}
 	}
 	return s.pos < total, nil
 }
-
-// ProcessFeedback implements Source: assumed feedback installs a guard when
-// the source is feedback-aware.
-func (s *SliceSource) ProcessFeedback(_ int, f core.Feedback, _ Context) error {
-	s.received = append(s.received, f)
-	if s.FeedbackAware && f.Intent == core.Assumed {
-		s.guards.Install(f)
-	}
-	return nil
-}
-
-// Close implements Source.
-func (s *SliceSource) Close(Context) error { return nil }
 
 // CaptureState implements snapshot.Stater: the source's durable state is
 // its replay position plus its feedback guards, so a restored source
@@ -154,16 +162,13 @@ func (s *SliceSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, erro
 func (s *SliceSource) LoadState(dec *snapshot.Decoder) error {
 	s.pos = dec.GetInt()
 	s.skipped = dec.GetInt64()
-	s.guards = snapshot.GetGuards(dec, s.Schema.Arity())
+	snapshot.GetGuards(dec, s.guards)
 	if total := len(s.Tuples) + len(s.Items); s.pos < 0 || s.pos > total {
 		return fmt.Errorf("exec: slice source %q: restored position %d outside replay log of %d items (source data changed?)",
 			s.SourceName, s.pos, total)
 	}
 	return dec.Err()
 }
-
-// Received returns the feedback the source has seen (diagnostics).
-func (s *SliceSource) Received() []core.Feedback { return s.received }
 
 // Skipped returns how many tuples guards suppressed at the source.
 func (s *SliceSource) Skipped() int64 { return s.skipped }
@@ -173,6 +178,7 @@ func (s *SliceSource) Skipped() int64 { return s.skipped }
 // progress punctuation on an ordered attribute and exploits assumed
 // feedback when FeedbackAware.
 type ReaderSource struct {
+	Responding
 	SourceName string
 	Schema     stream.Schema
 	R          io.Reader
@@ -207,7 +213,7 @@ func (s *ReaderSource) OutSchemas() []stream.Schema { return []stream.Schema{s.S
 // Open implements Source.
 func (s *ReaderSource) Open(Context) error {
 	s.dec = stream.NewDecoder(s.R, s.Schema)
-	s.guards = core.NewGuardTable(s.Schema.Arity())
+	s.guards = s.BindSource(s.FeedbackAware, s.Schema.Arity())
 	s.base = 0
 	if s.PunctEvery <= 0 {
 		s.PunctEvery = 100
@@ -230,7 +236,7 @@ func (s *ReaderSource) Next(ctx Context) (bool, error) {
 		s.lastV = t.At(s.PunctAttr)
 		if s.count%s.PunctEvery == 0 && !s.lastV.IsNull() {
 			e := punct.NewEmbedded(punct.OnAttr(s.Schema.Arity(), s.PunctAttr, punct.Le(s.lastV)))
-			s.guards.ObservePunct(e)
+			s.Observe(core.Output, e)
 			ctx.EmitPunct(e)
 		}
 	}
@@ -241,17 +247,6 @@ func (s *ReaderSource) Next(ctx Context) (bool, error) {
 	ctx.Emit(t)
 	return true, nil
 }
-
-// ProcessFeedback implements Source.
-func (s *ReaderSource) ProcessFeedback(_ int, f core.Feedback, _ Context) error {
-	if s.FeedbackAware && f.Intent == core.Assumed {
-		s.guards.Install(f)
-	}
-	return nil
-}
-
-// Close implements Source.
-func (s *ReaderSource) Close(Context) error { return nil }
 
 // CaptureState implements snapshot.Stater: the replay position is the
 // exact byte offset of consumed input (plus tuple count for sequence-number
@@ -276,7 +271,7 @@ func (s *ReaderSource) LoadState(dec *snapshot.Decoder) error {
 	offset := dec.GetInt64()
 	s.count = dec.GetInt()
 	s.skipped = dec.GetInt64()
-	s.guards = snapshot.GetGuards(dec, s.Schema.Arity())
+	snapshot.GetGuards(dec, s.guards)
 	if err := dec.Err(); err != nil {
 		return err
 	}
@@ -300,6 +295,7 @@ func (s *ReaderSource) Skipped() int64 { return s.skipped }
 // Collector is a sink that records everything it receives. It is safe to
 // read after Graph.Run returns; a mutex also allows sampling mid-run.
 type Collector struct {
+	Base
 	SinkName string
 	Schema   stream.Schema
 	// OnTuple, if set, is invoked synchronously for each tuple (used by
@@ -337,9 +333,6 @@ func (c *Collector) InSchemas() []stream.Schema { return []stream.Schema{c.Schem
 
 // OutSchemas implements Operator.
 func (c *Collector) OutSchemas() []stream.Schema { return nil }
-
-// Open implements Operator.
-func (c *Collector) Open(Context) error { return nil }
 
 // ProcessTuple implements Operator.
 func (c *Collector) ProcessTuple(_ int, t stream.Tuple, ctx Context) error {
@@ -393,15 +386,6 @@ func (c *Collector) ProcessPunct(_ int, e punct.Embedded, _ Context) error {
 	c.mu.Unlock()
 	return nil
 }
-
-// ProcessFeedback implements Operator (sinks receive none).
-func (c *Collector) ProcessFeedback(int, core.Feedback, Context) error { return nil }
-
-// ProcessEOS implements Operator.
-func (c *Collector) ProcessEOS(int, Context) error { return nil }
-
-// Close implements Operator.
-func (c *Collector) Close(Context) error { return nil }
 
 // CaptureState implements snapshot.Stater: everything received up to the
 // cut is part of the sink's state, so a restored run appends the

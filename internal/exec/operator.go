@@ -23,6 +23,7 @@ import (
 	"repro/internal/punct"
 	"repro/internal/queue"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 )
 
 // Context is the surface through which an operator interacts with the
@@ -195,3 +196,33 @@ func (Base) ProcessEOS(int, Context) error { return nil }
 
 // Close implements Operator with a no-op.
 func (Base) Close(Context) error { return nil }
+
+// Responding is Base for an operator or source that responds to feedback. It
+// carries the operator's core.Responder — guard tables, counters, response
+// trace — and ProcessFeedback is the responder enacting the operator's
+// Characterize; the embedding type binds it in Open (Bind) and writes no
+// feedback handler of its own.
+type Responding struct {
+	Base
+	core.Responder[Context]
+}
+
+// ProcessFeedback implements Operator and Source.
+func (r *Responding) ProcessFeedback(output int, f core.Feedback, ctx Context) error {
+	return r.Respond(output, f, ctx)
+}
+
+// TelemetryVars implements telemetry.VarExporter with the feedback counters.
+func (r *Responding) TelemetryVars() []telemetry.Var {
+	return FeedbackVars(r.Received, r.Exploited, r.Forwarded)
+}
+
+// FeedbackVars renders feedback counters as the three pace_op_feedback_*
+// series every responding operator exports.
+func FeedbackVars(received, exploited, forwarded func() int64) []telemetry.Var {
+	return []telemetry.Var{
+		{Name: "pace_op_feedback_received_total", Help: "Feedback messages delivered to the operator.", Kind: telemetry.Counter, Value: received},
+		{Name: "pace_op_feedback_exploited_total", Help: "Feedback messages acted on locally (guard installed, state purged, production reordered or unblocked).", Kind: telemetry.Counter, Value: exploited},
+		{Name: "pace_op_feedback_forwarded_total", Help: "Feedback messages relayed upstream.", Kind: telemetry.Counter, Value: forwarded},
+	}
+}

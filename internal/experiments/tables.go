@@ -13,9 +13,9 @@ import (
 )
 
 // This file regenerates Tables 1 and 2: for each punctuation shape the
-// paper characterizes, it derives the response plan from package core,
-// ENACTS it on a live operator, and verifies Definition 1 by comparing
-// against the feedback-unaware run.
+// paper characterizes, it asks a live operator for its response plan — the
+// one its responder enacts — ENACTS it, and verifies Definition 1 by
+// comparing against the feedback-unaware run.
 
 // TableRow is one rendered characterization row.
 type TableRow struct {
@@ -59,11 +59,8 @@ func CountTable() []TableRow {
 				Window: window.Tumbling(20_000), Mode: mode,
 			}
 		}
-		plan := core.AggCharacterization(core.AggCount,
-			core.ClassifyAggPattern(sh.pat, []int{0}, 2), sh.pat,
-			core.AttrMap{InputArity: 3, ToInput: []int{0, -1, -1}})
-		row := TableRow{Punctuation: sh.label, Plan: plan}
 		fb := core.NewAssumed(sh.pat)
+		row := TableRow{Punctuation: sh.label, Plan: mk(op.FeedbackExploit).Characterize(0, fb)}
 		ref := runAggProbe(mk(op.FeedbackIgnore), probeStream, fb)
 		act := runAggProbe(mk(op.FeedbackExploit), probeStream, fb)
 		rep := core.CheckExploitation(ref, act, fb)
@@ -100,9 +97,6 @@ func JoinTable() []TableRow {
 	}
 	// Output schema: (l, j, ts, r): L={0}, J={1,2}, R={3}.
 	outArity := 4
-	part := core.JoinPartition{Left: []int{0}, Join: []int{1, 2}, Right: []int{3}}
-	leftMap := core.AttrMap{InputArity: 3, ToInput: []int{0, 1, 2, -1}}
-	rightMap := core.AttrMap{InputArity: 3, ToInput: []int{-1, 0, 2, 1}}
 	shapes := []struct {
 		label string
 		pat   punct.Pattern
@@ -114,9 +108,8 @@ func JoinTable() []TableRow {
 	}
 	var rows []TableRow
 	for _, sh := range shapes {
-		plan := core.JoinCharacterization(core.ClassifyJoinPattern(sh.pat, part), sh.pat, leftMap, rightMap)
-		row := TableRow{Punctuation: sh.label, Plan: plan}
 		fb := core.NewAssumed(sh.pat)
+		row := TableRow{Punctuation: sh.label, Plan: mk(op.FeedbackExploit).Characterize(0, fb)}
 		ref := runJoinProbe(mk(op.FeedbackIgnore), fb)
 		act := runJoinProbe(mk(op.FeedbackExploit), fb)
 		rep := core.CheckExploitation(ref, act, fb)

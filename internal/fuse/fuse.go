@@ -11,8 +11,9 @@
 //
 //   - punctuation relays iff every constituent would relay it (chain order,
 //     stopping at the first constituent that must consume it);
-//   - feedback is applied to each constituent's own guard table in reverse
-//     chain order and propagates upstream iff every constituent propagates;
+//   - feedback walks the constituents in reverse chain order, each one's own
+//     core.Responder enacting that operator's own Characterize, and leaves
+//     upstream iff every constituent relays it;
 //   - per-step in/out/suppressed counters and work meters keep Stats and
 //     CostBurned observable per logical operator;
 //   - no constituent is a snapshot.Stater, so the fused node is stateless
@@ -57,8 +58,11 @@ func (k stepKind) String() string {
 // step is one constituent operator in evaluation form: the flat step table
 // entry the kernel loop interprets.
 type step struct {
-	kind      stepKind
-	name      string
+	kind stepKind
+	name string
+	// row is the constituent operator itself, as the characterization its
+	// responder enacts under the operator's Mode and Propagate.
+	row       core.Characterizer
 	mode      op.FeedbackMode
 	propagate bool
 
@@ -74,18 +78,17 @@ type step struct {
 	toInput  []int
 	fns      []func(stream.Tuple) stream.Value
 	identity bool
-	attrMap  core.AttrMap
 	inv      []int
 	// vals is the scratch an intermediate mapping step writes its output
 	// into (nil for the chain's last mapping step, which writes the run's
 	// slab). It is read by the next step and never leaves runSteps.
 	vals []stream.Value
 
-	// guards live in the step's OUTPUT attribute space, exactly like the
-	// unfused operator's table.
-	guards    *core.GuardTable
-	responses []core.Response
-	meter     *work.Meter
+	// guards is the responder's table: it lives in the step's OUTPUT
+	// attribute space, exactly like the unfused operator's.
+	fb     core.Responder[*hop]
+	guards *core.GuardTable
+	meter  *work.Meter
 
 	// Counters are atomics so /metrics can scrape per-constituent work
 	// while the plan runs; the kernel adds once per run per step, preserving
@@ -115,10 +118,19 @@ type Fused struct {
 	// Transient within one call — never checkpointed.
 	scratch []stream.Tuple
 	one     [1]queue.Item
-
-	// Kernel-level feedback accounting (feedback is off the tuple path).
-	fbReceived, fbExploited, fbForwarded atomic.Int64
 }
+
+// hop catches what a step relays upstream, to hand it to the step before it.
+type hop struct {
+	fb   core.Feedback
+	sent bool
+}
+
+// SendFeedback implements core.Upstream.
+func (h *hop) SendFeedback(_ int, f core.Feedback) { h.fb, h.sent = f, true }
+
+// NumInputs implements core.Upstream.
+func (h *hop) NumInputs() int { return 1 }
 
 // New builds a fused kernel from a chain of operators (upstream→downstream).
 // Every operator must be a *op.Select, *op.Project, or *op.Map; Project/Map
@@ -133,7 +145,7 @@ func New(ops []exec.Operator) (*Fused, error) {
 		switch o := o.(type) {
 		case *op.Select:
 			f.steps = append(f.steps, step{
-				kind: kSelect, name: o.Name(), mode: o.Mode, propagate: o.Propagate,
+				kind: kSelect, name: o.Name(), row: o, mode: o.Mode, propagate: o.Propagate,
 				cond: o.Cond, expr: o.Expr, cost: o.Cost, meter: &work.Meter{},
 				out: o.Schema, identity: true,
 			})
@@ -146,7 +158,7 @@ func New(ops []exec.Operator) (*Fused, error) {
 				return nil, fmt.Errorf("fuse: project %q: %v", o.Name(), err)
 			}
 			f.steps = append(f.steps, step{})
-			initMappingStep(&f.steps[len(f.steps)-1], kProject, o.Name(), o.Mode, o.Propagate,
+			initMappingStep(&f.steps[len(f.steps)-1], kProject, o.Name(), o, o.Mode, o.Propagate,
 				o.In, outS, idxs, nil)
 		case *op.Map:
 			if err := o.Init(); err != nil {
@@ -163,7 +175,7 @@ func New(ops []exec.Operator) (*Fused, error) {
 				}
 			}
 			f.steps = append(f.steps, step{})
-			initMappingStep(&f.steps[len(f.steps)-1], kMap, o.Name(), o.Mode, o.Propagate,
+			initMappingStep(&f.steps[len(f.steps)-1], kMap, o.Name(), o, o.Mode, o.Propagate,
 				o.In, o.OutSchemas()[0], toInput, fns)
 		default:
 			return nil, fmt.Errorf("fuse: %q (%T) is not a fusible operator", o.Name(), o)
@@ -187,11 +199,10 @@ func New(ops []exec.Operator) (*Fused, error) {
 
 // initMappingStep fills st in place (step holds atomics, so it must not be
 // returned or copied by value).
-func initMappingStep(st *step, kind stepKind, name string, mode op.FeedbackMode, propagate bool,
+func initMappingStep(st *step, kind stepKind, name string, row core.Characterizer, mode op.FeedbackMode, propagate bool,
 	in, out stream.Schema, toInput []int, fns []func(stream.Tuple) stream.Value) {
-	st.kind, st.name, st.mode, st.propagate = kind, name, mode, propagate
+	st.kind, st.name, st.row, st.mode, st.propagate = kind, name, row, mode, propagate
 	st.out, st.toInput, st.fns = out, toInput, fns
-	st.attrMap = core.AttrMap{InputArity: in.Arity(), ToInput: append([]int(nil), toInput...)}
 	st.identity = len(toInput) == in.Arity()
 	for i, src := range toInput {
 		if src != i {
@@ -226,7 +237,8 @@ func (f *Fused) OutSchemas() []stream.Schema {
 func (f *Fused) Open(exec.Context) error {
 	for i := range f.steps {
 		st := &f.steps[i]
-		st.guards = core.NewGuardTable(st.out.Arity())
+		st.fb.Bind(st.row, st.mode, st.propagate, 1, st.out.Arity())
+		st.guards = st.fb.OutTables()[0]
 	}
 	return nil
 }
@@ -293,7 +305,7 @@ func (f *Fused) ProcessTupleBatch(_ int, items []queue.Item, ctx exec.Context) e
 func (f *Fused) runSteps(items []queue.Item, ctx exec.Context) []stream.Tuple {
 	for si := range f.steps {
 		st := &f.steps[si]
-		st.guarded = st.mode != op.FeedbackIgnore && st.guards.Active() > 0
+		st.guarded = st.guards.Active() > 0 // an ignoring step's table stays empty
 	}
 	out := f.scratch[:0]
 	var slab []stream.Value // unused rest of the run's slab
@@ -380,7 +392,7 @@ func (f *Fused) relayPunct(e punct.Embedded) (punct.Embedded, bool) {
 			// Select never remaps; an identity projection/rename relays the
 			// pattern unchanged — proved at fuse time, so no re-projection
 			// (or allocation) happens per punctuation.
-			st.guards.ObservePunct(cur)
+			st.fb.Observe(core.Output, cur)
 			continue
 		}
 		projected, ok := op.RelayPunct(cur.Pattern, func(in int) int {
@@ -394,18 +406,17 @@ func (f *Fused) relayPunct(e punct.Embedded) (punct.Embedded, bool) {
 			return punct.Embedded{}, false
 		}
 		cur = punct.NewEmbedded(projected)
-		st.guards.ObservePunct(cur)
+		st.fb.Observe(core.Output, cur)
 	}
 	return cur, true
 }
 
 // ProcessFeedback implements exec.Operator: feedback arrives at the chain's
 // downstream end and walks the steps in reverse, exactly as it would hop
-// node to node unfused. Each step installs assumed patterns into its own
-// guard table (in its output space) and decides propagation by its own rule
-// — identity for Select, SafePropagation through the attribute map for
-// Project/Map. The pattern is re-expressed hop by hop; it leaves the fused
-// node upstream iff every constituent propagates.
+// node to node unfused. Each step's responder enacts the constituent's own
+// characterization — guards into the step's table (in its output space),
+// the pattern re-expressed hop by hop — and the feedback leaves the fused
+// node upstream iff every constituent relays it.
 func (f *Fused) ProcessFeedback(_ int, fb core.Feedback, ctx exec.Context) error {
 	if out, ok := f.applyFeedback(fb); ok {
 		ctx.SendFeedback(0, out)
@@ -413,66 +424,20 @@ func (f *Fused) ProcessFeedback(_ int, fb core.Feedback, ctx exec.Context) error
 	return nil
 }
 
-// applyFeedback installs the feedback into each constituent's guard table in
-// reverse chain order and reports whether (and as what pattern) it leaves the
+// applyFeedback hands the feedback from responder to responder in reverse
+// chain order and reports whether (and as what pattern) it leaves the
 // kernel's upstream end — the core shared by ProcessFeedback and the prefix
 // path, which forward upstream differently.
 func (f *Fused) applyFeedback(fb core.Feedback) (core.Feedback, bool) {
-	f.fbReceived.Add(1)
-	cur := fb
 	for i := len(f.steps) - 1; i >= 0; i-- {
-		st := &f.steps[i]
-		resp := core.Response{Feedback: cur}
-		proceed := false
-		switch st.kind {
-		case kSelect:
-			switch cur.Intent {
-			case core.Assumed:
-				if st.mode != op.FeedbackIgnore {
-					st.guards.Install(cur)
-					f.fbExploited.Add(1)
-					resp.Actions = append(resp.Actions, core.ActGuardInput, core.ActGuardOutput)
-				} else {
-					resp.Actions = append(resp.Actions, core.ActNone)
-				}
-			case core.Desired, core.Demanded:
-				resp.Actions = append(resp.Actions, core.ActNone)
-			}
-			if st.propagate {
-				relayed := cur.Relayed(cur.Pattern)
-				resp.Actions = append(resp.Actions, core.ActPropagate)
-				resp.Propagated = []*core.Feedback{&relayed}
-				cur = relayed
-				proceed = true
-			}
-		case kProject, kMap:
-			if cur.Intent == core.Assumed && st.mode != op.FeedbackIgnore {
-				st.guards.Install(cur)
-				f.fbExploited.Add(1)
-				resp.Actions = append(resp.Actions, core.ActGuardInput, core.ActGuardOutput)
-			}
-			if st.propagate {
-				if prop := core.SafePropagation(cur.Pattern, st.attrMap); prop.OK {
-					relayed := cur.Relayed(prop.Pattern)
-					resp.Actions = append(resp.Actions, core.ActPropagate)
-					resp.Propagated = []*core.Feedback{&relayed}
-					cur = relayed
-					proceed = true
-				} else {
-					resp.Note = "propagation refused: " + prop.Reason
-				}
-			}
-			if len(resp.Actions) == 0 {
-				resp.Actions = []core.Action{core.ActNone}
-			}
-		}
-		st.responses = append(st.responses, resp)
-		if !proceed {
+		var up hop
+		_ = f.steps[i].fb.Respond(0, fb, &up) // port 0 of a one-output step: cannot fail
+		if !up.sent {
 			return core.Feedback{}, false
 		}
+		fb = up.fb
 	}
-	f.fbForwarded.Add(1)
-	return cur, true
+	return fb, true
 }
 
 // NumSteps returns the number of fused constituents.
@@ -513,13 +478,16 @@ func (f *Fused) StepStats() []StepStat {
 // TelemetryVars implements telemetry.VarExporter: the standard pace_op_*
 // tuple counters per constituent (labelled step/kind, preserving the
 // per-logical-operator observability the unfused chain had) plus the
-// kernel-level feedback counters.
+// feedback counters of the kernel as one operator: what reached its
+// downstream end, what any constituent acted on, what left its upstream end.
 func (f *Fused) TelemetryVars() []telemetry.Var {
-	vars := []telemetry.Var{
-		{Name: "pace_op_feedback_received_total", Help: "Feedback messages delivered to the fused kernel.", Kind: telemetry.Counter, Value: f.fbReceived.Load},
-		{Name: "pace_op_feedback_exploited_total", Help: "Guard installs performed across constituents in response to feedback.", Kind: telemetry.Counter, Value: f.fbExploited.Load},
-		{Name: "pace_op_feedback_forwarded_total", Help: "Feedback messages relayed upstream of the fused kernel.", Kind: telemetry.Counter, Value: f.fbForwarded.Load},
+	exploited := func() (n int64) {
+		for i := range f.steps {
+			n += f.steps[i].fb.Exploited()
+		}
+		return n
 	}
+	vars := exec.FeedbackVars(f.steps[len(f.steps)-1].fb.Received, exploited, f.steps[0].fb.Forwarded)
 	for i := range f.steps {
 		st := &f.steps[i]
 		labels := map[string]string{"step": st.name, "kind": st.kind.String()}
@@ -533,11 +501,9 @@ func (f *Fused) TelemetryVars() []telemetry.Var {
 	return vars
 }
 
-// StepResponses returns the feedback-response log of constituent i, the
-// fused equivalent of the unfused operator's Responses().
-func (f *Fused) StepResponses(i int) []core.Response {
-	return f.steps[i].responses
-}
+// StepTrace returns the recent feedback responses of constituent i, the
+// fused equivalent of the unfused operator's Trace().
+func (f *Fused) StepTrace(i int) []core.Response { return f.steps[i].fb.Trace() }
 
 // CostBurned reports total evaluation work done across all constituents.
 func (f *Fused) CostBurned() int64 {

@@ -27,7 +27,7 @@ var chainSchema = stream.MustSchema(
 // ---------------------------------------------------------------------------
 // Randomized harness-twin property test: a fused kernel must be
 // observationally identical to the unfused operator chain — emitted items,
-// upstream feedback, per-step counters, and feedback-response logs — across
+// upstream feedback, per-step counters, and feedback-response traces — across
 // random chains and random scripts of tuples, punctuation, and feedback in
 // every mode.
 // ---------------------------------------------------------------------------
@@ -294,21 +294,21 @@ func TestFusedEqualsUnfusedProperty(t *testing.T) {
 			case *op.Select:
 				in, out, sup = o.Stats()
 				cost = o.CostBurned()
-				responses = o.Responses()
+				responses = o.Trace()
 			case *op.Project:
 				in, out, sup, dropped = o.Stats()
-				responses = o.Responses()
+				responses = o.Trace()
 			case *op.Map:
 				in, out, sup, dropped = o.Stats()
-				responses = o.Responses()
+				responses = o.Trace()
 			}
 			if st.In != in || st.Out != out || st.Suppressed != sup || st.PunctDropped != dropped || st.CostBurned != cost {
 				t.Fatalf("seed %d step %d (%s): fused stats %+v, unfused (in=%d out=%d sup=%d dropped=%d cost=%d)",
 					seed, i, st.Name, st, in, out, sup, dropped, cost)
 			}
-			if !reflect.DeepEqual(responses, fused.StepResponses(i)) {
-				t.Fatalf("seed %d step %d (%s): response logs diverge\nunfused: %+v\nfused:   %+v",
-					seed, i, st.Name, responses, fused.StepResponses(i))
+			if !reflect.DeepEqual(responses, fused.StepTrace(i)) {
+				t.Fatalf("seed %d step %d (%s): response traces diverge\nunfused: %+v\nfused:   %+v",
+					seed, i, st.Name, responses, fused.StepTrace(i))
 			}
 		}
 	}

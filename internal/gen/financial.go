@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
 	"repro/internal/snapshot"
@@ -50,8 +49,10 @@ func (c TickConfig) withDefaults() TickConfig {
 }
 
 // TickSource streams random-walk exchange rates in timestamp order,
-// punctuating once per stream second.
+// punctuating once per stream second. It ignores feedback (exec.Base): the
+// demanded-punctuation consumer in the example is the aggregate.
 type TickSource struct {
+	exec.Base
 	Config TickConfig
 
 	cfg   TickConfig
@@ -100,15 +101,6 @@ func (s *TickSource) Next(ctx exec.Context) (bool, error) {
 	ctx.EmitPunct(punct.NewEmbedded(punct.OnAttr(3, 1, punct.Lt(stream.TimeMicros(s.now)))))
 	return true, nil
 }
-
-// ProcessFeedback implements exec.Source (ticks ignore feedback — the
-// demanded-punctuation consumer in the example is the aggregate).
-func (s *TickSource) ProcessFeedback(int, core.Feedback, exec.Context) error {
-	return nil
-}
-
-// Close implements exec.Source.
-func (s *TickSource) Close(exec.Context) error { return nil }
 
 // CaptureState implements snapshot.Stater: the stream clock, the
 // per-pair random-walk levels, and the RNG state replay the tick stream

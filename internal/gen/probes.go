@@ -59,6 +59,7 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 
 // ProbeSource streams synthetic vehicle readings in timestamp order.
 type ProbeSource struct {
+	exec.Responding
 	Config ProbeConfig
 
 	cfg     ProbeConfig
@@ -81,7 +82,7 @@ func (s *ProbeSource) Open(exec.Context) error {
 	s.cfg = s.Config.withDefaults()
 	s.rng = newRNG(s.cfg.Seed)
 	s.now = s.cfg.Start
-	s.guards = core.NewGuardTable(ProbeSchema.Arity())
+	s.guards = s.BindSource(s.cfg.FeedbackAware, ProbeSchema.Arity())
 	return nil
 }
 
@@ -117,21 +118,10 @@ func (s *ProbeSource) Next(ctx exec.Context) (bool, error) {
 	}
 	s.now += s.cfg.Period
 	e := punct.NewEmbedded(punct.OnAttr(3, 1, punct.Lt(stream.TimeMicros(s.now))))
-	s.guards.ObservePunct(e)
+	s.Observe(core.Output, e)
 	ctx.EmitPunct(e)
 	return true, nil
 }
-
-// ProcessFeedback implements exec.Source.
-func (s *ProbeSource) ProcessFeedback(_ int, f core.Feedback, _ exec.Context) error {
-	if s.cfg.FeedbackAware && f.Intent == core.Assumed {
-		s.guards.Install(f)
-	}
-	return nil
-}
-
-// Close implements exec.Source.
-func (s *ProbeSource) Close(exec.Context) error { return nil }
 
 // Stats reports (emitted, suppressed-at-source).
 func (s *ProbeSource) Stats() (emitted, skipped int64) { return s.emitted, s.skipped }
@@ -159,7 +149,7 @@ func (s *ProbeSource) LoadState(dec *snapshot.Decoder) error {
 	s.emitted = dec.GetInt64()
 	s.skipped = dec.GetInt64()
 	s.rng.load(dec)
-	s.guards = snapshot.GetGuards(dec, ProbeSchema.Arity())
+	snapshot.GetGuards(dec, s.guards)
 	return dec.Err()
 }
 

@@ -21,6 +21,7 @@ import (
 // Pacing is deficit-based: each Next emits however many items the elapsed
 // wall clock entitles, so sleep jitter does not skew the average rate.
 type RatedSource struct {
+	exec.Responding
 	SourceName string
 	Schema     stream.Schema
 	Items      []queue.Item
@@ -49,7 +50,7 @@ func (s *RatedSource) OutSchemas() []stream.Schema { return []stream.Schema{s.Sc
 // Open implements exec.Source.
 func (s *RatedSource) Open(exec.Context) error {
 	s.start = time.Now()
-	s.guards = core.NewGuardTable(s.Schema.Arity())
+	s.guards = s.BindSource(s.FeedbackAware, s.Schema.Arity())
 	return nil
 }
 
@@ -79,23 +80,12 @@ func (s *RatedSource) Next(ctx exec.Context) (bool, error) {
 			}
 			ctx.Emit(it.Tuple)
 		case queue.ItemPunct:
-			s.guards.ObservePunct(*it.Punct)
+			s.Observe(core.Output, *it.Punct)
 			ctx.EmitPunct(*it.Punct)
 		}
 	}
 	return s.pos < len(s.Items), nil
 }
-
-// ProcessFeedback implements exec.Source.
-func (s *RatedSource) ProcessFeedback(_ int, f core.Feedback, _ exec.Context) error {
-	if s.FeedbackAware && f.Intent == core.Assumed {
-		s.guards.Install(f)
-	}
-	return nil
-}
-
-// Close implements exec.Source.
-func (s *RatedSource) Close(exec.Context) error { return nil }
 
 // Skipped reports tuples suppressed at the source.
 func (s *RatedSource) Skipped() int64 { return s.skipped }
@@ -118,7 +108,7 @@ func (s *RatedSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, erro
 func (s *RatedSource) LoadState(dec *snapshot.Decoder) error {
 	s.pos = dec.GetInt()
 	s.skipped = dec.GetInt64()
-	s.guards = snapshot.GetGuards(dec, s.Schema.Arity())
+	snapshot.GetGuards(dec, s.guards)
 	if err := dec.Err(); err != nil {
 		return err
 	}

@@ -87,6 +87,7 @@ func (c TrafficConfig) Tuples() int64 {
 // TrafficSource streams the synthetic sensor reports in timestamp order,
 // one detector round at a time, punctuating stream progress as it goes.
 type TrafficSource struct {
+	exec.Responding
 	Config TrafficConfig
 
 	cfg     TrafficConfig
@@ -117,7 +118,7 @@ func (s *TrafficSource) Open(exec.Context) error {
 	s.rng = newRNG(s.cfg.Seed)
 	s.now = s.cfg.Start
 	s.lastPct = s.cfg.Start - 1
-	s.guards = core.NewGuardTable(TrafficSchema.Arity())
+	s.guards = s.BindSource(s.cfg.FeedbackAware, TrafficSchema.Arity())
 	return nil
 }
 
@@ -147,7 +148,7 @@ func (s *TrafficSource) Next(ctx exec.Context) (bool, error) {
 		if s.now-s.lastPct >= s.cfg.PunctEvery {
 			s.lastPct = s.now
 			e := punct.NewEmbedded(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(s.now))))
-			s.guards.ObservePunct(e)
+			s.Observe(core.Output, e)
 			ctx.EmitPunct(e)
 		}
 	}
@@ -171,17 +172,6 @@ func (s *TrafficSource) makeReport(seg, det int64, minuteOfDay int) stream.Tuple
 		stream.Int(seg), stream.Int(det), stream.TimeMicros(s.now), speedVal,
 	).WithSeq(s.seq)
 }
-
-// ProcessFeedback implements exec.Source.
-func (s *TrafficSource) ProcessFeedback(_ int, f core.Feedback, _ exec.Context) error {
-	if s.cfg.FeedbackAware && f.Intent == core.Assumed {
-		s.guards.Install(f)
-	}
-	return nil
-}
-
-// Close implements exec.Source.
-func (s *TrafficSource) Close(exec.Context) error { return nil }
 
 // Stats reports (emitted, suppressed-at-source).
 func (s *TrafficSource) Stats() (emitted, skipped int64) { return s.emitted, s.skipped }
@@ -218,6 +208,6 @@ func (s *TrafficSource) LoadState(dec *snapshot.Decoder) error {
 	s.emitted = dec.GetInt64()
 	s.skipped = dec.GetInt64()
 	s.rng.load(dec)
-	s.guards = snapshot.GetGuards(dec, TrafficSchema.Arity())
+	snapshot.GetGuards(dec, s.guards)
 	return dec.Err()
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/punct"
 	"repro/internal/queue"
 	"repro/internal/stream"
-	"repro/internal/telemetry"
 	"repro/internal/window"
 	"repro/internal/work"
 )
@@ -33,7 +32,7 @@ import (
 //     guard via the window spec (Example 2's "skip windows w3, w4", which a
 //     bottom-of-plan filter cannot express).
 type Aggregate struct {
-	exec.Base
+	exec.Responding
 	OpName string
 	In     stream.Schema
 	Kind   core.AggKind
@@ -54,13 +53,12 @@ type Aggregate struct {
 	Cost, EmitCost int
 	// NonNegative declares that aggregated input values are known
 	// non-negative, which upgrades SUM to a monotone-up aggregate for
-	// value-bound feedback (core.AggCharacterizationGiven).
+	// value-bound feedback (core.AggCharacterization).
 	NonNegative bool
 	// Mode/Propagate configure feedback as in Select.
 	Mode      FeedbackMode
 	Propagate bool
 
-	responseLog
 	out         stream.Schema
 	groupOutIdx []int // positions of group attrs in output schema
 	wstartIdx   int   // position of wstart in output schema
@@ -87,13 +85,6 @@ type Aggregate struct {
 
 	inTuples, outTuples, folded, inSuppressed, outSuppressed, purged int64
 	partialsEmitted                                                  int64
-
-	// Feedback accounting only; the tuple counters above stay plain
-	// because state.go serializes them into snapshots (the snapshot runs
-	// on the node's own goroutine, so plain fields are race-free there,
-	// but /metrics scrapes from another goroutine and may only touch
-	// atomics). fb is never snapshotted and resets on restore.
-	fb fbCounters
 }
 
 // flushSlabTuples bounds the results built in one value slab, and so what
@@ -160,8 +151,11 @@ func (a *Aggregate) Open(exec.Context) error {
 		a.mustInit()
 	}
 	a.store.reset(len(a.GroupBy))
-	a.guardsOut = core.NewGuardTable(a.out.Arity())
-	a.guardsPrefix = core.NewGuardTable(a.out.Arity())
+	a.Bind(a, a.Mode, a.Propagate, 1, a.out.Arity())
+	a.guardsOut = a.OutTables()[0]
+	// Input guards are patterns over result prefixes (group…, wstart), so the
+	// punctuation the aggregate emits is what expires them.
+	a.guardsPrefix = a.Pinned(core.Output, a.out.Arity())
 	return nil
 }
 
@@ -328,8 +322,7 @@ func (a *Aggregate) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) 
 	a.flushThrough(lastFull, ctx)
 	start, _ := a.Window.Extent(lastFull)
 	outPunct := punct.NewEmbedded(punct.OnAttr(a.out.Arity(), a.wstartIdx, punct.Le(a.wstartTsValue(start))))
-	a.guardsOut.ObservePunct(outPunct)
-	a.guardsPrefix.ObservePunct(outPunct)
+	a.Observe(core.Output, outPunct)
 	ctx.EmitPunct(outPunct)
 	return nil
 }
@@ -417,153 +410,84 @@ func (a *Aggregate) ProcessEOS(input int, ctx exec.Context) error {
 	return nil
 }
 
-// ProcessFeedback implements exec.Operator per Table 1.
-func (a *Aggregate) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) error {
-	a.fb.received.Add(1)
-	resp := core.Response{Feedback: f}
-	defer func() {
-		if len(resp.Actions) == 0 {
-			resp.Actions = []core.Action{core.ActNone}
-		}
-		a.logResponse(resp)
-	}()
+// Characterize implements core.Characterizer per Table 1. Desired feedback an
+// aggregate cannot act on itself — it relays it where the pattern survives
+// the mapping — and demanded feedback unblocks. A window-bound assumed
+// pattern has no safe propagation through the attribute mapping (wstart is
+// computed) but translates into an input timestamp bound via the window spec.
+func (a *Aggregate) Characterize(_ int, f core.Feedback) core.ResponsePlan {
+	if a.out.Arity() == 0 {
+		a.mustInit()
+	}
 	switch f.Intent {
 	case core.Desired:
-		// An aggregate cannot reorder its own production usefully;
-		// relay to the antecedent if the pattern survives the mapping.
-		if a.Propagate {
-			if prop := core.SafePropagation(f.Pattern, a.attrMap); prop.OK {
-				relayed := f.Relayed(prop.Pattern)
-				ctx.SendFeedback(0, relayed)
-				a.fb.forwarded.Add(1)
-				resp.Actions = append(resp.Actions, core.ActPropagate)
-				resp.Propagated = []*core.Feedback{&relayed}
-			}
-		}
-		return nil
+		return core.Stateless(f, nil, a.attrMap)
 	case core.Demanded:
-		// Unblock: emit partial results for matching open windows now
-		// (§3.4's financial-speculator example — a partial answer soon
-		// beats a full answer too late). State is retained; the final
-		// result still appears when the window closes.
-		// Partials leave as the flush's results do: windows in wid order,
-		// each in slot order.
-		for _, w := range a.store.wins {
-			a.emitWindow(w, &f.Pattern, ctx)
-		}
-		resp.Actions = append(resp.Actions, core.ActUnblock)
-		return nil
-	}
-	// Assumed feedback: classify against the output partition and apply
-	// the Table 1 plan, limited by Mode.
-	if a.Mode == FeedbackIgnore {
-		return nil
+		return core.ResponsePlan{Actions: []core.Action{core.ActUnblock}, Propagate: []*punct.Pattern{nil}}
 	}
 	shape := core.ClassifyAggPattern(f.Pattern, a.groupOutIdx, a.valueIdx)
-	plan := core.AggCharacterizationGiven(a.Kind, shape, f.Pattern, a.attrMap, a.NonNegative)
-	resp.Note = plan.Explanation
+	plan := core.AggCharacterization(a.Kind, shape, f.Pattern, a.attrMap, a.NonNegative)
+	if plan.Propagate[0] == nil {
+		if pat, ok := a.translateWindowBound(f.Pattern); ok {
+			plan.Propagate[0] = &pat
+			plan.Actions = append(plan.Actions, core.ActPropagate)
+		}
+	}
+	return plan
+}
 
-	// Output guard is correct for every shape and both modes.
-	a.guardsOut.Install(f)
-	a.fb.exploited.Add(1)
-	resp.Actions = append(resp.Actions, core.ActGuardOutput)
-	if a.Mode == FeedbackGuardOutput {
+// Unblock implements core.Unblocker: emit partial results for matching open
+// windows now (§3.4's financial-speculator example — a partial answer soon
+// beats a full answer too late). State is retained; the final result still
+// appears when the window closes. Partials leave as the flush's results do:
+// windows in wid order, each in slot order.
+func (a *Aggregate) Unblock(f core.Feedback, ctx exec.Context) {
+	for _, w := range a.store.wins {
+		a.emitWindow(w, &f.Pattern, ctx)
+	}
+}
+
+// Purge implements core.Purger: it removes the state entries the feedback
+// covers and returns the guards that pin them shut, so arriving tuples cannot
+// recreate purged groups (the paper's MAX example: a tuple with value 40
+// would otherwise re-open a window whose true max is ≥50). For a group- or
+// window-bound pattern the prefix (ignoring the value) decides and the
+// pattern itself is the guard. For a value bound on a monotone aggregate the
+// current partial decides — it can only move further into the subset — and
+// each purged (window, group) pair is guarded by an equality pattern on its
+// prefix.
+func (a *Aggregate) Purge(f core.Feedback, _ core.ResponsePlan) []core.Pin {
+	var pins []core.Pin
+	byValue := false
+	switch core.ClassifyAggPattern(f.Pattern, a.groupOutIdx, a.valueIdx) {
+	case core.AggShapeGroup:
+		pins = []core.Pin{{Table: a.guardsPrefix, Guard: f}}
+	case core.AggShapeValueUp, core.AggShapeValueDown:
+		byValue = true
+	default:
 		return nil
 	}
-
-	// Install guards before purging: the value-shape input guard is
-	// derived from the matching state entries, which the purge removes.
-	var wantPurge bool
-	for _, act := range plan.Actions {
-		switch act {
-		case core.ActPurgeState, core.ActCloseWindows:
-			if !wantPurge {
-				resp.Actions = append(resp.Actions, act)
-			}
-			wantPurge = true
-		case core.ActGuardInput:
-			a.installInputGuard(f, shape)
-			resp.Actions = append(resp.Actions, core.ActGuardInput)
-		}
-	}
-	if wantPurge {
-		a.purgeMatching(f.Pattern, shape)
-	}
-	if a.Propagate {
-		a.propagate(f, plan, &resp, ctx)
-	}
-	return nil
-}
-
-// purgeMatching removes state entries covered by the feedback. For
-// group/window-bound shapes the prefix (ignoring the value) decides; for
-// value-bound shapes on monotone aggregates the current partial decides
-// (it can only move further into the subset).
-func (a *Aggregate) purgeMatching(p punct.Pattern, shape core.AggShape) {
 	for w, slot := range a.store.each {
-		var hit bool
-		switch shape {
-		case core.AggShapeGroup:
-			hit = p.Matches(a.probePrefix(w, slot))
-		case core.AggShapeValueUp, core.AggShapeValueDown:
-			hit = p.Matches(a.probeResult(w, slot))
-		default:
-			return
+		probe := a.probePrefix(w, slot)
+		if byValue {
+			probe = a.probeResult(w, slot)
 		}
-		if hit {
-			a.purged++
-			a.store.purge(w, slot)
+		if !f.Pattern.Matches(probe) {
+			continue
 		}
-	}
-}
-
-// installInputGuard pins the suppressed subset shut so arriving tuples
-// cannot recreate purged groups (the paper's MAX example: a tuple with
-// value 40 would otherwise re-open a window whose true max is ≥50).
-func (a *Aggregate) installInputGuard(f core.Feedback, shape core.AggShape) {
-	switch shape {
-	case core.AggShapeGroup:
-		a.guardsPrefix.Install(f)
-	case core.AggShapeValueUp, core.AggShapeValueDown:
-		// Guard the specific (window, group) pairs about to be purged —
-		// those whose current result matches: equality patterns on the
-		// prefix.
-		for w, slot := range a.store.each {
-			if !f.Pattern.Matches(a.probeResult(w, slot)) {
-				continue
-			}
+		if byValue {
 			pat := punct.AllWild(a.out.Arity())
 			for i, v := range w.key(slot) {
 				pat = pat.With(a.groupOutIdx[i], punct.Eq(v))
 			}
 			pat = pat.With(a.wstartIdx, punct.Eq(a.wstartValue(w.wid)))
-			a.guardsPrefix.Install(core.Feedback{Intent: core.Assumed, Pattern: pat, Origin: f.Origin, Seq: f.Seq})
+			pins = append(pins, core.Pin{Table: a.guardsPrefix,
+				Guard: core.Feedback{Intent: core.Assumed, Pattern: pat, Origin: f.Origin, Seq: f.Seq}})
 		}
+		a.purged++
+		a.store.purge(w, slot)
 	}
-}
-
-// propagate relays feedback upstream: group-bound patterns go through the
-// attribute mapping; window-bound patterns are translated to an input
-// timestamp bound via the window spec.
-func (a *Aggregate) propagate(f core.Feedback, plan core.ResponsePlan, resp *core.Response, ctx exec.Context) {
-	if len(plan.Propagate) > 0 && plan.Propagate[0] != nil {
-		relayed := f.Relayed(*plan.Propagate[0])
-		ctx.SendFeedback(0, relayed)
-		a.fb.forwarded.Add(1)
-		resp.Actions = append(resp.Actions, core.ActPropagate)
-		resp.Propagated = []*core.Feedback{&relayed}
-		return
-	}
-	// Window translation: ¬[…, wstart≤X, …] with everything else group
-	// bound or wild → suppress input tuples whose *every* window start is
-	// ≤ X, i.e. ts < ceilSlide(X).
-	if pat, ok := a.translateWindowBound(f.Pattern); ok {
-		relayed := f.Relayed(pat)
-		ctx.SendFeedback(0, relayed)
-		a.fb.forwarded.Add(1)
-		resp.Actions = append(resp.Actions, core.ActPropagate)
-		resp.Propagated = []*core.Feedback{&relayed}
-	}
+	return pins
 }
 
 // translateWindowBound maps an output pattern binding wstart (with ≤, <,
@@ -639,11 +563,6 @@ func (a *Aggregate) Stats() AggregateStats {
 		WorkUnits:     a.meter.Total(),
 	}
 }
-
-// TelemetryVars implements telemetry.VarExporter. Only the feedback
-// counters are exported: the tuple counters are serialized snapshot state
-// and may not be read off the node goroutine (see the field comment).
-func (a *Aggregate) TelemetryVars() []telemetry.Var { return a.fb.vars() }
 
 // AggregateStats is the operator's accounting snapshot.
 type AggregateStats struct {

@@ -166,7 +166,7 @@ func (m *aggModel) feedback(f core.Feedback) (purged int) {
 		return 0
 	}
 	shape := core.ClassifyAggPattern(f.Pattern, a.groupOutIdx, a.valueIdx)
-	plan := core.AggCharacterizationGiven(a.Kind, shape, f.Pattern, a.attrMap, a.NonNegative)
+	plan := core.AggCharacterization(a.Kind, shape, f.Pattern, a.attrMap, a.NonNegative)
 	if !slices.ContainsFunc(plan.Actions, func(act core.Action) bool {
 		return act == core.ActPurgeState || act == core.ActCloseWindows
 	}) {
@@ -531,7 +531,7 @@ func TestAggregateTombstoneOrderCanonical(t *testing.T) {
 		a := build()
 		fold(a, 5, 2, 8)
 		blobs[0] = captureBlob(t, a, snapshot.CaptureFull)
-		a.purgeMatching(punct.OnAttr(3, 0, punct.Eq(stream.Int(2))), core.AggShapeGroup)
+		a.Purge(core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(2)))), core.ResponsePlan{}) // the pins it returns are dropped
 		if a.Stats().OpenGroups != 2 {
 			t.Fatalf("the purge left %d groups, want 2", a.Stats().OpenGroups)
 		}

@@ -47,7 +47,7 @@ func FuzzAggregateRestore(f *testing.F) {
 	// On AVG, value feedback leaves an output guard only.
 	_ = a.ProcessFeedback(0, core.NewAssumed(punct.OnAttr(3, 2, punct.Ge(stream.Float(25)))), rec)
 	base := captureBlob(f, a, snapshot.CaptureFull)
-	a.purgeMatching(punct.OnAttr(3, 0, punct.Eq(stream.Int(2))), core.AggShapeGroup)
+	a.Purge(core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(2)))), core.ResponsePlan{}) // the pins it returns are dropped
 	_ = a.ProcessTuple(0, traffic(2, 0, minute+9, 5), rec)
 	_ = a.ProcessTuple(0, traffic(6, 0, minute+10, 7), rec)
 	revived := captureBlob(f, a, snapshot.CaptureDelta)

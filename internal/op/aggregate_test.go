@@ -140,7 +140,7 @@ func TestAggregateGroupFeedbackF2Semantics(t *testing.T) {
 	if st.Purged != 1 || st.InSuppressed != 1 {
 		t.Errorf("stats: %+v", st)
 	}
-	resp := a.Responses()
+	resp := a.Trace()
 	if len(resp) != 1 || !resp[0].Did(core.ActPurgeState) || !resp[0].Did(core.ActGuardInput) {
 		t.Errorf("response: %+v", resp)
 	}
@@ -183,7 +183,7 @@ func TestAggregateValueFeedbackMonotone(t *testing.T) {
 	if len(got) != 1 || got[0].At(0).AsInt() != 2 || got[0].At(2).AsFloat() != 40 {
 		t.Fatalf("only segment 2's window may emit: %v", got)
 	}
-	resp := a.Responses()
+	resp := a.Trace()
 	if len(resp) != 1 || !resp[0].Did(core.ActGuardInput) {
 		t.Errorf("response: %+v", resp)
 	}

@@ -14,7 +14,7 @@ import (
 // therefore suppresses a subset only once *every* consumer has asserted
 // assumed feedback covering it, and only then propagates upstream.
 type Duplicate struct {
-	exec.Base
+	exec.Responding
 	OpName string
 	Schema stream.Schema
 	N      int
@@ -23,9 +23,7 @@ type Duplicate struct {
 	Mode      FeedbackMode
 	Propagate bool
 
-	responseLog
-	perOut     []*core.GuardTable // feedback asserted by each consumer
-	propagated map[string]bool    // pattern strings already relayed
+	perOut []*core.GuardTable // feedback asserted by each consumer
 
 	in, out, suppressed int64
 }
@@ -59,11 +57,8 @@ func (d *Duplicate) OutSchemas() []stream.Schema {
 
 // Open implements exec.Operator.
 func (d *Duplicate) Open(exec.Context) error {
-	d.perOut = make([]*core.GuardTable, d.n())
-	for i := range d.perOut {
-		d.perOut[i] = core.NewGuardTable(d.Schema.Arity())
-	}
-	d.propagated = map[string]bool{}
+	d.Bind(d, d.Mode, d.Propagate, d.n(), d.Schema.Arity())
+	d.perOut = d.OutTables()
 	return nil
 }
 
@@ -94,44 +89,28 @@ func (d *Duplicate) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error 
 // ProcessPunct implements exec.Operator: punctuation is duplicated to all
 // outputs and drives guard expiration.
 func (d *Duplicate) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
-	for _, g := range d.perOut {
-		g.ObservePunct(e)
-	}
+	d.Observe(core.Output, e)
 	for i := 0; i < d.n(); i++ {
 		ctx.EmitPunctTo(i, e)
 	}
 	return nil
 }
 
-// ProcessFeedback implements exec.Operator: record per-consumer assertions;
-// once a pattern is covered by every consumer's assertions, it becomes
-// exploitable and (optionally) propagates upstream.
-func (d *Duplicate) ProcessFeedback(output int, f core.Feedback, ctx exec.Context) error {
-	resp := core.Response{Feedback: f}
-	if f.Intent != core.Assumed || d.Mode == FeedbackIgnore {
-		resp.Actions = []core.Action{core.ActNone}
-		d.logResponse(resp)
-		return nil
+// Characterize implements core.Characterizer: a consumer's assertion is held
+// against its port; once every other consumer has asserted a superset of it,
+// the subset is exploitable for all of them and may travel upstream.
+func (d *Duplicate) Characterize(output int, f core.Feedback) core.ResponsePlan {
+	if f.Intent != core.Assumed {
+		return core.ResponsePlan{Actions: []core.Action{core.ActNone}, Propagate: []*punct.Pattern{nil}}
 	}
-	d.perOut[output].Install(f)
-	// The newly asserted pattern is exploitable iff every other consumer
-	// has already asserted a superset of it.
-	if coveredByAllOthers(d.perOut, output, f.Pattern) {
-		resp.Actions = append(resp.Actions, core.ActGuardInput)
-		key := f.Pattern.String()
-		if d.Propagate && !d.propagated[key] {
-			d.propagated[key] = true
-			relayed := f.Relayed(f.Pattern)
-			ctx.SendFeedback(0, relayed)
-			resp.Actions = append(resp.Actions, core.ActPropagate)
-			resp.Propagated = []*core.Feedback{&relayed}
+	if !d.CoveredByOthers(output, f) {
+		return core.ResponsePlan{
+			Actions:     []core.Action{core.ActGuardOutput},
+			Propagate:   []*punct.Pattern{nil},
+			Explanation: "awaiting matching feedback from all consumers (outputs must stay identical)",
 		}
-	} else {
-		resp.Actions = []core.Action{core.ActNone}
-		resp.Note = "awaiting matching feedback from all consumers (outputs must stay identical)"
 	}
-	d.logResponse(resp)
-	return nil
+	return core.Stateless(f, guardBoth, core.Identity(d.Schema.Arity()))
 }
 
 // Stats reports tuple accounting.

@@ -46,7 +46,7 @@ import (
 // matching p in the stream" holds a fortiori for each partition's
 // substream, whatever the routing.
 type Split struct {
-	exec.Base
+	exec.Responding
 	OpName string
 	Schema stream.Schema
 	N      int
@@ -58,15 +58,13 @@ type Split struct {
 	Mode      FeedbackMode
 	Propagate bool
 
-	responseLog
 	perOut []*core.GuardTable // assumed feedback asserted by each partition
 	// perOutDemand records demanded patterns per partition (pattern
 	// storage only — never used to suppress), so an unpinned demand can
 	// relay upstream once every partition has demanded a covering subset.
 	perOutDemand []*core.GuardTable
-	propagated   map[string]bool // intent+pattern strings already relayed upstream
-	rr           int             // round-robin cursor
-	keyScratch   []stream.Value  // backs routing probes for key-pinned feedback
+	rr           int            // round-robin cursor
+	keyScratch   []stream.Value // backs routing probes for key-pinned feedback
 
 	// subScratch backs the batch path's per-port sub-batches; batchScratch
 	// backs ProcessTupleBatch's item unwrapping. Reused across batches,
@@ -112,13 +110,9 @@ func (s *Split) Open(exec.Context) error {
 			return fmt.Errorf("op: split %q: key attribute %d out of range for %s", s.Name(), k, s.Schema)
 		}
 	}
-	s.perOut = make([]*core.GuardTable, s.n())
-	s.perOutDemand = make([]*core.GuardTable, s.n())
-	for i := range s.perOut {
-		s.perOut[i] = core.NewGuardTable(s.Schema.Arity())
-		s.perOutDemand[i] = core.NewGuardTable(s.Schema.Arity())
-	}
-	s.propagated = map[string]bool{}
+	s.Bind(s, s.Mode, s.Propagate, s.n(), s.Schema.Arity())
+	s.perOut = s.OutTables()
+	s.perOutDemand = s.Demands()
 	s.outPer = make([]int64, s.n())
 	return nil
 }
@@ -163,8 +157,8 @@ func (s *Split) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) erro
 	if input != 0 {
 		return fmt.Errorf("op: split %q: punctuation on unexpected input %d", s.Name(), input)
 	}
+	s.Observe(core.Output, e)
 	for i := 0; i < s.n(); i++ {
-		s.perOut[i].ObservePunct(e)
 		ctx.EmitPunctTo(i, e)
 	}
 	return nil
@@ -245,71 +239,31 @@ func (s *Split) routesOnlyTo(p punct.Pattern) int {
 	return int(stream.Tuple{Values: vals}.Hash(s.Key) % uint64(s.n()))
 }
 
-// ProcessFeedback implements exec.Operator. Desired feedback (pure
-// prioritization — never changes the result set) is relayed upstream
-// immediately. Assumed feedback installs a guard for the asserting
-// partition and is relayed upstream once it is key-pinned to that
-// partition or unanimously asserted by all partitions. Demanded feedback
-// follows the same pinned-or-unanimous rule (an over-delivered demand
-// would push early partials at partitions that did not ask; once every
-// partition has demanded a covering subset — which a Merge fan-out
-// produces naturally — the relay is exact).
-func (s *Split) ProcessFeedback(output int, f core.Feedback, ctx exec.Context) error {
-	if output < 0 || output >= s.n() {
-		return fmt.Errorf("op: split %q: feedback on unexpected output %d (have %d partitions; check plan wiring)", s.Name(), output, s.n())
+// Characterize implements core.Characterizer. A partition's assumed feedback
+// is held against its port — where its tuples are suppressed at once: only
+// that partition would have seen them — and its demanded feedback likewise,
+// never to suppress. Either travels upstream once it is key-pinned to that
+// partition or unanimous (an over-delivered demand would push early partials
+// at partitions that did not ask; a Merge fan-out below makes every partition
+// demand the same subset, and then the relay is exact). Desired feedback is
+// pure prioritization — it never changes the result set — and travels at once.
+func (s *Split) Characterize(output int, f core.Feedback) core.ResponsePlan {
+	relay := core.Stateless(f, nil, core.Identity(s.Schema.Arity()))
+	if f.Intent == core.Desired {
+		return relay
 	}
-	resp := core.Response{Feedback: f}
-	defer func() {
-		if len(resp.Actions) == 0 {
-			resp.Actions = []core.Action{core.ActNone}
+	held := core.ResponsePlan{
+		Actions:     []core.Action{core.ActGuardOutput},
+		Propagate:   []*punct.Pattern{nil},
+		Explanation: "neither key-pinned nor asserted by all partitions; withheld upstream",
+	}
+	if s.routesOnlyTo(f.Pattern) == output || s.CoveredByOthers(output, f) {
+		held.Propagate, held.Explanation = relay.Propagate, relay.Explanation
+		if relay.Did(core.ActPropagate) {
+			held.Actions = append(held.Actions, core.ActPropagate)
 		}
-		s.logResponse(resp)
-	}()
-	relay := func() {
-		key := f.Intent.Sigil() + f.Pattern.String()
-		if !s.Propagate || s.propagated[key] {
-			return
-		}
-		s.propagated[key] = true
-		relayed := f.Relayed(f.Pattern)
-		ctx.SendFeedback(0, relayed)
-		resp.Actions = append(resp.Actions, core.ActPropagate)
-		resp.Propagated = []*core.Feedback{&relayed}
 	}
-
-	switch f.Intent {
-	case core.Desired:
-		relay()
-		return nil
-	case core.Demanded:
-		s.perOutDemand[output].Install(f)
-		if s.routesOnlyTo(f.Pattern) == output || coveredByAllOthers(s.perOutDemand, output, f.Pattern) {
-			relay()
-		} else {
-			resp.Note = "demand neither key-pinned nor demanded by all partitions; withheld upstream"
-		}
-		return nil
-	}
-
-	// Assumed.
-	if s.Mode == FeedbackIgnore {
-		return nil
-	}
-	s.perOut[output].Install(f)
-	resp.Actions = append(resp.Actions, core.ActGuardInput)
-	if s.routesOnlyTo(f.Pattern) == output {
-		relay()
-		return nil
-	}
-	// Unanimity: the pattern is safe to push past the split only once every
-	// partition has asserted a superset of it (tuples matching f could
-	// route anywhere).
-	if !coveredByAllOthers(s.perOut, output, f.Pattern) {
-		resp.Note = "awaiting covering feedback from all partitions (pattern does not pin the key)"
-		return nil
-	}
-	relay()
-	return nil
+	return held
 }
 
 // Stats reports tuple accounting: total in, per-partition out, suppressed.
@@ -338,7 +292,7 @@ func (s *Split) Stats() (in int64, outPer []int64, suppressed int64) {
 // unwanted; partitions that could never produce it are over-delivered,
 // which assumed feedback's advisory semantics make safe (§4.2).
 type Merge struct {
-	exec.Base
+	exec.Responding
 	OpName string
 	Schema stream.Schema
 	K      int
@@ -347,7 +301,6 @@ type Merge struct {
 	Mode      FeedbackMode
 	Propagate bool
 
-	responseLog
 	guards *core.GuardTable
 	ins    []mergeInput
 	// wmOut/wmOutSet track the merged (aligned) frontier per attribute so
@@ -403,7 +356,8 @@ func (m *Merge) OutSchemas() []stream.Schema { return []stream.Schema{m.Schema} 
 // Open implements exec.Operator.
 func (m *Merge) Open(exec.Context) error {
 	arity := m.Schema.Arity()
-	m.guards = core.NewGuardTable(arity)
+	m.Bind(m, m.Mode, m.Propagate, 1, arity)
+	m.guards = m.OutTables()[0]
 	m.ins = make([]mergeInput, m.k())
 	for i := range m.ins {
 		m.ins[i] = mergeInput{wm: make([]int64, arity), wmSet: make([]bool, arity)}
@@ -659,7 +613,7 @@ func (m *Merge) pendingHas(p punct.Pattern) bool {
 // matching guards (the merged stream now promises the subset complete).
 func (m *Merge) emitAligned(p punct.Pattern, ctx exec.Context) {
 	e := punct.NewEmbedded(p)
-	m.guards.ObservePunct(e)
+	m.Observe(core.Output, e)
 	m.aligned++
 	ctx.EmitPunct(e)
 }
@@ -678,31 +632,13 @@ func (m *Merge) ProcessEOS(input int, ctx exec.Context) error {
 	return nil
 }
 
-// ProcessFeedback implements exec.Operator: exploit locally (input guard)
-// and fan the feedback to every partition. The issuer asserted the pattern
-// over the whole merged stream, so each partition's share of the subset is
-// covered; partitions that could never produce it receive an over-delivery
-// that advisory semantics make harmless.
-func (m *Merge) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) error {
-	resp := core.Response{Feedback: f}
-	if f.Intent == core.Assumed && m.Mode != FeedbackIgnore {
-		m.guards.Install(f)
-		resp.Actions = append(resp.Actions, core.ActGuardInput)
-	}
-	if m.Propagate {
-		relayed := f.Relayed(f.Pattern)
-		resp.Propagated = make([]*core.Feedback, m.k())
-		for i := 0; i < m.k(); i++ {
-			ctx.SendFeedback(i, relayed)
-			resp.Propagated[i] = &relayed
-		}
-		resp.Actions = append(resp.Actions, core.ActPropagate)
-	}
-	if len(resp.Actions) == 0 {
-		resp.Actions = []core.Action{core.ActNone}
-	}
-	m.logResponse(resp)
-	return nil
+// Characterize implements core.Characterizer: guard the inputs and fan the
+// feedback to every partition. The issuer asserted the pattern over the whole
+// merged stream, so each partition's share of the subset is covered;
+// partitions that could never produce it receive an over-delivery that
+// advisory semantics make harmless.
+func (m *Merge) Characterize(_ int, f core.Feedback) core.ResponsePlan {
+	return core.Stateless(f, []core.Action{core.ActGuardInput}, identities(m.k(), m.Schema.Arity())...)
 }
 
 // Stats reports tuple and alignment accounting.

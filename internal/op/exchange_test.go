@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
+	"repro/internal/snapshot"
 	"repro/internal/stream"
 )
 
@@ -441,5 +442,116 @@ func TestMergeAlignmentStateBounded(t *testing.T) {
 	}
 	if h.Err() != nil {
 		t.Fatal(h.Err())
+	}
+}
+
+// §4.4: state kept for feedback must not accumulate. A demanded pattern a
+// partition sent is moot once punctuation covers it, like any guard.
+func TestSplitDemandedPatternsExpire(t *testing.T) {
+	s := newSplit(2, 0)
+	h := exec.NewHarness(s)
+	empty := len(captureBlob(t, s, snapshot.CaptureFull))
+	for round := int64(1); round <= 20; round++ {
+		window := punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(round*minute)))
+		for port := 0; port < 2; port++ {
+			h.Feedback(port, core.Feedback{Intent: core.Demanded, Pattern: window, Origin: "agg", Seq: round})
+		}
+		h.Punct(0, tsPunct(round*minute))
+	}
+	if err := h.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for port, table := range s.perOutDemand {
+		if n := table.Active(); n != 0 {
+			t.Errorf("partition %d still holds %d demanded patterns punctuation has covered", port, n)
+		}
+	}
+	if n := len(captureBlob(t, s, snapshot.CaptureFull)); n > empty {
+		t.Errorf("capture is %d bytes after every pattern expired, %d when empty", n, empty)
+	}
+}
+
+// The set of patterns already relayed upstream is feedback state too: an
+// entry goes when the guards that justified the relay have expired.
+func TestRelayedSetExpires(t *testing.T) {
+	check := func(t *testing.T, o interface {
+		exec.Operator
+		snapshot.Stater
+	}) {
+		h := exec.NewHarness(o)
+		var after1 int
+		for round := int64(1); round <= 20; round++ {
+			window := punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(round*minute)))
+			for port := 0; port < 2; port++ {
+				h.Feedback(port, core.Feedback{Intent: core.Assumed, Pattern: window, Origin: "viewer", Seq: round})
+			}
+			if n := len(h.SentFeedback(0)); n != int(round) {
+				t.Fatalf("round %d: %d patterns relayed upstream, want one per round", round, n)
+			}
+			if round == 1 {
+				after1 = len(captureBlob(t, o, snapshot.CaptureFull))
+			}
+			// Later timestamps and sequence numbers encode a few bytes longer;
+			// a set that keeps every key grows by a key's length per round.
+			if n := len(captureBlob(t, o, snapshot.CaptureFull)); n > 2*after1 {
+				t.Fatalf("round %d: capture grew to %d bytes from %d with one live pattern", round, n, after1)
+			}
+			h.Punct(0, tsPunct(round*minute))
+		}
+		if err := h.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("split", func(t *testing.T) {
+		s := newSplit(2, 0)
+		check(t, s)
+		if n := len(s.Relayed()); n > 1 {
+			t.Errorf("relayed set holds %d patterns after all expired", n)
+		}
+	})
+	t.Run("duplicate", func(t *testing.T) {
+		d := &Duplicate{Schema: trafficSchema, N: 2, Mode: FeedbackExploit, Propagate: true}
+		check(t, d)
+		if n := len(d.Relayed()); n > 1 {
+			t.Errorf("relayed set holds %d patterns after all expired", n)
+		}
+	})
+}
+
+// A blob written before the relayed set expired can name patterns no table
+// holds any more: they are dropped on load, not an error.
+func TestRelayedSetRestoreDropsStaleKeys(t *testing.T) {
+	s := newSplit(2, 0)
+	h := exec.NewHarness(s)
+	live := punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(minute)))
+	for port := 0; port < 2; port++ {
+		h.Feedback(port, core.NewAssumed(live))
+	}
+	enc := snapshot.NewEncoder()
+	enc.PutInt(2)
+	for port := 0; port < 2; port++ {
+		snapshot.PutGuardsView(enc, snapshot.GuardsView(s.perOut[port]))
+		snapshot.PutGuardsView(enc, nil)
+	}
+	enc.PutInt(3)
+	for _, k := range []string{"?[7, *, *, *]", "¬[*, *, <=1970-01-01T00:00:00.000001Z, *]", s.Relayed()[0]} {
+		enc.PutString(k)
+	}
+	enc.PutInt(0)
+	enc.PutInt64(0)
+	enc.PutInt64(0)
+	enc.PutInt64(0)
+	enc.PutInt64(0)
+	blob, err := enc.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := newSplit(2, 0)
+	exec.NewHarness(twin)
+	if err := twin.LoadState(snapshot.NewDecoder(blob)); err != nil {
+		t.Fatal(err)
+	}
+	if got := twin.Relayed(); len(got) != 1 || got[0] != s.Relayed()[0] {
+		t.Fatalf("restored relayed set %q, want only %q", got, s.Relayed())
 	}
 }

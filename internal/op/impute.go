@@ -17,7 +17,7 @@ import (
 // guard, so tuples already too late are discarded *before* the lookup,
 // letting the operator catch up to the live edge of the stream.
 type Impute struct {
-	exec.Base
+	exec.Responding
 	OpName string
 	Schema stream.Schema
 	// Attribute positions in Schema.
@@ -32,7 +32,6 @@ type Impute struct {
 	Mode      FeedbackMode
 	Propagate bool
 
-	responseLog
 	guards *core.GuardTable
 
 	imputed, skipped, passed int64
@@ -54,7 +53,8 @@ func (im *Impute) OutSchemas() []stream.Schema { return []stream.Schema{im.Schem
 
 // Open implements exec.Operator.
 func (im *Impute) Open(exec.Context) error {
-	im.guards = core.NewGuardTable(im.Schema.Arity())
+	im.Bind(im, im.Mode, im.Propagate, 1, im.Schema.Arity())
+	im.guards = im.OutTables()[0]
 	if im.FallbackSpeed == 0 {
 		im.FallbackSpeed = 55
 	}
@@ -110,46 +110,23 @@ func (im *Impute) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) er
 	if input != 0 {
 		return fmt.Errorf("op: impute %q: punctuation on unexpected input %d (single-input operator; check plan wiring)", im.Name(), input)
 	}
-	im.guards.ObservePunct(e)
+	im.Observe(core.Output, e)
 	ctx.EmitPunct(e)
 	return nil
 }
 
-// ProcessFeedback implements exec.Operator.
-func (im *Impute) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) error {
-	resp := core.Response{Feedback: f}
-	if f.Intent == core.Assumed && im.Mode != FeedbackIgnore {
-		// The speed attribute is rewritten by imputation, so feedback
-		// binding it cannot guard the *input*; everything else can.
-		bindsSpeed := false
-		for _, b := range f.Pattern.Bound() {
-			if b == im.SpeedAttr {
-				bindsSpeed = true
-				break
-			}
-		}
-		if !bindsSpeed {
-			im.guards.Install(f)
-			resp.Actions = append(resp.Actions, core.ActGuardInput, core.ActPurgeState)
-		} else {
-			resp.Note = "feedback binds the imputed attribute; input guard unsafe"
-		}
+// Characterize implements core.Characterizer. The guard fires on the input,
+// before the lookup, and the speed attribute is rewritten by imputation: a
+// pattern binding it can neither guard the input nor propagate, everything
+// else does both.
+func (im *Impute) Characterize(_ int, f core.Feedback) core.ResponsePlan {
+	carried := core.Identity(im.Schema.Arity())
+	carried.ToInput[im.SpeedAttr] = -1
+	plan := core.Stateless(f, []core.Action{core.ActGuardInput}, carried)
+	if plan.Propagate[0] == nil {
+		plan.Actions = []core.Action{core.ActNone}
 	}
-	if im.Propagate {
-		mapping := core.Identity(im.Schema.Arity())
-		mapping.ToInput[im.SpeedAttr] = -1 // imputed attribute is computed
-		if prop := core.SafePropagation(f.Pattern, mapping); prop.OK {
-			relayed := f.Relayed(prop.Pattern)
-			ctx.SendFeedback(0, relayed)
-			resp.Actions = append(resp.Actions, core.ActPropagate)
-			resp.Propagated = []*core.Feedback{&relayed}
-		}
-	}
-	if len(resp.Actions) == 0 {
-		resp.Actions = []core.Action{core.ActNone}
-	}
-	im.logResponse(resp)
-	return nil
+	return plan
 }
 
 // Stats reports (imputed, skipped-by-guard, passed-clean) counts.

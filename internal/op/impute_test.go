@@ -79,7 +79,7 @@ func TestImputeGuardSkipsLookup(t *testing.T) {
 	if imputed != 1 || skipped != 1 {
 		t.Errorf("imputed=%d skipped=%d", imputed, skipped)
 	}
-	resp := im.Responses()
+	resp := im.Trace()
 	if len(resp) != 1 || !resp[0].Did(core.ActGuardInput) {
 		t.Errorf("response: %+v", resp)
 	}
@@ -104,7 +104,7 @@ func TestImputeRefusesGuardOnImputedAttr(t *testing.T) {
 	if im.guards.Active() != 0 {
 		t.Fatal("speed-bound feedback must not install an input guard")
 	}
-	resp := im.Responses()
+	resp := im.Trace()
 	if len(resp) != 1 || resp[0].Note == "" {
 		t.Error("refusal must be recorded")
 	}

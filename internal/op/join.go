@@ -10,7 +10,6 @@ import (
 	"repro/internal/punct"
 	"repro/internal/queue"
 	"repro/internal/stream"
-	"repro/internal/telemetry"
 	"repro/internal/window"
 )
 
@@ -35,7 +34,7 @@ import (
 //
 // Feedback handling implements Table 2 via core.JoinCharacterization.
 type Join struct {
-	exec.Base
+	exec.Responding
 	OpName      string
 	Left, Right stream.Schema
 	// LeftKeys/RightKeys are the equi-join attributes (parallel slices).
@@ -66,7 +65,6 @@ type Join struct {
 	// cleaning or aggregation.
 	Adaptive func(input int, t stream.Tuple, send func(toInput int, f core.Feedback))
 
-	responseLog
 	out        stream.Schema
 	rightCarry []int // right attrs carried to output (non-keys)
 	part       core.JoinPartition
@@ -90,12 +88,6 @@ type Join struct {
 
 	emitted, outerEmitted, suppressedIn, suppressedOut, purgedByFeedback int64
 	thriftySent, impatientSent                                           int64
-
-	// Feedback accounting only; the counters above stay plain because
-	// state.go serializes them into snapshots on the node goroutine, while
-	// /metrics scrapes from another goroutine and may only touch atomics.
-	// fb is never snapshotted and resets on restore.
-	fb fbCounters
 
 	// batchScratch backs ProcessTupleBatch's item unwrapping; reused across
 	// batches, transient, never checkpointed.
@@ -192,8 +184,9 @@ func (j *Join) Open(exec.Context) error {
 		j.mustInit()
 	}
 	j.store.reset(j.LeftKeys, j.RightKeys)
-	j.guardsIn = [2]*core.GuardTable{core.NewGuardTable(j.Left.Arity()), core.NewGuardTable(j.Right.Arity())}
-	j.guardsOut = core.NewGuardTable(j.out.Arity())
+	j.Bind(j, j.Mode, j.Propagate, 1, j.out.Arity())
+	j.guardsOut = j.OutTables()[0]
+	j.guardsIn = [2]*core.GuardTable{j.Pinned(0, j.Left.Arity()), j.Pinned(1, j.Right.Arity())}
 	j.probeCounts = map[int64]int64{}
 	j.probeDone = -1
 	return nil
@@ -428,13 +421,13 @@ func (j *Join) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error
 	if input != 0 && input != 1 {
 		return j.errInput("punctuation", input)
 	}
+	j.Observe(input, e)
 	tsAttr := j.tsAttr(input)
 	if tsAttr < 0 {
 		return nil
 	}
 	bound := e.Pattern.Bound()
 	if len(bound) != 1 || bound[0] != tsAttr {
-		j.guardsIn[input].ObservePunct(e)
 		return nil
 	}
 	pr := e.Pattern.Pred(tsAttr)
@@ -447,7 +440,6 @@ func (j *Join) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error
 	default:
 		return nil
 	}
-	j.guardsIn[input].ObservePunct(e)
 	if w := &j.wm[input]; !w.set || wm > w.v {
 		w.v, w.set = wm, true
 	}
@@ -510,7 +502,7 @@ func (j *Join) emitOutputPunct(ctx exec.Context) {
 	}
 	j.lastOutWM, j.lastOutWMSet = wm, true
 	outPunct := punct.NewEmbedded(punct.OnAttr(j.out.Arity(), j.LeftTs, punct.Le(j.tsValue(0, wm))))
-	j.guardsOut.ObservePunct(outPunct)
+	j.Observe(core.Output, outPunct)
 	ctx.EmitPunct(outPunct)
 }
 
@@ -524,122 +516,37 @@ func (j *Join) ProcessEOS(input int, ctx exec.Context) error {
 	return nil
 }
 
-// ProcessFeedback implements exec.Operator per Table 2.
-func (j *Join) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) error {
-	j.fb.received.Add(1)
-	resp := core.Response{Feedback: f}
-	defer func() {
-		if len(resp.Actions) == 0 {
-			resp.Actions = []core.Action{core.ActNone}
-		}
-		j.logResponse(resp)
-	}()
+// Characterize implements core.Characterizer per Table 2. Desired and
+// demanded feedback a symmetric hash join cannot act on — it does not block
+// or reorder — so the useful response is relaying to whichever input carries
+// the subset.
+func (j *Join) Characterize(_ int, f core.Feedback) core.ResponsePlan {
+	if j.out.Arity() == 0 {
+		j.mustInit()
+	}
 	if f.Intent != core.Assumed {
-		// Desired/demanded: a symmetric hash join does not block or
-		// reorder, so the useful response is relaying to whichever input
-		// carries the subset.
-		if j.Propagate {
-			j.relayToCarriers(f, &resp, ctx)
-		}
-		return nil
+		return core.Stateless(f, nil, j.inMap[0], j.inMap[1])
 	}
-	if j.Mode == FeedbackIgnore {
-		return nil
-	}
-	shape := core.ClassifyJoinPattern(f.Pattern, j.part)
-	plan := core.JoinCharacterization(shape, f.Pattern, j.inMap[0], j.inMap[1])
-	resp.Note = plan.Explanation
-
-	j.guardsOut.Install(f)
-	j.fb.exploited.Add(1)
-	resp.Actions = append(resp.Actions, core.ActGuardOutput)
-	if j.Mode == FeedbackGuardOutput {
-		return nil
-	}
-	for _, act := range plan.Actions {
-		switch act {
-		case core.ActPurgeState:
-			for _, side := range carriers(shape) {
-				j.purgeByFeedback(side, f.Pattern)
-			}
-			resp.Actions = append(resp.Actions, core.ActPurgeState)
-		case core.ActGuardInput:
-			for _, side := range carriers(shape) {
-				j.guardInput(side, f)
-			}
-			resp.Actions = append(resp.Actions, core.ActGuardInput)
-		}
-	}
-	if j.Propagate {
-		resp.Propagated = make([]*core.Feedback, 2)
-		for side, pp := range plan.Propagate {
-			if pp == nil {
-				continue
-			}
-			relayed := f.Relayed(*pp)
-			ctx.SendFeedback(side, relayed)
-			j.fb.forwarded.Add(1)
-			resp.Propagated[side] = &relayed
-		}
-		if resp.Propagated[0] != nil || resp.Propagated[1] != nil {
-			resp.Actions = append(resp.Actions, core.ActPropagate)
-		}
-	}
-	return nil
+	return core.JoinCharacterization(core.ClassifyJoinPattern(f.Pattern, j.part), f.Pattern, j.inMap[0], j.inMap[1])
 }
 
-// relayToCarriers propagates non-assumed feedback to each input that
-// carries every bound attribute.
-func (j *Join) relayToCarriers(f core.Feedback, resp *core.Response, ctx exec.Context) {
-	resp.Propagated = make([]*core.Feedback, 2)
-	for side, m := range j.inMap {
-		if prop := core.SafePropagation(f.Pattern, m); prop.OK {
-			relayed := f.Relayed(prop.Pattern)
-			ctx.SendFeedback(side, relayed)
-			j.fb.forwarded.Add(1)
-			resp.Propagated[side] = &relayed
+// Purge implements core.Purger. The inputs whose state and tuples a pattern
+// describes are the ones it propagates to (Table 2: both for a join-attribute
+// pattern, one for a pattern bound on that side): each loses the entries that
+// match the pattern in its own schema and is guarded by that pattern.
+func (j *Join) Purge(f core.Feedback, row core.ResponsePlan) []core.Pin {
+	var pins []core.Pin
+	for side, pp := range row.Propagate {
+		if pp == nil {
+			continue
 		}
-	}
-	if resp.Propagated[0] != nil || resp.Propagated[1] != nil {
-		resp.Actions = append(resp.Actions, core.ActPropagate)
-	}
-}
-
-// carriers lists the inputs whose state and tuples a pattern of the given
-// shape describes (Table 2): both for a join-attribute pattern, one for a
-// pattern bound on that side.
-func carriers(shape core.JoinShape) []int {
-	switch shape {
-	case core.JoinShapeJ:
-		return []int{0, 1}
-	case core.JoinShapeL, core.JoinShapeLJ:
-		return []int{0}
-	case core.JoinShapeR, core.JoinShapeJR:
-		return []int{1}
-	}
-	return nil
-}
-
-// purgeByFeedback removes one side's entries covered by the feedback: those
-// matching the pattern projected into that side's input schema.
-func (j *Join) purgeByFeedback(side int, p punct.Pattern) {
-	if prop := core.SafePropagation(p, j.inMap[side]); prop.OK {
-		n := j.store.sides[side].purgeWhere(func(e *joinEntry) bool { return prop.Pattern.Matches(e.t) })
+		n := j.store.sides[side].purgeWhere(func(e *joinEntry) bool { return pp.Matches(e.t) })
 		j.purgedByFeedback += int64(n)
+		pins = append(pins, core.Pin{Table: j.guardsIn[side],
+			Guard: core.Feedback{Intent: core.Assumed, Pattern: *pp, Origin: f.Origin, Seq: f.Seq}})
 	}
+	return pins
 }
-
-// guardInput installs an input guard on a side that carries the pattern.
-func (j *Join) guardInput(side int, f core.Feedback) {
-	if prop := core.SafePropagation(f.Pattern, j.inMap[side]); prop.OK {
-		j.guardsIn[side].Install(core.Feedback{Intent: core.Assumed, Pattern: prop.Pattern, Origin: f.Origin, Seq: f.Seq})
-	}
-}
-
-// TelemetryVars implements telemetry.VarExporter. Only the feedback
-// counters are exported: the tuple counters are serialized snapshot state
-// and may not be read off the node goroutine (see the field comment).
-func (j *Join) TelemetryVars() []telemetry.Var { return j.fb.vars() }
 
 // JoinStats is the operator's accounting snapshot.
 type JoinStats struct {

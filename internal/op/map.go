@@ -17,9 +17,9 @@ import (
 // punctuation relays downstream and how feedback propagates upstream
 // (computed attributes block both, exactly like a join's derived columns).
 //
-//pace:stateless guards are exploitation-only; losing them on restore means suppressing less, never wrong results
+//pace:stateless counters and the responder's guards only (core.Responder: guards are exploitation-only)
 type Map struct {
-	exec.Base
+	exec.Responding
 	OpName string
 	In     stream.Schema
 	// Outs defines the output attributes in order.
@@ -28,7 +28,6 @@ type Map struct {
 	Mode      FeedbackMode
 	Propagate bool
 
-	responseLog
 	out      stream.Schema
 	attrMap  core.AttrMap
 	identity bool // every output attr carried in input order: no copy
@@ -36,7 +35,6 @@ type Map struct {
 
 	// Counters are atomics so /metrics can scrape them while the plan runs.
 	nIn, nOut, suppressed, punctDropped atomic.Int64
-	fb                                  fbCounters
 }
 
 // MapAttr describes one output attribute of a Map.
@@ -132,7 +130,8 @@ func (m *Map) Open(exec.Context) error {
 	if m.out.Arity() == 0 {
 		m.mustInit()
 	}
-	m.guards = core.NewGuardTable(m.out.Arity())
+	m.Bind(m, m.Mode, m.Propagate, 1, m.out.Arity())
+	m.guards = m.OutTables()[0]
 	return nil
 }
 
@@ -177,7 +176,7 @@ func (m *Map) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 	}
 	if projected, ok := RelayPunct(e.Pattern, outputOf, m.out.Arity()); ok {
 		pe := punct.NewEmbedded(projected)
-		m.guards.ObservePunct(pe)
+		m.Observe(core.Output, pe)
 		ctx.EmitPunct(pe)
 	} else {
 		m.punctDropped.Add(1)
@@ -185,31 +184,10 @@ func (m *Map) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 	return nil
 }
 
-// ProcessFeedback implements exec.Operator.
-func (m *Map) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) error {
-	m.fb.received.Add(1)
-	resp := core.Response{Feedback: f}
-	if f.Intent == core.Assumed && m.Mode != FeedbackIgnore {
-		m.guards.Install(f)
-		m.fb.exploited.Add(1)
-		resp.Actions = append(resp.Actions, core.ActGuardInput, core.ActGuardOutput)
-	}
-	if m.Propagate {
-		if prop := core.SafePropagation(f.Pattern, m.attrMap); prop.OK {
-			relayed := f.Relayed(prop.Pattern)
-			ctx.SendFeedback(0, relayed)
-			m.fb.forwarded.Add(1)
-			resp.Actions = append(resp.Actions, core.ActPropagate)
-			resp.Propagated = []*core.Feedback{&relayed}
-		} else {
-			resp.Note = "propagation refused: " + prop.Reason
-		}
-	}
-	if len(resp.Actions) == 0 {
-		resp.Actions = []core.Action{core.ActNone}
-	}
-	m.logResponse(resp)
-	return nil
+// Characterize implements core.Characterizer: a computed attribute can be
+// guarded at the output but blocks propagation, like a join's derived columns.
+func (m *Map) Characterize(_ int, f core.Feedback) core.ResponsePlan {
+	return core.Stateless(f, guardBoth, m.attrMap)
 }
 
 // Stats reports tuple accounting; punctDropped counts punctuation consumed
@@ -220,7 +198,7 @@ func (m *Map) Stats() (in, out, suppressed, punctDropped int64) {
 
 // TelemetryVars implements telemetry.VarExporter.
 func (m *Map) TelemetryVars() []telemetry.Var {
-	vars := append(tupleVars(&m.nIn, &m.nOut, &m.suppressed), m.fb.vars()...)
+	vars := append(tupleVars(&m.nIn, &m.nOut, &m.suppressed), m.Responding.TelemetryVars()...)
 	return append(vars, telemetry.Var{
 		Name: "pace_op_punct_dropped_total", Help: "Punctuations consumed because bound attributes were dropped.",
 		Kind: telemetry.Counter, Value: m.punctDropped.Load,

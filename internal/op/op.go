@@ -4,10 +4,11 @@
 // operators (PACE, IMPUTE, THRIFTY/IMPATIENT JOIN variants, PRIORITIZE).
 //
 // Every operator runs under the exec runtime and, where the paper
-// characterizes it, plays the producer / exploiter / relayer feedback roles
-// using the characterizations in package core. Operators keep a response
-// log (core.Response) that tests and `cmd/experiments tables` inspect to
-// verify enacted behaviour against Tables 1 and 2.
+// characterizes it, plays the producer / exploiter / relayer feedback roles:
+// it embeds exec.Responding and declares its row of Tables 1 and 2
+// (Characterize, built from the characterizations in package core), and its
+// core.Responder enacts the row. Tests and `cmd/experiments tables` verify
+// the enacted behaviour against the tables.
 package op
 
 import (
@@ -16,78 +17,26 @@ import (
 )
 
 // FeedbackMode selects how far an exploiting operator goes when it receives
-// assumed feedback. The Figure 7 schemes map onto it:
-//
-//	F0 = FeedbackIgnore everywhere
-//	F1 = FeedbackGuardOutput on the aggregate
-//	F2 = FeedbackExploit on the aggregate
-//	F3 = F2 plus Propagate=true (the filter below then exploits too)
-type FeedbackMode uint8
+// feedback (core.Mode, where the clamp it names is enacted).
+type FeedbackMode = core.Mode
 
 const (
 	// FeedbackIgnore makes the operator feedback-unaware (null response —
 	// always correct).
-	FeedbackIgnore FeedbackMode = iota
+	FeedbackIgnore = core.ModeIgnore
 	// FeedbackGuardOutput only suppresses matching result tuples at the
 	// output (§4.3 strategy 1).
-	FeedbackGuardOutput
+	FeedbackGuardOutput = core.ModeGuardOutput
 	// FeedbackExploit enacts the operator's full characterization: input
 	// guards, state purges, and output guards as appropriate (§4.3
 	// strategies 1–3).
-	FeedbackExploit
+	FeedbackExploit = core.ModeExploit
 )
 
-// String names the mode.
-func (m FeedbackMode) String() string {
-	switch m {
-	case FeedbackIgnore:
-		return "ignore"
-	case FeedbackGuardOutput:
-		return "guard-output"
-	case FeedbackExploit:
-		return "exploit"
-	}
-	return "mode(?)"
-}
-
-// responseLog accumulates core.Response entries; operators embed it.
-type responseLog struct {
-	responses []core.Response
-}
-
-func (l *responseLog) logResponse(r core.Response) {
-	l.responses = append(l.responses, r)
-}
-
-// Responses returns the operator's feedback response log.
-func (l *responseLog) Responses() []core.Response {
-	return append([]core.Response(nil), l.responses...)
-}
-
-// coveredByAllOthers reports whether every per-output guard table except
-// tables[skip] holds an installed guard whose pattern p implies — the
-// unanimity test shared by Duplicate (outputs must stay identical) and
-// Split (an unpinned pattern may route anywhere): a consumer-asserted
-// pattern becomes exploitable upstream of the fan-out/split only once
-// every other consumer has asserted a superset of it.
-func coveredByAllOthers(tables []*core.GuardTable, skip int, p punct.Pattern) bool {
-	for i, g := range tables {
-		if i == skip {
-			continue
-		}
-		covered := false
-		for _, gd := range g.Guards() {
-			if p.Implies(gd.Pattern) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			return false
-		}
-	}
-	return true
-}
+// guardBoth is what a stateless 1-in/1-out operator does with assumed
+// feedback: it drops a matching tuple before doing any work on it, so input
+// guard and output guard are one probe of one table.
+var guardBoth = []core.Action{core.ActGuardInput, core.ActGuardOutput}
 
 // RelayPunct decides whether embedded punctuation with the given pattern
 // survives an attribute projection, and produces the projected pattern.

@@ -21,7 +21,7 @@ import (
 // Assumed feedback is exploited maximally: matching buffered tuples are
 // dropped before ever being emitted, and the guard persists.
 type Prioritize struct {
-	exec.Base
+	exec.Responding
 	OpName string
 	Schema stream.Schema
 	// BufferCap bounds the reorder buffer (default 256). A larger buffer
@@ -32,7 +32,6 @@ type Prioritize struct {
 	Mode      FeedbackMode
 	Propagate bool
 
-	responseLog
 	desired []punct.Pattern
 	guards  *core.GuardTable
 	scheme  *punct.Scheme
@@ -64,7 +63,8 @@ func (p *Prioritize) OutSchemas() []stream.Schema { return []stream.Schema{p.Sch
 
 // Open implements exec.Operator.
 func (p *Prioritize) Open(exec.Context) error {
-	p.guards = core.NewGuardTable(p.Schema.Arity())
+	p.Bind(p, p.Mode, p.Propagate, 1, p.Schema.Arity())
+	p.guards = p.OutTables()[0]
 	p.scheme = punct.NewScheme(p.Schema.Arity())
 	return nil
 }
@@ -116,7 +116,7 @@ func (p *Prioritize) flush(ctx exec.Context) {
 // the punctuation downstream, so the buffer flushes first.
 func (p *Prioritize) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 	p.flush(ctx)
-	p.guards.ObservePunct(e)
+	p.Observe(core.Output, e)
 	p.scheme.Observe(e)
 	// Desired patterns expire like guards: once the stream promises the
 	// subset complete, prioritizing it is moot.
@@ -137,50 +137,46 @@ func (p *Prioritize) ProcessEOS(_ int, ctx exec.Context) error {
 	return nil
 }
 
-// ProcessFeedback implements exec.Operator.
-func (p *Prioritize) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) error {
-	resp := core.Response{Feedback: f}
-	if p.Mode == FeedbackIgnore {
-		resp.Actions = []core.Action{core.ActNone}
-		p.logResponse(resp)
-		return nil
+// Characterize implements core.Characterizer: assumed feedback is exploited
+// maximally (guard, and drop the matching backlog), desired and demanded
+// feedback reorders; over an identity mapping all of it propagates.
+func (p *Prioritize) Characterize(_ int, f core.Feedback) core.ResponsePlan {
+	plan := core.Stateless(f, []core.Action{core.ActGuardInput, core.ActPurgeState}, core.Identity(p.Schema.Arity()))
+	if f.Intent != core.Assumed {
+		plan.Actions = append([]core.Action{core.ActPrioritize}, plan.Actions...)
 	}
-	switch f.Intent {
-	case core.Desired, core.Demanded:
-		p.desired = append(p.desired, f.Pattern)
-		// Promote matching backlog immediately.
-		kept := p.pending[:0]
-		for _, t := range p.pending {
-			if f.Pattern.Matches(t) {
-				p.promoted++
-				p.out++
-				ctx.Emit(t)
-				continue
-			}
-			kept = append(kept, t)
+	return plan
+}
+
+// Prioritize implements core.Prioritizer: remember the subset and promote the
+// matching backlog at once.
+func (p *Prioritize) Prioritize(f core.Feedback, ctx exec.Context) {
+	p.desired = append(p.desired, f.Pattern)
+	kept := p.pending[:0]
+	for _, t := range p.pending {
+		if f.Pattern.Matches(t) {
+			p.promoted++
+			p.out++
+			ctx.Emit(t)
+			continue
 		}
-		p.pending = kept
-		resp.Actions = append(resp.Actions, core.ActPrioritize)
-	case core.Assumed:
-		p.guards.Install(f)
-		kept := p.pending[:0]
-		for _, t := range p.pending {
-			if f.Pattern.Matches(t) {
-				p.dropped++
-				continue
-			}
-			kept = append(kept, t)
+		kept = append(kept, t)
+	}
+	p.pending = kept
+}
+
+// Purge implements core.Purger: buffered tuples of the assumed subset are
+// dropped before ever being emitted. The guard is the output table's.
+func (p *Prioritize) Purge(f core.Feedback, _ core.ResponsePlan) []core.Pin {
+	kept := p.pending[:0]
+	for _, t := range p.pending {
+		if f.Pattern.Matches(t) {
+			p.dropped++
+			continue
 		}
-		p.pending = kept
-		resp.Actions = append(resp.Actions, core.ActGuardInput, core.ActPurgeState)
+		kept = append(kept, t)
 	}
-	if p.Propagate {
-		relayed := f.Relayed(f.Pattern)
-		ctx.SendFeedback(0, relayed)
-		resp.Actions = append(resp.Actions, core.ActPropagate)
-		resp.Propagated = []*core.Feedback{&relayed}
-	}
-	p.logResponse(resp)
+	p.pending = kept
 	return nil
 }
 

@@ -17,9 +17,9 @@ import (
 // propagation; embedded punctuation survives downstream iff its bound
 // attributes are kept (see RelayPunct).
 //
-//pace:stateless guards are exploitation-only; losing them on restore means suppressing less, never wrong results
+//pace:stateless counters and the responder's guards only (core.Responder: guards are exploitation-only)
 type Project struct {
-	exec.Base
+	exec.Responding
 	OpName string
 	In     stream.Schema
 	// Keep lists the input attribute names to retain, in output order.
@@ -28,7 +28,6 @@ type Project struct {
 	Mode      FeedbackMode
 	Propagate bool
 
-	responseLog
 	out      stream.Schema
 	idxs     []int // output attr → input attr
 	identity bool  // output carries every input attr in order: no copy
@@ -37,7 +36,6 @@ type Project struct {
 
 	// Counters are atomics so /metrics can scrape them while the plan runs.
 	nIn, nOut, suppressed, punctDropped atomic.Int64
-	fb                                  fbCounters
 }
 
 // Name implements exec.Operator.
@@ -103,7 +101,8 @@ func (p *Project) Open(exec.Context) error {
 	if p.out.Arity() == 0 {
 		p.mustInit()
 	}
-	p.guards = core.NewGuardTable(p.out.Arity())
+	p.Bind(p, p.Mode, p.Propagate, 1, p.out.Arity())
+	p.guards = p.OutTables()[0]
 	return nil
 }
 
@@ -140,7 +139,7 @@ func (p *Project) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error 
 	}
 	if projected, ok := RelayPunct(e.Pattern, outputOf, p.out.Arity()); ok {
 		pe := punct.NewEmbedded(projected)
-		p.guards.ObservePunct(pe)
+		p.Observe(core.Output, pe)
 		ctx.EmitPunct(pe)
 	} else {
 		p.punctDropped.Add(1)
@@ -148,32 +147,10 @@ func (p *Project) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error 
 	return nil
 }
 
-// ProcessFeedback implements exec.Operator: guard the (projected) output
+// Characterize implements core.Characterizer: guard the (projected) output
 // and propagate the pattern in input-schema terms.
-func (p *Project) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) error {
-	p.fb.received.Add(1)
-	resp := core.Response{Feedback: f}
-	if f.Intent == core.Assumed && p.Mode != FeedbackIgnore {
-		p.guards.Install(f)
-		p.fb.exploited.Add(1)
-		resp.Actions = append(resp.Actions, core.ActGuardInput, core.ActGuardOutput)
-	}
-	if p.Propagate {
-		if prop := core.SafePropagation(f.Pattern, p.attrMap); prop.OK {
-			relayed := f.Relayed(prop.Pattern)
-			ctx.SendFeedback(0, relayed)
-			p.fb.forwarded.Add(1)
-			resp.Actions = append(resp.Actions, core.ActPropagate)
-			resp.Propagated = []*core.Feedback{&relayed}
-		} else {
-			resp.Note = "propagation refused: " + prop.Reason
-		}
-	}
-	if len(resp.Actions) == 0 {
-		resp.Actions = []core.Action{core.ActNone}
-	}
-	p.logResponse(resp)
-	return nil
+func (p *Project) Characterize(_ int, f core.Feedback) core.ResponsePlan {
+	return core.Stateless(f, guardBoth, p.attrMap)
 }
 
 // Stats reports tuple accounting.
@@ -183,7 +160,7 @@ func (p *Project) Stats() (in, out, suppressed, punctDropped int64) {
 
 // TelemetryVars implements telemetry.VarExporter.
 func (p *Project) TelemetryVars() []telemetry.Var {
-	vars := append(tupleVars(&p.nIn, &p.nOut, &p.suppressed), p.fb.vars()...)
+	vars := append(tupleVars(&p.nIn, &p.nOut, &p.suppressed), p.Responding.TelemetryVars()...)
 	return append(vars, telemetry.Var{
 		Name: "pace_op_punct_dropped_total", Help: "Punctuations consumed because bound attributes were dropped.",
 		Kind: telemetry.Counter, Value: p.punctDropped.Load,

@@ -22,9 +22,9 @@ import (
 // the bottom of the Figure 4(b) plan); the Figure 7 F3 scheme saves this
 // cost for suppressed tuples.
 //
-//pace:stateless guards are exploitation-only; losing them on restore means suppressing less, never wrong results (Definition 1)
+//pace:stateless counters and the responder's guards only (core.Responder: guards are exploitation-only)
 type Select struct {
-	exec.Base
+	exec.Responding
 	OpName string
 	Schema stream.Schema
 	// Cond keeps tuples for which it returns true; nil keeps everything.
@@ -43,14 +43,12 @@ type Select struct {
 	Mode      FeedbackMode
 	Propagate bool
 
-	responseLog
 	guards *core.GuardTable
 	meter  work.Meter
 
 	// Counters are atomics so /metrics can scrape them while the plan
 	// runs; uncontended adds cost a few ns, within the hot path's noise.
 	in, out, suppressed atomic.Int64
-	fb                  fbCounters
 }
 
 // Name implements exec.Operator.
@@ -69,7 +67,8 @@ func (s *Select) OutSchemas() []stream.Schema { return []stream.Schema{s.Schema}
 
 // Open implements exec.Operator.
 func (s *Select) Open(exec.Context) error {
-	s.guards = core.NewGuardTable(s.Schema.Arity())
+	s.Bind(s, s.Mode, s.Propagate, 1, s.Schema.Arity())
+	s.guards = s.OutTables()[0]
 	return nil
 }
 
@@ -96,38 +95,15 @@ func (s *Select) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 // completeness guarantee, so punctuation passes through unchanged; it also
 // drives guard expiration (§4.4).
 func (s *Select) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
-	s.guards.ObservePunct(e)
+	s.Observe(core.Output, e)
 	ctx.EmitPunct(e)
 	return nil
 }
 
-// ProcessFeedback implements exec.Operator per the SELECT characterization.
-func (s *Select) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) error {
-	s.fb.received.Add(1)
-	resp := core.Response{Feedback: f}
-	switch f.Intent {
-	case core.Assumed:
-		if s.Mode != FeedbackIgnore {
-			s.guards.Install(f)
-			s.fb.exploited.Add(1)
-			resp.Actions = append(resp.Actions, core.ActGuardInput, core.ActGuardOutput)
-		} else {
-			resp.Actions = append(resp.Actions, core.ActNone)
-		}
-	case core.Desired, core.Demanded:
-		// Stateless: nothing to reorder or unblock locally.
-		resp.Actions = append(resp.Actions, core.ActNone)
-	}
-	if s.Propagate && ctx.NumInputs() > 0 {
-		// Identity schema: propagation is always safe.
-		relayed := f.Relayed(f.Pattern)
-		ctx.SendFeedback(0, relayed)
-		s.fb.forwarded.Add(1)
-		resp.Actions = append(resp.Actions, core.ActPropagate)
-		resp.Propagated = []*core.Feedback{&relayed}
-	}
-	s.logResponse(resp)
-	return nil
+// Characterize implements core.Characterizer: the assumed subset is added to
+// the select condition, and over an identity mapping every pattern propagates.
+func (s *Select) Characterize(_ int, f core.Feedback) core.ResponsePlan {
+	return core.Stateless(f, guardBoth, core.Identity(s.Schema.Arity()))
 }
 
 // Stats reports tuple accounting.
@@ -137,7 +113,7 @@ func (s *Select) Stats() (in, out, suppressed int64) {
 
 // TelemetryVars implements telemetry.VarExporter.
 func (s *Select) TelemetryVars() []telemetry.Var {
-	return append(tupleVars(&s.in, &s.out, &s.suppressed), s.fb.vars()...)
+	return append(tupleVars(&s.in, &s.out, &s.suppressed), s.Responding.TelemetryVars()...)
 }
 
 // CostBurned reports total evaluation work done.

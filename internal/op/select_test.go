@@ -62,9 +62,9 @@ func TestSelectFeedbackAddsToCondition(t *testing.T) {
 	if suppressed != 1 {
 		t.Errorf("suppressed = %d", suppressed)
 	}
-	resp := s.Responses()
+	resp := s.Trace()
 	if len(resp) != 1 || !resp[0].Did(core.ActGuardInput) {
-		t.Errorf("response log: %+v", resp)
+		t.Errorf("response trace: %+v", resp)
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/punct"
@@ -56,19 +56,6 @@ var (
 	_ snapshot.Stater = (*Duplicate)(nil)
 	_ snapshot.Stater = (*Prioritize)(nil)
 )
-
-// sortedKeys flattens a string set into a sorted slice.
-func sortedKeys(m map[string]bool) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
 
 // ---------------------------------------------------------------------------
 // Aggregate.
@@ -187,8 +174,8 @@ type aggRef struct {
 
 // loadTail reads the guards and counters every Aggregate blob ends with.
 func (a *Aggregate) loadTail(dec *snapshot.Decoder) {
-	a.guardsOut = snapshot.GetGuards(dec, a.out.Arity())
-	a.guardsPrefix = snapshot.GetGuards(dec, a.out.Arity())
+	snapshot.GetGuards(dec, a.guardsOut)
+	snapshot.GetGuards(dec, a.guardsPrefix)
 	for _, c := range []*int64{&a.inTuples, &a.outTuples, &a.folded, &a.inSuppressed,
 		&a.outSuppressed, &a.purged, &a.partialsEmitted} {
 		*c = dec.GetInt64()
@@ -423,8 +410,9 @@ func (j *Join) restore(dec *snapshot.Decoder, delta bool) error {
 		probeCounts[w] = dec.GetInt64()
 	}
 	probeDone, feedbackSeq := dec.GetInt64(), dec.GetInt64()
-	guardsIn := [2]*core.GuardTable{snapshot.GetGuards(dec, j.Left.Arity()), snapshot.GetGuards(dec, j.Right.Arity())}
-	guardsOut := snapshot.GetGuards(dec, j.out.Arity())
+	snapshot.GetGuards(dec, j.guardsIn[0])
+	snapshot.GetGuards(dec, j.guardsIn[1])
+	snapshot.GetGuards(dec, j.guardsOut)
 	var counters [7]int64
 	for i := range counters {
 		counters[i] = dec.GetInt64()
@@ -441,7 +429,6 @@ func (j *Join) restore(dec *snapshot.Decoder, delta bool) error {
 	}
 	j.wm, j.lastOutWM, j.lastOutWMSet = wm, lastOutWM, lastOutWMSet
 	j.probeCounts, j.probeDone, j.feedbackSeq = probeCounts, probeDone, feedbackSeq
-	j.guardsIn, j.guardsOut = guardsIn, guardsOut
 	for i, c := range []*int64{&j.emitted, &j.outerEmitted, &j.suppressedIn,
 		&j.suppressedOut, &j.purgedByFeedback, &j.thriftySent, &j.impatientSent} {
 		*c = counters[i]
@@ -478,7 +465,7 @@ func (im *Impute) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 
 // LoadState implements snapshot.Stater.
 func (im *Impute) LoadState(dec *snapshot.Decoder) error {
-	im.guards = snapshot.GetGuards(dec, im.Schema.Arity())
+	snapshot.GetGuards(dec, im.guards)
 	im.imputed = dec.GetInt64()
 	im.skipped = dec.GetInt64()
 	im.passed = dec.GetInt64()
@@ -671,7 +658,7 @@ func (m *Merge) LoadState(dec *snapshot.Decoder) error {
 	for p := 0; p < np && dec.Err() == nil; p++ {
 		m.pending = append(m.pending, dec.GetPatternArity(arity))
 	}
-	m.guards = snapshot.GetGuards(dec, arity)
+	snapshot.GetGuards(dec, m.guards)
 	for _, c := range []*int64{&m.in, &m.out, &m.suppressed, &m.aligned} {
 		*c = dec.GetInt64()
 	}
@@ -702,7 +689,7 @@ func (s *Split) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 	v := &splitCap{
 		perOut:       make([][]core.Feedback, s.n()),
 		perOutDemand: make([][]core.Feedback, s.n()),
-		propagated:   sortedKeys(s.propagated),
+		propagated:   s.Relayed(),
 		rr:           s.rr,
 		in:           s.in,
 		suppressed:   s.suppressed,
@@ -742,14 +729,10 @@ func (s *Split) LoadState(dec *snapshot.Decoder) error {
 		return errInputCountChanged("split", s.Name(), n, s.n())
 	}
 	for i := 0; i < s.n(); i++ {
-		s.perOut[i] = snapshot.GetGuards(dec, s.Schema.Arity())
-		s.perOutDemand[i] = snapshot.GetGuards(dec, s.Schema.Arity())
+		snapshot.GetGuards(dec, s.perOut[i])
+		snapshot.GetGuards(dec, s.perOutDemand[i])
 	}
-	nk := dec.GetInt()
-	s.propagated = make(map[string]bool, dec.CountHint(nk))
-	for i := 0; i < nk && dec.Err() == nil; i++ {
-		s.propagated[dec.GetString()] = true
-	}
+	s.RestoreRelayed(getStrings(dec))
 	s.rr = dec.GetInt()
 	s.in = dec.GetInt64()
 	s.suppressed = dec.GetInt64()
@@ -762,6 +745,20 @@ func (s *Split) LoadState(dec *snapshot.Decoder) error {
 // ---------------------------------------------------------------------------
 // Duplicate.
 // ---------------------------------------------------------------------------
+
+// dupSigil opens every key of a Duplicate's relayed set — it relays assumed
+// feedback only — and its blob has always recorded the keys without it.
+var dupSigil = core.Assumed.Sigil()
+
+// getStrings reads a counted list of strings.
+func getStrings(dec *snapshot.Decoder) []string {
+	n := dec.GetInt()
+	ss := make([]string, 0, dec.CountHint(n))
+	for i := 0; i < n && dec.Err() == nil; i++ {
+		ss = append(ss, dec.GetString())
+	}
+	return ss
+}
 
 // dupCap is the captured view of a Duplicate.
 type dupCap struct {
@@ -780,7 +777,7 @@ type dupCap struct {
 func (d *Duplicate) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 	v := &dupCap{
 		perOut:     make([][]core.Feedback, d.n()),
-		propagated: sortedKeys(d.propagated),
+		propagated: d.Relayed(),
 		counters:   [3]int64{d.in, d.out, d.suppressed},
 	}
 	for i := 0; i < d.n(); i++ {
@@ -793,7 +790,7 @@ func (d *Duplicate) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error)
 		}
 		enc.PutInt(len(v.propagated))
 		for _, k := range v.propagated {
-			enc.PutString(k)
+			enc.PutString(strings.TrimPrefix(k, dupSigil))
 		}
 		for _, c := range v.counters {
 			enc.PutInt64(c)
@@ -812,13 +809,13 @@ func (d *Duplicate) LoadState(dec *snapshot.Decoder) error {
 		return errInputCountChanged("duplicate", d.Name(), n, d.n())
 	}
 	for i := 0; i < d.n(); i++ {
-		d.perOut[i] = snapshot.GetGuards(dec, d.Schema.Arity())
+		snapshot.GetGuards(dec, d.perOut[i])
 	}
-	nk := dec.GetInt()
-	d.propagated = make(map[string]bool, dec.CountHint(nk))
-	for i := 0; i < nk && dec.Err() == nil; i++ {
-		d.propagated[dec.GetString()] = true
+	keys := getStrings(dec)
+	for i := range keys {
+		keys[i] = dupSigil + keys[i]
 	}
+	d.RestoreRelayed(keys)
 	for _, c := range []*int64{&d.in, &d.out, &d.suppressed} {
 		*c = dec.GetInt64()
 	}
@@ -880,7 +877,7 @@ func (p *Prioritize) LoadState(dec *snapshot.Decoder) error {
 	for i := 0; i < nd && dec.Err() == nil; i++ {
 		p.desired = append(p.desired, dec.GetPatternArity(p.Schema.Arity()))
 	}
-	p.guards = snapshot.GetGuards(dec, p.Schema.Arity())
+	snapshot.GetGuards(dec, p.guards)
 	for _, c := range []*int64{&p.in, &p.out, &p.promoted, &p.dropped} {
 		*c = dec.GetInt64()
 	}

@@ -6,27 +6,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// fbCounters is the per-operator feedback accounting every instrumented
-// operator exports through telemetry.VarExporter: messages received
-// (ProcessFeedback calls), exploited (a guard was installed or state
-// purged in response), and forwarded (relayed upstream). Feedback is off
-// the tuple hot path, so these are direct atomics.
-type fbCounters struct {
-	received  atomic.Int64
-	exploited atomic.Int64
-	forwarded atomic.Int64
-}
-
-// vars renders the counters as registry vars; called once at registration
-// time, so the closure allocations are off the hot path.
-func (c *fbCounters) vars() []telemetry.Var {
-	return []telemetry.Var{
-		{Name: "pace_op_feedback_received_total", Help: "Feedback messages delivered to the operator.", Kind: telemetry.Counter, Value: c.received.Load},
-		{Name: "pace_op_feedback_exploited_total", Help: "Feedback messages exploited (guard installed or state purged).", Kind: telemetry.Counter, Value: c.exploited.Load},
-		{Name: "pace_op_feedback_forwarded_total", Help: "Feedback messages relayed upstream.", Kind: telemetry.Counter, Value: c.forwarded.Load},
-	}
-}
-
 // tupleVars renders the standard per-operator tuple accounting vars from
 // atomic counters.
 func tupleVars(in, out, suppressed *atomic.Int64) []telemetry.Var {

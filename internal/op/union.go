@@ -19,7 +19,7 @@ import (
 //
 //pace:stateless watermarks rebuild conservatively from post-restore punctuation; withholding punctuation is always safe
 type Union struct {
-	exec.Base
+	exec.Responding
 	OpName string
 	Schema stream.Schema
 	K      int
@@ -31,7 +31,6 @@ type Union struct {
 	Mode      FeedbackMode
 	Propagate bool
 
-	responseLog
 	guards *core.GuardTable
 	wm     []watermark
 
@@ -73,7 +72,8 @@ func (u *Union) OutSchemas() []stream.Schema { return []stream.Schema{u.Schema} 
 
 // Open implements exec.Operator.
 func (u *Union) Open(exec.Context) error {
-	u.guards = core.NewGuardTable(u.Schema.Arity())
+	u.Bind(u, u.Mode, u.Propagate, 1, u.Schema.Arity())
+	u.guards = u.OutTables()[0]
 	u.wm = make([]watermark, u.k())
 	return nil
 }
@@ -92,7 +92,9 @@ func (u *Union) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 
 // ProcessPunct implements exec.Operator.
 func (u *Union) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error {
-	u.guards.ObservePunct(e)
+	// Any input's promise releases a guard it covers: early for the other
+	// inputs, which only means suppressing less.
+	u.Observe(core.Output, e)
 	if u.ProgressAttr < 0 {
 		return nil
 	}
@@ -165,28 +167,19 @@ func (u *Union) ProcessEOS(input int, ctx exec.Context) error {
 	return nil
 }
 
-// ProcessFeedback implements exec.Operator: exploit locally (input guard)
-// and propagate to every input.
-func (u *Union) ProcessFeedback(_ int, f core.Feedback, ctx exec.Context) error {
-	resp := core.Response{Feedback: f}
-	if f.Intent == core.Assumed && u.Mode != FeedbackIgnore {
-		u.guards.Install(f)
-		resp.Actions = append(resp.Actions, core.ActGuardInput)
+// Characterize implements core.Characterizer: guard the inputs and, the
+// mapping being the identity, propagate to every one of them.
+func (u *Union) Characterize(_ int, f core.Feedback) core.ResponsePlan {
+	return core.Stateless(f, []core.Action{core.ActGuardInput}, identities(u.k(), u.Schema.Arity())...)
+}
+
+// identities is the attribute mapping of a k-way same-schema fan-in.
+func identities(k, arity int) []core.AttrMap {
+	maps := make([]core.AttrMap, k)
+	for i := range maps {
+		maps[i] = core.Identity(arity)
 	}
-	if u.Propagate {
-		relayed := f.Relayed(f.Pattern)
-		resp.Propagated = make([]*core.Feedback, u.k())
-		for i := 0; i < ctx.NumInputs(); i++ {
-			ctx.SendFeedback(i, relayed)
-			resp.Propagated[i] = &relayed
-		}
-		resp.Actions = append(resp.Actions, core.ActPropagate)
-	}
-	if len(resp.Actions) == 0 {
-		resp.Actions = []core.Action{core.ActNone}
-	}
-	u.logResponse(resp)
-	return nil
+	return maps
 }
 
 // Stats reports tuple accounting.

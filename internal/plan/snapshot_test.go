@@ -164,6 +164,7 @@ func TestParallelCheckpointRecoverIdentity(t *testing.T) {
 // feedSource is an endless traffic source that exploits assumed feedback;
 // its replay counter and guards persist through checkpoints.
 type feedSource struct {
+	exec.Responding
 	schema  stream.Schema
 	i, ts   int64
 	guards  *core.GuardTable
@@ -172,9 +173,8 @@ type feedSource struct {
 
 func (s *feedSource) Name() string                { return "feedsrc" }
 func (s *feedSource) OutSchemas() []stream.Schema { return []stream.Schema{s.schema} }
-func (s *feedSource) Close(exec.Context) error    { return nil }
 func (s *feedSource) Open(exec.Context) error {
-	s.guards = core.NewGuardTable(s.schema.Arity())
+	s.guards = s.BindSource(true, s.schema.Arity())
 	return nil
 }
 
@@ -190,13 +190,6 @@ func (s *feedSource) Next(ctx exec.Context) (bool, error) {
 		ctx.Emit(t)
 	}
 	return true, nil
-}
-
-func (s *feedSource) ProcessFeedback(_ int, f core.Feedback, _ exec.Context) error {
-	if f.Intent == core.Assumed {
-		s.guards.Install(f)
-	}
-	return nil
 }
 
 // CaptureState implements snapshot.Stater.
@@ -216,7 +209,7 @@ func (s *feedSource) LoadState(dec *snapshot.Decoder) error {
 	s.i = dec.GetInt64()
 	s.ts = dec.GetInt64()
 	s.skipped.Store(dec.GetInt64())
-	s.guards = snapshot.GetGuards(dec, s.schema.Arity())
+	snapshot.GetGuards(dec, s.guards)
 	return dec.Err()
 }
 

@@ -6,8 +6,8 @@ import (
 
 // Guard-table persistence. A guard table's durable content is the set of
 // installed feedback punctuations (each Guard's pattern equals its source
-// feedback's pattern); the compiled probe forms are rebuilt by Install on
-// load, and the punctuation-expiration tracker restarts empty — guards
+// feedback's pattern); the compiled probe forms are rebuilt on load
+// (core.GuardTable.Restore), and the punctuation-expiration tracker restarts empty — guards
 // whose subsets the stream has already promised complete simply expire
 // again when the next covering punctuation arrives, which is safe because
 // an unexpired guard can only suppress tuples the stream will never
@@ -40,24 +40,27 @@ func PutGuardsView(e *Encoder, fs []core.Feedback) {
 	}
 }
 
-// GetGuards reads back a guard table for streams of the given arity. A
-// guard whose pattern arity does not match is corruption or plan drift
-// (its compiled probe would index past the tuple) and poisons the decoder
-// rather than panicking later on the probe path.
-func GetGuards(d *Decoder, arity int) *core.GuardTable {
-	g := core.NewGuardTable(arity)
+// GetGuards reads a captured guard list back into g, replacing what it
+// held. A guard whose pattern arity does not match the table's is corruption
+// or plan drift (its compiled probe would index past the tuple) and poisons
+// the decoder rather than panicking later on the probe path; g is then left
+// as it was.
+func GetGuards(d *Decoder, g *core.GuardTable) {
 	n := d.GetInt()
+	fs := make([]core.Feedback, 0, d.CountHint(n))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		f := d.GetFeedback()
 		if d.Err() != nil {
-			break
+			return
 		}
-		if f.Pattern.Arity() != arity {
+		if f.Pattern.Arity() != g.Arity() {
 			d.fail("guard pattern arity %d does not match stream arity %d (corrupt snapshot or plan drift)",
-				f.Pattern.Arity(), arity)
-			break
+				f.Pattern.Arity(), g.Arity())
+			return
 		}
-		g.Install(f)
+		fs = append(fs, f)
 	}
-	return g
+	if d.Err() == nil {
+		g.Restore(fs)
+	}
 }

@@ -168,7 +168,9 @@ func TestGuardsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDecoder(blob)
-	back := GetGuards(d, 3)
+	back := core.NewGuardTable(3)
+	back.Install(core.NewAssumed(punct.OnAttr(3, 2, punct.Eq(stream.Float(7))))) // replaced by the load
+	GetGuards(d, back)
 	if d.Err() != nil {
 		t.Fatal(d.Err())
 	}
@@ -186,7 +188,7 @@ func TestGuardsRoundTrip(t *testing.T) {
 	e2 := NewEncoder()
 	PutGuardsView(e2, GuardsView(nil))
 	blob2, _ := e2.Bytes()
-	if GetGuards(NewDecoder(blob2), 3).Active() != 0 {
+	if GetGuards(NewDecoder(blob2), back); back.Active() != 0 {
 		t.Fatal("nil table must restore empty")
 	}
 }
