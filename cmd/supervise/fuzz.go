@@ -7,10 +7,9 @@
 //
 //  1. crash ≡ clean — every RESULTS digest the chaos run prints equals the
 //     clean (fault-free) run's digest, computed once per mode up front;
-//  2. chain-aware restorability — after the run, every retained epoch
-//     (single mode) and every committed DistManifest (dist mode) is
-//     restored and replayed to completion in-process, and each replay's
-//     digest must again equal the clean digest. A lineage the schedule
+//  2. chain-aware restorability — after the run, every committed
+//     DistManifest is restored and replayed to completion in-process, and
+//     each replay's digest must again equal the clean digest. A lineage the schedule
 //     corrupted may be skipped (that is the degradation contract); a
 //     corrupt lineage with no scheduled corruption fault is a bug.
 //
@@ -31,6 +30,7 @@ import (
 
 	"repro/internal/chaos"
 	execpkg "repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/snapshot"
 )
 
@@ -134,12 +134,7 @@ func fuzzOne(self string, o options, work string, seed uint64, dist bool, want s
 			return fail("digest diverged: %q != clean %q\n%s", r, want, out)
 		}
 	}
-	var verified, skipped int
-	if dist {
-		verified, skipped, err = verifyDist(o, dir, want, p)
-	} else {
-		verified, skipped, err = verifySingle(o, dir, want, p)
-	}
+	verified, skipped, err := verifyCommitted(o, dir, dist, want, p)
 	if err != nil {
 		return fail("chain verification: %v", err)
 	}
@@ -195,66 +190,26 @@ func superviseRun(self string, o options, dir string, seed uint64, dist bool) (s
 	return string(out), err
 }
 
-// verifySingle is the chain-aware check for single-process runs: every
-// retained epoch restores and replays to the clean digest. Corrupt
-// lineages are skippable only when the schedule injected corruption.
-func verifySingle(o options, dir string, want string, p *chaos.Plan) (verified, skipped int, err error) {
-	d, err := snapshot.NewDir(dir)
-	if err != nil {
-		return 0, 0, err
+// verifyCommitted is the chain-aware check: every committed manifest
+// restores each process's share of the plan at its epoch and replays to the
+// clean digest. The first part is the coordinating one: its backend holds
+// the manifest log beside its chain, and it is where schedules aim their
+// corruption faults, so only there is a corrupt manifest or lineage
+// skippable — and only when the schedule injected one.
+func verifyCommitted(o options, dir string, dist bool, want string, p *chaos.Plan) (verified, skipped int, err error) {
+	parts := []string{roleChild.part}
+	if dist {
+		parts = []string{roleCoord.part, "follow"}
 	}
-	chain := snapshot.NewChain(d)
-	epochs, err := chain.Epochs()
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(epochs) == 0 {
-		return 0, 0, fmt.Errorf("no retained epochs to verify")
-	}
-	for _, ep := range epochs {
-		snaps, err := chain.ChainFor(ep)
-		if errors.Is(err, snapshot.ErrCorruptSnapshot) {
-			if !p.SchedulesCorruption("") {
-				return verified, skipped, fmt.Errorf("epoch %d corrupt with no scheduled corruption fault: %w", ep, err)
-			}
-			skipped++
-			continue
-		}
+	chains := make([]*snapshot.Chain, len(parts))
+	for i, part := range parts {
+		d, err := snapshot.NewDir(filepath.Join(dir, part))
 		if err != nil {
-			return verified, skipped, fmt.Errorf("epoch %d: %w", ep, err)
+			return 0, 0, err
 		}
-		b, sink := buildPlan(o)
-		if err := b.Err(); err != nil {
-			return verified, skipped, err
-		}
-		if err := b.Graph().RestoreChain(snaps); err != nil {
-			return verified, skipped, fmt.Errorf("restore epoch %d: %w", ep, err)
-		}
-		if err := b.Run(); err != nil {
-			return verified, skipped, fmt.Errorf("replay from epoch %d: %w", ep, err)
-		}
-		if line := digestLine(sink); line != want {
-			return verified, skipped, fmt.Errorf("replay from epoch %d diverged: %q != clean %q", ep, line, want)
-		}
-		verified++
+		chains[i] = snapshot.NewChain(d)
 	}
-	return verified, skipped, nil
-}
-
-// verifyDist is the chain-aware check for distributed runs: every
-// committed DistManifest restores both subplans at its epoch and replays
-// the pair in-process over a pipe to the clean digest.
-func verifyDist(o options, dir string, want string, p *chaos.Plan) (verified, skipped int, err error) {
-	cd, err := snapshot.NewDir(filepath.Join(dir, "coord"))
-	if err != nil {
-		return 0, 0, err
-	}
-	fd, err := snapshot.NewDir(filepath.Join(dir, "follow"))
-	if err != nil {
-		return 0, 0, err
-	}
-	coordChain, followChain := snapshot.NewChain(cd), snapshot.NewChain(fd)
-	log := snapshot.NewDistLog(cd)
+	log := snapshot.NewDistLog(chains[0].Backend())
 	epochs, err := log.Epochs()
 	if err != nil {
 		return 0, 0, err
@@ -268,26 +223,20 @@ func verifyDist(o options, dir string, want string, p *chaos.Plan) (verified, sk
 		}
 		return 0, 0, fmt.Errorf("no committed manifests to verify")
 	}
-	// Corruption faults in dist schedules target the coordinator's backend
-	// (shared by its chain and the manifest log).
-	skippable := func(err error) bool {
-		return errors.Is(err, snapshot.ErrCorruptSnapshot) && p.SchedulesCorruption("coord")
-	}
 	for _, ep := range epochs {
 		m, err := log.At(ep)
-		if err != nil {
-			if skippable(err) {
-				skipped++
-				continue
-			}
-			return verified, skipped, fmt.Errorf("manifest %d: %w", ep, err)
+		var line string
+		if err == nil && len(m.Parts) != len(parts) {
+			err = fmt.Errorf("committed with %d parts, the plan has %d", len(m.Parts), len(parts))
 		}
-		line, err := replayPair(o, coordChain, followChain, m)
+		if err == nil {
+			line, err = replay(o, dist, chains, ep)
+		}
+		if errors.Is(err, snapshot.ErrCorruptSnapshot) && p.SchedulesCorruption(parts[0]) {
+			skipped++
+			continue
+		}
 		if err != nil {
-			if skippable(err) {
-				skipped++
-				continue
-			}
 			return verified, skipped, fmt.Errorf("manifest %d: %w", ep, err)
 		}
 		if line != want {
@@ -298,56 +247,44 @@ func verifyDist(o options, dir string, want string, p *chaos.Plan) (verified, sk
 	return verified, skipped, nil
 }
 
-// replayPair restores both halves of the distributed plan at one committed
-// manifest and runs them to completion in-process over a pipe (no
-// checkpoints fire during verification, so no control connection is
-// needed), returning the follower's digest line.
-func replayPair(o options, coordChain, followChain *snapshot.Chain, m *snapshot.DistManifest) (string, error) {
-	partEpoch := func(name string) (int64, error) {
-		for _, pt := range m.Parts {
-			if pt.Part == name {
-				return pt.Epoch, nil
-			}
-		}
-		return 0, fmt.Errorf("manifest %d has no part %q", m.Epoch, name)
+// replay rebuilds the plan, restores each process's share from its chain at
+// one committed epoch (followers checkpoint at the coordinator's epoch
+// number), and runs it to completion in-process — the two halves of a
+// distributed plan over a pipe; no checkpoints fire during verification, so
+// no control connection is needed. It returns the sink's digest line.
+func replay(o options, dist bool, chains []*snapshot.Chain, epoch int64) (string, error) {
+	var builders []*plan.Builder
+	var sink *execpkg.Collector
+	if dist {
+		c1, c2 := net.Pipe()
+		bc, _ := buildCoordPlan(o, c1)
+		bf, s := buildFollowPlan(o, c2)
+		builders, sink = []*plan.Builder{bc, bf}, s
+	} else {
+		b, s := buildPlan(o)
+		builders, sink = []*plan.Builder{b}, s
 	}
-	c1, c2 := net.Pipe()
-	bc, _ := buildCoordPlan(o, c1)
-	bf, sink := buildFollowPlan(o, c2)
-	if err := bc.Err(); err != nil {
-		return "", err
-	}
-	if err := bf.Err(); err != nil {
-		return "", err
-	}
-	for _, part := range []struct {
-		name  string
-		chain *snapshot.Chain
-		g     *execpkg.Graph
-	}{
-		{"coord", coordChain, bc.Graph()},
-		{"follow", followChain, bf.Graph()},
-	} {
-		ep, err := partEpoch(part.name)
-		if err != nil {
+	for i, b := range builders {
+		if err := b.Err(); err != nil {
 			return "", err
 		}
-		snaps, err := part.chain.ChainFor(ep)
+		snaps, err := chains[i].ChainFor(epoch)
 		if err != nil {
-			return "", fmt.Errorf("part %s epoch %d: %w", part.name, ep, err)
+			return "", fmt.Errorf("part %d epoch %d: %w", i, epoch, err)
 		}
-		if err := part.g.RestoreChain(snaps); err != nil {
-			return "", fmt.Errorf("part %s epoch %d: %w", part.name, ep, err)
+		if err := b.Graph().RestoreChain(snaps); err != nil {
+			return "", fmt.Errorf("part %d epoch %d: %w", i, epoch, err)
 		}
 	}
-	coordErr := make(chan error, 1)
-	go func() { coordErr <- bc.Run() }()
-	ferr := bf.Run()
-	if cerr := <-coordErr; cerr != nil {
-		return "", fmt.Errorf("coordinator replay: %w", cerr)
+	errs := make(chan error, len(builders))
+	for _, b := range builders {
+		go func(b *plan.Builder) { errs <- b.Run() }(b)
 	}
-	if ferr != nil {
-		return "", fmt.Errorf("follower replay: %w", ferr)
+	var first error
+	for range builders {
+		if err := <-errs; err != nil && first == nil {
+			first = fmt.Errorf("replay from epoch %d: %w", epoch, err)
+		}
 	}
-	return digestLine(sink), nil
+	return digestLine(sink), first
 }

@@ -1,9 +1,10 @@
 // Command supervise runs a partitioned aggregate plan under periodic
-// two-phase checkpoints and restarts it from the latest checkpoint after a
-// crash — the fault-tolerant runtime the ROADMAP's "checkpoint scheduling
+// two-phase checkpoints and restarts it from the newest committed cut after
+// a crash — the fault-tolerant runtime the ROADMAP's "checkpoint scheduling
 // & retention" item asks for.
 //
-// Three modes share one binary:
+// Three modes share one binary, and one checkpoint protocol — the
+// single-process child is a coordinator with no followers:
 //
 //   - supervisor (default): spawns itself with -child, restarts it on any
 //     non-zero exit (kill -9 included) up to -max-restarts with exponential
@@ -20,7 +21,7 @@
 //     of the distributed pair (-role coord / -role follow).
 //
 // -crash-after-epochs N makes the FIRST incarnation SIGKILL itself once N
-// checkpoint epochs are durable (committed manifests, in dist mode), so
+// checkpoint epochs are committed (a manifest durable beside the chain), so
 //
 //	supervise -dist -dir /tmp/ck -crash-after-epochs 3
 //
@@ -415,57 +416,124 @@ func logSkips(who string, skipped []snapshot.Fallback) {
 	}
 }
 
-// runChild runs one single-process incarnation: restore-from-latest, then
-// the plan under periodic checkpoints.
+// coordRole is what tells a coordinating child's log lines and fault
+// schedule apart: the single-process child and the producer half of the
+// -dist pair run the same code (runCoordinator).
+type coordRole struct {
+	tag      string // log-line prefix; lower-cased, the role= field
+	part     string // chaos target and chain subdirectory ("" = the run's -dir itself)
+	restored string // the restore log line CI greps for
+}
+
+var (
+	roleChild = coordRole{tag: "CHILD", restored: "CHILD restored from epoch"}
+	roleCoord = coordRole{tag: "COORD", part: "coord", restored: "COORD restored from committed epoch"}
+)
+
+// runChild runs one single-process incarnation: the whole plan under a
+// checkpoint coordinator that has no followers.
 func runChild(o options) error {
+	b, sink := buildPlan(o)
+	if err := runCoordinator(o, roleChild, b); err != nil {
+		return err
+	}
+	fmt.Println(digestLine(sink))
+	return nil
+}
+
+// runChildCoord runs the producer half: traffic source → filter → remote
+// sink, as the distributed checkpoint coordinator. It listens on -addr for
+// the follower's control and data connections.
+func runChildCoord(o options) error {
+	l, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		return err
+	}
+	defer l.Close()
+	conns, err := acceptTagged(l, tagControl, tagData)
+	if err != nil {
+		return err
+	}
+	cp := o.chaosPlan()
+	ctrl := chaos.WrapConn(conns[0], cp.ConnFaults("coord", o.chaosInc, chaos.TargetCtrl))
+	data := chaos.WrapConn(conns[1], cp.ConnFaults("coord", o.chaosInc, chaos.TargetData))
+	defer ctrl.Close()
+	b, _ := buildCoordPlan(o, data)
+	return runCoordinator(o, roleCoord, b, ctrl)
+}
+
+// runCoordinator runs one incarnation of a plan that owns its sources:
+// restore the newest committed cut, admit a follower per control
+// connection, then run under periodic checkpoints.
+func runCoordinator(o options, r coordRole, b *plan.Builder, followers ...net.Conn) error {
+	role := strings.ToLower(r.tag)
 	cp := o.chaosPlan()
 	// Async writes: the checkpoint loop never stalls on the filesystem;
 	// Flush on the way out surfaces any write failure.
-	async, chain, err := openChain(o.dir, cp.ChainFaults("", o.chaosInc))
+	async, chain, err := openChain(filepath.Join(o.dir, r.part), cp.ChainFaults(r.part, o.chaosInc))
 	if err != nil {
 		return err
 	}
 	defer async.Close()
+	log := snapshot.NewDistLog(chain.Backend())
 
-	b, sink := buildPlan(o)
-	stopTel, err := serveTelemetry(o, "child", b)
+	stopTel, err := serveTelemetry(o, role, b)
 	if err != nil {
 		return err
 	}
 	defer stopTel()
-	restored, skipped, err := b.RestoreLatestIntact(chain)
+
+	dc, err := b.DistCoordinate(role, chain, log)
 	if err != nil {
 		return err
 	}
-	logSkips("CHILD", skipped)
+	dc.AckTimeout = o.ackTimeout
+	restored, err := dc.RestoreCommitted()
+	if err != nil {
+		return err
+	}
+	logSkips(r.tag, dc.Degraded())
 	if restored {
-		ep, _, _ := chain.LatestEpoch()
-		logEvent(fmt.Sprintf("CHILD restored from epoch %d", ep),
-			"role", "child", "seed", o.chaosSeed, "incarnation", o.chaosInc, "epoch", ep)
+		logEvent(fmt.Sprintf("%s %d", r.restored, dc.CommittedEpoch()),
+			"role", role, "seed", o.chaosSeed, "incarnation", o.chaosInc, "epoch", dc.CommittedEpoch())
 	} else {
-		logEvent("CHILD cold start", "role", "child", "seed", o.chaosSeed, "incarnation", o.chaosInc)
+		logEvent(r.tag+" cold start", "role", role, "seed", o.chaosSeed, "incarnation", o.chaosInc)
+	}
+	for _, ctrl := range followers {
+		part, err := dc.AddFollower(ctrl)
+		if err != nil {
+			return err
+		}
+		logEvent(r.tag+" follower joined", "part", part, "role", role)
 	}
 
-	chainProgress := func() (int64, bool) {
-		ep, ok, err := chain.LatestEpoch()
-		return ep, err == nil && ok
+	commitProgress := func() (int64, bool) {
+		m, ok, err := log.Latest()
+		if err != nil || !ok {
+			return 0, false
+		}
+		return m.Epoch, true
 	}
 	if o.crashAfter > 0 {
-		go crashWhen(chainProgress, o.crashAfter)
+		go crashWhen(commitProgress, o.crashAfter)
 	}
-	armKills(cp, "", o.chaosInc, chainProgress)
+	armKills(cp, r.part, o.chaosInc, commitProgress)
 
-	runErr, chkErr := b.RunCheckpointed(chain, policyOf(o))
+	runErr, chkErr := dc.RunCheckpointed(policyOf(o))
 	if runErr != nil {
 		return runErr
 	}
 	if chkErr != nil {
-		return fmt.Errorf("checkpointing: %w", chkErr)
+		// Abandoned epochs are expected around a crash or an injected fault
+		// and never touch the results; a write that was lost for good fails
+		// the Flush below.
+		logEvent(r.tag+" checkpoint maintenance", "role", role, "err", chkErr)
 	}
 	if err := async.Flush(); err != nil {
 		return err
 	}
-	fmt.Println(digestLine(sink))
+	logEvent(r.tag+" done", "role", role, "seed", o.chaosSeed,
+		"incarnation", o.chaosInc, "committed", dc.CommittedEpoch())
 	return nil
 }
 
@@ -484,90 +552,6 @@ const (
 	tagControl = 'C'
 	tagData    = 'D'
 )
-
-// runChildCoord runs the producer half: traffic source → filter → remote
-// sink, as the distributed checkpoint coordinator. It listens on -addr for
-// the follower's control and data connections.
-func runChildCoord(o options) error {
-	cp := o.chaosPlan()
-	async, chain, err := openChain(filepath.Join(o.dir, "coord"), cp.ChainFaults("coord", o.chaosInc))
-	if err != nil {
-		return err
-	}
-	defer async.Close()
-	log := snapshot.NewDistLog(chain.Backend())
-
-	l, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return err
-	}
-	defer l.Close()
-	conns, err := acceptTagged(l, tagControl, tagData)
-	if err != nil {
-		return err
-	}
-	ctrl, data := conns[0], conns[1]
-	ctrl = chaos.WrapConn(ctrl, cp.ConnFaults("coord", o.chaosInc, chaos.TargetCtrl))
-	data = chaos.WrapConn(data, cp.ConnFaults("coord", o.chaosInc, chaos.TargetData))
-	defer ctrl.Close()
-
-	b, _ := buildCoordPlan(o, data)
-	stopTel, err := serveTelemetry(o, "coord", b)
-	if err != nil {
-		return err
-	}
-	defer stopTel()
-
-	dc, err := b.DistCoordinate("coord", chain, log)
-	if err != nil {
-		return err
-	}
-	dc.AckTimeout = o.ackTimeout
-	restored, err := dc.RestoreCommitted()
-	if err != nil {
-		return err
-	}
-	logSkips("COORD", dc.Degraded())
-	if restored {
-		logEvent(fmt.Sprintf("COORD restored from committed epoch %d", dc.CommittedEpoch()),
-			"role", "coord", "seed", o.chaosSeed, "incarnation", o.chaosInc, "epoch", dc.CommittedEpoch())
-	} else {
-		logEvent("COORD cold start", "role", "coord", "seed", o.chaosSeed, "incarnation", o.chaosInc)
-	}
-	part, err := dc.AddFollower(ctrl)
-	if err != nil {
-		return err
-	}
-	logEvent("COORD follower joined", "part", part, "role", "coord")
-
-	commitProgress := func() (int64, bool) {
-		m, ok, err := log.Latest()
-		if err != nil || !ok {
-			return 0, false
-		}
-		return m.Epoch, true
-	}
-	if o.crashAfter > 0 {
-		go crashWhen(commitProgress, o.crashAfter)
-	}
-	armKills(cp, "coord", o.chaosInc, commitProgress)
-
-	runErr, chkErr := dc.RunCheckpointed(policyOf(o))
-	if runErr != nil {
-		return runErr
-	}
-	if chkErr != nil {
-		// Abandoned epochs are expected around a follower crash; after a
-		// clean joint completion they indicate a real coordination fault.
-		logEvent("COORD checkpoint maintenance", "role", "coord", "err", chkErr)
-	}
-	if err := async.Flush(); err != nil {
-		return err
-	}
-	logEvent("COORD done", "role", "coord", "seed", o.chaosSeed,
-		"incarnation", o.chaosInc, "committed", dc.CommittedEpoch())
-	return nil
-}
 
 // runChildFollow runs the consumer half: remote source → partitioned
 // aggregate → recording sink, as a distributed checkpoint follower. It

@@ -3,19 +3,20 @@
 //
 // The plan is the speed-map core — traffic readings, hash-partitioned by
 // segment across two aggregate replicas, merged back with punctuation
-// alignment. Mid-stream, a coordinator checkpoint injects barrier
+// alignment. Mid-stream, the plan's checkpoint coordinator — the one a plan
+// spanning processes uses, here with no followers — injects barrier
 // punctuations at the source; once every partition and the merge have
 // aligned them, the consistent cut (per-operator accumulators, guard
 // tables, the source's replay position, and the sink's record) is written
-// to a file backend. The plan is then killed — simulating a crash — and a
-// freshly built plan restores from the file and finishes the stream. The
-// recovered output is identical to what an uninterrupted run produces.
+// to a file backend and committed. The plan is then killed — simulating a
+// crash — and a freshly built plan restores the committed cut from the
+// files and finishes the stream. The recovered output is identical to what
+// an uninterrupted run produces.
 //
 // Run with: go run ./examples/checkpoint
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"os"
@@ -160,15 +161,23 @@ func main() {
 	}
 
 	start := time.Now()
-	snap, err := b1.Graph().Checkpoint(context.Background())
+	chain := snapshot.NewChain(backend)
+	dc1, err := b1.DistCoordinate("speedmap", chain, snapshot.NewDistLog(backend))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := snap.Save(backend, "speedmap-mid"); err != nil {
+	epoch, err := dc1.CheckpointOnce(snapshot.CaptureFull)
+	if err != nil {
 		log.Fatal(err)
 	}
+	took := time.Since(start)
+	snaps, err := chain.ChainFor(epoch)
+	if err != nil {
+		log.Fatal(err)
+	}
+	snap := snaps[0]
 	fmt.Printf("checkpoint: epoch %d, %d nodes, %d bytes, took %v (results so far: %d)\n",
-		snap.Epoch, len(snap.Nodes), snap.Size(), time.Since(start).Round(time.Microsecond), sink1.Count())
+		snap.Epoch, len(snap.Nodes), snap.Size(), took.Round(time.Microsecond), sink1.Count())
 
 	b1.Graph().Kill()
 	<-runErr // ErrKilled: the crash
@@ -179,8 +188,12 @@ func main() {
 	src2.release.Store(true)
 	b2, sink2 := buildPlan(src2)
 	start = time.Now()
-	if err := b2.Restore(backend, "speedmap-mid"); err != nil {
+	dc2, err := b2.DistCoordinate("speedmap", snapshot.NewChain(backend), snapshot.NewDistLog(backend))
+	if err != nil {
 		log.Fatal(err)
+	}
+	if ok, err := dc2.RestoreCommitted(); err != nil || !ok {
+		log.Fatalf("restore: ok=%v err=%v", ok, err)
 	}
 	if err := b2.Run(); err != nil {
 		log.Fatal(err)

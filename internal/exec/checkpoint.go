@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -11,39 +10,36 @@ import (
 
 // Checkpointing: the runtime half of the internal/snapshot subsystem.
 //
-// Graph.Checkpoint injects one barrier epoch at every source; barriers flow
-// in-band through the paged queues, the node runner aligns them across
-// inputs (runner.go), and each node deposits its phase-1 capture here at
-// its cut. The cut is two-phase (DESIGN.md §6.2): at the barrier the node
-// only takes a cheap consistent view of its state (snapshot.Stater) and
-// the barrier releases immediately; serialization — and, for chain-backed
-// checkpoints, persistence — happens afterwards on a background goroutine,
-// so the stall a checkpoint imposes on the pipeline no longer scales with
-// state size. Checkpoints can also be incremental: CaptureDelta asks every
-// node for only the state changed since the previous capture, and the
-// resulting snapshot chains off its predecessor (snapshot.Chain).
+// A checkpoint (trigger, reached through the coordinator or follower in
+// dist.go) injects one barrier epoch at every source; barriers flow in-band
+// through the paged queues, the node runner aligns them across inputs
+// (runner.go), and each node deposits its phase-1 capture here at its cut.
+// The cut is two-phase (DESIGN.md §6.2): at the barrier the node only takes
+// a cheap consistent view of its state (snapshot.Stater) and the barrier
+// releases immediately; serialization and the chain write happen afterwards
+// on a background goroutine, so the stall a checkpoint imposes on the
+// pipeline does not scale with state size. Checkpoints can also be
+// incremental: CaptureDelta asks every node for only the state changed
+// since the previous capture, and the resulting snapshot chains off its
+// predecessor (snapshot.Chain).
 //
-// Graph.Restore stages a previously taken snapshot — or a base+delta chain
-// — on a freshly *rebuilt* plan; each node's LoadState (then ApplyDelta per
-// delta) runs right after its Open, before any data.
+// RestoreChain stages a base+delta chain on a freshly *rebuilt* plan; each
+// node's LoadState (then ApplyDelta per delta) runs right after its Open,
+// before any data.
 
 // ErrKilled is the error Run returns after Kill: the graph was stopped
 // mid-stream deliberately (crash simulation, operator-initiated teardown).
 var ErrKilled = errors.New("exec: graph killed")
 
 // CheckpointStatus reports one checkpoint's outcome; failed background
-// encodes/writes surface here (and through the blocking Checkpoint calls).
+// encodes/writes surface here.
 type CheckpointStatus struct {
 	// Epoch identifies the checkpoint; Base is the epoch it chains from
 	// (0 for a full snapshot).
 	Epoch, Base int64
-	// Done is false only for checkpoints cancelled before completing.
-	Done bool
-	// Persisted reports a successful chain write (always false for
-	// checkpoints taken without a chain).
-	Persisted bool
-	// Err is the first failure: a capture error, a node death during
-	// alignment, an encode error, or a chain-write error.
+	// Err is the first failure — a capture error, a node death during
+	// alignment, an encode error, or a chain-write error; nil means the
+	// epoch is durably in its chain.
 	Err error
 	// BarrierHold is the longest any single node spent in phase-1 capture —
 	// the checkpoint's hot-path stall. Encoding time is excluded by
@@ -55,33 +51,19 @@ type CheckpointStatus struct {
 	Bytes  int
 }
 
-// chkResult is delivered to blocking Checkpoint callers.
-type chkResult struct {
-	snap *snapshot.Snapshot
-	err  error
-}
-
 // inflight is one in-progress checkpoint.
 type inflight struct {
 	epoch int64
 	base  int64 // delta parent epoch; 0 for full
 	mode  snapshot.CaptureMode
-	chain *snapshot.Chain // optional persistence target
+	chain *snapshot.Chain // where the finisher persists the epoch
 
 	pending  map[NodeID]bool             // nodes that have not cut yet
 	cuts     map[NodeID]snapshot.Capture // phase-1 captures; the zero Capture for a stateless node
 	err      error                       // first failure; poisons the checkpoint
 	hold     time.Duration               // max single-node capture duration
-	captured chan struct{}               // closed when every node has cut
-	result   chan chkResult              // buffered; delivered by the finisher
 	prevDone chan struct{}               // previous checkpoint's finish ticket
-	done     chan struct{}               // closed when finished or cancelled
-
-	// abandoned/finished (under chkMu) coordinate a caller that gives up
-	// after the capture phase with the background finisher: a chain-less
-	// snapshot nobody will receive must not become a delta parent.
-	abandoned bool
-	finished  bool
+	done     chan struct{}               // closed when finished or superseded
 }
 
 // A node that leaves the plan cleanly (source exhausted, downstream
@@ -102,54 +84,8 @@ func (g *Graph) Kill() {
 	}
 }
 
-// Checkpoint takes a full punctuation-aligned snapshot of the running plan.
-// It blocks until the snapshot is assembled (captures at every node, then
-// background encoding) or ctx is cancelled; the pipeline itself is only
-// held for the capture phase. One checkpoint may be in flight at a time.
-// The returned snapshot persists with Snapshot.Save or Chain.Put and
-// restores into an identically rebuilt plan with Graph.Restore.
-func (g *Graph) Checkpoint(ctx context.Context) (*snapshot.Snapshot, error) {
-	return g.checkpointWait(ctx, snapshot.CaptureFull)
-}
-
-// CheckpointIncremental takes a delta checkpoint: every node contributes
-// only the state changed since the previous checkpoint, and the returned
-// snapshot's Base names the epoch it chains from. The first checkpoint of
-// a run — and the first after any failed or cancelled checkpoint — is
-// silently upgraded to a full snapshot (Base == 0), so callers can simply
-// loop on CheckpointIncremental.
-func (g *Graph) CheckpointIncremental(ctx context.Context) (*snapshot.Snapshot, error) {
-	return g.checkpointWait(ctx, snapshot.CaptureDelta)
-}
-
-func (g *Graph) checkpointWait(ctx context.Context, mode snapshot.CaptureMode) (*snapshot.Snapshot, error) {
-	c, err := g.triggerCheckpoint(mode, nil)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case r := <-c.result:
-		return r.snap, r.err
-	case <-ctx.Done():
-		g.cancelCheckpoint(c, ctx.Err())
-		return nil, fmt.Errorf("exec: checkpoint %d: %w", c.epoch, ctx.Err())
-	}
-}
-
-// CheckpointInto triggers a checkpoint persisted to the chain in the
-// background and returns its epoch as soon as the capture phase is under
-// way — it does not wait for the barrier, the encode, or the write. The
-// outcome lands in CheckpointStatus; WaitCheckpoints drains stragglers.
-func (g *Graph) CheckpointInto(chain *snapshot.Chain, mode snapshot.CaptureMode) (int64, error) {
-	c, err := g.triggerCheckpoint(mode, chain)
-	if err != nil {
-		return 0, err
-	}
-	return c.epoch, nil
-}
-
 // WaitCheckpoints blocks until every background encode/persist has
-// finished (including cancelled stragglers).
+// finished.
 func (g *Graph) WaitCheckpoints() { g.chkWG.Wait() }
 
 // CheckpointStatuses returns the recorded outcomes, oldest first (the ring
@@ -160,8 +96,8 @@ func (g *Graph) CheckpointStatuses() []CheckpointStatus {
 	return append([]CheckpointStatus(nil), g.statuses...)
 }
 
-// CheckpointStatus returns the recorded outcome for one epoch.
-func (g *Graph) CheckpointStatus(epoch int64) (CheckpointStatus, bool) {
+// checkpointStatus returns the recorded outcome for one epoch.
+func (g *Graph) checkpointStatus(epoch int64) (CheckpointStatus, bool) {
 	g.chkMu.Lock()
 	defer g.chkMu.Unlock()
 	for i := len(g.statuses) - 1; i >= 0; i-- {
@@ -179,16 +115,16 @@ func (g *Graph) recordStatusLocked(st CheckpointStatus) {
 	g.statuses = append(g.statuses, st)
 }
 
-// CheckpointAtInto triggers a checkpoint at an externally assigned epoch —
-// the receiving half of a cross-process barrier (a DistFollower's plan must
-// cut at the coordinator's epoch number, not its own counter). It returns
-// the checkpoint's completion channel; a duplicate of the still-active
-// epoch (a parallel remote edge delivering the same barrier) returns that
+// checkpointAt triggers a checkpoint at an externally assigned epoch — the
+// receiving half of a cross-process barrier (a DistFollower's plan must cut
+// at the coordinator's epoch number, not its own counter). It returns the
+// checkpoint's completion channel; a duplicate of the still-active epoch (a
+// parallel remote edge delivering the same barrier) returns that
 // checkpoint's channel, and a nil channel with nil error means the epoch
 // was already taken — completed or superseded — and there is nothing to
-// wait for. The outcome is readable via CheckpointStatus once the channel
+// wait for. The outcome is readable via checkpointStatus once the channel
 // closes.
-func (g *Graph) CheckpointAtInto(epoch int64, mode snapshot.CaptureMode, chain *snapshot.Chain) (<-chan struct{}, error) {
+func (g *Graph) checkpointAt(epoch int64, mode snapshot.CaptureMode, chain *snapshot.Chain) (<-chan struct{}, error) {
 	if epoch <= 0 {
 		return nil, fmt.Errorf("exec: checkpoint: non-positive epoch %d", epoch)
 	}
@@ -197,11 +133,6 @@ func (g *Graph) CheckpointAtInto(epoch int64, mode snapshot.CaptureMode, chain *
 		return nil, err
 	}
 	return c.done, nil
-}
-
-// triggerCheckpoint starts one checkpoint at the next local epoch.
-func (g *Graph) triggerCheckpoint(mode snapshot.CaptureMode, chain *snapshot.Chain) (*inflight, error) {
-	return g.trigger(0, mode, chain)
 }
 
 // trigger starts one checkpoint: it registers the epoch so sources inject
@@ -246,7 +177,7 @@ func (g *Graph) trigger(forceEpoch int64, mode snapshot.CaptureMode, chain *snap
 		return nil, nil
 	}
 	// A delta needs an intact parent: the first checkpoint, and the first
-	// after any failure or cancellation (whose captures drained the
+	// after any failed or superseded epoch (whose captures drained the
 	// operators' changelogs), must be full.
 	if mode == snapshot.CaptureDelta && (g.lastCapEpoch == 0 || g.chainBroken) {
 		mode = snapshot.CaptureFull
@@ -262,8 +193,6 @@ func (g *Graph) trigger(forceEpoch int64, mode snapshot.CaptureMode, chain *snap
 		chain:    chain,
 		pending:  make(map[NodeID]bool, len(g.liveNodes)),
 		cuts:     make(map[NodeID]snapshot.Capture),
-		captured: make(chan struct{}),
-		result:   make(chan chkResult, 1),
 		done:     make(chan struct{}),
 		prevDone: g.lastFinish,
 	}
@@ -303,7 +232,6 @@ func (g *Graph) trigger(forceEpoch int64, mode snapshot.CaptureMode, chain *snap
 	g.recordEpoch("trigger", c.epoch, "", 0, nil)
 	if len(c.pending) == 0 {
 		g.lastCapEpoch = c.epoch
-		close(c.captured)
 		go g.finishCheckpoint(c)
 		g.chkMu.Unlock()
 		return c, nil
@@ -316,7 +244,7 @@ func (g *Graph) trigger(forceEpoch int64, mode snapshot.CaptureMode, chain *snap
 
 // retirePending clears the pending checkpoint and signals every node's wake:
 // a node parked mid-alignment for the retired epoch re-checks
-// alignmentStale on waking, so no runner polls a clock for a cancellation.
+// alignmentStale on waking, so no runner polls a clock for a retirement.
 // Called with chkMu held.
 func (g *Graph) retirePending() {
 	g.pendingChk.Store(nil)
@@ -325,43 +253,10 @@ func (g *Graph) retirePending() {
 	}
 }
 
-// cancelCheckpoint abandons a checkpoint whose caller gave up waiting. If
-// the capture phase had already completed, the background finisher keeps
-// going (the snapshot may still persist); otherwise the epoch is dead —
-// and because some nodes may already have drained their changelogs into
-// the lost captures, the next incremental checkpoint upgrades to full.
-func (g *Graph) cancelCheckpoint(c *inflight, cause error) {
-	g.chkMu.Lock()
-	defer g.chkMu.Unlock()
-	if g.activeChk != c {
-		// Capture phase already complete; the finisher owns the epoch. A
-		// chain-backed snapshot still persists and stays a valid parent,
-		// but a chain-less one has only this caller to receive it — once
-		// abandoned, the assembled epoch is lost and the lineage with it.
-		if c.chain == nil {
-			if c.finished {
-				g.chainBroken = true
-			} else {
-				c.abandoned = true // the finisher applies the break
-			}
-		}
-		return
-	}
-	g.activeChk = nil
-	g.retirePending()
-	g.chainBroken = true
-	g.recordStatusLocked(CheckpointStatus{
-		Epoch: c.epoch, Base: c.base, Done: false, BarrierHold: c.hold,
-		Err: fmt.Errorf("exec: checkpoint %d cancelled: %w", c.epoch, cause),
-	})
-	g.recordEpoch("abandon", c.epoch, "", c.hold, cause)
-	close(c.done)
-	g.chkWG.Done()
-}
-
 // supersedeLocked abandons the active checkpoint because a newer remote
-// epoch arrived: same bookkeeping as cancelCheckpoint's active branch. The
-// stale epoch's barriers may still be draining; the runners lift their
+// epoch arrived. Some nodes may already have drained their changelogs into
+// the lost captures, so the next incremental checkpoint upgrades to full.
+// The stale epoch's barriers may still be draining; the runners lift their
 // freezes via alignmentStale. Called with chkMu held.
 func (g *Graph) supersedeLocked(newer int64) {
 	c := g.activeChk
@@ -369,7 +264,7 @@ func (g *Graph) supersedeLocked(newer int64) {
 	g.retirePending()
 	g.chainBroken = true
 	g.recordStatusLocked(CheckpointStatus{
-		Epoch: c.epoch, Base: c.base, Done: false, BarrierHold: c.hold,
+		Epoch: c.epoch, Base: c.base, BarrierHold: c.hold,
 		Err: fmt.Errorf("exec: checkpoint %d superseded by remote epoch %d before completing", c.epoch, newer),
 	})
 	g.recordEpoch("abandon", c.epoch, "", c.hold,
@@ -379,7 +274,7 @@ func (g *Graph) supersedeLocked(newer int64) {
 }
 
 // ackNode records one node's capture for the active checkpoint. Stale
-// epochs (a cancelled checkpoint's barrier still draining) are ignored.
+// epochs (a superseded checkpoint's barrier still draining) are ignored.
 // When the last node acks, the barrier phase is over: the checkpoint
 // leaves the coordinator and finishes on a background goroutine.
 func (g *Graph) ackNode(id NodeID, epoch int64, cut snapshot.Capture, err error, hold time.Duration) {
@@ -402,7 +297,6 @@ func (g *Graph) ackNode(id NodeID, epoch int64, cut snapshot.Capture, err error,
 		g.activeChk = nil
 		g.retirePending()
 		g.lastCapEpoch = c.epoch
-		close(c.captured)
 		// Every node has cut: the barrier phase is over. hold is now the
 		// longest single-node capture — the checkpoint's pipeline stall.
 		g.recordEpoch("barrier-hold", epoch, "", c.hold, nil)
@@ -411,8 +305,8 @@ func (g *Graph) ackNode(id NodeID, epoch int64, cut snapshot.Capture, err error,
 }
 
 // finishCheckpoint is phase 2: encode every captured view, assemble the
-// manifest, persist to the chain if one was given, and publish the status.
-// Finishers chain on prevDone so chain writes land in epoch order.
+// snapshot, persist it to the chain, and publish the status. Finishers
+// chain on prevDone so chain writes land in epoch order.
 func (g *Graph) finishCheckpoint(c *inflight) {
 	defer g.chkWG.Done()
 	defer close(c.done)
@@ -458,33 +352,21 @@ func (g *Graph) finishCheckpoint(c *inflight) {
 	}
 	encodeDur := time.Since(start)
 	g.recordEpoch("encode", c.epoch, "", encodeDur, err)
-	persisted := false
-	if err == nil && c.chain != nil {
+	if err == nil {
 		persistStart := time.Now()
-		werr := func() error {
-			if _, perr := c.chain.Put(snap); perr != nil {
-				return perr
-			}
-			// A write-behind backend has only enqueued the write; the epoch
-			// counts as persisted — and may serve as a delta parent — only
-			// once it is durably applied.
-			if f, ok := c.chain.Backend().(snapshot.Flusher); ok {
-				return f.Flush()
-			}
-			return nil
-		}()
+		_, werr := c.chain.Put(snap)
+		// A write-behind backend has only enqueued the write; the epoch
+		// counts as persisted — and may serve as a delta parent — only
+		// once it is durably applied.
+		if f, ok := c.chain.Backend().(snapshot.Flusher); ok && werr == nil {
+			werr = f.Flush()
+		}
 		if werr != nil {
 			err = fmt.Errorf("exec: checkpoint %d: persist: %w", c.epoch, werr)
-		} else {
-			persisted = true
 		}
 		g.recordEpoch("persist", c.epoch, "", time.Since(persistStart), werr)
 	}
 	g.chkMu.Lock()
-	if err == nil && c.abandoned {
-		err = fmt.Errorf("exec: checkpoint %d: abandoned by caller before delivery", c.epoch)
-	}
-	c.finished = true
 	if err == nil {
 		g.lastDoneEpoch = c.epoch
 		if c.base == 0 {
@@ -492,11 +374,9 @@ func (g *Graph) finishCheckpoint(c *inflight) {
 		}
 	} else {
 		g.chainBroken = true
-		snap = nil
 	}
 	g.recordStatusLocked(CheckpointStatus{
-		Epoch: c.epoch, Base: c.base, Done: true, Persisted: persisted,
-		Err: err, BarrierHold: c.hold, Encode: encodeDur, Bytes: bytes,
+		Epoch: c.epoch, Base: c.base, Err: err, BarrierHold: c.hold, Encode: encodeDur, Bytes: bytes,
 	})
 	if err == nil {
 		g.recordEpoch("commit", c.epoch, "", 0, nil)
@@ -504,7 +384,6 @@ func (g *Graph) finishCheckpoint(c *inflight) {
 		g.recordEpoch("fail", c.epoch, "", 0, err)
 	}
 	g.chkMu.Unlock()
-	c.result <- chkResult{snap: snap, err: err}
 }
 
 // cutNode captures one node's state for the given epoch (phase 1 only) and
@@ -596,65 +475,6 @@ func captureNode(n *node, mode snapshot.CaptureMode) (snapshot.Capture, error) {
 type stagedState struct {
 	full   []byte
 	deltas [][]byte
-}
-
-// Restore loads the self-contained snapshot stored under id and stages it
-// so the next Run resumes from the cut. For chained (incremental)
-// checkpoints use RestoreLatest/RestoreChain instead.
-func (g *Graph) Restore(backend snapshot.Backend, id string) error {
-	s, err := snapshot.Load(backend, id)
-	if err != nil {
-		return err
-	}
-	return g.RestoreSnapshot(s)
-}
-
-// RestoreLatest stages the newest restorable epoch of a chain; it is a
-// no-op (ok=false) on an empty chain, so cold starts and recoveries share
-// one call site.
-func (g *Graph) RestoreLatest(chain *snapshot.Chain) (ok bool, err error) {
-	snaps, err := chain.Latest()
-	if err != nil {
-		return false, err
-	}
-	if len(snaps) == 0 {
-		return false, nil
-	}
-	return true, g.RestoreChain(snaps)
-}
-
-// RestoreLatestIntact stages the newest epoch of a chain whose lineage
-// decodes cleanly, degrading past corrupt blobs (ErrCorruptSnapshot)
-// instead of failing the whole restore. When it degrades, the corrupt tail
-// is truncated before staging so the resumed run's epoch numbering — which
-// continues from the restored cut — cannot collide with the damaged epochs
-// still on disk; skipped reports what was walked past so callers can log
-// the degradation. A chain where nothing is intact truncates to empty and
-// cold-starts (ok=false).
-func (g *Graph) RestoreLatestIntact(chain *snapshot.Chain) (ok bool, skipped []snapshot.Fallback, err error) {
-	snaps, skipped, err := chain.LatestIntact()
-	if err != nil {
-		return false, skipped, err
-	}
-	if len(snaps) == 0 {
-		if len(skipped) > 0 {
-			if err := chain.TruncateAfter(0); err != nil {
-				return false, skipped, err
-			}
-		}
-		return false, skipped, nil
-	}
-	if len(skipped) > 0 {
-		if err := chain.TruncateAfter(snaps[len(snaps)-1].Epoch); err != nil {
-			return false, skipped, err
-		}
-	}
-	return true, skipped, g.RestoreChain(snaps)
-}
-
-// RestoreSnapshot stages one self-contained snapshot (see Restore).
-func (g *Graph) RestoreSnapshot(s *snapshot.Snapshot) error {
-	return g.RestoreChain([]*snapshot.Snapshot{s})
 }
 
 // RestoreChain stages a base-first snapshot chain: each node's LoadState

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"sync/atomic"
@@ -13,6 +12,38 @@ import (
 	"repro/internal/snapshot"
 	"repro/internal/stream"
 )
+
+// local wraps g as the coordinator a single-process run uses — no followers
+// — over one backend, so a rebuilt plan given the same backend restores what
+// the first committed.
+func local(g *Graph, backend snapshot.Backend) (*DistCoordinator, *snapshot.Chain) {
+	chain := snapshot.NewChain(backend)
+	return NewDistCoordinator(g, "local", chain, snapshot.NewDistLog(backend)), chain
+}
+
+// cut takes one checkpoint and reads it back from the chain.
+func cut(t testing.TB, dc *DistCoordinator, chain *snapshot.Chain, mode snapshot.CaptureMode) *snapshot.Snapshot {
+	t.Helper()
+	epoch, err := dc.CheckpointOnce(mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := chain.ChainFor(epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snaps[len(snaps)-1]
+}
+
+// restoreLocal stages the newest cut committed to backend on a rebuilt g.
+func restoreLocal(t testing.TB, g *Graph, backend snapshot.Backend) *DistCoordinator {
+	t.Helper()
+	dc, _ := local(g, backend)
+	if ok, err := dc.RestoreCommitted(); err != nil || !ok {
+		t.Fatalf("RestoreCommitted: ok=%v err=%v", ok, err)
+	}
+	return dc
+}
 
 // gatedSource replays tuples one per Next, idling (without blocking the
 // runner loop) once it reaches gateAt until the gate is opened. It lets
@@ -101,10 +132,9 @@ func TestCheckpointRestoreQuiescent(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	snap, err := g1.Checkpoint(ctx)
-	if err != nil {
+	backend := snapshot.NewMemory()
+	dc1, _ := local(g1, backend)
+	if _, err := dc1.CheckpointOnce(snapshot.CaptureFull); err != nil {
 		t.Fatal(err)
 	}
 	if src1.pos != gateAt {
@@ -117,15 +147,9 @@ func TestCheckpointRestoreQuiescent(t *testing.T) {
 		t.Fatalf("Run after Kill = %v, want ErrKilled", err)
 	}
 
-	// Round-trip through a backend, then restore into a rebuilt plan.
-	backend := snapshot.NewMemory()
-	if err := snap.Save(backend, "ckpt"); err != nil {
-		t.Fatal(err)
-	}
+	// Restore into a rebuilt plan from what the backend holds.
 	g2, src2, sink2 := build(true)
-	if err := g2.Restore(backend, "ckpt"); err != nil {
-		t.Fatal(err)
-	}
+	restoreLocal(t, g2, backend)
 	if err := g2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +257,9 @@ func TestCheckpointAlignsMultiInput(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	snap, err := g1.Checkpoint(ctx)
-	if err != nil {
+	backend := snapshot.NewMemory()
+	dc1, _ := local(g1, backend)
+	if _, err := dc1.CheckpointOnce(snapshot.CaptureFull); err != nil {
 		t.Fatal(err)
 	}
 	// Let the stream go on before the crash: nothing after the cut may be in it.
@@ -248,9 +271,7 @@ func TestCheckpointAlignsMultiInput(t *testing.T) {
 	}
 
 	g2, _, sink2 := build(true)
-	if err := g2.RestoreSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
+	restoreLocal(t, g2, backend)
 	if err := g2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -276,10 +297,11 @@ func TestCheckpointAfterCleanFinish(t *testing.T) {
 	if err := <-runErr; err != nil {
 		t.Fatal(err)
 	}
-	// The graph is no longer running; Checkpoint must refuse rather than
-	// hang (the exit-state path is only reachable while other nodes are
-	// still live).
-	if _, err := g.Checkpoint(context.Background()); err == nil {
+	// The graph is no longer running; a checkpoint must be refused rather
+	// than hang (the exit-state path is only reachable while other nodes
+	// are still live).
+	dc, _ := local(g, snapshot.NewMemory())
+	if _, err := dc.CheckpointOnce(snapshot.CaptureFull); err == nil {
 		t.Fatal("checkpoint of a finished graph must fail")
 	}
 }
@@ -307,7 +329,7 @@ func TestRestoreValidatesPlanShape(t *testing.T) {
 	g := NewGraph()
 	sid := g.AddSource(NewSliceSource("other", oneInt, intTuple(1)))
 	g.Add(NewCollector("sink", oneInt), From(sid))
-	if err := g.RestoreSnapshot(snap); err != nil {
+	if err := g.RestoreChain([]*snapshot.Snapshot{snap}); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Run(); err == nil {
@@ -319,7 +341,7 @@ func TestRestoreValidatesPlanShape(t *testing.T) {
 	sid = g2.AddSource(NewSliceSource("src", oneInt, intTuple(1)))
 	mid := g2.Add(&passthrough{name: "mid"}, From(sid))
 	g2.Add(NewCollector("sink", oneInt), From(mid))
-	if err := g2.RestoreSnapshot(snap); err != nil {
+	if err := g2.RestoreChain([]*snapshot.Snapshot{snap}); err != nil {
 		t.Fatal(err)
 	}
 	if err := g2.Run(); err == nil {
@@ -333,7 +355,7 @@ func TestRestoreValidatesPlanShape(t *testing.T) {
 	if err := g3.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := g3.RestoreSnapshot(snap); err == nil {
+	if err := g3.RestoreChain([]*snapshot.Snapshot{snap}); err == nil {
 		t.Fatal("restore into an already-run graph accepted")
 	}
 }
@@ -343,7 +365,8 @@ func TestCheckpointNotRunning(t *testing.T) {
 	g := NewGraph()
 	sid := g.AddSource(NewSliceSource("src", oneInt, intTuple(1)))
 	g.Add(NewCollector("sink", oneInt), From(sid))
-	if _, err := g.Checkpoint(context.Background()); err == nil {
+	dc, _ := local(g, snapshot.NewMemory())
+	if _, err := dc.CheckpointOnce(snapshot.CaptureFull); err == nil {
 		t.Fatal("checkpoint before Run must fail")
 	}
 	// Kill before Run is a no-op.
@@ -355,8 +378,8 @@ func TestCheckpointNotRunning(t *testing.T) {
 
 // blockingSource emits nothing until its gate is closed, blocking inside
 // Next — the one shape of source that cannot poll for a pending
-// checkpoint, which is how a checkpoint comes to be cancelled with
-// barriers already injected elsewhere. Its last tuple waits for a second
+// checkpoint, which is how an alignment comes to wait behind barriers
+// already injected elsewhere. Its last tuple waits for a second
 // gate, hold, without blocking: Next returns empty-handed until hold is
 // closed, so the source keeps cutting for checkpoints but cannot end.
 // opened is closed by Open, which the runner calls once the graph runs.
@@ -406,90 +429,4 @@ func (s *blockingSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, e
 func (s *blockingSource) LoadState(dec *snapshot.Decoder) error {
 	s.pos = dec.GetInt()
 	return dec.Err()
-}
-
-// TestCheckpointCancelThenRetry: a checkpoint cancelled with barriers
-// already injected at one source must not wedge the plan — the stale
-// alignment's freeze is lifted, a later checkpoint succeeds, and recovery
-// from it conserves the exact total (regression test for the stale-barrier
-// epoch-mismatch kill).
-func TestCheckpointCancelThenRetry(t *testing.T) {
-	const nA, nB = 30_000, 5_000
-	mk := func(n int) []stream.Tuple {
-		ts := make([]stream.Tuple, n)
-		for i := range ts {
-			ts[i] = intTuple(1)
-		}
-		return ts
-	}
-	build := func(gatesOpen bool) (*Graph, *blockingSource, *Collector) {
-		g := NewGraph()
-		a := &SliceSource{SourceName: "a", Schema: oneInt, Tuples: mk(nA), BatchSize: 4}
-		bsrc := &blockingSource{schema: oneInt, tuples: mk(nB),
-			opened: make(chan struct{}), gate: make(chan struct{}), hold: make(chan struct{})}
-		if gatesOpen {
-			close(bsrc.gate)
-			close(bsrc.hold)
-		}
-		sa, sb := g.AddSource(a), g.AddSource(bsrc)
-		sum := g.Add(&summing2{}, From(sa), From(sb))
-		sink := NewCollector("sink", oneInt)
-		g.Add(sink, From(sum))
-		return g, bsrc, sink
-	}
-
-	g1, blocked, _ := build(false)
-	runErr := make(chan error, 1)
-	go func() { runErr <- g1.Run() }()
-
-	// Checkpoint 1: source "a" injects its barrier, "blocking" never does;
-	// the checkpoint must time out, leaving a stale partial alignment at
-	// the summing operator. (Asked for before the graph runs, it would be
-	// refused instead, and nothing below would be tested.)
-	<-blocked.opened
-	ctx1, cancel1 := context.WithTimeout(context.Background(), 250*time.Millisecond)
-	defer cancel1()
-	if _, err := g1.Checkpoint(ctx1); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("checkpoint with a blocked source: %v, want a timeout", err)
-	}
-
-	// Release the blocked source and retry: the stale freeze must lift and
-	// the new epoch must complete. The source's last tuple stays held until
-	// it has — 35 k tuples can drain in less time than the retry takes to
-	// land, and a plan that has finished cannot be checkpointed.
-	close(blocked.gate)
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel2()
-	var snap *snapshot.Snapshot
-	for {
-		s, err := g1.Checkpoint(ctx2)
-		if err == nil {
-			snap = s
-			break
-		}
-		if ctx2.Err() != nil {
-			t.Fatalf("checkpoint after cancel never succeeded: %v", err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(blocked.hold)
-	g1.Kill()
-	if err := <-runErr; err != nil && !errors.Is(err, ErrKilled) {
-		t.Fatal(err)
-	}
-
-	g2, _, sink2 := build(true)
-	if err := g2.RestoreSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := g2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got := sink2.Tuples()
-	if len(got) != 1 {
-		t.Fatalf("restored run emitted %d totals, want 1", len(got))
-	}
-	if total := got[0].At(0).AsInt(); total != nA+nB {
-		t.Fatalf("total after cancel-retry-recover = %d, want %d", total, nA+nB)
-	}
 }

@@ -10,18 +10,20 @@ import (
 	"repro/internal/snapshot"
 )
 
-// Distributed checkpoint coordination (DESIGN.md §8). A plan spanning
-// processes is a set of subplans joined by remote edges; a consistent cut
-// needs every subplan to checkpoint the same epoch, aligned by barriers
-// that cross the process boundary in-band (Chandy–Lamport over the data
-// channel, as in Flink's asynchronous barrier snapshotting):
+// Checkpoint coordination (DESIGN.md §8): the one owner of cutting and
+// restoring. A plan is a set of subplans joined by remote edges — one
+// subplan, no edges, for a single-process run, which is this protocol with
+// zero followers; a consistent cut needs every subplan to checkpoint the
+// same epoch, aligned by barriers that cross the process boundary in-band
+// (Chandy–Lamport over the data channel, as in Flink's asynchronous barrier
+// snapshotting):
 //
 //   - the coordinator process triggers epoch N locally; its barriers flow
 //     through the subplan and each remote sink forwards the barrier as a
 //     wire frame after everything that preceded the cut (BarrierForwarder);
 //   - the follower process's remote source hands the wire barrier to its
-//     local coordinator (BarrierReceiver → Graph.CheckpointAtInto), which
-//     cuts the downstream subplan at the same epoch number;
+//     local coordinator (BarrierReceiver → Graph.checkpointAt), which cuts
+//     the downstream subplan at the same epoch number;
 //   - each subplan persists its own snapshot.Chain locally and the follower
 //     acks (epoch, chain id) over a dedicated control connection;
 //   - the coordinator commits a snapshot.DistManifest only after its own
@@ -29,10 +31,10 @@ import (
 //     the epoch — no manifest, no commit message — and the next delta in
 //     the failed part upgrades to full exactly like a broken local chain.
 //
-// Restore inverts commit: the coordinator reads the newest manifest,
-// truncates its local chain past the committed epoch, restores from it, and
+// Restore inverts commit: the coordinator picks the newest intact committed
+// manifest, truncates its local chain past that epoch, restores from it, and
 // tells each follower (in the startup handshake) which epoch to restore;
-// followers truncate uncommitted local epochs the same way.
+// followers truncate uncommitted local epochs the same way (restoreAt).
 
 // BarrierForwarder is implemented by sink operators that carry the stream
 // across a process boundary: the runtime calls ForwardBarrier at the
@@ -85,10 +87,10 @@ type distAck struct {
 	msg  snapshot.DistMsg
 }
 
-// DistCoordinator drives distributed checkpoints for the subplan that owns
-// the sources: it initiates epochs, collects follower acks, and commits
-// manifests. Usage: NewDistCoordinator → RestoreCommitted → AddFollower per
-// control connection → RunCheckpointed.
+// DistCoordinator drives checkpoints for the subplan that owns the sources:
+// it initiates epochs, collects follower acks, and commits manifests. Usage:
+// NewDistCoordinator → RestoreCommitted → AddFollower per control connection
+// (none for a single-process plan) → RunCheckpointed or CheckpointOnce.
 type DistCoordinator struct {
 	g     *Graph
 	part  string
@@ -121,71 +123,73 @@ func (dc *DistCoordinator) CommittedEpoch() int64 {
 	return dc.committed
 }
 
-// RestoreCommitted stages the newest committed distributed cut on the
-// coordinator's own (rebuilt) subplan: local epochs past the committed one
-// are truncated — they were persisted but never globally acknowledged —
-// and the chain at the committed epoch is restored. ok=false means no
-// commit is restorable (cold start); any uncommitted local chain is wiped
-// so the fresh run's epoch numbering can restart.
+// restoreAt rewinds one subplan to a stored cut: every epoch its chain holds
+// past the given one goes — persisted but never committed, or walked past as
+// damaged — and the lineage of what remains is staged on the (rebuilt)
+// graph. Epoch 0 empties the chain and stages nothing: a cold start, whose
+// epoch numbering restarts from 1.
+func restoreAt(g *Graph, chain *snapshot.Chain, epoch int64) error {
+	if err := chain.TruncateAfter(epoch); err != nil || epoch == 0 {
+		return err
+	}
+	snaps, err := chain.ChainFor(epoch)
+	if err != nil {
+		return err
+	}
+	return g.RestoreChain(snaps)
+}
+
+// RestoreCommitted stages the newest committed cut on the coordinator's own
+// (rebuilt) subplan. ok=false means no commit is restorable — a cold start;
+// a chain with no manifest is one, whatever it holds.
 //
 // Damage degrades instead of failing: a corrupt manifest, or a committed
 // epoch whose local chain hits ErrCorruptSnapshot, is walked past to the
-// next older commit, and the manifests above the chosen one are truncated
-// from the log — they can never be restored again, and leaving them would
-// make every re-commit of those epochs fail the log's ascending-order
-// check. Skipped commits are reported via Degraded. Non-corruption
-// failures (backend I/O, broken lineage) still fail loudly.
+// next older commit and reported via Degraded; the manifests above the one
+// chosen are truncated with the chain — they can never be restored again,
+// and leaving them would make every re-commit of those epochs fail the
+// log's ascending-order check. Non-corruption failures (backend I/O, broken
+// lineage) still fail loudly, and leave AddFollower refusing.
 func (dc *DistCoordinator) RestoreCommitted() (ok bool, err error) {
-	dc.restored = true
 	epochs, err := dc.log.Epochs()
 	if err != nil {
 		return false, err
 	}
 	var skipped []snapshot.Fallback
-	for i := len(epochs) - 1; i >= 0; i-- {
-		m, err := dc.log.At(epochs[i])
-		if err != nil {
-			if !errors.Is(err, snapshot.ErrCorruptSnapshot) {
-				return false, err
-			}
-			skipped = append(skipped, snapshot.Fallback{Epoch: epochs[i], Err: err})
+	for i := len(epochs); ; i-- {
+		var epoch int64 // past the oldest commit: wipe both, start cold
+		if i > 0 {
+			epoch = epochs[i-1]
+		}
+		err := dc.rewindTo(epoch)
+		if epoch != 0 && errors.Is(err, snapshot.ErrCorruptSnapshot) {
+			skipped = append(skipped, snapshot.Fallback{Epoch: epoch, Err: err})
 			continue
 		}
-		snaps, err := dc.chain.ChainFor(m.Epoch)
 		if err != nil {
-			if !errors.Is(err, snapshot.ErrCorruptSnapshot) {
-				return false, err
-			}
-			skipped = append(skipped, snapshot.Fallback{Epoch: epochs[i], Err: err})
-			continue
-		}
-		if err := dc.log.TruncateAfter(m.Epoch); err != nil {
-			return false, err
-		}
-		if err := dc.chain.TruncateAfter(m.Epoch); err != nil {
-			return false, err
-		}
-		if err := dc.g.RestoreChain(snaps); err != nil {
 			return false, err
 		}
 		dc.mu.Lock()
-		dc.committed = m.Epoch
-		dc.degraded = skipped
+		dc.committed, dc.degraded, dc.restored = epoch, skipped, true
 		dc.mu.Unlock()
-		return true, nil
+		return epoch != 0, nil
 	}
-	// No restorable commit: wipe the log and any local chain so the cold
-	// run's epoch numbering can restart from 1.
-	if err := dc.log.TruncateAfter(0); err != nil {
-		return false, err
+}
+
+// rewindTo makes epoch the newest cut the log and the chain hold, and stages
+// it. The manifests go first: a crash between the two truncations leaves
+// chain epochs without a manifest, which the next restore drops — never a
+// manifest without its chain, which would fail every restore after it.
+func (dc *DistCoordinator) rewindTo(epoch int64) error {
+	if epoch != 0 {
+		if _, err := dc.log.At(epoch); err != nil {
+			return err
+		}
 	}
-	if err := dc.chain.TruncateAfter(0); err != nil {
-		return false, err
+	if err := dc.log.TruncateAfter(epoch); err != nil {
+		return err
 	}
-	dc.mu.Lock()
-	dc.degraded = skipped
-	dc.mu.Unlock()
-	return false, nil
+	return restoreAt(dc.g, dc.chain, epoch)
 }
 
 // Degraded reports the committed cuts RestoreCommitted walked past because
@@ -199,11 +203,15 @@ func (dc *DistCoordinator) Degraded() []snapshot.Fallback {
 // AddFollower runs the coordinator's half of the startup handshake on one
 // control connection: read the follower's hello, reply with the committed
 // epoch it must restore from, and start relaying its acks. It must run
-// after RestoreCommitted (the handshake reply is the committed epoch) and
-// before RunCheckpointed. Returns the follower's part name.
+// after a successful RestoreCommitted (the handshake reply is the committed
+// epoch, and a follower obeys it by truncating its chain) and before
+// RunCheckpointed. Returns the follower's part name.
 func (dc *DistCoordinator) AddFollower(ctrl net.Conn) (string, error) {
-	if !dc.restored {
-		return "", fmt.Errorf("exec: dist: RestoreCommitted must run before AddFollower")
+	dc.mu.Lock()
+	restored := dc.restored
+	dc.mu.Unlock()
+	if !restored {
+		return "", fmt.Errorf("exec: dist: RestoreCommitted must succeed before AddFollower")
 	}
 	hello, err := snapshot.ReadDistMsg(ctrl)
 	if err != nil {
@@ -251,13 +259,14 @@ func (dc *DistCoordinator) readAcks(p *distPeer) {
 	}
 }
 
-// CheckpointOnce takes one distributed checkpoint end to end: trigger the
-// local epoch, wait for the local persist, collect every follower's ack,
-// commit the manifest, and announce the commit. The error covers abandoned
-// epochs (local failure, follower failure, ack timeout) — the plan keeps
-// running either way, exactly as with local checkpoint failures.
+// CheckpointOnce takes one checkpoint end to end: trigger the local epoch,
+// wait for the local persist, collect every follower's ack, commit the
+// manifest, and announce the commit. The error covers abandoned epochs
+// (local failure, follower failure, ack timeout) — the plan keeps running
+// either way. A delta asked for first, or after any failed epoch, is
+// upgraded to a full snapshot (Graph.trigger).
 func (dc *DistCoordinator) CheckpointOnce(mode snapshot.CaptureMode) (int64, error) {
-	c, err := dc.g.triggerCheckpoint(mode, dc.chain)
+	c, err := dc.g.trigger(0, mode, dc.chain)
 	if err != nil {
 		return 0, err
 	}
@@ -275,14 +284,12 @@ func (dc *DistCoordinator) finishEpoch(epoch int64, stop <-chan struct{}) (err e
 			dc.g.recordEpoch("abandon", epoch, dc.part, 0, err)
 		}
 	}()
-	st, ok := dc.g.CheckpointStatus(epoch)
+	st, ok := dc.g.checkpointStatus(epoch)
 	switch {
 	case !ok:
 		return fmt.Errorf("exec: dist: epoch %d has no recorded outcome", epoch)
 	case st.Err != nil:
 		return fmt.Errorf("exec: dist: epoch %d abandoned: %w", epoch, st.Err)
-	case !st.Persisted:
-		return fmt.Errorf("exec: dist: epoch %d abandoned: local chain write did not complete", epoch)
 	}
 	dc.mu.Lock()
 	peers := append([]*distPeer(nil), dc.peers...)
@@ -335,27 +342,6 @@ func (dc *DistCoordinator) finishEpoch(epoch int64, stop <-chan struct{}) (err e
 	return nil
 }
 
-// RunCheckpointed runs the coordinator subplan under periodic distributed
-// checkpoints — the shared Graph.checkpointLoop driver with the ack/commit
-// protocol spliced between persist and retention. Retention and compaction
-// run only after a successful commit, so the newest retained epoch is
-// always committed. runErr is the plan's error; chkErr aggregates the
-// first checkpoint, commit, retention, or compaction failure.
-func (dc *DistCoordinator) RunCheckpointed(p CheckpointPolicy) (runErr, chkErr error) {
-	return dc.g.checkpointLoop(dc.chain, p, func(epoch int64, count int, stop <-chan struct{}, noteErr func(error)) {
-		if err := dc.finishEpoch(epoch, stop); err != nil {
-			noteErr(err)
-			return // abandoned: no manifest, no retention this cycle
-		}
-		dc.g.maintainChain(dc.chain, p, epoch, count, noteErr)
-		if p.Retain > 0 {
-			if err := dc.log.Retain(p.Retain); err != nil {
-				noteErr(fmt.Errorf("exec: dist: manifest retention after epoch %d: %w", epoch, err))
-			}
-		}
-	})
-}
-
 // DistFollower is the checkpoint glue for a subplan that receives its
 // stream over remote edges: it restores from the coordinator-committed
 // epoch at startup, turns incoming wire barriers into forced-epoch local
@@ -405,8 +391,9 @@ func (df *DistFollower) CommittedEpoch() int64 {
 
 // Handshake runs the follower's half of the startup protocol: report the
 // part name and local chain head, then restore from the epoch the
-// coordinator designates — truncating local epochs past it, which were
-// persisted but never committed. ok=false means cold start.
+// coordinator designates (restoreAt). It is strict where the coordinator
+// degrades: the designated epoch is the only one every part holds, so a
+// damaged local chain fails the handshake. restored=false means cold start.
 func (df *DistFollower) Handshake() (restored bool, err error) {
 	head, _, err := df.chain.LatestEpoch()
 	if err != nil {
@@ -422,23 +409,13 @@ func (df *DistFollower) Handshake() (restored bool, err error) {
 	if m.Kind != snapshot.DistRestore {
 		return false, fmt.Errorf("exec: dist: handshake: expected restore directive, got kind %d", m.Kind)
 	}
-	if err := df.chain.TruncateAfter(m.Epoch); err != nil {
-		return false, err
-	}
-	if m.Epoch == 0 {
-		return false, nil
-	}
-	snaps, err := df.chain.ChainFor(m.Epoch)
-	if err != nil {
-		return false, err
-	}
-	if err := df.g.RestoreChain(snaps); err != nil {
+	if err := restoreAt(df.g, df.chain, m.Epoch); err != nil {
 		return false, err
 	}
 	df.mu.Lock()
 	df.committed = m.Epoch
 	df.mu.Unlock()
-	return true, nil
+	return m.Epoch != 0, nil
 }
 
 // onBarrier is the installed BarrierReceiver hook: cut this subplan at the
@@ -447,7 +424,7 @@ func (df *DistFollower) Handshake() (restored bool, err error) {
 // stops the subplan); checkpoint failures are acked with Err instead, so
 // the coordinator abandons the epoch while the stream keeps flowing.
 func (df *DistFollower) onBarrier(epoch int64, mode snapshot.CaptureMode) error {
-	done, err := df.g.CheckpointAtInto(epoch, mode, df.chain)
+	done, err := df.g.checkpointAt(epoch, mode, df.chain)
 	if err != nil {
 		return err
 	}
@@ -466,14 +443,12 @@ func (df *DistFollower) onBarrier(epoch int64, mode snapshot.CaptureMode) error 
 	go func() {
 		<-done
 		ack := snapshot.DistMsg{Kind: snapshot.DistAck, Part: df.part, Epoch: epoch}
-		st, ok := df.g.CheckpointStatus(epoch)
+		st, ok := df.g.checkpointStatus(epoch)
 		switch {
 		case !ok:
 			ack.Err = "checkpoint outcome unknown"
 		case st.Err != nil:
 			ack.Err = st.Err.Error()
-		case !st.Persisted:
-			ack.Err = "chain write did not complete"
 		default:
 			ack.Chain = snapshot.IDFor(epoch, st.Base)
 		}

@@ -9,11 +9,11 @@ import (
 	"repro/internal/stream"
 )
 
-// TestCheckpointAtIntoSemantics pins the forced-epoch branch logic that
+// TestCheckpointAtSemantics pins the forced-epoch branch logic that
 // cross-process barriers rely on. The graph's only source is marked
 // wire-barrier-driven, so a forced epoch stays active (pending that
 // source's cut) for as long as the test needs.
-func TestCheckpointAtIntoSemantics(t *testing.T) {
+func TestCheckpointAtSemantics(t *testing.T) {
 	tuples := make([]stream.Tuple, 50)
 	for i := range tuples {
 		tuples[i] = intTuple(int64(i))
@@ -24,6 +24,7 @@ func TestCheckpointAtIntoSemantics(t *testing.T) {
 	col := NewCollector("col", oneInt)
 	g.Add(col, From(sid))
 	g.markWireBarrier(sid)
+	chain := snapshot.NewChain(snapshot.NewMemory())
 
 	runErr := make(chan error, 1)
 	go func() { runErr <- g.Run() }()
@@ -35,28 +36,28 @@ func TestCheckpointAtIntoSemantics(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	if _, err := g.CheckpointAtInto(0, snapshot.CaptureFull, nil); err == nil {
+	if _, err := g.checkpointAt(0, snapshot.CaptureFull, chain); err == nil {
 		t.Error("non-positive epoch accepted")
 	}
-	done5, err := g.CheckpointAtInto(5, snapshot.CaptureFull, nil)
+	done5, err := g.checkpointAt(5, snapshot.CaptureFull, chain)
 	if err != nil || done5 == nil {
 		t.Fatalf("forced epoch 5: done=%v err=%v", done5, err)
 	}
 	// Same epoch from a second remote edge: joins the active checkpoint.
-	dup, err := g.CheckpointAtInto(5, snapshot.CaptureDelta, nil)
+	dup, err := g.checkpointAt(5, snapshot.CaptureDelta, chain)
 	if err != nil || dup != done5 {
 		t.Fatalf("duplicate epoch 5 did not join the active checkpoint (done=%v err=%v)", dup, err)
 	}
 	// A stale barrier draining behind the active epoch: dropped, not an
 	// error — erroring would kill the subplan on an abandoned epoch's
 	// leftover frame.
-	stale, err := g.CheckpointAtInto(3, snapshot.CaptureFull, nil)
+	stale, err := g.checkpointAt(3, snapshot.CaptureFull, chain)
 	if err != nil || stale != nil {
 		t.Fatalf("stale epoch 3 behind active 5: done=%v err=%v, want nil/nil", stale, err)
 	}
 	// A newer epoch supersedes the still-aligning one: epoch 5 resolves as
 	// abandoned and epoch 7 becomes the active checkpoint.
-	done7, err := g.CheckpointAtInto(7, snapshot.CaptureDelta, nil)
+	done7, err := g.checkpointAt(7, snapshot.CaptureDelta, chain)
 	if err != nil || done7 == nil {
 		t.Fatalf("superseding epoch 7: done=%v err=%v", done7, err)
 	}
@@ -65,12 +66,12 @@ func TestCheckpointAtIntoSemantics(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("superseded epoch 5 never resolved")
 	}
-	st, ok := g.CheckpointStatus(5)
+	st, ok := g.checkpointStatus(5)
 	if !ok || st.Err == nil || !strings.Contains(st.Err.Error(), "superseded") {
 		t.Fatalf("superseded epoch status: %+v ok=%v", st, ok)
 	}
 	// And now a stale barrier for 5 (no longer active): dropped too.
-	if stale, err := g.CheckpointAtInto(5, snapshot.CaptureFull, nil); err != nil || stale != nil {
+	if stale, err := g.checkpointAt(5, snapshot.CaptureFull, chain); err != nil || stale != nil {
 		t.Fatalf("stale epoch 5 after supersede: done=%v err=%v, want nil/nil", stale, err)
 	}
 
@@ -92,6 +93,7 @@ func TestWireBarrierSourceSkipsPollCut(t *testing.T) {
 	sid := g.AddSource(src)
 	g.Add(NewCollector("col", oneInt), From(sid))
 	g.markWireBarrier(sid)
+	chain := snapshot.NewChain(snapshot.NewMemory())
 
 	runErr := make(chan error, 1)
 	go func() { runErr <- g.Run() }()
@@ -102,7 +104,7 @@ func TestWireBarrierSourceSkipsPollCut(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	done, err := g.CheckpointAtInto(1, snapshot.CaptureFull, nil)
+	done, err := g.checkpointAt(1, snapshot.CaptureFull, chain)
 	if err != nil || done == nil {
 		t.Fatalf("forced epoch: %v", err)
 	}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -80,7 +79,6 @@ type consumerRef struct {
 type Graph struct {
 	nodes    []*node
 	opts     queue.Options
-	log      io.Writer
 	prepared bool
 	err      error // first wiring error, surfaced by Run
 
@@ -140,9 +138,6 @@ func (g *Graph) markWireBarrier(id NodeID) {
 // edges wired afterwards (tests and examples shrink the page so that short
 // streams cross it).
 func (g *Graph) SetQueueOptions(opts queue.Options) { g.opts = opts }
-
-// SetLog directs operator diagnostics to w.
-func (g *Graph) SetLog(w io.Writer) { g.log = w }
 
 // AddSource adds a self-driving source node.
 func (g *Graph) AddSource(src Source) NodeID {

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/punct"
 	"repro/internal/queue"
@@ -217,6 +215,3 @@ func (h *Harness) NumInputs() int {
 
 // NumOutputs implements Context.
 func (h *Harness) NumOutputs() int { return len(h.outs) }
-
-// Logf implements Context (discarded).
-func (h *Harness) Logf(format string, args ...any) { _ = fmt.Sprintf(format, args...) }

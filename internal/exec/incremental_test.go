@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -110,29 +109,18 @@ func TestIncrementalCheckpointChainRestore(t *testing.T) {
 	g1, src1, _ := build(false)
 	runErr := make(chan error, 1)
 	go func() { runErr <- g1.Run() }()
-	chain := snapshot.NewChain(snapshot.NewMemory())
-	ctx := context.Background()
+	backend := snapshot.NewMemory()
+	dc1, chain := local(g1, backend)
 
 	var snaps []*snapshot.Snapshot
 	for i, stop := range []int64{250, 280, 310} {
 		src1.limit.Store(stop)
 		src1.waitPos(t, stop)
-		var (
-			snap *snapshot.Snapshot
-			err  error
-		)
+		mode := snapshot.CaptureDelta
 		if i == 0 {
-			snap, err = g1.Checkpoint(ctx)
-		} else {
-			snap, err = g1.CheckpointIncremental(ctx)
+			mode = snapshot.CaptureFull
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := chain.Put(snap); err != nil {
-			t.Fatal(err)
-		}
-		snaps = append(snaps, snap)
+		snaps = append(snaps, cut(t, dc1, chain, mode))
 	}
 	g1.Kill()
 	if err := <-runErr; !errors.Is(err, ErrKilled) {
@@ -157,10 +145,7 @@ func TestIncrementalCheckpointChainRestore(t *testing.T) {
 
 	// Restore the chain into a rebuilt plan and finish the stream.
 	g2, _, sink2 := build(true)
-	ok, err := g2.RestoreLatest(chain)
-	if err != nil || !ok {
-		t.Fatalf("RestoreLatest: ok=%v err=%v", ok, err)
-	}
+	restoreLocal(t, g2, backend)
 	if err := g2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +210,11 @@ func TestEncodeRunsOffTheBarrier(t *testing.T) {
 	src.waitPos(t, 1000)
 
 	chain := snapshot.NewChain(snapshot.NewMemory())
-	epoch, err := g.CheckpointInto(chain, snapshot.CaptureFull)
+	c, err := g.trigger(0, snapshot.CaptureFull, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
+	epoch := c.epoch
 	select {
 	case <-src.encodeStarted:
 	case <-time.After(10 * time.Second):
@@ -238,23 +224,24 @@ func TestEncodeRunsOffTheBarrier(t *testing.T) {
 	// the barrier.
 	src.limit.Store(5000)
 	src.waitPos(t, 5000)
-	if _, ok := g.CheckpointStatus(epoch); ok {
+	if _, ok := g.checkpointStatus(epoch); ok {
 		t.Fatal("checkpoint reported done while its encode is still blocked")
 	}
 	// A delta triggered while its parent is still encoding must chain to
 	// that parent — the capture baseline — not to the last finished epoch.
-	epoch2, err := g.CheckpointInto(chain, snapshot.CaptureDelta)
+	c2, err := g.trigger(0, snapshot.CaptureDelta, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
+	epoch2 := c2.epoch
 	close(src.release)
 	g.WaitCheckpoints()
-	st, ok := g.CheckpointStatus(epoch)
-	if !ok || st.Err != nil || !st.Persisted {
+	st, ok := g.checkpointStatus(epoch)
+	if !ok || st.Err != nil {
 		t.Fatalf("checkpoint status after release: ok=%v %+v", ok, st)
 	}
-	st2, ok := g.CheckpointStatus(epoch2)
-	if !ok || st2.Err != nil || !st2.Persisted {
+	st2, ok := g.checkpointStatus(epoch2)
+	if !ok || st2.Err != nil {
 		t.Fatalf("delta checkpoint status: ok=%v %+v", ok, st2)
 	}
 	if st2.Base != epoch {
@@ -272,146 +259,55 @@ func TestEncodeRunsOffTheBarrier(t *testing.T) {
 	}
 }
 
-// TestIncrementalUpgradesAfterCancel: a cancelled checkpoint may have
-// drained some operators' changelogs, so the next incremental checkpoint
-// must silently upgrade to a full snapshot.
-func TestIncrementalUpgradesAfterCancel(t *testing.T) {
+// flakyBackend refuses the writes refuse picks — a disk that loses one.
+type flakyBackend struct {
+	*snapshot.Memory
+	refuse func(id string) bool
+}
+
+func (f flakyBackend) Put(id string, data []byte) error {
+	if f.refuse(id) {
+		return fmt.Errorf("disk full writing %s", id)
+	}
+	return f.Memory.Put(id, data)
+}
+
+// TestDeltaAfterFailedEpochUpgradesToFull: an epoch that fails after its
+// capture has drained the operators' changelogs into a snapshot nothing
+// holds, so the next incremental checkpoint must silently upgrade to a full
+// one — and the one after that is a delta again.
+func TestDeltaAfterFailedEpochUpgradesToFull(t *testing.T) {
 	src := &limitedSource{schema: incrSchema, total: 100_000}
 	src.limit.Store(500)
-	stuck := &stuckSource{schema: incrSchema, hold: make(chan struct{})}
 	sink := NewCollector("sink", incrSchema)
 	sink.Discard = true
-	sink2 := NewCollector("sink2", incrSchema)
-	sink2.Discard = true
 	g := NewGraph()
-	a := g.AddSource(src)
-	b := g.AddSource(stuck)
-	g.Add(sink, From(a))
-	g.Add(sink2, From(b))
+	g.Add(sink, From(g.AddSource(src)))
 	runErr := make(chan error, 1)
 	go func() { runErr <- g.Run() }()
 	src.waitPos(t, 500)
 
-	// Baseline full checkpoint while both sources can cut.
-	ctx := context.Background()
-	if _, err := g.Checkpoint(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Park the second source inside Next so it can never cut, then let an
-	// incremental checkpoint time out: src has already drained its
-	// changelog into the lost capture.
-	stuck.block.Store(true)
-	for !stuck.blocked.Load() {
-		time.Sleep(100 * time.Microsecond)
-	}
+	lost := snapshot.IDFor(2, 1)
+	dc, chain := local(g, flakyBackend{snapshot.NewMemory(), func(id string) bool { return id == lost }})
+	base := cut(t, dc, chain, snapshot.CaptureFull)
 	src.limit.Store(1000)
-	ctx2, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-	defer cancel()
-	if _, err := g.CheckpointIncremental(ctx2); err == nil {
-		t.Fatal("checkpoint with a stuck source did not cancel")
+	src.waitPos(t, 1000)
+	if epoch, err := dc.CheckpointOnce(snapshot.CaptureDelta); err == nil || epoch != base.Epoch+1 {
+		t.Fatalf("epoch %d over a refused write: err=%v, want epoch %d abandoned", epoch, err, base.Epoch+1)
 	}
-	close(stuck.hold)
-
-	snap, err := g.CheckpointIncremental(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := cut(t, dc, chain, snapshot.CaptureDelta)
 	if !snap.IsFull() {
-		t.Fatalf("post-cancel incremental checkpoint is a delta (base %d)", snap.Base)
+		t.Fatalf("incremental checkpoint after a failed epoch is a delta (base %d)", snap.Base)
 	}
-	// And the next one is a delta again.
-	snap2, err := g.CheckpointIncremental(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap2.Base != snap.Epoch {
+	if snap2 := cut(t, dc, chain, snapshot.CaptureDelta); snap2.Base != snap.Epoch {
 		t.Fatalf("delta after recovery chains to %d, want %d", snap2.Base, snap.Epoch)
 	}
-	g.Kill()
-	<-runErr
-}
-
-// TestAbandonedChainlessCheckpointBreaksLineage: a blocking
-// CheckpointIncremental whose caller gives up after the capture phase has
-// completed loses the assembled snapshot (nobody else holds it), so the
-// next incremental checkpoint must upgrade to full instead of chaining to
-// the epoch the caller never received.
-func TestAbandonedChainlessCheckpointBreaksLineage(t *testing.T) {
-	src := &slowCapSource{
-		limitedSource: limitedSource{schema: incrSchema, total: 100_000},
-		encodeStarted: make(chan struct{}, 4),
-		release:       make(chan struct{}, 4),
-	}
-	src.limit.Store(500)
-	sink := NewCollector("sink", incrSchema)
-	sink.Discard = true
-	g := NewGraph()
-	id := g.AddSource(src)
-	g.Add(sink, From(id))
-	runErr := make(chan error, 1)
-	go func() { runErr <- g.Run() }()
-	src.waitPos(t, 500)
-
-	src.release <- struct{}{}
-	if _, err := g.Checkpoint(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Delta whose encode never gets a token before the caller times out:
-	// captures complete, the finisher hangs, the caller abandons.
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-	defer cancel()
-	if _, err := g.CheckpointIncremental(ctx); err == nil {
-		t.Fatal("blocked encode did not time out")
-	}
-	src.release <- struct{}{}
-	g.WaitCheckpoints()
-
-	src.release <- struct{}{}
-	snap, err := g.CheckpointIncremental(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.IsFull() {
-		t.Fatalf("checkpoint after abandoned epoch is a delta (base %d) — chains to a snapshot nobody holds", snap.Base)
+	if dc.CommittedEpoch() != snap.Epoch+1 {
+		t.Fatalf("committed epoch %d, want %d", dc.CommittedEpoch(), snap.Epoch+1)
 	}
 	g.Kill()
 	<-runErr
 }
-
-// stuckSource emits nothing; when block is set it parks *inside* Next
-// until hold closes, so no barrier can be injected.
-type stuckSource struct {
-	schema  stream.Schema
-	block   atomic.Bool
-	blocked atomic.Bool
-	hold    chan struct{}
-}
-
-func (s *stuckSource) Name() string                { return "stuck" }
-func (s *stuckSource) OutSchemas() []stream.Schema { return []stream.Schema{s.schema} }
-func (s *stuckSource) Open(Context) error          { return nil }
-func (s *stuckSource) Close(Context) error         { return nil }
-func (s *stuckSource) ProcessFeedback(int, core.Feedback, Context) error {
-	return nil
-}
-
-func (s *stuckSource) Next(Context) (bool, error) {
-	if s.block.Load() {
-		s.blocked.Store(true)
-		<-s.hold
-		s.block.Store(false)
-	}
-	time.Sleep(100 * time.Microsecond)
-	return true, nil
-}
-
-// CaptureState implements snapshot.Stater.
-func (s *stuckSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	return snapshot.Capture{}, nil
-}
-
-// LoadState implements snapshot.Stater.
-func (s *stuckSource) LoadState(dec *snapshot.Decoder) error { return nil }
 
 // TestReaderSourceReplayFromOffset: the decoder's byte offset is the
 // replay position — a run checkpointed mid-file, killed, and restored over
@@ -430,7 +326,7 @@ func TestReaderSourceReplayFromOffset(t *testing.T) {
 		return NewReaderSource("rdr", incrSchema, strings.NewReader(data))
 	}
 
-	run := func(src *ReaderSource, restoreFrom *snapshot.Snapshot, throttle bool) (*Collector, *Graph, chan error) {
+	run := func(src *ReaderSource, restoreFrom snapshot.Backend, throttle bool) (*Collector, *Graph, chan error) {
 		sink := NewCollector("sink", incrSchema)
 		if throttle {
 			sink.OnTuple = func(stream.Tuple) { time.Sleep(20 * time.Microsecond) }
@@ -439,9 +335,7 @@ func TestReaderSourceReplayFromOffset(t *testing.T) {
 		id := g.AddSource(src)
 		g.Add(sink, From(id))
 		if restoreFrom != nil {
-			if err := g.RestoreSnapshot(restoreFrom); err != nil {
-				t.Fatal(err)
-			}
+			restoreLocal(t, g, restoreFrom)
 		}
 		errCh := make(chan error, 1)
 		go func() { errCh <- g.Run() }()
@@ -466,8 +360,9 @@ func TestReaderSourceReplayFromOffset(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	snap, err := g1.Checkpoint(context.Background())
-	if err != nil {
+	backend := snapshot.NewMemory()
+	dc1, _ := local(g1, backend)
+	if _, err := dc1.CheckpointOnce(snapshot.CaptureFull); err != nil {
 		t.Fatal(err)
 	}
 	g1.Kill()
@@ -475,7 +370,7 @@ func TestReaderSourceReplayFromOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sink2, _, err2 := run(mk(), snap, false)
+	sink2, _, err2 := run(mk(), backend, false)
 	if err := <-err2; err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,6 @@ type Context interface {
 	NumInputs() int
 	// NumOutputs reports how many output ports are wired.
 	NumOutputs() int
-	// Logf writes a diagnostic line (discarded unless the runtime was
-	// given a log writer).
-	Logf(format string, args ...any)
 }
 
 // Slab returns n values for the run of tuples the caller is building: each

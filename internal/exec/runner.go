@@ -698,10 +698,3 @@ func (r *nodeRunner) NumInputs() int { return len(r.node.inConns) }
 
 // NumOutputs implements Context.
 func (r *nodeRunner) NumOutputs() int { return len(r.node.outConns) }
-
-// Logf implements Context.
-func (r *nodeRunner) Logf(format string, args ...any) {
-	if w := r.graph.log; w != nil {
-		fmt.Fprintf(w, "[%s] "+format+"\n", append([]any{r.node.name()}, args...)...)
-	}
-}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"runtime"
 	"strings"
@@ -116,7 +115,8 @@ func TestAlignmentRetainsDeferredTuples(t *testing.T) {
 		}
 		chkErr := make(chan error, 1)
 		go func() {
-			_, err := g.Checkpoint(context.Background())
+			dc, _ := local(g, snapshot.NewMemory())
+			_, err := dc.CheckpointOnce(snapshot.CaptureFull)
 			chkErr <- err
 		}()
 		// Source a is cut at gateAt and runs to its end; b is blocked inside

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/snapshot"
@@ -24,92 +23,75 @@ type CheckpointPolicy struct {
 	CompactEvery int
 }
 
-// RunCheckpointed runs the plan under periodic checkpoints persisted to
-// the chain. The stream never waits on a checkpoint beyond its capture
-// phase; persistence failures do not stop the plan (they surface in
-// CheckpointStatuses and through the returned maintenance error). It
-// returns Run's error; the second return aggregates the first checkpoint,
-// retention, or compaction failure, if any.
-func (g *Graph) RunCheckpointed(chain *snapshot.Chain, p CheckpointPolicy) (runErr, chkErr error) {
-	return g.checkpointLoop(chain, p, func(epoch int64, count int, stop <-chan struct{}, noteErr func(error)) {
-		if st, ok := g.CheckpointStatus(epoch); ok && st.Err != nil {
-			noteErr(st.Err)
-			return
-		}
-		g.maintainChain(chain, p, epoch, count, noteErr)
-	})
+// RunCheckpointed runs the coordinator's subplan under periodic
+// checkpoints. The stream never waits on a checkpoint beyond its capture
+// phase, and an abandoned epoch (local failure, follower failure, ack
+// timeout) does not stop the plan. runErr is the plan's error; chkErr is the
+// first checkpoint, commit, retention, or compaction failure.
+func (dc *DistCoordinator) RunCheckpointed(p CheckpointPolicy) (runErr, chkErr error) {
+	stop := make(chan struct{})
+	loopErr := make(chan error, 1)
+	go func() { loopErr <- dc.checkpointLoop(p, stop) }()
+	runErr = dc.g.Run()
+	close(stop)
+	chkErr = <-loopErr
+	dc.g.WaitCheckpoints()
+	return runErr, chkErr
 }
 
-// maintainChain runs a cycle's compaction and retention for one
-// successfully persisted epoch.
-func (g *Graph) maintainChain(chain *snapshot.Chain, p CheckpointPolicy, epoch int64, count int, noteErr func(error)) {
-	if p.CompactEvery > 0 && count%p.CompactEvery == 0 {
-		if err := chain.Compact(); err != nil {
-			noteErr(fmt.Errorf("exec: compact after epoch %d: %w", epoch, err))
-		}
-	}
-	if p.Retain > 0 {
-		if err := chain.RetainFrom(epoch, p.Retain); err != nil {
-			noteErr(fmt.Errorf("exec: retention after epoch %d: %w", epoch, err))
-		}
-	}
-}
-
-// checkpointLoop is the shared periodic driver behind Graph.RunCheckpointed
-// and DistCoordinator.RunCheckpointed: run the plan while a ticker triggers
-// one checkpoint per interval (full/delta per the policy's cadence) and
-// hands each completed epoch to cycle — which verifies the outcome, runs
-// any cross-process commit work, and performs maintenance. Trigger failures
-// (not running yet, already stopping, one in flight) skip the tick. The
-// returned chkErr is the first error any cycle noted.
-func (g *Graph) checkpointLoop(chain *snapshot.Chain, p CheckpointPolicy, cycle func(epoch int64, count int, stop <-chan struct{}, noteErr func(error))) (runErr, chkErr error) {
+// checkpointLoop is RunCheckpointed's periodic driver: one checkpoint per
+// tick (full/delta per the policy's cadence) until stop closes, returning
+// the first failure. A trigger that fails (not running yet, already
+// stopping, one in flight) skips the tick. Compaction and retention run
+// only after a successful commit, so the newest retained epoch is always
+// committed.
+func (dc *DistCoordinator) checkpointLoop(p CheckpointPolicy, stop <-chan struct{}) (first error) {
 	if p.Interval <= 0 {
 		p.Interval = time.Second
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	noteErr := func(err error) {
-		mu.Lock()
-		if chkErr == nil {
-			chkErr = err
+	note := func(err error) {
+		if first == nil {
+			first = err
 		}
-		mu.Unlock()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(p.Interval)
-		defer tick.Stop()
-		count := 0
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-			}
-			mode := snapshot.CaptureDelta
-			if p.FullEvery <= 1 || count%p.FullEvery == 0 {
-				mode = snapshot.CaptureFull
-			}
-			c, err := g.triggerCheckpoint(mode, chain)
-			if err != nil {
-				continue
-			}
-			count++
-			select {
-			case <-c.done: // persisted (or failed) — safe to run the cycle
-			case <-stop:
-				return
-			}
-			cycle(c.epoch, count, stop, noteErr)
+	tick := time.NewTicker(p.Interval)
+	defer tick.Stop()
+	for count := 0; ; {
+		select {
+		case <-stop:
+			return first
+		case <-tick.C:
 		}
-	}()
-	runErr = g.Run()
-	close(stop)
-	wg.Wait()
-	g.WaitCheckpoints()
-	mu.Lock()
-	defer mu.Unlock()
-	return runErr, chkErr
+		mode := snapshot.CaptureDelta
+		if p.FullEvery <= 1 || count%p.FullEvery == 0 {
+			mode = snapshot.CaptureFull
+		}
+		c, err := dc.g.trigger(0, mode, dc.chain)
+		if err != nil {
+			continue
+		}
+		count++
+		select {
+		case <-c.done:
+		case <-stop:
+			return first
+		}
+		if err := dc.finishEpoch(c.epoch, stop); err != nil {
+			note(err)
+			continue // abandoned: no manifest, no retention this cycle
+		}
+		if p.CompactEvery > 0 && count%p.CompactEvery == 0 {
+			if err := dc.chain.Compact(); err != nil {
+				note(fmt.Errorf("exec: compact after epoch %d: %w", c.epoch, err))
+			}
+		}
+		if p.Retain > 0 {
+			if err := dc.chain.RetainFrom(c.epoch, p.Retain); err != nil {
+				note(fmt.Errorf("exec: retention after epoch %d: %w", c.epoch, err))
+			}
+			if err := dc.log.Retain(p.Retain); err != nil {
+				note(fmt.Errorf("exec: manifest retention after epoch %d: %w", c.epoch, err))
+			}
+		}
+	}
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -167,9 +166,8 @@ func TestKickBeforeParkingOnFullRing(t *testing.T) {
 		runErr := make(chan error, 1)
 		go func() { runErr <- g.Run() }()
 		<-emitted
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Second)
-		defer cancel()
-		_, err := g.Checkpoint(ctx)
+		dc, _ := local(g, snapshot.NewMemory())
+		_, err := dc.CheckpointOnce(snapshot.CaptureFull)
 		ckptDone.Store(true)
 		if err != nil {
 			t.Errorf("checkpoint across the parked producer: %v", err)

@@ -484,7 +484,6 @@ func (discardCtx) SendFeedback(int, core.Feedback) {}
 func (discardCtx) ShutdownUpstream(int)            {}
 func (discardCtx) NumInputs() int                  { return 1 }
 func (discardCtx) NumOutputs() int                 { return 1 }
-func (discardCtx) Logf(string, ...any)             {}
 
 func TestFusedKernelZeroAlloc(t *testing.T) {
 	expr, err := op.NewExpr(chainSchema.Arity(),
@@ -599,7 +598,6 @@ func (c *captureCtx) SendFeedback(_ int, f core.Feedback) { c.fb = append(c.fb, 
 func (c *captureCtx) ShutdownUpstream(int)                {}
 func (c *captureCtx) NumInputs() int                      { return 1 }
 func (c *captureCtx) NumOutputs() int                     { return 1 }
-func (c *captureCtx) Logf(string, ...any)                 {}
 
 // TestFusedBatchEqualsPerTuple pins the TupleBatcher contract directly: for
 // random chains and random scripts of tuple runs, punctuation, and feedback,

@@ -50,6 +50,12 @@ func runToEnd(t *testing.T, src exec.Source) []queue.Item {
 	return sink.Items()
 }
 
+// coordinator wraps g the way a single-process run is checkpointed and
+// restored: a coordinator with no followers over one backend.
+func coordinator(g *exec.Graph, b snapshot.Backend) *exec.DistCoordinator {
+	return exec.NewDistCoordinator(g, "local", snapshot.NewChain(b), snapshot.NewDistLog(b))
+}
+
 // runWithMidCheckpoint starts the plan, snapshots once the sink has seen
 // minItems, kills the run, restores into src2 → fresh collector, and
 // returns the recovered record (pre-cut restored + post-cut regenerated).
@@ -76,8 +82,8 @@ func runWithMidCheckpoint(t *testing.T, src1, src2 exec.Source, minItems int64) 
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	snap, err := g1.Checkpoint(t.Context())
-	if err != nil {
+	backend := snapshot.NewMemory()
+	if _, err := coordinator(g1, backend).CheckpointOnce(snapshot.CaptureFull); err != nil {
 		t.Fatal(err)
 	}
 	g1.Kill()
@@ -91,8 +97,8 @@ func runWithMidCheckpoint(t *testing.T, src1, src2 exec.Source, minItems int64) 
 	g2 := exec.NewGraph()
 	id2 := g2.AddSource(src2)
 	g2.Add(sink2, exec.From(id2))
-	if err := g2.RestoreSnapshot(snap); err != nil {
-		t.Fatal(err)
+	if ok, err := coordinator(g2, backend).RestoreCommitted(); err != nil || !ok {
+		t.Fatalf("RestoreCommitted: ok=%v err=%v", ok, err)
 	}
 	if err := g2.Run(); err != nil {
 		t.Fatal(err)

@@ -357,7 +357,6 @@ func (discardCtx) SendFeedback(int, core.Feedback) {}
 func (discardCtx) ShutdownUpstream(int)            {}
 func (discardCtx) NumInputs() int                  { return 1 }
 func (discardCtx) NumOutputs() int                 { return 4 }
-func (discardCtx) Logf(string, ...any)             {}
 
 func TestSplitDemandedFeedbackUnanimity(t *testing.T) {
 	s := newSplit(3, 0)

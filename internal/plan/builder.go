@@ -59,8 +59,8 @@ func (b *Builder) Err() error {
 // Compile runs the plan-compiler passes over the assembled graph — today one
 // pass, operator fusion (internal/fuse), which collapses maximal chains of
 // adjacent stateless operators into single flat-kernel nodes. Call it after
-// the plan is fully assembled (sinks included) and before Restore*/Run: a
-// checkpoint names every node, so a compiled plan only restores checkpoints
+// the plan is fully assembled (sinks included) and before DistCoordinate or
+// Run: a checkpoint names every node, so a compiled plan only restores checkpoints
 // taken from an identically compiled plan. Compile is chainable and a no-op
 // on a plan that already has errors.
 func (b *Builder) Compile() *Builder {
@@ -130,47 +130,6 @@ func (b *Builder) Run() error {
 		return err
 	}
 	return b.g.Run()
-}
-
-// Restore stages a checkpoint (taken by Graph.Checkpoint on an identically
-// built plan) so Run resumes from the cut. Build the full plan first —
-// restore validation compares the snapshot against every node.
-func (b *Builder) Restore(backend snapshot.Backend, id string) error {
-	if err := b.Err(); err != nil {
-		return err
-	}
-	return b.g.Restore(backend, id)
-}
-
-// RestoreLatest stages the newest restorable epoch of a checkpoint chain
-// (base + incremental deltas); ok is false on an empty chain, so cold
-// starts and recoveries share one call site. Build the full plan first.
-func (b *Builder) RestoreLatest(chain *snapshot.Chain) (ok bool, err error) {
-	if err := b.Err(); err != nil {
-		return false, err
-	}
-	return b.g.RestoreLatest(chain)
-}
-
-// RestoreLatestIntact is RestoreLatest with graceful degradation: epochs
-// whose stored lineage is corrupt (snapshot.ErrCorruptSnapshot) are
-// skipped — and reported — in favor of the newest older epoch that decodes
-// cleanly, and the corrupt tail is truncated so the resumed run re-records
-// those epochs. ok is false on an empty or fully corrupt chain.
-func (b *Builder) RestoreLatestIntact(chain *snapshot.Chain) (ok bool, skipped []snapshot.Fallback, err error) {
-	if err := b.Err(); err != nil {
-		return false, nil, err
-	}
-	return b.g.RestoreLatestIntact(chain)
-}
-
-// RunCheckpointed validates and executes the plan under periodic
-// checkpoints persisted to the chain (see exec.Graph.RunCheckpointed).
-func (b *Builder) RunCheckpointed(chain *snapshot.Chain, p exec.CheckpointPolicy) (runErr, chkErr error) {
-	if err := b.Err(); err != nil {
-		return err, nil
-	}
-	return b.g.RunCheckpointed(chain, p)
 }
 
 // Stream is a named handle on one operator output port.
@@ -522,10 +481,12 @@ func (s Stream) IntoRemote(name string, conn net.Conn) *remote.Sink {
 	return sink
 }
 
-// DistCoordinate wraps the built plan as the coordinator of a distributed
-// checkpoint group (see exec.DistCoordinator): call after the full plan —
-// including remote sinks — is assembled, then RestoreCommitted,
-// AddFollower per control connection, and RunCheckpointed.
+// DistCoordinate wraps the built plan as the coordinator of its checkpoints
+// (see exec.DistCoordinator) — the way a plan is cut and restored, whether
+// it spans processes or not: call after the full plan — including remote
+// sinks — is assembled, then RestoreCommitted, AddFollower per control
+// connection (none for a single-process plan), and RunCheckpointed. log may
+// share chain's backend.
 func (b *Builder) DistCoordinate(part string, chain *snapshot.Chain, log *snapshot.DistLog) (*exec.DistCoordinator, error) {
 	if err := b.Err(); err != nil {
 		return nil, err

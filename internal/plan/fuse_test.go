@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -226,26 +225,16 @@ func TestFusedCheckpointRecoverIdentity(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	snap, err := b1.Graph().Checkpoint(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	backend := snapshot.NewMemory()
+	checkpointLocal(t, b1, backend)
 	b1.Graph().Kill()
 	if err := <-runErr; !errors.Is(err, exec.ErrKilled) {
 		t.Fatalf("killed run returned %v", err)
 	}
 
 	// Restore into an identically compiled plan and finish.
-	backend := snapshot.NewMemory()
-	if err := snap.Save(backend, "mid-stream"); err != nil {
-		t.Fatal(err)
-	}
 	b2, _, sink2 := build(true, true)
-	if err := b2.Graph().Restore(backend, "mid-stream"); err != nil {
-		t.Fatal(err)
-	}
+	restoreLocal(t, b2, backend)
 	if err := b2.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"context"
 	"errors"
 	"sort"
 	"sync/atomic"
@@ -81,6 +80,35 @@ func (s *gatedItems) LoadState(dec *snapshot.Decoder) error {
 // Parallel(4) aggregate plan is checkpointed mid-stream, killed, and
 // restored into a rebuilt plan; the restored sink's final record must be
 // canonically identical to an uninterrupted run — 0 lost, 0 duplicated.
+// localCoord wraps b the way a single-process plan is checkpointed and
+// restored: DistCoordinate with no followers, chain and manifest log over
+// one backend, so a rebuilt plan given the same backend restores what the
+// first committed.
+func localCoord(t testing.TB, b *Builder, backend snapshot.Backend) *exec.DistCoordinator {
+	t.Helper()
+	dc, err := b.DistCoordinate("local", snapshot.NewChain(backend), snapshot.NewDistLog(backend))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dc
+}
+
+// checkpointLocal commits one full cut of the running plan to backend.
+func checkpointLocal(t testing.TB, b *Builder, backend snapshot.Backend) {
+	t.Helper()
+	if _, err := localCoord(t, b, backend).CheckpointOnce(snapshot.CaptureFull); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// restoreLocal stages the newest cut committed to backend on a rebuilt plan.
+func restoreLocal(t testing.TB, b *Builder, backend snapshot.Backend) {
+	t.Helper()
+	if ok, err := localCoord(t, b, backend).RestoreCommitted(); err != nil || !ok {
+		t.Fatalf("RestoreCommitted: ok=%v err=%v", ok, err)
+	}
+}
+
 func TestParallelCheckpointRecoverIdentity(t *testing.T) {
 	items := aggWorkload(8000)
 	gateAt := len(items) * 3 / 5
@@ -126,26 +154,16 @@ func TestParallelCheckpointRecoverIdentity(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	snap, err := b1.Graph().Checkpoint(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	backend := snapshot.NewMemory()
+	checkpointLocal(t, b1, backend)
 	b1.Graph().Kill()
 	if err := <-runErr; !errors.Is(err, exec.ErrKilled) {
 		t.Fatalf("killed run returned %v", err)
 	}
 
-	// Recover through a backend into an identically rebuilt plan.
-	backend := snapshot.NewMemory()
-	if err := snap.Save(backend, "mid-stream"); err != nil {
-		t.Fatal(err)
-	}
+	// Recover through the backend into an identically rebuilt plan.
 	b2, _, sink2 := build(true)
-	if err := b2.Graph().Restore(backend, "mid-stream"); err != nil {
-		t.Fatal(err)
-	}
+	restoreLocal(t, b2, backend)
 	if err := b2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -294,12 +312,8 @@ func TestParallelCheckpointPreservesFeedbackState(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	snap, err := b1.Graph().Checkpoint(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	backend := snapshot.NewMemory()
+	checkpointLocal(t, b1, backend)
 	b1.Graph().Kill()
 	if err := <-runErr; !errors.Is(err, exec.ErrKilled) {
 		t.Fatalf("killed run returned %v", err)
@@ -307,9 +321,7 @@ func TestParallelCheckpointPreservesFeedbackState(t *testing.T) {
 
 	// Phase 2: recover and run a bounded slice of the stream.
 	b2, src2, sink2 := build(30_000)
-	if err := b2.Graph().RestoreSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
+	restoreLocal(t, b2, backend)
 	skippedAtCut := src1.skipped.Load()
 	if err := b2.Run(); err != nil {
 		t.Fatal(err)
@@ -323,25 +335,5 @@ func TestParallelCheckpointPreservesFeedbackState(t *testing.T) {
 	}
 	if !sink2.sent {
 		t.Fatal("sink assertion flag lost in restore")
-	}
-}
-
-// TestBuilderRestoreConvenience covers Builder.Restore delegating to the
-// underlying graph.
-func TestBuilderRestoreConvenience(t *testing.T) {
-	backend := snapshot.NewMemory()
-	// A minimal finished-plan snapshot.
-	b1 := New()
-	src := testSource("s", reading(1, 10, 40))
-	sink := b1.Source(src).Collect("sink")
-	if err := b1.Run(); err != nil {
-		t.Fatal(err)
-	}
-	_ = sink
-	// Restoring an unknown id surfaces the backend error.
-	b2 := New()
-	b2.Source(testSource("s", reading(1, 10, 40))).Collect("sink")
-	if err := b2.Restore(backend, "missing"); err == nil {
-		t.Fatal("unknown snapshot id accepted")
 	}
 }

@@ -68,10 +68,10 @@ func (s *pacedItems) LoadState(dec *snapshot.Decoder) error {
 
 // TestCheckpointUnderLoadKillRestore is the checkpoint-under-load
 // acceptance test: continuous traffic flows through a Parallel(4)
-// aggregate while RunCheckpointed takes periodic incremental checkpoints
-// (full every 3rd, keep-last-3 retention) into a chain; the plan is killed
-// at whatever epoch the clock lands on, rebuilt, restored from the chain's
-// latest epoch, and run to completion. The final record must be
+// aggregate while a coordinator with no followers takes periodic
+// incremental checkpoints (full every 3rd, keep-last-3 retention) into a
+// chain; the plan is killed at whatever epoch the clock lands on, rebuilt,
+// restored from the newest committed epoch, and run to completion. The final record must be
 // canonically identical to an uninterrupted run — no output gap, no
 // duplication.
 func TestCheckpointUnderLoadKillRestore(t *testing.T) {
@@ -108,27 +108,25 @@ func TestCheckpointUnderLoadKillRestore(t *testing.T) {
 	}
 
 	// Supervised run, killed at an arbitrary epoch.
-	chain := snapshot.NewChain(snapshot.NewMemory())
+	backend := snapshot.NewMemory()
 	b1, src1, _ := build()
+	dc1 := localCoord(t, b1, backend)
 	policy := exec.CheckpointPolicy{Interval: 15 * time.Millisecond, FullEvery: 3, Retain: 3}
 	done := make(chan struct{})
 	var runErr, chkErr error
 	go func() {
-		runErr, chkErr = b1.RunCheckpointed(chain, policy)
+		runErr, chkErr = dc1.RunCheckpointed(policy)
 		close(done)
 	}()
-	// Let several epochs land, then crash mid-stream.
+	// Let several epochs commit, then crash mid-stream.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		ep, ok, err := chain.LatestEpoch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok && ep >= 4 && src1.pos.Load() < int64(len(items)) {
+		ep := dc1.CommittedEpoch()
+		if ep >= 4 && src1.pos.Load() < int64(len(items)) {
 			break
 		}
 		if time.Now().After(deadline) || src1.pos.Load() >= int64(len(items)) {
-			t.Fatalf("never reached a mid-stream epoch (epoch ok=%v pos=%d/%d)", ok, src1.pos.Load(), len(items))
+			t.Fatalf("never reached a mid-stream epoch (committed %d, pos=%d/%d)", ep, src1.pos.Load(), len(items))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -143,19 +141,9 @@ func TestCheckpointUnderLoadKillRestore(t *testing.T) {
 		t.Logf("maintenance error at kill (tolerated if kill-induced): %v", chkErr)
 	}
 
-	// The chain must hold a delta epoch (the workload exercised the
-	// incremental path) and at most the retained window.
-	snaps, err := chain.Latest()
-	if err != nil || len(snaps) == 0 {
-		t.Fatalf("chain latest: %v (len %d)", err, len(snaps))
-	}
-
-	// Recover from the latest epoch and run the rest of the stream.
+	// Recover from the newest committed epoch and run the rest of the stream.
 	b2, _, sink2 := build()
-	ok, err := b2.RestoreLatest(chain)
-	if err != nil || !ok {
-		t.Fatalf("RestoreLatest: ok=%v err=%v", ok, err)
-	}
+	restoreLocal(t, b2, backend)
 	if err := b2.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -24,13 +24,6 @@ func TimePunct(arity, attr int, tsMicros int64) Embedded {
 // String renders the punctuation in bracket notation.
 func (e Embedded) String() string { return e.Pattern.String() }
 
-// Covers reports whether this punctuation's guarantee subsumes the given
-// pattern: every tuple matching p is promised to never appear again.
-// This is the test used for feedback expiration (paper §4.4): once embedded
-// punctuation covers a feedback predicate, guards and state for that
-// feedback can be released.
-func (e Embedded) Covers(p Pattern) bool { return p.Implies(e.Pattern) }
-
 // Scheme tracks, per attribute, the strongest progress guarantee seen so
 // far from embedded punctuation, and answers which attributes are
 // "delimited" in the paper's sense (§4.4): covered by progressing embedded

@@ -163,15 +163,6 @@ func TestPatternProjectSemantics(t *testing.T) {
 	}
 }
 
-func TestEmbeddedCovers(t *testing.T) {
-	e := NewEmbedded(OnAttr(3, 1, Le(stream.TimeMicros(100))))
-	covered := OnAttr(3, 1, Le(stream.TimeMicros(50)))
-	uncovered := OnAttr(3, 1, Le(stream.TimeMicros(150)))
-	if !e.Covers(covered) || e.Covers(uncovered) {
-		t.Error("Covers")
-	}
-}
-
 func TestTimePunct(t *testing.T) {
 	e := TimePunct(3, 1, 5000)
 	if got := e.Pattern.Pred(1); got.Op != LE || got.Val.Micros() != 5000 {

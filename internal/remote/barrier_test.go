@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"context"
 	"encoding/binary"
 	"math/rand"
 	"net"
@@ -85,6 +84,13 @@ type wireBarrier struct {
 	received int64 // tuples decoded before the barrier frame
 }
 
+// coordinator wraps the producer subplan as a checkpoint coordinator with no
+// followers: the barriers cross the wire, nobody acks them.
+func coordinator(g *exec.Graph) *exec.DistCoordinator {
+	b := snapshot.NewMemory()
+	return exec.NewDistCoordinator(g, "producer", snapshot.NewChain(b), snapshot.NewDistLog(b))
+}
+
 // TestBarrierCrossesWire: a checkpoint on the producer graph forwards its
 // barrier through the remote sink as a wire frame, positioned exactly after
 // the tuples that preceded the producer's cut; the consumer source hands
@@ -123,14 +129,14 @@ func TestBarrierCrossesWire(t *testing.T) {
 	go func() { defer wg.Done(); errC = gc.Run() }()
 	src.awaitGate(t)
 
-	ctx := context.Background()
-	snap1, err := gp.Checkpoint(ctx)
+	dc := coordinator(gp)
+	epoch1, err := dc.CheckpointOnce(snapshot.CaptureFull)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b1 := <-barriers
-	if b1.epoch != snap1.Epoch {
-		t.Errorf("wire barrier epoch %d, producer cut epoch %d", b1.epoch, snap1.Epoch)
+	if b1.epoch != epoch1 {
+		t.Errorf("wire barrier epoch %d, producer cut epoch %d", b1.epoch, epoch1)
 	}
 	if b1.mode != snapshot.CaptureFull {
 		t.Errorf("first barrier mode %v, want CaptureFull", b1.mode)
@@ -141,13 +147,13 @@ func TestBarrierCrossesWire(t *testing.T) {
 		t.Errorf("barrier arrived after %d tuples, producer cut at %d", b1.received, gateAt)
 	}
 
-	snap2, err := gp.CheckpointIncremental(ctx)
+	epoch2, err := dc.CheckpointOnce(snapshot.CaptureDelta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b2 := <-barriers
-	if b2.epoch != snap2.Epoch || b2.mode != snapshot.CaptureDelta {
-		t.Errorf("second barrier (epoch %d mode %v), want (epoch %d, CaptureDelta)", b2.epoch, b2.mode, snap2.Epoch)
+	if b2.epoch != epoch2 || b2.mode != snapshot.CaptureDelta {
+		t.Errorf("second barrier (epoch %d mode %v), want (epoch %d, CaptureDelta)", b2.epoch, b2.mode, epoch2)
 	}
 
 	src.gate.Store(true)
@@ -185,7 +191,7 @@ func TestBarrierDroppedWithoutHook(t *testing.T) {
 	go func() { defer wg.Done(); errP = gp.Run() }()
 	go func() { defer wg.Done(); errC = gc.Run() }()
 	src.awaitGate(t)
-	if _, err := gp.Checkpoint(context.Background()); err != nil {
+	if _, err := coordinator(gp).CheckpointOnce(snapshot.CaptureFull); err != nil {
 		t.Fatal(err)
 	}
 	src.gate.Store(true)

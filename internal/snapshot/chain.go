@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -219,10 +218,6 @@ func resolve(byEpoch map[int64]chainEntry, epoch int64) ([]chainEntry, error) {
 func (c *Chain) ChainFor(epoch int64) ([]*Snapshot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.chainForLocked(epoch)
-}
-
-func (c *Chain) chainForLocked(epoch int64) ([]*Snapshot, error) {
 	es, err := c.entries()
 	if err != nil {
 		return nil, err
@@ -233,7 +228,7 @@ func (c *Chain) chainForLocked(epoch int64) ([]*Snapshot, error) {
 	}
 	snaps := make([]*Snapshot, len(order))
 	for i, e := range order {
-		s, err := Load(c.b, e.id)
+		s, err := load(c.b, e.id)
 		if err != nil {
 			return nil, err
 		}
@@ -245,75 +240,11 @@ func (c *Chain) chainForLocked(epoch int64) ([]*Snapshot, error) {
 	return snaps, nil
 }
 
-// Latest loads the restore chain for the newest epoch; it returns nil (no
-// error) on an empty chain.
-func (c *Chain) Latest() ([]*Snapshot, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	es, err := c.entries()
-	if err != nil || len(es) == 0 {
-		return nil, err
-	}
-	return c.chainForLocked(es[len(es)-1].epoch)
-}
-
-// Epochs lists the distinct stored epochs in ascending order.
-func (c *Chain) Epochs() ([]int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	es, err := c.entries()
-	if err != nil {
-		return nil, err
-	}
-	var out []int64
-	for _, e := range es {
-		if len(out) == 0 || out[len(out)-1] != e.epoch {
-			out = append(out, e.epoch)
-		}
-	}
-	return out, nil
-}
-
 // Fallback records one epoch a degrading restore walked past and why its
 // chain could not be loaded.
 type Fallback struct {
 	Epoch int64
 	Err   error
-}
-
-// LatestIntact loads the restore chain for the newest epoch whose lineage
-// decodes cleanly, walking past epochs whose chains hit ErrCorruptSnapshot
-// (a corrupt blob anywhere in an epoch's lineage poisons every epoch that
-// chains through it, so the walk naturally lands on the newest epoch whose
-// full lineage is intact). Skipped epochs are reported so callers can log
-// the degradation and truncate the corrupt tail before checkpointing
-// resumes. Nil snapshots with no error means no epoch is restorable —
-// cold start. Any non-corruption failure stops the walk: a structurally
-// broken chain is a retention bug, not storage damage to degrade across.
-func (c *Chain) LatestIntact() (snaps []*Snapshot, skipped []Fallback, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	es, err := c.entries()
-	if err != nil {
-		return nil, nil, err
-	}
-	var epochs []int64 // distinct, ascending
-	for _, e := range es {
-		if len(epochs) == 0 || epochs[len(epochs)-1] != e.epoch {
-			epochs = append(epochs, e.epoch)
-		}
-	}
-	for i := len(epochs) - 1; i >= 0; i-- {
-		snaps, err := c.chainForLocked(epochs[i])
-		if err == nil {
-			return snaps, skipped, nil
-		}
-		if !errors.Is(err, ErrCorruptSnapshot) {
-			return nil, skipped, err
-		}
-		skipped = append(skipped, Fallback{Epoch: epochs[i], Err: err})
-	}
-	return nil, skipped, nil
 }
 
 // Retain keeps the newest n epochs — plus every older snapshot one of them
@@ -438,7 +369,7 @@ func (c *Chain) Compact() error {
 		}
 		snaps := make([]*Snapshot, len(order))
 		for i, e := range order {
-			s, lerr := Load(c.b, e.id)
+			s, lerr := load(c.b, e.id)
 			if lerr != nil {
 				return lerr
 			}

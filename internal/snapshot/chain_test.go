@@ -45,15 +45,11 @@ func putAll(t *testing.T, c *Chain, snaps ...*Snapshot) {
 func TestChainResolveLatest(t *testing.T) {
 	c := NewChain(NewMemory())
 	putAll(t, c, mkSnap(1, 0), mkSnap(2, 1), mkSnap(3, 2), mkSnap(4, 0), mkSnap(5, 4))
-	snaps, err := c.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := chainSignature(t, snaps); got != "b4+d5" {
+	if got := mustSig(t, c); got != "b4+d5" {
 		t.Fatalf("latest chain = %s, want b4+d5", got)
 	}
 	// An interior epoch resolves through its own lineage.
-	snaps, err = c.ChainFor(3)
+	snaps, err := c.ChainFor(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +114,14 @@ func TestChainRetainKeepsRestorableLineage(t *testing.T) {
 	}
 }
 
+// mustSig renders the restore chain of the newest stored epoch.
 func mustSig(t *testing.T, c *Chain) string {
 	t.Helper()
-	snaps, err := c.Latest()
+	epoch, _, err := c.LatestEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := c.ChainFor(epoch)
 	if err != nil {
 		t.Fatal(err)
 	}

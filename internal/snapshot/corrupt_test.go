@@ -38,9 +38,10 @@ func TestDecodeCorruptionIsTyped(t *testing.T) {
 	}
 }
 
-// A corrupt blob at the newest epoch must degrade LatestIntact to the
-// newest older epoch whose full lineage is intact, reporting the skip.
-func TestChainLatestIntactFallsBack(t *testing.T) {
+// A corrupt blob anywhere in an epoch's lineage fails ChainFor with the
+// typed error — the signal a degrading restore walks past on — for that
+// epoch and every epoch chained through it, and for no other.
+func TestChainForCorruptionIsTyped(t *testing.T) {
 	c := NewChain(NewMemory())
 	putAll(t, c, mkSnap(1, 0), mkSnap(2, 1), mkSnap(3, 2))
 	// Damage epoch 3's delta in place.
@@ -52,35 +53,24 @@ func TestChainLatestIntactFallsBack(t *testing.T) {
 	if err := c.Backend().Put("ep0000000003-d0000000002", blob); err != nil {
 		t.Fatal(err)
 	}
-	snaps, skipped, err := c.LatestIntact()
+	if _, err := c.ChainFor(3); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("ChainFor(3) over a damaged delta: err = %v, want typed corruption", err)
+	}
+	snaps, err := c.ChainFor(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := chainSignature(t, snaps); got != "b1+d2" {
 		t.Fatalf("intact chain = %s, want b1+d2", got)
 	}
-	if len(skipped) != 1 || skipped[0].Epoch != 3 || !errors.Is(skipped[0].Err, ErrCorruptSnapshot) {
-		t.Fatalf("skipped = %+v, want one typed skip of epoch 3", skipped)
-	}
-}
-
-// Corruption in a chain's base poisons every epoch above it; with nothing
-// intact, LatestIntact reports a cold start, not an error.
-func TestChainLatestIntactNothingIntact(t *testing.T) {
-	c := NewChain(NewMemory())
-	putAll(t, c, mkSnap(1, 0), mkSnap(2, 1))
+	// Corruption in the base poisons every epoch above it.
 	if err := c.Backend().Put("ep0000000001-full", []byte("garbage")); err != nil {
 		t.Fatal(err)
 	}
-	snaps, skipped, err := c.LatestIntact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snaps != nil {
-		t.Fatalf("snaps = %v, want nil (cold start)", snaps)
-	}
-	if len(skipped) != 2 {
-		t.Fatalf("skipped = %+v, want both epochs", skipped)
+	for _, e := range []int64{1, 2} {
+		if _, err := c.ChainFor(e); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("ChainFor(%d) over a garbage base: err = %v, want typed corruption", e, err)
+		}
 	}
 }
 
@@ -128,15 +118,11 @@ func TestDistLogTornManifestRecovery(t *testing.T) {
 	if _, _, err := fresh.Latest(); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("strict Latest on torn head: err = %v, want typed corruption", err)
 	}
-	m, skipped, err := fresh.LatestIntact()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := fresh.At(3); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("At(3) on the torn manifest: err = %v, want typed corruption", err)
 	}
-	if m == nil || m.Epoch != 2 {
-		t.Fatalf("intact head = %+v, want epoch 2", m)
-	}
-	if len(skipped) != 1 || skipped[0].Epoch != 3 || !errors.Is(skipped[0].Err, ErrCorruptSnapshot) {
-		t.Fatalf("skipped = %+v, want one typed skip of epoch 3", skipped)
+	if m, err := fresh.At(2); err != nil || m.Epoch != 2 {
+		t.Fatalf("At(2) = %+v err=%v, want the intact epoch-2 manifest", m, err)
 	}
 
 	// Restoring from epoch 2 truncates the torn tail, after which epoch 3

@@ -2,7 +2,6 @@ package snapshot
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -246,34 +245,6 @@ func (l *DistLog) At(epoch int64) (*DistManifest, error) {
 		return nil, err
 	}
 	return DecodeDistManifest(data)
-}
-
-// LatestIntact loads the newest committed manifest that decodes cleanly,
-// walking past corrupt ones (reported as skips so the caller can log the
-// degradation and truncate them). Nil manifest with no error means no
-// intact commit exists. A non-corruption failure stops the walk.
-func (l *DistLog) LatestIntact() (m *DistManifest, skipped []Fallback, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	es, err := l.epochsLocked()
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := len(es) - 1; i >= 0; i-- {
-		data, err := l.b.Get(distID(es[i]))
-		if err != nil {
-			return nil, skipped, err
-		}
-		m, err := DecodeDistManifest(data)
-		if err == nil {
-			return m, skipped, nil
-		}
-		if !errors.Is(err, ErrCorruptSnapshot) {
-			return nil, skipped, err
-		}
-		skipped = append(skipped, Fallback{Epoch: es[i], Err: err})
-	}
-	return nil, skipped, nil
 }
 
 // TruncateAfter deletes every committed manifest newer than the given

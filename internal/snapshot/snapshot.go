@@ -13,8 +13,8 @@
 // cut, so restore regenerates them (exactly-once for deterministic
 // sources).
 //
-// The runtime half lives in internal/exec (Graph.Checkpoint / Restore /
-// barrier alignment in the node runner); this package holds everything
+// The runtime half lives in internal/exec (the checkpoint coordinator, barrier
+// alignment in the node runner); this package holds everything
 // the runtime serializes: the per-node Stater contract, the state
 // encoder/decoder, guard-table persistence, the snapshot manifest, and
 // the storage backends.
@@ -161,13 +161,8 @@ func Decode(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// Save persists the snapshot under the given id.
-func (s *Snapshot) Save(b Backend, id string) error {
-	return b.Put(id, s.Encode())
-}
-
-// Load retrieves and parses the snapshot stored under id.
-func Load(b Backend, id string) (*Snapshot, error) {
+// load retrieves and parses the snapshot stored under id.
+func load(b Backend, id string) (*Snapshot, error) {
 	data, err := b.Get(id)
 	if err != nil {
 		return nil, err
@@ -176,5 +171,5 @@ func Load(b Backend, id string) (*Snapshot, error) {
 }
 
 // Size returns the total encoded size in bytes (diagnostics). It is
-// computed by encoding, so it matches what Save writes exactly.
+// computed by encoding, so it matches what Chain.Put writes exactly.
 func (s *Snapshot) Size() int { return len(s.Encode()) }

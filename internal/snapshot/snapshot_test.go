@@ -108,13 +108,13 @@ func TestSnapshotEncodeDecode(t *testing.T) {
 func testBackend(t *testing.T, b Backend) {
 	t.Helper()
 	s := &Snapshot{Epoch: 1, Nodes: []NodeState{{ID: 0, Name: "n", State: []byte("s")}}}
-	if err := s.Save(b, "ckpt-001"); err != nil {
+	if err := b.Put("ckpt-001", s.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Save(b, "ckpt-002"); err != nil {
+	if err := b.Put("ckpt-002", s.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(b, "ckpt-001")
+	back, err := load(b, "ckpt-001")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func testBackend(t *testing.T, b Backend) {
 	if !reflect.DeepEqual(ids, []string{"ckpt-001", "ckpt-002"}) {
 		t.Fatalf("List = %v", ids)
 	}
-	if _, err := Load(b, "nope"); err == nil {
+	if _, err := load(b, "nope"); err == nil {
 		t.Fatal("unknown id must fail")
 	}
 }

@@ -270,12 +270,13 @@ var (
 	ListenRemote    = remote.Listen
 )
 
-// Distributed checkpoint coordination (DESIGN.md §8): a plan spanning
-// processes cuts one epoch across every subplan — barriers cross remote
-// edges in-band, each subplan persists its own chain, and the coordinator
-// commits a distributed manifest only after every part's ack.
+// Checkpoint coordination (DESIGN.md §8), the one way a plan is cut and
+// restored: a plan cuts one epoch across every subplan — barriers cross
+// remote edges in-band, each subplan persists its own chain, and the
+// coordinator commits a manifest only after every part's ack. A
+// single-process plan is a coordinator with no followers.
 type (
-	// DistCoordinator drives distributed checkpoints for the subplan that
+	// DistCoordinator drives checkpoints and restores for the subplan that
 	// owns the sources.
 	DistCoordinator = exec.DistCoordinator
 	// DistFollower is the checkpoint glue for a subplan fed by remote
