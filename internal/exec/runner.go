@@ -320,9 +320,12 @@ func (r *nodeRunner) operatorLoop() error {
 		if err != nil {
 			return err
 		}
-		// The one place the node blocks for input: every ring came up
-		// empty and armed, so data, control and checkpoint retirement all
-		// arrive as a token on the node's wake.
+		// The one place the node waits for input: every ring came up
+		// empty and armed. Park polls the rings and the control queues
+		// over a bounded number of yields (a page or feedback from a peer
+		// that is running ends the wait there) and then blocks, where
+		// data, control and checkpoint retirement all arrive as a token on
+		// the node's wake.
 		if idle && !r.node.wake.Park(r.done) {
 			r.stopping = true
 		}

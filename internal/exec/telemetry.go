@@ -88,9 +88,11 @@ func (g *Graph) edgeSnapshots() []telemetry.EdgeStat {
 			Consumer: e.Consumer, Input: e.Input, Label: e.Label,
 			Tuples: e.Stats.Tuples, Puncts: e.Stats.Puncts,
 			Pages: e.Stats.Pages, Controls: e.Stats.Controls,
-			Depth:         e.Depth,
-			ConsumerParks: e.Stats.ConsumerParks,
-			ProducerParks: e.Stats.ProducerParks,
+			Depth:          e.Depth,
+			ConsumerParks:  e.Stats.ConsumerParks,
+			ProducerParks:  e.Stats.ProducerParks,
+			ConsumerYields: e.Stats.ConsumerYields,
+			ProducerYields: e.Stats.ProducerYields,
 		}
 	}
 	return out

@@ -104,11 +104,11 @@ func (s *gateSink) ProcessTuple(int, stream.Tuple, Context) error {
 }
 
 // TestKickBeforeParkingOnFullRing is invariant iii under barrier alignment:
-// a router forwarding a checkpoint barrier parks on output 0, whose consumer
+// a router forwarding a checkpoint barrier waits on output 0, whose consumer
 // is stalled and whose ring is full, while output 1's consumer sits parked
 // on one published page — below half a ring, so nothing has woken it. The
 // stalled consumer only resumes once the parked one has seen that page, so
-// the plan (and the checkpoint) completes only if a producer about to park
+// the plan (and the checkpoint) completes only if a producer about to wait
 // kicks every ring it has published into.
 func TestKickBeforeParkingOnFullRing(t *testing.T) {
 	const pageSize, depth = 4, 8
@@ -179,8 +179,10 @@ func TestKickBeforeParkingOnFullRing(t *testing.T) {
 	if a, b := sinkA.count.Load(), sinkB.count.Load(); a != depth*pageSize || b != pageSize {
 		t.Errorf("sinks received %d and %d tuples, want %d and %d", a, b, depth*pageSize, pageSize)
 	}
-	if edgeStats(g, FromPort(r, 0)).ProducerParks == 0 {
-		t.Error("the router never parked on its full output: the scenario did not happen")
+	// With a second processor the kicked consumer usually unblocks the
+	// stalled one while the router is still polling: a yield, not a park.
+	if st := edgeStats(g, FromPort(r, 0)); st.ProducerParks+st.ProducerYields == 0 {
+		t.Error("the router never waited on its full output: the scenario did not happen")
 	}
 }
 
@@ -298,8 +300,9 @@ func TestFeedbackWakesParkedNode(t *testing.T) {
 	})
 }
 
-// TestEdgeParkCountersExported: the two park counters surface where edges
-// are reported — EdgeInfo, the /statusz edge rows and the pace_edge_* series.
+// TestEdgeParkCountersExported: the park and yield counters surface where
+// edges are reported — EdgeInfo, the /statusz edge rows and the pace_edge_*
+// series.
 func TestEdgeParkCountersExported(t *testing.T) {
 	var release atomic.Bool
 	src := newStepSource(func(Context) bool {
@@ -322,7 +325,10 @@ func TestEdgeParkCountersExported(t *testing.T) {
 		}
 		var out bytes.Buffer
 		tel.Registry.WritePrometheus(&out)
-		for _, series := range []string{"pace_edge_consumer_parks_total{", "pace_edge_producer_parks_total{"} {
+		for _, series := range []string{
+			"pace_edge_consumer_parks_total{", "pace_edge_producer_parks_total{",
+			"pace_edge_consumer_yields_total{", "pace_edge_producer_yields_total{",
+		} {
 			if !strings.Contains(out.String(), series) {
 				t.Errorf("exposition lacks %s", series)
 			}
@@ -349,41 +355,59 @@ func (r *notifyRelay) ProcessFeedback(int, core.Feedback, Context) error {
 // one that called Run — no forwarder per edge, whatever the plan's shape.
 func TestOneGoroutinePerNode(t *testing.T) {
 	for _, relays := range []int{1, 4} {
-		var release atomic.Bool
-		src := newStepSource(func(Context) bool {
-			runtime.Gosched()
-			return !release.Load()
-		})
-		g := NewGraph()
-		at := g.AddSource(src)
-		for i := 0; i < relays; i++ {
-			at = g.Add(&passthrough{name: fmt.Sprintf("relay%d", i)}, From(at))
-		}
-		g.Add(NewCollector("sink", oneInt), From(at))
 		nodes := relays + 2
-
-		before := runtime.NumGoroutine()
-		runErr := make(chan error, 1)
-		go func() { runErr <- g.Run() }()
-		<-src.started
-		for { // until every consumer is parked: the plan is fully started
-			parked := 0
-			for _, e := range g.Edges() {
-				if e.Stats.ConsumerParks > 0 {
-					parked++
-				}
-			}
-			if parked == nodes-1 {
+		// Run returns at its nodes' last wg.Done, not at their last exit: a
+		// goroutine of an earlier plan that is still on its way out inflates
+		// the count taken before this one starts. Such a reading is low, and
+		// by the next attempt the straggler is gone.
+		for attempt := 1; ; attempt++ {
+			got := planGoroutines(t, relays)
+			if got == nodes+1 {
 				break
 			}
-			runtime.Gosched()
-		}
-		if got := runtime.NumGoroutine() - before; got != nodes+1 {
-			t.Errorf("%d-node plan runs %d goroutines, want %d", nodes, got, nodes+1)
-		}
-		release.Store(true)
-		if err := <-runErr; err != nil {
-			t.Fatal(err)
+			if got > nodes+1 || attempt == 5 {
+				t.Errorf("%d-node plan runs %d goroutines, want %d", nodes, got, nodes+1)
+				break
+			}
 		}
 	}
+}
+
+// planGoroutines runs source → relays → sink until every consumer is parked
+// and reports how many goroutines that took.
+func planGoroutines(t *testing.T, relays int) int {
+	var release atomic.Bool
+	src := newStepSource(func(Context) bool {
+		runtime.Gosched()
+		return !release.Load()
+	})
+	g := NewGraph()
+	at := g.AddSource(src)
+	for i := 0; i < relays; i++ {
+		at = g.Add(&passthrough{name: fmt.Sprintf("relay%d", i)}, From(at))
+	}
+	g.Add(NewCollector("sink", oneInt), From(at))
+
+	before := runtime.NumGoroutine()
+	runErr := make(chan error, 1)
+	go func() { runErr <- g.Run() }()
+	<-src.started
+	for { // until every consumer is parked: the plan is fully started
+		parked := 0
+		for _, e := range g.Edges() {
+			if e.Stats.ConsumerParks > 0 {
+				parked++
+			}
+		}
+		if parked == relays+1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	got := runtime.NumGoroutine() - before
+	release.Store(true)
+	if err := <-runErr; err != nil {
+		t.Fatal(err)
+	}
+	return got
 }

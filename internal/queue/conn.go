@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -60,22 +61,31 @@ type Stats struct {
 	// producer goroutine blocked on this ring full ("blocked on output").
 	ConsumerParks int64
 	ProducerParks int64
+	// ConsumerYields and ProducerYields count the waits on this ring that
+	// ended without parking: the peer was running, and what was awaited
+	// turned up while the waiter polled for it (Wake.wait).
+	ConsumerYields int64
+	ProducerYields int64
 }
 
-// Wake is where one goroutine parks. Every ring it consumes from, every ring
+// Wake is where one goroutine waits. Every ring it consumes from, every ring
 // it produces into and every control queue addressed to it signal the same
 // capacity-1 channel, so a node is one goroutine with one blocking select. A
 // token is a hint to poll again, never a message: all state lives in the
 // rings and control queues, and the owner re-polls everything before it
-// parks again, so a token consumed for another reason loses nothing.
+// waits again, so a token consumed for another reason — or left behind by a
+// wait that ended without it — loses nothing.
 type Wake struct {
 	ch   chan struct{}
 	ins  []*Conn // rings the owner consumes from
 	outs []*Conn // rings the owner produces into
+	// yield gives the processor away between two polls of a wait; tests
+	// put their own in to count the rounds and to act between them.
+	yield func()
 }
 
-// NewWake creates a parking spot with nothing bound to it.
-func NewWake() *Wake { return &Wake{ch: make(chan struct{}, 1)} }
+// NewWake creates a waiting spot with nothing bound to it.
+func NewWake() *Wake { return &Wake{ch: make(chan struct{}, 1), yield: runtime.Gosched} }
 
 // Signal wakes the owner if it is parked, and otherwise makes its next Park
 // return at once. It never blocks and is safe from any goroutine.
@@ -91,7 +101,7 @@ func (w *Wake) Signal() {
 // Kick wakes the consumer of every ring the owner produces into that holds
 // pages its parked consumer has not been told about. A wake-up deferred by
 // hysteresis is only ever deferred while its producer is running: the owner
-// kicks before it parks (Park and a full ring do it) and before anything
+// kicks before it waits (Park and a full ring do it) and before anything
 // else that may block it (the runtime kicks between two Source.Next calls).
 //
 //pace:hotpath
@@ -101,23 +111,99 @@ func (w *Wake) Kick() {
 	}
 }
 
-// Park blocks the owner, which found every input ring empty, until a token
-// arrives (true) or done closes (false). A nil done never fires.
+// Park makes the owner, which found every input ring empty, wait until an
+// input has a page, control is pending on an output or a token arrives
+// (true), or done closes (false). A nil done never fires.
 func (w *Wake) Park(done <-chan struct{}) bool {
-	for _, c := range w.ins {
-		c.noteConsumerPark()
-	}
-	return w.wait(done)
+	return w.wait(done, nil)
 }
 
+// waitRounds bounds the polling phase of a wait. A round is a tenth of a
+// microsecond when nothing else is runnable on the processor and another
+// node's activation when something is, so a peer that is running nearly always
+// delivers within the budget, and one that is not costs the waiter about 3 µs
+// once, then it parks. DESIGN.md §4.1 has the ladder the figure was chosen
+// from: more rounds buy little and burn where the peer is slow.
+const waitRounds = 30
+
+// budget is the number of polls a wait starting now may take. With a single
+// processor a waiter that yields only stands in the run queue in front of
+// the peer it waits for, so there it is zero — the one thing sync.Mutex
+// consults before it spins, too.
+func budget() int {
+	if runtime.GOMAXPROCS(0) == 1 {
+		return 0
+	}
+	return waitRounds
+}
+
+// wait is the one place a node waits, for input (full == nil) or for room in
+// the ring it found full. It kicks, then polls what it is waiting for while
+// its budget lasts, yielding the processor before each poll, and only then
+// blocks until a token arrives (true) or done closes (false). The polls
+// ignore hysteresis: one page ends a consumer's wait and one slot a
+// producer's. They also leave the token alone, so a signal sent meanwhile
+// makes one later wait return early, to an owner that polls and waits again.
+//
 //pace:hotpath
-func (w *Wake) wait(done <-chan struct{}) bool {
+func (w *Wake) wait(done <-chan struct{}, full *Conn) bool {
 	w.Kick()
+	for n := budget(); n > 0; n-- {
+		w.yield()
+		if w.ready(full) {
+			w.count(full, yielded)
+			return true
+		}
+	}
+	w.count(full, parked)
 	select {
 	case <-w.ch:
 		return true
 	case <-done:
 		return false
+	}
+}
+
+// ready polls what a wait is for: room in full, or else a page on an input
+// ring or control on an output's queue.
+//
+//pace:hotpath
+func (w *Wake) ready(full *Conn) bool {
+	if full != nil {
+		return full.room()
+	}
+	for _, c := range w.outs {
+		if c.ctrlPending.Load() {
+			return true
+		}
+	}
+	for _, c := range w.ins {
+		if c.Depth() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// How a wait ended: indexes a ring's wait counters.
+const (
+	parked = iota
+	yielded
+)
+
+// count tallies a wait on the rings it was for: full, or else every input
+// ring the owner's last take found empty and open.
+//
+//pace:hotpath
+func (w *Wake) count(full *Conn, how int) {
+	if full != nil {
+		full.producerWaits[how].Add(1)
+		return
+	}
+	for _, c := range w.ins {
+		if c.awaited {
+			c.consumerWaits[how].Add(1)
+		}
 	}
 }
 
@@ -129,10 +215,12 @@ func (w *Wake) wait(done <-chan struct{}) bool {
 // Wake-ups have hysteresis on both sides, which is what makes a page ring
 // cheaper than a channel of pages: a consumer parks only on an empty ring and
 // is woken when the ring is half full, at once by a forced flush (PutPunct,
-// PutBarrier, CloseSend) or when its producer is about to park (Wake.Kick); a
+// PutBarrier, CloseSend) or when its producer is about to wait (Wake.Kick); a
 // producer parks only on a full ring and is woken when the consumer has
-// drained it to half empty, or by Abort. A Conn nobody bound to a node parks
-// on Wakes of its own.
+// drained it to half empty, or by Abort. Either side polls the ring for a
+// bounded while before it parks (Wake.wait), and a running peer's next page
+// or free slot ends the wait there, whatever the fill. A Conn nobody bound to
+// a node waits on Wakes of its own.
 //
 // The control path is unbounded and never blocks the sender: data flow
 // exerts backpressure downstream, so a bounded control channel flowing the
@@ -148,8 +236,9 @@ type Conn struct {
 	closed  bool     // producer-owned: CloseSend called
 	aliases *Aliases // producer-owned: the slabs the tuples being put may alias
 
-	cons *Wake // where the consumer parks
-	prod *Wake // where the producer parks
+	cons    *Wake // where the consumer waits
+	prod    *Wake // where the producer waits
+	awaited bool  // consumer-owned: its last take found the ring empty and open
 
 	mu         sync.Mutex
 	ring       []*Page // ring[head], ring[head+1], … hold n published pages
@@ -169,8 +258,8 @@ type Conn struct {
 	puncts        atomic.Int64
 	pages         atomic.Int64
 	controls      atomic.Int64
-	consumerParks atomic.Int64
-	producerParks atomic.Int64
+	consumerWaits [2]atomic.Int64 // by how the wait ended: parked, yielded
+	producerWaits [2]atomic.Int64
 }
 
 // New creates a connection whose two sides park on Wakes of its own; Bind
@@ -287,8 +376,7 @@ func (c *Conn) push(forced bool) {
 	for c.n == len(c.ring) && !c.aborted {
 		c.prodArmed = true
 		c.mu.Unlock()
-		c.producerParks.Add(1)
-		c.prod.wait(nil)
+		c.prod.wait(nil, c)
 		c.mu.Lock()
 	}
 	if c.aborted {
@@ -380,6 +468,7 @@ func (c *Conn) take() (p *Page, closed bool) {
 		closed = c.sendClosed || c.aborted
 		c.consArmed = !closed
 		c.mu.Unlock()
+		c.awaited = !closed
 		return nil, closed
 	}
 	p = c.pop()
@@ -389,6 +478,7 @@ func (c *Conn) take() (p *Page, closed bool) {
 		c.prodArmed = false
 	}
 	c.mu.Unlock()
+	c.awaited = false
 	if wake {
 		c.prod.Signal()
 	}
@@ -431,15 +521,6 @@ func (c *Conn) Recv() (*Page, bool) {
 			return nil, false
 		}
 		c.cons.Park(nil)
-	}
-}
-
-func (c *Conn) noteConsumerPark() {
-	c.mu.Lock()
-	armed := c.consArmed
-	c.mu.Unlock()
-	if armed {
-		c.consumerParks.Add(1)
 	}
 }
 
@@ -488,14 +569,31 @@ func (c *Conn) Depth() int {
 	return c.n
 }
 
+// room is a waiting producer's poll. A slot it finds was not signalled, so it
+// disarms the wake-up the way take does for a consumer that found a page.
+// Abort empties the ring: the producer of an aborted connection finds room.
+//
+//pace:hotpath
+func (c *Conn) room() bool {
+	c.mu.Lock()
+	ok := c.n < len(c.ring)
+	if ok {
+		c.prodArmed = false
+	}
+	c.mu.Unlock()
+	return ok
+}
+
 // Stats returns a snapshot of traffic counters.
 func (c *Conn) Stats() Stats {
 	return Stats{
-		Tuples:        c.tuples.Load(),
-		Puncts:        c.puncts.Load(),
-		Pages:         c.pages.Load(),
-		Controls:      c.controls.Load(),
-		ConsumerParks: c.consumerParks.Load(),
-		ProducerParks: c.producerParks.Load(),
+		Tuples:         c.tuples.Load(),
+		Puncts:         c.puncts.Load(),
+		Pages:          c.pages.Load(),
+		Controls:       c.controls.Load(),
+		ConsumerParks:  c.consumerWaits[parked].Load(),
+		ProducerParks:  c.producerWaits[parked].Load(),
+		ConsumerYields: c.consumerWaits[yielded].Load(),
+		ProducerYields: c.producerWaits[yielded].Load(),
 	}
 }

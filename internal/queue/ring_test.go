@@ -202,6 +202,14 @@ func TestRingNoLostWakeup(t *testing.T) {
 	}
 }
 
+// awaitParks returns once c's consumer has parked n times in all: past its
+// polling phase, only a signal gets it going again.
+func awaitParks(c *Conn, n int64) {
+	for c.Stats().ConsumerParks < n {
+		runtime.Gosched()
+	}
+}
+
 // parkedConsumer starts a consumer on c that reports the last item's kind of
 // every page it receives, and returns once that consumer has parked on the
 // empty ring.
@@ -218,9 +226,7 @@ func parkedConsumer(c *Conn) <-chan ItemKind {
 			Release(p)
 		}
 	}()
-	for c.Stats().ConsumerParks == 0 {
-		runtime.Gosched()
-	}
+	awaitParks(c, 1)
 	return got
 }
 
@@ -252,7 +258,9 @@ func TestRingWakeHysteresis(t *testing.T) {
 		}
 
 		// Forced flushes and the kick wake whatever the fill (invariant i).
-		for _, force := range []struct {
+		// Each round starts from a consumer that is parked again: one that
+		// is still polling would see the page for itself.
+		for i, force := range []struct {
 			do    func()
 			pages int
 		}{
@@ -260,9 +268,7 @@ func TestRingWakeHysteresis(t *testing.T) {
 			{func() { c.PutBarrier(7) }, 2},
 			{func() { c.prod.Kick() }, 1},
 		} {
-			for !c.armed() {
-				runtime.Gosched()
-			}
+			awaitParks(c, int64(2+i))
 			c.PutTuple(tupleOf(9))
 			if !c.armed() {
 				t.Fatal("one page of a ring of 8 woke the consumer")
@@ -275,9 +281,7 @@ func TestRingWakeHysteresis(t *testing.T) {
 				<-got
 			}
 		}
-		for !c.armed() {
-			runtime.Gosched()
-		}
+		awaitParks(c, 5)
 		c.CloseSend()
 		if last := <-got; last != ItemEOS {
 			t.Fatalf("want EOS, got a page ending in kind %d", last)

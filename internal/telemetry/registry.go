@@ -114,6 +114,11 @@ type EdgeStat struct {
 	// blocked on it full (blocked on output).
 	ConsumerParks int64 `json:"consumer_parks"`
 	ProducerParks int64 `json:"producer_parks"`
+	// ConsumerYields and ProducerYields count the waits on this edge that
+	// ended without blocking: the peer was running and delivered while the
+	// waiter polled.
+	ConsumerYields int64 `json:"consumer_yields"`
+	ProducerYields int64 `json:"producer_yields"`
 }
 
 // nodeEntry is one registered node: identity, hot-path metrics, and the
@@ -305,6 +310,8 @@ var edgeCounters = []struct {
 	{"pace_edge_queue_depth_pages", "Pages currently buffered in the edge queue.", Gauge, func(e EdgeStat) int64 { return int64(e.Depth) }},
 	{"pace_edge_consumer_parks_total", "Times the consumer blocked with the edge queue empty (waiting for input).", Counter, func(e EdgeStat) int64 { return e.ConsumerParks }},
 	{"pace_edge_producer_parks_total", "Times the producer blocked with the edge queue full (blocked on output).", Counter, func(e EdgeStat) int64 { return e.ProducerParks }},
+	{"pace_edge_consumer_yields_total", "Waits of the consumer on the empty edge queue that ended without blocking.", Counter, func(e EdgeStat) int64 { return e.ConsumerYields }},
+	{"pace_edge_producer_yields_total", "Waits of the producer on the full edge queue that ended without blocking.", Counter, func(e EdgeStat) int64 { return e.ProducerYields }},
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
