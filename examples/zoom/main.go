@@ -58,15 +58,11 @@ func (d *display) ProcessTuple(_ int, t stream.Tuple, _ repro.Context) error {
 }
 
 func (d *display) ProcessPunct(_ int, e punct.Embedded, ctx repro.Context) error {
-	bound := e.Pattern.Bound()
-	if len(bound) != 1 || bound[0] != 1 {
+	attr, now, ok := e.Pattern.Progress()
+	if !ok || attr != 1 { // wstart
 		return nil
 	}
-	pr := e.Pattern.Pred(1)
-	if pr.Op != punct.LE && pr.Op != punct.LT {
-		return nil
-	}
-	minute := pr.Val.I/minuteUS + 1 // upcoming minute
+	minute := now/minuteUS + 1 // upcoming minute
 	visible, ok := d.zooms[minute]
 	if !ok || visible == nil || d.announced[minute] {
 		return nil

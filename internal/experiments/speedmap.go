@@ -150,15 +150,10 @@ func (v *viewer) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 	if v.scheme == F0 {
 		return nil
 	}
-	bound := e.Pattern.Bound()
-	if len(bound) != 1 || bound[0] != 1 { // wstart attribute
+	attr, now, ok := e.Pattern.Progress()
+	if !ok || attr != 1 { // wstart attribute
 		return nil
 	}
-	pr := e.Pattern.Pred(1)
-	if pr.Op != punct.LE && pr.Op != punct.LT {
-		return nil
-	}
-	now := pr.Val.I
 	period := now/v.switchUS + 1 // the upcoming period
 	for p := v.announced + 1; p <= period; p++ {
 		v.announce(p, ctx)

@@ -9,7 +9,7 @@
 // snapshot capture/restore delegates to the inner operator (the prefix is
 // stateless, so capture↔restore shape is unchanged), and punctuation and
 // feedback traverse the kernel steps exactly as they would have hopped node
-// to node unfused (DESIGN.md §10.6).
+// to node unfused (DESIGN.md §10.5).
 package fuse
 
 import (

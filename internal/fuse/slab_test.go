@@ -112,7 +112,7 @@ func (r *routing) grow(from exec.Port, ids []int64, depth int) {
 		r.grow(exec.From(merged), append(filter(parts[0], func(id int64) bool { return id%m == 0 }), parts[1]...), depth+1)
 	case 5: // duplicate, union back: every tuple twice, from one slab
 		d := r.g.Add(&op.Duplicate{OpName: r.name("fan"), Schema: mappedSchema, N: 2}, from)
-		u := r.g.Add(&op.Union{OpName: r.name("union"), Schema: mappedSchema, K: 2, ProgressAttr: 0},
+		u := r.g.Add(&op.Merge{OpName: r.name("union"), Schema: mappedSchema, K: 2},
 			exec.FromPort(d, 0), exec.FromPort(d, 1))
 		r.grow(exec.From(u), append(slices.Clone(ids), ids...), depth+1)
 	}

@@ -47,14 +47,8 @@ func (d Disorder) Apply(items []queue.Item) []queue.Item {
 		case queue.ItemTuple:
 			tuples = append(tuples, it.Tuple)
 		case queue.ItemPunct:
-			pr := it.Punct.Pattern.Pred(d.TsAttr)
-			var v int64
-			switch pr.Op {
-			case punct.LE:
-				v = pr.Val.I
-			case punct.LT:
-				v = pr.Val.I - 1
-			default:
+			attr, v, ok := it.Punct.Pattern.Progress()
+			if !ok || attr != d.TsAttr {
 				continue // non-progress punctuation is dropped
 			}
 			marks = append(marks, punctMark{afterTuples: len(tuples), bound: v, arity: it.Punct.Pattern.Arity()})
@@ -85,24 +79,16 @@ func (d Disorder) Apply(items []queue.Item) []queue.Item {
 			m := marks[mi]
 			mi++
 			out = append(out, queue.PunctItem(punct.NewEmbedded(
-				punct.OnAttr(m.arity, d.TsAttr, punct.Le(tsValueOf(k.t, d.TsAttr, m.bound))))))
+				punct.OnAttr(m.arity, d.TsAttr, punct.Le(stream.Ordinal(k.t.At(d.TsAttr).Kind, m.bound))))))
 		}
 	}
 	for mi < len(marks) {
 		m := marks[mi]
 		mi++
-		arity := m.arity
 		out = append(out, queue.PunctItem(punct.NewEmbedded(
-			punct.OnAttr(arity, d.TsAttr, punct.Le(tsValue(arityKind(tuples, d.TsAttr), m.bound))))))
+			punct.OnAttr(m.arity, d.TsAttr, punct.Le(stream.Ordinal(arityKind(tuples, d.TsAttr), m.bound))))))
 	}
 	return out
-}
-
-func tsValueOf(t stream.Tuple, attr int, v int64) stream.Value {
-	if t.At(attr).Kind == stream.KindTime {
-		return stream.TimeMicros(v)
-	}
-	return stream.Int(v)
 }
 
 func arityKind(tuples []stream.Tuple, attr int) stream.Kind {
@@ -110,11 +96,4 @@ func arityKind(tuples []stream.Tuple, attr int) stream.Kind {
 		return tuples[0].At(attr).Kind
 	}
 	return stream.KindTime
-}
-
-func tsValue(k stream.Kind, v int64) stream.Value {
-	if k == stream.KindTime {
-		return stream.TimeMicros(v)
-	}
-	return stream.Int(v)
 }

@@ -202,7 +202,7 @@ func (a *Aggregate) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) er
 // only arrives between runs, so the prefix guard table cannot change mid-run
 // and its Active check is hoisted. The group values are hashed once per
 // tuple and no key is encoded; the store finds or inserts the accumulator
-// and stamps it dirty (DESIGN.md §10.6).
+// and stamps it dirty (DESIGN.md §10.5).
 //
 //pace:hotpath
 func (a *Aggregate) ApplyTupleBatch(input int, ts []stream.Tuple, _ exec.Context) error {
@@ -301,18 +301,8 @@ func (a *Aggregate) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) 
 	if input != 0 {
 		return fmt.Errorf("op: aggregate %q: punctuation on unexpected input %d (single-input operator; check plan wiring)", a.Name(), input)
 	}
-	bound := e.Pattern.Bound()
-	if len(bound) != 1 || bound[0] != a.TsAttr {
-		return nil
-	}
-	pr := e.Pattern.Pred(a.TsAttr)
-	var wm int64
-	switch pr.Op {
-	case punct.LE:
-		wm = pr.Val.I
-	case punct.LT:
-		wm = pr.Val.I - 1
-	default:
+	attr, wm, ok := e.Pattern.Progress()
+	if !ok || attr != a.TsAttr {
 		return nil
 	}
 	lastFull := a.Window.LastFullWindow(wm)
@@ -327,11 +317,9 @@ func (a *Aggregate) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) 
 	return nil
 }
 
+// wstartTsValue is start as a value of the windowing attribute's kind.
 func (a *Aggregate) wstartTsValue(start int64) stream.Value {
-	if a.In.Field(a.TsAttr).Kind == stream.KindTime {
-		return stream.TimeMicros(start)
-	}
-	return stream.Int(start)
+	return stream.Ordinal(a.In.Field(a.TsAttr).Kind, start)
 }
 
 // flushThrough emits and closes every open window with wid ≤ lastFull,
@@ -347,7 +335,7 @@ func (a *Aggregate) flushThrough(lastFull int64, ctx exec.Context) {
 
 // emitWindow emits one window's results in slot order — the order its groups'
 // first tuples arrived in, tombstones skipped; no key is encoded and nothing
-// is sorted (DESIGN.md §10.7). With partial nil these are the window's final
+// is sorted (DESIGN.md §10.6). With partial nil these are the window's final
 // results: one the output guards suppress is dropped, the rest are charged
 // EmitCost. With a pattern they are the partial results a Demanded feedback
 // asks for: the groups whose current result it matches. Results are built in

@@ -10,7 +10,7 @@ import (
 // aggStore is the aggregate's state: the open windows in window-id order,
 // each owning its groups, and the changelog incremental snapshots are cut
 // from. Every mutation of aggregate state goes through its methods, so the
-// changelog cannot miss one (DESIGN.md §7.1, §10.7).
+// changelog cannot miss one (DESIGN.md §7.1, §10.6).
 //
 // The window is the unit state is born in, punctuated shut in and discarded
 // in: a closing window is emitted and dropped whole — no per-group delete —
@@ -91,7 +91,7 @@ func (t *keyTable) key(row int32) []stream.Value {
 // beside the table of their group values, slot for row. Slot order is the
 // order the window's results, partials and captures leave in, and it is
 // canonical: a twin restored from any capture chain holds the live groups in
-// the same relative order (DESIGN.md §10.7).
+// the same relative order (DESIGN.md §10.6).
 type aggWindow struct {
 	keyTable
 	wid    int64

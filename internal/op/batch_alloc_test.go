@@ -10,7 +10,7 @@ import (
 )
 
 // Zero-allocation pins for the stateful fold and batch-apply paths
-// (DESIGN.md §10.6). As in telemetry_alloc_test.go, everything runs against
+// (DESIGN.md §10.5). As in telemetry_alloc_test.go, everything runs against
 // discardCtx so only the operator's own allocations are measured.
 
 const allocTestMinute = int64(60_000_000)

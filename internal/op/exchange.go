@@ -275,55 +275,29 @@ func (s *Split) Stats() (in int64, outPer []int64, suppressed int64) {
 // Merge.
 // ---------------------------------------------------------------------------
 
-// Merge combines K same-schema partition streams into one. Tuples pass
-// through in arrival order; embedded punctuation is ALIGNED: a pattern is
-// emitted downstream only once every live input has asserted punctuation
-// implying it (an input at EOS covers everything). Two representations
-// back the alignment so the steady-state path performs no allocation:
-//
-//   - the watermark fast path handles single-attribute ≤/< punctuation
-//     (the dominant progress shape) with per-(input, attribute) int64
-//     frontiers and emits the min across live inputs when it advances;
-//   - arbitrary patterns go through a small pending list checked with
-//     punct.Pattern.Implies against each input's asserted set.
+// Merge combines K same-schema streams into one: the recombining end of an
+// exchange, and the plan's UNION. Tuples pass through in arrival order;
+// embedded punctuation is aligned (aligner): a pattern is emitted downstream
+// only once every live input has asserted punctuation implying it.
 //
 // Feedback fans out to every input: the downstream consumer asserted the
-// pattern over the whole merged stream, so each partition's share of it is
-// unwanted; partitions that could never produce it are over-delivered,
+// pattern over the whole merged stream, so each input's share of it is
+// unwanted; inputs that could never produce it are over-delivered,
 // which assumed feedback's advisory semantics make safe (§4.2).
 type Merge struct {
 	exec.Responding
 	OpName string
 	Schema stream.Schema
 	K      int
-	// Mode/Propagate as in Union: Merge itself is stateless so its only
+	// Mode/Propagate as in Select: Merge itself is stateless so its only
 	// exploitation is an input guard.
 	Mode      FeedbackMode
 	Propagate bool
 
 	guards *core.GuardTable
-	ins    []mergeInput
-	// wmOut/wmOutSet track the merged (aligned) frontier per attribute so
-	// non-advancing arrivals emit nothing.
-	wmOut    []int64
-	wmOutSet []bool
-	// pending holds generic (non-watermark) patterns not yet covered by
-	// every live input.
-	pending []punct.Pattern
+	align  aligner
 
 	in, out, suppressed, aligned int64
-}
-
-// mergeInput is per-input alignment state.
-type mergeInput struct {
-	eos bool
-	// wm/wmSet hold the inclusive per-attribute watermark this input has
-	// punctuated (fast path).
-	wm    []int64
-	wmSet []bool
-	// asserted holds generic punctuation patterns this input has emitted,
-	// with subsumed entries replaced in place.
-	asserted []punct.Pattern
 }
 
 // Name implements exec.Operator.
@@ -355,15 +329,9 @@ func (m *Merge) OutSchemas() []stream.Schema { return []stream.Schema{m.Schema} 
 
 // Open implements exec.Operator.
 func (m *Merge) Open(exec.Context) error {
-	arity := m.Schema.Arity()
-	m.Bind(m, m.Mode, m.Propagate, 1, arity)
+	m.Bind(m, m.Mode, m.Propagate, 1, m.Schema.Arity())
 	m.guards = m.OutTables()[0]
-	m.ins = make([]mergeInput, m.k())
-	for i := range m.ins {
-		m.ins[i] = mergeInput{wm: make([]int64, arity), wmSet: make([]bool, arity)}
-	}
-	m.wmOut = make([]int64, arity)
-	m.wmOutSet = make([]bool, arity)
+	m.align = newAligner(m.Schema, m.k())
 	return nil
 }
 
@@ -383,269 +351,52 @@ func (m *Merge) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error 
 	return nil
 }
 
-// watermarkShape decomposes a single-attribute ≤/< punctuation over an
-// integer-ordered domain into (attribute, inclusive bound). It allocates
-// nothing (contrast Pattern.Bound).
-func watermarkShape(p punct.Pattern) (attr int, incl int64, ok bool) {
-	attr = -1
-	for i := 0; i < p.Arity(); i++ {
-		pr := p.Pred(i)
-		if pr.IsWild() {
-			continue
-		}
-		if attr >= 0 {
-			return -1, 0, false // more than one bound attribute
-		}
-		if pr.Val.Kind != stream.KindInt && pr.Val.Kind != stream.KindTime {
-			return -1, 0, false
-		}
-		switch pr.Op {
-		case punct.LE:
-			incl = pr.Val.I
-		case punct.LT:
-			incl = pr.Val.I - 1
-		default:
-			return -1, 0, false
-		}
-		attr = i
-	}
-	if attr < 0 {
-		return -1, 0, false
-	}
-	return attr, incl, true
-}
-
-// attrValue rebuilds a value of the attribute's kind from the int64
-// watermark domain.
-func (m *Merge) attrValue(attr int, v int64) stream.Value {
-	if m.Schema.Field(attr).Kind == stream.KindTime {
-		return stream.TimeMicros(v)
-	}
-	return stream.Int(v)
-}
-
 // ProcessPunct implements exec.Operator: record the input's guarantee and
 // emit it downstream only once every live input covers it.
 func (m *Merge) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error {
 	if input < 0 || input >= m.k() {
 		return fmt.Errorf("op: merge %q: punctuation on unexpected input %d", m.Name(), input)
 	}
-	if e.Pattern.Arity() != m.Schema.Arity() {
-		return nil // not a pattern over this stream; consume it
-	}
-	if attr, incl, ok := watermarkShape(e.Pattern); ok {
-		in := &m.ins[input]
-		if !in.wmSet[attr] || incl > in.wm[attr] {
-			in.wmSet[attr] = true
-			in.wm[attr] = incl
-			in.pruneAsserted(m)
-		}
-		m.advanceWatermark(attr, ctx)
-		m.recheckPending(ctx)
-		return nil
-	}
-	in := &m.ins[input]
-	if !in.wmCovers(e.Pattern, m) {
-		// The input's own frontier already covering the pattern makes
-		// storing it redundant (covers checks the frontier first).
-		in.assert(e.Pattern)
-	}
-	if !m.pendingHas(e.Pattern) {
-		m.pending = append(m.pending, e.Pattern)
-	}
-	m.recheckPending(ctx)
+	m.emitAligned(m.align.punct(input, e.Pattern), ctx)
 	return nil
 }
 
-// assert records a generic punctuation pattern, replacing any entry the new
-// pattern subsumes (q ⇒ p means p's no-more guarantee covers q's) and
-// dropping the new pattern when an existing entry already covers it.
-func (in *mergeInput) assert(p punct.Pattern) {
-	for i, q := range in.asserted {
-		if p.Implies(q) {
-			return // existing guarantee already covers p
-		}
-		if q.Implies(p) {
-			in.asserted[i] = p // p covers strictly more; replace in place
-			return
-		}
-	}
-	in.asserted = append(in.asserted, p)
-}
-
-// wmCovers reports whether this input's watermark frontier alone covers
-// p: p ⇒ [*,…,≤wm@a,…,*] iff p's predicate at a implies ≤wm, and one
-// covered conjunct excludes the whole tuple.
-func (in *mergeInput) wmCovers(p punct.Pattern, m *Merge) bool {
-	for a := 0; a < p.Arity(); a++ {
-		if in.wmSet[a] && p.Pred(a).Implies(punct.Le(m.attrValue(a, in.wm[a]))) {
-			return true
-		}
-	}
-	return false
-}
-
-// covers reports whether this input's accumulated guarantees promise that
-// no more tuples matching p will arrive from it.
-func (in *mergeInput) covers(p punct.Pattern, m *Merge) bool {
-	if in.eos {
-		return true
-	}
-	if in.wmCovers(p, m) {
-		return true
-	}
-	for _, q := range in.asserted {
-		if p.Implies(q) {
-			return true
-		}
-	}
-	return false
-}
-
-// pruneAsserted drops asserted patterns the input's own watermark frontier
-// now subsumes: anything they could cover, the frontier covers too, so the
-// generic list stays bounded on long-running streams whenever patterns
-// carry a bound on a punctuated (delimited, §4.4) attribute. Patterns
-// binding only never-punctuated attributes accumulate — the same inherent
-// growth as punct.Scheme's closed-value sets.
-func (in *mergeInput) pruneAsserted(m *Merge) {
-	if len(in.asserted) == 0 {
-		return
-	}
-	kept := in.asserted[:0]
-	for _, q := range in.asserted {
-		if !in.wmCovers(q, m) {
-			kept = append(kept, q)
-		}
-	}
-	for i := len(kept); i < len(in.asserted); i++ {
-		in.asserted[i] = punct.Pattern{} // release dropped patterns to the GC
-	}
-	in.asserted = kept
-}
-
-// coveredByAll reports whether every live input covers p.
-func (m *Merge) coveredByAll(p punct.Pattern) bool {
-	for i := range m.ins {
-		if !m.ins[i].covers(p, m) {
-			return false
-		}
-	}
-	return true
-}
-
-// advanceWatermark folds per-input frontiers on one attribute and emits the
-// aligned minimum when it advances. Inputs at EOS no longer constrain it;
-// a live input that has never punctuated the attribute blocks alignment
-// (it may still produce arbitrarily old tuples).
-func (m *Merge) advanceWatermark(attr int, ctx exec.Context) {
-	var minv int64
-	first := true
-	for i := range m.ins {
-		in := &m.ins[i]
-		if in.eos {
-			continue
-		}
-		if !in.wmSet[attr] {
-			return
-		}
-		if first || in.wm[attr] < minv {
-			minv = in.wm[attr]
-			first = false
-		}
-	}
-	if first {
-		return // every input at EOS: nothing left to assert
-	}
-	if m.wmOutSet[attr] && minv <= m.wmOut[attr] {
-		return
-	}
-	m.wmOutSet[attr] = true
-	m.wmOut[attr] = minv
-	m.emitAligned(punct.OnAttr(m.Schema.Arity(), attr, punct.Le(m.attrValue(attr, minv))), ctx)
-}
-
-// outCovers reports whether the already-emitted merged frontier subsumes
-// p, making a separate emission redundant.
-func (m *Merge) outCovers(p punct.Pattern) bool {
-	for a := 0; a < p.Arity(); a++ {
-		if m.wmOutSet[a] && p.Pred(a).Implies(punct.Le(m.attrValue(a, m.wmOut[a]))) {
-			return true
-		}
-	}
-	return false
-}
-
-// recheckPending re-tests pending generic patterns, emitting the newly
-// covered ones in arrival order and dropping ones the emitted frontier
-// already subsumes (late or duplicate punctuation stays bounded).
-func (m *Merge) recheckPending(ctx exec.Context) {
-	if len(m.pending) == 0 {
-		return
-	}
-	kept := m.pending[:0]
-	for _, p := range m.pending {
-		switch {
-		case m.outCovers(p):
-			// Already promised downstream; drop silently.
-		case m.coveredByAll(p):
-			m.emitAligned(p, ctx)
-		default:
-			kept = append(kept, p)
-		}
-	}
-	for i := len(kept); i < len(m.pending); i++ {
-		m.pending[i] = punct.Pattern{}
-	}
-	m.pending = kept
-}
-
-func (m *Merge) pendingHas(p punct.Pattern) bool {
-	for _, q := range m.pending {
-		if p.Equal(q) {
-			return true
-		}
-	}
-	return false
-}
-
-// emitAligned forwards an aligned pattern downstream and lets it expire
+// emitAligned forwards aligned patterns downstream and lets them expire
 // matching guards (the merged stream now promises the subset complete).
-func (m *Merge) emitAligned(p punct.Pattern, ctx exec.Context) {
-	e := punct.NewEmbedded(p)
-	m.Observe(core.Output, e)
-	m.aligned++
-	ctx.EmitPunct(e)
+func (m *Merge) emitAligned(ps []punct.Pattern, ctx exec.Context) {
+	for _, p := range ps {
+		e := punct.NewEmbedded(p)
+		m.Observe(core.Output, e)
+		m.aligned++
+		ctx.EmitPunct(e)
+	}
 }
 
 // ProcessEOS implements exec.Operator: the ended input stops constraining
-// alignment, which may release watermarks and pending patterns.
+// alignment, which may release frontiers and pending patterns.
 func (m *Merge) ProcessEOS(input int, ctx exec.Context) error {
 	if input < 0 || input >= m.k() {
 		return fmt.Errorf("op: merge %q: EOS on unexpected input %d", m.Name(), input)
 	}
-	m.ins[input].eos = true
-	for a := 0; a < m.Schema.Arity(); a++ {
-		m.advanceWatermark(a, ctx)
-	}
-	m.recheckPending(ctx)
+	m.emitAligned(m.align.eos(input), ctx)
 	return nil
 }
 
 // Characterize implements core.Characterizer: guard the inputs and fan the
-// feedback to every partition. The issuer asserted the pattern over the whole
-// merged stream, so each partition's share of the subset is covered;
-// partitions that could never produce it receive an over-delivery that
-// advisory semantics make harmless.
+// feedback to every one of them — the mapping is the identity, so propagation
+// is always safe. The issuer asserted the pattern over the whole merged
+// stream, so each input's share of the subset is covered; inputs that could
+// never produce it receive an over-delivery that advisory semantics make
+// harmless.
 func (m *Merge) Characterize(_ int, f core.Feedback) core.ResponsePlan {
-	return core.Stateless(f, []core.Action{core.ActGuardInput}, identities(m.k(), m.Schema.Arity())...)
+	maps := make([]core.AttrMap, m.k())
+	for i := range maps {
+		maps[i] = core.Identity(m.Schema.Arity())
+	}
+	return core.Stateless(f, []core.Action{core.ActGuardInput}, maps...)
 }
 
 // Stats reports tuple and alignment accounting.
 func (m *Merge) Stats() (in, out, suppressed, aligned int64) {
 	return m.in, m.out, m.suppressed, m.aligned
 }
-
-// PendingAlignments reports how many generic patterns await coverage
-// (diagnostics; the watermark fast path never pends).
-func (m *Merge) PendingAlignments() int { return len(m.pending) }

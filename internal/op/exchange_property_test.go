@@ -1,95 +1,235 @@
-package op
+package op_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/exec"
+	"repro/internal/op"
+	"repro/internal/plan"
 	"repro/internal/punct"
 	"repro/internal/queue"
+	"repro/internal/stream"
 )
 
-// TestMergeAlignmentProperty drives K partition streams with randomly
-// interleaved tuples and watermark punctuation through the concurrent
-// runtime (run under -race in CI) and checks the alignment safety
-// property on the merged stream: punctuation is a promise, so no tuple
-// matching an already-emitted pattern may appear after it. One partition
-// goes EOS early each round; the run completing at all is the liveness
-// half (alignment must not deadlock waiting on an ended input).
-func TestMergeAlignmentProperty(t *testing.T) {
-	for round := int64(0); round < 12; round++ {
-		round := round
-		t.Run(fmt.Sprintf("round=%d", round), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(41 + round))
-			k := 2 + rng.Intn(3)
-
-			g := exec.NewGraph()
-			g.SetQueueOptions(queue.Options{PageSize: 1 + rng.Intn(8)})
-			mg := &Merge{Schema: trafficSchema, K: k, Mode: FeedbackExploit, Propagate: true}
-			ports := make([]exec.Port, k)
-			for part := 0; part < k; part++ {
-				n := 40 + rng.Intn(120)
-				if part == k-1 {
-					n = 1 + rng.Intn(5) // this partition ends early
-				}
-				src := &exec.SliceSource{
-					SourceName: fmt.Sprintf("part%d", part),
-					Schema:     trafficSchema,
-					Items:      partitionScript(rng, int64(part), n),
-					BatchSize:  1 + rng.Intn(4),
-				}
-				ports[part] = exec.From(g.AddSource(src))
+// fanIns are the three ways a plan gets a K-input fan-in. All of them align
+// punctuation through one mechanism, so one suite holds them to one rule.
+var fanIns = []struct {
+	name  string
+	build func(t *testing.T, k int) exec.Operator
+}{
+	{"merge", func(_ *testing.T, k int) exec.Operator {
+		return &op.Merge{Schema: readings, K: k, Mode: op.FeedbackExploit, Propagate: true}
+	}},
+	{"plan union", func(t *testing.T, k int) exec.Operator {
+		b := plan.New()
+		ins := make([]plan.Stream, k)
+		for i := range ins {
+			ins[i] = b.Source(exec.NewSliceSource(fmt.Sprintf("in%d", i), readings))
+		}
+		ins[0].Union("u", ins[1:]...)
+		if err := b.Err(); err != nil {
+			t.Fatal(err)
+		}
+		g := b.Graph()
+		for id := exec.NodeID(0); int(id) < g.NumNodes(); id++ {
+			if !g.IsSource(id) && g.NameAt(id) == "u" {
+				return g.OperatorAt(id)
 			}
-			mid := g.Add(mg, ports...)
-			sink := exec.NewCollector("sink", trafficSchema)
-			g.Add(sink, exec.From(mid))
+		}
+		t.Fatal("plan has no union node")
+		return nil
+	}},
+	{"pace", func(_ *testing.T, k int) exec.Operator {
+		return &op.Pace{Schema: readings, K: k, TsAttr: 2, Tolerance: 0}
+	}},
+}
 
-			done := make(chan error, 1)
-			go func() { done <- g.Run() }()
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
+// fanInStep is one delivery to a fan-in: a tuple, a punctuation, or (both
+// zero) the input's EOS.
+type fanInStep struct {
+	input int
+	tuple stream.Tuple
+	punct *punct.Pattern
+}
+
+func tsLE(us int64) punct.Pattern {
+	return punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(us)))
+}
+
+func segClosed(seg int64) punct.Pattern {
+	return punct.OnAttr(4, 0, punct.Eq(stream.Int(seg)))
+}
+
+func punctStep(input int, p punct.Pattern) fanInStep { return fanInStep{input: input, punct: &p} }
+
+// fanInScripts are the fixed histories; want is the exact punctuation the
+// fan-in must emit. The first two failed for UNION and PACE while each kept
+// its own single-attribute watermark.
+var fanInScripts = []struct {
+	name  string
+	k     int
+	steps []fanInStep
+	want  []punct.Pattern
+}{
+	{"an input's EOS does not repeat a frontier that did not advance", 2,
+		[]fanInStep{punctStep(0, tsLE(10)), punctStep(1, tsLE(10)), {input: 1}},
+		[]punct.Pattern{tsLE(10)}},
+	{"a non-progress pattern every input asserts is forwarded", 2,
+		[]fanInStep{punctStep(0, segClosed(5)), punctStep(1, segClosed(5))},
+		[]punct.Pattern{segClosed(5)}},
+	{"the frontier is the minimum over live inputs", 3,
+		[]fanInStep{punctStep(0, tsLE(500)), punctStep(1, tsLE(300)), {input: 2}, punctStep(0, tsLE(400)), {input: 1}},
+		[]punct.Pattern{tsLE(300), tsLE(500)}},
+}
+
+// TestFanInAlignmentProperty drives every fan-in with the fixed histories
+// and with seeded random ones, and checks the alignment rule on what comes
+// out: a punctuation is emitted only when every live input has asserted
+// punctuation implying it, none is emitted twice, and — punctuation being a
+// promise — no tuple matching one appears after it.
+func TestFanInAlignmentProperty(t *testing.T) {
+	for _, fi := range fanIns {
+		for _, sc := range fanInScripts {
+			t.Run(fi.name+"/"+sc.name, func(t *testing.T) {
+				got := runFanIn(t, fi.build(t, sc.k), sc.k, sc.steps)
+				if len(got) != len(sc.want) {
+					t.Fatalf("emitted %v, want %v", got, sc.want)
 				}
-			case <-time.After(60 * time.Second):
-				t.Fatal("partitioned run deadlocked")
-			}
-
-			// Safety: no tuple matching an earlier emitted pattern.
-			var promised []punct.Pattern
-			for i, it := range sink.Items() {
-				switch it.Kind {
-				case queue.ItemPunct:
-					promised = append(promised, it.Punct.Pattern)
-				case queue.ItemTuple:
-					for _, p := range promised {
-						if p.Matches(it.Tuple) {
-							t.Fatalf("item %d: tuple %v arrived after punctuation %v promised its subset complete",
-								i, it.Tuple, p)
-						}
+				for i := range got {
+					if !got[i].Equal(sc.want[i]) {
+						t.Fatalf("emitted %v, want %v", got, sc.want)
 					}
 				}
-			}
-		})
+			})
+		}
+		for seed := int64(0); seed < 12; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", fi.name, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(41 + seed))
+				k := 3 + rng.Intn(2) // one input ends early: at least two stay live
+				steps, horizon := randomFanInScript(rng, k)
+				got := runFanIn(t, fi.build(t, k), k, steps)
+				// Liveness: every input asserted ≤horizon before any ended.
+				for _, p := range got {
+					if p.Equal(tsLE(horizon)) {
+						return
+					}
+				}
+				t.Fatalf("every input asserted %v but the fan-in never did: %v", tsLE(horizon), got)
+			})
+		}
 	}
 }
 
-// partitionScript builds one partition's substream: strictly increasing
-// timestamps with punctuation inserted at random points, each asserting
-// exactly the prefix already emitted (correct per-partition watermark
-// discipline).
-func partitionScript(rng *rand.Rand, seg int64, n int) []queue.Item {
-	var items []queue.Item
-	ts := int64(0)
-	for i := 0; i < n; i++ {
-		ts += 1 + int64(rng.Intn(500))
-		items = append(items, queue.TupleItem(traffic(seg, int64(i%7), ts, 40+float64(rng.Intn(30)))))
-		if rng.Intn(4) == 0 {
-			items = append(items, queue.PunctItem(tsPunct(ts)))
+// runFanIn delivers steps to o and checks every emission against a plain
+// record of what each input has asserted. It returns the emitted punctuation.
+func runFanIn(t *testing.T, o exec.Operator, k int, steps []fanInStep) []punct.Pattern {
+	t.Helper()
+	h := exec.NewHarness(o)
+	asserted := make([][]punct.Pattern, k)
+	ended := make([]bool, k)
+	var emitted []punct.Pattern
+	seen := 0
+	for n, st := range steps {
+		switch {
+		case st.punct != nil:
+			asserted[st.input] = append(asserted[st.input], *st.punct)
+			h.Punct(st.input, punct.NewEmbedded(*st.punct))
+		case st.tuple.Arity() > 0:
+			h.Tuple(st.input, st.tuple)
+		default:
+			ended[st.input] = true
+			h.EOS(st.input)
+		}
+		if err := h.Err(); err != nil {
+			t.Fatal(err)
+		}
+		out := h.Out(0)
+		for _, it := range out[seen:] {
+			switch it.Kind {
+			case queue.ItemTuple:
+				for _, p := range emitted {
+					if p.Matches(it.Tuple) {
+						t.Fatalf("step %d: tuple %v after punctuation %v promised its subset complete", n, it.Tuple, p)
+					}
+				}
+			case queue.ItemPunct:
+				p := it.Punct.Pattern
+				for _, q := range emitted {
+					if p.Equal(q) {
+						t.Fatalf("step %d: %v emitted twice", n, p)
+					}
+				}
+				for i := 0; i < k; i++ {
+					covered := ended[i]
+					for _, q := range asserted[i] {
+						covered = covered || p.Implies(q)
+					}
+					if !covered {
+						t.Fatalf("step %d: %v emitted while live input %d has asserted only %v", n, p, i, asserted[i])
+					}
+				}
+				emitted = append(emitted, p)
+			}
+		}
+		seen = len(out)
+	}
+	return emitted
+}
+
+// randomFanInScript interleaves k inputs' substreams: timestamps increase
+// per input, progress punctuation asserts exactly the prefix already sent,
+// "segment closed" punctuation is followed by no tuple of that segment, and
+// the last input ends early. Every input finally asserts ≤horizon, then ends.
+func randomFanInScript(rng *rand.Rand, k int) (steps []fanInStep, horizon int64) {
+	ts := make([]int64, k)
+	closed := make([]map[int64]bool, k)
+	left := make([]int, k)
+	for i := range left {
+		closed[i] = map[int64]bool{}
+		left[i] = 40 + rng.Intn(120)
+	}
+	left[k-1] = 1 + rng.Intn(5)
+	for live := k; live > 0; {
+		i := rng.Intn(k)
+		if left[i] < 0 {
+			continue
+		}
+		if left[i] == 0 {
+			left[i] = -1
+			live--
+			if i == k-1 {
+				steps = append(steps, fanInStep{input: i}) // ends early
+			}
+			continue
+		}
+		left[i]--
+		switch r := rng.Intn(8); {
+		case r == 0:
+			steps = append(steps, punctStep(i, tsLE(ts[i])))
+		case r == 1:
+			if seg := int64(rng.Intn(4)); !closed[i][seg] { // asserted once per input
+				closed[i][seg] = true
+				steps = append(steps, punctStep(i, segClosed(seg)))
+			}
+		default:
+			seg := int64(rng.Intn(6))
+			for closed[i][seg] {
+				seg++
+			}
+			ts[i] += 1 + int64(rng.Intn(500))
+			steps = append(steps, fanInStep{input: i, tuple: reading(seg, int64(rng.Intn(7)), ts[i], 40+float64(rng.Intn(30)))})
 		}
 	}
-	items = append(items, queue.PunctItem(tsPunct(ts)))
-	return items
+	for _, v := range ts {
+		horizon = max(horizon, v)
+	}
+	for i := 0; i < k-1; i++ {
+		steps = append(steps, punctStep(i, tsLE(horizon)))
+	}
+	for i := 0; i < k-1; i++ {
+		steps = append(steps, fanInStep{input: i})
+	}
+	return steps, horizon
 }

@@ -234,16 +234,16 @@ func TestMergeAlignsGenericPatterns(t *testing.T) {
 	if got := h.OutPuncts(0); len(got) != 0 {
 		t.Fatalf("partition 2 has not covered segment 5 yet: %v", got)
 	}
-	if m.PendingAlignments() != 1 {
-		t.Fatalf("pending = %d, want 1", m.PendingAlignments())
+	if len(m.align.pending) != 1 {
+		t.Fatalf("pending = %d, want 1", len(m.align.pending))
 	}
 	h.Punct(2, seg5)
 	got := h.OutPuncts(0)
 	if len(got) != 1 || !got[0].Pattern.Equal(seg5.Pattern) {
 		t.Fatalf("unanimous generic pattern must be forwarded: %v", got)
 	}
-	if m.PendingAlignments() != 0 {
-		t.Fatalf("pending not drained: %d", m.PendingAlignments())
+	if len(m.align.pending) != 0 {
+		t.Fatalf("pending not drained: %d", len(m.align.pending))
 	}
 }
 
@@ -292,34 +292,45 @@ func TestMergeRejectsUnexpectedInput(t *testing.T) {
 	}
 }
 
-// TestMergeAlignmentZeroAlloc pins the acceptance bar: the steady-state
-// alignment path — a punctuation arrival that does not advance the merged
-// frontier, with no generic patterns pending — performs no allocation.
-func TestMergeAlignmentZeroAlloc(t *testing.T) {
-	m := newMerge(4)
-	h := exec.NewHarness(m)
-	// Partition 3 lags at ts=100, pinning the frontier; 0..2 run ahead.
-	for i := 0; i < 3; i++ {
-		h.Punct(i, tsPunct(100))
-	}
-	h.Punct(3, tsPunct(100)) // frontier emitted here, once
-	probes := []punct.Embedded{tsPunct(5_000), tsPunct(6_000), tsPunct(7_000)}
-	if h.Err() != nil {
-		t.Fatal(h.Err())
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		e := probes[i%len(probes)]
-		if err := m.ProcessPunct(i%3, e, h); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("merge alignment steady state allocates %.1f allocs/op, want 0", allocs)
-	}
-	if got := h.OutPuncts(0); len(got) != 1 {
-		t.Fatalf("laggard never advanced; only the initial frontier may be emitted: %v", got)
+// TestPunctuationSteadyStateZeroAlloc pins the punctuation path that does
+// no work at 0 allocs/op: at a fan-in, an arrival that does not advance the
+// aligned frontier, with no pattern pending; at an aggregate, progress that
+// closes no window. Reading the punctuation (punct.Pattern.Progress) is all
+// either does.
+func TestPunctuationSteadyStateZeroAlloc(t *testing.T) {
+	for name, o := range map[string]exec.Operator{
+		"merge":     newMerge(4),
+		"pace":      &Pace{Schema: trafficSchema, K: 4, TsAttr: 2, Tolerance: 100},
+		"aggregate": minuteAvg(FeedbackExploit, false),
+	} {
+		t.Run(name, func(t *testing.T) {
+			h := exec.NewHarness(o)
+			// Every input at ts=100: a fan-in emits that frontier, once. Its
+			// last input stays there, pinning it, while the others run ahead;
+			// the aggregate's first minute stays open throughout.
+			k := len(o.InSchemas())
+			for i := 0; i < k; i++ {
+				h.Punct(i, tsPunct(100))
+			}
+			if h.Err() != nil {
+				t.Fatal(h.Err())
+			}
+			emitted := len(h.OutPuncts(0))
+			probes := []punct.Embedded{tsPunct(5_000), tsPunct(6_000), tsPunct(7_000)}
+			i := 0
+			allocs := testing.AllocsPerRun(1000, func() {
+				if err := o.ProcessPunct(i%max(1, k-1), probes[i%len(probes)], h); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state punctuation allocates %.1f allocs/op, want 0", allocs)
+			}
+			if got := h.OutPuncts(0); len(got) != emitted {
+				t.Fatalf("the probes advance nothing, yet punctuation was emitted: %v", got)
+			}
+		})
 	}
 }
 
@@ -411,21 +422,21 @@ func TestMergeAlignmentStateBounded(t *testing.T) {
 		pat := punct.OnAttr(4, 0, punct.Eq(stream.Int(k))).With(2, punct.Le(stream.TimeMicros(k*100)))
 		h.Punct(0, punct.NewEmbedded(pat))
 	}
-	if got := len(m.ins[0].asserted); got != 50 {
+	if got := len(m.align.ins[0].asserted); got != 50 {
 		t.Fatalf("asserted = %d, want 50", got)
 	}
-	if got := m.PendingAlignments(); got != 50 {
+	if got := len(m.align.pending); got != 50 {
 		t.Fatalf("pending = %d, want 50", got)
 	}
 	// Input 0's watermark passes every bound: its asserted list drains.
 	h.Punct(0, tsPunct(10_000))
-	if got := len(m.ins[0].asserted); got != 0 {
+	if got := len(m.align.ins[0].asserted); got != 0 {
 		t.Fatalf("asserted after watermark = %d, want 0", got)
 	}
 	// Input 1 catches up: the merged frontier ≤10000 is emitted and
 	// subsumes every pending pattern — dropped, not re-emitted.
 	h.Punct(1, tsPunct(10_000))
-	if got := m.PendingAlignments(); got != 0 {
+	if got := len(m.align.pending); got != 0 {
 		t.Fatalf("pending after frontier = %d, want 0", got)
 	}
 	got := h.OutPuncts(0)
@@ -435,9 +446,9 @@ func TestMergeAlignmentStateBounded(t *testing.T) {
 	// A late duplicate below the frontier neither re-pends nor re-asserts.
 	late := punct.OnAttr(4, 0, punct.Eq(stream.Int(1))).With(2, punct.Le(stream.TimeMicros(100)))
 	h.Punct(0, punct.NewEmbedded(late))
-	if len(m.ins[0].asserted) != 0 || m.PendingAlignments() != 0 {
+	if len(m.align.ins[0].asserted) != 0 || len(m.align.pending) != 0 {
 		t.Fatalf("late covered pattern must not accumulate state: asserted=%d pending=%d",
-			len(m.ins[0].asserted), m.PendingAlignments())
+			len(m.align.ins[0].asserted), len(m.align.pending))
 	}
 	if h.Err() != nil {
 		t.Fatal(h.Err())

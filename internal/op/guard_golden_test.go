@@ -117,3 +117,39 @@ func TestGuardTableBytesGolden(t *testing.T) {
 		}
 	})
 }
+
+// goldenMergeState was captured from the history below at the commit before
+// Merge's alignment moved into the aligner it shares with Pace: the blob —
+// per-input frontiers and asserted patterns, the asserted frontier, the
+// pending list, then guards and counters — keeps its bytes, and restores.
+const goldenMergeState = "060000000801d00f01000002010401010a0000000000000000f80a01000004010401010a000000010401010e000404904e00010000000090030100000000000000f80a01000002010401010e000404904e000200010401010400000006766965776572020606040206"
+
+func TestMergeStateBytesGolden(t *testing.T) {
+	build := func() (*Merge, *exec.Harness) {
+		m := &Merge{OpName: "m", Schema: trafficSchema, K: 3, Mode: FeedbackExploit, Propagate: true}
+		return m, exec.NewHarness(m)
+	}
+	m, h := build()
+	h.Tuple(0, traffic(1, 1, 10, 50))
+	h.Tuple(1, traffic(2, 1, 20, 55))
+	h.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(4, 0, punct.Eq(stream.Int(2))), 1, 3))
+	h.Tuple(2, traffic(2, 2, 30, 60)) // suppressed
+	h.Punct(0, tsPunct(1000))
+	h.Punct(1, tsPunct(700))
+	h.Punct(2, tsPunct(200))                                                   // aligned: ≤200
+	h.Punct(0, punct.NewEmbedded(punct.OnAttr(4, 1, punct.Le(stream.Int(4))))) // a second attribute's frontier, one input only
+	seg5 := punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(5))))
+	h.Punct(0, seg5)
+	h.Punct(1, seg5)
+	// Covered by input 0's frontier (≤1000), not by input 1's: stays pending.
+	h.Punct(1, punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(7))).With(2, punct.Le(stream.TimeMicros(5000)))))
+	h.EOS(2) // releases ≤700 and segment 5
+	if err := h.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.OutPuncts(0); len(got) != 3 || len(m.align.pending) != 1 {
+		t.Fatalf("history emitted %v with %d pending, want 3 and 1", got, len(m.align.pending))
+	}
+	twin, _ := build()
+	checkGolden(t, "merge", goldenMergeState, m, twin)
+}

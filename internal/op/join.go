@@ -404,15 +404,20 @@ func (j *Join) checkThrifty(probeWM int64, ctx exec.Context) {
 	}
 }
 
+// watermark is one input's progress on its timestamp attribute.
+type watermark struct {
+	set bool
+	v   int64 // inclusive progress bound, micros/int domain
+	eos bool
+}
+
+// tsValue is v as a value of input's timestamp attribute.
 func (j *Join) tsValue(input int, v int64) stream.Value {
 	sch, attr := j.Left, j.LeftTs
 	if input == 1 {
 		sch, attr = j.Right, j.RightTs
 	}
-	if sch.Field(attr).Kind == stream.KindTime {
-		return stream.TimeMicros(v)
-	}
-	return stream.Int(v)
+	return stream.Ordinal(sch.Field(attr).Kind, v)
 }
 
 // ProcessPunct implements exec.Operator: timestamp punctuation purges the
@@ -422,22 +427,8 @@ func (j *Join) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error
 		return j.errInput("punctuation", input)
 	}
 	j.Observe(input, e)
-	tsAttr := j.tsAttr(input)
-	if tsAttr < 0 {
-		return nil
-	}
-	bound := e.Pattern.Bound()
-	if len(bound) != 1 || bound[0] != tsAttr {
-		return nil
-	}
-	pr := e.Pattern.Pred(tsAttr)
-	var wm int64
-	switch pr.Op {
-	case punct.LE:
-		wm = pr.Val.I
-	case punct.LT:
-		wm = pr.Val.I - 1
-	default:
+	attr, wm, ok := e.Pattern.Progress()
+	if !ok || attr != j.tsAttr(input) {
 		return nil
 	}
 	if w := &j.wm[input]; !w.set || wm > w.v {

@@ -59,7 +59,7 @@ type Pace struct {
 	lastCutoff   int64
 	cutoffSet    bool
 	feedbackSeq  int64
-	wm           []watermark
+	align        aligner
 	perIn        []PaceInputStats
 	feedbackSent int64
 }
@@ -99,7 +99,7 @@ func (p *Pace) OutSchemas() []stream.Schema { return []stream.Schema{p.Schema} }
 
 // Open implements exec.Operator.
 func (p *Pace) Open(exec.Context) error {
-	p.wm = make([]watermark, p.k())
+	p.align = newAligner(p.Schema, p.k())
 	p.perIn = make([]PaceInputStats, p.k())
 	return nil
 }
@@ -153,7 +153,7 @@ func (p *Pace) maybeFeedback(ctx exec.Context) {
 	// that subset (a tuple at the cutoff itself still passes).
 	f := core.Feedback{
 		Intent:  core.Assumed,
-		Pattern: punct.OnAttr(p.Schema.Arity(), p.TsAttr, punct.Lt(p.tsValue(cutoff))),
+		Pattern: punct.OnAttr(p.Schema.Arity(), p.TsAttr, punct.Lt(stream.Ordinal(p.Schema.Field(p.TsAttr).Kind, cutoff))),
 		Origin:  p.Name(),
 		Seq:     p.feedbackSeq,
 	}
@@ -163,64 +163,17 @@ func (p *Pace) maybeFeedback(ctx exec.Context) {
 	p.feedbackSent++
 }
 
-func (p *Pace) tsValue(v int64) stream.Value {
-	if p.Schema.Field(p.TsAttr).Kind == stream.KindTime {
-		return stream.TimeMicros(v)
-	}
-	return stream.Int(v)
-}
-
-// ProcessPunct implements exec.Operator: progress punctuation is combined
-// across inputs like UNION's.
+// ProcessPunct implements exec.Operator: punctuation is aligned across the
+// inputs exactly as Merge aligns it. Dropping late tuples only removes tuples
+// from the combined stream, so every aligned promise still holds on it.
 func (p *Pace) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error {
 	if input < 0 || input >= p.k() {
 		return fmt.Errorf("op: pace %q: punctuation on unexpected input %d (have %d inputs; check plan wiring)", p.Name(), input, p.k())
 	}
-	bound := e.Pattern.Bound()
-	if len(bound) != 1 || bound[0] != p.TsAttr {
-		return nil
-	}
-	pr := e.Pattern.Pred(p.TsAttr)
-	var v int64
-	switch pr.Op {
-	case punct.LE:
-		v = pr.Val.I
-	case punct.LT:
-		v = pr.Val.I - 1
-	default:
-		return nil
-	}
-	before := p.minWM()
-	if !p.wm[input].set || v > p.wm[input].v {
-		p.wm[input].set = true
-		p.wm[input].v = v
-	}
-	if after := p.minWM(); after.set && (!before.set || after.v > before.v) {
-		ctx.EmitPunct(punct.NewEmbedded(
-			punct.OnAttr(p.Schema.Arity(), p.TsAttr, punct.Le(p.tsValue(after.v)))))
+	for _, q := range p.align.punct(input, e.Pattern) {
+		ctx.EmitPunct(punct.NewEmbedded(q))
 	}
 	return nil
-}
-
-func (p *Pace) minWM() watermark {
-	out := watermark{set: true}
-	first := true
-	for _, w := range p.wm {
-		if w.eos {
-			continue
-		}
-		if !w.set {
-			return watermark{}
-		}
-		if first || w.v < out.v {
-			out.v = w.v
-			first = false
-		}
-	}
-	if first {
-		return watermark{}
-	}
-	return out
 }
 
 // ProcessEOS implements exec.Operator.
@@ -228,10 +181,8 @@ func (p *Pace) ProcessEOS(input int, ctx exec.Context) error {
 	if input < 0 || input >= p.k() {
 		return fmt.Errorf("op: pace %q: EOS on unexpected input %d (have %d inputs; check plan wiring)", p.Name(), input, p.k())
 	}
-	p.wm[input].eos = true
-	if m := p.minWM(); m.set {
-		ctx.EmitPunct(punct.NewEmbedded(
-			punct.OnAttr(p.Schema.Arity(), p.TsAttr, punct.Le(p.tsValue(m.v)))))
+	for _, q := range p.align.eos(input) {
+		ctx.EmitPunct(punct.NewEmbedded(q))
 	}
 	return nil
 }

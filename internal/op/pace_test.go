@@ -10,67 +10,6 @@ import (
 	"repro/internal/stream"
 )
 
-func TestUnionMergesAndCombinesWatermarks(t *testing.T) {
-	u := &Union{Schema: trafficSchema, K: 2, ProgressAttr: 2}
-	h := exec.NewHarness(u)
-	h.Tuple(0, traffic(1, 1, 10, 50))
-	h.Tuple(1, traffic(2, 1, 20, 55))
-	if len(h.OutTuples(0)) != 2 {
-		t.Fatal("union must pass tuples from both inputs")
-	}
-	// Punctuation only on input 0: no output punct (input 1 unknown).
-	h.Punct(0, tsPunct(100))
-	if len(h.OutPuncts(0)) != 0 {
-		t.Fatal("union must wait for all inputs before asserting progress")
-	}
-	// Punctuation on input 1 at a lower bound: output = min.
-	h.Punct(1, tsPunct(60))
-	ps := h.OutPuncts(0)
-	if len(ps) != 1 {
-		t.Fatal("union must emit combined punctuation")
-	}
-	if got := ps[0].Pattern.Pred(2); got.Val.Micros() != 60 {
-		t.Errorf("combined watermark: %v", ps[0])
-	}
-	// Advancing the slower input advances the min.
-	h.Punct(1, tsPunct(90))
-	ps = h.OutPuncts(0)
-	if len(ps) != 2 || ps[1].Pattern.Pred(2).Val.Micros() != 90 {
-		t.Errorf("watermark must advance to 90: %v", ps)
-	}
-	// Non-advancing punctuation must not re-emit.
-	h.Punct(1, tsPunct(85))
-	if len(h.OutPuncts(0)) != 2 {
-		t.Error("regressing punctuation must not emit")
-	}
-}
-
-func TestUnionEOSReleasesWatermark(t *testing.T) {
-	u := &Union{Schema: trafficSchema, K: 2, ProgressAttr: 2}
-	h := exec.NewHarness(u)
-	h.Punct(0, tsPunct(100))
-	h.EOS(1) // input 1 is gone: min is now input 0's watermark
-	ps := h.OutPuncts(0)
-	if len(ps) != 1 || ps[0].Pattern.Pred(2).Val.Micros() != 100 {
-		t.Errorf("EOS must release the other input's watermark: %v", ps)
-	}
-}
-
-func TestUnionFeedbackPropagatesToAllInputs(t *testing.T) {
-	u := &Union{Schema: trafficSchema, K: 3, Mode: FeedbackExploit, Propagate: true}
-	h := exec.NewHarness(u)
-	h.Feedback(0, assumedOnSegment(2))
-	for i := 0; i < 3; i++ {
-		if len(h.SentFeedback(i)) != 1 {
-			t.Errorf("input %d: feedback not propagated", i)
-		}
-	}
-	h.Tuple(1, traffic(2, 1, 10, 50))
-	if len(h.OutTuples(0)) != 0 {
-		t.Error("union must also guard its own input")
-	}
-}
-
 func TestPaceDropsLateTuples(t *testing.T) {
 	p := &Pace{Schema: trafficSchema, K: 2, TsAttr: 2, Tolerance: 100}
 	h := exec.NewHarness(p)
@@ -188,17 +127,6 @@ func TestPaceFeedbackSlackDefault(t *testing.T) {
 	h.Tuple(1, traffic(1, 3, 920, 60))
 	if len(h.OutTuples(0)) != 1 {
 		t.Error("straggler within tolerance must pass")
-	}
-}
-
-func TestPaceWatermarkRelay(t *testing.T) {
-	p := &Pace{Schema: trafficSchema, K: 2, TsAttr: 2, Tolerance: 100}
-	h := exec.NewHarness(p)
-	h.Punct(0, tsPunct(500))
-	h.Punct(1, tsPunct(300))
-	ps := h.OutPuncts(0)
-	if len(ps) != 1 || ps[0].Pattern.Pred(2).Val.Micros() != 300 {
-		t.Errorf("pace watermark relay: %v", ps)
 	}
 }
 

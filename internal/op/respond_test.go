@@ -79,11 +79,7 @@ var respondCases = []respondCase{
 		build: func(m op.FeedbackMode, p bool) responder { return imputeOp(m, p) }},
 	{name: "impute (imputed attribute)", pattern: punct.OnAttr(4, 3, punct.Ge(stream.Float(50))),
 		build: func(m op.FeedbackMode, p bool) responder { return imputeOp(m, p) }},
-	{name: "union", pattern: punct.OnAttr(4, 0, punct.Eq(stream.Int(3))),
-		build: func(m op.FeedbackMode, p bool) responder {
-			return &op.Union{Schema: readings, K: 2, ProgressAttr: 2, Mode: m, Propagate: p}
-		}},
-	{name: "merge", pattern: punct.OnAttr(4, 0, punct.Eq(stream.Int(3))),
+	{name: "merge (union)", pattern: punct.OnAttr(4, 0, punct.Eq(stream.Int(3))),
 		build: func(m op.FeedbackMode, p bool) responder {
 			return &op.Merge{Schema: readings, K: 2, Mode: m, Propagate: p}
 		}},

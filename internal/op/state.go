@@ -101,7 +101,7 @@ func (a *Aggregate) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, e
 
 // encodeGroups writes the captured groups window by window in the order they
 // were captured in — slot order for a full capture, dirty-list order for a
-// delta — which is canonical (DESIGN.md §10.7): equal histories encode to
+// delta — which is canonical (DESIGN.md §10.6): equal histories encode to
 // equal bytes, in the live operator and in a twin restored from its chain.
 func (c *aggCapture) encodeGroups(enc *snapshot.Encoder) {
 	enc.PutInt(len(c.wins))
@@ -473,47 +473,124 @@ func (im *Impute) LoadState(dec *snapshot.Decoder) error {
 }
 
 // ---------------------------------------------------------------------------
+// Fan-in alignment (Merge and Pace).
+// ---------------------------------------------------------------------------
+
+// capture clones the alignment state. Patterns are immutable; the slices
+// holding them are copied.
+func (al *aligner) capture() *aligner {
+	v := &aligner{
+		schema:   al.schema,
+		ins:      make([]alignInput, len(al.ins)),
+		wmOut:    slices.Clone(al.wmOut),
+		wmOutSet: slices.Clone(al.wmOutSet),
+		pending:  slices.Clone(al.pending),
+	}
+	for i := range al.ins {
+		in := &al.ins[i]
+		v.ins[i] = alignInput{
+			eos:      in.eos,
+			wm:       slices.Clone(in.wm),
+			wmSet:    slices.Clone(in.wmSet),
+			asserted: slices.Clone(in.asserted),
+		}
+	}
+	return v
+}
+
+// encode writes the alignment state: per-input frontiers and asserted
+// patterns, the already-asserted frontier, and the pending list. All of it
+// must survive recovery, otherwise a restored fan-in could re-emit
+// punctuation it already promised (downstream would purge twice, harmless)
+// or forward a pattern a lagging input has not re-covered (unsound).
+func (al *aligner) encode(enc *snapshot.Encoder) {
+	putFrontier := func(wm []int64, set []bool) {
+		for a := range wm {
+			enc.PutInt64(wm[a])
+			enc.PutBool(set[a])
+		}
+	}
+	putPatterns := func(ps []punct.Pattern) {
+		enc.PutInt(len(ps))
+		for _, p := range ps {
+			enc.PutPattern(p)
+		}
+	}
+	enc.PutInt(len(al.ins))
+	for i := range al.ins {
+		in := &al.ins[i]
+		enc.PutBool(in.eos)
+		putFrontier(in.wm, in.wmSet)
+		putPatterns(in.asserted)
+	}
+	putFrontier(al.wmOut, al.wmOutSet)
+	putPatterns(al.pending)
+}
+
+// load reads what encode wrote into an aligner of the same fan-in; kind and
+// name identify the operator in the error for one of another.
+func (al *aligner) load(dec *snapshot.Decoder, kind, name string) error {
+	arity := al.schema.Arity()
+	getFrontier := func(wm []int64, set []bool) {
+		for a := range wm {
+			wm[a] = dec.GetInt64()
+			set[a] = dec.GetBool()
+		}
+	}
+	getPatterns := func() []punct.Pattern {
+		var ps []punct.Pattern
+		for n := dec.GetInt(); n > 0 && dec.Err() == nil; n-- {
+			ps = append(ps, dec.GetPatternArity(arity))
+		}
+		return ps
+	}
+	n := dec.GetInt()
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	if n != len(al.ins) {
+		return errInputCountChanged(kind, name, n, len(al.ins))
+	}
+	for i := range al.ins {
+		in := &al.ins[i]
+		in.eos = dec.GetBool()
+		getFrontier(in.wm, in.wmSet)
+		in.asserted = getPatterns()
+	}
+	getFrontier(al.wmOut, al.wmOutSet)
+	al.pending = getPatterns()
+	return dec.Err()
+}
+
+// ---------------------------------------------------------------------------
 // Pace.
 // ---------------------------------------------------------------------------
 
-// paceCap is the captured view of a Pace.
-type paceCap struct {
-	hw          int64
-	hwSet       bool
-	lastCutoff  int64
-	cutoffSet   bool
-	feedbackSeq int64
-	sent        int64
-	wm          []watermark
-	perIn       []PaceInputStats
-}
+// paceLayout opens every Pace state blob. It is negative because the layout
+// before it began with the high watermark, a timestamp, which no source in
+// the tree makes negative: a blob written by that build is refused, not
+// misparsed.
+const paceLayout = -1
 
 // CaptureState implements snapshot.Stater: the high watermark and
 // feedback cutoff are what make a restored PACE keep its promises — a
 // fresh one would re-admit tuples the old instance's feedback already
-// disclaimed.
+// disclaimed — and the alignment state is what keeps its punctuation sound.
 func (p *Pace) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	v := &paceCap{
-		hw: p.hw, hwSet: p.hwSet,
-		lastCutoff: p.lastCutoff, cutoffSet: p.cutoffSet,
-		feedbackSeq: p.feedbackSeq, sent: p.feedbackSent,
-		wm:    append([]watermark(nil), p.wm...),
-		perIn: append([]PaceInputStats(nil), p.perIn...),
-	}
+	hw, hwSet, lastCutoff, cutoffSet := p.hw, p.hwSet, p.lastCutoff, p.cutoffSet
+	seq, sent := p.feedbackSeq, p.feedbackSent
+	align := p.align.capture()
+	perIn := slices.Clone(p.perIn)
 	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
-		enc.PutInt64(v.hw)
-		enc.PutBool(v.hwSet)
-		enc.PutInt64(v.lastCutoff)
-		enc.PutBool(v.cutoffSet)
-		enc.PutInt64(v.feedbackSeq)
-		enc.PutInt64(v.sent)
-		enc.PutInt(len(v.wm))
-		for _, w := range v.wm {
-			enc.PutInt64(w.v)
-			enc.PutBool(w.set)
-			enc.PutBool(w.eos)
-		}
-		for _, st := range v.perIn {
+		enc.PutInt64(paceLayout)
+		enc.PutInt64(hw)
+		enc.PutBool(hwSet)
+		enc.PutInt64(lastCutoff)
+		enc.PutBool(cutoffSet)
+		enc.PutInt64(seq)
+		enc.PutInt64(sent)
+		align.encode(enc)
+		for _, st := range perIn {
 			enc.PutInt64(st.Passed)
 			enc.PutInt64(st.Dropped)
 		}
@@ -523,23 +600,17 @@ func (p *Pace) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 
 // LoadState implements snapshot.Stater.
 func (p *Pace) LoadState(dec *snapshot.Decoder) error {
+	if err := checkLayout(dec, "pace", p.Name(), paceLayout); err != nil {
+		return err
+	}
 	p.hw = dec.GetInt64()
 	p.hwSet = dec.GetBool()
 	p.lastCutoff = dec.GetInt64()
 	p.cutoffSet = dec.GetBool()
 	p.feedbackSeq = dec.GetInt64()
 	p.feedbackSent = dec.GetInt64()
-	n := dec.GetInt()
-	if n != p.k() {
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		return errInputCountChanged("pace", p.Name(), n, p.k())
-	}
-	for i := range p.wm {
-		p.wm[i].v = dec.GetInt64()
-		p.wm[i].set = dec.GetBool()
-		p.wm[i].eos = dec.GetBool()
+	if err := p.align.load(dec, "pace", p.Name()); err != nil {
+		return err
 	}
 	for i := range p.perIn {
 		p.perIn[i].Passed = dec.GetInt64()
@@ -552,74 +623,16 @@ func (p *Pace) LoadState(dec *snapshot.Decoder) error {
 // Merge.
 // ---------------------------------------------------------------------------
 
-// mergeCapIn is one captured input leg of a Merge.
-type mergeCapIn struct {
-	eos      bool
-	wm       []int64
-	wmSet    []bool
-	asserted []punct.Pattern
-}
-
-// mergeCap is the captured view of a Merge.
-type mergeCap struct {
-	ins      []mergeCapIn
-	wmOut    []int64
-	wmOutSet []bool
-	pending  []punct.Pattern
-	guards   []core.Feedback
-	counters [4]int64
-}
-
-// CaptureState implements snapshot.Stater: the alignment state —
-// per-input frontiers, asserted patterns, the pending list, and the
-// already-emitted merged frontier — must survive recovery, otherwise a
-// restored merge could re-emit punctuation it already promised (downstream
-// would purge twice, harmless) or forward a pattern a lagging partition
-// has not re-covered (unsound). Patterns are immutable; the slices holding
-// them are copied.
+// CaptureState implements snapshot.Stater: the alignment state, the guard
+// table and the counters.
 func (m *Merge) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	arity := m.Schema.Arity()
-	v := &mergeCap{
-		ins:      make([]mergeCapIn, len(m.ins)),
-		wmOut:    append([]int64(nil), m.wmOut...),
-		wmOutSet: append([]bool(nil), m.wmOutSet...),
-		pending:  append([]punct.Pattern(nil), m.pending...),
-		guards:   snapshot.GuardsView(m.guards),
-		counters: [4]int64{m.in, m.out, m.suppressed, m.aligned},
-	}
-	for i := range m.ins {
-		in := &m.ins[i]
-		v.ins[i] = mergeCapIn{
-			eos:      in.eos,
-			wm:       append([]int64(nil), in.wm...),
-			wmSet:    append([]bool(nil), in.wmSet...),
-			asserted: append([]punct.Pattern(nil), in.asserted...),
-		}
-	}
+	align := m.align.capture()
+	guards := snapshot.GuardsView(m.guards)
+	counters := [4]int64{m.in, m.out, m.suppressed, m.aligned}
 	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
-		enc.PutInt(len(v.ins))
-		for i := range v.ins {
-			in := &v.ins[i]
-			enc.PutBool(in.eos)
-			for a := 0; a < arity; a++ {
-				enc.PutInt64(in.wm[a])
-				enc.PutBool(in.wmSet[a])
-			}
-			enc.PutInt(len(in.asserted))
-			for _, p := range in.asserted {
-				enc.PutPattern(p)
-			}
-		}
-		for a := 0; a < arity; a++ {
-			enc.PutInt64(v.wmOut[a])
-			enc.PutBool(v.wmOutSet[a])
-		}
-		enc.PutInt(len(v.pending))
-		for _, p := range v.pending {
-			enc.PutPattern(p)
-		}
-		snapshot.PutGuardsView(enc, v.guards)
-		for _, c := range v.counters {
+		align.encode(enc)
+		snapshot.PutGuardsView(enc, guards)
+		for _, c := range counters {
 			enc.PutInt64(c)
 		}
 		return nil
@@ -628,35 +641,8 @@ func (m *Merge) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
 
 // LoadState implements snapshot.Stater.
 func (m *Merge) LoadState(dec *snapshot.Decoder) error {
-	arity := m.Schema.Arity()
-	n := dec.GetInt()
-	if n != m.k() {
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		return errInputCountChanged("merge", m.Name(), n, m.k())
-	}
-	for i := range m.ins {
-		in := &m.ins[i]
-		in.eos = dec.GetBool()
-		for a := 0; a < arity; a++ {
-			in.wm[a] = dec.GetInt64()
-			in.wmSet[a] = dec.GetBool()
-		}
-		np := dec.GetInt()
-		in.asserted = nil
-		for p := 0; p < np && dec.Err() == nil; p++ {
-			in.asserted = append(in.asserted, dec.GetPatternArity(arity))
-		}
-	}
-	for a := 0; a < arity; a++ {
-		m.wmOut[a] = dec.GetInt64()
-		m.wmOutSet[a] = dec.GetBool()
-	}
-	np := dec.GetInt()
-	m.pending = nil
-	for p := 0; p < np && dec.Err() == nil; p++ {
-		m.pending = append(m.pending, dec.GetPatternArity(arity))
+	if err := m.align.load(dec, "merge", m.Name()); err != nil {
+		return err
 	}
 	snapshot.GetGuards(dec, m.guards)
 	for _, c := range []*int64{&m.in, &m.out, &m.suppressed, &m.aligned} {

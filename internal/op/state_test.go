@@ -295,7 +295,7 @@ func TestJoinRefusesStaleLayout(t *testing.T) {
 
 // TestPaceStateRoundTrip: a restored PACE keeps dropping tuples its
 // pre-crash feedback disclaimed, instead of re-admitting them with a fresh
-// watermark.
+// watermark, and resumes its punctuation alignment where the cut left it.
 func TestPaceStateRoundTrip(t *testing.T) {
 	mk := func() *Pace {
 		return &Pace{OpName: "pace", Schema: trafficSchema, K: 2, TsAttr: 2,
@@ -305,11 +305,15 @@ func TestPaceStateRoundTrip(t *testing.T) {
 	h1 := exec.NewHarness(p1)
 	h1.Tuple(0, traffic(1, 1, 10_000, 50))
 	h1.Tuple(1, traffic(1, 2, 500, 50)) // late: dropped, feedback produced
+	h1.Punct(0, tsPunct(9_000))
+	h1.Punct(1, tsPunct(400)) // aligned: ≤400
+	seg5 := punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(5))))
+	h1.Punct(0, seg5) // pending on input 1
 	if h1.Err() != nil {
 		t.Fatal(h1.Err())
 	}
-	if p1.FeedbackSent() == 0 {
-		t.Fatal("setup: no feedback produced")
+	if p1.FeedbackSent() == 0 || len(h1.OutPuncts(0)) != 1 {
+		t.Fatalf("setup: %d feedback, punctuation %v", p1.FeedbackSent(), h1.OutPuncts(0))
 	}
 
 	p2 := mk()
@@ -325,6 +329,53 @@ func TestPaceStateRoundTrip(t *testing.T) {
 	}
 	if st := p2.InputStats(); st[0].Dropped != 1 || st[1].Dropped != 1 {
 		t.Fatalf("drop accounting: %+v", st)
+	}
+	// The frontier already promised is not repeated; input 1 catching up
+	// releases input 0's frontier and the pending pattern, exactly once each.
+	h2.Punct(1, tsPunct(400))
+	h2.Punct(1, seg5)
+	h2.Punct(1, tsPunct(9_500))
+	got := h2.OutPuncts(0)
+	if len(got) != 2 || !got[0].Pattern.Equal(seg5.Pattern) || !got[1].Pattern.Equal(tsPunct(9_000).Pattern) {
+		t.Fatalf("restored pace emitted %v, want segment 5 then ≤9000", got)
+	}
+}
+
+// TestPaceRefusesStaleLayout: a Pace blob in the layout before paceLayout —
+// the scalars, an input count and one {bound, set, eos} watermark per input,
+// then the per-input counts — is refused with an error naming the operator
+// and the layout, not misparsed into alignment state.
+func TestPaceRefusesStaleLayout(t *testing.T) {
+	enc := snapshot.NewEncoder()
+	enc.PutInt64(10_000) // hw
+	enc.PutBool(true)
+	enc.PutInt64(9_500) // lastCutoff
+	enc.PutBool(true)
+	enc.PutInt64(1) // feedbackSeq
+	enc.PutInt64(1) // feedbackSent
+	enc.PutInt(2)
+	for input := 0; input < 2; input++ {
+		enc.PutInt64(400)
+		enc.PutBool(true)
+		enc.PutBool(false)
+	}
+	for c := 0; c < 4; c++ {
+		enc.PutInt64(1)
+	}
+	stale, err := enc.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Pace{OpName: "pace", Schema: trafficSchema, K: 2, TsAttr: 2, Tolerance: 1000}
+	if h := exec.NewHarness(p); h.Err() != nil {
+		t.Fatal(h.Err())
+	}
+	err = p.LoadState(snapshot.NewDecoder(stale))
+	if err == nil || !strings.Contains(err.Error(), `"pace"`) || !strings.Contains(err.Error(), "layout") {
+		t.Fatalf("LoadState of a stale blob: %v, want an error naming the operator and the layout", err)
+	}
+	if _, set := p.HighWatermark(); set {
+		t.Fatal("LoadState of a stale blob left state behind")
 	}
 }
 

@@ -223,15 +223,11 @@ func (s Stream) Duplicate(name string, n int) []Stream {
 	return out
 }
 
-// Union merges this stream with others (same schema) combining progress on
-// the named timestamp attribute.
-func (s Stream) Union(name string, tsAttr string, others ...Stream) Stream {
+// Union merges this stream with others of the same schema; punctuation is
+// forwarded once every input has asserted it (op.Merge).
+func (s Stream) Union(name string, others ...Stream) Stream {
 	if s.bad {
 		return s
-	}
-	idx := s.schema.Index(tsAttr)
-	if idx < 0 {
-		return s.b.fail("plan: union %q: no attribute %q", name, tsAttr)
 	}
 	ports := []exec.Port{s.port}
 	for _, o := range others {
@@ -240,7 +236,7 @@ func (s Stream) Union(name string, tsAttr string, others ...Stream) Stream {
 		}
 		ports = append(ports, o.port)
 	}
-	u := &op.Union{OpName: name, Schema: s.schema, K: len(ports), ProgressAttr: idx, Mode: s.b.Mode, Propagate: s.b.Propagate}
+	u := &op.Merge{OpName: name, Schema: s.schema, K: len(ports), Mode: s.b.Mode, Propagate: s.b.Propagate}
 	id := s.b.g.Add(u, ports...)
 	return Stream{b: s.b, port: exec.From(id), schema: s.schema}
 }

@@ -480,7 +480,7 @@ func TestParallelRemoteEdgesCutAtOwnBarrier(t *testing.T) {
 		b := New()
 		sa := b.RemoteSource("edge-a", testSchema, dataA2)
 		sb := b.RemoteSource("edge-b", testSchema, dataB2)
-		sink := sa.Union("u", "ts", sb).Collect("sink")
+		sink := sa.Union("u", sb).Collect("sink")
 		df, err := b.DistFollow("consumer", chain, ctrl2)
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/op"
+	"repro/internal/punct"
+	"repro/internal/queue"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -205,6 +207,37 @@ func TestQueryPlainUnion(t *testing.T) {
 	}
 	if got := sink.Tuples(); len(got) != 2 {
 		t.Fatalf("union output: %v", got)
+	}
+}
+
+// TestQueryPlainUnionRelaysProgress: a UNION aligns punctuation on whatever
+// attribute its inputs punctuate — here an ordered one of streams that have
+// no attribute named "ts" — and forwards it once both inputs have asserted it.
+func TestQueryPlainUnionRelaysProgress(t *testing.T) {
+	schema := stream.MustSchema(stream.F("host", stream.KindString), stream.F("seq", stream.KindInt))
+	done := punct.OnAttr(2, 1, punct.Le(stream.Int(20)))
+	src := func(name string) *exec.SliceSource {
+		s := &exec.SliceSource{SourceName: name, Schema: schema}
+		for seq := int64(1); seq <= 20; seq++ {
+			s.Items = append(s.Items, queue.TupleItem(stream.NewTuple(stream.String_(name), stream.Int(seq))))
+		}
+		s.Items = append(s.Items, queue.PunctItem(punct.NewEmbedded(done)))
+		return s
+	}
+	bld, s, err := Parse("SELECT * FROM a UNION b", Catalog{"a": src("a"), "b": src("b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := s.Collect("sink")
+	if err := bld.Run(); err != nil {
+		t.Fatal(err)
+	}
+	items := sink.Items()
+	if len(items) != 41 {
+		t.Fatalf("sink saw %d items, want 40 tuples and one punctuation", len(items))
+	}
+	if last := items[40]; last.Kind != queue.ItemPunct || !last.Punct.Pattern.Equal(done) {
+		t.Fatalf("sink's last item is %v, want the punctuation %v both inputs asserted", last, done)
 	}
 }
 

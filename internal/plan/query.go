@@ -410,14 +410,7 @@ func (p *parser) parsePartition() (attrs []string, n int, err error) {
 
 func (p *parser) parseUnionTail(l, r Stream) (Stream, error) {
 	if p.peek() == "" {
-		// Plain union: combine on nothing in particular; require a shared
-		// time attribute named "ts" if present, else no progress relay.
-		idx := l.Schema().Index("ts")
-		if idx < 0 {
-			u := l.Union("union", l.Schema().Field(0).Name, r)
-			return u, p.b.Err()
-		}
-		return l.Union("union", "ts", r), nil
+		return l.Union("union", r), nil
 	}
 	if err := p.expect("WITH"); err != nil {
 		return Stream{}, err

@@ -43,9 +43,6 @@ func (p Pattern) Arity() int { return len(p.preds) }
 // Pred returns the predicate at attribute i.
 func (p Pattern) Pred(i int) Pred { return p.preds[i] }
 
-// Preds returns a copy of the predicate list.
-func (p Pattern) Preds() []Pred { return append([]Pred(nil), p.preds...) }
-
 // With returns a copy of the pattern with attribute i replaced.
 func (p Pattern) With(i int, pred Pred) Pattern {
 	out := append([]Pred(nil), p.preds...)
@@ -74,6 +71,35 @@ func (p Pattern) Bound() []int {
 		}
 	}
 	return out
+}
+
+// Progress reads p as progress punctuation: exactly one bound attribute, of
+// an integer-ordered kind (int or time), bound from above by ≤ or <. It
+// returns that attribute and the inclusive bound — "no more tuples at or
+// below incl on attr" — and allocates nothing (contrast Bound).
+func (p Pattern) Progress() (attr int, incl int64, ok bool) {
+	attr = -1
+	for i, pr := range p.preds {
+		if pr.IsWild() {
+			continue
+		}
+		if attr >= 0 {
+			return -1, 0, false // more than one bound attribute
+		}
+		if pr.Val.Kind != stream.KindInt && pr.Val.Kind != stream.KindTime {
+			return -1, 0, false
+		}
+		switch pr.Op {
+		case LE:
+			incl = pr.Val.I
+		case LT:
+			incl = pr.Val.I - 1
+		default:
+			return -1, 0, false
+		}
+		attr = i
+	}
+	return attr, incl, attr >= 0
 }
 
 // Matches reports whether the tuple satisfies every attribute predicate.

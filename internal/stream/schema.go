@@ -51,9 +51,6 @@ func (s Schema) Arity() int { return len(s.fields) }
 // Field returns the i-th attribute.
 func (s Schema) Field(i int) Field { return s.fields[i] }
 
-// Fields returns a copy of the attribute list.
-func (s Schema) Fields() []Field { return append([]Field(nil), s.fields...) }
-
 // Index returns the position of the named attribute, or -1.
 func (s Schema) Index(name string) int {
 	if i, ok := s.index[name]; ok {

@@ -113,6 +113,16 @@ func Time(t time.Time) Value { return Value{Kind: KindTime, I: t.UnixMicro()} }
 // keeps window arithmetic free of time.Time allocation.
 func TimeMicros(us int64) Value { return Value{Kind: KindTime, I: us} }
 
+// Ordinal is the inverse of reading an integer bound off an ordered
+// attribute (punct.Pattern.Progress): the value of an attribute of kind k —
+// a timestamp for KindTime, an integer otherwise — whose content is v.
+func Ordinal(k Kind, v int64) Value {
+	if k == KindTime {
+		return TimeMicros(v)
+	}
+	return Int(v)
+}
+
 // IsNull reports whether v is the missing value.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
 

@@ -204,8 +204,9 @@ type (
 	Project = op.Project
 	// Duplicate fans out; exploits only unanimous feedback.
 	Duplicate = op.Duplicate
-	// Union merges same-schema inputs with watermark combination.
-	Union = op.Union
+	// Union merges same-schema inputs, forwarding a punctuation once every
+	// input has asserted it (the exchange's Merge is the same operator).
+	Union = op.Merge
 	// Pace is the bounded-divergence union and assumed-feedback producer
 	// (Example 3).
 	Pace = op.Pace
