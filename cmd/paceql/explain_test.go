@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -14,28 +15,20 @@ var explainSchema = stream.MustSchema(
 	stream.F("speed", stream.KindFloat),
 )
 
-// explainFor compiles a query exactly as `paceql -explain` does — parse,
-// attach the stdout sink, Compile — and returns the rendered plan.
+// explainFor returns what `paceql -explain` prints for the query.
 func explainFor(t *testing.T, query string) string {
 	t.Helper()
 	cat := plan.Catalog{"traffic": exec.NewSliceSource("traffic", explainSchema)}
-	b, result, err := plan.Parse(query, cat)
-	if err != nil {
+	var out strings.Builder
+	if err := run(query, cat, true, true, &out); err != nil {
 		t.Fatal(err)
 	}
-	sink := exec.NewCollector("stdout", result.Schema())
-	sink.Discard = true
-	result.Into(sink)
-	b.Compile()
-	if err := b.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return b.Explain()
+	return out.String()
 }
 
-// TestExplainStandaloneKernel pins the stage-1 rendering: a stateless chain
-// feeding a plain sink stays a standalone fused node whose kernel line is
-// the flat step table.
+// TestExplainStandaloneKernel pins the standalone-kernel rendering: a
+// stateless chain feeding a plain sink becomes a standalone fused node whose
+// kernel line is the flat step table.
 func TestExplainStandaloneKernel(t *testing.T) {
 	got := explainFor(t, "SELECT speed, segment FROM traffic WHERE speed >= 50")
 	want := ` 0: source traffic
@@ -44,13 +37,13 @@ func TestExplainStandaloneKernel(t *testing.T) {
  2: stdout <- fused(where+project)[0]
 `
 	if got != want {
-		t.Fatalf("stage-1 explain mismatch\ngot:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("standalone explain mismatch\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
-// TestExplainPrefixKernel pins the stage-2 rendering: the same stateless
-// prefix feeding a GROUP BY aggregate is absorbed into the aggregate's
-// input port, and the kernel line names the prefix per input and the
+// TestExplainPrefixKernel pins the prefix-kernel rendering: the same
+// stateless prefix feeding a GROUP BY aggregate is absorbed into the
+// aggregate's input port, and the kernel line names the prefix per input and the
 // stateful consumer it hands survivors to — visibly distinct from a
 // standalone kernel.
 func TestExplainPrefixKernel(t *testing.T) {
@@ -61,6 +54,6 @@ func TestExplainPrefixKernel(t *testing.T) {
  2: stdout <- fused(where=>aggregate)[0]
 `
 	if got != want {
-		t.Fatalf("stage-2 explain mismatch\ngot:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("prefix explain mismatch\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -63,13 +64,22 @@ func main() {
 		}
 	}()
 
-	b, result, err := plan.Parse(flag.Arg(0), cat)
-	if err != nil {
+	if err := run(flag.Arg(0), cat, *fuse, *explain, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
+}
+
+// run parses the query over cat and writes its result tuples — or, with
+// explain, the (compiled) plan — to out. A tuple that fails to encode and
+// a flush that fails are errors: truncated output must not exit 0.
+func run(query string, cat plan.Catalog, fuse, explain bool, out io.Writer) error {
+	b, result, err := plan.Parse(query, cat)
+	if err != nil {
+		return err
+	}
 	outSchema := result.Schema()
-	enc := stream.NewEncoder(os.Stdout, outSchema)
+	enc := stream.NewEncoder(out, outSchema)
 	sink := exec.NewCollector("stdout", outSchema)
 	sink.Discard = true
 	var encErr error
@@ -79,29 +89,27 @@ func main() {
 		}
 	}
 	result.Into(sink)
-	if *fuse {
+	if fuse {
 		b.Compile()
 	}
-	if *explain {
+	if explain {
 		if err := b.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Print(b.Explain())
-		return
+		_, err := io.WriteString(out, b.Explain())
+		return err
 	}
 	if err := b.Run(); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		return err
 	}
-	if err := enc.Flush(); err == nil {
-		err = encErr
+	if err := enc.Flush(); encErr == nil {
+		encErr = err
 	}
 	if encErr != nil {
-		fmt.Fprintln(os.Stderr, "error:", encErr)
-		os.Exit(1)
+		return encErr
 	}
 	fmt.Fprintf(os.Stderr, "# schema: %s, %d tuples\n", outSchema, sink.Count())
+	return nil
 }
 
 func parseStreamSpec(spec string, punctEvery int) (string, exec.Source, func() error, error) {

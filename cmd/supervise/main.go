@@ -140,8 +140,6 @@ func main() {
 		err = runChild(o)
 	case o.fuzz:
 		err = runFuzz(o)
-	case o.dist:
-		err = runSupervisorDist(o)
 	default:
 		err = runSupervisor(o)
 	}
@@ -256,102 +254,74 @@ func (o options) childArgs(role string) []string {
 	return args
 }
 
-// runSupervisor restarts the single-process child until it completes.
+// runSupervisor restarts a run's children until one incarnation completes.
+// A local run has one child, the whole plan under a coordinator with no
+// followers; -dist adds the follower child — the pair is a coordinator child
+// (producer subplan, manifest commits) and a follower child (consumer
+// subplan, result digest) joined over -addr. When any child dies with an
+// error the others are killed — half a plan cannot complete alone — and the
+// run restarts from the newest committed cut.
 func runSupervisor(o options) error {
 	self, err := os.Executable()
 	if err != nil {
 		return err
 	}
+	roles := []string{""}
+	if o.dist {
+		roles = []string{"coord", "follow"}
+		if o.addr == "" {
+			if o.addr, err = freeLoopbackAddr(); err != nil {
+				return err
+			}
+		}
+	}
 	restarts := 0
 	bo := newBackoff(o.backoff)
 	for {
 		o.chaosInc = restarts
-		args := o.childArgs("")
-		if restarts == 0 && o.crashAfter > 0 {
-			args = append(args, "-crash-after-epochs", fmt.Sprint(o.crashAfter))
+		children := make([]*exec.Cmd, 0, len(roles))
+		done := make(chan error, len(roles)) // one send per started child
+		killAll := func() {
+			for _, c := range children {
+				c.Process.Signal(syscall.SIGKILL)
+			}
 		}
-		cmd := exec.Command(self, args...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
 		start := time.Now()
-		err := cmd.Run()
-		if err == nil {
-			logEvent(fmt.Sprintf("SUPERVISOR completed restarts=%d", restarts),
-				"role", "supervisor", "seed", o.chaosSeed)
-			return nil
-		}
-		ran := time.Since(start)
-		logEvent("SUPERVISOR child exited; restarting from latest checkpoint",
-			"role", "supervisor", "seed", o.chaosSeed, "incarnation", restarts,
-			"ran", ran.Round(time.Millisecond), "err", err)
-		restarts++
-		if restarts > o.maxRestarts {
-			return fmt.Errorf("gave up after %d restarts", o.maxRestarts)
-		}
-		bo.wait(ran)
-	}
-}
-
-// runSupervisorDist supervises the two-process pair: a coordinator child
-// (producer subplan, manifest commits) and a follower child (consumer
-// subplan, result digest). If either dies, the other is killed and the pair
-// restarts from the newest committed manifest.
-func runSupervisorDist(o options) error {
-	self, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	if o.addr == "" {
-		addr, err := freeLoopbackAddr()
-		if err != nil {
-			return err
-		}
-		o.addr = addr
-	}
-	restarts := 0
-	bo := newBackoff(o.backoff)
-	for {
-		o.chaosInc = restarts
-		coordArgs := o.childArgs("coord")
-		if restarts == 0 && o.crashAfter > 0 {
-			coordArgs = append(coordArgs, "-crash-after-epochs", fmt.Sprint(o.crashAfter))
-		}
-		coord := exec.Command(self, coordArgs...)
-		follow := exec.Command(self, o.childArgs("follow")...)
-		for _, c := range []*exec.Cmd{coord, follow} {
+		for i, role := range roles {
+			args := o.childArgs(role)
+			// The coordinating child is the one told to crash itself.
+			if i == 0 && restarts == 0 && o.crashAfter > 0 {
+				args = append(args, "-crash-after-epochs", fmt.Sprint(o.crashAfter))
+			}
+			c := exec.Command(self, args...)
 			c.Stdout = os.Stdout
 			c.Stderr = os.Stderr
+			if err := c.Start(); err != nil {
+				killAll()
+				for range children {
+					<-done
+				}
+				return err
+			}
+			children = append(children, c)
+			go func() { done <- c.Wait() }()
 		}
-		start := time.Now()
-		if err := coord.Start(); err != nil {
-			return err
+		var errs []error
+		for range children {
+			if err := <-done; err != nil {
+				killAll()
+				errs = append(errs, err)
+			}
 		}
-		if err := follow.Start(); err != nil {
-			coord.Process.Kill()
-			coord.Wait()
-			return err
-		}
-		// Wait for either child; when one dies with an error the other is
-		// torn down too — its half of the plan cannot complete alone, and a
-		// clean pair restart is the recovery unit.
-		done := make(chan error, 2)
-		go func() { done <- coord.Wait() }()
-		go func() { done <- follow.Wait() }()
-		err1 := <-done
-		if err1 != nil {
-			coord.Process.Signal(syscall.SIGKILL)
-			follow.Process.Signal(syscall.SIGKILL)
-		}
-		err2 := <-done
-		if err1 == nil && err2 == nil {
+		if len(errs) == 0 {
 			logEvent(fmt.Sprintf("SUPERVISOR completed restarts=%d", restarts),
 				"role", "supervisor", "seed", o.chaosSeed)
 			return nil
 		}
 		ran := time.Since(start)
-		logEvent("SUPERVISOR pair exited; restarting both from latest committed manifest",
+		logEvent("SUPERVISOR run exited; restarting from latest committed cut",
 			"role", "supervisor", "seed", o.chaosSeed, "incarnation", restarts,
-			"ran", ran.Round(time.Millisecond), "err1", err1, "err2", err2)
+			"ran", ran.Round(time.Millisecond), "errs", errs)
 		restarts++
 		if restarts > o.maxRestarts {
 			return fmt.Errorf("gave up after %d restarts", o.maxRestarts)
@@ -689,11 +659,11 @@ func trafficSource(o options) *gen.TrafficSource {
 // a keep-everything filter (ts is never null and never negative) plus a
 // carry-all rename. It is a semantic no-op whose purpose is giving the plan
 // compiler a fusible stateless prefix on the hot path; with -fuse the two
-// stages collapse into one fused(clean+norm) kernel, which stage 2 then
-// absorbs into the exchange Split's input port wherever the chain feeds a
-// Parallel stage (buildPlan, buildFollowPlan). In buildCoordPlan the chain
-// feeds the remote sink, so the kernel stays standalone — both compiled
-// forms are exercised by every fuzz run.
+// operators become one clean+norm kernel — a prefix on the exchange Split's
+// input port wherever the chain feeds a Parallel stage (buildPlan,
+// buildFollowPlan), a standalone fused(clean+norm) node in buildCoordPlan,
+// where the chain feeds the remote sink — so both compiled forms are
+// exercised by every fuzz run.
 func preStage(s plan.Stream) plan.Stream {
 	s = s.SelectExpr("clean", op.ExprStep{Col: 2, Name: "ts", Pred: punct.Ge(stream.TimeMicros(0))})
 	outs := make([]op.MapAttr, gen.TrafficSchema.Arity())
@@ -709,7 +679,7 @@ func preStage(s plan.Stream) plan.Stream {
 // leading keep-all filter is another semantic no-op: a lone stateless
 // operator inside each partition, which -fuse absorbs into that partition's
 // aggregate as a prefix kernel (fused(pclean=>agg)) — so every chaos run
-// drives the stage-2 batched-fold path through kills, restores, and
+// drives the prefixed batched-fold path through kills, restores, and
 // feedback.
 func aggStage() func(plan.Stream) plan.Stream {
 	const minute = int64(60_000_000)

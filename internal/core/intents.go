@@ -42,11 +42,6 @@ type DesiredReport struct {
 // (result set unchanged; rank movement is advisory, not a violation).
 func (r DesiredReport) OK() bool { return len(r.SetChanged) == 0 }
 
-// Improved reports whether subset tuples were actually produced earlier.
-func (r DesiredReport) Improved() bool {
-	return r.SubsetCount > 0 && r.MeanRankActual < r.MeanRankRef
-}
-
 // Err returns nil if the contract held.
 func (r DesiredReport) Err() error {
 	if r.OK() {

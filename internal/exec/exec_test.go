@@ -434,20 +434,3 @@ func TestGraphMultiInputOperator(t *testing.T) {
 		}
 	}
 }
-
-func TestEdgeStats(t *testing.T) {
-	g := NewGraph()
-	src := g.AddSource(NewSliceSource("src", oneInt, intTuple(1), intTuple(2)))
-	sink := NewCollector("sink", oneInt)
-	g.Add(sink, From(src))
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := g.EdgeStats(From(src))
-	if err != nil || st.Tuples != 2 {
-		t.Errorf("edge stats: %+v, %v", st, err)
-	}
-	if _, err := g.EdgeStats(From(NodeID(99))); err == nil {
-		t.Error("unknown node must error")
-	}
-}

@@ -283,16 +283,3 @@ func (g *Graph) Edges() []EdgeInfo {
 	}
 	return out
 }
-
-// EdgeStats returns traffic counters for the edge leaving the given output
-// port; valid after Run.
-func (g *Graph) EdgeStats(p Port) (queue.Stats, error) {
-	if int(p.Node) < 0 || int(p.Node) >= len(g.nodes) {
-		return queue.Stats{}, fmt.Errorf("exec: unknown node %d", p.Node)
-	}
-	n := g.nodes[p.Node]
-	if p.Out < 0 || p.Out >= len(n.outConns) || n.outConns[p.Out] == nil {
-		return queue.Stats{}, fmt.Errorf("exec: node %q output %d not wired", n.name(), p.Out)
-	}
-	return n.outConns[p.Out].Stats(), nil
-}

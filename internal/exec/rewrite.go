@@ -2,12 +2,12 @@ package exec
 
 import "fmt"
 
-// Plan-rewrite support: read-only graph accessors plus ReplaceChain, the
-// primitive the plan compiler (internal/fuse) uses to collapse a chain of
-// single-input/single-output operator nodes into one node. Rewrites are only
-// legal on an assembled, not-yet-prepared graph with no staged restore state
-// — a checkpoint names every node, so the restored shape must be the shape
-// that was compiled, not an intermediate.
+// Plan-rewrite support: read-only graph accessors plus AbsorbChains, the one
+// way a graph is rewritten: the plan compiler (internal/fuse) uses it to fold
+// chains of single-input/single-output operator nodes into the node they
+// feed. A rewrite is only legal on an assembled, not-yet-prepared graph with
+// no staged restore state — a checkpoint names every node, so the restored
+// shape must be the shape that was compiled, not an intermediate.
 
 // NumNodes returns the number of nodes added so far.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
@@ -51,142 +51,20 @@ func (g *Graph) InputsOf(id NodeID) []Port {
 	return append([]Port(nil), g.nodes[id].inputs...)
 }
 
-// ReplaceChain substitutes a single operator for a chain of operator nodes.
-// chain lists node ids upstream→downstream; each must be a 1-in/1-out
-// operator node, each link must wire chain[i+1]'s only input to chain[i]'s
-// output 0, and no node outside the chain may consume an intermediate
-// output. The replacement keeps the head's id and input wiring, takes over
-// the tail's consumers, and must preserve the chain's end-to-end schemas.
-// Later node ids shift down to stay dense; edge labels and wire-barrier
-// marks are remapped (labels on interior edges vanish with the edges).
-func (g *Graph) ReplaceChain(chain []NodeID, with Operator) error {
-	if g.prepared {
-		return fmt.Errorf("exec: rewrite after graph already run")
-	}
-	if g.err != nil {
-		return g.err
-	}
-	if g.staged != nil {
-		return fmt.Errorf("exec: rewrite after Restore (compile the plan before staging a checkpoint)")
-	}
-	if len(chain) == 0 {
-		return fmt.Errorf("exec: empty rewrite chain")
-	}
-	inChain := make(map[NodeID]bool, len(chain))
-	for i, id := range chain {
-		if int(id) < 0 || int(id) >= len(g.nodes) {
-			return fmt.Errorf("exec: rewrite chain names unknown node %d", id)
-		}
-		n := g.nodes[id]
-		if n.op == nil {
-			return fmt.Errorf("exec: rewrite chain includes source %q", n.name())
-		}
-		if len(n.inputs) != 1 || n.numOutputs() != 1 {
-			return fmt.Errorf("exec: rewrite chain node %q is not 1-in/1-out", n.name())
-		}
-		if inChain[id] {
-			return fmt.Errorf("exec: rewrite chain repeats node %q", n.name())
-		}
-		inChain[id] = true
-		if i > 0 && n.inputs[0] != (Port{Node: chain[i-1], Out: 0}) {
-			return fmt.Errorf("exec: rewrite chain broken: %q does not consume %q",
-				n.name(), g.nodes[chain[i-1]].name())
-		}
-	}
-	head, tail := chain[0], chain[len(chain)-1]
-	// Interior outputs (every chain node but the tail) must have no consumer
-	// outside the chain; the tail's consumers move to the replacement.
-	for _, n := range g.nodes {
-		if inChain[n.id] {
-			continue
-		}
-		for _, p := range n.inputs {
-			if inChain[p.Node] && p.Node != tail {
-				return fmt.Errorf("exec: rewrite chain interior %q also consumed by %q",
-					g.nodes[p.Node].name(), n.name())
-			}
-		}
-	}
-	if len(with.InSchemas()) != 1 || len(with.OutSchemas()) != 1 {
-		return fmt.Errorf("exec: rewrite replacement %q is not 1-in/1-out", with.Name())
-	}
-	headOp, tailNode := g.nodes[head], g.nodes[tail]
-	if !with.InSchemas()[0].Equal(headOp.op.InSchemas()[0]) {
-		return fmt.Errorf("exec: rewrite replacement %q input schema %s != chain input %s",
-			with.Name(), with.InSchemas()[0], headOp.op.InSchemas()[0])
-	}
-	if !with.OutSchemas()[0].Equal(tailNode.outSchemas()[0]) {
-		return fmt.Errorf("exec: rewrite replacement %q output schema %s != chain output %s",
-			with.Name(), with.OutSchemas()[0], tailNode.outSchemas()[0])
-	}
-
-	headOp.op = with
-	if len(chain) == 1 {
-		return nil
-	}
-
-	removed := make(map[NodeID]bool, len(chain)-1)
-	for _, id := range chain[1:] {
-		removed[id] = true
-	}
-	remap := make([]NodeID, len(g.nodes)) // old id → new id (-1 = removed)
-	kept := g.nodes[:0]
-	for _, n := range g.nodes {
-		if removed[n.id] {
-			remap[n.id] = -1
-			continue
-		}
-		remap[n.id] = NodeID(len(kept))
-		kept = append(kept, n)
-	}
-	g.nodes = kept
-	for _, n := range g.nodes {
-		for i, p := range n.inputs {
-			if p.Node == tail {
-				p.Node = head
-			}
-			n.inputs[i] = Port{Node: remap[p.Node], Out: p.Out}
-		}
-		n.id = remap[n.id]
-	}
-	if g.labels != nil {
-		relabeled := make(map[edgeKey]string, len(g.labels))
-		for k, v := range g.labels {
-			switch {
-			case k.node == tail:
-				relabeled[edgeKey{remap[head], k.out}] = v
-			case k.node == head || removed[k.node]:
-				// Interior edge: gone with the fusion.
-			default:
-				relabeled[edgeKey{remap[k.node], k.out}] = v
-			}
-		}
-		g.labels = relabeled
-	}
-	if g.wireBarrier != nil {
-		remarked := make(map[NodeID]bool, len(g.wireBarrier))
-		for id, v := range g.wireBarrier {
-			if remap[id] >= 0 {
-				remarked[remap[id]] = v
-			}
-		}
-		g.wireBarrier = remarked
-	}
-	return nil
-}
-
-// AbsorbChains folds upstream operator chains into a consumer node: for each
-// entry input→chain, the chain (node ids upstream→downstream, each 1-in/1-out,
-// linked through output 0, consumed by nothing outside the chain, with the
-// tail feeding exactly the consumer's given input) is deleted and the
-// consumer's input rewires to the chain head's upstream port; the consumer's
-// operator is replaced by with (e.g. a prefix-kernel wrapper around the
-// original). The consumer keeps its node id, output wiring, barrier marks and
-// labels — stage-2 fusion leans on this to keep the stateful node's
-// checkpoint identity stable. with must present the chain heads' input
-// schemas on absorbed ports, the original input schemas elsewhere, and the
-// original output schemas. Like ReplaceChain, only legal on an assembled,
-// not-yet-prepared graph with no staged restore.
+// AbsorbChains folds upstream operator chains into the node they feed: for
+// each entry input→chain, the chain (node ids upstream→downstream, each
+// 1-in/1-out, linked through output 0, consumed by nothing outside the chain,
+// with the tail feeding exactly the given input of into) is deleted and that
+// input rewires to the chain head's upstream port; into's operator is replaced
+// by with — a prefix-kernel wrapper around the original, or, when into is
+// itself the last node of a stateless chain, the one kernel that runs the
+// whole chain. into keeps its position in node order, its output wiring and
+// its output labels, which keeps a stateful node's checkpoint identity
+// stable; later node ids shift down to stay dense, and edge labels and
+// wire-barrier marks follow their nodes (labels on absorbed edges vanish with
+// the edges). with must present the chain heads' input schemas on absorbed
+// ports, the original input schemas elsewhere, and the original output
+// schemas.
 func (g *Graph) AbsorbChains(into NodeID, chains map[int][]NodeID, with Operator) error {
 	if g.prepared {
 		return fmt.Errorf("exec: rewrite after graph already run")

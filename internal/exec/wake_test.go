@@ -21,8 +21,7 @@ import (
 
 // edgeStats reads one edge's counters off a running (or finished) plan.
 func edgeStats(g *Graph, p Port) queue.Stats {
-	st, _ := g.EdgeStats(p)
-	return st
+	return g.nodes[p.Node].outConns[p.Out].Stats()
 }
 
 // stepSource runs one closure per Next call until it reports the end; the

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"io"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/stream"
 )
 
 // TestTablesVerify regenerates Tables 1 and 2 and requires every row's
@@ -159,8 +162,8 @@ func TestFigure1bResultIdentity(t *testing.T) {
 	if len(off.MapRows) != len(on.MapRows) {
 		t.Fatalf("map cardinality changed: %d vs %d", len(off.MapRows), len(on.MapRows))
 	}
-	SortRows(off.MapRows)
-	SortRows(on.MapRows)
+	sortRows(off.MapRows)
+	sortRows(on.MapRows)
 	for i := range off.MapRows {
 		if !off.MapRows[i].Equal(on.MapRows[i]) {
 			t.Fatalf("map row %d differs: %v vs %v", i, off.MapRows[i], on.MapRows[i])
@@ -202,4 +205,16 @@ func TestSpeedmapFeedbackFrequencyOverhead(t *testing.T) {
 			t.Errorf("frequency sweep work imbalance: %v", works)
 		}
 	}
+}
+
+// sortRows orders map rows canonically for comparison across runs.
+func sortRows(rows []stream.Tuple) {
+	key := func(t stream.Tuple) string {
+		idx := make([]int, t.Arity())
+		for i := range idx {
+			idx[i] = i
+		}
+		return t.Key(idx)
+	}
+	sort.Slice(rows, func(i, j int) bool { return key(rows[i]) < key(rows[j]) })
 }

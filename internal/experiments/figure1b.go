@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -121,16 +120,4 @@ func RunFigure1b(feedback bool, hours int) (Figure1bResult, error) {
 	_, res.ProbesSkipped = probes.Stats()
 	res.AdaptiveSent = adaptiveSent.Load()
 	return res, nil
-}
-
-// SortRows orders map rows canonically for comparison across runs.
-func SortRows(rows []stream.Tuple) {
-	key := func(t stream.Tuple) string {
-		idx := make([]int, t.Arity())
-		for i := range idx {
-			idx[i] = i
-		}
-		return t.Key(idx)
-	}
-	sort.Slice(rows, func(i, j int) bool { return key(rows[i]) < key(rows[j]) })
 }

@@ -1,6 +1,7 @@
-// Package fuse is the plan compiler: a rewrite pass over exec.Graph that
-// collapses maximal chains of adjacent stateless operators (Select, Project,
-// Map) into single Fused nodes. A fused node runs its chain as a flat kernel
+// Package fuse is the plan compiler: one scan over exec.Graph (Rewrite) that
+// folds maximal chains of adjacent stateless operators (Select, Project, Map)
+// into the node they feed — a standalone Fused node, or a prefix kernel
+// inside a stateful consumer (Prefixed). A kernel runs its chain as a flat
 // loop — per-step guard probe, compiled predicate, attribute mapping — with
 // no intermediate Emit and no inter-node page handoff, which removes the
 // ~60ns/tuple/hop the interpreted path pays at page=64.
@@ -14,8 +15,8 @@
 //   - feedback walks the constituents in reverse chain order, each one's own
 //     core.Responder enacting that operator's own Characterize, and leaves
 //     upstream iff every constituent relays it;
-//   - per-step in/out/suppressed counters and work meters keep Stats and
-//     CostBurned observable per logical operator;
+//   - per-step in/out/suppressed counters and work meters keep the
+//     pace_op_* series and CostBurned observable per logical operator;
 //   - no constituent is a snapshot.Stater, so the fused node is stateless
 //     and checkpoint barrier alignment is unchanged.
 package fuse
@@ -140,7 +141,6 @@ func New(ops []exec.Operator) (*Fused, error) {
 		return nil, fmt.Errorf("fuse: empty chain")
 	}
 	f := &Fused{}
-	names := make([]string, 0, len(ops))
 	for _, o := range ops {
 		switch o := o.(type) {
 		case *op.Select:
@@ -180,7 +180,6 @@ func New(ops []exec.Operator) (*Fused, error) {
 		default:
 			return nil, fmt.Errorf("fuse: %q (%T) is not a fusible operator", o.Name(), o)
 		}
-		names = append(names, o.Name())
 	}
 	f.lastMap = -1
 	for i := range f.steps {
@@ -193,8 +192,17 @@ func New(ops []exec.Operator) (*Fused, error) {
 		}
 	}
 	f.in = ops[0].InSchemas()[0]
-	f.name = "fused(" + strings.Join(names, "+") + ")"
+	f.name = "fused(" + strings.Join(f.stepNames(), "+") + ")"
 	return f, nil
+}
+
+// stepNames returns the constituents' names in chain order.
+func (f *Fused) stepNames() []string {
+	names := make([]string, len(f.steps))
+	for i := range f.steps {
+		names[i] = f.steps[i].name
+	}
+	return names
 }
 
 // initMappingStep fills st in place (step holds atomics, so it must not be
@@ -442,38 +450,6 @@ func (f *Fused) applyFeedback(fb core.Feedback) (core.Feedback, bool) {
 
 // NumSteps returns the number of fused constituents.
 func (f *Fused) NumSteps() int { return len(f.steps) }
-
-// StepStat is one constituent's accounting, preserving the per-logical-
-// operator observability the unfused chain had.
-type StepStat struct {
-	Name       string
-	Kind       string
-	In         int64
-	Out        int64
-	Suppressed int64
-	// PunctDropped counts punctuation consumed at this step because its
-	// bound attributes did not survive the step's mapping.
-	PunctDropped int64
-	CostBurned   int64
-}
-
-// StepStats reports per-constituent counters in chain order.
-func (f *Fused) StepStats() []StepStat {
-	out := make([]StepStat, len(f.steps))
-	for i := range f.steps {
-		st := &f.steps[i]
-		s := StepStat{
-			Name: st.name, Kind: st.kind.String(),
-			In: st.nIn.Load(), Out: st.nOut.Load(), Suppressed: st.suppressed.Load(),
-			PunctDropped: st.punctDropped.Load(),
-		}
-		if st.meter != nil {
-			s.CostBurned = st.meter.Total()
-		}
-		out[i] = s
-	}
-	return out
-}
 
 // TelemetryVars implements telemetry.VarExporter: the standard pace_op_*
 // tuple counters per constituent (labelled step/kind, preserving the

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -229,6 +230,25 @@ func (u *unfusedChain) drain(t *testing.T) {
 	}
 }
 
+// stepStat is one constituent's accounting, read off the kernel's step table.
+type stepStat struct {
+	Name                                          string
+	In, Out, Suppressed, PunctDropped, CostBurned int64
+}
+
+func stepStats(f *Fused) []stepStat {
+	out := make([]stepStat, len(f.steps))
+	for i := range f.steps {
+		st := &f.steps[i]
+		out[i] = stepStat{Name: st.name, In: st.nIn.Load(), Out: st.nOut.Load(),
+			Suppressed: st.suppressed.Load(), PunctDropped: st.punctDropped.Load()}
+		if st.meter != nil { // only a select burns cost
+			out[i].CostBurned = st.meter.Total()
+		}
+	}
+	return out
+}
+
 func TestFusedEqualsUnfusedProperty(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -282,7 +302,7 @@ func TestFusedEqualsUnfusedProperty(t *testing.T) {
 			t.Fatalf("seed %d: upstream feedback diverges\nunfused: %v\nfused:   %v",
 				seed, unfused.fb, fh.SentFeedback(0))
 		}
-		stats := fused.StepStats()
+		stats := stepStats(fused)
 		if len(stats) != len(unfused.ops) {
 			t.Fatalf("seed %d: %d steps, want %d", seed, len(stats), len(unfused.ops))
 		}
@@ -349,17 +369,17 @@ func TestRewriteFusesAroundStatefulOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stage 1 builds the two standalone kernels; stage 2 then absorbs the
-	// upstream kernel into the aggregate as a prefix. The downstream kernel
-	// feeds a sink (not an absorb target) and stays standalone.
-	if len(fusions) != 3 {
-		t.Fatalf("fusions = %+v, want 3", fusions)
+	// The upstream chain becomes the aggregate's prefix kernel, built from
+	// the chain directly. The downstream chain feeds a sink (not an absorb
+	// target) and becomes a standalone kernel.
+	if len(fusions) != 2 {
+		t.Fatalf("fusions = %+v, want 2", fusions)
 	}
-	if c := fusions[2].Consumer; c != "agg" {
-		t.Fatalf("stage-2 fusion consumer = %q, want \"agg\"", c)
+	if c := fusions[0].Consumer; c != "agg" {
+		t.Fatalf("prefix fusion consumer = %q, want \"agg\"", c)
 	}
-	if !reflect.DeepEqual(fusions[2].Steps, []string{"sel1", "proj"}) {
-		t.Fatalf("stage-2 fusion steps = %v", fusions[2].Steps)
+	if !reflect.DeepEqual(fusions[0].Steps, []string{"sel1", "proj"}) {
+		t.Fatalf("prefix fusion steps = %v", fusions[0].Steps)
 	}
 	want := []string{"src", "fused(sel1+proj=>agg)", "fused(sel2+map2)", "sink"}
 	if got := nodeNames(g); !reflect.DeepEqual(got, want) {
@@ -380,9 +400,9 @@ func TestRewriteFusesAroundStatefulOperator(t *testing.T) {
 	}
 }
 
-// TestRewriteAbsorbsLoneStepIntoStateful pins that stage 2 also absorbs a
-// single stateless operator (which stage 1 leaves alone) into its stateful
-// consumer, as a one-step prefix kernel.
+// TestRewriteAbsorbsLoneStepIntoStateful pins that a single stateless
+// operator (too short for a standalone kernel) is still absorbed into its
+// stateful consumer, as a one-step prefix kernel.
 func TestRewriteAbsorbsLoneStepIntoStateful(t *testing.T) {
 	g := exec.NewGraph()
 	src := g.AddSource(exec.NewSliceSource("src", chainSchema))
@@ -462,6 +482,102 @@ func TestRewriteLeavesSingletonsAlone(t *testing.T) {
 	}
 	if len(fusions) != 0 {
 		t.Fatalf("singleton chain fused: %+v", fusions)
+	}
+}
+
+// wiring renders node names and input ports: everything a rewrite changes.
+func wiring(g *exec.Graph) string {
+	var sb strings.Builder
+	for id := 0; id < g.NumNodes(); id++ {
+		fmt.Fprintf(&sb, "%d:%s %v\n", id, g.NameAt(exec.NodeID(id)), g.InputsOf(exec.NodeID(id)))
+	}
+	return sb.String()
+}
+
+// TestRewriteIsIdempotentAndMaximal compiles random plans — two to four
+// branches, each a prefix of a random stateless chain in front of a sink, a
+// Duplicate or an exchange Split, their nodes added round-robin so every
+// rewrite renumbers nodes of the branches still to be scanned — and checks the
+// one scan left nothing behind: a second Rewrite finds no fusion and changes
+// nothing, no fusible operator still feeds a fusible operator or an absorb
+// target, each branch was compiled exactly when it could be, and the
+// compiled plan runs.
+func TestRewriteIsIdempotentAndMaximal(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := exec.NewGraph()
+		type branch struct {
+			name  string
+			specs []stepSpec
+			at    exec.NodeID // the branch's newest node
+			tail  int         // 0 sink, 1 Duplicate, 2 Split
+		}
+		branches := make([]*branch, 2+rng.Intn(3))
+		wantFusions, wantNodes := 0, 0
+		for i := range branches {
+			specs := randChain(rng)
+			b := &branch{name: fmt.Sprintf("b%d", i), specs: specs[:1+rng.Intn(len(specs))], tail: rng.Intn(3)}
+			b.at = g.AddSource(exec.NewSliceSource(b.name+".src", chainSchema))
+			branches[i] = b
+			// src, kernel or lone operator, sink; the same with a dup and a
+			// second sink; src, prefixed split, two sinks.
+			wantNodes += []int{3, 5, 4}[b.tail]
+			if b.tail == 2 || len(b.specs) >= 2 {
+				wantFusions++
+			}
+		}
+		for step := 0; ; step++ {
+			added := false
+			for _, b := range branches {
+				if step < len(b.specs) {
+					b.at = g.Add(b.specs[step].build(), exec.From(b.at))
+					added = true
+				}
+			}
+			if !added {
+				break
+			}
+		}
+		for _, b := range branches {
+			out := b.specs[len(b.specs)-1].out
+			switch b.tail {
+			case 0:
+				g.Add(exec.NewCollector(b.name+".sink", out), exec.From(b.at))
+				continue
+			case 1:
+				b.at = g.Add(&op.Duplicate{OpName: b.name + ".dup", Schema: out, N: 2}, exec.From(b.at))
+			case 2:
+				b.at = g.Add(&op.Split{OpName: b.name + ".split", Schema: out, N: 2}, exec.From(b.at))
+			}
+			g.Add(exec.NewCollector(b.name+".k0", out), exec.FromPort(b.at, 0))
+			g.Add(exec.NewCollector(b.name+".k1", out), exec.FromPort(b.at, 1))
+		}
+
+		uncompiled := wiring(g)
+		fusions, err := Rewrite(g)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, uncompiled)
+		}
+		compiled := wiring(g)
+		if len(fusions) != wantFusions || g.NumNodes() != wantNodes {
+			t.Fatalf("seed %d: %d fusions and %d nodes, want %d and %d\n%s=>\n%s",
+				seed, len(fusions), g.NumNodes(), wantFusions, wantNodes, uncompiled, compiled)
+		}
+		for id := 0; id < g.NumNodes(); id++ {
+			for _, p := range g.InputsOf(exec.NodeID(id)) {
+				if fusible(g, p.Node) && (fusible(g, exec.NodeID(id)) || absorbTarget(g.OperatorAt(exec.NodeID(id)))) {
+					t.Fatalf("seed %d: %s still feeds %s\n%s=>\n%s", seed,
+						g.NameAt(p.Node), g.NameAt(exec.NodeID(id)), uncompiled, compiled)
+				}
+			}
+		}
+		again, err := Rewrite(g)
+		if err != nil || len(again) != 0 || wiring(g) != compiled {
+			t.Fatalf("seed %d: second Rewrite = %+v, %v\n%s=>\n%s", seed, again, err, compiled, wiring(g))
+		}
+		if err := g.Run(); err != nil {
+			t.Fatalf("seed %d: compiled plan: %v\n%s", seed, err, compiled)
+		}
 	}
 }
 
@@ -672,9 +788,9 @@ func TestFusedBatchEqualsPerTuple(t *testing.T) {
 		if !reflect.DeepEqual(sc.fb, bc.fb) {
 			t.Fatalf("seed %d: upstream feedback diverges", seed)
 		}
-		if !reflect.DeepEqual(single.StepStats(), batched.StepStats()) {
+		if !reflect.DeepEqual(stepStats(single), stepStats(batched)) {
 			t.Fatalf("seed %d: step stats diverge:\n per-tuple: %+v\n batch:     %+v",
-				seed, single.StepStats(), batched.StepStats())
+				seed, stepStats(single), stepStats(batched))
 		}
 	}
 }

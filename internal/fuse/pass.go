@@ -1,71 +1,133 @@
 package fuse
 
 import (
+	"slices"
+
 	"repro/internal/exec"
 	"repro/internal/op"
 	"repro/internal/snapshot"
 )
 
 // Fusion records one applied rewrite: the fused node's name and the
-// constituent operator names in chain order. Stage-2 rewrites (prefix
-// kernels absorbed into a stateful consumer) additionally name the consumer;
-// stage-1 standalone kernels leave it empty.
+// constituent operator names in chain order (input by input for a prefixed
+// consumer). Consumer names the operator a prefix kernel was absorbed into;
+// a standalone kernel leaves it empty.
 type Fusion struct {
 	Name     string
 	Steps    []string
 	Consumer string
 }
 
-// Rewrite runs the fusion pass over an assembled, not-yet-run graph: it
-// finds maximal chains of adjacent fusible operators and replaces each with
-// a single Fused node. Chain boundaries — where fusion must stop — are:
+// Rewrite compiles an assembled, not-yet-run graph in one scan. Every
+// operator that is not itself fusible anchors the chains that end at it: on
+// each of its inputs, the maximal run of fusible operators (Select, Project,
+// Map), each the sole consumer of the one before. An absorb target
+// (Aggregate, Join, Impute, Pace, exchange Split) takes all its chains, of any
+// length, as per-input prefix kernels (Prefixed): the prefix evaluates inside
+// the consumer's page loop and survivors take the batched stateful apply
+// path. In front of any other anchor (Merge, Duplicate, sinks, remote edges,
+// an already-compiled node) a chain of two or more collapses into one
+// standalone Fused node and a lone operator is left alone. A chain stops at:
 //
-//   - sources and any operator that is not Select/Project/Map (Split, Merge,
-//     Aggregate, Join, remote sinks, collectors, …);
+//   - sources and any operator that is not Select/Project/Map;
 //   - any snapshot.Stater (stateful operators checkpoint per node, so their
 //     node identity must survive compilation);
 //   - nodes that are not 1-in/1-out (fan-in and fan-out);
-//   - multi-consumer edges (only possible mid-construction; a prepared graph
-//     fans out through explicit Duplicate operators, which are not fusible).
+//   - multi-consumer and unconsumed outputs (only possible mid-construction:
+//     prepare rejects both, and fan-out goes through explicit Duplicate
+//     operators, which are not fusible).
 //
-// Chains of length 1 are left alone by stage 1; stage 2 (below) then absorbs
-// any stateless prefix — a stage-1 kernel or a lone Select/Project/Map —
-// feeding a stateful consumer (Aggregate, Join, Impute, Pace) or an exchange
-// Split into that consumer's input port as a prefix kernel (Prefixed), so
-// the prefix evaluates inside the consumer's page loop and survivors take
-// the batched stateful apply path. Returns the applied fusions in the order
-// performed.
+// Compiled nodes are neither fusible nor absorb targets, so a second call
+// finds nothing to do. Returns the applied fusions in the order performed
+// (anchor order).
 func Rewrite(g *exec.Graph) ([]Fusion, error) {
-	var fusions []Fusion
-	for {
-		chain := findChain(g)
-		if chain == nil {
-			break
+	// How many inputs each fusible operator's output feeds. Counted once, by
+	// operator: a rewrite renumbers nodes but leaves every surviving output
+	// with the consumers it had.
+	consumers := make(map[exec.Operator]int)
+	for id := 0; id < g.NumNodes(); id++ {
+		for _, p := range g.InputsOf(exec.NodeID(id)) {
+			if fusible(g, p.Node) {
+				consumers[g.OperatorAt(p.Node)]++
+			}
 		}
+	}
+	// chainInto gathers the maximal fusible chain feeding port p,
+	// upstream→downstream.
+	chainInto := func(p exec.Port) []exec.NodeID {
+		var chain []exec.NodeID
+		for fusible(g, p.Node) && consumers[g.OperatorAt(p.Node)] == 1 {
+			chain = append(chain, p.Node)
+			p = g.InputsOf(p.Node)[0]
+		}
+		slices.Reverse(chain)
+		return chain
+	}
+	kernelOf := func(chain []exec.NodeID) (*Fused, error) {
 		ops := make([]exec.Operator, len(chain))
-		names := make([]string, len(chain))
 		for i, id := range chain {
 			ops[i] = g.OperatorAt(id)
-			names[i] = ops[i].Name()
 		}
-		fused, err := New(ops)
-		if err != nil {
-			return fusions, err
-		}
-		if err := g.ReplaceChain(chain, fused); err != nil {
-			return fusions, err
-		}
-		fusions = append(fusions, Fusion{Name: fused.Name(), Steps: names})
+		return New(ops)
 	}
-	for {
-		fusion, absorbed, err := absorbOne(g)
+
+	var fusions []Fusion
+	// Chains lie upstream of their anchor, so at lower ids: a rewrite moves
+	// the anchor down by the nodes it removed and the scan resumes after it.
+	for id := exec.NodeID(0); int(id) < g.NumNodes(); id++ {
+		anchor := g.OperatorAt(id)
+		if anchor == nil || fusible(g, id) {
+			continue
+		}
+		if !absorbTarget(anchor) {
+			for i := range g.InputsOf(id) {
+				chain := chainInto(g.InputsOf(id)[i])
+				if len(chain) < 2 {
+					continue
+				}
+				kernel, err := kernelOf(chain)
+				if err != nil {
+					return fusions, err
+				}
+				last := len(chain) - 1
+				if err := g.AbsorbChains(chain[last], map[int][]exec.NodeID{0: chain[:last]}, kernel); err != nil {
+					return fusions, err
+				}
+				fusions = append(fusions, Fusion{Name: kernel.Name(), Steps: kernel.stepNames()})
+				id -= exec.NodeID(last)
+			}
+			continue
+		}
+		ins := g.InputsOf(id)
+		chains := make(map[int][]exec.NodeID)
+		kernels := make([]*Fused, len(ins))
+		var steps []string
+		removed := 0
+		for i, up := range ins {
+			chain := chainInto(up)
+			if len(chain) == 0 {
+				continue
+			}
+			kernel, err := kernelOf(chain)
+			if err != nil {
+				return fusions, err
+			}
+			chains[i], kernels[i] = chain, kernel
+			steps = append(steps, kernel.stepNames()...)
+			removed += len(chain)
+		}
+		if len(chains) == 0 {
+			continue
+		}
+		prefixed, err := NewPrefixed(anchor, kernels)
 		if err != nil {
 			return fusions, err
 		}
-		if !absorbed {
-			break
+		if err := g.AbsorbChains(id, chains, prefixed); err != nil {
+			return fusions, err
 		}
-		fusions = append(fusions, fusion)
+		fusions = append(fusions, Fusion{Name: prefixed.Name(), Steps: steps, Consumer: anchor.Name()})
+		id -= exec.NodeID(removed)
 	}
 	return fusions, nil
 }
@@ -73,83 +135,13 @@ func Rewrite(g *exec.Graph) ([]Fusion, error) {
 // absorbTarget reports whether the operator is a stateful consumer (or
 // exchange Split) whose input ports may gain prefix kernels. Merge stays
 // out: it is the plan's punctuation-alignment point and consumes per-input
-// watermarks the kernel must not get between. A Prefixed is itself a
-// snapshot.Stater, so absorbed consumers are never re-targeted.
+// watermarks the kernel must not get between.
 func absorbTarget(o exec.Operator) bool {
 	switch o.(type) {
 	case *op.Aggregate, *op.Join, *op.Impute, *op.Pace, *op.Split:
 		return true
 	}
 	return false
-}
-
-// absorbOne performs the first available stage-2 absorb and reports it. One
-// rewrite per call: AbsorbChains renumbers nodes, so the caller re-scans.
-// After stage 1 the stateless prefix on any edge is at most one node — a
-// Fused kernel (chain length ≥ 2 collapsed) or a lone Select/Project/Map —
-// so each chain handed to exec.AbsorbChains has exactly one node.
-func absorbOne(g *exec.Graph) (Fusion, bool, error) {
-	n := g.NumNodes()
-	consumers := make(map[exec.Port]int)
-	for id := 0; id < n; id++ {
-		for _, p := range g.InputsOf(exec.NodeID(id)) {
-			consumers[p]++
-		}
-	}
-	for id := 0; id < n; id++ {
-		target := exec.NodeID(id)
-		inner := g.OperatorAt(target)
-		if inner == nil || !absorbTarget(inner) {
-			continue
-		}
-		ins := g.InputsOf(target)
-		chains := make(map[int][]exec.NodeID)
-		kernels := make([]*Fused, len(ins))
-		var steps []string
-		for i, up := range ins {
-			if up.Out != 0 || g.IsSource(up.Node) || g.NumOutputsAt(up.Node) != 1 {
-				continue
-			}
-			if consumers[exec.Port{Node: up.Node}] != 1 {
-				continue // multi-consumer edge: the prefix output is shared
-			}
-			upop := g.OperatorAt(up.Node)
-			if len(upop.InSchemas()) != 1 {
-				continue
-			}
-			var kernel *Fused
-			switch upop := upop.(type) {
-			case *Fused:
-				kernel = upop
-			default:
-				if !fusible(g, up.Node) {
-					continue
-				}
-				k, err := New([]exec.Operator{upop})
-				if err != nil {
-					return Fusion{}, false, err
-				}
-				kernel = k
-			}
-			chains[i] = []exec.NodeID{up.Node}
-			kernels[i] = kernel
-			for s := range kernel.steps {
-				steps = append(steps, kernel.steps[s].name)
-			}
-		}
-		if len(chains) == 0 {
-			continue
-		}
-		prefixed, err := NewPrefixed(inner, kernels)
-		if err != nil {
-			return Fusion{}, false, err
-		}
-		if err := g.AbsorbChains(target, chains, prefixed); err != nil {
-			return Fusion{}, false, err
-		}
-		return Fusion{Name: prefixed.Name(), Steps: steps, Consumer: inner.Name()}, true, nil
-	}
-	return Fusion{}, false, nil
 }
 
 // fusible reports whether the node can participate in a fused chain.
@@ -175,50 +167,4 @@ func fusible(g *exec.Graph, id exec.NodeID) bool {
 		return false
 	}
 	return len(o.InSchemas()) == 1 && g.NumOutputsAt(id) == 1
-}
-
-// findChain returns the first maximal fusible chain of length ≥ 2 in node
-// order, or nil when none remains. One chain per call: ReplaceChain
-// renumbers nodes, so the caller re-scans after each rewrite.
-func findChain(g *exec.Graph) []exec.NodeID {
-	n := g.NumNodes()
-	consumers := make(map[exec.Port][]exec.NodeID)
-	for id := 0; id < n; id++ {
-		for _, p := range g.InputsOf(exec.NodeID(id)) {
-			consumers[p] = append(consumers[p], exec.NodeID(id))
-		}
-	}
-	for id := 0; id < n; id++ {
-		head := exec.NodeID(id)
-		if !fusible(g, head) {
-			continue
-		}
-		// Only start at chain heads: skip nodes whose upstream would extend
-		// the chain backwards (they are covered by the walk from that head).
-		up := g.InputsOf(head)[0]
-		if up.Out == 0 && fusible(g, up.Node) && len(consumers[up]) == 1 {
-			continue
-		}
-		chain := []exec.NodeID{head}
-		cur := head
-		for {
-			down := consumers[exec.Port{Node: cur}]
-			if len(down) != 1 {
-				break // unconsumed (mid-construction) or multi-consumer edge
-			}
-			next := down[0]
-			if !fusible(g, next) {
-				break
-			}
-			if in := g.InputsOf(next); len(in) != 1 || in[0] != (exec.Port{Node: cur}) {
-				break
-			}
-			chain = append(chain, next)
-			cur = next
-		}
-		if len(chain) >= 2 {
-			return chain
-		}
-	}
-	return nil
 }

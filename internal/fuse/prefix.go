@@ -1,10 +1,9 @@
-// Stage 2 of the plan compiler: Prefixed attaches stateless prefix kernels
-// to a stateful consumer's input ports. The kernel (a Fused step table) runs
-// inside the consumer's page loop — guard probe, compiled predicate,
-// attribute mapping, survivors gathered in the kernel's reused scratch
-// buffer — and the survivors go straight into the consumer's batched
-// apply path (exec.TupleBatchApplier) when it has one, or its per-tuple path
-// otherwise. The wrapped node keeps the stateful operator's entire control
+// Prefixed attaches stateless prefix kernels to a stateful consumer's input
+// ports. The kernel (a Fused step table) runs inside the consumer's page
+// loop — guard probe, compiled predicate, attribute mapping, survivors
+// gathered in the kernel's reused scratch buffer — and the survivors go
+// straight into the consumer's batched apply path (exec.TupleBatchApplier)
+// when it has one, or its per-tuple path otherwise. The wrapped node keeps the stateful operator's entire control
 // surface: barrier alignment is untouched (the runtime still sees one node),
 // snapshot capture/restore delegates to the inner operator (the prefix is
 // stateless, so capture↔restore shape is unchanged), and punctuation and
@@ -71,11 +70,7 @@ func NewPrefixed(inner exec.Operator, kernels []*Fused) (*Prefixed, error) {
 				i, k.OutSchemas()[0], inner.Name(), ins[i])
 		}
 		p.ins[i] = k.InSchemas()[0]
-		names := make([]string, len(k.steps))
-		for s := range k.steps {
-			names[s] = k.steps[s].name
-		}
-		part := strings.Join(names, "+")
+		part := strings.Join(k.stepNames(), "+")
 		if len(ins) > 1 {
 			part = strconv.Itoa(i) + ":" + part
 		}
@@ -277,7 +272,7 @@ func (p *Prefixed) TelemetryVars() []telemetry.Var {
 }
 
 // Explain renders the prefix kernels and the consumer they feed — visually
-// distinct from a stage-1 standalone kernel (cmd/paceql -explain).
+// distinct from a standalone kernel (cmd/paceql -explain).
 func (p *Prefixed) Explain() string {
 	var parts []string
 	for i, k := range p.kernels {

@@ -188,8 +188,8 @@ func TestBurstyRatesThroughPace(t *testing.T) {
 	if st[1].Passed != 5 {
 		t.Errorf("caught-up tuples must pass: %+v", st)
 	}
-	if hw, ok := p.HighWatermark(); !ok || hw != 99*10_000 {
-		t.Errorf("hw = %d", hw)
+	if !p.hwSet || p.hw != 99*10_000 {
+		t.Errorf("hw = %d", p.hw)
 	}
 }
 

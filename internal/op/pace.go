@@ -192,6 +192,3 @@ func (p *Pace) InputStats() []PaceInputStats { return append([]PaceInputStats(ni
 
 // FeedbackSent returns how many feedback punctuations were produced.
 func (p *Pace) FeedbackSent() int64 { return p.feedbackSent }
-
-// HighWatermark returns the maximum timestamp seen.
-func (p *Pace) HighWatermark() (int64, bool) { return p.hw, p.hwSet }

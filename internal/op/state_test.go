@@ -319,8 +319,8 @@ func TestPaceStateRoundTrip(t *testing.T) {
 	p2 := mk()
 	h2 := exec.NewHarness(p2)
 	saveLoad(t, p1, p2, func() error { return h2.Err() })
-	if hw, ok := p2.HighWatermark(); !ok || hw != 10_000 {
-		t.Fatalf("high watermark lost: %d %v", hw, ok)
+	if !p2.hwSet || p2.hw != 10_000 {
+		t.Fatalf("high watermark lost: %d %v", p2.hw, p2.hwSet)
 	}
 	// A tuple older than hw−tolerance must still be dropped.
 	h2.Tuple(0, traffic(1, 3, 600, 50))
@@ -374,7 +374,7 @@ func TestPaceRefusesStaleLayout(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `"pace"`) || !strings.Contains(err.Error(), "layout") {
 		t.Fatalf("LoadState of a stale blob: %v, want an error naming the operator and the layout", err)
 	}
-	if _, set := p.HighWatermark(); set {
+	if p.hwSet {
 		t.Fatal("LoadState of a stale blob left state behind")
 	}
 }

@@ -26,9 +26,8 @@ import (
 // Builder assembles an exec.Graph incrementally. Errors accumulate and
 // surface at Run/Build, keeping call sites chainable.
 type Builder struct {
-	g       *exec.Graph
-	errs    []error
-	fusions []fuse.Fusion
+	g    *exec.Graph
+	errs []error
 	// Feedback defaults applied to operators the builder creates.
 	Mode      op.FeedbackMode
 	Propagate bool
@@ -67,16 +66,11 @@ func (b *Builder) Compile() *Builder {
 	if len(b.errs) > 0 {
 		return b
 	}
-	fusions, err := fuse.Rewrite(b.g)
-	if err != nil {
+	if _, err := fuse.Rewrite(b.g); err != nil {
 		b.errs = append(b.errs, err)
 	}
-	b.fusions = append(b.fusions, fusions...)
 	return b
 }
-
-// Fusions reports the fusions Compile applied, in order.
-func (b *Builder) Fusions() []fuse.Fusion { return b.fusions }
 
 // EnableTelemetry attaches a telemetry sink to the underlying graph and
 // publishes this plan as the sink's /statusz payload — the Explain

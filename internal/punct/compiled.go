@@ -122,9 +122,6 @@ func intDomain(k stream.Kind) bool {
 // Arity returns the attribute count the compiled pattern was built for.
 func (c *Compiled) Arity() int { return c.arity }
 
-// NumBound returns the number of bound (evaluated) predicates.
-func (c *Compiled) NumBound() int { return len(c.preds) }
-
 // Matches reports whether the tuple satisfies every bound predicate. It is
 // equivalent to the source Pattern's Matches and performs no allocation.
 //

@@ -99,8 +99,8 @@ func TestCompiledArityMismatch(t *testing.T) {
 func TestCompiledSkipsWildcards(t *testing.T) {
 	pat := OnAttr(6, 3, Le(stream.TimeMicros(1000)))
 	c := pat.Compile(stream.Schema{})
-	if c.NumBound() != 1 {
-		t.Fatalf("bound predicates = %d, want 1", c.NumBound())
+	if len(c.preds) != 1 {
+		t.Fatalf("bound predicates = %d, want 1", len(c.preds))
 	}
 	tup := stream.NewTuple(stream.Int(0), stream.Int(0), stream.Int(0),
 		stream.TimeMicros(999), stream.Int(0), stream.Int(0))

@@ -118,17 +118,6 @@ func (s *Scheme) Delimited(i int) bool {
 	return s.watermark[i] != nil || len(s.closed[i]) > 0
 }
 
-// Watermark returns the current prefix guarantee on attribute i (nil if
-// none). The returned predicate matches exactly the values promised
-// complete.
-func (s *Scheme) Watermark(i int) *Pred {
-	if i < 0 || i >= s.arity || s.watermark[i] == nil {
-		return nil
-	}
-	p := *s.watermark[i]
-	return &p
-}
-
 // CoversPattern reports whether the accumulated guarantees cover the given
 // pattern (every tuple matching p is promised to never appear again). It
 // checks single-attribute patterns against the watermark and closed-value

@@ -14,16 +14,16 @@ func TestSchemeWatermarkProgress(t *testing.T) {
 	if !s.Delimited(1) || s.Delimited(0) || s.Delimited(2) {
 		t.Error("delimitation after one watermark punctuation")
 	}
-	if w := s.Watermark(1); w == nil || w.Val.Micros() != 100 {
+	if w := s.watermark[1]; w == nil || w.Val.Micros() != 100 {
 		t.Errorf("watermark: %v", w)
 	}
 	// Regressing punctuation must not move the watermark backwards.
 	s.Observe(NewEmbedded(OnAttr(3, 1, le(50))))
-	if w := s.Watermark(1); w.Val.Micros() != 100 {
+	if w := s.watermark[1]; w.Val.Micros() != 100 {
 		t.Errorf("watermark regressed: %v", w)
 	}
 	s.Observe(NewEmbedded(OnAttr(3, 1, le(200))))
-	if w := s.Watermark(1); w.Val.Micros() != 200 {
+	if w := s.watermark[1]; w.Val.Micros() != 200 {
 		t.Errorf("watermark should advance: %v", w)
 	}
 }

@@ -59,16 +59,6 @@ func (s Schema) Index(name string) int {
 	return -1
 }
 
-// MustIndex returns the position of the named attribute and panics if absent.
-// Use only for statically-known plans (examples, benchmarks).
-func (s Schema) MustIndex(name string) int {
-	i := s.Index(name)
-	if i < 0 {
-		panic(fmt.Sprintf("stream: schema has no attribute %q (have %s)", name, s))
-	}
-	return i
-}
-
 // Has reports whether the schema contains the named attribute.
 func (s Schema) Has(name string) bool { return s.Index(name) >= 0 }
 

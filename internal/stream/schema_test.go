@@ -36,15 +36,6 @@ func TestSchemaIndexAndHas(t *testing.T) {
 	if s.Index("ts") != 2 || !s.Has("speed") || s.Index("nope") != -1 || s.Has("nope") {
 		t.Error("Index/Has misbehave")
 	}
-	if s.MustIndex("segment") != 0 {
-		t.Error("MustIndex")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustIndex on missing attr should panic")
-		}
-	}()
-	s.MustIndex("missing")
 }
 
 func TestSchemaEqual(t *testing.T) {

@@ -60,16 +60,6 @@ func ParseKind(s string) (Kind, error) {
 // Numeric reports whether values of this kind participate in arithmetic.
 func (k Kind) Numeric() bool { return k == KindInt || k == KindFloat }
 
-// Ordered reports whether values of this kind have a total order usable in
-// range predicates (<, ≤, >, ≥).
-func (k Kind) Ordered() bool {
-	switch k {
-	case KindInt, KindFloat, KindString, KindTime:
-		return true
-	}
-	return false
-}
-
 // Value is a compact tagged union. It is passed and stored by value; a Value
 // never aliases mutable state, so tuples can be shared freely across
 // operator goroutines without copying.
@@ -139,9 +129,6 @@ func (v Value) AsFloat() float64 {
 
 // AsString returns the string content (KindString only).
 func (v Value) AsString() string { return v.S }
-
-// AsBool returns the boolean content (KindBool only).
-func (v Value) AsBool() bool { return v.I != 0 }
 
 // AsTime returns the timestamp as a time.Time (KindTime only).
 func (v Value) AsTime() time.Time { return time.UnixMicro(v.I) }

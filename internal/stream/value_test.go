@@ -26,20 +26,12 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestKindPredicatesNumericOrdered(t *testing.T) {
+func TestKindNumeric(t *testing.T) {
 	if !KindInt.Numeric() || !KindFloat.Numeric() {
 		t.Error("int/float must be numeric")
 	}
 	if KindString.Numeric() || KindTime.Numeric() {
 		t.Error("string/time must not be numeric")
-	}
-	for _, k := range []Kind{KindInt, KindFloat, KindString, KindTime} {
-		if !k.Ordered() {
-			t.Errorf("%v should be ordered", k)
-		}
-	}
-	if KindBool.Ordered() || KindNull.Ordered() {
-		t.Error("bool/null should not be ordered")
 	}
 }
 
@@ -53,7 +45,7 @@ func TestValueConstructorsRoundTrip(t *testing.T) {
 	if v := String_("hi"); v.Kind != KindString || v.AsString() != "hi" {
 		t.Errorf("String: %v", v)
 	}
-	if v := Bool(true); v.Kind != KindBool || !v.AsBool() {
+	if v := Bool(true); v.Kind != KindBool || v.I != 1 {
 		t.Errorf("Bool: %v", v)
 	}
 	now := time.Now().Truncate(time.Microsecond).UTC()

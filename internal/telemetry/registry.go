@@ -277,7 +277,7 @@ func renderLabels(sets ...map[string]string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", k, promEscape(merged[k]))
+		b.WriteString(k + `="` + promEscape(merged[k]) + `"`)
 	}
 	b.WriteByte('}')
 	return b.String()

@@ -72,3 +72,28 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 	wg.Wait()
 	r.WritePrometheus(io.Discard)
 }
+
+// TestPrometheusLabelValuesEscapedOnce: the exposition format escapes
+// backslash, double quote and newline in a label value, each exactly once,
+// and defines no other escape — a scraper must read back the name it was
+// given.
+func TestPrometheusLabelValuesEscapedOnce(t *testing.T) {
+	for _, tc := range []struct{ value, want string }{
+		{`agg`, `{op="agg"}`},
+		{`sel "fast"`, `{op="sel \"fast\""}`},
+		{`a\b`, `{op="a\\b"}`},
+		{"two\nlines", `{op="two\nlines"}`},
+		{"tab\there é", "{op=\"tab\there é\"}"},
+	} {
+		if got := renderLabels(map[string]string{"op": tc.value}); got != tc.want {
+			t.Errorf("label value %q renders %s, want %s", tc.value, got, tc.want)
+		}
+	}
+	r := NewRegistry()
+	r.RegisterNode(0, `sel "fast"`, &NodeMetrics{}, nil)
+	var out bytes.Buffer
+	r.WritePrometheus(&out)
+	if want := `op="sel \"fast\""`; !strings.Contains(out.String(), want) {
+		t.Fatalf("scrape lacks %s:\n%s", want, out.String())
+	}
+}

@@ -6,7 +6,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -160,11 +159,3 @@ func StartTimer() *Timer { return &Timer{start: time.Now()} }
 
 // Elapsed reports the duration so far.
 func (t *Timer) Elapsed() time.Duration { return time.Since(t.start) }
-
-// Percent renders a/b as a percentage string for report tables.
-func Percent(a, b int64) string {
-	if b == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.0f%%", 100*float64(a)/float64(b))
-}

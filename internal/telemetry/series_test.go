@@ -60,13 +60,10 @@ func TestSparkline(t *testing.T) {
 	}
 }
 
-func TestTimerAndPercent(t *testing.T) {
+func TestTimer(t *testing.T) {
 	tm := StartTimer()
 	if tm.Elapsed() < 0 {
 		t.Error("elapsed must be non-negative")
-	}
-	if Percent(1, 4) != "25%" || Percent(1, 0) != "n/a" {
-		t.Error("Percent")
 	}
 }
 

@@ -43,12 +43,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Overlap returns how many windows each value belongs to (Range/Slide,
-// rounded up).
-func (s Spec) Overlap() int {
-	return int((s.Range + s.Slide - 1) / s.Slide)
-}
-
 // WindowsOf returns the inclusive id range [lo, hi] of windows containing
 // value v. For tumbling windows lo == hi.
 func (s Spec) WindowsOf(v int64) (lo, hi int64) {
