@@ -16,11 +16,14 @@ import (
 	"log"
 	"sync"
 
-	"repro"
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gen"
+	"repro/internal/op"
+	"repro/internal/plan"
 	"repro/internal/punct"
 	"repro/internal/stream"
+	"repro/internal/window"
 )
 
 // speculator is the sink: partway through the stream it demands an early
@@ -29,18 +32,18 @@ import (
 //pace:stateless example sink; its log exists only to be printed at the end of this demo run
 type speculator struct {
 	exec.Base
-	schema    repro.Schema
+	schema    stream.Schema
 	mu        sync.Mutex
 	arrivals  []string
 	demanded  bool
 	ticksSeen int
 }
 
-func (s *speculator) Name() string               { return "speculator" }
-func (s *speculator) InSchemas() []repro.Schema  { return []repro.Schema{s.schema} }
-func (s *speculator) OutSchemas() []repro.Schema { return nil }
+func (s *speculator) Name() string                { return "speculator" }
+func (s *speculator) InSchemas() []stream.Schema  { return []stream.Schema{s.schema} }
+func (s *speculator) OutSchemas() []stream.Schema { return nil }
 
-func (s *speculator) ProcessTuple(_ int, t stream.Tuple, _ repro.Context) error {
+func (s *speculator) ProcessTuple(_ int, t stream.Tuple, _ exec.Context) error {
 	s.mu.Lock()
 	s.arrivals = append(s.arrivals, fmt.Sprintf("%s @%s rate=%.4f",
 		t.At(0).AsString(), t.At(1).AsTime().UTC().Format("15:04:05"), t.At(2).AsFloat()))
@@ -50,11 +53,11 @@ func (s *speculator) ProcessTuple(_ int, t stream.Tuple, _ repro.Context) error 
 
 // ProcessPunct doubles as the speculator's clock: when the first window
 // boundary passes without a result she can act on, she demands a partial.
-func (s *speculator) ProcessPunct(_ int, e punct.Embedded, ctx repro.Context) error {
+func (s *speculator) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 	s.ticksSeen++
 	if !s.demanded && s.ticksSeen == 1 {
 		s.demanded = true
-		f := repro.NewDemanded(repro.OnAttr(s.schema.Arity(), 0, repro.Eq(repro.Str("EUR/USD"))))
+		f := core.NewDemanded(punct.OnAttr(s.schema.Arity(), 0, punct.Eq(stream.String_("EUR/USD"))))
 		fmt.Printf("speculator: margin of action expiring — sending %v\n", f)
 		ctx.SendFeedback(0, f)
 	}
@@ -68,20 +71,17 @@ func main() {
 		Duration:              90 * 1_000_000, // 90 s of stream time
 		Seed:                  7,
 	}}
-	avg := &repro.Aggregate{
-		OpName: "avg-rate", In: gen.TickSchema, Kind: repro.AggAvg,
+	avg := &op.Aggregate{
+		OpName: "avg-rate", In: gen.TickSchema, Kind: core.AggAvg,
 		TsAttr: 1, ValAttr: 2, GroupBy: []int{0},
-		Window: repro.Tumbling(60_000_000), ValueName: "rate",
-		Mode: repro.FeedbackExploit,
+		Window: window.Tumbling(60_000_000), ValueName: "rate",
+		Mode: op.FeedbackExploit,
 	}
 	spec := &speculator{schema: avg.OutSchemas()[0]}
 
-	g := repro.NewGraph()
-	tn := g.AddSource(ticks)
-	an := g.Add(avg, repro.From(tn))
-	g.Add(spec, repro.From(an))
-
-	if err := g.Run(); err != nil {
+	b := plan.New()
+	b.Source(ticks).Through(avg).Into(spec)
+	if err := b.Run(); err != nil {
 		log.Fatal(err)
 	}
 

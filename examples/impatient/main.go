@@ -17,72 +17,70 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/exec"
+	"repro/internal/op"
+	"repro/internal/plan"
+	"repro/internal/queue"
 	"repro/internal/stream"
 )
 
 var (
-	vehicleSchema = repro.MustSchema(
-		repro.F("period", repro.KindInt),
-		repro.F("segment", repro.KindInt),
-		repro.F("vspeed", repro.KindFloat),
+	vehicleSchema = stream.MustSchema(
+		stream.F("period", stream.KindInt),
+		stream.F("segment", stream.KindInt),
+		stream.F("vspeed", stream.KindFloat),
 	)
-	sensorSchema = repro.MustSchema(
-		repro.F("period", repro.KindInt),
-		repro.F("segment", repro.KindInt),
-		repro.F("sspeed", repro.KindFloat),
+	sensorSchema = stream.MustSchema(
+		stream.F("period", stream.KindInt),
+		stream.F("segment", stream.KindInt),
+		stream.F("sspeed", stream.KindFloat),
 	)
 )
 
 func main() {
 	// Sensor data: every (period, segment) cell for 40 periods × 9
 	// segments, in period-major order.
-	var sensors []repro.Tuple
+	var sensors []stream.Tuple
 	for p := int64(0); p < 40; p++ {
 		for s := int64(0); s < 9; s++ {
-			sensors = append(sensors, repro.NewTuple(
-				repro.Int(p), repro.Int(s), repro.Float(50+float64(s))))
+			sensors = append(sensors, stream.NewTuple(
+				stream.Int(p), stream.Int(s), stream.Float(50+float64(s))))
 		}
 	}
 	// Vehicle data: a single probe car driving segment 3, reporting in
 	// periods 20..29 — the subset the join will be impatient about.
-	var vehicles []repro.Tuple
+	var vehicles []stream.Tuple
 	for p := int64(20); p < 30; p++ {
-		vehicles = append(vehicles, repro.NewTuple(
-			repro.Int(p), repro.Int(3), repro.Float(31)))
+		vehicles = append(vehicles, stream.NewTuple(
+			stream.Int(p), stream.Int(3), stream.Float(31)))
 	}
 
-	vsrc := repro.NewSliceSource("vehicles", vehicleSchema, vehicles...)
+	vsrc := exec.NewSliceSource("vehicles", vehicleSchema, vehicles...)
 	vsrc.BatchSize = 1
-	ssrc := repro.NewSliceSource("sensors", sensorSchema, sensors...)
+	ssrc := exec.NewSliceSource("sensors", sensorSchema, sensors...)
 	ssrc.BatchSize = 4
 
-	prio := &repro.Prioritize{
+	prio := &op.Prioritize{
 		OpName: "prioritize", Schema: sensorSchema,
-		BufferCap: 1000, Mode: repro.FeedbackExploit,
+		BufferCap: 1000, Mode: op.FeedbackExploit,
 	}
-	join := &repro.Join{
+	join := &op.Join{
 		OpName: "impatient-join",
 		Left:   vehicleSchema, Right: sensorSchema,
 		LeftKeys: []int{0, 1}, RightKeys: []int{0, 1},
 		LeftTs: 0, RightTs: 0,
 		Impatient: true, // ?[period, segment, *] toward the sensor side
-		Mode:      repro.FeedbackExploit,
+		Mode:      op.FeedbackExploit,
 	}
 
+	b := plan.New()
+	b.Graph().SetQueueOptions(queue.Options{PageSize: 4, Depth: 2})
+	probes := b.Source(vsrc)
+	buffered := b.Source(ssrc).Through(prio)
+	sink := probes.Through(join, buffered).Collect("sink")
 	var order []int64 // join-output period order
-	sink := repro.NewCollector("sink", join.OutSchemas()[0])
 	sink.OnTuple = func(t stream.Tuple) { order = append(order, t.At(0).AsInt()) }
-
-	g := repro.NewGraph()
-	g.SetQueueOptions(repro.QueueOptions{PageSize: 4, Depth: 2})
-	vn := g.AddSource(vsrc)
-	sn := g.AddSource(ssrc)
-	pn := g.Add(prio, repro.From(sn))
-	jn := g.Add(join, repro.From(vn), repro.From(pn))
-	g.Add(sink, repro.From(jn))
-
-	if err := g.Run(); err != nil {
+	if err := b.Run(); err != nil {
 		log.Fatal(err)
 	}
 

@@ -15,15 +15,19 @@ import (
 	"log"
 	"sync/atomic"
 
-	"repro"
+	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/op"
+	"repro/internal/plan"
+	"repro/internal/punct"
+	"repro/internal/queue"
 	"repro/internal/stream"
 )
 
-var schema = repro.MustSchema(
-	repro.F("segment", repro.KindInt),
-	repro.F("ts", repro.KindTime),
-	repro.F("speed", repro.KindFloat),
+var schema = stream.MustSchema(
+	stream.F("segment", stream.KindInt),
+	stream.F("ts", stream.KindTime),
+	stream.F("speed", stream.KindFloat),
 )
 
 // decidingSink counts arrivals per segment and, after 50 tuples, issues
@@ -37,15 +41,15 @@ type decidingSink struct {
 	feedback bool
 }
 
-func (s *decidingSink) Name() string               { return "deciding-sink" }
-func (s *decidingSink) InSchemas() []repro.Schema  { return []repro.Schema{schema} }
-func (s *decidingSink) OutSchemas() []repro.Schema { return nil }
+func (s *decidingSink) Name() string                { return "deciding-sink" }
+func (s *decidingSink) InSchemas() []stream.Schema  { return []stream.Schema{schema} }
+func (s *decidingSink) OutSchemas() []stream.Schema { return nil }
 
-func (s *decidingSink) ProcessTuple(_ int, t stream.Tuple, ctx repro.Context) error {
+func (s *decidingSink) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 	s.perSeg[t.At(0).AsInt()%3]++
 	if s.seen.Add(1) == 50 && !s.feedback {
 		s.feedback = true
-		fb := repro.NewAssumed(repro.OnAttr(schema.Arity(), 0, repro.Eq(repro.Int(2))))
+		fb := core.NewAssumed(punct.OnAttr(schema.Arity(), 0, punct.Eq(stream.Int(2))))
 		fmt.Printf("sink: issuing feedback %v after 50 tuples\n", fb)
 		ctx.SendFeedback(0, fb)
 	}
@@ -54,37 +58,34 @@ func (s *decidingSink) ProcessTuple(_ int, t stream.Tuple, ctx repro.Context) er
 
 func main() {
 	// 3000 readings round-robin across segments 0, 1, 2.
-	var tuples []repro.Tuple
+	var tuples []stream.Tuple
 	for i := 0; i < 3000; i++ {
-		tuples = append(tuples, repro.NewTuple(
-			repro.Int(int64(i%3)),
-			repro.TimeMicros(int64(i)*1000),
-			repro.Float(55+float64(i%10)),
+		tuples = append(tuples, stream.NewTuple(
+			stream.Int(int64(i%3)),
+			stream.TimeMicros(int64(i)*1000),
+			stream.Float(55+float64(i%10)),
 		).WithSeq(int64(i)))
 	}
-	src := repro.NewSliceSource("sensors", schema, tuples...)
+	src := exec.NewSliceSource("sensors", schema, tuples...)
 	src.FeedbackAware = true
 	src.BatchSize = 8
 
-	filter := &repro.Select{
+	filter := &op.Select{
 		OpName:    "filter",
 		Schema:    schema,
-		Cond:      func(t repro.Tuple) bool { return t.At(2).AsFloat() < 100 },
-		Mode:      repro.FeedbackExploit,
+		Cond:      func(t stream.Tuple) bool { return t.At(2).AsFloat() < 100 },
+		Mode:      op.FeedbackExploit,
 		Propagate: true,
 	}
 	sink := &decidingSink{}
 
-	g := repro.NewGraph()
+	b := plan.New()
 	// Small pages and shallow queues: backpressure keeps the source only
 	// slightly ahead of the sink, so the relayed feedback arrives while
 	// most of the stream is still ungenerated.
-	g.SetQueueOptions(repro.QueueOptions{PageSize: 8, Depth: 2})
-	srcNode := g.AddSource(src)
-	fNode := g.Add(filter, repro.From(srcNode))
-	g.Add(sink, repro.From(fNode))
-
-	if err := g.Run(); err != nil {
+	b.Graph().SetQueueOptions(queue.Options{PageSize: 8, Depth: 2})
+	b.Source(src).Through(filter).Into(sink)
+	if err := b.Run(); err != nil {
 		log.Fatal(err)
 	}
 

@@ -17,11 +17,15 @@ import (
 	"log"
 	"sync"
 
-	"repro"
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gen"
+	"repro/internal/op"
+	"repro/internal/plan"
 	"repro/internal/punct"
+	"repro/internal/queue"
 	"repro/internal/stream"
+	"repro/internal/window"
 )
 
 const (
@@ -35,7 +39,7 @@ const (
 //pace:stateless example sink; its log exists only to be printed at the end of this demo run
 type display struct {
 	exec.Base
-	schema repro.Schema
+	schema stream.Schema
 	// zooms maps a minute index to the set of segments visible from then
 	// on; nil means fully zoomed out.
 	zooms map[int64][]int64
@@ -46,18 +50,18 @@ type display struct {
 	seq       int64
 }
 
-func (d *display) Name() string               { return "display" }
-func (d *display) InSchemas() []repro.Schema  { return []repro.Schema{d.schema} }
-func (d *display) OutSchemas() []repro.Schema { return nil }
+func (d *display) Name() string                { return "display" }
+func (d *display) InSchemas() []stream.Schema  { return []stream.Schema{d.schema} }
+func (d *display) OutSchemas() []stream.Schema { return nil }
 
-func (d *display) ProcessTuple(_ int, t stream.Tuple, _ repro.Context) error {
+func (d *display) ProcessTuple(_ int, t stream.Tuple, _ exec.Context) error {
 	d.mu.Lock()
 	d.results++
 	d.mu.Unlock()
 	return nil
 }
 
-func (d *display) ProcessPunct(_ int, e punct.Embedded, ctx repro.Context) error {
+func (d *display) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 	attr, now, ok := e.Pattern.Progress()
 	if !ok || attr != 1 { // wstart
 		return nil
@@ -69,24 +73,24 @@ func (d *display) ProcessPunct(_ int, e punct.Embedded, ctx repro.Context) error
 	}
 	d.announced[minute] = true
 	// Hidden segments for the upcoming minute.
-	hidden := make([]repro.Value, 0, segments)
+	hidden := make([]stream.Value, 0, segments)
 	inView := map[int64]bool{}
 	for _, s := range visible {
 		inView[s] = true
 	}
 	for s := int64(0); s < segments; s++ {
 		if !inView[s] {
-			hidden = append(hidden, repro.Int(s))
+			hidden = append(hidden, stream.Int(s))
 		}
 	}
 	lo, hi := minute*minuteUS, (minute+1)*minuteUS-1
-	pat := repro.NewPattern(
-		repro.OneOf(hidden...),
-		repro.RangePred(repro.TimeMicros(lo), repro.TimeMicros(hi)),
-		repro.Wild,
+	pat := punct.NewPattern(
+		punct.OneOf(hidden...),
+		punct.Range(stream.TimeMicros(lo), stream.TimeMicros(hi)),
+		punct.Wild,
 	)
 	d.seq++
-	f := repro.Feedback{Intent: repro.Assumed, Pattern: pat, Origin: d.Name(), Seq: d.seq}
+	f := core.Feedback{Intent: core.Assumed, Pattern: pat, Origin: d.Name(), Seq: d.seq}
 	fmt.Printf("display: zoom at minute %d → %v\n", minute, f)
 	ctx.SendFeedback(0, f)
 	return nil
@@ -103,18 +107,18 @@ func main() {
 		Seed:                3,
 		FeedbackAware:       true,
 	}}
-	quality := &repro.Select{
+	quality := &op.Select{
 		OpName: "quality", Schema: gen.TrafficSchema,
-		Cond:      func(t repro.Tuple) bool { return !t.At(3).IsNull() },
+		Cond:      func(t stream.Tuple) bool { return !t.At(3).IsNull() },
 		Cost:      50,
-		Mode:      repro.FeedbackExploit,
+		Mode:      op.FeedbackExploit,
 		Propagate: true,
 	}
-	avg := &repro.Aggregate{
-		OpName: "average", In: gen.TrafficSchema, Kind: repro.AggAvg,
+	avg := &op.Aggregate{
+		OpName: "average", In: gen.TrafficSchema, Kind: core.AggAvg,
 		TsAttr: 2, ValAttr: 3, GroupBy: []int{0},
-		Window: repro.Tumbling(minuteUS), ValueName: "avg_speed",
-		Mode: repro.FeedbackExploit, Propagate: true,
+		Window: window.Tumbling(minuteUS), ValueName: "avg_speed",
+		Mode: op.FeedbackExploit, Propagate: true,
 	}
 	disp := &display{
 		schema: avg.OutSchemas()[0],
@@ -132,14 +136,10 @@ func main() {
 	}
 	disp.zooms = absZooms
 
-	g := repro.NewGraph()
-	g.SetQueueOptions(repro.QueueOptions{PageSize: 8, Depth: 2})
-	sn := g.AddSource(src)
-	qn := g.Add(quality, repro.From(sn))
-	an := g.Add(avg, repro.From(qn))
-	g.Add(disp, repro.From(an))
-
-	if err := g.Run(); err != nil {
+	b := plan.New()
+	b.Graph().SetQueueOptions(queue.Options{PageSize: 8, Depth: 2})
+	b.Source(src).Through(quality).Through(avg).Into(disp)
+	if err := b.Run(); err != nil {
 		log.Fatal(err)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/op"
+	"repro/internal/plan"
 	"repro/internal/punct"
 	"repro/internal/queue"
 	"repro/internal/stream"
@@ -31,10 +32,28 @@ type Figure1bResult struct {
 	AdaptiveSent    int64
 }
 
-// RunFigure1b executes the plan with or without the congestion feedback.
-// Seeds are fixed so the two runs are comparable tuple for tuple.
+// RunFigure1b executes the plan (figure1bPlan), compiled, with or without
+// the congestion feedback. Seeds are fixed so the two runs are comparable
+// tuple for tuple.
 func RunFigure1b(feedback bool, hours int) (Figure1bResult, error) {
-	res := Figure1bResult{Feedback: feedback}
+	return runFigure1b(feedback, hours, true)
+}
+
+// figure1b is what the Figure 1(b) run reads off its plan afterwards.
+type figure1b struct {
+	probes       *gen.ProbeSource
+	clean        *op.Select
+	agg          *op.Aggregate
+	join         *op.Join
+	sink         *exec.Collector
+	adaptiveSent *atomic.Int64
+}
+
+// figure1bPlan describes the Figure 1(b) plan:
+//
+//	probes → CLEAN → AGGREGATE(segment, 20 s) ──────┐
+//	sensors → PROJECT(segment, ts, speed) ─── OUTER JOIN → map
+func figure1bPlan(b *plan.Builder, feedback bool, hours int) figure1b {
 	const period = int64(20_000_000)
 	start := int64(6*3600+1800) * 1_000_000 // 6:30 am: rush onset
 	duration := int64(hours) * 3600 * 1_000_000
@@ -43,47 +62,54 @@ func RunFigure1b(feedback bool, hours int) (Figure1bResult, error) {
 	if feedback {
 		mode = op.FeedbackExploit
 	}
-	probes := &gen.ProbeSource{Config: gen.ProbeConfig{
-		Segments: 9, VehiclesPerPeriod: 6, Period: period,
-		Duration: duration, Start: start,
-		NoiseRate: 0.05, Noise: 4, Seed: 1,
-		FeedbackAware: feedback,
-	}}
-	// Cleaning and aggregation carry real per-tuple cost (the paper's
-	// point: this is the work worth avoiding for uncongested segments).
-	clean := &op.Select{
-		OpName: "clean", Schema: gen.ProbeSchema,
-		Cond: func(t stream.Tuple) bool {
-			v := t.At(2).AsFloat()
-			return v >= 0 && v <= 100
+	h := figure1b{
+		probes: &gen.ProbeSource{Config: gen.ProbeConfig{
+			Segments: 9, VehiclesPerPeriod: 6, Period: period,
+			Duration: duration, Start: start,
+			NoiseRate: 0.05, Noise: 4, Seed: 1,
+			FeedbackAware: feedback,
+		}},
+		// Cleaning and aggregation carry real per-tuple cost (the paper's
+		// point: this is the work worth avoiding for uncongested segments).
+		clean: &op.Select{
+			OpName: "clean", Schema: gen.ProbeSchema,
+			Cond: func(t stream.Tuple) bool {
+				v := t.At(2).AsFloat()
+				return v >= 0 && v <= 100
+			},
+			Cost: 800,
+			Mode: mode, Propagate: feedback,
 		},
-		Cost: 800,
-		Mode: mode, Propagate: feedback,
-	}
-	agg := &op.Aggregate{
-		OpName: "aggregate", In: gen.ProbeSchema, Kind: core.AggAvg,
-		TsAttr: 1, ValAttr: 2, GroupBy: []int{0},
-		Window: window.Tumbling(period), ValueName: "probe_speed",
-		Cost: 800,
-		Mode: mode, Propagate: feedback,
+		agg: &op.Aggregate{
+			OpName: "aggregate", In: gen.ProbeSchema, Kind: core.AggAvg,
+			TsAttr: 1, ValAttr: 2, GroupBy: []int{0},
+			Window: window.Tumbling(period), ValueName: "probe_speed",
+			Cost: 800,
+			Mode: mode, Propagate: feedback,
+		},
+		adaptiveSent: new(atomic.Int64),
 	}
 	sensors := &gen.TrafficSource{Config: gen.TrafficConfig{
 		Segments: 9, DetectorsPerSegment: 1, ReportPeriod: period,
 		Duration: duration, Start: start, Noise: 2, Seed: 2,
 	}}
-	sensorKey := &op.Project{OpName: "sensor-key", In: gen.TrafficSchema, Keep: []string{"segment", "ts", "speed"}}
-	join := &op.Join{
+	// The sensor-key projection ignores feedback: the join sends none to
+	// its sensor input.
+	b.Mode, b.Propagate = op.FeedbackIgnore, false
+	b.Graph().SetQueueOptions(queue.Options{PageSize: 8, Depth: 2})
+	vehicles := b.Source(h.probes).Through(h.clean).Through(h.agg)
+	sensed := b.Source(sensors).Project("sensor-key", "segment", "ts", "speed")
+	h.join = &op.Join{
 		OpName: "speedmap-join",
-		Left:   sensorKey.OutSchemas()[0], Right: agg.OutSchemas()[0],
+		Left:   sensed.Schema(), Right: vehicles.Schema(),
 		LeftKeys: []int{0, 1}, RightKeys: []int{0, 1},
 		LeftTs: 1, RightTs: 1,
 		Residual:  func(l, r stream.Tuple) bool { return l.At(2).AsFloat() < 45 },
 		LeftOuter: true,
 		Mode:      mode,
 	}
-	var adaptiveSent atomic.Int64
 	if feedback {
-		join.Adaptive = func(input int, t stream.Tuple, send func(int, core.Feedback)) {
+		h.join.Adaptive = func(input int, t stream.Tuple, send func(int, core.Feedback)) {
 			if input != 0 || t.At(2).IsNull() || t.At(2).AsFloat() < 45 {
 				return
 			}
@@ -93,31 +119,30 @@ func RunFigure1b(feedback bool, hours int) (Figure1bResult, error) {
 				punct.Eq(stream.TimeMicros(wstart)),
 				punct.Wild,
 			)))
-			adaptiveSent.Add(1)
+			h.adaptiveSent.Add(1)
 		}
 	}
-	sink := exec.NewCollector("map", join.OutSchemas()[0])
+	h.sink = sensed.Through(h.join, vehicles).Collect("map")
+	return h
+}
 
-	g := exec.NewGraph()
-	g.SetQueueOptions(queue.Options{PageSize: 8, Depth: 2})
-	pn := g.AddSource(probes)
-	cn := g.Add(clean, exec.From(pn))
-	an := g.Add(agg, exec.From(cn))
-	sn := g.AddSource(sensors)
-	kn := g.Add(sensorKey, exec.From(sn))
-	jn := g.Add(join, exec.From(kn), exec.From(an))
-	g.Add(sink, exec.From(jn))
-
-	if err := g.Run(); err != nil {
+// runFigure1b runs figure1bPlan, compiled or not.
+func runFigure1b(feedback bool, hours int, compile bool) (Figure1bResult, error) {
+	res := Figure1bResult{Feedback: feedback}
+	b := plan.New()
+	h := figure1bPlan(b, feedback, hours)
+	if compile {
+		b.Compile()
+	}
+	if err := b.Run(); err != nil {
 		return res, fmt.Errorf("figure 1(b) run: %w", err)
 	}
-	res.MapRows = sink.Tuples()
-	js := join.Stats()
+	res.MapRows = h.sink.Tuples()
+	js := h.join.Stats()
 	res.Joined, res.SensorOnly = js.Emitted, js.OuterEmitted
-	in, _, skipped := clean.Stats()
-	res.CleanerInput, res.CleanerSkipped = in, skipped
-	res.AggFoldsSkipped = agg.Stats().InSuppressed
-	_, res.ProbesSkipped = probes.Stats()
-	res.AdaptiveSent = adaptiveSent.Load()
+	res.CleanerInput, _, res.CleanerSkipped = h.clean.Stats()
+	res.AggFoldsSkipped = h.agg.Stats().InSuppressed
+	_, res.ProbesSkipped = h.probes.Stats()
+	res.AdaptiveSent = h.adaptiveSent.Load()
 	return res, nil
 }

@@ -1,8 +1,10 @@
 // Package experiments contains the harnesses that regenerate every table
 // and figure in the paper's evaluation (§6): the imputation experiment
-// (Figures 5 and 6), the speed-map experiment (Figure 7), and the operator
-// characterization demonstrations (Tables 1 and 2). DESIGN.md carries the
-// experiment index; EXPERIMENTS.md records paper-vs-measured outcomes.
+// (Figures 5 and 6), the speed-map experiment (Figure 7), the Figure 1(b)
+// motivating plan, and the operator characterization demonstrations
+// (Tables 1 and 2). Each plan is described once, on a plan.Builder, and runs
+// compiled; cmd/experiments prints the reports, and the shapes the paper
+// reports are asserted by this package's tests, compiled and not.
 package experiments
 
 import (
@@ -11,9 +13,9 @@ import (
 	"time"
 
 	"repro/internal/archive"
-	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/op"
+	"repro/internal/plan"
 	"repro/internal/queue"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
@@ -88,24 +90,32 @@ func (r ImputationResult) UselessFraction() float64 {
 	return float64(useless) / float64(r.ImputedTotal)
 }
 
-// RunImputation executes the Figure 4(a) plan:
+// RunImputation executes the Figure 4(a) plan (imputationPlan), compiled.
+func RunImputation(cfg ImputationConfig) (ImputationResult, error) {
+	return runImputation(cfg, true)
+}
+
+// imputation is what Experiment 1 reads off its plan after the run.
+type imputation struct {
+	imp    *op.Impute
+	pace   *op.Pace
+	series *telemetry.Series
+}
+
+// imputationPlan describes the Figure 4(a) plan:
 //
 //	source → DUPLICATE → σ_clean ────────────────→ PACE → sink
 //	                   → σ_dirty → IMPUTE ───────↗
 //
-// with feedback (when enabled) flowing PACE → IMPUTE → (σ, DUPLICATE).
-func RunImputation(cfg ImputationConfig) (ImputationResult, error) {
-	cfg = cfg.withDefaults()
-	res := ImputationResult{Config: cfg}
-
+// with feedback (when enabled) flowing PACE → IMPUTE, where it stops.
+func imputationPlan(b *plan.Builder, cfg ImputationConfig) imputation {
 	// Stream time tracks wall time: one tuple per 1/Rate seconds, so the
 	// stream-time tolerance means the same thing in both domains.
 	spacingMicros := int64(1e6 / cfg.Rate)
-	items := gen.ImputationStream(cfg.Tuples, 0, spacingMicros, 50)
 	src := &gen.RatedSource{
 		SourceName: "sensor-feed",
 		Schema:     gen.TrafficSchema,
-		Items:      items,
+		Items:      gen.ImputationStream(cfg.Tuples, 0, spacingMicros, 50),
 		PerSecond:  cfg.Rate,
 	}
 
@@ -113,80 +123,79 @@ func RunImputation(cfg ImputationConfig) (ImputationResult, error) {
 	// the archival lookup costs ServiceFactor times that.
 	dirtyInterarrival := 2 / cfg.Rate // seconds
 	lookup := work.UnitsFor(time.Duration(cfg.ServiceFactor * dirtyInterarrival * float64(time.Second)))
-	store := newSeededStore(lookup)
 
 	mode := op.FeedbackIgnore
 	if cfg.Feedback {
 		mode = op.FeedbackExploit
 	}
-	dup := &op.Duplicate{OpName: "duplicate", Schema: gen.TrafficSchema, N: 2}
-	selClean := &op.Select{
-		OpName: "sigma-clean", Schema: gen.TrafficSchema,
-		Cond: func(t stream.Tuple) bool { return !t.At(3).IsNull() },
-	}
-	selDirty := &op.Select{
-		OpName: "sigma-dirty", Schema: gen.TrafficSchema,
-		Cond: func(t stream.Tuple) bool { return t.At(3).IsNull() },
-	}
-	imp := &op.Impute{
-		OpName: "impute", Schema: gen.TrafficSchema,
-		SegAttr: 0, DetAttr: 1, TsAttr: 2, SpeedAttr: 3,
-		Store: store, Mode: mode,
-	}
-	pace := &op.Pace{
-		OpName: "pace", Schema: gen.TrafficSchema, K: 2, TsAttr: 2,
-		Tolerance:       chooseTolerance(cfg),
-		FeedbackEnabled: cfg.Feedback,
-		// Tight cadence: the guard's cutoff tracks the live edge closely
-		// so IMPUTE wastes little service time on soon-to-be-late tuples.
-		FeedbackMinAdvance: cfg.ToleranceMicros / 8,
-		// Modest slack: enough headroom for one service time plus page
-		// batching, without giving up usable tolerance.
-		FeedbackSlack: cfg.ToleranceMicros / 4,
-	}
+	// Only IMPUTE and PACE take part in feedback: the operators the builder
+	// makes ignore it.
+	b.Mode, b.Propagate = op.FeedbackIgnore, false
+	// Deep queues: the dirty branch must be able to accumulate backlog
+	// (the paper's divergence) without stalling the clean branch. Small
+	// pages: with ~1 ms imputation service time, a large output page
+	// would hold finished tuples for many milliseconds of batching delay
+	// — a meaningful fraction of the tolerance.
+	b.Graph().SetQueueOptions(queue.Options{PageSize: 4, Depth: 16384})
 
-	series := telemetry.NewSeries()
-	sink := exec.NewCollector("speedmap-sink", gen.TrafficSchema)
+	h := imputation{
+		imp: &op.Impute{
+			OpName: "impute", Schema: gen.TrafficSchema,
+			SegAttr: 0, DetAttr: 1, TsAttr: 2, SpeedAttr: 3,
+			Store: newSeededStore(lookup), Mode: mode,
+		},
+		pace: &op.Pace{
+			OpName: "pace", Schema: gen.TrafficSchema, K: 2, TsAttr: 2,
+			Tolerance:       chooseTolerance(cfg),
+			FeedbackEnabled: cfg.Feedback,
+			// Tight cadence: the guard's cutoff tracks the live edge closely
+			// so IMPUTE wastes little service time on soon-to-be-late tuples.
+			FeedbackMinAdvance: cfg.ToleranceMicros / 8,
+			// Modest slack: enough headroom for one service time plus page
+			// batching, without giving up usable tolerance.
+			FeedbackSlack: cfg.ToleranceMicros / 4,
+		},
+		series: telemetry.NewSeries(),
+	}
+	paths := b.Source(src).Duplicate("duplicate", 2)
+	clean := paths[0].Select("sigma-clean", func(t stream.Tuple) bool { return !t.At(3).IsNull() })
+	imputed := paths[1].Select("sigma-dirty", func(t stream.Tuple) bool { return t.At(3).IsNull() }).
+		Through(h.imp)
+	sink := clean.Through(h.pace, imputed).Collect("speedmap-sink")
 	sink.Discard = true
 	sink.OnTuple = func(t stream.Tuple) {
 		class := telemetry.Clean
 		if t.Seq%2 == 1 { // odd seq = dirty path (gen alternates)
 			class = telemetry.Imputed
 		}
-		series.Observe(t.Seq, class, t.At(2).I)
+		h.series.Observe(t.Seq, class, t.At(2).I)
 	}
+	return h
+}
 
-	g := exec.NewGraph()
-	// Deep queues: the dirty branch must be able to accumulate backlog
-	// (the paper's divergence) without stalling the clean branch. Small
-	// pages: with ~1 ms imputation service time, a large output page
-	// would hold finished tuples for many milliseconds of batching delay
-	// — a meaningful fraction of the tolerance.
-	g.SetQueueOptions(queue.Options{PageSize: 4, Depth: 16384})
-	s := g.AddSource(src)
-	d := g.Add(dup, exec.From(s))
-	cl := g.Add(selClean, exec.FromPort(d, 0))
-	dr := g.Add(selDirty, exec.FromPort(d, 1))
-	im := g.Add(imp, exec.From(dr))
-	pc := g.Add(pace, exec.From(cl), exec.From(im))
-	g.Add(sink, exec.From(pc))
-
+// runImputation runs imputationPlan, compiled or not.
+func runImputation(cfg ImputationConfig, compile bool) (ImputationResult, error) {
+	cfg = cfg.withDefaults()
+	res := ImputationResult{Config: cfg}
+	b := plan.New()
+	h := imputationPlan(b, cfg)
+	if compile {
+		b.Compile()
+	}
 	timer := telemetry.StartTimer()
-	if err := g.Run(); err != nil {
+	if err := b.Run(); err != nil {
 		return res, fmt.Errorf("imputation run: %w", err)
 	}
 	res.Elapsed = timer.Elapsed()
 
 	res.CleanTotal = int64((cfg.Tuples + 1) / 2)
 	res.ImputedTotal = int64(cfg.Tuples / 2)
-	_, skipped, _ := imp.Stats()
-	res.SkippedAtImp = skipped
-	paceStats := pace.InputStats()
-	res.DroppedAtPace = paceStats[1].Dropped
-	res.LateAtSink = int64(series.LateCount(telemetry.Imputed, cfg.ToleranceMicros))
+	_, res.SkippedAtImp, _ = h.imp.Stats()
+	res.DroppedAtPace = h.pace.InputStats()[1].Dropped
+	res.LateAtSink = int64(h.series.LateCount(telemetry.Imputed, cfg.ToleranceMicros))
 	res.ImputedOK = res.ImputedTotal - res.SkippedAtImp - res.DroppedAtPace - res.LateAtSink
-	res.FeedbackSent = pace.FeedbackSent()
-	res.Series = series
+	res.FeedbackSent = h.pace.FeedbackSent()
+	res.Series = h.series
 	return res, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/op"
+	"repro/internal/plan"
 	"repro/internal/punct"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
@@ -183,24 +184,24 @@ func (v *viewer) announce(period int64, ctx exec.Context) {
 	v.mu.Unlock()
 }
 
-// RunSpeedmap executes the Figure 4(b) plan — σQ → AVERAGE → viewer — under
+// RunSpeedmap executes the Figure 4(b) plan (speedmapPlan), compiled, under
 // the given scheme and reports its execution time.
 func RunSpeedmap(cfg SpeedmapConfig) (SpeedmapResult, error) {
-	cfg = cfg.withDefaults()
-	res := SpeedmapResult{Config: cfg}
+	return runSpeedmap(cfg, true)
+}
+
+// speedmap is what Experiment 2 reads off its plan after the run.
+type speedmap struct {
+	src     *gen.TrafficSource
+	quality *op.Select
+	avg     *op.Aggregate
+	view    *viewer
+}
+
+// speedmapPlan describes the Figure 4(b) plan — σQ → AVERAGE → viewer — with
+// the feedback response the scheme gives each operator.
+func speedmapPlan(b *plan.Builder, cfg SpeedmapConfig) speedmap {
 	const period20s = 20 * 1_000_000
-
-	src := &gen.TrafficSource{Config: gen.TrafficConfig{
-		Segments:            cfg.Segments,
-		DetectorsPerSegment: cfg.Detectors,
-		ReportPeriod:        period20s,
-		Duration:            int64(cfg.Hours) * 3600 * 1_000_000,
-		NullRate:            0.02,
-		Noise:               3,
-		Seed:                cfg.Seed,
-		Cost:                cfg.IngestCost,
-	}}
-
 	filterMode, aggMode := op.FeedbackIgnore, op.FeedbackIgnore
 	propagate := false
 	switch cfg.Scheme {
@@ -213,50 +214,64 @@ func RunSpeedmap(cfg SpeedmapConfig) (SpeedmapResult, error) {
 		filterMode = op.FeedbackExploit
 		propagate = true
 	}
-
-	quality := &op.Select{
-		OpName: "sigma-quality", Schema: gen.TrafficSchema,
-		Cond: func(t stream.Tuple) bool {
-			v := t.At(3)
-			return !v.IsNull() && v.AsFloat() >= 0 && v.AsFloat() <= 120
+	h := speedmap{
+		src: &gen.TrafficSource{Config: gen.TrafficConfig{
+			Segments:            cfg.Segments,
+			DetectorsPerSegment: cfg.Detectors,
+			ReportPeriod:        period20s,
+			Duration:            int64(cfg.Hours) * 3600 * 1_000_000,
+			NullRate:            0.02,
+			Noise:               3,
+			Seed:                cfg.Seed,
+			Cost:                cfg.IngestCost,
+		}},
+		quality: &op.Select{
+			OpName: "sigma-quality", Schema: gen.TrafficSchema,
+			Cond: func(t stream.Tuple) bool {
+				v := t.At(3)
+				return !v.IsNull() && v.AsFloat() >= 0 && v.AsFloat() <= 120
+			},
+			Cost: cfg.FilterCost,
+			Mode: filterMode,
 		},
-		Cost: cfg.FilterCost,
-		Mode: filterMode,
+		avg: &op.Aggregate{
+			OpName: "average", In: gen.TrafficSchema, Kind: core.AggAvg,
+			TsAttr: 2, ValAttr: 3, GroupBy: []int{0},
+			Window: window.Tumbling(60_000_000), ValueName: "avg_speed",
+			Cost: cfg.FoldCost, EmitCost: cfg.EmitCost,
+			Mode: aggMode, Propagate: propagate,
+		},
 	}
-	avg := &op.Aggregate{
-		OpName: "average", In: gen.TrafficSchema, Kind: core.AggAvg,
-		TsAttr: 2, ValAttr: 3, GroupBy: []int{0},
-		Window: window.Tumbling(60_000_000), ValueName: "avg_speed",
-		Cost: cfg.FoldCost, EmitCost: cfg.EmitCost,
-		Mode: aggMode, Propagate: propagate,
-	}
-	view := &viewer{
-		schema:   avg.OutSchemas()[0],
+	h.view = &viewer{
+		schema:   h.avg.OutSchemas()[0],
 		scheme:   cfg.Scheme,
 		switchUS: int64(cfg.SwitchEveryMinutes) * 60_000_000,
 		segments: int64(cfg.Segments),
 	}
+	b.Source(h.src).Through(h.quality).Through(h.avg).Into(h.view)
+	return h
+}
 
-	g := exec.NewGraph()
-	s := g.AddSource(src)
-	q := g.Add(quality, exec.From(s))
-	a := g.Add(avg, exec.From(q))
-	g.Add(view, exec.From(a))
-
+// runSpeedmap runs speedmapPlan, compiled or not.
+func runSpeedmap(cfg SpeedmapConfig, compile bool) (SpeedmapResult, error) {
+	cfg = cfg.withDefaults()
+	res := SpeedmapResult{Config: cfg}
+	b := plan.New()
+	h := speedmapPlan(b, cfg)
+	if compile {
+		b.Compile()
+	}
 	timer := telemetry.StartTimer()
-	if err := g.Run(); err != nil {
+	if err := b.Run(); err != nil {
 		return res, fmt.Errorf("speedmap run %v: %w", cfg.Scheme, err)
 	}
 	res.Elapsed = timer.Elapsed()
-	emitted, _ := src.Stats()
-	res.Inputs = emitted
-	res.Agg = avg.Stats()
+	res.Inputs, _ = h.src.Stats()
+	res.Agg = h.avg.Stats()
 	res.Results = res.Agg.Out
-	fIn, _, fSup := quality.Stats()
-	res.FilterIn = fIn
-	res.FilterSup = fSup
-	res.Feedbacks = view.feedbacks
-	res.WorkUnits = res.Agg.WorkUnits + quality.CostBurned() + src.WorkUnits()
+	res.FilterIn, _, res.FilterSup = h.quality.Stats()
+	res.Feedbacks = h.view.feedbacks
+	res.WorkUnits = res.Agg.WorkUnits + h.quality.CostBurned() + h.src.WorkUnits()
 	return res, nil
 }
 

@@ -15,8 +15,9 @@
 //   - feedback walks the constituents in reverse chain order, each one's own
 //     core.Responder enacting that operator's own Characterize, and leaves
 //     upstream iff every constituent relays it;
-//   - per-step in/out/suppressed counters and work meters keep the
-//     pace_op_* series and CostBurned observable per logical operator;
+//   - each step counts into its constituent operator's own op.Counters, so
+//     the operator's Stats, CostBurned and pace_op_* series (labelled step)
+//     read what they would unfused;
 //   - no constituent is a snapshot.Stater, so the fused node is stateless
 //     and checkpoint barrier alignment is unchanged.
 package fuse
@@ -24,7 +25,6 @@ package fuse
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -33,7 +33,6 @@ import (
 	"repro/internal/queue"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
-	"repro/internal/work"
 )
 
 type stepKind int
@@ -89,12 +88,10 @@ type step struct {
 	// attribute space, exactly like the unfused operator's.
 	fb     core.Responder[*hop]
 	guards *core.GuardTable
-	meter  *work.Meter
-
-	// Counters are atomics so /metrics can scrape per-constituent work
-	// while the plan runs; the kernel adds once per run per step, preserving
-	// the batched-counters contract (DESIGN.md §2.3).
-	nIn, nOut, suppressed, punctDropped atomic.Int64
+	// c is the constituent operator's own counters: the kernel adds in/out
+	// once per run per step, preserving the batched-counters contract
+	// (DESIGN.md §2.3).
+	c *op.Counters
 
 	// Per-run kernel state (runSteps): the hoisted guard check and the
 	// tuples this step dropped in the current run.
@@ -146,7 +143,7 @@ func New(ops []exec.Operator) (*Fused, error) {
 		case *op.Select:
 			f.steps = append(f.steps, step{
 				kind: kSelect, name: o.Name(), row: o, mode: o.Mode, propagate: o.Propagate,
-				cond: o.Cond, expr: o.Expr, cost: o.Cost, meter: &work.Meter{},
+				cond: o.Cond, expr: o.Expr, cost: o.Cost, c: o.Counters(),
 				out: o.Schema, identity: true,
 			})
 		case *op.Project:
@@ -158,7 +155,7 @@ func New(ops []exec.Operator) (*Fused, error) {
 				return nil, fmt.Errorf("fuse: project %q: %v", o.Name(), err)
 			}
 			f.steps = append(f.steps, step{})
-			initMappingStep(&f.steps[len(f.steps)-1], kProject, o.Name(), o, o.Mode, o.Propagate,
+			initMappingStep(&f.steps[len(f.steps)-1], kProject, o.Name(), o, o.Counters(), o.Mode, o.Propagate,
 				o.In, outS, idxs, nil)
 		case *op.Map:
 			if err := o.Init(); err != nil {
@@ -175,7 +172,7 @@ func New(ops []exec.Operator) (*Fused, error) {
 				}
 			}
 			f.steps = append(f.steps, step{})
-			initMappingStep(&f.steps[len(f.steps)-1], kMap, o.Name(), o, o.Mode, o.Propagate,
+			initMappingStep(&f.steps[len(f.steps)-1], kMap, o.Name(), o, o.Counters(), o.Mode, o.Propagate,
 				o.In, o.OutSchemas()[0], toInput, fns)
 		default:
 			return nil, fmt.Errorf("fuse: %q (%T) is not a fusible operator", o.Name(), o)
@@ -205,11 +202,11 @@ func (f *Fused) stepNames() []string {
 	return names
 }
 
-// initMappingStep fills st in place (step holds atomics, so it must not be
-// returned or copied by value).
-func initMappingStep(st *step, kind stepKind, name string, row core.Characterizer, mode op.FeedbackMode, propagate bool,
+// initMappingStep fills st in place (step holds its responder's atomics, so
+// it must not be returned or copied by value).
+func initMappingStep(st *step, kind stepKind, name string, row core.Characterizer, c *op.Counters, mode op.FeedbackMode, propagate bool,
 	in, out stream.Schema, toInput []int, fns []func(stream.Tuple) stream.Value) {
-	st.kind, st.name, st.row, st.mode, st.propagate = kind, name, row, mode, propagate
+	st.kind, st.name, st.row, st.c, st.mode, st.propagate = kind, name, row, c, mode, propagate
 	st.out, st.toInput, st.fns = out, toInput, fns
 	st.identity = len(toInput) == in.Arity()
 	for i, src := range toInput {
@@ -324,12 +321,12 @@ tuples:
 			st := &f.steps[si]
 			if st.kind == kSelect {
 				if st.guarded && st.guards.Suppress(cur) {
-					st.suppressed.Add(1)
+					st.c.Suppressed.Add(1)
 					st.dropped++
 					continue tuples
 				}
 				if st.cost > 0 {
-					st.meter.Do(st.cost)
+					st.c.Work.Do(st.cost)
 				}
 				if (st.expr != nil && !st.expr.Eval(cur)) || (st.cond != nil && !st.cond(cur)) {
 					st.dropped++
@@ -355,7 +352,7 @@ tuples:
 				cur = stream.Tuple{Values: vals, Seq: cur.Seq}
 			}
 			if st.guarded && st.guards.Suppress(cur) {
-				st.suppressed.Add(1)
+				st.c.Suppressed.Add(1)
 				st.dropped++
 				continue tuples
 			}
@@ -369,10 +366,10 @@ tuples:
 	n := int64(len(items))
 	for si := range f.steps {
 		st := &f.steps[si]
-		st.nIn.Add(n)
+		st.c.In.Add(n)
 		n -= st.dropped
 		st.dropped = 0
-		st.nOut.Add(n)
+		st.c.Out.Add(n)
 	}
 	return out
 }
@@ -410,7 +407,7 @@ func (f *Fused) relayPunct(e punct.Embedded) (punct.Embedded, bool) {
 			return st.inv[in]
 		}, st.out.Arity())
 		if !ok {
-			st.punctDropped.Add(1)
+			st.c.PunctDropped.Add(1)
 			return punct.Embedded{}, false
 		}
 		cur = punct.NewEmbedded(projected)
@@ -451,8 +448,8 @@ func (f *Fused) applyFeedback(fb core.Feedback) (core.Feedback, bool) {
 // NumSteps returns the number of fused constituents.
 func (f *Fused) NumSteps() int { return len(f.steps) }
 
-// TelemetryVars implements telemetry.VarExporter: the standard pace_op_*
-// tuple counters per constituent (labelled step/kind, preserving the
+// TelemetryVars implements telemetry.VarExporter: each constituent's own
+// pace_op_* tuple counters (labelled step/kind, preserving the
 // per-logical-operator observability the unfused chain had) plus the
 // feedback counters of the kernel as one operator: what reached its
 // downstream end, what any constituent acted on, what left its upstream end.
@@ -468,10 +465,10 @@ func (f *Fused) TelemetryVars() []telemetry.Var {
 		st := &f.steps[i]
 		labels := map[string]string{"step": st.name, "kind": st.kind.String()}
 		vars = append(vars,
-			telemetry.Var{Name: "pace_op_tuples_in_total", Help: "Tuples delivered to the constituent.", Kind: telemetry.Counter, Labels: labels, Value: st.nIn.Load},
-			telemetry.Var{Name: "pace_op_tuples_out_total", Help: "Tuples the constituent passed on.", Kind: telemetry.Counter, Labels: labels, Value: st.nOut.Load},
-			telemetry.Var{Name: "pace_op_suppressed_tuples_total", Help: "Tuples suppressed by the constituent's guard table.", Kind: telemetry.Counter, Labels: labels, Value: st.suppressed.Load},
-			telemetry.Var{Name: "pace_op_punct_dropped_total", Help: "Punctuations consumed at the constituent.", Kind: telemetry.Counter, Labels: labels, Value: st.punctDropped.Load},
+			telemetry.Var{Name: "pace_op_tuples_in_total", Help: "Tuples delivered to the constituent.", Kind: telemetry.Counter, Labels: labels, Value: st.c.In.Load},
+			telemetry.Var{Name: "pace_op_tuples_out_total", Help: "Tuples the constituent passed on.", Kind: telemetry.Counter, Labels: labels, Value: st.c.Out.Load},
+			telemetry.Var{Name: "pace_op_suppressed_tuples_total", Help: "Tuples suppressed by the constituent's guard table.", Kind: telemetry.Counter, Labels: labels, Value: st.c.Suppressed.Load},
+			telemetry.Var{Name: "pace_op_punct_dropped_total", Help: "Punctuations consumed at the constituent.", Kind: telemetry.Counter, Labels: labels, Value: st.c.PunctDropped.Load},
 		)
 	}
 	return vars
@@ -480,17 +477,6 @@ func (f *Fused) TelemetryVars() []telemetry.Var {
 // StepTrace returns the recent feedback responses of constituent i, the
 // fused equivalent of the unfused operator's Trace().
 func (f *Fused) StepTrace(i int) []core.Response { return f.steps[i].fb.Trace() }
-
-// CostBurned reports total evaluation work done across all constituents.
-func (f *Fused) CostBurned() int64 {
-	var total int64
-	for i := range f.steps {
-		if m := f.steps[i].meter; m != nil {
-			total += m.Total()
-		}
-	}
-	return total
-}
 
 // Explain renders the kernel's step table, one entry per constituent.
 func (f *Fused) Explain() string {

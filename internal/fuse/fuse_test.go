@@ -230,23 +230,19 @@ func (u *unfusedChain) drain(t *testing.T) {
 	}
 }
 
-// stepStat is one constituent's accounting, read off the kernel's step table.
-type stepStat struct {
-	Name                                          string
-	In, Out, Suppressed, PunctDropped, CostBurned int64
-}
-
-func stepStats(f *Fused) []stepStat {
-	out := make([]stepStat, len(f.steps))
-	for i := range f.steps {
-		st := &f.steps[i]
-		out[i] = stepStat{Name: st.name, In: st.nIn.Load(), Out: st.nOut.Load(),
-			Suppressed: st.suppressed.Load(), PunctDropped: st.punctDropped.Load()}
-		if st.meter != nil { // only a select burns cost
-			out[i].CostBurned = st.meter.Total()
-		}
+// opStats is a constituent operator's accounting, read through its own
+// Stats and CostBurned: in, out, suppressed, punctuations dropped, cost.
+func opStats(o exec.Operator) (st [5]int64) {
+	switch o := o.(type) {
+	case *op.Select:
+		st[0], st[1], st[2] = o.Stats()
+		st[4] = o.CostBurned()
+	case *op.Project:
+		st[0], st[1], st[2], st[3] = o.Stats()
+	case *op.Map:
+		st[0], st[1], st[2], st[3] = o.Stats()
 	}
-	return out
+	return st
 }
 
 func TestFusedEqualsUnfusedProperty(t *testing.T) {
@@ -302,33 +298,25 @@ func TestFusedEqualsUnfusedProperty(t *testing.T) {
 			t.Fatalf("seed %d: upstream feedback diverges\nunfused: %v\nfused:   %v",
 				seed, unfused.fb, fh.SentFeedback(0))
 		}
-		stats := stepStats(fused)
-		if len(stats) != len(unfused.ops) {
-			t.Fatalf("seed %d: %d steps, want %d", seed, len(stats), len(unfused.ops))
-		}
+		// Each step counted into its constituent: the fused chain's operators
+		// read exactly what the unfused chain's do.
 		for i, o := range unfused.ops {
-			st := stats[i]
-			var in, out, sup, dropped, cost int64
+			if got, want := opStats(fusedOps[i]), opStats(o); got != want {
+				t.Fatalf("seed %d step %d (%s): fused (in out sup dropped cost) %v, unfused %v",
+					seed, i, o.Name(), got, want)
+			}
 			var responses []core.Response
 			switch o := o.(type) {
 			case *op.Select:
-				in, out, sup = o.Stats()
-				cost = o.CostBurned()
 				responses = o.Trace()
 			case *op.Project:
-				in, out, sup, dropped = o.Stats()
 				responses = o.Trace()
 			case *op.Map:
-				in, out, sup, dropped = o.Stats()
 				responses = o.Trace()
-			}
-			if st.In != in || st.Out != out || st.Suppressed != sup || st.PunctDropped != dropped || st.CostBurned != cost {
-				t.Fatalf("seed %d step %d (%s): fused stats %+v, unfused (in=%d out=%d sup=%d dropped=%d cost=%d)",
-					seed, i, st.Name, st, in, out, sup, dropped, cost)
 			}
 			if !reflect.DeepEqual(responses, fused.StepTrace(i)) {
 				t.Fatalf("seed %d step %d (%s): response traces diverge\nunfused: %+v\nfused:   %+v",
-					seed, i, st.Name, responses, fused.StepTrace(i))
+					seed, i, o.Name(), responses, fused.StepTrace(i))
 			}
 		}
 	}
@@ -724,7 +712,7 @@ func TestFusedBatchEqualsPerTuple(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		specs := randChain(rng)
 		outSchema := specs[len(specs)-1].out
-		build := func() *Fused {
+		build := func() (*Fused, []exec.Operator) {
 			ops := make([]exec.Operator, len(specs))
 			for i, s := range specs {
 				ops[i] = s.build()
@@ -733,9 +721,10 @@ func TestFusedBatchEqualsPerTuple(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			return f
+			return f, ops
 		}
-		single, batched := build(), build()
+		single, singleOps := build()
+		batched, batchedOps := build()
 		sc, bc := &captureCtx{}, &captureCtx{}
 		if err := single.Open(sc); err != nil {
 			t.Fatal(err)
@@ -788,9 +777,10 @@ func TestFusedBatchEqualsPerTuple(t *testing.T) {
 		if !reflect.DeepEqual(sc.fb, bc.fb) {
 			t.Fatalf("seed %d: upstream feedback diverges", seed)
 		}
-		if !reflect.DeepEqual(stepStats(single), stepStats(batched)) {
-			t.Fatalf("seed %d: step stats diverge:\n per-tuple: %+v\n batch:     %+v",
-				seed, stepStats(single), stepStats(batched))
+		for i := range singleOps {
+			if a, b := opStats(singleOps[i]), opStats(batchedOps[i]); a != b {
+				t.Fatalf("seed %d step %d: stats diverge: per-tuple %v, batch %v", seed, i, a, b)
+			}
 		}
 	}
 }

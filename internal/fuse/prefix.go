@@ -235,17 +235,6 @@ func (p *Prefixed) ApplyDelta(d *snapshot.Decoder) error {
 	return ds.ApplyDelta(d)
 }
 
-// CostBurned reports evaluation work done across the prefix kernels.
-func (p *Prefixed) CostBurned() int64 {
-	var total int64
-	for _, k := range p.kernels {
-		if k != nil {
-			total += k.CostBurned()
-		}
-	}
-	return total
-}
-
 // TelemetryVars implements telemetry.VarExporter: every kernel's
 // per-constituent vars (labelled with the input port they guard, so two
 // kernels on one node stay distinguishable) plus the inner operator's own

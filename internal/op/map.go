@@ -2,7 +2,6 @@ package op
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -32,9 +31,7 @@ type Map struct {
 	attrMap  core.AttrMap
 	identity bool // every output attr carried in input order: no copy
 	guards   *core.GuardTable
-
-	// Counters are atomics so /metrics can scrape them while the plan runs.
-	nIn, nOut, suppressed, punctDropped atomic.Int64
+	c        Counters
 }
 
 // MapAttr describes one output attribute of a Map.
@@ -139,7 +136,7 @@ func (m *Map) Open(exec.Context) error {
 //
 //pace:hotpath
 func (m *Map) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
-	m.nIn.Add(1)
+	m.c.In.Add(1)
 	// Carry-all maps (pure renames) share the input's Values: safe
 	// because tuples are immutable after emit (DESIGN.md §2.1).
 	out := t
@@ -155,10 +152,10 @@ func (m *Map) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 		out = stream.Tuple{Values: vals, Seq: t.Seq}
 	}
 	if m.Mode != FeedbackIgnore && m.guards.Suppress(out) {
-		m.suppressed.Add(1)
+		m.c.Suppressed.Add(1)
 		return nil
 	}
-	m.nOut.Add(1)
+	m.c.Out.Add(1)
 	ctx.Emit(out)
 	return nil
 }
@@ -179,7 +176,7 @@ func (m *Map) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 		m.Observe(core.Output, pe)
 		ctx.EmitPunct(pe)
 	} else {
-		m.punctDropped.Add(1)
+		m.c.PunctDropped.Add(1)
 	}
 	return nil
 }
@@ -193,14 +190,13 @@ func (m *Map) Characterize(_ int, f core.Feedback) core.ResponsePlan {
 // Stats reports tuple accounting; punctDropped counts punctuation consumed
 // here because its bound attributes did not survive the attribute mapping.
 func (m *Map) Stats() (in, out, suppressed, punctDropped int64) {
-	return m.nIn.Load(), m.nOut.Load(), m.suppressed.Load(), m.punctDropped.Load()
+	return m.c.In.Load(), m.c.Out.Load(), m.c.Suppressed.Load(), m.c.PunctDropped.Load()
 }
+
+// Counters returns the operator's counters, for a fused step to count into.
+func (m *Map) Counters() *Counters { return &m.c }
 
 // TelemetryVars implements telemetry.VarExporter.
 func (m *Map) TelemetryVars() []telemetry.Var {
-	vars := append(tupleVars(&m.nIn, &m.nOut, &m.suppressed), m.Responding.TelemetryVars()...)
-	return append(vars, telemetry.Var{
-		Name: "pace_op_punct_dropped_total", Help: "Punctuations consumed because bound attributes were dropped.",
-		Kind: telemetry.Counter, Value: m.punctDropped.Load,
-	})
+	return append(append(tupleVars(&m.c), m.Responding.TelemetryVars()...), punctDroppedVar(&m.c))
 }

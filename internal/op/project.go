@@ -2,7 +2,6 @@ package op
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -33,9 +32,7 @@ type Project struct {
 	identity bool  // output carries every input attr in order: no copy
 	guards   *core.GuardTable
 	attrMap  core.AttrMap
-
-	// Counters are atomics so /metrics can scrape them while the plan runs.
-	nIn, nOut, suppressed, punctDropped atomic.Int64
+	c        Counters
 }
 
 // Name implements exec.Operator.
@@ -110,7 +107,7 @@ func (p *Project) Open(exec.Context) error {
 //
 //pace:hotpath
 func (p *Project) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
-	p.nIn.Add(1)
+	p.c.In.Add(1)
 	projected := t
 	if !p.identity {
 		projected = t.Project(p.idxs)
@@ -118,10 +115,10 @@ func (p *Project) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 	// Identity projections share the input's Values: safe because tuples
 	// are immutable after emit (DESIGN.md §2.1).
 	if p.Mode != FeedbackIgnore && p.guards.Suppress(projected) {
-		p.suppressed.Add(1)
+		p.c.Suppressed.Add(1)
 		return nil
 	}
-	p.nOut.Add(1)
+	p.c.Out.Add(1)
 	ctx.Emit(projected)
 	return nil
 }
@@ -142,7 +139,7 @@ func (p *Project) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error 
 		p.Observe(core.Output, pe)
 		ctx.EmitPunct(pe)
 	} else {
-		p.punctDropped.Add(1)
+		p.c.PunctDropped.Add(1)
 	}
 	return nil
 }
@@ -155,14 +152,13 @@ func (p *Project) Characterize(_ int, f core.Feedback) core.ResponsePlan {
 
 // Stats reports tuple accounting.
 func (p *Project) Stats() (in, out, suppressed, punctDropped int64) {
-	return p.nIn.Load(), p.nOut.Load(), p.suppressed.Load(), p.punctDropped.Load()
+	return p.c.In.Load(), p.c.Out.Load(), p.c.Suppressed.Load(), p.c.PunctDropped.Load()
 }
+
+// Counters returns the operator's counters, for a fused step to count into.
+func (p *Project) Counters() *Counters { return &p.c }
 
 // TelemetryVars implements telemetry.VarExporter.
 func (p *Project) TelemetryVars() []telemetry.Var {
-	vars := append(tupleVars(&p.nIn, &p.nOut, &p.suppressed), p.Responding.TelemetryVars()...)
-	return append(vars, telemetry.Var{
-		Name: "pace_op_punct_dropped_total", Help: "Punctuations consumed because bound attributes were dropped.",
-		Kind: telemetry.Counter, Value: p.punctDropped.Load,
-	})
+	return append(append(tupleVars(&p.c), p.Responding.TelemetryVars()...), punctDroppedVar(&p.c))
 }

@@ -2,14 +2,12 @@ package op
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
-	"repro/internal/work"
 )
 
 // Select filters tuples by a predicate. It is stateless, so its feedback
@@ -44,11 +42,7 @@ type Select struct {
 	Propagate bool
 
 	guards *core.GuardTable
-	meter  work.Meter
-
-	// Counters are atomics so /metrics can scrape them while the plan
-	// runs; uncontended adds cost a few ns, within the hot path's noise.
-	in, out, suppressed atomic.Int64
+	c      Counters
 }
 
 // Name implements exec.Operator.
@@ -76,16 +70,16 @@ func (s *Select) Open(exec.Context) error {
 //
 //pace:hotpath
 func (s *Select) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
-	s.in.Add(1)
+	s.c.In.Add(1)
 	if s.Mode != FeedbackIgnore && s.guards.Suppress(t) {
-		s.suppressed.Add(1)
+		s.c.Suppressed.Add(1)
 		return nil
 	}
 	if s.Cost > 0 {
-		s.meter.Do(s.Cost)
+		s.c.Work.Do(s.Cost)
 	}
 	if (s.Expr == nil || s.Expr.Eval(t)) && (s.Cond == nil || s.Cond(t)) {
-		s.out.Add(1)
+		s.c.Out.Add(1)
 		ctx.Emit(t)
 	}
 	return nil
@@ -108,16 +102,19 @@ func (s *Select) Characterize(_ int, f core.Feedback) core.ResponsePlan {
 
 // Stats reports tuple accounting.
 func (s *Select) Stats() (in, out, suppressed int64) {
-	return s.in.Load(), s.out.Load(), s.suppressed.Load()
+	return s.c.In.Load(), s.c.Out.Load(), s.c.Suppressed.Load()
 }
+
+// Counters returns the operator's counters, for a fused step to count into.
+func (s *Select) Counters() *Counters { return &s.c }
 
 // TelemetryVars implements telemetry.VarExporter.
 func (s *Select) TelemetryVars() []telemetry.Var {
-	return append(tupleVars(&s.in, &s.out, &s.suppressed), s.Responding.TelemetryVars()...)
+	return append(tupleVars(&s.c), s.Responding.TelemetryVars()...)
 }
 
 // CostBurned reports total evaluation work done.
-func (s *Select) CostBurned() int64 { return s.meter.Total() }
+func (s *Select) CostBurned() int64 { return s.c.Work.Total() }
 
 // String describes the operator.
 func (s *Select) String() string {

@@ -8,6 +8,7 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"strings"
@@ -146,14 +147,54 @@ func (b *Builder) Source(src exec.Source) Stream {
 	return Stream{b: b, port: exec.From(id), schema: src.OutSchemas()[0]}
 }
 
+// node is the one place a Stream method adds a node to the plan. The node's
+// inputs are ins, in order, and mk builds its operator from their schemas.
+// Nothing is added when a stream carries an earlier error (that error stands
+// for this node too); the plan fails here when mk does, when a stream belongs
+// to another builder, or when the operator does not take these streams'
+// schemas or has other than outputs outputs. It returns the node's first
+// output (a bad stream when nothing was added).
+func (b *Builder) node(outputs int, mk func() (exec.Operator, error), ins ...Stream) Stream {
+	for _, in := range ins {
+		if in.bad {
+			return Stream{b: b, bad: true}
+		}
+	}
+	o, err := mk()
+	if err != nil {
+		return b.fail("plan: %v", err)
+	}
+	// Operators with eager validation (op.Project, op.Map) report
+	// misconfiguration here instead of panicking inside OutSchemas below.
+	if init, ok := o.(interface{ Init() error }); ok {
+		if err := init.Init(); err != nil {
+			return b.fail("plan: %v", err)
+		}
+	}
+	if len(o.InSchemas()) != len(ins) || len(o.OutSchemas()) != outputs {
+		return b.fail("plan: %q has %d inputs and %d outputs, want %d and %d",
+			o.Name(), len(o.InSchemas()), len(o.OutSchemas()), len(ins), outputs)
+	}
+	ports := make([]exec.Port, len(ins))
+	for i, in := range ins {
+		if in.b != b {
+			return b.fail("plan: %q: input %d is a stream of another builder", o.Name(), i)
+		}
+		if want := o.InSchemas()[i]; !want.Equal(in.schema) {
+			return b.fail("plan: %q: input %d schema %s does not match stream schema %s", o.Name(), i, want, in.schema)
+		}
+		ports[i] = in.port
+	}
+	out := Stream{b: b, port: exec.From(b.g.Add(o, ports...))}
+	if outputs > 0 {
+		out.schema = o.OutSchemas()[0]
+	}
+	return out
+}
+
 // Select appends a filter stage.
 func (s Stream) Select(name string, cond func(stream.Tuple) bool) Stream {
-	if s.bad {
-		return s
-	}
-	o := &op.Select{OpName: name, Schema: s.schema, Cond: cond, Mode: s.b.Mode, Propagate: s.b.Propagate}
-	id := s.b.g.Add(o, s.port)
-	return Stream{b: s.b, port: exec.From(id), schema: s.schema}
+	return s.Through(&op.Select{OpName: name, Schema: s.schema, Cond: cond, Mode: s.b.Mode, Propagate: s.b.Propagate})
 }
 
 // SelectExpr appends a filter evaluated by a compiled flat expression
@@ -161,58 +202,41 @@ func (s Stream) Select(name string, cond func(stream.Tuple) bool) Stream {
 // and the one fused kernels inline. Steps are resolved against the stream
 // schema at wiring time; a bad column surfaces via Builder.Err().
 func (s Stream) SelectExpr(name string, steps ...op.ExprStep) Stream {
-	if s.bad {
-		return s
-	}
-	e, err := op.NewExpr(s.schema.Arity(), steps...)
-	if err != nil {
-		return s.b.fail("plan: select %q: %v", name, err)
-	}
-	o := &op.Select{OpName: name, Schema: s.schema, Expr: e, Mode: s.b.Mode, Propagate: s.b.Propagate}
-	id := s.b.g.Add(o, s.port)
-	return Stream{b: s.b, port: exec.From(id), schema: s.schema}
+	return s.b.node(1, func() (exec.Operator, error) {
+		e, err := op.NewExpr(s.schema.Arity(), steps...)
+		if err != nil {
+			return nil, fmt.Errorf("select %q: %v", name, err)
+		}
+		return &op.Select{OpName: name, Schema: s.schema, Expr: e, Mode: s.b.Mode, Propagate: s.b.Propagate}, nil
+	}, s)
 }
 
 // Project appends an attribute projection. The Keep list is validated here,
 // at wiring time (op.Project.Init), so a bad projection surfaces through
 // Builder.Err() instead of panicking at the first OutSchemas call.
 func (s Stream) Project(name string, keep ...string) Stream {
-	if s.bad {
-		return s
-	}
-	o := &op.Project{OpName: name, In: s.schema, Keep: keep, Mode: s.b.Mode, Propagate: s.b.Propagate}
-	if err := o.Init(); err != nil {
-		return s.b.fail("plan: %v", err)
-	}
-	id := s.b.g.Add(o, s.port)
-	return Stream{b: s.b, port: exec.From(id), schema: o.OutSchemas()[0]}
+	return s.Through(&op.Project{OpName: name, In: s.schema, Keep: keep, Mode: s.b.Mode, Propagate: s.b.Propagate})
 }
 
 // Map appends a stateless attribute transform (carried and computed output
 // attributes; see op.Map). The attribute list is validated at wiring time,
 // surfacing misconfiguration through Builder.Err().
 func (s Stream) Map(name string, outs ...op.MapAttr) Stream {
-	if s.bad {
-		return s
-	}
-	o := &op.Map{OpName: name, In: s.schema, Outs: outs, Mode: s.b.Mode, Propagate: s.b.Propagate}
-	if err := o.Init(); err != nil {
-		return s.b.fail("plan: %v", err)
-	}
-	id := s.b.g.Add(o, s.port)
-	return Stream{b: s.b, port: exec.From(id), schema: o.OutSchemas()[0]}
+	return s.Through(&op.Map{OpName: name, In: s.schema, Outs: outs, Mode: s.b.Mode, Propagate: s.b.Propagate})
 }
 
-// Duplicate fans the stream out n ways.
+// Duplicate fans the stream out n ≥ 1 ways.
 func (s Stream) Duplicate(name string, n int) []Stream {
-	if s.bad {
-		return []Stream{s, s}
+	if n < 1 {
+		s.b.fail("plan: duplicate %q: need n ≥ 1, got %d", name, n)
+		return nil
 	}
-	o := &op.Duplicate{OpName: name, Schema: s.schema, N: n, Mode: s.b.Mode, Propagate: s.b.Propagate}
-	id := s.b.g.Add(o, s.port)
+	first := s.b.node(n, func() (exec.Operator, error) {
+		return &op.Duplicate{OpName: name, Schema: s.schema, N: n, Mode: s.b.Mode, Propagate: s.b.Propagate}, nil
+	}, s)
 	out := make([]Stream, n)
 	for i := range out {
-		out[i] = Stream{b: s.b, port: exec.FromPort(id, i), schema: s.schema}
+		out[i] = Stream{b: s.b, port: exec.FromPort(first.port.Node, i), schema: s.schema, bad: first.bad}
 	}
 	return out
 }
@@ -220,148 +244,92 @@ func (s Stream) Duplicate(name string, n int) []Stream {
 // Union merges this stream with others of the same schema; punctuation is
 // forwarded once every input has asserted it (op.Merge).
 func (s Stream) Union(name string, others ...Stream) Stream {
-	if s.bad {
-		return s
-	}
-	ports := []exec.Port{s.port}
-	for _, o := range others {
-		if !o.schema.Equal(s.schema) {
-			return s.b.fail("plan: union %q: schema mismatch %s vs %s", name, o.schema, s.schema)
-		}
-		ports = append(ports, o.port)
-	}
-	u := &op.Merge{OpName: name, Schema: s.schema, K: len(ports), Mode: s.b.Mode, Propagate: s.b.Propagate}
-	id := s.b.g.Add(u, ports...)
-	return Stream{b: s.b, port: exec.From(id), schema: s.schema}
+	return s.Through(&op.Merge{OpName: name, Schema: s.schema, K: 1 + len(others), Mode: s.b.Mode, Propagate: s.b.Propagate}, others...)
 }
 
 // Pace merges this stream with others under a divergence bound on the
 // named timestamp attribute, producing assumed feedback when dropping.
 func (s Stream) Pace(name string, tsAttr string, toleranceMicros int64, others ...Stream) Stream {
-	if s.bad {
-		return s
-	}
-	idx := s.schema.Index(tsAttr)
-	if idx < 0 {
-		return s.b.fail("plan: pace %q: no attribute %q", name, tsAttr)
-	}
-	ports := []exec.Port{s.port}
-	for _, o := range others {
-		if !o.schema.Equal(s.schema) {
-			return s.b.fail("plan: pace %q: schema mismatch", name)
+	return s.b.node(1, func() (exec.Operator, error) {
+		idx := s.schema.Index(tsAttr)
+		if idx < 0 {
+			return nil, fmt.Errorf("pace %q: no attribute %q", name, tsAttr)
 		}
-		ports = append(ports, o.port)
-	}
-	p := &op.Pace{
-		OpName: name, Schema: s.schema, K: len(ports), TsAttr: idx,
-		Tolerance: toleranceMicros, FeedbackEnabled: s.b.Mode != op.FeedbackIgnore,
-	}
-	id := s.b.g.Add(p, ports...)
-	return Stream{b: s.b, port: exec.From(id), schema: s.schema}
+		return &op.Pace{
+			OpName: name, Schema: s.schema, K: 1 + len(others), TsAttr: idx,
+			Tolerance: toleranceMicros, FeedbackEnabled: s.b.Mode != op.FeedbackIgnore,
+		}, nil
+	}, append([]Stream{s}, others...)...)
 }
 
-// Aggregate appends a windowed grouped aggregate.
+// attrs resolves attribute names against a schema.
+func attrs(sch stream.Schema, names ...string) ([]int, error) {
+	out := make([]int, len(names))
+	for i, n := range names {
+		if out[i] = sch.Index(n); out[i] < 0 {
+			return nil, fmt.Errorf("no attribute %q in %s", n, sch)
+		}
+	}
+	return out, nil
+}
+
+// optAttr resolves an optional attribute name: "" is -1, none.
+func optAttr(sch stream.Schema, name string) (int, error) {
+	if name == "" {
+		return -1, nil
+	}
+	i, err := attrs(sch, name)
+	if err != nil {
+		return -1, err
+	}
+	return i[0], nil
+}
+
+// Aggregate appends a windowed grouped aggregate; valAttr may be empty
+// (COUNT).
 func (s Stream) Aggregate(name string, kind core.AggKind, tsAttr, valAttr string, groupBy []string, win window.Spec, valueName string) Stream {
-	if s.bad {
-		return s
-	}
-	tsIdx := s.schema.Index(tsAttr)
-	if tsIdx < 0 {
-		return s.b.fail("plan: aggregate %q: no attribute %q", name, tsAttr)
-	}
-	valIdx := -1
-	if valAttr != "" {
-		if valIdx = s.schema.Index(valAttr); valIdx < 0 {
-			return s.b.fail("plan: aggregate %q: no attribute %q", name, valAttr)
+	return s.b.node(1, func() (exec.Operator, error) {
+		ts, err1 := attrs(s.schema, tsAttr)
+		val, err2 := optAttr(s.schema, valAttr)
+		groups, err3 := attrs(s.schema, groupBy...)
+		if err := cmp.Or(err1, err2, err3); err != nil {
+			return nil, fmt.Errorf("aggregate %q: %v", name, err)
 		}
-	}
-	var groups []int
-	for _, gname := range groupBy {
-		gi := s.schema.Index(gname)
-		if gi < 0 {
-			return s.b.fail("plan: aggregate %q: no attribute %q", name, gname)
-		}
-		groups = append(groups, gi)
-	}
-	a := &op.Aggregate{
-		OpName: name, In: s.schema, Kind: kind,
-		TsAttr: tsIdx, ValAttr: valIdx, GroupBy: groups,
-		Window: win, ValueName: valueName,
-		Mode: s.b.Mode, Propagate: s.b.Propagate,
-	}
-	id := s.b.g.Add(a, s.port)
-	return Stream{b: s.b, port: exec.From(id), schema: a.OutSchemas()[0]}
+		return &op.Aggregate{
+			OpName: name, In: s.schema, Kind: kind,
+			TsAttr: ts[0], ValAttr: val, GroupBy: groups,
+			Window: win, ValueName: valueName,
+			Mode: s.b.Mode, Propagate: s.b.Propagate,
+		}, nil
+	}, s)
 }
 
 // Join equi-joins this stream (left) with another on named attribute
-// pairs; ts attributes drive state purge.
+// pairs; ts attributes (either may be empty) drive state purge.
 func (s Stream) Join(name string, right Stream, leftKeys, rightKeys []string, leftTs, rightTs string, leftOuter bool) Stream {
-	if s.bad {
-		return s
-	}
-	toIdx := func(sch stream.Schema, names []string) ([]int, error) {
-		var out []int
-		for _, n := range names {
-			i := sch.Index(n)
-			if i < 0 {
-				return nil, fmt.Errorf("no attribute %q in %s", n, sch)
-			}
-			out = append(out, i)
+	return s.b.node(1, func() (exec.Operator, error) {
+		lk, err1 := attrs(s.schema, leftKeys...)
+		rk, err2 := attrs(right.schema, rightKeys...)
+		lt, err3 := optAttr(s.schema, leftTs)
+		rt, err4 := optAttr(right.schema, rightTs)
+		if err := cmp.Or(err1, err2, err3, err4); err != nil {
+			return nil, fmt.Errorf("join %q: %v", name, err)
 		}
-		return out, nil
-	}
-	lk, err := toIdx(s.schema, leftKeys)
-	if err != nil {
-		return s.b.fail("plan: join %q: %v", name, err)
-	}
-	rk, err := toIdx(right.schema, rightKeys)
-	if err != nil {
-		return s.b.fail("plan: join %q: %v", name, err)
-	}
-	lt, rt := -1, -1
-	if leftTs != "" {
-		if lt = s.schema.Index(leftTs); lt < 0 {
-			return s.b.fail("plan: join %q: no attribute %q", name, leftTs)
-		}
-	}
-	if rightTs != "" {
-		if rt = right.schema.Index(rightTs); rt < 0 {
-			return s.b.fail("plan: join %q: no attribute %q", name, rightTs)
-		}
-	}
-	j := &op.Join{
-		OpName: name, Left: s.schema, Right: right.schema,
-		LeftKeys: lk, RightKeys: rk, LeftTs: lt, RightTs: rt,
-		LeftOuter: leftOuter, Mode: s.b.Mode, Propagate: s.b.Propagate,
-	}
-	id := s.b.g.Add(j, s.port, right.port)
-	return Stream{b: s.b, port: exec.From(id), schema: j.OutSchemas()[0]}
+		return &op.Join{
+			OpName: name, Left: s.schema, Right: right.schema,
+			LeftKeys: lk, RightKeys: rk, LeftTs: lt, RightTs: rt,
+			LeftOuter: leftOuter, Mode: s.b.Mode, Propagate: s.b.Propagate,
+		}, nil
+	}, s, right)
 }
 
-// Through appends a caller-constructed single-input single-output operator
-// — the escape hatch for operator knobs the fluent methods do not expose
-// (e.g. op.Aggregate.Cost in benchmarks). The operator's input schema must
-// match the stream.
-func (s Stream) Through(o exec.Operator) Stream {
-	if s.bad {
-		return s
-	}
-	// Operators with eager validation (op.Project, op.Map) report
-	// misconfiguration here instead of panicking inside OutSchemas below.
-	if init, ok := o.(interface{ Init() error }); ok {
-		if err := init.Init(); err != nil {
-			return s.b.fail("plan: %v", err)
-		}
-	}
-	if len(o.InSchemas()) != 1 || len(o.OutSchemas()) != 1 {
-		return s.b.fail("plan: through %q: need exactly one input and one output", o.Name())
-	}
-	if !o.InSchemas()[0].Equal(s.schema) {
-		return s.b.fail("plan: through %q: input schema %s does not match stream schema %s",
-			o.Name(), o.InSchemas()[0], s.schema)
-	}
-	id := s.b.g.Add(o, s.port)
-	return Stream{b: s.b, port: exec.From(id), schema: o.OutSchemas()[0]}
+// Through appends a caller-constructed operator with one output, fed by this
+// stream and then others, in input order — the escape hatch for operator
+// knobs the fluent methods do not expose (op.Aggregate.Cost, op.Pace's
+// feedback slack, a Join's adaptive feedback). The operator's input schemas
+// must match the streams.
+func (s Stream) Through(o exec.Operator, others ...Stream) Stream {
+	return s.b.node(1, func() (exec.Operator, error) { return o, nil }, append([]Stream{s}, others...)...)
 }
 
 // Parallel replicates a sub-plan n ways between a partitioning Split and a
@@ -387,67 +355,45 @@ func (s Stream) Parallel(name string, n int, key []string, sub func(Stream) Stre
 	if sub == nil {
 		return s.b.fail("plan: parallel %q: nil sub-plan", name)
 	}
-	keyIdx := make([]int, 0, len(key))
-	for _, k := range key {
-		i := s.schema.Index(k)
-		if i < 0 {
-			return s.b.fail("plan: parallel %q: no attribute %q in %s", name, k, s.schema)
-		}
-		keyIdx = append(keyIdx, i)
+	keyIdx, err := attrs(s.schema, key...)
+	if err != nil {
+		return s.b.fail("plan: parallel %q: %v", name, err)
 	}
-	sp := &op.Split{OpName: name + ".split", Schema: s.schema, N: n, Key: keyIdx, Mode: s.b.Mode, Propagate: s.b.Propagate}
-	sid := s.b.g.Add(sp, s.port)
+	split := s.b.node(n, func() (exec.Operator, error) {
+		return &op.Split{OpName: name + ".split", Schema: s.schema, N: n, Key: keyIdx, Mode: s.b.Mode, Propagate: s.b.Propagate}, nil
+	}, s)
 	branches := make([]Stream, n)
 	for i := range branches {
-		in := Stream{b: s.b, port: exec.FromPort(sid, i), schema: s.schema}
-		s.b.g.LabelEdge(in.port, fmt.Sprintf("part=%d/%d", i, n))
-		out := sub(in)
-		if out.bad {
-			return out
+		label := fmt.Sprintf("part=%d/%d", i, n)
+		in := Stream{b: s.b, port: exec.FromPort(split.port.Node, i), schema: s.schema}
+		s.b.g.LabelEdge(in.port, label)
+		branches[i] = sub(in)
+		if branches[i].b == s.b && !branches[i].bad {
+			s.b.g.LabelEdge(branches[i].port, label)
 		}
-		if out.b != s.b {
-			return s.b.fail("plan: parallel %q: sub-plan returned a stream from another builder", name)
-		}
-		if i > 0 && !out.schema.Equal(branches[0].schema) {
-			return s.b.fail("plan: parallel %q: replica %d schema %s differs from replica 0 schema %s",
-				name, i, out.schema, branches[0].schema)
-		}
-		branches[i] = out
-		s.b.g.LabelEdge(out.port, fmt.Sprintf("part=%d/%d", i, n))
 	}
-	mg := &op.Merge{OpName: name + ".merge", Schema: branches[0].schema, K: n, Mode: s.b.Mode, Propagate: s.b.Propagate}
-	ports := make([]exec.Port, n)
-	for i, br := range branches {
-		ports[i] = br.port
-	}
-	mid := s.b.g.Add(mg, ports...)
-	return Stream{b: s.b, port: exec.From(mid), schema: branches[0].schema}
+	// Every replica must hand back a stream of this plan with replica 0's
+	// schema: the merge's inputs say so.
+	return s.b.node(1, func() (exec.Operator, error) {
+		return &op.Merge{OpName: name + ".merge", Schema: branches[0].schema, K: n, Mode: s.b.Mode, Propagate: s.b.Propagate}, nil
+	}, branches...)
 }
 
 // Prioritize appends a desired-feedback-aware reorder buffer.
 func (s Stream) Prioritize(name string, bufferCap int) Stream {
-	if s.bad {
-		return s
-	}
-	p := &op.Prioritize{OpName: name, Schema: s.schema, BufferCap: bufferCap, Mode: s.b.Mode, Propagate: s.b.Propagate}
-	id := s.b.g.Add(p, s.port)
-	return Stream{b: s.b, port: exec.From(id), schema: s.schema}
+	return s.Through(&op.Prioritize{OpName: name, Schema: s.schema, BufferCap: bufferCap, Mode: s.b.Mode, Propagate: s.b.Propagate})
 }
 
 // Collect terminates the stream in a recording sink and returns it.
 func (s Stream) Collect(name string) *exec.Collector {
 	c := exec.NewCollector(name, s.schema)
-	if !s.bad {
-		s.b.g.Add(c, s.port)
-	}
+	s.Into(c)
 	return c
 }
 
 // Into terminates the stream in a caller-provided sink operator.
 func (s Stream) Into(sink exec.Operator) {
-	if !s.bad {
-		s.b.g.Add(sink, s.port)
-	}
+	s.b.node(0, func() (exec.Operator, error) { return sink, nil }, s)
 }
 
 // ---------------------------------------------------------------------------

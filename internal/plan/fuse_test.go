@@ -492,11 +492,11 @@ func scrapeOpSeries(t *testing.T, reg *telemetry.Registry, name, label string) i
 // TestSuppressedCounterHasOneHome runs select → project → sink with a guard
 // that suppresses a known share of the input, unfused and compiled. The
 // operator's own counter is the only copy: what /metrics reports as
-// pace_op_suppressed_tuples_total is what Select.Stats() returns, and the
-// select step inside the fused kernel reports the same number.
+// pace_op_suppressed_tuples_total is what Select.Stats() returns, and inside
+// the fused kernel the select step counts into that same Select.
 func TestSuppressedCounterHasOneHome(t *testing.T) {
 	const restTuples, segments = 900, 9
-	run := func(compile bool) (*Builder, *telemetry.Registry) {
+	run := func(compile bool) (*Builder, *op.Select, *telemetry.Registry) {
 		src := &fedSource{schema: testSchema}
 		for i := int64(0); i < queue.DefaultPageSize+restTuples; i++ {
 			tp := reading(i%segments, 1000*(i+1), 55)
@@ -506,9 +506,14 @@ func TestSuppressedCounterHasOneHome(t *testing.T) {
 				src.rest = append(src.rest, tp)
 			}
 		}
+		expr, err := op.NewExpr(testSchema.Arity(), op.ExprStep{Col: 2, Name: "speed", Pred: punct.Ge(stream.Float(10))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := &op.Select{OpName: "hot", Schema: testSchema, Expr: expr, Mode: op.FeedbackExploit, Propagate: true}
 		b := New()
 		b.Source(src).
-			SelectExpr("hot", op.ExprStep{Col: 2, Name: "speed", Pred: punct.Ge(stream.Float(10))}).
+			Through(sel).
 			Project("keep", "segment", "ts", "speed").
 			Into(&feedSink{schema: testSchema, quota: math.MaxInt64}) // asserts ¬[segment=2] after 10 tuples
 		if compile {
@@ -519,20 +524,11 @@ func TestSuppressedCounterHasOneHome(t *testing.T) {
 		if err := b.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return b, tel.Registry
+		return b, sel, tel.Registry
 	}
 
-	b, reg := run(false)
-	var sel *op.Select
-	for id := 0; id < b.Graph().NumNodes(); id++ {
-		if s, ok := b.Graph().OperatorAt(exec.NodeID(id)).(*op.Select); ok {
-			sel = s
-		}
-	}
-	if sel == nil {
-		t.Fatalf("no select node in the unfused plan:\n%s", b.Explain())
-	}
-	_, _, want := sel.Stats()
+	_, sel, reg := run(false)
+	in, out, want := sel.Stats()
 	if want != restTuples/segments {
 		t.Fatalf("select suppressed %d tuples, want %d (every segment-2 tuple sent after the feedback)", want, restTuples/segments)
 	}
@@ -540,17 +536,23 @@ func TestSuppressedCounterHasOneHome(t *testing.T) {
 		t.Errorf("unfused: scraped %d, Select.Stats() says %d", got, want)
 	}
 
-	b, reg = run(true)
-	var kernel *fuse.Fused
+	b, sel, reg := run(true)
+	kernel := false
 	for id := 0; id < b.Graph().NumNodes(); id++ {
-		if k, ok := b.Graph().OperatorAt(exec.NodeID(id)).(*fuse.Fused); ok {
-			kernel = k
-		}
+		_, ok := b.Graph().OperatorAt(exec.NodeID(id)).(*fuse.Fused)
+		kernel = kernel || ok
 	}
-	if kernel == nil {
+	if !kernel {
 		t.Fatalf("no fused kernel in the compiled plan:\n%s", b.Explain())
 	}
-	if got := scrapeOpSeries(t, reg, "pace_op_suppressed_tuples_total", `step="hot"`); got != want {
-		t.Errorf("fused: scraped %d for the select step, unfused Select.Stats() says %d", got, want)
+	if fin, fout, fsup := sel.Stats(); fin != in || fout != out || fsup != want {
+		t.Errorf("fused: Select.Stats() = %d %d %d, unfused %d %d %d", fin, fout, fsup, in, out, want)
+	}
+	for name, v := range map[string]int64{
+		"pace_op_tuples_in_total": in, "pace_op_tuples_out_total": out, "pace_op_suppressed_tuples_total": want,
+	} {
+		if got := scrapeOpSeries(t, reg, name, `step="hot"`); got != v {
+			t.Errorf("fused: scraped %s %d for the select step, Select.Stats() says %d", name, got, v)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -78,6 +79,78 @@ func TestBuilderJoinAndDuplicate(t *testing.T) {
 	}
 	if got := sink.Tuples(); len(got) != 1 || got[0].Arity() != 4 {
 		t.Fatalf("join output: %v", got)
+	}
+}
+
+// TestMultiInputWiringRefusesBadAndForeignStreams: a multi-input method given
+// a stream that carries an earlier error adds nothing, and one given a stream
+// of another builder fails the plan instead of wiring whatever node of this
+// graph has that stream's id.
+func TestMultiInputWiringRefusesBadAndForeignStreams(t *testing.T) {
+	wirings := []struct {
+		name string
+		wire func(x, y Stream) Stream
+	}{
+		{"union", func(x, y Stream) Stream { return x.Union("m", y) }},
+		{"pace", func(x, y Stream) Stream { return x.Pace("m", "ts", 1000, y) }},
+		{"join", func(x, y Stream) Stream {
+			return x.Join("m", y, []string{"segment"}, []string{"segment"}, "ts", "ts", false)
+		}},
+		{"through", func(x, y Stream) Stream {
+			return x.Through(&op.Merge{OpName: "m", Schema: testSchema, K: 2}, y)
+		}},
+	}
+	others := []struct {
+		name    string
+		other   func(b *Builder) Stream
+		wantErr string
+	}{
+		{"bad", func(b *Builder) Stream { return b.Source(testSource("y")).Project("broken", "nope") }, "nope"},
+		{"foreign", func(*Builder) Stream { return New().Source(testSource("y")) }, "another builder"},
+	}
+	for _, w := range wirings {
+		for _, o := range others {
+			b := New()
+			out := w.wire(b.Source(testSource("x")), o.other(b))
+			if !out.bad {
+				t.Errorf("%s of a %s stream returned a usable stream", w.name, o.name)
+			}
+			if err := b.Err(); err == nil || !strings.Contains(err.Error(), o.wantErr) {
+				t.Errorf("%s of a %s stream: Err() = %v, want %q", w.name, o.name, err, o.wantErr)
+			}
+			if plan := b.Explain(); strings.Contains(plan, ": m <-") {
+				t.Errorf("%s of a %s stream added a node:\n%s", w.name, o.name, plan)
+			}
+		}
+	}
+}
+
+// TestDuplicateBadStreamAndCount: Duplicate of a bad stream is n bad
+// streams, and n < 1 is refused the way Parallel refuses it.
+func TestDuplicateBadStreamAndCount(t *testing.T) {
+	b := New()
+	outs := b.Source(testSource("s")).Project("broken", "nope").Duplicate("d", 3)
+	if len(outs) != 3 {
+		t.Fatalf("Duplicate(3) of a bad stream gave %d streams", len(outs))
+	}
+	for i, o := range outs {
+		if !o.bad {
+			t.Errorf("copy %d of a bad stream is usable", i)
+		}
+	}
+	outs[2].Collect("sink")
+	if b.Graph().NumNodes() != 1 {
+		t.Errorf("a bad stream's copies added nodes:\n%s", b.Explain())
+	}
+
+	for _, n := range []int{0, -1} {
+		b := New()
+		if outs := b.Source(testSource("s")).Duplicate("d", n); len(outs) != 0 {
+			t.Errorf("Duplicate(%d) gave %d streams", n, len(outs))
+		}
+		if err := b.Err(); err == nil || !strings.Contains(err.Error(), "need n ≥ 1") {
+			t.Errorf("Duplicate(%d): Err() = %v, want a refusal", n, err)
+		}
 	}
 }
 
