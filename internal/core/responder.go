@@ -159,8 +159,8 @@ const TraceCap = 32
 // suppressing less, never a wrong result (Definition 1: the null response is
 // correct), which is why an operator whose only state is its responder stays
 // //pace:stateless; an operator that is a snapshot.Stater for other reasons
-// writes its tables' lists with snapshot.GuardsView and reads them back with
-// snapshot.GetGuards, in the layout it always had.
+// declares its tables (snapshot.Guards) and relayed set (snapshot.Relayed,
+// which Relayed and RestoreRelayed serve) among the fields it keeps.
 type Responder[C Upstream] struct {
 	op        Characterizer
 	mode      Mode

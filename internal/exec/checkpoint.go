@@ -575,11 +575,20 @@ func (g *Graph) restoreNode(n *node) error {
 	if len(st.full) == 0 {
 		return fmt.Errorf("exec: restore: node %q has delta state but no base (broken chain)", n.name())
 	}
-	dec := snapshot.NewDecoder(st.full)
-	if err := sp.LoadState(dec); err != nil {
-		return fmt.Errorf("exec: restore: node %q: %w", n.name(), err)
+	// A blob must be read whole: bytes left over mean its writer and its
+	// reader disagree on the layout.
+	load := func(blob []byte, read func(*snapshot.Decoder) error) error {
+		dec := snapshot.NewDecoder(blob)
+		err := read(dec)
+		if err == nil {
+			err = dec.Err()
+		}
+		if err == nil && dec.Remaining() > 0 {
+			err = fmt.Errorf("%d bytes left unread (a blob of another layout)", dec.Remaining())
+		}
+		return err
 	}
-	if err := dec.Err(); err != nil {
+	if err := load(st.full, sp.LoadState); err != nil {
 		return fmt.Errorf("exec: restore: node %q: %w", n.name(), err)
 	}
 	for i, blob := range st.deltas {
@@ -589,11 +598,7 @@ func (g *Graph) restoreNode(n *node) error {
 		if !ok {
 			return fmt.Errorf("exec: restore: node %q carries delta state but has no ApplyDelta", n.name())
 		}
-		dec := snapshot.NewDecoder(blob)
-		if err := ds.ApplyDelta(dec); err != nil {
-			return fmt.Errorf("exec: restore: node %q delta %d: %w", n.name(), i, err)
-		}
-		if err := dec.Err(); err != nil {
+		if err := load(blob, ds.ApplyDelta); err != nil {
 			return fmt.Errorf("exec: restore: node %q delta %d: %w", n.name(), i, err)
 		}
 	}

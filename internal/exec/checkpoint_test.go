@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -357,6 +358,64 @@ func TestRestoreValidatesPlanShape(t *testing.T) {
 	}
 	if err := g3.RestoreChain([]*snapshot.Snapshot{snap}); err == nil {
 		t.Fatal("restore into an already-run graph accepted")
+	}
+}
+
+// TestRestoreRefusesTrailingBytes: a node blob with a byte past what its
+// Stater reads — a full blob or a delta — fails the restore with an error
+// naming the node: its writer and its reader disagree on the layout.
+func TestRestoreRefusesTrailingBytes(t *testing.T) {
+	encode := func(st snapshot.Stater, mode snapshot.CaptureMode) []byte {
+		c, err := st.CaptureState(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := snapshot.NewEncoder()
+		if err := c.Encode(enc); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := enc.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	src := NewSliceSource("src", oneInt, intTuple(1), intTuple(2))
+	if _, err := src.Next(NewSourceHarness(src)); err != nil {
+		t.Fatal(err)
+	}
+	sink := NewCollector("sink", oneInt)
+	h := NewHarness(sink).Tuple(0, intTuple(1))
+	base := encode(sink, snapshot.CaptureFull)
+	h.Tuple(0, intTuple(2))
+	delta := encode(sink, snapshot.CaptureDelta)
+	srcBlob := encode(src, snapshot.CaptureFull)
+
+	for _, tc := range []struct {
+		name         string
+		src, sink    []byte
+		deltas       [][]byte
+		node, reason string
+	}{
+		{"full", append(srcBlob, 0), base, nil, `"src"`, "1 byte"},
+		{"delta", srcBlob, base, [][]byte{append(delta, 0)}, `"sink" delta 0`, "1 byte"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewGraph()
+			sid := g.AddSource(NewSliceSource("src", oneInt, intTuple(1), intTuple(2)))
+			g.Add(NewCollector("sink", oneInt), From(sid))
+			snap := &snapshot.Snapshot{Epoch: 1, Nodes: []snapshot.NodeState{
+				{ID: 0, Name: "src", State: tc.src},
+				{ID: 1, Name: "sink", State: tc.sink, Deltas: tc.deltas},
+			}}
+			if err := g.RestoreChain([]*snapshot.Snapshot{snap}); err != nil {
+				t.Fatal(err)
+			}
+			err := g.Run()
+			if err == nil || !strings.Contains(err.Error(), tc.node) || !strings.Contains(err.Error(), tc.reason) {
+				t.Fatalf("restore of a blob with a trailing byte: %v, want an error naming %s and the %s left", err, tc.node, tc.reason)
+			}
+		})
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 // the source — the strongest possible exploitation.
 type SliceSource struct {
 	Responding
+	snapshot.State
 	SourceName string
 	Schema     stream.Schema
 	Items      []queue.Item
@@ -53,6 +54,17 @@ func (s *SliceSource) OutSchemas() []stream.Schema { return []stream.Schema{s.Sc
 // Open implements Source.
 func (s *SliceSource) Open(Context) error {
 	s.guards = s.BindSource(s.FeedbackAware, s.Schema.Arity())
+	// The durable state is the replay position plus the feedback guards, so a
+	// restored source resumes exactly behind the barrier it cut — the tuples
+	// downstream did not capture are regenerated, nothing is replayed twice.
+	s.Keep(s.SourceName, snapshot.Int(&s.pos), snapshot.Int64(&s.skipped), snapshot.Guards(s.guards),
+		snapshot.Then(func() error {
+			if total := len(s.Tuples) + len(s.Items); s.pos < 0 || s.pos > total {
+				return fmt.Errorf("exec: slice source %q: restored position %d outside replay log of %d items (source data changed?)",
+					s.SourceName, s.pos, total)
+			}
+			return nil
+		}))
 	return nil
 }
 
@@ -143,33 +155,6 @@ func (s *SliceSource) Next(ctx Context) (bool, error) {
 	return s.pos < total, nil
 }
 
-// CaptureState implements snapshot.Stater: the source's durable state is
-// its replay position plus its feedback guards, so a restored source
-// resumes exactly behind the barrier it cut — the tuples downstream did
-// not capture are regenerated, nothing is replayed twice.
-func (s *SliceSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	pos, skipped := s.pos, s.skipped
-	guards := snapshot.GuardsView(s.guards)
-	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
-		enc.PutInt(pos)
-		enc.PutInt64(skipped)
-		snapshot.PutGuardsView(enc, guards)
-		return nil
-	}}, nil
-}
-
-// LoadState implements snapshot.Stater.
-func (s *SliceSource) LoadState(dec *snapshot.Decoder) error {
-	s.pos = dec.GetInt()
-	s.skipped = dec.GetInt64()
-	snapshot.GetGuards(dec, s.guards)
-	if total := len(s.Tuples) + len(s.Items); s.pos < 0 || s.pos > total {
-		return fmt.Errorf("exec: slice source %q: restored position %d outside replay log of %d items (source data changed?)",
-			s.SourceName, s.pos, total)
-	}
-	return dec.Err()
-}
-
 // Skipped returns how many tuples guards suppressed at the source.
 func (s *SliceSource) Skipped() int64 { return s.skipped }
 
@@ -179,6 +164,7 @@ func (s *SliceSource) Skipped() int64 { return s.skipped }
 // feedback when FeedbackAware.
 type ReaderSource struct {
 	Responding
+	snapshot.State
 	SourceName string
 	Schema     stream.Schema
 	R          io.Reader
@@ -218,7 +204,40 @@ func (s *ReaderSource) Open(Context) error {
 	if s.PunctEvery <= 0 {
 		s.PunctEvery = 100
 	}
+	s.Keep(s.SourceName, s.offsetField(), snapshot.Int(&s.count), snapshot.Int64(&s.skipped), snapshot.Guards(s.guards))
 	return nil
+}
+
+// offsetField keeps the replay position: the exact byte offset of consumed
+// input (the tuple count beside it keeps sequence numbers continuous), so a
+// restored source re-reads from the cut onwards — byte identical to the
+// uninterrupted run for any io.ReadSeeker input. R must be an io.Seeker (a
+// file, not a pipe) unless the saved position is 0.
+func (s *ReaderSource) offsetField() snapshot.Field {
+	return snapshot.Field{
+		Capture: func(bool) func(*snapshot.Encoder) {
+			offset := s.base + s.dec.Offset()
+			return func(enc *snapshot.Encoder) { enc.PutInt64(offset) }
+		},
+		Load: func(dec *snapshot.Decoder) error {
+			s.base = dec.GetInt64()
+			return nil
+		},
+		Settle: func(bool) error {
+			if s.base <= 0 {
+				return nil
+			}
+			seeker, ok := s.R.(io.Seeker)
+			if !ok {
+				return fmt.Errorf("exec: reader source %q: restore needs a seekable reader (%T is not)", s.SourceName, s.R)
+			}
+			if _, err := seeker.Seek(s.base, io.SeekStart); err != nil {
+				return fmt.Errorf("exec: reader source %q: seek to replay position %d: %w", s.SourceName, s.base, err)
+			}
+			s.dec = stream.NewDecoder(s.R, s.Schema)
+			return nil
+		},
+	}
 }
 
 // Next implements Source: one tuple per call.
@@ -248,47 +267,6 @@ func (s *ReaderSource) Next(ctx Context) (bool, error) {
 	return true, nil
 }
 
-// CaptureState implements snapshot.Stater: the replay position is the
-// exact byte offset of consumed input (plus tuple count for sequence-number
-// continuity), so a restored source re-reads from the cut onwards — byte
-// identical to the uninterrupted run for any io.ReadSeeker input.
-func (s *ReaderSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	offset := s.base + s.dec.Offset()
-	count, skipped := s.count, s.skipped
-	guards := snapshot.GuardsView(s.guards)
-	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
-		enc.PutInt64(offset)
-		enc.PutInt(count)
-		enc.PutInt64(skipped)
-		snapshot.PutGuardsView(enc, guards)
-		return nil
-	}}, nil
-}
-
-// LoadState implements snapshot.Stater: R must be an io.Seeker (a file,
-// not a pipe) unless the saved position is 0.
-func (s *ReaderSource) LoadState(dec *snapshot.Decoder) error {
-	offset := dec.GetInt64()
-	s.count = dec.GetInt()
-	s.skipped = dec.GetInt64()
-	snapshot.GetGuards(dec, s.guards)
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if offset > 0 {
-		seeker, ok := s.R.(io.Seeker)
-		if !ok {
-			return fmt.Errorf("exec: reader source %q: restore needs a seekable reader (%T is not)", s.SourceName, s.R)
-		}
-		if _, err := seeker.Seek(offset, io.SeekStart); err != nil {
-			return fmt.Errorf("exec: reader source %q: seek to replay position %d: %w", s.SourceName, offset, err)
-		}
-		s.dec = stream.NewDecoder(s.R, s.Schema)
-	}
-	s.base = offset
-	return nil
-}
-
 // Skipped reports tuples suppressed by feedback before emission.
 func (s *ReaderSource) Skipped() int64 { return s.skipped }
 
@@ -296,6 +274,7 @@ func (s *ReaderSource) Skipped() int64 { return s.skipped }
 // read after Graph.Run returns; a mutex also allows sampling mid-run.
 type Collector struct {
 	Base
+	snapshot.State
 	SinkName string
 	Schema   stream.Schema
 	// OnTuple, if set, is invoked synchronously for each tuple (used by
@@ -314,10 +293,9 @@ type Collector struct {
 	items    []queue.Item
 	tuples   atomic.Int64
 	shutdown bool
-	// capPos/capOn track how much of items previous captures covered, so
-	// delta captures ship only the suffix (items is append-only).
+	// capPos is how much of items previous captures covered, so delta
+	// captures ship only the suffix (items is append-only).
 	capPos int
-	capOn  bool
 }
 
 // NewCollector builds a named sink.
@@ -327,6 +305,12 @@ func NewCollector(name string, schema stream.Schema) *Collector {
 
 // Name implements Operator.
 func (c *Collector) Name() string { return c.SinkName }
+
+// Open implements Operator: the record is the sink's state.
+func (c *Collector) Open(Context) error {
+	c.Keep(c.SinkName, c.recordField())
+	return nil
+}
 
 // InSchemas implements Operator.
 func (c *Collector) InSchemas() []stream.Schema { return []stream.Schema{c.Schema} }
@@ -387,84 +371,65 @@ func (c *Collector) ProcessPunct(_ int, e punct.Embedded, _ Context) error {
 	return nil
 }
 
-// CaptureState implements snapshot.Stater: everything received up to the
-// cut is part of the sink's state, so a restored run appends the
-// regenerated post-cut stream to the pre-cut record — the union is
-// exactly-once. Deltas ship only the items recorded since the previous
-// capture; the view aliases the append-only record, whose captured prefix
-// is never mutated in place.
-func (c *Collector) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, error) {
-	c.mu.Lock()
-	n := len(c.items)
-	delta := mode == snapshot.CaptureDelta && c.capOn
-	from := 0
-	if delta {
-		from = c.capPos
-	}
-	view := c.items[from:n:n]
-	c.capPos, c.capOn = n, true
-	c.mu.Unlock()
-	count := c.tuples.Load()
-	return snapshot.Capture{Delta: delta, Encode: func(enc *snapshot.Encoder) error {
-		enc.PutInt64(count)
-		enc.PutInt(len(view))
-		for _, it := range view {
-			switch it.Kind {
-			case queue.ItemTuple:
-				enc.PutBool(true)
-				enc.PutTuple(it.Tuple)
-			case queue.ItemPunct:
-				enc.PutBool(false)
-				enc.PutPattern(it.Punct.Pattern)
-			default:
-				return fmt.Errorf("exec: collector %q: unexpected recorded item kind %d", c.SinkName, it.Kind)
+// recordField keeps everything received up to the cut, so a restored run
+// appends the regenerated post-cut stream to the pre-cut record — the union
+// is exactly-once. A delta ships only the items recorded since the previous
+// capture and appends them on load; the view aliases the append-only record,
+// whose captured prefix is never mutated in place.
+func (c *Collector) recordField() snapshot.Field {
+	read := func(delta bool) func(*snapshot.Decoder) error {
+		return func(dec *snapshot.Decoder) error {
+			count := dec.GetInt64()
+			n := dec.GetCount()
+			items := make([]queue.Item, 0, n)
+			for i := 0; i < n && dec.Err() == nil; i++ {
+				if dec.GetBool() {
+					items = append(items, queue.TupleItem(dec.GetTuple()))
+				} else {
+					items = append(items, queue.PunctItem(punct.NewEmbedded(dec.GetPattern())))
+				}
 			}
-		}
-		return nil
-	}}, nil
-}
-
-func decodeCollectorItems(dec *snapshot.Decoder) ([]queue.Item, int64) {
-	count := dec.GetInt64()
-	n := dec.GetInt()
-	items := make([]queue.Item, 0, dec.CountHint(n))
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		if dec.GetBool() {
-			items = append(items, queue.TupleItem(dec.GetTuple()))
-		} else {
-			items = append(items, queue.PunctItem(punct.NewEmbedded(dec.GetPattern())))
+			if err := dec.Err(); err != nil {
+				return err
+			}
+			c.mu.Lock()
+			if delta {
+				items = append(c.items, items...)
+			}
+			c.items, c.capPos = items, len(items)
+			c.mu.Unlock()
+			c.tuples.Store(count)
+			return nil
 		}
 	}
-	return items, count
-}
-
-// LoadState implements snapshot.Stater.
-func (c *Collector) LoadState(dec *snapshot.Decoder) error {
-	items, count := decodeCollectorItems(dec)
-	if err := dec.Err(); err != nil {
-		return err
+	return snapshot.Field{
+		Capture: func(delta bool) func(*snapshot.Encoder) {
+			c.mu.Lock()
+			n, from := len(c.items), 0
+			if delta {
+				from = c.capPos
+			}
+			view := c.items[from:n:n]
+			c.capPos = n
+			c.mu.Unlock()
+			count := c.tuples.Load()
+			return func(enc *snapshot.Encoder) {
+				enc.PutInt64(count)
+				enc.PutInt(len(view))
+				for _, it := range view {
+					tuple := it.Kind == queue.ItemTuple
+					enc.PutBool(tuple)
+					if tuple {
+						enc.PutTuple(it.Tuple)
+					} else {
+						enc.PutPattern(it.Punct.Pattern)
+					}
+				}
+			}
+		},
+		Load:  read(false),
+		Delta: read(true),
 	}
-	c.mu.Lock()
-	c.items = items
-	c.capPos, c.capOn = len(items), true
-	c.mu.Unlock()
-	c.tuples.Store(count)
-	return nil
-}
-
-// ApplyDelta merges a delta capture (snapshot.Stater): the delta's items append to
-// the record and its count replaces the total.
-func (c *Collector) ApplyDelta(dec *snapshot.Decoder) error {
-	items, count := decodeCollectorItems(dec)
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.items = append(c.items, items...)
-	c.capPos = len(c.items)
-	c.mu.Unlock()
-	c.tuples.Store(count)
-	return nil
 }
 
 // Items returns a copy of everything received.

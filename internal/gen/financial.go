@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/exec"
@@ -53,6 +52,7 @@ func (c TickConfig) withDefaults() TickConfig {
 // demanded-punctuation consumer in the example is the aggregate.
 type TickSource struct {
 	exec.Base
+	snapshot.State
 	Config TickConfig
 
 	cfg   TickConfig
@@ -77,6 +77,10 @@ func (s *TickSource) Open(exec.Context) error {
 	for i := range s.rates {
 		s.rates[i] = 0.8 + s.rng.Float64()
 	}
+	// The stream clock, the per-pair random-walk levels, and the RNG state
+	// replay the tick stream bit-identically from the cut.
+	s.Keep(s.Name(), snapshot.Int64(&s.now, &s.seq), s.rng.field(),
+		snapshot.Group(len(s.rates), func(i int) []snapshot.Field { return []snapshot.Field{snapshot.Float64(&s.rates[i])} }))
 	return nil
 }
 
@@ -100,40 +104,4 @@ func (s *TickSource) Next(ctx exec.Context) (bool, error) {
 	s.now += second
 	ctx.EmitPunct(punct.NewEmbedded(punct.OnAttr(3, 1, punct.Lt(stream.TimeMicros(s.now)))))
 	return true, nil
-}
-
-// CaptureState implements snapshot.Stater: the stream clock, the
-// per-pair random-walk levels, and the RNG state replay the tick stream
-// bit-identically from the cut.
-func (s *TickSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	now, seq, r := s.now, s.seq, s.rng
-	rates := append([]float64(nil), s.rates...)
-	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
-		enc.PutInt64(now)
-		enc.PutInt64(seq)
-		r.save(enc)
-		enc.PutInt(len(rates))
-		for _, v := range rates {
-			enc.PutFloat64(v)
-		}
-		return nil
-	}}, nil
-}
-
-// LoadState implements snapshot.Stater.
-func (s *TickSource) LoadState(dec *snapshot.Decoder) error {
-	s.now = dec.GetInt64()
-	s.seq = dec.GetInt64()
-	s.rng.load(dec)
-	n := dec.GetInt()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if n != len(s.rates) {
-		return fmt.Errorf("gen: ticks: snapshot carries %d pairs but the config has %d (config drift)", n, len(s.rates))
-	}
-	for i := range s.rates {
-		s.rates[i] = dec.GetFloat64()
-	}
-	return dec.Err()
 }

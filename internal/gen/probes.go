@@ -60,6 +60,7 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 // ProbeSource streams synthetic vehicle readings in timestamp order.
 type ProbeSource struct {
 	exec.Responding
+	snapshot.State
 	Config ProbeConfig
 
 	cfg     ProbeConfig
@@ -83,6 +84,8 @@ func (s *ProbeSource) Open(exec.Context) error {
 	s.rng = newRNG(s.cfg.Seed)
 	s.now = s.cfg.Start
 	s.guards = s.BindSource(s.cfg.FeedbackAware, ProbeSchema.Arity())
+	// The replay position: period clock, sequence counter, RNG state.
+	s.Keep(s.Name(), snapshot.Int64(&s.now, &s.seq, &s.emitted, &s.skipped), s.rng.field(), snapshot.Guards(s.guards))
 	return nil
 }
 
@@ -125,33 +128,6 @@ func (s *ProbeSource) Next(ctx exec.Context) (bool, error) {
 
 // Stats reports (emitted, suppressed-at-source).
 func (s *ProbeSource) Stats() (emitted, skipped int64) { return s.emitted, s.skipped }
-
-// CaptureState implements snapshot.Stater (replayable position: period
-// clock, sequence counter, RNG state).
-func (s *ProbeSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	now, seq, emitted, skipped, r := s.now, s.seq, s.emitted, s.skipped, s.rng
-	guards := snapshot.GuardsView(s.guards)
-	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
-		enc.PutInt64(now)
-		enc.PutInt64(seq)
-		enc.PutInt64(emitted)
-		enc.PutInt64(skipped)
-		r.save(enc)
-		snapshot.PutGuardsView(enc, guards)
-		return nil
-	}}, nil
-}
-
-// LoadState implements snapshot.Stater.
-func (s *ProbeSource) LoadState(dec *snapshot.Decoder) error {
-	s.now = dec.GetInt64()
-	s.seq = dec.GetInt64()
-	s.emitted = dec.GetInt64()
-	s.skipped = dec.GetInt64()
-	s.rng.load(dec)
-	snapshot.GetGuards(dec, s.guards)
-	return dec.Err()
-}
 
 // diurnal proxies the archive's ground-truth speed profile.
 func diurnal(minuteOfDay int, segment int64) float64 {

@@ -22,6 +22,7 @@ import (
 // wall clock entitles, so sleep jitter does not skew the average rate.
 type RatedSource struct {
 	exec.Responding
+	snapshot.State
 	SourceName string
 	Schema     stream.Schema
 	Items      []queue.Item
@@ -51,6 +52,23 @@ func (s *RatedSource) OutSchemas() []stream.Schema { return []stream.Schema{s.Sc
 func (s *RatedSource) Open(exec.Context) error {
 	s.start = time.Now()
 	s.guards = s.BindSource(s.FeedbackAware, s.Schema.Arity())
+	// The replay position is the item cursor; the wall-clock anchor is
+	// re-derived on restore so the target rate resumes without a burst.
+	s.Keep(s.Name(), snapshot.Int(&s.pos), snapshot.Int64(&s.skipped), snapshot.Guards(s.guards), snapshot.Then(s.resume))
+	return nil
+}
+
+// resume checks a restored position and back-dates the rate anchor, so the
+// deficit pacing treats the already-emitted prefix as on schedule instead of
+// replaying it as a burst.
+func (s *RatedSource) resume() error {
+	if s.pos < 0 || s.pos > len(s.Items) {
+		return fmt.Errorf("gen: rated source %q: restored position %d outside replay log of %d items (source data changed?)",
+			s.Name(), s.pos, len(s.Items))
+	}
+	if s.PerSecond > 0 {
+		s.start = time.Now().Add(-time.Duration(float64(s.pos) / s.PerSecond * float64(time.Second)))
+	}
 	return nil
 }
 
@@ -89,40 +107,6 @@ func (s *RatedSource) Next(ctx exec.Context) (bool, error) {
 
 // Skipped reports tuples suppressed at the source.
 func (s *RatedSource) Skipped() int64 { return s.skipped }
-
-// CaptureState implements snapshot.Stater: the replay position is the
-// item cursor; the wall-clock anchor is re-derived on restore so the
-// target rate resumes without a burst.
-func (s *RatedSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	pos, skipped := s.pos, s.skipped
-	guards := snapshot.GuardsView(s.guards)
-	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
-		enc.PutInt(pos)
-		enc.PutInt64(skipped)
-		snapshot.PutGuardsView(enc, guards)
-		return nil
-	}}, nil
-}
-
-// LoadState implements snapshot.Stater.
-func (s *RatedSource) LoadState(dec *snapshot.Decoder) error {
-	s.pos = dec.GetInt()
-	s.skipped = dec.GetInt64()
-	snapshot.GetGuards(dec, s.guards)
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if s.pos < 0 || s.pos > len(s.Items) {
-		return fmt.Errorf("gen: rated source %q: restored position %d outside replay log of %d items (source data changed?)",
-			s.Name(), s.pos, len(s.Items))
-	}
-	// Back-date the rate anchor so the deficit pacing treats the already-
-	// emitted prefix as on schedule instead of replaying it as a burst.
-	if s.PerSecond > 0 {
-		s.start = time.Now().Add(-time.Duration(float64(s.pos) / s.PerSecond * float64(time.Second)))
-	}
-	return nil
-}
 
 // ImputationStream builds Experiment 1's input: n tuples alternating clean
 // and dirty (null speed), one per spacing micros of stream time, with

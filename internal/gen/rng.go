@@ -80,16 +80,20 @@ func (r *rng) Poisson(mean float64) int {
 	return k - 1
 }
 
-// save appends the full generator state.
-func (r *rng) save(enc *snapshot.Encoder) {
-	enc.PutInt64(int64(r.s))
-	enc.PutFloat64(r.spare)
-	enc.PutBool(r.hasSpare)
-}
-
-// load restores a state written by save.
-func (r *rng) load(dec *snapshot.Decoder) {
-	r.s = uint64(dec.GetInt64())
-	r.spare = dec.GetFloat64()
-	r.hasSpare = dec.GetBool()
+// field keeps the full generator state.
+func (r *rng) field() snapshot.Field {
+	return snapshot.Field{
+		Capture: func(bool) func(*snapshot.Encoder) {
+			v := *r
+			return func(enc *snapshot.Encoder) {
+				enc.PutInt64(int64(v.s))
+				enc.PutFloat64(v.spare)
+				enc.PutBool(v.hasSpare)
+			}
+		},
+		Load: func(dec *snapshot.Decoder) error {
+			r.s, r.spare, r.hasSpare = uint64(dec.GetInt64()), dec.GetFloat64(), dec.GetBool()
+			return nil
+		},
+	}
 }

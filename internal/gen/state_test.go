@@ -20,13 +20,15 @@ func TestRNGRoundTrip(t *testing.T) {
 		r.NormFloat64() // leaves a spare half the time
 	}
 	enc := snapshot.NewEncoder()
-	r.save(enc)
+	r.field().Capture(false)(enc)
 	blob, err := enc.Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var r2 rng
-	r2.load(snapshot.NewDecoder(blob))
+	if err := r2.field().Load(snapshot.NewDecoder(blob)); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 1000; i++ {
 		if a, b := r.NormFloat64(), r2.NormFloat64(); a != b {
 			t.Fatalf("draw %d diverged: %v vs %v", i, a, b)

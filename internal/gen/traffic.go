@@ -88,6 +88,7 @@ func (c TrafficConfig) Tuples() int64 {
 // one detector round at a time, punctuating stream progress as it goes.
 type TrafficSource struct {
 	exec.Responding
+	snapshot.State
 	Config TrafficConfig
 
 	cfg     TrafficConfig
@@ -119,6 +120,10 @@ func (s *TrafficSource) Open(exec.Context) error {
 	s.now = s.cfg.Start
 	s.lastPct = s.cfg.Start - 1
 	s.guards = s.BindSource(s.cfg.FeedbackAware, TrafficSchema.Arity())
+	// The replay position is the round clock, the intra-round cursor, and the
+	// RNG state: restoring them continues the synthetic stream bit-identically.
+	s.Keep(s.Name(), snapshot.Int64(&s.now), snapshot.Int(&s.seg),
+		snapshot.Int64(&s.seq, &s.lastPct, &s.emitted, &s.skipped), s.rng.field(), snapshot.Guards(s.guards))
 	return nil
 }
 
@@ -178,36 +183,3 @@ func (s *TrafficSource) Stats() (emitted, skipped int64) { return s.emitted, s.s
 
 // WorkUnits reports ingest cost burned so far.
 func (s *TrafficSource) WorkUnits() int64 { return s.meter.total() }
-
-// CaptureState implements snapshot.Stater: the replay position is the
-// round clock, the intra-round cursor, and the RNG state — restoring them
-// continues the synthetic stream bit-identically from the cut.
-func (s *TrafficSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	now, seg, seq, lastPct := s.now, s.seg, s.seq, s.lastPct
-	emitted, skipped, r := s.emitted, s.skipped, s.rng
-	guards := snapshot.GuardsView(s.guards)
-	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
-		enc.PutInt64(now)
-		enc.PutInt(seg)
-		enc.PutInt64(seq)
-		enc.PutInt64(lastPct)
-		enc.PutInt64(emitted)
-		enc.PutInt64(skipped)
-		r.save(enc)
-		snapshot.PutGuardsView(enc, guards)
-		return nil
-	}}, nil
-}
-
-// LoadState implements snapshot.Stater.
-func (s *TrafficSource) LoadState(dec *snapshot.Decoder) error {
-	s.now = dec.GetInt64()
-	s.seg = dec.GetInt()
-	s.seq = dec.GetInt64()
-	s.lastPct = dec.GetInt64()
-	s.emitted = dec.GetInt64()
-	s.skipped = dec.GetInt64()
-	s.rng.load(dec)
-	snapshot.GetGuards(dec, s.guards)
-	return dec.Err()
-}

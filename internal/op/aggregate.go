@@ -9,6 +9,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/punct"
 	"repro/internal/queue"
+	"repro/internal/snapshot"
 	"repro/internal/stream"
 	"repro/internal/window"
 	"repro/internal/work"
@@ -33,6 +34,7 @@ import (
 //     bottom-of-plan filter cannot express).
 type Aggregate struct {
 	exec.Responding
+	snapshot.State
 	OpName string
 	In     stream.Schema
 	Kind   core.AggKind
@@ -156,6 +158,7 @@ func (a *Aggregate) Open(exec.Context) error {
 	// Input guards are patterns over result prefixes (group…, wstart), so the
 	// punctuation the aggregate emits is what expires them.
 	a.guardsPrefix = a.Pinned(core.Output, a.out.Arity())
+	a.keepState()
 	return nil
 }
 

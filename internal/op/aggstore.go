@@ -31,9 +31,6 @@ type aggStore struct {
 	spare []*aggWindow // closed windows kept for reuse
 	last  *aggWindow   // the window the last upsert hit
 
-	// based is set once a capture or load has fixed a baseline a delta can
-	// be relative to.
-	based bool
 	// closedThrough: every window with wid ≤ it has been closed since the
 	// baseline (a late tuple may have opened it again since; its groups are
 	// then dirty). -1 when none has.
@@ -468,4 +465,4 @@ func (s *aggStore) capture(delta bool) *aggCapture {
 // rebase makes the state as it stands the baseline of the next delta. A
 // capture ends with it, having cleared the dirty slots, and so does a
 // restore, whose closes and purges replay a change already in the chain.
-func (s *aggStore) rebase() { s.based, s.closedThrough, s.purged = true, -1, nil }
+func (s *aggStore) rebase() { s.closedThrough, s.purged = -1, nil }

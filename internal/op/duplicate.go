@@ -4,6 +4,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
+	"repro/internal/snapshot"
 	"repro/internal/stream"
 )
 
@@ -15,6 +16,7 @@ import (
 // assumed feedback covering it, and only then propagates upstream.
 type Duplicate struct {
 	exec.Responding
+	snapshot.State
 	OpName string
 	Schema stream.Schema
 	N      int
@@ -59,6 +61,7 @@ func (d *Duplicate) OutSchemas() []stream.Schema {
 func (d *Duplicate) Open(exec.Context) error {
 	d.Bind(d, d.Mode, d.Propagate, d.n(), d.Schema.Arity())
 	d.perOut = d.OutTables()
+	d.keepState()
 	return nil
 }
 

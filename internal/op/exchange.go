@@ -7,6 +7,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/punct"
 	"repro/internal/queue"
+	"repro/internal/snapshot"
 	"repro/internal/stream"
 )
 
@@ -47,6 +48,7 @@ import (
 // substream, whatever the routing.
 type Split struct {
 	exec.Responding
+	snapshot.State
 	OpName string
 	Schema stream.Schema
 	N      int
@@ -114,6 +116,7 @@ func (s *Split) Open(exec.Context) error {
 	s.perOut = s.OutTables()
 	s.perOutDemand = s.Demands()
 	s.outPer = make([]int64, s.n())
+	s.keepState()
 	return nil
 }
 
@@ -286,6 +289,7 @@ func (s *Split) Stats() (in int64, outPer []int64, suppressed int64) {
 // which assumed feedback's advisory semantics make safe (§4.2).
 type Merge struct {
 	exec.Responding
+	snapshot.State
 	OpName string
 	Schema stream.Schema
 	K      int
@@ -332,6 +336,7 @@ func (m *Merge) Open(exec.Context) error {
 	m.Bind(m, m.Mode, m.Propagate, 1, m.Schema.Arity())
 	m.guards = m.OutTables()[0]
 	m.align = newAligner(m.Schema, m.k())
+	m.keepState()
 	return nil
 }
 

@@ -540,8 +540,12 @@ func TestRelayedSetRestoreDropsStaleKeys(t *testing.T) {
 	enc := snapshot.NewEncoder()
 	enc.PutInt(2)
 	for port := 0; port < 2; port++ {
-		snapshot.PutGuardsView(enc, snapshot.GuardsView(s.perOut[port]))
-		snapshot.PutGuardsView(enc, nil)
+		guards := s.perOut[port].Guards()
+		enc.PutInt(len(guards))
+		for _, g := range guards {
+			enc.PutFeedback(g.Source)
+		}
+		enc.PutInt(0) // demanded
 	}
 	enc.PutInt(3)
 	for _, k := range []string{"?[7, *, *, *]", "¬[*, *, <=1970-01-01T00:00:00.000001Z, *]", s.Relayed()[0]} {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
+	"repro/internal/snapshot"
 	"repro/internal/stream"
 )
 
@@ -18,6 +19,7 @@ import (
 // letting the operator catch up to the live edge of the stream.
 type Impute struct {
 	exec.Responding
+	snapshot.State
 	OpName string
 	Schema stream.Schema
 	// Attribute positions in Schema.
@@ -58,6 +60,7 @@ func (im *Impute) Open(exec.Context) error {
 	if im.FallbackSpeed == 0 {
 		im.FallbackSpeed = 55
 	}
+	im.keepState()
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/punct"
 	"repro/internal/queue"
+	"repro/internal/snapshot"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -35,6 +36,7 @@ import (
 // Feedback handling implements Table 2 via core.JoinCharacterization.
 type Join struct {
 	exec.Responding
+	snapshot.State
 	OpName      string
 	Left, Right stream.Schema
 	// LeftKeys/RightKeys are the equi-join attributes (parallel slices).
@@ -189,6 +191,7 @@ func (j *Join) Open(exec.Context) error {
 	j.guardsIn = [2]*core.GuardTable{j.Pinned(0, j.Left.Arity()), j.Pinned(1, j.Right.Arity())}
 	j.probeCounts = map[int64]int64{}
 	j.probeDone = -1
+	j.keepState()
 	return nil
 }
 

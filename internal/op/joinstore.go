@@ -19,9 +19,6 @@ type joinStore struct {
 	// feedback for: the key's values as a tuple of their own, purged like any
 	// other entry once left punctuation proves the key cannot recur.
 	asked joinSide
-	// based is set once a capture or load has fixed a baseline a delta can
-	// be relative to.
-	based bool
 	key   []stream.Value // the arriving tuple's key, gathered; reused
 }
 
@@ -94,7 +91,6 @@ func (s *joinStore) all() [3]*joinSide { return [3]*joinSide{&s.sides[0], &s.sid
 // capture ends with it, and so does a restore, whose purges replay a change
 // the chain already holds.
 func (s *joinStore) rebase() {
-	s.based = true
 	for _, side := range s.all() {
 		side.baseID, side.purgedThrough, side.purged, side.matched = side.nextID, math.MinInt64, nil, nil
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
+	"repro/internal/snapshot"
 	"repro/internal/stream"
 )
 
@@ -23,6 +24,7 @@ import (
 // effect.
 type Pace struct {
 	exec.Base
+	snapshot.State
 	OpName string
 	Schema stream.Schema
 	K      int
@@ -101,6 +103,7 @@ func (p *Pace) OutSchemas() []stream.Schema { return []stream.Schema{p.Schema} }
 func (p *Pace) Open(exec.Context) error {
 	p.align = newAligner(p.Schema, p.k())
 	p.perIn = make([]PaceInputStats, p.k())
+	p.keepState()
 	return nil
 }
 

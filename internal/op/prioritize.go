@@ -4,6 +4,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
+	"repro/internal/snapshot"
 	"repro/internal/stream"
 )
 
@@ -22,6 +23,7 @@ import (
 // dropped before ever being emitted, and the guard persists.
 type Prioritize struct {
 	exec.Responding
+	snapshot.State
 	OpName string
 	Schema stream.Schema
 	// BufferCap bounds the reorder buffer (default 256). A larger buffer
@@ -66,6 +68,7 @@ func (p *Prioritize) Open(exec.Context) error {
 	p.Bind(p, p.Mode, p.Propagate, 1, p.Schema.Arity())
 	p.guards = p.OutTables()[0]
 	p.scheme = punct.NewScheme(p.Schema.Arity())
+	p.keepState()
 	return nil
 }
 

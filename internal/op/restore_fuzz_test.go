@@ -1,0 +1,168 @@
+package op
+
+import (
+	"bytes"
+	"encoding/hex"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/punct"
+	"repro/internal/snapshot"
+	"repro/internal/stream"
+	"repro/internal/window"
+)
+
+// operatorStaters is how many of stateRows are operators.
+const operatorStaters = 8
+
+// restoreRow is an operator FuzzOperatorRestore restores into.
+type restoreRow struct {
+	open func() snapshot.Stater // a fresh, opened instance
+	base []byte                 // the full blob a delta is applied on
+}
+
+// FuzzOperatorRestore feeds arbitrary bytes to every operator's derived
+// restore: LoadState on an opened operator, or ApplyDelta on one that has
+// loaded a good base. Either returns an error, or leaves a state that is
+// whole: no larger than the bytes could describe — its full capture takes
+// no more bytes than the blobs it was loaded from, and the aggregate holds no
+// more slots, tombstones included — and whose full capture loads into a twin
+// that encodes the same bytes again, once it has been through a load itself:
+// a load drops what the cut's guards cover among the state the blob carries
+// (§6.3), so the state a full blob leaves is settled and the state a delta
+// lands in is one load away. Nothing may panic.
+//
+// The seeds are each operator's golden blob, whole and cut short, a join
+// delta, and the aggregate's capture chain — a full blob, a delta that
+// records a purge and carries the purged group again (the tombstone path), a
+// delta over a window closed and re-opened — and a full blob that lists one
+// group twice under a guard that covers it.
+func FuzzOperatorRestore(f *testing.F) {
+	var rows []restoreRow
+	for i, row := range stateRows()[:operatorStaters] {
+		golden, err := hex.DecodeString(row.golden)
+		if err != nil {
+			f.Fatal(err)
+		}
+		open := func() snapshot.Stater { st, _ := row.open(); return st }
+		rows = append(rows, restoreRow{open, golden})
+		f.Add(uint8(i), golden, false)
+		f.Add(uint8(i), golden[:len(golden)/2], false)
+		if row.name == "join" {
+			st, h := row.open()
+			row.feed(f, st, h)
+			captureBlob(f, st, snapshot.CaptureFull)
+			h.Tuple(1, traffic(4, 8, 310, 60)) // matches the left entry
+			h.Punct(0, tsPunct(260))           // purges right 3 by watermark
+			f.Add(uint8(i), captureBlob(f, st, snapshot.CaptureDelta), true)
+		}
+	}
+
+	buildAgg := func() snapshot.Stater {
+		a := &Aggregate{In: trafficSchema, Kind: core.AggAvg, TsAttr: 2, ValAttr: 3, GroupBy: []int{0},
+			Window: window.Sliding(2*minute, minute), Mode: FeedbackExploit}
+		if err := a.Open(&flushCtx{}); err != nil {
+			f.Fatal(err)
+		}
+		return a
+	}
+	rec := &flushCtx{}
+	a := buildAgg().(*Aggregate)
+	for i, seg := range []int64{5, 2, 8, 2} {
+		_ = a.ProcessTuple(0, traffic(seg, 0, minute+int64(i), float64(10*i)), rec)
+	}
+	// On AVG, value feedback leaves an output guard only.
+	_ = a.ProcessFeedback(0, core.NewAssumed(punct.OnAttr(3, 2, punct.Ge(stream.Float(25)))), rec)
+	base := captureBlob(f, a, snapshot.CaptureFull)
+	a.Purge(core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(2)))), core.ResponsePlan{}) // the pins it returns are dropped
+	_ = a.ProcessTuple(0, traffic(2, 0, minute+9, 5), rec)
+	_ = a.ProcessTuple(0, traffic(6, 0, minute+10, 7), rec)
+	revived := captureBlob(f, a, snapshot.CaptureDelta)
+	// Windows 0 and 1 close, a late tuple opens them again, and a purge leaves
+	// an input guard.
+	_ = a.ProcessPunct(0, tsPunct(2*minute), rec)
+	_ = a.ProcessTuple(0, traffic(3, 0, minute+11, 9), rec)
+	_ = a.ProcessFeedback(0, core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(3)))), rec)
+	_ = a.ProcessTuple(0, traffic(4, 0, 3*minute, 11), rec)
+	reopened := captureBlob(f, a, snapshot.CaptureDelta)
+
+	twice := snapshot.NewEncoder()
+	twice.PutInt64(aggLayout)
+	twice.PutInt(1)
+	twice.PutInt64(7)
+	twice.PutInt(2)
+	for _, count := range []int64{1, 3} {
+		twice.PutValues([]stream.Value{stream.Int(9)})
+		twice.PutInt64(count)
+		for i := 0; i < 3; i++ {
+			twice.PutFloat64(4)
+		}
+	}
+	// One output guard that covers it — the one slot is purged once — no input
+	// guards, and the counters.
+	twice.PutInt(1)
+	twice.PutFeedback(core.NewAssumed(punct.AllWild(3)))
+	for i := 0; i < 1+7; i++ {
+		twice.PutInt64(0)
+	}
+	dup, _ := twice.Bytes()
+
+	chain := uint8(len(rows))
+	rows = append(rows, restoreRow{buildAgg, base})
+	for _, b := range [][]byte{base, dup} {
+		f.Add(chain, b, false)
+		f.Add(chain, b[:len(b)/2], false)
+	}
+	for _, b := range [][]byte{revived, reopened} {
+		f.Add(chain, b, true)
+		f.Add(chain, b[:len(b)-3], true)
+	}
+
+	// sizes measures a restored state: its full capture, and the aggregate's
+	// slots, tombstones included, which encode nothing.
+	sizes := func(t *testing.T, st snapshot.Stater) (blob, slots int) {
+		if a, ok := st.(*Aggregate); ok {
+			for _, w := range a.store.wins {
+				slots += len(w.groups)
+			}
+		}
+		return len(captureBlob(t, st, snapshot.CaptureFull)), slots
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte, delta bool) {
+		row := rows[int(which)%len(rows)]
+		st := row.open()
+		var err error
+		heldBlob, heldSlots := 0, 0
+		if delta {
+			loadAll(t, st, row.base)
+			heldBlob, heldSlots = sizes(t, st)
+			err = st.(interface {
+				ApplyDelta(*snapshot.Decoder) error
+			}).ApplyDelta(snapshot.NewDecoder(data))
+		} else {
+			err = st.LoadState(snapshot.NewDecoder(data))
+		}
+		if err != nil {
+			return
+		}
+		if blob, slots := sizes(t, st); blob > heldBlob+len(data) || slots > heldSlots+len(data) {
+			t.Fatalf("%d bytes restored into a %d-byte capture and %d slots (%d and %d held before)",
+				len(data), blob, slots, heldBlob, heldSlots)
+		}
+		reload := func(from snapshot.Stater) (snapshot.Stater, []byte) {
+			blob := captureBlob(t, from, snapshot.CaptureFull)
+			twin, dec := row.open(), snapshot.NewDecoder(blob)
+			if err := twin.LoadState(dec); err != nil || dec.Remaining() != 0 {
+				t.Fatalf("the full capture of a restored operator does not load: %v, %d bytes left (restored from %x)", err, dec.Remaining(), data)
+			}
+			return twin, blob
+		}
+		if delta {
+			st, _ = reload(st)
+		}
+		twin, first := reload(st)
+		if second := captureBlob(t, twin, snapshot.CaptureFull); !bytes.Equal(first, second) {
+			t.Fatalf("a full capture re-loaded encodes differently:\n  %x\n  %x\n(restored from %x)", first, second, data)
+		}
+	})
+}

@@ -2,101 +2,106 @@ package op
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"strings"
 
 	"repro/internal/core"
-	"repro/internal/punct"
 	"repro/internal/snapshot"
-	"repro/internal/stream"
 )
 
-// errInputCountChanged reports a snapshot whose input/partition fan does
-// not match the rebuilt operator.
-func errInputCountChanged(kind, name string, got, want int) error {
-	return fmt.Errorf("op: %s %q: snapshot carries %d inputs/partitions but the plan has %d (plan drift)",
-		kind, name, got, want)
-}
-
-// snapshot.Stater implementations for the stateful operators (contract:
-// DESIGN.md §6.2). CaptureState runs at the node's barrier-aligned cut on its
-// own goroutine and only clones a consistent view — accumulator structs,
-// guard lists, drained changelogs — never serializing there; the returned
-// Capture.Encode runs on a background goroutine after the barrier releases.
-// The phase-1 invariant is that the view must not alias anything the operator
-// mutates afterwards: aggGroup/joinEntry structs are copied by value (their
-// Tuple/Value contents are immutable once stored; the aggregate's group
-// values are copied out of their window's arena, which is reused, and the
-// join's entries out of their slab, which is compacted in place), guard
-// tables are flattened with snapshot.GuardsView, and map-typed auxiliaries
-// are copied.
+// What the stateful operators keep across a checkpoint. Each embeds
+// snapshot.State and declares its blob, field by field, at the end of Open;
+// capture, encode and bounded restore are derived from the declaration
+// (DESIGN.md §6.2). The fields written out below are the shapes snapshot has
+// no constructor for: the aggregate's and the join's stores, whose
+// changelogs answer delta captures, and the join's probe counts.
 //
-// Aggregate and Join — the operators whose state grows with the data — keep
-// a changelog (what changed since the previous capture) in their stores and
-// answer CaptureDelta with O(changes) views consumed by ApplyDelta; the other
-// operators' state is O(1)-ish in the stream, so they always capture fully.
-// Aggregate's and Join's blobs, full and delta, open with a layout marker.
-//
-// Restore additionally honors the paper's state-purging argument at
-// recovery time: any state entry covered by an assumed-feedback guard in
-// the cut is dropped during LoadState/ApplyDelta, even when the live
-// operator had retained it (e.g. the guard-output-only mode keeps folding
-// suppressed groups; recovery is free to apply the stronger exploitation,
-// since the feedback's issuer has disclaimed the subset — Definition 1
-// permits any response up to full suppression).
-
-var (
-	_ snapshot.Stater = (*Aggregate)(nil)
-	_ snapshot.Stater = (*Join)(nil)
-	_ snapshot.Stater = (*Impute)(nil)
-	_ snapshot.Stater = (*Pace)(nil)
-	_ snapshot.Stater = (*Merge)(nil)
-	_ snapshot.Stater = (*Split)(nil)
-	_ snapshot.Stater = (*Duplicate)(nil)
-	_ snapshot.Stater = (*Prioritize)(nil)
-)
-
-// ---------------------------------------------------------------------------
-// Aggregate.
-// ---------------------------------------------------------------------------
+// A restore also honors the paper's state-purging argument: state an
+// assumed-feedback guard in the cut covers is dropped once the blob's guards
+// are in, even where the live operator had retained it — the feedback's
+// issuer has disclaimed the subset, and Definition 1 permits any response up
+// to full suppression (§6.3).
 
 // aggLayout opens every Aggregate state blob, full or delta. It is negative
 // because the layout before it began with an entry count, which never is: a
 // blob written by that build is refused, not misparsed.
 const aggLayout = -1
 
-// CaptureState implements snapshot.Stater. Phase 1 copies the groups (all,
-// or the dirty ones with the watermark and the purge records) out of the
-// store; the windows they sat in may close and be reused before phase 2 runs.
-func (a *Aggregate) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, error) {
-	delta := mode == snapshot.CaptureDelta && a.store.based
-	c := a.store.capture(delta)
-	guardsOut := snapshot.GuardsView(a.guardsOut)
-	guardsPrefix := snapshot.GuardsView(a.guardsPrefix)
-	counters := []int64{a.inTuples, a.outTuples, a.folded, a.inSuppressed,
-		a.outSuppressed, a.purged, a.partialsEmitted}
-	return snapshot.Capture{
-		Delta: delta,
-		Encode: func(enc *snapshot.Encoder) error {
-			enc.PutInt64(aggLayout)
-			if delta {
-				enc.PutInt64(c.closedThrough)
-				enc.PutInt(len(c.purged))
-				for _, p := range c.purged {
-					enc.PutInt64(p.wid)
-					enc.PutValues(p.key)
+func (a *Aggregate) keepState() {
+	a.Keep(a.Name(),
+		snapshot.Marker(aggLayout),
+		a.storeField(),
+		snapshot.Guards(a.guardsOut),
+		snapshot.Guards(a.guardsPrefix),
+		snapshot.Int64(&a.inTuples, &a.outTuples, &a.folded, &a.inSuppressed,
+			&a.outSuppressed, &a.purged, &a.partialsEmitted))
+}
+
+// storeField keeps the aggregate's groups. Phase 1 copies them (all, or the
+// dirty ones with the watermark and the purge records) out of the store; the
+// windows they sat in may close and be reused before phase 2 runs. A full
+// blob loads into a fresh store; a delta closes the windows through its
+// watermark, purges its groups one by one, then upserts. Either way the
+// groups the cut's guards cover are dropped once the guards are in, and the
+// result is the baseline of the next delta: what applying the blob did to the
+// store is no change to report.
+func (a *Aggregate) storeField() snapshot.Field {
+	var (
+		loaded aggStore
+		refs   []aggRef
+	)
+	return snapshot.Field{
+		Capture: func(delta bool) func(*snapshot.Encoder) {
+			c := a.store.capture(delta)
+			return func(enc *snapshot.Encoder) {
+				if delta {
+					enc.PutInt64(c.closedThrough)
+					enc.PutInt(len(c.purged))
+					for _, p := range c.purged {
+						enc.PutInt64(p.wid)
+						enc.PutValues(p.key)
+					}
+				}
+				c.encodeGroups(enc)
+			}
+		},
+		Load: func(dec *snapshot.Decoder) (err error) {
+			loaded.reset(len(a.GroupBy))
+			refs, err = a.decodeGroups(dec, &loaded)
+			return err
+		},
+		Delta: func(dec *snapshot.Decoder) (err error) {
+			closedThrough := dec.GetInt64()
+			for w := a.store.first(); dec.Err() == nil && w != nil && w.wid <= closedThrough; w = a.store.first() {
+				a.store.closeFirst()
+			}
+			np := dec.GetCount()
+			for i := 0; i < np && dec.Err() == nil; i++ {
+				wid, key := dec.GetInt64(), dec.GetValues()
+				if dec.Err() != nil {
+					break
+				}
+				if len(key) != a.store.k {
+					return a.errGroupWidth(len(key))
+				}
+				if w, slot := a.store.find(wid, key); w != nil {
+					a.store.purge(w, slot)
 				}
 			}
-			c.encodeGroups(enc)
-			snapshot.PutGuardsView(enc, guardsOut)
-			snapshot.PutGuardsView(enc, guardsPrefix)
-			for _, n := range counters {
-				enc.PutInt64(n)
+			refs, err = a.decodeGroups(dec, &a.store)
+			return err
+		},
+		Settle: func(delta bool) error {
+			if !delta {
+				a.store, loaded = loaded, aggStore{}
 			}
+			a.dropCovered(refs)
+			refs = nil
+			a.store.rebase()
 			return nil
 		},
-	}, nil
+	}
 }
 
 // encodeGroups writes the captured groups window by window in the order they
@@ -121,20 +126,6 @@ func (c *aggCapture) encodeGroups(enc *snapshot.Encoder) {
 	}
 }
 
-// checkLayout reads the layout marker a state blob of the named operator
-// opens with and refuses any other than want.
-func checkLayout(dec *snapshot.Decoder, kind, name string, want int64) error {
-	got := dec.GetInt64()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if got != want {
-		return fmt.Errorf("op: %s %q: state blob has layout %d, this build reads layout %d (snapshot written by another version of the operator)",
-			kind, name, got, want)
-	}
-	return nil
-}
-
 // errGroupWidth reports a snapshot whose groups do not have the operator's
 // GroupBy width.
 func (a *Aggregate) errGroupWidth(got int) error {
@@ -146,10 +137,10 @@ func (a *Aggregate) errGroupWidth(got int) error {
 // returns where each group landed.
 func (a *Aggregate) decodeGroups(dec *snapshot.Decoder, st *aggStore) ([]aggRef, error) {
 	var refs []aggRef
-	nw := dec.GetInt()
+	nw := dec.GetCount()
 	for i := 0; i < nw && dec.Err() == nil; i++ {
 		wid := dec.GetInt64()
-		n := dec.GetInt()
+		n := dec.GetCount()
 		for j := 0; j < n && dec.Err() == nil; j++ {
 			key := dec.GetValues()
 			acc := aggGroup{count: dec.GetInt64(), sum: dec.GetFloat64(), min: dec.GetFloat64(), max: dec.GetFloat64()}
@@ -172,16 +163,6 @@ type aggRef struct {
 	slot int32
 }
 
-// loadTail reads the guards and counters every Aggregate blob ends with.
-func (a *Aggregate) loadTail(dec *snapshot.Decoder) {
-	snapshot.GetGuards(dec, a.guardsOut)
-	snapshot.GetGuards(dec, a.guardsPrefix)
-	for _, c := range []*int64{&a.inTuples, &a.outTuples, &a.folded, &a.inSuppressed,
-		&a.outSuppressed, &a.purged, &a.partialsEmitted} {
-		*c = dec.GetInt64()
-	}
-}
-
 // dropCovered applies assumption-driven state dropping to restored groups:
 // guards asserted at the cut cover subsets the consumer disclaimed, so their
 // state need not survive recovery. A blob may name a group twice (nothing this
@@ -199,372 +180,170 @@ func (a *Aggregate) dropCovered(refs []aggRef) {
 	}
 }
 
-// LoadState implements snapshot.Stater. The loaded cut is the baseline of the
-// restored run's next delta.
-func (a *Aggregate) LoadState(dec *snapshot.Decoder) error {
-	if err := checkLayout(dec, "aggregate", a.Name(), aggLayout); err != nil {
-		return err
-	}
-	var st aggStore
-	st.reset(len(a.GroupBy))
-	refs, err := a.decodeGroups(dec, &st)
-	if err != nil {
-		return err
-	}
-	a.loadTail(dec)
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	a.store = st
-	a.dropCovered(refs)
-	a.store.rebase()
-	return nil
-}
-
-// ApplyDelta merges a delta capture: windows through the watermark
-// go, then the groups purged one by one, then the upserts land, then the
-// cut's guards and counters replace the current ones. The applied cut is the
-// new baseline: what applying it did to the store is no change to report.
-func (a *Aggregate) ApplyDelta(dec *snapshot.Decoder) error {
-	if err := checkLayout(dec, "aggregate", a.Name(), aggLayout); err != nil {
-		return err
-	}
-	closedThrough := dec.GetInt64()
-	for w := a.store.first(); dec.Err() == nil && w != nil && w.wid <= closedThrough; w = a.store.first() {
-		a.store.closeFirst()
-	}
-	np := dec.GetInt()
-	for i := 0; i < np && dec.Err() == nil; i++ {
-		wid, key := dec.GetInt64(), dec.GetValues()
-		if dec.Err() != nil {
-			break
-		}
-		if len(key) != a.store.k {
-			return a.errGroupWidth(len(key))
-		}
-		if w, slot := a.store.find(wid, key); w != nil {
-			a.store.purge(w, slot)
-		}
-	}
-	refs, err := a.decodeGroups(dec, &a.store)
-	if err != nil {
-		return err
-	}
-	a.loadTail(dec)
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	a.dropCovered(refs)
-	a.store.rebase()
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Join.
-// ---------------------------------------------------------------------------
-
 // joinLayout opens every Join state blob, full or delta. Like aggLayout it is
 // negative because the layout before it began with an entry count.
 const joinLayout = -1
 
-// joinCap is the captured view of a Join.
-type joinCap struct {
-	delta        bool
-	sides        [3]joinSideCut // left, right, asked
-	wm           [2]watermark
-	lastOutWM    int64
-	lastOutWMSet bool
-	probeCounts  map[int64]int64
-	probeDone    int64
-	feedbackSeq  int64
-	guardsIn     [2][]core.Feedback
-	guardsOut    []core.Feedback
-	counters     [7]int64
+func (j *Join) keepState() {
+	j.Keep(j.Name(),
+		snapshot.Marker(joinLayout),
+		j.storeField(),
+		snapshot.Int64(&j.wm[0].v), snapshot.Bool(&j.wm[0].set, &j.wm[0].eos),
+		snapshot.Int64(&j.wm[1].v), snapshot.Bool(&j.wm[1].set, &j.wm[1].eos),
+		snapshot.Int64(&j.lastOutWM), snapshot.Bool(&j.lastOutWMSet),
+		j.probeField(),
+		snapshot.Int64(&j.probeDone, &j.feedbackSeq),
+		snapshot.Guards(j.guardsIn[0]),
+		snapshot.Guards(j.guardsIn[1]),
+		snapshot.Guards(j.guardsOut),
+		snapshot.Int64(&j.emitted, &j.outerEmitted, &j.suppressedIn, &j.suppressedOut,
+			&j.purgedByFeedback, &j.thriftySent, &j.impatientSent))
 }
 
-// CaptureState implements snapshot.Stater.
-func (j *Join) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, error) {
-	v := &joinCap{delta: mode == snapshot.CaptureDelta && j.store.based}
-	for i, side := range j.store.all() {
-		v.sides[i] = side.capture(v.delta)
-	}
-	j.store.rebase()
-	v.wm = j.wm
-	v.lastOutWM, v.lastOutWMSet = j.lastOutWM, j.lastOutWMSet
-	v.probeCounts = make(map[int64]int64, len(j.probeCounts))
-	for w, c := range j.probeCounts {
-		v.probeCounts[w] = c
-	}
-	v.probeDone = j.probeDone
-	v.feedbackSeq = j.feedbackSeq
-	v.guardsIn = [2][]core.Feedback{snapshot.GuardsView(j.guardsIn[0]), snapshot.GuardsView(j.guardsIn[1])}
-	v.guardsOut = snapshot.GuardsView(j.guardsOut)
-	v.counters = [7]int64{j.emitted, j.outerEmitted, j.suppressedIn,
-		j.suppressedOut, j.purgedByFeedback, j.thriftySent, j.impatientSent}
-	return snapshot.Capture{Delta: v.delta, Encode: v.encode}, nil
-}
-
-// encode is phase 2; it sees only the captured view. Per side: the next id,
-// in a delta the changelog (watermark, purged ids, matched ids), then the
-// entries in arrival order — all of them, or those inserted since the
-// baseline.
-func (v *joinCap) encode(enc *snapshot.Encoder) error {
-	enc.PutInt64(joinLayout)
-	for i := range v.sides {
-		c := &v.sides[i]
-		enc.PutInt64(c.nextID)
-		if v.delta {
-			enc.PutInt64(c.purgedThrough)
-			for _, notes := range [][]joinNote{c.purged, c.matched} {
-				enc.PutInt(len(notes))
-				for _, n := range notes {
-					enc.PutInt64(n.id)
-				}
-			}
-		}
-		enc.PutInt(len(c.entries))
-		for e := range c.entries {
-			e := &c.entries[e]
-			enc.PutInt64(e.id)
-			enc.PutTuple(e.t)
-			enc.PutInt64(e.ts)
-			enc.PutBool(e.matched)
-		}
-	}
-	for _, w := range v.wm {
-		enc.PutInt64(w.v)
-		enc.PutBool(w.set)
-		enc.PutBool(w.eos)
-	}
-	enc.PutInt64(v.lastOutWM)
-	enc.PutBool(v.lastOutWMSet)
-	wids := make([]int64, 0, len(v.probeCounts))
-	for w := range v.probeCounts {
-		wids = append(wids, w)
-	}
-	slices.Sort(wids)
-	enc.PutInt(len(wids))
-	for _, w := range wids {
-		enc.PutInt64(w)
-		enc.PutInt64(v.probeCounts[w])
-	}
-	enc.PutInt64(v.probeDone)
-	enc.PutInt64(v.feedbackSeq)
-	snapshot.PutGuardsView(enc, v.guardsIn[0])
-	snapshot.PutGuardsView(enc, v.guardsIn[1])
-	snapshot.PutGuardsView(enc, v.guardsOut)
-	for _, c := range v.counters {
-		enc.PutInt64(c)
-	}
-	return nil
-}
-
-// LoadState implements snapshot.Stater.
-func (j *Join) LoadState(dec *snapshot.Decoder) error {
-	return j.restore(dec, false)
-}
-
-// ApplyDelta merges a delta capture into the loaded state.
-func (j *Join) ApplyDelta(dec *snapshot.Decoder) error {
-	return j.restore(dec, true)
-}
-
-// restore reads what joinCap.encode wrote and replays it on the store — a
-// full blob on an emptied one — then lets the cut's scalars, guards and
-// counters replace the current ones and re-applies the §6.3
-// assumption-driven dropping: entries the cut's input guards cover go. The
-// restored cut is the baseline of the next delta: what replaying it did to
-// the store is no change to report.
-func (j *Join) restore(dec *snapshot.Decoder, delta bool) error {
-	if err := checkLayout(dec, "join", j.Name(), joinLayout); err != nil {
-		return err
-	}
+// storeField keeps the join's three sides — left, right, asked. Per side: the
+// next id, in a delta the changelog (watermark, purged ids, matched ids),
+// then the entries in arrival order — all of them, or those inserted since
+// the baseline. A load decodes every side before it replays them on the
+// store — a full blob on an emptied one — and once the cut's input guards
+// are in, the entries they cover go (§6.3). An entry's tuple must have its
+// side's arity: the key projection indexes it.
+func (j *Join) storeField() snapshot.Field {
 	var cuts [3]joinSideCut
-	for i := range cuts {
-		c := &cuts[i]
-		c.nextID, c.purgedThrough = dec.GetInt64(), math.MinInt64
-		if delta {
-			c.purgedThrough = dec.GetInt64()
-			for _, notes := range []*[]joinNote{&c.purged, &c.matched} {
-				n := dec.GetInt()
+	arity := [3]int{j.Left.Arity(), j.Right.Arity(), len(j.LeftKeys)}
+	read := func(delta bool) func(*snapshot.Decoder) error {
+		return func(dec *snapshot.Decoder) error {
+			for i := range cuts {
+				c := &cuts[i]
+				*c = joinSideCut{nextID: dec.GetInt64(), purgedThrough: math.MinInt64}
+				if delta {
+					c.purgedThrough = dec.GetInt64()
+					for _, notes := range []*[]joinNote{&c.purged, &c.matched} {
+						n := dec.GetCount()
+						*notes = make([]joinNote, 0, n)
+						for k := 0; k < n && dec.Err() == nil; k++ {
+							*notes = append(*notes, joinNote{id: dec.GetInt64()})
+						}
+					}
+				}
+				n := dec.GetCount()
+				c.entries = make([]joinEntry, 0, n)
 				for k := 0; k < n && dec.Err() == nil; k++ {
-					*notes = append(*notes, joinNote{id: dec.GetInt64()})
+					c.entries = append(c.entries, joinEntry{id: dec.GetInt64(), t: dec.GetTupleArity(arity[i]), ts: dec.GetInt64(), matched: dec.GetBool()})
 				}
 			}
-		}
-		n := dec.GetInt()
-		c.entries = make([]joinEntry, 0, dec.CountHint(n))
-		for k := 0; k < n && dec.Err() == nil; k++ {
-			c.entries = append(c.entries, joinEntry{id: dec.GetInt64(), t: dec.GetTuple(), ts: dec.GetInt64(), matched: dec.GetBool()})
+			return nil
 		}
 	}
-	var wm [2]watermark
-	for i := range wm {
-		wm[i] = watermark{v: dec.GetInt64(), set: dec.GetBool(), eos: dec.GetBool()}
+	return snapshot.Field{
+		Capture: func(delta bool) func(*snapshot.Encoder) {
+			var sides [3]joinSideCut
+			for i, side := range j.store.all() {
+				sides[i] = side.capture(delta)
+			}
+			j.store.rebase()
+			return func(enc *snapshot.Encoder) {
+				for i := range sides {
+					c := &sides[i]
+					enc.PutInt64(c.nextID)
+					if delta {
+						enc.PutInt64(c.purgedThrough)
+						for _, notes := range [][]joinNote{c.purged, c.matched} {
+							enc.PutInt(len(notes))
+							for _, n := range notes {
+								enc.PutInt64(n.id)
+							}
+						}
+					}
+					enc.PutInt(len(c.entries))
+					for e := range c.entries {
+						e := &c.entries[e]
+						enc.PutInt64(e.id)
+						enc.PutTuple(e.t)
+						enc.PutInt64(e.ts)
+						enc.PutBool(e.matched)
+					}
+				}
+			}
+		},
+		Load:  read(false),
+		Delta: read(true),
+		Settle: func(delta bool) error {
+			if !delta {
+				j.store.reset(j.LeftKeys, j.RightKeys)
+			}
+			for i, side := range j.store.all() {
+				side.apply(&cuts[i])
+			}
+			cuts = [3]joinSideCut{}
+			for side, guards := range j.guardsIn {
+				if guards.Active() > 0 {
+					n := j.store.sides[side].removeWhere(func(e *joinEntry) bool { return guards.Suppress(e.t) }, nil)
+					j.purgedByFeedback += int64(n)
+				}
+			}
+			j.store.rebase()
+			return nil
+		},
 	}
-	lastOutWM, lastOutWMSet := dec.GetInt64(), dec.GetBool()
-	nw := dec.GetInt()
-	probeCounts := make(map[int64]int64, dec.CountHint(nw))
-	for i := 0; i < nw && dec.Err() == nil; i++ {
-		w := dec.GetInt64()
-		probeCounts[w] = dec.GetInt64()
-	}
-	probeDone, feedbackSeq := dec.GetInt64(), dec.GetInt64()
-	snapshot.GetGuards(dec, j.guardsIn[0])
-	snapshot.GetGuards(dec, j.guardsIn[1])
-	snapshot.GetGuards(dec, j.guardsOut)
-	var counters [7]int64
-	for i := range counters {
-		counters[i] = dec.GetInt64()
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-
-	if !delta {
-		j.store.reset(j.LeftKeys, j.RightKeys)
-	}
-	for i, side := range j.store.all() {
-		side.apply(&cuts[i])
-	}
-	j.wm, j.lastOutWM, j.lastOutWMSet = wm, lastOutWM, lastOutWMSet
-	j.probeCounts, j.probeDone, j.feedbackSeq = probeCounts, probeDone, feedbackSeq
-	for i, c := range []*int64{&j.emitted, &j.outerEmitted, &j.suppressedIn,
-		&j.suppressedOut, &j.purgedByFeedback, &j.thriftySent, &j.impatientSent} {
-		*c = counters[i]
-	}
-	for side, guards := range j.guardsIn {
-		if guards.Active() > 0 {
-			n := j.store.sides[side].removeWhere(func(e *joinEntry) bool { return guards.Suppress(e.t) }, nil)
-			j.purgedByFeedback += int64(n)
-		}
-	}
-	j.store.rebase()
-	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Impute.
-// ---------------------------------------------------------------------------
-
-// CaptureState implements snapshot.Stater: the guard table is the whole
-// point — losing it on crash would re-expose the archive to lookups the
-// feedback already disclaimed. The state is O(guards), so capture is
-// always full.
-func (im *Impute) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	guards := snapshot.GuardsView(im.guards)
-	imputed, skipped, passed := im.imputed, im.skipped, im.passed
-	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
-		snapshot.PutGuardsView(enc, guards)
-		enc.PutInt64(imputed)
-		enc.PutInt64(skipped)
-		enc.PutInt64(passed)
-		return nil
-	}}, nil
-}
-
-// LoadState implements snapshot.Stater.
-func (im *Impute) LoadState(dec *snapshot.Decoder) error {
-	snapshot.GetGuards(dec, im.guards)
-	im.imputed = dec.GetInt64()
-	im.skipped = dec.GetInt64()
-	im.passed = dec.GetInt64()
-	return dec.Err()
-}
-
-// ---------------------------------------------------------------------------
-// Fan-in alignment (Merge and Pace).
-// ---------------------------------------------------------------------------
-
-// capture clones the alignment state. Patterns are immutable; the slices
-// holding them are copied.
-func (al *aligner) capture() *aligner {
-	v := &aligner{
-		schema:   al.schema,
-		ins:      make([]alignInput, len(al.ins)),
-		wmOut:    slices.Clone(al.wmOut),
-		wmOutSet: slices.Clone(al.wmOutSet),
-		pending:  slices.Clone(al.pending),
+// probeField keeps the thrifty join's tuple counts per probe window, in
+// window order.
+func (j *Join) probeField() snapshot.Field {
+	return snapshot.Field{
+		Capture: func(bool) func(*snapshot.Encoder) {
+			wids := slices.Sorted(maps.Keys(j.probeCounts))
+			counts := make([]int64, len(wids))
+			for i, w := range wids {
+				counts[i] = j.probeCounts[w]
+			}
+			return func(enc *snapshot.Encoder) {
+				enc.PutInt(len(wids))
+				for i, w := range wids {
+					enc.PutInt64(w)
+					enc.PutInt64(counts[i])
+				}
+			}
+		},
+		Load: func(dec *snapshot.Decoder) error {
+			n := dec.GetCount()
+			j.probeCounts = make(map[int64]int64, n)
+			for i := 0; i < n && dec.Err() == nil; i++ {
+				w := dec.GetInt64()
+				j.probeCounts[w] = dec.GetInt64()
+			}
+			return nil
+		},
 	}
-	for i := range al.ins {
-		in := &al.ins[i]
-		v.ins[i] = alignInput{
-			eos:      in.eos,
-			wm:       slices.Clone(in.wm),
-			wmSet:    slices.Clone(in.wmSet),
-			asserted: slices.Clone(in.asserted),
-		}
-	}
-	return v
 }
 
-// encode writes the alignment state: per-input frontiers and asserted
-// patterns, the already-asserted frontier, and the pending list. All of it
-// must survive recovery, otherwise a restored fan-in could re-emit
+// keepState: the guard table is the whole point — losing it on crash would
+// re-expose the archive to lookups the feedback already disclaimed.
+func (im *Impute) keepState() {
+	im.Keep(im.Name(), snapshot.Guards(im.guards), snapshot.Int64(&im.imputed, &im.skipped, &im.passed))
+}
+
+// fields declares the alignment state: per input its EOS, frontier and
+// asserted patterns, then the asserted frontier and the pending list. All of
+// it must survive recovery, otherwise a restored fan-in could re-emit
 // punctuation it already promised (downstream would purge twice, harmless)
 // or forward a pattern a lagging input has not re-covered (unsound).
-func (al *aligner) encode(enc *snapshot.Encoder) {
-	putFrontier := func(wm []int64, set []bool) {
-		for a := range wm {
-			enc.PutInt64(wm[a])
-			enc.PutBool(set[a])
-		}
-	}
-	putPatterns := func(ps []punct.Pattern) {
-		enc.PutInt(len(ps))
-		for _, p := range ps {
-			enc.PutPattern(p)
-		}
-	}
-	enc.PutInt(len(al.ins))
-	for i := range al.ins {
-		in := &al.ins[i]
-		enc.PutBool(in.eos)
-		putFrontier(in.wm, in.wmSet)
-		putPatterns(in.asserted)
-	}
-	putFrontier(al.wmOut, al.wmOutSet)
-	putPatterns(al.pending)
-}
-
-// load reads what encode wrote into an aligner of the same fan-in; kind and
-// name identify the operator in the error for one of another.
-func (al *aligner) load(dec *snapshot.Decoder, kind, name string) error {
+func (al *aligner) fields() []snapshot.Field {
 	arity := al.schema.Arity()
-	getFrontier := func(wm []int64, set []bool) {
+	frontier := func(wm []int64, set []bool) (fs []snapshot.Field) {
 		for a := range wm {
-			wm[a] = dec.GetInt64()
-			set[a] = dec.GetBool()
+			fs = append(fs, snapshot.Int64(&wm[a]), snapshot.Bool(&set[a]))
 		}
+		return fs
 	}
-	getPatterns := func() []punct.Pattern {
-		var ps []punct.Pattern
-		for n := dec.GetInt(); n > 0 && dec.Err() == nil; n-- {
-			ps = append(ps, dec.GetPatternArity(arity))
-		}
-		return ps
-	}
-	n := dec.GetInt()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if n != len(al.ins) {
-		return errInputCountChanged(kind, name, n, len(al.ins))
-	}
-	for i := range al.ins {
+	ins := snapshot.Group(len(al.ins), func(i int) []snapshot.Field {
 		in := &al.ins[i]
-		in.eos = dec.GetBool()
-		getFrontier(in.wm, in.wmSet)
-		in.asserted = getPatterns()
-	}
-	getFrontier(al.wmOut, al.wmOutSet)
-	al.pending = getPatterns()
-	return dec.Err()
+		fs := append([]snapshot.Field{snapshot.Bool(&in.eos)}, frontier(in.wm, in.wmSet)...)
+		return append(fs, snapshot.Patterns(&in.asserted, arity))
+	})
+	fs := append([]snapshot.Field{ins}, frontier(al.wmOut, al.wmOutSet)...)
+	return append(fs, snapshot.Patterns(&al.pending, arity))
 }
-
-// ---------------------------------------------------------------------------
-// Pace.
-// ---------------------------------------------------------------------------
 
 // paceLayout opens every Pace state blob. It is negative because the layout
 // before it began with the high watermark, a timestamp, which no source in
@@ -572,300 +351,69 @@ func (al *aligner) load(dec *snapshot.Decoder, kind, name string) error {
 // misparsed.
 const paceLayout = -1
 
-// CaptureState implements snapshot.Stater: the high watermark and
-// feedback cutoff are what make a restored PACE keep its promises — a
-// fresh one would re-admit tuples the old instance's feedback already
-// disclaimed — and the alignment state is what keeps its punctuation sound.
-func (p *Pace) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	hw, hwSet, lastCutoff, cutoffSet := p.hw, p.hwSet, p.lastCutoff, p.cutoffSet
-	seq, sent := p.feedbackSeq, p.feedbackSent
-	align := p.align.capture()
-	perIn := slices.Clone(p.perIn)
-	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
-		enc.PutInt64(paceLayout)
-		enc.PutInt64(hw)
-		enc.PutBool(hwSet)
-		enc.PutInt64(lastCutoff)
-		enc.PutBool(cutoffSet)
-		enc.PutInt64(seq)
-		enc.PutInt64(sent)
-		align.encode(enc)
-		for _, st := range perIn {
-			enc.PutInt64(st.Passed)
-			enc.PutInt64(st.Dropped)
-		}
-		return nil
-	}}, nil
-}
-
-// LoadState implements snapshot.Stater.
-func (p *Pace) LoadState(dec *snapshot.Decoder) error {
-	if err := checkLayout(dec, "pace", p.Name(), paceLayout); err != nil {
-		return err
+// keepState: the high watermark and feedback cutoff are what make a restored
+// PACE keep its promises — a fresh one would re-admit tuples the old
+// instance's feedback already disclaimed — and the alignment state is what
+// keeps its punctuation sound.
+func (p *Pace) keepState() {
+	fs := []snapshot.Field{
+		snapshot.Marker(paceLayout),
+		snapshot.Int64(&p.hw), snapshot.Bool(&p.hwSet),
+		snapshot.Int64(&p.lastCutoff), snapshot.Bool(&p.cutoffSet),
+		snapshot.Int64(&p.feedbackSeq, &p.feedbackSent),
 	}
-	p.hw = dec.GetInt64()
-	p.hwSet = dec.GetBool()
-	p.lastCutoff = dec.GetInt64()
-	p.cutoffSet = dec.GetBool()
-	p.feedbackSeq = dec.GetInt64()
-	p.feedbackSent = dec.GetInt64()
-	if err := p.align.load(dec, "pace", p.Name()); err != nil {
-		return err
-	}
+	fs = append(fs, p.align.fields()...)
 	for i := range p.perIn {
-		p.perIn[i].Passed = dec.GetInt64()
-		p.perIn[i].Dropped = dec.GetInt64()
+		fs = append(fs, snapshot.Int64(&p.perIn[i].Passed, &p.perIn[i].Dropped))
 	}
-	return dec.Err()
+	p.Keep(p.Name(), fs...)
 }
 
-// ---------------------------------------------------------------------------
-// Merge.
-// ---------------------------------------------------------------------------
-
-// CaptureState implements snapshot.Stater: the alignment state, the guard
-// table and the counters.
-func (m *Merge) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	align := m.align.capture()
-	guards := snapshot.GuardsView(m.guards)
-	counters := [4]int64{m.in, m.out, m.suppressed, m.aligned}
-	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
-		align.encode(enc)
-		snapshot.PutGuardsView(enc, guards)
-		for _, c := range counters {
-			enc.PutInt64(c)
-		}
-		return nil
-	}}, nil
+func (m *Merge) keepState() {
+	m.Keep(m.Name(), append(m.align.fields(),
+		snapshot.Guards(m.guards),
+		snapshot.Int64(&m.in, &m.out, &m.suppressed, &m.aligned))...)
 }
 
-// LoadState implements snapshot.Stater.
-func (m *Merge) LoadState(dec *snapshot.Decoder) error {
-	if err := m.align.load(dec, "merge", m.Name()); err != nil {
-		return err
-	}
-	snapshot.GetGuards(dec, m.guards)
-	for _, c := range []*int64{&m.in, &m.out, &m.suppressed, &m.aligned} {
-		*c = dec.GetInt64()
-	}
-	return dec.Err()
-}
-
-// ---------------------------------------------------------------------------
-// Split.
-// ---------------------------------------------------------------------------
-
-// splitCap is the captured view of a Split.
-type splitCap struct {
-	perOut       [][]core.Feedback
-	perOutDemand [][]core.Feedback
-	propagated   []string
-	rr           int
-	in           int64
-	suppressed   int64
-	outPer       []int64
-}
-
-// CaptureState implements snapshot.Stater: per-partition guards
-// (feedback each partition has asserted), the already-relayed set, and the
-// round-robin cursor — the cursor matters for keyless splits, where a
-// restored run must continue the same routing sequence to stay canonically
-// identical.
-func (s *Split) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	v := &splitCap{
-		perOut:       make([][]core.Feedback, s.n()),
-		perOutDemand: make([][]core.Feedback, s.n()),
-		propagated:   s.Relayed(),
-		rr:           s.rr,
-		in:           s.in,
-		suppressed:   s.suppressed,
-		outPer:       append([]int64(nil), s.outPer...),
-	}
-	for i := 0; i < s.n(); i++ {
-		v.perOut[i] = snapshot.GuardsView(s.perOut[i])
-		v.perOutDemand[i] = snapshot.GuardsView(s.perOutDemand[i])
-	}
-	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
-		enc.PutInt(len(v.perOut))
-		for i := range v.perOut {
-			snapshot.PutGuardsView(enc, v.perOut[i])
-			snapshot.PutGuardsView(enc, v.perOutDemand[i])
-		}
-		enc.PutInt(len(v.propagated))
-		for _, k := range v.propagated {
-			enc.PutString(k)
-		}
-		enc.PutInt(v.rr)
-		enc.PutInt64(v.in)
-		enc.PutInt64(v.suppressed)
-		for _, c := range v.outPer {
-			enc.PutInt64(c)
-		}
-		return nil
-	}}, nil
-}
-
-// LoadState implements snapshot.Stater.
-func (s *Split) LoadState(dec *snapshot.Decoder) error {
-	n := dec.GetInt()
-	if n != s.n() {
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		return errInputCountChanged("split", s.Name(), n, s.n())
-	}
-	for i := 0; i < s.n(); i++ {
-		snapshot.GetGuards(dec, s.perOut[i])
-		snapshot.GetGuards(dec, s.perOutDemand[i])
-	}
-	s.RestoreRelayed(getStrings(dec))
-	s.rr = dec.GetInt()
-	s.in = dec.GetInt64()
-	s.suppressed = dec.GetInt64()
+// keepState: per-partition guards (feedback each partition has asserted), the
+// relayed set, and the round-robin cursor — the cursor matters for keyless
+// splits, where a restored run must continue the same routing sequence to
+// stay canonically identical.
+func (s *Split) keepState() {
+	counters := []*int64{&s.in, &s.suppressed}
 	for i := range s.outPer {
-		s.outPer[i] = dec.GetInt64()
+		counters = append(counters, &s.outPer[i])
 	}
-	return dec.Err()
+	s.Keep(s.Name(),
+		snapshot.Group(s.n(), func(i int) []snapshot.Field {
+			return []snapshot.Field{snapshot.Guards(s.perOut[i]), snapshot.Guards(s.perOutDemand[i])}
+		}),
+		snapshot.Relayed(s, ""),
+		snapshot.Int(&s.rr),
+		snapshot.Int64(counters...))
 }
 
-// ---------------------------------------------------------------------------
-// Duplicate.
-// ---------------------------------------------------------------------------
-
-// dupSigil opens every key of a Duplicate's relayed set — it relays assumed
-// feedback only — and its blob has always recorded the keys without it.
-var dupSigil = core.Assumed.Sigil()
-
-// getStrings reads a counted list of strings.
-func getStrings(dec *snapshot.Decoder) []string {
-	n := dec.GetInt()
-	ss := make([]string, 0, dec.CountHint(n))
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		ss = append(ss, dec.GetString())
-	}
-	return ss
+// keepState mirrors Split's: per-consumer guards, the relayed set — whose
+// keys the blob has always recorded without the assumed sigil, since a
+// Duplicate relays assumed feedback only — and counters. Without it a
+// restored instance forgot every assertion its consumers had made and could
+// relay the same pattern upstream a second time.
+func (d *Duplicate) keepState() {
+	d.Keep(d.Name(),
+		snapshot.Group(d.n(), func(i int) []snapshot.Field { return []snapshot.Field{snapshot.Guards(d.perOut[i])} }),
+		snapshot.Relayed(d, core.Assumed.Sigil()),
+		snapshot.Int64(&d.in, &d.out, &d.suppressed))
 }
 
-// dupCap is the captured view of a Duplicate.
-type dupCap struct {
-	perOut     [][]core.Feedback
-	propagated []string
-	counters   [3]int64
-}
-
-// CaptureState implements snapshot.Stater. Found by the staterstate
-// analyzer: Duplicate accumulated per-consumer guard tables and the
-// already-relayed pattern set with no Stater, so a restored instance
-// forgot every assertion its consumers had made — it stopped exploiting
-// unanimously-asserted feedback (safe but wasteful) and, worse, could
-// relay the same pattern upstream a second time. The state mirrors
-// Split's: per-output guards, the propagated set, and counters.
-func (d *Duplicate) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	v := &dupCap{
-		perOut:     make([][]core.Feedback, d.n()),
-		propagated: d.Relayed(),
-		counters:   [3]int64{d.in, d.out, d.suppressed},
-	}
-	for i := 0; i < d.n(); i++ {
-		v.perOut[i] = snapshot.GuardsView(d.perOut[i])
-	}
-	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
-		enc.PutInt(len(v.perOut))
-		for i := range v.perOut {
-			snapshot.PutGuardsView(enc, v.perOut[i])
-		}
-		enc.PutInt(len(v.propagated))
-		for _, k := range v.propagated {
-			enc.PutString(strings.TrimPrefix(k, dupSigil))
-		}
-		for _, c := range v.counters {
-			enc.PutInt64(c)
-		}
-		return nil
-	}}, nil
-}
-
-// LoadState implements snapshot.Stater.
-func (d *Duplicate) LoadState(dec *snapshot.Decoder) error {
-	n := dec.GetInt()
-	if n != d.n() {
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		return errInputCountChanged("duplicate", d.Name(), n, d.n())
-	}
-	for i := 0; i < d.n(); i++ {
-		snapshot.GetGuards(dec, d.perOut[i])
-	}
-	keys := getStrings(dec)
-	for i := range keys {
-		keys[i] = dupSigil + keys[i]
-	}
-	d.RestoreRelayed(keys)
-	for _, c := range []*int64{&d.in, &d.out, &d.suppressed} {
-		*c = dec.GetInt64()
-	}
-	return dec.Err()
-}
-
-// ---------------------------------------------------------------------------
-// Prioritize.
-// ---------------------------------------------------------------------------
-
-// prioCap is the captured view of a Prioritize.
-type prioCap struct {
-	pending  []stream.Tuple
-	desired  []punct.Pattern
-	guards   []core.Feedback
-	counters [4]int64
-}
-
-// CaptureState implements snapshot.Stater. Found by the staterstate
-// analyzer: the reorder buffer holds tuples already consumed from
-// upstream but not yet emitted, so unlike the engine's genuinely
-// stateless pass-throughs a restore without it drops rows from the
-// result. Desired patterns and assumed guards ride along (the punctuation
-// scheme does not: it only expires desired patterns, and rebuilds from
-// post-restore punctuation).
-func (p *Prioritize) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	v := &prioCap{
-		pending:  append([]stream.Tuple(nil), p.pending...),
-		desired:  append([]punct.Pattern(nil), p.desired...),
-		guards:   snapshot.GuardsView(p.guards),
-		counters: [4]int64{p.in, p.out, p.promoted, p.dropped},
-	}
-	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
-		enc.PutInt(len(v.pending))
-		for _, t := range v.pending {
-			enc.PutTuple(t)
-		}
-		enc.PutInt(len(v.desired))
-		for _, d := range v.desired {
-			enc.PutPattern(d)
-		}
-		snapshot.PutGuardsView(enc, v.guards)
-		for _, c := range v.counters {
-			enc.PutInt64(c)
-		}
-		return nil
-	}}, nil
-}
-
-// LoadState implements snapshot.Stater.
-func (p *Prioritize) LoadState(dec *snapshot.Decoder) error {
-	n := dec.GetInt()
-	p.pending = make([]stream.Tuple, 0, dec.CountHint(n))
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		p.pending = append(p.pending, dec.GetTuple())
-	}
-	nd := dec.GetInt()
-	p.desired = nil
-	for i := 0; i < nd && dec.Err() == nil; i++ {
-		p.desired = append(p.desired, dec.GetPatternArity(p.Schema.Arity()))
-	}
-	snapshot.GetGuards(dec, p.guards)
-	for _, c := range []*int64{&p.in, &p.out, &p.promoted, &p.dropped} {
-		*c = dec.GetInt64()
-	}
-	return dec.Err()
+// keepState: the reorder buffer holds tuples already consumed from upstream
+// but not yet emitted, so a restore without it drops rows from the result.
+// Desired patterns and assumed guards ride along (the punctuation scheme
+// does not: it only expires desired patterns, and rebuilds from post-restore
+// punctuation).
+func (p *Prioritize) keepState() {
+	p.Keep(p.Name(),
+		snapshot.Tuples(&p.pending, p.Schema.Arity()),
+		snapshot.Patterns(&p.desired, p.Schema.Arity()),
+		snapshot.Guards(p.guards),
+		snapshot.Int64(&p.in, &p.out, &p.promoted, &p.dropped))
 }

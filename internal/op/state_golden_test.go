@@ -1,0 +1,433 @@
+package op
+
+import (
+	"bytes"
+	"encoding/hex"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/gen"
+	"repro/internal/punct"
+	"repro/internal/snapshot"
+	"repro/internal/stream"
+	"repro/internal/window"
+)
+
+// stateRow is one engine Stater brought through a fixed history. Its golden
+// blob was captured before the Staters' codecs were derived from declared
+// layouts: the same history must still capture to the same bytes, and a twin
+// that loads them must capture them again.
+type stateRow struct {
+	name, golden string
+	// open builds the Stater afresh and opens it.
+	open func() (snapshot.Stater, *exec.Harness)
+	// feed drives an opened Stater through the row's history. A delta row's
+	// feed takes a full capture part-way and returns it; the golden is then
+	// the delta capture taken at the end.
+	feed func(t testing.TB, st snapshot.Stater, h *exec.Harness) (base []byte)
+	// check asserts, when set, what the restored twin holds beyond its bytes;
+	// live is the Stater the golden was captured from.
+	check func(t *testing.T, live, twin snapshot.Stater, h *exec.Harness)
+}
+
+func goldenFeedback(intent core.Intent, p punct.Pattern, hops int, seq int64) core.Feedback {
+	return core.Feedback{Intent: intent, Pattern: p, Origin: "viewer", Hops: hops, Seq: seq}
+}
+
+// opened wraps an operator in a harness, which opens it.
+func opened(o interface {
+	exec.Operator
+	snapshot.Stater
+}) (snapshot.Stater, *exec.Harness) {
+	return o, exec.NewHarness(o)
+}
+
+// openedSource wraps a source in a harness, which opens it.
+func openedSource(s interface {
+	exec.Source
+	snapshot.Stater
+}) (snapshot.Stater, *exec.Harness) {
+	return s, exec.NewSourceHarness(s)
+}
+
+// next calls a source's Next n times.
+func next(t testing.TB, st snapshot.Stater, h *exec.Harness, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := st.(exec.Source).Next(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// stateRows lists every engine Stater: the eight operators first (the fuzz
+// target runs over them), then the sources and the Collector.
+func stateRows() []stateRow {
+	return []stateRow{
+		{
+			name:   "aggregate",
+			golden: "0102000402010a02020000000000000000027ff000000000000002fff000000000000002011402020000000000000000027ff000000000000002fff000000000000006000103010106000006766965776572040e000103000006024000000000000000067669657765720010000103000404010006766965776572001206000103010106000006766965776572040e00010301010e0104000006766965776572001000010300040401000676696577657200120e000a04000400",
+			open: func() (snapshot.Stater, *exec.Harness) {
+				return opened(&Aggregate{In: trafficSchema, Kind: core.AggCount, TsAttr: 2, ValAttr: -1,
+					GroupBy: []int{0}, Window: window.Tumbling(minute), Mode: FeedbackExploit})
+			},
+			feed: func(t testing.TB, _ snapshot.Stater, h *exec.Harness) []byte {
+				h.Tuples(traffic(5, 0, 10, 1), traffic(3, 0, 20, 1), traffic(7, 0, 30, 1), traffic(7, 0, 40, 1), traffic(10, 0, 50, 1))
+				h.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(3, 0, punct.Eq(stream.Int(3))), 2, 7))         // group: the pattern pins the prefix
+				h.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(3, 2, punct.Ge(stream.Float(2))), 0, 8))       // value on COUNT: one derived pin
+				h.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(3, 1, punct.Le(stream.TimeMicros(-1))), 0, 9)) // window-bound
+				h.Tuples(traffic(3, 0, 60, 1), traffic(7, 0, 70, 1))                                                   // both pinned shut
+				return nil
+			},
+			check: func(t *testing.T, _, twin snapshot.Stater, _ *exec.Harness) {
+				a := twin.(*Aggregate)
+				if a.guardsOut.Active() != 3 || a.guardsPrefix.Active() != 3 {
+					t.Fatalf("restored tables hold %d output and %d input guards, want 3 and 3",
+						a.guardsOut.Active(), a.guardsPrefix.Active())
+				}
+			},
+		},
+		{
+			name:   "join",
+			golden: "01060204080108010404d80402404900000000000000d80400040202080106011204f40302405180000000000000f4030006060002010200feffffffffffffffff01000202010400feffffffffffffffff01000402010800feffffffffffffffff0100280100c801010028010204020006020001040001010a00000676696577657200060200010400000006024059000000000000067669657765720008040001070001010a00000000000676696577657202060001070000000000000602405900000000000006766965776572020802020000000006",
+			open: func() (snapshot.Stater, *exec.Harness) {
+				return opened(&Join{OpName: "j", Left: trafficSchema, Right: trafficSchema,
+					LeftKeys: []int{0}, RightKeys: []int{0}, LeftTs: 2, RightTs: 2, LeftOuter: true,
+					Impatient: true, ThriftyWindow: &window.Spec{Range: 100, Slide: 100}, ThriftyProbe: 1,
+					Mode: FeedbackExploit, Propagate: true})
+			},
+			feed: func(t testing.TB, st snapshot.Stater, h *exec.Harness) []byte {
+				out := st.(*Join).OutSchemas()[0].Arity()
+				h.Tuple(0, traffic(1, 1, 10, 40)) // asks for key 1
+				h.Tuple(0, traffic(2, 1, 20, 30))
+				h.Tuple(1, traffic(1, 9, 15, 70)) // matches left 1; probe window 0
+				h.Tuple(1, traffic(3, 9, 250, 70))
+				h.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(out, 1, punct.Eq(stream.Int(5))), 1, 3))     // left-bound: guards input 0
+				h.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(out, 6, punct.Ge(stream.Float(100))), 1, 4)) // right-bound: guards input 1
+				h.Punct(1, tsPunct(100))                                                                             // left 2 leaves unmatched; window 0 was not empty
+				h.Punct(0, tsPunct(20))                                                                              // output frontier ≤20
+				h.Tuple(0, traffic(4, 2, 300, 50))
+				return nil
+			},
+			check: func(t *testing.T, live, twin snapshot.Stater, _ *exec.Harness) {
+				if got, want := twin.(*Join).Stats(), live.(*Join).Stats(); got != want {
+					t.Fatalf("restored join reports %+v, live %+v", got, want)
+				}
+			},
+		},
+		{
+			name:   "impute",
+			golden: "0200010400000304d00f00067669657765720004020202",
+			open:   func() (snapshot.Stater, *exec.Harness) { return opened(newTestImpute(FeedbackExploit)) },
+			feed: func(t testing.TB, _ snapshot.Stater, h *exec.Harness) []byte {
+				h.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(1000))), 0, 2))
+				h.Tuple(0, trafficNull(1, 1, 500)) // skipped
+				h.Tuple(0, traffic(1, 1, 5000, 50))
+				h.Tuple(0, trafficNull(1, 1, 6000)) // imputed
+				return nil
+			},
+		},
+		{
+			name:   "pace",
+			golden: "01a09c0101b89401010202040000000000d08c0101000002010401010a0000000000000000a0060100000000000000a00601000002010401010a00000002000002",
+			open: func() (snapshot.Stater, *exec.Harness) {
+				return opened(&Pace{OpName: "pace", Schema: trafficSchema, K: 2, TsAttr: 2, Tolerance: 1000, FeedbackEnabled: true})
+			},
+			feed: func(t testing.TB, _ snapshot.Stater, h *exec.Harness) []byte {
+				h.Tuple(0, traffic(1, 1, 10_000, 50))
+				h.Tuple(1, traffic(1, 2, 500, 50)) // late: dropped, feedback produced
+				h.Punct(0, tsPunct(9_000))
+				h.Punct(1, tsPunct(400))                                                   // aligned: ≤400
+				h.Punct(0, punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(5))))) // pending on input 1
+				return nil
+			},
+			check: func(t *testing.T, _, twin snapshot.Stater, _ *exec.Harness) {
+				if p := twin.(*Pace); !p.hwSet || p.hw != 10_000 || len(p.align.pending) != 1 {
+					t.Fatalf("restored pace: high watermark %d %v, %d pending", p.hw, p.hwSet, len(p.align.pending))
+				}
+			},
+		},
+		{
+			name:   "merge",
+			golden: "060000000801d00f01000002010401010a0000000000000000f80a01000004010401010a000000010401010e000404904e00010000000090030100000000000000f80a01000002010401010e000404904e000200010401010400000006766965776572020606040206",
+			open: func() (snapshot.Stater, *exec.Harness) {
+				return opened(&Merge{OpName: "m", Schema: trafficSchema, K: 3, Mode: FeedbackExploit, Propagate: true})
+			},
+			feed: func(t testing.TB, st snapshot.Stater, h *exec.Harness) []byte {
+				h.Tuple(0, traffic(1, 1, 10, 50))
+				h.Tuple(1, traffic(2, 1, 20, 55))
+				h.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(4, 0, punct.Eq(stream.Int(2))), 1, 3))
+				h.Tuple(2, traffic(2, 2, 30, 60)) // suppressed
+				h.Punct(0, tsPunct(1000))
+				h.Punct(1, tsPunct(700))
+				h.Punct(2, tsPunct(200))                                                   // aligned: ≤200
+				h.Punct(0, punct.NewEmbedded(punct.OnAttr(4, 1, punct.Le(stream.Int(4))))) // a second attribute's frontier, one input only
+				seg5 := punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(5))))
+				h.Punct(0, seg5)
+				h.Punct(1, seg5)
+				// Covered by input 0's frontier (≤1000), not by input 1's: stays pending.
+				h.Punct(1, punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(7))).With(2, punct.Le(stream.TimeMicros(5000)))))
+				h.EOS(2) // releases ≤700 and segment 5
+				if got, m := h.OutPuncts(0), st.(*Merge); len(got) != 3 || len(m.align.pending) != 1 {
+					t.Fatalf("history emitted %v with %d pending, want 3 and 1", got, len(m.align.pending))
+				}
+				return nil
+			},
+		},
+		{
+			name:   "split",
+			golden: "04040001040000000602403c40000000000006766965776572001200010401010e000000067669657765720010000200010401010a00000006766965776572020a020201040000030480ea300006766965776572000e020ec2ac5b352c202a2c202a2c202a5d0008040202",
+			open: func() (snapshot.Stater, *exec.Harness) {
+				return opened(&Split{Schema: trafficSchema, N: 2, Key: []int{0}, Mode: FeedbackExploit, Propagate: true})
+			},
+			feed: func(t testing.TB, st snapshot.Stater, h *exec.Harness) []byte {
+				pinned := punct.OnAttr(4, 0, punct.Eq(stream.Int(5)))
+				home := st.(*Split).route(traffic(5, 0, 0, 0))
+				h.Feedback(home, goldenFeedback(core.Assumed, pinned, 1, 5))                                         // key-pinned: relayed at once
+				h.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(4, 3, punct.Ge(stream.Float(28.25))), 0, 9)) // unpinned, one partition only: held
+				h.Feedback(1, goldenFeedback(core.Demanded, punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(400_000))), 0, 7))
+				h.Feedback(1-home, goldenFeedback(core.Assumed, punct.OnAttr(4, 0, punct.Eq(stream.Int(7))), 0, 8)) // pinned elsewhere: held
+				h.Tuples(traffic(5, 0, 10, 1), traffic(6, 0, 20, 30), traffic(7, 0, 30, 1), traffic(8, 0, 40, 1))
+				if n := len(h.SentFeedback(0)); n != 1 {
+					t.Fatalf("relayed %d patterns, want the key-pinned one", n)
+				}
+				return nil
+			},
+			check: func(t *testing.T, _, twin snapshot.Stater, _ *exec.Harness) {
+				if got := twin.(*Split).Relayed(); len(got) != 1 {
+					t.Fatalf("restored relayed set %v, want the key-pinned pattern", got)
+				}
+			},
+		},
+		{
+			name:   "duplicate",
+			golden: "04020001040101060000000676696577657200080400010401010600000006766965776572000800010400000404880e0006766965776572000a020c5b332c202a2c202a2c202a5d040202",
+			open: func() (snapshot.Stater, *exec.Harness) {
+				return opened(&Duplicate{Schema: trafficSchema, N: 2, Mode: FeedbackExploit, Propagate: true})
+			},
+			feed: func(t testing.TB, _ snapshot.Stater, h *exec.Harness) []byte {
+				f := goldenFeedback(core.Assumed, punct.OnAttr(4, 0, punct.Eq(stream.Int(3))), 0, 4)
+				h.Feedback(0, f)
+				h.Feedback(1, f) // unanimous: relayed
+				h.Feedback(1, goldenFeedback(core.Assumed, punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(900))), 0, 5))
+				h.Tuples(traffic(3, 1, 10, 50), traffic(4, 1, 20, 50))
+				return nil
+			},
+			check: func(t *testing.T, _, twin snapshot.Stater, _ *exec.Harness) {
+				if got := twin.(*Duplicate).Relayed(); len(got) != 1 || !strings.HasPrefix(got[0], core.Assumed.Sigil()) {
+					t.Fatalf("restored relayed set %q, want the unanimous pattern", got)
+				}
+			},
+		},
+		{
+			name:   "prioritize",
+			golden: "04080102010204140240490000000000000008010801020450024050400000000000000201040101040000000200010401010600000006766965776572000408020202",
+			open: func() (snapshot.Stater, *exec.Harness) {
+				return opened(&Prioritize{Schema: trafficSchema, BufferCap: 8, Mode: FeedbackExploit})
+			},
+			feed: func(t testing.TB, _ snapshot.Stater, h *exec.Harness) []byte {
+				h.Tuples(traffic(1, 1, 10, 50), traffic(2, 1, 20, 55), traffic(3, 1, 30, 60))
+				h.Feedback(0, goldenFeedback(core.Desired, punct.OnAttr(4, 0, punct.Eq(stream.Int(2))), 0, 1)) // promotes segment 2
+				h.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(4, 0, punct.Eq(stream.Int(3))), 0, 2)) // drops segment 3
+				h.Tuples(traffic(4, 1, 40, 65))
+				return nil
+			},
+		},
+		{
+			name:   "slice-source",
+			golden: "0604020001040101020000000473696e6b0202",
+			open: func() (snapshot.Stater, *exec.Harness) {
+				src := exec.NewSliceSource("src", trafficSchema,
+					traffic(1, 0, 10, 1), traffic(2, 0, 20, 1), traffic(1, 0, 30, 1), traffic(2, 0, 40, 1))
+				src.FeedbackAware, src.BatchSize = true, 3
+				return openedSource(src)
+			},
+			feed: func(t testing.TB, st snapshot.Stater, h *exec.Harness) []byte {
+				h.Feedback(0, core.Feedback{Intent: core.Assumed, Pattern: punct.OnAttr(4, 0, punct.Eq(stream.Int(1))), Origin: "sink", Hops: 1, Seq: 1})
+				next(t, st, h, 1)
+				return nil
+			},
+			check: func(t *testing.T, _, twin snapshot.Stater, _ *exec.Harness) {
+				if got := twin.(*exec.SliceSource).Skipped(); got != 2 {
+					t.Fatalf("restored source skipped %d, want 2", got)
+				}
+			},
+		},
+		{
+			name:   "reader-source",
+			golden: "1e06040200010201010200067669657765720002",
+			open: func() (snapshot.Stater, *exec.Harness) {
+				src := exec.NewReaderSource("reader", stream.MustSchema(stream.F("k", stream.KindInt), stream.F("v", stream.KindInt)),
+					strings.NewReader("1,10\n2,20\n1,30\n3,40\n"))
+				src.PunctAttr, src.PunctEvery, src.FeedbackAware = 1, 2, true
+				return openedSource(src)
+			},
+			feed: func(t testing.TB, st snapshot.Stater, h *exec.Harness) []byte {
+				h.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(2, 0, punct.Eq(stream.Int(1))), 0, 1))
+				next(t, st, h, 3)
+				return nil
+			},
+			check: func(t *testing.T, _, twin snapshot.Stater, h *exec.Harness) {
+				next(t, twin, h, 1) // resumes at the fourth line
+				if got := h.OutTuples(0); len(got) != 1 || got[0].At(0).AsInt() != 3 || got[0].Seq != 4 {
+					t.Fatalf("restored reader emitted %v, want the fourth line as tuple 4", got)
+				}
+			},
+		},
+		{
+			name:   "collector",
+			golden: "0608010801020102041402404900000000000000010801040102042802404b80000000000000000104000004042800010801060102043c02404e00000000000000",
+			open:   func() (snapshot.Stater, *exec.Harness) { return opened(exec.NewCollector("sink", trafficSchema)) },
+			feed: func(t testing.TB, _ snapshot.Stater, h *exec.Harness) []byte {
+				h.Tuples(traffic(1, 1, 10, 50), traffic(2, 1, 20, 55))
+				h.Punct(0, tsPunct(20))
+				h.Tuples(traffic(3, 1, 30, 60))
+				return nil
+			},
+		},
+		{
+			name:   "collector-delta",
+			golden: "0604000104000004042800010801060102043c02404e00000000000000",
+			open:   func() (snapshot.Stater, *exec.Harness) { return opened(exec.NewCollector("sink", trafficSchema)) },
+			feed: func(t testing.TB, st snapshot.Stater, h *exec.Harness) []byte {
+				h.Tuples(traffic(1, 1, 10, 50), traffic(2, 1, 20, 55))
+				base := captureBlob(t, st, snapshot.CaptureFull)
+				h.Punct(0, tsPunct(20))
+				h.Tuples(traffic(3, 1, 30, 60))
+				return base
+			},
+		},
+		{
+			name:   "traffic-source",
+			golden: "80b48913021280b489130c06a78aeec0d1abf5d0fc0102bfc4ad5752641e7d0002000104010102000000067669657765720002",
+			open: func() (snapshot.Stater, *exec.Harness) {
+				return openedSource(&gen.TrafficSource{Config: gen.TrafficConfig{Segments: 2, DetectorsPerSegment: 3,
+					Duration: 10 * 20_000_000, NullRate: 0.3, Noise: 2, Seed: 7, FeedbackAware: true}})
+			},
+			feed: func(t testing.TB, st snapshot.Stater, h *exec.Harness) []byte {
+				h.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(4, 0, punct.Eq(stream.Int(1))), 0, 1))
+				next(t, st, h, 3)
+				return nil
+			},
+			check: func(t *testing.T, live, twin snapshot.Stater, _ *exec.Harness) {
+				le, ls := live.(*gen.TrafficSource).Stats()
+				te, ts := twin.(*gen.TrafficSource).Stats()
+				if le != te || ls != ts {
+					t.Fatalf("restored traffic source counts %d/%d, live %d/%d", te, ts, le, ls)
+				}
+			},
+		},
+		{
+			name:   "tick-source",
+			golden: "8092f4013c93dbdbcab5d685d920023f97ccfaeeb08c020006023ff1e0109aa6e197023ff0f99b0f28e0e5023ff6f68205b6a8e7",
+			open: func() (snapshot.Stater, *exec.Harness) {
+				return openedSource(&gen.TickSource{Config: gen.TickConfig{Duration: 5_000_000, Seed: 11}})
+			},
+			feed: func(t testing.TB, st snapshot.Stater, h *exec.Harness) []byte {
+				next(t, st, h, 2)
+				return nil
+			},
+		},
+		{
+			name:   "probe-source",
+			golden: "80e892261c1408ded3a8d7badec3802a023fe2a5cf483025b100020001030101000000067669657765720002",
+			open: func() (snapshot.Stater, *exec.Harness) {
+				return openedSource(&gen.ProbeSource{Config: gen.ProbeConfig{Segments: 2, Duration: 10 * 20_000_000,
+					Noise: 3, NoiseRate: 0.1, Seed: 3, FeedbackAware: true}})
+			},
+			feed: func(t testing.TB, st snapshot.Stater, h *exec.Harness) []byte {
+				h.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(3, 0, punct.Eq(stream.Int(0))), 0, 1))
+				next(t, st, h, 2)
+				return nil
+			},
+		},
+		{
+			name:   "rated-source",
+			golden: "100202000104010102000000067669657765720002",
+			open: func() (snapshot.Stater, *exec.Harness) {
+				return openedSource(&gen.RatedSource{SourceName: "rated", Schema: gen.TrafficSchema,
+					Items: gen.ImputationStream(6, 0, 1000, 3), PerSecond: 1e12, FeedbackAware: true})
+			},
+			feed: func(t testing.TB, st snapshot.Stater, h *exec.Harness) []byte {
+				h.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(4, 0, punct.Eq(stream.Int(1))), 0, 1))
+				next(t, st, h, 1)
+				return nil
+			},
+			check: func(t *testing.T, live, twin snapshot.Stater, _ *exec.Harness) {
+				if got, want := twin.(*gen.RatedSource).Skipped(), live.(*gen.RatedSource).Skipped(); got != want || want == 0 {
+					t.Fatalf("restored rated source skipped %d, live %d", got, want)
+				}
+			},
+		},
+	}
+}
+
+// liveState builds a row's Stater, drives it through its history and
+// returns it with its golden-comparable capture and, for a delta row, the
+// full capture the delta follows.
+func liveState(t testing.TB, row stateRow) (st snapshot.Stater, blob, base []byte) {
+	t.Helper()
+	st, h := row.open()
+	if err := h.Err(); err != nil {
+		t.Fatalf("%s: open: %v", row.name, err)
+	}
+	base = row.feed(t, st, h)
+	if err := h.Err(); err != nil {
+		t.Fatalf("%s: history: %v", row.name, err)
+	}
+	mode := snapshot.CaptureFull
+	if base != nil {
+		mode = snapshot.CaptureDelta
+	}
+	return st, captureBlob(t, st, mode), base
+}
+
+// loadAll loads blob into st, and then applies deltas; each must consume its
+// bytes whole.
+func loadAll(t testing.TB, st snapshot.Stater, blob []byte, deltas ...[]byte) {
+	t.Helper()
+	dec := snapshot.NewDecoder(blob)
+	if err := st.LoadState(dec); err != nil || dec.Remaining() != 0 {
+		t.Fatalf("load: %v, %d bytes left", err, dec.Remaining())
+	}
+	for _, d := range deltas {
+		dec := snapshot.NewDecoder(d)
+		if err := st.(interface {
+			ApplyDelta(*snapshot.Decoder) error
+		}).ApplyDelta(dec); err != nil || dec.Remaining() != 0 {
+			t.Fatalf("apply delta: %v, %d bytes left", err, dec.Remaining())
+		}
+	}
+}
+
+// TestStateBytesGolden: every engine Stater still writes the bytes it wrote
+// before its codec was derived from a declared layout, and a twin that loads
+// them writes them again — for a delta row, a twin that loads the full
+// capture and applies the delta captures what the live Stater does.
+func TestStateBytesGolden(t *testing.T) {
+	for _, row := range stateRows() {
+		t.Run(row.name, func(t *testing.T) {
+			live, blob, base := liveState(t, row)
+			if got := hex.EncodeToString(blob); got != row.golden {
+				t.Fatalf("captured state changed:\n got %s\nwant %s", got, row.golden)
+			}
+			twin, h := row.open()
+			if base != nil {
+				loadAll(t, twin, base, blob)
+				if got, want := captureBlob(t, twin, snapshot.CaptureFull), captureBlob(t, live, snapshot.CaptureFull); !bytes.Equal(got, want) {
+					t.Fatalf("restored state re-encodes differently:\n got %x\nwant %x", got, want)
+				}
+			} else {
+				loadAll(t, twin, blob)
+				if got := captureBlob(t, twin, snapshot.CaptureFull); !bytes.Equal(got, blob) {
+					t.Fatalf("restored state re-encodes differently:\n got %x\nwant %x", got, blob)
+				}
+			}
+			if row.check != nil {
+				row.check(t, live, twin, h)
+			}
+		})
+	}
+}

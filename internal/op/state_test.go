@@ -293,6 +293,68 @@ func TestJoinRefusesStaleLayout(t *testing.T) {
 	}
 }
 
+// TestStoredTuplesMustHaveTheirStreamsArity: a tuple a blob stores — a join
+// entry, a tuple in PRIORITIZE's buffer — with fewer values than its stream
+// has attributes, none or one of four, is refused at load, not kept for the
+// key projection or a guard probe to index past its end.
+func TestStoredTuplesMustHaveTheirStreamsArity(t *testing.T) {
+	for _, vals := range [][]stream.Value{nil, {stream.Int(1)}} {
+		bad := stream.NewTuple(vals...)
+		join := snapshot.NewEncoder()
+		join.PutInt64(joinLayout)
+		for side := 0; side < 3; side++ {
+			join.PutInt64(1) // next id
+			if side == 0 {
+				join.PutInt(1)
+				join.PutInt64(0)
+				join.PutTuple(bad)
+				join.PutInt64(10)
+				join.PutBool(false)
+			} else {
+				join.PutInt(0)
+			}
+		}
+		for w := 0; w < 2; w++ {
+			join.PutInt64(0)
+			join.PutBool(false)
+			join.PutBool(false)
+		}
+		join.PutInt64(0)           // last output watermark
+		join.PutBool(false)        // ... unset
+		join.PutInt(0)             // probe windows
+		join.PutInt64(-1)          // probe windows checked
+		join.PutInt64(0)           // feedback sequence
+		for g := 0; g < 3+7; g++ { // guard tables, counters
+			join.PutInt(0)
+		}
+		prio := snapshot.NewEncoder()
+		prio.PutInt(1)
+		prio.PutTuple(bad)
+		for n := 0; n < 2+4; n++ { // desired patterns, guards, counters
+			prio.PutInt(0)
+		}
+		for _, tc := range []struct {
+			name string
+			st   snapshot.Stater
+			enc  *snapshot.Encoder
+		}{
+			{"join", testJoin(FeedbackExploit), join},
+			{"prioritize", &Prioritize{Schema: trafficSchema, Mode: FeedbackExploit}, prio},
+		} {
+			if h := exec.NewHarness(tc.st.(exec.Operator)); h.Err() != nil {
+				t.Fatal(h.Err())
+			}
+			blob, err := tc.enc.Bytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.st.LoadState(snapshot.NewDecoder(blob)); err == nil || !strings.Contains(err.Error(), "arity") {
+				t.Fatalf("%s: a stored tuple of %d values loads with %v, want an arity error", tc.name, len(vals), err)
+			}
+		}
+	}
+}
+
 // TestPaceStateRoundTrip: a restored PACE keeps dropping tuples its
 // pre-crash feedback disclaimed, instead of re-admitting them with a fresh
 // watermark, and resumes its punctuation alignment where the cut left it.

@@ -183,6 +183,7 @@ func TestParallelCheckpointRecoverIdentity(t *testing.T) {
 // its replay counter and guards persist through checkpoints.
 type feedSource struct {
 	exec.Responding
+	snapshot.State
 	schema  stream.Schema
 	i, ts   int64
 	guards  *core.GuardTable
@@ -193,7 +194,22 @@ func (s *feedSource) Name() string                { return "feedsrc" }
 func (s *feedSource) OutSchemas() []stream.Schema { return []stream.Schema{s.schema} }
 func (s *feedSource) Open(exec.Context) error {
 	s.guards = s.BindSource(true, s.schema.Arity())
+	s.Keep(s.Name(), snapshot.Int64(&s.i, &s.ts), s.skippedField(), snapshot.Guards(s.guards))
 	return nil
+}
+
+// skippedField keeps the atomic skip counter.
+func (s *feedSource) skippedField() snapshot.Field {
+	return snapshot.Field{
+		Capture: func(bool) func(*snapshot.Encoder) {
+			n := s.skipped.Load()
+			return func(enc *snapshot.Encoder) { enc.PutInt64(n) }
+		},
+		Load: func(dec *snapshot.Decoder) error {
+			s.skipped.Store(dec.GetInt64())
+			return nil
+		},
+	}
 }
 
 func (s *feedSource) Next(ctx exec.Context) (bool, error) {
@@ -208,27 +224,6 @@ func (s *feedSource) Next(ctx exec.Context) (bool, error) {
 		ctx.Emit(t)
 	}
 	return true, nil
-}
-
-// CaptureState implements snapshot.Stater.
-func (s *feedSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
-	i, ts, skipped, guards := s.i, s.ts, s.skipped.Load(), snapshot.GuardsView(s.guards)
-	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
-		enc.PutInt64(i)
-		enc.PutInt64(ts)
-		enc.PutInt64(skipped)
-		snapshot.PutGuardsView(enc, guards)
-		return nil
-	}}, nil
-}
-
-// LoadState implements snapshot.Stater.
-func (s *feedSource) LoadState(dec *snapshot.Decoder) error {
-	s.i = dec.GetInt64()
-	s.ts = dec.GetInt64()
-	s.skipped.Store(dec.GetInt64())
-	snapshot.GetGuards(dec, s.guards)
-	return dec.Err()
 }
 
 // feedSink asserts ¬[segment=2] after 10 tuples. Its persisted state is the

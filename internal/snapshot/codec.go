@@ -129,18 +129,17 @@ func (d *Decoder) GetInt64() int64 {
 // GetInt reads an integer-sized count.
 func (d *Decoder) GetInt() int { return int(d.GetInt64()) }
 
-// CountHint bounds a decoded element count for use as an allocation size
-// hint: every encoded element costs at least one byte, so a count beyond
-// the remaining buffer is corrupt and must not drive a huge make — the
-// per-element Get calls will surface the sticky decode error instead.
-func (d *Decoder) CountHint(n int) int {
-	if n < 0 {
+// GetCount reads an element count. Every encoded element costs at least one
+// byte, so a negative count or one beyond the bytes left is corrupt: it
+// poisons the decoder and reads as zero. A count it returns may size an
+// allocation, which is then bounded by the bytes received.
+func (d *Decoder) GetCount() int {
+	n := d.GetInt64()
+	if d.err == nil && (n < 0 || n > int64(len(d.buf))) {
+		d.fail("count %d with %d bytes left", n, len(d.buf))
 		return 0
 	}
-	if r := d.Remaining(); n > r {
-		return r
-	}
-	return n
+	return int(n)
 }
 
 // GetFloat64 reads a double.
@@ -202,11 +201,11 @@ func (d *Decoder) GetValue() stream.Value {
 
 // GetValues reads a counted value slice.
 func (d *Decoder) GetValues() []stream.Value {
-	n := d.GetInt()
-	if d.err != nil || n < 0 {
+	n := d.GetCount()
+	if d.err != nil {
 		return nil
 	}
-	vals := make([]stream.Value, 0, d.CountHint(n))
+	vals := make([]stream.Value, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		vals = append(vals, d.GetValue())
 	}
@@ -224,6 +223,19 @@ func (d *Decoder) GetTuple() stream.Tuple {
 		return stream.Tuple{}
 	}
 	d.buf = rest
+	return t
+}
+
+// GetTupleArity reads a tuple and poisons the decoder if its arity differs
+// from want — a stored tuple feeds key projections and guard probes that
+// index it by its stream's schema, so a mismatch must surface as a restore
+// error, not a later panic.
+func (d *Decoder) GetTupleArity(want int) stream.Tuple {
+	t := d.GetTuple()
+	if d.err == nil && t.Arity() != want {
+		d.fail("tuple arity %d does not match stream arity %d (corrupt snapshot or plan drift)", t.Arity(), want)
+		return stream.Tuple{}
+	}
 	return t
 }
 

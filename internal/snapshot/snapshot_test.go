@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -161,18 +162,29 @@ func TestGuardsRoundTrip(t *testing.T) {
 	g.Install(core.Feedback{Intent: core.Assumed,
 		Pattern: punct.OnAttr(3, 1, punct.Lt(stream.TimeMicros(500))), Origin: "pace", Seq: 3})
 
-	e := NewEncoder()
-	PutGuardsView(e, GuardsView(g))
-	blob, err := e.Bytes()
-	if err != nil {
-		t.Fatal(err)
+	capture := func(g *core.GuardTable) []byte {
+		var st State
+		st.Keep("op", Guards(g))
+		e := NewEncoder()
+		if err := EncodeCapture(&st, e); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := e.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
 	}
-	d := NewDecoder(blob)
+	load := func(g *core.GuardTable, blob []byte) error {
+		var st State
+		st.Keep("op", Guards(g))
+		return st.LoadState(NewDecoder(blob))
+	}
+	blob := capture(g)
 	back := core.NewGuardTable(3)
 	back.Install(core.NewAssumed(punct.OnAttr(3, 2, punct.Eq(stream.Float(7))))) // replaced by the load
-	GetGuards(d, back)
-	if d.Err() != nil {
-		t.Fatal(d.Err())
+	if err := load(back, blob); err != nil {
+		t.Fatal(err)
 	}
 	if back.Active() != 2 {
 		t.Fatalf("restored %d guards, want 2", back.Active())
@@ -184,11 +196,35 @@ func TestGuardsRoundTrip(t *testing.T) {
 	if !back.Suppress(hit) || !back.Suppress(late) || back.Suppress(pass) {
 		t.Fatal("restored guards diverge from originals")
 	}
-	// Nil table encodes as empty.
-	e2 := NewEncoder()
-	PutGuardsView(e2, GuardsView(nil))
-	blob2, _ := e2.Bytes()
-	if GetGuards(NewDecoder(blob2), back); back.Active() != 0 {
-		t.Fatal("nil table must restore empty")
+	// An empty table restores empty; a table of another arity refuses the
+	// guards, whose probes would index past its tuples.
+	if err := load(back, capture(core.NewGuardTable(3))); err != nil || back.Active() != 0 {
+		t.Fatalf("empty table restores %d guards (%v), want none", back.Active(), err)
+	}
+	if err := load(core.NewGuardTable(4), blob); err == nil || !strings.Contains(err.Error(), "arity") {
+		t.Fatalf("guards of arity 3 into a table of arity 4: %v, want an arity error", err)
+	}
+}
+
+// TestStateRefusesTrailingBytes: a derived load refuses a blob with bytes
+// past its last field, and a delta blob for a state with no changelog.
+func TestStateRefusesTrailingBytes(t *testing.T) {
+	n := int64(7)
+	var st State
+	st.Keep("op", Marker(-1), Int64(&n))
+	e := NewEncoder()
+	if err := EncodeCapture(&st, e); err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := e.Bytes()
+	n = 0
+	if err := st.LoadState(NewDecoder(append(blob, 0))); err == nil || !strings.Contains(err.Error(), `"op"`) {
+		t.Fatalf("a blob with a trailing byte loads: %v", err)
+	}
+	if err := st.ApplyDelta(NewDecoder(blob)); err == nil {
+		t.Fatal("a delta blob applies to a state without a changelog")
+	}
+	if err := st.LoadState(NewDecoder(blob)); err != nil || n != 7 {
+		t.Fatalf("load: %v, n = %d", err, n)
 	}
 }
