@@ -153,10 +153,10 @@ type BatchEmitter interface {
 // Source is a self-driving operator with no inputs. The runtime repeatedly
 // calls Next, interleaving feedback delivery between calls, until Next
 // returns false. One Next call is one callback in the sense of Operator: a
-// source that builds a run of tuples in a Slab emits it before Next returns,
-// and a source that keeps a tuple it has emitted — to replay it — keeps
-// Tuple.Clone() of it or builds it in memory of its own (as remote.Source
-// does with each frame's arena, and SliceSource with its input).
+// source that builds a run of tuples in a Slab emits it before Next returns
+// (remote.Source decodes each frame into one), and a source that keeps a
+// tuple it has emitted — to replay it — keeps Tuple.Clone() of it or builds it
+// in memory of its own (as SliceSource does with its input).
 type Source interface {
 	// Name identifies the source in logs and stats.
 	Name() string

@@ -304,7 +304,7 @@ type Source struct {
 
 	r    *frameReader
 	w    *frameWriter   // feedback path
-	run  []stream.Tuple // the decoded run, reused; its values live in a per-frame arena
+	run  []stream.Tuple // the decoded run, reused; its values live in the frame's slab
 	done bool
 
 	// barrierHook (SetBarrierHook) hands wire barriers to the local
@@ -427,18 +427,13 @@ func (s *Source) Next(ctx exec.Context) (bool, error) {
 	return true, nil
 }
 
-// emitRun decodes a data frame's tuples into one fresh value arena and emits
-// them as one batch. The arena is garbage-collected memory no page adopts —
-// what a source is allowed to emit (exec.Source) — and deliberately not an
-// exec.Slab yet: ROADMAP item 1d says what that waits for.
+// emitRun decodes a data frame's tuples into one exec.Slab and emits them as
+// one batch before Next returns, so the pages that carry them own the slab
+// and recycle it. DecodeTuples draws the slab only once the body is known to
+// hold count tuples.
 func (s *Source) emitRun(count int, body []byte, ctx exec.Context) error {
-	arity := s.Schema.Arity()
-	// A tuple is at least its arity prefix, one kind byte per value and its
-	// sequence number: a count the body cannot hold must not size the arena.
-	if count*(arity+2) > len(body) {
-		return fmt.Errorf("remote: tuple-run frame claims %d tuples of arity %d in %d bytes", count, arity, len(body))
-	}
-	run, rest, err := stream.DecodeTuples(s.run[:0], make([]stream.Value, 0, count*arity), body, arity, count)
+	slab := func(n int) []stream.Value { return exec.Slab(ctx, n) }
+	run, rest, err := stream.DecodeTuples(s.run[:0], slab, body, s.Schema.Arity(), count)
 	if err == nil && len(rest) != 0 {
 		err = fmt.Errorf("%d trailing bytes", len(rest))
 	}

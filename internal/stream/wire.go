@@ -2,8 +2,10 @@ package stream
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Binary value codec shared by the network edge (internal/remote data frames
@@ -12,7 +14,11 @@ import (
 // Integer domains use zigzag varints (timestamps and small ints dominate real
 // streams), floats are fixed 8-byte IEEE bits, strings are length-prefixed.
 // The encoding is self-delimiting, so values can be concatenated without
-// framing.
+// framing. A Bool's payload is 0 or 1; anything else is refused, so a decoded
+// Bool is always one Bool(b) would build.
+//
+// There is one value encoder, Value.AppendBinary, and one value decoder,
+// decodeValue, which every decoding function below is built on.
 
 // AppendBinary appends the value's binary encoding to b and returns the
 // extended buffer.
@@ -34,34 +40,70 @@ func (v Value) AppendBinary(b []byte) []byte {
 // DecodeValue decodes one value from the front of b, returning the value
 // and the remaining bytes.
 func DecodeValue(b []byte) (Value, []byte, error) {
+	var v Value
+	n, err := decodeValue(&v, b)
+	if err != nil {
+		return Null, nil, err
+	}
+	return v, b[n:], nil
+}
+
+// decodeValue decodes the value at the front of b into *v, writing every
+// field — *v may hold anything before, a recycled slab's leftovers or a
+// sentinel — and returns the number of bytes it took.
+//
+//pace:hotpath
+func decodeValue(v *Value, b []byte) (int, error) {
 	if len(b) == 0 {
-		return Null, nil, fmt.Errorf("stream: decode value: empty buffer")
+		return 0, badValue(b)
 	}
-	kind := Kind(b[0])
-	b = b[1:]
-	switch kind {
+	switch kind := Kind(b[0]); kind {
 	case KindNull:
-		return Null, b, nil
+		*v = Value{}
+		return 1, nil
 	case KindInt, KindTime, KindBool:
-		i, n := binary.Varint(b)
-		if n <= 0 {
-			return Null, nil, fmt.Errorf("stream: decode value: bad varint for kind %v", kind)
+		i, n := binary.Varint(b[1:])
+		if n <= 0 || kind == KindBool && uint64(i) > 1 {
+			return 0, badValue(b)
 		}
-		return Value{Kind: kind, I: i}, b[n:], nil
+		*v = Value{I: i, Kind: kind}
+		return 1 + n, nil
 	case KindFloat:
-		if len(b) < 8 {
-			return Null, nil, fmt.Errorf("stream: decode value: short float payload")
+		if len(b) < 9 {
+			return 0, badValue(b)
 		}
-		f := math.Float64frombits(binary.BigEndian.Uint64(b))
-		return Float(f), b[8:], nil
+		*v = Value{F: math.Float64frombits(binary.BigEndian.Uint64(b[1:])), Kind: KindFloat}
+		return 9, nil
 	case KindString:
-		l, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b)-n) < l {
-			return Null, nil, fmt.Errorf("stream: decode value: bad string length")
+		l, n := binary.Uvarint(b[1:])
+		if n <= 0 || uint64(len(b)-1-n) < l {
+			return 0, badValue(b)
 		}
-		return String_(string(b[n : n+int(l)])), b[n+int(l):], nil
+		end := 1 + n + int(l)
+		*v = Value{S: string(b[1+n : end]), Kind: KindString}
+		return end, nil
 	}
-	return Null, nil, fmt.Errorf("stream: decode value: unknown kind %d", kind)
+	return 0, badValue(b)
+}
+
+// badValue says what is wrong with the value at the front of b, which
+// decodeValue refused.
+func badValue(b []byte) error {
+	if len(b) == 0 {
+		return errors.New("stream: decode value: empty buffer")
+	}
+	switch kind := Kind(b[0]); kind {
+	case KindInt, KindTime, KindBool:
+		if i, n := binary.Varint(b[1:]); n > 0 {
+			return fmt.Errorf("stream: decode value: bool payload %d, want 0 or 1", i)
+		}
+		return fmt.Errorf("stream: decode value: bad varint for kind %v", kind)
+	case KindFloat:
+		return errors.New("stream: decode value: short float payload")
+	case KindString:
+		return errors.New("stream: decode value: bad string length")
+	}
+	return fmt.Errorf("stream: decode value: unknown kind %d", b[0])
 }
 
 // Binary tuple codec — the one tuple wire format in the system, written by
@@ -88,50 +130,86 @@ func DecodeTuple(b []byte) (Tuple, []byte, error) {
 	// Every value costs at least one byte, so an arity beyond the buffer is
 	// corrupt and must not size an allocation.
 	if n <= 0 || arity < 0 || arity > int64(len(b)-n) {
-		return Tuple{}, nil, fmt.Errorf("stream: decode tuple: bad arity")
+		return Tuple{}, nil, errors.New("stream: decode tuple: bad arity")
 	}
-	vals, seq, rest, err := decodeTupleBody(make([]Value, 0, arity), b[n:], int(arity))
+	vals := make([]Value, arity)
+	seq, m, err := decodeTupleBody(vals, b[n:])
 	if err != nil {
 		return Tuple{}, nil, err
 	}
-	return Tuple{Values: vals, Seq: seq}, rest, nil
+	return Tuple{Values: vals, Seq: seq}, b[n+m:], nil
 }
+
+// errRunTooLong refuses a run whose count the bytes cannot hold. It is a
+// fixed value so that refusing costs no allocation either.
+var errRunTooLong = errors.New("stream: decode tuples: more tuples than the bytes can hold")
 
 // DecodeTuples decodes a run of n tuples, each of the given arity, from the
-// front of b. The tuples are appended to dst and their values to arena, which
-// the tuples alias: a caller that passes an arena with room for n×arity values
-// pays one allocation for the whole run. It returns the extended dst and the
-// remaining bytes.
-func DecodeTuples(dst []Tuple, arena []Value, b []byte, arity, n int) ([]Tuple, []byte, error) {
-	for i := 0; i < n; i++ {
-		a, k := binary.Varint(b)
-		if k <= 0 || a != int64(arity) {
-			return dst, nil, fmt.Errorf("stream: decode tuple %d of %d: arity %d (%d bytes left), want %d", i, n, a, len(b), arity)
-		}
-		start := len(arena)
-		var seq int64
-		var err error
-		if arena, seq, b, err = decodeTupleBody(arena, b[k:], arity); err != nil {
-			return dst, nil, fmt.Errorf("stream: decode tuple %d of %d: %w", i, n, err)
-		}
-		dst = append(dst, Tuple{Values: arena[start:len(arena):len(arena)], Seq: seq})
+// front of b and appends them to dst. Their values live in one arena of
+// n×arity values, drawn from arena (nil: a fresh slice) only once the bytes
+// have been found able to hold the run — every tuple takes at least its arity
+// prefix, one byte per value and its sequence number — so a hostile n sizes
+// nothing. The arena may hold anything: every value is overwritten, and each
+// tuple's Values is its own slot with cap == len. It returns the extended dst
+// and the remaining bytes.
+//
+//pace:hotpath
+func DecodeTuples(dst []Tuple, arena func(n int) []Value, b []byte, arity, n int) ([]Tuple, []byte, error) {
+	if n < 0 || arity < 0 || n > len(b)/(arity+2) {
+		return dst, nil, errRunTooLong
 	}
-	return dst, b, nil
+	var vals []Value
+	if n*arity > 0 {
+		if arena != nil {
+			vals = arena(n * arity)[:n*arity]
+		} else {
+			vals = make([]Value, n*arity) //pace:allow-alloc no arena given: the run owns garbage-collected memory
+		}
+	}
+	dst = slices.Grow(dst, n)
+	p := 0
+	for i := 0; i < n; i++ {
+		a, k := binary.Varint(b[p:])
+		if k <= 0 || a != int64(arity) {
+			return dst, nil, badArity(i, n, a, len(b)-p, arity)
+		}
+		slot := vals[i*arity : (i+1)*arity : (i+1)*arity]
+		seq, m, err := decodeTupleBody(slot, b[p+k:])
+		if err != nil {
+			return dst, nil, badTuple(i, n, err)
+		}
+		p += k + m
+		dst = append(dst, Tuple{Values: slot, Seq: seq})
+	}
+	return dst, b[p:], nil
 }
 
-// decodeTupleBody decodes arity values and the sequence number that follow a
-// tuple's arity prefix, appending the values to vals.
-func decodeTupleBody(vals []Value, b []byte, arity int) ([]Value, int64, []byte, error) {
-	for j := 0; j < arity; j++ {
-		v, rest, err := DecodeValue(b)
+// decodeTupleBody decodes len(vals) values into vals and the sequence number
+// that follows them, returning the sequence number and the bytes taken.
+//
+//pace:hotpath
+func decodeTupleBody(vals []Value, b []byte) (int64, int, error) {
+	p := 0
+	for j := range vals {
+		m, err := decodeValue(&vals[j], b[p:])
 		if err != nil {
-			return nil, 0, nil, err
+			return 0, 0, err
 		}
-		vals, b = append(vals, v), rest
+		p += m
 	}
-	seq, n := binary.Varint(b)
-	if n <= 0 {
-		return nil, 0, nil, fmt.Errorf("stream: decode tuple: bad sequence number")
+	seq, m := binary.Varint(b[p:])
+	if m <= 0 {
+		return 0, 0, errBadSeq
 	}
-	return vals, seq, b[n:], nil
+	return seq, p + m, nil
+}
+
+var errBadSeq = errors.New("stream: decode tuple: bad sequence number")
+
+func badTuple(i, n int, err error) error {
+	return fmt.Errorf("stream: decode tuple %d of %d: %w", i, n, err)
+}
+
+func badArity(i, n int, a int64, left, arity int) error {
+	return fmt.Errorf("stream: decode tuple %d of %d: arity %d (%d bytes left), want %d", i, n, a, left, arity)
 }

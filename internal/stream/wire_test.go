@@ -1,7 +1,11 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -58,10 +62,14 @@ func TestDecodeTuplesRun(t *testing.T) {
 		b = tp.AppendBinary(b)
 	}
 	b = append(b, 0xAA) // what follows the run is handed back untouched
-	arena := make([]Value, 0, 9)
-	out, rest, err := DecodeTuples(nil, arena, b, 3, 3)
+	arena := make([]Value, 9)
+	asked := 0
+	out, rest, err := DecodeTuples(nil, func(n int) []Value { asked += n; return arena }, b, 3, 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if asked != 9 {
+		t.Errorf("asked the arena for %d values, want 9 once", asked)
 	}
 	if len(rest) != 1 || rest[0] != 0xAA {
 		t.Errorf("rest = %x, want aa", rest)
@@ -76,7 +84,7 @@ func TestDecodeTuplesRun(t *testing.T) {
 			t.Errorf("tuple %d: cap %d, want 3", i, cap(out[i].Values))
 		}
 	}
-	if &out[0].Values[0] != &arena[:1][0] {
+	if &out[0].Values[0] != &arena[0] {
 		t.Error("values were not decoded into the caller's arena")
 	}
 
@@ -95,4 +103,217 @@ func TestDecodeTuplesRun(t *testing.T) {
 	if _, _, err := DecodeTuple([]byte{2, 99, 0}); err == nil {
 		t.Error("unknown value kind accepted")
 	}
+
+	// A count the bytes cannot hold is refused before anything is sized from
+	// it: the arena is not asked, and with none given nothing is allocated.
+	for _, n := range []int{len(b)/5 + 1, 1 << 40, -1} {
+		never := func(int) []Value { t.Fatalf("arena asked for a run of %d", n); return nil }
+		if _, _, err := DecodeTuples(nil, never, b, 3, n); err == nil {
+			t.Errorf("a run of %d tuples accepted from %d bytes", n, len(b))
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := DecodeTuples(nil, nil, b, 3, 1<<40); err == nil {
+			t.Fatal("a run of 2^40 tuples accepted")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("refusing an oversized count cost %.0f allocations, want 0", allocs)
+	}
+}
+
+// TestDecodeValueRefuses: every malformed value is an error, in a tuple too.
+// Only 0 and 1 are a Bool: a decoded Bool(2) would print true and match no
+// Eq(Bool(true)).
+func TestDecodeValueRefuses(t *testing.T) {
+	cases := []struct {
+		name, wantErr string
+		b             []byte
+	}{
+		{"empty", "empty buffer", nil},
+		{"unknown kind", "unknown kind 6", []byte{6, 0}},
+		{"int without payload", "bad varint for kind int", []byte{byte(KindInt)}},
+		{"time varint overflow", "bad varint for kind time", append([]byte{byte(KindTime)}, bytes.Repeat([]byte{0xff}, 10)...)},
+		{"short float", "short float payload", []byte{byte(KindFloat), 1, 2, 3}},
+		{"string longer than the bytes", "bad string length", []byte{byte(KindString), 5, 'a'}},
+		{"bool without payload", "bad varint for kind bool", []byte{byte(KindBool)}},
+		{"bool 2", "bool payload 2, want 0 or 1", []byte{byte(KindBool), 4}},
+		{"bool -1", "bool payload -1, want 0 or 1", []byte{byte(KindBool), 1}},
+		{"bool 2^40", "want 0 or 1", binary.AppendVarint([]byte{byte(KindBool)}, 1<<40)},
+	}
+	for _, c := range cases {
+		if v, _, err := DecodeValue(c.b); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: decoded %#v, error %v; want one mentioning %q", c.name, v, err, c.wantErr)
+		}
+		tuple := append(append([]byte{2}, c.b...), 0) // arity 1, the value, seq 0
+		if got, _, err := DecodeTuple(tuple); err == nil {
+			t.Errorf("%s: tuple decoded as %v", c.name, got)
+		}
+		if got, _, err := DecodeTuples(nil, nil, tuple, 1, 1); err == nil {
+			t.Errorf("%s: run decoded as %v", c.name, got)
+		}
+	}
+	for _, want := range []Value{Bool(false), Bool(true)} {
+		if got, rest, err := DecodeValue(want.AppendBinary(nil)); err != nil || got != want || len(rest) != 0 {
+			t.Errorf("%v decoded as %#v, %x left, %v", want, got, rest, err)
+		}
+	}
+}
+
+// poison is what a recycled slab may hold where a run is about to be decoded
+// (under the race build queue.Slab writes one like it).
+var poison = Value{S: "poison", I: -1, F: math.NaN(), Kind: 0xFF}
+
+// identical is == on every field, floats compared by their bits so that NaN
+// and -0.0 are held to what they are.
+func identical(a, b Value) bool {
+	return a.Kind == b.Kind && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
+}
+
+// randValue covers all six kinds and their edges.
+func randValue(rng *rand.Rand) Value {
+	switch rng.Intn(12) {
+	case 0:
+		return Null
+	case 1:
+		return Int([]int64{math.MinInt64, math.MaxInt64, 0, -1}[rng.Intn(4)])
+	case 2:
+		return Int((rng.Int63() >> rng.Intn(63)) * int64(1-2*rng.Intn(2)))
+	case 3:
+		return TimeMicros(rng.Int63n(4e15) - 2e15)
+	case 4:
+		return Bool(rng.Intn(2) == 0)
+	case 5:
+		return Float([]float64{math.NaN(), math.Copysign(0, -1), math.Inf(-1), math.MaxFloat64}[rng.Intn(4)])
+	case 6:
+		return Float(rng.NormFloat64() * 1e9)
+	case 7:
+		return String_("")
+	case 8:
+		return String_(strings.Repeat("é", 2500)) // 5 000 bytes
+	default:
+		return String_(strings.Repeat("k", rng.Intn(20)))
+	}
+}
+
+// refValueBytes is the value layout written out field by field.
+func refValueBytes(b []byte, v Value) []byte {
+	b = append(b, byte(v.Kind))
+	switch v.Kind {
+	case KindInt, KindTime, KindBool:
+		b = binary.AppendVarint(b, v.I)
+	case KindFloat:
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v.F))
+	case KindString:
+		b = append(binary.AppendUvarint(b, uint64(len(v.S))), v.S...)
+	}
+	return b
+}
+
+// TestDecodeOverwritesRecycledArena: random runs decoded into an arena that
+// holds poison come out identical to what was encoded — every field of every
+// value is written, which is what exec.Slab asks of whoever fills a slab — and
+// the encoder writes, into buffers of any spare capacity, the bytes a
+// value-by-value encoding does.
+func TestDecodeOverwritesRecycledArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for iter := 0; iter < 300; iter++ {
+		arity, n := rng.Intn(7), 1+rng.Intn(40)
+		in := make([]Tuple, n)
+		prefix := make([]byte, rng.Intn(4), 4+rng.Intn(64))
+		b, ref := prefix, append([]byte(nil), prefix...)
+		for i := range in {
+			vals := make([]Value, arity)
+			for j := range vals {
+				vals[j] = randValue(rng)
+			}
+			in[i] = Tuple{Values: vals, Seq: rng.Int63() - rng.Int63()}
+			b = in[i].AppendBinary(b)
+			ref = binary.AppendVarint(ref, int64(arity))
+			for _, v := range vals {
+				if got, want := v.AppendBinary(nil), refValueBytes(nil, v); !bytes.Equal(got, want) {
+					t.Fatalf("%#v encoded as %x, want %x", v, got, want)
+				}
+				ref = v.AppendBinary(ref)
+			}
+			ref = binary.AppendVarint(ref, in[i].Seq)
+		}
+		if !bytes.Equal(b, ref) {
+			t.Fatalf("iteration %d: run encoded as\n%x\nwant\n%x", iter, b, ref)
+		}
+		arena := make([]Value, n*arity)
+		for i := range arena {
+			arena[i] = poison
+		}
+		out, rest, err := DecodeTuples(nil, func(int) []Value { return arena }, b[len(prefix):], arity, n)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("iteration %d: %v, %d bytes left", iter, err, len(rest))
+		}
+		for i, tp := range out {
+			if tp.Seq != in[i].Seq || len(tp.Values) != arity || cap(tp.Values) != arity {
+				t.Fatalf("iteration %d tuple %d: seq %d arity %d cap %d, want seq %d arity %d",
+					iter, i, tp.Seq, len(tp.Values), cap(tp.Values), in[i].Seq, arity)
+			}
+			for j, v := range tp.Values {
+				if !identical(v, in[i].Values[j]) {
+					t.Fatalf("iteration %d tuple %d value %d: decoded %#v over poison, want %#v", iter, i, j, v, in[i].Values[j])
+				}
+			}
+		}
+	}
+}
+
+// FuzzDecodeTuples feeds arbitrary bytes, arity and count to DecodeTuples:
+// it never panics, never asks for an arena the bytes could not fill, and a
+// run it accepts re-encodes and decodes again to identical values.
+func FuzzDecodeTuples(f *testing.F) {
+	for _, tp := range goldenTuples {
+		enc := tp.AppendBinary(nil)
+		for _, cut := range []int{len(enc), len(enc) - 1, len(enc) / 2} {
+			f.Add(enc[:cut], uint8(tp.Arity()), uint16(1))
+		}
+	}
+	golden, _ := hex.DecodeString(goldenTupleBytes)
+	f.Add(golden, uint8(7), uint16(3)) // the arities differ after the first
+	f.Add(goldenTuples[0].AppendBinary(goldenTuples[0].AppendBinary(nil)), uint8(7), uint16(2))
+	f.Add(golden[:8], uint8(7), uint16(60000))
+
+	f.Fuzz(func(t *testing.T, data []byte, arity uint8, count uint16) {
+		a, n := int(arity), int(count)
+		arena := func(m int) []Value {
+			if m != n*a || n*(a+2) > len(data) {
+				t.Fatalf("asked for %d values for %d tuples of arity %d on %d bytes", m, n, a, len(data))
+			}
+			s := make([]Value, m)
+			for i := range s {
+				s[i] = poison
+			}
+			return s
+		}
+		run, rest, err := DecodeTuples(nil, arena, data, a, n)
+		if err != nil {
+			return
+		}
+		if len(run) != n || len(rest) > len(data) {
+			t.Fatalf("%d tuples and %d bytes left from %d bytes", len(run), len(rest), len(data))
+		}
+		var b []byte
+		for _, tp := range run {
+			b = tp.AppendBinary(b)
+		}
+		again, rest, err := DecodeTuples(nil, nil, b, a, n)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("re-encoded run does not decode: %v, %d bytes left", err, len(rest))
+		}
+		for i, tp := range run {
+			if again[i].Seq != tp.Seq {
+				t.Fatalf("tuple %d: seq %d re-decoded as %d", i, tp.Seq, again[i].Seq)
+			}
+			for j, v := range tp.Values {
+				if !identical(v, again[i].Values[j]) {
+					t.Fatalf("tuple %d value %d: %#v re-decoded as %#v", i, j, v, again[i].Values[j])
+				}
+			}
+		}
+	})
 }
