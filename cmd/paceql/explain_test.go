@@ -28,13 +28,13 @@ func explainFor(t *testing.T, query string) string {
 
 // TestExplainStandaloneKernel pins the standalone-kernel rendering: a
 // stateless chain feeding a plain sink becomes a standalone fused node whose
-// kernel line is the flat step table.
+// kernel line is the flat step table, and the sink runs on its goroutine.
 func TestExplainStandaloneKernel(t *testing.T) {
 	got := explainFor(t, "SELECT speed, segment FROM traffic WHERE speed >= 50")
 	want := ` 0: source traffic
  1: fused(where+project) <- traffic[0]
       kernel: select where [speed>=50] | project project -> (speed:float, segment:int)
- 2: stdout <- fused(where+project)[0]
+ 2: stdout <- fused(where+project)[0] (chained)
 `
 	if got != want {
 		t.Fatalf("standalone explain mismatch\ngot:\n%s\nwant:\n%s", got, want)
@@ -51,7 +51,7 @@ func TestExplainPrefixKernel(t *testing.T) {
 	want := ` 0: source traffic
  1: fused(where=>aggregate) <- traffic[0]
       kernel: prefix in0{select where [speed>=50]} => aggregate
- 2: stdout <- fused(where=>aggregate)[0]
+ 2: stdout <- fused(where=>aggregate)[0] (chained)
 `
 	if got != want {
 		t.Fatalf("prefix explain mismatch\ngot:\n%s\nwant:\n%s", got, want)

@@ -457,17 +457,20 @@ func (n *node) stater() snapshot.Stater {
 }
 
 // captureNode takes one node's phase-1 capture: a view of its state, encoded
-// later off the barrier. A node that is not a Stater contributes nothing.
-func captureNode(n *node, mode snapshot.CaptureMode) (snapshot.Capture, error) {
+// later off the barrier. A node that is not a Stater contributes nothing; one
+// whose capture panics fails the checkpoint, not the caller.
+func captureNode(n *node, mode snapshot.CaptureMode) (cut snapshot.Capture, err error) {
 	st := n.stater()
 	if st == nil {
 		return snapshot.Capture{}, nil
 	}
-	cut, err := st.CaptureState(mode)
-	if err != nil {
-		return snapshot.Capture{}, fmt.Errorf("exec: node %q: capture state: %w", n.name(), err)
-	}
-	return cut, nil
+	defer func() {
+		if err != nil {
+			cut, err = snapshot.Capture{}, fmt.Errorf("exec: node %q: capture state: %w", n.name(), err)
+		}
+	}()
+	defer recoverPanic(&err)
+	return st.CaptureState(mode)
 }
 
 // stagedState is the restore payload for one node: a complete base blob

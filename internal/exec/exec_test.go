@@ -65,7 +65,8 @@ func TestGraphRunLinearPipeline(t *testing.T) {
 }
 
 // TestGraphEdges checks the edge→consumer map built in prepare (one exact
-// consumer per edge, no node rescans), edge labelling and traffic counts.
+// consumer per edge, no node rescans), edge labelling, traffic counts, and
+// which edges are direct: the sink runs on mid's goroutine, mid on its own.
 func TestGraphEdges(t *testing.T) {
 	g := NewGraph()
 	src := g.AddSource(NewSliceSource("src", oneInt, intTuple(1), intTuple(2)))
@@ -82,7 +83,7 @@ func TestGraphEdges(t *testing.T) {
 	}
 	want := map[string]EdgeInfo{
 		"src": {Producer: "src", Consumer: "mid"},
-		"mid": {Producer: "mid", Consumer: "sink", Label: "part=0/1"},
+		"mid": {Producer: "mid", Consumer: "sink", Label: "part=0/1", Direct: true},
 	}
 	for _, e := range edges {
 		if e.Stats.Tuples != 2 {

@@ -34,13 +34,19 @@ type node struct {
 	// Wired during prepare():
 	inConns  []*queue.Conn // consumer side
 	outConns []*queue.Conn // producer side
-	// wake is where the node's one goroutine parks: every input ring, every
-	// output ring and every output edge's control queue signal it.
+	// chained marks a node that runs on its producer's goroutine: its one
+	// input edge is direct (Graph.Chained).
+	chained bool
+	// r is the node's runtime state and Context (runner.go).
+	r *nodeRunner
+	// wake is where the node's chain goroutine parks, shared by every node of
+	// the chain: the head's input rings, every output ring and every output
+	// edge's control queue signal it.
 	wake *queue.Wake
 	// aliases names the slabs the tuples the node is emitting may alias — its
 	// input page's and the one it last drew (Slab); every output page filled
-	// meanwhile adopts them. The node's goroutine moves it from activation to
-	// activation (runner.go).
+	// meanwhile adopts them. The node moves it from activation to activation
+	// (runner.go).
 	aliases queue.Aliases
 
 	// nm holds the node's hot-path telemetry counters; nil unless a
@@ -189,8 +195,9 @@ func (n *node) outSchemas() []stream.Schema {
 }
 
 // prepare wires connections: one Conn per (producer output port → consumer
-// input port) edge. Every output port must be consumed exactly once;
-// explicit DUPLICATE operators provide fan-out.
+// input port) edge, direct where the consumer is chained to its producer, a
+// ring elsewhere. Every output port must be consumed exactly once; explicit
+// DUPLICATE operators provide fan-out.
 func (g *Graph) prepare() error {
 	if g.prepared {
 		return fmt.Errorf("exec: graph already run")
@@ -204,9 +211,17 @@ func (g *Graph) prepare() error {
 	g.prepared = true
 	conns := map[edgeKey]*queue.Conn{}
 	g.consumers = make(map[edgeKey]consumerRef)
+	// Inputs name earlier nodes only, so a chained node's producer has its
+	// wake by the time the node shares it.
 	for _, n := range g.nodes {
 		n.outConns = make([]*queue.Conn, n.numOutputs())
-		n.wake = queue.NewWake()
+		n.r = &nodeRunner{node: n, graph: g}
+		n.chained = g.Chained(n.id)
+		if n.chained {
+			n.wake = g.nodes[n.inputs[0].Node].wake
+		} else {
+			n.wake = queue.NewWake()
+		}
 	}
 	for _, n := range g.nodes {
 		n.inConns = make([]*queue.Conn, len(n.inputs))
@@ -217,7 +232,11 @@ func (g *Graph) prepare() error {
 					p.Out, g.nodes[p.Node].name())
 			}
 			c := queue.New(g.opts)
-			c.Bind(n.wake, g.nodes[p.Node].wake)
+			if n.chained {
+				c.BindDirect(n.wake, n.r.deliver)
+			} else {
+				c.Bind(n.wake, g.nodes[p.Node].wake)
+			}
 			c.BindAliases(&g.nodes[p.Node].aliases)
 			conns[k] = c
 			g.consumers[k] = consumerRef{node: n, input: i}
@@ -233,6 +252,32 @@ func (g *Graph) prepare() error {
 		}
 	}
 	return nil
+}
+
+// Chained reports whether node id runs on its producer's goroutine: it has
+// one input, and that input is the only output of an operator — a source
+// keeps its own goroutine. The plan's shape decides, compiled or not; a chain
+// is a head that is not chained and every node chained behind it.
+func (g *Graph) Chained(id NodeID) bool {
+	if int(id) < 0 || int(id) >= len(g.nodes) || len(g.nodes[id].inputs) != 1 {
+		return false
+	}
+	up := g.nodes[g.nodes[id].inputs[0].Node]
+	return up.op != nil && up.numOutputs() == 1
+}
+
+// chain returns the runners of head's chain, head first, each next one the
+// chained consumer of the one before.
+func (g *Graph) chain(head *node) []*nodeRunner {
+	rs := []*nodeRunner{head.r}
+	for n := head; len(n.outConns) == 1; {
+		n = g.consumers[edgeKey{n.id, 0}].node
+		if !n.chained {
+			break
+		}
+		rs = append(rs, n.r)
+	}
+	return rs
 }
 
 // LabelEdge annotates the edge leaving the given output port (partitioned
@@ -259,6 +304,10 @@ type EdgeInfo struct {
 	// Depth is the number of pages currently buffered in the edge queue, a
 	// point-in-time backpressure gauge.
 	Depth int
+	// Direct marks a chained edge: its consumer processes each page on the
+	// producer's goroutine as it is published, so Depth and the Stats park
+	// and yield counts do not apply to it.
+	Direct bool
 }
 
 // Edges returns every wired edge with its traffic counters, in node order.
@@ -271,7 +320,7 @@ func (g *Graph) Edges() []EdgeInfo {
 				continue
 			}
 			k := edgeKey{n.id, o}
-			e := EdgeInfo{Producer: n.name(), Out: o, Label: g.labels[k], Stats: c.Stats(), Depth: c.Depth()}
+			e := EdgeInfo{Producer: n.name(), Out: o, Label: g.labels[k], Stats: c.Stats(), Depth: c.Depth(), Direct: c.Direct()}
 			if ref, ok := g.consumers[k]; ok {
 				e.Consumer = ref.node.name()
 				e.Input = ref.input

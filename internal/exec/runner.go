@@ -13,10 +13,11 @@ import (
 	"repro/internal/punct"
 )
 
-// Run executes the plan: one goroutine per node, paged queues between them,
-// upstream control channels for feedback. It returns after every node has
-// finished (all sources exhausted and all data drained), or after the first
-// node error (remaining nodes are shut down).
+// Run executes the plan: one goroutine per chain (a source, or an operator
+// and the nodes chained behind it), page rings between chains, direct edges
+// inside one, and upstream control queues for feedback. It returns after
+// every node has finished (all sources exhausted and all data drained), or
+// after the first node error (remaining nodes are shut down).
 func (g *Graph) Run() error {
 	if err := g.prepare(); err != nil {
 		return err
@@ -44,11 +45,14 @@ func (g *Graph) Run() error {
 	g.liveNodes = make(map[NodeID]bool, len(g.nodes))
 	for _, n := range g.nodes {
 		g.liveNodes[n.id] = true
+		n.r.done, n.r.fail = done, fail
 	}
 	g.chkMu.Unlock()
 	for _, n := range g.nodes {
-		wg.Add(1)
-		go g.runNode(n, done, fail, &wg)
+		if !n.chained {
+			wg.Add(1)
+			go g.runChain(n, &wg)
+		}
 	}
 	wg.Wait()
 	g.chkMu.Lock()
@@ -60,18 +64,28 @@ func (g *Graph) Run() error {
 	return runErr
 }
 
-// runNode is one node's goroutine, the only one the node has.
-func (g *Graph) runNode(n *node, done <-chan struct{}, fail func(error), wg *sync.WaitGroup) {
+// runChain is the one goroutine of head's chain. Every member is opened
+// before anything is handed to it (tail first), then the head drives the
+// chain: a source calls Next, an operator takes pages from its input rings,
+// and every page a member publishes runs through its chained consumer on the
+// spot. The head's exit reaches every member still running: its EOS, or the
+// aborted graph, ends each one in turn.
+func (g *Graph) runChain(head *node, wg *sync.WaitGroup) {
 	defer wg.Done()
-	r := &nodeRunner{node: n, graph: g, done: done}
-	err := r.run()
-	if err != nil {
-		fail(fmt.Errorf("exec: node %q: %w", n.name(), err))
+	chain := g.chain(head)
+	for i := len(chain) - 1; i >= 0; i-- {
+		if err := chain[i].do((*nodeRunner).start); err != nil {
+			chain[i].exit(err)
+			head.r.exit(nil)
+			return
+		}
 	}
-	// Checkpoint bookkeeping: a clean exit records the node's final state
-	// as its cut; a dying one fails any active checkpoint. Runs after
-	// run()'s deferred cleanup, so EOS has already been sent downstream.
-	g.nodeExit(n, err)
+	r := head.r
+	if head.src != nil {
+		r.exit(r.sourceLoop())
+		return
+	}
+	r.exit(r.operatorLoop(chain))
 }
 
 // bitset tracks a small set of output-port indices without a map on the
@@ -101,18 +115,19 @@ func (b *bitset) set(i int) bool {
 // argument.
 const DefaultControlInterval = 32
 
-// nodeRunner drives one node goroutine. It also implements Context for the
-// node's operator.
+// nodeRunner is one node's runtime state, driven by its chain's goroutine. It
+// also implements Context for the node's operator.
 type nodeRunner struct {
 	node  *node
 	graph *Graph
 	done  <-chan struct{}
+	fail  func(error) // the graph's: the first error stops every chain
 
 	shutdownOuts bitset // outputs whose consumers sent shutdown
 	stopping     bool
 	batcher      TupleBatcher // non-nil when the operator takes tuple runs whole
-
-	onFeedback func(int, core.Feedback) error
+	// opened: Open succeeded, so Close is owed; exited: exit has run.
+	opened, exited bool
 
 	// Telemetry (telemetry.go): nm is the node's counter set (nil without a
 	// sink), trace the control-plane tracer (nil-safe). The pg* fields are
@@ -142,59 +157,87 @@ type alignState struct {
 	deferred [][]queue.Item
 }
 
-func (r *nodeRunner) run() error {
+// start opens the node and applies its staged state, before anything reaches
+// it.
+func (r *nodeRunner) start() error {
 	n := r.node
-	r.batcher, _ = n.op.(TupleBatcher)
 	r.nm = n.nm
 	r.trace = r.graph.tracer()
 	r.shutdownOuts = newBitset(len(n.outConns))
-
-	// Abort input connections on the way out so upstream producers parked
-	// on full rings can finish.
-	defer func() {
-		for _, c := range n.inConns {
-			c.Abort()
-		}
-	}()
-
-	// Always close outputs on the way out so downstream sees EOS. The slab a
-	// closing flush drew goes with its pages.
-	defer func() {
-		n.aliases.End()
-		for _, c := range n.outConns {
-			c.CloseSend()
-		}
-	}()
-
+	var err error
 	if n.src != nil {
-		return r.runSource()
+		err = n.src.Open(r)
+	} else {
+		r.batcher, _ = n.op.(TupleBatcher)
+		r.openInputs = len(n.inConns)
+		r.inEOS = make([]bool, len(n.inConns))
+		err = n.op.Open(r)
 	}
-	return r.runOperator()
-}
-
-// runSource opens the source, drives it and closes it. A source that was
-// opened is closed on every path — a failed one too, or its connection and
-// goroutines would outlive the run; the first error wins.
-func (r *nodeRunner) runSource() error {
-	src := r.node.src
-	if err := src.Open(r); err != nil {
+	if err != nil {
 		return err
 	}
-	err := r.sourceLoop()
-	if cerr := src.Close(r); err == nil {
-		err = cerr
+	r.opened = true
+	return r.graph.restoreNode(n)
+}
+
+// exit is the node's one way out — its inputs ended, its consumers asked it
+// to stop, it failed, or the graph is aborting. An opened node is closed on
+// every path (a failed one too, or its connections and goroutines would
+// outlive the run) and the first error, named after the node, fails the
+// graph. Then EOS goes out on every output — a chained consumer processes it,
+// and exits, inside that call — every input is aborted so that producers
+// waiting on it finish, and the checkpoint bookkeeping records the exit.
+func (r *nodeRunner) exit(err error) {
+	if r.exited {
+		return
 	}
-	return err
+	r.exited = true
+	n := r.node
+	if r.opened {
+		if cerr := r.do((*nodeRunner).close); err == nil {
+			err = cerr
+		}
+	}
+	// Deferred-item replay (alignment abandon) can tally outside a page.
+	r.flushPageStats()
+	if err != nil {
+		r.fail(fmt.Errorf("exec: node %q: %w", n.name(), err))
+	}
+	// The slab a closing flush drew goes with its pages.
+	n.aliases.End()
+	for _, c := range n.outConns {
+		c.CloseSend()
+	}
+	for _, c := range n.inConns {
+		c.Abort()
+	}
+	// A clean exit records the node's final state as its cut; a dying one
+	// fails any active checkpoint.
+	r.graph.nodeExit(n, err)
+}
+
+func (r *nodeRunner) close() error {
+	if r.node.src != nil {
+		return r.node.src.Close(r)
+	}
+	return r.node.op.Close(r)
+}
+
+// do runs one of the node's callbacks outside a page: a panic in it is the
+// node's error, so it names this node and not its chain's head.
+func (r *nodeRunner) do(f func(*nodeRunner) error) (err error) {
+	defer recoverPanic(&err)
+	return f(r)
+}
+
+// recoverPanic, deferred around a callback, turns its panic into its error.
+func recoverPanic(err *error) {
+	if v := recover(); v != nil {
+		*err = fmt.Errorf("panic: %v", v)
+	}
 }
 
 func (r *nodeRunner) sourceLoop() error {
-	src := r.node.src
-	if err := r.graph.restoreNode(r.node); err != nil {
-		return err
-	}
-	r.onFeedback = func(out int, f core.Feedback) error {
-		return src.ProcessFeedback(out, f, r)
-	}
 	// A wire-barrier-driven source (a remote edge under distributed
 	// coordination) cuts only where its own in-band barrier sits, via
 	// InjectWireBarrier — a poll-based cut here could land before the
@@ -202,7 +245,7 @@ func (r *nodeRunner) sourceLoop() error {
 	// side of the epoch.
 	wireCut := r.graph.wireBarrier[r.node.id]
 	for !r.stopping {
-		if err := r.drainControl(); err != nil {
+		if err := r.do((*nodeRunner).drainControl); err != nil {
 			return err
 		}
 		if r.stopping {
@@ -221,19 +264,23 @@ func (r *nodeRunner) sourceLoop() error {
 			// Next may block (a paced source sleeps, a remote one reads a
 			// socket): no consumer stays parked on pages already published.
 			r.node.wake.Kick()
-			// One Next call is one activation: the slab it drew is retired
-			// when it returns.
-			more, err := src.Next(r)
-			r.node.aliases.End()
-			if err != nil {
+			if err := r.do((*nodeRunner).next); err != nil {
 				return err
-			}
-			if !more {
-				r.stopping = true
 			}
 		}
 	}
 	return nil
+}
+
+// next is one Next call, one activation: the slab it drew is retired when it
+// returns.
+func (r *nodeRunner) next() error {
+	more, err := r.node.src.Next(r)
+	r.node.aliases.End()
+	if !more {
+		r.stopping = true
+	}
+	return err
 }
 
 // maybeCutSource checks for a newly requested checkpoint and, if one is
@@ -267,34 +314,24 @@ func (r *nodeRunner) InjectWireBarrier(epoch int64) {
 	}
 }
 
-// runOperator opens the operator, drives it and closes it; like a source, an
-// opened operator is closed on the error path too (a failed remote.Sink holds
-// a connection and a feedback reader), and the first error wins.
-func (r *nodeRunner) runOperator() error {
-	op := r.node.op
-	if err := op.Open(r); err != nil {
-		return err
-	}
-	err := r.operatorLoop()
-	if cerr := op.Close(r); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func (r *nodeRunner) operatorLoop() error {
-	op := r.node.op
-	if err := r.graph.restoreNode(r.node); err != nil {
-		return err
-	}
-	r.onFeedback = func(out int, f core.Feedback) error {
-		return op.ProcessFeedback(out, f, r)
-	}
-	r.openInputs = len(r.node.inConns)
-	r.inEOS = make([]bool, len(r.node.inConns))
+// operatorLoop is an operator head's loop: the chain's control first, then a
+// page from each of the head's open input rings, which runs through the whole
+// chain before the next.
+func (r *nodeRunner) operatorLoop(chain []*nodeRunner) error {
 	for r.openInputs > 0 && !r.stopping {
-		// Control before data (§5: control messages are high-priority).
-		if err := r.drainControl(); err != nil {
+		// Control before data (§5: control messages are high-priority), on
+		// every member's outputs, tail first: what a member relays upstream
+		// reaches its producer in the same pass.
+		for i := len(chain) - 1; i > 0; i-- {
+			m := chain[i]
+			if m.exited {
+				continue
+			}
+			if err := m.do((*nodeRunner).drainControl); err != nil || m.stopping {
+				m.exit(err)
+			}
+		}
+		if err := r.do((*nodeRunner).drainControl); err != nil {
 			return err
 		}
 		if r.stopping {
@@ -304,7 +341,7 @@ func (r *nodeRunner) operatorLoop() error {
 		// input never sees another item (its EOS may already be deferred);
 		// whoever retires a checkpoint signals every node's wake.
 		if r.align != nil && r.alignmentStale() {
-			if err := r.abandonAlignment(); err != nil {
+			if err := r.do((*nodeRunner).abandonAlignment); err != nil {
 				return err
 			}
 		}
@@ -330,8 +367,6 @@ func (r *nodeRunner) operatorLoop() error {
 			r.stopping = true
 		}
 	}
-	// Deferred-item replay (alignment abandon) can tally outside a page.
-	r.flushPageStats()
 	return nil
 }
 
@@ -363,11 +398,33 @@ func (r *nodeRunner) pollInputs() (idle bool, _ error) {
 	return idle, nil
 }
 
+// deliver is a direct edge's consumer end: the producer's goroutine runs the
+// page through this node, and the node's exit when the page ended its input
+// or asked it to stop. An aborting graph's pages are not processed.
+//
+//pace:hotpath
+func (r *nodeRunner) deliver(p *queue.Page) {
+	select {
+	case <-r.done:
+		r.exit(nil)
+		return
+	default:
+	}
+	if err := r.processPage(0, p); err != nil || r.stopping || r.openInputs == 0 {
+		r.exit(err)
+	}
+}
+
 // processPage is one activation: tuples emitted while it runs may alias the
-// input page's slabs or the slab the operator last drew.
-func (r *nodeRunner) processPage(input int, p *queue.Page) error {
+// input page's slabs or the slab the operator last drew. A panic in it is the
+// node's error; one in a chained consumer is that consumer's, stopped at its
+// own processPage.
+//
+//pace:hotpath
+func (r *nodeRunner) processPage(input int, p *queue.Page) (err error) {
+	defer recoverPanic(&err) //pace:allow-alloc err stays on the stack: recoverPanic keeps no pointer to it (go build -gcflags=-m)
 	r.node.aliases.Begin(p)
-	err := r.pageLoop(input, p)
+	err = r.pageLoop(input, p)
 	r.node.aliases.End()
 	r.flushPageStats()
 	return err
@@ -618,7 +675,10 @@ func (r *nodeRunner) handleControl(out int, m queue.Control) error {
 		if r.trace.Enabled() {
 			r.trace.Record("feedback", r.node.name(), m.Feedback.Seq, m.Feedback.String())
 		}
-		return r.onFeedback(out, m.Feedback)
+		if src := r.node.src; src != nil {
+			return src.ProcessFeedback(out, m.Feedback, r)
+		}
+		return r.node.op.ProcessFeedback(out, m.Feedback, r)
 	case queue.CtrlShutdown:
 		r.shutdownOuts.set(out)
 		if r.shutdownOuts.count == len(r.node.outConns) && len(r.node.outConns) > 0 {

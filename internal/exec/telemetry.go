@@ -93,6 +93,7 @@ func (g *Graph) edgeSnapshots() []telemetry.EdgeStat {
 			ProducerParks:  e.Stats.ProducerParks,
 			ConsumerYields: e.Stats.ConsumerYields,
 			ProducerYields: e.Stats.ProducerYields,
+			Direct:         e.Direct,
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -56,7 +57,10 @@ func (s *stepSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error
 func (s *stepSource) LoadState(*snapshot.Decoder) error { return nil }
 
 // fanRouter sends fan copies of each tuple to port v%2 and waits at a gate
-// before its first tuple, so a test can queue its whole input behind it.
+// before its first tuple, so a test can queue its whole input behind it. A
+// blocking callback blocks its whole chain: the gate stalls the router alone
+// because it is a chain of its own — fed by a source, and with two outputs,
+// each of which heads a chain.
 type fanRouter struct {
 	Base
 	fan  int
@@ -75,7 +79,8 @@ func (r *fanRouter) ProcessTuple(_ int, t stream.Tuple, ctx Context) error {
 }
 
 // gateSink counts tuples; it stalls in Open until wait closes (a consumer
-// that is not reading) and closes seen at its first tuple.
+// that is not reading) and closes seen at its first tuple. It stalls only
+// itself where it heads its chain (fanRouter's outputs).
 type gateSink struct {
 	Base
 	name  string
@@ -301,7 +306,8 @@ func TestFeedbackWakesParkedNode(t *testing.T) {
 
 // TestEdgeParkCountersExported: the park and yield counters surface where
 // edges are reported — EdgeInfo, the /statusz edge rows and the pace_edge_*
-// series.
+// series — for a ring; a direct edge is reported as such, without the depth,
+// parks and yields that do not apply to it.
 func TestEdgeParkCountersExported(t *testing.T) {
 	var release atomic.Bool
 	src := newStepSource(func(Context) bool {
@@ -311,7 +317,7 @@ func TestEdgeParkCountersExported(t *testing.T) {
 	g := NewGraph()
 	tel := telemetry.New()
 	g.SetTelemetry(tel)
-	g.Add(NewCollector("sink", oneInt), From(g.AddSource(src)))
+	g.Add(NewCollector("sink", oneInt), From(g.Add(&passthrough{name: "relay"}, From(g.AddSource(src)))))
 	testguard.Within(t, time.Minute, func() {
 		runErr := make(chan error, 1)
 		go func() { runErr <- g.Run() }()
@@ -319,18 +325,30 @@ func TestEdgeParkCountersExported(t *testing.T) {
 		for edgeStats(g, From(0)).ConsumerParks == 0 {
 			runtime.Gosched()
 		}
-		if rows := tel.Registry.EdgeSnapshots(); len(rows) != 1 || rows[0].ConsumerParks != 1 || rows[0].ProducerParks != 0 {
+		rows := tel.Registry.EdgeSnapshots()
+		if len(rows) != 2 || rows[0].Direct || rows[0].ConsumerParks != 1 || rows[0].ProducerParks != 0 || !rows[1].Direct {
 			t.Errorf("statusz edge rows: %+v", rows)
+		}
+		for i, want := range []bool{true, false} {
+			js, err := json.Marshal(rows[i])
+			if err != nil || strings.Contains(string(js), `"consumer_parks"`) != want ||
+				strings.Contains(string(js), `"queue_depth_pages"`) != want || strings.Contains(string(js), `"direct":true`) == want {
+				t.Errorf("edge %d as JSON: %s (%v)", i, js, err)
+			}
 		}
 		var out bytes.Buffer
 		tel.Registry.WritePrometheus(&out)
 		for _, series := range []string{
 			"pace_edge_consumer_parks_total{", "pace_edge_producer_parks_total{",
 			"pace_edge_consumer_yields_total{", "pace_edge_producer_yields_total{",
+			"pace_edge_queue_depth_pages{",
 		} {
-			if !strings.Contains(out.String(), series) {
-				t.Errorf("exposition lacks %s", series)
+			if n := strings.Count(out.String(), series); n != 1 {
+				t.Errorf("exposition has %d %s series, want the ring's one", n, series)
 			}
+		}
+		if n := strings.Count(out.String(), "pace_edge_tuples_total{"); n != 2 {
+			t.Errorf("exposition has %d pace_edge_tuples_total series, want both edges'", n)
 		}
 		release.Store(true)
 		if err := <-runErr; err != nil {
@@ -350,63 +368,229 @@ func (r *notifyRelay) ProcessFeedback(int, core.Feedback, Context) error {
 	return nil
 }
 
-// TestOneGoroutinePerNode: a running n-node plan is n goroutines plus the
-// one that called Run — no forwarder per edge, whatever the plan's shape.
-func TestOneGoroutinePerNode(t *testing.T) {
-	for _, relays := range []int{1, 4} {
-		nodes := relays + 2
-		// Run returns at its nodes' last wg.Done, not at their last exit: a
-		// goroutine of an earlier plan that is still on its way out inflates
-		// the count taken before this one starts. Such a reading is low, and
-		// by the next attempt the straggler is gone.
-		for attempt := 1; ; attempt++ {
-			got := planGoroutines(t, relays)
-			if got == nodes+1 {
-				break
+// TestOneGoroutinePerChain: a running plan is one goroutine per source, one
+// per chain head and the one that called Run — no goroutine per chained node,
+// and no forwarder per edge. A node is chained when its one input is the only
+// output of an operator: source → relays → sink is the source and one chain,
+// and the shape Parallel(2) compiles to — split → two replicas → merge → sink
+// — is the source and four chains, the sink chained to the merge.
+func TestOneGoroutinePerChain(t *testing.T) {
+	linear := func(relays int) func(g *Graph, src NodeID) {
+		return func(g *Graph, at NodeID) {
+			for i := 0; i < relays; i++ {
+				at = g.Add(&passthrough{name: fmt.Sprintf("relay%d", i)}, From(at))
 			}
-			if got > nodes+1 || attempt == 5 {
-				t.Errorf("%d-node plan runs %d goroutines, want %d", nodes, got, nodes+1)
-				break
-			}
+			g.Add(NewCollector("sink", oneInt), From(at))
 		}
+	}
+	parallel := func(g *Graph, src NodeID) {
+		open := make(chan struct{})
+		close(open)
+		split := g.Add(&fanRouter{fan: 1, gate: open}, From(src))
+		a := g.Add(&passthrough{name: "replica0"}, FromPort(split, 0))
+		b := g.Add(&passthrough{name: "replica1"}, FromPort(split, 1))
+		g.Add(NewCollector("sink", oneInt), From(g.Add(&mergeTwo{name: "merge"}, From(a), From(b))))
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(g *Graph, src NodeID)
+		heads int
+	}{
+		{"1 relay", linear(1), 1},
+		{"4 relays", linear(4), 1},
+		{"Parallel(2)", parallel, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var release atomic.Bool
+			src := newStepSource(func(Context) bool {
+				runtime.Gosched()
+				return !release.Load()
+			})
+			g := NewGraph()
+			tc.build(g, g.AddSource(src))
+			for planGoroutines() > 0 {
+				runtime.Gosched() // an earlier plan's goroutines on their way out
+			}
+			testguard.Within(t, time.Minute, func() {
+				runErr := make(chan error, 1)
+				go func() { runErr <- g.Run() }()
+				<-src.started
+				for !allHeadsParked(g) {
+					runtime.Gosched() // until the plan is fully started
+				}
+				if got, want := planGoroutines(), 1+tc.heads+1; got != want {
+					t.Errorf("plan runs %d goroutines, want %d: one source, %d chain heads and Run's caller", got, want, tc.heads)
+				}
+				release.Store(true)
+				if err := <-runErr; err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
 	}
 }
 
-// planGoroutines runs source → relays → sink until every consumer is parked
-// and reports how many goroutines that took.
-func planGoroutines(t *testing.T, relays int) int {
-	var release atomic.Bool
-	src := newStepSource(func(Context) bool {
-		runtime.Gosched()
-		return !release.Load()
-	})
-	g := NewGraph()
-	at := g.AddSource(src)
-	for i := 0; i < relays; i++ {
-		at = g.Add(&passthrough{name: fmt.Sprintf("relay%d", i)}, From(at))
+// planGoroutines counts the goroutines inside the runtime of a plan: chains
+// and callers of Run.
+func planGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "repro/internal/exec.(*Graph).runChain(") || strings.Contains(g, "repro/internal/exec.(*Graph).Run(") {
+			n++
+		}
 	}
-	g.Add(NewCollector("sink", oneInt), From(at))
+	return n
+}
 
-	before := runtime.NumGoroutine()
-	runErr := make(chan error, 1)
-	go func() { runErr <- g.Run() }()
-	<-src.started
-	for { // until every consumer is parked: the plan is fully started
-		parked := 0
-		for _, e := range g.Edges() {
-			if e.Stats.ConsumerParks > 0 {
-				parked++
+// allHeadsParked reports whether every ring's consumer has parked on it: every
+// chain head has found its inputs empty.
+func allHeadsParked(g *Graph) bool {
+	for _, e := range g.Edges() {
+		if !e.Direct && e.Stats.ConsumerParks == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestChainedFeedbackWithinK: feedback crosses a chained hop within K items
+// of the producer's input, with no scheduler in between — the consumer runs
+// on the producer's goroutine, inside the emit that handed it the page, and
+// the producer rechecks control every K items.
+func TestChainedFeedbackWithinK(t *testing.T) {
+	const total = 5000
+	tuples := make([]stream.Tuple, total)
+	for i := range tuples {
+		tuples[i] = intTuple(int64(i))
+	}
+	relay := &countingRelay{}
+	var sentAt int64 = -1
+	sink := captureCtx(NewCollector("sink", oneInt))
+	sink.Discard = true
+	sink.OnTuple = func(t stream.Tuple) {
+		if sentAt < 0 && t.At(0).AsInt() == 1000 {
+			sentAt = relay.seen
+			sink.ctx.SendFeedback(0, core.NewAssumed(punct.OnAttr(1, 0, punct.Ge(stream.Int(0)))))
+		}
+	}
+	g := NewGraph()
+	g.Add(sink, From(g.Add(relay, From(g.AddSource(NewSliceSource("src", oneInt, tuples...))))))
+	testguard.Within(t, time.Minute, func() {
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if sentAt < 0 || relay.feedbackAt < sentAt || relay.feedbackAt-sentAt > DefaultControlInterval {
+		t.Errorf("feedback sent after the relay's tuple %d reached it at tuple %d: want within %d",
+			sentAt, relay.feedbackAt, DefaultControlInterval)
+	}
+	if e := g.Edges()[1]; !e.Direct || e.Stats.Tuples != total {
+		t.Errorf("relay → sink edge: %+v, want direct with %d tuples", e, total)
+	}
+}
+
+// TestPanicNamesItsNode: a panic in any node's callback is that node's error —
+// named after it, not after its chain's head — and the graph shuts down as on
+// any error: every node that was opened is closed, and Run returns.
+// (TestMain's leak gate checks that no goroutine outlives the run.)
+func TestPanicNamesItsNode(t *testing.T) {
+	for _, tc := range []struct {
+		name, culprit string
+		relay, sink   string // the callback of each that panics
+		feedback      bool   // the sink sends feedback
+	}{
+		{name: "chained sink's tuple", culprit: "sink", sink: "tuple"},
+		{name: "chained sink's Open", culprit: "sink", sink: "open"},
+		{name: "chained sink's Close", culprit: "sink", sink: "close"},
+		{name: "head's feedback", culprit: "relay", relay: "feedback", feedback: true},
+		{name: "head's tuple", culprit: "relay", relay: "tuple"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tuples := make([]stream.Tuple, 10_000)
+			for i := range tuples {
+				tuples[i] = intTuple(int64(i))
 			}
-		}
-		if parked == relays+1 {
-			break
-		}
-		runtime.Gosched()
+			relay := &bomb{passthrough: passthrough{name: "relay"}, at: tc.relay}
+			sink := &bomb{passthrough: passthrough{name: "sink"}, at: tc.sink, sink: true, feedback: tc.feedback}
+			g := NewGraph()
+			g.Add(sink, From(g.Add(relay, From(g.AddSource(NewSliceSource("src", oneInt, tuples...))))))
+			var err error
+			testguard.Within(t, time.Minute, func() { err = g.Run() })
+			if want := fmt.Sprintf("exec: node %q: panic: boom", tc.culprit); err == nil || err.Error() != want {
+				t.Errorf("Run: %v, want %s", err, want)
+			}
+			for _, b := range []*bomb{relay, sink} {
+				if b.opened != b.closed {
+					t.Errorf("%s: opened %v, closed %v", b.name, b.opened, b.closed)
+				}
+			}
+		})
 	}
-	got := runtime.NumGoroutine() - before
-	release.Store(true)
-	if err := <-runErr; err != nil {
-		t.Fatal(err)
+}
+
+// bomb is a relay — or, with sink set, a sink — that panics in one callback:
+// "open", "tuple", "feedback" or "close". A sink with feedback set asks its
+// producer to drop everything at its tenth tuple.
+type bomb struct {
+	passthrough
+	at             string
+	sink, feedback bool
+	seen           int
+	opened, closed bool
+}
+
+func (b *bomb) blow(at string) {
+	if b.at == at {
+		panic("boom")
 	}
-	return got
+}
+func (b *bomb) OutSchemas() []stream.Schema {
+	if b.sink {
+		return nil
+	}
+	return b.passthrough.OutSchemas()
+}
+func (b *bomb) Open(Context) error {
+	b.blow("open")
+	b.opened = true
+	return nil
+}
+func (b *bomb) ProcessTuple(in int, t stream.Tuple, ctx Context) error {
+	b.blow("tuple")
+	if b.seen++; b.feedback && b.seen == 10 {
+		ctx.SendFeedback(0, core.NewAssumed(punct.OnAttr(1, 0, punct.Ge(stream.Int(0)))))
+	}
+	if b.sink {
+		return nil
+	}
+	return b.passthrough.ProcessTuple(in, t, ctx)
+}
+func (b *bomb) ProcessFeedback(int, core.Feedback, Context) error {
+	b.blow("feedback")
+	return nil
+}
+func (b *bomb) Close(Context) error {
+	b.closed = true
+	b.blow("close")
+	return nil
+}
+
+// countingRelay forwards tuples, counting them, and records the count at the
+// first feedback.
+type countingRelay struct {
+	passthrough
+	seen, feedbackAt int64
+}
+
+func (r *countingRelay) Name() string { return "relay" }
+func (r *countingRelay) ProcessTuple(in int, t stream.Tuple, ctx Context) error {
+	r.seen++
+	return r.passthrough.ProcessTuple(in, t, ctx)
+}
+func (r *countingRelay) ProcessFeedback(int, core.Feedback, Context) error {
+	if r.feedbackAt == 0 {
+		r.feedbackAt = r.seen
+	}
+	return nil
 }

@@ -95,8 +95,9 @@ func (b *Builder) EnableTelemetry(t *telemetry.Telemetry) *Builder {
 }
 
 // Explain renders the (possibly compiled) plan, one line per node with its
-// input wiring; fused nodes additionally render their kernel step table, so
-// fusion decisions are inspectable (cmd/paceql -explain).
+// input wiring — "(chained)" when the node runs on its producer's goroutine
+// (exec.Graph.Chained) — and fused nodes additionally render their kernel step
+// table, so fusion decisions are inspectable (cmd/paceql -explain).
 func (b *Builder) Explain() string {
 	var sb strings.Builder
 	for id := 0; id < b.g.NumNodes(); id++ {
@@ -111,7 +112,11 @@ func (b *Builder) Explain() string {
 			froms[i] = fmt.Sprintf("%s[%d]", b.g.NameAt(p.Node), p.Out)
 		}
 		o := b.g.OperatorAt(nid)
-		fmt.Fprintf(&sb, "%2d: %s <- %s\n", id, o.Name(), strings.Join(froms, ", "))
+		chained := ""
+		if b.g.Chained(nid) {
+			chained = " (chained)"
+		}
+		fmt.Fprintf(&sb, "%2d: %s <- %s%s\n", id, o.Name(), strings.Join(froms, ", "), chained)
 		if ex, ok := o.(interface{ Explain() string }); ok {
 			fmt.Fprintf(&sb, "      kernel: %s\n", ex.Explain())
 		}

@@ -220,7 +220,9 @@ func (w *Wake) count(full *Conn, how int) {
 // drained it to half empty, or by Abort. Either side polls the ring for a
 // bounded while before it parks (Wake.wait), and a running peer's next page
 // or free slot ends the wait there, whatever the fill. A Conn nobody bound to
-// a node waits on Wakes of its own.
+// a node waits on Wakes of its own. A direct Conn (BindDirect) has no ring:
+// both ends run on one goroutine, and the consumer processes each page inside
+// the put that published it.
 //
 // The control path is unbounded and never blocks the sender: data flow
 // exerts backpressure downstream, so a bounded control channel flowing the
@@ -232,9 +234,10 @@ type Conn struct {
 	opts Options
 	half int // ring fill at which a parked peer is woken, from either end
 
-	cur     *Page    // producer-owned current page
-	closed  bool     // producer-owned: CloseSend called
-	aliases *Aliases // producer-owned: the slabs the tuples being put may alias
+	cur     *Page       // producer-owned current page
+	closed  bool        // producer-owned: CloseSend called
+	aliases *Aliases    // producer-owned: the slabs the tuples being put may alias
+	deliver func(*Page) // a direct edge's consumer; nil for a ring
 
 	cons    *Wake // where the consumer waits
 	prod    *Wake // where the producer waits
@@ -286,6 +289,20 @@ func (c *Conn) Bind(consumer, producer *Wake) {
 	consumer.ins = append(consumer.ins, c)
 	producer.outs = append(producer.outs, c)
 }
+
+// BindDirect makes the connection direct: each page the producer publishes is
+// handed to deliver on the producer's goroutine, which waits on producer, and
+// deliver may neither keep the page nor put into this connection. Control
+// flows upstream as on a ring. Call before the connection is used, instead of
+// Bind.
+func (c *Conn) BindDirect(producer *Wake, deliver func(*Page)) {
+	c.prod, c.deliver, c.ring = producer, deliver, nil
+	producer.outs = append(producer.outs, c)
+}
+
+// Direct reports whether the connection is direct (BindDirect): depth, parks
+// and yields do not apply to it.
+func (c *Conn) Direct() bool { return c.deliver != nil }
 
 // BindAliases makes every page the producer fills adopt the slabs a names at
 // the moment of the put. Call before the connection is used.
@@ -372,6 +389,10 @@ func (c *Conn) PutBarrier(epoch int64) {
 func (c *Conn) push(forced bool) {
 	p := c.cur
 	c.pages.Add(1)
+	if c.deliver != nil {
+		c.handOff(p)
+		return
+	}
 	c.mu.Lock()
 	for c.n == len(c.ring) && !c.aborted {
 		c.prodArmed = true
@@ -402,11 +423,27 @@ func (c *Conn) push(forced bool) {
 	c.cur = GetPage(c.opts.PageSize)
 }
 
+// handOff is push on a direct edge: the consumer processes the page before it
+// returns, and the page, emptied, is the next one to fill. Both ends run on
+// one goroutine, so nothing is locked and nothing waits; a consumer that has
+// aborted is handed nothing.
+//
+//pace:hotpath
+func (c *Conn) handOff(p *Page) {
+	if !c.aborted {
+		c.deliver(p)
+	}
+	p.Reset()
+}
+
 // kick wakes a consumer that parked on this ring before the pages now in it
 // were published (see Wake.Kick).
 //
 //pace:hotpath
 func (c *Conn) kick() {
+	if c.deliver != nil {
+		return
+	}
 	c.mu.Lock()
 	wake := c.consArmed && c.n > 0
 	if wake {

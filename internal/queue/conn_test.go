@@ -52,6 +52,69 @@ func TestConnPreservesOrder(t *testing.T) {
 	}
 }
 
+// TestDirectHandOff: a direct edge hands every page its producer publishes —
+// full, ended by punctuation, or the EOS page — to the consumer inside the put
+// that published it, in order and on the producer's goroutine; nothing is
+// queued, an aborted consumer is handed nothing, and the steady-state handoff
+// allocates nothing.
+func TestDirectHandOff(t *testing.T) {
+	c := New(Options{PageSize: 4})
+	var got []Item
+	pages := 0
+	c.BindDirect(NewWake(), func(p *Page) {
+		pages++
+		for _, it := range p.Items {
+			it.Tuple = it.Tuple.Clone()
+			got = append(got, it)
+		}
+	})
+	for i := int64(0); i < 6; i++ {
+		c.PutTuple(tupleOf(i))
+	}
+	if pages != 1 || len(got) != 4 || c.Depth() != 0 || !c.Direct() {
+		t.Fatalf("after 6 tuples on 4-item pages: %d pages, %d items delivered, depth %d", pages, len(got), c.Depth())
+	}
+	c.PutPunct(punctLE(5))
+	if pages != 2 || len(got) != 7 || got[6].Kind != ItemPunct {
+		t.Fatalf("punctuation must hand its page over at once: %d pages, %d items", pages, len(got))
+	}
+	c.PutTuple(tupleOf(6))
+	c.CloseSend()
+	if pages != 3 || len(got) != 9 || got[8].Kind != ItemEOS {
+		t.Fatalf("EOS page: %d pages, %d items", pages, len(got))
+	}
+	for i, want := range []int64{0, 1, 2, 3, 4, 5, -1, 6} { // -1: the punctuation
+		if it := got[i]; want >= 0 && (it.Kind != ItemTuple || it.Tuple.At(0).AsInt() != want) {
+			t.Errorf("item %d: %+v, want tuple %d", i, it, want)
+		}
+	}
+	if st := c.Stats(); st.Pages != 3 || st.Tuples != 7 || st.Puncts != 1 {
+		t.Errorf("stats: %+v", st)
+	}
+
+	aborted := New(Options{PageSize: 4})
+	handed := 0
+	aborted.BindDirect(NewWake(), func(*Page) { handed++ })
+	aborted.Abort()
+	for i := int64(0); i < 8; i++ {
+		aborted.PutTuple(tupleOf(i))
+	}
+	if handed != 0 {
+		t.Errorf("an aborted consumer was handed %d pages", handed)
+	}
+
+	steady := New(Options{PageSize: 64})
+	steady.BindDirect(NewWake(), func(*Page) {})
+	tup := tupleOf(1)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			steady.PutTuple(tup)
+		}
+	}); allocs != 0 {
+		t.Errorf("a page through a direct edge allocates %.1f times", allocs)
+	}
+}
+
 func TestConnPunctuationFlushesPage(t *testing.T) {
 	c := New(Options{PageSize: 1000})
 	done := make(chan struct{})

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -119,6 +120,29 @@ type EdgeStat struct {
 	// waiter polled.
 	ConsumerYields int64 `json:"consumer_yields"`
 	ProducerYields int64 `json:"producer_yields"`
+	// Direct marks a chained edge: its consumer runs on the producer's
+	// goroutine, so the queue depth and the park and yield counts do not
+	// apply, and neither /statusz nor /metrics reports them.
+	Direct bool `json:"direct,omitempty"`
+}
+
+// MarshalJSON leaves out of a direct edge the fields that do not apply to it,
+// rather than zeros that read as "never waited".
+func (e EdgeStat) MarshalJSON() ([]byte, error) {
+	type fields EdgeStat
+	if !e.Direct {
+		return json.Marshal(fields(e))
+	}
+	// The shallower fields win over the embedded ones of the same name, and
+	// nil ones are omitted.
+	return json.Marshal(struct {
+		fields
+		Depth          *int   `json:"queue_depth_pages,omitempty"`
+		ConsumerParks  *int64 `json:"consumer_parks,omitempty"`
+		ProducerParks  *int64 `json:"producer_parks,omitempty"`
+		ConsumerYields *int64 `json:"consumer_yields,omitempty"`
+		ProducerYields *int64 `json:"producer_yields,omitempty"`
+	}{fields: fields(e)})
 }
 
 // nodeEntry is one registered node: identity, hot-path metrics, and the
@@ -297,21 +321,23 @@ var nodeCounters = []struct {
 	{"pace_node_barriers_in_total", "Checkpoint barriers processed.", func(m *NodeMetrics) int64 { return m.BarriersIn.Load() }},
 }
 
-// edgeCounter describes one EdgeStat field for exposition.
+// edgeCounter describes one EdgeStat field for exposition; ring marks the
+// ones a direct edge does not have.
 var edgeCounters = []struct {
 	name, help string
 	kind       VarKind
+	ring       bool
 	load       func(EdgeStat) int64
 }{
-	{"pace_edge_tuples_total", "Tuples delivered on the edge.", Counter, func(e EdgeStat) int64 { return e.Tuples }},
-	{"pace_edge_puncts_total", "Punctuations delivered on the edge (each flushes its page).", Counter, func(e EdgeStat) int64 { return e.Puncts }},
-	{"pace_edge_pages_total", "Pages transferred on the edge.", Counter, func(e EdgeStat) int64 { return e.Pages }},
-	{"pace_edge_controls_total", "Control messages (feedback/shutdown) on the edge.", Counter, func(e EdgeStat) int64 { return e.Controls }},
-	{"pace_edge_queue_depth_pages", "Pages currently buffered in the edge queue.", Gauge, func(e EdgeStat) int64 { return int64(e.Depth) }},
-	{"pace_edge_consumer_parks_total", "Times the consumer blocked with the edge queue empty (waiting for input).", Counter, func(e EdgeStat) int64 { return e.ConsumerParks }},
-	{"pace_edge_producer_parks_total", "Times the producer blocked with the edge queue full (blocked on output).", Counter, func(e EdgeStat) int64 { return e.ProducerParks }},
-	{"pace_edge_consumer_yields_total", "Waits of the consumer on the empty edge queue that ended without blocking.", Counter, func(e EdgeStat) int64 { return e.ConsumerYields }},
-	{"pace_edge_producer_yields_total", "Waits of the producer on the full edge queue that ended without blocking.", Counter, func(e EdgeStat) int64 { return e.ProducerYields }},
+	{"pace_edge_tuples_total", "Tuples delivered on the edge.", Counter, false, func(e EdgeStat) int64 { return e.Tuples }},
+	{"pace_edge_puncts_total", "Punctuations delivered on the edge (each flushes its page).", Counter, false, func(e EdgeStat) int64 { return e.Puncts }},
+	{"pace_edge_pages_total", "Pages transferred on the edge.", Counter, false, func(e EdgeStat) int64 { return e.Pages }},
+	{"pace_edge_controls_total", "Control messages (feedback/shutdown) on the edge.", Counter, false, func(e EdgeStat) int64 { return e.Controls }},
+	{"pace_edge_queue_depth_pages", "Pages currently buffered in the edge queue.", Gauge, true, func(e EdgeStat) int64 { return int64(e.Depth) }},
+	{"pace_edge_consumer_parks_total", "Times the consumer blocked with the edge queue empty (waiting for input).", Counter, true, func(e EdgeStat) int64 { return e.ConsumerParks }},
+	{"pace_edge_producer_parks_total", "Times the producer blocked with the edge queue full (blocked on output).", Counter, true, func(e EdgeStat) int64 { return e.ProducerParks }},
+	{"pace_edge_consumer_yields_total", "Waits of the consumer on the empty edge queue that ended without blocking.", Counter, true, func(e EdgeStat) int64 { return e.ConsumerYields }},
+	{"pace_edge_producer_yields_total", "Waits of the producer on the full edge queue that ended without blocking.", Counter, true, func(e EdgeStat) int64 { return e.ProducerYields }},
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
@@ -368,7 +394,9 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			"label": e.Label,
 		})
 		for _, c := range edgeCounters {
-			add(c.name, c.help, c.kind, lbl, c.load(e))
+			if !c.ring || !e.Direct {
+				add(c.name, c.help, c.kind, lbl, c.load(e))
+			}
 		}
 	}
 
