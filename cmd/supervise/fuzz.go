@@ -9,9 +9,10 @@
 //     clean (fault-free) run's digest, computed once per mode up front;
 //  2. chain-aware restorability — after the run, every committed
 //     DistManifest is restored and replayed to completion in-process, and
-//     each replay's digest must again equal the clean digest. A lineage the schedule
-//     corrupted may be skipped (that is the degradation contract); a
-//     corrupt lineage with no scheduled corruption fault is a bug.
+//     each replay's digest must again equal the clean digest. An epoch whose
+//     snapshot the schedule corrupted may be skipped (that is the
+//     degradation contract); a corrupt snapshot with no scheduled
+//     corruption fault is a bug.
 //
 // A failure prints the seed and its schedule; re-running with the same
 // seed replays the same schedule — one-command reproduction.
@@ -149,9 +150,7 @@ func superviseArgs(o options, dir string, seed uint64, dist bool) []string {
 	args := []string{
 		"-dir", dir,
 		"-interval", o.interval.String(),
-		"-full-every", fmt.Sprint(o.fullEvery),
 		"-retain", fmt.Sprint(o.retain),
-		"-compact-every", fmt.Sprint(o.compactEvery),
 		"-parts", fmt.Sprint(o.parts),
 		"-minutes", fmt.Sprint(o.minutes),
 		"-max-restarts", fmt.Sprint(o.maxRestarts),
@@ -194,7 +193,7 @@ func superviseRun(self string, o options, dir string, seed uint64, dist bool) (s
 // restores each process's share of the plan at its epoch and replays to the
 // clean digest. The first part is the coordinating one: its backend holds
 // the manifest log beside its chain, and it is where schedules aim their
-// corruption faults, so only there is a corrupt manifest or lineage
+// corruption faults, so only there is a corrupt manifest or snapshot
 // skippable — and only when the schedule injected one.
 func verifyCommitted(o options, dir string, dist bool, want string, p *chaos.Plan) (verified, skipped int, err error) {
 	parts := []string{roleChild.part}
@@ -268,11 +267,11 @@ func replay(o options, dist bool, chains []*snapshot.Chain, epoch int64) (string
 		if err := b.Err(); err != nil {
 			return "", err
 		}
-		snaps, err := chains[i].ChainFor(epoch)
+		snap, err := chains[i].ChainFor(epoch)
 		if err != nil {
 			return "", fmt.Errorf("part %d epoch %d: %w", i, epoch, err)
 		}
-		if err := b.Graph().RestoreChain(snaps); err != nil {
+		if err := b.Graph().RestoreChain(snap); err != nil {
 			return "", fmt.Errorf("part %d epoch %d: %w", i, epoch, err)
 		}
 	}

@@ -26,7 +26,7 @@ type incarnation struct {
 // the distributed protocol with nobody to wait for, not a second path.
 func TestLocalPlanIsTheProtocolWithZeroFollowers(t *testing.T) {
 	o := options{parts: 2, minutes: 10, fuse: true}
-	policy := execpkg.CheckpointPolicy{Interval: 10 * time.Millisecond, FullEvery: 3, Retain: 3}
+	policy := execpkg.CheckpointPolicy{Interval: 10 * time.Millisecond, Retain: 3}
 
 	bRef, sinkRef := buildPlan(o)
 	if err := bRef.Run(); err != nil {

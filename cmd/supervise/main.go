@@ -64,9 +64,7 @@ import (
 type options struct {
 	dir          string
 	interval     time.Duration
-	fullEvery    int
 	retain       int
-	compactEvery int
 	parts        int
 	minutes      int
 	crashAfter   int
@@ -102,9 +100,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.dir, "dir", "", "checkpoint chain directory (required)")
 	flag.DurationVar(&o.interval, "interval", 50*time.Millisecond, "checkpoint interval")
-	flag.IntVar(&o.fullEvery, "full-every", 4, "every k-th checkpoint is a full snapshot (others are deltas)")
 	flag.IntVar(&o.retain, "retain", 4, "keep the newest N epochs (0 = all)")
-	flag.IntVar(&o.compactEvery, "compact-every", 0, "pack the chain every k checkpoints (0 = never)")
 	flag.IntVar(&o.parts, "parts", 2, "aggregate partitions")
 	flag.IntVar(&o.minutes, "minutes", 30, "stream-minutes of synthetic traffic to process")
 	flag.IntVar(&o.crashAfter, "crash-after-epochs", 0, "SIGKILL the first incarnation after N durable epochs (0 = never)")
@@ -224,9 +220,7 @@ func (o options) childArgs(role string) []string {
 	args := []string{"-child",
 		"-dir", o.dir,
 		"-interval", o.interval.String(),
-		"-full-every", fmt.Sprint(o.fullEvery),
 		"-retain", fmt.Sprint(o.retain),
-		"-compact-every", fmt.Sprint(o.compactEvery),
 		"-parts", fmt.Sprint(o.parts),
 		"-minutes", fmt.Sprint(o.minutes),
 		"-fuse=" + fmt.Sprint(o.fuse),
@@ -378,8 +372,8 @@ func armKills(p *chaos.Plan, part string, inc int, progress func() (int64, bool)
 	}
 }
 
-// logSkips reports restore degradation: epochs whose stored lineage was
-// corrupt and were skipped in favor of an older intact cut.
+// logSkips reports restore degradation: epochs whose stored snapshot or
+// manifest was corrupt and were skipped in favor of an older intact cut.
 func logSkips(who string, skipped []snapshot.Fallback) {
 	for _, sk := range skipped {
 		logEvent(who+" restore degraded: skipped corrupt epoch", "epoch", sk.Epoch, "err", sk.Err)
@@ -508,12 +502,7 @@ func runCoordinator(o options, r coordRole, b *plan.Builder, followers ...net.Co
 }
 
 func policyOf(o options) execpkg.CheckpointPolicy {
-	return execpkg.CheckpointPolicy{
-		Interval:     o.interval,
-		FullEvery:    o.fullEvery,
-		Retain:       o.retain,
-		CompactEvery: o.compactEvery,
-	}
+	return execpkg.CheckpointPolicy{Interval: o.interval, Retain: o.retain}
 }
 
 // Connection tags: the follower dials the coordinator twice on one port and

@@ -171,11 +171,10 @@ func main() {
 		log.Fatal(err)
 	}
 	took := time.Since(start)
-	snaps, err := chain.ChainFor(epoch)
+	snap, err := chain.ChainFor(epoch)
 	if err != nil {
 		log.Fatal(err)
 	}
-	snap := snaps[0]
 	fmt.Printf("checkpoint: epoch %d, %d nodes, %d bytes, took %v (results so far: %d)\n",
 		snap.Epoch, len(snap.Nodes), snap.Size(), took.Round(time.Microsecond), sink1.Count())
 

@@ -213,7 +213,7 @@ func runPair(items []queue.Item, st *stores, kill func(log *snapshot.DistLog) bo
 	go func() {
 		defer wg.Done()
 		coordErr, _ = dc.RunCheckpointed(exec.CheckpointPolicy{
-			Interval: 5 * time.Millisecond, FullEvery: 3, Retain: 4,
+			Interval: 5 * time.Millisecond, Retain: 4,
 		})
 	}()
 

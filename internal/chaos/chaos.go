@@ -358,7 +358,7 @@ func (p *Plan) forPart(part string, inc int, target Target, kinds ...FaultKind) 
 // (torn or bit-flipped writes) into the named part — the only way a blob
 // can be corrupt after a run, since the Dir backend's temp-file + rename
 // Put is atomic even under SIGKILL. Verifiers use it to decide whether a
-// corrupt lineage is an expected degradation or a bug.
+// corrupt snapshot is an expected degradation or a bug.
 func (p *Plan) SchedulesCorruption(part string) bool {
 	if p == nil {
 		return false

@@ -18,14 +18,11 @@ import (
 // a cheap consistent view of its state (snapshot.Stater) and the barrier
 // releases immediately; serialization and the chain write happen afterwards
 // on a background goroutine, so the stall a checkpoint imposes on the
-// pipeline does not scale with state size. Checkpoints can also be
-// incremental: CaptureDelta asks every node for only the state changed
-// since the previous capture, and the resulting snapshot chains off its
-// predecessor (snapshot.Chain).
+// pipeline does not scale with state size. Every cut is full: one snapshot
+// restores its epoch on its own (DESIGN.md §7).
 //
-// RestoreChain stages a base+delta chain on a freshly *rebuilt* plan; each
-// node's LoadState (then ApplyDelta per delta) runs right after its Open,
-// before any data.
+// RestoreChain stages one snapshot on a freshly *rebuilt* plan; each node's
+// LoadState runs right after its Open, before any data.
 
 // ErrKilled is the error Run returns after Kill: the graph was stopped
 // mid-stream deliberately (crash simulation, operator-initiated teardown).
@@ -34,8 +31,9 @@ var ErrKilled = errors.New("exec: graph killed")
 // CheckpointStatus reports one checkpoint's outcome; failed background
 // encodes/writes surface here.
 type CheckpointStatus struct {
-	// Epoch identifies the checkpoint; Base is the epoch it chains from
-	// (0 for a full snapshot).
+	// Epoch identifies the checkpoint. Base is always 0: every cut is full.
+	// It stays for callers written when a cut could chain from an earlier
+	// epoch.
 	Epoch, Base int64
 	// Err is the first failure — a capture error, a node death during
 	// alignment, an encode error, or a chain-write error; nil means the
@@ -54,8 +52,6 @@ type CheckpointStatus struct {
 // inflight is one in-progress checkpoint.
 type inflight struct {
 	epoch int64
-	base  int64 // delta parent epoch; 0 for full
-	mode  snapshot.CaptureMode
 	chain *snapshot.Chain // where the finisher persists the epoch
 
 	pending  map[NodeID]bool             // nodes that have not cut yet
@@ -124,11 +120,11 @@ func (g *Graph) recordStatusLocked(st CheckpointStatus) {
 // was already taken — completed or superseded — and there is nothing to
 // wait for. The outcome is readable via checkpointStatus once the channel
 // closes.
-func (g *Graph) checkpointAt(epoch int64, mode snapshot.CaptureMode, chain *snapshot.Chain) (<-chan struct{}, error) {
+func (g *Graph) checkpointAt(epoch int64, chain *snapshot.Chain) (<-chan struct{}, error) {
 	if epoch <= 0 {
 		return nil, fmt.Errorf("exec: checkpoint: non-positive epoch %d", epoch)
 	}
-	c, err := g.trigger(epoch, mode, chain)
+	c, err := g.trigger(epoch, chain)
 	if err != nil || c == nil {
 		return nil, err
 	}
@@ -144,7 +140,7 @@ func (g *Graph) checkpointAt(epoch int64, mode snapshot.CaptureMode, chain *snap
 // one returns (nil, nil), and a forced epoch newer than a still-active one
 // supersedes it (the coordinator has already abandoned the older epoch: its
 // ack can no longer matter, and holding its alignment would wedge the plan).
-func (g *Graph) trigger(forceEpoch int64, mode snapshot.CaptureMode, chain *snapshot.Chain) (*inflight, error) {
+func (g *Graph) trigger(forceEpoch int64, chain *snapshot.Chain) (*inflight, error) {
 	g.chkMu.Lock()
 	if !g.running {
 		g.chkMu.Unlock()
@@ -176,12 +172,6 @@ func (g *Graph) trigger(forceEpoch int64, mode snapshot.CaptureMode, chain *snap
 		g.chkMu.Unlock()
 		return nil, nil
 	}
-	// A delta needs an intact parent: the first checkpoint, and the first
-	// after any failed or superseded epoch (whose captures drained the
-	// operators' changelogs), must be full.
-	if mode == snapshot.CaptureDelta && (g.lastCapEpoch == 0 || g.chainBroken) {
-		mode = snapshot.CaptureFull
-	}
 	if forceEpoch != 0 {
 		g.chkEpoch = forceEpoch
 	} else {
@@ -189,20 +179,11 @@ func (g *Graph) trigger(forceEpoch int64, mode snapshot.CaptureMode, chain *snap
 	}
 	c := &inflight{
 		epoch:    g.chkEpoch,
-		mode:     mode,
 		chain:    chain,
 		pending:  make(map[NodeID]bool, len(g.liveNodes)),
 		cuts:     make(map[NodeID]snapshot.Capture),
 		done:     make(chan struct{}),
 		prevDone: g.lastFinish,
-	}
-	// A delta's content is relative to the previous *capture* — the
-	// operators drained their changelogs into it — which may still be
-	// encoding in the background. If that parent epoch later fails to
-	// assemble or persist, the ordered finisher chain fails this one too
-	// (see finishCheckpoint's parent check).
-	if mode == snapshot.CaptureDelta {
-		c.base = g.lastCapEpoch
 	}
 	g.lastFinish = c.done
 	for id := range g.liveNodes {
@@ -222,7 +203,7 @@ func (g *Graph) trigger(forceEpoch int64, mode snapshot.CaptureMode, chain *snap
 			}
 			continue
 		}
-		cut, err := captureNode(n, c.mode)
+		cut, err := captureNode(n)
 		if err != nil && c.err == nil {
 			c.err = err
 		}
@@ -231,7 +212,6 @@ func (g *Graph) trigger(forceEpoch int64, mode snapshot.CaptureMode, chain *snap
 	g.chkWG.Add(1)
 	g.recordEpoch("trigger", c.epoch, "", 0, nil)
 	if len(c.pending) == 0 {
-		g.lastCapEpoch = c.epoch
 		go g.finishCheckpoint(c)
 		g.chkMu.Unlock()
 		return c, nil
@@ -254,17 +234,14 @@ func (g *Graph) retirePending() {
 }
 
 // supersedeLocked abandons the active checkpoint because a newer remote
-// epoch arrived. Some nodes may already have drained their changelogs into
-// the lost captures, so the next incremental checkpoint upgrades to full.
-// The stale epoch's barriers may still be draining; the runners lift their
-// freezes via alignmentStale. Called with chkMu held.
+// epoch arrived. The stale epoch's barriers may still be draining; the
+// runners lift their freezes via alignmentStale. Called with chkMu held.
 func (g *Graph) supersedeLocked(newer int64) {
 	c := g.activeChk
 	g.activeChk = nil
 	g.retirePending()
-	g.chainBroken = true
 	g.recordStatusLocked(CheckpointStatus{
-		Epoch: c.epoch, Base: c.base, BarrierHold: c.hold,
+		Epoch: c.epoch, BarrierHold: c.hold,
 		Err: fmt.Errorf("exec: checkpoint %d superseded by remote epoch %d before completing", c.epoch, newer),
 	})
 	g.recordEpoch("abandon", c.epoch, "", c.hold,
@@ -296,7 +273,6 @@ func (g *Graph) ackNode(id NodeID, epoch int64, cut snapshot.Capture, err error,
 	if len(c.pending) == 0 {
 		g.activeChk = nil
 		g.retirePending()
-		g.lastCapEpoch = c.epoch
 		// Every node has cut: the barrier phase is over. hold is now the
 		// longest single-node capture — the checkpoint's pipeline stall.
 		g.recordEpoch("barrier-hold", epoch, "", c.hold, nil)
@@ -315,22 +291,10 @@ func (g *Graph) finishCheckpoint(c *inflight) {
 	}
 	start := time.Now()
 	err := c.err
-	if err == nil && c.base != 0 {
-		// Finishers run in epoch order, so the parent capture has finished
-		// by now; if it failed to assemble or persist, this delta's
-		// baseline is gone and the epoch must fail with it (the next
-		// trigger then upgrades to full via chainBroken).
-		g.chkMu.Lock()
-		if g.lastDoneEpoch != c.base {
-			err = fmt.Errorf("exec: checkpoint %d: delta parent epoch %d was lost (last durable epoch %d)",
-				c.epoch, c.base, g.lastDoneEpoch)
-		}
-		g.chkMu.Unlock()
-	}
 	var snap *snapshot.Snapshot
 	bytes := 0
 	if err == nil {
-		snap = &snapshot.Snapshot{Epoch: c.epoch, Base: c.base}
+		snap = &snapshot.Snapshot{Epoch: c.epoch}
 		for _, n := range g.nodes {
 			cut := c.cuts[n.id]
 			ns := snapshot.NodeState{ID: int(n.id), Name: n.name()}
@@ -344,7 +308,6 @@ func (g *Graph) finishCheckpoint(c *inflight) {
 					err = fmt.Errorf("exec: node %q: encode state: %w", n.name(), berr)
 				}
 				ns.State = blob
-				ns.Delta = cut.Delta
 			}
 			bytes += len(ns.State)
 			snap.Nodes = append(snap.Nodes, ns)
@@ -356,8 +319,7 @@ func (g *Graph) finishCheckpoint(c *inflight) {
 		persistStart := time.Now()
 		_, werr := c.chain.Put(snap)
 		// A write-behind backend has only enqueued the write; the epoch
-		// counts as persisted — and may serve as a delta parent — only
-		// once it is durably applied.
+		// counts as persisted only once it is durably applied.
 		if f, ok := c.chain.Backend().(snapshot.Flusher); ok && werr == nil {
 			werr = f.Flush()
 		}
@@ -367,16 +329,8 @@ func (g *Graph) finishCheckpoint(c *inflight) {
 		g.recordEpoch("persist", c.epoch, "", time.Since(persistStart), werr)
 	}
 	g.chkMu.Lock()
-	if err == nil {
-		g.lastDoneEpoch = c.epoch
-		if c.base == 0 {
-			g.chainBroken = false
-		}
-	} else {
-		g.chainBroken = true
-	}
 	g.recordStatusLocked(CheckpointStatus{
-		Epoch: c.epoch, Base: c.base, Err: err, BarrierHold: c.hold, Encode: encodeDur, Bytes: bytes,
+		Epoch: c.epoch, Err: err, BarrierHold: c.hold, Encode: encodeDur, Bytes: bytes,
 	})
 	if err == nil {
 		g.recordEpoch("commit", c.epoch, "", 0, nil)
@@ -400,7 +354,7 @@ func (g *Graph) cutNode(n *node, epoch int64) {
 		return
 	}
 	start := time.Now()
-	cut, err := captureNode(n, c.mode)
+	cut, err := captureNode(n)
 	g.ackNode(n.id, epoch, cut, err, time.Since(start))
 }
 
@@ -441,7 +395,7 @@ func (g *Graph) nodeExit(n *node, runErr error) {
 		// The active checkpoint is waiting on this node's ack; it is
 		// quiescent now, so capture on the exiting goroutine.
 		start := time.Now()
-		cut, err := captureNode(n, c.mode)
+		cut, err := captureNode(n)
 		g.ackNode(n.id, c.epoch, cut, err, time.Since(start))
 	}
 }
@@ -459,7 +413,7 @@ func (n *node) stater() snapshot.Stater {
 // captureNode takes one node's phase-1 capture: a view of its state, encoded
 // later off the barrier. A node that is not a Stater contributes nothing; one
 // whose capture panics fails the checkpoint, not the caller.
-func captureNode(n *node, mode snapshot.CaptureMode) (cut snapshot.Capture, err error) {
+func captureNode(n *node) (cut snapshot.Capture, err error) {
 	st := n.stater()
 	if st == nil {
 		return snapshot.Capture{}, nil
@@ -470,75 +424,31 @@ func captureNode(n *node, mode snapshot.CaptureMode) (cut snapshot.Capture, err 
 		}
 	}()
 	defer recoverPanic(&err)
-	return st.CaptureState(mode)
+	return st.CaptureState(snapshot.CaptureFull)
 }
 
-// stagedState is the restore payload for one node: a complete base blob
-// plus delta blobs to apply in order.
-type stagedState struct {
-	full   []byte
-	deltas [][]byte
-}
-
-// RestoreChain stages a base-first snapshot chain: each node's LoadState
-// runs on the base blob immediately after its Open, then ApplyDelta on
-// every delta blob, all before any data. The plan must be rebuilt
+// RestoreChain stages one snapshot: each node's LoadState runs on its blob
+// immediately after its Open, before any data. The plan must be rebuilt
 // identically (same node order and names); prepare validates the match.
-func (g *Graph) RestoreChain(snaps []*snapshot.Snapshot) error {
+func (g *Graph) RestoreChain(snap *snapshot.Snapshot) error {
 	if g.prepared {
 		return fmt.Errorf("exec: restore: graph already run")
 	}
-	if len(snaps) == 0 {
-		return fmt.Errorf("exec: restore: empty snapshot chain")
-	}
-	if !snaps[0].IsFull() {
-		return fmt.Errorf("exec: restore: chain starts at delta epoch %d (base %d missing)",
-			snaps[0].Epoch, snaps[0].Base)
-	}
-	staged := make(map[NodeID]stagedState, len(snaps[0].Nodes))
-	names := make(map[NodeID]string, len(snaps[0].Nodes))
-	prevEpoch := int64(0)
-	for si, s := range snaps {
-		if si > 0 && s.Base != prevEpoch {
-			return fmt.Errorf("exec: restore: epoch %d chains from %d but follows %d", s.Epoch, s.Base, prevEpoch)
+	staged := make(map[NodeID][]byte, len(snap.Nodes))
+	names := make(map[NodeID]string, len(snap.Nodes))
+	for _, ns := range snap.Nodes {
+		id := NodeID(ns.ID)
+		if _, dup := names[id]; dup {
+			return fmt.Errorf("exec: restore: snapshot %d lists node %d twice", snap.Epoch, ns.ID)
 		}
-		prevEpoch = s.Epoch
-		seen := make(map[NodeID]bool, len(s.Nodes))
-		for _, ns := range s.Nodes {
-			id := NodeID(ns.ID)
-			if seen[id] {
-				return fmt.Errorf("exec: restore: snapshot %d lists node %d twice", s.Epoch, ns.ID)
-			}
-			seen[id] = true
-			if prev, ok := names[id]; ok && prev != ns.Name {
-				return fmt.Errorf("exec: restore: node %d is %q at epoch %d but %q earlier in the chain",
-					ns.ID, ns.Name, s.Epoch, prev)
-			}
-			names[id] = ns.Name
-			st := staged[id]
-			if ns.Delta {
-				if len(ns.State) > 0 {
-					st.deltas = append(st.deltas, ns.State)
-				}
-			} else {
-				st = stagedState{full: ns.State}
-			}
-			st.deltas = append(st.deltas, ns.Deltas...)
-			staged[id] = st
-		}
-		if si > 0 && len(seen) != len(names) {
-			return fmt.Errorf("exec: restore: epoch %d covers %d nodes but the chain has %d", s.Epoch, len(seen), len(names))
-		}
+		names[id] = ns.Name
+		staged[id] = ns.State
 	}
 	g.staged = staged
 	g.stagedNames = names
-	// Resume epoch numbering and delta lineage from the restored cut, so a
-	// recovered run's checkpoints extend the same chain instead of
-	// colliding with it.
-	last := snaps[len(snaps)-1].Epoch
-	g.chkEpoch = last
-	g.lastCapEpoch = last
-	g.lastDoneEpoch = last
+	// Resume epoch numbering from the restored cut, so a recovered run's
+	// checkpoints extend the same chain instead of colliding with it.
+	g.chkEpoch = snap.Epoch
 	return nil
 }
 
@@ -564,46 +474,28 @@ func (g *Graph) checkStaged() error {
 	return nil
 }
 
-// restoreNode applies a node's staged base+deltas; called by the runner
-// right after Open, before any data or feedback is delivered.
+// restoreNode loads a node's staged blob; called by the runner right after
+// Open, before any data or feedback is delivered. A blob must be read whole:
+// bytes left over mean its writer and its reader disagree on the layout.
 func (g *Graph) restoreNode(n *node) error {
-	st := g.staged[n.id]
-	if len(st.full) == 0 && len(st.deltas) == 0 {
+	blob := g.staged[n.id]
+	if len(blob) == 0 {
 		return nil
 	}
 	sp := n.stater()
 	if sp == nil {
 		return fmt.Errorf("exec: restore: node %q carries state but does not implement snapshot.Stater", n.name())
 	}
-	if len(st.full) == 0 {
-		return fmt.Errorf("exec: restore: node %q has delta state but no base (broken chain)", n.name())
+	dec := snapshot.NewDecoder(blob)
+	err := sp.LoadState(dec)
+	if err == nil {
+		err = dec.Err()
 	}
-	// A blob must be read whole: bytes left over mean its writer and its
-	// reader disagree on the layout.
-	load := func(blob []byte, read func(*snapshot.Decoder) error) error {
-		dec := snapshot.NewDecoder(blob)
-		err := read(dec)
-		if err == nil {
-			err = dec.Err()
-		}
-		if err == nil && dec.Remaining() > 0 {
-			err = fmt.Errorf("%d bytes left unread (a blob of another layout)", dec.Remaining())
-		}
-		return err
+	if err == nil && dec.Remaining() > 0 {
+		err = fmt.Errorf("%d bytes left unread (a blob of another layout)", dec.Remaining())
 	}
-	if err := load(st.full, sp.LoadState); err != nil {
+	if err != nil {
 		return fmt.Errorf("exec: restore: node %q: %w", n.name(), err)
-	}
-	for i, blob := range st.deltas {
-		ds, ok := sp.(interface {
-			ApplyDelta(*snapshot.Decoder) error
-		})
-		if !ok {
-			return fmt.Errorf("exec: restore: node %q carries delta state but has no ApplyDelta", n.name())
-		}
-		if err := load(blob, ds.ApplyDelta); err != nil {
-			return fmt.Errorf("exec: restore: node %q delta %d: %w", n.name(), i, err)
-		}
 	}
 	return nil
 }

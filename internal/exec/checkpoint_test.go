@@ -2,6 +2,8 @@ package exec
 
 import (
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -29,11 +31,11 @@ func cut(t testing.TB, dc *DistCoordinator, chain *snapshot.Chain, mode snapshot
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := chain.ChainFor(epoch)
+	snap, err := chain.ChainFor(epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return snaps[len(snaps)-1]
+	return snap
 }
 
 // restoreLocal stages the newest cut committed to backend on a rebuilt g.
@@ -330,7 +332,7 @@ func TestRestoreValidatesPlanShape(t *testing.T) {
 	g := NewGraph()
 	sid := g.AddSource(NewSliceSource("other", oneInt, intTuple(1)))
 	g.Add(NewCollector("sink", oneInt), From(sid))
-	if err := g.RestoreChain([]*snapshot.Snapshot{snap}); err != nil {
+	if err := g.RestoreChain(snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Run(); err == nil {
@@ -342,7 +344,7 @@ func TestRestoreValidatesPlanShape(t *testing.T) {
 	sid = g2.AddSource(NewSliceSource("src", oneInt, intTuple(1)))
 	mid := g2.Add(&passthrough{name: "mid"}, From(sid))
 	g2.Add(NewCollector("sink", oneInt), From(mid))
-	if err := g2.RestoreChain([]*snapshot.Snapshot{snap}); err != nil {
+	if err := g2.RestoreChain(snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := g2.Run(); err == nil {
@@ -356,22 +358,18 @@ func TestRestoreValidatesPlanShape(t *testing.T) {
 	if err := g3.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := g3.RestoreChain([]*snapshot.Snapshot{snap}); err == nil {
+	if err := g3.RestoreChain(snap); err == nil {
 		t.Fatal("restore into an already-run graph accepted")
 	}
 }
 
 // TestRestoreRefusesTrailingBytes: a node blob with a byte past what its
-// Stater reads — a full blob or a delta — fails the restore with an error
-// naming the node: its writer and its reader disagree on the layout.
+// Stater reads fails the restore with an error naming the node: its writer
+// and its reader disagree on the layout.
 func TestRestoreRefusesTrailingBytes(t *testing.T) {
-	encode := func(st snapshot.Stater, mode snapshot.CaptureMode) []byte {
-		c, err := st.CaptureState(mode)
-		if err != nil {
-			t.Fatal(err)
-		}
+	encode := func(st snapshot.Stater) []byte {
 		enc := snapshot.NewEncoder()
-		if err := c.Encode(enc); err != nil {
+		if err := snapshot.EncodeCapture(st, enc); err != nil {
 			t.Fatal(err)
 		}
 		blob, err := enc.Bytes()
@@ -385,35 +383,30 @@ func TestRestoreRefusesTrailingBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := NewCollector("sink", oneInt)
-	h := NewHarness(sink).Tuple(0, intTuple(1))
-	base := encode(sink, snapshot.CaptureFull)
-	h.Tuple(0, intTuple(2))
-	delta := encode(sink, snapshot.CaptureDelta)
-	srcBlob := encode(src, snapshot.CaptureFull)
+	NewHarness(sink).Tuple(0, intTuple(1))
+	srcBlob, sinkBlob := encode(src), encode(sink)
 
 	for _, tc := range []struct {
-		name         string
-		src, sink    []byte
-		deltas       [][]byte
-		node, reason string
+		node      string
+		src, sink []byte
 	}{
-		{"full", append(srcBlob, 0), base, nil, `"src"`, "1 byte"},
-		{"delta", srcBlob, base, [][]byte{append(delta, 0)}, `"sink" delta 0`, "1 byte"},
+		{`"src"`, append(srcBlob, 0), sinkBlob},
+		{`"sink"`, srcBlob, append(sinkBlob, 0)},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.node, func(t *testing.T) {
 			g := NewGraph()
 			sid := g.AddSource(NewSliceSource("src", oneInt, intTuple(1), intTuple(2)))
 			g.Add(NewCollector("sink", oneInt), From(sid))
 			snap := &snapshot.Snapshot{Epoch: 1, Nodes: []snapshot.NodeState{
 				{ID: 0, Name: "src", State: tc.src},
-				{ID: 1, Name: "sink", State: tc.sink, Deltas: tc.deltas},
+				{ID: 1, Name: "sink", State: tc.sink},
 			}}
-			if err := g.RestoreChain([]*snapshot.Snapshot{snap}); err != nil {
+			if err := g.RestoreChain(snap); err != nil {
 				t.Fatal(err)
 			}
 			err := g.Run()
-			if err == nil || !strings.Contains(err.Error(), tc.node) || !strings.Contains(err.Error(), tc.reason) {
-				t.Fatalf("restore of a blob with a trailing byte: %v, want an error naming %s and the %s left", err, tc.node, tc.reason)
+			if err == nil || !strings.Contains(err.Error(), tc.node) || !strings.Contains(err.Error(), "1 byte") {
+				t.Fatalf("restore of a blob with a trailing byte: %v, want an error naming %s and the 1 byte left", err, tc.node)
 			}
 		})
 	}
@@ -488,4 +481,366 @@ func (s *blockingSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, e
 func (s *blockingSource) LoadState(dec *snapshot.Decoder) error {
 	s.pos = dec.GetInt()
 	return dec.Err()
+}
+
+// limitedSource emits tuples up to an externally raised limit, then parks
+// live; it checkpoints its position (two-phase).
+type limitedSource struct {
+	schema stream.Schema
+	total  int64
+	limit  atomic.Int64
+	pos    atomic.Int64
+}
+
+func (s *limitedSource) Name() string                { return "limited" }
+func (s *limitedSource) OutSchemas() []stream.Schema { return []stream.Schema{s.schema} }
+func (s *limitedSource) Open(Context) error          { return nil }
+func (s *limitedSource) Close(Context) error         { return nil }
+func (s *limitedSource) ProcessFeedback(int, core.Feedback, Context) error {
+	return nil
+}
+
+func (s *limitedSource) Next(ctx Context) (bool, error) {
+	pos := s.pos.Load()
+	if pos >= s.total {
+		return false, nil
+	}
+	limit := s.limit.Load()
+	if limit > s.total {
+		limit = s.total
+	}
+	if pos >= limit {
+		time.Sleep(100 * time.Microsecond)
+		return true, nil
+	}
+	for n := 0; n < 16 && pos < limit; n++ {
+		ctx.Emit(stream.NewTuple(stream.Int(pos), stream.Int(pos*2)).WithSeq(pos))
+		pos++
+	}
+	s.pos.Store(pos)
+	return true, nil
+}
+
+// CaptureState implements snapshot.Stater.
+func (s *limitedSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	pos := s.pos.Load()
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		enc.PutInt64(pos)
+		return nil
+	}}, nil
+}
+
+// LoadState implements snapshot.Stater.
+func (s *limitedSource) LoadState(dec *snapshot.Decoder) error {
+	s.pos.Store(dec.GetInt64())
+	return dec.Err()
+}
+
+func (s *limitedSource) waitPos(t *testing.T, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); s.pos.Load() < want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("source stuck at %d/%d", s.pos.Load(), want)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+var incrSchema = stream.MustSchema(stream.F("a", stream.KindInt), stream.F("b", stream.KindInt))
+
+// slowCapSource is a source whose Encode blocks until released —
+// the probe for "the barrier does not wait for encoding".
+type slowCapSource struct {
+	limitedSource
+	encodeStarted chan struct{}
+	release       chan struct{}
+}
+
+// CaptureState implements snapshot.Stater.
+func (s *slowCapSource) CaptureState(snapshot.CaptureMode) (snapshot.Capture, error) {
+	pos := s.pos.Load()
+	return snapshot.Capture{Encode: func(enc *snapshot.Encoder) error {
+		select {
+		case s.encodeStarted <- struct{}{}:
+		default:
+		}
+		<-s.release
+		enc.PutInt64(pos)
+		return nil
+	}}, nil
+}
+
+// TestEncodeRunsOffTheBarrier: while a checkpoint's phase-2 encoding is
+// stuck, the stream must keep flowing — tuples emitted after the barrier
+// reach the sink before the snapshot exists.
+func TestEncodeRunsOffTheBarrier(t *testing.T) {
+	src := &slowCapSource{
+		limitedSource: limitedSource{schema: incrSchema, total: 100_000},
+		encodeStarted: make(chan struct{}, 1),
+		release:       make(chan struct{}),
+	}
+	src.limit.Store(1000)
+	sink := NewCollector("sink", incrSchema)
+	sink.Discard = true
+	g := NewGraph()
+	id := g.AddSource(src)
+	g.Add(sink, From(id))
+	runErr := make(chan error, 1)
+	go func() { runErr <- g.Run() }()
+	src.waitPos(t, 1000)
+
+	chain := snapshot.NewChain(snapshot.NewMemory())
+	c, err := g.trigger(0, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := c.epoch
+	select {
+	case <-src.encodeStarted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("encode never started")
+	}
+	// Encoding is now blocked. The stream must still make progress past
+	// the barrier.
+	src.limit.Store(5000)
+	src.waitPos(t, 5000)
+	if _, ok := g.checkpointStatus(epoch); ok {
+		t.Fatal("checkpoint reported done while its encode is still blocked")
+	}
+	// A second cut taken while the first still encodes persists after it:
+	// chain writes land in epoch order.
+	c2, err := g.trigger(0, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch2 := c2.epoch
+	close(src.release)
+	g.WaitCheckpoints()
+	st, ok := g.checkpointStatus(epoch)
+	if !ok || st.Err != nil {
+		t.Fatalf("checkpoint status after release: ok=%v %+v", ok, st)
+	}
+	if st2, ok := g.checkpointStatus(epoch2); !ok || st2.Err != nil {
+		t.Fatalf("second checkpoint status: ok=%v %+v", ok, st2)
+	}
+	if statuses := g.CheckpointStatuses(); len(statuses) != 2 || statuses[0].Epoch != epoch {
+		t.Fatalf("statuses %+v, want epoch %d finished first", statuses, epoch)
+	}
+	if latest, _, err := chain.LatestEpoch(); err != nil || latest != epoch2 {
+		t.Fatalf("chain latest = %d (%v), want %d", latest, err, epoch2)
+	}
+	if st.BarrierHold > time.Second {
+		t.Fatalf("barrier hold %v includes the blocked encode", st.BarrierHold)
+	}
+	g.Kill()
+	if err := <-runErr; !errors.Is(err, ErrKilled) {
+		t.Fatalf("killed run returned %v", err)
+	}
+}
+
+// flakyBackend refuses the writes refuse picks — a disk that loses one.
+type flakyBackend struct {
+	*snapshot.Memory
+	refuse func(id string) bool
+}
+
+func (f flakyBackend) Put(id string, data []byte) error {
+	if f.refuse(id) {
+		return fmt.Errorf("disk full writing %s", id)
+	}
+	return f.Memory.Put(id, data)
+}
+
+// digest folds a record's tuples, values and sequence numbers, in order,
+// into one number: two runs that record the same stream read the same.
+func digest(ts []stream.Tuple) uint32 {
+	var b []byte
+	for _, tp := range ts {
+		b = tp.AppendBinary(b)
+	}
+	return crc32.ChecksumIEEE(b)
+}
+
+// TestCheckpointAfterLostEpochs: every cut is full, so an epoch lost before
+// it committed — its write refused, or superseded by a newer epoch while a
+// node had not cut it — leaves nothing the next cut depends on. Whatever
+// was lost, the next committed epoch restores to the digest of the
+// uninterrupted run.
+func TestCheckpointAfterLostEpochs(t *testing.T) {
+	const total, first, stallAt, last = 400, 250, 300, 350
+	// build returns a plan whose source stops at first until its limit is
+	// raised. With stall set, the sink blocks inside the tuple of sequence
+	// stallAt, after closing stalled, until stall is closed: a node that
+	// cannot cut, so the epoch it owes stays pending.
+	build := func(open bool, stall, stalled chan struct{}) (*Graph, *limitedSource, *Collector) {
+		src := &limitedSource{schema: incrSchema, total: total}
+		src.limit.Store(first)
+		if open {
+			src.limit.Store(total)
+		}
+		sink := NewCollector("sink", incrSchema)
+		if stall != nil {
+			sink.OnTuple = func(tp stream.Tuple) {
+				if tp.Seq == stallAt {
+					close(stalled)
+					<-stall
+				}
+			}
+		}
+		g := NewGraph()
+		g.Add(sink, From(g.AddSource(src)))
+		return g, src, sink
+	}
+	gRef, _, sinkRef := build(true, nil, nil)
+	if err := gRef.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := digest(sinkRef.Tuples())
+
+	for _, tc := range []struct {
+		name              string
+		failed, supersede bool
+	}{
+		{name: "none lost"},
+		{name: "failed", failed: true},
+		{name: "failed then superseded", failed: true, supersede: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stall, stalled chan struct{}
+			if tc.supersede {
+				stall, stalled = make(chan struct{}), make(chan struct{})
+			}
+			g1, src1, _ := build(false, stall, stalled)
+			runErr := make(chan error, 1)
+			go func() { runErr <- g1.Run() }()
+			mem := snapshot.NewMemory()
+			dc, chain := local(g1, flakyBackend{mem, func(id string) bool { return tc.failed && id == snapshot.IDFor(2) }})
+			src1.waitPos(t, first)
+			epoch, err := dc.CheckpointOnce(snapshot.CaptureFull)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.failed {
+				if epoch, err = dc.CheckpointOnce(snapshot.CaptureFull); err == nil {
+					t.Fatalf("epoch %d over a refused write committed", epoch)
+				}
+			}
+			src1.limit.Store(last)
+			if tc.supersede {
+				<-stalled
+				pending, err := g1.checkpointAt(epoch+1, chain)
+				if err != nil || pending == nil {
+					t.Fatalf("epoch %d: %v", epoch+1, err)
+				}
+				newer, err := g1.checkpointAt(epoch+2, chain)
+				if err != nil || newer == nil {
+					t.Fatalf("epoch %d: %v", epoch+2, err)
+				}
+				<-pending
+				if st, _ := g1.checkpointStatus(epoch + 1); st.Err == nil || !strings.Contains(st.Err.Error(), "superseded") {
+					t.Fatalf("epoch %d: %+v, want superseded", epoch+1, st)
+				}
+				close(stall)
+				<-newer
+			}
+			src1.waitPos(t, last)
+			// Asked for as a delta, the cut is full all the same: it is all
+			// the restore below loads.
+			committed, err := dc.CheckpointOnce(snapshot.CaptureDelta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g1.Kill()
+			if err := <-runErr; !errors.Is(err, ErrKilled) {
+				t.Fatalf("killed run returned %v", err)
+			}
+
+			g2, _, sink2 := build(true, nil, nil)
+			if dc2 := restoreLocal(t, g2, mem); dc2.CommittedEpoch() != committed {
+				t.Fatalf("restored epoch %d, want %d", dc2.CommittedEpoch(), committed)
+			}
+			if err := g2.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := sink2.Tuples(); len(got) != total || digest(got) != want {
+				t.Fatalf("restored run recorded %d tuples, digest %08x; want %d, %08x", len(got), digest(got), total, want)
+			}
+		})
+	}
+}
+
+// TestReaderSourceReplayFromOffset: the decoder's byte offset is the
+// replay position — a run checkpointed mid-file, killed, and restored over
+// a fresh reader of the same bytes produces the identical record.
+func TestReaderSourceReplayFromOffset(t *testing.T) {
+	var csv strings.Builder
+	csv.WriteString("# fixture with comments and blank lines\n")
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintf(&csv, "%d,%d\n", i, i*3)
+		if i%97 == 0 {
+			csv.WriteString("\n# interior comment\n")
+		}
+	}
+	data := csv.String()
+	mk := func() *ReaderSource {
+		return NewReaderSource("rdr", incrSchema, strings.NewReader(data))
+	}
+
+	run := func(src *ReaderSource, restoreFrom snapshot.Backend, throttle bool) (*Collector, *Graph, chan error) {
+		sink := NewCollector("sink", incrSchema)
+		if throttle {
+			sink.OnTuple = func(stream.Tuple) { time.Sleep(20 * time.Microsecond) }
+		}
+		g := NewGraph()
+		id := g.AddSource(src)
+		g.Add(sink, From(id))
+		if restoreFrom != nil {
+			restoreLocal(t, g, restoreFrom)
+		}
+		errCh := make(chan error, 1)
+		go func() { errCh <- g.Run() }()
+		return sink, g, errCh
+	}
+
+	// Uninterrupted reference.
+	sinkRef, _, errRef := run(mk(), nil, false)
+	if err := <-errRef; err != nil {
+		t.Fatal(err)
+	}
+	want := sinkRef.Tuples()
+	if len(want) != 3000 {
+		t.Fatalf("reference decoded %d tuples", len(want))
+	}
+
+	// Interrupted run: checkpoint somewhere in the middle of the file.
+	sink1, g1, err1 := run(mk(), nil, true)
+	for deadline := time.Now().Add(10 * time.Second); sink1.Count() < 700; {
+		if time.Now().After(deadline) {
+			t.Fatal("sink stuck")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	backend := snapshot.NewMemory()
+	dc1, _ := local(g1, backend)
+	if _, err := dc1.CheckpointOnce(snapshot.CaptureFull); err != nil {
+		t.Fatal(err)
+	}
+	g1.Kill()
+	if err := <-err1; err != nil && !errors.Is(err, ErrKilled) {
+		t.Fatal(err)
+	}
+
+	sink2, _, err2 := run(mk(), backend, false)
+	if err := <-err2; err != nil {
+		t.Fatal(err)
+	}
+	got := sink2.Tuples()
+	if len(got) != len(want) {
+		t.Fatalf("recovered run decoded %d tuples, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) || got[i].Seq != want[i].Seq {
+			t.Fatalf("tuple %d diverged: %v vs %v", i, got[i], want[i])
+		}
+	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // TestRestoreCommittedDegrades runs a plan with no followers far enough to
-// commit a base and two deltas, kills it, damages what the backend holds,
-// and restores into a rebuilt plan. Whatever the damage, the restore lands
-// on the newest commit whose manifest and lineage are intact, reports each
+// commit three epochs, kills it, damages what the backend holds, and
+// restores into a rebuilt plan. Whatever the damage, the restore lands on
+// the newest commit whose manifest and snapshot are intact, reports each
 // commit it walked past as a typed skip, rewinds the manifest log and the
 // chain to where it landed — so the resumed run can commit those epochs
 // again — and the recovered run produces exactly the uninterrupted result.
@@ -55,12 +55,20 @@ func TestRestoreCommittedDegrades(t *testing.T) {
 		skips  []int64                                // the commits it reports walking past
 	}{
 		{name: "intact", landed: 3},
-		{name: "corrupt delta at the newest commit", landed: 2, skips: []int64{3},
-			damage: func(t *testing.T, b snapshot.Backend) { flip(t, b, snapshot.IDFor(3, 2)) }},
+		{name: "corrupt snapshot at the newest commit", landed: 2, skips: []int64{3},
+			damage: func(t *testing.T, b snapshot.Backend) { flip(t, b, snapshot.IDFor(3)) }},
 		{name: "corrupt manifest at the newest commit", landed: 2, skips: []int64{3},
 			damage: func(t *testing.T, b snapshot.Backend) { flip(t, b, manifest(3)) }},
-		{name: "corrupt base under every commit", landed: 0, skips: []int64{3, 2, 1},
-			damage: func(t *testing.T, b snapshot.Backend) { flip(t, b, snapshot.IDFor(1, 0)) }},
+		// Each epoch restores on its own: damage below the newest commit
+		// costs nothing.
+		{name: "corrupt snapshot at the oldest commit", landed: 3,
+			damage: func(t *testing.T, b snapshot.Backend) { flip(t, b, snapshot.IDFor(1)) }},
+		{name: "corrupt snapshot at every commit", landed: 0, skips: []int64{3, 2, 1},
+			damage: func(t *testing.T, b snapshot.Backend) {
+				for e := int64(1); e <= 3; e++ {
+					flip(t, b, snapshot.IDFor(e))
+				}
+			}},
 		// The chain holds epoch 3, the log does not: persisted, never
 		// committed. Nothing is corrupt, so nothing is skipped.
 		{name: "manifest write refused", refuse: manifest(3), landed: 2},
@@ -79,14 +87,10 @@ func TestRestoreCommittedDegrades(t *testing.T) {
 			runErr := make(chan error, 1)
 			go func() { runErr <- g1.Run() }()
 			dc1, _ := local(g1, flakyBackend{mem, func(id string) bool { return id == tc.refuse }})
-			for i, stop := range []int64{250, 280, 310} {
+			for _, stop := range []int64{250, 280, 310} {
 				src1.limit.Store(stop)
 				src1.waitPos(t, stop)
-				mode := snapshot.CaptureDelta
-				if i == 0 {
-					mode = snapshot.CaptureFull
-				}
-				epoch, err := dc1.CheckpointOnce(mode)
+				epoch, err := dc1.CheckpointOnce(snapshot.CaptureFull)
 				if refused := tc.refuse == manifest(epoch); (err != nil) != refused {
 					t.Fatalf("epoch %d: err=%v, write refused=%v", epoch, err, refused)
 				}

@@ -28,8 +28,8 @@ import (
 //     acks (epoch, chain id) over a dedicated control connection;
 //   - the coordinator commits a snapshot.DistManifest only after its own
 //     persist and every follower's ack; a missing or failed ack abandons
-//     the epoch — no manifest, no commit message — and the next delta in
-//     the failed part upgrades to full exactly like a broken local chain.
+//     the epoch — no manifest, no commit message — and the next epoch is
+//     cut as if it had never been tried.
 //
 // Restore inverts commit: the coordinator picks the newest intact committed
 // manifest, truncates its local chain past that epoch, restores from it, and
@@ -42,7 +42,7 @@ import (
 // to it and before any post-cut item, so the wire preserves the barrier's
 // in-band position.
 type BarrierForwarder interface {
-	ForwardBarrier(epoch int64, mode snapshot.CaptureMode, ctx Context) error
+	ForwardBarrier(epoch int64, ctx Context) error
 }
 
 // BarrierReceiver is implemented by sources that replay a remote stream:
@@ -50,7 +50,7 @@ type BarrierForwarder interface {
 // coordination glue (DistFollower) before the source emits anything that
 // followed the barrier on the wire.
 type BarrierReceiver interface {
-	SetBarrierHook(fn func(epoch int64, mode snapshot.CaptureMode) error)
+	SetBarrierHook(fn func(epoch int64) error)
 }
 
 // SourceBarrierInjector is implemented by the runtime Context handed to
@@ -125,18 +125,18 @@ func (dc *DistCoordinator) CommittedEpoch() int64 {
 
 // restoreAt rewinds one subplan to a stored cut: every epoch its chain holds
 // past the given one goes — persisted but never committed, or walked past as
-// damaged — and the lineage of what remains is staged on the (rebuilt)
+// damaged — and the snapshot of the given epoch is staged on the (rebuilt)
 // graph. Epoch 0 empties the chain and stages nothing: a cold start, whose
 // epoch numbering restarts from 1.
 func restoreAt(g *Graph, chain *snapshot.Chain, epoch int64) error {
 	if err := chain.TruncateAfter(epoch); err != nil || epoch == 0 {
 		return err
 	}
-	snaps, err := chain.ChainFor(epoch)
+	snap, err := chain.ChainFor(epoch)
 	if err != nil {
 		return err
 	}
-	return g.RestoreChain(snaps)
+	return g.RestoreChain(snap)
 }
 
 // RestoreCommitted stages the newest committed cut on the coordinator's own
@@ -144,12 +144,13 @@ func restoreAt(g *Graph, chain *snapshot.Chain, epoch int64) error {
 // a chain with no manifest is one, whatever it holds.
 //
 // Damage degrades instead of failing: a corrupt manifest, or a committed
-// epoch whose local chain hits ErrCorruptSnapshot, is walked past to the
-// next older commit and reported via Degraded; the manifests above the one
-// chosen are truncated with the chain — they can never be restored again,
-// and leaving them would make every re-commit of those epochs fail the
-// log's ascending-order check. Non-corruption failures (backend I/O, broken
-// lineage) still fail loudly, and leave AddFollower refusing.
+// epoch whose snapshot is ErrCorruptSnapshot, is walked past to the next
+// older commit — each epoch restores on its own — and reported via Degraded;
+// the manifests above the one chosen are truncated with the chain — they can
+// never be restored again, and leaving them would make every re-commit of
+// those epochs fail the log's ascending-order check. Non-corruption failures
+// (backend I/O, a missing snapshot) still fail loudly, and leave AddFollower
+// refusing.
 func (dc *DistCoordinator) RestoreCommitted() (ok bool, err error) {
 	epochs, err := dc.log.Epochs()
 	if err != nil {
@@ -263,10 +264,9 @@ func (dc *DistCoordinator) readAcks(p *distPeer) {
 // wait for the local persist, collect every follower's ack, commit the
 // manifest, and announce the commit. The error covers abandoned epochs
 // (local failure, follower failure, ack timeout) — the plan keeps running
-// either way. A delta asked for first, or after any failed epoch, is
-// upgraded to a full snapshot (Graph.trigger).
-func (dc *DistCoordinator) CheckpointOnce(mode snapshot.CaptureMode) (int64, error) {
-	c, err := dc.g.trigger(0, mode, dc.chain)
+// either way. The mode is ignored: every cut is full.
+func (dc *DistCoordinator) CheckpointOnce(snapshot.CaptureMode) (int64, error) {
+	c, err := dc.g.trigger(0, dc.chain)
 	if err != nil {
 		return 0, err
 	}
@@ -294,7 +294,7 @@ func (dc *DistCoordinator) finishEpoch(epoch int64, stop <-chan struct{}) (err e
 	dc.mu.Lock()
 	peers := append([]*distPeer(nil), dc.peers...)
 	dc.mu.Unlock()
-	parts := []snapshot.DistPart{{Part: dc.part, Epoch: epoch, Chain: snapshot.IDFor(epoch, st.Base)}}
+	parts := []snapshot.DistPart{{Part: dc.part, Epoch: epoch, Chain: snapshot.IDFor(epoch)}}
 	pending := make(map[string]bool, len(peers))
 	for _, p := range peers {
 		pending[p.part] = true
@@ -423,8 +423,8 @@ func (df *DistFollower) Handshake() (restored bool, err error) {
 // error only for malformed coordination (which surfaces as a node error and
 // stops the subplan); checkpoint failures are acked with Err instead, so
 // the coordinator abandons the epoch while the stream keeps flowing.
-func (df *DistFollower) onBarrier(epoch int64, mode snapshot.CaptureMode) error {
-	done, err := df.g.checkpointAt(epoch, mode, df.chain)
+func (df *DistFollower) onBarrier(epoch int64) error {
+	done, err := df.g.checkpointAt(epoch, df.chain)
 	if err != nil {
 		return err
 	}
@@ -450,7 +450,7 @@ func (df *DistFollower) onBarrier(epoch int64, mode snapshot.CaptureMode) error 
 		case st.Err != nil:
 			ack.Err = st.Err.Error()
 		default:
-			ack.Chain = snapshot.IDFor(epoch, st.Base)
+			ack.Chain = snapshot.IDFor(epoch)
 		}
 		// Best-effort: an unsendable ack is indistinguishable from a missing
 		// one, and the coordinator abandons the epoch either way.

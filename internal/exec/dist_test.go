@@ -36,28 +36,28 @@ func TestCheckpointAtSemantics(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	if _, err := g.checkpointAt(0, snapshot.CaptureFull, chain); err == nil {
+	if _, err := g.checkpointAt(0, chain); err == nil {
 		t.Error("non-positive epoch accepted")
 	}
-	done5, err := g.checkpointAt(5, snapshot.CaptureFull, chain)
+	done5, err := g.checkpointAt(5, chain)
 	if err != nil || done5 == nil {
 		t.Fatalf("forced epoch 5: done=%v err=%v", done5, err)
 	}
 	// Same epoch from a second remote edge: joins the active checkpoint.
-	dup, err := g.checkpointAt(5, snapshot.CaptureDelta, chain)
+	dup, err := g.checkpointAt(5, chain)
 	if err != nil || dup != done5 {
 		t.Fatalf("duplicate epoch 5 did not join the active checkpoint (done=%v err=%v)", dup, err)
 	}
 	// A stale barrier draining behind the active epoch: dropped, not an
 	// error — erroring would kill the subplan on an abandoned epoch's
 	// leftover frame.
-	stale, err := g.checkpointAt(3, snapshot.CaptureFull, chain)
+	stale, err := g.checkpointAt(3, chain)
 	if err != nil || stale != nil {
 		t.Fatalf("stale epoch 3 behind active 5: done=%v err=%v, want nil/nil", stale, err)
 	}
 	// A newer epoch supersedes the still-aligning one: epoch 5 resolves as
 	// abandoned and epoch 7 becomes the active checkpoint.
-	done7, err := g.checkpointAt(7, snapshot.CaptureDelta, chain)
+	done7, err := g.checkpointAt(7, chain)
 	if err != nil || done7 == nil {
 		t.Fatalf("superseding epoch 7: done=%v err=%v", done7, err)
 	}
@@ -71,7 +71,7 @@ func TestCheckpointAtSemantics(t *testing.T) {
 		t.Fatalf("superseded epoch status: %+v ok=%v", st, ok)
 	}
 	// And now a stale barrier for 5 (no longer active): dropped too.
-	if stale, err := g.checkpointAt(5, snapshot.CaptureFull, chain); err != nil || stale != nil {
+	if stale, err := g.checkpointAt(5, chain); err != nil || stale != nil {
 		t.Fatalf("stale epoch 5 after supersede: done=%v err=%v, want nil/nil", stale, err)
 	}
 
@@ -104,7 +104,7 @@ func TestWireBarrierSourceSkipsPollCut(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	done, err := g.checkpointAt(1, snapshot.CaptureFull, chain)
+	done, err := g.checkpointAt(1, chain)
 	if err != nil || done == nil {
 		t.Fatalf("forced epoch: %v", err)
 	}

@@ -110,8 +110,8 @@ type Graph struct {
 	pendingChk  atomic.Pointer[inflight]
 	liveNodes   map[NodeID]bool
 	exitClean   map[NodeID]bool
-	staged      map[NodeID]stagedState // Restore: per-node base+delta blobs
-	stagedNames map[NodeID]string      // Restore: node names for drift checks
+	staged      map[NodeID][]byte // Restore: per-node blobs
+	stagedNames map[NodeID]string // Restore: node names for drift checks
 	// wireBarrier marks sources whose cut is driven by in-band wire
 	// barriers (dist.go): the runner must not cut them at an arbitrary
 	// poll position. Written before Run (NewDistFollower), read-only after.
@@ -120,12 +120,9 @@ type Graph struct {
 	// Two-phase checkpointing (checkpoint.go): encode/persist run on
 	// background goroutines after the barrier releases. chkWG tracks them;
 	// lastFinish chains them so chain writes land in epoch order.
-	chkWG         sync.WaitGroup
-	lastFinish    chan struct{}
-	lastCapEpoch  int64 // newest epoch whose captures completed (delta parent)
-	lastDoneEpoch int64 // newest fully assembled epoch
-	chainBroken   bool  // a capture set was lost; next delta upgrades to full
-	statuses      []CheckpointStatus
+	chkWG      sync.WaitGroup
+	lastFinish chan struct{}
+	statuses   []CheckpointStatus
 }
 
 // NewGraph creates an empty plan with default queue options.

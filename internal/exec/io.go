@@ -215,7 +215,7 @@ func (s *ReaderSource) Open(Context) error {
 // file, not a pipe) unless the saved position is 0.
 func (s *ReaderSource) offsetField() snapshot.Field {
 	return snapshot.Field{
-		Capture: func(bool) func(*snapshot.Encoder) {
+		Capture: func() func(*snapshot.Encoder) {
 			offset := s.base + s.dec.Offset()
 			return func(enc *snapshot.Encoder) { enc.PutInt64(offset) }
 		},
@@ -223,7 +223,7 @@ func (s *ReaderSource) offsetField() snapshot.Field {
 			s.base = dec.GetInt64()
 			return nil
 		},
-		Settle: func(bool) error {
+		Settle: func() error {
 			if s.base <= 0 {
 				return nil
 			}
@@ -293,9 +293,6 @@ type Collector struct {
 	items    []queue.Item
 	tuples   atomic.Int64
 	shutdown bool
-	// capPos is how much of items previous captures covered, so delta
-	// captures ship only the suffix (items is append-only).
-	capPos int
 }
 
 // NewCollector builds a named sink.
@@ -373,44 +370,14 @@ func (c *Collector) ProcessPunct(_ int, e punct.Embedded, _ Context) error {
 
 // recordField keeps everything received up to the cut, so a restored run
 // appends the regenerated post-cut stream to the pre-cut record — the union
-// is exactly-once. A delta ships only the items recorded since the previous
-// capture and appends them on load; the view aliases the append-only record,
-// whose captured prefix is never mutated in place.
+// is exactly-once. The view aliases the append-only record, whose captured
+// prefix is never mutated in place.
 func (c *Collector) recordField() snapshot.Field {
-	read := func(delta bool) func(*snapshot.Decoder) error {
-		return func(dec *snapshot.Decoder) error {
-			count := dec.GetInt64()
-			n := dec.GetCount()
-			items := make([]queue.Item, 0, n)
-			for i := 0; i < n && dec.Err() == nil; i++ {
-				if dec.GetBool() {
-					items = append(items, queue.TupleItem(dec.GetTuple()))
-				} else {
-					items = append(items, queue.PunctItem(punct.NewEmbedded(dec.GetPattern())))
-				}
-			}
-			if err := dec.Err(); err != nil {
-				return err
-			}
-			c.mu.Lock()
-			if delta {
-				items = append(c.items, items...)
-			}
-			c.items, c.capPos = items, len(items)
-			c.mu.Unlock()
-			c.tuples.Store(count)
-			return nil
-		}
-	}
 	return snapshot.Field{
-		Capture: func(delta bool) func(*snapshot.Encoder) {
+		Capture: func() func(*snapshot.Encoder) {
 			c.mu.Lock()
-			n, from := len(c.items), 0
-			if delta {
-				from = c.capPos
-			}
-			view := c.items[from:n:n]
-			c.capPos = n
+			n := len(c.items)
+			view := c.items[:n:n]
 			c.mu.Unlock()
 			count := c.tuples.Load()
 			return func(enc *snapshot.Encoder) {
@@ -427,8 +394,26 @@ func (c *Collector) recordField() snapshot.Field {
 				}
 			}
 		},
-		Load:  read(false),
-		Delta: read(true),
+		Load: func(dec *snapshot.Decoder) error {
+			count := dec.GetInt64()
+			n := dec.GetCount()
+			items := make([]queue.Item, 0, n)
+			for i := 0; i < n && dec.Err() == nil; i++ {
+				if dec.GetBool() {
+					items = append(items, queue.TupleItem(dec.GetTuple()))
+				} else {
+					items = append(items, queue.PunctItem(punct.NewEmbedded(dec.GetPattern())))
+				}
+			}
+			if err := dec.Err(); err != nil {
+				return err
+			}
+			c.mu.Lock()
+			c.items = items
+			c.mu.Unlock()
+			c.tuples.Store(count)
+			return nil
+		},
 	}
 }
 

@@ -236,7 +236,7 @@ func TestRewriteAbsorbChains(t *testing.T) {
 		{
 			name: "after a staged restore",
 			arrange: func(f rewriteFixture) (NodeID, map[int][]NodeID, Operator) {
-				f.g.staged = map[NodeID]stagedState{}
+				f.g.staged = map[NodeID][]byte{}
 				return f.m, map[int][]NodeID{0: {f.p1, f.p2, f.p3}}, merged("late")
 			},
 			wantErr: "rewrite after Restore",

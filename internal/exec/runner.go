@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/queue"
-	"repro/internal/snapshot"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 
@@ -623,14 +622,6 @@ func (r *nodeRunner) maybeCompleteAlignment() error {
 		}
 	}
 	r.align = nil
-	// The capture mode travels out-of-band for local edges (the coordinator
-	// knows it); a process-boundary forwarder needs it on the wire, so read
-	// it off the still-pending checkpoint before this node's ack can retire
-	// it. A cancelled epoch defaults to delta — its ack is discarded anyway.
-	mode := snapshot.CaptureDelta
-	if c := r.graph.pendingChk.Load(); c != nil && c.epoch == a.epoch {
-		mode = c.mode
-	}
 	r.graph.cutNode(r.node, a.epoch)
 	for _, c := range r.node.outConns {
 		c.PutBarrier(a.epoch)
@@ -639,7 +630,7 @@ func (r *nodeRunner) maybeCompleteAlignment() error {
 		// Process-boundary edges (remote sinks) forward the barrier in-band
 		// on their transport, after everything that preceded the cut and
 		// before the deferred post-barrier replay below.
-		if err := bf.ForwardBarrier(a.epoch, mode, r); err != nil {
+		if err := bf.ForwardBarrier(a.epoch, r); err != nil {
 			return err
 		}
 	}

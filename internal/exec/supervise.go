@@ -3,31 +3,22 @@ package exec
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/snapshot"
 )
 
 // CheckpointPolicy configures RunCheckpointed's periodic checkpoint loop.
 type CheckpointPolicy struct {
 	// Interval between checkpoint triggers (default 1s).
 	Interval time.Duration
-	// FullEvery makes every k-th checkpoint a full snapshot; the ones in
-	// between are incremental deltas chained off it. 0 or 1 means every
-	// checkpoint is full (no deltas).
-	FullEvery int
-	// Retain keeps only the newest N epochs (plus whatever they need to
-	// restore) after each checkpoint; 0 keeps everything.
+	// Retain keeps only the newest N committed epochs after each
+	// checkpoint; 0 keeps everything.
 	Retain int
-	// CompactEvery packs the newest base+delta chain into one
-	// self-contained snapshot every k checkpoints; 0 never compacts.
-	CompactEvery int
 }
 
 // RunCheckpointed runs the coordinator's subplan under periodic
 // checkpoints. The stream never waits on a checkpoint beyond its capture
 // phase, and an abandoned epoch (local failure, follower failure, ack
 // timeout) does not stop the plan. runErr is the plan's error; chkErr is the
-// first checkpoint, commit, retention, or compaction failure.
+// first checkpoint, commit, or retention failure.
 func (dc *DistCoordinator) RunCheckpointed(p CheckpointPolicy) (runErr, chkErr error) {
 	stop := make(chan struct{})
 	loopErr := make(chan error, 1)
@@ -40,11 +31,10 @@ func (dc *DistCoordinator) RunCheckpointed(p CheckpointPolicy) (runErr, chkErr e
 }
 
 // checkpointLoop is RunCheckpointed's periodic driver: one checkpoint per
-// tick (full/delta per the policy's cadence) until stop closes, returning
-// the first failure. A trigger that fails (not running yet, already
-// stopping, one in flight) skips the tick. Compaction and retention run
-// only after a successful commit, so the newest retained epoch is always
-// committed.
+// tick until stop closes, returning the first failure. A trigger that fails
+// (not running yet, already stopping, one in flight) skips the tick.
+// Retention runs only after a successful commit, so the newest retained
+// epoch is always committed.
 func (dc *DistCoordinator) checkpointLoop(p CheckpointPolicy, stop <-chan struct{}) (first error) {
 	if p.Interval <= 0 {
 		p.Interval = time.Second
@@ -56,21 +46,16 @@ func (dc *DistCoordinator) checkpointLoop(p CheckpointPolicy, stop <-chan struct
 	}
 	tick := time.NewTicker(p.Interval)
 	defer tick.Stop()
-	for count := 0; ; {
+	for {
 		select {
 		case <-stop:
 			return first
 		case <-tick.C:
 		}
-		mode := snapshot.CaptureDelta
-		if p.FullEvery <= 1 || count%p.FullEvery == 0 {
-			mode = snapshot.CaptureFull
-		}
-		c, err := dc.g.trigger(0, mode, dc.chain)
+		c, err := dc.g.trigger(0, dc.chain)
 		if err != nil {
 			continue
 		}
-		count++
 		select {
 		case <-c.done:
 		case <-stop:
@@ -79,11 +64,6 @@ func (dc *DistCoordinator) checkpointLoop(p CheckpointPolicy, stop <-chan struct
 		if err := dc.finishEpoch(c.epoch, stop); err != nil {
 			note(err)
 			continue // abandoned: no manifest, no retention this cycle
-		}
-		if p.CompactEvery > 0 && count%p.CompactEvery == 0 {
-			if err := dc.chain.Compact(); err != nil {
-				note(fmt.Errorf("exec: compact after epoch %d: %w", c.epoch, err))
-			}
 		}
 		if p.Retain > 0 {
 			if err := dc.chain.RetainFrom(c.epoch, p.Retain); err != nil {

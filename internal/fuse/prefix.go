@@ -222,19 +222,6 @@ func (p *Prefixed) CaptureState(mode snapshot.CaptureMode) (snapshot.Capture, er
 // LoadState implements snapshot.Stater by delegation.
 func (p *Prefixed) LoadState(d *snapshot.Decoder) error { return p.state.LoadState(d) }
 
-// ApplyDelta delegates a delta blob. Inner operators that never capture
-// deltas (Impute, Pace, Split) never receive one — restore only calls it for
-// epochs holding delta blobs.
-func (p *Prefixed) ApplyDelta(d *snapshot.Decoder) error {
-	ds, ok := p.state.(interface {
-		ApplyDelta(*snapshot.Decoder) error
-	})
-	if !ok {
-		return fmt.Errorf("fuse: %q: delta blob for non-incremental operator %q", p.name, p.inner.Name())
-	}
-	return ds.ApplyDelta(d)
-}
-
 // TelemetryVars implements telemetry.VarExporter: every kernel's
 // per-constituent vars (labelled with the input port they guard, so two
 // kernels on one node stay distinguishable) plus the inner operator's own

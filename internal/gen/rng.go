@@ -83,7 +83,7 @@ func (r *rng) Poisson(mean float64) int {
 // field keeps the full generator state.
 func (r *rng) field() snapshot.Field {
 	return snapshot.Field{
-		Capture: func(bool) func(*snapshot.Encoder) {
+		Capture: func() func(*snapshot.Encoder) {
 			v := *r
 			return func(enc *snapshot.Encoder) {
 				enc.PutInt64(int64(v.s))

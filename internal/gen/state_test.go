@@ -20,7 +20,7 @@ func TestRNGRoundTrip(t *testing.T) {
 		r.NormFloat64() // leaves a spare half the time
 	}
 	enc := snapshot.NewEncoder()
-	r.field().Capture(false)(enc)
+	r.field().Capture()(enc)
 	blob, err := enc.Bytes()
 	if err != nil {
 		t.Fatal(err)

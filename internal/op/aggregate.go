@@ -66,8 +66,8 @@ type Aggregate struct {
 	wstartIdx   int   // position of wstart in output schema
 	valueIdx    int   // position of the aggregate value in output schema
 	attrMap     core.AttrMap
-	// store holds the (window, group) accumulators and their changelog; it
-	// is the only code that mutates them (aggstore.go).
+	// store holds the (window, group) accumulators; it is the only code that
+	// mutates them (aggstore.go).
 	store        aggStore
 	guardsOut    *core.GuardTable // emit-time guards (output patterns)
 	guardsPrefix *core.GuardTable // input-time guards (non-value patterns)
@@ -205,7 +205,7 @@ func (a *Aggregate) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) er
 // only arrives between runs, so the prefix guard table cannot change mid-run
 // and its Active check is hoisted. The group values are hashed once per
 // tuple and no key is encoded; the store finds or inserts the accumulator
-// and stamps it dirty (DESIGN.md §10.5).
+// (DESIGN.md §10.5).
 //
 //pace:hotpath
 func (a *Aggregate) ApplyTupleBatch(input int, ts []stream.Tuple, _ exec.Context) error {
@@ -476,7 +476,7 @@ func (a *Aggregate) Purge(f core.Feedback, _ core.ResponsePlan) []core.Pin {
 				Guard: core.Feedback{Intent: core.Assumed, Pattern: pat, Origin: f.Origin, Seq: f.Seq}})
 		}
 		a.purged++
-		a.store.purge(w, slot)
+		w.purge(slot)
 	}
 	return pins
 }

@@ -2,40 +2,24 @@ package op
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/stream"
 )
 
 // aggStore is the aggregate's state: the open windows in window-id order,
-// each owning its groups, and the changelog incremental snapshots are cut
-// from. Every mutation of aggregate state goes through its methods, so the
-// changelog cannot miss one (DESIGN.md §7.1, §10.6).
+// each owning its groups. Every mutation of aggregate state goes through its
+// methods (DESIGN.md §10.6).
 //
 // The window is the unit state is born in, punctuated shut in and discarded
 // in: a closing window is emitted and dropped whole — no per-group delete —
 // and its memory is kept for the next window to open (at most
 // aggSpareWindows of them). Nothing that leaves the store — an emitted
 // result, a capture — may alias a window's arena (§2.4).
-//
-// Changelog, relative to the previous capture or load: a group that is
-// inserted or folded into is flagged dirty and listed in its window's dirty
-// slots, so a delta capture walks only those; closing windows moves one
-// watermark (closedThrough) instead of noting each group dead; a group purged
-// one by one by feedback is recorded in purged. The changelog is always on and
-// bounded by construction: dirty slots belong to open windows, purged records
-// of a window are forgotten when it closes, and the watermark is one number.
 type aggStore struct {
 	k     int          // group columns
 	wins  []*aggWindow // open windows, ascending wid
 	spare []*aggWindow // closed windows kept for reuse
 	last  *aggWindow   // the window the last upsert hit
-
-	// closedThrough: every window with wid ≤ it has been closed since the
-	// baseline (a late tuple may have opened it again since; its groups are
-	// then dirty). -1 when none has.
-	closedThrough int64
-	purged        []aggPurged
 }
 
 // aggSpareWindows bounds the closed windows kept for reuse. One serves a
@@ -51,20 +35,13 @@ type aggGroup struct {
 	count    int64
 	sum      float64
 	min, max float64
-	// dirty: changed since the baseline, and listed in the window's dirty
-	// slots. dead: purged by feedback; the slot stays as a tombstone and is
-	// never used again — a later tuple for the group takes a fresh slot at
-	// the end (aggWindow.intern).
-	dirty, dead bool
+	// dead: purged by feedback; the slot stays as a tombstone and is never
+	// used again — a later tuple for the group takes a fresh slot at the end
+	// (aggWindow.intern).
+	dead bool
 }
 
 var emptyGroup = aggGroup{min: math.Inf(1), max: math.Inf(-1)}
-
-// aggPurged records one group purged by feedback; key is an owned copy.
-type aggPurged struct {
-	wid int64
-	key []stream.Value
-}
 
 // keyTable holds rows of k key values side by side in an arena and an
 // open-addressing index over them: linear probing, one word per row —
@@ -87,15 +64,14 @@ func (t *keyTable) key(row int32) []stream.Value {
 // aggWindow is one open window: a dense slab of groups in insertion order
 // beside the table of their group values, slot for row. Slot order is the
 // order the window's results, partials and captures leave in, and it is
-// canonical: a twin restored from any capture chain holds the live groups in
-// the same relative order (DESIGN.md §10.6).
+// canonical: a twin restored from a capture holds the live groups in the same
+// relative order (DESIGN.md §10.6).
 type aggWindow struct {
 	keyTable
 	wid    int64
 	groups []aggGroup
-	dirty  []int32 // slots changed since the baseline
-	last   int32   // the slot the last upsert hit; -1 in an empty window
-	dead   int     // dead slots
+	last   int32 // the slot the last upsert hit; -1 in an empty window
+	dead   int   // dead slots
 }
 
 func (w *aggWindow) live() int { return len(w.groups) - w.dead }
@@ -157,7 +133,7 @@ func sameKey(a, b []stream.Value) bool {
 }
 
 // reset empties the store for group rows of k values.
-func (s *aggStore) reset(k int) { *s = aggStore{k: k, closedThrough: -1} }
+func (s *aggStore) reset(k int) { *s = aggStore{k: k} }
 
 // live counts the groups held.
 func (s *aggStore) live() int {
@@ -213,8 +189,8 @@ func (s *aggStore) window(wid int64) *aggWindow {
 }
 
 // upsert returns the accumulator of (wid, key), inserting an empty one for a
-// group not seen in that window, and flags it dirty. h is hashKey(key). The
-// pointer is into the window's slab: use it before the next upsert.
+// group not seen in that window. h is hashKey(key). The pointer is into the
+// window's slab: use it before the next upsert.
 //
 //pace:hotpath
 func (s *aggStore) upsert(wid int64, h uint32, key []stream.Value) *aggGroup {
@@ -228,12 +204,7 @@ func (s *aggStore) upsert(wid int64, h uint32, key []stream.Value) *aggGroup {
 		slot = w.intern(h, key)
 		w.last = slot
 	}
-	g := &w.groups[slot]
-	if !g.dirty {
-		g.dirty = true
-		w.dirty = append(w.dirty, slot)
-	}
-	return g
+	return &w.groups[slot]
 }
 
 // lookup probes the index for key, whose hash is h. It returns the key's
@@ -327,30 +298,13 @@ func (w *aggWindow) intern(h uint32, key []stream.Value) int32 {
 	return w.add(at, h, key)
 }
 
-// find returns the window and slot of a live group; the window is nil when
-// there is none.
-func (s *aggStore) find(wid int64, key []stream.Value) (*aggWindow, int32) {
-	h := hashKey(key)
-	for _, w := range s.wins {
-		if w.wid != wid || len(w.index) == 0 {
-			continue
-		}
-		if slot, _ := w.lookup(h, key); slot >= 0 && !w.groups[slot].dead {
-			return w, slot
-		}
-		break
-	}
-	return nil, -1
-}
-
 // purge removes one live group. Its slot becomes a tombstone.
-func (s *aggStore) purge(w *aggWindow, slot int32) {
+func (w *aggWindow) purge(slot int32) {
 	w.groups[slot].dead = true
 	w.dead++
 	if w.last == slot {
 		w.last = -1 // the next upsert must go through intern, past the tombstone
 	}
-	s.purged = append(s.purged, aggPurged{wid: w.wid, key: slices.Clone(w.key(slot))})
 }
 
 // closeFirst drops the open window with the smallest id, whole, and keeps
@@ -365,45 +319,32 @@ func (s *aggStore) closeFirst() {
 	if s.last == w {
 		s.last = nil
 	}
-	s.closedThrough = max(s.closedThrough, w.wid)
-	if len(s.purged) > 0 {
-		s.forgetPurged()
-	}
 	if len(s.spare) < aggSpareWindows {
 		w.keyTable.clear() // a spare must not pin the strings of a closed window
-		w.groups, w.dirty = w.groups[:0], w.dirty[:0]
+		w.groups = w.groups[:0]
 		w.last, w.dead = -1, 0
 		s.spare = append(s.spare, w)
 	}
 }
 
-// forgetPurged drops the purge records the watermark now covers.
-func (s *aggStore) forgetPurged() {
-	s.purged = slices.DeleteFunc(s.purged, func(p aggPurged) bool { return p.wid <= s.closedThrough })
-}
-
-// restore sets the accumulator of (wid, key) to a decoded one without
-// touching the changelog: a loaded cut is the baseline, not a change. Groups
-// the window does not hold take slots in the order they are restored, which
-// is the order the capturing store held them in.
+// restore sets the accumulator of (wid, key) to a decoded one. Groups the
+// window does not hold take slots in the order they are restored, which is
+// the order the capturing store held them in.
 func (s *aggStore) restore(wid int64, key []stream.Value, acc aggGroup) (*aggWindow, int32) {
 	w := s.window(wid)
 	slot := w.intern(hashKey(key), key)
-	acc.dirty = w.groups[slot].dirty
 	w.groups[slot] = acc
 	return w, slot
 }
 
-// aggCapture is a copy of groups taken at a cut — all of them, or the dirty
-// ones with the rest of the changelog — that shares nothing with the store:
-// the windows it was taken from may close and be reused before it is encoded.
+// aggCapture is a copy of the live groups taken at a cut that shares nothing
+// with the store: the windows it was taken from may close and be reused
+// before it is encoded.
 type aggCapture struct {
-	k             int
-	closedThrough int64
-	purged        []aggPurged
-	wins          []aggCapWindow // ascending wid
-	groups        []aggGroup
-	vals          []stream.Value
+	k      int
+	wins   []aggCapWindow // ascending wid
+	groups []aggGroup
+	vals   []stream.Value
 }
 
 // aggCapWindow says the next n captured groups belong to window wid.
@@ -414,55 +355,24 @@ type aggCapWindow struct {
 
 func (c *aggCapture) key(i int32) []stream.Value { return c.vals[int(i)*c.k : (int(i)+1)*c.k] }
 
-func (c *aggCapture) add(w *aggWindow, slot int32) {
-	if g := &w.groups[slot]; !g.dead {
-		c.groups = append(c.groups, *g)
-		c.vals = append(c.vals, w.key(slot)...)
-	}
-}
-
-// capture copies the live groups (or, for a delta, the dirty ones and the
-// changelog) and makes this cut the baseline of the next delta.
-func (s *aggStore) capture(delta bool) *aggCapture {
-	n := 0
-	for _, w := range s.wins {
-		if delta {
-			n += len(w.dirty)
-		} else {
-			n += w.live()
-		}
-	}
-	c := &aggCapture{k: s.k, closedThrough: -1,
+// capture copies the live groups, window by window in slot order.
+func (s *aggStore) capture() *aggCapture {
+	n := s.live()
+	c := &aggCapture{k: s.k,
 		wins:   make([]aggCapWindow, 0, len(s.wins)),
 		groups: make([]aggGroup, 0, n),
 		vals:   make([]stream.Value, 0, n*s.k)}
 	for _, w := range s.wins {
 		before := len(c.groups)
-		if delta {
-			for _, slot := range w.dirty {
-				c.add(w, slot)
-			}
-		} else {
-			for slot := range w.groups {
-				c.add(w, int32(slot))
+		for slot := range w.groups {
+			if g := &w.groups[slot]; !g.dead {
+				c.groups = append(c.groups, *g)
+				c.vals = append(c.vals, w.key(int32(slot))...)
 			}
 		}
 		if got := len(c.groups) - before; got > 0 {
 			c.wins = append(c.wins, aggCapWindow{wid: w.wid, n: got})
 		}
-		for _, slot := range w.dirty {
-			w.groups[slot].dirty = false
-		}
-		w.dirty = w.dirty[:0]
 	}
-	if delta {
-		c.closedThrough, c.purged = s.closedThrough, s.purged
-	}
-	s.rebase()
 	return c
 }
-
-// rebase makes the state as it stands the baseline of the next delta. A
-// capture ends with it, having cleared the dirty slots, and so does a
-// restore, whose closes and purges replay a change already in the chain.
-func (s *aggStore) rebase() { s.closedThrough, s.purged = -1, nil }

@@ -64,39 +64,40 @@ func TestAggStoreKeyIdentity(t *testing.T) {
 // taken from may have closed and their slabs and arenas be holding other
 // groups. One capture, encoded at once and again after four more windows have
 // been filled and closed through the same recycled memory, must encode to the
-// same bytes — full and delta alike.
+// same bytes.
 func TestAggregateCaptureOwnsItsValues(t *testing.T) {
-	for _, mode := range []snapshot.CaptureMode{snapshot.CaptureFull, snapshot.CaptureDelta} {
-		a := minuteAvg(FeedbackExploit, false)
-		h := exec.NewHarness(a)
-		if mode == snapshot.CaptureDelta {
-			if _, err := a.CaptureState(snapshot.CaptureFull); err != nil {
-				t.Fatal(err)
-			}
+	a := minuteAvg(FeedbackExploit, false)
+	h := exec.NewHarness(a)
+	fill := func(wid int64) {
+		for seg := int64(0); seg < 40; seg++ {
+			h.Tuple(0, traffic(1000*wid+seg, 1, wid*minute+seg, float64(10*wid+seg)))
 		}
-		fill := func(wid int64) {
-			for seg := int64(0); seg < 40; seg++ {
-				h.Tuple(0, traffic(1000*wid+seg, 1, wid*minute+seg, float64(10*wid+seg)))
-			}
-		}
-		fill(0)
-		c, err := a.CaptureState(mode)
-		if err != nil {
+	}
+	fill(0)
+	c, err := a.CaptureState(snapshot.CaptureFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func() []byte {
+		enc := snapshot.NewEncoder()
+		if err := c.Encode(enc); err != nil {
 			t.Fatal(err)
 		}
-		at := encodeCap(t, c)
-		for wid := int64(1); wid <= 4; wid++ {
-			fill(wid)
-			h.Punct(0, tsPunct(wid*minute-1)) // closes window wid-1; window wid+1 will reuse its memory
-		}
-		if h.Err() != nil {
-			t.Fatal(h.Err())
-		}
-		if len(a.store.spare) == 0 || len(at) < 40*4 {
-			t.Fatalf("mode %v: %d windows recycled, capture of 40 groups encodes to %dB: the test exercised nothing", mode, len(a.store.spare), len(at))
-		}
-		if after := encodeCap(t, c); !bytes.Equal(after, at) {
-			t.Fatalf("mode %v: a capture encoded after its windows were recycled differs from the same capture encoded at the cut", mode)
-		}
+		blob, _ := enc.Bytes()
+		return blob
+	}
+	at := encode()
+	for wid := int64(1); wid <= 4; wid++ {
+		fill(wid)
+		h.Punct(0, tsPunct(wid*minute-1)) // closes window wid-1; window wid+1 will reuse its memory
+	}
+	if h.Err() != nil {
+		t.Fatal(h.Err())
+	}
+	if len(a.store.spare) == 0 || len(at) < 40*4 {
+		t.Fatalf("%d windows recycled, capture of 40 groups encodes to %dB: the test exercised nothing", len(a.store.spare), len(at))
+	}
+	if after := encode(); !bytes.Equal(after, at) {
+		t.Fatal("a capture encoded after its windows were recycled differs from the same capture encoded at the cut")
 	}
 }

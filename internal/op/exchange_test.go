@@ -460,7 +460,7 @@ func TestMergeAlignmentStateBounded(t *testing.T) {
 func TestSplitDemandedPatternsExpire(t *testing.T) {
 	s := newSplit(2, 0)
 	h := exec.NewHarness(s)
-	empty := len(captureBlob(t, s, snapshot.CaptureFull))
+	empty := len(captureBlob(t, s))
 	for round := int64(1); round <= 20; round++ {
 		window := punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(round*minute)))
 		for port := 0; port < 2; port++ {
@@ -476,7 +476,7 @@ func TestSplitDemandedPatternsExpire(t *testing.T) {
 			t.Errorf("partition %d still holds %d demanded patterns punctuation has covered", port, n)
 		}
 	}
-	if n := len(captureBlob(t, s, snapshot.CaptureFull)); n > empty {
+	if n := len(captureBlob(t, s)); n > empty {
 		t.Errorf("capture is %d bytes after every pattern expired, %d when empty", n, empty)
 	}
 }
@@ -499,11 +499,11 @@ func TestRelayedSetExpires(t *testing.T) {
 				t.Fatalf("round %d: %d patterns relayed upstream, want one per round", round, n)
 			}
 			if round == 1 {
-				after1 = len(captureBlob(t, o, snapshot.CaptureFull))
+				after1 = len(captureBlob(t, o))
 			}
 			// Later timestamps and sequence numbers encode a few bytes longer;
 			// a set that keeps every key grows by a key's length per round.
-			if n := len(captureBlob(t, o, snapshot.CaptureFull)); n > 2*after1 {
+			if n := len(captureBlob(t, o)); n > 2*after1 {
 				t.Fatalf("round %d: capture grew to %d bytes from %d with one live pattern", round, n, after1)
 			}
 			h.Punct(0, tsPunct(round*minute))

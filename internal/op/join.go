@@ -75,9 +75,8 @@ type Join struct {
 	// attribute, or -1: when the timestamp is part of the key, left
 	// punctuation proves old keys cannot recur and the asked set sheds them.
 	askedTs int
-	// store holds the entries of both inputs, the impatient join's asked
-	// keys, and their changelog; it is the only code that mutates them
-	// (joinstore.go).
+	// store holds the entries of both inputs and the impatient join's asked
+	// keys (joinstore.go).
 	store        joinStore
 	guardsIn     [2]*core.GuardTable
 	guardsOut    *core.GuardTable
@@ -264,7 +263,7 @@ func (j *Join) apply(side int, t stream.Tuple, ctx exec.Context) {
 		if j.askedTs >= 0 {
 			ts = key[j.askedTs].I
 		}
-		j.store.asked.insert(h, key, stream.Tuple{Values: slices.Clone(key)}, ts, false) //pace:allow-alloc one copy of the key per distinct key asked for
+		j.store.asked.link(joinEntry{t: stream.Tuple{Values: slices.Clone(key)}, ts: ts, hash: h}, key) //pace:allow-alloc one copy of the key per distinct key asked for
 		j.sendImpatient(t, ctx)
 	}
 	matched := false
@@ -274,7 +273,7 @@ func (j *Join) apply(side int, t stream.Tuple, ctx exec.Context) {
 			l, r = r, l
 		}
 		if j.Residual == nil || j.Residual(l, r) {
-			other.setMatched(i)
+			other.entries[i].matched = true
 			matched = true
 			j.emitJoined(l, r, ctx)
 		}
@@ -283,7 +282,7 @@ func (j *Join) apply(side int, t stream.Tuple, ctx exec.Context) {
 	if j.ThriftyWindow != nil && j.ThriftyProbe == side {
 		j.countProbe(ts)
 	}
-	mine.insert(h, key, mine.keep(t), ts, matched)
+	mine.link(joinEntry{t: mine.keep(t), ts: ts, hash: h, matched: matched}, key)
 	j.runAdaptive(side, t, ctx)
 }
 
@@ -534,7 +533,7 @@ func (j *Join) Purge(f core.Feedback, row core.ResponsePlan) []core.Pin {
 		if pp == nil {
 			continue
 		}
-		n := j.store.sides[side].purgeWhere(func(e *joinEntry) bool { return pp.Matches(e.t) })
+		n := j.store.sides[side].removeWhere(func(e *joinEntry) bool { return pp.Matches(e.t) }, nil)
 		j.purgedByFeedback += int64(n)
 		pins = append(pins, core.Pin{Table: j.guardsIn[side],
 			Guard: core.Feedback{Intent: core.Assumed, Pattern: *pp, Origin: f.Origin, Seq: f.Seq}})

@@ -17,13 +17,11 @@ import (
 
 // joinModel is the join's state written plainly — per input one map from
 // Tuple.Key to the entries holding that key, as the operator itself kept it
-// before it had a store; no index, no slab, no changelog — and its tuple,
-// punctuation and feedback semantics over those maps. Tests drive it beside
-// the operator and compare what both emit and count. Like aggModel it reads
-// the operator's configuration and guard tables (guards are not what is
-// under test) and nothing of its state. Since the store took over, this
-// comparison is what proves no mutation misses the changelog: a missed note
-// shows as a delta chain that restores to something else.
+// before it had a store; no index, no slab — and its tuple, punctuation and
+// feedback semantics over those maps. Tests drive it beside the operator and
+// compare what both emit and count. Like aggModel it reads the operator's
+// configuration and guard tables (guards are not what is under test) and
+// nothing of its state.
 type joinModel struct {
 	j        *Join
 	tables   [2]map[string][]*modelEntry
@@ -296,12 +294,11 @@ func playJoin(t *testing.T, at string, h *exec.Harness, j *Join, m *joinModel, s
 // JoinShape, and cuts, over random configurations (one or two join columns,
 // every feedback mode, residual predicate, LEFT OUTER, impatient). After
 // every step the operator has emitted the model's sequence and counts what
-// it counts. At every cut a full capture, the previous full capture plus this
-// cut's delta, and the first capture plus every delta since all restore to
-// the same bytes; a twin restored from the delta chain emits, for the rest
-// of the script, what the model does; and a capture encoded only after the
-// script has gone on purging and compacting has the bytes it had at the cut
-// (§2.4: nothing captured may alias the slabs).
+// it counts. Every cut's capture restores to the same bytes and counts; the
+// twin restored from it emits, for the rest of the script, what the model
+// does; and a capture encoded only after the script has gone on purging and
+// compacting has the bytes it had at the cut (§2.4: nothing captured may
+// alias the slabs).
 func TestJoinStoreAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		c := randomJoinCase(rand.New(rand.NewSource(seed)))
@@ -313,38 +310,13 @@ func TestJoinStoreAgainstModel(t *testing.T) {
 		type cut struct {
 			step, emitted int
 			stats         JoinStats
-			full, delta   []byte
-			late          snapshot.Capture // a second full capture of the same state, encoded at the end
+			blob          []byte
+			late          snapshot.Capture // a second capture of the same state, encoded at the end
 		}
 		var cuts []cut
-		restore := func(base []byte, deltas ...[]byte) (*Join, *exec.Harness) {
-			twin := c.mk()
-			ht := exec.NewHarness(twin)
-			if ht.Err() != nil {
-				t.Fatal(ht.Err())
-			}
-			applyChain(t, twin, base, deltas...)
-			return twin, ht
-		}
 		playJoin(t, at, h, j, m, c.steps, func(step int) {
-			mode := snapshot.CaptureDelta
-			if len(cuts) == 0 {
-				mode = snapshot.CaptureFull
-			}
-			first, err := j.CaptureState(mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if first.Delta != (len(cuts) > 0) {
-				t.Fatalf("%s cut %d: Delta = %v", at, len(cuts), first.Delta)
-			}
-			k := cut{step: step, emitted: len(m.out), stats: j.Stats()}
-			if first.Delta {
-				k.delta = encodeCap(t, first)
-				k.full = captureBlob(t, j, snapshot.CaptureFull)
-			} else {
-				k.full = encodeCap(t, first)
-			}
+			k := cut{step: step, emitted: len(m.out), stats: j.Stats(), blob: captureBlob(t, j)}
+			var err error
 			if k.late, err = j.CaptureState(snapshot.CaptureFull); err != nil {
 				t.Fatal(err)
 			}
@@ -355,36 +327,31 @@ func TestJoinStoreAgainstModel(t *testing.T) {
 		m.progress(1, math.MaxInt64)
 		m.check(t, at+" after EOS", h.OutTuples(0), j.Stats())
 
-		var deltas [][]byte
 		for i, k := range cuts {
 			where := fmt.Sprintf("%s cut %d (step %d)", at, i, k.step)
-			if late := encodeCap(t, k.late); !bytes.Equal(late, k.full) {
-				t.Fatalf("%s: a capture encoded at the end of the script differs from one encoded at the cut (%dB vs %dB): it aliases live state", where, len(late), len(k.full))
+			enc := snapshot.NewEncoder()
+			if err := k.late.Encode(enc); err != nil {
+				t.Fatal(err)
 			}
-			fromFull, _ := restore(k.full)
-			want := fullBlob(t, fromFull)
-			if !bytes.Equal(want, k.full) {
-				t.Fatalf("%s: a full capture restores to other bytes (%dB vs %dB)", where, len(want), len(k.full))
+			if late, _ := enc.Bytes(); !bytes.Equal(late, k.blob) {
+				t.Fatalf("%s: a capture encoded at the end of the script differs from one encoded at the cut (%dB vs %dB): it aliases live state", where, len(late), len(k.blob))
 			}
-			if got := fromFull.Stats(); got != k.stats {
+			twin := c.mk()
+			ht := exec.NewHarness(twin)
+			if ht.Err() != nil {
+				t.Fatal(ht.Err())
+			}
+			loadBlob(t, twin, k.blob)
+			if got := captureBlob(t, twin); !bytes.Equal(got, k.blob) {
+				t.Fatalf("%s: a capture restores to other bytes (%dB vs %dB)", where, len(got), len(k.blob))
+			}
+			if got := twin.Stats(); got != k.stats {
 				t.Fatalf("%s: restored stats %+v, at the cut %+v", where, got, k.stats)
 			}
-			if i == 0 {
-				continue
-			}
-			deltas = append(deltas, k.delta)
-			one, _ := restore(cuts[i-1].full, k.delta)
-			if got := fullBlob(t, one); !bytes.Equal(got, want) {
-				t.Fatalf("%s: base + delta differs from a full capture (%dB vs %dB)", where, len(got), len(want))
-			}
-			chained, hc := restore(cuts[0].full, deltas...)
-			if got := fullBlob(t, chained); !bytes.Equal(got, want) {
-				t.Fatalf("%s: base + %d deltas differs from a full capture (%dB vs %dB)", where, len(deltas), len(got), len(want))
-			}
 			// The twin finishes the script as the original did.
-			playJoin(t, where+" twin", hc, chained, nil, c.steps[k.step+1:], nil)
-			hc.EOS(0).EOS(1)
-			rest := hc.OutTuples(0)
+			playJoin(t, where+" twin", ht, twin, nil, c.steps[k.step+1:], nil)
+			ht.EOS(0).EOS(1)
+			rest := ht.OutTuples(0)
 			if len(rest) != len(m.out)-k.emitted {
 				t.Fatalf("%s: the restored twin emitted %d more tuples, the original %d", where, len(rest), len(m.out)-k.emitted)
 			}
@@ -393,7 +360,7 @@ func TestJoinStoreAgainstModel(t *testing.T) {
 					t.Fatalf("%s: the restored twin emitted %v at %d, the original %v", where, rest[n], n, w)
 				}
 			}
-			if got, w := chained.Stats(), j.Stats(); got != w {
+			if got, w := twin.Stats(), j.Stats(); got != w {
 				t.Fatalf("%s: the restored twin ends with stats %+v, the original %+v", where, got, w)
 			}
 		}

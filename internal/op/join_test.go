@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
-	"repro/internal/snapshot"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
@@ -299,8 +298,8 @@ func TestImpatientJoinSendsDesired(t *testing.T) {
 // TestImpatientAskedSetBounded: the set of keys already asked for holds only
 // keys that can still recur. With the timestamp among the join keys — the
 // paper's ?[period, segment, *] shape — left punctuation for a period retires
-// its keys, so over 10 000 periods × 8 segments the set, and each delta, stay
-// the size of one period; every key is still asked for exactly once.
+// its keys, so over 10 000 periods × 8 segments the set, and each capture,
+// stay the size of one period; every key is still asked for exactly once.
 func TestImpatientAskedSetBounded(t *testing.T) {
 	const periods, segments = 10_000, 8
 	period := func(h *exec.Harness, p int64) {
@@ -313,7 +312,7 @@ func TestImpatientAskedSetBounded(t *testing.T) {
 	one := newTestJoin(FeedbackExploit, false)
 	one.Impatient = true
 	period(exec.NewHarness(one), periods)
-	onePeriod := len(captureBlob(t, one, snapshot.CaptureFull))
+	onePeriod := len(captureBlob(t, one))
 
 	j := newTestJoin(FeedbackExploit, false)
 	j.Impatient = true
@@ -321,12 +320,8 @@ func TestImpatientAskedSetBounded(t *testing.T) {
 	for p := int64(0); p < periods; p++ {
 		period(h, p)
 		if p%100 == 0 {
-			c, err := j.CaptureState(snapshot.CaptureDelta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := len(encodeCap(t, c)); c.Delta != (p > 0) || n > 2*onePeriod {
-				t.Fatalf("period %d: capture (delta=%v) is %dB; one period of state is %dB", p, c.Delta, n, onePeriod)
+			if n := len(captureBlob(t, j)); n > 2*onePeriod {
+				t.Fatalf("period %d: capture is %dB; one period of state is %dB", p, n, onePeriod)
 			}
 		}
 		h.Punct(0, leftPunct(p))

@@ -1,18 +1,13 @@
 package op
 
 import (
-	"cmp"
 	"math"
-	"slices"
-	"sort"
 
 	"repro/internal/stream"
 )
 
 // joinStore is the join's state: per input, the tuples waiting for partners;
-// and, for the impatient join, the left keys already asked for. Every
-// mutation of join state goes through a joinSide method, so the changelog
-// incremental snapshots are cut from cannot miss one (DESIGN.md §7.1).
+// and, for the impatient join, the left keys already asked for.
 type joinStore struct {
 	sides [2]joinSide // 0 = left input, 1 = right input
 	// asked holds one entry per left key the impatient join has sent desired
@@ -27,19 +22,9 @@ type joinStore struct {
 // the slab in place and relinks it, so nothing that leaves the store — an
 // emitted result, a capture — may point into it, and no slab position
 // survives a removeWhere (§2.4).
-//
-// Changelog, relative to the previous capture or load (the baseline). Entries
-// are numbered as they arrive, so the slab is in id order and the entries
-// inserted since the baseline are its suffix: a delta ships that suffix and,
-// for the entries the baseline held, one watermark (purges by punctuation
-// take every entry at or below a timestamp), the ids purged one by one by
-// feedback, and the ids whose matched bit was set. A note is forgotten when
-// the watermark passes its entry, so the changelog never outgrows the
-// baseline entries the watermark has not reached, whether or not anyone
-// captures: it is always on and has no cap.
 type joinSide struct {
 	cols    []int       // key columns of this side's tuples
-	entries []joinEntry // arrival order, ascending id
+	entries []joinEntry // arrival order
 	keys    keyTable    // distinct keys held
 	chains  []joinChain // per key row
 	minTs   int64       // lower bound on the smallest ts held
@@ -48,18 +33,11 @@ type joinSide struct {
 	// copied into (keep): an entry outlives the callback that delivered its
 	// tuple, whose own values are recycled with their page.
 	arena []stream.Value
-
-	nextID        int64 // id of the next entry to arrive
-	baseID        int64 // entries with a smaller id were held at the baseline
-	purgedThrough int64 // largest watermark purged to since the baseline; math.MinInt64 when none
-	purged        []joinNote
-	matched       []joinNote
 }
 
 type joinEntry struct {
 	t       stream.Tuple
 	ts      int64
-	id      int64
 	hash    uint32
 	next    int32 // the key's next entry in arrival order; -1 at its last
 	matched bool
@@ -67,9 +45,6 @@ type joinEntry struct {
 
 // joinChain is the first and last entry of one key.
 type joinChain struct{ head, tail int32 }
-
-// joinNote names a baseline entry something happened to.
-type joinNote struct{ id, ts int64 }
 
 // reset empties the store. cols are the key columns of the left and the
 // right input.
@@ -87,17 +62,8 @@ func (s *joinStore) reset(left, right []int) {
 // all lists the sides in the order blobs hold them.
 func (s *joinStore) all() [3]*joinSide { return [3]*joinSide{&s.sides[0], &s.sides[1], &s.asked} }
 
-// rebase makes the state as it stands the baseline of the next delta. A
-// capture ends with it, and so does a restore, whose purges replay a change
-// the chain already holds.
-func (s *joinStore) rebase() {
-	for _, side := range s.all() {
-		side.baseID, side.purgedThrough, side.purged, side.matched = side.nextID, math.MinInt64, nil, nil
-	}
-}
-
 func (s *joinSide) reset(cols []int) {
-	*s = joinSide{cols: cols, keys: keyTable{k: len(cols)}, minTs: math.MaxInt64, purgedThrough: math.MinInt64}
+	*s = joinSide{cols: cols, keys: keyTable{k: len(cols)}, minTs: math.MaxInt64}
 }
 
 // first returns the slab position of the oldest entry holding key, whose
@@ -136,16 +102,9 @@ func (s *joinSide) keep(t stream.Tuple) stream.Tuple {
 	return stream.Tuple{Values: vals, Seq: t.Seq}
 }
 
-// insert appends an arriving tuple, which the side owns from here on (keep);
-// key is its key on this side, h the key's hash.
-//
-//pace:hotpath
-func (s *joinSide) insert(h uint32, key []stream.Value, t stream.Tuple, ts int64, matched bool) {
-	s.link(joinEntry{t: t, ts: ts, id: s.nextID, hash: h, matched: matched}, key)
-	s.nextID++
-}
-
-// link puts e at the end of the slab and of its key's chain.
+// link puts e at the end of the slab and of its key's chain; key is its key
+// on this side, e.hash the key's hash. An arriving tuple's entry holds the
+// side's own copy of it (keep).
 //
 //pace:hotpath
 func (s *joinSide) link(e joinEntry, key []stream.Value) {
@@ -161,20 +120,6 @@ func (s *joinSide) link(e joinEntry, key []stream.Value) {
 	e.next = -1
 	s.entries = append(s.entries, e) //pace:allow-alloc amortised slab growth: every arriving tuple is retained, the entry is the state
 	s.minTs = min(s.minTs, e.ts)
-}
-
-// setMatched records that the entry at slab position i has found a partner.
-//
-//pace:hotpath
-func (s *joinSide) setMatched(i int32) {
-	e := &s.entries[i]
-	if e.matched {
-		return
-	}
-	e.matched = true
-	if e.id < s.baseID {
-		s.matched = append(s.matched, joinNote{e.id, e.ts}) //pace:allow-alloc changelog growth, at most once per baseline entry
-	}
 }
 
 // removeWhere drops the entries doomed picks, handing each to victim first
@@ -213,83 +158,22 @@ func (s *joinSide) removeWhere(doomed func(*joinEntry) bool, victim func(*joinEn
 }
 
 // purgeThrough drops every entry with ts ≤ wm — what punctuation proves can
-// find no partner any more — and moves the changelog's watermark. A purge that
-// can take nothing (wm below every ts held) costs one comparison and notes
-// nothing: whatever the baseline held at or below wm is already gone and
-// accounted for.
+// find no partner any more. A purge that can take nothing (wm below every ts
+// held) costs one comparison.
 func (s *joinSide) purgeThrough(wm int64, victim func(*joinEntry)) {
 	if wm < s.minTs {
 		return
 	}
 	s.removeWhere(func(e *joinEntry) bool { return e.ts <= wm }, victim)
-	if wm > s.purgedThrough {
-		s.purgedThrough = wm
-		forget := func(n joinNote) bool { return n.ts <= wm }
-		s.purged = slices.DeleteFunc(s.purged, forget)
-		s.matched = slices.DeleteFunc(s.matched, forget)
-	}
 }
 
-// purgeWhere drops the entries doomed picks one by one (feedback) and notes
-// the baseline entries among them.
-func (s *joinSide) purgeWhere(doomed func(*joinEntry) bool) int {
-	return s.removeWhere(doomed, func(e *joinEntry) {
-		if e.id < s.baseID {
-			s.purged = append(s.purged, joinNote{e.id, e.ts})
-		}
-	})
-}
-
-// joinSideCut is one side of a capture, or of a decoded blob: a copy that
-// shares nothing with the slab it was taken from.
-type joinSideCut struct {
-	nextID int64
-	// The changelog, in a delta only.
-	purgedThrough   int64
-	purged, matched []joinNote
-	// Every entry held, or in a delta those inserted since the baseline.
-	entries []joinEntry
-}
-
-// capture copies the side or, for a delta, its changelog and the entries
-// inserted since the baseline. The caller rebases: the changelog slices now
-// belong to the cut.
-func (s *joinSide) capture(delta bool) joinSideCut {
-	c := joinSideCut{nextID: s.nextID}
-	from := 0
-	if delta {
-		c.purgedThrough, c.purged, c.matched = s.purgedThrough, s.purged, s.matched
-		from = sort.Search(len(s.entries), func(i int) bool { return s.entries[i].id >= s.baseID })
-	}
-	c.entries = slices.Clone(s.entries[from:])
-	return c
-}
-
-// apply replays a cut on the side: the watermark and the one-by-one purges
-// take baseline entries, matched bits are set, then the cut's entries arrive.
-// A full cut applied to an empty side loads it. Ids the side does not hold
-// (dropped at an earlier restore, §6.3) are passed over.
-func (s *joinSide) apply(c *joinSideCut) {
-	slices.SortFunc(c.purged, func(a, b joinNote) int { return cmp.Compare(a.id, b.id) })
-	next := 0
-	s.removeWhere(func(e *joinEntry) bool {
-		for next < len(c.purged) && c.purged[next].id < e.id {
-			next++
-		}
-		return e.ts <= c.purgedThrough || next < len(c.purged) && c.purged[next].id == e.id
-	}, nil)
-	for _, n := range c.matched {
-		i, found := sort.Find(len(s.entries), func(i int) int { return cmp.Compare(n.id, s.entries[i].id) })
-		if found {
-			s.entries[i].matched = true
-		}
-	}
+// load links decoded entries, in arrival order, onto an emptied side.
+func (s *joinSide) load(entries []joinEntry) {
 	var key []stream.Value
-	for i := range c.entries {
-		e := c.entries[i]
+	for i := range entries {
+		e := entries[i]
 		key = e.t.AppendProjected(key[:0], s.cols)
 		e.hash = hashKey(key)
 		s.link(e, key)
 	}
-	s.nextID = c.nextID
 }

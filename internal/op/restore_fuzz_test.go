@@ -15,46 +15,34 @@ import (
 // operatorStaters is how many of stateRows are operators.
 const operatorStaters = 8
 
-// restoreRow is an operator FuzzOperatorRestore restores into.
-type restoreRow struct {
-	open func() snapshot.Stater // a fresh, opened instance
-	base []byte                 // the full blob a delta is applied on
-}
-
 // FuzzOperatorRestore feeds arbitrary bytes to every operator's derived
-// restore: LoadState on an opened operator, or ApplyDelta on one that has
-// loaded a good base. Either returns an error, or leaves a state that is
-// whole: no larger than the bytes could describe — its full capture takes
-// no more bytes than the blobs it was loaded from, and the aggregate holds no
-// more slots, tombstones included — and whose full capture loads into a twin
-// that encodes the same bytes again, once it has been through a load itself:
-// a load drops what the cut's guards cover among the state the blob carries
-// (§6.3), so the state a full blob leaves is settled and the state a delta
-// lands in is one load away. Nothing may panic.
+// restore, LoadState on an opened operator. It returns an error, or leaves a
+// state that is whole: no larger than the bytes could describe — its capture
+// takes no more bytes than the blob it was loaded from, and the aggregate
+// holds no more slots, tombstones included — and whose capture loads into a
+// twin that encodes the same bytes again. Nothing may panic.
 //
-// The seeds are each operator's golden blob, whole and cut short, a join
-// delta, and the aggregate's capture chain — a full blob, a delta that
-// records a purge and carries the purged group again (the tombstone path), a
-// delta over a window closed and re-opened — and a full blob that lists one
-// group twice under a guard that covers it.
+// The seeds are each operator's golden blob, whole and cut short; the join
+// after a match and a purge by watermark; the aggregate along a history — a
+// purge and the purged group carried again (the tombstone path), windows
+// closed and re-opened — and a blob that lists one group twice under a guard
+// that covers it.
 func FuzzOperatorRestore(f *testing.F) {
-	var rows []restoreRow
+	var opens []func() snapshot.Stater
 	for i, row := range stateRows()[:operatorStaters] {
 		golden, err := hex.DecodeString(row.golden)
 		if err != nil {
 			f.Fatal(err)
 		}
-		open := func() snapshot.Stater { st, _ := row.open(); return st }
-		rows = append(rows, restoreRow{open, golden})
-		f.Add(uint8(i), golden, false)
-		f.Add(uint8(i), golden[:len(golden)/2], false)
+		opens = append(opens, func() snapshot.Stater { st, _ := row.open(); return st })
+		f.Add(uint8(i), golden)
+		f.Add(uint8(i), golden[:len(golden)/2])
 		if row.name == "join" {
 			st, h := row.open()
 			row.feed(f, st, h)
-			captureBlob(f, st, snapshot.CaptureFull)
 			h.Tuple(1, traffic(4, 8, 310, 60)) // matches the left entry
 			h.Punct(0, tsPunct(260))           // purges right 3 by watermark
-			f.Add(uint8(i), captureBlob(f, st, snapshot.CaptureDelta), true)
+			f.Add(uint8(i), captureBlob(f, st))
 		}
 	}
 
@@ -73,18 +61,18 @@ func FuzzOperatorRestore(f *testing.F) {
 	}
 	// On AVG, value feedback leaves an output guard only.
 	_ = a.ProcessFeedback(0, core.NewAssumed(punct.OnAttr(3, 2, punct.Ge(stream.Float(25)))), rec)
-	base := captureBlob(f, a, snapshot.CaptureFull)
+	base := captureBlob(f, a)
 	a.Purge(core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(2)))), core.ResponsePlan{}) // the pins it returns are dropped
 	_ = a.ProcessTuple(0, traffic(2, 0, minute+9, 5), rec)
 	_ = a.ProcessTuple(0, traffic(6, 0, minute+10, 7), rec)
-	revived := captureBlob(f, a, snapshot.CaptureDelta)
+	revived := captureBlob(f, a)
 	// Windows 0 and 1 close, a late tuple opens them again, and a purge leaves
 	// an input guard.
 	_ = a.ProcessPunct(0, tsPunct(2*minute), rec)
 	_ = a.ProcessTuple(0, traffic(3, 0, minute+11, 9), rec)
 	_ = a.ProcessFeedback(0, core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(3)))), rec)
 	_ = a.ProcessTuple(0, traffic(4, 0, 3*minute, 11), rec)
-	reopened := captureBlob(f, a, snapshot.CaptureDelta)
+	reopened := captureBlob(f, a)
 
 	twice := snapshot.NewEncoder()
 	twice.PutInt64(aggLayout)
@@ -107,18 +95,14 @@ func FuzzOperatorRestore(f *testing.F) {
 	}
 	dup, _ := twice.Bytes()
 
-	chain := uint8(len(rows))
-	rows = append(rows, restoreRow{buildAgg, base})
-	for _, b := range [][]byte{base, dup} {
-		f.Add(chain, b, false)
-		f.Add(chain, b[:len(b)/2], false)
-	}
-	for _, b := range [][]byte{revived, reopened} {
-		f.Add(chain, b, true)
-		f.Add(chain, b[:len(b)-3], true)
+	history := uint8(len(opens))
+	opens = append(opens, buildAgg)
+	for _, b := range [][]byte{base, revived, reopened, dup} {
+		f.Add(history, b)
+		f.Add(history, b[:len(b)/2])
 	}
 
-	// sizes measures a restored state: its full capture, and the aggregate's
+	// sizes measures a restored state: its capture, and the aggregate's
 	// slots, tombstones included, which encode nothing.
 	sizes := func(t *testing.T, st snapshot.Stater) (blob, slots int) {
 		if a, ok := st.(*Aggregate); ok {
@@ -126,43 +110,24 @@ func FuzzOperatorRestore(f *testing.F) {
 				slots += len(w.groups)
 			}
 		}
-		return len(captureBlob(t, st, snapshot.CaptureFull)), slots
+		return len(captureBlob(t, st)), slots
 	}
-	f.Fuzz(func(t *testing.T, which uint8, data []byte, delta bool) {
-		row := rows[int(which)%len(rows)]
-		st := row.open()
-		var err error
-		heldBlob, heldSlots := 0, 0
-		if delta {
-			loadAll(t, st, row.base)
-			heldBlob, heldSlots = sizes(t, st)
-			err = st.(interface {
-				ApplyDelta(*snapshot.Decoder) error
-			}).ApplyDelta(snapshot.NewDecoder(data))
-		} else {
-			err = st.LoadState(snapshot.NewDecoder(data))
-		}
-		if err != nil {
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		open := opens[int(which)%len(opens)]
+		st := open()
+		if err := st.LoadState(snapshot.NewDecoder(data)); err != nil {
 			return
 		}
-		if blob, slots := sizes(t, st); blob > heldBlob+len(data) || slots > heldSlots+len(data) {
-			t.Fatalf("%d bytes restored into a %d-byte capture and %d slots (%d and %d held before)",
-				len(data), blob, slots, heldBlob, heldSlots)
+		if blob, slots := sizes(t, st); blob > len(data) || slots > len(data) {
+			t.Fatalf("%d bytes restored into a %d-byte capture and %d slots", len(data), blob, slots)
 		}
-		reload := func(from snapshot.Stater) (snapshot.Stater, []byte) {
-			blob := captureBlob(t, from, snapshot.CaptureFull)
-			twin, dec := row.open(), snapshot.NewDecoder(blob)
-			if err := twin.LoadState(dec); err != nil || dec.Remaining() != 0 {
-				t.Fatalf("the full capture of a restored operator does not load: %v, %d bytes left (restored from %x)", err, dec.Remaining(), data)
-			}
-			return twin, blob
+		first := captureBlob(t, st)
+		twin, dec := open(), snapshot.NewDecoder(first)
+		if err := twin.LoadState(dec); err != nil || dec.Remaining() != 0 {
+			t.Fatalf("the capture of a restored operator does not load: %v, %d bytes left (restored from %x)", err, dec.Remaining(), data)
 		}
-		if delta {
-			st, _ = reload(st)
-		}
-		twin, first := reload(st)
-		if second := captureBlob(t, twin, snapshot.CaptureFull); !bytes.Equal(first, second) {
-			t.Fatalf("a full capture re-loaded encodes differently:\n  %x\n  %x\n(restored from %x)", first, second, data)
+		if second := captureBlob(t, twin); !bytes.Equal(first, second) {
+			t.Fatalf("a capture re-loaded encodes differently:\n  %x\n  %x\n(restored from %x)", first, second, data)
 		}
 	})
 }

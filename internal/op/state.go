@@ -3,7 +3,6 @@ package op
 import (
 	"fmt"
 	"maps"
-	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -14,8 +13,8 @@ import (
 // snapshot.State and declares its blob, field by field, at the end of Open;
 // capture, encode and bounded restore are derived from the declaration
 // (DESIGN.md §6.2). The fields written out below are the shapes snapshot has
-// no constructor for: the aggregate's and the join's stores, whose
-// changelogs answer delta captures, and the join's probe counts.
+// no constructor for: the aggregate's and the join's stores, and the join's
+// probe counts.
 //
 // A restore also honors the paper's state-purging argument: state an
 // assumed-feedback guard in the cut covers is dropped once the blob's guards
@@ -23,9 +22,9 @@ import (
 // issuer has disclaimed the subset, and Definition 1 permits any response up
 // to full suppression (§6.3).
 
-// aggLayout opens every Aggregate state blob, full or delta. It is negative
-// because the layout before it began with an entry count, which never is: a
-// blob written by that build is refused, not misparsed.
+// aggLayout opens every Aggregate state blob. It is negative because the
+// layout before it began with an entry count, which never is: a blob written
+// by that build is refused, not misparsed.
 const aggLayout = -1
 
 func (a *Aggregate) keepState() {
@@ -38,76 +37,36 @@ func (a *Aggregate) keepState() {
 			&a.outSuppressed, &a.purged, &a.partialsEmitted))
 }
 
-// storeField keeps the aggregate's groups. Phase 1 copies them (all, or the
-// dirty ones with the watermark and the purge records) out of the store; the
-// windows they sat in may close and be reused before phase 2 runs. A full
-// blob loads into a fresh store; a delta closes the windows through its
-// watermark, purges its groups one by one, then upserts. Either way the
-// groups the cut's guards cover are dropped once the guards are in, and the
-// result is the baseline of the next delta: what applying the blob did to the
-// store is no change to report.
+// storeField keeps the aggregate's groups. Phase 1 copies them out of the
+// store; the windows they sat in may close and be reused before phase 2 runs.
+// A blob loads into a fresh store, and the groups the cut's guards cover are
+// dropped once the guards are in.
 func (a *Aggregate) storeField() snapshot.Field {
 	var (
 		loaded aggStore
 		refs   []aggRef
 	)
 	return snapshot.Field{
-		Capture: func(delta bool) func(*snapshot.Encoder) {
-			c := a.store.capture(delta)
-			return func(enc *snapshot.Encoder) {
-				if delta {
-					enc.PutInt64(c.closedThrough)
-					enc.PutInt(len(c.purged))
-					for _, p := range c.purged {
-						enc.PutInt64(p.wid)
-						enc.PutValues(p.key)
-					}
-				}
-				c.encodeGroups(enc)
-			}
+		Capture: func() func(*snapshot.Encoder) {
+			return a.store.capture().encodeGroups
 		},
 		Load: func(dec *snapshot.Decoder) (err error) {
 			loaded.reset(len(a.GroupBy))
 			refs, err = a.decodeGroups(dec, &loaded)
 			return err
 		},
-		Delta: func(dec *snapshot.Decoder) (err error) {
-			closedThrough := dec.GetInt64()
-			for w := a.store.first(); dec.Err() == nil && w != nil && w.wid <= closedThrough; w = a.store.first() {
-				a.store.closeFirst()
-			}
-			np := dec.GetCount()
-			for i := 0; i < np && dec.Err() == nil; i++ {
-				wid, key := dec.GetInt64(), dec.GetValues()
-				if dec.Err() != nil {
-					break
-				}
-				if len(key) != a.store.k {
-					return a.errGroupWidth(len(key))
-				}
-				if w, slot := a.store.find(wid, key); w != nil {
-					a.store.purge(w, slot)
-				}
-			}
-			refs, err = a.decodeGroups(dec, &a.store)
-			return err
-		},
-		Settle: func(delta bool) error {
-			if !delta {
-				a.store, loaded = loaded, aggStore{}
-			}
+		Settle: func() error {
+			a.store, loaded = loaded, aggStore{}
 			a.dropCovered(refs)
 			refs = nil
-			a.store.rebase()
 			return nil
 		},
 	}
 }
 
-// encodeGroups writes the captured groups window by window in the order they
-// were captured in — slot order for a full capture, dirty-list order for a
-// delta — which is canonical (DESIGN.md §10.6): equal histories encode to
-// equal bytes, in the live operator and in a twin restored from its chain.
+// encodeGroups writes the captured groups window by window in slot order,
+// which is canonical (DESIGN.md §10.6): equal histories encode to equal
+// bytes, in the live operator and in a twin restored from its capture.
 func (c *aggCapture) encodeGroups(enc *snapshot.Encoder) {
 	enc.PutInt(len(c.wins))
 	at := int32(0)
@@ -175,14 +134,15 @@ func (a *Aggregate) dropCovered(refs []aggRef) {
 		if a.guardsPrefix.Suppress(a.probePrefix(r.w, r.slot)) ||
 			a.guardsOut.Suppress(a.probeResult(r.w, r.slot)) {
 			a.purged++
-			a.store.purge(r.w, r.slot)
+			r.w.purge(r.slot)
 		}
 	}
 }
 
-// joinLayout opens every Join state blob, full or delta. Like aggLayout it is
-// negative because the layout before it began with an entry count.
-const joinLayout = -1
+// joinLayout opens every Join state blob. Like aggLayout it is negative: the
+// layout before −1 began with an entry count, and −1's entries carried the
+// ids only a delta needed.
+const joinLayout = -2
 
 func (j *Join) keepState() {
 	j.Keep(j.Name(),
@@ -200,64 +160,25 @@ func (j *Join) keepState() {
 			&j.purgedByFeedback, &j.thriftySent, &j.impatientSent))
 }
 
-// storeField keeps the join's three sides — left, right, asked. Per side: the
-// next id, in a delta the changelog (watermark, purged ids, matched ids),
-// then the entries in arrival order — all of them, or those inserted since
-// the baseline. A load decodes every side before it replays them on the
-// store — a full blob on an emptied one — and once the cut's input guards
-// are in, the entries they cover go (§6.3). An entry's tuple must have its
-// side's arity: the key projection indexes it.
+// storeField keeps the join's three sides — left, right, asked — each as its
+// entries in arrival order. A load decodes every side before it links them
+// into an emptied store, and once the cut's input guards are in, the entries
+// they cover go (§6.3). An entry's tuple must have its side's arity: the key
+// projection indexes it.
 func (j *Join) storeField() snapshot.Field {
-	var cuts [3]joinSideCut
+	var loaded [3][]joinEntry
 	arity := [3]int{j.Left.Arity(), j.Right.Arity(), len(j.LeftKeys)}
-	read := func(delta bool) func(*snapshot.Decoder) error {
-		return func(dec *snapshot.Decoder) error {
-			for i := range cuts {
-				c := &cuts[i]
-				*c = joinSideCut{nextID: dec.GetInt64(), purgedThrough: math.MinInt64}
-				if delta {
-					c.purgedThrough = dec.GetInt64()
-					for _, notes := range []*[]joinNote{&c.purged, &c.matched} {
-						n := dec.GetCount()
-						*notes = make([]joinNote, 0, n)
-						for k := 0; k < n && dec.Err() == nil; k++ {
-							*notes = append(*notes, joinNote{id: dec.GetInt64()})
-						}
-					}
-				}
-				n := dec.GetCount()
-				c.entries = make([]joinEntry, 0, n)
-				for k := 0; k < n && dec.Err() == nil; k++ {
-					c.entries = append(c.entries, joinEntry{id: dec.GetInt64(), t: dec.GetTupleArity(arity[i]), ts: dec.GetInt64(), matched: dec.GetBool()})
-				}
-			}
-			return nil
-		}
-	}
 	return snapshot.Field{
-		Capture: func(delta bool) func(*snapshot.Encoder) {
-			var sides [3]joinSideCut
+		Capture: func() func(*snapshot.Encoder) {
+			var sides [3][]joinEntry
 			for i, side := range j.store.all() {
-				sides[i] = side.capture(delta)
+				sides[i] = slices.Clone(side.entries)
 			}
-			j.store.rebase()
 			return func(enc *snapshot.Encoder) {
-				for i := range sides {
-					c := &sides[i]
-					enc.PutInt64(c.nextID)
-					if delta {
-						enc.PutInt64(c.purgedThrough)
-						for _, notes := range [][]joinNote{c.purged, c.matched} {
-							enc.PutInt(len(notes))
-							for _, n := range notes {
-								enc.PutInt64(n.id)
-							}
-						}
-					}
-					enc.PutInt(len(c.entries))
-					for e := range c.entries {
-						e := &c.entries[e]
-						enc.PutInt64(e.id)
+				for _, entries := range sides {
+					enc.PutInt(len(entries))
+					for e := range entries {
+						e := &entries[e]
 						enc.PutTuple(e.t)
 						enc.PutInt64(e.ts)
 						enc.PutBool(e.matched)
@@ -265,23 +186,28 @@ func (j *Join) storeField() snapshot.Field {
 				}
 			}
 		},
-		Load:  read(false),
-		Delta: read(true),
-		Settle: func(delta bool) error {
-			if !delta {
-				j.store.reset(j.LeftKeys, j.RightKeys)
+		Load: func(dec *snapshot.Decoder) error {
+			for i := range loaded {
+				n := dec.GetCount()
+				loaded[i] = make([]joinEntry, 0, n)
+				for k := 0; k < n && dec.Err() == nil; k++ {
+					loaded[i] = append(loaded[i], joinEntry{t: dec.GetTupleArity(arity[i]), ts: dec.GetInt64(), matched: dec.GetBool()})
+				}
 			}
+			return nil
+		},
+		Settle: func() error {
+			j.store.reset(j.LeftKeys, j.RightKeys)
 			for i, side := range j.store.all() {
-				side.apply(&cuts[i])
+				side.load(loaded[i])
 			}
-			cuts = [3]joinSideCut{}
+			loaded = [3][]joinEntry{}
 			for side, guards := range j.guardsIn {
 				if guards.Active() > 0 {
 					n := j.store.sides[side].removeWhere(func(e *joinEntry) bool { return guards.Suppress(e.t) }, nil)
 					j.purgedByFeedback += int64(n)
 				}
 			}
-			j.store.rebase()
 			return nil
 		},
 	}
@@ -291,7 +217,7 @@ func (j *Join) storeField() snapshot.Field {
 // window order.
 func (j *Join) probeField() snapshot.Field {
 	return snapshot.Field{
-		Capture: func(bool) func(*snapshot.Encoder) {
+		Capture: func() func(*snapshot.Encoder) {
 			wids := slices.Sorted(maps.Keys(j.probeCounts))
 			counts := make([]int64, len(wids))
 			for i, w := range wids {

@@ -1,6 +1,7 @@
 package op
 
 import (
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -85,8 +86,8 @@ func TestAggregateStateRoundTrip(t *testing.T) {
 
 // TestAggregateRefusesStaleLayout: a state blob written before the aggregate's
 // blobs carried a layout marker — an entry count, then per entry the key
-// string, wid, group values and accumulators — is refused by name, full or
-// delta, for any entry count, instead of being misparsed into state.
+// string, wid, group values and accumulators — is refused by name, for any
+// entry count, instead of being misparsed into state.
 func TestAggregateRefusesStaleLayout(t *testing.T) {
 	for entries := 0; entries < 3; entries++ {
 		enc := snapshot.NewEncoder()
@@ -113,14 +114,12 @@ func TestAggregateRefusesStaleLayout(t *testing.T) {
 		if h := exec.NewHarness(a); h.Err() != nil {
 			t.Fatal(h.Err())
 		}
-		for name, load := range map[string]func(*snapshot.Decoder) error{"LoadState": a.LoadState, "ApplyDelta": a.ApplyDelta} {
-			err := load(snapshot.NewDecoder(stale))
-			if err == nil || !strings.Contains(err.Error(), `"average"`) || !strings.Contains(err.Error(), "layout") {
-				t.Fatalf("%s of a stale blob with %d entries: %v, want an error naming the operator and the layout", name, entries, err)
-			}
-			if got := a.Stats(); got.OpenGroups != 0 || got.In != 0 {
-				t.Fatalf("%s of a stale blob left state behind: %+v", name, got)
-			}
+		err = a.LoadState(snapshot.NewDecoder(stale))
+		if err == nil || !strings.Contains(err.Error(), `"average"`) || !strings.Contains(err.Error(), "layout") {
+			t.Fatalf("LoadState of a stale blob with %d entries: %v, want an error naming the operator and the layout", entries, err)
+		}
+		if got := a.Stats(); got.OpenGroups != 0 || got.In != 0 {
+			t.Fatalf("LoadState of a stale blob left state behind: %+v", got)
 		}
 	}
 }
@@ -242,11 +241,17 @@ func TestJoinRestoreDropsGuardedEntries(t *testing.T) {
 	}
 }
 
-// TestJoinRefusesStaleLayout: a Join blob in the layout before joinLayout —
-// per side a count and {tuple, ts, matched} entries, or in a delta a dead-key
-// list and per-key buckets, each opening with a count — is refused with an
-// error naming the operator, not misparsed.
+// joinLayout1 is a Join blob in layout −1, whose entries carried the ids only
+// a delta needed: the golden the build before joinLayout wrote for the join
+// row of TestStateBytesGolden.
+const joinLayout1 = "01060204080108010404d80402404900000000000000d80400040202080106011204f40302405180000000000000f4030006060002010200feffffffffffffffff01000202010400feffffffffffffffff01000402010800feffffffffffffffff0100280100c801010028010204020006020001040001010a00000676696577657200060200010400000006024059000000000000067669657765720008040001070001010a00000000000676696577657202060001070000000000000602405900000000000006766965776572020802020000000006"
+
+// TestJoinRefusesStaleLayout: a Join blob in a layout before joinLayout — one
+// with no marker (per side a count and {tuple, ts, matched} entries), or
+// layout −1 (entries with ids) — is refused with an error naming the operator
+// and the layout, not misparsed.
 func TestJoinRefusesStaleLayout(t *testing.T) {
+	var stale [][]byte
 	for entries := 0; entries < 3; entries++ {
 		enc := snapshot.NewEncoder()
 		for side := 0; side < 2; side++ {
@@ -273,22 +278,28 @@ func TestJoinRefusesStaleLayout(t *testing.T) {
 		for c := 0; c < 7; c++ {
 			enc.PutInt64(2)
 		}
-		stale, err := enc.Bytes()
+		blob, err := enc.Bytes()
 		if err != nil {
 			t.Fatal(err)
 		}
+		stale = append(stale, blob)
+	}
+	layout1, err := hex.DecodeString(joinLayout1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale = append(stale, layout1)
+	for i, blob := range stale {
 		j := testJoin(FeedbackExploit)
 		if h := exec.NewHarness(j); h.Err() != nil {
 			t.Fatal(h.Err())
 		}
-		for name, load := range map[string]func(*snapshot.Decoder) error{"LoadState": j.LoadState, "ApplyDelta": j.ApplyDelta} {
-			err := load(snapshot.NewDecoder(stale))
-			if err == nil || !strings.Contains(err.Error(), `"j"`) || !strings.Contains(err.Error(), "layout") {
-				t.Fatalf("%s of a stale blob with %d entries: %v, want an error naming the operator and the layout", name, entries, err)
-			}
-			if got := j.Stats(); got != (JoinStats{}) {
-				t.Fatalf("%s of a stale blob left state behind: %+v", name, got)
-			}
+		err := j.LoadState(snapshot.NewDecoder(blob))
+		if err == nil || !strings.Contains(err.Error(), `"j"`) || !strings.Contains(err.Error(), "layout") {
+			t.Fatalf("LoadState of stale blob %d: %v, want an error naming the operator and the layout", i, err)
+		}
+		if got := j.Stats(); got != (JoinStats{}) {
+			t.Fatalf("LoadState of stale blob %d left state behind: %+v", i, got)
 		}
 	}
 }
@@ -303,10 +314,8 @@ func TestStoredTuplesMustHaveTheirStreamsArity(t *testing.T) {
 		join := snapshot.NewEncoder()
 		join.PutInt64(joinLayout)
 		for side := 0; side < 3; side++ {
-			join.PutInt64(1) // next id
 			if side == 0 {
 				join.PutInt(1)
-				join.PutInt64(0)
 				join.PutTuple(bad)
 				join.PutInt64(10)
 				join.PutBool(false)

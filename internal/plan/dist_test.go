@@ -119,7 +119,7 @@ func runDistPair(t *testing.T, items []queue.Item, st *distStores, killWhen func
 	go func() {
 		defer wg.Done()
 		coordErr, chkErr = dc.RunCheckpointed(exec.CheckpointPolicy{
-			Interval: 10 * time.Millisecond, FullEvery: 3, Retain: 3,
+			Interval: 10 * time.Millisecond, Retain: 3,
 		})
 	}()
 
@@ -421,7 +421,7 @@ func (r *rawEdge) tuples(t *testing.T, seg int64, ts ...int64) {
 
 func (r *rawEdge) barrier(t *testing.T, epoch int64) {
 	t.Helper()
-	if err := r.sink.ForwardBarrier(epoch, snapshot.CaptureFull, nil); err != nil {
+	if err := r.sink.ForwardBarrier(epoch, nil); err != nil {
 		t.Error(err)
 	}
 }

@@ -201,7 +201,7 @@ func (s *feedSource) Open(exec.Context) error {
 // skippedField keeps the atomic skip counter.
 func (s *feedSource) skippedField() snapshot.Field {
 	return snapshot.Field{
-		Capture: func(bool) func(*snapshot.Encoder) {
+		Capture: func() func(*snapshot.Encoder) {
 			n := s.skipped.Load()
 			return func(enc *snapshot.Encoder) { enc.PutInt64(n) }
 		},

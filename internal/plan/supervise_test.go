@@ -69,8 +69,8 @@ func (s *pacedItems) LoadState(dec *snapshot.Decoder) error {
 // TestCheckpointUnderLoadKillRestore is the checkpoint-under-load
 // acceptance test: continuous traffic flows through a Parallel(4)
 // aggregate while a coordinator with no followers takes periodic
-// incremental checkpoints (full every 3rd, keep-last-3 retention) into a
-// chain; the plan is killed at whatever epoch the clock lands on, rebuilt,
+// checkpoints (keep-last-3 retention) into a chain; the plan is killed at
+// whatever epoch the clock lands on, rebuilt,
 // restored from the newest committed epoch, and run to completion. The final record must be
 // canonically identical to an uninterrupted run — no output gap, no
 // duplication.
@@ -111,7 +111,7 @@ func TestCheckpointUnderLoadKillRestore(t *testing.T) {
 	backend := snapshot.NewMemory()
 	b1, src1, _ := build()
 	dc1 := localCoord(t, b1, backend)
-	policy := exec.CheckpointPolicy{Interval: 15 * time.Millisecond, FullEvery: 3, Retain: 3}
+	policy := exec.CheckpointPolicy{Interval: 15 * time.Millisecond, Retain: 3}
 	done := make(chan struct{})
 	var runErr, chkErr error
 	go func() {

@@ -72,15 +72,14 @@ func rawTuples(w *frameWriter, ts ...stream.Tuple) error {
 	return w.flush(frameTuples, len(ts))
 }
 
-func rawBarrier(w *frameWriter, epoch int64, mode byte) error {
-	w.buf = append(binary.AppendVarint(w.buf, epoch), mode)
+func rawBarrier(w *frameWriter, epoch int64) error {
+	w.buf = binary.AppendVarint(w.buf, epoch)
 	return w.flush(frameBarrier, 0)
 }
 
 // wireBarrier is one barrier observation on the consumer side.
 type wireBarrier struct {
 	epoch    int64
-	mode     snapshot.CaptureMode
 	received int64 // tuples decoded before the barrier frame
 }
 
@@ -93,9 +92,8 @@ func coordinator(g *exec.Graph) *exec.DistCoordinator {
 
 // TestBarrierCrossesWire: a checkpoint on the producer graph forwards its
 // barrier through the remote sink as a wire frame, positioned exactly after
-// the tuples that preceded the producer's cut; the consumer source hands
-// (epoch, mode) to its hook. Two epochs verify the mode travels too (the
-// second, incremental one must arrive as a delta).
+// the tuples that preceded the producer's cut; the consumer source hands the
+// epoch to its hook, once per checkpoint.
 func TestBarrierCrossesWire(t *testing.T) {
 	c1, c2 := net.Pipe()
 	const total, gateAt = 600, 200
@@ -112,9 +110,9 @@ func TestBarrierCrossesWire(t *testing.T) {
 
 	rsrc := NewSource("wire-in", schema, c2)
 	barriers := make(chan wireBarrier, 4)
-	rsrc.SetBarrierHook(func(epoch int64, mode snapshot.CaptureMode) error {
+	rsrc.SetBarrierHook(func(epoch int64) error {
 		received, _ := rsrc.Stats()
-		barriers <- wireBarrier{epoch: epoch, mode: mode, received: received}
+		barriers <- wireBarrier{epoch: epoch, received: received}
 		return nil
 	})
 	col := exec.NewCollector("col", schema)
@@ -138,22 +136,18 @@ func TestBarrierCrossesWire(t *testing.T) {
 	if b1.epoch != epoch1 {
 		t.Errorf("wire barrier epoch %d, producer cut epoch %d", b1.epoch, epoch1)
 	}
-	if b1.mode != snapshot.CaptureFull {
-		t.Errorf("first barrier mode %v, want CaptureFull", b1.mode)
-	}
 	// The barrier's wire position is the cut: every tuple the producer sent
 	// before its cut — and none after — precedes the frame.
 	if b1.received != gateAt {
 		t.Errorf("barrier arrived after %d tuples, producer cut at %d", b1.received, gateAt)
 	}
 
-	epoch2, err := dc.CheckpointOnce(snapshot.CaptureDelta)
+	epoch2, err := dc.CheckpointOnce(snapshot.CaptureFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2 := <-barriers
-	if b2.epoch != epoch2 || b2.mode != snapshot.CaptureDelta {
-		t.Errorf("second barrier (epoch %d mode %v), want (epoch %d, CaptureDelta)", b2.epoch, b2.mode, epoch2)
+	if b2 := <-barriers; b2.epoch != epoch2 {
+		t.Errorf("second barrier epoch %d, want %d", b2.epoch, epoch2)
 	}
 
 	src.gate.Store(true)
@@ -244,17 +238,13 @@ func TestSinkWriteDeadline(t *testing.T) {
 // TestBarrierFrameWireRoundTrip is the property test for the barrier wire
 // frames: a random interleaving of tuple, punctuation, and barrier frames
 // written raw onto the transport replays through Source with every barrier
-// delivered to the hook in order, carrying its exact epoch and mode, with
-// the surrounding data intact.
+// delivered to the hook in order, carrying its exact epoch, with the
+// surrounding data intact.
 func TestBarrierFrameWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 30; iter++ {
 		c1, c2 := net.Pipe()
-		type sent struct {
-			epoch int64
-			mode  snapshot.CaptureMode
-		}
-		var wantBarriers []sent
+		var wantBarriers []int64
 		wantTuples := 0
 		epoch := int64(0)
 		var frames []func(*frameWriter) error
@@ -269,9 +259,9 @@ func TestBarrierFrameWireRoundTrip(t *testing.T) {
 				wantTuples += len(run)
 			default:
 				epoch += 1 + rng.Int63n(3)
-				e, mode := epoch, snapshot.CaptureMode(rng.Intn(2))
-				frames = append(frames, func(w *frameWriter) error { return rawBarrier(w, e, byte(mode)) })
-				wantBarriers = append(wantBarriers, sent{e, mode})
+				e := epoch
+				frames = append(frames, func(w *frameWriter) error { return rawBarrier(w, e) })
+				wantBarriers = append(wantBarriers, e)
 			}
 		}
 		go func() {
@@ -285,9 +275,9 @@ func TestBarrierFrameWireRoundTrip(t *testing.T) {
 		}()
 
 		rsrc := NewSource("in", schema, c2)
-		var gotBarriers []sent
-		rsrc.SetBarrierHook(func(epoch int64, mode snapshot.CaptureMode) error {
-			gotBarriers = append(gotBarriers, sent{epoch, mode})
+		var gotBarriers []int64
+		rsrc.SetBarrierHook(func(epoch int64) error {
+			gotBarriers = append(gotBarriers, epoch)
 			return nil
 		})
 		h := exec.NewSourceHarness(rsrc).RunSource(10_000)
@@ -302,7 +292,7 @@ func TestBarrierFrameWireRoundTrip(t *testing.T) {
 		}
 		for i := range wantBarriers {
 			if gotBarriers[i] != wantBarriers[i] {
-				t.Fatalf("iteration %d: barrier %d changed in flight: %+v -> %+v",
+				t.Fatalf("iteration %d: barrier %d changed in flight: %d -> %d",
 					iter, i, wantBarriers[i], gotBarriers[i])
 			}
 		}
@@ -310,16 +300,21 @@ func TestBarrierFrameWireRoundTrip(t *testing.T) {
 }
 
 // TestBarrierFrameCorrupt: malformed input on the data path — garbage
-// bytes, an unknown capture mode, a bare connection close — must surface
-// as clean errors, never a panic or a silent clean EOS.
+// bytes, a byte past a barrier's epoch, a bare connection close — must
+// surface as clean errors, never a panic or a silent clean EOS.
 func TestBarrierFrameCorrupt(t *testing.T) {
-	// Unknown capture mode in an otherwise valid barrier frame.
+	// A barrier frame with a byte after its epoch, as the capture mode of an
+	// earlier build's frames.
 	c1, c2 := net.Pipe()
-	go rawBarrier(rawWriter(c1), 1, 7)
+	go func() {
+		w := rawWriter(c1)
+		w.buf = append(binary.AppendVarint(w.buf, 1), 0)
+		w.flush(frameBarrier, 0)
+	}()
 	rsrc := NewSource("in", schema, c2)
-	rsrc.SetBarrierHook(func(int64, snapshot.CaptureMode) error { return nil })
+	rsrc.SetBarrierHook(func(int64) error { return nil })
 	if h := exec.NewSourceHarness(rsrc).RunSource(10); h.Err() == nil {
-		t.Error("unknown capture mode accepted")
+		t.Error("barrier frame with a trailing byte accepted")
 	}
 
 	// Random garbage instead of a frame stream.

@@ -23,7 +23,7 @@ const (
 	frameEOS             // empty
 	frameFeedback        // core.Feedback.AppendBinary, upstream only
 	// frameBarrier carries a checkpoint barrier in-band on the data path:
-	// varint(epoch) | capture mode(1). It is never merged into a data frame
+	// varint(epoch). It is never merged into a data frame
 	// nor reordered past one — its position on the wire is the cut.
 	frameBarrier
 	frameKinds

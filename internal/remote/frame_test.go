@@ -16,7 +16,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/punct"
 	"repro/internal/queue"
-	"repro/internal/snapshot"
 	"repro/internal/stream"
 )
 
@@ -67,8 +66,8 @@ func (r *recorder) EmitBatch(ts []stream.Tuple) {
 	}
 }
 func (r *recorder) EmitPunct(e punct.Embedded) { r.got = append(r.got, wireItem{pat: &e.Pattern}) }
-func (r *recorder) barrier(epoch int64, mode snapshot.CaptureMode) error {
-	r.got = append(r.got, wireItem{epoch: epoch, mode: mode})
+func (r *recorder) barrier(epoch int64) error {
+	r.got = append(r.got, wireItem{epoch: epoch})
 	return nil
 }
 
@@ -77,7 +76,6 @@ type wireItem struct {
 	tuple *stream.Tuple
 	pat   *punct.Pattern
 	epoch int64
-	mode  snapshot.CaptureMode
 }
 
 func (a wireItem) equal(b wireItem) bool {
@@ -95,7 +93,7 @@ func (a wireItem) equal(b wireItem) bool {
 	case a.pat != nil:
 		return b.pat != nil && a.pat.Equal(*b.pat)
 	}
-	return b.tuple == nil && b.pat == nil && a.epoch == b.epoch && a.mode == b.mode
+	return b.tuple == nil && b.pat == nil && a.epoch == b.epoch
 }
 
 func (a wireItem) String() string {
@@ -105,7 +103,7 @@ func (a wireItem) String() string {
 	case a.pat != nil:
 		return "punct" + a.pat.String()
 	}
-	return fmt.Sprintf("barrier(%d,%v)", a.epoch, a.mode)
+	return fmt.Sprintf("barrier(%d)", a.epoch)
 }
 
 var wideSchema = stream.MustSchema(
@@ -158,7 +156,7 @@ func TestRunFramingPreservesSequence(t *testing.T) {
 				want = append(want, wireItem{pat: &p})
 			default:
 				epoch += 1 + rng.Int63n(3)
-				want = append(want, wireItem{epoch: epoch, mode: snapshot.CaptureMode(rng.Intn(2))})
+				want = append(want, wireItem{epoch: epoch})
 			}
 		}
 		flushEvery := []int{1, 8, 64}[rng.Intn(3)]
@@ -220,7 +218,7 @@ func feedSink(sink *Sink, items []wireItem, batched bool, chunk int) error {
 		case it.pat != nil:
 			err = sink.ProcessPunct(0, punct.NewEmbedded(*it.pat), h)
 		default:
-			err = sink.ForwardBarrier(it.epoch, it.mode, h)
+			err = sink.ForwardBarrier(it.epoch, h)
 		}
 	}
 	if cerr := h.CloseOp().Err(); err == nil {
@@ -414,7 +412,8 @@ func TestHostileFrames(t *testing.T) {
 		{"count on a control frame", "carries count 3", frameBytes(framePunct, 3, uint64(len(pat)), pat)},
 		{"punctuation with trailing bytes", "trailing bytes", frameBytes(framePunct, 0, uint64(len(pat)+1), append(pat[:len(pat):len(pat)], 0))},
 		{"barrier with trailing bytes", "malformed barrier", frameBytes(frameBarrier, 0, 3, []byte{2, 0, 0})},
-		{"barrier without mode", "malformed barrier", frameBytes(frameBarrier, 0, 1, []byte{2})},
+		{"barrier with a capture mode", "malformed barrier", frameBytes(frameBarrier, 0, 2, []byte{2, 0})},
+		{"barrier without an epoch", "malformed barrier", frameBytes(frameBarrier, 0, 0, nil)},
 		{"EOS with a body", "trailing bytes", frameBytes(frameEOS, 0, 1, []byte{0})},
 		{"body cut short", "unexpected EOF", frameBytes(frameTuples, 1, uint64(len(one)), one[:len(one)-1])},
 		{"header cut short", "unexpected EOF", []byte{frameTuples, 0x80}},
@@ -456,7 +455,7 @@ func FuzzRemoteFrame(f *testing.F) {
 	for _, fr := range [][]byte{
 		frameBytes(frameTuples, 2, uint64(2*len(one)), append(one[:len(one):len(one)], one...)),
 		frameBytes(framePunct, 0, uint64(len(pat)), pat),
-		frameBytes(frameBarrier, 0, 2, []byte{4, byte(snapshot.CaptureDelta)}),
+		frameBytes(frameBarrier, 0, 1, []byte{4}),
 		frameBytes(frameFeedback, 0, uint64(len(fb)), fb),
 		eosFrame,
 	} {

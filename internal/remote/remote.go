@@ -31,7 +31,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/punct"
 	"repro/internal/queue"
-	"repro/internal/snapshot"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -206,11 +205,11 @@ func (s *Sink) ProcessPunct(_ int, e punct.Embedded, _ exec.Context) error {
 // run holding every tuple that preceded the local cut and at once, so the
 // downstream subplan can start its aligned cut without waiting for a run to
 // fill.
-func (s *Sink) ForwardBarrier(epoch int64, mode snapshot.CaptureMode, _ exec.Context) error {
+func (s *Sink) ForwardBarrier(epoch int64, _ exec.Context) error {
 	if err := s.flushRun(); err != nil {
 		return err
 	}
-	s.w.buf = append(binary.AppendVarint(s.w.buf, epoch), byte(mode))
+	s.w.buf = binary.AppendVarint(s.w.buf, epoch)
 	if err := s.control(frameBarrier); err != nil {
 		return fmt.Errorf("remote: barrier epoch %d: %w", epoch, err)
 	}
@@ -311,7 +310,7 @@ type Source struct {
 	// checkpoint coordination glue; without one, barriers are dropped —
 	// an uncoordinated consumer cannot cut, and the producer's coordinator
 	// abandons the epoch when its ack never arrives.
-	barrierHook func(epoch int64, mode snapshot.CaptureMode) error
+	barrierHook func(epoch int64) error
 
 	// Counters are atomics so /metrics can scrape them while the plan
 	// runs. deadlineHits counts ReadTimeout expiries (wedged producer);
@@ -326,7 +325,7 @@ type Source struct {
 
 // SetBarrierHook implements exec.BarrierReceiver. It must be called before
 // the plan runs.
-func (s *Source) SetBarrierHook(fn func(epoch int64, mode snapshot.CaptureMode) error) {
+func (s *Source) SetBarrierHook(fn func(epoch int64) error) {
 	s.barrierHook = fn
 }
 
@@ -394,12 +393,8 @@ func (s *Source) Next(ctx exec.Context) (bool, error) {
 		ctx.EmitPunct(punct.NewEmbedded(pat))
 	case frameBarrier:
 		epoch, n := binary.Varint(body)
-		if n <= 0 || len(body) != n+1 {
+		if n <= 0 || len(body) != n {
 			return false, fmt.Errorf("remote: malformed barrier frame (%d bytes)", len(body))
-		}
-		mode := snapshot.CaptureMode(body[n])
-		if mode != snapshot.CaptureFull && mode != snapshot.CaptureDelta {
-			return false, fmt.Errorf("remote: barrier epoch %d carries unknown capture mode %d", epoch, body[n])
 		}
 		if s.barrierHook != nil {
 			// The hook registers the epoch with the local coordinator
@@ -408,7 +403,7 @@ func (s *Source) Next(ctx exec.Context) (bool, error) {
 			// cut, which is what keeps parallel remote edges consistent
 			// (each cuts at its own barrier, not when the first edge's
 			// barrier registered the epoch).
-			if err := s.barrierHook(epoch, mode); err != nil {
+			if err := s.barrierHook(epoch); err != nil {
 				return false, fmt.Errorf("remote: barrier epoch %d: %w", epoch, err)
 			}
 			if inj, ok := ctx.(exec.SourceBarrierInjector); ok {

@@ -8,11 +8,11 @@ import (
 // Async decouples snapshot writes from the caller: Put enqueues and
 // returns immediately and a single worker goroutine performs the
 // underlying writes in order. The first write failure poisons the wrapper
-// permanently — every later Put/Flush/Get/List returns it — because a
-// lost write breaks the delta chain's lineage: letting later writes
-// proceed would durably record epochs whose parents never reached
-// storage. A supervised runtime fails, restarts, and re-opens the backend
-// instead.
+// permanently — every later Put/Flush/Get/List returns it — because the
+// writes queued behind a lost one assume it landed: retention's deletes of
+// older epochs, queued behind a newer epoch's write, would otherwise destroy
+// the only restorable cut. A supervised runtime fails, restarts, and re-opens
+// the backend instead.
 //
 // Reads (Get/List) flush the queue first so the wrapper is sequentially
 // consistent with itself: a Put followed by a Get/List observes the Put.
@@ -56,9 +56,9 @@ func (a *Async) worker() {
 		if a.err != nil {
 			// Poisoned: discard the rest of the queue instead of applying
 			// it. Ops enqueued after a failed one may depend on it — e.g.
-			// Compact queues the covered files' deletes right behind the
-			// pack write, and applying those deletes without the pack
-			// would destroy the only restore path.
+			// retention deletes the epoch a failed write was to replace,
+			// and applying that delete without the write would destroy the
+			// only restore path.
 			a.cond.Broadcast()
 			continue
 		}

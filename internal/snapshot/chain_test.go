@@ -2,66 +2,70 @@ package snapshot
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 )
 
-// mkSnap builds a tiny snapshot whose single node records which epochs
-// contributed, so chain application is observable: the base blob is
-// "b<epoch>", deltas are "d<epoch>".
-func mkSnap(epoch, base int64) *Snapshot {
-	blob := fmt.Sprintf("b%d", epoch)
-	delta := base != 0
-	if delta {
-		blob = fmt.Sprintf("d%d", epoch)
-	}
-	return &Snapshot{Epoch: epoch, Base: base, Nodes: []NodeState{
-		{ID: 0, Name: "n", Delta: delta, State: []byte(blob)},
+// mkSnap builds a tiny snapshot whose single node records its epoch, so
+// which snapshot a restore loaded is observable: the blob is "b<epoch>".
+func mkSnap(epoch int64) *Snapshot {
+	return &Snapshot{Epoch: epoch, Nodes: []NodeState{
+		{ID: 0, Name: "n", State: []byte(fmt.Sprintf("b%d", epoch))},
 	}}
 }
 
-// chainSignature flattens a restore chain into "b2+d3+d4" form.
-func chainSignature(t *testing.T, snaps []*Snapshot) string {
+func putAll(t *testing.T, c *Chain, epochs ...int64) {
 	t.Helper()
-	var parts []string
-	for _, s := range snaps {
-		parts = append(parts, string(s.Nodes[0].State))
-		for _, d := range s.Nodes[0].Deltas {
-			parts = append(parts, string(d))
-		}
-	}
-	return strings.Join(parts, "+")
-}
-
-func putAll(t *testing.T, c *Chain, snaps ...*Snapshot) {
-	t.Helper()
-	for _, s := range snaps {
-		if _, err := c.Put(s); err != nil {
-			t.Fatalf("put epoch %d: %v", s.Epoch, err)
+	for _, e := range epochs {
+		if _, err := c.Put(mkSnap(e)); err != nil {
+			t.Fatalf("put epoch %d: %v", e, err)
 		}
 	}
 }
 
-func TestChainResolveLatest(t *testing.T) {
-	c := NewChain(NewMemory())
-	putAll(t, c, mkSnap(1, 0), mkSnap(2, 1), mkSnap(3, 2), mkSnap(4, 0), mkSnap(5, 4))
-	if got := mustSig(t, c); got != "b4+d5" {
-		t.Fatalf("latest chain = %s, want b4+d5", got)
-	}
-	// An interior epoch resolves through its own lineage.
-	snaps, err := c.ChainFor(3)
+// blobOf renders what restoring an epoch loads.
+func blobOf(t *testing.T, c *Chain, epoch int64) string {
+	t.Helper()
+	s, err := c.ChainFor(epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := chainSignature(t, snaps); got != "b1+d2+d3" {
-		t.Fatalf("chain for 3 = %s, want b1+d2+d3", got)
-	}
+	return string(s.Nodes[0].State)
 }
 
-func TestChainPutRejectsMissingParent(t *testing.T) {
+// latest renders what restoring the newest stored epoch loads.
+func latest(t *testing.T, c *Chain) string {
+	t.Helper()
+	epoch, _, err := c.LatestEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blobOf(t, c, epoch)
+}
+
+// storedEpochs lists the epochs a chain holds, oldest first.
+func storedEpochs(t *testing.T, c *Chain) []int64 {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	es, err := c.stored()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return es
+}
+
+// TestChainForLoadsItsEpoch: every epoch restores from its own snapshot.
+func TestChainForLoadsItsEpoch(t *testing.T) {
 	c := NewChain(NewMemory())
-	if _, err := c.Put(mkSnap(2, 1)); err == nil {
-		t.Fatal("delta without parent accepted")
+	putAll(t, c, 1, 2, 3, 4, 5)
+	if got := latest(t, c); got != "b5" {
+		t.Fatalf("latest = %s, want b5", got)
+	}
+	if got := blobOf(t, c, 3); got != "b3" {
+		t.Fatalf("epoch 3 = %s, want b3", got)
+	}
+	if _, err := c.ChainFor(9); err == nil {
+		t.Fatal("an epoch never stored loads")
 	}
 }
 
@@ -71,61 +75,46 @@ func TestChainPutRejectsMissingParent(t *testing.T) {
 // until the operator truncates deliberately.
 func TestChainForkRequiresTruncate(t *testing.T) {
 	c := NewChain(NewMemory())
-	putAll(t, c, mkSnap(5, 0), mkSnap(6, 5), mkSnap(7, 6))
-	if _, err := c.Put(mkSnap(6, 5)); err == nil {
+	putAll(t, c, 5, 6, 7)
+	if _, err := c.Put(mkSnap(6)); err == nil {
 		t.Fatal("timeline fork overwrote a stored epoch")
 	}
 	if err := c.TruncateAfter(5); err != nil {
 		t.Fatal(err)
 	}
-	if got := mustSig(t, c); got != "b5" {
+	if got := latest(t, c); got != "b5" {
 		t.Fatalf("after truncate: latest = %s", got)
 	}
-	putAll(t, c, mkSnap(6, 5), mkSnap(7, 6))
-	if got := mustSig(t, c); got != "b5+d6+d7" {
+	putAll(t, c, 6, 7)
+	if got := latest(t, c); got != "b7" {
 		t.Fatalf("rewound timeline: latest = %s", got)
 	}
 }
 
-func TestChainRetainKeepsRestorableLineage(t *testing.T) {
+// TestChainRetainKeepsNewest: retention below the committed head keeps the
+// newest n epochs there, each restorable on its own.
+func TestChainRetainKeepsNewest(t *testing.T) {
 	c := NewChain(NewMemory())
-	// Epochs 1..6: base at 1 and 4, deltas chaining in between.
-	putAll(t, c, mkSnap(1, 0), mkSnap(2, 1), mkSnap(3, 2), mkSnap(4, 0), mkSnap(5, 4), mkSnap(6, 5))
-	// Keeping 4 epochs (3,4,5,6): epoch 3 needs 1 and 2, so they survive
-	// even though they fall outside the window.
-	if err := c.Retain(4); err != nil {
+	putAll(t, c, 1, 2, 3, 4, 5, 6)
+	if err := c.RetainFrom(6, 4); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []int64{1, 2, 3, 4, 5, 6} {
-		if _, err := c.ChainFor(e); err != nil {
-			t.Fatalf("epoch %d not restorable after retain: %v", e, err)
-		}
+	if got := fmt.Sprint(storedEpochs(t, c)); got != "[3 4 5 6]" {
+		t.Fatalf("after retain 4: epochs %s", got)
 	}
-	// Keeping 2 epochs (5,6): the 1-2-3 lineage goes, base 4 stays.
-	if err := c.Retain(2); err != nil {
+	if got := blobOf(t, c, 3); got != "b3" {
+		t.Fatalf("epoch 3 after retain = %s", got)
+	}
+	if err := c.RetainFrom(6, 2); err != nil {
 		t.Fatal(err)
 	}
-	ids, _ := c.Backend().List()
-	if len(ids) != 3 {
-		t.Fatalf("after retain 2: ids = %v, want 3 (base 4 + deltas 5,6)", ids)
+	if got := fmt.Sprint(storedEpochs(t, c)); got != "[5 6]" {
+		t.Fatalf("after retain 2: epochs %s", got)
 	}
-	if got := mustSig(t, c); got != "b4+d5+d6" {
-		t.Fatalf("latest after retain = %s", got)
+	// The cache the next Put reads agrees with the backend.
+	if _, err := c.Put(mkSnap(4)); err != nil {
+		t.Fatalf("re-put of a collected epoch: %v", err)
 	}
-}
-
-// mustSig renders the restore chain of the newest stored epoch.
-func mustSig(t *testing.T, c *Chain) string {
-	t.Helper()
-	epoch, _, err := c.LatestEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps, err := c.ChainFor(epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return chainSignature(t, snaps)
 }
 
 // crashingBackend fails (and stops deleting) after a set number of deletes
@@ -144,83 +133,29 @@ func (b *crashingBackend) Delete(id string) error {
 }
 
 // TestChainRetainCrashMidGC: a GC pass interrupted after any number of
-// deletions must never leave the chain unrestorable — the newest epoch's
-// full lineage survives every prefix of the deletion sequence.
+// deletions must never cost a retained epoch — only the oldest garbage goes
+// first — and a re-run completes it.
 func TestChainRetainCrashMidGC(t *testing.T) {
-	build := func() []*Snapshot {
-		return []*Snapshot{mkSnap(1, 0), mkSnap(2, 1), mkSnap(3, 2), mkSnap(4, 0), mkSnap(5, 4), mkSnap(6, 5)}
-	}
-	// Total garbage when retaining 2 epochs: ids 1, 2, 3 (3 deletions).
-	for crashAfter := 0; crashAfter <= 3; crashAfter++ {
+	// Total garbage when retaining 2 epochs: 1, 2, 3, 4 (4 deletions).
+	for crashAfter := 0; crashAfter <= 4; crashAfter++ {
 		mem := &crashingBackend{Memory: NewMemory(), deletesLeft: crashAfter}
 		c := NewChain(mem)
-		putAll(t, c, build()...)
-		err := c.Retain(2)
-		if crashAfter < 3 && err == nil {
+		putAll(t, c, 1, 2, 3, 4, 5, 6)
+		err := c.RetainFrom(6, 2)
+		if crashAfter < 4 && err == nil {
 			t.Fatalf("crashAfter=%d: expected simulated crash", crashAfter)
 		}
-		if got := mustSig(t, c); got != "b4+d5+d6" {
-			t.Fatalf("crashAfter=%d: latest chain = %s, want b4+d5+d6", crashAfter, got)
+		if got := storedEpochs(t, c); got[0] != int64(crashAfter+1) || latest(t, c) != "b6" {
+			t.Fatalf("crashAfter=%d: epochs %v after the crash", crashAfter, got)
 		}
 		// A re-run after the crash completes the GC.
 		mem.deletesLeft = 1000
-		if err := c.Retain(2); err != nil {
+		if err := c.RetainFrom(6, 2); err != nil {
 			t.Fatal(err)
 		}
-		if got := mustSig(t, c); got != "b4+d5+d6" {
-			t.Fatalf("crashAfter=%d: latest chain after resumed GC = %s", crashAfter, got)
+		if got := fmt.Sprint(storedEpochs(t, c)); got != "[5 6]" {
+			t.Fatalf("crashAfter=%d: epochs %s after resumed GC", crashAfter, got)
 		}
-	}
-}
-
-func TestChainCompactPacksAndSurvivesCrash(t *testing.T) {
-	// Crash between pack write and the covered files' deletion: both forms
-	// coexist and restore prefers the pack.
-	mem := &crashingBackend{Memory: NewMemory(), deletesLeft: 0}
-	c := NewChain(mem)
-	putAll(t, c, mkSnap(1, 0), mkSnap(2, 1), mkSnap(3, 2))
-	if err := c.Compact(); err == nil {
-		t.Fatal("expected simulated crash during compaction GC")
-	}
-	if got := mustSig(t, c); got != "b1+d2+d3" {
-		t.Fatalf("after crashed compact: latest = %s", got)
-	}
-	// Completed compaction: one self-contained pack remains.
-	mem.deletesLeft = 1000
-	if err := c.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	ids, _ := c.Backend().List()
-	if len(ids) != 1 || !strings.HasSuffix(ids[0], "-pack") {
-		t.Fatalf("after compact: ids = %v, want single pack", ids)
-	}
-	if got := mustSig(t, c); got != "b1+d2+d3" {
-		t.Fatalf("pack restore order = %s, want b1+d2+d3", got)
-	}
-	// Chaining continues off the pack epoch.
-	putAll(t, c, mkSnap(4, 3))
-	if got := mustSig(t, c); got != "b1+d2+d3+d4" {
-		t.Fatalf("after delta on pack: latest = %s", got)
-	}
-}
-
-func TestChainRetainAfterCompact(t *testing.T) {
-	c := NewChain(NewMemory())
-	putAll(t, c, mkSnap(1, 0), mkSnap(2, 1))
-	if err := c.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	putAll(t, c, mkSnap(3, 2), mkSnap(4, 3))
-	if err := c.Retain(1); err != nil {
-		t.Fatal(err)
-	}
-	// Epoch 4 needs the pack at 2 and the delta at 3.
-	if got := mustSig(t, c); got != "b1+d2+d3+d4" {
-		t.Fatalf("latest = %s", got)
-	}
-	ids, _ := c.Backend().List()
-	if len(ids) != 3 {
-		t.Fatalf("ids = %v, want pack+d3+d4", ids)
 	}
 }
 
@@ -271,8 +206,8 @@ func TestAsyncBackendPoisonsAfterWriteFailure(t *testing.T) {
 	if err := a.Put("bad/id", []byte("x")); err != nil {
 		t.Fatal(err) // enqueue succeeds; the failure is asynchronous
 	}
-	// Queued behind the failing write, like Compact's covered-file deletes
-	// behind its pack write: must be discarded, not applied.
+	// Queued behind the failing write, like retention's delete of an older
+	// epoch behind a newer epoch's write: must be discarded, not applied.
 	if err := a.Delete("keep"); err != nil {
 		t.Fatal(err)
 	}
@@ -282,9 +217,8 @@ func TestAsyncBackendPoisonsAfterWriteFailure(t *testing.T) {
 	if _, err := dir.Get("keep"); err != nil {
 		t.Fatalf("poisoned queue applied a later delete: %v", err)
 	}
-	// A lost write breaks chain lineage, so the wrapper is poisoned: every
-	// later write and flush reports the failure rather than letting
-	// children chain onto a hole.
+	// The wrapper is poisoned: every later write and flush reports the
+	// failure rather than applying writes that assumed the lost one landed.
 	if err := a.Put("good", []byte("x")); err == nil {
 		t.Fatal("write accepted after poison")
 	}

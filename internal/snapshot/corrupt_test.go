@@ -10,7 +10,7 @@ import (
 // ErrCorruptSnapshot — the typed signal restore paths use to degrade to an
 // older epoch instead of treating damage as a bug.
 func TestDecodeCorruptionIsTyped(t *testing.T) {
-	blob := mkSnap(3, 2).Encode()
+	blob := mkSnap(3).Encode()
 	cases := map[string][]byte{
 		"bad magic": []byte("not a snapshot at all"),
 		"empty":     {},
@@ -38,39 +38,38 @@ func TestDecodeCorruptionIsTyped(t *testing.T) {
 	}
 }
 
-// A corrupt blob anywhere in an epoch's lineage fails ChainFor with the
-// typed error — the signal a degrading restore walks past on — for that
-// epoch and every epoch chained through it, and for no other.
+// A corrupt snapshot fails ChainFor with the typed error — the signal a
+// degrading restore walks past on — for its own epoch and for no other:
+// every epoch restores on its own.
 func TestChainForCorruptionIsTyped(t *testing.T) {
 	c := NewChain(NewMemory())
-	putAll(t, c, mkSnap(1, 0), mkSnap(2, 1), mkSnap(3, 2))
-	// Damage epoch 3's delta in place.
-	blob, err := c.Backend().Get("ep0000000003-d0000000002")
+	putAll(t, c, 1, 2, 3)
+	// Damage epoch 3 in place, and replace epoch 1 with garbage.
+	blob, err := c.Backend().Get(IDFor(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	blob[len(blob)-1] ^= 0xff
-	if err := c.Backend().Put("ep0000000003-d0000000002", blob); err != nil {
+	if err := c.Backend().Put(IDFor(3), blob); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ChainFor(3); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("ChainFor(3) over a damaged delta: err = %v, want typed corruption", err)
-	}
-	snaps, err := c.ChainFor(2)
-	if err != nil {
+	if err := c.Backend().Put(IDFor(1), []byte("garbage")); err != nil {
 		t.Fatal(err)
 	}
-	if got := chainSignature(t, snaps); got != "b1+d2" {
-		t.Fatalf("intact chain = %s, want b1+d2", got)
-	}
-	// Corruption in the base poisons every epoch above it.
-	if err := c.Backend().Put("ep0000000001-full", []byte("garbage")); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range []int64{1, 2} {
+	for _, e := range []int64{1, 3} {
 		if _, err := c.ChainFor(e); !errors.Is(err, ErrCorruptSnapshot) {
-			t.Fatalf("ChainFor(%d) over a garbage base: err = %v, want typed corruption", e, err)
+			t.Fatalf("ChainFor(%d) over a damaged snapshot: err = %v, want typed corruption", e, err)
 		}
+	}
+	if got := blobOf(t, c, 2); got != "b2" {
+		t.Fatalf("intact epoch 2 = %s", got)
+	}
+	// A snapshot stored under another epoch's id is damage too.
+	if err := c.Backend().Put(IDFor(4), mkSnap(2).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ChainFor(4); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("ChainFor(4) over epoch 2's snapshot: err = %v, want typed corruption", err)
 	}
 }
 
@@ -85,7 +84,7 @@ func TestManifestCorruptionIsTyped(t *testing.T) {
 		"garbage":   []byte("dm but not really"),
 		"padist1":   append([]byte("padist1\n"), blob[len(distMagic)+4:]...),
 	} {
-		if _, err := DecodeDistManifest(data); !errors.Is(err, ErrCorruptSnapshot) {
+		if _, err := decodeDistManifest(data); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("%s: err = %v, want ErrCorruptSnapshot", name, err)
 		}
 	}
@@ -100,7 +99,7 @@ func TestDistLogTornManifestRecovery(t *testing.T) {
 	commit := func(l *DistLog, epoch int64) {
 		t.Helper()
 		if err := l.Commit(&DistManifest{Epoch: epoch,
-			Parts: []DistPart{{Part: "coord", Epoch: epoch, Chain: IDFor(epoch, epoch-1)}}}); err != nil {
+			Parts: []DistPart{{Part: "coord", Epoch: epoch, Chain: IDFor(epoch)}}}); err != nil {
 			t.Fatalf("commit %d: %v", epoch, err)
 		}
 	}
@@ -108,7 +107,7 @@ func TestDistLogTornManifestRecovery(t *testing.T) {
 	commit(log, 2)
 	// Simulate the crash: epoch 3's manifest reaches storage torn.
 	torn := (&DistManifest{Epoch: 3,
-		Parts: []DistPart{{Part: "coord", Epoch: 3, Chain: IDFor(3, 2)}}}).Encode()
+		Parts: []DistPart{{Part: "coord", Epoch: 3, Chain: IDFor(3)}}}).Encode()
 	if err := mem.Put(distID(3), torn[:len(torn)-4]); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +141,7 @@ func TestDistLogTruncateAfterSeedsHead(t *testing.T) {
 	mem := NewMemory()
 	log := NewDistLog(mem)
 	if err := log.Commit(&DistManifest{Epoch: 5,
-		Parts: []DistPart{{Part: "p", Epoch: 5, Chain: IDFor(5, 0)}}}); err != nil {
+		Parts: []DistPart{{Part: "p", Epoch: 5, Chain: IDFor(5)}}}); err != nil {
 		t.Fatal(err)
 	}
 	fresh := NewDistLog(mem)
@@ -150,7 +149,7 @@ func TestDistLogTruncateAfterSeedsHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := fresh.Commit(&DistManifest{Epoch: 3,
-		Parts: []DistPart{{Part: "p", Epoch: 3, Chain: IDFor(3, 0)}}}); err == nil {
+		Parts: []DistPart{{Part: "p", Epoch: 3, Chain: IDFor(3)}}}); err == nil {
 		t.Fatal("commit below the existing head accepted after no-op TruncateAfter")
 	}
 }

@@ -17,21 +17,13 @@ import (
 // the global record "epoch N is durable in every part" — only after every
 // part has acknowledged the epoch. Restore reads the newest manifest and
 // loads each subplan from its own chain at the committed epoch; epochs that
-// were persisted locally but never committed are truncated on restart, the
-// cross-process analogue of the chain-broken→upgrade-to-full rule.
+// were persisted locally but never committed are truncated on restart.
 //
 // This file holds the storage half (DistManifest, DistLog) and the control
 // wire protocol (DistMsg) the coordinator and followers speak over a
 // dedicated control connection; the runtime half lives in internal/exec
 // (DistCoordinator / DistFollower) and the in-band barrier forwarding in
 // internal/remote.
-
-// IDFor returns the chain storage id a snapshot with the given epoch and
-// base is stored under — the id a follower reports in its ack so the
-// committed manifest records where each part's epoch lives.
-func IDFor(epoch, base int64) string {
-	return chainID(&Snapshot{Epoch: epoch, Base: base})
-}
 
 // ---------------------------------------------------------------------------
 // Manifest.
@@ -40,8 +32,8 @@ func IDFor(epoch, base int64) string {
 // DistPart records one subplan's contribution to a committed distributed
 // cut: the part name, the epoch in that part's local chain (always the
 // global epoch — followers checkpoint at the coordinator's epoch number),
-// and the chain id the part acknowledged (diagnostic; restore resolves via
-// Chain.ChainFor, which prefers compacted forms).
+// and the chain id the part acknowledged (diagnostic; restore loads the epoch
+// through Chain.ChainFor).
 type DistPart struct {
 	Part  string
 	Epoch int64
@@ -82,9 +74,9 @@ func (m *DistManifest) Encode() []byte {
 	return b
 }
 
-// DecodeDistManifest parses a manifest serialized by Encode. Every failure
+// decodeDistManifest parses a manifest serialized by Encode. Every failure
 // wraps ErrCorruptSnapshot.
-func DecodeDistManifest(data []byte) (*DistManifest, error) {
+func decodeDistManifest(data []byte) (*DistManifest, error) {
 	if len(data) < len(distMagic)+4 || string(data[:len(distMagic)]) != string(distMagic) {
 		return nil, corruptf("not a distributed manifest (bad magic)")
 	}
@@ -222,7 +214,7 @@ func (l *DistLog) Latest() (*DistManifest, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	m, err := DecodeDistManifest(data)
+	m, err := decodeDistManifest(data)
 	if err != nil {
 		return nil, false, err
 	}
@@ -244,7 +236,7 @@ func (l *DistLog) At(epoch int64) (*DistManifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeDistManifest(data)
+	return decodeDistManifest(data)
 }
 
 // TruncateAfter deletes every committed manifest newer than the given
@@ -350,8 +342,8 @@ func (m DistMsg) AppendBinary(b []byte) []byte {
 	return out
 }
 
-// DecodeDistMsg parses one message payload; trailing bytes are an error.
-func DecodeDistMsg(b []byte) (DistMsg, error) {
+// decodeDistMsg parses one message payload; trailing bytes are an error.
+func decodeDistMsg(b []byte) (DistMsg, error) {
 	if len(b) == 0 {
 		return DistMsg{}, fmt.Errorf("snapshot: empty dist message")
 	}
@@ -391,8 +383,9 @@ func WriteDistMsg(w io.Writer, m DistMsg) error {
 }
 
 // ReadDistMsg reads one framed message. The length prefix is bounded by
-// MaxDistMsg before any allocation, so corrupt or hostile input cannot
-// drive a huge make.
+// MaxDistMsg, and the payload buffer grows with the bytes that arrive rather
+// than being sized by the prefix, so corrupt or hostile input cannot drive a
+// large allocation.
 func ReadDistMsg(r io.Reader) (DistMsg, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -402,9 +395,12 @@ func ReadDistMsg(r io.Reader) (DistMsg, error) {
 	if n == 0 || n > MaxDistMsg {
 		return DistMsg{}, fmt.Errorf("snapshot: dist message length %d out of bounds", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return DistMsg{}, err
 	}
-	return DecodeDistMsg(payload)
+	if len(payload) != int(n) {
+		return DistMsg{}, io.ErrUnexpectedEOF
+	}
+	return decodeDistMsg(payload)
 }

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -35,7 +36,7 @@ func TestDistMsgRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
 		m := randDistMsg(rng)
-		got, err := DecodeDistMsg(m.AppendBinary(nil))
+		got, err := decodeDistMsg(m.AppendBinary(nil))
 		if err != nil {
 			t.Fatalf("iteration %d: decode: %v", i, err)
 		}
@@ -83,12 +84,12 @@ func TestDistMsgCorrupt(t *testing.T) {
 		default: // append garbage
 			raw = append(raw, byte(rng.Intn(256)))
 		}
-		_, _ = DecodeDistMsg(raw) // must not panic; error or valid both fine
+		_, _ = decodeDistMsg(raw) // must not panic; error or valid both fine
 	}
-	if _, err := DecodeDistMsg(nil); err == nil {
+	if _, err := decodeDistMsg(nil); err == nil {
 		t.Error("empty payload accepted")
 	}
-	if _, err := DecodeDistMsg([]byte{0xee}); err == nil {
+	if _, err := decodeDistMsg([]byte{0xee}); err == nil {
 		t.Error("unknown kind accepted")
 	}
 	// Length prefix beyond MaxDistMsg: rejected without reading the body.
@@ -104,7 +105,7 @@ func TestDistMsgCorrupt(t *testing.T) {
 	// A huge declared string length inside a small payload must error, not
 	// allocate: kind byte + maxed-out uvarint for Part's length.
 	huge := append([]byte{byte(DistHello)}, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
-	if _, err := DecodeDistMsg(huge); err == nil {
+	if _, err := decodeDistMsg(huge); err == nil {
 		t.Error("huge declared string length accepted")
 	}
 }
@@ -120,7 +121,7 @@ func TestDistManifestRoundTrip(t *testing.T) {
 			})
 		}
 		raw := m.Encode()
-		got, err := DecodeDistManifest(raw)
+		got, err := decodeDistManifest(raw)
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
@@ -135,12 +136,12 @@ func TestDistManifestRoundTrip(t *testing.T) {
 		// Corruption must never panic.
 		mut := append([]byte(nil), raw...)
 		mut = mut[:rng.Intn(len(mut))]
-		_, _ = DecodeDistManifest(mut)
+		_, _ = decodeDistManifest(mut)
 	}
-	if _, err := DecodeDistManifest([]byte("not a manifest")); err == nil {
+	if _, err := decodeDistManifest([]byte("not a manifest")); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := DecodeDistManifest(append((&DistManifest{Epoch: 1, Parts: []DistPart{{Part: "a"}}}).Encode(), 0)); err == nil {
+	if _, err := decodeDistManifest(append((&DistManifest{Epoch: 1, Parts: []DistPart{{Part: "a"}}}).Encode(), 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }
@@ -161,8 +162,8 @@ func TestDistLog(t *testing.T) {
 	}
 	for ep := int64(1); ep <= 5; ep++ {
 		m := &DistManifest{Epoch: ep, Parts: []DistPart{
-			{Part: "coord", Epoch: ep, Chain: IDFor(ep, 0)},
-			{Part: "follow", Epoch: ep, Chain: IDFor(ep, ep-1)},
+			{Part: "coord", Epoch: ep, Chain: IDFor(ep)},
+			{Part: "follow", Epoch: ep, Chain: IDFor(ep)},
 		}}
 		if err := log.Commit(m); err != nil {
 			t.Fatalf("commit %d: %v", ep, err)
@@ -176,7 +177,7 @@ func TestDistLog(t *testing.T) {
 	if err != nil || !ok || m.Epoch != 5 {
 		t.Fatalf("latest: %+v ok=%v err=%v", m, ok, err)
 	}
-	if m.Parts[1].Chain != IDFor(5, 4) {
+	if m.Parts[1].Chain != IDFor(5) {
 		t.Fatalf("part chain id %q", m.Parts[1].Chain)
 	}
 	if err := log.Retain(2); err != nil {
@@ -213,14 +214,16 @@ func TestDistLog(t *testing.T) {
 
 // TestIDFor pins the exported id helper against the chain's own naming.
 func TestIDFor(t *testing.T) {
-	if got := IDFor(4, 0); got != "ep0000000004-full" {
-		t.Fatalf("full id %q", got)
+	if got := IDFor(4); got != "ep0000000004-full" {
+		t.Fatalf("id %q", got)
 	}
-	if got := IDFor(5, 4); got != "ep0000000005-d0000000004" {
-		t.Fatalf("delta id %q", got)
-	}
-	if _, ok := parseChainID(IDFor(7, 6)); !ok {
+	if e, ok := parseChainID(IDFor(7)); !ok || e != 7 {
 		t.Fatal("IDFor output not parseable by the chain")
+	}
+	for _, foreign := range []string{"ep0000000005-d0000000004", "ep0000000007-pack", "dm0000000004", "ep000000004-full"} {
+		if _, ok := parseChainID(foreign); ok {
+			t.Errorf("%q parsed as a chain id", foreign)
+		}
 	}
 }
 
@@ -229,43 +232,24 @@ func TestIDFor(t *testing.T) {
 // valid target) out of the retention window.
 func TestChainRetainFrom(t *testing.T) {
 	chain := NewChain(NewMemory())
-	node := []NodeState{{ID: 0, Name: "n"}}
-	for ep := int64(1); ep <= 4; ep++ {
-		if _, err := chain.Put(&Snapshot{Epoch: ep, Nodes: node}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Epoch 5 chains off 4 — an uncommitted delta past the committed head.
-	if _, err := chain.Put(&Snapshot{Epoch: 5, Base: 4, Nodes: node}); err != nil {
-		t.Fatal(err)
-	}
+	putAll(t, chain, 1, 2, 3, 4, 5)
 
 	// Committed head is 3; epochs 4 and 5 are persisted but uncommitted.
-	// Plain Retain(1) would keep only {5,4} and delete 3 — the exact epoch
+	// Keeping only the newest stored epoch would delete 3 — the exact epoch
 	// a crash now would restore to.
 	if err := chain.RetainFrom(3, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := chain.ChainFor(3); err != nil {
-		t.Fatalf("committed epoch 3 was collected: %v", err)
-	}
-	for _, gone := range []int64{1, 2} {
-		if _, err := chain.ChainFor(gone); err == nil {
-			t.Errorf("epoch %d survived RetainFrom(3, 1)", gone)
-		}
-	}
-	// The uncommitted tail is untouched (with its lineage through 4).
-	if _, err := chain.ChainFor(5); err != nil {
-		t.Fatalf("uncommitted tail lost: %v", err)
+	if got := fmt.Sprint(storedEpochs(t, chain)); got != "[3 4 5]" {
+		t.Fatalf("RetainFrom(3, 1) kept epochs %s, want [3 4 5]", got)
 	}
 
-	// The crash-restore path the bug broke: truncate the uncommitted tail,
-	// then load the committed epoch.
+	// The crash-restore path: truncate the uncommitted tail, then load the
+	// committed epoch.
 	if err := chain.TruncateAfter(3); err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := chain.ChainFor(3)
-	if err != nil || len(snaps) != 1 || snaps[0].Epoch != 3 {
-		t.Fatalf("restore from committed epoch after truncate: %v (%d snaps)", err, len(snaps))
+	if got := latest(t, chain); got != "b3" {
+		t.Fatalf("restore from committed epoch after truncate loads %s", got)
 	}
 }

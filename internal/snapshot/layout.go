@@ -12,9 +12,9 @@ import (
 
 // State is the Stater of an operator or source that declares what it keeps
 // (DESIGN.md §6.2). The owner embeds it and, in Open, declares the fields of
-// its blob in order with Keep; CaptureState, LoadState and ApplyDelta are
-// derived from that list. A field is a codec built from closures over the
-// owner's own variables — no reflection:
+// its blob in order with Keep; CaptureState and LoadState are derived from
+// that list. A field is a codec built from closures over the owner's own
+// variables — no reflection:
 //
 //   - phase 1 runs every field's Capture in order, each taking the view it
 //     needs and returning the encoder of that view;
@@ -24,84 +24,62 @@ import (
 type State struct {
 	owner  string
 	fields []Field
-	// changelog is set when a field can capture a delta; based once a capture
-	// or load has fixed a baseline a delta can be relative to.
-	changelog, based bool
 }
 
 // Field is one thing a Stater keeps. The constructors below cover the shapes
 // the engine's Staters keep; a field of another shape fills the struct.
 type Field struct {
-	// Capture takes the field's phase-1 view — all of it, or with delta what
-	// changed since the previous capture or load — and returns the phase-2
-	// encoder of that view. The view must not alias anything the owner
-	// mutates after the barrier releases.
-	Capture func(delta bool) func(*Encoder)
-	// Load reads what a full capture wrote. It is bounded by the bytes
-	// received: a count it reads sizes nothing beyond them (GetCount).
+	// Capture takes the field's phase-1 view and returns the phase-2 encoder
+	// of that view. The view must not alias anything the owner mutates after
+	// the barrier releases.
+	Capture func() func(*Encoder)
+	// Load reads what a capture wrote. It is bounded by the bytes received: a
+	// count it reads sizes nothing beyond them (GetCount).
 	Load func(*Decoder) error
-	// Delta reads what a delta capture wrote; nil for a field without a
-	// changelog, whose Load reads both kinds of blob.
-	Delta func(*Decoder) error
 	// Settle, when set, runs once every field of a blob has been read and no
-	// byte is left over, in field order; delta says which kind of blob it was.
-	Settle func(delta bool) error
+	// byte is left over, in field order.
+	Settle func() error
 }
 
 // Keep declares the fields, in the order the blob holds them; owner names
 // the Stater in load errors. Open calls it, so it replaces any earlier
-// declaration and forgets the baseline: the first capture after it is full.
+// declaration.
 func (s *State) Keep(owner string, fields ...Field) {
 	*s = State{owner: owner, fields: fields}
-	s.changelog = slices.ContainsFunc(fields, func(f Field) bool { return f.Delta != nil })
 }
 
-// CaptureState implements Stater: a delta when one was asked for and a
-// field keeps a changelog with a baseline to be relative to, else full.
-func (s *State) CaptureState(mode CaptureMode) (Capture, error) {
-	delta := mode == CaptureDelta && s.changelog && s.based
-	encode := captureAll(s.fields, delta)
-	s.based = true
-	return Capture{Delta: delta, Encode: func(e *Encoder) error {
+// CaptureState implements Stater. The mode is ignored: every capture is full.
+func (s *State) CaptureState(CaptureMode) (Capture, error) {
+	encode := captureAll(s.fields)
+	return Capture{Encode: func(e *Encoder) error {
 		encode(e)
 		return nil
 	}}, nil
 }
 
 // LoadState implements Stater.
-func (s *State) LoadState(dec *Decoder) error { return s.load(dec, false) }
-
-// ApplyDelta merges a delta blob into the loaded state.
-func (s *State) ApplyDelta(dec *Decoder) error {
-	if !s.changelog {
-		return fmt.Errorf("state of %q: a delta blob, but it keeps no changelog", s.owner)
-	}
-	return s.load(dec, true)
-}
-
-func (s *State) load(dec *Decoder, delta bool) error {
-	err := loadAll(s.fields, dec, delta)
+func (s *State) LoadState(dec *Decoder) error {
+	err := loadAll(s.fields, dec)
 	if err == nil && dec.Remaining() > 0 {
 		err = fmt.Errorf("snapshot: %d bytes left unread after the last field (a blob of another layout)", dec.Remaining())
 	}
 	for _, f := range s.fields {
 		if err == nil && f.Settle != nil {
-			err = f.Settle(delta)
+			err = f.Settle()
 		}
 	}
 	if err != nil {
 		return fmt.Errorf("state of %q: %w", s.owner, err)
 	}
-	s.based = true
 	return nil
 }
 
 // captureAll runs the fields' phase 1 and returns their phase 2 in one.
-func captureAll(fields []Field, delta bool) func(*Encoder) {
+func captureAll(fields []Field) func(*Encoder) {
 	encs := make([]func(*Encoder), 0, len(fields))
 	for _, f := range fields {
 		if f.Capture != nil {
-			encs = append(encs, f.Capture(delta))
+			encs = append(encs, f.Capture())
 		}
 	}
 	return func(e *Encoder) {
@@ -112,16 +90,12 @@ func captureAll(fields []Field, delta bool) func(*Encoder) {
 }
 
 // loadAll reads the fields in order, up to the first error.
-func loadAll(fields []Field, dec *Decoder, delta bool) error {
+func loadAll(fields []Field, dec *Decoder) error {
 	for _, f := range fields {
-		read := f.Load
-		if delta && f.Delta != nil {
-			read = f.Delta
-		}
-		if read == nil {
+		if f.Load == nil {
 			continue
 		}
-		if err := read(dec); err != nil {
+		if err := f.Load(dec); err != nil {
 			return err
 		}
 		if err := dec.Err(); err != nil {
@@ -135,7 +109,7 @@ func loadAll(fields []Field, dec *Decoder, delta bool) error {
 // blob another version of the owner wrote is refused, not misparsed.
 func Marker(layout int64) Field {
 	return Field{
-		Capture: func(bool) func(*Encoder) { return func(e *Encoder) { e.PutInt64(layout) } },
+		Capture: func() func(*Encoder) { return func(e *Encoder) { e.PutInt64(layout) } },
 		Load: func(d *Decoder) error {
 			if got := d.GetInt64(); d.err == nil && got != layout {
 				return fmt.Errorf("snapshot: blob has layout %d, this build reads layout %d (written by another version of its owner)", got, layout)
@@ -148,7 +122,7 @@ func Marker(layout int64) Field {
 // scalars keeps values read and written through pointers, one after another.
 func scalars[T any](ps []*T, put func(*Encoder, T), get func(*Decoder) T) Field {
 	return Field{
-		Capture: func(bool) func(*Encoder) {
+		Capture: func() func(*Encoder) {
 			vs := make([]T, len(ps))
 			for i, p := range ps {
 				vs[i] = *p
@@ -177,7 +151,7 @@ func Float64(ps ...*float64) Field { return scalars(ps, (*Encoder).PutFloat64, (
 // list keeps a counted slice.
 func list[T any](p *[]T, put func(*Encoder, T), get func(*Decoder) T) Field {
 	return Field{
-		Capture: func(bool) func(*Encoder) {
+		Capture: func() func(*Encoder) {
 			vs := slices.Clone(*p)
 			return func(e *Encoder) {
 				e.PutInt(len(vs))
@@ -219,7 +193,7 @@ func Patterns(p *[]punct.Pattern, arity int) Field {
 // not the table's is refused: its probe would index past the tuple.
 func Guards(g *core.GuardTable) Field {
 	return Field{
-		Capture: func(bool) func(*Encoder) {
+		Capture: func() func(*Encoder) {
 			guards := g.Guards()
 			return func(e *Encoder) {
 				e.PutInt(len(guards))
@@ -257,7 +231,7 @@ func Relayed(r interface {
 	RestoreRelayed([]string)
 }, strip string) Field {
 	return Field{
-		Capture: func(bool) func(*Encoder) {
+		Capture: func() func(*Encoder) {
 			keys := r.Relayed()
 			return func(e *Encoder) {
 				e.PutInt(len(keys))
@@ -283,15 +257,15 @@ func Relayed(r interface {
 // Group keeps n like groups of fields — one per port, input or pair —
 // behind their count, which a load checks against n: a blob of a plan with
 // another fan is refused, not loaded into the wrong groups. The fields of a
-// group keep no changelog and settle nothing.
+// group settle nothing.
 func Group(n int, each func(i int) []Field) Field {
 	var fields []Field
 	for i := 0; i < n; i++ {
 		fields = append(fields, each(i)...)
 	}
 	return Field{
-		Capture: func(delta bool) func(*Encoder) {
-			encode := captureAll(fields, delta)
+		Capture: func() func(*Encoder) {
+			encode := captureAll(fields)
 			return func(e *Encoder) {
 				e.PutInt(n)
 				encode(e)
@@ -301,7 +275,7 @@ func Group(n int, each func(i int) []Field) Field {
 			if got := d.GetInt(); d.err == nil && got != n {
 				return fmt.Errorf("snapshot: blob carries %d groups but the plan has %d (plan drift)", got, n)
 			}
-			return loadAll(fields, d, false)
+			return loadAll(fields, d)
 		},
 	}
 }
@@ -309,5 +283,5 @@ func Group(n int, each func(i int) []Field) Field {
 // Then is a field that keeps nothing: fn runs once a blob has loaded whole,
 // for a check or a step that needs every field in place.
 func Then(fn func() error) Field {
-	return Field{Settle: func(bool) error { return fn() }}
+	return Field{Settle: fn}
 }

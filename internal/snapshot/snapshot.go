@@ -59,35 +59,20 @@ type NodeState struct {
 	// drifted plan fails loudly instead of loading state into the wrong
 	// operator.
 	Name string
-	// Delta marks State as a delta relative to the node's state in the
-	// snapshot this one chains from (applied via the Stater's ApplyDelta);
-	// false means State is complete and replaces whatever came before.
-	Delta bool
 	// State is the blob the node's Stater wrote (empty for stateless
 	// nodes, which are recorded for plan-shape validation only).
 	State []byte
-	// Deltas holds additional delta blobs to apply after State, in order.
-	// Only compaction produces these: packing a base+delta chain into one
-	// self-contained snapshot concatenates each node's segments here.
-	Deltas [][]byte
 }
 
-// Snapshot is one consistent cut of a plan — either complete (Base == 0)
-// or a delta that must be applied on top of the chain ending at Base.
+// Snapshot is one consistent cut of a plan. It restores on its own: every
+// cut is full (DESIGN.md §7).
 type Snapshot struct {
 	// Epoch is the checkpoint's sequence number within the run that took
 	// it (monotonically increasing per graph).
 	Epoch int64
-	// Base is the epoch this snapshot chains from: restore loads the chain
-	// ending at Base first, then applies this snapshot's deltas. Zero
-	// means the snapshot is self-contained (a base or a compacted pack).
-	Base int64
 	// Nodes holds per-node state in node-id order.
 	Nodes []NodeState
 }
-
-// IsFull reports whether the snapshot restores on its own (no parent).
-func (s *Snapshot) IsFull() bool { return s.Base == 0 }
 
 // magicV3 guards against feeding arbitrary files to Decode. The format
 // carries a CRC-32C of the payload so bit rot and torn writes on weaker
@@ -96,6 +81,10 @@ func (s *Snapshot) IsFull() bool { return s.Base == 0 }
 // silently wrong state) mid-restore. It is the only generation read: the two
 // before it had no checksum, so nothing stood between a blob of theirs and
 // an operator's LoadState.
+//
+// The payload keeps three slots the delta cuts of an earlier build used — a
+// base epoch, and per node a delta flag and a count of extra blobs — written
+// as zeros so a full cut keeps its bytes; Decode refuses anything else there.
 var magicV3 = []byte("pasnap3\n")
 
 // Encode serializes the snapshot: v3 magic, CRC-32C of the payload
@@ -105,17 +94,14 @@ func (s *Snapshot) Encode() []byte {
 	e.buf = append(e.buf, magicV3...)
 	e.buf = append(e.buf, 0, 0, 0, 0) // crc placeholder, patched below
 	e.PutInt64(s.Epoch)
-	e.PutInt64(s.Base)
+	e.PutInt64(0) // base epoch
 	e.PutInt(len(s.Nodes))
 	for _, n := range s.Nodes {
 		e.PutInt(n.ID)
 		e.PutString(n.Name)
-		e.PutBool(n.Delta)
+		e.PutBool(false) // delta flag
 		e.PutBytes(n.State)
-		e.PutInt(len(n.Deltas))
-		for _, d := range n.Deltas {
-			e.PutBytes(d)
-		}
+		e.PutInt(0) // extra blobs
 	}
 	b, _ := e.Bytes() // the encoder has no failing paths
 	crc := crc32.Checksum(b[len(magicV3)+4:], crcTable)
@@ -125,7 +111,8 @@ func (s *Snapshot) Encode() []byte {
 
 // Decode parses a snapshot serialized by Encode. Every failure wraps
 // ErrCorruptSnapshot: the magic is not this format's, the checksum disagrees
-// with the payload, or the payload is structurally damaged.
+// with the payload, the payload is structurally damaged, or it is a delta cut
+// (a base epoch, a delta flag or extra blobs), which nothing here can apply.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(magicV3)+4 || string(data[:len(magicV3)]) != string(magicV3) {
 		return nil, corruptf("not a snapshot (bad magic)")
@@ -136,22 +123,25 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, corruptf("checksum mismatch (stored %08x, computed %08x)", want, got)
 	}
 	d := NewDecoder(payload)
-	s := &Snapshot{Epoch: d.GetInt64(), Base: d.GetInt64()}
-	n := d.GetInt()
+	s := &Snapshot{Epoch: d.GetInt64()}
+	base := d.GetInt64()
+	n := d.GetCount()
 	if d.Err() != nil {
 		return nil, corrupted(d.Err())
 	}
-	if n < 0 {
-		return nil, corruptf("negative node count")
+	if base != 0 {
+		return nil, corruptf("epoch %d is a delta on epoch %d", s.Epoch, base)
 	}
 	for i := 0; i < n; i++ {
-		ns := NodeState{ID: d.GetInt(), Name: d.GetString(), Delta: d.GetBool(), State: d.GetBytes()}
-		nd := d.GetInt()
-		for j := 0; j < nd && d.Err() == nil; j++ {
-			ns.Deltas = append(ns.Deltas, d.GetBytes())
-		}
+		ns := NodeState{ID: d.GetInt(), Name: d.GetString()}
+		delta := d.GetBool()
+		ns.State = d.GetBytes()
+		extra := d.GetInt()
 		if d.Err() != nil {
 			return nil, corrupted(d.Err())
+		}
+		if delta || extra != 0 {
+			return nil, corruptf("node %q of epoch %d holds a delta", ns.Name, s.Epoch)
 		}
 		s.Nodes = append(s.Nodes, ns)
 	}
