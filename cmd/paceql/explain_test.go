@@ -15,10 +15,11 @@ var explainSchema = stream.MustSchema(
 	stream.F("speed", stream.KindFloat),
 )
 
-// explainFor returns what `paceql -explain` prints for the query.
+// explainFor returns what `paceql -explain` prints for the query over a
+// stream read the way paceql reads its input.
 func explainFor(t *testing.T, query string) string {
 	t.Helper()
-	cat := plan.Catalog{"traffic": exec.NewSliceSource("traffic", explainSchema)}
+	cat := plan.Catalog{"traffic": exec.NewReaderSource("traffic", explainSchema, strings.NewReader(""))}
 	var out strings.Builder
 	if err := run(query, cat, true, true, &out); err != nil {
 		t.Fatal(err)

@@ -378,12 +378,12 @@ func TestRestoreRefusesTrailingBytes(t *testing.T) {
 		}
 		return blob
 	}
-	src := NewSliceSource("src", oneInt, intTuple(1), intTuple(2))
-	if _, err := src.Next(NewSourceHarness(src)); err != nil {
+	src, sink := NewSliceSource("src", oneInt, intTuple(1), intTuple(2)), NewCollector("sink", oneInt)
+	g := NewGraph()
+	g.Add(sink, From(g.AddSource(src)))
+	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	sink := NewCollector("sink", oneInt)
-	NewHarness(sink).Tuple(0, intTuple(1))
 	srcBlob, sinkBlob := encode(src), encode(sink)
 
 	for _, tc := range []struct {

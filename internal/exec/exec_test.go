@@ -69,7 +69,8 @@ func TestGraphRunLinearPipeline(t *testing.T) {
 // which edges are direct: the sink runs on mid's goroutine, mid on its own.
 func TestGraphEdges(t *testing.T) {
 	g := NewGraph()
-	src := g.AddSource(NewSliceSource("src", oneInt, intTuple(1), intTuple(2)))
+	// A source that may block keeps its ring; the hop behind it is chained.
+	src := g.AddSource(struct{ Source }{NewSliceSource("src", oneInt, intTuple(1), intTuple(2))})
 	mid := g.Add(&passthrough{name: "mid"}, From(src))
 	sink := NewCollector("sink", oneInt)
 	g.Add(sink, From(mid))
@@ -278,52 +279,100 @@ func TestEndToEndFeedbackSuppressesAtSource(t *testing.T) {
 	}
 }
 
-func TestHarnessRecordsEverything(t *testing.T) {
-	p := &passthrough{name: "p"}
-	h := NewHarness(p)
-	h.Tuples(intTuple(1), intTuple(2))
-	h.Punct(0, punct.NewEmbedded(punct.OnAttr(1, 0, punct.Le(stream.Int(2)))))
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(1, 0, punct.Eq(stream.Int(9)))))
-	h.EOS(0).CloseOp()
-	if h.Err() != nil {
-		t.Fatal(h.Err())
+// batchAtPunct holds its input tuples and emits them as one run, then the
+// punctuation that released them.
+type batchAtPunct struct {
+	passthrough
+	held []stream.Tuple
+}
+
+func (b *batchAtPunct) ProcessTuple(_ int, t stream.Tuple, _ Context) error {
+	b.held = append(b.held, t.Clone())
+	return nil
+}
+
+func (b *batchAtPunct) ProcessPunct(_ int, e punct.Embedded, ctx Context) error {
+	ctx.EmitBatch(b.held)
+	b.held = b.held[:0]
+	ctx.EmitPunct(e)
+	return nil
+}
+
+// TestDriveRecordsInOrder: what the operator emits — single tuples, a run
+// emitted as one, punctuation — is recorded in order, and feedback reaches it
+// through its output and goes on upstream.
+func TestDriveRecordsInOrder(t *testing.T) {
+	p := &batchAtPunct{passthrough: passthrough{name: "p", relay: true}}
+	upTo2 := punct.NewEmbedded(punct.OnAttr(1, 0, punct.Le(stream.Int(2))))
+	tr := Drive(p,
+		Tuples(0, intTuple(1), intTuple(2)),
+		Punct(0, upTo2),
+		Feedback(0, core.NewAssumed(punct.OnAttr(1, 0, punct.Eq(stream.Int(9))))),
+		Tuples(0, intTuple(3)),
+		Punct(0, upTo2),
+		EOS(0))
+	if tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
-	if len(h.OutTuples(0)) != 2 || len(h.OutPuncts(0)) != 1 {
-		t.Error("harness output accounting")
+	var got []string
+	for _, it := range tr.Out[0].Items() {
+		if it.Kind == queue.ItemTuple {
+			got = append(got, it.Tuple.String())
+		} else {
+			got = append(got, "punct")
+		}
 	}
-	if len(p.feedback) != 1 {
-		t.Error("feedback delivery")
+	if want := []string{"<1>", "<2>", "punct", "<3>", "punct"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("recorded %v, want %v", got, want)
 	}
-	h.Reset()
-	if len(h.Out(0)) != 0 {
-		t.Error("reset")
-	}
-	// A run emitted as one is recorded as its tuples, in order.
-	run := []stream.Tuple{intTuple(3), intTuple(4)}
-	h.EmitBatch(run)
-	h.EmitBatchTo(0, run)
-	per := NewHarness(p)
-	for _, tp := range run {
-		per.Emit(tp)
-	}
-	for _, tp := range run {
-		per.EmitTo(0, tp)
-	}
-	if !reflect.DeepEqual(h.Out(0), per.Out(0)) {
-		t.Errorf("batched emits recorded %v, per-tuple emits %v", h.Out(0), per.Out(0))
+	if len(p.feedback) != 1 || len(tr.Sent[0]) != 1 {
+		t.Errorf("feedback: operator saw %d, relayed %d upstream; want 1 and 1", len(p.feedback), len(tr.Sent[0]))
 	}
 }
 
-func TestSliceSourceHarness(t *testing.T) {
+// keeper keeps its first input tuple without Clone and reads it back at the
+// second.
+type keeper struct {
+	passthrough
+	kept *stream.Tuple
+	read stream.Value
+}
+
+func (k *keeper) ProcessTuple(_ int, t stream.Tuple, _ Context) error {
+	if k.kept == nil {
+		k.kept = &t
+	} else {
+		k.read = k.kept.At(0)
+	}
+	return nil
+}
+
+// TestScriptedTuplesAreRecycled: Drive builds the tuples it plays in recycled
+// slabs, so an operator that keeps an input tuple past its callback without
+// Clone reads what a later step overwrote — poison under -race.
+func TestScriptedTuplesAreRecycled(t *testing.T) {
+	k := &keeper{passthrough: passthrough{name: "k"}}
+	if tr := Drive(k, Tuples(0, intTuple(1), intTuple(2))); tr.Err != nil {
+		t.Fatal(tr.Err)
+	}
+	if k.read.Kind == stream.KindInt && k.read.AsInt() == 1 {
+		t.Fatal("a tuple kept without Clone still reads its own value: the driver handed out memory nobody recycles")
+	}
+}
+
+// TestSliceSourceReplaysTuplesThenItems: the tuple fast path plays first, then
+// Items.
+func TestSliceSourceReplaysTuplesThenItems(t *testing.T) {
 	src := NewSliceSource("s", oneInt, intTuple(1), intTuple(2))
 	src.Items = append(src.Items, queue.PunctItem(punct.NewEmbedded(punct.OnAttr(1, 0, punct.Le(stream.Int(2))))))
-	h := NewSourceHarness(src)
-	h.RunSource(100)
-	if h.Err() != nil {
-		t.Fatal(h.Err())
+	sink := NewCollector("sink", oneInt)
+	g := NewGraph()
+	g.Add(sink, From(g.AddSource(src)))
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if len(h.OutTuples(0)) != 2 || len(h.OutPuncts(0)) != 1 {
-		t.Error("source harness output")
+	if its := sink.Items(); len(its) != 3 || its[2].Kind != queue.ItemPunct {
+		t.Errorf("sink recorded %v, want two tuples then the punctuation", its)
 	}
 }
 
@@ -332,8 +381,9 @@ func TestCollectorDiscard(t *testing.T) {
 	c.Discard = true
 	n := 0
 	c.OnTuple = func(stream.Tuple) { n++ }
-	h := NewHarness(c)
-	h.Tuples(intTuple(1), intTuple(2)).CloseOp()
+	if tr := Drive(c, Tuples(0, intTuple(1), intTuple(2))); tr.Err != nil {
+		t.Fatal(tr.Err)
+	}
 	if n != 2 || c.Count() != 2 || len(c.Items()) != 0 {
 		t.Error("discard collector accounting")
 	}
@@ -369,13 +419,27 @@ func TestShutdownPropagatesUpstream(t *testing.T) {
 	}
 }
 
-func TestHarnessRecordsShutdown(t *testing.T) {
+// TestCollectorLimitStopsTheSource: a limited collector's shutdown reaches
+// its source, chained to it, before the source's next step: the source
+// stops after the page that carried the limit.
+func TestCollectorLimitStopsTheSource(t *testing.T) {
+	const page = 4
+	tuples := make([]stream.Tuple, 100)
+	for i := range tuples {
+		tuples[i] = intTuple(int64(i))
+	}
+	src := NewSliceSource("src", oneInt, tuples...)
+	src.BatchSize = page
 	c := NewCollector("c", oneInt)
 	c.Limit = 1
-	h := NewHarness(c)
-	h.Tuples(intTuple(1), intTuple(2))
-	if got := h.ShutdownsSent(); len(got) != 1 || got[0] != 0 {
-		t.Errorf("shutdowns: %v", got)
+	g := NewGraph()
+	g.SetQueueOptions(queue.Options{PageSize: page})
+	g.Add(c, From(g.AddSource(src)))
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Count(); got != page {
+		t.Errorf("collector got %d tuples, want the one page of %d that carried its limit", got, page)
 	}
 }
 

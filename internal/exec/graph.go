@@ -34,9 +34,11 @@ type node struct {
 	// Wired during prepare():
 	inConns  []*queue.Conn // consumer side
 	outConns []*queue.Conn // producer side
-	// chained marks a node that runs on its producer's goroutine: its one
-	// input edge is direct (Graph.Chained).
+	// chained marks a node that runs on its producers' goroutine, head's: its
+	// input edges are direct (Graph.Chained). A head's members are its chain.
 	chained bool
+	head    *node
+	members []*nodeRunner
 	// r is the node's runtime state and Context (runner.go).
 	r *nodeRunner
 	// wake is where the node's chain goroutine parks, shared by every node of
@@ -209,16 +211,17 @@ func (g *Graph) prepare() error {
 	conns := map[edgeKey]*queue.Conn{}
 	g.consumers = make(map[edgeKey]consumerRef)
 	// Inputs name earlier nodes only, so a chained node's producer has its
-	// wake by the time the node shares it.
+	// head by the time the node joins it.
 	for _, n := range g.nodes {
 		n.outConns = make([]*queue.Conn, n.numOutputs())
 		n.r = &nodeRunner{node: n, graph: g}
 		n.chained = g.Chained(n.id)
+		n.head, n.wake = n, queue.NewWake()
 		if n.chained {
-			n.wake = g.nodes[n.inputs[0].Node].wake
-		} else {
-			n.wake = queue.NewWake()
+			n.head = g.nodes[n.inputs[0].Node].head
+			n.wake = n.head.wake
 		}
+		n.head.members = append(n.head.members, n.r)
 	}
 	for _, n := range g.nodes {
 		n.inConns = make([]*queue.Conn, len(n.inputs))
@@ -230,7 +233,8 @@ func (g *Graph) prepare() error {
 			}
 			c := queue.New(g.opts)
 			if n.chained {
-				c.BindDirect(n.wake, n.r.deliver)
+				r, in := n.r, i
+				c.BindDirect(n.wake, func(p *queue.Page) { r.deliver(in, p) })
 			} else {
 				c.Bind(n.wake, g.nodes[p.Node].wake)
 			}
@@ -251,30 +255,40 @@ func (g *Graph) prepare() error {
 	return nil
 }
 
-// Chained reports whether node id runs on its producer's goroutine: it has
-// one input, and that input is the only output of an operator — a source
-// keeps its own goroutine. The plan's shape decides, compiled or not; a chain
-// is a head that is not chained and every node chained behind it.
+// Chained reports whether node id runs on its producers' goroutine: its one
+// input is the only output of an operator or of a source that never blocks
+// (InlineSource), or its inputs all come from one chain headed by no blocking
+// source. The plan's shape decides, compiled or not; a chain is a head that
+// is not chained and every node chained behind it.
 func (g *Graph) Chained(id NodeID) bool {
-	if int(id) < 0 || int(id) >= len(g.nodes) || len(g.nodes[id].inputs) != 1 {
+	if int(id) < 0 || int(id) >= len(g.nodes) || len(g.nodes[id].inputs) == 0 {
 		return false
 	}
-	up := g.nodes[g.nodes[id].inputs[0].Node]
-	return up.op != nil && up.numOutputs() == 1
+	ins := g.nodes[id].inputs
+	if up := g.nodes[ins[0].Node]; len(ins) == 1 {
+		return up.numOutputs() == 1 && !up.blocks()
+	}
+	head := g.headOf(ins[0].Node)
+	for _, p := range ins[1:] {
+		if g.headOf(p.Node) != head {
+			return false
+		}
+	}
+	return !g.nodes[head].blocks()
 }
 
-// chain returns the runners of head's chain, head first, each next one the
-// chained consumer of the one before.
-func (g *Graph) chain(head *node) []*nodeRunner {
-	rs := []*nodeRunner{head.r}
-	for n := head; len(n.outConns) == 1; {
-		n = g.consumers[edgeKey{n.id, 0}].node
-		if !n.chained {
-			break
-		}
-		rs = append(rs, n.r)
+// headOf is the node whose goroutine runs node id.
+func (g *Graph) headOf(id NodeID) NodeID {
+	for g.Chained(id) {
+		id = g.nodes[id].inputs[0].Node
 	}
-	return rs
+	return id
+}
+
+// blocks reports whether n is a source whose Next may block.
+func (n *node) blocks() bool {
+	_, inline := n.src.(InlineSource)
+	return n.src != nil && !inline
 }
 
 // LabelEdge annotates the edge leaving the given output port (partitioned

@@ -48,6 +48,9 @@ func NewSliceSource(name string, schema stream.Schema, tuples ...stream.Tuple) *
 // Name implements Source.
 func (s *SliceSource) Name() string { return s.SourceName }
 
+// NeverBlocks implements InlineSource: Next replays memory.
+func (s *SliceSource) NeverBlocks() {}
+
 // OutSchemas implements Source.
 func (s *SliceSource) OutSchemas() []stream.Schema { return []stream.Schema{s.Schema} }
 
@@ -89,70 +92,45 @@ func (sourceRow) Characterize(_ int, f core.Feedback) core.ResponsePlan {
 	return core.Stateless(f, []core.Action{core.ActGuardOutput})
 }
 
-// Next implements Source.
+// Next implements Source. The logical stream is Tuples followed by Items; pos
+// indexes the concatenation. A feedback-unaware source never suppresses, so
+// its runs of tuples go downstream in one emit each.
 func (s *SliceSource) Next(ctx Context) (bool, error) {
 	n := s.BatchSize
 	if n <= 0 {
 		n = 16
 	}
-	// The logical stream is Tuples followed by Items; pos indexes the
-	// concatenation. A feedback-unaware source never suppresses, so its runs
-	// of tuples go downstream in one emit each.
-	batch := !s.FeedbackAware
 	total := len(s.Tuples) + len(s.Items)
-	i := 0
-	if batch && s.pos < len(s.Tuples) {
-		end := s.pos + n
-		if end > len(s.Tuples) {
-			end = len(s.Tuples)
-		}
-		ctx.EmitBatch(s.Tuples[s.pos:end])
-		i = end - s.pos
-		s.pos = end
-	}
-	for ; i < n && s.pos < len(s.Tuples); i++ {
-		t := s.Tuples[s.pos]
+	for end := min(s.pos+n, total); s.pos < end; {
+		it := s.item(s.pos)
 		s.pos++
-		if s.FeedbackAware && s.guards.Suppress(t) {
-			s.skipped++
-			continue
-		}
-		ctx.Emit(t)
-	}
-	for i < n && s.pos < total {
-		base := s.pos - len(s.Tuples)
-		if batch && s.Items[base].Kind == queue.ItemTuple {
-			lim := base + (n - i)
-			if lim > len(s.Items) {
-				lim = len(s.Items)
-			}
-			buf := s.batch[:0]
-			j := base
-			for ; j < lim && s.Items[j].Kind == queue.ItemTuple; j++ {
-				buf = append(buf, s.Items[j].Tuple)
-			}
-			ctx.EmitBatch(buf)
-			s.batch = buf[:0]
-			i += j - base
-			s.pos += j - base
-			continue
-		}
-		it := s.Items[base]
-		s.pos++
-		i++
-		switch it.Kind {
-		case queue.ItemTuple:
-			if s.FeedbackAware && s.guards.Suppress(it.Tuple) {
-				s.skipped++
-				continue
-			}
-			ctx.Emit(it.Tuple)
-		case queue.ItemPunct:
+		switch {
+		case it.Kind == queue.ItemPunct:
 			s.Observe(core.Output, *it.Punct)
 			ctx.EmitPunct(*it.Punct)
+		case it.Kind != queue.ItemTuple:
+		case !s.FeedbackAware:
+			run := append(s.batch[:0], it.Tuple)
+			for ; s.pos < end && s.item(s.pos).Kind == queue.ItemTuple; s.pos++ {
+				run = append(run, s.item(s.pos).Tuple)
+			}
+			ctx.EmitBatch(run)
+			s.batch = run[:0]
+		case s.guards.Suppress(it.Tuple):
+			s.skipped++
+		default:
+			ctx.Emit(it.Tuple)
 		}
 	}
 	return s.pos < total, nil
+}
+
+// item is item pos of the stream.
+func (s *SliceSource) item(pos int) queue.Item {
+	if pos < len(s.Tuples) {
+		return queue.TupleItem(s.Tuples[pos])
+	}
+	return s.Items[pos-len(s.Tuples)]
 }
 
 // Skipped returns how many tuples guards suppressed at the source.
@@ -426,10 +404,8 @@ func (c *Collector) Items() []queue.Item {
 
 // Tuples returns only the received tuples, in arrival order.
 func (c *Collector) Tuples() []stream.Tuple {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var ts []stream.Tuple
-	for _, it := range c.items {
+	for _, it := range c.Items() {
 		if it.Kind == queue.ItemTuple {
 			ts = append(ts, it.Tuple)
 		}

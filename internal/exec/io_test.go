@@ -24,20 +24,19 @@ func TestReaderSourceDecodes(t *testing.T) {
 	src := NewReaderSource("r", schema, strings.NewReader(input))
 	src.PunctAttr = 1
 	src.PunctEvery = 2
-	h := NewSourceHarness(src)
-	h.RunSource(1000)
-	if h.Err() != nil {
-		t.Fatal(h.Err())
+	tr := DriveSource(src)
+	if tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
-	tuples := h.OutTuples(0)
+	tuples := tr.Out[0].Tuples()
 	if len(tuples) != 3 {
 		t.Fatalf("decoded %d tuples", len(tuples))
 	}
 	if !tuples[2].At(2).IsNull() {
 		t.Error("null must decode")
 	}
-	if len(h.OutPuncts(0)) != 1 {
-		t.Errorf("puncts: %d, want 1 (every 2 tuples)", len(h.OutPuncts(0)))
+	if n := len(tr.Out[0].Items()) - len(tuples); n != 1 {
+		t.Errorf("puncts: %d, want 1 (every 2 tuples)", n)
 	}
 }
 
@@ -46,10 +45,8 @@ func TestReaderSourceFeedback(t *testing.T) {
 	input := "1\n2\n1\n2\n1\n"
 	src := NewReaderSource("r", schema, strings.NewReader(input))
 	src.FeedbackAware = true
-	h := NewSourceHarness(src)
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(1, 0, punct.Eq(stream.Int(2)))))
-	h.RunSource(1000)
-	if got := h.OutTuples(0); len(got) != 3 {
+	tr := DriveSource(src, core.NewAssumed(punct.OnAttr(1, 0, punct.Eq(stream.Int(2)))))
+	if got := tr.Out[0].Tuples(); len(got) != 3 {
 		t.Fatalf("suppression: %v", got)
 	}
 	if src.Skipped() != 2 {
@@ -60,9 +57,7 @@ func TestReaderSourceFeedback(t *testing.T) {
 func TestReaderSourceBadInput(t *testing.T) {
 	schema := stream.MustSchema(stream.F("seg", stream.KindInt))
 	src := NewReaderSource("r", schema, strings.NewReader("not-a-number\n"))
-	h := NewSourceHarness(src)
-	h.RunSource(10)
-	if h.Err() == nil {
+	if DriveSource(src).Err == nil {
 		t.Fatal("malformed input must surface an error")
 	}
 }

@@ -1,16 +1,14 @@
 // Package exec is the query execution runtime, modelled on NiagaraST's
-// push-based pipelined architecture (§5): each operator runs as its own
-// goroutine ("operators run as threads"), connected by paged data queues
-// flowing downstream and control channels flowing upstream. Control
-// messages — feedback punctuation and shutdown — are out-of-band and
-// processed with priority over pending tuples.
+// push-based pipelined architecture (§5): operators run on goroutines
+// ("operators run as threads") — one per chain of operators (Graph.Chained)
+// — connected by paged data queues flowing downstream and control channels
+// flowing upstream. Control messages — feedback punctuation and shutdown —
+// are out-of-band and processed with priority over pending tuples.
 //
-// The package provides two drivers over the same Operator interface:
-//
-//   - Graph/Run: the concurrent runtime (goroutine per operator);
-//   - Harness: a deterministic, synchronous driver used by unit tests.
-//
-// Both hand operators the same Context, whose emit surface takes single
+// Graph.Run is the one driver. Drive runs a single operator on it, between a
+// scripted source and a recording sink, on one goroutine: that is how unit
+// tests exercise an operator, with the pages, slabs and control rechecks of
+// every plan. Operators see one Context, whose emit surface takes single
 // tuples and runs of tuples alike: an operator that holds a run emits it as
 // one, and there is no second, per-tuple way to send it. An operator's
 // counters live in the operator (atomics, read through its Stats and exported
@@ -71,7 +69,7 @@ type Context interface {
 // runtime the memory is recycled — it belongs to the pages that receive those
 // tuples and goes back to a pool when the last of them is released — so it
 // arrives holding a previous run's values and the caller writes every value it
-// hands out. Any other context (the Harness, a test's fake) gets fresh memory.
+// hands out. Any other context (an allocation test's fake) gets fresh memory.
 //
 //pace:hotpath
 func Slab(ctx Context, n int) []stream.Value {
@@ -171,6 +169,14 @@ type Source interface {
 	ProcessFeedback(output int, f core.Feedback, ctx Context) error
 	// Close is called once after the last Next (or on shutdown).
 	Close(ctx Context) error
+}
+
+// InlineSource is a Source whose Next never blocks — it neither sleeps nor
+// waits on a socket or another goroutine — so its consumers run on its
+// goroutine (Graph.Chained).
+type InlineSource interface {
+	Source
+	NeverBlocks()
 }
 
 // Base provides no-op defaults for optional Operator methods; embed it to

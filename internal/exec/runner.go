@@ -12,21 +12,21 @@ import (
 	"repro/internal/punct"
 )
 
-// Run executes the plan: one goroutine per chain (a source, or an operator
-// and the nodes chained behind it), page rings between chains, direct edges
-// inside one, and upstream control queues for feedback. It returns after
-// every node has finished (all sources exhausted and all data drained), or
-// after the first node error (remaining nodes are shut down).
+// Run executes the plan once every node has opened: one goroutine per chain (a
+// source or an operator, and the nodes chained behind it), page rings between
+// chains, direct edges inside one, and upstream control queues for feedback.
+// It returns after every node has finished (all sources exhausted and all data
+// drained), or after the first node error (remaining nodes are shut down).
 func (g *Graph) Run() error {
 	if err := g.prepare(); err != nil {
 		return err
 	}
 	g.registerTelemetry()
 	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		firstMu sync.Once
-		runErr  error
+		wg, opened sync.WaitGroup
+		mu         sync.Mutex
+		firstMu    sync.Once
+		runErr     error
 	)
 	done := make(chan struct{}) // closed on first error: global shutdown
 	fail := func(err error) {
@@ -47,10 +47,11 @@ func (g *Graph) Run() error {
 		n.r.done, n.r.fail = done, fail
 	}
 	g.chkMu.Unlock()
+	opened.Add(len(g.nodes))
 	for _, n := range g.nodes {
 		if !n.chained {
 			wg.Add(1)
-			go g.runChain(n, &wg)
+			go g.runChain(n, &opened, &wg)
 		}
 	}
 	wg.Wait()
@@ -64,27 +65,31 @@ func (g *Graph) Run() error {
 }
 
 // runChain is the one goroutine of head's chain. Every member is opened
-// before anything is handed to it (tail first), then the head drives the
-// chain: a source calls Next, an operator takes pages from its input rings,
-// and every page a member publishes runs through its chained consumer on the
-// spot. The head's exit reaches every member still running: its EOS, or the
-// aborted graph, ends each one in turn.
-func (g *Graph) runChain(head *node, wg *sync.WaitGroup) {
+// before anything is handed to it (tail first), then every other chain's.
+// Then the head drives the chain: a source calls Next, an operator takes pages
+// from its input rings, and every page a member publishes runs through its
+// chained consumer on the spot. The head's exit reaches every member still
+// running: its EOS, or the aborted graph, ends each one in turn.
+func (g *Graph) runChain(head *node, opened, wg *sync.WaitGroup) {
 	defer wg.Done()
-	chain := g.chain(head)
-	for i := len(chain) - 1; i >= 0; i-- {
-		if err := chain[i].do((*nodeRunner).start); err != nil {
+	chain := head.members
+	var err error
+	for i := len(chain) - 1; i >= 0 && err == nil; i-- {
+		if err = chain[i].do((*nodeRunner).start); err != nil {
 			chain[i].exit(err)
-			head.r.exit(nil)
-			return
 		}
 	}
+	opened.Add(-len(chain))
+	opened.Wait()
 	r := head.r
-	if head.src != nil {
-		r.exit(r.sourceLoop())
-		return
+	switch {
+	case err != nil:
+		r.exit(nil)
+	case head.src != nil:
+		r.exit(r.sourceLoop(chain))
+	default:
+		r.exit(r.operatorLoop(chain))
 	}
-	r.exit(r.operatorLoop(chain))
 }
 
 // bitset tracks a small set of output-port indices without a map on the
@@ -236,7 +241,7 @@ func recoverPanic(err *error) {
 	}
 }
 
-func (r *nodeRunner) sourceLoop() error {
+func (r *nodeRunner) sourceLoop(chain []*nodeRunner) error {
 	// A wire-barrier-driven source (a remote edge under distributed
 	// coordination) cuts only where its own in-band barrier sits, via
 	// InjectWireBarrier — a poll-based cut here could land before the
@@ -244,7 +249,7 @@ func (r *nodeRunner) sourceLoop() error {
 	// side of the epoch.
 	wireCut := r.graph.wireBarrier[r.node.id]
 	for !r.stopping {
-		if err := r.do((*nodeRunner).drainControl); err != nil {
+		if err := r.drainChain(chain); err != nil {
 			return err
 		}
 		if r.stopping {
@@ -318,19 +323,7 @@ func (r *nodeRunner) InjectWireBarrier(epoch int64) {
 // chain before the next.
 func (r *nodeRunner) operatorLoop(chain []*nodeRunner) error {
 	for r.openInputs > 0 && !r.stopping {
-		// Control before data (§5: control messages are high-priority), on
-		// every member's outputs, tail first: what a member relays upstream
-		// reaches its producer in the same pass.
-		for i := len(chain) - 1; i > 0; i-- {
-			m := chain[i]
-			if m.exited {
-				continue
-			}
-			if err := m.do((*nodeRunner).drainControl); err != nil || m.stopping {
-				m.exit(err)
-			}
-		}
-		if err := r.do((*nodeRunner).drainControl); err != nil {
+		if err := r.drainChain(chain); err != nil {
 			return err
 		}
 		if r.stopping {
@@ -397,19 +390,35 @@ func (r *nodeRunner) pollInputs() (idle bool, _ error) {
 	return idle, nil
 }
 
+// drainChain handles every member's pending control (§5: before data), tail
+// first and the head's last: what a member relays upstream reaches its
+// producer in the same pass. A member that fails or is told to stop exits.
+func (r *nodeRunner) drainChain(chain []*nodeRunner) error {
+	for i := len(chain) - 1; i > 0; i-- {
+		m := chain[i]
+		if m.exited {
+			continue
+		}
+		if err := m.do((*nodeRunner).drainControl); err != nil || m.stopping {
+			m.exit(err)
+		}
+	}
+	return r.do((*nodeRunner).drainControl)
+}
+
 // deliver is a direct edge's consumer end: the producer's goroutine runs the
 // page through this node, and the node's exit when the page ended its input
 // or asked it to stop. An aborting graph's pages are not processed.
 //
 //pace:hotpath
-func (r *nodeRunner) deliver(p *queue.Page) {
+func (r *nodeRunner) deliver(input int, p *queue.Page) {
 	select {
 	case <-r.done:
 		r.exit(nil)
 		return
 	default:
 	}
-	if err := r.processPage(0, p); err != nil || r.stopping || r.openInputs == 0 {
+	if err := r.processPage(input, p); err != nil || r.stopping || r.openInputs == 0 {
 		r.exit(err)
 	}
 }

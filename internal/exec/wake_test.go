@@ -78,9 +78,9 @@ func (r *fanRouter) ProcessTuple(_ int, t stream.Tuple, ctx Context) error {
 	return nil
 }
 
-// gateSink counts tuples; it stalls in Open until wait closes (a consumer
-// that is not reading) and closes seen at its first tuple. It stalls only
-// itself where it heads its chain (fanRouter's outputs).
+// gateSink counts tuples; it stalls in its first ProcessTuple until wait
+// closes (a consumer that is not reading) and closes seen at its first tuple.
+// It stalls only itself where it heads its chain (fanRouter's outputs).
 type gateSink struct {
 	Base
 	name  string
@@ -93,13 +93,10 @@ type gateSink struct {
 func (s *gateSink) Name() string                { return s.name }
 func (s *gateSink) InSchemas() []stream.Schema  { return []stream.Schema{oneInt} }
 func (s *gateSink) OutSchemas() []stream.Schema { return nil }
-func (s *gateSink) Open(Context) error {
+func (s *gateSink) ProcessTuple(int, stream.Tuple, Context) error {
 	if s.wait != nil {
 		<-s.wait
 	}
-	return nil
-}
-func (s *gateSink) ProcessTuple(int, stream.Tuple, Context) error {
 	s.count.Add(1)
 	if s.seen != nil {
 		s.once.Do(func() { close(s.seen) })
@@ -109,7 +106,7 @@ func (s *gateSink) ProcessTuple(int, stream.Tuple, Context) error {
 
 // TestKickBeforeParkingOnFullRing is invariant iii under barrier alignment:
 // a router forwarding a checkpoint barrier waits on output 0, whose consumer
-// is stalled and whose ring is full, while output 1's consumer sits parked
+// is stalled on its first page and whose ring is full behind it, while output 1's consumer sits parked
 // on one published page — below half a ring, so nothing has woken it. The
 // stalled consumer only resumes once the parked one has seen that page, so
 // the plan (and the checkpoint) completes only if a producer about to wait
@@ -137,10 +134,11 @@ func TestKickBeforeParkingOnFullRing(t *testing.T) {
 				runtime.Gosched()
 				return true
 			}
-			// One odd tuple: one page on port 1. depth even ones: port 0's
-			// ring exactly full, nobody reading it.
+			// One odd tuple: one page on port 1. depth+1 even ones: one
+			// page the stalled consumer holds, and port 0's ring full
+			// behind it.
 			ctx.Emit(intTuple(1))
-			for i := 0; i < depth; i++ {
+			for i := 0; i <= depth; i++ {
 				ctx.Emit(intTuple(2))
 			}
 			phase = 1
@@ -180,8 +178,8 @@ func TestKickBeforeParkingOnFullRing(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if a, b := sinkA.count.Load(), sinkB.count.Load(); a != depth*pageSize || b != pageSize {
-		t.Errorf("sinks received %d and %d tuples, want %d and %d", a, b, depth*pageSize, pageSize)
+	if a, b := sinkA.count.Load(), sinkB.count.Load(); a != (depth+1)*pageSize || b != pageSize {
+		t.Errorf("sinks received %d and %d tuples, want %d and %d", a, b, (depth+1)*pageSize, pageSize)
 	}
 	// With a second processor the kicked consumer usually unblocks the
 	// stalled one while the router is still polling: a yield, not a park.
@@ -368,13 +366,34 @@ func (r *notifyRelay) ProcessFeedback(int, core.Feedback, Context) error {
 	return nil
 }
 
-// TestOneGoroutinePerChain: a running plan is one goroutine per source, one
-// per chain head and the one that called Run — no goroutine per chained node,
-// and no forwarder per edge. A node is chained when its one input is the only
-// output of an operator: source → relays → sink is the source and one chain,
-// and the shape Parallel(2) compiles to — split → two replicas → merge → sink
-// — is the source and four chains, the sink chained to the merge.
+// inlineStep is a stepSource with outs outputs that declares it never
+// blocks: its steps yield, they do not wait.
+type inlineStep struct {
+	*stepSource
+	outs int
+}
+
+func (s inlineStep) NeverBlocks() {}
+func (s inlineStep) OutSchemas() []stream.Schema {
+	schemas := make([]stream.Schema, s.outs)
+	for i := range schemas {
+		schemas[i] = oneInt
+	}
+	return schemas
+}
+
+// TestOneGoroutinePerChain: a running plan is one goroutine per chain and the
+// one that called Run — no goroutine per chained node, and no forwarder per
+// edge. A node is chained when its one input is the only output of an
+// operator or of a source that never blocks, or when all its inputs come from
+// one chain: source → relays → sink is the source and one chain, or one chain
+// when the source is inline; the shape Parallel(2) compiles to — split → two
+// replicas → merge → sink — is the source and four chains, the sink chained
+// to the merge; a split whose outputs all feed one merge, or a two-output
+// inline source feeding a two-input operator, is one chain.
 func TestOneGoroutinePerChain(t *testing.T) {
+	open := make(chan struct{})
+	close(open)
 	linear := func(relays int) func(g *Graph, src NodeID) {
 		return func(g *Graph, at NodeID) {
 			for i := 0; i < relays; i++ {
@@ -384,28 +403,41 @@ func TestOneGoroutinePerChain(t *testing.T) {
 		}
 	}
 	parallel := func(g *Graph, src NodeID) {
-		open := make(chan struct{})
-		close(open)
 		split := g.Add(&fanRouter{fan: 1, gate: open}, From(src))
 		a := g.Add(&passthrough{name: "replica0"}, FromPort(split, 0))
 		b := g.Add(&passthrough{name: "replica1"}, FromPort(split, 1))
 		g.Add(NewCollector("sink", oneInt), From(g.Add(&mergeTwo{name: "merge"}, From(a), From(b))))
 	}
+	splitMerge := func(g *Graph, src NodeID) {
+		split := g.Add(&fanRouter{fan: 1, gate: open}, From(src))
+		g.Add(NewCollector("sink", oneInt), From(g.Add(&mergeTwo{name: "merge"}, FromPort(split, 0), FromPort(split, 1))))
+	}
+	join := func(g *Graph, src NodeID) {
+		g.Add(NewCollector("sink", oneInt), From(g.Add(&mergeTwo{name: "join"}, FromPort(src, 0), FromPort(src, 1))))
+	}
 	for _, tc := range []struct {
-		name  string
-		build func(g *Graph, src NodeID)
-		heads int
+		name   string
+		build  func(g *Graph, src NodeID)
+		inline int // the source's outputs when it never blocks
+		chains int
 	}{
-		{"1 relay", linear(1), 1},
-		{"4 relays", linear(4), 1},
-		{"Parallel(2)", parallel, 4},
+		{"1 relay", linear(1), 0, 2},
+		{"4 relays", linear(4), 0, 2},
+		{"Parallel(2)", parallel, 0, 5},
+		{"split → merge", splitMerge, 0, 2},
+		{"inline source → relay", linear(1), 1, 1},
+		{"two-output inline source → join", join, 2, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var release atomic.Bool
-			src := newStepSource(func(Context) bool {
+			step := newStepSource(func(Context) bool {
 				runtime.Gosched()
 				return !release.Load()
 			})
+			var src Source = step
+			if tc.inline > 0 {
+				src = inlineStep{step, tc.inline}
+			}
 			g := NewGraph()
 			tc.build(g, g.AddSource(src))
 			for planGoroutines() > 0 {
@@ -414,12 +446,12 @@ func TestOneGoroutinePerChain(t *testing.T) {
 			testguard.Within(t, time.Minute, func() {
 				runErr := make(chan error, 1)
 				go func() { runErr <- g.Run() }()
-				<-src.started
+				<-step.started
 				for !allHeadsParked(g) {
 					runtime.Gosched() // until the plan is fully started
 				}
-				if got, want := planGoroutines(), 1+tc.heads+1; got != want {
-					t.Errorf("plan runs %d goroutines, want %d: one source, %d chain heads and Run's caller", got, want, tc.heads)
+				if got, want := planGoroutines(), tc.chains+1; got != want {
+					t.Errorf("plan runs %d goroutines, want %d: %d chains and Run's caller", got, want, tc.chains)
 				}
 				release.Store(true)
 				if err := <-runErr; err != nil {
@@ -427,6 +459,25 @@ func TestOneGoroutinePerChain(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestSliceSourceIsInline: SliceSource declares that its Next never blocks,
+// so its consumer runs on its goroutine; a source that may block keeps its
+// ring.
+func TestSliceSourceIsInline(t *testing.T) {
+	for _, tc := range []struct {
+		src     Source
+		chained bool
+	}{
+		{NewSliceSource("src", oneInt), true},
+		{struct{ Source }{NewSliceSource("src", oneInt)}, false},
+	} {
+		g := NewGraph()
+		relay := g.Add(&passthrough{name: "relay"}, From(g.AddSource(tc.src)))
+		if got := g.Chained(relay); got != tc.chained {
+			t.Errorf("%T: consumer chained %v, want %v", tc.src, got, tc.chained)
+		}
 	}
 }
 

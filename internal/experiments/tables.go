@@ -72,15 +72,8 @@ func CountTable() []TableRow {
 }
 
 func runAggProbe(a *op.Aggregate, input []stream.Tuple, fb core.Feedback) []stream.Tuple {
-	h := exec.NewHarness(a)
-	for i, t := range input {
-		if i == len(input)/3 {
-			h.Feedback(0, fb)
-		}
-		h.Tuple(0, t)
-	}
-	h.EOS(0)
-	return h.OutTuples(0)
+	at := len(input) / 3
+	return exec.Drive(a, exec.Tuples(0, input[:at]...), exec.Feedback(0, fb), exec.Tuples(0, input[at:]...)).Out[0].Tuples()
 }
 
 // JoinTable regenerates Table 2 on a live symmetric hash join with output
@@ -121,22 +114,17 @@ func JoinTable() []TableRow {
 }
 
 func runJoinProbe(j *op.Join, fb core.Feedback) []stream.Tuple {
-	h := exec.NewHarness(j)
-	n := 0
-	for l := int64(0); l < 3; l++ {
-		for jj := int64(0); jj < 3; jj++ {
-			for ts := int64(0); ts < 3; ts++ {
-				n++
-				if n == 10 {
-					h.Feedback(0, fb)
-				}
-				h.Tuple(0, stream.NewTuple(stream.Int(l), stream.Int(jj), stream.TimeMicros(ts)))
-				h.Tuple(1, stream.NewTuple(stream.Int(jj), stream.Int(l+2), stream.TimeMicros(ts)))
-			}
+	var script []exec.Script
+	for i := int64(0); i < 27; i++ {
+		l, jj, ts := i/9, i/3%3, i%3
+		if i == 9 {
+			script = append(script, exec.Feedback(0, fb))
 		}
+		script = append(script,
+			exec.Tuples(0, stream.NewTuple(stream.Int(l), stream.Int(jj), stream.TimeMicros(ts))),
+			exec.Tuples(1, stream.NewTuple(stream.Int(jj), stream.Int(l+2), stream.TimeMicros(ts))))
 	}
-	h.EOS(0).EOS(1)
-	return h.OutTuples(0)
+	return exec.Drive(j, script...).Out[0].Tuples()
 }
 
 // RenderTables writes both tables in the paper's layout.

@@ -26,7 +26,7 @@ var chainSchema = stream.MustSchema(
 )
 
 // ---------------------------------------------------------------------------
-// Randomized harness-twin property test: a fused kernel must be
+// Randomized twin property test: a fused kernel must be
 // observationally identical to the unfused operator chain — emitted items,
 // upstream feedback, per-step counters, and feedback-response traces — across
 // random chains and random scripts of tuples, punctuation, and feedback in
@@ -165,71 +165,6 @@ func randPattern(rng *rand.Rand, sch stream.Schema) punct.Pattern {
 	return punct.OnAttr(sch.Arity(), c, randPred(rng, sch.Field(c).Kind))
 }
 
-// unfusedChain drives the constituent operators through linked harnesses:
-// data cascades downstream harness to harness, feedback cascades upstream.
-type unfusedChain struct {
-	ops    []exec.Operator
-	hs     []*exec.Harness
-	outCur []int
-	fbCur  []int
-	items  []queue.Item
-	fb     []core.Feedback
-}
-
-func newUnfusedChain(specs []stepSpec) *unfusedChain {
-	u := &unfusedChain{
-		outCur: make([]int, len(specs)),
-		fbCur:  make([]int, len(specs)),
-	}
-	for _, s := range specs {
-		o := s.build()
-		u.ops = append(u.ops, o)
-		u.hs = append(u.hs, exec.NewHarness(o))
-	}
-	return u
-}
-
-func (u *unfusedChain) drain(t *testing.T) {
-	for {
-		progress := false
-		for i, h := range u.hs {
-			out := h.Out(0)
-			for u.outCur[i] < len(out) {
-				it := out[u.outCur[i]]
-				u.outCur[i]++
-				progress = true
-				if i+1 == len(u.hs) {
-					u.items = append(u.items, it)
-					continue
-				}
-				switch it.Kind {
-				case queue.ItemTuple:
-					u.hs[i+1].Tuple(0, it.Tuple)
-				case queue.ItemPunct:
-					u.hs[i+1].Punct(0, *it.Punct)
-				}
-			}
-			sent := h.SentFeedback(0)
-			for u.fbCur[i] < len(sent) {
-				f := sent[u.fbCur[i]]
-				u.fbCur[i]++
-				progress = true
-				if i == 0 {
-					u.fb = append(u.fb, f)
-				} else {
-					u.hs[i-1].Feedback(0, f)
-				}
-			}
-			if err := h.Err(); err != nil {
-				t.Fatalf("unfused harness %d: %v", i, err)
-			}
-		}
-		if !progress {
-			return
-		}
-	}
-}
-
 // opStats is a constituent operator's accounting, read through its own
 // Stats and CostBurned: in, out, suppressed, punctuations dropped, cost.
 func opStats(o exec.Operator) (st [5]int64) {
@@ -251,56 +186,53 @@ func TestFusedEqualsUnfusedProperty(t *testing.T) {
 		specs := randChain(rng)
 		outSchema := specs[len(specs)-1].out
 
-		unfused := newUnfusedChain(specs)
+		unfusedOps := make([]exec.Operator, len(specs))
 		fusedOps := make([]exec.Operator, len(specs))
 		for i, s := range specs {
-			fusedOps[i] = s.build()
+			unfusedOps[i], fusedOps[i] = s.build(), s.build()
 		}
 		fused, err := New(fusedOps)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		fh := exec.NewHarness(fused)
 
 		events := 20 + rng.Intn(30)
+		var script []exec.Script
 		var seq int64
 		for i := 0; i < events; i++ {
 			switch r := rng.Intn(10); {
 			case r < 6:
-				tp := randTuple(rng, i)
-				unfused.hs[0].Tuple(0, tp)
-				fh.Tuple(0, tp)
+				script = append(script, exec.Tuples(0, randTuple(rng, i)))
 			case r < 8:
-				e := punct.NewEmbedded(randPattern(rng, chainSchema))
-				unfused.hs[0].Punct(0, e)
-				fh.Punct(0, e)
+				script = append(script, exec.Punct(0, punct.NewEmbedded(randPattern(rng, chainSchema))))
 			default:
 				seq++
-				f := core.Feedback{
+				script = append(script, exec.Feedback(0, core.Feedback{
 					Intent:  []core.Intent{core.Assumed, core.Desired, core.Demanded}[rng.Intn(3)],
 					Pattern: randPattern(rng, outSchema),
 					Origin:  "downstream", Seq: seq,
-				}
-				unfused.hs[len(unfused.hs)-1].Feedback(0, f)
-				fh.Feedback(0, f)
+				}))
 			}
-			unfused.drain(t)
 		}
-		if err := fh.Err(); err != nil {
-			t.Fatalf("seed %d: fused harness: %v", seed, err)
+		unfused := exec.DriveChain(unfusedOps, script...)
+		if unfused.Err != nil {
+			t.Fatalf("seed %d: unfused chain: %v", seed, unfused.Err)
+		}
+		fh := exec.Drive(fused, script...)
+		if fh.Err != nil {
+			t.Fatalf("seed %d: fused kernel: %v", seed, fh.Err)
 		}
 
-		if !reflect.DeepEqual(unfused.items, fh.Out(0)) {
-			t.Fatalf("seed %d: emitted items diverge\nunfused: %v\nfused:   %v",
-				seed, unfused.items, fh.Out(0))
+		if got, want := fh.Out[0].Items(), unfused.Out[0].Items(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("seed %d: emitted items diverge\nunfused: %v\nfused:   %v", seed, want, got)
 		}
-		if !reflect.DeepEqual(unfused.fb, fh.SentFeedback(0)) {
+		if !reflect.DeepEqual(unfused.Sent[0], fh.Sent[0]) {
 			t.Fatalf("seed %d: upstream feedback diverges\nunfused: %v\nfused:   %v",
-				seed, unfused.fb, fh.SentFeedback(0))
+				seed, unfused.Sent[0], fh.Sent[0])
 		}
 		// Each step counted into its constituent: the fused chain's operators
 		// read exactly what the unfused chain's do.
-		for i, o := range unfused.ops {
+		for i, o := range unfusedOps {
 			if got, want := opStats(fusedOps[i]), opStats(o); got != want {
 				t.Fatalf("seed %d step %d (%s): fused (in out sup dropped cost) %v, unfused %v",
 					seed, i, o.Name(), got, want)

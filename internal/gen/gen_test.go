@@ -19,12 +19,11 @@ func TestTrafficSourceShape(t *testing.T) {
 		Duration:            60_000_000, // 3 rounds
 		Seed:                1,
 	}}
-	h := exec.NewSourceHarness(src)
-	h.RunSource(10_000)
-	if h.Err() != nil {
-		t.Fatal(h.Err())
+	tr := exec.DriveSource(src)
+	if tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
-	tuples := h.OutTuples(0)
+	tuples := tr.Out[0].Tuples()
 	want := 3 * 4 * 3 // segments × detectors × rounds
 	if len(tuples) != want {
 		t.Fatalf("emitted %d, want %d", len(tuples), want)
@@ -41,11 +40,11 @@ func TestTrafficSourceShape(t *testing.T) {
 		}
 		last = ts
 	}
-	if len(h.OutPuncts(0)) == 0 {
+	if len(tr.Out[0].Items()) == len(tr.Out[0].Tuples()) {
 		t.Fatal("source must punctuate progress")
 	}
 	// Punctuation truthfulness: after punct [ts < v], no tuple ts < v.
-	items := h.Out(0)
+	items := tr.Out[0].Items()
 	var wm int64 = -1
 	for _, it := range items {
 		switch it.Kind {
@@ -74,9 +73,8 @@ func TestTrafficSourceNullRate(t *testing.T) {
 		NullRate:            0.3,
 		Seed:                2,
 	}}
-	h := exec.NewSourceHarness(src)
-	h.RunSource(100_000)
-	tuples := h.OutTuples(0)
+	tr := exec.DriveSource(src)
+	tuples := tr.Out[0].Tuples()
 	nulls := 0
 	for _, tp := range tuples {
 		if tp.At(3).IsNull() {
@@ -96,9 +94,8 @@ func TestTrafficSourceDeterministic(t *testing.T) {
 			ReportPeriod: 20_000_000, Duration: 100_000_000,
 			NullRate: 0.1, Noise: 2, Seed: 42,
 		}}
-		h := exec.NewSourceHarness(src)
-		h.RunSource(100_000)
-		return h.OutTuples(0)
+		tr := exec.DriveSource(src)
+		return tr.Out[0].Tuples()
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -117,10 +114,8 @@ func TestTrafficSourceFeedbackSuppression(t *testing.T) {
 		ReportPeriod: 20_000_000, Duration: 200_000_000,
 		Seed: 3, FeedbackAware: true,
 	}}
-	h := exec.NewSourceHarness(src)
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(4, 0, punct.Eq(stream.Int(1)))))
-	h.RunSource(100_000)
-	for _, tp := range h.OutTuples(0) {
+	tr := exec.DriveSource(src, core.NewAssumed(punct.OnAttr(4, 0, punct.Eq(stream.Int(1)))))
+	for _, tp := range tr.Out[0].Tuples() {
 		if tp.At(0).AsInt() == 1 {
 			t.Fatal("suppressed segment must not be generated")
 		}
@@ -139,9 +134,8 @@ func TestProbeSourceCongestionDensity(t *testing.T) {
 			Period: 20_000_000, Duration: 600_000_000,
 			Start: startHour * 3600 * 1_000_000, Seed: 4,
 		}}
-		h := exec.NewSourceHarness(src)
-		h.RunSource(100_000)
-		return len(h.OutTuples(0))
+		tr := exec.DriveSource(src)
+		return len(tr.Out[0].Tuples())
 	}
 	night, rush := run(3), run(8)
 	if rush <= night {
@@ -153,10 +147,9 @@ func TestProbeSourcePunctuationTruthful(t *testing.T) {
 	src := &ProbeSource{Config: ProbeConfig{
 		Segments: 3, Period: 20_000_000, Duration: 200_000_000, Seed: 5,
 	}}
-	h := exec.NewSourceHarness(src)
-	h.RunSource(100_000)
+	tr := exec.DriveSource(src)
 	var wm int64 = -1
-	for _, it := range h.Out(0) {
+	for _, it := range tr.Out[0].Items() {
 		switch it.Kind {
 		case queue.ItemPunct:
 			if v := it.Punct.Pattern.Pred(1).Val.Micros(); v > wm {
@@ -177,9 +170,8 @@ func TestTickSourceRandomWalk(t *testing.T) {
 		Duration:              10_000_000,
 		Seed:                  6,
 	}}
-	h := exec.NewSourceHarness(src)
-	h.RunSource(10_000)
-	tuples := h.OutTuples(0)
+	tr := exec.DriveSource(src)
+	tuples := tr.Out[0].Tuples()
 	if len(tuples) != 2*5*10 {
 		t.Fatalf("ticks: %d", len(tuples))
 	}
@@ -225,15 +217,14 @@ func TestRatedSourcePacing(t *testing.T) {
 		SourceName: "rated", Schema: TrafficSchema,
 		Items: items, PerSecond: 5000,
 	}
-	h := exec.NewSourceHarness(src)
 	start := nowMillis()
-	h.RunSource(1_000_000)
+	tr := exec.DriveSource(src)
 	elapsed := nowMillis() - start
-	if h.Err() != nil {
-		t.Fatal(h.Err())
+	if tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
-	if len(h.OutTuples(0)) != 500 {
-		t.Fatalf("emitted %d", len(h.OutTuples(0)))
+	if len(tr.Out[0].Tuples()) != 500 {
+		t.Fatalf("emitted %d", len(tr.Out[0].Tuples()))
 	}
 	// 500 items at 5000/s ≈ 100 ms; allow generous slack both ways.
 	if elapsed < 60 || elapsed > 1000 {

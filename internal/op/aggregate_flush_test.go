@@ -29,6 +29,15 @@ type flushCtx struct {
 func (c *flushCtx) Emit(t stream.Tuple)         { c.tuples = append(c.tuples, t) }
 func (c *flushCtx) EmitBatch(ts []stream.Tuple) { c.tuples = append(c.tuples, ts...) }
 
+// loadBlob loads blob into st, which must consume it whole.
+func loadBlob(t testing.TB, st snapshot.Stater, blob []byte) {
+	t.Helper()
+	dec := snapshot.NewDecoder(blob)
+	if err := st.LoadState(dec); err != nil || dec.Remaining() != 0 {
+		t.Fatalf("load: %v, %d bytes left", err, dec.Remaining())
+	}
+}
+
 // captureBlob takes a capture of st and encodes it.
 func captureBlob(t testing.TB, st snapshot.Stater) []byte {
 	t.Helper()

@@ -35,18 +35,22 @@ func TestAggregateSchemaShape(t *testing.T) {
 
 func TestAggregateWindowsClosedByPunctuation(t *testing.T) {
 	a := minuteAvg(FeedbackIgnore, false)
-	h := exec.NewHarness(a)
-	h.Tuples(
-		traffic(1, 1, 10*1_000_000, 40),
-		traffic(1, 2, 20*1_000_000, 60),
-		traffic(2, 1, 30*1_000_000, 30),
-		traffic(1, 1, 70*1_000_000, 55), // next window
-	)
-	if len(h.OutTuples(0)) != 0 {
+	var early, got []stream.Tuple
+	var ps []punct.Embedded
+	var st AggregateStats
+	exec.Drive(a,
+		exec.Tuples(0,
+			traffic(1, 1, 10*1_000_000, 40),
+			traffic(1, 2, 20*1_000_000, 60),
+			traffic(2, 1, 30*1_000_000, 30),
+			traffic(1, 1, 70*1_000_000, 55), // next window
+		),
+		outAt(&early),
+		exec.Punct(0, tsPunct(minute-1)),
+		exec.Call(func(tr *exec.Trace) { got, ps, st = tr.Out[0].Tuples(), puncts(tr.Out[0]), a.Stats() }))
+	if len(early) != 0 {
 		t.Fatal("nothing may be emitted before punctuation")
 	}
-	h.Punct(0, tsPunct(minute-1))
-	got := h.OutTuples(0)
 	if len(got) != 2 {
 		t.Fatalf("window 0 results: %v", got)
 	}
@@ -58,22 +62,18 @@ func TestAggregateWindowsClosedByPunctuation(t *testing.T) {
 		t.Errorf("segment 2 avg: %v", got[1])
 	}
 	// Output punctuation delimits wstart.
-	ps := h.OutPuncts(0)
 	if len(ps) != 1 || ps[0].Pattern.Bound()[0] != 1 {
 		t.Fatalf("output punctuation: %v", ps)
 	}
 	// State purged: window 1 is still open.
-	if a.Stats().OpenGroups != 1 {
-		t.Errorf("open groups = %d", a.Stats().OpenGroups)
+	if st.OpenGroups != 1 {
+		t.Errorf("open groups = %d", st.OpenGroups)
 	}
 }
 
 func TestAggregateEOSFlushes(t *testing.T) {
 	a := minuteAvg(FeedbackIgnore, false)
-	h := exec.NewHarness(a)
-	h.Tuple(0, traffic(1, 1, 10, 42))
-	h.EOS(0)
-	got := h.OutTuples(0)
+	got := exec.Drive(a, exec.Tuples(0, traffic(1, 1, 10, 42)), exec.EOS(0)).Out[0].Tuples()
 	if len(got) != 1 || got[0].At(2).AsFloat() != 42 {
 		t.Fatalf("EOS flush: %v", got)
 	}
@@ -92,10 +92,8 @@ func TestAggregateKinds(t *testing.T) {
 			In: trafficSchema, Kind: tc.kind, TsAttr: 2, ValAttr: 3,
 			GroupBy: []int{0}, Window: window.Tumbling(minute),
 		}
-		h := exec.NewHarness(a)
-		h.Tuples(traffic(1, 1, 10, 50), traffic(1, 2, 20, 30), traffic(1, 3, 30, 70))
-		h.EOS(0)
-		got := h.OutTuples(0)
+		got := exec.Drive(a, exec.Tuples(0, traffic(1, 1, 10, 50), traffic(1, 2, 20, 30), traffic(1, 3, 30, 70)),
+			exec.EOS(0)).Out[0].Tuples()
 		if len(got) != 1 || got[0].At(2).AsFloat() != tc.want {
 			t.Errorf("%v: got %v, want %g", tc.kind, got, tc.want)
 		}
@@ -107,10 +105,8 @@ func TestAggregateSlidingWindows(t *testing.T) {
 		In: trafficSchema, Kind: core.AggCount, TsAttr: 2, ValAttr: -1,
 		GroupBy: []int{}, Window: window.Sliding(60, 20),
 	}
-	h := exec.NewHarness(a)
-	h.Tuple(0, traffic(1, 1, 70, 50)) // windows 1,2,3 (starts 20,40,60)
-	h.EOS(0)
-	got := h.OutTuples(0)
+	got := exec.Drive(a, exec.Tuples(0, traffic(1, 1, 70, 50)), // windows 1,2,3 (starts 20,40,60)
+		exec.EOS(0)).Out[0].Tuples()
 	if len(got) != 3 {
 		t.Fatalf("sliding extents: %v", got)
 	}
@@ -124,19 +120,19 @@ func TestAggregateSlidingWindows(t *testing.T) {
 func TestAggregateGroupFeedbackF2Semantics(t *testing.T) {
 	// Feedback on a group (segment): purge state, guard input.
 	a := minuteAvg(FeedbackExploit, false)
-	h := exec.NewHarness(a)
-	h.Tuple(0, traffic(3, 1, 10*1_000_000, 40))
-	h.Tuple(0, traffic(4, 1, 10*1_000_000, 50))
-	// ¬[3, *, *] over output (segment, wstart, avg).
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(3)))))
-	// New tuples for segment 3 must not recreate the group.
-	h.Tuple(0, traffic(3, 2, 20*1_000_000, 45))
-	h.Punct(0, tsPunct(minute-1))
-	got := h.OutTuples(0)
+	var got []stream.Tuple
+	var st AggregateStats
+	exec.Drive(a,
+		exec.Tuples(0, traffic(3, 1, 10*1_000_000, 40), traffic(4, 1, 10*1_000_000, 50)),
+		// ¬[3, *, *] over output (segment, wstart, avg).
+		exec.Feedback(0, core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(3))))),
+		// New tuples for segment 3 must not recreate the group.
+		exec.Tuples(0, traffic(3, 2, 20*1_000_000, 45)),
+		exec.Punct(0, tsPunct(minute-1)),
+		exec.Call(func(tr *exec.Trace) { got, st = tr.Out[0].Tuples(), a.Stats() }))
 	if len(got) != 1 || got[0].At(0).AsInt() != 4 {
 		t.Fatalf("segment 3 must be suppressed entirely: %v", got)
 	}
-	st := a.Stats()
 	if st.Purged != 1 || st.InSuppressed != 1 {
 		t.Errorf("stats: %+v", st)
 	}
@@ -149,14 +145,16 @@ func TestAggregateGroupFeedbackF2Semantics(t *testing.T) {
 func TestAggregateGuardOutputModeF1Semantics(t *testing.T) {
 	// F1: only the output is guarded; aggregation work still happens.
 	a := minuteAvg(FeedbackGuardOutput, false)
-	h := exec.NewHarness(a)
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(3)))))
-	h.Tuple(0, traffic(3, 1, 10*1_000_000, 40))
-	h.Punct(0, tsPunct(minute-1))
-	if len(h.OutTuples(0)) != 0 {
+	var got []stream.Tuple
+	var st AggregateStats
+	exec.Drive(a,
+		exec.Feedback(0, core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(3))))),
+		exec.Tuples(0, traffic(3, 1, 10*1_000_000, 40)),
+		exec.Punct(0, tsPunct(minute-1)),
+		exec.Call(func(tr *exec.Trace) { got, st = tr.Out[0].Tuples(), a.Stats() }))
+	if len(got) != 0 {
 		t.Fatal("output must be guarded")
 	}
-	st := a.Stats()
 	if st.Folded != 1 {
 		t.Error("F1 must still fold tuples into state")
 	}
@@ -171,15 +169,17 @@ func TestAggregateValueFeedbackMonotone(t *testing.T) {
 		In: trafficSchema, Kind: core.AggMax, TsAttr: 2, ValAttr: 3,
 		GroupBy: []int{0}, Window: window.Tumbling(minute), Mode: FeedbackExploit,
 	}
-	h := exec.NewHarness(a)
-	h.Tuple(0, traffic(1, 1, 10*1_000_000, 51)) // partial max 51 ≥ 50
-	h.Tuple(0, traffic(2, 1, 10*1_000_000, 40)) // partial max 40
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(3, 2, punct.Ge(stream.Float(50)))))
-	// The matching window is closed (purged); a tuple with value 40 for
-	// segment 1 must NOT recreate it (it would yield an incorrect 40).
-	h.Tuple(0, traffic(1, 2, 20*1_000_000, 40))
-	h.Punct(0, tsPunct(minute-1))
-	got := h.OutTuples(0)
+	got := exec.Drive(a,
+		exec.Tuples(0,
+			traffic(1, 1, 10*1_000_000, 51), // partial max 51 ≥ 50
+			traffic(2, 1, 10*1_000_000, 40), // partial max 40
+		),
+		exec.Feedback(0, core.NewAssumed(punct.OnAttr(3, 2, punct.Ge(stream.Float(50))))),
+		// The matching window is closed (purged); a tuple with value 40 for
+		// segment 1 must NOT recreate it (it would yield an incorrect 40).
+		exec.Tuples(0, traffic(1, 2, 20*1_000_000, 40)),
+		exec.Punct(0, tsPunct(minute-1)),
+	).Out[0].Tuples()
 	if len(got) != 1 || got[0].At(0).AsInt() != 2 || got[0].At(2).AsFloat() != 40 {
 		t.Fatalf("only segment 2's window may emit: %v", got)
 	}
@@ -193,13 +193,13 @@ func TestAggregateValueFeedbackNonMonotoneGuardsOutputOnly(t *testing.T) {
 	// AVERAGE with ¬[*,*,≥50] (§3.5): purging would be incorrect because
 	// the average can drop below 50; only the output may be guarded.
 	a := minuteAvg(FeedbackExploit, false)
-	h := exec.NewHarness(a)
-	h.Tuple(0, traffic(1, 1, 10*1_000_000, 51))
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(3, 2, punct.Ge(stream.Float(50)))))
-	// The window must still be live: new low reading drops the average.
-	h.Tuple(0, traffic(1, 2, 20*1_000_000, 30))
-	h.Punct(0, tsPunct(minute-1))
-	got := h.OutTuples(0)
+	got := exec.Drive(a,
+		exec.Tuples(0, traffic(1, 1, 10*1_000_000, 51)),
+		exec.Feedback(0, core.NewAssumed(punct.OnAttr(3, 2, punct.Ge(stream.Float(50))))),
+		// The window must still be live: new low reading drops the average.
+		exec.Tuples(0, traffic(1, 2, 20*1_000_000, 30)),
+		exec.Punct(0, tsPunct(minute-1)),
+	).Out[0].Tuples()
 	if len(got) != 1 || got[0].At(2).AsFloat() != 40.5 {
 		t.Fatalf("average must emerge unsuppressed at 40.5: %v", got)
 	}
@@ -210,12 +210,14 @@ func TestAggregateValueFeedbackNonMonotoneGuardsOutputOnly(t *testing.T) {
 
 func TestAggregateValueFeedbackSuppresssesMatchingResults(t *testing.T) {
 	a := minuteAvg(FeedbackExploit, false)
-	h := exec.NewHarness(a)
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(3, 2, punct.Ge(stream.Float(50)))))
-	h.Tuple(0, traffic(1, 1, 10*1_000_000, 60)) // avg 60: in subset
-	h.Tuple(0, traffic(2, 1, 10*1_000_000, 40)) // avg 40: out
-	h.Punct(0, tsPunct(minute-1))
-	got := h.OutTuples(0)
+	got := exec.Drive(a,
+		exec.Feedback(0, core.NewAssumed(punct.OnAttr(3, 2, punct.Ge(stream.Float(50))))),
+		exec.Tuples(0,
+			traffic(1, 1, 10*1_000_000, 60), // avg 60: in subset
+			traffic(2, 1, 10*1_000_000, 40), // avg 40: out
+		),
+		exec.Punct(0, tsPunct(minute-1)),
+	).Out[0].Tuples()
 	if len(got) != 1 || got[0].At(0).AsInt() != 2 {
 		t.Fatalf("avg ≥ 50 must be suppressed at output: %v", got)
 	}
@@ -224,9 +226,7 @@ func TestAggregateValueFeedbackSuppresssesMatchingResults(t *testing.T) {
 func TestAggregatePropagatesGroupFeedback(t *testing.T) {
 	// F3: segment feedback maps to the input schema and goes upstream.
 	a := minuteAvg(FeedbackExploit, true)
-	h := exec.NewHarness(a)
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(7)))))
-	sent := h.SentFeedback(0)
+	sent := exec.Drive(a, exec.Feedback(0, core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(7)))))).Sent[0]
 	if len(sent) != 1 {
 		t.Fatal("group feedback must propagate")
 	}
@@ -242,9 +242,17 @@ func TestAggregateWindowBoundFeedbackTranslation(t *testing.T) {
 	// bound rather than ask a bottom filter to drop tuples (which would
 	// be incorrect for sliding windows; for tumbling it is exact).
 	a := minuteAvg(FeedbackExploit, true)
-	h := exec.NewHarness(a)
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(3, 1, punct.Le(stream.TimeMicros(minute))))) // windows 0,1
-	sent := h.SentFeedback(0)
+	var got []stream.Tuple
+	tr := exec.Drive(a,
+		exec.Feedback(0, core.NewAssumed(punct.OnAttr(3, 1, punct.Le(stream.TimeMicros(minute))))), // windows 0,1
+		// And locally: tuples for windows 0/1 are suppressed at input.
+		exec.Tuples(0,
+			traffic(1, 1, 90*1_000_000, 50),  // window 1
+			traffic(1, 1, 130*1_000_000, 60), // window 2
+		),
+		exec.Punct(0, tsPunct(3*minute)),
+		outAt(&got))
+	sent := tr.Sent[0]
 	if len(sent) != 1 {
 		t.Fatal("window-bound feedback must propagate via translation")
 	}
@@ -252,11 +260,6 @@ func TestAggregateWindowBoundFeedbackTranslation(t *testing.T) {
 	if pr.Op != punct.LT || pr.Val.Micros() != 2*minute {
 		t.Errorf("translated bound: %v (want < 2 minutes)", sent[0].Pattern)
 	}
-	// And locally: tuples for windows 0/1 are suppressed at input.
-	h.Tuple(0, traffic(1, 1, 90*1_000_000, 50))  // window 1
-	h.Tuple(0, traffic(1, 1, 130*1_000_000, 60)) // window 2
-	h.Punct(0, tsPunct(3*minute))
-	got := h.OutTuples(0)
 	if len(got) != 1 || got[0].At(2).AsFloat() != 60 {
 		t.Fatalf("suppressed windows must not emit: %v", got)
 	}
@@ -265,18 +268,18 @@ func TestAggregateWindowBoundFeedbackTranslation(t *testing.T) {
 func TestAggregateDemandedEmitsPartials(t *testing.T) {
 	// §3.4's financial speculator: demanded feedback unblocks partials.
 	a := minuteAvg(FeedbackExploit, false)
-	h := exec.NewHarness(a)
-	h.Tuple(0, traffic(1, 1, 10*1_000_000, 50))
-	h.Tuple(0, traffic(2, 1, 10*1_000_000, 60))
-	h.Feedback(0, core.NewDemanded(punct.OnAttr(3, 0, punct.Eq(stream.Int(1)))))
-	got := h.OutTuples(0)
-	if len(got) != 1 || got[0].At(0).AsInt() != 1 || got[0].At(2).AsFloat() != 50 {
-		t.Fatalf("demanded partial: %v", got)
+	var partial, got []stream.Tuple
+	exec.Drive(a,
+		exec.Tuples(0, traffic(1, 1, 10*1_000_000, 50), traffic(2, 1, 10*1_000_000, 60)),
+		exec.Feedback(0, core.NewDemanded(punct.OnAttr(3, 0, punct.Eq(stream.Int(1))))),
+		outAt(&partial),
+		// The final result still arrives at window close.
+		exec.Tuples(0, traffic(1, 2, 20*1_000_000, 70)),
+		exec.Punct(0, tsPunct(minute-1)),
+		outAt(&got))
+	if len(partial) != 1 || partial[0].At(0).AsInt() != 1 || partial[0].At(2).AsFloat() != 50 {
+		t.Fatalf("demanded partial: %v", partial)
 	}
-	// The final result still arrives at window close.
-	h.Tuple(0, traffic(1, 2, 20*1_000_000, 70))
-	h.Punct(0, tsPunct(minute-1))
-	got = h.OutTuples(0)
 	if len(got) != 3 {
 		t.Fatalf("final results after partial: %v", got)
 	}
@@ -289,12 +292,14 @@ func TestAggregateDemandedEmitsPartials(t *testing.T) {
 	// a window the segment whose first tuple arrived first (2, here).
 	s := &Aggregate{In: trafficSchema, Kind: core.AggCount, TsAttr: 2, ValAttr: -1, GroupBy: []int{0},
 		Window: window.Sliding(3*minute, minute), Mode: FeedbackExploit}
-	h = exec.NewHarness(s)
-	h.Tuple(0, traffic(2, 1, 10*minute+1, 50)) // windows 8, 9, 10
-	h.Tuple(0, traffic(1, 1, 10*minute+2, 50))
-	h.Feedback(0, core.NewDemanded(punct.AllWild(3)))
+	exec.Drive(s,
+		exec.Tuples(0,
+			traffic(2, 1, 10*minute+1, 50), // windows 8, 9, 10
+			traffic(1, 1, 10*minute+2, 50)),
+		exec.Feedback(0, core.NewDemanded(punct.AllWild(3))),
+		outAt(&got))
 	var got2 [][2]int64
-	for _, tp := range h.OutTuples(0) {
+	for _, tp := range got {
 		got2 = append(got2, [2]int64{tp.At(1).I / minute, tp.At(0).AsInt()})
 	}
 	want := [][2]int64{{8, 2}, {8, 1}, {9, 2}, {9, 1}, {10, 2}, {10, 1}}
@@ -316,24 +321,27 @@ func TestAggregateSumNonNegativeMonotone(t *testing.T) {
 	fb := core.NewAssumed(punct.OnAttr(3, 2, punct.Ge(stream.Float(100))))
 	// Without the guarantee: state survives the feedback.
 	a := mk(false)
-	h := exec.NewHarness(a)
-	h.Tuple(0, traffic(1, 1, 10*1_000_000, 150))
-	h.Feedback(0, fb)
+	exec.Drive(a, exec.Tuples(0, traffic(1, 1, 10*1_000_000, 150)), exec.Feedback(0, fb))
 	if a.Stats().Purged != 0 {
 		t.Fatal("plain SUM must not purge on ≥ feedback")
 	}
 	// With it: the matching window closes immediately and stays shut.
 	a = mk(true)
-	h = exec.NewHarness(a)
-	h.Tuple(0, traffic(1, 1, 10*1_000_000, 150)) // sum 150 ≥ 100
-	h.Tuple(0, traffic(2, 1, 10*1_000_000, 40))  // sum 40
-	h.Feedback(0, fb)
-	if a.Stats().Purged != 1 {
-		t.Fatalf("non-negative SUM must purge the matching window: %+v", a.Stats())
+	var st AggregateStats
+	var got []stream.Tuple
+	exec.Drive(a,
+		exec.Tuples(0,
+			traffic(1, 1, 10*1_000_000, 150), // sum 150 ≥ 100
+			traffic(2, 1, 10*1_000_000, 40),  // sum 40
+		),
+		exec.Feedback(0, fb),
+		exec.Call(func(*exec.Trace) { st = a.Stats() }),
+		exec.Tuples(0, traffic(1, 2, 20*1_000_000, 10)), // must not recreate seg 1
+		exec.Punct(0, tsPunct(minute-1)),
+		outAt(&got))
+	if st.Purged != 1 {
+		t.Fatalf("non-negative SUM must purge the matching window: %+v", st)
 	}
-	h.Tuple(0, traffic(1, 2, 20*1_000_000, 10)) // must not recreate seg 1
-	h.Punct(0, tsPunct(minute-1))
-	got := h.OutTuples(0)
 	if len(got) != 1 || got[0].At(0).AsInt() != 2 {
 		t.Fatalf("only the small window may emit: %v", got)
 	}
@@ -351,16 +359,14 @@ func TestAggregateDemandedContract(t *testing.T) {
 	}
 	run := func(demand bool) []stream.Tuple {
 		a := minuteAvg(FeedbackExploit, false)
-		h := exec.NewHarness(a)
+		var script []exec.Script
 		for i, tp := range input {
-			h.Tuple(0, tp)
+			script = append(script, exec.Tuples(0, tp))
 			if demand && i == 1 {
-				h.Feedback(0, fb)
+				script = append(script, exec.Feedback(0, fb))
 			}
 		}
-		h.Punct(0, tsPunct(minute-1))
-		h.EOS(0)
-		return h.OutTuples(0)
+		return exec.Drive(a, append(script, exec.Punct(0, tsPunct(minute-1)), exec.EOS(0))...).Out[0].Tuples()
 	}
 	ref := run(false)
 	act := run(true)
@@ -375,15 +381,18 @@ func TestAggregateDemandedContract(t *testing.T) {
 
 func TestAggregateFeedbackExpiresWithPunctuation(t *testing.T) {
 	a := minuteAvg(FeedbackExploit, false)
-	h := exec.NewHarness(a)
-	// Window-bound feedback for the first minute.
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(3, 1, punct.Le(stream.TimeMicros(0)))))
-	if a.guardsOut.Active() != 1 {
+	var installed, expired int
+	exec.Drive(a,
+		// Window-bound feedback for the first minute.
+		exec.Feedback(0, core.NewAssumed(punct.OnAttr(3, 1, punct.Le(stream.TimeMicros(0))))),
+		exec.Call(func(*exec.Trace) { installed = a.guardsOut.Active() }),
+		// Punctuation past the first window expires it.
+		exec.Punct(0, tsPunct(minute-1)),
+		exec.Call(func(*exec.Trace) { expired = a.guardsOut.Active() }))
+	if installed != 1 {
 		t.Fatal("guard installed")
 	}
-	// Punctuation past the first window expires it.
-	h.Punct(0, tsPunct(minute-1))
-	if a.guardsOut.Active() != 0 {
+	if expired != 0 {
 		t.Error("output guard must expire when wstart punctuation covers it")
 	}
 }
@@ -406,19 +415,18 @@ func TestAggregateDefinition1Property(t *testing.T) {
 		fbAt := r.Intn(n)
 		run := func(mode FeedbackMode) []stream.Tuple {
 			a := minuteAvg(mode, false)
-			h := exec.NewHarness(a)
+			var script []exec.Script
 			for i, tp := range input {
 				if i == fbAt {
-					h.Feedback(0, fb)
+					script = append(script, exec.Feedback(0, fb))
 				}
-				h.Tuple(0, tp)
+				script = append(script, exec.Tuples(0, tp))
 			}
-			h.Punct(0, tsPunct(2*minute))
-			h.EOS(0)
-			if h.Err() != nil {
-				t.Fatal(h.Err())
+			tr := exec.Drive(a, append(script, exec.Punct(0, tsPunct(2*minute)), exec.EOS(0))...)
+			if tr.Err != nil {
+				t.Fatal(tr.Err)
 			}
-			return h.OutTuples(0)
+			return tr.Out[0].Tuples()
 		}
 		ref := run(FeedbackIgnore)
 		for _, mode := range []FeedbackMode{FeedbackGuardOutput, FeedbackExploit} {
@@ -435,14 +443,14 @@ func TestAggregateDefinition1Property(t *testing.T) {
 // instead of silent mis-attribution.
 func TestAggregateRejectsUnexpectedInput(t *testing.T) {
 	a := minuteAvg(FeedbackIgnore, false)
-	h := exec.NewHarness(a)
-	if err := a.ProcessTuple(1, traffic(1, 1, 10, 50), h); err == nil {
+	// The guard refuses before it touches the context.
+	if err := a.ProcessTuple(1, traffic(1, 1, 10, 50), nil); err == nil {
 		t.Fatal("tuple on input 1 must error")
 	}
-	if err := a.ProcessPunct(2, tsPunct(minute), h); err == nil {
+	if err := a.ProcessPunct(2, tsPunct(minute), nil); err == nil {
 		t.Fatal("punctuation on input 2 must error")
 	}
-	if err := a.ProcessEOS(-1, h); err == nil {
+	if err := a.ProcessEOS(-1, nil); err == nil {
 		t.Fatal("EOS on input -1 must error")
 	}
 }

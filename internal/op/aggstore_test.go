@@ -67,37 +67,43 @@ func TestAggStoreKeyIdentity(t *testing.T) {
 // same bytes.
 func TestAggregateCaptureOwnsItsValues(t *testing.T) {
 	a := minuteAvg(FeedbackExploit, false)
-	h := exec.NewHarness(a)
-	fill := func(wid int64) {
+	fill := func(wid int64) exec.Script {
+		var s exec.Script
 		for seg := int64(0); seg < 40; seg++ {
-			h.Tuple(0, traffic(1000*wid+seg, 1, wid*minute+seg, float64(10*wid+seg)))
+			s = append(s, exec.Tuples(0, traffic(1000*wid+seg, 1, wid*minute+seg, float64(10*wid+seg)))...)
 		}
+		return s
 	}
-	fill(0)
-	c, err := a.CaptureState(snapshot.CaptureFull)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var c snapshot.Capture
 	encode := func() []byte {
 		enc := snapshot.NewEncoder()
 		if err := c.Encode(enc); err != nil {
-			t.Fatal(err)
+			panic(err)
 		}
 		blob, _ := enc.Bytes()
 		return blob
 	}
-	at := encode()
+	var at, after []byte
+	spare := 0
+	script := []exec.Script{fill(0), exec.Call(func(*exec.Trace) {
+		var err error
+		if c, err = a.CaptureState(snapshot.CaptureFull); err != nil {
+			panic(err)
+		}
+		at = encode()
+	})}
 	for wid := int64(1); wid <= 4; wid++ {
-		fill(wid)
-		h.Punct(0, tsPunct(wid*minute-1)) // closes window wid-1; window wid+1 will reuse its memory
+		script = append(script, fill(wid),
+			exec.Punct(0, tsPunct(wid*minute-1))) // closes window wid-1; window wid+1 will reuse its memory
 	}
-	if h.Err() != nil {
-		t.Fatal(h.Err())
+	script = append(script, exec.Call(func(*exec.Trace) { spare, after = len(a.store.spare), encode() }))
+	if tr := exec.Drive(a, script...); tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
-	if len(a.store.spare) == 0 || len(at) < 40*4 {
-		t.Fatalf("%d windows recycled, capture of 40 groups encodes to %dB: the test exercised nothing", len(a.store.spare), len(at))
+	if spare == 0 || len(at) < 40*4 {
+		t.Fatalf("%d windows recycled, capture of 40 groups encodes to %dB: the test exercised nothing", spare, len(at))
 	}
-	if after := encode(); !bytes.Equal(after, at) {
+	if !bytes.Equal(after, at) {
 		t.Fatal("a capture encoded after its windows were recycled differs from the same capture encoded at the cut")
 	}
 }

@@ -8,33 +8,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/gen"
 	"repro/internal/punct"
+	"repro/internal/queue"
 	"repro/internal/stream"
 	"repro/internal/window"
 )
 
 // The OOP architecture's core promise: operator results do not depend on
-// physical arrival order, only on punctuation. These tests shuffle inputs
-// within punctuation epochs and require identical (set-equal) results.
-
-func shuffleWithinEpochs(r *rand.Rand, tuples []stream.Tuple, epochUS int64, tsAttr int) []stream.Tuple {
-	byEpoch := map[int64][]stream.Tuple{}
-	var order []int64
-	for _, t := range tuples {
-		e := t.At(tsAttr).Micros() / epochUS
-		if len(byEpoch[e]) == 0 {
-			order = append(order, e)
-		}
-		byEpoch[e] = append(byEpoch[e], t)
-	}
-	var out []stream.Tuple
-	for _, e := range order {
-		batch := byEpoch[e]
-		r.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-		out = append(out, batch...)
-	}
-	return out
-}
+// physical arrival order, only on punctuation. These tests disorder inputs
+// while keeping their punctuation truthful and require identical (set-equal)
+// results.
 
 func TestAggregateOrderAgnostic(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
@@ -43,32 +27,28 @@ func TestAggregateOrderAgnostic(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		input = append(input, traffic(r.Int63n(4), r.Int63n(3), r.Int63n(5*epoch), 20+float64(r.Intn(60))))
 	}
-	run := func(tuples []stream.Tuple) []stream.Tuple {
+	run := func(items []queue.Item) []stream.Tuple {
 		a := &Aggregate{
 			In: trafficSchema, Kind: core.AggAvg, TsAttr: 2, ValAttr: 3,
 			GroupBy: []int{0}, Window: window.Tumbling(epoch),
 		}
-		h := exec.NewHarness(a)
-		// Feed epoch by epoch, punctuating between epochs (disorder is
-		// confined within epochs, so punctuation stays truthful).
-		lastEpoch := int64(-1)
-		for _, tp := range tuples {
-			e := tp.At(2).Micros() / epoch
-			if lastEpoch >= 0 && e != lastEpoch {
-				h.Punct(0, tsPunct(lastEpoch*epoch+epoch-1))
-			}
-			lastEpoch = e
-			h.Tuple(0, tp)
+		tr := exec.Drive(a, exec.Items(0, items...), exec.EOS(0))
+		if tr.Err != nil {
+			t.Fatal(tr.Err)
 		}
-		h.EOS(0)
-		if h.Err() != nil {
-			t.Fatal(h.Err())
-		}
-		return h.OutTuples(0)
+		return tr.Out[0].Tuples()
 	}
-	// Sort input by epoch first so punctuation boundaries are honest.
-	ordered := shuffleWithinEpochs(rand.New(rand.NewSource(1)), input, epoch, 2)
-	shuffled := shuffleWithinEpochs(r, input, epoch, 2)
+	// In timestamp order, punctuated between epochs; then displaced by up to
+	// 40 positions, the punctuation delayed so it stays truthful.
+	sort.SliceStable(input, func(i, j int) bool { return input[i].At(2).Micros() < input[j].At(2).Micros() })
+	var ordered []queue.Item
+	for i, tp := range input {
+		if e := tp.At(2).Micros() / epoch; i > 0 && e != input[i-1].At(2).Micros()/epoch {
+			ordered = append(ordered, queue.PunctItem(tsPunct(e*epoch-1)))
+		}
+		ordered = append(ordered, queue.TupleItem(tp))
+	}
+	shuffled := gen.Disorder{Bound: 40, TsAttr: 2, Seed: 17}.Apply(ordered)
 	// A window's results are a set the closing punctuation delimits: they
 	// leave in the order their groups first arrived, which disorder changes.
 	// What it must not change is which results each window has.
@@ -112,12 +92,11 @@ func TestJoinOrderAgnostic(t *testing.T) {
 	}
 	run := func(events []ev) int {
 		j := newTestJoin(FeedbackIgnore, false)
-		h := exec.NewHarness(j)
+		var script []exec.Script
 		for _, e := range events {
-			h.Tuple(e.input, e.t)
+			script = append(script, exec.Tuples(e.input, e.t))
 		}
-		h.EOS(0).EOS(1)
-		return len(h.OutTuples(0))
+		return len(exec.Drive(j, append(script, exec.EOS(0), exec.EOS(1))...).Out[0].Tuples())
 	}
 	ref := run(evs)
 	for trial := 0; trial < 5; trial++ {
@@ -134,20 +113,21 @@ func TestJoinOrderAgnostic(t *testing.T) {
 func TestFailureInjectionNullStorm(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	im := newTestImpute(FeedbackIgnore)
-	h := exec.NewHarness(im)
 	nulls := 0
+	var input []stream.Tuple
 	for i := 0; i < 500; i++ {
 		if r.Float64() < 0.8 {
 			nulls++
-			h.Tuple(0, trafficNull(r.Int63n(4), r.Int63n(2), int64(i)*1000))
+			input = append(input, trafficNull(r.Int63n(4), r.Int63n(2), int64(i)*1000))
 		} else {
-			h.Tuple(0, traffic(r.Int63n(4), r.Int63n(2), int64(i)*1000, 50))
+			input = append(input, traffic(r.Int63n(4), r.Int63n(2), int64(i)*1000, 50))
 		}
 	}
-	if h.Err() != nil {
-		t.Fatal(h.Err())
+	tr := exec.Drive(im, exec.Tuples(0, input...))
+	if tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
-	got := h.OutTuples(0)
+	got := tr.Out[0].Tuples()
 	if len(got) != 500 {
 		t.Fatalf("tuples lost: %d", len(got))
 	}
@@ -167,29 +147,36 @@ func TestFailureInjectionNullStorm(t *testing.T) {
 // watermark never regresses.
 func TestBurstyRatesThroughPace(t *testing.T) {
 	p := &Pace{Schema: trafficSchema, K: 2, TsAttr: 2, Tolerance: 50_000}
-	h := exec.NewHarness(p)
+	var script []exec.Script
 	// Fast input: steady progress.
 	for i := int64(0); i < 100; i++ {
-		h.Tuple(0, traffic(1, 1, i*10_000, 50))
+		script = append(script, exec.Tuples(0, traffic(1, 1, i*10_000, 50)))
 	}
 	// Slow input: a burst of stale tuples, then caught-up tuples.
-	dropped0 := p.InputStats()[1].Dropped
+	var dropped0, droppedStale int64
+	script = append(script, exec.Call(func(*exec.Trace) { dropped0 = p.InputStats()[1].Dropped }))
 	for i := int64(0); i < 20; i++ {
-		h.Tuple(1, traffic(2, 1, i*1000, 60)) // all ≪ hw−tolerance
+		script = append(script, exec.Tuples(1, traffic(2, 1, i*1000, 60))) // all ≪ hw−tolerance
 	}
-	droppedStale := p.InputStats()[1].Dropped - dropped0
+	script = append(script, exec.Call(func(*exec.Trace) { droppedStale = p.InputStats()[1].Dropped - dropped0 }))
+	for i := int64(95); i < 100; i++ {
+		script = append(script, exec.Tuples(1, traffic(2, 1, i*10_000, 60))) // near the live edge
+	}
+	var st []PaceInputStats
+	var hwSet bool
+	var hw int64
+	script = append(script, exec.Call(func(*exec.Trace) { st, hwSet, hw = p.InputStats(), p.hwSet, p.hw }))
+	if tr := exec.Drive(p, script...); tr.Err != nil {
+		t.Fatal(tr.Err)
+	}
 	if droppedStale != 20 {
 		t.Errorf("stale burst: %d dropped, want 20", droppedStale)
 	}
-	for i := int64(95); i < 100; i++ {
-		h.Tuple(1, traffic(2, 1, i*10_000, 60)) // near the live edge
-	}
-	st := p.InputStats()
 	if st[1].Passed != 5 {
 		t.Errorf("caught-up tuples must pass: %+v", st)
 	}
-	if !p.hwSet || p.hw != 99*10_000 {
-		t.Errorf("hw = %d", p.hw)
+	if !hwSet || hw != 99*10_000 {
+		t.Errorf("hw = %d", hw)
 	}
 }
 
@@ -197,15 +184,15 @@ func TestBurstyRatesThroughPace(t *testing.T) {
 // attribute must not accumulate guards (§4.4 supportability in practice).
 func TestGuardsBoundedUnderFeedbackStorm(t *testing.T) {
 	s := &Select{Schema: trafficSchema, Mode: FeedbackExploit}
-	h := exec.NewHarness(s)
+	var script []exec.Script
 	for i := int64(1); i <= 200; i++ {
-		h.Feedback(0, core.NewAssumed(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(i*1000)))))
+		script = append(script, exec.Feedback(0, core.NewAssumed(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(i*1000))))))
 		if i%2 == 0 {
-			h.Punct(0, tsPunct(i*1000))
+			script = append(script, exec.Punct(0, tsPunct(i*1000)))
 		}
 	}
-	if h.Err() != nil {
-		t.Fatal(h.Err())
+	if tr := exec.Drive(s, script...); tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
 	if active := s.guards.Active(); active > 1 {
 		t.Errorf("guards accumulated: %d active (subsumption + expiration must bound them)", active)

@@ -31,28 +31,27 @@ func TestExample2SlidingWindowFeedback(t *testing.T) {
 		Window: window.Sliding(60, 20),
 		Mode:   FeedbackExploit, Propagate: true,
 	}
-	h := exec.NewHarness(a)
-	// Feedback: windows starting in [20,40] (windows w1 and w2) are not
-	// required. Output schema is (wstart, value): wstart at 0.
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(2, 0,
-		punct.Range(stream.TimeMicros(20), stream.TimeMicros(40)))))
+	tr := exec.Drive(a,
+		// Feedback: windows starting in [20,40] (windows w1 and w2) are not
+		// required. Output schema is (wstart, value): wstart at 0.
+		exec.Feedback(0, core.NewAssumed(punct.OnAttr(2, 0,
+			punct.Range(stream.TimeMicros(20), stream.TimeMicros(40))))),
+		// ts=70 belongs to w1,w2,w3 (starts 20,40,60): must still count in
+		// w3. ts=30 belongs to w0,w1 (clipped): must still count in w0.
+		exec.Tuples(0, traffic(1, 1, 70, 50), traffic(1, 1, 30, 50)),
+		exec.EOS(0))
+	if tr.Err != nil {
+		t.Fatal(tr.Err)
+	}
 
 	// No safe propagation may exist: every tuple in w1 or w2 also
 	// belongs to some window outside [20,40].
-	if sent := h.SentFeedback(0); len(sent) != 0 {
+	if sent := tr.Sent[0]; len(sent) != 0 {
 		t.Fatalf("a bottom-of-plan filter is incorrect here, yet feedback propagated: %v", sent)
 	}
 
-	// ts=70 belongs to w1,w2,w3 (starts 20,40,60): must still count in
-	// w3. ts=30 belongs to w0,w1 (clipped): must still count in w0.
-	h.Tuple(0, traffic(1, 1, 70, 50))
-	h.Tuple(0, traffic(1, 1, 30, 50))
-	h.EOS(0)
-	if h.Err() != nil {
-		t.Fatal(h.Err())
-	}
 	got := map[int64]float64{}
-	for _, tp := range h.OutTuples(0) {
+	for _, tp := range tr.Out[0].Tuples() {
 		got[tp.At(0).Micros()] = tp.At(1).AsFloat()
 	}
 	if got[20] != 0 || got[40] != 0 {
@@ -80,10 +79,12 @@ func TestExample2TumblingPropagates(t *testing.T) {
 		Window: window.Tumbling(60),
 		Mode:   FeedbackExploit, Propagate: true,
 	}
-	h := exec.NewHarness(a)
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(2, 0,
-		punct.Range(stream.TimeMicros(60), stream.TimeMicros(120))))) // w1, w2
-	sent := h.SentFeedback(0)
+	tr := exec.Drive(a, exec.Feedback(0, core.NewAssumed(punct.OnAttr(2, 0,
+		punct.Range(stream.TimeMicros(60), stream.TimeMicros(120))))), // w1, w2
+		// Exactness: a tuple at 59 or 180 survives, anything in [60,179] is
+		// suppressed at input.
+		exec.Tuples(0, traffic(1, 1, 59, 50), traffic(1, 1, 60, 50), traffic(1, 1, 179, 50), traffic(1, 1, 180, 50)))
+	sent := tr.Sent[0]
 	if len(sent) != 1 {
 		t.Fatalf("tumbling window range must propagate: %v", sent)
 	}
@@ -91,12 +92,6 @@ func TestExample2TumblingPropagates(t *testing.T) {
 	if pr.Op != punct.Between || pr.Val.Micros() != 60 || pr.Hi.Micros() != 179 {
 		t.Errorf("translated range: %v (want ts ∈ [60, 179])", sent[0].Pattern)
 	}
-	// Exactness: a tuple at 59 or 180 survives, anything in [60,179] is
-	// suppressed at input.
-	h.Tuple(0, traffic(1, 1, 59, 50))
-	h.Tuple(0, traffic(1, 1, 60, 50))
-	h.Tuple(0, traffic(1, 1, 179, 50))
-	h.Tuple(0, traffic(1, 1, 180, 50))
 	if st := a.Stats(); st.InSuppressed != 2 || st.Folded != 2 {
 		t.Errorf("suppression accounting: %+v", st)
 	}

@@ -122,58 +122,64 @@ func TestFanInAlignmentProperty(t *testing.T) {
 	}
 }
 
-// runFanIn delivers steps to o and checks every emission against a plain
-// record of what each input has asserted. It returns the emitted punctuation.
+// runFanIn delivers steps to o and checks every emission, after each step,
+// against a plain record of what each input has asserted. It returns the
+// emitted punctuation.
 func runFanIn(t *testing.T, o exec.Operator, k int, steps []fanInStep) []punct.Pattern {
 	t.Helper()
-	h := exec.NewHarness(o)
 	asserted := make([][]punct.Pattern, k)
 	ended := make([]bool, k)
 	var emitted []punct.Pattern
 	seen := 0
+	script := make([]exec.Script, 0, 2*len(steps))
 	for n, st := range steps {
 		switch {
 		case st.punct != nil:
-			asserted[st.input] = append(asserted[st.input], *st.punct)
-			h.Punct(st.input, punct.NewEmbedded(*st.punct))
+			script = append(script, exec.Punct(st.input, punct.NewEmbedded(*st.punct)))
 		case st.tuple.Arity() > 0:
-			h.Tuple(st.input, st.tuple)
+			script = append(script, exec.Tuples(st.input, st.tuple))
 		default:
-			ended[st.input] = true
-			h.EOS(st.input)
+			script = append(script, exec.EOS(st.input))
 		}
-		if err := h.Err(); err != nil {
-			t.Fatal(err)
-		}
-		out := h.Out(0)
-		for _, it := range out[seen:] {
-			switch it.Kind {
-			case queue.ItemTuple:
-				for _, p := range emitted {
-					if p.Matches(it.Tuple) {
-						t.Fatalf("step %d: tuple %v after punctuation %v promised its subset complete", n, it.Tuple, p)
-					}
-				}
-			case queue.ItemPunct:
-				p := it.Punct.Pattern
-				for _, q := range emitted {
-					if p.Equal(q) {
-						t.Fatalf("step %d: %v emitted twice", n, p)
-					}
-				}
-				for i := 0; i < k; i++ {
-					covered := ended[i]
-					for _, q := range asserted[i] {
-						covered = covered || p.Implies(q)
-					}
-					if !covered {
-						t.Fatalf("step %d: %v emitted while live input %d has asserted only %v", n, p, i, asserted[i])
-					}
-				}
-				emitted = append(emitted, p)
+		script = append(script, exec.Call(func(tr *exec.Trace) {
+			if st.punct != nil {
+				asserted[st.input] = append(asserted[st.input], *st.punct)
+			} else if st.tuple.Arity() == 0 {
+				ended[st.input] = true
 			}
-		}
-		seen = len(out)
+			out := tr.Out[0].Items()
+			for _, it := range out[seen:] {
+				switch it.Kind {
+				case queue.ItemTuple:
+					for _, p := range emitted {
+						if p.Matches(it.Tuple) {
+							panic(fmt.Sprintf("step %d: tuple %v after punctuation %v promised its subset complete", n, it.Tuple, p))
+						}
+					}
+				case queue.ItemPunct:
+					p := it.Punct.Pattern
+					for _, q := range emitted {
+						if p.Equal(q) {
+							panic(fmt.Sprintf("step %d: %v emitted twice", n, p))
+						}
+					}
+					for i := 0; i < k; i++ {
+						covered := ended[i]
+						for _, q := range asserted[i] {
+							covered = covered || p.Implies(q)
+						}
+						if !covered {
+							panic(fmt.Sprintf("step %d: %v emitted while live input %d has asserted only %v", n, p, i, asserted[i]))
+						}
+					}
+					emitted = append(emitted, p)
+				}
+			}
+			seen = len(out)
+		}))
+	}
+	if tr := exec.Drive(o, script...); tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
 	return emitted
 }

@@ -20,18 +20,19 @@ func newMerge(k int) *Merge {
 
 func TestSplitHashRoutingIsKeyConsistent(t *testing.T) {
 	s := newSplit(4, 0) // partition on segment
-	h := exec.NewHarness(s)
+	var in []stream.Tuple
 	for i := int64(0); i < 200; i++ {
-		h.Tuple(0, traffic(i%9, i%40, i*1000, 55))
+		in = append(in, traffic(i%9, i%40, i*1000, 55))
 	}
-	if h.Err() != nil {
-		t.Fatal(h.Err())
+	tr := exec.Drive(s, exec.Tuples(0, in...))
+	if tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
 	// Every tuple of one segment must land on exactly one port.
 	portOf := map[int64]int{}
 	total := 0
 	for port := 0; port < 4; port++ {
-		for _, tp := range h.OutTuples(port) {
+		for _, tp := range tr.Out[port].Tuples() {
 			seg := tp.At(0).AsInt()
 			if prev, seen := portOf[seg]; seen && prev != port {
 				t.Fatalf("segment %d routed to both port %d and %d", seg, prev, port)
@@ -46,7 +47,7 @@ func TestSplitHashRoutingIsKeyConsistent(t *testing.T) {
 	// With 9 segments over 4 partitions at least two ports must be busy.
 	busy := 0
 	for port := 0; port < 4; port++ {
-		if len(h.OutTuples(port)) > 0 {
+		if len(tr.Out[port].Tuples()) > 0 {
 			busy++
 		}
 	}
@@ -57,12 +58,13 @@ func TestSplitHashRoutingIsKeyConsistent(t *testing.T) {
 
 func TestSplitRoundRobinBalances(t *testing.T) {
 	s := newSplit(3) // keyless
-	h := exec.NewHarness(s)
+	var in []stream.Tuple
 	for i := int64(0); i < 9; i++ {
-		h.Tuple(0, traffic(1, 1, i*1000, 50))
+		in = append(in, traffic(1, 1, i*1000, 50))
 	}
+	tr := exec.Drive(s, exec.Tuples(0, in...))
 	for port := 0; port < 3; port++ {
-		if got := len(h.OutTuples(port)); got != 3 {
+		if got := len(tr.Out[port].Tuples()); got != 3 {
 			t.Fatalf("port %d got %d tuples, want 3", port, got)
 		}
 	}
@@ -70,10 +72,9 @@ func TestSplitRoundRobinBalances(t *testing.T) {
 
 func TestSplitBroadcastsPunctuation(t *testing.T) {
 	s := newSplit(3, 0)
-	h := exec.NewHarness(s)
-	h.Punct(0, tsPunct(1000))
+	tr := exec.Drive(s, exec.Punct(0, tsPunct(1000)))
 	for port := 0; port < 3; port++ {
-		ps := h.OutPuncts(port)
+		ps := puncts(tr.Out[port])
 		if len(ps) != 1 || !ps[0].Pattern.Equal(tsPunct(1000).Pattern) {
 			t.Fatalf("port %d puncts = %v", port, ps)
 		}
@@ -81,32 +82,33 @@ func TestSplitBroadcastsPunctuation(t *testing.T) {
 }
 
 func TestSplitRejectsUnexpectedInput(t *testing.T) {
-	h := exec.NewHarness(newSplit(2, 0))
-	h.Tuple(1, traffic(1, 1, 10, 50))
-	if h.Err() == nil {
+	// No plan delivers on input 1 of a one-input operator: call it directly.
+	s := newSplit(2, 0)
+	if err := s.Open(discardCtx{}); err != nil {
+		t.Fatal(err)
+	}
+	if s.ProcessTuple(1, traffic(1, 1, 10, 50), discardCtx{}) == nil {
 		t.Fatal("tuple on input 1 must error")
 	}
 }
 
 func TestSplitPartitionLocalSuppression(t *testing.T) {
 	s := newSplit(4, 0)
-	h := exec.NewHarness(s)
 	// Find segment 3's partition, then let that partition disclaim it.
-	h.Tuple(0, traffic(3, 1, 10, 50))
+	probe := traffic(3, 1, 10, 50)
 	dest := -1
-	for port := 0; port < 4; port++ {
-		if len(h.OutTuples(port)) == 1 {
+	for port, out := range exec.Drive(newSplit(4, 0), exec.Tuples(0, probe)).Out {
+		if len(out.Tuples()) == 1 {
 			dest = port
 		}
 	}
 	if dest < 0 {
 		t.Fatal("probe tuple not routed")
 	}
-	h.Reset()
-	h.Feedback(dest, assumedOnSegment(3))
-	h.Tuple(0, traffic(3, 2, 20, 50))
-	h.Tuple(0, traffic(4, 2, 20, 50))
-	if got := len(h.OutTuples(dest)); got != 0 && h.OutTuples(dest)[0].At(0).AsInt() == 3 {
+	tr := exec.Drive(s, exec.Tuples(0, probe), exec.Feedback(dest, assumedOnSegment(3)),
+		exec.Tuples(0, traffic(3, 2, 20, 50), traffic(4, 2, 20, 50)))
+	if out := tr.Out[dest].Tuples()[1:]; len(out) != 0 && out[0].At(0).AsInt() == 3 { // after the probe
+		got := len(out)
 		t.Fatalf("segment 3 must be suppressed at the split, port %d got %d tuples", dest, got)
 	}
 	_, _, suppressed := s.Stats()
@@ -117,7 +119,6 @@ func TestSplitPartitionLocalSuppression(t *testing.T) {
 
 func TestSplitForwardsKeyPinnedFeedback(t *testing.T) {
 	s := newSplit(4, 0)
-	h := exec.NewHarness(s)
 	// Segment-equality feedback pins the route: forward upstream at once,
 	// but only when it arrives from the partition that owns the key.
 	fb := assumedOnSegment(3)
@@ -125,69 +126,76 @@ func TestSplitForwardsKeyPinnedFeedback(t *testing.T) {
 	if owner < 0 {
 		t.Fatal("segment equality must pin the route")
 	}
-	h.Feedback((owner+1)%4, fb) // wrong partition: hold
-	if got := h.SentFeedback(0); len(got) != 0 {
+	var held, once []core.Feedback
+	sent := func(into *[]core.Feedback) exec.Script {
+		return exec.Call(func(tr *exec.Trace) { *into = tr.Sent[0] })
+	}
+	tr := exec.Drive(s,
+		exec.Feedback((owner+1)%4, fb), // wrong partition: hold
+		sent(&held),
+		exec.Feedback(owner, fb),
+		sent(&once),
+		// Re-assertion must not duplicate the relay.
+		exec.Feedback(owner, fb))
+	if got := held; len(got) != 0 {
 		t.Fatalf("feedback from a non-owning partition must not be forwarded: %v", got)
 	}
-	h.Feedback(owner, fb)
-	got := h.SentFeedback(0)
-	if len(got) != 1 || !got[0].Pattern.Equal(fb.Pattern) {
+	if got := once; len(got) != 1 || !got[0].Pattern.Equal(fb.Pattern) {
 		t.Fatalf("key-pinned feedback must forward upstream once: %v", got)
 	}
-	// Re-assertion must not duplicate the relay.
-	h.Feedback(owner, fb)
-	if got := h.SentFeedback(0); len(got) != 1 {
+	if got := tr.Sent[0]; len(got) != 1 {
 		t.Fatalf("duplicate relay: %v", got)
 	}
 }
 
 func TestSplitUnpinnedFeedbackNeedsUnanimity(t *testing.T) {
 	s := newSplit(3, 0)
-	h := exec.NewHarness(s)
 	// A ts-bound pattern does not pin the key: any partition may produce
 	// matching tuples, so upstream suppression needs all three to agree.
 	fb := core.NewAssumed(punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(5000))))
-	h.Feedback(0, fb)
-	h.Feedback(1, fb)
-	if got := h.SentFeedback(0); len(got) != 0 {
+	var partial []core.Feedback
+	tr := exec.Drive(s, exec.Feedback(0, fb), exec.Feedback(1, fb),
+		exec.Call(func(tr *exec.Trace) { partial = tr.Sent[0] }),
+		exec.Feedback(2, fb))
+	if got := partial; len(got) != 0 {
 		t.Fatalf("must wait for all partitions: %v", got)
 	}
-	h.Feedback(2, fb)
-	if got := h.SentFeedback(0); len(got) != 1 {
+	if got := tr.Sent[0]; len(got) != 1 {
 		t.Fatalf("unanimous feedback must forward upstream once: %v", got)
 	}
 }
 
 func TestSplitDesiredFeedbackForwardsImmediately(t *testing.T) {
-	h := exec.NewHarness(newSplit(3, 0))
 	fb := core.NewDesired(punct.OnAttr(4, 2, punct.Ge(stream.TimeMicros(5000))))
-	h.Feedback(1, fb)
-	if got := h.SentFeedback(0); len(got) != 1 {
+	if got := exec.Drive(newSplit(3, 0), exec.Feedback(1, fb)).Sent[0]; len(got) != 1 {
 		t.Fatalf("desired feedback never changes the result set; forward at once: %v", got)
 	}
 }
 
 func TestMergeAlignsWatermarks(t *testing.T) {
 	m := newMerge(3)
-	h := exec.NewHarness(m)
-	h.Punct(0, tsPunct(3000))
-	h.Punct(1, tsPunct(1000))
-	if got := h.OutPuncts(0); len(got) != 0 {
+	var at [4][]punct.Embedded
+	puncts := func(i int) exec.Script {
+		return exec.Call(func(tr *exec.Trace) { at[i] = puncts(tr.Out[0]) })
+	}
+	exec.Drive(m,
+		exec.Punct(0, tsPunct(3000)), exec.Punct(1, tsPunct(1000)), puncts(0),
+		exec.Punct(2, tsPunct(2000)), puncts(1),
+		// Non-advancing arrival: nothing new.
+		exec.Punct(2, tsPunct(2500)), puncts(2),
+		// The laggard advances: the min is now input 2's 2500.
+		exec.Punct(1, tsPunct(4000)), puncts(3))
+	if got := at[0]; len(got) != 0 {
 		t.Fatalf("input 2 has not punctuated; nothing may be forwarded: %v", got)
 	}
-	h.Punct(2, tsPunct(2000))
-	got := h.OutPuncts(0)
+	got := at[1]
 	if len(got) != 1 || !got[0].Pattern.Equal(tsPunct(1000).Pattern) {
 		t.Fatalf("aligned watermark must be the min (1000): %v", got)
 	}
-	// Non-advancing arrival: nothing new.
-	h.Punct(2, tsPunct(2500))
-	if got := h.OutPuncts(0); len(got) != 1 {
+	if got := at[2]; len(got) != 1 {
 		t.Fatalf("min did not advance, no punct expected: %v", got)
 	}
-	// The laggard advances: the min is now input 2's 2500.
-	h.Punct(1, tsPunct(4000))
-	got = h.OutPuncts(0)
+	got = at[3]
 	if len(got) != 2 || !got[1].Pattern.Equal(tsPunct(2500).Pattern) {
 		t.Fatalf("aligned watermark must advance to 2500: %v", got)
 	}
@@ -195,11 +203,10 @@ func TestMergeAlignsWatermarks(t *testing.T) {
 
 func TestMergeLtPunctuationNormalizes(t *testing.T) {
 	m := newMerge(2)
-	h := exec.NewHarness(m)
 	lt := punct.NewEmbedded(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(2001))))
-	h.Punct(0, lt)
-	h.Punct(1, tsPunct(3000))
-	got := h.OutPuncts(0)
+	var got []punct.Embedded
+	exec.Drive(m, exec.Punct(0, lt), exec.Punct(1, tsPunct(3000)),
+		exec.Call(func(tr *exec.Trace) { got = puncts(tr.Out[0]) }))
 	if len(got) != 1 || !got[0].Pattern.Equal(tsPunct(2000).Pattern) {
 		t.Fatalf("<2001 must align as ≤2000: %v", got)
 	}
@@ -207,17 +214,17 @@ func TestMergeLtPunctuationNormalizes(t *testing.T) {
 
 func TestMergeEOSReleasesAlignment(t *testing.T) {
 	m := newMerge(3)
-	h := exec.NewHarness(m)
-	h.Punct(0, tsPunct(3000))
-	h.Punct(1, tsPunct(1000))
-	// Input 2 ends without ever punctuating: it stops constraining.
-	h.EOS(2)
-	got := h.OutPuncts(0)
+	var got, after []punct.Embedded
+	exec.Drive(m, exec.Punct(0, tsPunct(3000)), exec.Punct(1, tsPunct(1000)),
+		// Input 2 ends without ever punctuating: it stops constraining.
+		exec.EOS(2),
+		exec.Call(func(tr *exec.Trace) { got = puncts(tr.Out[0]) }),
+		exec.EOS(1),
+		exec.Call(func(tr *exec.Trace) { after = puncts(tr.Out[0]) }))
 	if len(got) != 1 || !got[0].Pattern.Equal(tsPunct(1000).Pattern) {
 		t.Fatalf("EOS input must stop constraining alignment: %v", got)
 	}
-	h.EOS(1)
-	got = h.OutPuncts(0)
+	got = after
 	if len(got) != 2 || !got[1].Pattern.Equal(tsPunct(3000).Pattern) {
 		t.Fatalf("after input 1 ends the min is input 0's 3000: %v", got)
 	}
@@ -225,37 +232,41 @@ func TestMergeEOSReleasesAlignment(t *testing.T) {
 
 func TestMergeAlignsGenericPatterns(t *testing.T) {
 	m := newMerge(3)
-	h := exec.NewHarness(m)
 	// "Segment 5 is closed" — an equality pattern outside the watermark
 	// fast path, as a split broadcast would deliver to every partition.
 	seg5 := punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(5))))
-	h.Punct(0, seg5)
-	h.Punct(1, seg5)
-	if got := h.OutPuncts(0); len(got) != 0 {
-		t.Fatalf("partition 2 has not covered segment 5 yet: %v", got)
-	}
-	if len(m.align.pending) != 1 {
-		t.Fatalf("pending = %d, want 1", len(m.align.pending))
-	}
-	h.Punct(2, seg5)
-	got := h.OutPuncts(0)
-	if len(got) != 1 || !got[0].Pattern.Equal(seg5.Pattern) {
-		t.Fatalf("unanimous generic pattern must be forwarded: %v", got)
-	}
-	if len(m.align.pending) != 0 {
-		t.Fatalf("pending not drained: %d", len(m.align.pending))
+	tr := exec.Drive(m, exec.Punct(0, seg5), exec.Punct(1, seg5),
+		exec.Call(func(tr *exec.Trace) {
+			if got := puncts(tr.Out[0]); len(got) != 0 {
+				inRun{t}.Fatalf("partition 2 has not covered segment 5 yet: %v", got)
+			}
+			if len(m.align.pending) != 1 {
+				inRun{t}.Fatalf("pending = %d, want 1", len(m.align.pending))
+			}
+		}),
+		exec.Punct(2, seg5),
+		exec.Call(func(tr *exec.Trace) {
+			got := puncts(tr.Out[0])
+			if len(got) != 1 || !got[0].Pattern.Equal(seg5.Pattern) {
+				inRun{t}.Fatalf("unanimous generic pattern must be forwarded: %v", got)
+			}
+			if len(m.align.pending) != 0 {
+				inRun{t}.Fatalf("pending not drained: %d", len(m.align.pending))
+			}
+		}))
+	if tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
 }
 
 func TestMergeGenericCoveredByWatermark(t *testing.T) {
 	m := newMerge(2)
-	h := exec.NewHarness(m)
 	// Input 1's ts watermark ≥ the pattern's ts bound covers it by
 	// implication, with no equal pattern ever asserted there.
 	old := punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(5))).With(2, punct.Le(stream.TimeMicros(500))))
-	h.Punct(1, tsPunct(1000))
-	h.Punct(0, old)
-	got := h.OutPuncts(0)
+	var got []punct.Embedded
+	exec.Drive(m, exec.Punct(1, tsPunct(1000)), exec.Punct(0, old),
+		exec.Call(func(tr *exec.Trace) { got = puncts(tr.Out[0]) }))
 	if len(got) != 1 || !got[0].Pattern.Equal(old.Pattern) {
 		t.Fatalf("watermark implication must cover the generic pattern: %v", got)
 	}
@@ -263,31 +274,36 @@ func TestMergeGenericCoveredByWatermark(t *testing.T) {
 
 func TestMergePassThroughAndGuards(t *testing.T) {
 	m := newMerge(2)
-	h := exec.NewHarness(m)
-	h.Tuple(0, traffic(1, 1, 10, 50))
-	h.Tuple(1, traffic(2, 1, 20, 60))
-	if got := len(h.OutTuples(0)); got != 2 {
+	var passed []stream.Tuple
+	tr := exec.Drive(m,
+		exec.Tuples(0, traffic(1, 1, 10, 50)),
+		exec.Tuples(1, traffic(2, 1, 20, 60)),
+		outAt(&passed),
+		exec.Feedback(0, assumedOnSegment(2)),
+		exec.Tuples(0, traffic(2, 2, 30, 61)),
+		exec.Tuples(1, traffic(3, 2, 30, 62)))
+	if got := len(passed); got != 2 {
 		t.Fatalf("pass-through broke: %d tuples", got)
 	}
-	h.Feedback(0, assumedOnSegment(2))
-	h.Tuple(0, traffic(2, 2, 30, 61))
-	h.Tuple(1, traffic(3, 2, 30, 62))
-	got := h.OutTuples(0)
+	got := tr.Out[0].Tuples()
 	if len(got) != 3 || got[2].At(0).AsInt() != 3 {
 		t.Fatalf("disclaimed segment 2 must be suppressed: %v", got)
 	}
 	// Feedback fanned to every partition.
 	for in := 0; in < 2; in++ {
-		if fb := h.SentFeedback(in); len(fb) != 1 {
+		if fb := tr.Sent[in]; len(fb) != 1 {
 			t.Fatalf("input %d got %d feedbacks, want 1", in, len(fb))
 		}
 	}
 }
 
 func TestMergeRejectsUnexpectedInput(t *testing.T) {
-	h := exec.NewHarness(newMerge(2))
-	h.Tuple(2, traffic(1, 1, 10, 50))
-	if h.Err() == nil {
+	// No plan delivers on input 2 of a two-input operator: call it directly.
+	m := newMerge(2)
+	if err := m.Open(discardCtx{}); err != nil {
+		t.Fatal(err)
+	}
+	if m.ProcessTuple(2, traffic(1, 1, 10, 50), discardCtx{}) == nil {
 		t.Fatal("tuple on input 2 must error")
 	}
 }
@@ -304,22 +320,24 @@ func TestPunctuationSteadyStateZeroAlloc(t *testing.T) {
 		"aggregate": minuteAvg(FeedbackExploit, false),
 	} {
 		t.Run(name, func(t *testing.T) {
-			h := exec.NewHarness(o)
+			ctx := &punctCounter{}
+			if err := o.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
 			// Every input at ts=100: a fan-in emits that frontier, once. Its
 			// last input stays there, pinning it, while the others run ahead;
 			// the aggregate's first minute stays open throughout.
 			k := len(o.InSchemas())
 			for i := 0; i < k; i++ {
-				h.Punct(i, tsPunct(100))
+				if err := o.ProcessPunct(i, tsPunct(100), ctx); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if h.Err() != nil {
-				t.Fatal(h.Err())
-			}
-			emitted := len(h.OutPuncts(0))
+			emitted := ctx.n
 			probes := []punct.Embedded{tsPunct(5_000), tsPunct(6_000), tsPunct(7_000)}
 			i := 0
 			allocs := testing.AllocsPerRun(1000, func() {
-				if err := o.ProcessPunct(i%max(1, k-1), probes[i%len(probes)], h); err != nil {
+				if err := o.ProcessPunct(i%max(1, k-1), probes[i%len(probes)], ctx); err != nil {
 					t.Fatal(err)
 				}
 				i++
@@ -327,8 +345,8 @@ func TestPunctuationSteadyStateZeroAlloc(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("steady-state punctuation allocates %.1f allocs/op, want 0", allocs)
 			}
-			if got := h.OutPuncts(0); len(got) != emitted {
-				t.Fatalf("the probes advance nothing, yet punctuation was emitted: %v", got)
+			if ctx.n != emitted {
+				t.Fatalf("the probes advance nothing, yet %d punctuations were emitted", ctx.n-emitted)
 			}
 		})
 	}
@@ -354,8 +372,8 @@ func TestSplitRouteZeroAlloc(t *testing.T) {
 	}
 }
 
-// discardCtx is a no-op exec.Context for allocation measurements (the
-// Harness records emissions, which would itself allocate).
+// discardCtx is a no-op exec.Context for allocation measurements (a
+// recording sink would itself allocate) and for calls no plan makes.
 type discardCtx struct{}
 
 func (discardCtx) Emit(stream.Tuple)               {}
@@ -369,20 +387,28 @@ func (discardCtx) ShutdownUpstream(int)            {}
 func (discardCtx) NumInputs() int                  { return 1 }
 func (discardCtx) NumOutputs() int                 { return 4 }
 
+// punctCounter is discardCtx counting the punctuation emitted.
+type punctCounter struct {
+	discardCtx
+	n int
+}
+
+func (c *punctCounter) EmitPunct(punct.Embedded) { c.n++ }
+
 func TestSplitDemandedFeedbackUnanimity(t *testing.T) {
 	s := newSplit(3, 0)
-	h := exec.NewHarness(s)
 	// An unpinned demand (timestamp range) relays upstream only once every
 	// partition has demanded a covering subset — which a merge fan-out
 	// produces naturally.
 	fb := core.NewDemanded(punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(5000))))
-	h.Feedback(0, fb)
-	h.Feedback(1, fb)
-	if got := h.SentFeedback(0); len(got) != 0 {
+	var partial []core.Feedback
+	tr := exec.Drive(s, exec.Feedback(0, fb), exec.Feedback(1, fb),
+		exec.Call(func(tr *exec.Trace) { partial = tr.Sent[0] }),
+		exec.Feedback(2, fb))
+	if got := partial; len(got) != 0 {
 		t.Fatalf("partial demand must be withheld: %v", got)
 	}
-	h.Feedback(2, fb)
-	if got := h.SentFeedback(0); len(got) != 1 || got[0].Intent != core.Demanded {
+	if got := tr.Sent[0]; len(got) != 1 || got[0].Intent != core.Demanded {
 		t.Fatalf("unanimous demand must forward upstream once: %v", got)
 	}
 }
@@ -392,19 +418,23 @@ func TestSplitDemandedFeedbackUnanimity(t *testing.T) {
 // immediate relay for every intent.
 func TestSplitSinglePartitionIsNeutral(t *testing.T) {
 	s := &Split{Schema: trafficSchema, N: 1, Key: []int{0}, Mode: FeedbackExploit, Propagate: true}
-	h := exec.NewHarness(s)
-	h.Feedback(0, core.NewDemanded(punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(5000)))))
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(9000)))))
-	h.Feedback(0, core.NewDesired(punct.OnAttr(4, 2, punct.Ge(stream.TimeMicros(9000)))))
-	if got := h.SentFeedback(0); len(got) != 3 {
+	tr := exec.Drive(s, exec.Feedback(0,
+		core.NewDemanded(punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(5000)))),
+		core.NewAssumed(punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(9000)))),
+		core.NewDesired(punct.OnAttr(4, 2, punct.Ge(stream.TimeMicros(9000))))))
+	if got := tr.Sent[0]; len(got) != 3 {
 		t.Fatalf("n=1 split must relay every feedback immediately: %v", got)
 	}
 }
 
 func TestSplitRejectsUnexpectedFeedbackOutput(t *testing.T) {
 	s := newSplit(2, 0)
-	h := exec.NewHarness(s)
-	if err := s.ProcessFeedback(2, assumedOnSegment(1), h); err == nil {
+	// No plan delivers feedback on output 2 of a two-output operator: call
+	// it directly.
+	if err := s.Open(discardCtx{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ProcessFeedback(2, assumedOnSegment(1), discardCtx{}); err == nil {
 		t.Fatal("feedback on output 2 of a 2-way split must error")
 	}
 }
@@ -415,43 +445,53 @@ func TestSplitRejectsUnexpectedFeedbackOutput(t *testing.T) {
 // dropped once the emitted merged frontier subsumes them.
 func TestMergeAlignmentStateBounded(t *testing.T) {
 	m := newMerge(2)
-	h := exec.NewHarness(m)
+	in := inRun{t}
+	var script []exec.Script
 	// Per-group closure patterns [seg=k, *, ts≤k·100, *]: multi-attribute,
 	// so the generic path holds them.
 	for k := int64(0); k < 50; k++ {
 		pat := punct.OnAttr(4, 0, punct.Eq(stream.Int(k))).With(2, punct.Le(stream.TimeMicros(k*100)))
-		h.Punct(0, punct.NewEmbedded(pat))
+		script = append(script, exec.Punct(0, punct.NewEmbedded(pat)))
 	}
-	if got := len(m.align.ins[0].asserted); got != 50 {
-		t.Fatalf("asserted = %d, want 50", got)
-	}
-	if got := len(m.align.pending); got != 50 {
-		t.Fatalf("pending = %d, want 50", got)
-	}
-	// Input 0's watermark passes every bound: its asserted list drains.
-	h.Punct(0, tsPunct(10_000))
-	if got := len(m.align.ins[0].asserted); got != 0 {
-		t.Fatalf("asserted after watermark = %d, want 0", got)
-	}
-	// Input 1 catches up: the merged frontier ≤10000 is emitted and
-	// subsumes every pending pattern — dropped, not re-emitted.
-	h.Punct(1, tsPunct(10_000))
-	if got := len(m.align.pending); got != 0 {
-		t.Fatalf("pending after frontier = %d, want 0", got)
-	}
-	got := h.OutPuncts(0)
-	if len(got) != 1 || !got[0].Pattern.Equal(tsPunct(10_000).Pattern) {
-		t.Fatalf("only the subsuming frontier may be emitted: %v", got)
-	}
-	// A late duplicate below the frontier neither re-pends nor re-asserts.
 	late := punct.OnAttr(4, 0, punct.Eq(stream.Int(1))).With(2, punct.Le(stream.TimeMicros(100)))
-	h.Punct(0, punct.NewEmbedded(late))
-	if len(m.align.ins[0].asserted) != 0 || len(m.align.pending) != 0 {
-		t.Fatalf("late covered pattern must not accumulate state: asserted=%d pending=%d",
-			len(m.align.ins[0].asserted), len(m.align.pending))
-	}
-	if h.Err() != nil {
-		t.Fatal(h.Err())
+	script = append(script,
+		exec.Call(func(*exec.Trace) {
+			if got := len(m.align.ins[0].asserted); got != 50 {
+				in.Fatalf("asserted = %d, want 50", got)
+			}
+			if got := len(m.align.pending); got != 50 {
+				in.Fatalf("pending = %d, want 50", got)
+			}
+		}),
+		// Input 0's watermark passes every bound: its asserted list drains.
+		exec.Punct(0, tsPunct(10_000)),
+		exec.Call(func(*exec.Trace) {
+			if got := len(m.align.ins[0].asserted); got != 0 {
+				in.Fatalf("asserted after watermark = %d, want 0", got)
+			}
+		}),
+		// Input 1 catches up: the merged frontier ≤10000 is emitted and
+		// subsumes every pending pattern — dropped, not re-emitted.
+		exec.Punct(1, tsPunct(10_000)),
+		exec.Call(func(tr *exec.Trace) {
+			if got := len(m.align.pending); got != 0 {
+				in.Fatalf("pending after frontier = %d, want 0", got)
+			}
+			got := puncts(tr.Out[0])
+			if len(got) != 1 || !got[0].Pattern.Equal(tsPunct(10_000).Pattern) {
+				in.Fatalf("only the subsuming frontier may be emitted: %v", got)
+			}
+		}),
+		// A late duplicate below the frontier neither re-pends nor re-asserts.
+		exec.Punct(0, punct.NewEmbedded(late)),
+		exec.Call(func(*exec.Trace) {
+			if len(m.align.ins[0].asserted) != 0 || len(m.align.pending) != 0 {
+				in.Fatalf("late covered pattern must not accumulate state: asserted=%d pending=%d",
+					len(m.align.ins[0].asserted), len(m.align.pending))
+			}
+		}))
+	if tr := exec.Drive(m, script...); tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
 }
 
@@ -459,24 +499,27 @@ func TestMergeAlignmentStateBounded(t *testing.T) {
 // partition sent is moot once punctuation covers it, like any guard.
 func TestSplitDemandedPatternsExpire(t *testing.T) {
 	s := newSplit(2, 0)
-	h := exec.NewHarness(s)
-	empty := len(captureBlob(t, s))
+	var empty, last int
+	script := []exec.Script{exec.Call(func(*exec.Trace) { empty = len(captureBlob(inRun{t}, s)) })}
 	for round := int64(1); round <= 20; round++ {
 		window := punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(round*minute)))
 		for port := 0; port < 2; port++ {
-			h.Feedback(port, core.Feedback{Intent: core.Demanded, Pattern: window, Origin: "agg", Seq: round})
+			script = append(script, exec.Feedback(port, core.Feedback{Intent: core.Demanded, Pattern: window, Origin: "agg", Seq: round}))
 		}
-		h.Punct(0, tsPunct(round*minute))
+		script = append(script, exec.Punct(0, tsPunct(round*minute)))
 	}
-	if err := h.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for port, table := range s.perOutDemand {
-		if n := table.Active(); n != 0 {
-			t.Errorf("partition %d still holds %d demanded patterns punctuation has covered", port, n)
+	script = append(script, exec.Call(func(*exec.Trace) {
+		for port, table := range s.perOutDemand {
+			if n := table.Active(); n != 0 {
+				t.Errorf("partition %d still holds %d demanded patterns punctuation has covered", port, n)
+			}
 		}
+		last = len(captureBlob(inRun{t}, s))
+	}))
+	if tr := exec.Drive(s, script...); tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
-	if n := len(captureBlob(t, s)); n > empty {
+	if n := last; n > empty {
 		t.Errorf("capture is %d bytes after every pattern expired, %d when empty", n, empty)
 	}
 }
@@ -488,28 +531,30 @@ func TestRelayedSetExpires(t *testing.T) {
 		exec.Operator
 		snapshot.Stater
 	}) {
-		h := exec.NewHarness(o)
 		var after1 int
+		var script []exec.Script
 		for round := int64(1); round <= 20; round++ {
 			window := punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(round*minute)))
 			for port := 0; port < 2; port++ {
-				h.Feedback(port, core.Feedback{Intent: core.Assumed, Pattern: window, Origin: "viewer", Seq: round})
+				script = append(script, exec.Feedback(port, core.Feedback{Intent: core.Assumed, Pattern: window, Origin: "viewer", Seq: round}))
 			}
-			if n := len(h.SentFeedback(0)); n != int(round) {
-				t.Fatalf("round %d: %d patterns relayed upstream, want one per round", round, n)
-			}
-			if round == 1 {
-				after1 = len(captureBlob(t, o))
-			}
-			// Later timestamps and sequence numbers encode a few bytes longer;
-			// a set that keeps every key grows by a key's length per round.
-			if n := len(captureBlob(t, o)); n > 2*after1 {
-				t.Fatalf("round %d: capture grew to %d bytes from %d with one live pattern", round, n, after1)
-			}
-			h.Punct(0, tsPunct(round*minute))
+			script = append(script, exec.Call(func(tr *exec.Trace) {
+				t := inRun{t}
+				if n := len(tr.Sent[0]); n != int(round) {
+					t.Fatalf("round %d: %d patterns relayed upstream, want one per round", round, n)
+				}
+				if round == 1 {
+					after1 = len(captureBlob(t, o))
+				}
+				// Later timestamps and sequence numbers encode a few bytes longer;
+				// a set that keeps every key grows by a key's length per round.
+				if n := len(captureBlob(t, o)); n > 2*after1 {
+					t.Fatalf("round %d: capture grew to %d bytes from %d with one live pattern", round, n, after1)
+				}
+			}), exec.Punct(0, tsPunct(round*minute)))
 		}
-		if err := h.Err(); err != nil {
-			t.Fatal(err)
+		if tr := exec.Drive(o, script...); tr.Err != nil {
+			t.Fatal(tr.Err)
 		}
 	}
 	t.Run("split", func(t *testing.T) {
@@ -532,11 +577,8 @@ func TestRelayedSetExpires(t *testing.T) {
 // holds any more: they are dropped on load, not an error.
 func TestRelayedSetRestoreDropsStaleKeys(t *testing.T) {
 	s := newSplit(2, 0)
-	h := exec.NewHarness(s)
 	live := punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(minute)))
-	for port := 0; port < 2; port++ {
-		h.Feedback(port, core.NewAssumed(live))
-	}
+	exec.Drive(s, exec.Feedback(0, core.NewAssumed(live)), exec.Feedback(1, core.NewAssumed(live)))
 	enc := snapshot.NewEncoder()
 	enc.PutInt(2)
 	for port := 0; port < 2; port++ {
@@ -561,11 +603,11 @@ func TestRelayedSetRestoreDropsStaleKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	twin := newSplit(2, 0)
-	exec.NewHarness(twin)
-	if err := twin.LoadState(snapshot.NewDecoder(blob)); err != nil {
-		t.Fatal(err)
+	var got []string
+	if tr := exec.Drive(twin, exec.Restore(blob), exec.Call(func(*exec.Trace) { got = twin.Relayed() })); tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
-	if got := twin.Relayed(); len(got) != 1 || got[0] != s.Relayed()[0] {
+	if len(got) != 1 || got[0] != s.Relayed()[0] {
 		t.Fatalf("restored relayed set %q, want only %q", got, s.Relayed())
 	}
 }

@@ -21,9 +21,7 @@ func newTestImpute(mode FeedbackMode) *Impute {
 
 func TestImputeFillsNulls(t *testing.T) {
 	im := newTestImpute(FeedbackIgnore)
-	h := exec.NewHarness(im)
-	h.Tuple(0, trafficNull(1, 1, 8*3600*1_000_000)) // 8am: rush hour
-	got := h.OutTuples(0)
+	got := exec.Drive(im, exec.Tuples(0, trafficNull(1, 1, 8*3600*1_000_000))).Out[0].Tuples() // 8am: rush hour
 	if len(got) != 1 || got[0].At(3).IsNull() {
 		t.Fatalf("imputation: %v", got)
 	}
@@ -40,9 +38,7 @@ func TestImputeFillsNulls(t *testing.T) {
 
 func TestImputePassesCleanTuples(t *testing.T) {
 	im := newTestImpute(FeedbackIgnore)
-	h := exec.NewHarness(im)
-	h.Tuple(0, traffic(1, 1, 100, 52))
-	got := h.OutTuples(0)
+	got := exec.Drive(im, exec.Tuples(0, traffic(1, 1, 100, 52))).Out[0].Tuples()
 	if len(got) != 1 || got[0].At(3).AsFloat() != 52 {
 		t.Fatalf("clean pass: %v", got)
 	}
@@ -56,9 +52,7 @@ func TestImputeFallbackWithoutHistory(t *testing.T) {
 		Schema: trafficSchema, SegAttr: 0, DetAttr: 1, TsAttr: 2, SpeedAttr: 3,
 		Store: archive.NewStore(1), FallbackSpeed: 48,
 	}
-	h := exec.NewHarness(im)
-	h.Tuple(0, trafficNull(9, 9, 100))
-	got := h.OutTuples(0)
+	got := exec.Drive(im, exec.Tuples(0, trafficNull(9, 9, 100))).Out[0].Tuples()
 	if len(got) != 1 || got[0].At(3).AsFloat() != 48 {
 		t.Fatalf("fallback: %v", got)
 	}
@@ -68,10 +62,10 @@ func TestImputeGuardSkipsLookup(t *testing.T) {
 	// The Experiment 1 mechanism: feedback ¬[ts < cutoff] makes IMPUTE
 	// discard late tuples before the expensive archival query.
 	im := newTestImpute(FeedbackExploit)
-	h := exec.NewHarness(im)
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(1000)))))
-	h.Tuple(0, trafficNull(1, 1, 500)) // late: skipped, no lookup
-	h.Tuple(0, trafficNull(1, 1, 1500))
+	exec.Drive(im, exec.Feedback(0, core.NewAssumed(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(1000))))),
+		exec.Tuples(0,
+			trafficNull(1, 1, 500), // late: skipped, no lookup
+			trafficNull(1, 1, 1500)))
 	if im.Store.Lookups() != 1 {
 		t.Fatalf("lookups = %d, want 1 (guard must precede lookup)", im.Store.Lookups())
 	}
@@ -87,9 +81,8 @@ func TestImputeGuardSkipsLookup(t *testing.T) {
 
 func TestImputeIgnoreModeDoesNotGuard(t *testing.T) {
 	im := newTestImpute(FeedbackIgnore)
-	h := exec.NewHarness(im)
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(1000)))))
-	h.Tuple(0, trafficNull(1, 1, 500))
+	exec.Drive(im, exec.Feedback(0, core.NewAssumed(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(1000))))),
+		exec.Tuples(0, trafficNull(1, 1, 500)))
 	if im.Store.Lookups() != 1 {
 		t.Error("feedback-unaware impute must still do the lookup")
 	}
@@ -99,8 +92,7 @@ func TestImputeRefusesGuardOnImputedAttr(t *testing.T) {
 	// Feedback binding the speed attribute cannot guard the input: the
 	// input value is null there, and the output value is computed.
 	im := newTestImpute(FeedbackExploit)
-	h := exec.NewHarness(im)
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(4, 3, punct.Ge(stream.Float(50)))))
+	exec.Drive(im, exec.Feedback(0, core.NewAssumed(punct.OnAttr(4, 3, punct.Ge(stream.Float(50))))))
 	if im.guards.Active() != 0 {
 		t.Fatal("speed-bound feedback must not install an input guard")
 	}
@@ -113,32 +105,33 @@ func TestImputeRefusesGuardOnImputedAttr(t *testing.T) {
 func TestImputePropagatesTimestampFeedback(t *testing.T) {
 	im := newTestImpute(FeedbackExploit)
 	im.Propagate = true
-	h := exec.NewHarness(im)
 	f := core.NewAssumed(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(1000))))
-	h.Feedback(0, f)
-	sent := h.SentFeedback(0)
-	if len(sent) != 1 || !sent[0].Pattern.Equal(f.Pattern) {
+	tr := exec.Drive(im, exec.Feedback(0, f,
+		// Speed-bound feedback must NOT propagate (attribute is computed).
+		core.NewAssumed(punct.OnAttr(4, 3, punct.Ge(stream.Float(50))))))
+	sent := tr.Sent[0]
+	if len(sent) < 1 || !sent[0].Pattern.Equal(f.Pattern) {
 		t.Fatalf("propagation: %v", sent)
 	}
-	// Speed-bound feedback must NOT propagate (attribute is computed).
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(4, 3, punct.Ge(stream.Float(50)))))
-	if len(h.SentFeedback(0)) != 1 {
+	if len(sent) != 1 {
 		t.Error("speed-bound feedback must not propagate through IMPUTE")
 	}
 }
 
 func TestImputeGuardExpires(t *testing.T) {
 	im := newTestImpute(FeedbackExploit)
-	h := exec.NewHarness(im)
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(1000)))))
-	if im.guards.Active() != 1 {
+	var installed, expired int
+	tr := exec.Drive(im, exec.Feedback(0, core.NewAssumed(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(1000))))),
+		exec.Call(func(*exec.Trace) { installed = im.guards.Active() }),
+		exec.Punct(0, tsPunct(1000)),
+		exec.Call(func(*exec.Trace) { expired = im.guards.Active() }))
+	if installed != 1 {
 		t.Fatal("guard installed")
 	}
-	h.Punct(0, tsPunct(1000))
-	if im.guards.Active() != 0 {
+	if expired != 0 {
 		t.Error("guard must expire when punctuation covers it")
 	}
-	if len(h.OutPuncts(0)) != 1 {
+	if len(puncts(tr.Out[0])) != 1 {
 		t.Error("punctuation must pass through impute")
 	}
 }
@@ -182,15 +175,15 @@ func TestArchiveDiurnalProfile(t *testing.T) {
 // every single-input operator (mirrors Aggregate's and Join's).
 func TestImputeRejectsUnexpectedInput(t *testing.T) {
 	im := newTestImpute(FeedbackIgnore)
-	h := exec.NewHarness(im)
-	if err := im.ProcessTuple(1, trafficNull(1, 1, 0), h); err == nil {
+	// The guard refuses before it touches the context.
+	if err := im.ProcessTuple(1, trafficNull(1, 1, 0), nil); err == nil {
 		t.Error("tuple on input 1 accepted")
 	}
-	if err := im.ProcessPunct(-1, tsPunct(10), h); err == nil {
+	if err := im.ProcessPunct(-1, tsPunct(10), nil); err == nil {
 		t.Error("punctuation on input -1 accepted")
 	}
 	// Input 0 keeps working.
-	if err := im.ProcessTuple(0, trafficNull(1, 1, 0), h); err != nil {
-		t.Fatal(err)
+	if tr := exec.Drive(im, exec.Tuples(0, trafficNull(1, 1, 0))); tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
 }

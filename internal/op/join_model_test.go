@@ -157,7 +157,7 @@ func (m *joinModel) feedback(f core.Feedback) {
 }
 
 // check compares what the operator has emitted and counted with the model.
-func (m *joinModel) check(t *testing.T, at string, got []stream.Tuple, stats JoinStats) {
+func (m *joinModel) check(t testing.TB, at string, got []stream.Tuple, stats JoinStats) {
 	t.Helper()
 	want := m.stats
 	for side, table := range m.tables {
@@ -254,39 +254,41 @@ func randomJoinCase(r *rand.Rand) joinModelCase {
 	return c
 }
 
-// playJoin runs steps through an operator and, when there is one, its model,
+// joinScript plays steps into a join and, when there is one, its model,
 // checking one against the other after every step.
-func playJoin(t *testing.T, at string, h *exec.Harness, j *Join, m *joinModel, steps []joinStep, onCut func(step int)) {
-	t.Helper()
+func joinScript(t testing.TB, at string, j *Join, m *joinModel, steps []joinStep, onCut func(step int)) []exec.Script {
+	var script []exec.Script
 	for i, s := range steps {
 		switch s.kind {
 		case 't':
-			if m != nil {
-				m.tuple(s.input, s.t)
-			}
-			h.Tuple(s.input, s.t)
+			script = append(script, exec.Tuples(s.input, s.t))
 		case 'p':
-			if m != nil {
-				m.progress(s.input, s.wm)
-			}
-			h.Punct(s.input, leftPunct(s.wm))
+			script = append(script, exec.Punct(s.input, leftPunct(s.wm)))
 		case 'f':
-			h.Feedback(0, s.f)
-			if m != nil {
-				m.feedback(s.f)
-			}
-		case 'c':
-			if onCut != nil {
+			script = append(script, exec.Feedback(0, s.f))
+		}
+		if m == nil && (s.kind != 'c' || onCut == nil) {
+			continue
+		}
+		script = append(script, exec.Call(func(tr *exec.Trace) {
+			if s.kind == 'c' && onCut != nil {
 				onCut(i)
 			}
-		}
-		if h.Err() != nil {
-			t.Fatalf("%s step %d: %v", at, i, h.Err())
-		}
-		if m != nil {
-			m.check(t, fmt.Sprintf("%s step %d (%c)", at, i, s.kind), h.OutTuples(0), j.Stats())
-		}
+			if m == nil {
+				return
+			}
+			switch s.kind {
+			case 't':
+				m.tuple(s.input, s.t)
+			case 'p':
+				m.progress(s.input, s.wm)
+			case 'f':
+				m.feedback(s.f)
+			}
+			m.check(inRun{t}, fmt.Sprintf("%s step %d (%c)", at, i, s.kind), tr.Out[0].Tuples(), j.Stats())
+		}))
 	}
+	return append(script, exec.EOS(0), exec.EOS(1))
 }
 
 // TestJoinStoreAgainstModel: random scripts of left and right tuples in
@@ -304,7 +306,6 @@ func TestJoinStoreAgainstModel(t *testing.T) {
 		c := randomJoinCase(rand.New(rand.NewSource(seed)))
 		at := fmt.Sprintf("seed %d", seed)
 		j := c.mk()
-		h := exec.NewHarness(j)
 		m := newJoinModel(j)
 
 		type cut struct {
@@ -314,18 +315,20 @@ func TestJoinStoreAgainstModel(t *testing.T) {
 			late          snapshot.Capture // a second capture of the same state, encoded at the end
 		}
 		var cuts []cut
-		playJoin(t, at, h, j, m, c.steps, func(step int) {
-			k := cut{step: step, emitted: len(m.out), stats: j.Stats(), blob: captureBlob(t, j)}
+		tr := exec.Drive(j, joinScript(t, at, j, m, c.steps, func(step int) {
+			k := cut{step: step, emitted: len(m.out), stats: j.Stats(), blob: captureBlob(inRun{t}, j)}
 			var err error
 			if k.late, err = j.CaptureState(snapshot.CaptureFull); err != nil {
-				t.Fatal(err)
+				panic(err)
 			}
 			cuts = append(cuts, k)
-		})
-		h.EOS(0).EOS(1)
+		})...)
+		if tr.Err != nil {
+			t.Fatalf("%s: %v", at, tr.Err)
+		}
 		m.progress(0, math.MaxInt64)
 		m.progress(1, math.MaxInt64)
-		m.check(t, at+" after EOS", h.OutTuples(0), j.Stats())
+		m.check(t, at+" after EOS", tr.Out[0].Tuples(), j.Stats())
 
 		for i, k := range cuts {
 			where := fmt.Sprintf("%s cut %d (step %d)", at, i, k.step)
@@ -337,21 +340,22 @@ func TestJoinStoreAgainstModel(t *testing.T) {
 				t.Fatalf("%s: a capture encoded at the end of the script differs from one encoded at the cut (%dB vs %dB): it aliases live state", where, len(late), len(k.blob))
 			}
 			twin := c.mk()
-			ht := exec.NewHarness(twin)
-			if ht.Err() != nil {
-				t.Fatal(ht.Err())
-			}
-			loadBlob(t, twin, k.blob)
-			if got := captureBlob(t, twin); !bytes.Equal(got, k.blob) {
-				t.Fatalf("%s: a capture restores to other bytes (%dB vs %dB)", where, len(got), len(k.blob))
-			}
-			if got := twin.Stats(); got != k.stats {
-				t.Fatalf("%s: restored stats %+v, at the cut %+v", where, got, k.stats)
-			}
+			var restored []byte
+			var restoredStats JoinStats
 			// The twin finishes the script as the original did.
-			playJoin(t, where+" twin", ht, twin, nil, c.steps[k.step+1:], nil)
-			ht.EOS(0).EOS(1)
-			rest := ht.OutTuples(0)
+			tr := exec.Drive(twin, append([]exec.Script{exec.Restore(k.blob), exec.Call(func(*exec.Trace) {
+				restored, restoredStats = captureBlob(inRun{t}, twin), twin.Stats()
+			})}, joinScript(t, where+" twin", twin, nil, c.steps[k.step+1:], nil)...)...)
+			if tr.Err != nil {
+				t.Fatalf("%s: %v", where, tr.Err)
+			}
+			if !bytes.Equal(restored, k.blob) {
+				t.Fatalf("%s: a capture restores to other bytes (%dB vs %dB)", where, len(restored), len(k.blob))
+			}
+			if restoredStats != k.stats {
+				t.Fatalf("%s: restored stats %+v, at the cut %+v", where, restoredStats, k.stats)
+			}
+			rest := tr.Out[0].Tuples()
 			if len(rest) != len(m.out)-k.emitted {
 				t.Fatalf("%s: the restored twin emitted %d more tuples, the original %d", where, len(rest), len(m.out)-k.emitted)
 			}

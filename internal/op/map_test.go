@@ -33,9 +33,7 @@ func TestMapTransforms(t *testing.T) {
 	if out.Arity() != 3 || out.Index("speed_kmh") != 2 || out.Field(1).Kind != stream.KindTime {
 		t.Fatalf("schema: %s", out)
 	}
-	h := exec.NewHarness(m)
-	h.Tuple(0, traffic(3, 1, 500, 50))
-	got := h.OutTuples(0)
+	got := exec.Drive(m, exec.Tuples(0, traffic(3, 1, 500, 50))).Out[0].Tuples()
 	if len(got) != 1 || got[0].At(2).AsFloat() != 50*1.609344 {
 		t.Fatalf("transform: %v", got)
 	}
@@ -46,42 +44,48 @@ func TestMapTransforms(t *testing.T) {
 
 func TestMapPunctRelayRules(t *testing.T) {
 	m := kmhMap(FeedbackIgnore, false)
-	h := exec.NewHarness(m)
-	// ts is carried (as "when"): relays projected.
-	h.Punct(0, tsPunct(100))
-	ps := h.OutPuncts(0)
+	var ps []punct.Embedded
+	tr := exec.Drive(m,
+		// ts is carried (as "when"): relays projected.
+		exec.Punct(0, tsPunct(100)),
+		exec.Call(func(tr *exec.Trace) { ps = puncts(tr.Out[0]) }),
+		// speed punctuation binds an uncarried attribute: consumed.
+		exec.Punct(0, punct.NewEmbedded(punct.OnAttr(4, 3, punct.Ge(stream.Float(50))))))
 	if len(ps) != 1 || ps[0].Pattern.Bound()[0] != 1 {
 		t.Fatalf("carried punct: %v", ps)
 	}
-	// speed punctuation binds an uncarried attribute: consumed.
-	h.Punct(0, punct.NewEmbedded(punct.OnAttr(4, 3, punct.Ge(stream.Float(50)))))
-	if len(h.OutPuncts(0)) != 1 {
+	if len(puncts(tr.Out[0])) != 1 {
 		t.Error("punct on an uncarried attribute must not relay")
 	}
 }
 
 func TestMapFeedback(t *testing.T) {
 	m := kmhMap(FeedbackExploit, true)
-	h := exec.NewHarness(m)
 	// Feedback on a carried attribute: guard + propagate.
 	f := core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(3))))
-	h.Feedback(0, f)
-	if sent := h.SentFeedback(0); len(sent) != 1 || sent[0].Pattern.Arity() != 4 {
+	var sent []core.Feedback
+	var guarded int
+	tr := exec.Drive(m, exec.Feedback(0, f),
+		exec.Call(func(tr *exec.Trace) { sent = tr.Sent[0] }),
+		exec.Tuples(0, traffic(3, 1, 500, 50)),
+		exec.Call(func(tr *exec.Trace) { guarded = len(tr.Out[0].Tuples()) }),
+		// Feedback on the computed attribute: guard output only, no
+		// propagation.
+		exec.Feedback(0, core.NewAssumed(punct.OnAttr(3, 2, punct.Ge(stream.Float(100))))),
+		exec.Tuples(0,
+			traffic(4, 1, 600, 80), // 128.7 km/h ≥ 100: suppressed
+			traffic(4, 1, 700, 30), // 48.3 km/h: passes
+		))
+	if len(sent) != 1 || sent[0].Pattern.Arity() != 4 {
 		t.Fatalf("propagation: %v", sent)
 	}
-	h.Tuple(0, traffic(3, 1, 500, 50))
-	if len(h.OutTuples(0)) != 0 {
+	if guarded != 0 {
 		t.Fatal("guarded map must suppress")
 	}
-	// Feedback on the computed attribute: guard output only, no
-	// propagation.
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(3, 2, punct.Ge(stream.Float(100)))))
-	if len(h.SentFeedback(0)) != 1 {
+	if len(tr.Sent[0]) != 1 {
 		t.Error("computed-attribute feedback must not propagate")
 	}
-	h.Tuple(0, traffic(4, 1, 600, 80)) // 128.7 km/h ≥ 100: suppressed
-	h.Tuple(0, traffic(4, 1, 700, 30)) // 48.3 km/h: passes
-	got := h.OutTuples(0)
+	got := tr.Out[0].Tuples()
 	if len(got) != 1 || got[0].At(1).Micros() != 700 {
 		t.Fatalf("computed guard: %v", got)
 	}
@@ -94,10 +98,7 @@ func TestMapDefinition1(t *testing.T) {
 	fb := core.NewAssumed(punct.OnAttr(3, 2, punct.Ge(stream.Float(100))))
 	run := func(mode FeedbackMode) []stream.Tuple {
 		m := kmhMap(mode, false)
-		h := exec.NewHarness(m)
-		h.Feedback(0, fb)
-		h.Tuples(input...)
-		return h.OutTuples(0)
+		return exec.Drive(m, exec.Feedback(0, fb), exec.Tuples(0, input...)).Out[0].Tuples()
 	}
 	if err := core.CheckExploitation(run(FeedbackIgnore), run(FeedbackExploit), fb).Err(); err != nil {
 		t.Fatal(err)

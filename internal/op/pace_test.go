@@ -12,11 +12,11 @@ import (
 
 func TestPaceDropsLateTuples(t *testing.T) {
 	p := &Pace{Schema: trafficSchema, K: 2, TsAttr: 2, Tolerance: 100}
-	h := exec.NewHarness(p)
-	h.Tuple(0, traffic(1, 1, 1000, 50)) // sets hw=1000
-	h.Tuple(1, traffic(1, 2, 950, 55))  // within tolerance: passes
-	h.Tuple(1, traffic(1, 3, 850, 60))  // 150 behind: dropped
-	got := h.OutTuples(0)
+	got := exec.Drive(p,
+		exec.Tuples(0, traffic(1, 1, 1000, 50)), // sets hw=1000
+		exec.Tuples(1, traffic(1, 2, 950, 55)),  // within tolerance: passes
+		exec.Tuples(1, traffic(1, 3, 850, 60)),  // 150 behind: dropped
+	).Out[0].Tuples()
 	if len(got) != 2 {
 		t.Fatalf("got %d tuples, want 2", len(got))
 	}
@@ -28,10 +28,9 @@ func TestPaceDropsLateTuples(t *testing.T) {
 
 func TestPaceZeroToleranceIsPlainUnion(t *testing.T) {
 	p := &Pace{Schema: trafficSchema, K: 2, TsAttr: 2, Tolerance: 0}
-	h := exec.NewHarness(p)
-	h.Tuple(0, traffic(1, 1, 1000, 50))
-	h.Tuple(1, traffic(1, 2, 10, 55)) // very late but tolerance disabled
-	if len(h.OutTuples(0)) != 2 {
+	tr := exec.Drive(p, exec.Tuples(0, traffic(1, 1, 1000, 50)),
+		exec.Tuples(1, traffic(1, 2, 10, 55))) // very late but tolerance disabled
+	if len(tr.Out[0].Tuples()) != 2 {
 		t.Error("zero tolerance must never drop")
 	}
 }
@@ -42,14 +41,13 @@ func TestPaceProducesAssumedFeedback(t *testing.T) {
 		Tolerance: 100, FeedbackEnabled: true, FeedbackMinAdvance: 1,
 		FeedbackSlack: -1, // promise exactly the drop bound
 	}
-	h := exec.NewHarness(p)
-	h.Tuple(0, traffic(1, 1, 1000, 50))
-	h.Tuple(1, traffic(1, 2, 800, 55)) // late → feedback
+	tr := exec.Drive(p, exec.Tuples(0, traffic(1, 1, 1000, 50)),
+		exec.Tuples(1, traffic(1, 2, 800, 55))) // late → feedback
 	if p.FeedbackSent() != 1 {
 		t.Fatalf("feedback sent = %d", p.FeedbackSent())
 	}
 	for input := 0; input < 2; input++ {
-		fb := h.SentFeedback(input)
+		fb := tr.Sent[input]
 		if len(fb) != 1 {
 			t.Fatalf("input %d: %d feedback messages", input, len(fb))
 		}
@@ -69,13 +67,13 @@ func TestPaceFeedbackRateLimit(t *testing.T) {
 		Schema: trafficSchema, K: 2, TsAttr: 2,
 		Tolerance: 100, FeedbackEnabled: true, FeedbackMinAdvance: 50,
 	}
-	h := exec.NewHarness(p)
-	h.Tuple(0, traffic(1, 1, 1000, 50))
-	h.Tuple(1, traffic(1, 2, 800, 55)) // feedback at cutoff 900
-	h.Tuple(0, traffic(1, 1, 1010, 50))
-	h.Tuple(1, traffic(1, 2, 805, 55)) // cutoff 910 < 900+50: suppressed
-	h.Tuple(0, traffic(1, 1, 1100, 50))
-	h.Tuple(1, traffic(1, 2, 810, 55)) // cutoff 1000 ≥ 950: emitted
+	exec.Drive(p,
+		exec.Tuples(0, traffic(1, 1, 1000, 50)),
+		exec.Tuples(1, traffic(1, 2, 800, 55)), // feedback at cutoff 900
+		exec.Tuples(0, traffic(1, 1, 1010, 50)),
+		exec.Tuples(1, traffic(1, 2, 805, 55)), // cutoff 910 < 900+50: suppressed
+		exec.Tuples(0, traffic(1, 1, 1100, 50)),
+		exec.Tuples(1, traffic(1, 2, 810, 55))) // cutoff 1000 ≥ 950: emitted
 	if p.FeedbackSent() != 2 {
 		t.Errorf("feedback sent = %d, want 2 (rate limited)", p.FeedbackSent())
 	}
@@ -89,17 +87,23 @@ func TestPaceFeedbackIsSelfConsistent(t *testing.T) {
 		Tolerance: 100, FeedbackEnabled: true, FeedbackMinAdvance: 1,
 		FeedbackSlack: -1,
 	}
-	h := exec.NewHarness(p)
-	h.Tuple(0, traffic(1, 1, 1000, 50))
-	h.Tuple(1, traffic(1, 2, 800, 55)) // feedback: ¬[ts < 900]
-	cutoff := h.SentFeedback(0)[0].Pattern.Pred(2).Val.Micros()
-	h.Reset()
-	h.Tuple(1, traffic(1, 3, cutoff-1, 60)) // inside the promised subset
-	if len(h.OutTuples(0)) != 0 {
+	// The promise: ¬[ts < 900] once the tuple at 800 arrives.
+	const cutoff = 900
+	var before, inside int
+	tr := exec.Drive(p,
+		exec.Tuples(0, traffic(1, 1, 1000, 50)),
+		exec.Tuples(1, traffic(1, 2, 800, 55)),
+		exec.Call(func(tr *exec.Trace) { before = len(tr.Out[0].Tuples()) }),
+		exec.Tuples(1, traffic(1, 3, cutoff-1, 60)), // inside the promised subset
+		exec.Call(func(tr *exec.Trace) { inside = len(tr.Out[0].Tuples()) - before }),
+		exec.Tuples(1, traffic(1, 4, cutoff, 61))) // at the cutoff: NOT promised
+	if got := tr.Sent[0][0].Pattern.Pred(2).Val.Micros(); got != cutoff {
+		t.Fatalf("promised ¬[ts < %d], want %d", got, cutoff)
+	}
+	if inside != 0 {
 		t.Error("a tuple inside the promised subset must be dropped")
 	}
-	h.Tuple(1, traffic(1, 4, cutoff, 61)) // at the cutoff: NOT promised
-	if len(h.OutTuples(0)) != 1 {
+	if len(tr.Out[0].Tuples())-before != 1 {
 		t.Error("a tuple at the cutoff is outside the promise and must pass")
 	}
 }
@@ -111,10 +115,13 @@ func TestPaceFeedbackSlackDefault(t *testing.T) {
 		Schema: trafficSchema, K: 2, TsAttr: 2,
 		Tolerance: 100, FeedbackEnabled: true, FeedbackMinAdvance: 1,
 	}
-	h := exec.NewHarness(p)
-	h.Tuple(0, traffic(1, 1, 1000, 50))
-	h.Tuple(1, traffic(1, 2, 800, 55))
-	fb := h.SentFeedback(0)
+	var before int
+	tr := exec.Drive(p,
+		exec.Tuples(0, traffic(1, 1, 1000, 50)),
+		exec.Tuples(1, traffic(1, 2, 800, 55)),
+		exec.Call(func(tr *exec.Trace) { before = len(tr.Out[0].Tuples()) }),
+		exec.Tuples(1, traffic(1, 3, 920, 60)))
+	fb := tr.Sent[0]
 	if len(fb) != 1 {
 		t.Fatal("expected feedback")
 	}
@@ -123,40 +130,40 @@ func TestPaceFeedbackSlackDefault(t *testing.T) {
 	}
 	// Straggler inside the promised subset but within tolerance still
 	// passes (the promise is a hint; PACE's own policy is the bound).
-	h.Reset()
-	h.Tuple(1, traffic(1, 3, 920, 60))
-	if len(h.OutTuples(0)) != 1 {
+	if len(tr.Out[0].Tuples())-before != 1 {
 		t.Error("straggler within tolerance must pass")
 	}
 }
 
 func TestPrioritizePromotesDesiredSubset(t *testing.T) {
 	p := &Prioritize{Schema: trafficSchema, BufferCap: 100, Mode: FeedbackExploit}
-	h := exec.NewHarness(p)
-	// Buffer some tuples.
-	h.Tuples(traffic(1, 1, 10, 50), traffic(2, 1, 20, 55), traffic(3, 1, 30, 60))
-	if len(h.OutTuples(0)) != 0 {
+	var buffered, promoted, bypassed []stream.Tuple
+	tr := exec.Drive(p,
+		// Buffer some tuples.
+		exec.Tuples(0, traffic(1, 1, 10, 50), traffic(2, 1, 20, 55), traffic(3, 1, 30, 60)),
+		outAt(&buffered),
+		// Desired feedback for segment 2: the buffered match jumps the queue.
+		exec.Feedback(0, core.NewDesired(punct.OnAttr(4, 0, punct.Eq(stream.Int(2))))),
+		outAt(&promoted),
+		// New arrivals in the desired subset bypass the buffer.
+		exec.Tuples(0, traffic(2, 2, 40, 52)),
+		outAt(&bypassed),
+		// Flush on punctuation: everything else must appear before the punct.
+		exec.Punct(0, tsPunct(100)))
+	if len(buffered) != 0 {
 		t.Fatal("tuples should be buffered")
 	}
-	// Desired feedback for segment 2: the buffered match jumps the queue.
-	h.Feedback(0, core.NewDesired(punct.OnAttr(4, 0, punct.Eq(stream.Int(2)))))
-	got := h.OutTuples(0)
-	if len(got) != 1 || got[0].At(0).AsInt() != 2 {
+	if got := promoted; len(got) != 1 || got[0].At(0).AsInt() != 2 {
 		t.Fatalf("promotion: %v", got)
 	}
-	// New arrivals in the desired subset bypass the buffer.
-	h.Tuple(0, traffic(2, 2, 40, 52))
-	got = h.OutTuples(0)
-	if len(got) != 2 || got[1].At(0).AsInt() != 2 {
+	if got := bypassed; len(got) != 2 || got[1].At(0).AsInt() != 2 {
 		t.Fatalf("bypass: %v", got)
 	}
-	// Flush on punctuation: everything else must appear before the punct.
-	h.Punct(0, tsPunct(100))
-	items := h.Out(0)
+	items := tr.Out[0].Items()
 	if items[len(items)-1].Kind != queue.ItemPunct {
 		t.Fatal("punctuation must come after the flushed backlog")
 	}
-	tuples := h.OutTuples(0)
+	tuples := tr.Out[0].Tuples()
 	if len(tuples) != 4 {
 		t.Fatalf("after flush: %d tuples", len(tuples))
 	}
@@ -172,11 +179,8 @@ func TestPrioritizePromotesDesiredSubset(t *testing.T) {
 
 func TestPrioritizeAssumedDropsBacklog(t *testing.T) {
 	p := &Prioritize{Schema: trafficSchema, BufferCap: 100, Mode: FeedbackExploit}
-	h := exec.NewHarness(p)
-	h.Tuples(traffic(1, 1, 10, 50), traffic(2, 1, 20, 55))
-	h.Feedback(0, assumedOnSegment(1))
-	h.EOS(0)
-	got := h.OutTuples(0)
+	got := exec.Drive(p, exec.Tuples(0, traffic(1, 1, 10, 50), traffic(2, 1, 20, 55)),
+		exec.Feedback(0, assumedOnSegment(1)), exec.EOS(0)).Out[0].Tuples()
 	if len(got) != 1 || got[0].At(0).AsInt() != 2 {
 		t.Fatalf("assumed feedback must purge backlog: %v", got)
 	}
@@ -188,9 +192,8 @@ func TestPrioritizeAssumedDropsBacklog(t *testing.T) {
 
 func TestPrioritizeBufferCapDrainsFIFO(t *testing.T) {
 	p := &Prioritize{Schema: trafficSchema, BufferCap: 2, Mode: FeedbackExploit}
-	h := exec.NewHarness(p)
-	h.Tuples(traffic(1, 1, 10, 50), traffic(2, 1, 20, 55), traffic(3, 1, 30, 60))
-	got := h.OutTuples(0)
+	var got []stream.Tuple
+	exec.Drive(p, exec.Tuples(0, traffic(1, 1, 10, 50), traffic(2, 1, 20, 55), traffic(3, 1, 30, 60)), outAt(&got))
 	if len(got) != 1 || got[0].At(0).AsInt() != 1 {
 		t.Fatalf("cap overflow must drain oldest first: %v", got)
 	}
@@ -207,11 +210,7 @@ func TestPrioritizeDesiredContract(t *testing.T) {
 	fb := core.NewDesired(punct.OnAttr(4, 0, punct.Eq(stream.Int(2))))
 	run := func(mode FeedbackMode) []stream.Tuple {
 		p := &Prioritize{Schema: trafficSchema, BufferCap: 100, Mode: mode}
-		h := exec.NewHarness(p)
-		h.Feedback(0, fb)
-		h.Tuples(input...)
-		h.EOS(0)
-		return h.OutTuples(0)
+		return exec.Drive(p, exec.Feedback(0, fb), exec.Tuples(0, input...), exec.EOS(0)).Out[0].Tuples()
 	}
 	ref := run(FeedbackIgnore)
 	act := run(FeedbackExploit)
@@ -227,11 +226,8 @@ func TestPrioritizeDesiredContract(t *testing.T) {
 
 func TestPrioritizeIgnoreModeIsFIFO(t *testing.T) {
 	p := &Prioritize{Schema: trafficSchema, BufferCap: 2, Mode: FeedbackIgnore}
-	h := exec.NewHarness(p)
-	h.Feedback(0, core.NewDesired(punct.OnAttr(4, 0, punct.Eq(stream.Int(2)))))
-	h.Tuples(traffic(1, 1, 10, 50), traffic(2, 1, 20, 55))
-	h.EOS(0)
-	got := h.OutTuples(0)
+	got := exec.Drive(p, exec.Feedback(0, core.NewDesired(punct.OnAttr(4, 0, punct.Eq(stream.Int(2))))),
+		exec.Tuples(0, traffic(1, 1, 10, 50), traffic(2, 1, 20, 55)), exec.EOS(0)).Out[0].Tuples()
 	if len(got) != 2 || got[0].At(0).AsInt() != 1 {
 		t.Fatalf("ignore mode must stay FIFO: %v", got)
 	}
@@ -241,20 +237,17 @@ func TestPrioritizeIgnoreModeIsFIFO(t *testing.T) {
 // (mirrors the one PR 2 gave Aggregate and Join).
 func TestPaceRejectsUnexpectedInput(t *testing.T) {
 	p := &Pace{Schema: trafficSchema, K: 2, TsAttr: 2}
-	h := exec.NewHarness(p)
-	if err := p.ProcessTuple(2, traffic(1, 1, 10, 50), h); err == nil {
+	// The guard refuses before it touches the context.
+	if err := p.ProcessTuple(2, traffic(1, 1, 10, 50), nil); err == nil {
 		t.Error("tuple on input 2 accepted (K=2)")
 	}
-	if err := p.ProcessPunct(5, tsPunct(10), h); err == nil {
+	if err := p.ProcessPunct(5, tsPunct(10), nil); err == nil {
 		t.Error("punctuation on input 5 accepted")
 	}
-	if err := p.ProcessEOS(-1, h); err == nil {
+	if err := p.ProcessEOS(-1, nil); err == nil {
 		t.Error("EOS on input -1 accepted")
 	}
-	if err := p.ProcessTuple(1, traffic(1, 1, 10, 50), h); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ProcessEOS(0, h); err != nil {
-		t.Fatal(err)
+	if tr := exec.Drive(p, exec.Tuples(1, traffic(1, 1, 10, 50)), exec.EOS(0)); tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
 }

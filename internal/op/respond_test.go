@@ -3,6 +3,7 @@ package op_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/archive"
@@ -137,10 +138,9 @@ func splitOp(m op.FeedbackMode, p bool) *op.Split {
 // homeOf is the partition splitOp routes a segment to.
 func homeOf(seg int64) int {
 	s := splitOp(op.FeedbackIgnore, false)
-	h := exec.NewHarness(s)
-	h.Tuple(0, reading(seg, 0, 0, 0))
-	for port := 0; port < 2; port++ {
-		if len(h.OutTuples(port)) == 1 {
+	tr := exec.Drive(s, exec.Tuples(0, reading(seg, 0, 0, 0)))
+	for port, out := range tr.Out {
+		if len(out.Tuples()) == 1 {
 			return port
 		}
 	}
@@ -166,7 +166,7 @@ func joinOp(m op.FeedbackMode, p bool) *op.Join {
 // feed runs the probe stream through a fresh operator, input by input, minus
 // the tuples drop says to leave out, and returns what came out of port.
 func feed(o exec.Operator, port int, drop func(input int, t stream.Tuple) bool) []stream.Tuple {
-	h := exec.NewHarness(o)
+	var script []exec.Script
 	for input, schema := range o.InSchemas() {
 		for _, t := range probe() {
 			if schema.Arity() == 3 {
@@ -175,17 +175,18 @@ func feed(o exec.Operator, port int, drop func(input int, t stream.Tuple) bool) 
 				t = stream.NewTuple(t.At(0), stream.Float(45+float64(t.At(1).AsInt())*5))
 			}
 			if !drop(input, t) {
-				h.Tuple(input, t)
+				script = append(script, exec.Tuples(input, t))
 			}
 		}
 	}
 	for input := range o.InSchemas() {
-		h.EOS(input)
+		script = append(script, exec.EOS(input))
 	}
-	if err := h.Err(); err != nil {
-		panic(err)
+	tr := exec.Drive(o, script...)
+	if tr.Err != nil {
+		panic(tr.Err)
 	}
-	return h.OutTuples(port)
+	return tr.Out[port].Tuples()
 }
 
 var (
@@ -208,22 +209,44 @@ func TestRespondersEnactTheirCharacterization(t *testing.T) {
 
 func checkResponse(t *testing.T, c respondCase, intent core.Intent, mode op.FeedbackMode, propagate bool) {
 	o := c.build(mode, propagate)
-	h := exec.NewHarness(o)
 	f := core.Feedback{Intent: intent, Pattern: c.pattern, Origin: "suite", Hops: 2, Seq: 9}
+	var script []exec.Script
 	if intent != core.Desired { // desired feedback waits for no one, and travels once
 		for _, port := range c.others {
-			h.Feedback(port, f)
+			script = append(script, exec.Feedback(port, f))
 		}
 	}
-	h.Reset()
-	want := o.Characterize(c.port, f).Clamp(intent, mode, propagate)
-	h.Feedback(c.port, f)
-	if err := h.Err(); err != nil {
-		t.Fatal(err)
+	var (
+		want   core.ResponsePlan
+		before []int // what each input had been sent before c.port's feedback
+		row    core.Response
+		sentBy [][]core.Feedback
+	)
+	ring := make([]core.Feedback, 10*core.TraceCap)
+	for i := range ring {
+		ring[i] = f
+	}
+	tr := exec.Drive(o, append(script,
+		exec.Call(func(tr *exec.Trace) {
+			for _, sent := range tr.Sent {
+				before = append(before, len(sent))
+			}
+			want = o.Characterize(c.port, f).Clamp(intent, mode, propagate)
+		}),
+		exec.Feedback(c.port, f),
+		exec.Call(func(tr *exec.Trace) {
+			trace := o.Trace()
+			row = trace[len(trace)-1]
+			for input, sent := range tr.Sent {
+				sentBy = append(sentBy, sent[before[input]:])
+			}
+		}),
+		// The trace is a ring.
+		exec.Feedback(c.port, ring...))...)
+	if tr.Err != nil {
+		t.Fatal(tr.Err)
 	}
 
-	trace := o.Trace()
-	row := trace[len(trace)-1]
 	if !reflect.DeepEqual(row.Actions, want.Actions) {
 		t.Fatalf("did %v, the clamped characterization says %v", row.Actions, want.Actions)
 	}
@@ -242,7 +265,7 @@ func checkResponse(t *testing.T, c respondCase, intent core.Intent, mode op.Feed
 	}
 
 	for input := range o.InSchemas() {
-		sent := h.SentFeedback(input)
+		sent := sentBy[input]
 		var wantPat *punct.Pattern
 		if input < len(want.Propagate) {
 			wantPat = want.Propagate[input]
@@ -280,10 +303,6 @@ func checkResponse(t *testing.T, c respondCase, intent core.Intent, mode op.Feed
 		}
 	}
 
-	// The trace is a ring.
-	for i := 0; i < 10*core.TraceCap; i++ {
-		h.Feedback(c.port, f)
-	}
 	if n := len(o.Trace()); n > core.TraceCap {
 		t.Fatalf("trace holds %d responses after %d feedbacks, capacity %d", n, 10*core.TraceCap+1, core.TraceCap)
 	}
@@ -304,18 +323,18 @@ func TestSourcesEnactTheirCharacterization(t *testing.T) {
 			return s
 		},
 		"reader": func(aware bool) source {
-			s := exec.NewReaderSource("src", readings, nil)
+			s := exec.NewReaderSource("src", readings, strings.NewReader(""))
 			s.FeedbackAware = aware
 			return s
 		},
 		"rated": func(aware bool) source {
-			return &gen.RatedSource{Schema: readings, Items: []queue.Item{queue.TupleItem(reading(3, 0, 0, 1))}, PerSecond: 1, FeedbackAware: aware}
+			return &gen.RatedSource{Schema: readings, Items: []queue.Item{queue.TupleItem(reading(3, 0, 0, 1))}, PerSecond: 1e12, FeedbackAware: aware}
 		},
 		"traffic": func(aware bool) source {
-			return &gen.TrafficSource{Config: gen.TrafficConfig{FeedbackAware: aware}}
+			return &gen.TrafficSource{Config: gen.TrafficConfig{Duration: 20_000_000, FeedbackAware: aware}}
 		},
 		"probes": func(aware bool) source {
-			return &gen.ProbeSource{Config: gen.ProbeConfig{FeedbackAware: aware}}
+			return &gen.ProbeSource{Config: gen.ProbeConfig{Duration: 20_000_000, FeedbackAware: aware}}
 		},
 	}
 	for name, build := range builds {
@@ -327,12 +346,11 @@ func TestSourcesEnactTheirCharacterization(t *testing.T) {
 					if n := src.OutSchemas()[0].Arity(); n != p.Arity() {
 						p = punct.OnAttr(n, 0, punct.Eq(stream.Int(3)))
 					}
-					h := exec.NewSourceHarness(src)
-					f := core.Feedback{Intent: intent, Pattern: p}
-					for i := 0; i <= 10*core.TraceCap; i++ {
-						h.Feedback(0, f)
+					fs := make([]core.Feedback, 10*core.TraceCap+1)
+					for i := range fs {
+						fs[i] = core.Feedback{Intent: intent, Pattern: p}
 					}
-					if err := h.Err(); err != nil {
+					if err := exec.DriveSource(src, fs...).Err; err != nil {
 						t.Fatal(err)
 					}
 					want := []core.Action{core.ActNone}
@@ -371,10 +389,9 @@ func TestFusedStepsEnactTheirConstituents(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					h := exec.NewHarness(fused)
 					f := core.Feedback{Intent: intent, Pattern: punct.OnAttr(2, 0, punct.Eq(stream.Int(3))), Origin: "suite", Seq: 4}
-					h.Feedback(0, f)
-					if err := h.Err(); err != nil {
+					tr := exec.Drive(fused, exec.Feedback(0, f))
+					if err := tr.Err; err != nil {
 						t.Fatal(err)
 					}
 					// Walk the constituents the way the feedback did.
@@ -395,7 +412,7 @@ func TestFusedStepsEnactTheirConstituents(t *testing.T) {
 							cur = cur.Relayed(*want.Propagate[0])
 						}
 					}
-					sent := h.SentFeedback(0)
+					sent := tr.Sent[0]
 					if alive != (len(sent) == 1) || alive && !reflect.DeepEqual(sent[0], cur) {
 						t.Fatalf("left the kernel: %v, want %v (alive=%v)", sent, cur, alive)
 					}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/punct"
 	"repro/internal/snapshot"
 	"repro/internal/stream"
@@ -34,15 +35,23 @@ func FuzzOperatorRestore(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		opens = append(opens, func() snapshot.Stater { st, _ := row.open(); return st })
+		opens = append(opens, func() snapshot.Stater {
+			st := row.open()
+			if err := st.(exec.Operator).Open(&flushCtx{}); err != nil {
+				f.Fatal(err)
+			}
+			return st
+		})
 		f.Add(uint8(i), golden)
 		f.Add(uint8(i), golden[:len(golden)/2])
 		if row.name == "join" {
-			st, h := row.open()
-			row.feed(f, st, h)
-			h.Tuple(1, traffic(4, 8, 310, 60)) // matches the left entry
-			h.Punct(0, tsPunct(260))           // purges right 3 by watermark
-			f.Add(uint8(i), captureBlob(f, st))
+			st := row.open()
+			var blob []byte
+			exec.Drive(st.(exec.Operator), append(row.feed(f, st),
+				exec.Tuples(1, traffic(4, 8, 310, 60)), // matches the left entry
+				exec.Punct(0, tsPunct(260)),            // purges right 3 by watermark
+				captureAt(f, st, &blob))...)
+			f.Add(uint8(i), blob)
 		}
 	}
 

@@ -36,9 +36,8 @@ func TestSelectFilters(t *testing.T) {
 	s := &Select{Schema: trafficSchema, Cond: func(t stream.Tuple) bool {
 		return !t.At(3).IsNull()
 	}}
-	h := exec.NewHarness(s)
-	h.Tuples(traffic(1, 1, 10, 50), trafficNull(1, 2, 20), traffic(2, 1, 30, 60))
-	if got := h.OutTuples(0); len(got) != 2 {
+	tr := exec.Drive(s, exec.Tuples(0, traffic(1, 1, 10, 50), trafficNull(1, 2, 20), traffic(2, 1, 30, 60)))
+	if got := tr.Out[0].Tuples(); len(got) != 2 {
 		t.Fatalf("got %d tuples", len(got))
 	}
 	in, out, _ := s.Stats()
@@ -51,10 +50,8 @@ func TestSelectFeedbackAddsToCondition(t *testing.T) {
 	// §4.3: "assumed punctuation can simply be added to its select
 	// condition".
 	s := &Select{Schema: trafficSchema, Mode: FeedbackExploit}
-	h := exec.NewHarness(s)
-	h.Feedback(0, assumedOnSegment(3))
-	h.Tuples(traffic(3, 1, 10, 50), traffic(4, 1, 20, 60))
-	got := h.OutTuples(0)
+	tr := exec.Drive(s, exec.Feedback(0, assumedOnSegment(3)), exec.Tuples(0, traffic(3, 1, 10, 50), traffic(4, 1, 20, 60)))
+	got := tr.Out[0].Tuples()
 	if len(got) != 1 || got[0].At(0).AsInt() != 4 {
 		t.Fatalf("segment 3 must be suppressed: %v", got)
 	}
@@ -70,20 +67,16 @@ func TestSelectFeedbackAddsToCondition(t *testing.T) {
 
 func TestSelectIgnoreModeIsNullResponse(t *testing.T) {
 	s := &Select{Schema: trafficSchema, Mode: FeedbackIgnore}
-	h := exec.NewHarness(s)
-	h.Feedback(0, assumedOnSegment(3))
-	h.Tuples(traffic(3, 1, 10, 50))
-	if len(h.OutTuples(0)) != 1 {
+	tr := exec.Drive(s, exec.Feedback(0, assumedOnSegment(3)), exec.Tuples(0, traffic(3, 1, 10, 50)))
+	if len(tr.Out[0].Tuples()) != 1 {
 		t.Error("feedback-unaware select must pass everything")
 	}
 }
 
 func TestSelectPropagatesUpstream(t *testing.T) {
 	s := &Select{Schema: trafficSchema, Mode: FeedbackExploit, Propagate: true}
-	h := exec.NewHarness(s)
 	f := assumedOnSegment(5)
-	h.Feedback(0, f)
-	sent := h.SentFeedback(0)
+	sent := exec.Drive(s, exec.Feedback(0, f)).Sent[0]
 	if len(sent) != 1 || !sent[0].Pattern.Equal(f.Pattern) || sent[0].Hops != 1 {
 		t.Fatalf("propagation: %+v", sent)
 	}
@@ -91,19 +84,20 @@ func TestSelectPropagatesUpstream(t *testing.T) {
 
 func TestSelectPunctPassThroughAndExpiry(t *testing.T) {
 	s := &Select{Schema: trafficSchema, Mode: FeedbackExploit}
-	h := exec.NewHarness(s)
-	h.Feedback(0, core.NewAssumed(punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(100)))))
-	// Guarded tuple dropped.
-	h.Tuple(0, traffic(1, 1, 50, 40))
-	if len(h.OutTuples(0)) != 0 {
+	var active int
+	tr := exec.Drive(s, exec.Feedback(0, core.NewAssumed(punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(100))))),
+		// Guarded tuple dropped.
+		exec.Tuples(0, traffic(1, 1, 50, 40)),
+		// Punctuation covering the guard expires it and passes through.
+		exec.Punct(0, tsPunct(100)),
+		exec.Call(func(*exec.Trace) { active = s.guards.Active() }))
+	if len(tr.Out[0].Tuples()) != 0 {
 		t.Fatal("tuple under feedback must be dropped")
 	}
-	// Punctuation covering the guard expires it and passes through.
-	h.Punct(0, tsPunct(100))
-	if len(h.OutPuncts(0)) != 1 {
+	if len(puncts(tr.Out[0])) != 1 {
 		t.Fatal("punctuation must pass through select")
 	}
-	if s.guards.Active() != 0 {
+	if active != 0 {
 		t.Error("guard must expire once covered (§4.4)")
 	}
 }
@@ -116,10 +110,7 @@ func TestSelectDefinition1(t *testing.T) {
 	}
 	run := func(mode FeedbackMode) []stream.Tuple {
 		s := &Select{Schema: trafficSchema, Mode: mode}
-		h := exec.NewHarness(s)
-		h.Feedback(0, assumedOnSegment(2))
-		h.Tuples(input...)
-		return h.OutTuples(0)
+		return exec.Drive(s, exec.Feedback(0, assumedOnSegment(2)), exec.Tuples(0, input...)).Out[0].Tuples()
 	}
 	ref := run(FeedbackIgnore)
 	actual := run(FeedbackExploit)
@@ -134,9 +125,7 @@ func TestSelectDefinition1(t *testing.T) {
 
 func TestProjectBasics(t *testing.T) {
 	p := &Project{In: trafficSchema, Keep: []string{"segment", "speed"}}
-	h := exec.NewHarness(p)
-	h.Tuple(0, traffic(3, 1, 10, 52))
-	got := h.OutTuples(0)
+	got := exec.Drive(p, exec.Tuples(0, traffic(3, 1, 10, 52))).Out[0].Tuples()
 	if len(got) != 1 || got[0].Arity() != 2 ||
 		got[0].At(0).AsInt() != 3 || got[0].At(1).AsFloat() != 52 {
 		t.Fatalf("projection: %v", got)
@@ -145,15 +134,17 @@ func TestProjectBasics(t *testing.T) {
 
 func TestProjectPunctRelayRules(t *testing.T) {
 	p := &Project{In: trafficSchema, Keep: []string{"segment", "speed"}}
-	h := exec.NewHarness(p)
-	// Punctuation on a dropped attribute (ts) must be consumed.
-	h.Punct(0, tsPunct(100))
-	if len(h.OutPuncts(0)) != 0 {
+	var dropped []punct.Embedded
+	tr := exec.Drive(p,
+		// Punctuation on a dropped attribute (ts) must be consumed.
+		exec.Punct(0, tsPunct(100)),
+		exec.Call(func(tr *exec.Trace) { dropped = puncts(tr.Out[0]) }),
+		// Punctuation on a kept attribute is projected.
+		exec.Punct(0, punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(7))))))
+	if len(dropped) != 0 {
 		t.Fatal("punctuation on dropped attribute must not be relayed")
 	}
-	// Punctuation on a kept attribute is projected.
-	h.Punct(0, punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(7)))))
-	ps := h.OutPuncts(0)
+	ps := puncts(tr.Out[0])
 	if len(ps) != 1 {
 		t.Fatal("punctuation on kept attribute must be relayed")
 	}
@@ -164,43 +155,46 @@ func TestProjectPunctRelayRules(t *testing.T) {
 
 func TestProjectFeedbackPropagation(t *testing.T) {
 	p := &Project{In: trafficSchema, Keep: []string{"segment", "speed"}, Mode: FeedbackExploit, Propagate: true}
-	h := exec.NewHarness(p)
 	f := core.NewAssumed(punct.OnAttr(2, 0, punct.Eq(stream.Int(3))))
-	h.Feedback(0, f)
-	sent := h.SentFeedback(0)
+	tr := exec.Drive(p, exec.Feedback(0, f),
+		// Guarded after feedback.
+		exec.Tuples(0, traffic(3, 1, 10, 52)))
+	sent := tr.Sent[0]
 	if len(sent) != 1 {
 		t.Fatal("project must propagate")
 	}
 	if got := sent[0].Pattern; got.Arity() != 4 || got.Pred(0).Op != punct.EQ || !got.Pred(2).IsWild() {
 		t.Errorf("mapped pattern: %v", got)
 	}
-	// Guarded after feedback.
-	h.Tuple(0, traffic(3, 1, 10, 52))
-	if len(h.OutTuples(0)) != 0 {
+	if len(tr.Out[0].Tuples()) != 0 {
 		t.Error("guarded projection must suppress")
 	}
 }
 
 func TestDuplicateRequiresUnanimity(t *testing.T) {
 	d := &Duplicate{Schema: trafficSchema, N: 2, Mode: FeedbackExploit, Propagate: true}
-	h := exec.NewHarness(d)
 	f := assumedOnSegment(3)
-	// Only output 0 asserts: must NOT suppress (outputs stay identical).
-	h.Feedback(0, f)
-	h.Tuple(0, traffic(3, 1, 10, 50))
-	if len(h.OutTuples(0)) != 1 || len(h.OutTuples(1)) != 1 {
+	var first [3]int
+	tr := exec.Drive(d,
+		// Only output 0 asserts: must NOT suppress (outputs stay identical).
+		exec.Feedback(0, f),
+		exec.Tuples(0, traffic(3, 1, 10, 50)),
+		exec.Call(func(tr *exec.Trace) {
+			first = [3]int{len(tr.Out[0].Tuples()), len(tr.Out[1].Tuples()), len(tr.Sent[0])}
+		}),
+		// Output 1 asserts the same subset: now exploit and propagate.
+		exec.Feedback(1, f),
+		exec.Tuples(0, traffic(3, 2, 20, 55)))
+	if first[0] != 1 || first[1] != 1 {
 		t.Fatal("single-consumer feedback must not suppress a DUPLICATE")
 	}
-	if len(h.SentFeedback(0)) != 0 {
+	if first[2] != 0 {
 		t.Fatal("must not propagate before unanimity")
 	}
-	// Output 1 asserts the same subset: now exploit and propagate.
-	h.Feedback(1, f)
-	h.Tuple(0, traffic(3, 2, 20, 55))
-	if len(h.OutTuples(0)) != 1 || len(h.OutTuples(1)) != 1 {
+	if len(tr.Out[0].Tuples()) != 1 || len(tr.Out[1].Tuples()) != 1 {
 		t.Fatal("unanimous feedback must suppress on both outputs")
 	}
-	if len(h.SentFeedback(0)) != 1 {
+	if len(tr.Sent[0]) != 1 {
 		t.Fatal("unanimous feedback must propagate upstream")
 	}
 	_, _, suppressed := d.Stats()
@@ -211,12 +205,10 @@ func TestDuplicateRequiresUnanimity(t *testing.T) {
 
 func TestDuplicateFanoutAndPunct(t *testing.T) {
 	d := &Duplicate{Schema: trafficSchema, N: 3}
-	h := exec.NewHarness(d)
-	h.Tuple(0, traffic(1, 1, 10, 50))
-	h.Punct(0, tsPunct(10))
-	for port := 0; port < 3; port++ {
-		if len(h.OutTuples(port)) != 1 || len(h.OutPuncts(port)) != 1 {
-			t.Errorf("port %d: %d tuples %d puncts", port, len(h.OutTuples(port)), len(h.OutPuncts(port)))
+	tr := exec.Drive(d, exec.Tuples(0, traffic(1, 1, 10, 50)), exec.Punct(0, tsPunct(10)))
+	for port, out := range tr.Out {
+		if len(out.Tuples()) != 1 || len(puncts(out)) != 1 {
+			t.Errorf("port %d: %d tuples %d puncts", port, len(out.Tuples()), len(puncts(out)))
 		}
 	}
 }

@@ -12,65 +12,37 @@ import (
 	"repro/internal/stream"
 )
 
-// saveLoad round-trips an operator's state through the snapshot codec into
-// a freshly opened twin. It mimics the runtime sequence exactly: a full
-// capture of the live operator, Open on the twin, then LoadState.
-func saveLoad(t *testing.T, from, to snapshot.Stater, openTo func() error) {
-	t.Helper()
-	enc := snapshot.NewEncoder()
-	if err := snapshot.EncodeCapture(from, enc); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	blob, err := enc.Bytes()
-	if err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	if err := openTo(); err != nil {
-		t.Fatalf("open twin: %v", err)
-	}
-	dec := snapshot.NewDecoder(blob)
-	if err := to.LoadState(dec); err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if err := dec.Err(); err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if dec.Remaining() != 0 {
-		t.Fatalf("load left %d bytes unread", dec.Remaining())
-	}
+// captureAt is a step that captures st's state into blob, the operator idle
+// between two items — where a checkpoint's cut finds it.
+func captureAt(t testing.TB, st snapshot.Stater, blob *[]byte) exec.Script {
+	return exec.Call(func(*exec.Trace) { *blob = captureBlob(inRun{t}, st) })
 }
 
 // TestAggregateStateRoundTrip interrupts an aggregate mid-window and checks
 // the restored twin finishes the stream with byte-identical output.
 func TestAggregateStateRoundTrip(t *testing.T) {
-	feedFirst := func(h *exec.Harness) {
-		h.Tuples(
-			traffic(1, 1, 10*1_000_000, 40),
-			traffic(2, 1, 20*1_000_000, 30),
-			traffic(1, 2, 30*1_000_000, 60),
-		)
-	}
-	feedRest := func(h *exec.Harness) {
-		h.Tuples(traffic(2, 2, 40*1_000_000, 50))
-		h.Punct(0, tsPunct(2*minute))
-	}
+	feedFirst := exec.Tuples(0,
+		traffic(1, 1, 10*1_000_000, 40),
+		traffic(2, 1, 20*1_000_000, 30),
+		traffic(1, 2, 30*1_000_000, 60),
+	)
+	feedRest := append(exec.Tuples(0, traffic(2, 2, 40*1_000_000, 50)), exec.Punct(0, tsPunct(2*minute))...)
 
 	// Uninterrupted reference.
 	ref := minuteAvg(FeedbackExploit, false)
-	hr := exec.NewHarness(ref)
-	feedFirst(hr)
-	feedRest(hr)
+	hr := exec.Drive(ref, feedFirst, feedRest)
 
 	// Interrupted: save after the first batch, restore into a twin, finish.
 	a1 := minuteAvg(FeedbackExploit, false)
-	h1 := exec.NewHarness(a1)
-	feedFirst(h1)
+	var blob []byte
+	exec.Drive(a1, feedFirst, captureAt(t, a1, &blob))
 	a2 := minuteAvg(FeedbackExploit, false)
-	h2 := exec.NewHarness(a2) // calls Open
-	saveLoad(t, a1, a2, func() error { return h2.Err() })
-	feedRest(h2)
+	h2 := exec.Drive(a2, exec.Restore(blob), feedRest)
+	if h2.Err != nil {
+		t.Fatal(h2.Err)
+	}
 
-	want, got := hr.OutTuples(0), h2.OutTuples(0)
+	want, got := hr.Out[0].Tuples(), h2.Out[0].Tuples()
 	if len(got) != len(want) || len(want) == 0 {
 		t.Fatalf("restored run emitted %d results, reference %d", len(got), len(want))
 	}
@@ -111,15 +83,12 @@ func TestAggregateRefusesStaleLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := minuteAvg(FeedbackExploit, false)
-		if h := exec.NewHarness(a); h.Err() != nil {
-			t.Fatal(h.Err())
-		}
-		err = a.LoadState(snapshot.NewDecoder(stale))
+		err = exec.Drive(a, exec.Restore(stale)).Err
 		if err == nil || !strings.Contains(err.Error(), `"average"`) || !strings.Contains(err.Error(), "layout") {
-			t.Fatalf("LoadState of a stale blob with %d entries: %v, want an error naming the operator and the layout", entries, err)
+			t.Fatalf("restore of a stale blob with %d entries: %v, want an error naming the operator and the layout", entries, err)
 		}
 		if got := a.Stats(); got.OpenGroups != 0 || got.In != 0 {
-			t.Fatalf("LoadState of a stale blob left state behind: %+v", got)
+			t.Fatalf("restore of a stale blob left state behind: %+v", got)
 		}
 	}
 }
@@ -131,28 +100,35 @@ func TestAggregateRefusesStaleLayout(t *testing.T) {
 // recovery.
 func TestAggregateRestoreDropsAssumedState(t *testing.T) {
 	a1 := minuteAvg(FeedbackGuardOutput, false)
-	h1 := exec.NewHarness(a1)
-	h1.Tuples(
-		traffic(1, 1, 10*1_000_000, 40),
-		traffic(2, 1, 20*1_000_000, 30),
-	)
-	// ¬[segment=2, *, *] over the output schema.
-	h1.Feedback(0, core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(2)))))
-	if h1.Err() != nil {
-		t.Fatal(h1.Err())
+	var blob []byte
+	var open1, open2 int
+	h1 := exec.Drive(a1,
+		exec.Tuples(0,
+			traffic(1, 1, 10*1_000_000, 40),
+			traffic(2, 1, 20*1_000_000, 30),
+		),
+		// ¬[segment=2, *, *] over the output schema.
+		exec.Feedback(0, core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(2))))),
+		exec.Call(func(*exec.Trace) { open1 = a1.Stats().OpenGroups }),
+		captureAt(t, a1, &blob))
+	if h1.Err != nil {
+		t.Fatal(h1.Err)
 	}
-	if got := a1.Stats().OpenGroups; got != 2 {
+	if got := open1; got != 2 {
 		t.Fatalf("guard-output mode must retain state; open groups = %d", got)
 	}
 
 	a2 := minuteAvg(FeedbackGuardOutput, false)
-	h2 := exec.NewHarness(a2)
-	saveLoad(t, a1, a2, func() error { return h2.Err() })
-	if got := a2.Stats().OpenGroups; got != 1 {
+	h2 := exec.Drive(a2, exec.Restore(blob),
+		exec.Call(func(*exec.Trace) { open2 = a2.Stats().OpenGroups }),
+		exec.Punct(0, tsPunct(2*minute)))
+	if h2.Err != nil {
+		t.Fatal(h2.Err)
+	}
+	if got := open2; got != 1 {
 		t.Fatalf("restore must drop the disclaimed group; open groups = %d", got)
 	}
-	h2.Punct(0, tsPunct(2*minute))
-	for _, tp := range h2.OutTuples(0) {
+	for _, tp := range h2.Out[0].Tuples() {
 		if tp.At(0).AsInt() == 2 {
 			t.Fatalf("disclaimed segment emitted after restore: %v", tp)
 		}
@@ -170,35 +146,36 @@ func testJoin(mode FeedbackMode) *Join {
 // TestJoinStateRoundTrip interrupts a symmetric hash join with both tables
 // populated and checks the twin joins the remaining stream identically.
 func TestJoinStateRoundTrip(t *testing.T) {
-	feedFirst := func(h *exec.Harness) {
-		h.Tuple(0, traffic(1, 1, 10, 40))
-		h.Tuple(0, traffic(2, 1, 20, 30))
-		h.Tuple(1, traffic(1, 9, 15, 70))
+	feedFirst := []exec.Script{
+		exec.Tuples(0, traffic(1, 1, 10, 40)),
+		exec.Tuples(0, traffic(2, 1, 20, 30)),
+		exec.Tuples(1, traffic(1, 9, 15, 70)),
 	}
-	feedRest := func(h *exec.Harness) {
-		h.Tuple(1, traffic(2, 8, 25, 75)) // partners the buffered left 2
-		h.Tuple(0, traffic(1, 3, 30, 45)) // partners the buffered right 1
-		h.Punct(0, tsPunct(100))
-		h.Punct(1, tsPunct(100))
+	feedRest := []exec.Script{
+		exec.Tuples(1, traffic(2, 8, 25, 75)), // partners the buffered left 2
+		exec.Tuples(0, traffic(1, 3, 30, 45)), // partners the buffered right 1
+		exec.Punct(0, tsPunct(100)),
+		exec.Punct(1, tsPunct(100)),
 	}
 
 	ref := testJoin(FeedbackExploit)
-	hr := exec.NewHarness(ref)
-	feedFirst(hr)
-	feedRest(hr)
+	hr := exec.Drive(ref, append(feedFirst, feedRest...)...)
 
 	j1 := testJoin(FeedbackExploit)
-	h1 := exec.NewHarness(j1)
-	feedFirst(h1)
+	var blob []byte
+	h1 := exec.Drive(j1, append(feedFirst, captureAt(t, j1, &blob))...)
 	j2 := testJoin(FeedbackExploit)
-	h2 := exec.NewHarness(j2)
-	saveLoad(t, j1, j2, func() error { return h2.Err() })
-	feedRest(h2)
+	var s JoinStats
+	h2 := exec.Drive(j2, append(append([]exec.Script{exec.Restore(blob)}, feedRest...),
+		exec.Call(func(*exec.Trace) { s = j2.Stats() }))...)
+	if h2.Err != nil {
+		t.Fatal(h2.Err)
+	}
 
 	// The interrupted run's output is what it emitted before the cut plus
 	// what the twin emits after it.
-	want := hr.OutTuples(0)
-	got := append(h1.OutTuples(0), h2.OutTuples(0)...)
+	want := hr.Out[0].Tuples()
+	got := append(h1.Out[0].Tuples(), h2.Out[0].Tuples()...)
 	if len(got) != len(want) || len(want) == 0 {
 		t.Fatalf("interrupted run emitted %d, reference %d", len(got), len(want))
 	}
@@ -207,7 +184,7 @@ func TestJoinStateRoundTrip(t *testing.T) {
 			t.Fatalf("pair %d: restored %v, reference %v", i, got[i], want[i])
 		}
 	}
-	if s := j2.Stats(); s.LeftEntries != 0 || s.RightEntries != 0 {
+	if s.LeftEntries != 0 || s.RightEntries != 0 {
 		t.Fatalf("punctuation must purge restored tables: %+v", s)
 	}
 }
@@ -216,27 +193,32 @@ func TestJoinStateRoundTrip(t *testing.T) {
 // restored input guard are dropped at load.
 func TestJoinRestoreDropsGuardedEntries(t *testing.T) {
 	j1 := testJoin(FeedbackExploit)
-	h1 := exec.NewHarness(j1)
-	h1.Tuple(0, traffic(1, 1, 10, 40))
-	h1.Tuple(0, traffic(2, 1, 20, 30))
 	// Left-bound assumed feedback on the output: detector (a left
 	// attribute) equals 1 → guards and purges the left side.
 	outArity := j1.OutSchemas()[0].Arity()
-	h1.Feedback(0, core.NewAssumed(punct.OnAttr(outArity, 1, punct.Eq(stream.Int(1)))))
-	if h1.Err() != nil {
-		t.Fatal(h1.Err())
+	var blob []byte
+	h1 := exec.Drive(j1,
+		exec.Tuples(0, traffic(1, 1, 10, 40), traffic(2, 1, 20, 30)),
+		exec.Feedback(0, core.NewAssumed(punct.OnAttr(outArity, 1, punct.Eq(stream.Int(1))))),
+		captureAt(t, j1, &blob))
+	if h1.Err != nil {
+		t.Fatal(h1.Err)
 	}
 
 	j2 := testJoin(FeedbackExploit)
-	h2 := exec.NewHarness(j2)
-	saveLoad(t, j1, j2, func() error { return h2.Err() })
-	if s := j2.Stats(); s.LeftEntries != 0 {
+	var s JoinStats
+	h2 := exec.Drive(j2, exec.Restore(blob),
+		exec.Call(func(*exec.Trace) { s = j2.Stats() }),
+		// New matching tuples stay suppressed by the restored guard.
+		exec.Tuples(0, traffic(3, 1, 30, 50)),
+		exec.Tuples(1, traffic(3, 7, 31, 55)))
+	if h2.Err != nil {
+		t.Fatal(h2.Err)
+	}
+	if s.LeftEntries != 0 {
 		t.Fatalf("restored left table keeps %d guarded entries", s.LeftEntries)
 	}
-	// New matching tuples stay suppressed by the restored guard.
-	h2.Tuple(0, traffic(3, 1, 30, 50))
-	h2.Tuple(1, traffic(3, 7, 31, 55))
-	if got := h2.OutTuples(0); len(got) != 0 {
+	if got := h2.Out[0].Tuples(); len(got) != 0 {
 		t.Fatalf("restored guard must keep suppressing: %v", got)
 	}
 }
@@ -291,15 +273,12 @@ func TestJoinRefusesStaleLayout(t *testing.T) {
 	stale = append(stale, layout1)
 	for i, blob := range stale {
 		j := testJoin(FeedbackExploit)
-		if h := exec.NewHarness(j); h.Err() != nil {
-			t.Fatal(h.Err())
-		}
-		err := j.LoadState(snapshot.NewDecoder(blob))
+		err := exec.Drive(j, exec.Restore(blob)).Err
 		if err == nil || !strings.Contains(err.Error(), `"j"`) || !strings.Contains(err.Error(), "layout") {
-			t.Fatalf("LoadState of stale blob %d: %v, want an error naming the operator and the layout", i, err)
+			t.Fatalf("restore of stale blob %d: %v, want an error naming the operator and the layout", i, err)
 		}
 		if got := j.Stats(); got != (JoinStats{}) {
-			t.Fatalf("LoadState of stale blob %d left state behind: %+v", i, got)
+			t.Fatalf("restore of stale blob %d left state behind: %+v", i, got)
 		}
 	}
 }
@@ -350,14 +329,11 @@ func TestStoredTuplesMustHaveTheirStreamsArity(t *testing.T) {
 			{"join", testJoin(FeedbackExploit), join},
 			{"prioritize", &Prioritize{Schema: trafficSchema, Mode: FeedbackExploit}, prio},
 		} {
-			if h := exec.NewHarness(tc.st.(exec.Operator)); h.Err() != nil {
-				t.Fatal(h.Err())
-			}
 			blob, err := tc.enc.Bytes()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tc.st.LoadState(snapshot.NewDecoder(blob)); err == nil || !strings.Contains(err.Error(), "arity") {
+			if err := exec.Drive(tc.st.(exec.Operator), exec.Restore(blob)).Err; err == nil || !strings.Contains(err.Error(), "arity") {
 				t.Fatalf("%s: a stored tuple of %d values loads with %v, want an arity error", tc.name, len(vals), err)
 			}
 		}
@@ -373,40 +349,51 @@ func TestPaceStateRoundTrip(t *testing.T) {
 			Tolerance: 1000, FeedbackEnabled: true}
 	}
 	p1 := mk()
-	h1 := exec.NewHarness(p1)
-	h1.Tuple(0, traffic(1, 1, 10_000, 50))
-	h1.Tuple(1, traffic(1, 2, 500, 50)) // late: dropped, feedback produced
-	h1.Punct(0, tsPunct(9_000))
-	h1.Punct(1, tsPunct(400)) // aligned: ≤400
 	seg5 := punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(5))))
-	h1.Punct(0, seg5) // pending on input 1
-	if h1.Err() != nil {
-		t.Fatal(h1.Err())
+	var blob []byte
+	var setup []punct.Embedded
+	h1 := exec.Drive(p1,
+		exec.Tuples(0, traffic(1, 1, 10_000, 50)),
+		exec.Tuples(1, traffic(1, 2, 500, 50)), // late: dropped, feedback produced
+		exec.Punct(0, tsPunct(9_000)),
+		exec.Punct(1, tsPunct(400)), // aligned: ≤400
+		exec.Punct(0, seg5),         // pending on input 1
+		exec.Call(func(tr *exec.Trace) { setup = puncts(tr.Out[0]) }),
+		captureAt(t, p1, &blob))
+	if h1.Err != nil {
+		t.Fatal(h1.Err)
 	}
-	if p1.FeedbackSent() == 0 || len(h1.OutPuncts(0)) != 1 {
-		t.Fatalf("setup: %d feedback, punctuation %v", p1.FeedbackSent(), h1.OutPuncts(0))
+	if p1.FeedbackSent() == 0 || len(setup) != 1 {
+		t.Fatalf("setup: %d feedback, punctuation %v", p1.FeedbackSent(), setup)
 	}
 
 	p2 := mk()
-	h2 := exec.NewHarness(p2)
-	saveLoad(t, p1, p2, func() error { return h2.Err() })
-	if !p2.hwSet || p2.hw != 10_000 {
-		t.Fatalf("high watermark lost: %d %v", p2.hw, p2.hwSet)
+	var hwSet bool
+	var hw int64
+	var late []stream.Tuple
+	var st []PaceInputStats
+	var got []punct.Embedded
+	h2 := exec.Drive(p2, exec.Restore(blob),
+		exec.Call(func(*exec.Trace) { hwSet, hw = p2.hwSet, p2.hw }),
+		// A tuple older than hw−tolerance must still be dropped.
+		exec.Tuples(0, traffic(1, 3, 600, 50)),
+		exec.Call(func(tr *exec.Trace) { late, st = tr.Out[0].Tuples(), p2.InputStats() }),
+		// The frontier already promised is not repeated; input 1 catching up
+		// releases input 0's frontier and the pending pattern, exactly once each.
+		exec.Punct(1, tsPunct(400), seg5, tsPunct(9_500)),
+		exec.Call(func(tr *exec.Trace) { got = puncts(tr.Out[0]) }))
+	if h2.Err != nil {
+		t.Fatal(h2.Err)
 	}
-	// A tuple older than hw−tolerance must still be dropped.
-	h2.Tuple(0, traffic(1, 3, 600, 50))
-	if got := h2.OutTuples(0); len(got) != 0 {
-		t.Fatalf("restored pace re-admitted a late tuple: %v", got)
+	if !hwSet || hw != 10_000 {
+		t.Fatalf("high watermark lost: %d %v", hw, hwSet)
 	}
-	if st := p2.InputStats(); st[0].Dropped != 1 || st[1].Dropped != 1 {
+	if len(late) != 0 {
+		t.Fatalf("restored pace re-admitted a late tuple: %v", late)
+	}
+	if st[0].Dropped != 1 || st[1].Dropped != 1 {
 		t.Fatalf("drop accounting: %+v", st)
 	}
-	// The frontier already promised is not repeated; input 1 catching up
-	// releases input 0's frontier and the pending pattern, exactly once each.
-	h2.Punct(1, tsPunct(400))
-	h2.Punct(1, seg5)
-	h2.Punct(1, tsPunct(9_500))
-	got := h2.OutPuncts(0)
 	if len(got) != 2 || !got[0].Pattern.Equal(seg5.Pattern) || !got[1].Pattern.Equal(tsPunct(9_000).Pattern) {
 		t.Fatalf("restored pace emitted %v, want segment 5 then ≤9000", got)
 	}
@@ -438,15 +425,12 @@ func TestPaceRefusesStaleLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &Pace{OpName: "pace", Schema: trafficSchema, K: 2, TsAttr: 2, Tolerance: 1000}
-	if h := exec.NewHarness(p); h.Err() != nil {
-		t.Fatal(h.Err())
-	}
-	err = p.LoadState(snapshot.NewDecoder(stale))
+	err = exec.Drive(p, exec.Restore(stale)).Err
 	if err == nil || !strings.Contains(err.Error(), `"pace"`) || !strings.Contains(err.Error(), "layout") {
-		t.Fatalf("LoadState of a stale blob: %v, want an error naming the operator and the layout", err)
+		t.Fatalf("restore of a stale blob: %v, want an error naming the operator and the layout", err)
 	}
 	if p.hwSet {
-		t.Fatal("LoadState of a stale blob left state behind")
+		t.Fatal("restore of a stale blob left state behind")
 	}
 }
 
@@ -455,18 +439,20 @@ func TestPaceRefusesStaleLayout(t *testing.T) {
 func TestImputeStateRoundTrip(t *testing.T) {
 	mk := func() *Impute { return newTestImpute(FeedbackExploit) }
 	im1 := mk()
-	h1 := exec.NewHarness(im1)
-	h1.Feedback(0, core.NewAssumed(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(1000)))))
-	if h1.Err() != nil {
-		t.Fatal(h1.Err())
+	var blob []byte
+	if h1 := exec.Drive(im1, exec.Feedback(0, core.NewAssumed(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(1000))))),
+		captureAt(t, im1, &blob)); h1.Err != nil {
+		t.Fatal(h1.Err)
 	}
 
 	im2 := mk()
-	h2 := exec.NewHarness(im2)
-	saveLoad(t, im1, im2, func() error { return h2.Err() })
-	h2.Tuple(0, trafficNull(1, 1, 500)) // disclaimed: no lookup, no output
-	h2.Tuple(0, trafficNull(1, 1, 5000))
-	if got := h2.OutTuples(0); len(got) != 1 {
+	h2 := exec.Drive(im2, exec.Restore(blob), exec.Tuples(0,
+		trafficNull(1, 1, 500), // disclaimed: no lookup, no output
+		trafficNull(1, 1, 5000)))
+	if h2.Err != nil {
+		t.Fatal(h2.Err)
+	}
+	if got := h2.Out[0].Tuples(); len(got) != 1 {
 		t.Fatalf("restored impute guard: %d outputs, want 1", len(got))
 	}
 	if _, skipped, _ := im2.Stats(); skipped != 1 {
@@ -482,24 +468,30 @@ func TestMergeStateRoundTrip(t *testing.T) {
 		return &Merge{OpName: "m", Schema: trafficSchema, K: 3, Mode: FeedbackExploit}
 	}
 	m1 := mk()
-	h1 := exec.NewHarness(m1)
-	// Inputs 0 and 1 punctuate to 1000; input 2 lags at 200.
-	h1.Punct(0, tsPunct(1000))
-	h1.Punct(1, tsPunct(1000))
-	h1.Punct(2, tsPunct(200))
-	if h1.Err() != nil {
-		t.Fatal(h1.Err())
+	var blob []byte
+	var aligned, ps []punct.Embedded
+	h1 := exec.Drive(m1,
+		// Inputs 0 and 1 punctuate to 1000; input 2 lags at 200.
+		exec.Punct(0, tsPunct(1000)),
+		exec.Punct(1, tsPunct(1000)),
+		exec.Punct(2, tsPunct(200)),
+		exec.Call(func(tr *exec.Trace) { aligned = puncts(tr.Out[0]) }),
+		captureAt(t, m1, &blob))
+	if h1.Err != nil {
+		t.Fatal(h1.Err)
 	}
-	if got := len(h1.OutPuncts(0)); got != 1 {
+	if got := len(aligned); got != 1 {
 		t.Fatalf("aligned frontier emissions = %d, want 1 (ts≤200)", got)
 	}
 
 	m2 := mk()
-	h2 := exec.NewHarness(m2)
-	saveLoad(t, m1, m2, func() error { return h2.Err() })
-	// Input 2 catching up to 1000 must release exactly the min frontier.
-	h2.Punct(2, tsPunct(1000))
-	ps := h2.OutPuncts(0)
+	h2 := exec.Drive(m2, exec.Restore(blob),
+		// Input 2 catching up to 1000 must release exactly the min frontier.
+		exec.Punct(2, tsPunct(1000)),
+		exec.Call(func(tr *exec.Trace) { ps = puncts(tr.Out[0]) }))
+	if h2.Err != nil {
+		t.Fatal(h2.Err)
+	}
 	if len(ps) != 1 {
 		t.Fatalf("restored merge emitted %d punctuations, want 1", len(ps))
 	}
@@ -516,24 +508,32 @@ func TestSplitStateRoundTrip(t *testing.T) {
 		return &Split{OpName: "s", Schema: trafficSchema, N: 3, Mode: FeedbackExploit}
 	}
 	s1 := mk()
-	h1 := exec.NewHarness(s1)
-	h1.Tuple(0, traffic(1, 1, 10, 50)) // rr → out 0
-	h1.Tuple(0, traffic(1, 1, 11, 50)) // rr → out 1
-	h1.Feedback(2, assumedOnSegment(9))
-	if h1.Err() != nil {
-		t.Fatal(h1.Err())
+	var blob []byte
+	h1 := exec.Drive(s1,
+		exec.Tuples(0,
+			traffic(1, 1, 10, 50), // rr → out 0
+			traffic(1, 1, 11, 50), // rr → out 1
+		),
+		exec.Feedback(2, assumedOnSegment(9)),
+		captureAt(t, s1, &blob))
+	if h1.Err != nil {
+		t.Fatal(h1.Err)
 	}
 
 	s2 := mk()
-	h2 := exec.NewHarness(s2)
-	saveLoad(t, s1, s2, func() error { return h2.Err() })
-	// Round-robin continues at partition 2.
-	h2.Tuple(0, traffic(1, 1, 12, 50))
-	if got := len(h2.Out(2)); got != 1 {
+	var onTwo int
+	h2 := exec.Drive(s2, exec.Restore(blob),
+		// Round-robin continues at partition 2.
+		exec.Tuples(0, traffic(1, 1, 12, 50)),
+		exec.Call(func(tr *exec.Trace) { onTwo = len(tr.Out[2].Items()) }),
+		// Partition 2's restored guard suppresses its disclaimed subset.
+		exec.Tuples(0, traffic(9, 1, 13, 50))) // rr → partition 0: passes (guard is per-destination)
+	if h2.Err != nil {
+		t.Fatal(h2.Err)
+	}
+	if got := onTwo; got != 1 {
 		t.Fatalf("round-robin cursor lost: partition 2 got %d items", got)
 	}
-	// Partition 2's restored guard suppresses its disclaimed subset.
-	h2.Tuple(0, traffic(9, 1, 13, 50)) // rr → partition 0: passes (guard is per-destination)
 	_, _, suppressed := s2.Stats()
 	if suppressed != 0 {
 		t.Fatalf("tuple for unguarded partition suppressed")
@@ -544,22 +544,13 @@ func TestSplitStateRoundTrip(t *testing.T) {
 // different partition/input fan fails loudly.
 func TestStateRoundTripRejectsFanChange(t *testing.T) {
 	m1 := &Merge{OpName: "m", Schema: trafficSchema, K: 3}
-	h1 := exec.NewHarness(m1)
-	if h1.Err() != nil {
-		t.Fatal(h1.Err())
+	var blob []byte
+	if h1 := exec.Drive(m1, captureAt(t, m1, &blob)); h1.Err != nil {
+		t.Fatal(h1.Err)
 	}
-	enc := snapshot.NewEncoder()
-	if err := snapshot.EncodeCapture(m1, enc); err != nil {
-		t.Fatal(err)
-	}
-	blob, _ := enc.Bytes()
 
 	m2 := &Merge{OpName: "m", Schema: trafficSchema, K: 2}
-	h2 := exec.NewHarness(m2)
-	if h2.Err() != nil {
-		t.Fatal(h2.Err())
-	}
-	if err := m2.LoadState(snapshot.NewDecoder(blob)); err == nil {
+	if err := exec.Drive(m2, exec.Restore(blob)).Err; err == nil {
 		t.Fatal("fan change accepted")
 	}
 }
@@ -569,14 +560,18 @@ func TestStateRoundTripRejectsFanChange(t *testing.T) {
 // comparing full outputs; this test pins the purge-at-load counter.
 func TestAggregateRestorePurgeCounter(t *testing.T) {
 	a1 := minuteAvg(FeedbackGuardOutput, false)
-	h1 := exec.NewHarness(a1)
-	h1.Tuples(traffic(5, 1, 10*1_000_000, 40))
-	h1.Feedback(0, core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(5)))))
+	var blob []byte
+	var live, restored AggregateStats
+	exec.Drive(a1, exec.Tuples(0, traffic(5, 1, 10*1_000_000, 40)),
+		exec.Feedback(0, core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(5))))),
+		exec.Call(func(*exec.Trace) { live = a1.Stats() }),
+		captureAt(t, a1, &blob))
 	a2 := minuteAvg(FeedbackGuardOutput, false)
-	h2 := exec.NewHarness(a2)
-	saveLoad(t, a1, a2, func() error { return h2.Err() })
-	if a2.Stats().Purged != a1.Stats().Purged+1 {
-		t.Fatalf("restore purge not accounted: %d vs %d", a2.Stats().Purged, a1.Stats().Purged)
+	if h2 := exec.Drive(a2, exec.Restore(blob), exec.Call(func(*exec.Trace) { restored = a2.Stats() })); h2.Err != nil {
+		t.Fatal(h2.Err)
+	}
+	if restored.Purged != live.Purged+1 {
+		t.Fatalf("restore purge not accounted: %d vs %d", restored.Purged, live.Purged)
 	}
 }
 
@@ -586,28 +581,28 @@ func TestAggregateRestorePurgeCounter(t *testing.T) {
 // does not relay the same pattern upstream a second time.
 func TestDuplicateStateRoundTrip(t *testing.T) {
 	d1 := &Duplicate{Schema: trafficSchema, N: 2, Mode: FeedbackExploit, Propagate: true}
-	h1 := exec.NewHarness(d1)
 	f := assumedOnSegment(3)
-	h1.Feedback(0, f)
-	h1.Feedback(1, f)
-	h1.Tuple(0, traffic(3, 1, 10, 50)) // unanimous: suppressed, relayed upstream
-	if len(h1.SentFeedback(0)) != 1 {
+	var blob []byte
+	h1 := exec.Drive(d1, exec.Feedback(0, f), exec.Feedback(1, f),
+		exec.Tuples(0, traffic(3, 1, 10, 50)), // unanimous: suppressed, relayed upstream
+		captureAt(t, d1, &blob))
+	if len(h1.Sent[0]) != 1 {
 		t.Fatal("setup: unanimous feedback must propagate")
 	}
 
 	d2 := &Duplicate{Schema: trafficSchema, N: 2, Mode: FeedbackExploit, Propagate: true}
-	h2 := exec.NewHarness(d2)
-	saveLoad(t, d1, d2, func() error { return h2.Err() })
-
-	// The restored twin keeps suppressing the disclaimed subset...
-	h2.Tuple(0, traffic(3, 2, 20, 55))
-	if len(h2.OutTuples(0)) != 0 || len(h2.OutTuples(1)) != 0 {
+	h2 := exec.Drive(d2, exec.Restore(blob),
+		// The restored twin keeps suppressing the disclaimed subset...
+		exec.Tuples(0, traffic(3, 2, 20, 55)),
+		// ...and does not relay the already-propagated pattern again.
+		exec.Feedback(0, f), exec.Feedback(1, f))
+	if h2.Err != nil {
+		t.Fatal(h2.Err)
+	}
+	if len(h2.Out[0].Tuples()) != 0 || len(h2.Out[1].Tuples()) != 0 {
 		t.Fatal("restored DUPLICATE lost its consumers' assertions")
 	}
-	// ...and does not relay the already-propagated pattern again.
-	h2.Feedback(0, f)
-	h2.Feedback(1, f)
-	if len(h2.SentFeedback(0)) != 0 {
+	if len(h2.Sent[0]) != 0 {
 		t.Fatal("restored DUPLICATE re-relayed an already-propagated pattern")
 	}
 	in, _, suppressed := d2.Stats()
@@ -622,23 +617,30 @@ func TestDuplicateStateRoundTrip(t *testing.T) {
 // restored twin, and the installed guard keeps suppressing.
 func TestPrioritizeStateRoundTrip(t *testing.T) {
 	p1 := &Prioritize{Schema: trafficSchema, Mode: FeedbackExploit}
-	h1 := exec.NewHarness(p1)
-	h1.Tuple(0, traffic(1, 1, 10, 50)) // buffered
-	h1.Tuple(0, traffic(2, 1, 20, 55)) // buffered
-	h1.Feedback(0, assumedOnSegment(3))
-	if len(h1.OutTuples(0)) != 0 {
+	var blob []byte
+	var buffered []stream.Tuple
+	exec.Drive(p1,
+		exec.Tuples(0,
+			traffic(1, 1, 10, 50), // buffered
+			traffic(2, 1, 20, 55), // buffered
+		),
+		exec.Feedback(0, assumedOnSegment(3)),
+		outAt(&buffered),
+		captureAt(t, p1, &blob))
+	if len(buffered) != 0 {
 		t.Fatal("setup: tuples must still be buffered")
 	}
 
 	p2 := &Prioritize{Schema: trafficSchema, Mode: FeedbackExploit}
-	h2 := exec.NewHarness(p2)
-	saveLoad(t, p1, p2, func() error { return h2.Err() })
-
-	// The restored guard still suppresses the disclaimed subset.
-	h2.Tuple(0, traffic(3, 1, 30, 60))
-	// EOS drains the restored buffer: both pre-crash tuples must appear.
-	h2.EOS(0)
-	got := h2.OutTuples(0)
+	h2 := exec.Drive(p2, exec.Restore(blob),
+		// The restored guard still suppresses the disclaimed subset.
+		exec.Tuples(0, traffic(3, 1, 30, 60)),
+		// EOS drains the restored buffer: both pre-crash tuples must appear.
+		exec.EOS(0))
+	if h2.Err != nil {
+		t.Fatal(h2.Err)
+	}
+	got := h2.Out[0].Tuples()
 	if len(got) != 2 {
 		t.Fatalf("restored buffer emitted %d tuples, want 2", len(got))
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // The no-op exec.Context these tests measure against is discardCtx
-// (exchange_test.go): the harness's output recording would otherwise
-// dominate the allocation count.
+// (exchange_test.go): a recording sink would otherwise dominate the
+// allocation count.
 
 // TestInstrumentedTuplePathAllocs pins the §2 hot-path contract for the
 // telemetry counters: converting the operator tuple counters to atomics

@@ -280,11 +280,11 @@ func TestBarrierFrameWireRoundTrip(t *testing.T) {
 			gotBarriers = append(gotBarriers, epoch)
 			return nil
 		})
-		h := exec.NewSourceHarness(rsrc).RunSource(10_000)
-		if h.Err() != nil {
-			t.Fatalf("iteration %d: %v", iter, h.Err())
+		tr := exec.DriveSource(rsrc)
+		if tr.Err != nil {
+			t.Fatalf("iteration %d: %v", iter, tr.Err)
 		}
-		if got := len(h.OutTuples(0)); got != wantTuples {
+		if got := len(tr.Out[0].Tuples()); got != wantTuples {
 			t.Fatalf("iteration %d: %d tuples, want %d", iter, got, wantTuples)
 		}
 		if len(gotBarriers) != len(wantBarriers) {
@@ -313,7 +313,7 @@ func TestBarrierFrameCorrupt(t *testing.T) {
 	}()
 	rsrc := NewSource("in", schema, c2)
 	rsrc.SetBarrierHook(func(int64) error { return nil })
-	if h := exec.NewSourceHarness(rsrc).RunSource(10); h.Err() == nil {
+	if exec.DriveSource(rsrc).Err == nil {
 		t.Error("barrier frame with a trailing byte accepted")
 	}
 
@@ -327,8 +327,7 @@ func TestBarrierFrameCorrupt(t *testing.T) {
 			c1.Write(buf)
 			c1.Close()
 		}()
-		h := exec.NewSourceHarness(NewSource("in", schema, c2)).RunSource(100)
-		if h.Err() == nil {
+		if exec.DriveSource(NewSource("in", schema, c2)).Err == nil {
 			t.Fatalf("iteration %d: garbage stream replayed without error", i)
 		}
 	}
@@ -340,8 +339,8 @@ func TestBarrierFrameCorrupt(t *testing.T) {
 		rawTuples(rawWriter(c1), mkTuple(1, 1000, 50))
 		c1.Close()
 	}()
-	h := exec.NewSourceHarness(NewSource("in", schema, c2)).RunSource(100)
-	if h.Err() == nil || !strings.Contains(h.Err().Error(), "before end of stream") {
-		t.Errorf("bare close surfaced as %v, want producer-crash error", h.Err())
+	err := exec.DriveSource(NewSource("in", schema, c2)).Err
+	if err == nil || !strings.Contains(err.Error(), "before end of stream") {
+		t.Errorf("bare close surfaced as %v, want producer-crash error", err)
 	}
 }

@@ -200,9 +200,13 @@ func TestRunFramingPreservesSequence(t *testing.T) {
 }
 
 // feedSink drives a sink the way the node runner does: tuples one at a time
-// or as runs of consecutive page items, everything else per item.
+// or as runs of consecutive page items of a chosen length, everything else
+// per item, and the barriers a checkpoint would forward.
 func feedSink(sink *Sink, items []wireItem, batched bool, chunk int) error {
-	h := exec.NewHarness(sink)
+	h := feedbackCounter{n: new(atomic.Int64)}
+	if err := sink.Open(h); err != nil {
+		return err
+	}
 	var err error
 	for i := 0; i < len(items) && err == nil; i++ {
 		switch it := items[i]; {
@@ -221,7 +225,7 @@ func feedSink(sink *Sink, items []wireItem, batched bool, chunk int) error {
 			err = sink.ForwardBarrier(it.epoch, h)
 		}
 	}
-	if cerr := h.CloseOp().Err(); err == nil {
+	if cerr := sink.Close(h); err == nil {
 		err = cerr
 	}
 	return err
@@ -237,11 +241,11 @@ func TestDeadlinesArmedPerFrame(t *testing.T) {
 	sink := NewSink("out", schema, out)
 	sink.FlushEvery = flushEvery
 	sink.WriteTimeout = time.Minute
-	h := exec.NewHarness(sink)
-	for i := 0; i < tuples; i++ {
-		h.Tuple(0, mkTuple(int64(i), int64(i)*1000, 50))
+	run := make([]stream.Tuple, tuples)
+	for i := range run {
+		run[i] = mkTuple(int64(i), int64(i)*1000, 50)
 	}
-	if err := h.CloseOp().Err(); err != nil {
+	if err := exec.Drive(sink, exec.Tuples(0, run...)).Err; err != nil {
 		t.Fatal(err)
 	}
 	if out.writeDeadlines != frames || out.writes != frames {
@@ -251,11 +255,11 @@ func TestDeadlinesArmedPerFrame(t *testing.T) {
 	in := newMemConn(out.w)
 	src := NewSource("in", schema, in)
 	src.ReadTimeout = time.Minute
-	hs := exec.NewSourceHarness(src).RunSource(1 << 20)
-	if err := hs.Err(); err != nil {
+	hs := exec.DriveSource(src)
+	if err := hs.Err; err != nil {
 		t.Fatal(err)
 	}
-	if got := len(hs.OutTuples(0)); got != tuples {
+	if got := len(hs.Out[0].Tuples()); got != tuples {
 		t.Fatalf("%d tuples arrived, want %d", got, tuples)
 	}
 	if in.readDeadlines != frames {
@@ -436,9 +440,10 @@ func TestHostileFrames(t *testing.T) {
 		frameBytes(frameTuples, 1, uint64(len(one)), one),
 	} {
 		sink := NewSink("out", schema, newMemConn(bytes.NewReader(data)))
-		h := exec.NewHarness(sink)
-		sink.wg.Wait() // the feedback reader has hit the bad frame
-		if err := h.CloseOp().Err(); err == nil {
+		tr := exec.Drive(sink, exec.Call(func(*exec.Trace) {
+			sink.wg.Wait() // the feedback reader has hit the bad frame
+		}))
+		if err := tr.Err; err == nil {
 			t.Errorf("feedback path accepted %x", data)
 		}
 	}
