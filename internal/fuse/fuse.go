@@ -1,10 +1,10 @@
 // Package fuse is the plan compiler: one scan over exec.Graph (Rewrite) that
 // folds maximal chains of adjacent stateless operators (Select, Project, Map)
 // into the node they feed — a standalone Fused node, or a prefix kernel
-// inside a stateful consumer (Prefixed). A kernel runs its chain as a flat
-// loop — per-step guard probe, compiled predicate, attribute mapping — with
-// no intermediate Emit and no inter-node page handoff, which removes the
-// ~60ns/tuple/hop the interpreted path pays at page=64.
+// inside a stateful consumer (Prefixed). A kernel runs its chain a run at a
+// time, step by step — each step one pass over the run's survivors: guard
+// probe, compiled predicate, attribute mapping — with no intermediate Emit
+// and no page handoff between the constituents.
 //
 // Fusion is semantics-preserving by the paper's §4.3 characterization of
 // stateless operators, and the kernel preserves each composition rule
@@ -79,8 +79,8 @@ type step struct {
 	fns      []func(stream.Tuple) stream.Value
 	identity bool
 	inv      []int
-	// vals is the scratch an intermediate mapping step writes its output
-	// into (nil for the chain's last mapping step, which writes the run's
+	// vals is the scratch an intermediate mapping step gathers a run into
+	// (unused by the chain's last mapping step, which gathers into the run's
 	// slab). It is read by the next step and never leaves runSteps.
 	vals []stream.Value
 
@@ -92,11 +92,6 @@ type step struct {
 	// once per run per step, preserving the batched-counters contract
 	// (DESIGN.md §2.3).
 	c *op.Counters
-
-	// Per-run kernel state (runSteps): the hoisted guard check and the
-	// tuples this step dropped in the current run.
-	guarded bool
-	dropped int64
 }
 
 // Fused runs a chain of stateless operators as one exec node.
@@ -109,8 +104,8 @@ type Fused struct {
 	name  string
 	// lastMap is the index of the chain's last non-identity mapping step,
 	// the one that writes emitted tuples (-1: no step rebuilds tuples and
-	// survivors are the inputs themselves); outArity is its output arity.
-	lastMap, outArity int
+	// survivors are the inputs themselves).
+	lastMap int
 	// scratch backs the kernel loop's survivor list and one its run of one
 	// (ProcessTuple); reused across runs (operators are single-goroutine).
 	// Transient within one call — never checkpointed.
@@ -181,11 +176,7 @@ func New(ops []exec.Operator) (*Fused, error) {
 	f.lastMap = -1
 	for i := range f.steps {
 		if st := &f.steps[i]; st.kind != kSelect && !st.identity {
-			if f.lastMap >= 0 {
-				prev := &f.steps[f.lastMap]
-				prev.vals = make([]stream.Value, len(prev.toInput))
-			}
-			f.lastMap, f.outArity = i, len(st.toInput)
+			f.lastMap = i
 		}
 	}
 	f.in = ops[0].InSchemas()[0]
@@ -285,93 +276,132 @@ func (f *Fused) ProcessTupleBatch(_ int, items []queue.Item, ctx exec.Context) e
 	return nil
 }
 
-// runSteps is the kernel loop: every tuple of the run goes through the step
-// table — guard probe, predicate/cost, attribute mapping, exactly the unfused
-// operator's per-tuple work — moving from step to step by local variable, and
-// the survivors come back in order. The returned slice is backed by f.scratch
-// and valid until the next call: the caller hands it off (emit or
-// batch-apply) before then.
+// runSteps is the kernel loop. It is step-major: the run's tuples are copied
+// once into f.scratch, the survivor list, and each step makes one pass over
+// the survivors in chain order, compacting them in place like a selection
+// vector. A select step probes its guard table, burns its cost for what
+// survived the guards, then filters by its predicate; a mapping step rebuilds
+// the survivors column by column, then probes its guard table. The returned
+// slice is f.scratch and valid until the next call: the caller hands it off
+// (emit or batch-apply) before then.
 //
 // Each output tuple is written once. A mapping step that is not the chain's
-// last writes into its own scratch (st.vals), which the next step reads and
-// nothing else ever sees; the last mapping step writes into the run's slab,
-// drawn from ctx (exec.Slab: recycled memory the output pages will own) when
-// the first tuple reaches it. A survivor keeps its slot as slab[:n:n] (cap ==
-// len: an append on an emitted tuple cannot reach its neighbour); a tuple
-// dropped by a later select or guard leaves its slot to the next one. A chain
-// with no mapping step draws nothing: its survivors are the input tuples.
+// last gathers into its own scratch (st.vals, grown with the largest run
+// seen), which the next step reads and nothing else ever sees; the last
+// mapping step gathers into the run's slab, drawn from ctx (exec.Slab:
+// recycled memory the output pages will own) and sized for the tuples that
+// reach it. A survivor keeps its slot as slab[:n:n] (cap == len: an append on
+// an emitted tuple cannot reach its neighbour); a tuple a later select or
+// guard drops leaves its slot unused. A chain with no mapping step draws
+// nothing, and neither does a run that no tuple survives to the last one.
 //
-// Guard probes are hoisted per run (feedback only arrives between runs, so
-// a table cannot change mid-run) and the per-step counters move once per
-// run: a step's input is its predecessor's output, so counting the drops is
-// enough.
+// Feedback only arrives between runs, so a guard table cannot change during
+// one, and the per-step counters move once per run: a step's input is its
+// predecessor's output.
 //
 //pace:hotpath
 func (f *Fused) runSteps(items []queue.Item, ctx exec.Context) []stream.Tuple {
-	for si := range f.steps {
-		st := &f.steps[si]
-		st.guarded = st.guards.Active() > 0 // an ignoring step's table stays empty
-	}
-	out := f.scratch[:0]
-	var slab []stream.Value // unused rest of the run's slab
-tuples:
+	sel := f.scratch[:0]
 	for i := range items {
-		cur := items[i].Tuple
-		for si := range f.steps {
-			st := &f.steps[si]
-			if st.kind == kSelect {
-				if st.guarded && st.guards.Suppress(cur) {
-					st.c.Suppressed.Add(1)
-					st.dropped++
-					continue tuples
-				}
-				if st.cost > 0 {
-					st.c.Work.Do(st.cost)
-				}
-				if (st.expr != nil && !st.expr.Eval(cur)) || (st.cond != nil && !st.cond(cur)) {
-					st.dropped++
-					continue tuples
-				}
-				continue
-			}
-			if !st.identity {
-				vals := st.vals
-				if si == f.lastMap {
-					if len(slab) < f.outArity {
-						slab = exec.Slab(ctx, (len(items)-i)*f.outArity)
-					}
-					vals = slab[:f.outArity:f.outArity]
-				}
-				for o, src := range st.toInput {
-					if src >= 0 {
-						vals[o] = cur.Values[src]
-					} else {
-						vals[o] = st.fns[o](cur)
-					}
-				}
-				cur = stream.Tuple{Values: vals, Seq: cur.Seq}
-			}
-			if st.guarded && st.guards.Suppress(cur) {
-				st.c.Suppressed.Add(1)
-				st.dropped++
-				continue tuples
-			}
-		}
-		if f.lastMap >= 0 {
-			slab = slab[f.outArity:]
-		}
-		out = append(out, cur)
+		sel = append(sel, items[i].Tuple)
 	}
-	f.scratch = out
-	n := int64(len(items))
 	for si := range f.steps {
 		st := &f.steps[si]
-		st.c.In.Add(n)
-		n -= st.dropped
-		st.dropped = 0
-		st.c.Out.Add(n)
+		in := len(sel)
+		if st.kind == kSelect {
+			sel = st.suppress(sel)
+			if st.cost > 0 && len(sel) > 0 {
+				st.c.Work.Do(st.cost * len(sel))
+			}
+			if st.expr != nil {
+				sel = st.expr.Filter(sel)
+			}
+			if st.cond != nil {
+				sel = st.filter(sel)
+			}
+		} else {
+			if !st.identity && len(sel) > 0 {
+				st.gather(sel, f.valsFor(si, len(sel), ctx))
+			}
+			sel = st.suppress(sel)
+		}
+		st.c.In.Add(int64(in))
+		st.c.Out.Add(int64(len(sel)))
 	}
-	return out
+	f.scratch = sel
+	return sel
+}
+
+// valsFor returns the values mapping step si gathers n tuples into: the run's
+// slab for the chain's last mapping step, the step's own scratch otherwise.
+//
+//pace:hotpath
+func (f *Fused) valsFor(si, n int, ctx exec.Context) []stream.Value {
+	st := &f.steps[si]
+	need := n * len(st.toInput)
+	if si == f.lastMap {
+		return exec.Slab(ctx, need)
+	}
+	if cap(st.vals) < need {
+		st.vals = make([]stream.Value, max(need, 2*cap(st.vals))) //pace:allow-alloc amortised: grows with the largest run seen
+	}
+	return st.vals[:need]
+}
+
+// gather rebuilds the survivors through the step's attribute mapping, column
+// by column into vals, then points each survivor at its row.
+//
+//pace:hotpath
+func (st *step) gather(sel []stream.Tuple, vals []stream.Value) {
+	w := len(st.toInput)
+	for o, src := range st.toInput {
+		if src >= 0 {
+			for i := range sel {
+				vals[i*w+o] = sel[i].Values[src]
+			}
+			continue
+		}
+		fn := st.fns[o]
+		for i := range sel {
+			vals[i*w+o] = fn(sel[i])
+		}
+	}
+	for i := range sel {
+		sel[i] = stream.Tuple{Values: vals[i*w : (i+1)*w : (i+1)*w], Seq: sel[i].Seq}
+	}
+}
+
+// suppress drops the survivors the step's guard table suppresses and counts
+// them. An ignoring step's table stays empty.
+//
+//pace:hotpath
+func (st *step) suppress(sel []stream.Tuple) []stream.Tuple {
+	if st.guards.Active() == 0 {
+		return sel
+	}
+	k := 0
+	for _, t := range sel {
+		if !st.guards.Suppress(t) {
+			sel[k] = t
+			k++
+		}
+	}
+	st.c.Suppressed.Add(int64(len(sel) - k))
+	return sel[:k]
+}
+
+// filter keeps the survivors the select's Cond keeps.
+//
+//pace:hotpath
+func (st *step) filter(sel []stream.Tuple) []stream.Tuple {
+	k := 0
+	for _, t := range sel {
+		if st.cond(t) {
+			sel[k] = t
+			k++
+		}
+	}
+	return sel[:k]
 }
 
 // ProcessPunct implements exec.Operator: the chain relays punctuation iff

@@ -124,7 +124,7 @@ func randChain(rng *rand.Rand) []stepSpec {
 				case 1:
 					outs = append(outs, op.Carry(in.Field(c).Name))
 				default:
-					outs = append(outs, op.CarryAs("r_"+in.Field(c).Name, in.Field(c).Name))
+					outs = append(outs, op.MapAttr{Name: "r_" + in.Field(c).Name, From: in.Field(c).Name})
 				}
 			}
 			if rng.Intn(2) == 0 {

@@ -84,6 +84,10 @@ type Aggregate struct {
 	batchScratch []stream.Tuple
 	one          [1]stream.Tuple
 	run          []stream.Tuple
+	// assigned caches the fold's last window assignment: the ids the
+	// windowing values in [from, to] fall in (window.Spec.Assign). Derived
+	// from Window alone, so it is reset in Open and never checkpointed.
+	assigned struct{ lo, hi, from, to int64 }
 
 	inTuples, outTuples, folded, inSuppressed, outSuppressed, purged int64
 	partialsEmitted                                                  int64
@@ -153,6 +157,7 @@ func (a *Aggregate) Open(exec.Context) error {
 		a.mustInit()
 	}
 	a.store.reset(len(a.GroupBy))
+	a.assigned.from, a.assigned.to = 1, 0 // empty: the first fold assigns
 	a.Bind(a, a.Mode, a.Propagate, 1, a.out.Arity())
 	a.guardsOut = a.OutTables()[0]
 	// Input guards are patterns over result prefixes (group…, wstart), so the
@@ -203,9 +208,11 @@ func (a *Aggregate) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) er
 // one fold loop: a run of tuples — typically the survivors of a fused prefix
 // kernel — folds into state. The per-run invariant is exploited: feedback
 // only arrives between runs, so the prefix guard table cannot change mid-run
-// and its Active check is hoisted. The group values are hashed once per
-// tuple and no key is encoded; the store finds or inserts the accumulator
-// (DESIGN.md §10.5).
+// and its Active check is hoisted. A tuple's windows are the cached
+// assignment while its windowing value stays inside the cached interval, so
+// the loop divides only when a value leaves it. The group values are hashed
+// once per tuple and no key is encoded; the store finds or inserts the
+// accumulator (DESIGN.md §10.5, §10.6).
 //
 //pace:hotpath
 func (a *Aggregate) ApplyTupleBatch(input int, ts []stream.Tuple, _ exec.Context) error {
@@ -216,7 +223,11 @@ func (a *Aggregate) ApplyTupleBatch(input int, ts []stream.Tuple, _ exec.Context
 	exploit := a.Mode == FeedbackExploit && a.guardsPrefix.Active() > 0
 	for i := range ts {
 		t := ts[i]
-		lo, hi := a.Window.WindowsOf(t.At(a.TsAttr).I)
+		w := &a.assigned
+		if v := t.Values[a.TsAttr].I; v < w.from || v > w.to {
+			w.lo, w.hi, w.from, w.to = a.Window.Assign(v)
+		}
+		lo, hi := w.lo, w.hi
 		key := a.groupScratch[:0]
 		for _, g := range a.GroupBy {
 			key = append(key, t.At(g))

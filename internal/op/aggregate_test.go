@@ -117,6 +117,33 @@ func TestAggregateSlidingWindows(t *testing.T) {
 	}
 }
 
+// TestAggregateLateTuplesLeaveCachedWindow folds values that jump back behind
+// the fold's cached window assignment (late tuples), forward past it and
+// before window 0, over a sliding spec whose range is no multiple of its
+// slide: each still lands in exactly the windows WindowsOf names.
+func TestAggregateLateTuplesLeaveCachedWindow(t *testing.T) {
+	spec := window.Spec{Range: 50, Slide: 20, Origin: 7}
+	a := &Aggregate{In: trafficSchema, Kind: core.AggSum, TsAttr: 2, ValAttr: 3, Window: spec}
+	var in []stream.Tuple
+	want := map[int64]float64{} // wstart → sum
+	for i, ts := range []int64{100, 101, 140, 45, 141, 102, 3, -10, 100, 26, 27, 139, 46} {
+		speed := float64(i + 1)
+		in = append(in, traffic(1, 1, ts, speed))
+		lo, hi := spec.WindowsOf(ts)
+		for w := lo; w <= hi; w++ {
+			start, _ := spec.Extent(w)
+			want[start] += speed
+		}
+	}
+	got := map[int64]float64{}
+	for _, tp := range exec.Drive(a, exec.Tuples(0, in...), exec.EOS(0)).Out[0].Tuples() {
+		got[tp.At(0).Micros()] += tp.At(1).AsFloat()
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("per-window sums\n got %v\nwant %v", got, want)
+	}
+}
+
 func TestAggregateGroupFeedbackF2Semantics(t *testing.T) {
 	// Feedback on a group (segment): purge state, guard input.
 	a := minuteAvg(FeedbackExploit, false)

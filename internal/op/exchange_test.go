@@ -1,6 +1,8 @@
 package op
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -371,6 +373,87 @@ func TestSplitRouteZeroAlloc(t *testing.T) {
 		t.Fatalf("split routing allocates %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestSplitRoutingGolden pins Value.Hash and the partition Split routes each
+// key to at N = 2, 3 and 4. A restored cut of a Parallel plan assumes every
+// key still lands in the partition that holds its state, so a change to the
+// hash must not move any of these.
+func TestSplitRoutingGolden(t *testing.T) {
+	one := func(v stream.Value) []stream.Value { return []stream.Value{v} }
+	cases := []struct {
+		key    []stream.Value
+		hashes []uint64 // Value.Hash of each key attribute
+		parts  [3]int   // partition at N = 2, 3, 4
+	}{
+		{one(stream.Null), []uint64{0xaf64724c8602eb6e}, [3]int{1, 1, 3}},
+		{one(stream.Int(0)), []uint64{0xa8c7f832281a39c5}, [3]int{0, 2, 2}},
+		{one(stream.Int(1)), []uint64{0x89cd31291d2aefa4}, [3]int{1, 1, 1}},
+		{one(stream.Int(-1)), []uint64{0x8cf51a8bfca3883d}, [3]int{0, 0, 2}},
+		{one(stream.Int(255)), []uint64{0x9016b196e349a31a}, [3]int{1, 0, 3}},
+		{one(stream.Int(1 << 40)), []uint64{0xa01e7d3223323b1a}, [3]int{1, 2, 3}},
+		{one(stream.Int(math.MaxInt64)), []uint64{0x8cf59a8bfca461bd}, [3]int{0, 0, 2}},
+		{one(stream.Int(math.MinInt64)), []uint64{0xa8c7783228196045}, [3]int{0, 0, 2}},
+		{one(stream.Float(0)), []uint64{0xa8c7f832281a39c5}, [3]int{0, 2, 2}},
+		{one(stream.Float(math.Copysign(0, -1))), []uint64{0xa8c7f832281a39c5}, [3]int{0, 2, 2}},
+		{one(stream.Float(42)), []uint64{0xff3add6b3789daef}, [3]int{0, 2, 0}},
+		{one(stream.Float(-3)), []uint64{0xf5b33f6b1d3bea7f}, [3]int{0, 0, 0}},
+		{one(stream.Float(2.5)), []uint64{0xa8ba2032280e4061}, [3]int{0, 2, 2}},
+		{one(stream.Float(-0.1)), []uint64{0x4fa11cc0eec3ea44}, [3]int{1, 1, 1}},
+		{one(stream.Float(math.NaN())), []uint64{0x8d1818291ff72671}, [3]int{0, 1, 2}},
+		{one(stream.Float(math.Inf(1))), []uint64{0xaab1293229b9b0f8}, [3]int{1, 2, 1}},
+		{one(stream.Float(math.Inf(-1))), []uint64{0xaab1a93229ba8a78}, [3]int{1, 1, 1}},
+		{one(stream.Float(1e300)), []uint64{0x8b8f4de62cb5842b}, [3]int{0, 0, 0}},
+		{one(stream.String_("")), []uint64{0xcbf29ce484222325}, [3]int{0, 0, 2}},
+		{one(stream.String_("a")), []uint64{0xaf63dc4c8601ec8c}, [3]int{1, 2, 1}},
+		{one(stream.String_("segment-17")), []uint64{0xd3316b64c85be9d5}, [3]int{0, 2, 2}},
+		{one(stream.String_("héllo")), []uint64{0xa35ff71f960240e0}, [3]int{1, 2, 1}},
+		{one(stream.TimeMicros(0)), []uint64{0xa8c7f832281a39c5}, [3]int{0, 2, 2}},
+		{one(stream.TimeMicros(1_700_000_000_000_000)), []uint64{0xbafebb4f81e42c33}, [3]int{0, 2, 0}},
+		{one(stream.TimeMicros(-5)), []uint64{0x714ed5a03c1c29b9}, [3]int{0, 0, 2}},
+		{one(stream.Bool(false)), []uint64{0xa8c7f832281a39c5}, [3]int{0, 2, 2}},
+		{one(stream.Bool(true)), []uint64{0x89cd31291d2aefa4}, [3]int{1, 1, 1}},
+		{[]stream.Value{stream.Int(7), stream.String_("a")}, []uint64{0x4bd7a317074c5b62, 0xaf63dc4c8601ec8c}, [3]int{1, 1, 1}},
+		{[]stream.Value{stream.String_("a"), stream.Int(7)}, []uint64{0xaf63dc4c8601ec8c, 0x4bd7a317074c5b62}, [3]int{1, 2, 1}},
+		{[]stream.Value{stream.Float(2.5), stream.TimeMicros(9)}, []uint64{0xa8ba2032280e4061, 0x81a3697174a540ac}, [3]int{0, 1, 2}},
+		{[]stream.Value{stream.Null, stream.Null}, []uint64{0xaf64724c8602eb6e, 0xaf64724c8602eb6e}, [3]int{1, 2, 3}},
+	}
+	for _, c := range cases {
+		var fields []stream.Field
+		var key []int
+		for i, v := range c.key {
+			if got := v.Hash(); got != c.hashes[i] {
+				t.Errorf("%v: Hash = %#x, want %#x", v, got, c.hashes[i])
+			}
+			kind := v.Kind
+			if kind == stream.KindNull {
+				kind = stream.KindInt
+			}
+			fields = append(fields, stream.F(fmt.Sprintf("k%d", i), kind))
+			key = append(key, i)
+		}
+		for j, n := range []int{2, 3, 4} {
+			s := &Split{Schema: stream.MustSchema(fields...), N: n, Key: key}
+			ctx := &portCtx{port: -1}
+			if err := s.Open(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.ProcessTuple(0, stream.NewTuple(c.key...), ctx); err != nil {
+				t.Fatal(err)
+			}
+			if ctx.port != c.parts[j] {
+				t.Errorf("key %v at N=%d: routed to %d, want %d", c.key, n, ctx.port, c.parts[j])
+			}
+		}
+	}
+}
+
+// portCtx is discardCtx remembering the port of the last tuple emitted.
+type portCtx struct {
+	discardCtx
+	port int
+}
+
+func (c *portCtx) EmitTo(port int, _ stream.Tuple) { c.port = port }
 
 // discardCtx is a no-op exec.Context for allocation measurements (a
 // recording sink would itself allocate) and for calls no plan makes.

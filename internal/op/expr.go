@@ -18,15 +18,16 @@ type ExprStep struct {
 }
 
 // Expr is a compiled conjunction over tuple columns: a flat step table of
-// (column index, opcode, operand) rows, evaluated in order with no closures
-// and no per-tuple allocation. Ordering comparisons against Int/Time/Bool
-// and Float operands compile to opcodes whose comparisons run inline in
-// Eval's loop — no function call at all on the hot path; everything else
-// (In-sets, string ordering, IsNull, mixed-kind numeric comparisons) falls
-// back to the same devirtualized form punct.Pattern.Compile uses for guard
-// matching. It is the evaluation form the PaceQL WHERE clause and fused
-// kernels share, replacing the nested func(Tuple) bool trees query.go used
-// to build.
+// (column index, opcode, operand) rows. Filter evaluates a run with one pass
+// over its survivors per conjunct, the opcode chosen once per pass, with no
+// closures and no allocation; Eval is a run of one. Ordering comparisons
+// against Int/Time/Bool and Float operands compile to opcodes whose
+// comparisons run inline in the pass — no function call at all on the hot
+// path; everything else (In-sets, string ordering, IsNull, mixed-kind
+// numeric comparisons) falls back to the same devirtualized form
+// punct.Pattern.Compile uses for guard matching. It is the evaluation form
+// the PaceQL WHERE clause and fused kernels share, replacing the nested
+// func(Tuple) bool trees query.go used to build.
 //
 // An Expr is immutable after construction and safe for concurrent use.
 type Expr struct {
@@ -120,58 +121,147 @@ func NewExpr(arity int, steps ...ExprStep) (*Expr, error) {
 	return e, nil
 }
 
-// Eval reports whether the tuple satisfies every step. No allocation, and
-// no function call for opcode-compiled comparisons on matching kinds.
+// Eval reports whether the tuple satisfies every step: a run of one through
+// Filter.
 //
 //pace:hotpath
 func (e *Expr) Eval(t stream.Tuple) bool {
+	one := [1]stream.Tuple{t}
+	return len(e.Filter(one[:])) == 1
+}
+
+// Filter keeps, in order, the tuples of run that satisfy every step,
+// compacting them to the front of run, and returns that prefix. It makes one
+// pass over the survivors per conjunct and picks the opcode once per pass;
+// the pass compares inline on a value of the operand's kind and hands any
+// other value to the compiled predicate. No allocation.
+//
+//pace:hotpath
+func (e *Expr) Filter(run []stream.Tuple) []stream.Tuple {
 	for i := range e.steps {
-		s := &e.steps[i]
-		v := &t.Values[s.col]
-		if s.code == opGeneric || v.Kind != s.kind {
-			// Generic predicate, null value, or mixed-kind comparison:
-			// the compiled predicate owns those semantics.
-			if !s.pred.Matches(*v) {
-				return false
+		if len(run) == 0 {
+			break
+		}
+		run = e.steps[i].filter(run)
+	}
+	return run
+}
+
+// filter is one conjunct's pass over run. Each case keeps a tuple whose value
+// has the operand's kind and passes the inline comparison, or has another
+// kind (a null, a mixed-kind comparison) and matches the compiled predicate.
+//
+//pace:hotpath
+func (s *exprStep) filter(run []stream.Tuple) []stream.Tuple {
+	k := 0
+	switch s.code {
+	case opGeneric:
+		for _, t := range run {
+			if s.pred.Matches(t.Values[s.col]) {
+				run[k] = t
+				k++
 			}
-			continue
 		}
-		ok := false
-		switch s.code {
-		case opIntEQ:
-			ok = v.I == s.i
-		case opIntNE:
-			ok = v.I != s.i
-		case opIntLT:
-			ok = v.I < s.i
-		case opIntLE:
-			ok = v.I <= s.i
-		case opIntGT:
-			ok = v.I > s.i
-		case opIntGE:
-			ok = v.I >= s.i
-		case opIntBetween:
-			ok = v.I >= s.i && v.I <= s.iHi
-		case opFloatEQ:
-			ok = v.F == s.f
-		case opFloatNE:
-			ok = v.F != s.f
-		case opFloatLT:
-			ok = v.F < s.f
-		case opFloatLE:
-			ok = v.F <= s.f
-		case opFloatGT:
-			ok = v.F > s.f
-		case opFloatGE:
-			ok = v.F >= s.f
-		case opFloatBetween:
-			ok = v.F >= s.f && v.F <= s.fHi
+	case opIntEQ:
+		for _, t := range run {
+			if v := &t.Values[s.col]; v.Kind == s.kind && v.I == s.i || v.Kind != s.kind && s.pred.Matches(*v) {
+				run[k] = t
+				k++
+			}
 		}
-		if !ok {
-			return false
+	case opIntNE:
+		for _, t := range run {
+			if v := &t.Values[s.col]; v.Kind == s.kind && v.I != s.i || v.Kind != s.kind && s.pred.Matches(*v) {
+				run[k] = t
+				k++
+			}
+		}
+	case opIntLT:
+		for _, t := range run {
+			if v := &t.Values[s.col]; v.Kind == s.kind && v.I < s.i || v.Kind != s.kind && s.pred.Matches(*v) {
+				run[k] = t
+				k++
+			}
+		}
+	case opIntLE:
+		for _, t := range run {
+			if v := &t.Values[s.col]; v.Kind == s.kind && v.I <= s.i || v.Kind != s.kind && s.pred.Matches(*v) {
+				run[k] = t
+				k++
+			}
+		}
+	case opIntGT:
+		for _, t := range run {
+			if v := &t.Values[s.col]; v.Kind == s.kind && v.I > s.i || v.Kind != s.kind && s.pred.Matches(*v) {
+				run[k] = t
+				k++
+			}
+		}
+	case opIntGE:
+		for _, t := range run {
+			if v := &t.Values[s.col]; v.Kind == s.kind && v.I >= s.i || v.Kind != s.kind && s.pred.Matches(*v) {
+				run[k] = t
+				k++
+			}
+		}
+	case opIntBetween:
+		for _, t := range run {
+			if v := &t.Values[s.col]; v.Kind == s.kind && (v.I >= s.i && v.I <= s.iHi) || v.Kind != s.kind && s.pred.Matches(*v) {
+				run[k] = t
+				k++
+			}
+		}
+	case opFloatEQ:
+		for _, t := range run {
+			if v := &t.Values[s.col]; v.Kind == s.kind && v.F == s.f || v.Kind != s.kind && s.pred.Matches(*v) {
+				run[k] = t
+				k++
+			}
+		}
+	case opFloatNE:
+		for _, t := range run {
+			if v := &t.Values[s.col]; v.Kind == s.kind && v.F != s.f || v.Kind != s.kind && s.pred.Matches(*v) {
+				run[k] = t
+				k++
+			}
+		}
+	case opFloatLT:
+		for _, t := range run {
+			if v := &t.Values[s.col]; v.Kind == s.kind && v.F < s.f || v.Kind != s.kind && s.pred.Matches(*v) {
+				run[k] = t
+				k++
+			}
+		}
+	case opFloatLE:
+		for _, t := range run {
+			if v := &t.Values[s.col]; v.Kind == s.kind && v.F <= s.f || v.Kind != s.kind && s.pred.Matches(*v) {
+				run[k] = t
+				k++
+			}
+		}
+	case opFloatGT:
+		for _, t := range run {
+			if v := &t.Values[s.col]; v.Kind == s.kind && v.F > s.f || v.Kind != s.kind && s.pred.Matches(*v) {
+				run[k] = t
+				k++
+			}
+		}
+	case opFloatGE:
+		for _, t := range run {
+			if v := &t.Values[s.col]; v.Kind == s.kind && v.F >= s.f || v.Kind != s.kind && s.pred.Matches(*v) {
+				run[k] = t
+				k++
+			}
+		}
+	case opFloatBetween:
+		for _, t := range run {
+			if v := &t.Values[s.col]; v.Kind == s.kind && (v.F >= s.f && v.F <= s.fHi) || v.Kind != s.kind && s.pred.Matches(*v) {
+				run[k] = t
+				k++
+			}
 		}
 	}
-	return true
+	return run[:k]
 }
 
 // NumSteps returns the number of conjuncts.

@@ -51,9 +51,6 @@ type MapAttr struct {
 // Carry builds a carried output attribute (same name).
 func Carry(name string) MapAttr { return MapAttr{Name: name, From: name} }
 
-// CarryAs builds a carried output attribute under a new name.
-func CarryAs(name, from string) MapAttr { return MapAttr{Name: name, From: from} }
-
 // Compute builds a computed output attribute. fn reads its argument and
 // returns; it must not retain the argument's Values (see MapAttr.Fn).
 func Compute(name string, kind stream.Kind, fn func(stream.Tuple) stream.Value) MapAttr {

@@ -14,7 +14,7 @@ func kmhMap(mode FeedbackMode, propagate bool) *Map {
 		OpName: "to-kmh", In: trafficSchema,
 		Outs: []MapAttr{
 			Carry("segment"),
-			CarryAs("when", "ts"),
+			MapAttr{Name: "when", From: "ts"},
 			Compute("speed_kmh", stream.KindFloat, func(t stream.Tuple) stream.Value {
 				v := t.At(3)
 				if v.IsNull() {

@@ -329,7 +329,7 @@ func TestFusedStatefulDigestIdentity(t *testing.T) {
 			outs := s.Duplicate("dup", 2)
 			l := prefix(outs[0], "l")
 			r := outs[1].Map("rn",
-				op.CarryAs("rseg", "segment"), op.CarryAs("rts", "ts"), op.CarryAs("rspeed", "speed"))
+				op.MapAttr{Name: "rseg", From: "segment"}, op.MapAttr{Name: "rts", From: "ts"}, op.MapAttr{Name: "rspeed", From: "speed"})
 			s = l.Join("j", r, []string{"segment", "ts"}, []string{"rseg", "rts"}, "ts", "rts", false)
 		default: // prefixes absorbed into both Pace inputs (tolerance too wide to drop)
 			outs := s.Duplicate("dup", 2)

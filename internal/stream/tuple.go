@@ -119,8 +119,8 @@ func (t Tuple) AppendKey(b []byte, idxs []int) []byte {
 func (t Tuple) Hash(idxs []int) uint64 {
 	h := uint64(1469598103934665603)
 	for _, i := range idxs {
-		h ^= t.Values[i].Hash()
-		h *= 1099511628211
+		h ^= hashValue(&t.Values[i])
+		h *= fnvPrime
 	}
 	return h
 }

@@ -199,42 +199,46 @@ func (v Value) Less(o Value) bool {
 // join buckets. Int and Float hash identically when they represent the same
 // integral quantity so mixed-kind numeric grouping behaves sensibly; the
 // guarantee holds for magnitudes up to 2^53, where float64 is exact.
-func (v Value) Hash() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime
-	}
+func (v Value) Hash() uint64 { return hashValue(&v) }
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hashValue is Hash without the receiver copy: FNV-1a over the byte 0xff for
+// Null, the string's bytes, or the 8 payload bytes of a fixed-width kind,
+// least significant first.
+func hashValue(v *Value) uint64 {
+	h := uint64(fnvOffset)
 	switch v.Kind {
 	case KindNull:
-		mix(0xff)
+		return (h ^ 0xff) * fnvPrime
 	case KindInt, KindTime, KindBool:
-		u := uint64(v.I)
-		for i := 0; i < 8; i++ {
-			mix(byte(u >> (8 * i)))
-		}
+		return fnv8(uint64(v.I))
 	case KindFloat:
 		if f := v.F; f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
-			u := uint64(int64(f))
-			for i := 0; i < 8; i++ {
-				mix(byte(u >> (8 * i)))
-			}
-		} else {
-			u := math.Float64bits(v.F)
-			for i := 0; i < 8; i++ {
-				mix(byte(u >> (8 * i)))
-			}
+			return fnv8(uint64(int64(f)))
 		}
+		return fnv8(math.Float64bits(v.F))
 	case KindString:
 		for i := 0; i < len(v.S); i++ {
-			mix(v.S[i])
+			h = (h ^ uint64(v.S[i])) * fnvPrime
 		}
 	}
 	return h
+}
+
+// fnv8 folds the 8 bytes of u into the FNV-1a offset basis, unrolled.
+func fnv8(u uint64) uint64 {
+	h := (fnvOffset ^ u&0xff) * fnvPrime
+	h = (h ^ u>>8&0xff) * fnvPrime
+	h = (h ^ u>>16&0xff) * fnvPrime
+	h = (h ^ u>>24&0xff) * fnvPrime
+	h = (h ^ u>>32&0xff) * fnvPrime
+	h = (h ^ u>>40&0xff) * fnvPrime
+	h = (h ^ u>>48&0xff) * fnvPrime
+	return (h ^ u>>56) * fnvPrime
 }
 
 // String renders the value for logs and punctuation printing.

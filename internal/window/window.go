@@ -61,6 +61,24 @@ func (s Spec) WindowsOf(v int64) (lo, hi int64) {
 	return lo, hi
 }
 
+// Assign returns WindowsOf(v) together with the inclusive value interval
+// [from, to], which contains v, over which WindowsOf returns the same ids: a
+// caller assigning a run of nearby values divides again only for a value
+// outside it. Far from zero (|v|, |Origin| or Range at 2^60 or beyond, where
+// the arithmetic below could wrap) the interval is v alone.
+func (s Spec) Assign(v int64) (lo, hi, from, to int64) {
+	lo, hi = s.WindowsOf(v)
+	const far = 1 << 60
+	if v <= -far || v >= far || s.Origin <= -far || s.Origin >= far || s.Range >= far {
+		return lo, hi, v, v
+	}
+	// hi changes where rel crosses a window start, lo where rel-Range does:
+	// rel lies r1 past the one and r2 past the other, each less than Slide.
+	rel := v - s.Origin
+	r1, r2 := floorMod(rel, s.Slide), floorMod(rel-s.Range, s.Slide)
+	return lo, hi, v - min(r1, r2), v + s.Slide - 1 - max(r1, r2)
+}
+
 // Extent returns the half-open value interval [start, end) of window w.
 func (s Spec) Extent(w int64) (start, end int64) {
 	start = s.Origin + w*s.Slide
@@ -78,6 +96,15 @@ func (s Spec) LastFullWindow(wm int64) int64 {
 		return -1
 	}
 	return w
+}
+
+// floorMod is a - floorDiv(a, b)*b, in [0, b) for b > 0.
+func floorMod(a, b int64) int64 {
+	m := a % b
+	if m < 0 {
+		m += b
+	}
+	return m
 }
 
 // floorDiv divides rounding toward negative infinity.

@@ -148,3 +148,44 @@ func abs(x int64) int64 {
 	}
 	return x
 }
+
+// Property: Assign returns WindowsOf's ids, its interval contains v, and
+// WindowsOf is the same at every value of the interval — over tumbling and
+// sliding specs, ranges that are no multiple of the slide, non-zero origins
+// and negative values.
+func TestAssignIntervalProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 5000; trial++ {
+		rng := 1 + r.Int63n(40)
+		slide := rng
+		if r.Intn(2) == 0 {
+			slide = 1 + r.Int63n(rng)
+		}
+		s := Spec{Range: rng, Slide: slide, Origin: r.Int63n(200) - 100}
+		v := r.Int63n(1000) - 500
+		lo, hi, from, to := s.Assign(v)
+		if wlo, whi := s.WindowsOf(v); lo != wlo || hi != whi {
+			t.Fatalf("spec %+v v=%d: Assign ids [%d,%d], WindowsOf [%d,%d]", s, v, lo, hi, wlo, whi)
+		}
+		if v < from || v > to {
+			t.Fatalf("spec %+v: %d outside its interval [%d,%d]", s, v, from, to)
+		}
+		if to-from >= slide {
+			t.Fatalf("spec %+v v=%d: interval [%d,%d] wider than the slide", s, v, from, to)
+		}
+		for u := from; u <= to; u++ {
+			if ulo, uhi := s.WindowsOf(u); ulo != lo || uhi != hi {
+				t.Fatalf("spec %+v: WindowsOf(%d) = [%d,%d] but [%d,%d] across [%d,%d] (v=%d)",
+					s, u, ulo, uhi, lo, hi, from, to, v)
+			}
+		}
+	}
+	// Where the arithmetic could wrap, the interval is the value alone.
+	for _, v := range []int64{-1 << 63, 1<<63 - 1} {
+		s := Sliding(10, 3)
+		lo, hi, from, to := s.Assign(v)
+		if wlo, whi := s.WindowsOf(v); lo != wlo || hi != whi || from != v || to != v {
+			t.Fatalf("Assign(%d) = %d %d [%d,%d]", v, lo, hi, from, to)
+		}
+	}
+}
