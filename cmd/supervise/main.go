@@ -654,7 +654,7 @@ func trafficSource(o options) *gen.TrafficSource {
 // where the chain feeds the remote sink — so both compiled forms are
 // exercised by every fuzz run.
 func preStage(s plan.Stream) plan.Stream {
-	s = s.SelectExpr("clean", op.ExprStep{Col: 2, Name: "ts", Pred: punct.Ge(stream.TimeMicros(0))})
+	s = s.SelectExpr("clean", punct.ExprStep{Col: 2, Name: "ts", Pred: punct.Ge(stream.TimeMicros(0))})
 	outs := make([]op.MapAttr, gen.TrafficSchema.Arity())
 	for i := range outs {
 		outs[i] = op.Carry(gen.TrafficSchema.Field(i).Name)
@@ -673,7 +673,7 @@ func preStage(s plan.Stream) plan.Stream {
 func aggStage() func(plan.Stream) plan.Stream {
 	const minute = int64(60_000_000)
 	return func(ss plan.Stream) plan.Stream {
-		ss = ss.SelectExpr("pclean", op.ExprStep{Col: 2, Name: "ts", Pred: punct.Ge(stream.TimeMicros(0))})
+		ss = ss.SelectExpr("pclean", punct.ExprStep{Col: 2, Name: "ts", Pred: punct.Ge(stream.TimeMicros(0))})
 		return ss.Through(&op.Aggregate{OpName: "agg", In: gen.TrafficSchema, Kind: core.AggAvg,
 			TsAttr: 2, ValAttr: 3, GroupBy: []int{0}, Window: window.Tumbling(minute),
 			ValueName: "avg_speed", Mode: op.FeedbackExploit, Propagate: true})

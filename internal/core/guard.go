@@ -14,9 +14,9 @@ type Guard struct {
 	// Source identifies the feedback that installed the guard.
 	Source Feedback
 
-	// compiled is the evaluation form used on the probe path; it is built
-	// once at Install so Suppress runs allocation-free.
-	compiled *punct.Compiled
+	// expr is the evaluation form used on the probe path; it is built once
+	// at Install so Suppress runs allocation-free.
+	expr *punct.Expr
 }
 
 // GuardTable holds the active guards of one operator port and implements
@@ -60,9 +60,14 @@ func (g *GuardTable) Restore(fs []Feedback) {
 
 // Install adds a guard for the feedback's pattern. Guards subsumed by the
 // new pattern are dropped; if an existing guard already subsumes the new
-// one, the table is unchanged. Returns whether the table changed.
+// one, the table is unchanged. A pattern of another arity than the table's
+// (a hostile or miswired remote feedback) describes no tuple of this port
+// and is refused. Returns whether the table changed.
 func (g *GuardTable) Install(f Feedback) bool {
 	p := f.Pattern
+	if p.Arity() != g.arity {
+		return false
+	}
 	kept := g.guards[:0]
 	for _, old := range g.guards {
 		if old.Pattern.Implies(p) {
@@ -76,7 +81,7 @@ func (g *GuardTable) Install(f Feedback) bool {
 		}
 		kept = append(kept, old)
 	}
-	g.guards = append(kept, Guard{Pattern: p, Source: f, compiled: p.Compile(stream.Schema{})})
+	g.guards = append(kept, Guard{Pattern: p, Source: f, expr: p.Compile(stream.Schema{})})
 	return true
 }
 
@@ -97,7 +102,7 @@ func (g *GuardTable) Suppress(t stream.Tuple) bool {
 //pace:hotpath
 func (g *GuardTable) suppressScan(t stream.Tuple) bool {
 	for i := range g.guards {
-		if g.guards[i].compiled.Matches(t) {
+		if g.guards[i].expr.Matches(t) {
 			g.hits++
 			return true
 		}

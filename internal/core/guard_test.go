@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/punct"
@@ -109,6 +110,48 @@ func TestGuardTableMultipleDisjointGuards(t *testing.T) {
 	}
 	if !g.Suppress(stream.NewTuple(stream.Int(2))) {
 		t.Error("remaining guard must still fire")
+	}
+}
+
+// A feedback over another schema (a hostile remote frame) is refused, and
+// the probe neither suppresses a tuple of either arity nor panics.
+func TestGuardTableRefusesForeignArity(t *testing.T) {
+	g := NewGuardTable(2)
+	g.Install(NewAssumed(punct.OnAttr(2, 0, punct.Le(ts(10)))))
+	for _, p := range []punct.Pattern{punct.AllWild(3), punct.OnAttr(5, 4, punct.Le(ts(100))), punct.AllWild(0)} {
+		if g.Install(NewAssumed(p)) {
+			t.Errorf("installed %v into an arity-2 table", p)
+		}
+	}
+	run := []stream.Tuple{stream.NewTuple(ts(50), stream.Float(1)), stream.NewTuple(ts(50)), stream.NewTuple(ts(1), ts(1), ts(1))}
+	if g.Active() != 1 || g.Suppress(run[0]) || g.Suppress(run[1]) || g.Suppress(run[2]) {
+		t.Errorf("foreign-arity feedback changed what the table suppresses: %v", g.Guards())
+	}
+}
+
+// BenchmarkGuardTable times the per-tuple guard probe on 32-tuple runs of
+// the speed map's shape (segment, detector, ts, speed) against 0, 1, 16 and
+// 256 live guards of the viewer's shape ¬[≠segment, *, ts range, *]. About
+// one tuple in six falls in a guard's time range.
+func BenchmarkGuardTable(b *testing.B) {
+	for _, n := range []int{0, 1, 16, 256} {
+		g := NewGuardTable(4)
+		for k := 0; k < n; k++ {
+			g.Install(NewAssumed(punct.NewPattern(punct.Ne(stream.Int(int64(k%8))), punct.Wild,
+				punct.Range(ts(int64(k)*600), ts(int64(k)*600+99)), punct.Wild)))
+		}
+		run := make([]stream.Tuple, 32)
+		for i := range run {
+			run[i] = stream.NewTuple(stream.Int(int64(i%8)), stream.Int(1), ts(int64(i)*53*int64(max(n, 1))%(int64(max(n, 1))*600)), stream.Float(40))
+		}
+		b.Run(fmt.Sprintf("guards=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, t := range run {
+					g.Suppress(t)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(run)), "ns/tuple")
+		})
 	}
 }
 

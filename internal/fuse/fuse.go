@@ -68,7 +68,7 @@ type step struct {
 
 	// Select evaluation.
 	cond func(stream.Tuple) bool
-	expr *op.Expr
+	expr *punct.Expr
 	cost int
 
 	// Project/Map attribute mapping. toInput maps output attr → input attr

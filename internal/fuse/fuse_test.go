@@ -82,13 +82,13 @@ func randChain(rng *rand.Rand) []stepSpec {
 		in := cur
 		switch rng.Intn(3) {
 		case 0: // select
-			var steps []op.ExprStep
+			var steps []punct.ExprStep
 			for c := 0; c < in.Arity(); c++ {
 				if rng.Intn(3) == 0 {
-					steps = append(steps, op.ExprStep{Col: c, Name: in.Field(c).Name, Pred: randPred(rng, in.Field(c).Kind)})
+					steps = append(steps, punct.ExprStep{Col: c, Name: in.Field(c).Name, Pred: randPred(rng, in.Field(c).Kind)})
 				}
 			}
-			expr, err := op.NewExpr(in.Arity(), steps...)
+			expr, err := punct.NewExpr(in.Arity(), steps...)
 			if err != nil {
 				panic(err)
 			}
@@ -522,9 +522,9 @@ func (discardCtx) NumInputs() int                  { return 1 }
 func (discardCtx) NumOutputs() int                 { return 1 }
 
 func TestFusedKernelZeroAlloc(t *testing.T) {
-	expr, err := op.NewExpr(chainSchema.Arity(),
-		op.ExprStep{Col: 0, Name: "a", Pred: punct.Le(stream.Int(3))},
-		op.ExprStep{Col: 3, Name: "v", Pred: punct.Ge(stream.Float(10))})
+	expr, err := punct.NewExpr(chainSchema.Arity(),
+		punct.ExprStep{Col: 0, Name: "a", Pred: punct.Le(stream.Int(3))},
+		punct.ExprStep{Col: 3, Name: "v", Pred: punct.Ge(stream.Float(10))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,8 +559,8 @@ func TestFusedKernelZeroAlloc(t *testing.T) {
 // project that drops a column → map with one computed attribute. Its select
 // keeps tuples with a ≤ 3.
 func mappingChain(t testing.TB) *Fused {
-	expr, err := op.NewExpr(chainSchema.Arity(),
-		op.ExprStep{Col: 0, Name: "a", Pred: punct.Le(stream.Int(3))})
+	expr, err := punct.NewExpr(chainSchema.Arity(),
+		punct.ExprStep{Col: 0, Name: "a", Pred: punct.Le(stream.Int(3))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,10 +28,12 @@ type Select struct {
 	// Cond keeps tuples for which it returns true; nil keeps everything.
 	// Like MapAttr.Fn it must not retain its argument's Values.
 	Cond func(stream.Tuple) bool
-	// Expr, when set, is a compiled flat filter evaluated before Cond —
-	// the closure-free form PaceQL WHERE clauses and fused kernels use.
-	// When both are set a tuple must pass both.
-	Expr *Expr
+	// Expr, when set, is a compiled conjunction evaluated before Cond —
+	// the closure-free form PaceQL WHERE clauses compile to, and the same
+	// punct.Expr a guard compiles its feedback pattern to (Table 1: the
+	// assumed subset is added to the select condition). When both are set
+	// a tuple must pass both.
+	Expr *punct.Expr
 	// Cost is the work units burned per tuple *evaluated* (guards are
 	// checked first: a suppressed tuple costs nothing, which is exactly
 	// the saving feedback buys).
@@ -78,7 +80,7 @@ func (s *Select) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 	if s.Cost > 0 {
 		s.c.Work.Do(s.Cost)
 	}
-	if (s.Expr == nil || s.Expr.Eval(t)) && (s.Cond == nil || s.Cond(t)) {
+	if (s.Expr == nil || s.Expr.Matches(t)) && (s.Cond == nil || s.Cond(t)) {
 		s.c.Out.Add(1)
 		ctx.Emit(t)
 	}

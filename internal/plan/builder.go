@@ -17,6 +17,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fuse"
 	"repro/internal/op"
+	"repro/internal/punct"
 	"repro/internal/remote"
 	"repro/internal/snapshot"
 	"repro/internal/stream"
@@ -202,13 +203,14 @@ func (s Stream) Select(name string, cond func(stream.Tuple) bool) Stream {
 	return s.Through(&op.Select{OpName: name, Schema: s.schema, Cond: cond, Mode: s.b.Mode, Propagate: s.b.Propagate})
 }
 
-// SelectExpr appends a filter evaluated by a compiled flat expression
-// (op.Expr) instead of a closure — the form PaceQL WHERE clauses compile to
-// and the one fused kernels inline. Steps are resolved against the stream
-// schema at wiring time; a bad column surfaces via Builder.Err().
-func (s Stream) SelectExpr(name string, steps ...op.ExprStep) Stream {
+// SelectExpr appends a filter evaluated by a compiled predicate conjunction
+// (punct.Expr, the evaluation form guards compile feedback patterns to)
+// instead of a closure — the form PaceQL WHERE clauses compile to and the
+// one fused kernels run a run at a time. Steps are resolved against the
+// stream schema at wiring time; a bad column surfaces via Builder.Err().
+func (s Stream) SelectExpr(name string, steps ...punct.ExprStep) Stream {
 	return s.b.node(1, func() (exec.Operator, error) {
-		e, err := op.NewExpr(s.schema.Arity(), steps...)
+		e, err := punct.NewExpr(s.schema.Arity(), steps...)
 		if err != nil {
 			return nil, fmt.Errorf("select %q: %v", name, err)
 		}

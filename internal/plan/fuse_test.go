@@ -92,7 +92,7 @@ func TestFusedPlanDigestIdentity(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0:
 				cut := stream.Float(float64(25 + rng.Intn(20)))
-				s = s.SelectExpr(nameOf("f", i), op.ExprStep{
+				s = s.SelectExpr(nameOf("f", i), punct.ExprStep{
 					Col: s.Schema().Index("speed"), Name: "speed", Pred: punct.Ge(cut)})
 			case 1:
 				s = s.Map(nameOf("norm", i), carryAll(s.Schema())...)
@@ -156,10 +156,10 @@ func TestFusedParallelBoundaries(t *testing.T) {
 	b := New()
 	src := &exec.SliceSource{SourceName: "src", Schema: testSchema, Items: aggWorkload(500)}
 	s := b.Source(src).
-		SelectExpr("clean", op.ExprStep{Col: 2, Name: "speed", Pred: punct.Ge(stream.Float(0))}).
+		SelectExpr("clean", punct.ExprStep{Col: 2, Name: "speed", Pred: punct.Ge(stream.Float(0))}).
 		Map("norm", carryAll(testSchema)...)
 	s = s.Parallel("p", 2, []string{"segment"}, func(ss Stream) Stream {
-		ss = ss.SelectExpr("pf", op.ExprStep{Col: 1, Name: "ts", Pred: punct.Ge(stream.TimeMicros(0))}).
+		ss = ss.SelectExpr("pf", punct.ExprStep{Col: 1, Name: "ts", Pred: punct.Ge(stream.TimeMicros(0))}).
 			Map("pm", carryAll(ss.Schema())...)
 		return ss.Aggregate("avg", core.AggAvg, "ts", "speed", []string{"segment"},
 			window.Tumbling(1_000_000), "avg_speed")
@@ -211,13 +211,13 @@ func TestFusedCheckpointRecoverIdentity(t *testing.T) {
 		src := &gatedItems{name: "src", schema: testSchema, items: items, gateAt: gateAt}
 		src.gate.Store(gateOpen)
 		s := b.Source(src).
-			SelectExpr("clean", op.ExprStep{Col: 1, Name: "ts", Pred: punct.Ge(stream.TimeMicros(0))}).
+			SelectExpr("clean", punct.ExprStep{Col: 1, Name: "ts", Pred: punct.Ge(stream.TimeMicros(0))}).
 			Map("norm", carryAll(testSchema)...)
 		// The per-partition stateless prefix makes each aggregate an
 		// absorb target, so the checkpoint cuts (and the restore fills) a
 		// Prefixed node wrapping the stateful aggregate.
 		out := s.Parallel("p", 2, []string{"segment"}, func(ss Stream) Stream {
-			ss = ss.SelectExpr("pclean", op.ExprStep{Col: 1, Name: "ts", Pred: punct.Ge(stream.TimeMicros(0))}).
+			ss = ss.SelectExpr("pclean", punct.ExprStep{Col: 1, Name: "ts", Pred: punct.Ge(stream.TimeMicros(0))}).
 				Map("pnorm", carryAll(ss.Schema())...)
 			return ss.Aggregate("avg", core.AggAvg, "ts", "speed", []string{"segment"},
 				window.Tumbling(1_000_000), "avg_speed")
@@ -296,7 +296,7 @@ func TestFusedStatefulDigestIdentity(t *testing.T) {
 				switch rng.Intn(3) {
 				case 0:
 					cut := stream.Float(float64(25 + rng.Intn(20)))
-					s = s.SelectExpr(tag+nameOf("f", i), op.ExprStep{
+					s = s.SelectExpr(tag+nameOf("f", i), punct.ExprStep{
 						Col: s.Schema().Index("speed"), Name: "speed", Pred: punct.Ge(cut)})
 				case 1:
 					s = s.Map(tag+nameOf("m", i), carryAll(s.Schema())...)
@@ -319,7 +319,7 @@ func TestFusedStatefulDigestIdentity(t *testing.T) {
 			s = prefix(s, "pre")
 			parts := 1 + rng.Intn(3)
 			s = s.Parallel("p", parts, []string{"segment"}, func(ss Stream) Stream {
-				ss = ss.SelectExpr("pclean", op.ExprStep{
+				ss = ss.SelectExpr("pclean", punct.ExprStep{
 					Col: ss.Schema().Index("ts"), Name: "ts", Pred: punct.Ge(stream.TimeMicros(0))}).
 					Map("pnorm", carryAll(ss.Schema())...)
 				return ss.Aggregate("avg", core.AggAvg, "ts", "speed", []string{"segment"},
@@ -334,7 +334,7 @@ func TestFusedStatefulDigestIdentity(t *testing.T) {
 		default: // prefixes absorbed into both Pace inputs (tolerance too wide to drop)
 			outs := s.Duplicate("dup", 2)
 			l := outs[0].Map("lm", carryAll(testSchema)...)
-			r := outs[1].SelectExpr("rf", op.ExprStep{Col: 1, Name: "ts", Pred: punct.Ge(stream.TimeMicros(0))})
+			r := outs[1].SelectExpr("rf", punct.ExprStep{Col: 1, Name: "ts", Pred: punct.Ge(stream.TimeMicros(0))})
 			s = l.Pace("pace", "ts", 1<<60, r)
 		}
 		sink := s.Collect("sink")
@@ -421,7 +421,7 @@ func TestMapBadAttrIsBuilderError(t *testing.T) {
 func TestExplainRendersFusedKernels(t *testing.T) {
 	b := New()
 	b.Source(testSource("s", reading(1, 10, 50))).
-		SelectExpr("where", op.ExprStep{Col: 2, Name: "speed", Pred: punct.Ge(stream.Float(30))}).
+		SelectExpr("where", punct.ExprStep{Col: 2, Name: "speed", Pred: punct.Ge(stream.Float(30))}).
 		Map("norm", carryAll(testSchema)...).
 		Collect("sink")
 	b.Compile()
@@ -506,7 +506,7 @@ func TestSuppressedCounterHasOneHome(t *testing.T) {
 				src.rest = append(src.rest, tp)
 			}
 		}
-		expr, err := op.NewExpr(testSchema.Arity(), op.ExprStep{Col: 2, Name: "speed", Pred: punct.Ge(stream.Float(10))})
+		expr, err := punct.NewExpr(testSchema.Arity(), punct.ExprStep{Col: 2, Name: "speed", Pred: punct.Ge(stream.Float(10))})
 		if err != nil {
 			t.Fatal(err)
 		}

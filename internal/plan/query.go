@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/op"
 	"repro/internal/punct"
 	"repro/internal/stream"
 	"repro/internal/window"
@@ -226,7 +225,7 @@ func (p *parser) parseSelectList() (items []selItem, star bool, err error) {
 }
 
 func (p *parser) parseWhere(s Stream) (Stream, error) {
-	var steps []op.ExprStep
+	var steps []punct.ExprStep
 	for {
 		attr := p.next()
 		idx := s.Schema().Index(attr)
@@ -256,14 +255,14 @@ func (p *parser) parseWhere(s Stream) (Stream, error) {
 		default:
 			return Stream{}, fmt.Errorf("plan: WHERE: unsupported operator %q", opTok)
 		}
-		steps = append(steps, op.ExprStep{Col: idx, Name: attr, Pred: pr})
+		steps = append(steps, punct.ExprStep{Col: idx, Name: attr, Pred: pr})
 		if p.peek() != "AND" {
 			break
 		}
 		p.pos++
 	}
-	// Compiled flat evaluation (op.Expr) instead of a closure tree: the
-	// same step table a fused kernel inlines.
+	// Compiled flat evaluation (punct.Expr) instead of a closure tree: the
+	// same step table a fused kernel runs.
 	return s.SelectExpr("where", steps...), nil
 }
 

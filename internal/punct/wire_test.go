@@ -1,6 +1,7 @@
 package punct
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -130,6 +131,55 @@ func TestPatternWireRejectsGarbage(t *testing.T) {
 	if err := p.UnmarshalBinary(append(raw, 0x00)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
+}
+
+// FuzzDecodePattern feeds hostile bytes to DecodePattern: it never panics,
+// sizes nothing by a count beyond the bytes received, and an accepted
+// pattern re-encodes to bytes that decode and re-encode identically. Every
+// accepted pattern's Compile agrees with its Matches on tuples of its arity
+// and of one more, whose values the bytes left pick from the pattern's own
+// operands and a few edges.
+func FuzzDecodePattern(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 16; i++ {
+		ps := make([]Pred, rng.Intn(5))
+		for j := range ps {
+			ps[j] = randPred(rng)
+		}
+		f.Add(append(NewPattern(ps...).AppendBinary(nil), byte(rng.Intn(256)), byte(rng.Intn(256))))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, rest, err := DecodePattern(data)
+		if err != nil {
+			return
+		}
+		pool := []stream.Value{stream.Null, stream.Int(0), stream.Float(math.NaN()), stream.String_("")}
+		for i := 0; i < p.Arity(); i++ {
+			pr := p.Pred(i)
+			if len(pr.Set) > len(data) {
+				t.Fatalf("In-set of %d from %d bytes", len(pr.Set), len(data))
+			}
+			pool = append(append(pool, pr.Val, pr.Hi), pr.Set...)
+		}
+		enc := p.AppendBinary(nil)
+		q, tail, err := DecodePattern(enc)
+		if p.Arity() > len(data) || err != nil || len(tail) != 0 || !bytes.Equal(q.AppendBinary(nil), enc) {
+			t.Fatalf("%v (arity %d from %d bytes) does not round-trip: %v", p, p.Arity(), len(data), err)
+		}
+		c := p.Compile(stream.Schema{})
+		b := byteSource(rest)
+		for _, n := range []int{p.Arity(), p.Arity() + 1} {
+			for k := 0; k < 8; k++ {
+				vals := make([]stream.Value, n)
+				for i := range vals {
+					vals[i] = pool[b.next()%len(pool)]
+				}
+				if tp := stream.NewTuple(vals...); c.Matches(tp) != p.Matches(tp) {
+					t.Fatalf("%v: Compile.Matches(%v) = %v, Matches %v", p, tp, !p.Matches(tp), p.Matches(tp))
+				}
+			}
+		}
+	})
 }
 
 // TestValueWireRoundTrip pins the stream.Value codec across every kind,

@@ -433,11 +433,14 @@ func TestHostileFrames(t *testing.T) {
 		}
 	}
 
-	// The feedback path applies the same checks.
+	// The feedback path applies the same checks, and refuses a well-formed
+	// feedback whose pattern is not over the edge's schema.
+	foreign := core.NewAssumed(punct.OnAttr(5, 4, punct.Le(stream.TimeMicros(10)))).AppendBinary(nil)
 	for _, data := range [][]byte{
 		frameBytes(frameFeedback, 0, 1<<31, nil),
 		frameBytes(frameFeedback, 0, 2, []byte{0, 9}),
 		frameBytes(frameTuples, 1, uint64(len(one)), one),
+		frameBytes(frameFeedback, 0, uint64(len(foreign)), foreign),
 	} {
 		sink := NewSink("out", schema, newMemConn(bytes.NewReader(data)))
 		tr := exec.Drive(sink, exec.Call(func(*exec.Trace) {
@@ -491,9 +494,9 @@ func FuzzRemoteFrame(f *testing.F) {
 		}
 
 		// The same bytes arriving on a sink's feedback path.
-		var relayed atomic.Int64
+		var relayed, foreign atomic.Int64
 		sink := NewSink("out", schema, newMemConn(bytes.NewReader(data)))
-		if err := sink.Open(feedbackCounter{n: &relayed}); err != nil {
+		if err := sink.Open(feedbackCounter{n: &relayed, foreign: &foreign}); err != nil {
 			t.Fatal(err)
 		}
 		sink.wg.Wait()
@@ -501,13 +504,22 @@ func FuzzRemoteFrame(f *testing.F) {
 		if got := sink.feedbackIn.Load(); got != relayed.Load() {
 			t.Errorf("%d feedback frames counted, %d relayed", got, relayed.Load())
 		}
+		if n := foreign.Load(); n != 0 {
+			t.Errorf("%d feedback patterns of another arity relayed", n)
+		}
 	})
 }
 
-// feedbackCounter is the context of a sink under fuzz: feedback goes nowhere.
+// feedbackCounter is the context of a sink under fuzz: feedback goes nowhere
+// but is counted, and so is any whose pattern is not over the sink's schema.
 type feedbackCounter struct {
 	exec.Context
-	n *atomic.Int64
+	n, foreign *atomic.Int64
 }
 
-func (c feedbackCounter) SendFeedback(int, core.Feedback) { c.n.Add(1) }
+func (c feedbackCounter) SendFeedback(_ int, f core.Feedback) {
+	c.n.Add(1)
+	if f.Pattern.Arity() != schema.Arity() {
+		c.foreign.Add(1)
+	}
+}

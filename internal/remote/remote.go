@@ -130,6 +130,10 @@ func (s *Sink) Open(ctx exec.Context) error {
 				s.readErr.Store(fmt.Errorf("remote: decode feedback frame: %w", err))
 				return
 			}
+			if a := f.Pattern.Arity(); a != s.Schema.Arity() {
+				s.readErr.Store(fmt.Errorf("remote: feedback pattern of arity %d on an edge of arity %d", a, s.Schema.Arity()))
+				return
+			}
 			s.feedbackIn.Add(1)
 			f.Hops++
 			ctx.SendFeedback(0, f)
