@@ -121,12 +121,10 @@ func DiurnalSpeed(minuteOfDay int, segment int64) float64 {
 func (s *Store) Lookup(segment, detector int64, minuteOfDay int) (float64, bool) {
 	s.meter.Do(s.LookupCost)
 	k := archKey{segment, detector, minuteOfDay / bucketMinutes}
-	s.mu.RLock()
-	b := s.byKey[k]
-	s.mu.RUnlock()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.lookups++
-	s.mu.Unlock()
+	b := s.byKey[k]
 	if b == nil || b.count == 0 {
 		return 0, false
 	}

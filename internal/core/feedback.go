@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/punct"
 	"repro/internal/stream"
@@ -86,27 +85,3 @@ func (f Feedback) Matches(t stream.Tuple) bool { return f.Pattern.Matches(t) }
 
 // String renders the feedback in the paper's notation, e.g. ¬[*, >=50].
 func (f Feedback) String() string { return f.Intent.Sigil() + f.Pattern.String() }
-
-// ParseFeedback parses the notation produced by String against a schema.
-func ParseFeedback(s string, schema stream.Schema) (Feedback, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return Feedback{}, fmt.Errorf("core: empty feedback")
-	}
-	var intent Intent
-	switch {
-	case strings.HasPrefix(s, "¬"):
-		intent, s = Assumed, strings.TrimPrefix(s, "¬")
-	case strings.HasPrefix(s, "?"):
-		intent, s = Desired, s[1:]
-	case strings.HasPrefix(s, "!"):
-		intent, s = Demanded, s[1:]
-	default:
-		return Feedback{}, fmt.Errorf("core: feedback %q lacks intent sigil (¬ ? !)", s)
-	}
-	p, err := punct.ParsePattern(s, schema)
-	if err != nil {
-		return Feedback{}, err
-	}
-	return Feedback{Intent: intent, Pattern: p}, nil
-}

@@ -30,32 +30,6 @@ func TestIntentNotation(t *testing.T) {
 	}
 }
 
-func TestFeedbackStringParseRoundTrip(t *testing.T) {
-	for _, s := range []string{
-		"¬[*, <=1970-01-01T00:00:00.000100Z, *]",
-		"?[7, *, *]",
-		"![*, *, >=50]",
-	} {
-		f, err := ParseFeedback(s, fbSchema)
-		if err != nil {
-			t.Fatalf("parse %q: %v", s, err)
-		}
-		back, err := ParseFeedback(f.String(), fbSchema)
-		if err != nil {
-			t.Fatalf("reparse %q: %v", f.String(), err)
-		}
-		if back.Intent != f.Intent || !back.Pattern.Equal(f.Pattern) {
-			t.Errorf("round trip %q → %q", s, f.String())
-		}
-	}
-	if _, err := ParseFeedback("[*, *, *]", fbSchema); err == nil {
-		t.Error("missing sigil must fail")
-	}
-	if _, err := ParseFeedback("", fbSchema); err == nil {
-		t.Error("empty feedback must fail")
-	}
-}
-
 func TestFeedbackRelayedPreservesIdentity(t *testing.T) {
 	f := NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(3))))
 	f.Origin, f.Seq = "pace", 7

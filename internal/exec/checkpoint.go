@@ -318,11 +318,6 @@ func (g *Graph) finishCheckpoint(c *inflight) {
 	if err == nil {
 		persistStart := time.Now()
 		_, werr := c.chain.Put(snap)
-		// A write-behind backend has only enqueued the write; the epoch
-		// counts as persisted only once it is durably applied.
-		if f, ok := c.chain.Backend().(snapshot.Flusher); ok && werr == nil {
-			werr = f.Flush()
-		}
 		if werr != nil {
 			err = fmt.Errorf("exec: checkpoint %d: persist: %w", c.epoch, werr)
 		}

@@ -476,13 +476,10 @@ func (df *DistFollower) Run() error {
 			df.mu.Lock()
 			df.committed = m.Epoch
 			df.mu.Unlock()
-			if df.Retain > 0 {
-				// Retention is keyed to the committed epoch: epochs already
-				// persisted beyond it stay (a later restore may target this
-				// commit after truncating them), and only epochs falling out
-				// of the window below the commit are collectible.
-				_ = df.chain.RetainFrom(m.Epoch, df.Retain)
-			}
+			// Retention is keyed to the committed epoch: epochs already
+			// persisted beyond it stay (a later restore may target this
+			// commit after truncating them).
+			_ = df.chain.RetainFrom(m.Epoch, df.Retain)
 		}
 	}()
 	err := df.g.Run()

@@ -65,13 +65,12 @@ func (dc *DistCoordinator) checkpointLoop(p CheckpointPolicy, stop <-chan struct
 			note(err)
 			continue // abandoned: no manifest, no retention this cycle
 		}
-		if p.Retain > 0 {
-			if err := dc.chain.RetainFrom(c.epoch, p.Retain); err != nil {
-				note(fmt.Errorf("exec: retention after epoch %d: %w", c.epoch, err))
-			}
-			if err := dc.log.Retain(p.Retain); err != nil {
-				note(fmt.Errorf("exec: manifest retention after epoch %d: %w", c.epoch, err))
-			}
+		// Both logs keep the newest Retain epochs at or below the commit.
+		if err := dc.chain.RetainFrom(c.epoch, p.Retain); err != nil {
+			note(fmt.Errorf("exec: retention after epoch %d: %w", c.epoch, err))
+		}
+		if err := dc.log.RetainFrom(c.epoch, p.Retain); err != nil {
+			note(fmt.Errorf("exec: manifest retention after epoch %d: %w", c.epoch, err))
 		}
 	}
 }

@@ -475,9 +475,6 @@ func (f *Fused) applyFeedback(fb core.Feedback) (core.Feedback, bool) {
 	return fb, true
 }
 
-// NumSteps returns the number of fused constituents.
-func (f *Fused) NumSteps() int { return len(f.steps) }
-
 // TelemetryVars implements telemetry.VarExporter: each constituent's own
 // pace_op_* tuple counters (labelled step/kind, preserving the
 // per-logical-operator observability the unfused chain had) plus the

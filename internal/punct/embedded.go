@@ -15,12 +15,6 @@ type Embedded struct {
 // NewEmbedded wraps a pattern as embedded punctuation.
 func NewEmbedded(p Pattern) Embedded { return Embedded{Pattern: p} }
 
-// TimePunct builds the most common embedded punctuation: "all tuples with
-// timestamp ≤ ts (at attribute attr) have been seen", i.e. [*,…,≤ts,…,*].
-func TimePunct(arity, attr int, tsMicros int64) Embedded {
-	return Embedded{Pattern: OnAttr(arity, attr, Le(stream.TimeMicros(tsMicros)))}
-}
-
 // String renders the punctuation in bracket notation.
 func (e Embedded) String() string { return e.Pattern.String() }
 

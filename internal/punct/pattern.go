@@ -131,21 +131,6 @@ func (p Pattern) Implies(q Pattern) bool {
 	return true
 }
 
-// Overlaps conservatively reports whether some tuple can match both
-// patterns. False is sound (provably disjoint); true may be a false
-// positive.
-func (p Pattern) Overlaps(q Pattern) bool {
-	if len(p.preds) != len(q.preds) {
-		return false
-	}
-	for i := range p.preds {
-		if !p.preds[i].Overlaps(q.preds[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Project maps the pattern onto a different attribute space. mapping[i]
 // gives, for each output attribute i of the projected pattern, the source
 // attribute in p, or -1 if the output attribute has no corresponding source

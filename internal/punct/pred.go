@@ -248,66 +248,6 @@ func boundImplies(a, b bound, lower bool) bool {
 	return c == 0 && (a.strict || !b.strict)
 }
 
-// Overlaps conservatively reports whether p and q can both match some value.
-// A true result may be a false positive for exotic combinations; a false
-// result is always sound (the predicates are provably disjoint).
-func (p Pred) Overlaps(q Pred) bool {
-	if p.Op == Any || q.Op == Any {
-		return true
-	}
-	if p.Op == IsNull || q.Op == IsNull {
-		return p.Op == q.Op
-	}
-	// Enumerable cases resolve exactly.
-	switch p.Op {
-	case EQ:
-		return q.Matches(p.Val)
-	case In:
-		for _, v := range p.Set {
-			if q.Matches(v) {
-				return true
-			}
-		}
-		return false
-	}
-	switch q.Op {
-	case EQ:
-		return p.Matches(q.Val)
-	case In:
-		for _, v := range q.Set {
-			if p.Matches(v) {
-				return true
-			}
-		}
-		return false
-	}
-	if p.Op == NE || q.Op == NE {
-		return true // two co-infinite sets on an ordered domain always overlap
-	}
-	plo, phi := p.bounds()
-	qlo, qhi := q.bounds()
-	return intervalOverlap(plo, phi, qlo, qhi)
-}
-
-func intervalOverlap(alo, ahi, blo, bhi bound) bool {
-	// Intervals are disjoint iff one's upper bound is below the other's
-	// lower bound.
-	below := func(hi, lo bound) bool {
-		if hi.inf || lo.inf {
-			return false
-		}
-		c, ok := hi.val.Compare(lo.val)
-		if !ok {
-			return false
-		}
-		if c < 0 {
-			return true
-		}
-		return c == 0 && (hi.strict || lo.strict)
-	}
-	return !below(ahi, blo) && !below(bhi, alo)
-}
-
 // String renders the predicate in the paper's notation.
 func (p Pred) String() string {
 	switch p.Op {

@@ -88,35 +88,6 @@ func TestPredImpliesTable(t *testing.T) {
 	}
 }
 
-func TestPredOverlapsTable(t *testing.T) {
-	i := stream.Int
-	tests := []struct {
-		p, q Pred
-		want bool
-	}{
-		{Le(i(3)), Ge(i(5)), false},
-		{Le(i(5)), Ge(i(5)), true},
-		{Lt(i(5)), Ge(i(5)), false},
-		{Range(i(1), i(3)), Range(i(4), i(6)), false},
-		{Range(i(1), i(4)), Range(i(4), i(6)), true},
-		{Eq(i(3)), Le(i(2)), false},
-		{Eq(i(3)), Le(i(3)), true},
-		{OneOf(i(1), i(2)), Ge(i(2)), true},
-		{OneOf(i(1), i(2)), Ge(i(3)), false},
-		{Wild, Le(i(0)), true},
-		{NullPred(), Le(i(5)), false},
-		{NullPred(), NullPred(), true},
-	}
-	for idx, tc := range tests {
-		if got := tc.p.Overlaps(tc.q); got != tc.want {
-			t.Errorf("case %d: (%v).Overlaps(%v) = %v, want %v", idx, tc.p, tc.q, got, tc.want)
-		}
-		if got := tc.q.Overlaps(tc.p); got != tc.want {
-			t.Errorf("case %d (sym): (%v).Overlaps(%v) = %v, want %v", idx, tc.q, tc.p, got, tc.want)
-		}
-	}
-}
-
 // randomPred generates an arbitrary predicate over a small int domain so
 // that collisions between predicates are frequent.
 func randomPred(r *rand.Rand) Pred {
@@ -163,24 +134,6 @@ func TestPredImpliesSoundness(t *testing.T) {
 			v := stream.Int(x)
 			if p.Matches(v) && !q.Matches(v) {
 				t.Fatalf("unsound: (%v).Implies(%v) but %v matches p not q", p, q, v)
-			}
-		}
-	}
-}
-
-// TestPredOverlapsSoundness: if !p.Overlaps(q), no domain value may match
-// both.
-func TestPredOverlapsSoundness(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 5000; trial++ {
-		p, q := randomPred(r), randomPred(r)
-		if p.Overlaps(q) {
-			continue
-		}
-		for x := int64(-12); x <= 12; x++ {
-			v := stream.Int(x)
-			if p.Matches(v) && q.Matches(v) {
-				t.Fatalf("unsound: !(%v).Overlaps(%v) but %v matches both", p, q, v)
 			}
 		}
 	}

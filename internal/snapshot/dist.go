@@ -3,12 +3,7 @@ package snapshot
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
 )
 
 // Distributed cuts. A plan spanning processes checkpoints as a set of
@@ -47,45 +42,33 @@ type DistManifest struct {
 	Parts []DistPart
 }
 
-// distMagic guards manifest decoding against arbitrary files and, like the
-// snapshot format, carries a CRC-32C of the payload so a torn or bit-rotted
-// manifest surfaces as ErrCorruptSnapshot — the signal the restore path needs
-// to fall back to the previous committed head instead of treating damage as a
-// coordinator bug. The generation before it, which had no checksum, is not
+// distMagic opens a sealed manifest. The checksum makes a torn or bit-rotted
+// manifest surface as ErrCorruptSnapshot — the signal the restore path needs
+// to fall back to the previous committed head instead of treating damage as
+// a coordinator bug. The generation before it, which had no checksum, is not
 // read.
 var distMagic = []byte("padist2\n")
 
-// Encode serializes the manifest: magic, CRC-32C of the payload
-// (little-endian), then the payload.
+// Encode serializes the manifest in a sealed frame.
 func (m *DistManifest) Encode() []byte {
-	e := NewEncoder()
-	e.buf = append(e.buf, distMagic...)
-	e.buf = append(e.buf, 0, 0, 0, 0) // crc placeholder, patched below
-	e.PutInt64(m.Epoch)
-	e.PutInt(len(m.Parts))
-	for _, p := range m.Parts {
-		e.PutString(p.Part)
-		e.PutInt64(p.Epoch)
-		e.PutString(p.Chain)
-	}
-	b, _ := e.Bytes() // the encoder has no failing paths
-	crc := crc32.Checksum(b[len(distMagic)+4:], crcTable)
-	binary.LittleEndian.PutUint32(b[len(distMagic):], crc)
-	return b
+	return seal(distMagic, func(e *Encoder) {
+		e.PutInt64(m.Epoch)
+		e.PutInt(len(m.Parts))
+		for _, p := range m.Parts {
+			e.PutString(p.Part)
+			e.PutInt64(p.Epoch)
+			e.PutString(p.Chain)
+		}
+	})
 }
 
 // decodeDistManifest parses a manifest serialized by Encode. Every failure
 // wraps ErrCorruptSnapshot.
 func decodeDistManifest(data []byte) (*DistManifest, error) {
-	if len(data) < len(distMagic)+4 || string(data[:len(distMagic)]) != string(distMagic) {
-		return nil, corruptf("not a distributed manifest (bad magic)")
+	d, err := unseal(distMagic, "distributed manifest", data)
+	if err != nil {
+		return nil, err
 	}
-	want := binary.LittleEndian.Uint32(data[len(distMagic):])
-	data = data[len(distMagic)+4:]
-	if got := crc32.Checksum(data, crcTable); got != want {
-		return nil, corruptf("manifest checksum mismatch (stored %08x, computed %08x)", want, got)
-	}
-	d := NewDecoder(data)
 	m := &DistManifest{Epoch: d.GetInt64()}
 	n := d.GetInt()
 	if err := d.Err(); err != nil {
@@ -108,70 +91,19 @@ func decodeDistManifest(data []byte) (*DistManifest, error) {
 	return m, nil
 }
 
-// DistLog stores committed manifests in a backend, one per epoch, under ids
-// lexically ordered by epoch (dm0000000004). It can share a backend with a
-// Chain — the id namespaces are disjoint and both sides ignore foreign ids.
-// The newest committed epoch is cached after the first backend List, so the
-// per-epoch Commit and poll-heavy Latest (supervisors watch it for
-// progress) stay off the shared backend's directory listing.
-type DistLog struct {
-	mu     sync.Mutex
-	b      Backend
-	head   int64 // newest committed epoch; 0 = none
-	seeded bool
-}
+// DistLog stores committed manifests in a backend, one per epoch. It can
+// share a backend with a Chain: the id formats are disjoint and both logs
+// ignore foreign ids.
+type DistLog struct{ epochLog }
 
 // NewDistLog wraps a backend as a manifest log.
-func NewDistLog(b Backend) *DistLog { return &DistLog{b: b} }
-
-// headLocked returns the newest committed epoch (0 = none), seeding the
-// cache from the backend on first use.
-func (l *DistLog) headLocked() (int64, error) {
-	if !l.seeded {
-		es, err := l.epochsLocked()
-		if err != nil {
-			return 0, err
-		}
-		if len(es) > 0 {
-			l.head = es[len(es)-1]
-		}
-		l.seeded = true
-	}
-	return l.head, nil
-}
-
-func distID(epoch int64) string { return fmt.Sprintf("dm%010d", epoch) }
-
-func parseDistID(id string) (int64, bool) {
-	if !strings.HasPrefix(id, "dm") || len(id) != 12 {
-		return 0, false
-	}
-	epoch, err := strconv.ParseInt(id[2:], 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return epoch, true
-}
-
-// epochsLocked lists committed epochs in ascending order.
-func (l *DistLog) epochsLocked() ([]int64, error) {
-	ids, err := l.b.List()
-	if err != nil {
-		return nil, err
-	}
-	var es []int64
-	for _, id := range ids {
-		if e, ok := parseDistID(id); ok {
-			es = append(es, e)
-		}
-	}
-	sort.Slice(es, func(i, j int) bool { return es[i] < es[j] })
-	return es, nil
-}
+func NewDistLog(b Backend) *DistLog { return &DistLog{epochLog{b: b, ids: manifestIDs}} }
 
 // Commit durably records one distributed cut. Commits must be in epoch
-// order — a manifest older than the newest committed one indicates a
-// coordinator bug (restore always resumes past the newest commit).
+// order — a manifest not newer than the newest committed one indicates a
+// coordinator bug (restore always resumes past the newest commit). A commit
+// is a promise to every part, so a write-behind backend is flushed before it
+// returns.
 func (l *DistLog) Commit(m *DistManifest) error {
 	if m.Epoch <= 0 {
 		return fmt.Errorf("snapshot: dist commit: non-positive epoch %d", m.Epoch)
@@ -179,116 +111,32 @@ func (l *DistLog) Commit(m *DistManifest) error {
 	if len(m.Parts) == 0 {
 		return fmt.Errorf("snapshot: dist commit: epoch %d has no parts", m.Epoch)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	head, err := l.headLocked()
-	if err != nil {
-		return err
-	}
-	if m.Epoch <= head {
-		return fmt.Errorf("snapshot: dist commit: epoch %d not newer than committed %d", m.Epoch, head)
-	}
-	if err := l.b.Put(distID(m.Epoch), m.Encode()); err != nil {
-		return err
-	}
-	if f, ok := l.b.(Flusher); ok {
-		// A write-behind backend has only enqueued the write; a commit is a
-		// promise to every part, so it must be durable before returning.
-		if err := f.Flush(); err != nil {
-			return err
-		}
-	}
-	l.head = m.Epoch
-	return nil
+	_, err := l.put(m.Epoch, m.Encode())
+	return err
 }
 
 // Latest loads the newest committed manifest (ok=false on an empty log).
 func (l *DistLog) Latest() (*DistManifest, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	head, err := l.headLocked()
+	head, err := l.newestLocked()
 	if err != nil || head == 0 {
 		return nil, false, err
 	}
-	data, err := l.b.Get(distID(head))
-	if err != nil {
-		return nil, false, err
-	}
-	m, err := decodeDistManifest(data)
+	m, err := l.At(head)
 	if err != nil {
 		return nil, false, err
 	}
 	return m, true, nil
 }
 
-// Epochs lists the committed epochs in ascending order.
-func (l *DistLog) Epochs() ([]int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.epochsLocked()
-}
-
 // At loads the manifest committed for the given epoch.
 func (l *DistLog) At(epoch int64) (*DistManifest, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	data, err := l.b.Get(distID(epoch))
+	data, err := l.get(epoch)
 	if err != nil {
 		return nil, err
 	}
 	return decodeDistManifest(data)
-}
-
-// TruncateAfter deletes every committed manifest newer than the given
-// epoch — the manifest-log half of restoring from a non-newest commit.
-// Without it, a run resumed from an older cut would re-commit epochs the
-// log already holds and every commit would fail the ascending-order check.
-// Deletion runs newest-first so a crash mid-truncate never leaves a gap
-// below a surviving manifest.
-func (l *DistLog) TruncateAfter(epoch int64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.headLocked(); err != nil {
-		return err
-	}
-	es, err := l.epochsLocked()
-	if err != nil {
-		return err
-	}
-	for i := len(es) - 1; i >= 0; i-- {
-		if es[i] <= epoch {
-			break
-		}
-		if err := l.b.Delete(distID(es[i])); err != nil {
-			l.seeded = false // partial truncate: reseed the head on next use
-			return err
-		}
-		l.head = 0
-		if i > 0 {
-			l.head = es[i-1]
-		}
-	}
-	return nil
-}
-
-// Retain keeps the newest n manifests and deletes the rest (oldest first,
-// so a crash mid-GC never loses the newest commit).
-func (l *DistLog) Retain(n int) error {
-	if n <= 0 {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	es, err := l.epochsLocked()
-	if err != nil || len(es) <= n {
-		return err
-	}
-	for _, e := range es[:len(es)-n] {
-		if err := l.b.Delete(distID(e)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

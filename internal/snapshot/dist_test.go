@@ -3,7 +3,6 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -146,8 +145,8 @@ func TestDistManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDistLog pins the manifest log: commit ordering, latest, retention,
-// and coexistence with a chain in one backend.
+// TestDistLog pins what the manifest log adds to the epoch store (TestEpochLogs):
+// commit validation and the newest manifest, also through a fresh log.
 func TestDistLog(t *testing.T) {
 	b := NewMemory()
 	log := NewDistLog(b)
@@ -169,46 +168,11 @@ func TestDistLog(t *testing.T) {
 			t.Fatalf("commit %d: %v", ep, err)
 		}
 	}
-	// Out-of-order commit rejected: restore always resumes past the newest.
-	if err := log.Commit(&DistManifest{Epoch: 3, Parts: []DistPart{{Part: "x"}}}); err == nil {
-		t.Fatal("stale commit accepted")
-	}
-	m, ok, err := log.Latest()
-	if err != nil || !ok || m.Epoch != 5 {
-		t.Fatalf("latest: %+v ok=%v err=%v", m, ok, err)
-	}
-	if m.Parts[1].Chain != IDFor(5) {
-		t.Fatalf("part chain id %q", m.Parts[1].Chain)
-	}
-	if err := log.Retain(2); err != nil {
-		t.Fatal(err)
-	}
-	ids, _ := b.List()
-	if len(ids) != 2 {
-		t.Fatalf("retained %d manifests, want 2: %v", len(ids), ids)
-	}
-	m, ok, _ = log.Latest()
-	if !ok || m.Epoch != 5 {
-		t.Fatal("retention lost the newest manifest")
-	}
-
-	// Shared backend: a chain's ids are invisible to the log and vice versa.
-	chain := NewChain(b)
-	snap := &Snapshot{Epoch: 9, Nodes: []NodeState{{ID: 0, Name: "n"}}}
-	if _, err := chain.Put(snap); err != nil {
-		t.Fatal(err)
-	}
-	if m, ok, _ = log.Latest(); !ok || m.Epoch != 5 {
-		t.Fatal("chain id leaked into the manifest log")
-	}
-	if ep, ok, _ := chain.LatestEpoch(); !ok || ep != 9 {
-		t.Fatal("manifest id leaked into the chain")
-	}
-
-	// A fresh log over the same backend (a restarted process) reseeds its
-	// head cache from storage.
-	if m, ok, err := NewDistLog(b).Latest(); err != nil || !ok || m.Epoch != 5 {
-		t.Fatalf("reseeded log latest: %+v ok=%v err=%v", m, ok, err)
+	for _, l := range []*DistLog{log, NewDistLog(b)} {
+		m, ok, err := l.Latest()
+		if err != nil || !ok || m.Epoch != 5 || m.Parts[1].Chain != IDFor(5) {
+			t.Fatalf("latest: %+v ok=%v err=%v", m, ok, err)
+		}
 	}
 }
 
@@ -217,39 +181,12 @@ func TestIDFor(t *testing.T) {
 	if got := IDFor(4); got != "ep0000000004-full" {
 		t.Fatalf("id %q", got)
 	}
-	if e, ok := parseChainID(IDFor(7)); !ok || e != 7 {
+	if e, ok := chainIDs.parse(IDFor(7)); !ok || e != 7 {
 		t.Fatal("IDFor output not parseable by the chain")
 	}
 	for _, foreign := range []string{"ep0000000005-d0000000004", "ep0000000007-pack", "dm0000000004", "ep000000004-full"} {
-		if _, ok := parseChainID(foreign); ok {
+		if _, ok := chainIDs.parse(foreign); ok {
 			t.Errorf("%q parsed as a chain id", foreign)
 		}
-	}
-}
-
-// TestChainRetainFrom pins commit-aware retention: epochs persisted beyond
-// the committed head must never push the committed epoch (a restore's only
-// valid target) out of the retention window.
-func TestChainRetainFrom(t *testing.T) {
-	chain := NewChain(NewMemory())
-	putAll(t, chain, 1, 2, 3, 4, 5)
-
-	// Committed head is 3; epochs 4 and 5 are persisted but uncommitted.
-	// Keeping only the newest stored epoch would delete 3 — the exact epoch
-	// a crash now would restore to.
-	if err := chain.RetainFrom(3, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(storedEpochs(t, chain)); got != "[3 4 5]" {
-		t.Fatalf("RetainFrom(3, 1) kept epochs %s, want [3 4 5]", got)
-	}
-
-	// The crash-restore path: truncate the uncommitted tail, then load the
-	// committed epoch.
-	if err := chain.TruncateAfter(3); err != nil {
-		t.Fatal(err)
-	}
-	if got := latest(t, chain); got != "b3" {
-		t.Fatalf("restore from committed epoch after truncate loads %s", got)
 	}
 }

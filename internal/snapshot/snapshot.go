@@ -49,6 +49,35 @@ func corrupted(err error) error {
 // arm64), shared by snapshot and manifest checksums.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// seal frames the payload write encodes, for both stored formats: magic,
+// CRC-32C of the payload (little-endian), then the payload. The checksum
+// makes bit rot and torn writes on weaker backends surface as
+// ErrCorruptSnapshot when an entry is read — before a restore commits to its
+// epoch — instead of as silently wrong state.
+func seal(magic []byte, write func(*Encoder)) []byte {
+	e := NewEncoder()
+	e.buf = append(append(e.buf, magic...), 0, 0, 0, 0) // crc patched below
+	write(e)
+	b, _ := e.Bytes() // the encoder has no failing paths
+	binary.LittleEndian.PutUint32(b[len(magic):], crc32.Checksum(b[len(magic)+4:], crcTable))
+	return b
+}
+
+// unseal checks a frame seal wrote with the given magic and returns a
+// decoder over its payload. what names the format in errors, which wrap
+// ErrCorruptSnapshot.
+func unseal(magic []byte, what string, data []byte) (*Decoder, error) {
+	if len(data) < len(magic)+4 || string(data[:len(magic)]) != string(magic) {
+		return nil, corruptf("not a %s (bad magic)", what)
+	}
+	payload := data[len(magic)+4:]
+	want := binary.LittleEndian.Uint32(data[len(magic):])
+	if got := crc32.Checksum(payload, crcTable); got != want {
+		return nil, corruptf("%s checksum mismatch (stored %08x, computed %08x)", what, want, got)
+	}
+	return NewDecoder(payload), nil
+}
+
 // NodeState is one node's contribution to a snapshot.
 type NodeState struct {
 	// ID is the node's position in the plan (exec.NodeID); restore
@@ -74,11 +103,7 @@ type Snapshot struct {
 	Nodes []NodeState
 }
 
-// magicV3 guards against feeding arbitrary files to Decode. The format
-// carries a CRC-32C of the payload so bit rot and torn writes on weaker
-// backends surface as ErrCorruptSnapshot at load time — before a restore
-// commits to the epoch — instead of as a structural decode error (or worse,
-// silently wrong state) mid-restore. It is the only generation read: the two
+// magicV3 opens a sealed snapshot. It is the only generation read: the two
 // before it had no checksum, so nothing stood between a blob of theirs and
 // an operator's LoadState.
 //
@@ -87,42 +112,32 @@ type Snapshot struct {
 // as zeros so a full cut keeps its bytes; Decode refuses anything else there.
 var magicV3 = []byte("pasnap3\n")
 
-// Encode serializes the snapshot: v3 magic, CRC-32C of the payload
-// (little-endian), then the payload.
+// Encode serializes the snapshot in a sealed frame.
 func (s *Snapshot) Encode() []byte {
-	e := NewEncoder()
-	e.buf = append(e.buf, magicV3...)
-	e.buf = append(e.buf, 0, 0, 0, 0) // crc placeholder, patched below
-	e.PutInt64(s.Epoch)
-	e.PutInt64(0) // base epoch
-	e.PutInt(len(s.Nodes))
-	for _, n := range s.Nodes {
-		e.PutInt(n.ID)
-		e.PutString(n.Name)
-		e.PutBool(false) // delta flag
-		e.PutBytes(n.State)
-		e.PutInt(0) // extra blobs
-	}
-	b, _ := e.Bytes() // the encoder has no failing paths
-	crc := crc32.Checksum(b[len(magicV3)+4:], crcTable)
-	binary.LittleEndian.PutUint32(b[len(magicV3):], crc)
-	return b
+	return seal(magicV3, func(e *Encoder) {
+		e.PutInt64(s.Epoch)
+		e.PutInt64(0) // base epoch
+		e.PutInt(len(s.Nodes))
+		for _, n := range s.Nodes {
+			e.PutInt(n.ID)
+			e.PutString(n.Name)
+			e.PutBool(false) // delta flag
+			e.PutBytes(n.State)
+			e.PutInt(0) // extra blobs
+		}
+	})
 }
 
 // Decode parses a snapshot serialized by Encode. Every failure wraps
-// ErrCorruptSnapshot: the magic is not this format's, the checksum disagrees
-// with the payload, the payload is structurally damaged, or it is a delta cut
-// (a base epoch, a delta flag or extra blobs), which nothing here can apply.
+// ErrCorruptSnapshot: the frame is not this format's or its checksum
+// disagrees with the payload, the payload is structurally damaged, or it is
+// a delta cut (a base epoch, a delta flag or extra blobs), which nothing here
+// can apply.
 func Decode(data []byte) (*Snapshot, error) {
-	if len(data) < len(magicV3)+4 || string(data[:len(magicV3)]) != string(magicV3) {
-		return nil, corruptf("not a snapshot (bad magic)")
+	d, err := unseal(magicV3, "snapshot", data)
+	if err != nil {
+		return nil, err
 	}
-	payload := data[len(magicV3)+4:]
-	want := binary.LittleEndian.Uint32(data[len(magicV3):])
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return nil, corruptf("checksum mismatch (stored %08x, computed %08x)", want, got)
-	}
-	d := NewDecoder(payload)
 	s := &Snapshot{Epoch: d.GetInt64()}
 	base := d.GetInt64()
 	n := d.GetCount()
@@ -149,15 +164,6 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, corruptf("%d trailing bytes", d.Remaining())
 	}
 	return s, nil
-}
-
-// load retrieves and parses the snapshot stored under id.
-func load(b Backend, id string) (*Snapshot, error) {
-	data, err := b.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
 }
 
 // Size returns the total encoded size in bytes (diagnostics). It is

@@ -115,7 +115,11 @@ func testBackend(t *testing.T, b Backend) {
 	if err := b.Put("ckpt-002", s.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := load(b, "ckpt-001")
+	data, err := b.Get("ckpt-001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +133,7 @@ func testBackend(t *testing.T, b Backend) {
 	if !reflect.DeepEqual(ids, []string{"ckpt-001", "ckpt-002"}) {
 		t.Fatalf("List = %v", ids)
 	}
-	if _, err := load(b, "nope"); err == nil {
+	if _, err := b.Get("nope"); err == nil {
 		t.Fatal("unknown id must fail")
 	}
 }
