@@ -415,8 +415,10 @@ func (b *Builder) RemoteSource(name string, schema stream.Schema, conn net.Conn)
 }
 
 // IntoRemote terminates the stream in a remote sink framing it onto conn
-// and returns the sink (for WriteTimeout / FlushEvery tuning). Under
-// distributed checkpoints the sink forwards barriers in-band, so the
+// and returns the sink (for WriteTimeout / FlushEvery tuning). A data frame
+// closes ahead of each punctuation, barrier and EOS, and at 64 KiB: a stream
+// with sparse punctuation whose tuples must not wait for it sets FlushEvery.
+// Under distributed checkpoints the sink forwards barriers in-band, so the
 // consuming subplan cuts the same epoch.
 func (s Stream) IntoRemote(name string, conn net.Conn) *remote.Sink {
 	sink := remote.NewSink(name, s.schema, conn)

@@ -36,14 +36,15 @@ const (
 	// maxFrameBody bounds both len and count of an incoming frame before
 	// anything is allocated from them, and what a writer may frame.
 	maxFrameBody = 16 << 20
-	// runBytes closes a run early when its tuples are large, so FlushEvery
-	// wide tuples cannot add up to a frame the reader must refuse.
+	// runBytes closes a run that no punctuation, barrier or FlushEvery has
+	// closed, so a long stretch of tuples cannot add up to a frame the
+	// reader must refuse.
 	runBytes = 64 << 10
 	// hdrRoom is the space a writer keeps ahead of the body for the header:
 	// count and len are at most maxFrameBody, four uvarint bytes each.
 	hdrRoom = 1 + 2*binary.MaxVarintLen32
-	// readBuf is the reader's initial buffer: several default-sized runs
-	// per Conn.Read. It grows (frameReader.fill) to the largest frame seen.
+	// readBuf is the reader's initial buffer. It doubles (frameReader.fill)
+	// until it holds the largest frame seen.
 	readBuf = 32 << 10
 )
 

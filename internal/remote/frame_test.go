@@ -159,7 +159,7 @@ func TestRunFramingPreservesSequence(t *testing.T) {
 				want = append(want, wireItem{epoch: epoch})
 			}
 		}
-		flushEvery := []int{1, 8, 64}[rng.Intn(3)]
+		flushEvery := []int{0, 1, 8, 64}[rng.Intn(4)]
 		for _, batched := range []bool{false, true} {
 			chunk := 1 + rng.Intn(40) // page-run length handed to ProcessTupleBatch
 			c1, c2 := net.Pipe()
@@ -231,6 +231,45 @@ func feedSink(sink *Sink, items []wireItem, batched bool, chunk int) error {
 	return err
 }
 
+// TestFramesCloseAtPunctuation: at the default FlushEvery a run closes
+// ahead of punctuation, barriers and EOS and at runBytes, not per page, so a
+// punctuated stream costs one data frame per punctuation block.
+func TestFramesCloseAtPunctuation(t *testing.T) {
+	const blocks, block = 6, 512
+	var items []wireItem
+	for k := 0; k < blocks; k++ {
+		for i := 0; i < block; i++ {
+			tp := mkTuple(int64(k*block+i), int64(k*block+i)*1000, 50)
+			items = append(items, wireItem{tuple: &tp})
+		}
+		p := punct.OnAttr(3, 1, punct.Le(stream.TimeMicros(int64(k+1)*block*1000)))
+		items = append(items, wireItem{pat: &p})
+	}
+	// One block again, with a barrier in the middle, and 8 192 tuples alike
+	// that outgrow runBytes: a run closes once its buffer reaches it.
+	items = append(items, items[:block/2]...)
+	items = append(items, wireItem{epoch: 1})
+	items = append(items, items[block/2:block+1]...)
+	big := mkTuple(7, 7, 50)
+	for i := 0; i < 8192; i++ {
+		items = append(items, wireItem{tuple: &big})
+	}
+	size := len(big.AppendBinary(nil))
+	perRun := (runBytes - hdrRoom + size - 1) / size
+	bigRuns := (8192 + perRun - 1) / perRun
+	want := 2*blocks + 4 + bigRuns + 1 // the blocks, the one split by the barrier, the big runs, EOS
+
+	for _, batched := range []bool{false, true} {
+		out := newMemConn(nil)
+		if err := feedSink(NewSink("out", schema, out), items, batched, 64); err != nil {
+			t.Fatal(err)
+		}
+		if out.writes != want {
+			t.Errorf("batched %v: %d frames written, want %d", batched, out.writes, want)
+		}
+	}
+}
+
 // TestDeadlinesArmedPerFrame: WriteTimeout and ReadTimeout cost one
 // deadline call per frame on the wire, not one per tuple.
 func TestDeadlinesArmedPerFrame(t *testing.T) {
@@ -280,6 +319,7 @@ func (c *batchCounter) EmitBatch(ts []stream.Tuple) { c.tuples += len(ts) }
 func TestEncodeRunAllocs(t *testing.T) {
 	conn := newMemConn(nil)
 	sink := NewSink("out", schema, conn)
+	sink.FlushEvery = 64 // a frame per run below, so framing and writing are counted too
 	sink.WriteTimeout = time.Minute
 	if err := sink.Open(nil); err != nil {
 		t.Fatal(err)
@@ -400,6 +440,7 @@ var eosFrame = frameBytes(frameEOS, 0, 0, nil)
 func TestHostileFrames(t *testing.T) {
 	one := tupleBytes(mkTuple(1, 1000, 50))
 	pat := punct.AllWild(3).AppendBinary(nil)
+	foreignPat := punct.OnAttr(5, 4, punct.Le(stream.TimeMicros(10))).AppendBinary(nil)
 	cases := []struct {
 		name, wantErr string
 		data          []byte
@@ -411,6 +452,7 @@ func TestHostileFrames(t *testing.T) {
 		{"count short of the body", "trailing bytes", frameBytes(frameTuples, 1, uint64(2*len(one)), append(one[:len(one):len(one)], one...))},
 		{"count beyond the tuples", "decode tuple 1 of 2", frameBytes(frameTuples, 2, uint64(len(one)+5), append(one[:len(one):len(one)], 0, 0, 0, 0, 0))},
 		{"tuple of another arity", "want 3", frameBytes(frameTuples, 1, 5, tupleBytes(stream.NewTuple(stream.Int(1), stream.Null, stream.Null, stream.Null))[:5])},
+		{"punctuation of another arity", "arity 5 on an edge of arity 3", frameBytes(framePunct, 0, uint64(len(foreignPat)), foreignPat)},
 		{"unknown kind", "unknown frame kind 9", frameBytes(9, 0, 0, nil)},
 		{"feedback on the data path", "unexpected feedback frame", frameBytes(frameFeedback, 0, 0, nil)},
 		{"count on a control frame", "carries count 3", frameBytes(framePunct, 3, uint64(len(pat)), pat)},

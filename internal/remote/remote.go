@@ -54,10 +54,13 @@ type Sink struct {
 	SinkName string
 	Schema   stream.Schema
 	Conn     net.Conn
-	// FlushEvery bounds batching: the open run of tuples is closed and
-	// written as one frame after this many tuples (default 64) and ahead of
-	// every punctuation, barrier and EOS, mirroring the paged-queue flush
-	// rule.
+	// FlushEvery, when positive, caps a data frame at this many tuples.
+	// Without it (the default, 0) the open run of tuples is closed ahead of
+	// every punctuation, barrier and EOS, and at 64 KiB of encoded tuples:
+	// a frame costs a write and a wake-up of the reader on another
+	// processor, so it closes where the stream needs it to, not per page.
+	// Set it where punctuation is sparse and tuples must not wait for the
+	// next one.
 	FlushEvery int
 	// WriteTimeout bounds each frame write to the connection. A wedged peer
 	// — one that stops reading but keeps the connection open — then surfaces
@@ -69,7 +72,6 @@ type Sink struct {
 
 	w       *frameWriter
 	pending int          // tuples in the open run (w.buf)
-	every   int          // FlushEvery with its default applied
 	readErr atomic.Value // error from the feedback reader
 	closing atomic.Bool
 	started bool
@@ -105,9 +107,6 @@ func (s *Sink) OutSchemas() []stream.Schema { return nil }
 // runtime guarantees Context.SendFeedback is safe from other goroutines.
 func (s *Sink) Open(ctx exec.Context) error {
 	s.w = newFrameWriter(s.Conn, s.WriteTimeout, &s.bytesOut)
-	if s.every = s.FlushEvery; s.every <= 0 {
-		s.every = 64
-	}
 	s.started = true
 	fr := newFrameReader(s.Conn, &s.feedbackBy)
 	s.wg.Add(1)
@@ -148,20 +147,25 @@ func (s *Sink) Open(ctx exec.Context) error {
 func (s *Sink) ProcessTuple(_ int, t stream.Tuple, _ exec.Context) error {
 	s.w.buf = t.AppendBinary(s.w.buf)
 	s.pending++
-	if s.pending >= s.every || len(s.w.buf) >= runBytes {
+	if s.pending == s.FlushEvery || len(s.w.buf) >= runBytes {
 		return s.flushRun()
 	}
 	return nil
 }
 
 // ProcessTupleBatch implements exec.TupleBatcher: a page run is encoded
-// back to back into the open run.
+// back to back into the open run, which is closed wherever ProcessTuple
+// would close it.
 //
 //pace:hotpath
 func (s *Sink) ProcessTupleBatch(_ int, items []queue.Item, _ exec.Context) error {
 	for i := range items {
-		if err := s.ProcessTuple(0, items[i].Tuple, nil); err != nil {
-			return err
+		s.w.buf = items[i].Tuple.AppendBinary(s.w.buf)
+		s.pending++
+		if s.pending == s.FlushEvery || len(s.w.buf) >= runBytes {
+			if err := s.flushRun(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -393,6 +397,9 @@ func (s *Source) Next(ctx exec.Context) (bool, error) {
 		var pat punct.Pattern
 		if err := pat.UnmarshalBinary(body); err != nil {
 			return false, fmt.Errorf("remote: decode punctuation frame: %w", err)
+		}
+		if a := pat.Arity(); a != s.Schema.Arity() {
+			return false, fmt.Errorf("remote: punctuation pattern of arity %d on an edge of arity %d", a, s.Schema.Arity())
 		}
 		ctx.EmitPunct(punct.NewEmbedded(pat))
 	case frameBarrier:

@@ -267,7 +267,9 @@ func TestSourceDecodesIntoRecycledSlabs(t *testing.T) {
 	}
 	c1, c2 := net.Pipe()
 	gp := exec.NewGraph()
-	gp.Add(NewSink("wire-out", schema, c1), exec.From(gp.AddSource(exec.NewSliceSource("src", schema, tuples...))))
+	sink := NewSink("wire-out", schema, c1)
+	sink.FlushEvery = 64 // an unpunctuated stream: many frames, so many slabs, to recycle
+	gp.Add(sink, exec.From(gp.AddSource(exec.NewSliceSource("src", schema, tuples...))))
 	gc := exec.NewGraph()
 	col := exec.NewCollector("col", schema)
 	rsrc := NewSource("wire-in", schema, c2)

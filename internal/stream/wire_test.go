@@ -170,13 +170,19 @@ func identical(a, b Value) bool {
 	return a.Kind == b.Kind && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
-// randValue covers all six kinds and their edges.
+// edgeInts are the varint boundaries: the last value of each encoded length
+// and the first of the next, both signs (zigzag doubles the magnitude).
+var edgeInts = []int64{0, 1, -1, 63, 64, -64, -65, 8191, 8192, -8192, -8193,
+	1<<20 - 1, 1 << 20, -1 << 20, -1<<20 - 1, math.MinInt64, math.MaxInt64}
+
+// randValue covers all six kinds and their edges: the varint boundaries,
+// NaN and -0, empty and multi-KB strings.
 func randValue(rng *rand.Rand) Value {
-	switch rng.Intn(12) {
+	switch rng.Intn(14) {
 	case 0:
 		return Null
 	case 1:
-		return Int([]int64{math.MinInt64, math.MaxInt64, 0, -1}[rng.Intn(4)])
+		return Int(edgeInts[rng.Intn(len(edgeInts))])
 	case 2:
 		return Int((rng.Int63() >> rng.Intn(63)) * int64(1-2*rng.Intn(2)))
 	case 3:
@@ -191,6 +197,10 @@ func randValue(rng *rand.Rand) Value {
 		return String_("")
 	case 8:
 		return String_(strings.Repeat("é", 2500)) // 5 000 bytes
+	case 9:
+		return TimeMicros(edgeInts[rng.Intn(len(edgeInts))])
+	case 10:
+		return String_(strings.Repeat("s", 3000))
 	default:
 		return String_(strings.Repeat("k", rng.Intn(20)))
 	}
@@ -212,16 +222,13 @@ func refValueBytes(b []byte, v Value) []byte {
 
 // TestDecodeOverwritesRecycledArena: random runs decoded into an arena that
 // holds poison come out identical to what was encoded — every field of every
-// value is written, which is what exec.Slab asks of whoever fills a slab — and
-// the encoder writes, into buffers of any spare capacity, the bytes a
-// value-by-value encoding does.
+// value is written, which is what exec.Slab asks of whoever fills a slab.
 func TestDecodeOverwritesRecycledArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for iter := 0; iter < 300; iter++ {
 		arity, n := rng.Intn(7), 1+rng.Intn(40)
 		in := make([]Tuple, n)
-		prefix := make([]byte, rng.Intn(4), 4+rng.Intn(64))
-		b, ref := prefix, append([]byte(nil), prefix...)
+		var b []byte
 		for i := range in {
 			vals := make([]Value, arity)
 			for j := range vals {
@@ -229,23 +236,12 @@ func TestDecodeOverwritesRecycledArena(t *testing.T) {
 			}
 			in[i] = Tuple{Values: vals, Seq: rng.Int63() - rng.Int63()}
 			b = in[i].AppendBinary(b)
-			ref = binary.AppendVarint(ref, int64(arity))
-			for _, v := range vals {
-				if got, want := v.AppendBinary(nil), refValueBytes(nil, v); !bytes.Equal(got, want) {
-					t.Fatalf("%#v encoded as %x, want %x", v, got, want)
-				}
-				ref = v.AppendBinary(ref)
-			}
-			ref = binary.AppendVarint(ref, in[i].Seq)
-		}
-		if !bytes.Equal(b, ref) {
-			t.Fatalf("iteration %d: run encoded as\n%x\nwant\n%x", iter, b, ref)
 		}
 		arena := make([]Value, n*arity)
 		for i := range arena {
 			arena[i] = poison
 		}
-		out, rest, err := DecodeTuples(nil, func(int) []Value { return arena }, b[len(prefix):], arity, n)
+		out, rest, err := DecodeTuples(nil, func(int) []Value { return arena }, b, arity, n)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("iteration %d: %v, %d bytes left", iter, err, len(rest))
 		}
@@ -265,7 +261,8 @@ func TestDecodeOverwritesRecycledArena(t *testing.T) {
 
 // FuzzDecodeTuples feeds arbitrary bytes, arity and count to DecodeTuples:
 // it never panics, never asks for an arena the bytes could not fill, and a
-// run it accepts re-encodes and decodes again to identical values.
+// run it accepts re-encodes to exactly the bytes it consumed and decodes
+// again to identical values.
 func FuzzDecodeTuples(f *testing.F) {
 	for _, tp := range goldenTuples {
 		enc := tp.AppendBinary(nil)
@@ -301,6 +298,9 @@ func FuzzDecodeTuples(f *testing.F) {
 		for _, tp := range run {
 			b = tp.AppendBinary(b)
 		}
+		if consumed := data[:len(data)-len(rest)]; !bytes.Equal(b, consumed) {
+			t.Fatalf("accepted run\n%x\nre-encodes as\n%x", consumed, b)
+		}
 		again, rest, err := DecodeTuples(nil, nil, b, a, n)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("re-encoded run does not decode: %v, %d bytes left", err, len(rest))
@@ -315,5 +315,129 @@ func FuzzDecodeTuples(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// TestTupleCodecEquivalence holds the one-pass tuple codec to the value
+// codec, and the value encoder to its layout written out field by field:
+// Tuple.AppendBinary writes varint(arity) ‖ Value.AppendBinary… ‖
+// varint(seq), into buffers of any spare capacity, and DecodeTuples reads
+// what DecodeValue reads value by value.
+func TestTupleCodecEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for iter := 0; iter < 500; iter++ {
+		arity, n := rng.Intn(8), 1+rng.Intn(20)
+		prefix := make([]byte, rng.Intn(4), 4+rng.Intn(64))
+		b, ref := prefix, append([]byte(nil), prefix...)
+		for i := 0; i < n; i++ {
+			tp := Tuple{Values: make([]Value, arity), Seq: edgeInts[rng.Intn(len(edgeInts))]}
+			if rng.Intn(2) == 0 {
+				tp.Seq = rng.Int63() >> rng.Intn(63)
+			}
+			ref = binary.AppendVarint(ref, int64(arity))
+			for j := range tp.Values {
+				v := randValue(rng)
+				if got, want := v.AppendBinary(nil), refValueBytes(nil, v); !bytes.Equal(got, want) {
+					t.Fatalf("%#v encoded as %x, want %x", v, got, want)
+				}
+				tp.Values[j] = v
+				ref = v.AppendBinary(ref)
+			}
+			ref = binary.AppendVarint(ref, tp.Seq)
+			b = tp.AppendBinary(b)
+		}
+		if !bytes.Equal(b, ref) {
+			t.Fatalf("iteration %d: run encoded as\n%x\nwant\n%x", iter, b, ref)
+		}
+
+		run, rest, err := DecodeTuples(nil, nil, b[len(prefix):], arity, n)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("iteration %d: %v, %d bytes left", iter, err, len(rest))
+		}
+		r := ref[len(prefix):]
+		for i, tp := range run {
+			a, k := binary.Varint(r)
+			if k <= 0 || a != int64(arity) {
+				t.Fatalf("iteration %d tuple %d: arity prefix %x", iter, i, r[:min(len(r), 10)])
+			}
+			r = r[k:]
+			for j, got := range tp.Values {
+				var want Value
+				if want, r, err = DecodeValue(r); err != nil {
+					t.Fatalf("iteration %d tuple %d value %d: %v", iter, i, j, err)
+				}
+				if !identical(got, want) {
+					t.Fatalf("iteration %d tuple %d value %d: DecodeTuples read %#v, DecodeValue %#v", iter, i, j, got, want)
+				}
+			}
+			seq, k := binary.Varint(r)
+			if k <= 0 || seq != tp.Seq {
+				t.Fatalf("iteration %d tuple %d: seq %d, DecodeValue's walk reads %d", iter, i, tp.Seq, seq)
+			}
+			r = r[k:]
+		}
+	}
+}
+
+// TestDecodeRefusesOverlongVarints: a varint longer than its value needs
+// does not decode, as an arity, a value or a sequence number, so that
+// FuzzDecodeTuples' accepted runs re-encode to their own bytes.
+func TestDecodeRefusesOverlongVarints(t *testing.T) {
+	for _, c := range []struct {
+		name, wantErr string
+		b             []byte
+	}{
+		{"arity 1 in two bytes", "want 1", []byte{0x82, 0x00, byte(KindInt), 2, 0}},
+		{"int 1 in two bytes", "bad varint for kind int", []byte{2, byte(KindInt), 0x82, 0x00, 0}},
+		{"time 64 in three bytes", "bad varint for kind time", []byte{2, byte(KindTime), 0x80, 0x81, 0x00, 0}},
+		{"int 0 in ten bytes", "bad varint for kind int", append(append([]byte{2, byte(KindInt)}, bytes.Repeat([]byte{0x80}, 9)...), 0, 0)},
+		{"bool 1 in two bytes", "bad varint for kind bool", []byte{2, byte(KindBool), 0x82, 0x00, 0}},
+		{"string length in two bytes", "bad string length", []byte{2, byte(KindString), 0x81, 0x00, 'x', 0}},
+		{"seq 0 in two bytes", "bad sequence number", []byte{2, byte(KindNull), 0x80, 0x00}},
+	} {
+		if got, _, err := DecodeTuples(nil, nil, c.b, 1, 1); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: decoded %v, error %v; want one mentioning %q", c.name, got, err, c.wantErr)
+		}
+		if got, _, err := DecodeTuple(c.b); err == nil {
+			t.Errorf("%s: tuple decoded as %v", c.name, got)
+		}
+	}
+}
+
+// BenchmarkTupleCodec encodes and decodes a 512-tuple run shaped like the
+// remote_checkpointed workload's stream (segment, detector, timestamp,
+// speed; about 23 bytes a tuple): the per-tuple cost of a remote data frame
+// on each side of the wire.
+func BenchmarkTupleCodec(b *testing.B) {
+	const n, base = 512, 1 << 19
+	run := make([]Tuple, n)
+	var wire []byte
+	for i := range run {
+		r := uint64(i+base) * 0x9E3779B97F4A7C15
+		run[i] = Tuple{Values: []Value{
+			Int(int64(r % 50_000)), Int(int64(r >> 20 & 31)),
+			TimeMicros(int64(i + base)), Float(float64(r>>28&0xffff) * (80.0 / 65536)),
+		}, Seq: int64(i + base)}
+		wire = run[i].AppendBinary(wire)
+	}
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, len(wire))
+		for i := 0; i < b.N; i++ {
+			buf = buf[:0]
+			for _, t := range run {
+				buf = t.AppendBinary(buf)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/tuple")
+	})
+	b.Run("decode", func(b *testing.B) {
+		dst, arena := make([]Tuple, 0, n), make([]Value, 4*n)
+		slab := func(int) []Value { return arena }
+		for i := 0; i < b.N; i++ {
+			if _, _, err := DecodeTuples(dst[:0], slab, wire, 4, n); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/tuple")
 	})
 }
