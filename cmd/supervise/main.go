@@ -337,34 +337,29 @@ func freeLoopbackAddr() (string, error) {
 	return addr, nil
 }
 
-// openChain sets up the async-backed chain (and backend) under dir. Chaos
-// faults, if any, wrap the durable backend UNDER the async writer, so an
-// injected write failure poisons the queue exactly like a dying disk.
-func openChain(dir string, faults []chaos.Fault) (*snapshot.Async, *snapshot.Chain, error) {
+// openChain opens the chain under dir on the Dir backend, with chaos faults,
+// if any, wrapped around it: an injected write failure fails that one Put,
+// exactly like a dying disk, and abandons the epoch it hits.
+func openChain(dir string, faults []chaos.Fault) (*snapshot.Chain, error) {
 	d, err := snapshot.NewDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	async := snapshot.NewAsync(chaos.WrapBackend(d, faults))
-	return async, snapshot.NewChain(async), nil
+	return snapshot.NewChain(chaos.WrapBackend(d, faults)), nil
 }
 
-// armKills starts one watcher per scheduled kill fault for this
-// incarnation: once the process's durable progress reaches the fault's
-// epoch threshold, wait the fault's delay (which varies the phase of the
-// next epoch the kill lands in) and SIGKILL.
-func armKills(p *chaos.Plan, part string, inc int, progress func() (int64, bool)) {
-	if p == nil {
-		return
-	}
-	for _, f := range p.Kills(part, inc) {
+// armKills starts one watcher per kill fault: once the process's durable
+// progress reaches the fault's epoch threshold, wait the fault's delay
+// (which varies the phase of the next epoch the kill lands in) and SIGKILL
+// — a genuine kill -9, nothing is flushed or unwound.
+func armKills(kills []chaos.Fault, progress func() (int64, bool)) {
+	for _, f := range kills {
 		go func(f chaos.Fault) {
 			for {
 				time.Sleep(5 * time.Millisecond)
 				if v, ok := progress(); ok && v >= f.Epoch {
 					time.Sleep(f.Delay)
-					logEvent("CHAOS firing kill -9", "fault", f, "progress", v,
-						"role", part, "incarnation", inc)
+					logEvent("CHILD self-destructing (kill -9)", "fault", f, "progress", v)
 					syscall.Kill(os.Getpid(), syscall.SIGKILL)
 				}
 			}
@@ -432,13 +427,12 @@ func runChildCoord(o options) error {
 func runCoordinator(o options, r coordRole, b *plan.Builder, followers ...net.Conn) error {
 	role := strings.ToLower(r.tag)
 	cp := o.chaosPlan()
-	// Async writes: the checkpoint loop never stalls on the filesystem;
-	// Flush on the way out surfaces any write failure.
-	async, chain, err := openChain(filepath.Join(o.dir, r.part), cp.ChainFaults(r.part, o.chaosInc))
+	// Chain and manifest writes run off the stream: snapshots on the
+	// checkpoint's phase-2 finisher, manifests on the checkpoint loop.
+	chain, err := openChain(filepath.Join(o.dir, r.part), cp.ChainFaults(r.part, o.chaosInc))
 	if err != nil {
 		return err
 	}
-	defer async.Close()
 	log := snapshot.NewDistLog(chain.Backend())
 
 	stopTel, err := serveTelemetry(o, role, b)
@@ -478,10 +472,12 @@ func runCoordinator(o options, r coordRole, b *plan.Builder, followers ...net.Co
 		}
 		return m.Epoch, true
 	}
+	kills := cp.Kills(r.part, o.chaosInc)
 	if o.crashAfter > 0 {
-		go crashWhen(commitProgress, o.crashAfter)
+		kills = append(kills, chaos.Fault{Kind: chaos.FaultKill, Target: chaos.TargetProcess,
+			Part: r.part, Incarnation: o.chaosInc, Epoch: int64(o.crashAfter)})
 	}
-	armKills(cp, r.part, o.chaosInc, commitProgress)
+	armKills(kills, commitProgress)
 
 	runErr, chkErr := dc.RunCheckpointed(policyOf(o))
 	if runErr != nil {
@@ -489,12 +485,9 @@ func runCoordinator(o options, r coordRole, b *plan.Builder, followers ...net.Co
 	}
 	if chkErr != nil {
 		// Abandoned epochs are expected around a crash or an injected fault
-		// and never touch the results; a write that was lost for good fails
-		// the Flush below.
+		// (a failed write abandons the epoch it hits) and never touch the
+		// results.
 		logEvent(r.tag+" checkpoint maintenance", "role", role, "err", chkErr)
-	}
-	if err := async.Flush(); err != nil {
-		return err
 	}
 	logEvent(r.tag+" done", "role", role, "seed", o.chaosSeed,
 		"incarnation", o.chaosInc, "committed", dc.CommittedEpoch())
@@ -517,11 +510,10 @@ const (
 // dials the coordinator's -addr for control and data.
 func runChildFollow(o options) error {
 	cp := o.chaosPlan()
-	async, chain, err := openChain(filepath.Join(o.dir, "follow"), cp.ChainFaults("follow", o.chaosInc))
+	chain, err := openChain(filepath.Join(o.dir, "follow"), cp.ChainFaults("follow", o.chaosInc))
 	if err != nil {
 		return err
 	}
-	defer async.Close()
 
 	ctrl, err := dialTagged(o.addr, tagControl)
 	if err != nil {
@@ -552,14 +544,11 @@ func runChildFollow(o options) error {
 	} else {
 		logEvent("FOLLOW cold start", "role", "follow", "seed", o.chaosSeed, "incarnation", o.chaosInc)
 	}
-	armKills(cp, "follow", o.chaosInc, func() (int64, bool) {
+	armKills(cp.Kills("follow", o.chaosInc), func() (int64, bool) {
 		ep, ok, err := chain.LatestEpoch()
 		return ep, err == nil && ok
 	})
 	if err := df.Run(); err != nil {
-		return err
-	}
-	if err := async.Flush(); err != nil {
 		return err
 	}
 	fmt.Println(digestLine(sink))
@@ -612,18 +601,6 @@ func dialTagged(addr string, tag byte) (net.Conn, error) {
 			return nil, fmt.Errorf("dial %s: %w", addr, err)
 		}
 		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// crashWhen SIGKILLs the process once the watched progress counter reaches
-// n — a genuine kill -9, nothing is flushed or unwound.
-func crashWhen(progress func() (int64, bool), n int) {
-	for {
-		time.Sleep(5 * time.Millisecond)
-		if v, ok := progress(); ok && v >= int64(n) {
-			logEvent("CHILD self-destructing (kill -9)", "epoch", v)
-			syscall.Kill(os.Getpid(), syscall.SIGKILL)
-		}
 	}
 }
 

@@ -81,9 +81,9 @@ const (
 	// EOS) — the frames carry no sequence numbers, TCP never loses one, and
 	// the drop would be silent data loss no recovery protocol repairs.
 	FaultDropWrite
-	// FaultFailOp fails the Nth Put on the wrapped backend. Under a
-	// write-behind Async backend this poisons the queue — exactly the
-	// behavior of a dying disk.
+	// FaultFailOp fails the Nth Put on the wrapped backend, as a dying disk
+	// would: the checkpoint or commit that made the Put abandons its epoch,
+	// and the run goes on.
 	FaultFailOp
 	// FaultTornWrite truncates the Nth Put's payload to Pct percent — a
 	// torn write on a backend without atomic-rename guarantees.
@@ -218,9 +218,8 @@ func (p *Plan) String() string {
 }
 
 // maxFatal caps restart-costing faults per schedule so every run
-// terminates well inside the supervisor's restart budget. Kills, severs,
-// and failed backend puts each cost one restart (a failed put poisons a
-// write-behind backend, which exits the child at its durability barrier).
+// terminates well inside the supervisor's restart budget. Kills and severs
+// each cost one restart; every other fault costs at most an epoch.
 const maxFatal = 3
 
 // Generate derives the fault schedule for a seed — a pure function:
@@ -271,14 +270,10 @@ func genSingle(r *Rand, fatal *int, lastKill *int64) Fault {
 	case pick < 5:
 		return killFault(r, fatal, lastKill, "")
 	case pick < 7:
-		if *fatal >= maxFatal {
-			pick = 7
-			break
-		}
-		f := Fault{Kind: FaultFailOp, Target: TargetChain,
-			Incarnation: *fatal, N: 1 + r.Intn(6)}
-		*fatal++
-		return f
+		// A failed put abandons one epoch and costs no restart, so like the
+		// corruption faults below it arms in any incarnation the run reaches.
+		return Fault{Kind: FaultFailOp, Target: TargetChain,
+			Incarnation: r.Intn(*fatal + 1), N: 1 + r.Intn(6)}
 	}
 	// Corruption faults are non-fatal at write time; they bite on the next
 	// restore, so arm them in any incarnation a fatal fault can reach.

@@ -45,7 +45,7 @@ func TestGenerateWellFormed(t *testing.T) {
 					}
 					lastKill = f.Epoch
 					fatal++
-				case FaultSever, FaultFailOp:
+				case FaultSever:
 					if f.Incarnation != fatal {
 						t.Fatalf("seed %d: fatal fault in incarnation %d, want %d: %s", seed, f.Incarnation, fatal, p)
 					}
@@ -66,6 +66,25 @@ func TestGenerateWellFormed(t *testing.T) {
 			if fatal > maxFatal {
 				t.Fatalf("seed %d: %d restart-costing faults exceeds cap %d: %s", seed, fatal, maxFatal, p)
 			}
+		}
+	}
+}
+
+// The per-commit fuzz smoke runs seeds 1–4 in both modes; between them they
+// must schedule every fault kind, or a change to Generate could silently
+// drop a kind from the coverage every change gets.
+func TestSmokeSeedsCoverEveryFaultKind(t *testing.T) {
+	seen := map[FaultKind]bool{}
+	for seed := uint64(1); seed <= 4; seed++ {
+		for _, dist := range []bool{false, true} {
+			for _, f := range Generate(seed, dist).Faults {
+				seen[f.Kind] = true
+			}
+		}
+	}
+	for k := FaultKill; k <= FaultBitFlip; k++ {
+		if !seen[k] {
+			t.Errorf("seeds 1-4 schedule no %s fault", k)
 		}
 	}
 }

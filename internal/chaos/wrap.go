@@ -10,10 +10,9 @@ import (
 )
 
 // Backend wraps a snapshot.Backend and applies scheduled Put faults by op
-// ordinal. It sits UNDER any write-behind (Async) wrapper, so an injected
-// failure propagates exactly like a real disk fault: the async queue
-// poisons, the owning process dies at its next durability barrier, and the
-// supervisor restarts it.
+// ordinal. The epoch logs call it directly, so an injected failure
+// propagates exactly like a real disk fault: the Put returns the error and
+// the checkpoint or commit that made it abandons its epoch.
 type Backend struct {
 	inner  snapshot.Backend
 	mu     sync.Mutex

@@ -25,9 +25,6 @@ func (f Feedback) AppendBinary(b []byte) []byte {
 	return b
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (f Feedback) MarshalBinary() ([]byte, error) { return f.AppendBinary(nil), nil }
-
 // DecodeFeedback decodes one feedback from the front of b, returning the
 // feedback and the remaining bytes.
 func DecodeFeedback(b []byte) (Feedback, []byte, error) {

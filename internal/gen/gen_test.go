@@ -28,9 +28,6 @@ func TestTrafficSourceShape(t *testing.T) {
 	if len(tuples) != want {
 		t.Fatalf("emitted %d, want %d", len(tuples), want)
 	}
-	if int64(len(tuples)) != src.Config.Tuples() {
-		t.Errorf("Tuples() = %d, emitted %d", src.Config.Tuples(), len(tuples))
-	}
 	// Timestamps are non-decreasing and punctuation-covered.
 	var last int64 = -1
 	for _, tp := range tuples {

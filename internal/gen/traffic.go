@@ -77,13 +77,6 @@ func (c TrafficConfig) withDefaults() TrafficConfig {
 	return c
 }
 
-// Tuples returns the total number of reports the config generates.
-func (c TrafficConfig) Tuples() int64 {
-	c = c.withDefaults()
-	rounds := c.Duration / c.ReportPeriod
-	return rounds * int64(c.Segments) * int64(c.DetectorsPerSegment)
-}
-
 // TrafficSource streams the synthetic sensor reports in timestamp order,
 // one detector round at a time, punctuating stream progress as it goes.
 type TrafficSource struct {

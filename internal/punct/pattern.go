@@ -1,7 +1,6 @@
 package punct
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/stream"
@@ -151,26 +150,6 @@ func (p Pattern) Project(mapping []int) Pattern {
 	return Pattern{preds: out}
 }
 
-// Residual returns the predicates of p on attributes NOT carried by the
-// mapping, i.e. the part of the pattern that a projection loses. Safe
-// propagation requires the residual to be all-wildcard unless the operator
-// can guarantee the lost conjuncts independently (see core.SafePropagation).
-func (p Pattern) Residual(mapping []int) Pattern {
-	carried := make([]bool, len(p.preds))
-	for _, src := range mapping {
-		if src >= 0 && src < len(p.preds) {
-			carried[src] = true
-		}
-	}
-	out := append([]Pred(nil), p.preds...)
-	for i := range out {
-		if carried[i] {
-			out[i] = Wild
-		}
-	}
-	return Pattern{preds: out}
-}
-
 // Equal reports structural equality of patterns.
 func (p Pattern) Equal(q Pattern) bool {
 	if len(p.preds) != len(q.preds) {
@@ -221,102 +200,4 @@ func (p Pattern) String() string {
 	}
 	b.WriteByte(']')
 	return b.String()
-}
-
-// ParsePattern parses the bracket notation produced by String against a
-// schema (the schema supplies attribute kinds for literal parsing).
-func ParsePattern(s string, schema stream.Schema) (Pattern, error) {
-	s = strings.TrimSpace(s)
-	if len(s) < 2 || s[0] != '[' || s[len(s)-1] != ']' {
-		return Pattern{}, fmt.Errorf("punct: pattern must be bracketed: %q", s)
-	}
-	parts := splitTop(s[1 : len(s)-1])
-	if len(parts) != schema.Arity() {
-		return Pattern{}, fmt.Errorf("punct: pattern arity %d != schema arity %d", len(parts), schema.Arity())
-	}
-	preds := make([]Pred, len(parts))
-	for i, part := range parts {
-		pr, err := parsePred(strings.TrimSpace(part), schema.Field(i).Kind)
-		if err != nil {
-			return Pattern{}, fmt.Errorf("punct: attribute %d: %w", i, err)
-		}
-		preds[i] = pr
-	}
-	return Pattern{preds: preds}, nil
-}
-
-func parsePred(s string, kind stream.Kind) (Pred, error) {
-	switch {
-	case s == "*":
-		return Wild, nil
-	case s == "null":
-		return NullPred(), nil
-	case strings.HasPrefix(s, "<="):
-		v, err := stream.ParseValue(kind, strings.TrimSpace(s[2:]))
-		return Le(v), err
-	case strings.HasPrefix(s, ">="):
-		v, err := stream.ParseValue(kind, strings.TrimSpace(s[2:]))
-		return Ge(v), err
-	case strings.HasPrefix(s, "!="):
-		v, err := stream.ParseValue(kind, strings.TrimSpace(s[2:]))
-		return Ne(v), err
-	case strings.HasPrefix(s, "<"):
-		v, err := stream.ParseValue(kind, strings.TrimSpace(s[1:]))
-		return Lt(v), err
-	case strings.HasPrefix(s, ">"):
-		v, err := stream.ParseValue(kind, strings.TrimSpace(s[1:]))
-		return Gt(v), err
-	case strings.HasPrefix(s, "{") && strings.HasSuffix(s, "}"):
-		items := strings.Split(s[1:len(s)-1], "|")
-		set := make([]stream.Value, 0, len(items))
-		for _, it := range items {
-			v, err := stream.ParseValue(kind, strings.TrimSpace(it))
-			if err != nil {
-				return Pred{}, err
-			}
-			set = append(set, v)
-		}
-		return OneOf(set...), nil
-	case strings.HasPrefix(s, "[") && strings.HasSuffix(s, "]") && strings.Contains(s, ".."):
-		body := s[1 : len(s)-1]
-		halves := strings.SplitN(body, "..", 2)
-		lo, err := stream.ParseValue(kind, strings.TrimSpace(halves[0]))
-		if err != nil {
-			return Pred{}, err
-		}
-		hi, err := stream.ParseValue(kind, strings.TrimSpace(halves[1]))
-		if err != nil {
-			return Pred{}, err
-		}
-		return Range(lo, hi), nil
-	default:
-		v, err := stream.ParseValue(kind, s)
-		return Eq(v), err
-	}
-}
-
-// splitTop splits on commas not nested inside {...}, [...] or quotes.
-func splitTop(s string) []string {
-	var parts []string
-	depth := 0
-	inQuote := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '\\' && inQuote:
-			i++
-		case c == '"':
-			inQuote = !inQuote
-		case inQuote:
-		case c == '{' || c == '[':
-			depth++
-		case c == '}' || c == ']':
-			depth--
-		case c == ',' && depth == 0:
-			parts = append(parts, s[start:i])
-			start = i + 1
-		}
-	}
-	parts = append(parts, s[start:])
-	return parts
 }

@@ -7,12 +7,6 @@ import (
 	"repro/internal/stream"
 )
 
-var testSchema = stream.MustSchema(
-	stream.F("segment", stream.KindInt),
-	stream.F("ts", stream.KindTime),
-	stream.F("speed", stream.KindFloat),
-)
-
 func TestPatternMatches(t *testing.T) {
 	p := NewPattern(Eq(stream.Int(3)), Wild, Ge(stream.Float(50)))
 	hit := stream.NewTuple(stream.Int(3), stream.TimeMicros(10), stream.Float(51))
@@ -47,7 +41,7 @@ func TestPatternImplies(t *testing.T) {
 	}
 }
 
-func TestPatternProjectAndResidual(t *testing.T) {
+func TestPatternProject(t *testing.T) {
 	// Output keeps (speed, segment): mapping output→input = [2, 0].
 	p := NewPattern(Eq(stream.Int(3)), Wild, Ge(stream.Float(50)))
 	proj := p.Project([]int{2, 0})
@@ -56,14 +50,6 @@ func TestPatternProjectAndResidual(t *testing.T) {
 	}
 	if !proj.Pred(1).Matches(stream.Int(3)) || proj.Pred(1).Matches(stream.Int(4)) {
 		t.Error("projected segment predicate wrong")
-	}
-	res := p.Residual([]int{2, 0})
-	if !res.IsAllWild() {
-		t.Errorf("all bound attrs carried: residual should be wild, got %v", res)
-	}
-	res2 := p.Residual([]int{1}) // only ts carried; segment+speed lost
-	if res2.IsAllWild() {
-		t.Error("residual must retain lost conjuncts")
 	}
 }
 
@@ -78,35 +64,22 @@ func TestPatternWith(t *testing.T) {
 	}
 }
 
-func TestPatternParsePrintRoundTrip(t *testing.T) {
-	cases := []string{
-		"[*, *, *]",
-		"[3, *, >=50]",
-		"[*, <=1970-01-01T00:00:00.100000Z, *]",
-		"[{1|2|3}, *, <5]",
-		"[*, *, [10..20]]",
-		"[!=4, *, *]",
-		"[null, *, *]",
-	}
-	for _, s := range cases {
-		p, err := ParsePattern(s, testSchema)
-		if err != nil {
-			t.Fatalf("parse %q: %v", s, err)
-		}
-		back, err := ParsePattern(p.String(), testSchema)
-		if err != nil {
-			t.Fatalf("reparse %q: %v", p.String(), err)
-		}
-		if !p.Equal(back) {
-			t.Errorf("round trip %q → %q not equal", s, p.String())
-		}
-	}
-}
-
-func TestPatternParseErrors(t *testing.T) {
-	for _, s := range []string{"", "3, *, *", "[3, *]", "[x, *, *]"} {
-		if _, err := ParsePattern(s, testSchema); err == nil {
-			t.Errorf("ParsePattern(%q) should fail", s)
+// String renders a pattern in bracket notation, one predicate per attribute.
+func TestPatternString(t *testing.T) {
+	for _, tc := range []struct {
+		p    Pattern
+		want string
+	}{
+		{AllWild(3), "[*, *, *]"},
+		{NewPattern(Eq(stream.Int(3)), Wild, Ge(stream.Float(50))), "[3, *, >=50]"},
+		{NewPattern(Wild, Le(stream.TimeMicros(100_000)), Wild), "[*, <=1970-01-01T00:00:00.100000Z, *]"},
+		{NewPattern(OneOf(stream.Int(1), stream.Int(2), stream.Int(3)), Wild, Lt(stream.Float(5))), "[{1|2|3}, *, <5]"},
+		{NewPattern(Wild, Wild, Range(stream.Float(10), stream.Float(20))), "[*, *, [10..20]]"},
+		{NewPattern(Ne(stream.Int(4)), Wild, Wild), "[!=4, *, *]"},
+		{NewPattern(NullPred(), Wild, Wild), "[null, *, *]"},
+	} {
+		if got := tc.p.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
 		}
 	}
 }

@@ -43,9 +43,6 @@ func (p Pattern) AppendBinary(b []byte) []byte {
 	return b
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p Pattern) MarshalBinary() ([]byte, error) { return p.AppendBinary(nil), nil }
-
 // DecodePattern decodes one pattern from the front of b, returning the
 // pattern and the remaining bytes.
 func DecodePattern(b []byte) (Pattern, []byte, error) {

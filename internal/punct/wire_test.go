@@ -66,7 +66,7 @@ func randPred(rng *rand.Rand) Pred {
 
 // TestPatternWireRoundTrip is the property test for the shared wire
 // encoding: every randomly drawn pattern survives
-// MarshalBinary → UnmarshalBinary structurally intact, and the encoding is
+// AppendBinary → UnmarshalBinary structurally intact, and the encoding is
 // self-delimiting (two concatenated patterns decode back in order).
 func TestPatternWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -77,10 +77,7 @@ func TestPatternWireRoundTrip(t *testing.T) {
 			preds[j] = randPred(rng)
 		}
 		p := NewPattern(preds...)
-		raw, err := p.MarshalBinary()
-		if err != nil {
-			t.Fatalf("iteration %d: marshal: %v", i, err)
-		}
+		raw := p.AppendBinary(nil)
 		var q Pattern
 		if err := q.UnmarshalBinary(raw); err != nil {
 			t.Fatalf("iteration %d: unmarshal %s: %v", i, p, err)

@@ -23,13 +23,6 @@ type Backend interface {
 	Delete(id string) error
 }
 
-// Flusher is implemented by write-behind backends (Async): Flush blocks
-// until enqueued writes are durably applied. The epoch logs flush after
-// each put, so an entry counts as stored only once it is durable.
-type Flusher interface {
-	Flush() error
-}
-
 // Memory is the in-memory backend used by tests and benchmarks.
 type Memory struct {
 	mu sync.Mutex

@@ -102,8 +102,7 @@ func NewDistLog(b Backend) *DistLog { return &DistLog{epochLog{b: b, ids: manife
 // Commit durably records one distributed cut. Commits must be in epoch
 // order — a manifest not newer than the newest committed one indicates a
 // coordinator bug (restore always resumes past the newest commit). A commit
-// is a promise to every part, so a write-behind backend is flushed before it
-// returns.
+// is a promise to every part: it returns once the backend has stored it.
 func (l *DistLog) Commit(m *DistManifest) error {
 	if m.Epoch <= 0 {
 		return fmt.Errorf("snapshot: dist commit: non-positive epoch %d", m.Epoch)

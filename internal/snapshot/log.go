@@ -37,8 +37,11 @@ func (f idFormat) parse(id string) (int64, bool) {
 // can share one backend. Epochs are positive and strictly ascending.
 //
 // The newest stored epoch is cached after the first List, so the per-epoch
-// put and the poll-heavy latest lookups stay off the backend's listing,
-// which flushes an Async write queue.
+// put and the poll-heavy latest lookups stay off the backend's listing (a
+// directory read on Dir). A put is one Backend.Put, made on the goroutine
+// that waits for it — a checkpoint's phase-2 finisher or the coordinator's
+// checkpoint loop — never on a node's: a slow disk delays the commit, not
+// the stream.
 type epochLog struct {
 	mu     sync.Mutex
 	b      Backend
@@ -87,8 +90,7 @@ func (l *epochLog) newestLocked() (int64, error) {
 // put stores one epoch's entry. An epoch that is not newer than the newest
 // stored one is refused: it can only come from a run resumed at an older
 // epoch, and letting that timeline overwrite the stored one would mix two
-// executions in one log — rewind deliberately with TruncateAfter first. A
-// write-behind backend is flushed before the entry counts as stored.
+// executions in one log — rewind deliberately with TruncateAfter first.
 func (l *epochLog) put(epoch int64, data []byte) (string, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -102,11 +104,6 @@ func (l *epochLog) put(epoch int64, data []byte) (string, error) {
 	}
 	if err := l.b.Put(id, data); err != nil {
 		return "", err
-	}
-	if f, ok := l.b.(Flusher); ok {
-		if err := f.Flush(); err != nil {
-			return "", err
-		}
 	}
 	l.head = epoch
 	return id, nil

@@ -51,7 +51,7 @@ func TestChainForLoadsItsEpoch(t *testing.T) {
 	}
 }
 
-// countingBackend counts List calls — each one flushes an Async queue — and
+// countingBackend counts List calls — each one a directory read on Dir — and
 // fails every delete past a budget: the crash mid-GC or mid-truncate. With
 // landed set, the failing delete still removes its entry: the write reached
 // storage and only the reply was lost.

@@ -123,10 +123,6 @@ func TestTupleBasics(t *testing.T) {
 	if proj.Arity() != 2 || !proj.At(0).Equal(Float(52.5)) || !proj.At(1).Equal(Int(3)) {
 		t.Error("Project")
 	}
-	cat := tp.Concat(NewTuple(Int(1)))
-	if cat.Arity() != 5 || cat.Seq != 9 {
-		t.Error("Concat")
-	}
 }
 
 func TestTupleValidateErrors(t *testing.T) {

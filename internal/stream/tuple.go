@@ -64,14 +64,6 @@ func (t Tuple) AppendProjected(buf []Value, idxs []int) []Value {
 	return buf
 }
 
-// Concat returns the concatenation of t and o, keeping t's sequence number.
-func (t Tuple) Concat(o Tuple) Tuple {
-	vals := make([]Value, 0, len(t.Values)+len(o.Values))
-	vals = append(vals, t.Values...)
-	vals = append(vals, o.Values...)
-	return Tuple{Values: vals, Seq: t.Seq}
-}
-
 // Equal reports positional value equality (Seq is ignored).
 func (t Tuple) Equal(o Tuple) bool {
 	if len(t.Values) != len(o.Values) {

@@ -186,15 +186,6 @@ func (v Value) Equal(o Value) bool {
 	return ok && c == 0
 }
 
-// Less reports strict ordering; incomparable pairs (including Null) order by
-// kind to give a stable total order for sorting.
-func (v Value) Less(o Value) bool {
-	if c, ok := v.Compare(o); ok {
-		return c < 0
-	}
-	return v.Kind < o.Kind
-}
-
 // Hash returns a 64-bit FNV-1a hash of the value, used for group keys and
 // join buckets. Int and Float hash identically when they represent the same
 // integral quantity so mixed-kind numeric grouping behaves sensibly; the

@@ -159,18 +159,3 @@ func TestParseValueErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestValueLessTotalOrder(t *testing.T) {
-	// Less must be a strict weak order even across kinds (for sorting).
-	vals := []Value{Null, Int(1), Float(0.5), String_("x"), TimeMicros(10), Bool(false)}
-	for _, a := range vals {
-		if a.Less(a) {
-			t.Errorf("%v < %v must be false", a, a)
-		}
-		for _, b := range vals {
-			if a.Less(b) && b.Less(a) {
-				t.Errorf("both %v<%v and %v<%v", a, b, b, a)
-			}
-		}
-	}
-}

@@ -81,19 +81,6 @@ func (s *Series) Points() []Point {
 	return append([]Point(nil), s.points...)
 }
 
-// Count returns observations per class.
-func (s *Series) Count(class Class) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, p := range s.points {
-		if p.Class == class {
-			n++
-		}
-	}
-	return n
-}
-
 // LateCount returns how many observations of the class lagged the
 // watermark by more than tolerance micros.
 func (s *Series) LateCount(class Class, tolerance int64) int {

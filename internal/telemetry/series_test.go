@@ -21,8 +21,8 @@ func TestSeriesLatenessAgainstWatermark(t *testing.T) {
 	if pts[3].LateBy != 100 {
 		t.Errorf("lateness = %d, want 100", pts[3].LateBy)
 	}
-	if s.Count(Imputed) != 2 || s.Count(Clean) != 2 {
-		t.Error("class counts")
+	if pts[0].Class != Clean || pts[1].Class != Imputed {
+		t.Error("point classes")
 	}
 	if s.LateCount(Imputed, 500) != 1 {
 		t.Errorf("late count = %d, want 1", s.LateCount(Imputed, 500))
