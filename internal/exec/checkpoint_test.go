@@ -769,6 +769,84 @@ func TestCheckpointAfterLostEpochs(t *testing.T) {
 	}
 }
 
+// TestRefusedCommitAbandonsEpoch: the coordinator's manifest write is the
+// commit. When the backend refuses it, the epoch is abandoned although its
+// snapshot is stored: the run goes on, the next epoch commits, and a restore
+// in between loads the last committed epoch and drops the orphaned snapshot.
+func TestRefusedCommitAbandonsEpoch(t *testing.T) {
+	const total, first, last = 400, 250, 350
+	build := func(limit int64) (*Graph, *limitedSource, *Collector) {
+		src := &limitedSource{schema: incrSchema, total: total}
+		src.limit.Store(limit)
+		sink := NewCollector("sink", incrSchema)
+		g := NewGraph()
+		g.Add(sink, From(g.AddSource(src)))
+		return g, src, sink
+	}
+	gRef, _, sinkRef := build(total)
+	if err := gRef.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := digest(sinkRef.Tuples())
+
+	for _, tc := range []struct {
+		name     string
+		goesOn   bool
+		restored int64
+	}{
+		{name: "restore before the next commit", restored: 1},
+		{name: "next epoch commits", goesOn: true, restored: 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g1, src1, _ := build(first)
+			runErr := make(chan error, 1)
+			go func() { runErr <- g1.Run() }()
+			mem := snapshot.NewMemory()
+			// dm0000000002 is the manifest that would commit epoch 2.
+			dc, chain := local(g1, flakyBackend{mem, func(id string) bool { return id == "dm0000000002" }})
+			src1.waitPos(t, first)
+			if epoch, err := dc.CheckpointOnce(snapshot.CaptureFull); err != nil || epoch != 1 {
+				t.Fatalf("epoch %d: %v", epoch, err)
+			}
+			src1.limit.Store(last)
+			src1.waitPos(t, last)
+			epoch, err := dc.CheckpointOnce(snapshot.CaptureFull)
+			if err == nil || !strings.Contains(err.Error(), "commit manifest") {
+				t.Fatalf("epoch %d over a refused commit: %v", epoch, err)
+			}
+			if dc.CommittedEpoch() != 1 {
+				t.Fatalf("committed %d after the refused commit, want 1", dc.CommittedEpoch())
+			}
+			if latest, _, err := chain.LatestEpoch(); err != nil || latest != 2 {
+				t.Fatalf("chain latest = %d (%v), want the orphaned 2", latest, err)
+			}
+			if tc.goesOn {
+				if epoch, err := dc.CheckpointOnce(snapshot.CaptureFull); err != nil || epoch != 3 {
+					t.Fatalf("epoch %d after the refused commit: %v", epoch, err)
+				}
+			}
+			g1.Kill()
+			if err := <-runErr; !errors.Is(err, ErrKilled) {
+				t.Fatalf("killed run returned %v", err)
+			}
+
+			g2, _, sink2 := build(total)
+			if dc2 := restoreLocal(t, g2, mem); dc2.CommittedEpoch() != tc.restored {
+				t.Fatalf("restored epoch %d, want %d", dc2.CommittedEpoch(), tc.restored)
+			}
+			if latest, _, err := snapshot.NewChain(mem).LatestEpoch(); err != nil || latest != tc.restored {
+				t.Fatalf("chain latest after restore = %d (%v), want %d", latest, err, tc.restored)
+			}
+			if err := g2.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := sink2.Tuples(); len(got) != total || digest(got) != want {
+				t.Fatalf("restored run recorded %d tuples, digest %08x; want %d, %08x", len(got), digest(got), total, want)
+			}
+		})
+	}
+}
+
 // TestReaderSourceReplayFromOffset: the decoder's byte offset is the
 // replay position — a run checkpointed mid-file, killed, and restored over
 // a fresh reader of the same bytes produces the identical record.

@@ -51,15 +51,25 @@ func TestChainForLoadsItsEpoch(t *testing.T) {
 	}
 }
 
-// countingBackend counts List calls — each one a directory read on Dir — and
-// fails every delete past a budget: the crash mid-GC or mid-truncate. With
-// landed set, the failing delete still removes its entry: the write reached
-// storage and only the reply was lost.
+// countingBackend counts List and Put calls — a List is a directory read on
+// Dir — and fails every delete past a budget: the crash mid-GC or
+// mid-truncate. With landed set, the failing delete still removes its entry:
+// the write reached storage and only the reply was lost. A Put of the id in
+// refuse fails without storing anything: a disk that loses one write.
 type countingBackend struct {
 	*Memory
 	deletesLeft int
 	landed      bool
-	lists       int
+	lists, puts int
+	refuse      string
+}
+
+func (b *countingBackend) Put(id string, data []byte) error {
+	b.puts++
+	if id == b.refuse {
+		return fmt.Errorf("disk full writing %s", id)
+	}
+	return b.Memory.Put(id, data)
 }
 
 func (b *countingBackend) Delete(id string) error {
@@ -238,6 +248,31 @@ func TestEpochLogs(t *testing.T) {
 			}
 			if ids, _ := mem.List(); len(ids) != 6 {
 				t.Fatalf("foreign ids touched: backend holds %v", ids)
+			}
+		})
+		t.Run(kind.name+"/refused-put-keeps-head", func(t *testing.T) {
+			// Each entry is one Backend.Put. A refused one leaves the log as
+			// it was, so the epoch is lost but the next one is taken.
+			mem := &countingBackend{Memory: NewMemory()}
+			l, put := open(mem, 1, 2)
+			mem.refuse, mem.puts = l.ids.id(3), 0
+			if err := put(3); err == nil {
+				t.Fatal("epoch 3 stored over a refused write")
+			}
+			if got := newest(l); got != 2 {
+				t.Fatalf("head %d after the refused put, want 2", got)
+			}
+			if err := put(4); err != nil {
+				t.Fatalf("put after the refused one: %v", err)
+			}
+			if mem.puts != 2 {
+				t.Fatalf("2 log puts made %d backend puts, want 2", mem.puts)
+			}
+			if got := storedEpochs(t, l); got != "[1 2 4]" {
+				t.Fatalf("log holds %s, want [1 2 4]", got)
+			}
+			if fresh, _ := kind.open(mem); newest(fresh) != 4 {
+				t.Fatal("a fresh log does not see epoch 4")
 			}
 		})
 		t.Run(kind.name+"/no-list-once-seeded", func(t *testing.T) {
