@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/punct"
 	"repro/internal/stream"
@@ -112,9 +113,23 @@ func Identity(n int) AttrMap {
 	return AttrMap{InputArity: n, ToInput: m}
 }
 
+// IsIdentity reports whether the mapping carries every input attribute in
+// order: a rename at most, which relays tuples and patterns unchanged.
+func (m AttrMap) IsIdentity() bool {
+	if len(m.ToInput) != m.InputArity {
+		return false
+	}
+	for out, in := range m.ToInput {
+		if in != out {
+			return false
+		}
+	}
+	return true
+}
+
 // InputPattern projects an output-schema pattern into the input schema:
 // input attribute i receives the predicate of the output attribute that
-// carries it (wildcard if none).
+// carries it, of a bound one where several do (wildcard if none).
 func (m AttrMap) InputPattern(p punct.Pattern) punct.Pattern {
 	// Build inverse mapping input attr → output attr.
 	inv := make([]int, m.InputArity)
@@ -122,11 +137,34 @@ func (m AttrMap) InputPattern(p punct.Pattern) punct.Pattern {
 		inv[i] = -1
 	}
 	for out, in := range m.ToInput {
-		if in >= 0 && in < m.InputArity {
+		if in >= 0 && in < m.InputArity && (inv[in] < 0 || out < p.Arity() && !p.Pred(out).IsWild()) {
 			inv[in] = out
 		}
 	}
 	return p.Project(inv)
+}
+
+// OutputPattern relays an input-schema punctuation pattern downstream, the
+// mirror of SafePropagation: input attribute i goes to the first output
+// attribute that carries it, every other output is a wildcard. ok is false —
+// the punctuation is consumed — unless every bound attribute of p is
+// carried: input punctuation [a=5, ts≤10] does not promise the absence of
+// future tuples with a=6, ts≤9, so a mapping that drops a cannot emit
+// [ts≤10].
+func (m AttrMap) OutputPattern(p punct.Pattern) (punct.Pattern, bool) {
+	for i := 0; i < p.Arity(); i++ {
+		if !p.Pred(i).IsWild() && !slices.Contains(m.ToInput, i) {
+			return punct.Pattern{}, false
+		}
+	}
+	first := make([]int, len(m.ToInput)) // output attr → the input attr it relays
+	for out, in := range m.ToInput {
+		first[out] = in
+		if slices.Contains(m.ToInput[:out], in) {
+			first[out] = -1
+		}
+	}
+	return p.Project(first), true
 }
 
 // Propagation is the result of a safety analysis.
@@ -162,9 +200,16 @@ func SafePropagation(p punct.Pattern, m AttrMap) Propagation {
 		// propagable but semantically a shutdown, handled elsewhere.
 		return Propagation{Reason: "all-wildcard pattern: use shutdown, not feedback"}
 	}
-	for _, j := range p.Bound() {
+	bound := p.Bound()
+	for i, j := range bound {
 		if m.ToInput[j] < 0 {
 			return Propagation{Reason: fmt.Sprintf("output attribute %d is bound by the pattern but not carried to this input", j)}
+		}
+		for _, k := range bound[:i] {
+			if m.ToInput[k] == m.ToInput[j] {
+				// One input attribute would need both predicates at once.
+				return Propagation{Reason: fmt.Sprintf("output attributes %d and %d carry one input attribute and are both bound", k, j)}
+			}
 		}
 	}
 	return Propagation{OK: true, Pattern: m.InputPattern(p)}

@@ -95,15 +95,48 @@ func TestCheckExploitationProperty(t *testing.T) {
 	}
 }
 
-func TestAttrMapInputPattern(t *testing.T) {
+// TestAttrMapPatterns holds both directions of one attribute mapping to
+// worked cases: InputPattern takes feedback up it, OutputPattern takes
+// punctuation down it (ok false: consumed).
+func TestAttrMapPatterns(t *testing.T) {
+	eq := func(v int64) punct.Pred { return punct.Eq(stream.Int(v)) }
+	w := punct.Wild
 	// Join output (a, t, id, b) from A(a,t,id) and B(t,id,b): §4.2 example.
 	// Left map: a→0, t→1, id→2, b→-1.
 	leftMap := AttrMap{InputArity: 3, ToInput: []int{0, 1, 2, -1}}
-	f := punct.NewPattern(punct.Wild, punct.Eq(stream.Int(3)), punct.Eq(stream.Int(4)), punct.Wild)
-	in := leftMap.InputPattern(f)
-	want := punct.NewPattern(punct.Wild, punct.Eq(stream.Int(3)), punct.Eq(stream.Int(4)))
-	if !in.Equal(want) {
-		t.Errorf("InputPattern = %v, want %v", in, want)
+	// (x, y, x, z): input 0 carried twice, input 1 dropped, z computed.
+	twice := AttrMap{InputArity: 2, ToInput: []int{0, -1, 0, -1}}
+	cases := []struct {
+		name string
+		up   bool // InputPattern, else OutputPattern
+		m    AttrMap
+		p    punct.Pattern
+		want punct.Pattern
+		ok   bool
+	}{
+		{"feedback up a join's left input", true, leftMap,
+			punct.NewPattern(w, eq(3), eq(4), w), punct.NewPattern(w, eq(3), eq(4)), true},
+		{"feedback up: an input carried twice takes the bound copy's predicate", true, twice,
+			punct.NewPattern(eq(1), w, w, w), punct.NewPattern(eq(1), w), true},
+		{"feedback up: ... whichever copy is bound", true, twice,
+			punct.NewPattern(w, w, eq(1), w), punct.NewPattern(eq(1), w), true},
+		{"punctuation down a join's left input", false, leftMap,
+			punct.NewPattern(w, eq(3), eq(4)), punct.NewPattern(w, eq(3), eq(4), w), true},
+		{"punctuation down: the first carrying output gets it", false, twice,
+			punct.NewPattern(eq(1), w), punct.NewPattern(eq(1), w, w, w), true},
+		{"punctuation down: a dropped bound attribute consumes it", false, twice,
+			punct.NewPattern(eq(1), eq(2)), punct.Pattern{}, false},
+		{"punctuation down: a rename relays unchanged", false, Identity(2),
+			punct.NewPattern(w, eq(2)), punct.NewPattern(w, eq(2)), true},
+	}
+	for _, c := range cases {
+		got, ok := c.m.InputPattern(c.p), true
+		if !c.up {
+			got, ok = c.m.OutputPattern(c.p)
+		}
+		if ok != c.ok || ok && !got.Equal(c.want) {
+			t.Errorf("%s: %v -> %v, %v; want %v, %v", c.name, c.p, got, ok, c.want, c.ok)
+		}
 	}
 }
 
@@ -162,13 +195,16 @@ func TestSafePropagationSoundness(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		inArity := 2 + r.Intn(3)
 		outArity := 1 + r.Intn(inArity)
-		// Random injective partial mapping output→input.
+		// Random partial mapping output→input, mostly injective.
 		perm := r.Perm(inArity)
 		toInput := make([]int, outArity)
 		for i := range toInput {
-			if r.Intn(5) == 0 {
+			switch r.Intn(5) {
+			case 0:
 				toInput[i] = -1 // computed attr
-			} else {
+			case 1:
+				toInput[i] = r.Intn(inArity) // maybe an input carried twice
+			default:
 				toInput[i] = perm[i]
 			}
 		}
@@ -209,5 +245,58 @@ func TestSafePropagationSoundness(t *testing.T) {
 					p, toInput, inT, outT)
 			}
 		}
+	}
+}
+
+// Property: the downstream relay is sound — when OutputPattern relays q from
+// input punctuation p, no input tuple outside p (the only tuples that may
+// still come) maps to an output tuple matching q, so q promises nothing p
+// did not. Mappings may drop, compute and carry an input twice.
+func TestOutputPatternSoundness(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	relayed := 0
+	for trial := 0; trial < 2000; trial++ {
+		inArity := 1 + r.Intn(4)
+		toInput := make([]int, 1+r.Intn(5))
+		for i := range toInput {
+			toInput[i] = r.Intn(inArity+1) - 1 // -1: computed
+		}
+		m := AttrMap{InputArity: inArity, ToInput: toInput}
+		preds := make([]punct.Pred, inArity)
+		for i := range preds {
+			preds[i] = punct.Wild
+			if r.Intn(2) == 0 {
+				preds[i] = punct.Le(stream.Int(r.Int63n(10)))
+			}
+		}
+		p := punct.NewPattern(preds...)
+		q, ok := m.OutputPattern(p)
+		if !ok {
+			continue
+		}
+		relayed++
+		if q.Arity() != len(toInput) {
+			t.Fatalf("relayed %v has arity %d, mapping %v", q, q.Arity(), toInput)
+		}
+		for trial2 := 0; trial2 < 50; trial2++ {
+			in := make([]int64, inArity)
+			for i := range in {
+				in[i] = r.Int63n(12)
+			}
+			out := make([]int64, len(toInput))
+			for i, src := range toInput {
+				if src >= 0 {
+					out[i] = in[src]
+				} else {
+					out[i] = r.Int63n(12) // computed: anything
+				}
+			}
+			if inT, outT := tup(in...), tup(out...); !p.Matches(inT) && q.Matches(outT) {
+				t.Fatalf("unsound relay: %v -> %v through %v: input %v maps to %v", p, q, toInput, inT, outT)
+			}
+		}
+	}
+	if relayed < 200 {
+		t.Fatalf("only %d of 2000 trials relayed: the property is barely exercised", relayed)
 	}
 }

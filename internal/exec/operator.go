@@ -59,8 +59,6 @@ type Context interface {
 	ShutdownUpstream(input int)
 	// NumInputs reports how many input ports are wired.
 	NumInputs() int
-	// NumOutputs reports how many output ports are wired.
-	NumOutputs() int
 }
 
 // Slab returns n values for the run of tuples the caller is building: each

@@ -758,6 +758,3 @@ func (r *nodeRunner) ShutdownUpstream(input int) {
 
 // NumInputs implements Context.
 func (r *nodeRunner) NumInputs() int { return len(r.node.inConns) }
-
-// NumOutputs implements Context.
-func (r *nodeRunner) NumOutputs() int { return len(r.node.outConns) }

@@ -182,11 +182,11 @@ func runImputation(cfg ImputationConfig, compile bool) (ImputationResult, error)
 	if compile {
 		b.Compile()
 	}
-	timer := telemetry.StartTimer()
+	start := time.Now()
 	if err := b.Run(); err != nil {
 		return res, fmt.Errorf("imputation run: %w", err)
 	}
-	res.Elapsed = timer.Elapsed()
+	res.Elapsed = time.Since(start)
 
 	res.CleanTotal = int64((cfg.Tuples + 1) / 2)
 	res.ImputedTotal = int64(cfg.Tuples / 2)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/punct"
 	"repro/internal/stream"
-	"repro/internal/telemetry"
 	"repro/internal/window"
 	"repro/internal/work"
 )
@@ -261,11 +260,11 @@ func runSpeedmap(cfg SpeedmapConfig, compile bool) (SpeedmapResult, error) {
 	if compile {
 		b.Compile()
 	}
-	timer := telemetry.StartTimer()
+	start := time.Now()
 	if err := b.Run(); err != nil {
 		return res, fmt.Errorf("speedmap run %v: %w", cfg.Scheme, err)
 	}
-	res.Elapsed = timer.Elapsed()
+	res.Elapsed = time.Since(start)
 	res.Inputs, _ = h.src.Stats()
 	res.Agg = h.avg.Stats()
 	res.Results = res.Agg.Out

@@ -24,6 +24,7 @@ package fuse
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -71,14 +72,12 @@ type step struct {
 	expr *punct.Expr
 	cost int
 
-	// Project/Map attribute mapping. toInput maps output attr → input attr
-	// (-1 = computed); inv maps input attr → first carrying output attr
-	// (-1 = dropped), precomputed for punctuation relay.
+	// Map attribute mapping: amap.ToInput maps output attr → input attr
+	// (-1 = computed by fns), and relays punctuation (OutputPattern).
 	out      stream.Schema
-	toInput  []int
+	amap     core.AttrMap
 	fns      []func(stream.Tuple) stream.Value
 	identity bool
-	inv      []int
 	// vals is the scratch an intermediate mapping step gathers a run into
 	// (unused by the chain's last mapping step, which gathers into the run's
 	// slab). It is read by the next step and never leaves runSteps.
@@ -125,8 +124,16 @@ func (h *hop) SendFeedback(_ int, f core.Feedback) { h.fb, h.sent = f, true }
 // NumInputs implements core.Upstream.
 func (h *hop) NumInputs() int { return 1 }
 
+// mapper is an operator that compiles to a mapping step: an *op.Map, or an
+// *op.Project, whose Init builds the Map it embeds and whose Resolved is
+// that Map's.
+type mapper interface {
+	Init() error
+	Resolved() (*op.Map, core.AttrMap, []func(stream.Tuple) stream.Value)
+}
+
 // New builds a fused kernel from a chain of operators (upstream→downstream).
-// Every operator must be a *op.Select, *op.Project, or *op.Map; Project/Map
+// Every operator must be a *op.Select or a Map (*op.Map, *op.Project); Map
 // misconfiguration surfaces as an error (via Init), not a panic.
 func New(ops []exec.Operator) (*Fused, error) {
 	if len(ops) == 0 {
@@ -141,34 +148,12 @@ func New(ops []exec.Operator) (*Fused, error) {
 				cond: o.Cond, expr: o.Expr, cost: o.Cost, c: o.Counters(),
 				out: o.Schema, identity: true,
 			})
-		case *op.Project:
+		case mapper:
 			if err := o.Init(); err != nil {
 				return nil, fmt.Errorf("fuse: %v", err)
 			}
-			outS, idxs, err := o.In.Project(o.Keep...)
-			if err != nil {
-				return nil, fmt.Errorf("fuse: project %q: %v", o.Name(), err)
-			}
 			f.steps = append(f.steps, step{})
-			initMappingStep(&f.steps[len(f.steps)-1], kProject, o.Name(), o, o.Counters(), o.Mode, o.Propagate,
-				o.In, outS, idxs, nil)
-		case *op.Map:
-			if err := o.Init(); err != nil {
-				return nil, fmt.Errorf("fuse: %v", err)
-			}
-			toInput := make([]int, len(o.Outs))
-			fns := make([]func(stream.Tuple) stream.Value, len(o.Outs))
-			for i, a := range o.Outs {
-				if a.From != "" {
-					toInput[i] = o.In.Index(a.From)
-				} else {
-					toInput[i] = -1
-					fns[i] = a.Fn
-				}
-			}
-			f.steps = append(f.steps, step{})
-			initMappingStep(&f.steps[len(f.steps)-1], kMap, o.Name(), o, o.Counters(), o.Mode, o.Propagate,
-				o.In, o.OutSchemas()[0], toInput, fns)
+			f.steps[len(f.steps)-1].initMapping(o.Resolved())
 		default:
 			return nil, fmt.Errorf("fuse: %q (%T) is not a fusible operator", o.Name(), o)
 		}
@@ -193,29 +178,17 @@ func (f *Fused) stepNames() []string {
 	return names
 }
 
-// initMappingStep fills st in place (step holds its responder's atomics, so
-// it must not be returned or copied by value).
-func initMappingStep(st *step, kind stepKind, name string, row core.Characterizer, c *op.Counters, mode op.FeedbackMode, propagate bool,
-	in, out stream.Schema, toInput []int, fns []func(stream.Tuple) stream.Value) {
-	st.kind, st.name, st.row, st.c, st.mode, st.propagate = kind, name, row, c, mode, propagate
-	st.out, st.toInput, st.fns = out, toInput, fns
-	st.identity = len(toInput) == in.Arity()
-	for i, src := range toInput {
-		if src != i {
-			st.identity = false
-			break
-		}
+// initMapping fills a mapping step in place from the Map's resolved mapping
+// (step holds its responder's atomics, so it must not be returned or copied
+// by value). A step that only carries is labelled project, one that computes
+// map.
+func (st *step) initMapping(m *op.Map, amap core.AttrMap, fns []func(stream.Tuple) stream.Value) {
+	st.kind = kProject
+	if slices.Contains(amap.ToInput, -1) {
+		st.kind = kMap
 	}
-	st.inv = make([]int, in.Arity())
-	for i := range st.inv {
-		st.inv[i] = -1
-	}
-	// First carrying output wins, matching the unfused outputOf scan order.
-	for o, src := range toInput {
-		if src >= 0 && st.inv[src] < 0 {
-			st.inv[src] = o
-		}
-	}
+	st.name, st.row, st.c, st.mode, st.propagate = m.Name(), m, m.Counters(), m.Mode, m.Propagate
+	st.out, st.amap, st.fns, st.identity = m.OutSchemas()[0], amap, fns, amap.IsIdentity()
 }
 
 // Name implements exec.Operator.
@@ -338,7 +311,7 @@ func (f *Fused) runSteps(items []queue.Item, ctx exec.Context) []stream.Tuple {
 //pace:hotpath
 func (f *Fused) valsFor(si, n int, ctx exec.Context) []stream.Value {
 	st := &f.steps[si]
-	need := n * len(st.toInput)
+	need := n * len(st.amap.ToInput)
 	if si == f.lastMap {
 		return exec.Slab(ctx, need)
 	}
@@ -353,8 +326,8 @@ func (f *Fused) valsFor(si, n int, ctx exec.Context) []stream.Value {
 //
 //pace:hotpath
 func (st *step) gather(sel []stream.Tuple, vals []stream.Value) {
-	w := len(st.toInput)
-	for o, src := range st.toInput {
+	w := len(st.amap.ToInput)
+	for o, src := range st.amap.ToInput {
 		if src >= 0 {
 			for i := range sel {
 				vals[i*w+o] = sel[i].Values[src]
@@ -406,9 +379,10 @@ func (st *step) filter(sel []stream.Tuple) []stream.Tuple {
 
 // ProcessPunct implements exec.Operator: the chain relays punctuation iff
 // every constituent would. Steps are visited in chain order; a Select
-// observes the pattern unchanged, a Project/Map relays it through its
-// attribute mapping (op.RelayPunct) or consumes it — and a consumed
-// punctuation stops the walk exactly where the unfused chain would have.
+// observes the pattern unchanged, a mapping step relays it through its
+// attribute mapping (core.AttrMap.OutputPattern) or consumes it — and a
+// consumed punctuation stops the walk exactly where the unfused chain would
+// have.
 func (f *Fused) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 	if out, ok := f.relayPunct(e); ok {
 		ctx.EmitPunct(out)
@@ -430,17 +404,12 @@ func (f *Fused) relayPunct(e punct.Embedded) (punct.Embedded, bool) {
 			st.fb.Observe(core.Output, cur)
 			continue
 		}
-		projected, ok := op.RelayPunct(cur.Pattern, func(in int) int {
-			if in < 0 || in >= len(st.inv) {
-				return -1
-			}
-			return st.inv[in]
-		}, st.out.Arity())
+		relayed, ok := st.amap.OutputPattern(cur.Pattern)
 		if !ok {
 			st.c.PunctDropped.Add(1)
 			return punct.Embedded{}, false
 		}
-		cur = punct.NewEmbedded(projected)
+		cur = punct.NewEmbedded(relayed)
 		st.fb.Observe(core.Output, cur)
 	}
 	return cur, true

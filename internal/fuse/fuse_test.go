@@ -519,7 +519,6 @@ func (discardCtx) EmitPunctTo(int, punct.Embedded) {}
 func (discardCtx) SendFeedback(int, core.Feedback) {}
 func (discardCtx) ShutdownUpstream(int)            {}
 func (discardCtx) NumInputs() int                  { return 1 }
-func (discardCtx) NumOutputs() int                 { return 1 }
 
 func TestFusedKernelZeroAlloc(t *testing.T) {
 	expr, err := punct.NewExpr(chainSchema.Arity(),
@@ -633,7 +632,6 @@ func (c *captureCtx) EmitPunctTo(_ int, e punct.Embedded) { c.EmitPunct(e) }
 func (c *captureCtx) SendFeedback(_ int, f core.Feedback) { c.fb = append(c.fb, f) }
 func (c *captureCtx) ShutdownUpstream(int)                {}
 func (c *captureCtx) NumInputs() int                      { return 1 }
-func (c *captureCtx) NumOutputs() int                     { return 1 }
 
 // TestFusedBatchEqualsPerTuple pins the TupleBatcher contract directly: for
 // random chains and random scripts of tuple runs, punctuation, and feedback,

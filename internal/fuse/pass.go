@@ -155,13 +155,9 @@ func fusible(g *exec.Graph, id exec.NodeID) bool {
 	}
 	switch o := o.(type) {
 	case *op.Select:
-	case *op.Project:
+	case mapper:
 		if o.Init() != nil {
 			return false // misconfigured; leave for prepare/Open to report
-		}
-	case *op.Map:
-		if o.Init() != nil {
-			return false
 		}
 	default:
 		return false

@@ -18,6 +18,7 @@ import (
 	"repro/internal/punct"
 	"repro/internal/snapshot"
 	"repro/internal/stream"
+	"repro/internal/work"
 )
 
 // TrafficSchema is the fixed-sensor report schema used throughout the
@@ -94,11 +95,8 @@ type TrafficSource struct {
 	guards  *core.GuardTable
 	emitted int64
 	skipped int64
-	meter   workMeter
+	meter   work.Meter
 }
-
-// workMeter is a tiny indirection so gen does not import work in every
-// file; see cost.go.
 
 // Name implements exec.Source.
 func (s *TrafficSource) Name() string { return "traffic-sensors" }
@@ -134,7 +132,7 @@ func (s *TrafficSource) Next(ctx exec.Context) (bool, error) {
 			continue
 		}
 		if s.cfg.Cost > 0 {
-			s.meter.do(s.cfg.Cost)
+			s.meter.Do(s.cfg.Cost)
 		}
 		s.emitted++
 		ctx.Emit(t)
@@ -175,4 +173,4 @@ func (s *TrafficSource) makeReport(seg, det int64, minuteOfDay int) stream.Tuple
 func (s *TrafficSource) Stats() (emitted, skipped int64) { return s.emitted, s.skipped }
 
 // WorkUnits reports ingest cost burned so far.
-func (s *TrafficSource) WorkUnits() int64 { return s.meter.total() }
+func (s *TrafficSource) WorkUnits() int64 { return s.meter.Total() }

@@ -468,7 +468,6 @@ func (discardCtx) EmitPunctTo(int, punct.Embedded) {}
 func (discardCtx) SendFeedback(int, core.Feedback) {}
 func (discardCtx) ShutdownUpstream(int)            {}
 func (discardCtx) NumInputs() int                  { return 1 }
-func (discardCtx) NumOutputs() int                 { return 4 }
 
 // punctCounter is discardCtx counting the punctuation emitted.
 type punctCounter struct {

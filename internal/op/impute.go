@@ -35,6 +35,10 @@ type Impute struct {
 	Propagate bool
 
 	guards *core.GuardTable
+	// carried maps every attribute to itself except speed, which
+	// imputation rewrites: punctuation relays and feedback propagates
+	// through it.
+	carried core.AttrMap
 
 	imputed, skipped, passed int64
 }
@@ -57,6 +61,8 @@ func (im *Impute) OutSchemas() []stream.Schema { return []stream.Schema{im.Schem
 func (im *Impute) Open(exec.Context) error {
 	im.Bind(im, im.Mode, im.Propagate, 1, im.Schema.Arity())
 	im.guards = im.OutTables()[0]
+	im.carried = core.Identity(im.Schema.Arity())
+	im.carried.ToInput[im.SpeedAttr] = -1
 	if im.FallbackSpeed == 0 {
 		im.FallbackSpeed = 55
 	}
@@ -106,15 +112,19 @@ func minuteOfDayOf(micros int64) int {
 	return int(m / int64(60*1e6))
 }
 
-// ProcessPunct implements exec.Operator: imputation preserves every
-// attribute except the (unpunctuated) speed value, so punctuation passes
-// through; it also expires guards.
+// ProcessPunct implements exec.Operator: imputation carries every attribute
+// except speed, which it rewrites, so punctuation relays iff it leaves speed
+// unbound (core.AttrMap.OutputPattern): [speed ≤ 100] cannot promise that no
+// imputed speed ≤ 100 follows. A relayed punctuation also expires guards.
 func (im *Impute) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error {
 	if input != 0 {
 		return fmt.Errorf("op: impute %q: punctuation on unexpected input %d (single-input operator; check plan wiring)", im.Name(), input)
 	}
-	im.Observe(core.Output, e)
-	ctx.EmitPunct(e)
+	if relayed, ok := im.carried.OutputPattern(e.Pattern); ok {
+		pe := punct.NewEmbedded(relayed)
+		im.Observe(core.Output, pe)
+		ctx.EmitPunct(pe)
+	}
 	return nil
 }
 
@@ -123,9 +133,7 @@ func (im *Impute) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) er
 // pattern binding it can neither guard the input nor propagate, everything
 // else does both.
 func (im *Impute) Characterize(_ int, f core.Feedback) core.ResponsePlan {
-	carried := core.Identity(im.Schema.Arity())
-	carried.ToInput[im.SpeedAttr] = -1
-	plan := core.Stateless(f, []core.Action{core.ActGuardInput}, carried)
+	plan := core.Stateless(f, []core.Action{core.ActGuardInput}, im.carried)
 	if plan.Propagate[0] == nil {
 		plan.Actions = []core.Action{core.ActNone}
 	}

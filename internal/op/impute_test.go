@@ -136,6 +136,33 @@ func TestImputeGuardExpires(t *testing.T) {
 	}
 }
 
+// Impute rewrites speed, so it relays punctuation through the map that
+// carries every attribute but speed: [speed ≤ 100] is consumed — the
+// imputed tuple that follows it (fallback 55) would break its promise —
+// while a ts bound relays unchanged.
+func TestImputeRelaysPunctuationThroughCarriedAttributes(t *testing.T) {
+	im := &Impute{
+		Schema: trafficSchema, SegAttr: 0, DetAttr: 1, TsAttr: 2, SpeedAttr: 3,
+		Store: archive.NewStore(1), // no history: the fallback speed
+	}
+	speedBound := punct.NewEmbedded(punct.OnAttr(4, 3, punct.Le(stream.Float(100))))
+	tr := exec.Drive(im,
+		exec.Punct(0, speedBound),
+		exec.Tuples(0, trafficNull(1, 1, 100)),
+		exec.Punct(0, tsPunct(100)))
+	if tr.Err != nil {
+		t.Fatal(tr.Err)
+	}
+	got := tr.Out[0].Tuples()
+	if len(got) != 1 || got[0].At(3).AsFloat() != 55 || !speedBound.Pattern.Matches(got[0]) {
+		t.Fatalf("imputed %v, want one tuple of speed 55 inside [speed ≤ 100]", got)
+	}
+	ps := puncts(tr.Out[0])
+	if len(ps) != 1 || !ps[0].Pattern.Equal(tsPunct(100).Pattern) {
+		t.Fatalf("relayed %v, want only the ts punctuation, unchanged", ps)
+	}
+}
+
 func TestArchiveStore(t *testing.T) {
 	s := archive.NewStore(2)
 	s.Add(archive.Reading{Segment: 1, Detector: 2, MinuteOfDay: 30, Speed: 50})

@@ -13,8 +13,9 @@ import (
 // Map is the general 1-in/1-out stateless transform: each output attribute
 // is either carried verbatim from an input attribute or computed by a
 // function of the whole input tuple. Carried attributes determine how
-// punctuation relays downstream and how feedback propagates upstream
-// (computed attributes block both, exactly like a join's derived columns).
+// punctuation relays downstream and how feedback propagates upstream, both
+// through one core.AttrMap (computed attributes block both, exactly like a
+// join's derived columns). A Project is a Map that only carries.
 //
 //pace:stateless counters and the responder's guards only (core.Responder: guards are exploitation-only)
 type Map struct {
@@ -29,7 +30,8 @@ type Map struct {
 
 	out      stream.Schema
 	attrMap  core.AttrMap
-	identity bool // every output attr carried in input order: no copy
+	fns      []func(stream.Tuple) stream.Value // per output attr; nil where carried
+	identity bool                              // every output attr carried in input order: no copy
 	guards   *core.GuardTable
 	c        Counters
 }
@@ -93,6 +95,7 @@ func (m *Map) Init() error {
 	}
 	fields := make([]stream.Field, len(m.Outs))
 	toInput := make([]int, len(m.Outs))
+	fns := make([]func(stream.Tuple) stream.Value, len(m.Outs))
 	for i, o := range m.Outs {
 		if o.From != "" {
 			src := m.In.Index(o.From)
@@ -107,16 +110,24 @@ func (m *Map) Init() error {
 			return fmt.Errorf("op: map %q: attribute %q is neither carried nor computed", m.Name(), o.Name)
 		}
 		fields[i] = stream.F(o.Name, o.Kind)
-		toInput[i] = -1
+		toInput[i], fns[i] = -1, o.Fn
 	}
 	out, err := stream.NewSchema(fields...)
 	if err != nil {
 		return fmt.Errorf("op: map %q: %v", m.Name(), err)
 	}
-	m.out = out
-	m.identity = identityMapping(toInput, m.In.Arity())
+	m.out, m.fns = out, fns
 	m.attrMap = core.AttrMap{InputArity: m.In.Arity(), ToInput: toInput}
+	m.identity = m.attrMap.IsIdentity()
 	return nil
+}
+
+// Resolved returns the Map, its attribute mapping and, per output
+// attribute, the function that computes it (nil where carried), once Init
+// has succeeded. A Project promotes it, handing over the Map its Init
+// built: the fused kernel compiles either from this one description.
+func (m *Map) Resolved() (*Map, core.AttrMap, []func(stream.Tuple) stream.Value) {
+	return m, m.attrMap, m.fns
 }
 
 // Open implements exec.Operator.
@@ -139,11 +150,11 @@ func (m *Map) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 	out := t
 	if !m.identity {
 		vals := make([]stream.Value, len(m.Outs)) //pace:allow-alloc non-identity maps mint a new tuple whose values downstream owns
-		for i, o := range m.Outs {
-			if src := m.attrMap.ToInput[i]; src >= 0 {
+		for i, src := range m.attrMap.ToInput {
+			if src >= 0 {
 				vals[i] = t.At(src)
 			} else {
-				vals[i] = o.Fn(t)
+				vals[i] = m.fns[i](t)
 			}
 		}
 		out = stream.Tuple{Values: vals, Seq: t.Seq}
@@ -158,18 +169,10 @@ func (m *Map) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 }
 
 // ProcessPunct implements exec.Operator: punctuation relays iff its bound
-// attributes are all carried.
+// attributes are all carried (core.AttrMap.OutputPattern).
 func (m *Map) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
-	outputOf := func(in int) int {
-		for o, src := range m.attrMap.ToInput {
-			if src == in {
-				return o
-			}
-		}
-		return -1
-	}
-	if projected, ok := RelayPunct(e.Pattern, outputOf, m.out.Arity()); ok {
-		pe := punct.NewEmbedded(projected)
+	if relayed, ok := m.attrMap.OutputPattern(e.Pattern); ok {
+		pe := punct.NewEmbedded(relayed)
 		m.Observe(core.Output, pe)
 		ctx.EmitPunct(pe)
 	} else {

@@ -1,7 +1,8 @@
 // Package op implements the query operators of the reproduction: the
-// standard relational stream operators (SELECT, PROJECT, DUPLICATE, UNION,
-// windowed aggregates, symmetric-hash JOIN) plus the paper's specialized
-// operators (PACE, IMPUTE, THRIFTY/IMPATIENT JOIN variants, PRIORITIZE).
+// standard relational stream operators (SELECT, MAP and PROJECT, the MAP
+// that only carries, DUPLICATE, UNION, windowed aggregates, symmetric-hash
+// JOIN) plus the paper's specialized operators (PACE, IMPUTE,
+// THRIFTY/IMPATIENT JOIN variants, PRIORITIZE).
 //
 // Every operator runs under the exec runtime and, where the paper
 // characterizes it, plays the producer / exploiter / relayer feedback roles:
@@ -9,12 +10,14 @@
 // (Characterize, built from the characterizations in package core), and its
 // core.Responder enacts the row. Tests and `cmd/experiments tables` verify
 // the enacted behaviour against the tables.
+//
+// An operator that maps attributes one to one (Map, and Impute, which
+// rewrites one) declares the correspondence once, as a core.AttrMap:
+// feedback goes up it by core.SafePropagation and embedded punctuation comes
+// down it by AttrMap.OutputPattern.
 package op
 
-import (
-	"repro/internal/core"
-	"repro/internal/punct"
-)
+import "repro/internal/core"
 
 // FeedbackMode selects how far an exploiting operator goes when it receives
 // feedback (core.Mode, where the clamp it names is enacted).
@@ -37,33 +40,3 @@ const (
 // feedback: it drops a matching tuple before doing any work on it, so input
 // guard and output guard are one probe of one table.
 var guardBoth = []core.Action{core.ActGuardInput, core.ActGuardOutput}
-
-// RelayPunct decides whether embedded punctuation with the given pattern
-// survives an attribute projection, and produces the projected pattern.
-// Project, Map, and fused kernels (internal/fuse) all relay by this rule.
-//
-// Rule (mirror of safe propagation, but for the downstream direction): the
-// punctuation's guarantee survives iff every bound attribute is carried by
-// the mapping. If a bound conjunct is dropped, the projected pattern would
-// overclaim: input punctuation [a=5, ts≤10] does not promise the absence of
-// future tuples with a=6, ts≤9, so a projection that drops a cannot emit
-// [ts≤10].
-func RelayPunct(p punct.Pattern, outputOf func(inAttr int) int, outArity int) (punct.Pattern, bool) {
-	mapping := make([]int, outArity) // output attr → input attr
-	for i := range mapping {
-		mapping[i] = -1
-	}
-	carried := map[int]bool{}
-	for in := 0; in < p.Arity(); in++ {
-		if out := outputOf(in); out >= 0 && out < outArity {
-			mapping[out] = in
-			carried[in] = true
-		}
-	}
-	for _, b := range p.Bound() {
-		if !carried[b] {
-			return punct.Pattern{}, false
-		}
-	}
-	return p.Project(mapping), true
-}

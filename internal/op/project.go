@@ -1,24 +1,19 @@
 package op
 
 import (
-	"fmt"
-
-	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/punct"
 	"repro/internal/stream"
-	"repro/internal/telemetry"
 )
 
-// Project narrows a stream to a subset of attributes (optionally renamed
-// via the output schema names). Every output attribute carries an input
-// attribute, so assumed feedback over the output schema always has a safe
-// propagation; embedded punctuation survives downstream iff its bound
-// attributes are kept (see RelayPunct).
+// Project narrows a stream to a subset of attributes, in Keep's order: a Map
+// that only carries. Init builds the Map it embeds, which does the work —
+// tuples, punctuation (relayed iff its bound attributes are kept) and
+// feedback (always propagable: every output attribute is carried).
+// plan.Stream.Project builds the Map directly.
 //
-//pace:stateless counters and the responder's guards only (core.Responder: guards are exploitation-only)
+//pace:stateless a Map that only carries: the embedded Map's counters and guards only
 type Project struct {
-	exec.Responding
+	Map
 	OpName string
 	In     stream.Schema
 	// Keep lists the input attribute names to retain, in output order.
@@ -26,13 +21,6 @@ type Project struct {
 	// Mode/Propagate configure feedback response as in Select.
 	Mode      FeedbackMode
 	Propagate bool
-
-	out      stream.Schema
-	idxs     []int // output attr → input attr
-	identity bool  // output carries every input attr in order: no copy
-	guards   *core.GuardTable
-	attrMap  core.AttrMap
-	c        Counters
 }
 
 // Name implements exec.Operator.
@@ -48,117 +36,31 @@ func (p *Project) InSchemas() []stream.Schema { return []stream.Schema{p.In} }
 
 // OutSchemas implements exec.Operator.
 func (p *Project) OutSchemas() []stream.Schema {
-	if p.out.Arity() == 0 {
-		p.mustInit()
-	}
-	return []stream.Schema{p.out}
-}
-
-func (p *Project) mustInit() {
 	if err := p.Init(); err != nil {
 		panic(err.Error())
 	}
+	return p.Map.OutSchemas()
 }
 
-// Init resolves the Keep list against the input schema, reporting a bad
-// projection as an error instead of the panic OutSchemas/Open would raise.
+// Init builds the Map of Keep's carried attributes, reporting a bad
+// projection as an error instead of the panic OutSchemas would raise.
 // plan.Builder calls it at wiring time so misconfiguration surfaces through
 // Builder.Err(). Calling Init again is a cheap no-op once it has succeeded.
 func (p *Project) Init() error {
-	if p.out.Arity() > 0 {
-		return nil
-	}
-	out, idxs, err := p.In.Project(p.Keep...)
-	if err != nil {
-		return fmt.Errorf("op: project %q: %v", p.Name(), err)
-	}
-	p.out, p.idxs = out, idxs
-	p.identity = identityMapping(idxs, p.In.Arity())
-	p.attrMap = core.AttrMap{InputArity: p.In.Arity(), ToInput: append([]int(nil), idxs...)}
-	return nil
-}
-
-// identityMapping reports whether idxs carries every one of arity input
-// attributes in order, i.e. the projection is a (possibly renaming) no-op
-// on values.
-func identityMapping(idxs []int, arity int) bool {
-	if len(idxs) != arity {
-		return false
-	}
-	for i, src := range idxs {
-		if src != i {
-			return false
+	if p.Map.Outs == nil {
+		outs := make([]MapAttr, len(p.Keep))
+		for i, name := range p.Keep {
+			outs[i] = Carry(name)
 		}
+		p.Map = Map{OpName: p.Name(), In: p.In, Outs: outs, Mode: p.Mode, Propagate: p.Propagate}
 	}
-	return true
+	return p.Map.Init()
 }
 
 // Open implements exec.Operator.
-func (p *Project) Open(exec.Context) error {
-	if p.out.Arity() == 0 {
-		p.mustInit()
+func (p *Project) Open(ctx exec.Context) error {
+	if err := p.Init(); err != nil {
+		return err
 	}
-	p.Bind(p, p.Mode, p.Propagate, 1, p.out.Arity())
-	p.guards = p.OutTables()[0]
-	return nil
-}
-
-// ProcessTuple implements exec.Operator.
-//
-//pace:hotpath
-func (p *Project) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
-	p.c.In.Add(1)
-	projected := t
-	if !p.identity {
-		projected = t.Project(p.idxs)
-	}
-	// Identity projections share the input's Values: safe because tuples
-	// are immutable after emit (DESIGN.md §2.1).
-	if p.Mode != FeedbackIgnore && p.guards.Suppress(projected) {
-		p.c.Suppressed.Add(1)
-		return nil
-	}
-	p.c.Out.Add(1)
-	ctx.Emit(projected)
-	return nil
-}
-
-// ProcessPunct implements exec.Operator: punctuation is projected when its
-// guarantee survives the attribute drop, otherwise it is consumed here.
-func (p *Project) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
-	outputOf := func(in int) int {
-		for o, src := range p.idxs {
-			if src == in {
-				return o
-			}
-		}
-		return -1
-	}
-	if projected, ok := RelayPunct(e.Pattern, outputOf, p.out.Arity()); ok {
-		pe := punct.NewEmbedded(projected)
-		p.Observe(core.Output, pe)
-		ctx.EmitPunct(pe)
-	} else {
-		p.c.PunctDropped.Add(1)
-	}
-	return nil
-}
-
-// Characterize implements core.Characterizer: guard the (projected) output
-// and propagate the pattern in input-schema terms.
-func (p *Project) Characterize(_ int, f core.Feedback) core.ResponsePlan {
-	return core.Stateless(f, guardBoth, p.attrMap)
-}
-
-// Stats reports tuple accounting.
-func (p *Project) Stats() (in, out, suppressed, punctDropped int64) {
-	return p.c.In.Load(), p.c.Out.Load(), p.c.Suppressed.Load(), p.c.PunctDropped.Load()
-}
-
-// Counters returns the operator's counters, for a fused step to count into.
-func (p *Project) Counters() *Counters { return &p.c }
-
-// TelemetryVars implements telemetry.VarExporter.
-func (p *Project) TelemetryVars() []telemetry.Var {
-	return append(append(tupleVars(&p.c), p.Responding.TelemetryVars()...), punctDroppedVar(&p.c))
+	return p.Map.Open(ctx)
 }

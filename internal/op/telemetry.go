@@ -7,7 +7,7 @@ import (
 	"repro/internal/work"
 )
 
-// Counters is the one home of a stateless operator's (Select, Project, Map)
+// Counters is the one home of a stateless operator's (Select, Map)
 // tuple accounting and of the work its predicate burns. The operator counts
 // into it when it runs as its own node, and a fused kernel's step counts into
 // the same struct (internal/fuse), so Stats, CostBurned and the pace_op_*
@@ -28,7 +28,7 @@ func tupleVars(c *Counters) []telemetry.Var {
 	}
 }
 
-// punctDroppedVar renders the punctuation a Project or Map consumed.
+// punctDroppedVar renders the punctuation a Map consumed.
 func punctDroppedVar(c *Counters) telemetry.Var {
 	return telemetry.Var{
 		Name: "pace_op_punct_dropped_total", Help: "Punctuations consumed because bound attributes were dropped.",

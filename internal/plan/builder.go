@@ -170,7 +170,7 @@ func (b *Builder) node(outputs int, mk func() (exec.Operator, error), ins ...Str
 	if err != nil {
 		return b.fail("plan: %v", err)
 	}
-	// Operators with eager validation (op.Project, op.Map) report
+	// Operators with eager validation (op.Map, for one) report
 	// misconfiguration here instead of panicking inside OutSchemas below.
 	if init, ok := o.(interface{ Init() error }); ok {
 		if err := init.Init(); err != nil {
@@ -218,11 +218,14 @@ func (s Stream) SelectExpr(name string, steps ...punct.ExprStep) Stream {
 	}, s)
 }
 
-// Project appends an attribute projection. The Keep list is validated here,
-// at wiring time (op.Project.Init), so a bad projection surfaces through
-// Builder.Err() instead of panicking at the first OutSchemas call.
+// Project appends an attribute projection: a Map that only carries the
+// kept attributes, in order, validated at wiring time like Map's.
 func (s Stream) Project(name string, keep ...string) Stream {
-	return s.Through(&op.Project{OpName: name, In: s.schema, Keep: keep, Mode: s.b.Mode, Propagate: s.b.Propagate})
+	outs := make([]op.MapAttr, len(keep))
+	for i, k := range keep {
+		outs[i] = op.Carry(k)
+	}
+	return s.Map(name, outs...)
 }
 
 // Map appends a stateless attribute transform (carried and computed output

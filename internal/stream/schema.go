@@ -90,26 +90,6 @@ func (s Schema) Concat(o Schema, collisionPrefix string) (Schema, error) {
 	return NewSchema(out...)
 }
 
-// Project returns a schema containing only the named attributes, in the
-// order given, along with the source indices.
-func (s Schema) Project(names ...string) (Schema, []int, error) {
-	fields := make([]Field, 0, len(names))
-	idxs := make([]int, 0, len(names))
-	for _, n := range names {
-		i := s.Index(n)
-		if i < 0 {
-			return Schema{}, nil, fmt.Errorf("stream: project: no attribute %q in %s", n, s)
-		}
-		fields = append(fields, s.fields[i])
-		idxs = append(idxs, i)
-	}
-	out, err := NewSchema(fields...)
-	if err != nil {
-		return Schema{}, nil, err
-	}
-	return out, idxs, nil
-}
-
 // String renders the schema as (name:kind, ...).
 func (s Schema) String() string {
 	var b strings.Builder

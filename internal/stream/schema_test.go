@@ -62,20 +62,6 @@ func TestSchemaConcatRenamesCollisions(t *testing.T) {
 	}
 }
 
-func TestSchemaProject(t *testing.T) {
-	s := trafficSchema(t)
-	out, idxs, err := s.Project("speed", "segment")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Arity() != 2 || idxs[0] != 3 || idxs[1] != 0 {
-		t.Errorf("project: %s %v", out, idxs)
-	}
-	if _, _, err := s.Project("missing"); err == nil {
-		t.Error("projecting a missing attribute must fail")
-	}
-}
-
 func TestSchemaCheckValue(t *testing.T) {
 	s := trafficSchema(t)
 	if err := s.CheckValue(3, Float(55)); err != nil {

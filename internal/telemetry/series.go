@@ -1,7 +1,7 @@
 // Series and its helpers implement the measurements the paper's
 // experiments report: per-tuple output-time series (the scatter plots of
-// Figures 5 and 6), timeliness accounting against a divergence tolerance,
-// and run timing for Figure 7. Formerly the standalone internal/metrics
+// Figures 5 and 6) and timeliness accounting against a divergence
+// tolerance. Formerly the standalone internal/metrics
 // package, folded here so the engine has one metrics home.
 package telemetry
 
@@ -135,14 +135,3 @@ func (s *Series) Sparkline(class Class, buckets int) string {
 	}
 	return string(out)
 }
-
-// Timer measures a run's wall-clock duration (Figure 7's metric).
-type Timer struct {
-	start time.Time
-}
-
-// StartTimer begins timing.
-func StartTimer() *Timer { return &Timer{start: time.Now()} }
-
-// Elapsed reports the duration so far.
-func (t *Timer) Elapsed() time.Duration { return time.Since(t.start) }

@@ -60,13 +60,6 @@ func TestSparkline(t *testing.T) {
 	}
 }
 
-func TestTimer(t *testing.T) {
-	tm := StartTimer()
-	if tm.Elapsed() < 0 {
-		t.Error("elapsed must be non-negative")
-	}
-}
-
 func TestClassString(t *testing.T) {
 	if Clean.String() != "clean" || Imputed.String() != "imputed" {
 		t.Error("class names")
