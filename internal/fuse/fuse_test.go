@@ -581,6 +581,40 @@ func mappingChain(t testing.TB) *Fused {
 	return fused
 }
 
+// TestStepLabels pins how a mapping step is labelled: by what it does, not by
+// the operator it came from. A Map that only carries (cmd/supervise's
+// carry-all "norm") is a project step, like a Project; a Map computing an
+// attribute is a map step. Explain and the pace_op_* kind labels agree.
+func TestStepLabels(t *testing.T) {
+	f := mappingChain(t)
+	carries := make([]op.MapAttr, chainSchema.Arity())
+	for i := range carries {
+		carries[i] = op.Carry(chainSchema.Field(i).Name)
+	}
+	norm, err := New([]exec.Operator{&op.Map{OpName: "norm", In: chainSchema, Outs: carries}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "select sel [a<=3] | project keep -> (a:int, ts:time, v:float) | map double -> (a:int, ts:time, v2:float)"
+	if got := f.Explain(); got != want {
+		t.Errorf("Explain = %q, want %q", got, want)
+	}
+	if got, want := norm.Explain(), "project norm -> "+chainSchema.String(); got != want {
+		t.Errorf("carry-only Map: Explain = %q, want %q", got, want)
+	}
+	kinds := map[string]string{}
+	for _, fk := range []*Fused{f, norm} {
+		for _, v := range fk.TelemetryVars() {
+			if v.Labels["step"] != "" {
+				kinds[v.Labels["step"]] = v.Labels["kind"]
+			}
+		}
+	}
+	if want := map[string]string{"sel": "select", "keep": "project", "double": "map", "norm": "project"}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("kind labels = %v, want %v", kinds, want)
+	}
+}
+
 // TestFusedKernelMappingAllocs pins the mapping-shaped chain: one slab per
 // run however many tuples survive, one per surviving single tuple, nothing
 // for a tuple the select drops before any step rebuilds it.

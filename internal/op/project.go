@@ -6,14 +6,15 @@ import (
 )
 
 // Project narrows a stream to a subset of attributes, in Keep's order: a Map
-// that only carries. Init builds the Map it embeds, which does the work —
+// that only carries. Init builds the Map it embeds (unexported, so Project's
+// settable fields are the five below), which does the work —
 // tuples, punctuation (relayed iff its bound attributes are kept) and
 // feedback (always propagable: every output attribute is carried).
 // plan.Stream.Project builds the Map directly.
 //
 //pace:stateless a Map that only carries: the embedded Map's counters and guards only
 type Project struct {
-	Map
+	carrying
 	OpName string
 	In     stream.Schema
 	// Keep lists the input attribute names to retain, in output order.
@@ -22,6 +23,10 @@ type Project struct {
 	Mode      FeedbackMode
 	Propagate bool
 }
+
+// carrying is the Map a Project embeds: an alias, so Map's methods are
+// promoted, but unexported, so it adds no settable field.
+type carrying = Map
 
 // Name implements exec.Operator.
 func (p *Project) Name() string {
@@ -39,7 +44,7 @@ func (p *Project) OutSchemas() []stream.Schema {
 	if err := p.Init(); err != nil {
 		panic(err.Error())
 	}
-	return p.Map.OutSchemas()
+	return p.carrying.OutSchemas()
 }
 
 // Init builds the Map of Keep's carried attributes, reporting a bad
@@ -47,14 +52,14 @@ func (p *Project) OutSchemas() []stream.Schema {
 // plan.Builder calls it at wiring time so misconfiguration surfaces through
 // Builder.Err(). Calling Init again is a cheap no-op once it has succeeded.
 func (p *Project) Init() error {
-	if p.Map.Outs == nil {
+	if p.carrying.Outs == nil {
 		outs := make([]MapAttr, len(p.Keep))
 		for i, name := range p.Keep {
 			outs[i] = Carry(name)
 		}
-		p.Map = Map{OpName: p.Name(), In: p.In, Outs: outs, Mode: p.Mode, Propagate: p.Propagate}
+		p.carrying = Map{OpName: p.Name(), In: p.In, Outs: outs, Mode: p.Mode, Propagate: p.Propagate}
 	}
-	return p.Map.Init()
+	return p.carrying.Init()
 }
 
 // Open implements exec.Operator.
@@ -62,5 +67,5 @@ func (p *Project) Open(ctx exec.Context) error {
 	if err := p.Init(); err != nil {
 		return err
 	}
-	return p.Map.Open(ctx)
+	return p.carrying.Open(ctx)
 }
