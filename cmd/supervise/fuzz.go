@@ -19,9 +19,9 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -30,8 +30,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	execpkg "repro/internal/exec"
-	"repro/internal/plan"
 	"repro/internal/snapshot"
 )
 
@@ -42,12 +40,7 @@ var resultsRe = regexp.MustCompile(`(?m)^RESULTS .*$`)
 // schedule can stack several kills with restart backoff between them.
 const fuzzRunTimeout = 5 * time.Minute
 
-func modeName(dist bool) string {
-	if dist {
-		return "dist"
-	}
-	return "single"
-}
+var modeName = map[bool]string{false: "single", true: "dist"}
 
 // runFuzz drives -fuzz: clean baselines first, then the seed loop.
 func runFuzz(o options) error {
@@ -73,16 +66,16 @@ func runFuzz(o options) error {
 	// and every replayed epoch.
 	clean := map[bool]string{}
 	for _, dist := range modes {
-		out, err := superviseRun(self, o, filepath.Join(work, "clean-"+modeName(dist)), 0, dist)
+		out, err := superviseRun(self, o, filepath.Join(work, "clean-"+modeName[dist]), 0, dist)
 		if err != nil {
-			return fmt.Errorf("fuzz: clean %s run: %w\n%s", modeName(dist), err, out)
+			return fmt.Errorf("fuzz: clean %s run: %w\n%s", modeName[dist], err, out)
 		}
 		res := resultsRe.FindAllString(out, -1)
 		if len(res) != 1 {
-			return fmt.Errorf("fuzz: clean %s run printed %d RESULTS lines:\n%s", modeName(dist), len(res), out)
+			return fmt.Errorf("fuzz: clean %s run printed %d RESULTS lines:\n%s", modeName[dist], len(res), out)
 		}
 		clean[dist] = res[0]
-		fmt.Printf("FUZZ clean %s digest: %s\n", modeName(dist), res[0])
+		fmt.Printf("FUZZ clean %s digest: %s\n", modeName[dist], res[0])
 	}
 
 	ran := 0
@@ -113,11 +106,11 @@ func runFuzz(o options) error {
 // reproduction command before returning the error.
 func fuzzOne(self string, o options, work string, seed uint64, dist bool, want string) error {
 	p := chaos.Generate(seed, dist)
-	dir := filepath.Join(work, fmt.Sprintf("%s-seed-%d", modeName(dist), seed))
+	dir := filepath.Join(work, fmt.Sprintf("%s-seed-%d", modeName[dist], seed))
 	fail := func(format string, args ...any) error {
 		fmt.Printf("FUZZ FAIL seed=%d mode=%s\n  schedule: %s\n  repro: supervise %s\n",
-			seed, modeName(dist), p, strings.Join(superviseArgs(o, "<fresh-dir>", seed, dist), " "))
-		return fmt.Errorf("fuzz: seed %d (%s): %s", seed, modeName(dist), fmt.Sprintf(format, args...))
+			seed, modeName[dist], p, strings.Join(superviseArgs(o, "<fresh-dir>", seed, dist), " "))
+		return fmt.Errorf("fuzz: seed %d (%s): %s", seed, modeName[dist], fmt.Sprintf(format, args...))
 	}
 	out, err := superviseRun(self, o, dir, seed, dist)
 	if err != nil {
@@ -140,75 +133,44 @@ func fuzzOne(self string, o options, work string, seed uint64, dist bool, want s
 		return fail("chain verification: %v", err)
 	}
 	fmt.Printf("FUZZ PASS seed=%d mode=%s results=%d verified=%d skipped=%d [%s]\n",
-		seed, modeName(dist), len(res), verified, skipped, p)
+		seed, modeName[dist], len(res), verified, skipped, p)
 	return nil
 }
 
 // superviseArgs assembles the supervisor invocation for one chaos run —
 // also what a failure prints as the repro command.
 func superviseArgs(o options, dir string, seed uint64, dist bool) []string {
-	args := []string{
-		"-dir", dir,
-		"-interval", o.interval.String(),
-		"-retain", fmt.Sprint(o.retain),
-		"-parts", fmt.Sprint(o.parts),
-		"-minutes", fmt.Sprint(o.minutes),
-		"-max-restarts", fmt.Sprint(o.maxRestarts),
-		"-restart-backoff", o.backoff.String(),
-		"-ack-timeout", o.ackTimeout.String(),
-		"-write-timeout", o.writeTimeout.String(),
-		"-read-timeout", o.readTimeout.String(),
-		"-fuse=" + fmt.Sprint(o.fuse),
-	}
-	if dist {
-		args = append(args, "-dist")
-	}
-	if seed != 0 {
-		args = append(args, "-chaos-seed", fmt.Sprint(seed))
-	}
-	return args
+	o.dir, o.chaosSeed, o.dist = dir, seed, dist
+	return append(o.args(), "-max-restarts", fmt.Sprint(o.maxRestarts), "-restart-backoff", o.backoff.String())
 }
 
 // superviseRun executes one supervised run (seed 0 = clean) with a
 // watchdog, returning its combined output.
 func superviseRun(self string, o options, dir string, seed uint64, dist bool) (string, error) {
-	cmd := exec.Command(self, superviseArgs(o, dir, seed, dist)...)
-	done := make(chan struct{})
-	var out []byte
-	var err error
-	go func() { out, err = cmd.CombinedOutput(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(fuzzRunTimeout):
-		if cmd.Process != nil {
-			cmd.Process.Kill()
-		}
-		<-done
+	ctx, cancel := context.WithTimeout(context.Background(), fuzzRunTimeout)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, self, superviseArgs(o, dir, seed, dist)...).CombinedOutput()
+	if ctx.Err() != nil {
 		return string(out), fmt.Errorf("run exceeded %v watchdog", fuzzRunTimeout)
 	}
 	return string(out), err
 }
 
 // verifyCommitted is the chain-aware check: every committed manifest
-// restores each process's share of the plan at its epoch and replays to the
-// clean digest. The first part is the coordinating one: its backend holds
-// the manifest log beside its chain, and it is where schedules aim their
+// restores each part of the plan at its epoch and replays to the clean
+// digest. The first part is the coordinating one: its backend holds the
+// manifest log beside its chain, and it is where schedules aim their
 // corruption faults, so only there is a corrupt manifest or snapshot
 // skippable — and only when the schedule injected one.
 func verifyCommitted(o options, dir string, dist bool, want string, p *chaos.Plan) (verified, skipped int, err error) {
-	parts := []string{roleChild.part}
-	if dist {
-		parts = []string{roleCoord.part, "follow"}
+	o.dist = dist
+	b, _ := buildPlan(o)
+	parts := b.Parts()
+	store, err := snapshot.NewDir(filepath.Join(dir, parts[0]))
+	if err != nil {
+		return 0, 0, err
 	}
-	chains := make([]*snapshot.Chain, len(parts))
-	for i, part := range parts {
-		d, err := snapshot.NewDir(filepath.Join(dir, part))
-		if err != nil {
-			return 0, 0, err
-		}
-		chains[i] = snapshot.NewChain(d)
-	}
-	log := snapshot.NewDistLog(chains[0].Backend())
+	log := snapshot.NewDistLog(store)
 	epochs, err := log.Epochs()
 	if err != nil {
 		return 0, 0, err
@@ -229,7 +191,7 @@ func verifyCommitted(o options, dir string, dist bool, want string, p *chaos.Pla
 			err = fmt.Errorf("committed with %d parts, the plan has %d", len(m.Parts), len(parts))
 		}
 		if err == nil {
-			line, err = replay(o, dist, chains, ep)
+			line, err = replay(o, dir, ep)
 		}
 		if errors.Is(err, snapshot.ErrCorruptSnapshot) && p.SchedulesCorruption(parts[0]) {
 			skipped++
@@ -246,44 +208,31 @@ func verifyCommitted(o options, dir string, dist bool, want string, p *chaos.Pla
 	return verified, skipped, nil
 }
 
-// replay rebuilds the plan, restores each process's share from its chain at
-// one committed epoch (followers checkpoint at the coordinator's epoch
-// number), and runs it to completion in-process — the two halves of a
-// distributed plan over a pipe; no checkpoints fire during verification, so
-// no control connection is needed. It returns the sink's digest line.
-func replay(o options, dist bool, chains []*snapshot.Chain, epoch int64) (string, error) {
-	var builders []*plan.Builder
-	var sink *execpkg.Collector
-	if dist {
-		c1, c2 := net.Pipe()
-		bc, _ := buildCoordPlan(o, c1)
-		bf, s := buildFollowPlan(o, c2)
-		builders, sink = []*plan.Builder{bc, bf}, s
-	} else {
-		b, s := buildPlan(o)
-		builders, sink = []*plan.Builder{b}, s
+// replay rebuilds the plan, restores each part from its chain in
+// dir/<part> at one committed epoch (followers checkpoint at the
+// coordinator's epoch number), and runs the placed plan to completion
+// in-process — every part at once, the cut over a pipe, no checkpoints. It
+// returns the sink's digest line.
+func replay(o options, dir string, epoch int64) (string, error) {
+	b, sink := buildPlan(o)
+	if err := b.Err(); err != nil {
+		return "", err
 	}
-	for i, b := range builders {
-		if err := b.Err(); err != nil {
-			return "", err
+	for _, part := range b.Parts() {
+		store, err := snapshot.NewDir(filepath.Join(dir, part))
+		var snap *snapshot.Snapshot
+		if err == nil {
+			snap, err = snapshot.NewChain(store).ChainFor(epoch)
 		}
-		snap, err := chains[i].ChainFor(epoch)
+		if err == nil {
+			err = b.GraphOf(part).RestoreChain(snap)
+		}
 		if err != nil {
-			return "", fmt.Errorf("part %d epoch %d: %w", i, epoch, err)
-		}
-		if err := b.Graph().RestoreChain(snap); err != nil {
-			return "", fmt.Errorf("part %d epoch %d: %w", i, epoch, err)
+			return "", fmt.Errorf("part %s epoch %d: %w", part, epoch, err)
 		}
 	}
-	errs := make(chan error, len(builders))
-	for _, b := range builders {
-		go func(b *plan.Builder) { errs <- b.Run() }(b)
+	if err := b.Run(); err != nil {
+		return "", fmt.Errorf("replay from epoch %d: %w", epoch, err)
 	}
-	var first error
-	for range builders {
-		if err := <-errs; err != nil && first == nil {
-			first = fmt.Errorf("replay from epoch %d: %w", epoch, err)
-		}
-	}
-	return digestLine(sink), first
+	return digestLine(sink), nil
 }

@@ -64,8 +64,15 @@ func TestFuzzScheduleDeterminism(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("same options derived different schedules:\n%s\n%s", a, b)
 	}
-	// A child sees -role instead of -dist; it must land on the same plan.
-	c := options{chaosSeed: 7, role: "follow"}
+	// A child sees the seed and -dist forwarded, whichever part it runs; it
+	// must land on the same plan.
+	args := strings.Join(o.childArgs("follow"), " ")
+	for _, want := range []string{"-role follow", "-dist", "-chaos-seed 7"} {
+		if !strings.Contains(args, want) {
+			t.Fatalf("child args %q lack %q", args, want)
+		}
+	}
+	c := options{chaosSeed: 7, dist: true, role: "follow"}
 	if got := c.chaosPlan(); got.String() != a.String() {
 		t.Fatalf("child derived a different schedule than its supervisor:\n%s\n%s", got, a)
 	}

@@ -1,126 +1,93 @@
 package main
 
 import (
-	"net"
+	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	execpkg "repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/snapshot"
 )
 
-// incarnation is one build of the demo workload under its checkpoint
-// coordinator: the whole plan with no followers, or the producer half with
-// the consumer half following it over a pair of pipes.
-type incarnation struct {
-	dc     *execpkg.DistCoordinator
-	follow func() error // runs the follower's half; nil when there is none
-	sink   *execpkg.Collector
-	kill   func()
-}
-
 // TestLocalPlanIsTheProtocolWithZeroFollowers cuts, kills and restores
-// cmd/supervise's workload twice — as one plan whose coordinator has no
-// followers, and split across a coordinator and a follower — and both must
+// cmd/supervise's one logical plan twice — deployed as one part whose
+// coordinator has no followers, and placed on two parts — and both must
 // recover to the rows an uninterrupted run produces: a single-process run is
 // the distributed protocol with nobody to wait for, not a second path.
 func TestLocalPlanIsTheProtocolWithZeroFollowers(t *testing.T) {
-	o := options{parts: 2, minutes: 10, fuse: true}
 	policy := execpkg.CheckpointPolicy{Interval: 10 * time.Millisecond, Retain: 3}
-
-	bRef, sinkRef := buildPlan(o)
+	bRef, sinkRef := buildPlan(options{parts: 2, minutes: 10, fuse: true})
 	if err := bRef.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := digestLine(sinkRef)
 
-	// Each mode keeps its backends across incarnations: the second one
-	// restores what the first committed.
-	coordStore, followStore := snapshot.NewMemory(), snapshot.NewMemory()
-	local := func() incarnation {
-		b, sink := buildPlan(o)
-		dc, err := b.DistCoordinate("child", snapshot.NewChain(coordStore), snapshot.NewDistLog(coordStore))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dc.RestoreCommitted(); err != nil {
-			t.Fatal(err)
-		}
-		return incarnation{dc: dc, sink: sink, kill: b.Graph().Kill}
-	}
-	split := func() incarnation {
-		dataA, dataB := net.Pipe()
-		ctrlA, ctrlB := net.Pipe()
-		bc, _ := buildCoordPlan(o, dataA)
-		bf, sink := buildFollowPlan(o, dataB)
-		dc, err := bc.DistCoordinate("coord", snapshot.NewChain(coordStore), snapshot.NewDistLog(coordStore))
-		if err != nil {
-			t.Fatal(err)
-		}
-		df, err := bf.DistFollow("follow", snapshot.NewChain(followStore), ctrlB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dc.RestoreCommitted(); err != nil {
-			t.Fatal(err)
-		}
-		shook := make(chan error, 1)
-		go func() { _, err := df.Handshake(); shook <- err }()
-		if _, err := dc.AddFollower(ctrlA); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-shook; err != nil {
-			t.Fatal(err)
-		}
-		return incarnation{dc: dc, follow: df.Run, sink: sink, kill: func() {
-			bc.Graph().Kill()
-			bf.Graph().Kill()
-			for _, c := range []net.Conn{dataA, dataB, ctrlA, ctrlB} {
-				c.Close()
-			}
-		}}
-	}
-	// run drives one incarnation to its end, or to its death once killAt
-	// epochs are committed (0 = never), and returns the epoch it died at.
-	run := func(in incarnation, killAt int64) int64 {
-		t.Helper()
-		done := make(chan error, 2)
-		go func() { runErr, _ := in.dc.RunCheckpointed(policy); done <- runErr }()
-		parts := 1
-		if in.follow != nil {
-			parts = 2
-			go func() { done <- in.follow() }()
-		}
-		if killAt > 0 {
-			for deadline := time.Now().Add(30 * time.Second); in.dc.CommittedEpoch() < killAt; {
-				if time.Now().After(deadline) {
-					t.Fatalf("never committed epoch %d (at %d)", killAt, in.dc.CommittedEpoch())
+	for _, dist := range []bool{false, true} {
+		o := options{parts: 2, minutes: 10, fuse: true, dist: dist}
+		// The stores outlive an incarnation: the second one restores what
+		// the first committed.
+		stores := map[string]snapshot.Backend{}
+		// run deploys every part of a fresh build over in-process pipes and
+		// runs it to its end, or to its death once killAt epochs are
+		// committed (0 = never).
+		run := func(killAt int64) (restored, died int64, digest string) {
+			t.Helper()
+			b, sink := buildPlan(o)
+			tr := plan.Pipes()
+			deps := make([]*plan.Deployment, len(b.Parts()))
+			errs := make(chan error, len(deps))
+			for i, part := range b.Parts() {
+				if stores[part] == nil {
+					stores[part] = snapshot.NewMemory()
 				}
-				time.Sleep(time.Millisecond)
+				store := stores[part]
+				go func() {
+					var err error
+					deps[i], err = plan.Deploy(b, part, store, tr)
+					errs <- err
+				}()
 			}
-			in.kill()
-		}
-		for i := 0; i < parts; i++ {
-			if err := <-done; (err != nil) != (killAt > 0) {
-				t.Fatalf("run returned %v, killed=%v", err, killAt > 0)
+			for range deps {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
 			}
+			runErrs := make([]error, len(deps))
+			var wg sync.WaitGroup
+			for i, d := range deps {
+				wg.Add(1)
+				go func() { defer wg.Done(); runErrs[i], _ = d.Run(policy, 0) }()
+			}
+			if killAt > 0 {
+				for deadline := time.Now().Add(30 * time.Second); deps[0].Committed() < killAt; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("never committed epoch %d (at %d)", killAt, deps[0].Committed())
+					}
+				}
+				for _, d := range deps {
+					d.Kill()
+				}
+			}
+			wg.Wait()
+			// A killed part fails: its peers see the links drop, never an
+			// end of stream.
+			for i, err := range runErrs {
+				if (err != nil) != (killAt > 0) || (i == 0 && killAt > 0 && !errors.Is(err, execpkg.ErrKilled)) {
+					t.Fatalf("dist=%v: runs returned %v, killed=%v", dist, runErrs, killAt > 0)
+				}
+			}
+			return deps[0].Restored, deps[0].Committed(), digestLine(sink)
 		}
-		return in.dc.CommittedEpoch()
-	}
 
-	for _, mode := range []struct {
-		name  string
-		build func() incarnation
-	}{{"no followers", local}, {"one follower", split}} {
-		coordStore, followStore = snapshot.NewMemory(), snapshot.NewMemory()
-		died := run(mode.build(), 3)
-		second := mode.build()
-		if at := second.dc.CommittedEpoch(); at < 3 || at > died {
-			t.Fatalf("%s: restored from epoch %d, the first incarnation committed 3..%d", mode.name, at, died)
+		_, died, _ := run(3)
+		at, _, got := run(0)
+		if at < 3 || at > died {
+			t.Fatalf("dist=%v: restored from epoch %d, the first incarnation committed 3..%d", dist, at, died)
 		}
-		run(second, 0)
-		if got := digestLine(second.sink); got != want {
-			t.Errorf("%s: recovered %q, the uninterrupted run %q", mode.name, got, want)
+		if got != want {
+			t.Errorf("dist=%v: recovered %q, the uninterrupted run %q", dist, got, want)
 		}
 	}
 }

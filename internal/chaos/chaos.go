@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/plan"
 )
 
 // Rand is a splitmix64 generator: tiny state, high quality, and trivially
@@ -149,8 +151,8 @@ func (t Target) String() string {
 type Fault struct {
 	Kind   FaultKind
 	Target Target
-	// Part is the process the fault belongs to: "" for the single-process
-	// child, "coord" or "follow" in distributed mode.
+	// Part is the plan part the fault hits: plan.Coordinator (the whole
+	// plan of a single-process run) or "follow" under -dist.
 	Part string
 	// Incarnation is the restart generation the fault arms in: 0 is the
 	// first run of the process, 1 the first restart, and so on. A fault
@@ -174,11 +176,7 @@ type Fault struct {
 
 func (f Fault) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s(%s", f.Kind, f.Target)
-	if f.Part != "" {
-		fmt.Fprintf(&b, " part=%s", f.Part)
-	}
-	fmt.Fprintf(&b, " inc=%d", f.Incarnation)
+	fmt.Fprintf(&b, "%s(%s part=%s inc=%d", f.Kind, f.Target, f.Part, f.Incarnation)
 	switch f.Kind {
 	case FaultKill:
 		fmt.Fprintf(&b, " epoch=%d delay=%s", f.Epoch, f.Delay)
@@ -268,16 +266,16 @@ func genSingle(r *Rand, fatal *int, lastKill *int64) Fault {
 	}
 	switch {
 	case pick < 5:
-		return killFault(r, fatal, lastKill, "")
+		return killFault(r, fatal, lastKill, plan.Coordinator)
 	case pick < 7:
 		// A failed put abandons one epoch and costs no restart, so like the
 		// corruption faults below it arms in any incarnation the run reaches.
-		return Fault{Kind: FaultFailOp, Target: TargetChain,
+		return Fault{Kind: FaultFailOp, Target: TargetChain, Part: plan.Coordinator,
 			Incarnation: r.Intn(*fatal + 1), N: 1 + r.Intn(6)}
 	}
 	// Corruption faults are non-fatal at write time; they bite on the next
 	// restore, so arm them in any incarnation a fatal fault can reach.
-	f := Fault{Target: TargetChain, Incarnation: r.Intn(*fatal + 1), N: r.Intn(6)}
+	f := Fault{Target: TargetChain, Part: plan.Coordinator, Incarnation: r.Intn(*fatal + 1), N: r.Intn(6)}
 	if pick < 9 {
 		f.Kind, f.Bit = FaultBitFlip, r.Intn(1<<20)
 	} else {
@@ -293,18 +291,18 @@ func genDist(r *Rand, fatal *int, lastKill *int64) Fault {
 	}
 	switch {
 	case pick < 4:
-		part := "coord"
+		part := plan.Coordinator
 		if r.Intn(2) == 1 {
 			part = "follow"
 		}
 		return killFault(r, fatal, lastKill, part)
 	case pick == 4:
-		f := Fault{Kind: FaultSever, Target: TargetData, Part: "coord",
+		f := Fault{Kind: FaultSever, Target: TargetData, Part: plan.Coordinator,
 			Incarnation: *fatal, N: 20 + r.Intn(2000)}
 		*fatal++
 		return f
 	case pick < 7:
-		return Fault{Kind: FaultDelay, Target: TargetData, Part: "coord",
+		return Fault{Kind: FaultDelay, Target: TargetData, Part: plan.Coordinator,
 			Incarnation: r.Intn(*fatal + 1), N: r.Intn(500),
 			Count: 1 + r.Intn(4),
 			Delay: time.Duration(10+r.Intn(100)) * time.Millisecond}
@@ -317,13 +315,13 @@ func genDist(r *Rand, fatal *int, lastKill *int64) Fault {
 		// Drop one commit notice (ctrl write 0 is the restore directive):
 		// commit notices are best-effort, the follower's retention just
 		// lags an epoch.
-		return Fault{Kind: FaultDropWrite, Target: TargetCtrl, Part: "coord",
+		return Fault{Kind: FaultDropWrite, Target: TargetCtrl, Part: plan.Coordinator,
 			Incarnation: r.Intn(*fatal + 1), N: 1 + r.Intn(3)}
 	default:
 		// Corrupt a coordinator-side put (snapshot or manifest — the chain
 		// and the manifest log share the backend): restore must degrade to
 		// an older intact commit.
-		return Fault{Kind: FaultBitFlip, Target: TargetChain, Part: "coord",
+		return Fault{Kind: FaultBitFlip, Target: TargetChain, Part: plan.Coordinator,
 			Incarnation: r.Intn(*fatal + 1), N: r.Intn(6), Bit: r.Intn(1 << 20)}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/plan"
 	"repro/internal/snapshot"
 )
 
@@ -133,4 +134,27 @@ func (c *Conn) Write(b []byte) (int, error) {
 		}
 	}
 	return c.Conn.Write(b)
+}
+
+// WrapTransport arms connection faults on what a plan.Transport connects:
+// ctrl on each control link, data on each data link. With no faults it
+// returns the original transport untouched.
+func WrapTransport(t plan.Transport, ctrl, data []Fault) plan.Transport {
+	if len(ctrl)+len(data) == 0 {
+		return t
+	}
+	return func(part string, links []plan.Link) ([]net.Conn, error) {
+		conns, err := t(part, links)
+		if err != nil {
+			return nil, err
+		}
+		for i, l := range links {
+			faults := ctrl
+			if l.Data {
+				faults = data
+			}
+			conns[i] = WrapConn(conns[i], faults)
+		}
+		return conns, nil
+	}
 }

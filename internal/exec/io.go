@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -411,6 +412,17 @@ func (c *Collector) Tuples() []stream.Tuple {
 		}
 	}
 	return ts
+}
+
+// Lines renders the received tuples one per string, sorted: the
+// order-independent result set by which two runs of one plan compare.
+func (c *Collector) Lines() []string {
+	var lines []string
+	for _, t := range c.Tuples() {
+		lines = append(lines, t.String())
+	}
+	sort.Strings(lines)
+	return lines
 }
 
 // Count returns the number of tuples received so far.

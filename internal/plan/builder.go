@@ -28,21 +28,63 @@ import (
 // Builder assembles an exec.Graph incrementally. Errors accumulate and
 // surface at Run/Build, keeping call sites chainable.
 type Builder struct {
-	g    *exec.Graph
-	errs []error
+	g     *exec.Graph // the coordinating part's graph
+	parts []*part     // the coordinating part first, then each placed part
+	errs  []error
 	// Feedback defaults applied to operators the builder creates.
 	Mode      op.FeedbackMode
 	Propagate bool
 }
 
+// Coordinator names the part that holds the plan's sources and coordinates
+// its checkpoints: the whole plan, until a stream is placed elsewhere.
+const Coordinator = "coord"
+
+// part is one process's share of a placed plan (Stream.Place): its own
+// graph and, for a follower part, the cut edge that feeds it — a remote
+// sink on the coordinating part and the remote source that opens this one.
+type part struct {
+	name string
+	g    *exec.Graph
+	sink *remote.Sink
+	src  *remote.Source
+}
+
 // New creates an empty builder with feedback exploitation enabled (the
 // library's reason to exist); set Mode to op.FeedbackIgnore for baselines.
 func New() *Builder {
-	return &Builder{g: exec.NewGraph(), Mode: op.FeedbackExploit, Propagate: true}
+	g := exec.NewGraph()
+	return &Builder{g: g, parts: []*part{{name: Coordinator, g: g}}, Mode: op.FeedbackExploit, Propagate: true}
 }
 
-// Graph exposes the underlying graph (e.g. to set queue options).
+// Graph exposes the coordinating part's graph (e.g. to set queue options).
 func (b *Builder) Graph() *exec.Graph { return b.g }
+
+// Parts names the plan's parts, the coordinating one first.
+func (b *Builder) Parts() []string {
+	names := make([]string, len(b.parts))
+	for i, p := range b.parts {
+		names[i] = p.name
+	}
+	return names
+}
+
+// GraphOf returns the named part's graph, nil when there is no such part.
+func (b *Builder) GraphOf(name string) *exec.Graph {
+	if p := b.part(name); p != nil {
+		return p.g
+	}
+	return nil
+}
+
+func (b *Builder) part(name string) *part {
+	for _, p := range b.parts {
+		if p.name == name {
+			return p
+		}
+	}
+	return nil
+}
 
 func (b *Builder) fail(format string, args ...any) Stream {
 	b.errs = append(b.errs, fmt.Errorf(format, args...))
@@ -59,23 +101,26 @@ func (b *Builder) Err() error {
 
 // Compile runs the plan-compiler passes over the assembled graph — today one
 // pass, operator fusion (internal/fuse), which collapses maximal chains of
-// adjacent stateless operators into single flat-kernel nodes. Call it after
-// the plan is fully assembled (sinks included) and before DistCoordinate or
-// Run: a checkpoint names every node, so a compiled plan only restores checkpoints
+// adjacent stateless operators into single flat-kernel nodes. Each part's
+// graph is rewritten on its own, so nothing fuses across a cut. Call it after
+// the plan is fully assembled (sinks included) and before Deploy or Run: a
+// checkpoint names every node, so a compiled plan only restores checkpoints
 // taken from an identically compiled plan. Compile is chainable and a no-op
 // on a plan that already has errors.
 func (b *Builder) Compile() *Builder {
-	if len(b.errs) > 0 {
-		return b
-	}
-	if _, err := fuse.Rewrite(b.g); err != nil {
-		b.errs = append(b.errs, err)
+	for _, p := range b.parts {
+		if len(b.errs) > 0 {
+			break
+		}
+		if _, err := fuse.Rewrite(p.g); err != nil {
+			b.errs = append(b.errs, err)
+		}
 	}
 	return b
 }
 
-// EnableTelemetry attaches a telemetry sink to the underlying graph and
-// publishes this plan as the sink's /statusz payload — the Explain
+// EnableTelemetry attaches a telemetry sink to the coordinating part's graph
+// and publishes this plan as the sink's /statusz payload — the Explain
 // rendering plus live per-edge traffic snapshots and the process-wide
 // counters (slab requests and pool misses) pulled at scrape time.
 // Call after the plan is assembled (and compiled, if it will be) and
@@ -98,44 +143,78 @@ func (b *Builder) EnableTelemetry(t *telemetry.Telemetry) *Builder {
 // Explain renders the (possibly compiled) plan, one line per node with its
 // input wiring — "(chained)" when the node runs on its producer's goroutine
 // (exec.Graph.Chained) — and fused nodes additionally render their kernel step
-// table, so fusion decisions are inspectable (cmd/paceql -explain).
+// table, so fusion decisions are inspectable (cmd/paceql -explain). A placed
+// plan renders each part under its name, the cut's remote sink and source
+// included.
 func (b *Builder) Explain() string {
 	var sb strings.Builder
-	for id := 0; id < b.g.NumNodes(); id++ {
-		nid := exec.NodeID(id)
-		if b.g.IsSource(nid) {
-			fmt.Fprintf(&sb, "%2d: source %s\n", id, b.g.NameAt(nid))
-			continue
+	for _, p := range b.parts {
+		if len(b.parts) > 1 {
+			fmt.Fprintf(&sb, "part %s:\n", p.name)
 		}
-		ins := b.g.InputsOf(nid)
-		froms := make([]string, len(ins))
-		for i, p := range ins {
-			froms[i] = fmt.Sprintf("%s[%d]", b.g.NameAt(p.Node), p.Out)
-		}
-		o := b.g.OperatorAt(nid)
-		chained := ""
-		if b.g.Chained(nid) {
-			chained = " (chained)"
-		}
-		fmt.Fprintf(&sb, "%2d: %s <- %s%s\n", id, o.Name(), strings.Join(froms, ", "), chained)
-		if ex, ok := o.(interface{ Explain() string }); ok {
-			fmt.Fprintf(&sb, "      kernel: %s\n", ex.Explain())
+		g := p.g
+		for id := 0; id < g.NumNodes(); id++ {
+			nid := exec.NodeID(id)
+			if g.IsSource(nid) {
+				fmt.Fprintf(&sb, "%2d: source %s\n", id, g.NameAt(nid))
+				continue
+			}
+			ins := g.InputsOf(nid)
+			froms := make([]string, len(ins))
+			for i, in := range ins {
+				froms[i] = fmt.Sprintf("%s[%d]", g.NameAt(in.Node), in.Out)
+			}
+			o := g.OperatorAt(nid)
+			chained := ""
+			if g.Chained(nid) {
+				chained = " (chained)"
+			}
+			fmt.Fprintf(&sb, "%2d: %s <- %s%s\n", id, o.Name(), strings.Join(froms, ", "), chained)
+			if ex, ok := o.(interface{ Explain() string }); ok {
+				fmt.Fprintf(&sb, "      kernel: %s\n", ex.Explain())
+			}
 		}
 	}
 	return sb.String()
 }
 
-// Run validates and executes the plan.
+// Run validates and executes the plan. A placed plan runs every part in this
+// process, each cut edge over a pipe, with no checkpoints: the reference a
+// deployment's results are held to.
 func (b *Builder) Run() error {
 	if err := b.Err(); err != nil {
 		return err
 	}
-	return b.g.Run()
+	var conns []net.Conn
+	for _, p := range b.parts[1:] {
+		p.sink.Conn, p.src.Conn = net.Pipe()
+		conns = append(conns, p.sink.Conn, p.src.Conn)
+	}
+	errs := make(chan error, len(b.parts))
+	for _, p := range b.parts {
+		go func() {
+			err := p.g.Run()
+			if err != nil {
+				// A part that fails before its edges open never closes
+				// them: close every pipe, so no peer waits on it forever.
+				closeAll(conns)
+			}
+			errs <- err
+		}()
+	}
+	var first error
+	for range b.parts {
+		if err := <-errs; err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // Stream is a named handle on one operator output port.
 type Stream struct {
 	b      *Builder
+	p      *part
 	port   exec.Port
 	schema stream.Schema
 	bad    bool
@@ -150,16 +229,16 @@ func (b *Builder) Source(src exec.Source) Stream {
 		return b.fail("plan: source %q must have exactly one output", src.Name())
 	}
 	id := b.g.AddSource(src)
-	return Stream{b: b, port: exec.From(id), schema: src.OutSchemas()[0]}
+	return Stream{b: b, p: b.parts[0], port: exec.From(id), schema: src.OutSchemas()[0]}
 }
 
 // node is the one place a Stream method adds a node to the plan. The node's
 // inputs are ins, in order, and mk builds its operator from their schemas.
 // Nothing is added when a stream carries an earlier error (that error stands
 // for this node too); the plan fails here when mk does, when a stream belongs
-// to another builder, or when the operator does not take these streams'
-// schemas or has other than outputs outputs. It returns the node's first
-// output (a bad stream when nothing was added).
+// to another builder or another part, or when the operator does not take
+// these streams' schemas or has other than outputs outputs. It returns the
+// node's first output (a bad stream when nothing was added).
 func (b *Builder) node(outputs int, mk func() (exec.Operator, error), ins ...Stream) Stream {
 	for _, in := range ins {
 		if in.bad {
@@ -186,12 +265,16 @@ func (b *Builder) node(outputs int, mk func() (exec.Operator, error), ins ...Str
 		if in.b != b {
 			return b.fail("plan: %q: input %d is a stream of another builder", o.Name(), i)
 		}
+		if in.p != ins[0].p {
+			return b.fail("plan: %q: input %d is on part %s, input 0 on part %s", o.Name(), i, in.p.name, ins[0].p.name)
+		}
 		if want := o.InSchemas()[i]; !want.Equal(in.schema) {
 			return b.fail("plan: %q: input %d schema %s does not match stream schema %s", o.Name(), i, want, in.schema)
 		}
 		ports[i] = in.port
 	}
-	out := Stream{b: b, port: exec.From(b.g.Add(o, ports...))}
+	p := ins[0].p
+	out := Stream{b: b, p: p, port: exec.From(p.g.Add(o, ports...))}
 	if outputs > 0 {
 		out.schema = o.OutSchemas()[0]
 	}
@@ -246,7 +329,7 @@ func (s Stream) Duplicate(name string, n int) []Stream {
 	}, s)
 	out := make([]Stream, n)
 	for i := range out {
-		out[i] = Stream{b: s.b, port: exec.FromPort(first.port.Node, i), schema: s.schema, bad: first.bad}
+		out[i] = Stream{b: s.b, p: s.p, port: exec.FromPort(first.port.Node, i), schema: s.schema, bad: first.bad}
 	}
 	return out
 }
@@ -375,11 +458,11 @@ func (s Stream) Parallel(name string, n int, key []string, sub func(Stream) Stre
 	branches := make([]Stream, n)
 	for i := range branches {
 		label := fmt.Sprintf("part=%d/%d", i, n)
-		in := Stream{b: s.b, port: exec.FromPort(split.port.Node, i), schema: s.schema}
-		s.b.g.LabelEdge(in.port, label)
+		in := Stream{b: s.b, p: s.p, port: exec.FromPort(split.port.Node, i), schema: s.schema}
+		s.p.g.LabelEdge(in.port, label)
 		branches[i] = sub(in)
 		if branches[i].b == s.b && !branches[i].bad {
-			s.b.g.LabelEdge(branches[i].port, label)
+			branches[i].p.g.LabelEdge(branches[i].port, label)
 		}
 	}
 	// Every replica must hand back a stream of this plan with replica 0's
@@ -407,8 +490,32 @@ func (s Stream) Into(sink exec.Operator) {
 }
 
 // ---------------------------------------------------------------------------
-// Remote edges and distributed checkpoint coordination.
+// Placement, remote edges and distributed checkpoint coordination.
 // ---------------------------------------------------------------------------
+
+// Place marks that the stream's consumers run on part, another process: the
+// edge is cut into a remote sink on this stream's part and a remote source
+// that opens part's graph, joined by pipes under Run and by a Transport under
+// Deploy. The part that holds the sources (Coordinator) coordinates; Deploy
+// supports follower parts fed directly by it, one cut edge each, and the plan
+// fails on any other placement, naming the edge.
+func (s Stream) Place(name string) Stream {
+	if s.bad || name == s.p.name {
+		return s
+	}
+	b := s.b
+	edge := fmt.Sprintf("%s[%d] -> %s", s.p.g.NameAt(s.port.Node), s.port.Out, name)
+	switch {
+	case s.p.name != Coordinator:
+		return b.fail("plan: place %s: part %s is a follower; only %s feeds other parts", edge, s.p.name, Coordinator)
+	case name == "" || b.part(name) != nil:
+		return b.fail("plan: place %s: part %q is unnamed, the coordinating part, or fed already", edge, name)
+	}
+	p := &part{name: name, g: exec.NewGraph(), sink: s.IntoRemote("to-"+name, nil),
+		src: remote.NewSource("from-"+Coordinator, s.schema, nil)}
+	b.parts = append(b.parts, p)
+	return Stream{b: b, p: p, port: exec.From(p.g.AddSource(p.src)), schema: s.schema}
+}
 
 // RemoteSource registers a source replaying a remote subplan's stream from
 // conn; with a DistFollower attached, checkpoint barriers arriving on the
@@ -418,11 +525,8 @@ func (b *Builder) RemoteSource(name string, schema stream.Schema, conn net.Conn)
 }
 
 // IntoRemote terminates the stream in a remote sink framing it onto conn
-// and returns the sink (for WriteTimeout / FlushEvery tuning). A data frame
-// closes ahead of each punctuation, barrier and EOS, and at 64 KiB: a stream
-// with sparse punctuation whose tuples must not wait for it sets FlushEvery.
-// Under distributed checkpoints the sink forwards barriers in-band, so the
-// consuming subplan cuts the same epoch.
+// (Place binds the conn at run time) and returns the sink, for WriteTimeout
+// and FlushEvery tuning. The sink forwards checkpoint barriers in-band.
 func (s Stream) IntoRemote(name string, conn net.Conn) *remote.Sink {
 	sink := remote.NewSink(name, s.schema, conn)
 	s.Into(sink)
@@ -430,11 +534,11 @@ func (s Stream) IntoRemote(name string, conn net.Conn) *remote.Sink {
 }
 
 // DistCoordinate wraps the built plan as the coordinator of its checkpoints
-// (see exec.DistCoordinator) — the way a plan is cut and restored, whether
-// it spans processes or not: call after the full plan — including remote
-// sinks — is assembled, then RestoreCommitted, AddFollower per control
-// connection (none for a single-process plan), and RunCheckpointed. log may
-// share chain's backend.
+// (see exec.DistCoordinator), wired by hand over an explicit control
+// connection: Deploy does this for a placed plan. Call after the full plan —
+// including remote sinks — is assembled, then RestoreCommitted, AddFollower
+// per control connection (none for a single-process plan), and
+// RunCheckpointed or CheckpointOnce. log may share chain's backend.
 func (b *Builder) DistCoordinate(part string, chain *snapshot.Chain, log *snapshot.DistLog) (*exec.DistCoordinator, error) {
 	if err := b.Err(); err != nil {
 		return nil, err
@@ -443,8 +547,9 @@ func (b *Builder) DistCoordinate(part string, chain *snapshot.Chain, log *snapsh
 }
 
 // DistFollow wraps the built plan as a follower subplan (see
-// exec.DistFollower), installing barrier hooks on its remote sources: call
-// after the full plan is assembled, then Handshake and Run.
+// exec.DistFollower), installing barrier hooks on its remote sources, wired
+// by hand like DistCoordinate: call after the full plan is assembled, then
+// Handshake and Run.
 func (b *Builder) DistFollow(part string, chain *snapshot.Chain, ctrl net.Conn) (*exec.DistFollower, error) {
 	if err := b.Err(); err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -18,180 +17,108 @@ import (
 	"repro/internal/window"
 )
 
-// distStores is the "durable storage" of a coordinator/follower pair,
-// surviving in-process crashes: one chain per subplan plus the manifest log
-// (sharing the coordinator's backend, as cmd/supervise does).
-type distStores struct {
-	coord, follow *snapshot.Chain
-	log           *snapshot.DistLog
+// distStores is the "durable storage" of a plan placed on two parts, one
+// backend per part, surviving in-process crashes; the coordinating part's
+// also holds the manifest log.
+type distStores map[string]snapshot.Backend
+
+func newDistStores() distStores {
+	return distStores{Coordinator: snapshot.NewMemory(), "consumer": snapshot.NewMemory()}
 }
 
-func newDistStores() *distStores {
-	cb := snapshot.NewMemory()
-	return &distStores{
-		coord:  snapshot.NewChain(cb),
-		follow: snapshot.NewChain(snapshot.NewMemory()),
-		log:    snapshot.NewDistLog(cb),
-	}
-}
-
-// runDistPair runs one incarnation of the two-subplan plan end to end:
-// producer (paced source → remote sink, coordinator) and consumer (remote
-// source → Parallel(2) aggregate → collector, follower) over TCP loopback
-// plus a control pipe, both restored from the committed cut before the
-// graphs start. killWhen (nil = run to
-// completion) is polled; when it returns true both graphs are killed.
-// Returns the follower's canonical results and the committed epoch.
-func runDistPair(t *testing.T, items []queue.Item, st *distStores, killWhen func() bool) (results []string, committed int64) {
+// runDistPair deploys one incarnation of a plan placed on two parts — paced
+// source on the coordinating part, Parallel(2) aggregate and collector on
+// "consumer" — over in-process pipes, and runs it to its end, or kills both
+// parts once killAt epochs are committed (0 = never). It returns the
+// consumer's canonical results, the committed epoch and the coordinating
+// part's checkpoint error.
+func runDistPair(t *testing.T, items []queue.Item, st distStores, killAt int64) (results []string, committed int64, chkErr error) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrlA, ctrlB := net.Pipe()
-	defer ctrlA.Close()
-	defer ctrlB.Close()
-
-	var (
-		wg        sync.WaitGroup
-		followG   *exec.Graph
-		followErr error
-		sink      *exec.Collector
-		followUp  = make(chan error, 1)
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn, err := l.Accept()
-		l.Close()
-		if err != nil {
-			followUp <- err
-			return
-		}
-		b := New()
-		out := b.RemoteSource("from-producer", testSchema, conn).
-			Parallel("p", 2, []string{"segment"}, func(ss Stream) Stream {
-				return ss.Aggregate("avg", core.AggAvg, "ts", "speed", []string{"segment"},
-					window.Tumbling(1_000_000), "avg_speed")
-			})
-		sink = out.Collect("sink")
-		df, err := b.DistFollow("consumer", st.follow, ctrlB)
-		if err != nil {
-			followUp <- err
-			return
-		}
-		df.Retain = 3
-		if _, err := df.Handshake(); err != nil {
-			followUp <- err
-			return
-		}
-		followG = b.Graph()
-		followUp <- nil
-		followErr = df.Run()
-	}()
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
 	b := New()
-	src := &pacedItems{name: "src", schema: testSchema, items: items}
-	rsink := b.Source(src).IntoRemote("to-consumer", conn)
-	rsink.WriteTimeout = 30 * time.Second
-	dc, err := b.DistCoordinate("producer", st.coord, st.log)
-	if err != nil {
-		t.Fatal(err)
+	sink := b.Source(&pacedItems{name: "src", schema: testSchema, items: items}).Place("consumer").
+		Parallel("p", 2, []string{"segment"}, func(ss Stream) Stream {
+			return ss.Aggregate("avg", core.AggAvg, "ts", "speed", []string{"segment"},
+				window.Tumbling(1_000_000), "avg_speed")
+		}).Collect("sink")
+	tr := Pipes()
+	deps := make([]*Deployment, len(b.Parts()))
+	errs := make(chan error, len(deps))
+	for i, part := range b.Parts() {
+		go func() {
+			var err error
+			deps[i], err = Deploy(b, part, st[part], tr)
+			errs <- err
+		}()
 	}
-	dc.AckTimeout = 10 * time.Second
-	if _, err := dc.RestoreCommitted(); err != nil {
-		t.Fatal(err)
+	for range deps {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := dc.AddFollower(ctrlA); err != nil {
-		t.Fatal(err)
+	runErrs := make([]error, len(deps))
+	var wg sync.WaitGroup
+	for i, d := range deps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var c error
+			if runErrs[i], c = d.Run(exec.CheckpointPolicy{Interval: 10 * time.Millisecond, Retain: 3}, 0); i == 0 {
+				chkErr = c
+			}
+		}()
 	}
-	coordG := b.Graph()
-	if err := <-followUp; err != nil {
-		t.Fatal(err)
-	}
-
-	var coordErr, chkErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		coordErr, chkErr = dc.RunCheckpointed(exec.CheckpointPolicy{
-			Interval: 10 * time.Millisecond, Retain: 3,
-		})
-	}()
-
-	killed := false
-	if killWhen != nil {
-		deadline := time.Now().Add(30 * time.Second)
-		for !killWhen() {
+	if killAt > 0 {
+		for deadline := time.Now().Add(30 * time.Second); deps[0].Committed() < killAt; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatal("kill condition never reached")
 			}
-			time.Sleep(time.Millisecond)
 		}
-		coordG.Kill()
-		followG.Kill()
-		killed = true
+		for _, d := range deps {
+			d.Kill()
+		}
 	}
 	wg.Wait()
-	if killed {
-		if !errors.Is(coordErr, exec.ErrKilled) {
-			t.Fatalf("killed coordinator returned %v", coordErr)
-		}
-	} else {
-		if coordErr != nil {
-			t.Fatalf("producer: %v", coordErr)
-		}
-		if followErr != nil {
-			t.Fatalf("consumer: %v", followErr)
-		}
-		// Tail-of-run abandons (an epoch triggered as the stream ended) are
-		// tolerated; anything else is a coordination fault.
-		if chkErr != nil && !strings.Contains(chkErr.Error(), "abandoned") {
-			t.Fatalf("checkpointing: %v", chkErr)
-		}
+	switch {
+	case killAt > 0 && !errors.Is(runErrs[0], exec.ErrKilled):
+		t.Fatalf("killed coordinator returned %v", runErrs[0])
+	case killAt == 0 && errors.Join(runErrs...) != nil:
+		t.Fatalf("run: %v", errors.Join(runErrs...))
 	}
-	for _, tp := range sink.Tuples() {
-		results = append(results, tp.String())
-	}
-	sort.Strings(results)
-	return results, dc.CommittedEpoch()
+	return sink.Lines(), deps[0].Committed(), chkErr
 }
 
 // TestDistCheckpointKillRestore is the cross-process acceptance test: a
-// plan spanning two graphs joined by a TCP edge runs under distributed
-// checkpoints; both "processes" are killed mid-epoch; the rebuilt pair
-// restores from the last committed distributed manifest and completes. The
-// final canonical result set must be identical to an uninterrupted run's —
-// the in-flight epoch was abandoned, not half-applied.
+// plan placed on two parts runs under distributed checkpoints; both parts
+// are killed mid-epoch; the redeployed plan restores from the last committed
+// distributed manifest and completes. The final canonical result set must be
+// identical to an uninterrupted run's — the in-flight epoch was abandoned,
+// not half-applied.
 func TestDistCheckpointKillRestore(t *testing.T) {
 	items := aggWorkload(6000)
+	// Tail-of-run abandons (an epoch triggered as the stream ended) are
+	// tolerated; anything else is a coordination fault.
+	clean := func(err error) {
+		if err != nil && !strings.Contains(err.Error(), "abandoned") {
+			t.Fatalf("checkpointing: %v", err)
+		}
+	}
 
 	// Uninterrupted reference on fresh storage.
-	want, _ := runDistPair(t, items, newDistStores(), nil)
+	want, _, chkErr := runDistPair(t, items, newDistStores(), 0)
+	clean(chkErr)
 	if len(want) == 0 {
 		t.Fatal("workload produced no results")
 	}
 
-	// Crash both subplans once two distributed epochs are committed.
+	// Crash both parts once two distributed epochs are committed.
 	st := newDistStores()
-	_, committedAtKill := runDistPair(t, items, st, func() bool {
-		m, ok, err := st.log.Latest()
-		if err != nil {
-			t.Error(err)
-			return true
-		}
-		return ok && m.Epoch >= 2
-	})
-	if committedAtKill < 2 {
+	if _, committedAtKill, _ := runDistPair(t, items, st, 2); committedAtKill < 2 {
 		t.Fatalf("killed with only %d committed epochs", committedAtKill)
 	}
 	// Both chains may hold epochs past the committed manifest (persisted
 	// but never globally acknowledged); restore must discard them.
-	got, _ := runDistPair(t, items, st, nil)
+	got, _, chkErr := runDistPair(t, items, st, 0)
+	clean(chkErr)
 
 	if len(got) != len(want) {
 		t.Fatalf("recovered pair produced %d results, uninterrupted %d (gap or duplication)", len(got), len(want))
@@ -214,109 +141,22 @@ func (f failingBackend) Put(string, []byte) error {
 // with an error; the coordinator must abandon every epoch (no manifest
 // commits) while the stream itself still completes correctly.
 func TestDistAbandonOnFollowerFailure(t *testing.T) {
-	items := aggWorkload(2000)
 	st := newDistStores()
-	st.follow = snapshot.NewChain(failingBackend{snapshot.NewMemory()})
+	st["consumer"] = failingBackend{snapshot.NewMemory()}
 
-	results, committed := runDistPairTolerant(t, items, st)
+	results, committed, chkErr := runDistPair(t, aggWorkload(2000), st, 0)
+	if chkErr == nil || !strings.Contains(chkErr.Error(), "abandoned") {
+		t.Fatalf("expected abandoned epochs, got %v", chkErr)
+	}
 	if committed != 0 {
 		t.Fatalf("coordinator committed epoch %d despite follower persist failures", committed)
 	}
-	if m, ok, _ := st.log.Latest(); ok {
+	if m, ok, _ := snapshot.NewDistLog(st[Coordinator]).Latest(); ok {
 		t.Fatalf("manifest %d committed despite follower persist failures", m.Epoch)
 	}
 	if len(results) == 0 {
 		t.Fatal("checkpoint failures must not stop the stream")
 	}
-}
-
-// runDistPairTolerant is runDistPair for runs where every epoch is expected
-// to fail: checkpoint errors are required rather than fatal.
-func runDistPairTolerant(t *testing.T, items []queue.Item, st *distStores) (results []string, committed int64) {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrlA, ctrlB := net.Pipe()
-	defer ctrlA.Close()
-	defer ctrlB.Close()
-
-	var (
-		wg        sync.WaitGroup
-		followErr error
-		sink      *exec.Collector
-		followUp  = make(chan error, 1)
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn, err := l.Accept()
-		l.Close()
-		if err != nil {
-			followUp <- err
-			return
-		}
-		b := New()
-		out := b.RemoteSource("from-producer", testSchema, conn).
-			Aggregate("avg", core.AggAvg, "ts", "speed", []string{"segment"},
-				window.Tumbling(1_000_000), "avg_speed")
-		sink = out.Collect("sink")
-		df, err := b.DistFollow("consumer", st.follow, ctrlB)
-		if err != nil {
-			followUp <- err
-			return
-		}
-		if _, err := df.Handshake(); err != nil {
-			followUp <- err
-			return
-		}
-		followUp <- nil
-		followErr = df.Run()
-	}()
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := New()
-	src := &pacedItems{name: "src", schema: testSchema, items: items}
-	b.Source(src).IntoRemote("to-consumer", conn)
-	dc, err := b.DistCoordinate("producer", st.coord, st.log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc.AckTimeout = 10 * time.Second
-	if _, err := dc.RestoreCommitted(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dc.AddFollower(ctrlA); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-followUp; err != nil {
-		t.Fatal(err)
-	}
-	var coordErr, chkErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		coordErr, chkErr = dc.RunCheckpointed(exec.CheckpointPolicy{Interval: 10 * time.Millisecond})
-	}()
-	wg.Wait()
-	if coordErr != nil {
-		t.Fatalf("producer: %v", coordErr)
-	}
-	if followErr != nil {
-		t.Fatalf("consumer: %v", followErr)
-	}
-	if chkErr == nil || !strings.Contains(chkErr.Error(), "abandoned") {
-		t.Fatalf("expected abandoned epochs, got %v", chkErr)
-	}
-	for _, tp := range sink.Tuples() {
-		results = append(results, tp.String())
-	}
-	sort.Strings(results)
-	return results, dc.CommittedEpoch()
 }
 
 // TestDistAckTimeoutAbandons: a follower that never acks (its subplan has
@@ -327,14 +167,14 @@ func TestDistAckTimeoutAbandons(t *testing.T) {
 	defer ctrlA.Close()
 	defer ctrlB.Close()
 
-	st := newDistStores()
+	coordStore := snapshot.NewMemory()
 	// Follower: a local-source subplan that parks mid-stream, handshaken
 	// over the control pipe but structurally unable to see barriers.
 	fitems := aggWorkload(4000)
 	fb := New()
 	fsrc := &pacedItems{name: "fsrc", schema: testSchema, items: fitems}
 	fb.Source(fsrc).Collect("fsink")
-	df, err := fb.DistFollow("consumer", st.follow, ctrlB)
+	df, err := fb.DistFollow("consumer", snapshot.NewChain(snapshot.NewMemory()), ctrlB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +183,7 @@ func TestDistAckTimeoutAbandons(t *testing.T) {
 	b := New()
 	src := &pacedItems{name: "src", schema: testSchema, items: aggWorkload(4000)}
 	b.Source(src).Collect("sink")
-	dc, err := b.DistCoordinate("producer", st.coord, st.log)
+	dc, err := b.DistCoordinate("producer", snapshot.NewChain(coordStore), snapshot.NewDistLog(coordStore))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,12 +339,7 @@ func TestParallelRemoteEdgesCutAtOwnBarrier(t *testing.T) {
 		if err := <-runErr; err != nil {
 			t.Fatal(err)
 		}
-		var lines []string
-		for _, tp := range sink.Tuples() {
-			lines = append(lines, tp.String())
-		}
-		sort.Strings(lines)
-		return lines
+		return sink.Lines()
 	}
 
 	// Incarnation 1: A sends 5 tuples then its barrier; once those are on

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,15 +29,6 @@ func carryAll(sch stream.Schema) []op.MapAttr {
 		outs[i] = op.Carry(sch.Field(i).Name)
 	}
 	return outs
-}
-
-func canonicalLines(c *exec.Collector) []string {
-	lines := make([]string, 0, 64)
-	for _, tp := range c.Tuples() {
-		lines = append(lines, tp.String())
-	}
-	sort.Strings(lines)
-	return lines
 }
 
 // assertCompiledOnce checks that Compile left nothing for a second pass: a
@@ -134,7 +124,7 @@ func TestFusedPlanDigestIdentity(t *testing.T) {
 		if err := bf.Run(); err != nil {
 			t.Fatalf("seed %d fused: %v", seed, err)
 		}
-		want, got := canonicalLines(su), canonicalLines(sf)
+		want, got := su.Lines(), sf.Lines()
 		if len(want) == 0 {
 			t.Fatalf("seed %d produced no results", seed)
 		}
@@ -237,7 +227,7 @@ func TestFusedCheckpointRecoverIdentity(t *testing.T) {
 	if err := bRef.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := canonicalLines(sinkRef)
+	want := sinkRef.Lines()
 	if len(want) == 0 {
 		t.Fatal("workload produced no results")
 	}
@@ -265,7 +255,7 @@ func TestFusedCheckpointRecoverIdentity(t *testing.T) {
 	if err := b2.Run(); err != nil {
 		t.Fatal(err)
 	}
-	got := canonicalLines(sink2)
+	got := sink2.Lines()
 	if strings.Join(want, "\n") != strings.Join(got, "\n") {
 		t.Fatalf("fused checkpoint-recover digest diverges: %d lines vs %d", len(got), len(want))
 	}
@@ -366,7 +356,7 @@ func TestFusedStatefulDigestIdentity(t *testing.T) {
 		if err := bf.Run(); err != nil {
 			t.Fatalf("seed %d fused: %v", seed, err)
 		}
-		want, got := canonicalLines(su), canonicalLines(sf)
+		want, got := su.Lines(), sf.Lines()
 		if len(want) == 0 {
 			t.Fatalf("seed %d produced no results", seed)
 		}

@@ -153,12 +153,7 @@ func TestQueryPartitionBy(t *testing.T) {
 		if err := b.Run(); err != nil {
 			t.Fatal(err)
 		}
-		var lines []string
-		for _, tp := range sink.Tuples() {
-			lines = append(lines, tp.String())
-		}
-		sort.Strings(lines)
-		return lines
+		return sink.Lines()
 	}
 	base := run("SELECT segment, AVG(speed) AS mean FROM traffic GROUP BY segment WINDOW 1 MINUTE ON ts")
 	part := run("SELECT segment, AVG(speed) AS mean FROM traffic GROUP BY segment WINDOW 1 MINUTE ON ts PARTITION BY segment INTO 3")

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"errors"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -125,21 +124,12 @@ func TestParallelCheckpointRecoverIdentity(t *testing.T) {
 		return b, src, sink
 	}
 
-	canonical := func(c *exec.Collector) []string {
-		lines := []string{}
-		for _, tp := range c.Tuples() {
-			lines = append(lines, tp.String())
-		}
-		sort.Strings(lines)
-		return lines
-	}
-
 	// Uninterrupted reference.
 	bRef, _, sinkRef := build(true)
 	if err := bRef.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := canonical(sinkRef)
+	want := sinkRef.Lines()
 	if len(want) == 0 {
 		t.Fatal("workload produced no results")
 	}
@@ -168,7 +158,7 @@ func TestParallelCheckpointRecoverIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := canonical(sink2)
+	got := sink2.Lines()
 	if len(got) != len(want) {
 		t.Fatalf("recovered run produced %d results, uninterrupted %d", len(got), len(want))
 	}

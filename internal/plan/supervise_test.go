@@ -2,7 +2,6 @@ package plan
 
 import (
 	"errors"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -68,10 +67,10 @@ func (s *pacedItems) LoadState(dec *snapshot.Decoder) error {
 
 // TestCheckpointUnderLoadKillRestore is the checkpoint-under-load
 // acceptance test: continuous traffic flows through a Parallel(4)
-// aggregate while a coordinator with no followers takes periodic
-// checkpoints (keep-last-3 retention) into a chain; the plan is killed at
-// whatever epoch the clock lands on, rebuilt,
-// restored from the newest committed epoch, and run to completion. The final record must be
+// aggregate deployed as one part, which takes periodic checkpoints
+// (keep-last-3 retention) into a chain; the plan is killed at whatever epoch
+// the clock lands on, redeployed from the newest committed epoch, and run to
+// completion. The final record must be
 // canonically identical to an uninterrupted run — no output gap, no
 // duplication.
 func TestCheckpointUnderLoadKillRestore(t *testing.T) {
@@ -88,67 +87,52 @@ func TestCheckpointUnderLoadKillRestore(t *testing.T) {
 		return b, src, sink
 	}
 
-	canonical := func(c *exec.Collector) []string {
-		lines := []string{}
-		for _, tp := range c.Tuples() {
-			lines = append(lines, tp.String())
-		}
-		sort.Strings(lines)
-		return lines
-	}
-
 	// Uninterrupted reference.
 	bRef, _, sinkRef := build()
 	if err := bRef.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := canonical(sinkRef)
+	want := sinkRef.Lines()
 	if len(want) == 0 {
 		t.Fatal("workload produced no results")
 	}
 
-	// Supervised run, killed at an arbitrary epoch.
+	// Deployed run, killed at an arbitrary epoch.
 	backend := snapshot.NewMemory()
-	b1, src1, _ := build()
-	dc1 := localCoord(t, b1, backend)
 	policy := exec.CheckpointPolicy{Interval: 15 * time.Millisecond, Retain: 3}
-	done := make(chan struct{})
-	var runErr, chkErr error
-	go func() {
-		runErr, chkErr = dc1.RunCheckpointed(policy)
-		close(done)
-	}()
-	// Let several epochs commit, then crash mid-stream.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		ep := dc1.CommittedEpoch()
-		if ep >= 4 && src1.pos.Load() < int64(len(items)) {
-			break
-		}
-		if time.Now().After(deadline) || src1.pos.Load() >= int64(len(items)) {
-			t.Fatalf("never reached a mid-stream epoch (committed %d, pos=%d/%d)", ep, src1.pos.Load(), len(items))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	b1.Graph().Kill()
-	<-done
-	if !errors.Is(runErr, exec.ErrKilled) {
-		t.Fatalf("killed run returned %v", runErr)
-	}
-	// A checkpoint may have been interrupted by the kill; that is not a
-	// persistence failure. Any other maintenance error is.
-	if chkErr != nil && !errors.Is(chkErr, exec.ErrKilled) {
-		t.Logf("maintenance error at kill (tolerated if kill-induced): %v", chkErr)
-	}
-
-	// Recover from the newest committed epoch and run the rest of the stream.
-	b2, _, sink2 := build()
-	restoreLocal(t, b2, backend)
-	if err := b2.Run(); err != nil {
+	b1, src1, _ := build()
+	d1, err := Deploy(b1, Coordinator, backend, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	done := make(chan error, 1)
+	go func() { runErr, _ := d1.Run(policy, 0); done <- runErr }()
+	// Let several epochs commit, then crash mid-stream.
+	for deadline := time.Now().Add(30 * time.Second); d1.Committed() < 4 || src1.pos.Load() >= int64(len(items)); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) || src1.pos.Load() >= int64(len(items)) {
+			t.Fatalf("never reached a mid-stream epoch (committed %d, pos=%d/%d)", d1.Committed(), src1.pos.Load(), len(items))
+		}
+	}
+	d1.Kill()
+	if err := <-done; !errors.Is(err, exec.ErrKilled) {
+		t.Fatalf("killed run returned %v", err)
+	}
 
-	got := canonical(sink2)
+	// Redeploy: the newest committed epoch restores and the run finishes the
+	// stream, checkpointing on.
+	b2, _, sink2 := build()
+	d2, err := Deploy(b2, Coordinator, backend, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d2.Restored < 4 {
+		t.Fatalf("redeploy restored epoch %d, the first run committed 4 or more", d2.Restored)
+	}
+	if runErr, _ := d2.Run(policy, 0); runErr != nil {
+		t.Fatal(runErr)
+	}
+
+	got := sink2.Lines()
 	if len(got) != len(want) {
 		t.Fatalf("recovered run produced %d results, uninterrupted %d (gap or duplication)", len(got), len(want))
 	}

@@ -481,18 +481,3 @@ func (s *Source) TelemetryVars() []telemetry.Var {
 		{Name: "pace_remote_deadline_hits_total", Help: "Read deadline expiries (wedged or crashed producer).", Kind: telemetry.Counter, Value: s.deadlineHits.Load},
 	}
 }
-
-// Listen accepts exactly one upstream connection on addr ("host:0" picks a
-// free port) and returns the bound address plus a function that blocks for
-// the accepted connection.
-func Listen(addr string) (string, func() (net.Conn, error), error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	accept := func() (net.Conn, error) {
-		defer l.Close()
-		return l.Accept()
-	}
-	return l.Addr().String(), accept, nil
-}

@@ -161,18 +161,19 @@ func TestRemoteEdgeOverNetPipe(t *testing.T) {
 }
 
 func TestRemoteEdgeOverTCP(t *testing.T) {
-	addr, accept, err := Listen("127.0.0.1:0")
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l.Close()
 	var consumerConn net.Conn
 	var acceptErr error
 	done := make(chan struct{})
 	go func() {
-		consumerConn, acceptErr = accept()
+		consumerConn, acceptErr = l.Accept()
 		close(done)
 	}()
-	producerConn, err := net.Dial("tcp", addr)
+	producerConn, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
