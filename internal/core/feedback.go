@@ -25,6 +25,8 @@ const (
 	// this subset now", accepting partial/approximate results (e.g.
 	// unblocking an aggregate early).
 	Demanded
+
+	numIntents
 )
 
 var intentSigils = [...]string{Assumed: "¬", Desired: "?", Demanded: "!"}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/punct"
 	"repro/internal/stream"
 )
@@ -31,12 +33,6 @@ type GuardTable struct {
 	guards []Guard
 	arity  int
 	scheme *punct.Scheme
-	// merged counts guards dropped because a newer guard subsumed them.
-	merged int
-	// expired counts guards released by embedded punctuation.
-	expired int
-	// hits counts tuples suppressed by this table.
-	hits int64
 }
 
 // NewGuardTable creates an empty table for streams of the given arity.
@@ -71,7 +67,6 @@ func (g *GuardTable) Install(f Feedback) bool {
 	kept := g.guards[:0]
 	for _, old := range g.guards {
 		if old.Pattern.Implies(p) {
-			g.merged++
 			continue // old guard is redundant under the new one
 		}
 		if p.Implies(old.Pattern) {
@@ -103,7 +98,6 @@ func (g *GuardTable) Suppress(t stream.Tuple) bool {
 func (g *GuardTable) suppressScan(t stream.Tuple) bool {
 	for i := range g.guards {
 		if g.guards[i].expr.Matches(t) {
-			g.hits++
 			return true
 		}
 	}
@@ -113,21 +107,9 @@ func (g *GuardTable) suppressScan(t stream.Tuple) bool {
 // ObservePunct folds embedded punctuation into the expiration tracker and
 // releases any guard whose pattern is now covered: the stream itself
 // guarantees those tuples are gone, so the guard holds no information.
-// Returns the number of guards released.
-func (g *GuardTable) ObservePunct(e punct.Embedded) int {
+func (g *GuardTable) ObservePunct(e punct.Embedded) {
 	g.scheme.Observe(e)
-	kept := g.guards[:0]
-	released := 0
-	for _, gd := range g.guards {
-		if g.scheme.CoversPattern(gd.Pattern) {
-			released++
-			continue
-		}
-		kept = append(kept, gd)
-	}
-	g.guards = kept
-	g.expired += released
-	return released
+	g.guards = slices.DeleteFunc(g.guards, func(gd Guard) bool { return g.scheme.CoversPattern(gd.Pattern) })
 }
 
 // covers reports whether an installed guard's pattern is implied by p: the
@@ -154,8 +136,3 @@ func (g *GuardTable) Active() int { return len(g.guards) }
 
 // Guards returns a copy of the live guards (diagnostics).
 func (g *GuardTable) Guards() []Guard { return append([]Guard(nil), g.guards...) }
-
-// Stats reports suppression hits, merges, and expirations.
-func (g *GuardTable) Stats() (hits int64, merged, expired int) {
-	return g.hits, g.merged, g.expired
-}

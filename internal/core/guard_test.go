@@ -19,9 +19,8 @@ func TestGuardTableSuppress(t *testing.T) {
 	if g.Suppress(stream.NewTuple(ts(150), stream.Float(1))) {
 		t.Error("tuple outside the subset must pass")
 	}
-	hits, _, _ := g.Stats()
-	if hits != 1 {
-		t.Errorf("hits = %d", hits)
+	if g.Active() != 1 || !g.Suppress(stream.NewTuple(ts(100), stream.Float(1))) {
+		t.Errorf("a probe must leave the guard in place: active = %d", g.Active())
 	}
 }
 
@@ -44,9 +43,8 @@ func TestGuardTableSubsumption(t *testing.T) {
 	if g.Active() != 1 {
 		t.Errorf("active after widen = %d (old guard should be merged away)", g.Active())
 	}
-	_, merged, _ := g.Stats()
-	if merged != 1 {
-		t.Errorf("merged = %d", merged)
+	if !g.Suppress(stream.NewTuple(ts(150), stream.Float(1))) || g.Suppress(stream.NewTuple(ts(250), stream.Float(1))) {
+		t.Error("the wider guard must decide what is suppressed")
 	}
 }
 
@@ -55,21 +53,13 @@ func TestGuardTableExpiration(t *testing.T) {
 	// guard holds no information and must be released.
 	g := NewGuardTable(2)
 	g.Install(NewAssumed(punct.OnAttr(2, 0, punct.Le(ts(100)))))
-	if n := g.ObservePunct(punct.NewEmbedded(punct.OnAttr(2, 0, punct.Le(ts(50))))); n != 0 {
-		t.Errorf("premature release: %d", n)
-	}
-	if g.Active() != 1 {
+	g.ObservePunct(punct.NewEmbedded(punct.OnAttr(2, 0, punct.Le(ts(50)))))
+	if g.Active() != 1 || !g.Suppress(stream.NewTuple(ts(75), stream.Float(1))) {
 		t.Error("guard must survive a weaker punctuation")
 	}
-	if n := g.ObservePunct(punct.NewEmbedded(punct.OnAttr(2, 0, punct.Le(ts(100))))); n != 1 {
-		t.Errorf("guard must be released when covered, got %d", n)
-	}
-	if g.Active() != 0 {
-		t.Error("guard table must be empty after expiration")
-	}
-	_, _, expired := g.Stats()
-	if expired != 1 {
-		t.Errorf("expired = %d", expired)
+	g.ObservePunct(punct.NewEmbedded(punct.OnAttr(2, 0, punct.Le(ts(100)))))
+	if g.Active() != 0 || g.Suppress(stream.NewTuple(ts(75), stream.Float(1))) {
+		t.Error("guard must be released when covered")
 	}
 }
 

@@ -146,11 +146,12 @@ const Output = -1
 // TraceCap is how many responses a Responder remembers.
 const TraceCap = 32
 
-// Responder enacts one operator's feedback responses. It owns the guard
-// tables — one per output port, holding what that port's consumer has
-// disclaimed, plus the input-side tables the operator asks for — and the
-// operator's data path probes them directly (OutTables, Pinned). C is the
-// context the operator's callbacks run under, handed through to its hooks.
+// Responder enacts one operator's feedback responses. It owns all the
+// operator's feedback state — per output port, a table for each intent it
+// holds (assumed always, desired and demanded when asked: Holds), plus the
+// input-side tables the operator asks for (Pinned) — and the operator's data
+// path probes them directly. C is the context the operator's callbacks run
+// under, handed through to its hooks.
 //
 // Like the operator it belongs to, a Responder is single-goroutine; only its
 // counters may be read from elsewhere.
@@ -166,9 +167,11 @@ type Responder[C Upstream] struct {
 	mode      Mode
 	propagate bool
 
-	out    []*GuardTable // by output port: assumed feedback that port's consumer asserted
-	demand []*GuardTable // by output port: demanded feedback, when the operator keeps it (Demands)
-	pinned []pinned      // input-side tables (Pinned)
+	// held[intent] has one table per output port, holding the feedback of
+	// that intent the port's consumer asserted; nil for an intent the
+	// operator does not hold.
+	held   [numIntents][]*GuardTable
+	pinned []pinned // input-side tables (Pinned)
 	// relayed is what a fan-out operator already sent upstream: its consumers
 	// assert the same pattern one after the other and it travels once. The
 	// pattern is kept with its key so the entry can expire.
@@ -186,12 +189,12 @@ type pinned struct {
 }
 
 // Bind readies the responder for op, configured with the operator's Mode
-// and Propagate, with one empty table for each of its output ports, which
-// carry streams of the given arity. Operators call it from Open.
+// and Propagate, with one empty assumed table for each of its output ports,
+// which carry streams of the given arity. Operators call it from Open.
 func (r *Responder[C]) Bind(op Characterizer, mode Mode, propagate bool, outputs, arity int) {
 	r.op, r.mode, r.propagate = op, mode, propagate
-	r.out = newTables(outputs, arity)
-	r.demand, r.pinned, r.relayed, r.traced = nil, nil, nil, 0
+	r.held = [numIntents][]*GuardTable{Assumed: newTables(outputs, arity)}
+	r.pinned, r.relayed, r.traced = nil, nil, 0
 }
 
 func newTables(n, arity int) []*GuardTable {
@@ -202,8 +205,21 @@ func newTables(n, arity int) []*GuardTable {
 	return ts
 }
 
-// OutTables returns the tables of the output ports, by port.
-func (r *Responder[C]) OutTables() []*GuardTable { return r.out }
+// OutTables returns the assumed tables of the output ports, by port: the
+// output guards.
+func (r *Responder[C]) OutTables() []*GuardTable { return r.held[Assumed] }
+
+// Holds makes the responder keep feedback of the given intent per output
+// port, the way it keeps assumed feedback, and returns those tables: the
+// desired and demanded patterns PRIORITIZE promotes, the demanded ones
+// SPLIT relays once every partition asserts them. What the clamped plan
+// exploits lands in them; punctuation expires them (Observe).
+func (r *Responder[C]) Holds(intent Intent) []*GuardTable {
+	if r.held[intent] == nil {
+		r.held[intent] = newTables(len(r.held[Assumed]), r.held[Assumed][0].arity)
+	}
+	return r.held[intent]
+}
 
 // Pinned adds an input-side table: guards a Purger returns land in it, and
 // punctuation observed on the named stream (an input port, or Output for a
@@ -214,37 +230,36 @@ func (r *Responder[C]) Pinned(stream, arity int) *GuardTable {
 	return t
 }
 
-// Demands makes the responder keep demanded feedback per output port, the
-// way it keeps assumed feedback, and returns those tables. They never
-// suppress; CoveredByOthers reads them.
-func (r *Responder[C]) Demands() []*GuardTable {
-	r.demand = newTables(len(r.out), r.out[0].arity)
-	return r.demand
+// Tables returns every table the responder owns: the held ones, by intent
+// and port, then the pinned ones.
+func (r *Responder[C]) Tables() []*GuardTable {
+	ts := slices.Concat(r.held[:]...)
+	for _, p := range r.pinned {
+		ts = append(ts, p.table)
+	}
+	return ts
 }
 
 // CoveredByOthers reports whether every output port other than the given one
 // already holds feedback of f's intent covering f's pattern — the unanimity
 // test of an operator whose consumers must agree before it acts for all of
 // them (Duplicate: outputs stay identical; Split: an unpinned pattern may
-// route anywhere).
+// route anywhere). An intent the operator does not hold is never covered.
 func (r *Responder[C]) CoveredByOthers(output int, f Feedback) bool {
-	tables := r.out
-	if f.Intent == Demanded {
-		tables = r.demand
-	}
+	tables := r.held[f.Intent]
 	for i, t := range tables {
 		if i != output && !t.covers(f.Pattern) {
 			return false
 		}
 	}
-	return true
+	return tables != nil
 }
 
 // Respond enacts the operator's response to feedback f from the consumer of
 // the given output port.
 func (r *Responder[C]) Respond(output int, f Feedback, ctx C) error {
-	if output < 0 || output >= len(r.out) {
-		return fmt.Errorf("core: feedback on output %d of an operator with %d outputs (check plan wiring)", output, len(r.out))
+	if output < 0 || output >= len(r.held[Assumed]) {
+		return fmt.Errorf("core: feedback on output %d of an operator with %d outputs (check plan wiring)", output, len(r.held[Assumed]))
 	}
 	r.received.Add(1)
 	row := r.op.Characterize(output, f)
@@ -253,13 +268,11 @@ func (r *Responder[C]) Respond(output int, f Feedback, ctx C) error {
 
 	if plan.exploits() {
 		r.exploited.Add(1)
-		// What a consumer disclaims is held against its port: the output
-		// guard, and what unanimity, expiry and recovery read.
-		switch {
-		case f.Intent == Assumed:
-			r.out[output].Install(f)
-		case f.Intent == Demanded && r.demand != nil:
-			r.demand[output].Install(f)
+		// What a consumer asserts is held against its port, in the table of
+		// its intent: the output guard, the subset to promote, and what
+		// unanimity, expiry and recovery read.
+		if tables := r.held[f.Intent]; tables != nil {
+			tables[output].Install(f)
 		}
 	}
 	if p, ok := r.op.(Purger); ok && (plan.Did(ActPurgeState) || plan.Did(ActCloseWindows)) {
@@ -295,7 +308,7 @@ func (r *Responder[C]) relay(f Feedback, plan ResponsePlan, resp *Response, ctx 
 	if !plan.Did(ActPropagate) {
 		return false
 	}
-	if len(r.out) > 1 {
+	if len(r.held[Assumed]) > 1 {
 		key := relayKey(f)
 		if _, dup := r.relayed[key]; dup {
 			return false
@@ -325,9 +338,10 @@ func (r *Responder[C]) relay(f Feedback, plan ResponsePlan, resp *Response, ctx 
 func relayKey(f Feedback) string { return f.Intent.Sigil() + f.Pattern.String() }
 
 // Observe folds punctuation into every table of the stream it belongs to —
-// Output for punctuation over the output schema, an input port otherwise —
-// releasing the guards it covers (§4.4). Output punctuation also expires the
-// relayed set: an entry goes once no table holds feedback covering it.
+// Output for punctuation over the output schema: the held tables of every
+// intent; an input port otherwise — releasing the entries it covers (§4.4),
+// the one expiry rule for all feedback state. Output punctuation also
+// expires the relayed set: an entry goes once no held table covers it.
 func (r *Responder[C]) Observe(stream int, e punct.Embedded) {
 	for _, p := range r.pinned {
 		if p.stream == stream {
@@ -337,22 +351,21 @@ func (r *Responder[C]) Observe(stream int, e punct.Embedded) {
 	if stream != Output {
 		return
 	}
-	for _, t := range r.out {
-		t.ObservePunct(e)
-	}
-	for _, t := range r.demand {
-		t.ObservePunct(e)
+	for _, byPort := range r.held {
+		for _, t := range byPort {
+			t.ObservePunct(e)
+		}
 	}
 	for key, p := range r.relayed {
-		if !r.held(p) {
+		if !r.covered(p) {
 			delete(r.relayed, key)
 		}
 	}
 }
 
-// held reports whether any per-port table still holds feedback covering p.
-func (r *Responder[C]) held(p punct.Pattern) bool {
-	return slices.ContainsFunc(slices.Concat(r.out, r.demand), func(t *GuardTable) bool { return t.covers(p) })
+// covered reports whether any held table still holds feedback covering p.
+func (r *Responder[C]) covered(p punct.Pattern) bool {
+	return slices.ContainsFunc(slices.Concat(r.held[:]...), func(t *GuardTable) bool { return t.covers(p) })
 }
 
 // Relayed returns the keys of the relayed set, sorted: what a fan-out
@@ -372,7 +385,7 @@ func (r *Responder[C]) RestoreRelayed(keys []string) {
 		want[k] = true
 	}
 	r.relayed = map[string]punct.Pattern{}
-	for _, t := range slices.Concat(r.out, r.demand) {
+	for _, t := range slices.Concat(r.held[:]...) {
 		for _, g := range t.guards {
 			if k := relayKey(g.Source); want[k] {
 				r.relayed[k] = g.Pattern

@@ -63,37 +63,43 @@ func TestResponderExpiresEverythingItHolds(t *testing.T) {
 	var r Responder[*upstream]
 	row := &fixedRow{}
 	r.Bind(row, ModeExploit, true, 2, 2)
-	demand := r.Demands()
+	demand, desire := r.Holds(Demanded), r.Holds(Desired)
 	pin := r.Pinned(0, 2)
 	var up upstream
 	for round := int64(1); round <= 5; round++ {
 		p := window(round * 100)
 		row.plan = ResponsePlan{Actions: []Action{ActGuardOutput, ActPropagate}, Propagate: []*punct.Pattern{&p}}
 		for port := 0; port < 2; port++ {
-			if err := r.Respond(port, NewAssumed(p), &up); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.Respond(port, NewDemanded(p), &up); err != nil {
-				t.Fatal(err)
+			for _, f := range []Feedback{NewAssumed(p), NewDemanded(p), NewDesired(p)} {
+				if err := r.Respond(port, f, &up); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		pin.Install(NewAssumed(p))
-		if got := len(up.sent); got != int(2*round) {
+		if got := len(up.sent); got != int(3*round) {
 			t.Fatalf("round %d: %d relays, want each pattern once per intent", round, got)
+		}
+		if demand[1].Active() != 1 || desire[1].Active() != 1 {
+			t.Fatalf("round %d: every intent is held against the port it arrived on", round)
 		}
 		r.Observe(0, punct.NewEmbedded(p))
 		if pin.Active() != 0 || r.OutTables()[0].Active() != 1 {
 			t.Fatalf("round %d: input punctuation expires the input table and no other", round)
 		}
 		r.Observe(Output, punct.NewEmbedded(p))
-		if n := r.OutTables()[0].Active() + r.OutTables()[1].Active() + demand[0].Active() + demand[1].Active() + len(r.Relayed()); n != 0 {
+		n := len(r.Relayed())
+		for _, table := range r.Tables() {
+			n += table.Active()
+		}
+		if n != 0 {
 			t.Fatalf("round %d: %d entries outlive the punctuation that covers them", round, n)
 		}
 	}
 	if err := r.Respond(2, NewAssumed(window(1)), &up); err == nil {
 		t.Error("feedback on an output the operator does not have must be an error")
 	}
-	if r.Received() != 20 || r.Exploited() != 20 || r.Forwarded() != 10 {
-		t.Errorf("counters %d/%d/%d, want 20/20/10", r.Received(), r.Exploited(), r.Forwarded())
+	if r.Received() != 30 || r.Exploited() != 30 || r.Forwarded() != 15 {
+		t.Errorf("counters %d/%d/%d, want 30/30/15", r.Received(), r.Exploited(), r.Forwarded())
 	}
 }

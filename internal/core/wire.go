@@ -26,12 +26,16 @@ func (f Feedback) AppendBinary(b []byte) []byte {
 }
 
 // DecodeFeedback decodes one feedback from the front of b, returning the
-// feedback and the remaining bytes.
+// feedback and the remaining bytes. An intent byte other than ¬, ? and ! is
+// refused: no operator has an answer for it.
 func DecodeFeedback(b []byte) (Feedback, []byte, error) {
 	if len(b) == 0 {
 		return Feedback{}, nil, fmt.Errorf("core: decode feedback: empty buffer")
 	}
 	f := Feedback{Intent: Intent(b[0])}
+	if f.Intent >= numIntents {
+		return Feedback{}, nil, fmt.Errorf("core: decode feedback: undefined intent %d", b[0])
+	}
 	var err error
 	if f.Pattern, b, err = punct.DecodePattern(b[1:]); err != nil {
 		return Feedback{}, nil, err

@@ -10,9 +10,25 @@ import (
 	"repro/internal/stream"
 )
 
+// An intent byte other than the three the paper defines is refused: decoded,
+// it would reach a responder that treats whatever is not desired or demanded
+// as assumed, and purge state on it.
+func TestDecodeFeedbackRefusesUndefinedIntent(t *testing.T) {
+	fb := NewDemanded(punct.OnAttr(2, 0, punct.Eq(stream.Int(1))))
+	for intent := 0; intent < 256; intent++ {
+		enc := fb.AppendBinary(nil)
+		enc[0] = byte(intent)
+		got, _, err := DecodeFeedback(enc)
+		if ok := intent <= int(Demanded); ok != (err == nil) || ok && got.Intent != Intent(intent) {
+			t.Errorf("intent byte %d: decoded %v, error %v", intent, got, err)
+		}
+	}
+}
+
 // FuzzDecodeFeedback feeds hostile bytes to DecodeFeedback, the decoder a
 // remote feedback frame reaches: it never panics, sizes nothing by a count
-// beyond the bytes received, and an accepted feedback re-encodes to bytes
+// beyond the bytes received, its intent is one of ¬, ? and !, and an
+// accepted feedback re-encodes to bytes
 // that decode and re-encode identically. Installed, it suppresses exactly
 // what its pattern matches, on tuples of its arity and of one more; a table
 // of another arity refuses it.
@@ -30,6 +46,9 @@ func FuzzDecodeFeedback(f *testing.F) {
 		fb, rest, err := DecodeFeedback(data)
 		if err != nil {
 			return
+		}
+		if fb.Intent != Assumed && fb.Intent != Desired && fb.Intent != Demanded {
+			t.Fatalf("decoded undefined intent %d", fb.Intent)
 		}
 		enc := fb.AppendBinary(nil)
 		again, tail, err := DecodeFeedback(enc)

@@ -94,8 +94,9 @@ func (sourceRow) Characterize(_ int, f core.Feedback) core.ResponsePlan {
 }
 
 // Next implements Source. The logical stream is Tuples followed by Items; pos
-// indexes the concatenation. A feedback-unaware source never suppresses, so
-// its runs of tuples go downstream in one emit each.
+// indexes the concatenation. While the guard table is empty — always, for an
+// unaware source — runs of tuples go downstream in one emit each: feedback
+// arrives between calls, so no guard appears inside one.
 func (s *SliceSource) Next(ctx Context) (bool, error) {
 	n := s.BatchSize
 	if n <= 0 {
@@ -110,7 +111,7 @@ func (s *SliceSource) Next(ctx Context) (bool, error) {
 			s.Observe(core.Output, *it.Punct)
 			ctx.EmitPunct(*it.Punct)
 		case it.Kind != queue.ItemTuple:
-		case !s.FeedbackAware:
+		case s.guards.Active() == 0:
 			run := append(s.batch[:0], it.Tuple)
 			for ; s.pos < end && s.item(s.pos).Kind == queue.ItemTuple; s.pos++ {
 				run = append(run, s.item(s.pos).Tuple)
@@ -238,7 +239,7 @@ func (s *ReaderSource) Next(ctx Context) (bool, error) {
 			ctx.EmitPunct(e)
 		}
 	}
-	if s.FeedbackAware && s.guards.Suppress(t) {
+	if s.guards.Suppress(t) {
 		s.skipped++
 		return true, nil
 	}

@@ -111,7 +111,7 @@ func (s *ProbeSource) Next(ctx exec.Context) (bool, error) {
 			}
 			ts := s.now + s.rng.Int63n(s.cfg.Period)
 			t := stream.NewTuple(stream.Int(seg), stream.TimeMicros(ts), stream.Float(speed)).WithSeq(s.seq)
-			if s.cfg.FeedbackAware && s.guards.Suppress(t) {
+			if s.guards.Suppress(t) {
 				s.skipped++
 				continue
 			}

@@ -92,7 +92,7 @@ func (s *RatedSource) Next(ctx exec.Context) (bool, error) {
 		s.pos++
 		switch it.Kind {
 		case queue.ItemTuple:
-			if s.FeedbackAware && s.guards.Suppress(it.Tuple) {
+			if s.guards.Suppress(it.Tuple) {
 				s.skipped++
 				continue
 			}

@@ -127,7 +127,7 @@ func (s *TrafficSource) Next(ctx exec.Context) (bool, error) {
 	minuteOfDay := int((s.now / 60_000_000) % (24 * 60))
 	for det := 0; det < s.cfg.DetectorsPerSegment; det++ {
 		t := s.makeReport(int64(s.seg), int64(det), minuteOfDay)
-		if s.cfg.FeedbackAware && s.guards.Suppress(t) {
+		if s.guards.Suppress(t) {
 			s.skipped++
 			continue
 		}

@@ -220,7 +220,7 @@ func (a *Aggregate) ApplyTupleBatch(input int, ts []stream.Tuple, _ exec.Context
 		return a.errUnexpectedInput(input)
 	}
 	a.inTuples += int64(len(ts))
-	exploit := a.Mode == FeedbackExploit && a.guardsPrefix.Active() > 0
+	exploit := a.guardsPrefix.Active() > 0
 	for i := range ts {
 		t := ts[i]
 		w := &a.assigned
@@ -362,7 +362,6 @@ func (a *Aggregate) flushThrough(lastFull int64, ctx exec.Context) {
 func (a *Aggregate) emitWindow(w *aggWindow, partial *punct.Pattern, ctx exec.Context) {
 	arity := a.out.Arity()
 	wstart := a.wstartValue(w.wid)
-	guarded := a.Mode != FeedbackIgnore
 	left := w.live() // live groups not yet visited: each takes at most one slot
 	var slab []stream.Value
 	run := a.run[:0]
@@ -387,7 +386,7 @@ func (a *Aggregate) emitWindow(w *aggWindow, partial *punct.Pattern, ctx exec.Co
 			}
 			a.partialsEmitted++
 		} else {
-			if guarded && a.guardsOut.Suppress(t) {
+			if a.guardsOut.Suppress(t) {
 				a.outSuppressed++
 				continue
 			}

@@ -78,7 +78,7 @@ func (d *Duplicate) unanimous(t stream.Tuple) bool {
 // ProcessTuple implements exec.Operator.
 func (d *Duplicate) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 	d.in++
-	if d.Mode != FeedbackIgnore && d.unanimous(t) {
+	if d.unanimous(t) {
 		d.suppressed++
 		return nil
 	}

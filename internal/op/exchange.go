@@ -60,13 +60,9 @@ type Split struct {
 	Mode      FeedbackMode
 	Propagate bool
 
-	perOut []*core.GuardTable // assumed feedback asserted by each partition
-	// perOutDemand records demanded patterns per partition (pattern
-	// storage only — never used to suppress), so an unpinned demand can
-	// relay upstream once every partition has demanded a covering subset.
-	perOutDemand []*core.GuardTable
-	rr           int            // round-robin cursor
-	keyScratch   []stream.Value // backs routing probes for key-pinned feedback
+	perOut     []*core.GuardTable // assumed feedback asserted by each partition
+	rr         int                // round-robin cursor
+	keyScratch []stream.Value     // backs routing probes for key-pinned feedback
 
 	// subScratch backs the batch path's per-port sub-batches; batchScratch
 	// backs ProcessTupleBatch's item unwrapping. Reused across batches,
@@ -114,7 +110,6 @@ func (s *Split) Open(exec.Context) error {
 	}
 	s.Bind(s, s.Mode, s.Propagate, s.n(), s.Schema.Arity())
 	s.perOut = s.OutTables()
-	s.perOutDemand = s.Demands()
 	s.outPer = make([]int64, s.n())
 	s.keepState()
 	return nil
@@ -144,7 +139,7 @@ func (s *Split) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error 
 	}
 	s.in++
 	d := s.route(t)
-	if s.Mode != FeedbackIgnore && s.perOut[d].Suppress(t) {
+	if s.perOut[d].Suppress(t) {
 		s.suppressed++
 		return nil
 	}
@@ -188,11 +183,10 @@ func (s *Split) ApplyTupleBatch(input int, ts []stream.Tuple, ctx exec.Context) 
 		sub[d] = sub[d][:0]
 	}
 	s.in += int64(len(ts))
-	guard := s.Mode != FeedbackIgnore
 	for i := range ts {
 		t := ts[i]
 		d := s.route(t)
-		if guard && s.perOut[d].Active() > 0 && s.perOut[d].Suppress(t) {
+		if s.perOut[d].Suppress(t) {
 			s.suppressed++
 			continue
 		}
@@ -347,7 +341,7 @@ func (m *Merge) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error 
 		return fmt.Errorf("op: merge %q: tuple on unexpected input %d", m.Name(), input)
 	}
 	m.in++
-	if m.Mode != FeedbackIgnore && m.guards.Suppress(t) {
+	if m.guards.Suppress(t) {
 		m.suppressed++
 		return nil
 	}

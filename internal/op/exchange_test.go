@@ -591,7 +591,7 @@ func TestSplitDemandedPatternsExpire(t *testing.T) {
 		script = append(script, exec.Punct(0, tsPunct(round*minute)))
 	}
 	script = append(script, exec.Call(func(*exec.Trace) {
-		for port, table := range s.perOutDemand {
+		for port, table := range s.Holds(core.Demanded) {
 			if n := table.Active(); n != 0 {
 				t.Errorf("partition %d still holds %d demanded patterns punctuation has covered", port, n)
 			}

@@ -77,7 +77,7 @@ func (im *Impute) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) erro
 	}
 	// The guard fires before the expensive lookup: this is the entire
 	// point of the feedback (§4.3 strategy 2, guard on input).
-	if im.Mode != FeedbackIgnore && im.guards.Suppress(t) {
+	if im.guards.Suppress(t) {
 		im.skipped++
 		return nil
 	}

@@ -208,7 +208,7 @@ func (j *Join) emitJoined(l, r stream.Tuple, ctx exec.Context) {
 		return
 	}
 	t := j.outTuple(l, r)
-	if j.Mode != FeedbackIgnore && j.guardsOut.Suppress(t) {
+	if j.guardsOut.Suppress(t) {
 		j.suppressedOut++
 		return
 	}
@@ -223,7 +223,7 @@ func (j *Join) emitOuter(l stream.Tuple, ctx exec.Context) {
 		vals = append(vals, stream.Null)
 	}
 	t := stream.Tuple{Values: vals, Seq: l.Seq}
-	if j.Mode != FeedbackIgnore && j.guardsOut.Suppress(t) {
+	if j.guardsOut.Suppress(t) {
 		j.suppressedOut++
 		return
 	}
@@ -236,7 +236,7 @@ func (j *Join) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
 	if input != 0 && input != 1 {
 		return j.errInput("tuple", input)
 	}
-	if j.Mode == FeedbackExploit && j.guardsIn[input].Suppress(t) {
+	if j.guardsIn[input].Suppress(t) {
 		j.suppressedIn++
 		return nil
 	}
@@ -312,7 +312,7 @@ func (j *Join) ApplyTupleBatch(input int, ts []stream.Tuple, ctx exec.Context) e
 		return j.errInput("tuple", input)
 	}
 	guards := j.guardsIn[input]
-	guarded := j.Mode == FeedbackExploit && guards.Active() > 0
+	guarded := guards.Active() > 0
 	for i := range ts {
 		if guarded && guards.Suppress(ts[i]) {
 			j.suppressedIn++

@@ -159,7 +159,7 @@ func (m *Map) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 		}
 		out = stream.Tuple{Values: vals, Seq: t.Seq}
 	}
-	if m.Mode != FeedbackIgnore && m.guards.Suppress(out) {
+	if m.guards.Suppress(out) {
 		m.c.Suppressed.Add(1)
 		return nil
 	}

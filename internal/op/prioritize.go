@@ -9,9 +9,10 @@ import (
 )
 
 // Prioritize is an exploiter of desired (?) feedback: a pass-through stage
-// with a bounded reorder buffer. Tuples matching a desired pattern bypass
-// the buffer and are emitted immediately; everything else drains in FIFO
-// order as the buffer fills, on punctuation, or at end of stream.
+// with a bounded reorder buffer. Tuples matching a desired (or demanded)
+// pattern its responder holds bypass the buffer and are emitted immediately;
+// everything else drains in FIFO order as the buffer fills, on punctuation,
+// or at end of stream. Punctuation releases a held pattern as it does a guard.
 //
 // Placed upstream of an IMPATIENT JOIN, it realizes §3.4's scenario: the
 // join announces which (period, segment) subsets it can immediately use,
@@ -34,10 +35,10 @@ type Prioritize struct {
 	Mode      FeedbackMode
 	Propagate bool
 
-	desired []punct.Pattern
-	guards  *core.GuardTable
-	scheme  *punct.Scheme
-	pending []stream.Tuple
+	// guards holds assumed feedback; desired and demanded the subsets to
+	// promote. All three are the responder's tables.
+	guards, desired, demanded *core.GuardTable
+	pending                   []stream.Tuple
 
 	in, out, promoted, dropped int64
 }
@@ -67,28 +68,20 @@ func (p *Prioritize) OutSchemas() []stream.Schema { return []stream.Schema{p.Sch
 func (p *Prioritize) Open(exec.Context) error {
 	p.Bind(p, p.Mode, p.Propagate, 1, p.Schema.Arity())
 	p.guards = p.OutTables()[0]
-	p.scheme = punct.NewScheme(p.Schema.Arity())
+	p.desired, p.demanded = p.Holds(core.Desired)[0], p.Holds(core.Demanded)[0]
 	p.keepState()
 	return nil
-}
-
-func (p *Prioritize) isDesired(t stream.Tuple) bool {
-	for _, d := range p.desired {
-		if d.Matches(t) {
-			return true
-		}
-	}
-	return false
 }
 
 // ProcessTuple implements exec.Operator.
 func (p *Prioritize) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 	p.in++
-	if p.Mode != FeedbackIgnore && p.guards.Suppress(t) {
+	if p.guards.Suppress(t) {
 		p.dropped++
 		return nil
 	}
-	if p.Mode != FeedbackIgnore && p.isDesired(t) {
+	// A held table's probe reports a tuple of its subset.
+	if p.desired.Suppress(t) || p.demanded.Suppress(t) {
 		p.promoted++
 		p.out++
 		ctx.Emit(t)
@@ -120,16 +113,6 @@ func (p *Prioritize) flush(ctx exec.Context) {
 func (p *Prioritize) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 	p.flush(ctx)
 	p.Observe(core.Output, e)
-	p.scheme.Observe(e)
-	// Desired patterns expire like guards: once the stream promises the
-	// subset complete, prioritizing it is moot.
-	kept := p.desired[:0]
-	for _, d := range p.desired {
-		if !p.scheme.CoversPattern(d) {
-			kept = append(kept, d)
-		}
-	}
-	p.desired = kept
 	ctx.EmitPunct(e)
 	return nil
 }
@@ -151,10 +134,9 @@ func (p *Prioritize) Characterize(_ int, f core.Feedback) core.ResponsePlan {
 	return plan
 }
 
-// Prioritize implements core.Prioritizer: remember the subset and promote the
-// matching backlog at once.
+// Prioritize implements core.Prioritizer: promote the matching backlog at
+// once. The responder holds the subset for what arrives later.
 func (p *Prioritize) Prioritize(f core.Feedback, ctx exec.Context) {
-	p.desired = append(p.desired, f.Pattern)
 	kept := p.pending[:0]
 	for _, t := range p.pending {
 		if f.Pattern.Matches(t) {

@@ -50,6 +50,7 @@ type responder interface {
 	exec.Operator
 	core.Characterizer
 	Trace() []core.Response
+	Tables() []*core.GuardTable
 }
 
 type respondCase struct {
@@ -255,6 +256,13 @@ func checkResponse(t *testing.T, c respondCase, intent core.Intent, mode op.Feed
 	}
 	if mode == op.FeedbackIgnore && !reflect.DeepEqual(want.Actions, []core.Action{core.ActNone}) {
 		t.Fatalf("an ignoring operator's plan is %v, want the null response", want.Actions)
+	}
+	// Mode is enforced by the clamp alone: an ignoring operator's data path
+	// probes tables that nothing fills.
+	for i, table := range o.Tables() {
+		if mode == op.FeedbackIgnore && table.Active() != 0 {
+			t.Fatalf("an ignoring operator holds %v in table %d of %d", table.Guards(), i, len(o.Tables()))
+		}
 	}
 	if mode == op.FeedbackGuardOutput {
 		for _, a := range want.Actions {

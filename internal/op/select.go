@@ -73,7 +73,7 @@ func (s *Select) Open(exec.Context) error {
 //pace:hotpath
 func (s *Select) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 	s.c.In.Add(1)
-	if s.Mode != FeedbackIgnore && s.guards.Suppress(t) {
+	if s.guards.Suppress(t) {
 		s.c.Suppressed.Add(1)
 		return nil
 	}

@@ -301,7 +301,9 @@ func (m *Merge) keepState() {
 		snapshot.Int64(&m.in, &m.out, &m.suppressed, &m.aligned))...)
 }
 
-// keepState: per-partition guards (feedback each partition has asserted), the
+// keepState: per-partition assumed and demanded tables (what each partition
+// has asserted; the demanded ones only ever decide unanimity, so an unpinned
+// demand relays once every partition has demanded a covering subset), the
 // relayed set, and the round-robin cursor — the cursor matters for keyless
 // splits, where a restored run must continue the same routing sequence to
 // stay canonically identical.
@@ -310,9 +312,10 @@ func (s *Split) keepState() {
 	for i := range s.outPer {
 		counters = append(counters, &s.outPer[i])
 	}
+	demanded := s.Holds(core.Demanded)
 	s.Keep(s.Name(),
 		snapshot.Group(s.n(), func(i int) []snapshot.Field {
-			return []snapshot.Field{snapshot.Guards(s.perOut[i]), snapshot.Guards(s.perOutDemand[i])}
+			return []snapshot.Field{snapshot.Guards(s.perOut[i]), snapshot.Guards(demanded[i])}
 		}),
 		snapshot.Relayed(s, ""),
 		snapshot.Int(&s.rr),
@@ -333,13 +336,12 @@ func (d *Duplicate) keepState() {
 
 // keepState: the reorder buffer holds tuples already consumed from upstream
 // but not yet emitted, so a restore without it drops rows from the result.
-// Desired patterns and assumed guards ride along (the punctuation scheme
-// does not: it only expires desired patterns, and rebuilds from post-restore
-// punctuation).
+// The patterns to promote and the assumed guards ride along; their expiry
+// trackers rebuild from post-restore punctuation.
 func (p *Prioritize) keepState() {
 	p.Keep(p.Name(),
 		snapshot.Tuples(&p.pending, p.Schema.Arity()),
-		snapshot.Patterns(&p.desired, p.Schema.Arity()),
+		snapshot.Desired(p.desired, p.demanded),
 		snapshot.Guards(p.guards),
 		snapshot.Int64(&p.in, &p.out, &p.promoted, &p.dropped))
 }

@@ -654,3 +654,56 @@ func TestPrioritizeStateRoundTrip(t *testing.T) {
 		t.Fatalf("counters not restored: in=%d dropped=%d", in, dropped)
 	}
 }
+
+// A restored Prioritize still promotes its desired subset: a matching arrival
+// bypasses the buffer. Punctuation covering the subset releases the pattern
+// there as it would have before the cut, and the next arrival of it waits.
+func TestPrioritizeRestoredDesiredPromotesUntilPunctuated(t *testing.T) {
+	p1 := &Prioritize{Schema: trafficSchema, Mode: FeedbackExploit}
+	var blob []byte
+	exec.Drive(p1, exec.Feedback(0, core.NewDesired(punct.OnAttr(4, 0, punct.Eq(stream.Int(2))))), captureAt(t, p1, &blob))
+
+	p2 := &Prioritize{Schema: trafficSchema, Mode: FeedbackExploit}
+	var promoted, got []stream.Tuple
+	tr := exec.Drive(p2, exec.Restore(blob),
+		exec.Tuples(0, traffic(1, 1, 10, 50), traffic(2, 1, 20, 55)),
+		outAt(&promoted),
+		exec.Punct(0, punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(2))))),
+		exec.Tuples(0, traffic(2, 2, 30, 60)),
+		outAt(&got))
+	if tr.Err != nil {
+		t.Fatal(tr.Err)
+	}
+	if len(promoted) != 1 || promoted[0].At(0).AsInt() != 2 {
+		t.Fatalf("restored twin promoted %v, want the segment-2 tuple alone", promoted)
+	}
+	if len(got) != 2 {
+		t.Fatalf("after the covering punctuation the segment-2 arrival must wait in the buffer: emitted %v", got)
+	}
+	for _, table := range p2.Tables() {
+		if table.Active() != 0 {
+			t.Fatalf("punctuation left %v held", table.Guards())
+		}
+	}
+}
+
+// A desired pattern of another arity (a miswired or hostile relay) describes
+// no tuple of the stream: the held table refuses it, so no capture carries it
+// into a restore that would fail on it.
+func TestPrioritizeRefusesForeignArityDesired(t *testing.T) {
+	p1 := &Prioritize{Schema: trafficSchema, Mode: FeedbackExploit}
+	var blob []byte
+	exec.Drive(p1, exec.Feedback(0, core.NewDesired(punct.OnAttr(2, 0, punct.Eq(stream.Int(2))))), captureAt(t, p1, &blob))
+
+	p2 := &Prioritize{Schema: trafficSchema, Mode: FeedbackExploit}
+	if tr := exec.Drive(p2, exec.Restore(blob)); tr.Err != nil {
+		t.Fatalf("restore: %v", tr.Err)
+	}
+	for _, p := range []*Prioritize{p1, p2} {
+		for _, table := range p.Tables() {
+			if table.Active() != 0 {
+				t.Fatalf("holds %v, a pattern over another schema", table.Guards())
+			}
+		}
+	}
+}

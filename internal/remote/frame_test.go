@@ -476,13 +476,17 @@ func TestHostileFrames(t *testing.T) {
 	}
 
 	// The feedback path applies the same checks, and refuses a well-formed
-	// feedback whose pattern is not over the edge's schema.
+	// feedback whose pattern is not over the edge's schema, or whose intent
+	// is none of the three.
 	foreign := core.NewAssumed(punct.OnAttr(5, 4, punct.Le(stream.TimeMicros(10)))).AppendBinary(nil)
+	undefined := core.NewAssumed(punct.OnAttr(3, 0, punct.Eq(stream.Int(3)))).AppendBinary(nil)
+	undefined[0] = 5
 	for _, data := range [][]byte{
 		frameBytes(frameFeedback, 0, 1<<31, nil),
 		frameBytes(frameFeedback, 0, 2, []byte{0, 9}),
 		frameBytes(frameTuples, 1, uint64(len(one)), one),
 		frameBytes(frameFeedback, 0, uint64(len(foreign)), foreign),
+		frameBytes(frameFeedback, 0, uint64(len(undefined)), undefined),
 	} {
 		sink := NewSink("out", schema, newMemConn(bytes.NewReader(data)))
 		tr := exec.Drive(sink, exec.Call(func(*exec.Trace) {

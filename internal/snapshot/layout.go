@@ -192,13 +192,40 @@ func Patterns(p *[]punct.Pattern, arity int) Field {
 // stream will never produce (DESIGN.md §6.3). A guard whose pattern arity is
 // not the table's is refused: its probe would index past the tuple.
 func Guards(g *core.GuardTable) Field {
+	return held([]*core.GuardTable{g}, (*Encoder).PutFeedback, func(d *Decoder) core.Feedback {
+		f := d.GetFeedback()
+		if d.err == nil && f.Pattern.Arity() != g.Arity() {
+			d.fail("guard pattern arity %d does not match stream arity %d (corrupt snapshot or plan drift)", f.Pattern.Arity(), g.Arity())
+		}
+		return f
+	})
+}
+
+// Desired keeps tables of patterns an operator promotes — PRIORITIZE's
+// desired and demanded tables — as one pattern list, the layout of Patterns:
+// a promotion needs neither the intent nor the origin of the feedback that
+// asked for it. A load installs every pattern into the first table as desired
+// feedback, and refuses one of another arity.
+func Desired(tables ...*core.GuardTable) Field {
+	return held(tables, func(e *Encoder, f core.Feedback) { e.PutPattern(f.Pattern) },
+		func(d *Decoder) core.Feedback { return core.NewDesired(d.GetPatternArity(tables[0].Arity())) })
+}
+
+// held keeps the feedback the tables hold as one counted list, each entry
+// written by put and read by get; a load restores the list into the first.
+func held(tables []*core.GuardTable, put func(*Encoder, core.Feedback), get func(*Decoder) core.Feedback) Field {
 	return Field{
 		Capture: func() func(*Encoder) {
-			guards := g.Guards()
+			var fs []core.Feedback
+			for _, t := range tables {
+				for _, g := range t.Guards() {
+					fs = append(fs, g.Source)
+				}
+			}
 			return func(e *Encoder) {
-				e.PutInt(len(guards))
-				for _, gd := range guards {
-					e.PutFeedback(gd.Source)
+				e.PutInt(len(fs))
+				for _, f := range fs {
+					put(e, f)
 				}
 			}
 		},
@@ -206,15 +233,10 @@ func Guards(g *core.GuardTable) Field {
 			n := d.GetCount()
 			fs := make([]core.Feedback, 0, n)
 			for i := 0; i < n && d.err == nil; i++ {
-				f := d.GetFeedback()
-				if d.err == nil && f.Pattern.Arity() != g.Arity() {
-					return fmt.Errorf("snapshot: guard pattern arity %d does not match stream arity %d (corrupt snapshot or plan drift)",
-						f.Pattern.Arity(), g.Arity())
-				}
-				fs = append(fs, f)
+				fs = append(fs, get(d))
 			}
 			if d.err == nil {
-				g.Restore(fs)
+				tables[0].Restore(fs)
 			}
 			return nil
 		},
