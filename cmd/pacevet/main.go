@@ -1,14 +1,21 @@
 // Command pacevet is the engine's invariant checker: a multichecker that
-// runs the internal/lint analyzers (hotpathalloc, atomicfield,
-// staterstate) over Go package patterns. It exits non-zero
-// when any analyzer reports a finding, so CI treats invariant drift like
-// a compile error.
+// runs the four internal/lint analyzers over Go package patterns:
+//
+//	hotpathalloc  //pace:hotpath functions do not allocate
+//	atomicfield   a field accessed via sync/atomic is atomic everywhere
+//	staterstate   a stateful operator implements snapshot.Stater
+//	surface       exported internal/ surface is reached by non-test code
+//
+// It exits non-zero when any analyzer reports a finding, so CI treats
+// invariant drift like a compile error.
 //
 // Usage:
 //
 //	go run ./cmd/pacevet [-json] [packages]
 //
-// With no packages it checks ./... . -json replaces the vet-style text
+// With no packages it checks ./... . surface counts every package of the
+// module, and of each module in the repository that requires it (bench/),
+// as a caller, so run it over the whole module. -json replaces the vet-style text
 // output with a machine-readable array (one object per finding) for the
 // chaos-fuzz nightly's artifact upload; the exit status is unchanged.
 package main
@@ -26,6 +33,7 @@ import (
 	"repro/internal/lint/hotpathalloc"
 	"repro/internal/lint/load"
 	"repro/internal/lint/staterstate"
+	"repro/internal/lint/surface"
 )
 
 // analyzers is the suite, in report-grouping order.
@@ -33,6 +41,7 @@ var analyzers = []*analysis.Analyzer{
 	hotpathalloc.Analyzer,
 	atomicfield.Analyzer,
 	staterstate.Analyzer,
+	surface.Analyzer,
 }
 
 // finding is one diagnostic resolved to a position, the unit of both

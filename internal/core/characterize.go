@@ -101,14 +101,6 @@ func (k AggKind) String() string {
 // tuples arrive.
 func (k AggKind) MonotoneUp() bool { return k == AggCount || k == AggMax }
 
-// MonotoneUpGiven reports MonotoneUp under an extra domain guarantee: a
-// SUM over inputs known to be non-negative also only grows (§3.5's
-// "COUNT's produced result increases monotonically, SUM's doesn't" —
-// unless the operator knows better).
-func (k AggKind) MonotoneUpGiven(nonNegativeInputs bool) bool {
-	return k.MonotoneUp() || (k == AggSum && nonNegativeInputs)
-}
-
 // MonotoneDown reports whether the running aggregate can only shrink.
 func (k AggKind) MonotoneDown() bool { return k == AggMin }
 
@@ -189,10 +181,9 @@ func ClassifyAggPattern(p punct.Pattern, groupIdx []int, valueIdx int) AggShape 
 //	           monotone-down aggregates (MIN)
 //	mixed    → guard output only
 //
-// nonNegativeInputs is a domain guarantee that upgrades SUM to monotone-up,
-// enabling the purge/guard-input response on upward-closed value bounds
-// (speeds, counts, volumes and most physical measurements qualify).
-func AggCharacterization(kind AggKind, shape AggShape, p punct.Pattern, inputMap AttrMap, nonNegativeInputs bool) ResponsePlan {
+// SUM is not monotone-up (§3.5: "COUNT's produced result increases
+// monotonically, SUM's doesn't"), so a value bound on it guards the output.
+func AggCharacterization(kind AggKind, shape AggShape, p punct.Pattern, inputMap AttrMap) ResponsePlan {
 	switch shape {
 	case AggShapeGroup:
 		plan := ResponsePlan{
@@ -209,7 +200,7 @@ func AggCharacterization(kind AggKind, shape AggShape, p punct.Pattern, inputMap
 		}
 		return plan
 	case AggShapeValueUp:
-		if kind.MonotoneUpGiven(nonNegativeInputs) {
+		if kind.MonotoneUp() {
 			return ResponsePlan{
 				Actions:     []Action{ActPurgeState, ActGuardInput, ActCloseWindows},
 				Propagate:   []*punct.Pattern{nil},

@@ -129,6 +129,8 @@ func (g *GuardTable) covers(p punct.Pattern) bool {
 // installing state-bearing responses; installing a guard for
 // unsupportable feedback is still *correct*, but risks unbounded predicate
 // accumulation, so callers typically fall back to the null response.
+//
+//pace:allow-unreached §4.4's admissibility test: ROADMAP item 14's compile-time pass calls it, or it goes
 func (g *GuardTable) Supportable(p punct.Pattern) bool { return g.scheme.Supportable(p) }
 
 // Active returns the number of live guards.

@@ -232,6 +232,8 @@ func (r *Responder[C]) Pinned(stream, arity int) *GuardTable {
 
 // Tables returns every table the responder owns: the held ones, by intent
 // and port, then the pinned ones.
+//
+//pace:allow-unreached the §4.4 expiry checks read every table; ROADMAP item 4's guard-table gauges are its caller
 func (r *Responder[C]) Tables() []*GuardTable {
 	ts := slices.Concat(r.held[:]...)
 	for _, p := range r.pinned {

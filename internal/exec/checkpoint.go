@@ -34,6 +34,7 @@ type CheckpointStatus struct {
 	// Epoch identifies the checkpoint. Base is always 0: every cut is full.
 	// It stays for callers written when a cut could chain from an earlier
 	// epoch.
+	//pace:allow-unreached bench/trace.go reads Base; ROADMAP item 1(e) retires it
 	Epoch, Base int64
 	// Err is the first failure — a capture error, a node death during
 	// alignment, an encode error, or a chain-write error; nil means the

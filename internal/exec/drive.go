@@ -40,6 +40,8 @@ func Tuples(in int, ts ...stream.Tuple) Script {
 }
 
 // Punct plays embedded punctuation into input in.
+//
+//pace:allow-unreached Drive's script API, shared by the operator tests of every package
 func Punct(in int, es ...punct.Embedded) Script {
 	return steps(in, es, func(e punct.Embedded) step { return step{item: queue.PunctItem(e)} })
 }
@@ -50,6 +52,8 @@ func Items(in int, its ...queue.Item) Script {
 }
 
 // EOS ends input in; the operator closes once every input has ended.
+//
+//pace:allow-unreached Drive's script API, shared by the operator tests of every package
 func EOS(in int) Script { return Items(in, queue.EOSItem()) }
 
 // Feedback sends feedback to the operator through output out, from the sink
@@ -60,10 +64,14 @@ func Feedback(out int, fs ...core.Feedback) Script {
 
 // Call runs f between two steps on the plan's one goroutine, the operator
 // idle. A panic in f is the run's error.
+//
+//pace:allow-unreached Drive's script API, shared by the operator tests of every package
 func Call(f func(*Trace)) Script { return Script{{call: f}} }
 
 // Restore, as a script's first step, stages blob as the operator's state
 // through Graph.RestoreChain.
+//
+//pace:allow-unreached Drive's script API, shared by the operator tests of every package
 func Restore(blob []byte) Script { return Script{{restore: blob}} }
 
 // Trace is what a run recorded.
@@ -117,6 +125,8 @@ func DriveChain(ops []Operator, script ...Script) *Trace {
 // DriveSource runs src on the production runner into a recording sink, to the
 // end of its stream. The sink sends fb from Open: src handles it before its
 // first Next.
+//
+//pace:allow-unreached Drive's script API, shared by the operator tests of every package
 func DriveSource(src Source, fb ...core.Feedback) *Trace {
 	tr, g := &Trace{}, NewGraph()
 	tr.record(g, g.AddSource(src), src.OutSchemas()).atOpen = fb

@@ -23,7 +23,7 @@ type SliceSource struct {
 	snapshot.State
 	SourceName string
 	Schema     stream.Schema
-	Items      []queue.Item
+	Items      []queue.Item //pace:allow-unreached tests script punctuation after the tuples; the engine's sources carry tuples only
 	// Tuples is the tuple fast path: its tuples are replayed directly,
 	// without materializing a queue.Item per element, before anything in
 	// Items. NewSliceSource fills it; callers may still append
@@ -247,9 +247,6 @@ func (s *ReaderSource) Next(ctx Context) (bool, error) {
 	return true, nil
 }
 
-// Skipped reports tuples suppressed by feedback before emission.
-func (s *ReaderSource) Skipped() int64 { return s.skipped }
-
 // Collector is a sink that records everything it receives. It is safe to
 // read after Graph.Run returns; a mutex also allows sampling mid-run.
 type Collector struct {
@@ -267,6 +264,7 @@ type Collector struct {
 	// this many tuples have arrived — the paper's Example 4 poll-based
 	// result production: results are produced only while someone wants
 	// them.
+	//pace:allow-unreached the only trigger of §5's upstream shutdown, which the tests keep working
 	Limit int64
 
 	mu       sync.Mutex

@@ -49,8 +49,8 @@ func TestReaderSourceFeedback(t *testing.T) {
 	if got := tr.Out[0].Tuples(); len(got) != 3 {
 		t.Fatalf("suppression: %v", got)
 	}
-	if src.Skipped() != 2 {
-		t.Errorf("skipped = %d", src.Skipped())
+	if src.skipped != 2 {
+		t.Errorf("skipped = %d", src.skipped)
 	}
 }
 

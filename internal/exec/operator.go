@@ -222,8 +222,8 @@ func (r *Responding) TelemetryVars() []telemetry.Var {
 // series every responding operator exports.
 func FeedbackVars(received, exploited, forwarded func() int64) []telemetry.Var {
 	return []telemetry.Var{
-		{Name: "pace_op_feedback_received_total", Help: "Feedback messages delivered to the operator.", Kind: telemetry.Counter, Value: received},
-		{Name: "pace_op_feedback_exploited_total", Help: "Feedback messages acted on locally (guard installed, state purged, production reordered or unblocked).", Kind: telemetry.Counter, Value: exploited},
-		{Name: "pace_op_feedback_forwarded_total", Help: "Feedback messages relayed upstream.", Kind: telemetry.Counter, Value: forwarded},
+		{Name: "pace_op_feedback_received_total", Help: "Feedback messages delivered to the operator.", Value: received},
+		{Name: "pace_op_feedback_exploited_total", Help: "Feedback messages acted on locally (guard installed, state purged, production reordered or unblocked).", Value: exploited},
+		{Name: "pace_op_feedback_forwarded_total", Help: "Feedback messages relayed upstream.", Value: forwarded},
 	}
 }

@@ -55,23 +55,23 @@ func (g *Graph) registerTelemetry() {
 		reg.RegisterNode(int(n.id), n.name(), n.nm, vars)
 	}
 	reg.AddGlobal(telemetry.Var{
-		Name: "pace_punct_patterns_compiled_total",
-		Help: "Punctuation patterns compiled process-wide.",
-		Kind: telemetry.Counter, Value: punct.CompiledCount,
+		Name:  "pace_punct_patterns_compiled_total",
+		Help:  "Punctuation patterns compiled process-wide.",
+		Value: punct.CompiledCount,
 	})
 	// Is slab recycling happening: requests, and those the pool could not
 	// serve. Unlike the park counters beside them these are process-wide —
 	// a slab's pool outlives the edges it travelled.
 	reg.AddGlobal(
 		telemetry.Var{
-			Name: "pace_slab_gets_total",
-			Help: "Value slabs requested for runs of rebuilt tuples, process-wide.",
-			Kind: telemetry.Counter, Value: func() int64 { gets, _ := queue.SlabStats(); return gets },
+			Name:  "pace_slab_gets_total",
+			Help:  "Value slabs requested for runs of rebuilt tuples, process-wide.",
+			Value: func() int64 { gets, _ := queue.SlabStats(); return gets },
 		},
 		telemetry.Var{
-			Name: "pace_slab_misses_total",
-			Help: "Slab requests the recycling pool could not serve (fresh allocations), process-wide.",
-			Kind: telemetry.Counter, Value: func() int64 { _, misses := queue.SlabStats(); return misses },
+			Name:  "pace_slab_misses_total",
+			Help:  "Slab requests the recycling pool could not serve (fresh allocations), process-wide.",
+			Value: func() int64 { _, misses := queue.SlabStats(); return misses },
 		})
 	reg.SetEdges(g.edgeSnapshots)
 }

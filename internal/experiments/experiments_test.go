@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/punct"
 	"repro/internal/stream"
 )
 
@@ -31,6 +34,31 @@ func TestTablesVerify(t *testing.T) {
 	}
 	if strings.Contains(sb.String(), "VIOLATION") {
 		t.Error("rendered tables contain a violation")
+	}
+}
+
+// A Table 2 row verifies only when the join relays exactly what its plan
+// propagates: a missing, extra or different pattern fails it.
+func TestTableRelayCheck(t *testing.T) {
+	left := punct.OnAttr(3, 0, punct.Eq(stream.Int(1)))
+	other := punct.OnAttr(3, 0, punct.Eq(stream.Int(2)))
+	plan := core.ResponsePlan{Propagate: []*punct.Pattern{&left, nil}}
+	sent := func(p punct.Pattern) []core.Feedback { return []core.Feedback{core.NewAssumed(p)} }
+	for _, c := range []struct {
+		name string
+		sent [][]core.Feedback
+		want bool
+	}{
+		{"as planned", [][]core.Feedback{sent(left), nil}, true},
+		{"missing", [][]core.Feedback{nil, nil}, false},
+		{"extra", [][]core.Feedback{sent(left), sent(other)}, false},
+		{"different", [][]core.Feedback{sent(other), nil}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := relays(plan, c.sent); got != c.want {
+				t.Errorf("relays = %v, want %v", got, c.want)
+			}
+		})
 	}
 }
 
@@ -219,7 +247,7 @@ func TestFigure1bResultIdentity(t *testing.T) {
 			t.Fatalf("map %d has %d rows, map 0 %d", i, len(maps[i]), len(maps[0]))
 		}
 		for j := range maps[0] {
-			if !maps[0][j].Equal(maps[i][j]) {
+			if !slices.EqualFunc(maps[0][j].Values, maps[i][j].Values, stream.Value.Equal) {
 				t.Fatalf("map %d row %d differs: %v vs %v", i, j, maps[i][j], maps[0][j])
 			}
 		}

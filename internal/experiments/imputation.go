@@ -45,8 +45,6 @@ type ImputationConfig struct {
 	// Feedback enables PACE's assumed-feedback production and IMPUTE's
 	// exploitation (Figure 6 vs Figure 5).
 	Feedback bool
-	// Seed controls the synthetic stream.
-	Seed int64
 }
 
 func (c ImputationConfig) withDefaults() ImputationConfig {

@@ -52,7 +52,6 @@ type SpeedmapConfig struct {
 	// folded by AVERAGE, EmitCost per produced result (result
 	// construction + map rendering, the dominant per-result expense).
 	IngestCost, FilterCost, FoldCost, EmitCost int
-	Seed                                       int64
 }
 
 func (c SpeedmapConfig) withDefaults() SpeedmapConfig {
@@ -221,7 +220,6 @@ func speedmapPlan(b *plan.Builder, cfg SpeedmapConfig) speedmap {
 			Duration:            int64(cfg.Hours) * 3600 * 1_000_000,
 			NullRate:            0.02,
 			Noise:               3,
-			Seed:                cfg.Seed,
 			Cost:                cfg.IngestCost,
 		}},
 		quality: &op.Select{

@@ -461,10 +461,10 @@ func (f *Fused) TelemetryVars() []telemetry.Var {
 		st := &f.steps[i]
 		labels := map[string]string{"step": st.name, "kind": st.kind.String()}
 		vars = append(vars,
-			telemetry.Var{Name: "pace_op_tuples_in_total", Help: "Tuples delivered to the constituent.", Kind: telemetry.Counter, Labels: labels, Value: st.c.In.Load},
-			telemetry.Var{Name: "pace_op_tuples_out_total", Help: "Tuples the constituent passed on.", Kind: telemetry.Counter, Labels: labels, Value: st.c.Out.Load},
-			telemetry.Var{Name: "pace_op_suppressed_tuples_total", Help: "Tuples suppressed by the constituent's guard table.", Kind: telemetry.Counter, Labels: labels, Value: st.c.Suppressed.Load},
-			telemetry.Var{Name: "pace_op_punct_dropped_total", Help: "Punctuations consumed at the constituent.", Kind: telemetry.Counter, Labels: labels, Value: st.c.PunctDropped.Load},
+			telemetry.Var{Name: "pace_op_tuples_in_total", Help: "Tuples delivered to the constituent.", Labels: labels, Value: st.c.In.Load},
+			telemetry.Var{Name: "pace_op_tuples_out_total", Help: "Tuples the constituent passed on.", Labels: labels, Value: st.c.Out.Load},
+			telemetry.Var{Name: "pace_op_suppressed_tuples_total", Help: "Tuples suppressed by the constituent's guard table.", Labels: labels, Value: st.c.Suppressed.Load},
+			telemetry.Var{Name: "pace_op_punct_dropped_total", Help: "Punctuations consumed at the constituent.", Labels: labels, Value: st.c.PunctDropped.Load},
 		)
 	}
 	return vars
@@ -472,6 +472,8 @@ func (f *Fused) TelemetryVars() []telemetry.Var {
 
 // StepTrace returns the recent feedback responses of constituent i, the
 // fused equivalent of the unfused operator's Trace().
+//
+//pace:allow-unreached the fused ≡ unfused response checks read it; goes with the kernel under ROADMAP item 18
 func (f *Fused) StepTrace(i int) []core.Response { return f.steps[i].fb.Trace() }
 
 // Explain renders the kernel's step table, one entry per constituent.

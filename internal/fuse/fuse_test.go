@@ -63,7 +63,7 @@ func randPred(rng *rand.Rand, kind stream.Kind) punct.Pred {
 		return punct.Le(stream.TimeMicros(int64(rng.Intn(40)) * 1000))
 	case stream.KindFloat:
 		if rng.Intn(4) == 0 {
-			return punct.NullPred()
+			return punct.Pred{Op: punct.IsNull}
 		}
 		return punct.Ge(stream.Float(float64(rng.Intn(60))))
 	default:
@@ -166,16 +166,16 @@ func randPattern(rng *rand.Rand, sch stream.Schema) punct.Pattern {
 }
 
 // opStats is a constituent operator's accounting, read through its own
-// Stats and CostBurned: in, out, suppressed, punctuations dropped, cost.
+// Stats, Counters and CostBurned: in, out, suppressed, punctuations
+// dropped, cost.
 func opStats(o exec.Operator) (st [5]int64) {
 	switch o := o.(type) {
 	case *op.Select:
 		st[0], st[1], st[2] = o.Stats()
 		st[4] = o.CostBurned()
-	case *op.Project:
-		st[0], st[1], st[2], st[3] = o.Stats()
-	case *op.Map:
-		st[0], st[1], st[2], st[3] = o.Stats()
+	case interface{ Counters() *op.Counters }: // Map, and Project through it
+		c := o.Counters()
+		st[0], st[1], st[2], st[3] = c.In.Load(), c.Out.Load(), c.Suppressed.Load(), c.PunctDropped.Load()
 	}
 	return st
 }

@@ -15,6 +15,8 @@ import (
 // up to Bound positions; punctuation is weakened so it stays truthful
 // under the displacement (a punctuation asserting ≤v is only emitted once
 // every tuple with ts ≤ v has drained from the shuffle buffer).
+//
+//pace:allow-unreached shared test infrastructure: the out-of-order tests of gen, op and exec use it
 type Disorder struct {
 	// Bound is the maximum displacement in positions (0 = no-op).
 	Bound int

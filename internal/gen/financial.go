@@ -23,9 +23,8 @@ type TickConfig struct {
 	Pairs []string
 	// TicksPerPairPerSecond is the quote rate in stream time.
 	TicksPerPairPerSecond float64
-	// Duration spans the stream in micros.
+	// Duration spans the stream in micros, from stream time 0.
 	Duration int64
-	Start    int64
 	Seed     int64
 	// Volatility is the per-tick relative rate change stddev.
 	Volatility float64
@@ -72,7 +71,7 @@ func (s *TickSource) OutSchemas() []stream.Schema { return []stream.Schema{TickS
 func (s *TickSource) Open(exec.Context) error {
 	s.cfg = s.Config.withDefaults()
 	s.rng = newRNG(s.cfg.Seed)
-	s.now = s.cfg.Start
+	s.now = 0
 	s.rates = make([]float64, len(s.cfg.Pairs))
 	for i := range s.rates {
 		s.rates[i] = 0.8 + s.rng.Float64()
@@ -86,7 +85,7 @@ func (s *TickSource) Open(exec.Context) error {
 
 // Next implements exec.Source: one stream second per call.
 func (s *TickSource) Next(ctx exec.Context) (bool, error) {
-	if s.now >= s.cfg.Start+s.cfg.Duration {
+	if s.now >= s.cfg.Duration {
 		return false, nil
 	}
 	const second = int64(1_000_000)

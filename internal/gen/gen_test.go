@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -99,7 +100,7 @@ func TestTrafficSourceDeterministic(t *testing.T) {
 		t.Fatal("same seed must give same length")
 	}
 	for i := range a {
-		if !a[i].Equal(b[i]) {
+		if !slices.EqualFunc(a[i].Values, b[i].Values, stream.Value.Equal) {
 			t.Fatalf("tuple %d differs: %v vs %v", i, a[i], b[i])
 		}
 	}

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -119,7 +120,7 @@ func sameItems(t *testing.T, got, want []queue.Item) {
 		}
 		switch want[i].Kind {
 		case queue.ItemTuple:
-			if !got[i].Tuple.Equal(want[i].Tuple) || got[i].Tuple.Seq != want[i].Tuple.Seq {
+			if !slices.EqualFunc(got[i].Tuple.Values, want[i].Tuple.Values, stream.Value.Equal) || got[i].Tuple.Seq != want[i].Tuple.Seq {
 				t.Fatalf("item %d diverged: %v vs %v", i, got[i].Tuple, want[i].Tuple)
 			}
 		case queue.ItemPunct:

@@ -1,6 +1,6 @@
 // Package analysis is a dependency-free miniature of the
 // golang.org/x/tools/go/analysis API, shaped so the pacevet analyzers
-// (hotpathalloc, atomicfield, staterstate) could migrate to the
+// (hotpathalloc, atomicfield, staterstate, surface) could migrate to the
 // real framework mechanically if the dependency ever becomes available.
 // The build environment is hermetic — no module proxy — so the suite
 // carries its own Pass/Analyzer/Diagnostic surface and a loader

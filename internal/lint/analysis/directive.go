@@ -14,6 +14,7 @@ import (
 //	                                of snapshot.Stater
 //	//pace:allow-alloc <reason>   — line waiver for hotpathalloc
 //	//pace:allow-nonatomic <r>    — line waiver for atomicfield
+//	//pace:allow-unreached <r>    — declaration waiver for surface
 //
 // A line waiver suppresses findings on its own line and, when it stands
 // alone, on the line directly below it. Reasons are free text; the
@@ -25,6 +26,7 @@ type Directive struct {
 	Name   string // e.g. "hotpath", "allow-alloc"
 	Reason string // trailing free text, trimmed
 	Pos    token.Pos
+	alone  bool // no code precedes it on its line
 }
 
 // parseDirective extracts a directive from one comment, or ok=false.
@@ -71,6 +73,7 @@ type lineKey struct {
 func CollectDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 	d := &Directives{fset: fset, lines: map[lineKey][]Directive{}}
 	for _, f := range files {
+		code := firstCode(fset, f)
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				dir, ok := parseDirective(c)
@@ -78,6 +81,8 @@ func CollectDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 					continue
 				}
 				p := fset.Position(c.Pos())
+				first, ok := code[p.Line]
+				dir.alone = !ok || first > c.Pos()
 				k := lineKey{file: p.Filename, line: p.Line}
 				d.lines[k] = append(d.lines[k], dir)
 			}
@@ -86,17 +91,51 @@ func CollectDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 	return d
 }
 
-// AllowedAt reports whether a waiver with the given name covers pos: the
-// directive sits on the same line (trailing comment) or on the line
-// directly above (standalone comment).
-func (d *Directives) AllowedAt(pos token.Pos, name string) bool {
-	p := d.fset.Position(pos)
-	for _, line := range [...]int{p.Line, p.Line - 1} {
-		for _, dir := range d.lines[lineKey{file: p.Filename, line: line}] {
-			if dir.Name == name {
-				return true
-			}
+// firstCode maps each line of f that holds code to the position of its
+// first code character; comments are not code.
+func firstCode(fset *token.FileSet, f *ast.File) map[int]token.Pos {
+	first := map[int]token.Pos{}
+	note := func(pos token.Pos) {
+		line := fset.Position(pos).Line
+		if p, ok := first[line]; !ok || pos < p {
+			first[line] = pos
 		}
 	}
-	return false
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			return false
+		}
+		if _, ok := n.(*ast.CommentGroup); ok {
+			return false
+		}
+		note(n.Pos())
+		note(n.End() - 1)
+		return true
+	})
+	return first
+}
+
+// AllowedAt reports whether a waiver with the given name covers pos: the
+// directive sits on the same line (trailing comment) or stands alone on
+// the line directly above.
+func (d *Directives) AllowedAt(pos token.Pos, name string) bool {
+	_, ok := d.At(pos, name)
+	return ok
+}
+
+// At returns the waiver with the given name that covers pos, as AllowedAt
+// decides it.
+func (d *Directives) At(pos token.Pos, name string) (Directive, bool) {
+	p := d.fset.Position(pos)
+	for _, dir := range d.lines[lineKey{file: p.Filename, line: p.Line}] {
+		if dir.Name == name {
+			return dir, true
+		}
+	}
+	for _, dir := range d.lines[lineKey{file: p.Filename, line: p.Line - 1}] {
+		if dir.Name == name && dir.alone {
+			return dir, true
+		}
+	}
+	return Directive{}, false
 }

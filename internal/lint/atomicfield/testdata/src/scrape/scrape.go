@@ -17,11 +17,11 @@ type opStats struct {
 
 func (s *opStats) vars() []telemetry.Var {
 	return []telemetry.Var{
-		{Name: "op_in_total", Kind: telemetry.Counter, Value: s.in.Load}, // ok: atomic method value
-		{Name: "op_matched_total", Kind: telemetry.Counter, Value: func() int64 {
+		{Name: "op_in_total", Value: s.in.Load}, // ok: atomic method value
+		{Name: "op_matched_total", Value: func() int64 {
 			return s.matched // want "scrape closure reads plain field"
 		}},
-		{Name: "op_high_watermark", Kind: telemetry.Gauge, Value: func() int64 {
+		{Name: "op_high_watermark", Value: func() int64 {
 			return s.high //pace:allow-nonatomic updated only before the registry is wired
 		}},
 	}

@@ -6,6 +6,8 @@
 // repo-wide pacevet run or `go vet ./...`, but `go list` still resolves
 // them when addressed directly, which keeps fixtures fully type-checked
 // against the real repro packages they import.
+//
+//pace:allow-unreached shared test infrastructure: only the analyzers' tests call it
 package linttest
 
 import (

@@ -18,10 +18,12 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // Package is one type-checked target package.
@@ -131,4 +133,90 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return nil, fmt.Errorf("lint/load: no packages matched %v", patterns)
 	}
 	return pkgs, nil
+}
+
+// Dependents loads, as callers, every package of each module nested
+// below the module that contains dir and requiring it (for this repo,
+// bench/). Those modules are outside the root module's ./..., so a
+// whole-program check that asks "does anything call this?" must load
+// them on its own. Their types come from a separate type-check, so
+// callers are matched to declarations by name, not by object identity.
+func Dependents(dir string) ([]*Package, error) {
+	root, err := moduleRoot(dir)
+	if err != nil {
+		return nil, err
+	}
+	self, err := readModule(root)
+	if err != nil {
+		return nil, err
+	}
+	var pkgs []*Package
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if d.Name() != "go.mod" || filepath.Dir(path) == root {
+			return nil
+		}
+		mod, err := readModule(filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		for _, r := range mod.Require {
+			if r.Path == self.Module.Path {
+				more, err := Load(filepath.Dir(path), "./...")
+				if err != nil {
+					return err
+				}
+				pkgs = append(pkgs, more...)
+				break
+			}
+		}
+		return nil
+	})
+	return pkgs, err
+}
+
+// modFile is the subset of `go mod edit -json` output Dependents reads.
+type modFile struct {
+	Module  struct{ Path string }
+	Require []struct{ Path string }
+}
+
+// readModule parses the go.mod in dir.
+func readModule(dir string) (*modFile, error) {
+	cmd := exec.Command("go", "mod", "edit", "-json")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint/load: reading %s/go.mod: %v", dir, err)
+	}
+	var m modFile
+	if err := json.Unmarshal(out, &m); err != nil {
+		return nil, fmt.Errorf("lint/load: decoding %s/go.mod: %v", dir, err)
+	}
+	return &m, nil
+}
+
+// moduleRoot walks up from dir to the directory holding go.mod.
+func moduleRoot(dir string) (string, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return "", err
+	}
+	for d := dir; ; d = filepath.Dir(d) {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return d, nil
+		}
+		if filepath.Dir(d) == d {
+			return "", fmt.Errorf("lint/load: no go.mod above %s", dir)
+		}
+	}
 }

@@ -53,10 +53,6 @@ type Aggregate struct {
 	// burned per result tuple produced (result production and delivery
 	// expense; F1 saves it).
 	Cost, EmitCost int
-	// NonNegative declares that aggregated input values are known
-	// non-negative, which upgrades SUM to a monotone-up aggregate for
-	// value-bound feedback (core.AggCharacterization).
-	NonNegative bool
 	// Mode/Propagate configure feedback as in Select.
 	Mode      FeedbackMode
 	Propagate bool
@@ -427,7 +423,7 @@ func (a *Aggregate) Characterize(_ int, f core.Feedback) core.ResponsePlan {
 		return core.ResponsePlan{Actions: []core.Action{core.ActUnblock}, Propagate: []*punct.Pattern{nil}}
 	}
 	shape := core.ClassifyAggPattern(f.Pattern, a.groupOutIdx, a.valueIdx)
-	plan := core.AggCharacterization(a.Kind, shape, f.Pattern, a.attrMap, a.NonNegative)
+	plan := core.AggCharacterization(a.Kind, shape, f.Pattern, a.attrMap)
 	if plan.Propagate[0] == nil {
 		if pat, ok := a.translateWindowBound(f.Pattern); ok {
 			plan.Propagate[0] = &pat
@@ -515,9 +511,9 @@ func (a *Aggregate) translateWindowBound(p punct.Pattern) (punct.Pattern, bool) 
 		if pr.Op == punct.LT {
 			x--
 		}
-		// A tuple's max window start is origin + floor((ts-origin)/slide)*slide;
-		// requiring it ≤ x ⟺ ts < origin + (floor((x-origin)/slide)+1)*slide.
-		cutoff := a.Window.Origin + (floorDiv(x-a.Window.Origin, a.Window.Slide)+1)*a.Window.Slide
+		// A tuple's max window start is floor(ts/slide)*slide; requiring
+		// it ≤ x ⟺ ts < (floor(x/slide)+1)*slide.
+		cutoff := (floorDiv(x, a.Window.Slide) + 1) * a.Window.Slide
 		return out.With(a.TsAttr, punct.Lt(a.wstartTsValue(cutoff))), true
 	case punct.Between:
 		lo, hi := pr.Val.I, pr.Hi.I
@@ -525,12 +521,12 @@ func (a *Aggregate) translateWindowBound(p punct.Pattern) (punct.Pattern, bool) 
 		// start ≥ lo (⟺ ts ≥ lo + Range - Slide ... conservatively
 		// ts ≥ loAligned) and max window start ≤ hi (as above).
 		// For the min start: a tuple at ts has min start
-		// origin + (floor((ts-origin-Range)/slide)+1)*slide ≥ lo
+		// (floor((ts-Range)/slide)+1)*slide ≥ lo
 		// ⟺ ts ≥ lo + Range - slide + 1 ... we take the conservative
 		// inclusive bound loTs = lo + Range - Slide; for tumbling
 		// windows this is exactly lo.
 		loTs := lo + a.Window.Range - a.Window.Slide
-		hiCut := a.Window.Origin + (floorDiv(hi-a.Window.Origin, a.Window.Slide)+1)*a.Window.Slide
+		hiCut := (floorDiv(hi, a.Window.Slide) + 1) * a.Window.Slide
 		if hiCut-1 < loTs {
 			return punct.Pattern{}, false
 		}

@@ -174,7 +174,7 @@ func (m *aggModel) feedback(f core.Feedback) (purged int) {
 		return 0
 	}
 	shape := core.ClassifyAggPattern(f.Pattern, a.groupOutIdx, a.valueIdx)
-	plan := core.AggCharacterization(a.Kind, shape, f.Pattern, a.attrMap, a.NonNegative)
+	plan := core.AggCharacterization(a.Kind, shape, f.Pattern, a.attrMap)
 	if !slices.ContainsFunc(plan.Actions, func(act core.Action) bool {
 		return act == core.ActPurgeState || act == core.ActCloseWindows
 	}) {

@@ -122,7 +122,7 @@ func TestAggregateSlidingWindows(t *testing.T) {
 // before window 0, over a sliding spec whose range is no multiple of its
 // slide: each still lands in exactly the windows WindowsOf names.
 func TestAggregateLateTuplesLeaveCachedWindow(t *testing.T) {
-	spec := window.Spec{Range: 50, Slide: 20, Origin: 7}
+	spec := window.Spec{Range: 50, Slide: 20}
 	a := &Aggregate{In: trafficSchema, Kind: core.AggSum, TsAttr: 2, ValAttr: 3, Window: spec}
 	var in []stream.Tuple
 	want := map[int64]float64{} // wstart → sum
@@ -335,42 +335,18 @@ func TestAggregateDemandedEmitsPartials(t *testing.T) {
 	}
 }
 
-// TestAggregateSumNonNegativeMonotone: SUM over values declared
-// non-negative purges on upward-closed value feedback like COUNT/MAX.
-func TestAggregateSumNonNegativeMonotone(t *testing.T) {
-	mk := func(nonNeg bool) *Aggregate {
-		return &Aggregate{
-			In: trafficSchema, Kind: core.AggSum, TsAttr: 2, ValAttr: 3,
-			GroupBy: []int{0}, Window: window.Tumbling(minute),
-			Mode: FeedbackExploit, NonNegative: nonNeg,
-		}
+// TestAggregateSumValueBoundKeepsState: SUM is not monotone-up (§3.5), so
+// upward-closed value feedback guards its output and purges nothing.
+func TestAggregateSumValueBoundKeepsState(t *testing.T) {
+	a := &Aggregate{
+		In: trafficSchema, Kind: core.AggSum, TsAttr: 2, ValAttr: 3,
+		GroupBy: []int{0}, Window: window.Tumbling(minute),
+		Mode: FeedbackExploit,
 	}
 	fb := core.NewAssumed(punct.OnAttr(3, 2, punct.Ge(stream.Float(100))))
-	// Without the guarantee: state survives the feedback.
-	a := mk(false)
 	exec.Drive(a, exec.Tuples(0, traffic(1, 1, 10*1_000_000, 150)), exec.Feedback(0, fb))
 	if a.Stats().Purged != 0 {
-		t.Fatal("plain SUM must not purge on ≥ feedback")
-	}
-	// With it: the matching window closes immediately and stays shut.
-	a = mk(true)
-	var st AggregateStats
-	var got []stream.Tuple
-	exec.Drive(a,
-		exec.Tuples(0,
-			traffic(1, 1, 10*1_000_000, 150), // sum 150 ≥ 100
-			traffic(2, 1, 10*1_000_000, 40),  // sum 40
-		),
-		exec.Feedback(0, fb),
-		exec.Call(func(*exec.Trace) { st = a.Stats() }),
-		exec.Tuples(0, traffic(1, 2, 20*1_000_000, 10)), // must not recreate seg 1
-		exec.Punct(0, tsPunct(minute-1)),
-		outAt(&got))
-	if st.Purged != 1 {
-		t.Fatalf("non-negative SUM must purge the matching window: %+v", st)
-	}
-	if len(got) != 1 || got[0].At(0).AsInt() != 2 {
-		t.Fatalf("only the small window may emit: %v", got)
+		t.Fatal("SUM must not purge on ≥ feedback")
 	}
 }
 

@@ -115,6 +115,3 @@ func (d *Duplicate) Characterize(output int, f core.Feedback) core.ResponsePlan 
 	}
 	return core.Stateless(f, guardBoth, core.Identity(d.Schema.Arity()))
 }
-
-// Stats reports tuple accounting.
-func (d *Duplicate) Stats() (in, out, suppressed int64) { return d.in, d.out, d.suppressed }

@@ -394,8 +394,3 @@ func (m *Merge) Characterize(_ int, f core.Feedback) core.ResponsePlan {
 	}
 	return core.Stateless(f, []core.Action{core.ActGuardInput}, maps...)
 }
-
-// Stats reports tuple and alignment accounting.
-func (m *Merge) Stats() (in, out, suppressed, aligned int64) {
-	return m.in, m.out, m.suppressed, m.aligned
-}

@@ -20,19 +20,20 @@ import (
 type Impute struct {
 	exec.Responding
 	snapshot.State
+	//pace:allow-unreached bench/ladder.go names its imputation rung as Experiment 1 does; goes with the positions below
 	OpName string
 	Schema stream.Schema
 	// Attribute positions in Schema.
+	//pace:allow-unreached Experiment 1's traffic schema, which bench/ladder.go's imputation rung repeats
 	SegAttr, DetAttr, TsAttr, SpeedAttr int
 	// Store answers the archival queries.
 	Store *archive.Store
 	// FallbackSpeed is used when the archive has no history.
 	FallbackSpeed float64
 	// Mode: FeedbackIgnore makes Impute feedback-unaware (Figure 5);
-	// anything else installs input guards (Figure 6). Propagate relays
-	// the feedback further upstream.
-	Mode      FeedbackMode
-	Propagate bool
+	// anything else installs input guards (Figure 6). Impute relays no
+	// feedback upstream: Experiment 1's source reads a log it cannot skip.
+	Mode FeedbackMode
 
 	guards *core.GuardTable
 	// carried maps every attribute to itself except speed, which
@@ -59,7 +60,7 @@ func (im *Impute) OutSchemas() []stream.Schema { return []stream.Schema{im.Schem
 
 // Open implements exec.Operator.
 func (im *Impute) Open(exec.Context) error {
-	im.Bind(im, im.Mode, im.Propagate, 1, im.Schema.Arity())
+	im.Bind(im, im.Mode, false, 1, im.Schema.Arity())
 	im.guards = im.OutTables()[0]
 	im.carried = core.Identity(im.Schema.Arity())
 	im.carried.ToInput[im.SpeedAttr] = -1

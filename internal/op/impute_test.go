@@ -102,22 +102,6 @@ func TestImputeRefusesGuardOnImputedAttr(t *testing.T) {
 	}
 }
 
-func TestImputePropagatesTimestampFeedback(t *testing.T) {
-	im := newTestImpute(FeedbackExploit)
-	im.Propagate = true
-	f := core.NewAssumed(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(1000))))
-	tr := exec.Drive(im, exec.Feedback(0, f,
-		// Speed-bound feedback must NOT propagate (attribute is computed).
-		core.NewAssumed(punct.OnAttr(4, 3, punct.Ge(stream.Float(50))))))
-	sent := tr.Sent[0]
-	if len(sent) < 1 || !sent[0].Pattern.Equal(f.Pattern) {
-		t.Fatalf("propagation: %v", sent)
-	}
-	if len(sent) != 1 {
-		t.Error("speed-bound feedback must not propagate through IMPUTE")
-	}
-}
-
 func TestImputeGuardExpires(t *testing.T) {
 	im := newTestImpute(FeedbackExploit)
 	var installed, expired int

@@ -54,8 +54,9 @@ type Join struct {
 	Propagate bool
 	// ThriftyWindow enables empty-window detection on the probe input
 	// (ThriftyProbe side); feedback goes to the opposite input.
+	//pace:allow-unreached the §3.3 thrifty producer; removing it moves Join's state golden
 	ThriftyWindow *window.Spec
-	ThriftyProbe  int
+	ThriftyProbe  int //pace:allow-unreached the §3.3 thrifty producer, as ThriftyWindow
 	// Impatient enables desired-feedback production toward input 1 for
 	// every new join key arriving on input 0.
 	Impatient bool

@@ -187,12 +187,6 @@ func (m *Map) Characterize(_ int, f core.Feedback) core.ResponsePlan {
 	return core.Stateless(f, guardBoth, m.attrMap)
 }
 
-// Stats reports tuple accounting; punctDropped counts punctuation consumed
-// here because its bound attributes did not survive the attribute mapping.
-func (m *Map) Stats() (in, out, suppressed, punctDropped int64) {
-	return m.c.In.Load(), m.c.Out.Load(), m.c.Suppressed.Load(), m.c.PunctDropped.Load()
-}
-
 // Counters returns the operator's counters, for a fused step to count into.
 func (m *Map) Counters() *Counters { return &m.c }
 

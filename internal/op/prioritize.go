@@ -30,10 +30,10 @@ type Prioritize struct {
 	// BufferCap bounds the reorder buffer (default 256). A larger buffer
 	// gives desired feedback more opportunity to overtake.
 	BufferCap int
-	// Mode/Propagate as in Select; FeedbackIgnore reduces the operator to
-	// a FIFO pass-through.
-	Mode      FeedbackMode
-	Propagate bool
+	// Mode as in Select; FeedbackIgnore reduces the operator to a FIFO
+	// pass-through. PRIORITIZE relays no feedback upstream: it is the
+	// exploiter §3.4 places above the impatient join.
+	Mode FeedbackMode
 
 	// guards holds assumed feedback; desired and demanded the subsets to
 	// promote. All three are the responder's tables.
@@ -66,7 +66,7 @@ func (p *Prioritize) OutSchemas() []stream.Schema { return []stream.Schema{p.Sch
 
 // Open implements exec.Operator.
 func (p *Prioritize) Open(exec.Context) error {
-	p.Bind(p, p.Mode, p.Propagate, 1, p.Schema.Arity())
+	p.Bind(p, p.Mode, false, 1, p.Schema.Arity())
 	p.guards = p.OutTables()[0]
 	p.desired, p.demanded = p.Holds(core.Desired)[0], p.Holds(core.Demanded)[0]
 	p.keepState()
@@ -125,7 +125,8 @@ func (p *Prioritize) ProcessEOS(_ int, ctx exec.Context) error {
 
 // Characterize implements core.Characterizer: assumed feedback is exploited
 // maximally (guard, and drop the matching backlog), desired and demanded
-// feedback reorders; over an identity mapping all of it propagates.
+// feedback reorders. Over its identity mapping all of it would propagate;
+// Open binds the responder not to relay.
 func (p *Prioritize) Characterize(_ int, f core.Feedback) core.ResponsePlan {
 	plan := core.Stateless(f, []core.Action{core.ActGuardInput, core.ActPurgeState}, core.Identity(p.Schema.Arity()))
 	if f.Intent != core.Assumed {

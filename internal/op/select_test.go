@@ -197,9 +197,8 @@ func TestDuplicateRequiresUnanimity(t *testing.T) {
 	if len(tr.Sent[0]) != 1 {
 		t.Fatal("unanimous feedback must propagate upstream")
 	}
-	_, _, suppressed := d.Stats()
-	if suppressed != 1 {
-		t.Errorf("suppressed = %d", suppressed)
+	if d.suppressed != 1 {
+		t.Errorf("suppressed = %d", d.suppressed)
 	}
 }
 

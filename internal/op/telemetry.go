@@ -22,9 +22,9 @@ type Counters struct {
 // tupleVars renders the standard per-operator tuple accounting vars.
 func tupleVars(c *Counters) []telemetry.Var {
 	return []telemetry.Var{
-		{Name: "pace_op_tuples_in_total", Help: "Tuples delivered to the operator.", Kind: telemetry.Counter, Value: c.In.Load},
-		{Name: "pace_op_tuples_out_total", Help: "Tuples the operator emitted.", Kind: telemetry.Counter, Value: c.Out.Load},
-		{Name: "pace_op_suppressed_tuples_total", Help: "Tuples suppressed by the operator's guard table.", Kind: telemetry.Counter, Value: c.Suppressed.Load},
+		{Name: "pace_op_tuples_in_total", Help: "Tuples delivered to the operator.", Value: c.In.Load},
+		{Name: "pace_op_tuples_out_total", Help: "Tuples the operator emitted.", Value: c.Out.Load},
+		{Name: "pace_op_suppressed_tuples_total", Help: "Tuples suppressed by the operator's guard table.", Value: c.Suppressed.Load},
 	}
 }
 
@@ -32,6 +32,6 @@ func tupleVars(c *Counters) []telemetry.Var {
 func punctDroppedVar(c *Counters) telemetry.Var {
 	return telemetry.Var{
 		Name: "pace_op_punct_dropped_total", Help: "Punctuations consumed because bound attributes were dropped.",
-		Kind: telemetry.Counter, Value: c.PunctDropped.Load,
+		Value: c.PunctDropped.Load,
 	}
 }

@@ -324,9 +324,30 @@ func (s Stream) Duplicate(name string, n int) []Stream {
 		s.b.fail("plan: duplicate %q: need n ≥ 1, got %d", name, n)
 		return nil
 	}
-	first := s.b.node(n, func() (exec.Operator, error) {
-		return &op.Duplicate{OpName: name, Schema: s.schema, N: n, Mode: s.b.Mode, Propagate: s.b.Propagate}, nil
-	}, s)
+	return s.fanOut(n, &op.Duplicate{OpName: name, Schema: s.schema, N: n, Mode: s.b.Mode, Propagate: s.b.Propagate})
+}
+
+// Split partitions the stream n ≥ 1 ways, each tuple to the one output a
+// hash of the named key attributes picks (round robin when key is empty):
+// Parallel's exchange split, for partitions that feed different consumers.
+// Unlike Duplicate's, its outputs are disjoint, so desired feedback crosses
+// it at once (op.Split).
+func (s Stream) Split(name string, n int, key ...string) []Stream {
+	if n < 1 {
+		s.b.fail("plan: split %q: need n ≥ 1, got %d", name, n)
+		return nil
+	}
+	keyIdx, err := attrs(s.schema, key...)
+	if err != nil && !s.bad {
+		s.b.fail("plan: split %q: %v", name, err)
+		return nil
+	}
+	return s.fanOut(n, &op.Split{OpName: name, Schema: s.schema, N: n, Key: keyIdx, Mode: s.b.Mode, Propagate: s.b.Propagate})
+}
+
+// fanOut appends o, fed by this stream, and returns its n outputs.
+func (s Stream) fanOut(n int, o exec.Operator) []Stream {
+	first := s.b.node(n, func() (exec.Operator, error) { return o, nil }, s)
 	out := make([]Stream, n)
 	for i := range out {
 		out[i] = Stream{b: s.b, p: s.p, port: exec.FromPort(first.port.Node, i), schema: s.schema, bad: first.bad}
@@ -397,25 +418,6 @@ func (s Stream) Aggregate(name string, kind core.AggKind, tsAttr, valAttr string
 	}, s)
 }
 
-// Join equi-joins this stream (left) with another on named attribute
-// pairs; ts attributes (either may be empty) drive state purge.
-func (s Stream) Join(name string, right Stream, leftKeys, rightKeys []string, leftTs, rightTs string, leftOuter bool) Stream {
-	return s.b.node(1, func() (exec.Operator, error) {
-		lk, err1 := attrs(s.schema, leftKeys...)
-		rk, err2 := attrs(right.schema, rightKeys...)
-		lt, err3 := optAttr(s.schema, leftTs)
-		rt, err4 := optAttr(right.schema, rightTs)
-		if err := cmp.Or(err1, err2, err3, err4); err != nil {
-			return nil, fmt.Errorf("join %q: %v", name, err)
-		}
-		return &op.Join{
-			OpName: name, Left: s.schema, Right: right.schema,
-			LeftKeys: lk, RightKeys: rk, LeftTs: lt, RightTs: rt,
-			LeftOuter: leftOuter, Mode: s.b.Mode, Propagate: s.b.Propagate,
-		}, nil
-	}, s, right)
-}
-
 // Through appends a caller-constructed operator with one output, fed by this
 // stream and then others, in input order — the escape hatch for operator
 // knobs the fluent methods do not expose (op.Aggregate.Cost, op.Pace's
@@ -448,17 +450,13 @@ func (s Stream) Parallel(name string, n int, key []string, sub func(Stream) Stre
 	if sub == nil {
 		return s.b.fail("plan: parallel %q: nil sub-plan", name)
 	}
-	keyIdx, err := attrs(s.schema, key...)
-	if err != nil {
-		return s.b.fail("plan: parallel %q: %v", name, err)
+	split := s.Split(name+".split", n, key...)
+	if split == nil {
+		return Stream{b: s.b, bad: true}
 	}
-	split := s.b.node(n, func() (exec.Operator, error) {
-		return &op.Split{OpName: name + ".split", Schema: s.schema, N: n, Key: keyIdx, Mode: s.b.Mode, Propagate: s.b.Propagate}, nil
-	}, s)
 	branches := make([]Stream, n)
-	for i := range branches {
+	for i, in := range split {
 		label := fmt.Sprintf("part=%d/%d", i, n)
-		in := Stream{b: s.b, p: s.p, port: exec.FromPort(split.port.Node, i), schema: s.schema}
 		s.p.g.LabelEdge(in.port, label)
 		branches[i] = sub(in)
 		if branches[i].b == s.b && !branches[i].bad {
@@ -470,11 +468,6 @@ func (s Stream) Parallel(name string, n int, key []string, sub func(Stream) Stre
 	return s.b.node(1, func() (exec.Operator, error) {
 		return &op.Merge{OpName: name + ".merge", Schema: branches[0].schema, K: n, Mode: s.b.Mode, Propagate: s.b.Propagate}, nil
 	}, branches...)
-}
-
-// Prioritize appends a desired-feedback-aware reorder buffer.
-func (s Stream) Prioritize(name string, bufferCap int) Stream {
-	return s.Through(&op.Prioritize{OpName: name, Schema: s.schema, BufferCap: bufferCap, Mode: s.b.Mode, Propagate: s.b.Propagate})
 }
 
 // Collect terminates the stream in a recording sink and returns it.
@@ -526,7 +519,7 @@ func (b *Builder) RemoteSource(name string, schema stream.Schema, conn net.Conn)
 
 // IntoRemote terminates the stream in a remote sink framing it onto conn
 // (Place binds the conn at run time) and returns the sink, for WriteTimeout
-// and FlushEvery tuning. The sink forwards checkpoint barriers in-band.
+// tuning. The sink forwards checkpoint barriers in-band.
 func (s Stream) IntoRemote(name string, conn net.Conn) *remote.Sink {
 	sink := remote.NewSink(name, s.schema, conn)
 	s.Into(sink)

@@ -34,6 +34,8 @@ type Transport func(part string, links []Link) ([]net.Conn, error)
 // Pipes returns a transport for parts deployed in this process: each link is
 // one net.Pipe, whose ends go to the two parts that ask for it. Use a fresh
 // one per deployment.
+//
+//pace:allow-unreached the in-process transport the deployment tests use in place of TCP
 func Pipes() Transport {
 	var mu sync.Mutex
 	ends := map[Link]net.Conn{} // the far end of each pipe one part has taken

@@ -320,7 +320,7 @@ func TestFusedStatefulDigestIdentity(t *testing.T) {
 			l := prefix(outs[0], "l")
 			r := outs[1].Map("rn",
 				op.MapAttr{Name: "rseg", From: "segment"}, op.MapAttr{Name: "rts", From: "ts"}, op.MapAttr{Name: "rspeed", From: "speed"})
-			s = l.Join("j", r, []string{"segment", "ts"}, []string{"rseg", "rts"}, "ts", "rts", false)
+			s = join(t, "j", l, r, []string{"segment", "ts"}, []string{"rseg", "rts"}, "ts", "rts")
 		default: // prefixes absorbed into both Pace inputs (tolerance too wide to drop)
 			outs := s.Duplicate("dup", 2)
 			l := outs[0].Map("lm", carryAll(testSchema)...)

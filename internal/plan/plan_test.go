@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -71,8 +72,7 @@ func TestBuilderAggregate(t *testing.T) {
 func TestBuilderJoinAndDuplicate(t *testing.T) {
 	b := New()
 	outs := b.Source(testSource("s", reading(1, 10, 50))).Duplicate("dup", 2)
-	joined := outs[0].Join("j", outs[1],
-		[]string{"segment", "ts"}, []string{"segment", "ts"}, "ts", "ts", false)
+	joined := join(t, "j", outs[0], outs[1], []string{"segment", "ts"}, []string{"segment", "ts"}, "ts", "ts")
 	sink := joined.Collect("sink")
 	if err := b.Run(); err != nil {
 		t.Fatal(err)
@@ -93,9 +93,6 @@ func TestMultiInputWiringRefusesBadAndForeignStreams(t *testing.T) {
 	}{
 		{"union", func(x, y Stream) Stream { return x.Union("m", y) }},
 		{"pace", func(x, y Stream) Stream { return x.Pace("m", "ts", 1000, y) }},
-		{"join", func(x, y Stream) Stream {
-			return x.Join("m", y, []string{"segment"}, []string{"segment"}, "ts", "ts", false)
-		}},
 		{"through", func(x, y Stream) Stream {
 			return x.Through(&op.Merge{OpName: "m", Schema: testSchema, K: 2}, y)
 		}},
@@ -346,4 +343,116 @@ func TestQueryFeedbackModeFlowsThrough(t *testing.T) {
 	if b.Mode != op.FeedbackExploit {
 		t.Error("parsed plans must default to feedback exploitation")
 	}
+}
+
+// join equi-joins l with r on named attribute pairs, through an op.Join
+// carrying the builder's feedback settings.
+func join(t testing.TB, name string, l, r Stream, leftKeys, rightKeys []string, leftTs, rightTs string) Stream {
+	t.Helper()
+	lk, err1 := attrs(l.Schema(), leftKeys...)
+	rk, err2 := attrs(r.Schema(), rightKeys...)
+	lt, err3 := optAttr(l.Schema(), leftTs)
+	rt, err4 := optAttr(r.Schema(), rightTs)
+	if err := errors.Join(err1, err2, err3, err4); err != nil {
+		t.Fatal(err)
+	}
+	return l.Through(&op.Join{
+		OpName: name, Left: l.Schema(), Right: r.Schema(),
+		LeftKeys: lk, RightKeys: rk, LeftTs: lt, RightTs: rt,
+		Mode: l.b.Mode, Propagate: l.b.Propagate,
+	}, r)
+}
+
+// TestStreamSplit: Split routes every tuple to exactly one partition, all
+// of a key's tuples to the same one (round robin without a key), and
+// refuses what Duplicate and Parallel refuse.
+func TestStreamSplit(t *testing.T) {
+	var in []stream.Tuple
+	for i := int64(0); i < 24; i++ {
+		in = append(in, reading(i%5, 10*i, float64(i)))
+	}
+	run := func(t *testing.T, n int, key ...string) [][]stream.Tuple {
+		t.Helper()
+		b := New()
+		var sinks []*exec.Collector
+		for i, s := range b.Source(testSource("s", in...)).Split("split", n, key...) {
+			sinks = append(sinks, s.Collect(nameOf("sink", i)))
+		}
+		if err := b.Run(); err != nil {
+			t.Fatal(err)
+		}
+		parts := make([][]stream.Tuple, n)
+		total := 0
+		for i, c := range sinks {
+			parts[i] = c.Tuples()
+			total += len(parts[i])
+		}
+		if total != len(in) {
+			t.Fatalf("partitions hold %d tuples, want each of the %d once", total, len(in))
+		}
+		return parts
+	}
+
+	t.Run("key-to-one-partition", func(t *testing.T) {
+		owner := map[int64]int{}
+		for i, part := range run(t, 3, "segment") {
+			for _, tu := range part {
+				seg := tu.At(0).AsInt()
+				if o, ok := owner[seg]; ok && o != i {
+					t.Fatalf("segment %d in partitions %d and %d", seg, o, i)
+				}
+				owner[seg] = i
+			}
+		}
+		if len(owner) != 5 {
+			t.Fatalf("saw %d segments, want 5", len(owner))
+		}
+	})
+	t.Run("round-robin-without-key", func(t *testing.T) {
+		for i, part := range run(t, 4) {
+			if len(part) != len(in)/4 {
+				t.Fatalf("partition %d holds %d tuples, want %d", i, len(part), len(in)/4)
+			}
+			for j, tu := range part {
+				if want := int64(4*j + i); tu.At(2).AsFloat() != float64(want) {
+					t.Fatalf("partition %d tuple %d is %v, want input %d", i, j, tu, want)
+				}
+			}
+		}
+	})
+	t.Run("refuses-count-below-one", func(t *testing.T) {
+		for _, n := range []int{0, -1} {
+			b := New()
+			if outs := b.Source(testSource("s")).Split("split", n, "segment"); len(outs) != 0 {
+				t.Errorf("Split(%d) gave %d streams", n, len(outs))
+			}
+			if err := b.Err(); err == nil || !strings.Contains(err.Error(), "need n ≥ 1") {
+				t.Errorf("Split(%d): Err() = %v, want a refusal", n, err)
+			}
+		}
+	})
+	t.Run("refuses-unknown-key", func(t *testing.T) {
+		b := New()
+		if outs := b.Source(testSource("s")).Split("split", 2, "nope"); outs != nil {
+			t.Errorf("Split on a missing attribute gave %d streams", len(outs))
+		}
+		if err := b.Err(); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+			t.Errorf("Err() = %v, want the missing attribute named", err)
+		}
+	})
+	t.Run("bad-stream-gives-bad-partitions", func(t *testing.T) {
+		b := New()
+		outs := b.Source(testSource("s")).Project("broken", "nope").Split("split", 2, "segment")
+		if len(outs) != 2 {
+			t.Fatalf("Split(2) of a bad stream gave %d streams", len(outs))
+		}
+		for i, o := range outs {
+			if !o.bad {
+				t.Errorf("partition %d of a bad stream is usable", i)
+			}
+		}
+		if b.Graph().NumNodes() != 1 {
+			t.Errorf("a bad stream's partitions added nodes:\n%s", b.Explain())
+		}
+	})
 }

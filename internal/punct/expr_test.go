@@ -72,7 +72,7 @@ func (b *byteSource) pred() Pred {
 		}
 		return OneOf(set...)
 	case IsNull:
-		return NullPred()
+		return Pred{Op: IsNull}
 	case Any:
 		return Wild
 	}

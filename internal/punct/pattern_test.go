@@ -76,7 +76,7 @@ func TestPatternString(t *testing.T) {
 		{NewPattern(OneOf(stream.Int(1), stream.Int(2), stream.Int(3)), Wild, Lt(stream.Float(5))), "[{1|2|3}, *, <5]"},
 		{NewPattern(Wild, Wild, Range(stream.Float(10), stream.Float(20))), "[*, *, [10..20]]"},
 		{NewPattern(Ne(stream.Int(4)), Wild, Wild), "[!=4, *, *]"},
-		{NewPattern(NullPred(), Wild, Wild), "[null, *, *]"},
+		{NewPattern(Pred{Op: IsNull}, Wild, Wild), "[null, *, *]"},
 	} {
 		if got := tc.p.String(); got != tc.want {
 			t.Errorf("String() = %q, want %q", got, tc.want)

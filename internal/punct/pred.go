@@ -104,9 +104,6 @@ func OneOf(vals ...stream.Value) Pred {
 	return Pred{Op: In, Set: append([]stream.Value(nil), vals...)}
 }
 
-// NullPred matches only the missing value.
-func NullPred() Pred { return Pred{Op: IsNull} }
-
 // IsWild reports whether the predicate is the wildcard.
 func (p Pred) IsWild() bool { return p.Op == Any }
 

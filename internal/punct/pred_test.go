@@ -32,8 +32,8 @@ func TestPredMatches(t *testing.T) {
 		{Range(stream.Int(2), stream.Int(4)), stream.Int(5), false},
 		{OneOf(stream.Int(1), stream.Int(3)), stream.Int(3), true},
 		{OneOf(stream.Int(1), stream.Int(3)), stream.Int(2), false},
-		{NullPred(), stream.Null, true},
-		{NullPred(), stream.Int(0), false},
+		{Pred{Op: IsNull}, stream.Null, true},
+		{Pred{Op: IsNull}, stream.Int(0), false},
 		{Le(stream.Int(5)), stream.Null, false},
 	}
 	for i, tc := range tests {
@@ -77,9 +77,9 @@ func TestPredImpliesTable(t *testing.T) {
 		{Wild, Wild, true},
 		{Le(i(3)), Wild, true},
 		{Wild, Le(i(3)), false},
-		{NullPred(), NullPred(), true},
-		{NullPred(), Le(i(3)), false},
-		{Eq(i(3)), NullPred(), false},
+		{Pred{Op: IsNull}, Pred{Op: IsNull}, true},
+		{Pred{Op: IsNull}, Le(i(3)), false},
+		{Eq(i(3)), Pred{Op: IsNull}, false},
 	}
 	for idx, tc := range tests {
 		if got := tc.p.Implies(tc.q); got != tc.want {

@@ -39,7 +39,7 @@ func randPred(rng *rand.Rand) Pred {
 	case 0:
 		return Wild
 	case 1:
-		return NullPred()
+		return Pred{Op: IsNull}
 	case 2:
 		return Eq(randValue(rng))
 	case 3:

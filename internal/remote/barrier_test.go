@@ -111,8 +111,7 @@ func TestBarrierCrossesWire(t *testing.T) {
 	rsrc := NewSource("wire-in", schema, c2)
 	barriers := make(chan wireBarrier, 4)
 	rsrc.SetBarrierHook(func(epoch int64) error {
-		received, _ := rsrc.Stats()
-		barriers <- wireBarrier{epoch: epoch, received: received}
+		barriers <- wireBarrier{epoch: epoch, received: counter(rsrc, "pace_remote_tuples_received_total")}
 		return nil
 	})
 	col := exec.NewCollector("col", schema)
@@ -213,7 +212,6 @@ func TestSinkWriteDeadline(t *testing.T) {
 	}
 	src := exec.NewSliceSource("src", schema, tuples...)
 	sink := NewSink("wedged-out", schema, c1)
-	sink.FlushEvery = 1 // force a conn write per tuple
 	sink.WriteTimeout = 50 * time.Millisecond
 
 	g := exec.NewGraph()

@@ -36,9 +36,8 @@ const (
 	// maxFrameBody bounds both len and count of an incoming frame before
 	// anything is allocated from them, and what a writer may frame.
 	maxFrameBody = 16 << 20
-	// runBytes closes a run that no punctuation, barrier or FlushEvery has
-	// closed, so a long stretch of tuples cannot add up to a frame the
-	// reader must refuse.
+	// runBytes closes a run that no punctuation or barrier has closed, so a
+	// long stretch of tuples cannot add up to a frame the reader must refuse.
 	runBytes = 64 << 10
 	// hdrRoom is the space a writer keeps ahead of the body for the header:
 	// count and len are at most maxFrameBody, four uvarint bytes each.

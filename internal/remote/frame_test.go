@@ -137,7 +137,7 @@ func randTuple(rng *rand.Rand, seq int64) stream.Tuple {
 
 // TestRunFramingPreservesSequence is the property test of the run-framed
 // wire: whatever interleaving of tuples, punctuation and barriers goes into
-// a Sink — tuple by tuple or in page runs, whatever FlushEvery — comes out of
+// a Sink — tuple by tuple or in page runs — comes out of
 // the far Source as the identical sequence, so every barrier sits after
 // exactly the items that preceded it.
 func TestRunFramingPreservesSequence(t *testing.T) {
@@ -159,15 +159,12 @@ func TestRunFramingPreservesSequence(t *testing.T) {
 				want = append(want, wireItem{epoch: epoch})
 			}
 		}
-		flushEvery := []int{0, 1, 8, 64}[rng.Intn(4)]
 		for _, batched := range []bool{false, true} {
 			chunk := 1 + rng.Intn(40) // page-run length handed to ProcessTupleBatch
 			c1, c2 := net.Pipe()
 			sendErr := make(chan error, 1)
 			go func() {
-				sink := NewSink("out", wideSchema, c1)
-				sink.FlushEvery = flushEvery
-				sendErr <- feedSink(sink, want, batched, chunk)
+				sendErr <- feedSink(NewSink("out", wideSchema, c1), want, batched, chunk)
 			}()
 			rec := &recorder{}
 			src := NewSource("in", wideSchema, c2)
@@ -178,7 +175,7 @@ func TestRunFramingPreservesSequence(t *testing.T) {
 			for more := true; more; {
 				var err error
 				if more, err = src.Next(rec); err != nil {
-					t.Fatalf("iteration %d (FlushEvery %d, batched %v): %v", iter, flushEvery, batched, err)
+					t.Fatalf("iteration %d (batched %v): %v", iter, batched, err)
 				}
 			}
 			src.Close(rec)
@@ -186,13 +183,13 @@ func TestRunFramingPreservesSequence(t *testing.T) {
 				t.Fatalf("iteration %d: sink: %v", iter, err)
 			}
 			if len(rec.got) != len(want) {
-				t.Fatalf("iteration %d (FlushEvery %d, batched %v): %d items arrived, %d sent",
-					iter, flushEvery, batched, len(rec.got), len(want))
+				t.Fatalf("iteration %d (batched %v): %d items arrived, %d sent",
+					iter, batched, len(rec.got), len(want))
 			}
 			for i := range want {
 				if !want[i].equal(rec.got[i]) {
-					t.Fatalf("iteration %d (FlushEvery %d, batched %v): item %d is %v, sent %v",
-						iter, flushEvery, batched, i, rec.got[i], want[i])
+					t.Fatalf("iteration %d (batched %v): item %d is %v, sent %v",
+						iter, batched, i, rec.got[i], want[i])
 				}
 			}
 		}
@@ -231,8 +228,7 @@ func feedSink(sink *Sink, items []wireItem, batched bool, chunk int) error {
 	return err
 }
 
-// TestFramesCloseAtPunctuation: at the default FlushEvery a run closes
-// ahead of punctuation, barriers and EOS and at runBytes, not per page, so a
+// TestFramesCloseAtPunctuation: a run closes ahead of punctuation, barriers and EOS and at runBytes, not per page, so a
 // punctuated stream costs one data frame per punctuation block.
 func TestFramesCloseAtPunctuation(t *testing.T) {
 	const blocks, block = 6, 512
@@ -273,18 +269,22 @@ func TestFramesCloseAtPunctuation(t *testing.T) {
 // TestDeadlinesArmedPerFrame: WriteTimeout and ReadTimeout cost one
 // deadline call per frame on the wire, not one per tuple.
 func TestDeadlinesArmedPerFrame(t *testing.T) {
-	const tuples, flushEvery = 640, 64
-	const frames = tuples/flushEvery + 1 // runs, then EOS
+	const tuples, block = 640, 64
+	const frames = 2*tuples/block + 1 // a run and its punctuation per block, then EOS
 	out := newMemConn(nil)
 	out.w = new(bytes.Buffer)
 	sink := NewSink("out", schema, out)
-	sink.FlushEvery = flushEvery
 	sink.WriteTimeout = time.Minute
-	run := make([]stream.Tuple, tuples)
-	for i := range run {
-		run[i] = mkTuple(int64(i), int64(i)*1000, 50)
+	var script []exec.Script
+	for b := 0; b < tuples; b += block {
+		run := make([]stream.Tuple, block)
+		for i := range run {
+			run[i] = mkTuple(int64(b+i), int64(b+i)*1000, 50)
+		}
+		script = append(script, exec.Tuples(0, run...),
+			exec.Punct(0, punct.NewEmbedded(punct.OnAttr(3, 1, punct.Le(stream.TimeMicros(int64(b+block-1)*1000))))))
 	}
-	if err := exec.Drive(sink, exec.Tuples(0, run...)).Err; err != nil {
+	if err := exec.Drive(sink, script...).Err; err != nil {
 		t.Fatal(err)
 	}
 	if out.writeDeadlines != frames || out.writes != frames {
@@ -319,7 +319,6 @@ func (c *batchCounter) EmitBatch(ts []stream.Tuple) { c.tuples += len(ts) }
 func TestEncodeRunAllocs(t *testing.T) {
 	conn := newMemConn(nil)
 	sink := NewSink("out", schema, conn)
-	sink.FlushEvery = 64 // a frame per run below, so framing and writing are counted too
 	sink.WriteTimeout = time.Minute
 	if err := sink.Open(nil); err != nil {
 		t.Fatal(err)
@@ -329,9 +328,14 @@ func TestEncodeRunAllocs(t *testing.T) {
 	for i := range run {
 		run[i] = queue.TupleItem(mkTuple(int64(i), int64(i)*1000, 50))
 	}
+	// Punctuation closes each run, so framing and writing are counted too.
+	end := punct.NewEmbedded(punct.OnAttr(3, 1, punct.Le(stream.TimeMicros(63_000))))
 	writes := conn.writes
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := sink.ProcessTupleBatch(0, run, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.ProcessPunct(0, end, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i := range run {
@@ -339,12 +343,15 @@ func TestEncodeRunAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if err := sink.ProcessPunct(0, end, nil); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if allocs != 0 {
 		t.Errorf("%.1f allocs per two encoded runs, want 0", allocs)
 	}
-	if conn.writes-writes != 2*201 {
-		t.Errorf("%d writes for %d runs", conn.writes-writes, 2*201)
+	if conn.writes-writes != 4*201 {
+		t.Errorf("%d writes for %d runs and their punctuation", conn.writes-writes, 2*201)
 	}
 }
 

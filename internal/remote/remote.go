@@ -54,14 +54,6 @@ type Sink struct {
 	SinkName string
 	Schema   stream.Schema
 	Conn     net.Conn
-	// FlushEvery, when positive, caps a data frame at this many tuples.
-	// Without it (the default, 0) the open run of tuples is closed ahead of
-	// every punctuation, barrier and EOS, and at 64 KiB of encoded tuples:
-	// a frame costs a write and a wake-up of the reader on another
-	// processor, so it closes where the stream needs it to, not per page.
-	// Set it where punctuation is sparse and tuples must not wait for the
-	// next one.
-	FlushEvery int
 	// WriteTimeout bounds each frame write to the connection. A wedged peer
 	// — one that stops reading but keeps the connection open — then surfaces
 	// as a node error instead of blocking the pipeline (and any checkpoint
@@ -147,7 +139,7 @@ func (s *Sink) Open(ctx exec.Context) error {
 func (s *Sink) ProcessTuple(_ int, t stream.Tuple, _ exec.Context) error {
 	s.w.buf = t.AppendBinary(s.w.buf)
 	s.pending++
-	if s.pending == s.FlushEvery || len(s.w.buf) >= runBytes {
+	if len(s.w.buf) >= runBytes {
 		return s.flushRun()
 	}
 	return nil
@@ -162,7 +154,7 @@ func (s *Sink) ProcessTupleBatch(_ int, items []queue.Item, _ exec.Context) erro
 	for i := range items {
 		s.w.buf = items[i].Tuple.AppendBinary(s.w.buf)
 		s.pending++
-		if s.pending == s.FlushEvery || len(s.w.buf) >= runBytes {
+		if len(s.w.buf) >= runBytes {
 			if err := s.flushRun(); err != nil {
 				return err
 			}
@@ -273,19 +265,14 @@ func (s *Sink) Close(exec.Context) error {
 	return firstErr
 }
 
-// Stats reports (tuples sent, feedback received from remote).
-func (s *Sink) Stats() (sent, feedbackIn int64) {
-	return s.sent.Load(), s.feedbackIn.Load()
-}
-
 // TelemetryVars implements telemetry.VarExporter.
 func (s *Sink) TelemetryVars() []telemetry.Var {
 	return []telemetry.Var{
-		{Name: "pace_remote_tuples_sent_total", Help: "Tuples framed onto the connection.", Kind: telemetry.Counter, Value: s.sent.Load},
-		{Name: "pace_remote_frames_sent_total", Help: "Frames (tuple run, punct, barrier, EOS) written to the wire.", Kind: telemetry.Counter, Value: s.framesOut.Load},
-		{Name: "pace_remote_bytes_sent_total", Help: "Bytes written to the connection.", Kind: telemetry.Counter, Value: s.bytesOut.Load},
-		{Name: "pace_remote_bytes_received_total", Help: "Feedback-path bytes read from the connection.", Kind: telemetry.Counter, Value: s.feedbackBy.Load},
-		{Name: "pace_remote_feedback_received_total", Help: "Feedback frames received from the remote consumer.", Kind: telemetry.Counter, Value: s.feedbackIn.Load},
+		{Name: "pace_remote_tuples_sent_total", Help: "Tuples framed onto the connection.", Value: s.sent.Load},
+		{Name: "pace_remote_frames_sent_total", Help: "Frames (tuple run, punct, barrier, EOS) written to the wire.", Value: s.framesOut.Load},
+		{Name: "pace_remote_bytes_sent_total", Help: "Bytes written to the connection.", Value: s.bytesOut.Load},
+		{Name: "pace_remote_bytes_received_total", Help: "Feedback-path bytes read from the connection.", Value: s.feedbackBy.Load},
+		{Name: "pace_remote_feedback_received_total", Help: "Feedback frames received from the remote consumer.", Value: s.feedbackIn.Load},
 	}
 }
 
@@ -465,19 +452,14 @@ func (s *Source) Close(exec.Context) error {
 	return s.Conn.Close()
 }
 
-// Stats reports (tuples received, feedback sent to remote).
-func (s *Source) Stats() (received, feedbackOut int64) {
-	return s.received.Load(), s.feedbackOut.Load()
-}
-
 // TelemetryVars implements telemetry.VarExporter.
 func (s *Source) TelemetryVars() []telemetry.Var {
 	return []telemetry.Var{
-		{Name: "pace_remote_tuples_received_total", Help: "Tuples replayed from the remote producer.", Kind: telemetry.Counter, Value: s.received.Load},
-		{Name: "pace_remote_frames_received_total", Help: "Frames (tuple run, punct, barrier, EOS) read from the wire.", Kind: telemetry.Counter, Value: s.framesIn.Load},
-		{Name: "pace_remote_bytes_received_total", Help: "Bytes read from the connection.", Kind: telemetry.Counter, Value: s.bytesIn.Load},
-		{Name: "pace_remote_bytes_sent_total", Help: "Feedback-path bytes written to the connection.", Kind: telemetry.Counter, Value: s.feedbackBy.Load},
-		{Name: "pace_remote_feedback_sent_total", Help: "Feedback frames sent to the remote producer.", Kind: telemetry.Counter, Value: s.feedbackOut.Load},
-		{Name: "pace_remote_deadline_hits_total", Help: "Read deadline expiries (wedged or crashed producer).", Kind: telemetry.Counter, Value: s.deadlineHits.Load},
+		{Name: "pace_remote_tuples_received_total", Help: "Tuples replayed from the remote producer.", Value: s.received.Load},
+		{Name: "pace_remote_frames_received_total", Help: "Frames (tuple run, punct, barrier, EOS) read from the wire.", Value: s.framesIn.Load},
+		{Name: "pace_remote_bytes_received_total", Help: "Bytes read from the connection.", Value: s.bytesIn.Load},
+		{Name: "pace_remote_bytes_sent_total", Help: "Feedback-path bytes written to the connection.", Value: s.feedbackBy.Load},
+		{Name: "pace_remote_feedback_sent_total", Help: "Feedback frames sent to the remote producer.", Value: s.feedbackOut.Load},
+		{Name: "pace_remote_deadline_hits_total", Help: "Read deadline expiries (wedged or crashed producer).", Value: s.deadlineHits.Load},
 	}
 }

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/punct"
 	"repro/internal/queue"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 )
 
 var schema = stream.MustSchema(
@@ -33,12 +35,14 @@ func runDistributed(t *testing.T, conn1, conn2 net.Conn, n int, feedbackTrigger 
 	for i := range tuples {
 		tuples[i] = mkTuple(int64(i%5), int64(i)*1000, 50).WithSeq(int64(i))
 	}
-	src := exec.NewSliceSource("src", schema, tuples...)
+	// Punctuation every 8 tuples closes small frames, so the consumer sees
+	// tuples while most of the stream is ungenerated.
+	src := exec.NewSliceSource("src", schema)
+	src.Items = punctuated(tuples, 8)
 	src.FeedbackAware = true
 	src.BatchSize = 4
 
 	sink := NewSink("wire-out", schema, conn1)
-	sink.FlushEvery = 8
 
 	// Producer graph: src → select(propagating) → remote sink. Shallow
 	// queues keep the source close behind the wire so feedback lands
@@ -129,8 +133,8 @@ func TestRemoteEdgeOverNetPipe(t *testing.T) {
 	if len(got) == 0 {
 		t.Fatal("no tuples crossed the wire")
 	}
-	received, fbOut := rsrc.Stats()
-	sent, fbIn := sink.Stats()
+	received, fbOut := counter(rsrc, "pace_remote_tuples_received_total"), counter(rsrc, "pace_remote_feedback_sent_total")
+	sent, fbIn := counter(sink, "pace_remote_tuples_sent_total"), counter(sink, "pace_remote_feedback_received_total")
 	if received != sent {
 		t.Errorf("sent %d != received %d", sent, received)
 	}
@@ -225,6 +229,19 @@ func TestRemotePunctuationCrossesWire(t *testing.T) {
 }
 
 // test helpers over queue items.
+// punctuated is tuples as queue items, with a punctuation on ts after every
+// `every` of them: each closes the open data frame.
+func punctuated(tuples []stream.Tuple, every int) []queue.Item {
+	var items []queue.Item
+	for i, tp := range tuples {
+		items = append(items, queue.TupleItem(tp))
+		if (i+1)%every == 0 {
+			items = append(items, itemPunct(punct.OnAttr(3, 1, punct.Le(tp.At(1)))))
+		}
+	}
+	return items
+}
+
 func itemPunct(p punct.Pattern) queue.Item { return queue.PunctItem(punct.NewEmbedded(p)) }
 func itIsPunct(it queue.Item) bool         { return it.Kind == queue.ItemPunct }
 
@@ -269,8 +286,9 @@ func TestSourceDecodesIntoRecycledSlabs(t *testing.T) {
 	c1, c2 := net.Pipe()
 	gp := exec.NewGraph()
 	sink := NewSink("wire-out", schema, c1)
-	sink.FlushEvery = 64 // an unpunctuated stream: many frames, so many slabs, to recycle
-	gp.Add(sink, exec.From(gp.AddSource(exec.NewSliceSource("src", schema, tuples...))))
+	src := exec.NewSliceSource("src", schema)
+	src.Items = punctuated(tuples, 64) // many frames, so many slabs, to recycle
+	gp.Add(sink, exec.From(gp.AddSource(src)))
 	gc := exec.NewGraph()
 	col := exec.NewCollector("col", schema)
 	rsrc := NewSource("wire-in", schema, c2)
@@ -290,13 +308,13 @@ func TestSourceDecodesIntoRecycledSlabs(t *testing.T) {
 		t.Fatalf("%d tuples crossed, want %d", len(got), n)
 	}
 	for i, tp := range got {
-		if tp.Seq != tuples[i].Seq || !tp.Equal(tuples[i]) {
+		if tp.Seq != tuples[i].Seq || !slices.EqualFunc(tp.Values, tuples[i].Values, stream.Value.Equal) {
 			t.Fatalf("tuple %d crossed as %v, want %v", i, tp, tuples[i])
 		}
 	}
 	gets, misses := queue.SlabStats()
 	gets, misses = gets-gets0, misses-misses0
-	dataFrames := rsrc.framesIn.Load() - 1 // all but EOS
+	dataFrames := rsrc.framesIn.Load() - 1 - n/64 // all but EOS and the punctuation
 	t.Logf("%d data frames, %d slab requests, %d missed the pool", dataFrames, gets, misses)
 	if gets < dataFrames {
 		t.Errorf("%d slab requests for %d data frames: frames are not decoded into slabs", gets, dataFrames)
@@ -311,4 +329,14 @@ func TestSourceDecodesIntoRecycledSlabs(t *testing.T) {
 	if misses > missLimit {
 		t.Errorf("%d of %d slab requests missed the pool (limit %d): slabs are not recycled", misses, gets, missLimit)
 	}
+}
+
+// counter reads one of the counts an end exports, as /metrics serves it.
+func counter(end telemetry.VarExporter, name string) int64 {
+	for _, v := range end.TelemetryVars() {
+		if v.Name == name {
+			return v.Value()
+		}
+	}
+	panic("no counter " + name)
 }

@@ -42,18 +42,19 @@ func TestDecodeCorruptionIsTyped(t *testing.T) {
 // degrading restore walks past on — for its own epoch and for no other:
 // every epoch restores on its own.
 func TestChainForCorruptionIsTyped(t *testing.T) {
-	c := NewChain(NewMemory())
+	mem := NewMemory()
+	c := NewChain(mem)
 	putAll(t, c, 1, 2, 3)
 	// Damage epoch 3 in place, and replace epoch 1 with garbage.
-	blob, err := c.Backend().Get(IDFor(3))
+	blob, err := mem.Get(IDFor(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	blob[len(blob)-1] ^= 0xff
-	if err := c.Backend().Put(IDFor(3), blob); err != nil {
+	if err := mem.Put(IDFor(3), blob); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Backend().Put(IDFor(1), []byte("garbage")); err != nil {
+	if err := mem.Put(IDFor(1), []byte("garbage")); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range []int64{1, 3} {
@@ -65,7 +66,7 @@ func TestChainForCorruptionIsTyped(t *testing.T) {
 		t.Fatalf("intact epoch 2 = %s", got)
 	}
 	// A snapshot stored under another epoch's id is damage too.
-	if err := c.Backend().Put(IDFor(4), mkSnap(2).Encode()); err != nil {
+	if err := mem.Put(IDFor(4), mkSnap(2).Encode()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.ChainFor(4); !errors.Is(err, ErrCorruptSnapshot) {
@@ -114,9 +115,6 @@ func TestDistLogTornManifestRecovery(t *testing.T) {
 
 	// A fresh log (the restarted coordinator) must degrade to epoch 2.
 	fresh := NewDistLog(mem)
-	if _, _, err := fresh.Latest(); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("strict Latest on torn head: err = %v, want typed corruption", err)
-	}
 	if _, err := fresh.At(3); !errors.Is(err, ErrCorruptSnapshot) {
 		t.Fatalf("At(3) on the torn manifest: err = %v, want typed corruption", err)
 	}
@@ -130,8 +128,7 @@ func TestDistLogTornManifestRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	commit(fresh, 3)
-	got, ok, err := fresh.Latest()
-	if err != nil || !ok || got.Epoch != 3 {
-		t.Fatalf("after recovery: Latest = %+v ok=%v err=%v, want epoch 3", got, ok, err)
+	if got := newest(t, fresh); got == nil || got.Epoch != 3 {
+		t.Fatalf("after recovery: newest manifest = %+v, want epoch 3", got)
 	}
 }

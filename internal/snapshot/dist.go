@@ -114,21 +114,6 @@ func (l *DistLog) Commit(m *DistManifest) error {
 	return err
 }
 
-// Latest loads the newest committed manifest (ok=false on an empty log).
-func (l *DistLog) Latest() (*DistManifest, bool, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	head, err := l.newestLocked()
-	if err != nil || head == 0 {
-		return nil, false, err
-	}
-	m, err := l.At(head)
-	if err != nil {
-		return nil, false, err
-	}
-	return m, true, nil
-}
-
 // At loads the manifest committed for the given epoch.
 func (l *DistLog) At(epoch int64) (*DistManifest, error) {
 	data, err := l.get(epoch)

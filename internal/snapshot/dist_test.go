@@ -150,8 +150,8 @@ func TestDistManifestRoundTrip(t *testing.T) {
 func TestDistLog(t *testing.T) {
 	b := NewMemory()
 	log := NewDistLog(b)
-	if _, ok, err := log.Latest(); err != nil || ok {
-		t.Fatalf("empty log: ok=%v err=%v", ok, err)
+	if m := newest(t, log); m != nil {
+		t.Fatalf("empty log holds %+v", m)
 	}
 	if err := log.Commit(&DistManifest{Epoch: 0, Parts: []DistPart{{Part: "a"}}}); err == nil {
 		t.Fatal("epoch 0 committed")
@@ -169,11 +169,27 @@ func TestDistLog(t *testing.T) {
 		}
 	}
 	for _, l := range []*DistLog{log, NewDistLog(b)} {
-		m, ok, err := l.Latest()
-		if err != nil || !ok || m.Epoch != 5 || m.Parts[1].Chain != IDFor(5) {
-			t.Fatalf("latest: %+v ok=%v err=%v", m, ok, err)
+		if m := newest(t, l); m == nil || m.Epoch != 5 || m.Parts[1].Chain != IDFor(5) {
+			t.Fatalf("newest: %+v", m)
 		}
 	}
+}
+
+// newest loads the manifest of the newest epoch l holds, nil on an empty log.
+func newest(t *testing.T, l *DistLog) *DistManifest {
+	t.Helper()
+	eps, err := l.Epochs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(eps) == 0 {
+		return nil
+	}
+	m, err := l.At(eps[len(eps)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // TestIDFor pins the exported id helper against the chain's own naming.

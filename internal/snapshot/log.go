@@ -176,9 +176,6 @@ type Chain struct{ epochLog }
 // NewChain wraps a backend as a checkpoint chain.
 func NewChain(b Backend) *Chain { return &Chain{epochLog{b: b, ids: chainIDs}} }
 
-// Backend exposes the underlying storage.
-func (c *Chain) Backend() Backend { return c.b }
-
 // IDFor returns the storage id the snapshot of an epoch is stored under — the
 // id a follower reports in its ack so the committed manifest records where
 // each part's epoch lives.

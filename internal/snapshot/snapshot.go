@@ -165,7 +165,3 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 	return s, nil
 }
-
-// Size returns the total encoded size in bytes (diagnostics). It is
-// computed by encoding, so it matches what Chain.Put writes exactly.
-func (s *Snapshot) Size() int { return len(s.Encode()) }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if v := d.GetValue(); v.Kind != stream.KindTime || v.I != 55 {
 		t.Fatal("value round trip failed")
 	}
-	if got := d.GetTuple(); !got.Equal(tup) || got.Seq != 99 {
+	if got := d.GetTuple(); !slices.EqualFunc(got.Values, tup.Values, stream.Value.Equal) || got.Seq != 99 {
 		t.Fatalf("tuple round trip failed: %v", got)
 	}
 	if !d.GetPattern().Equal(pat) {

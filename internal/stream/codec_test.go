@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -36,7 +37,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tp.Equal(in[i]) {
+		if !slices.EqualFunc(tp.Values, in[i].Values, Value.Equal) {
 			t.Errorf("tuple %d: got %v want %v", i, tp, in[i])
 		}
 	}

@@ -135,20 +135,3 @@ func TestTupleKeyInjective(t *testing.T) {
 		t.Error("equal tuples must have equal keys")
 	}
 }
-
-func TestTupleEqual(t *testing.T) {
-	a := NewTuple(Int(1), Null)
-	b := NewTuple(Int(1), Null)
-	c := NewTuple(Int(2), Null)
-	if !a.Equal(b) || a.Equal(c) || a.Equal(NewTuple(Int(1))) {
-		t.Error("tuple equality")
-	}
-}
-
-func TestTupleFormat(t *testing.T) {
-	s := MustSchema(F("a", KindInt), F("b", KindFloat))
-	str := NewTuple(Int(1), Float(2)).Format(s)
-	if !strings.Contains(str, "a=1") || !strings.Contains(str, "b=2") {
-		t.Errorf("Format: %q", str)
-	}
-}

@@ -64,19 +64,6 @@ func (t Tuple) AppendProjected(buf []Value, idxs []int) []Value {
 	return buf
 }
 
-// Equal reports positional value equality (Seq is ignored).
-func (t Tuple) Equal(o Tuple) bool {
-	if len(t.Values) != len(o.Values) {
-		return false
-	}
-	for i := range t.Values {
-		if !t.Values[i].Equal(o.Values[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Key returns a canonical string encoding of the projected attributes,
 // usable as a map key for grouping and joining. The encoding is injective
 // per schema (kind byte + length-prefixed payload).
@@ -141,23 +128,5 @@ func (t Tuple) String() string {
 		b.WriteString(v.String())
 	}
 	b.WriteByte('>')
-	return b.String()
-}
-
-// Format renders the tuple against a schema as name=value pairs, for logs.
-func (t Tuple) Format(s Schema) string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, v := range t.Values {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		if i < s.Arity() {
-			b.WriteString(s.Field(i).Name)
-			b.WriteByte('=')
-		}
-		b.WriteString(v.String())
-	}
-	b.WriteByte('}')
 	return b.String()
 }

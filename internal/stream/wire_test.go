@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -42,7 +43,7 @@ func TestTupleBinaryGolden(t *testing.T) {
 		if got, b, err = DecodeTuple(b); err != nil {
 			t.Fatalf("tuple %d: %v", i, err)
 		}
-		if !got.Equal(want) || got.Seq != want.Seq || got.Arity() != want.Arity() {
+		if !slices.EqualFunc(got.Values, want.Values, Value.Equal) || got.Seq != want.Seq || got.Arity() != want.Arity() {
 			t.Errorf("tuple %d: got %v seq %d, want %v seq %d", i, got, got.Seq, want, want.Seq)
 		}
 	}
@@ -75,7 +76,7 @@ func TestDecodeTuplesRun(t *testing.T) {
 		t.Errorf("rest = %x, want aa", rest)
 	}
 	for i := range in {
-		if !out[i].Equal(in[i]) || out[i].Seq != in[i].Seq {
+		if !slices.EqualFunc(out[i].Values, in[i].Values, Value.Equal) || out[i].Seq != in[i].Seq {
 			t.Errorf("tuple %d: got %v want %v", i, out[i], in[i])
 		}
 		// Each tuple is capped to its own values: an append downstream must

@@ -27,13 +27,12 @@ func (k VarKind) String() string {
 	return "counter"
 }
 
-// Var is one exported metric: a name, help text, kind, optional extra
-// labels, and a pull function evaluated at scrape time. The closure must
-// only read atomics — scrapes run concurrently with the plan.
+// Var is one exported counter: a name, help text, optional extra labels,
+// and a pull function evaluated at scrape time. The closure must only read
+// atomics — scrapes run concurrently with the plan.
 type Var struct {
 	Name   string
 	Help   string
-	Kind   VarKind
 	Labels map[string]string
 	Value  func() int64
 }
@@ -374,14 +373,14 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			if v.Value == nil {
 				continue
 			}
-			add(v.Name, v.Help, v.Kind, renderLabels(id, v.Labels), v.Value())
+			add(v.Name, v.Help, Counter, renderLabels(id, v.Labels), v.Value())
 		}
 	}
 	for _, v := range globals {
 		if v.Value == nil {
 			continue
 		}
-		add(v.Name, v.Help, v.Kind, renderLabels(v.Labels), v.Value())
+		add(v.Name, v.Help, Counter, renderLabels(v.Labels), v.Value())
 	}
 	var edges []EdgeStat
 	if edgeFn != nil {

@@ -5,6 +5,8 @@
 // a test that passes while leaving one parked — or that waits ten minutes for
 // the package timeout to say so — hides exactly the bug a park/wake protocol
 // can have.
+//
+//pace:allow-unreached shared test infrastructure: only tests call it
 package testguard
 
 import (

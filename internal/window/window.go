@@ -14,13 +14,11 @@ import (
 // Range is the window length and Slide the distance between consecutive
 // window starts, in the same units as the windowing attribute (Unix
 // microseconds for KindTime attributes). Range == Slide gives tumbling
-// windows; Slide < Range gives overlapping sliding windows.
+// windows; Slide < Range gives overlapping sliding windows. Window w covers
+// [w*Slide, w*Slide + Range).
 type Spec struct {
 	Range int64
 	Slide int64
-	// Origin anchors window 0's start; window w covers
-	// [Origin + w*Slide, Origin + w*Slide + Range).
-	Origin int64
 }
 
 // Tumbling builds a non-overlapping spec.
@@ -46,12 +44,11 @@ func (s Spec) Validate() error {
 // WindowsOf returns the inclusive id range [lo, hi] of windows containing
 // value v. For tumbling windows lo == hi.
 func (s Spec) WindowsOf(v int64) (lo, hi int64) {
-	rel := v - s.Origin
-	// hi: the last window starting at or before rel.
-	hi = floorDiv(rel, s.Slide)
-	// lo: the first window whose extent still covers rel:
-	// start > rel - Range  ⇒  w*Slide > rel - Range.
-	lo = floorDiv(rel-s.Range, s.Slide) + 1
+	// hi: the last window starting at or before v.
+	hi = floorDiv(v, s.Slide)
+	// lo: the first window whose extent still covers v:
+	// start > v - Range  ⇒  w*Slide > v - Range.
+	lo = floorDiv(v-s.Range, s.Slide) + 1
 	if lo < 0 {
 		lo = 0
 	}
@@ -64,24 +61,23 @@ func (s Spec) WindowsOf(v int64) (lo, hi int64) {
 // Assign returns WindowsOf(v) together with the inclusive value interval
 // [from, to], which contains v, over which WindowsOf returns the same ids: a
 // caller assigning a run of nearby values divides again only for a value
-// outside it. Far from zero (|v|, |Origin| or Range at 2^60 or beyond, where
-// the arithmetic below could wrap) the interval is v alone.
+// outside it. Far from zero (|v| or Range at 2^60 or beyond, where the
+// arithmetic below could wrap) the interval is v alone.
 func (s Spec) Assign(v int64) (lo, hi, from, to int64) {
 	lo, hi = s.WindowsOf(v)
 	const far = 1 << 60
-	if v <= -far || v >= far || s.Origin <= -far || s.Origin >= far || s.Range >= far {
+	if v <= -far || v >= far || s.Range >= far {
 		return lo, hi, v, v
 	}
-	// hi changes where rel crosses a window start, lo where rel-Range does:
-	// rel lies r1 past the one and r2 past the other, each less than Slide.
-	rel := v - s.Origin
-	r1, r2 := floorMod(rel, s.Slide), floorMod(rel-s.Range, s.Slide)
+	// hi changes where v crosses a window start, lo where v-Range does: v
+	// lies r1 past the one and r2 past the other, each less than Slide.
+	r1, r2 := floorMod(v, s.Slide), floorMod(v-s.Range, s.Slide)
 	return lo, hi, v - min(r1, r2), v + s.Slide - 1 - max(r1, r2)
 }
 
 // Extent returns the half-open value interval [start, end) of window w.
 func (s Spec) Extent(w int64) (start, end int64) {
-	start = s.Origin + w*s.Slide
+	start = w * s.Slide
 	return start, start + s.Range
 }
 
@@ -90,8 +86,8 @@ func (s Spec) Extent(w int64) (start, end int64) {
 // call this on embedded punctuation [*,…,≤wm,…] to learn which windows are
 // complete and may be emitted and purged.
 func (s Spec) LastFullWindow(wm int64) int64 {
-	// end = Origin + w*Slide + Range ≤ wm+1  ⇒  w ≤ (wm+1-Origin-Range)/Slide.
-	w := floorDiv(wm+1-s.Origin-s.Range, s.Slide)
+	// end = w*Slide + Range ≤ wm+1  ⇒  w ≤ (wm+1-Range)/Slide.
+	w := floorDiv(wm+1-s.Range, s.Slide)
 	if w < -1 {
 		return -1
 	}

@@ -57,11 +57,6 @@ func TestExtent(t *testing.T) {
 	if start != 60 || end != 120 {
 		t.Errorf("Extent(3) = [%d,%d)", start, end)
 	}
-	s2 := Spec{Range: 60, Slide: 60, Origin: 1000}
-	start, end = s2.Extent(0)
-	if start != 1000 || end != 1060 {
-		t.Errorf("origin-shifted Extent(0) = [%d,%d)", start, end)
-	}
 }
 
 func TestLastFullWindow(t *testing.T) {
@@ -89,8 +84,8 @@ func TestWindowsOfExtentConsistency(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		rng := 1 + r.Int63n(100)
 		slide := 1 + r.Int63n(rng)
-		s := Spec{Range: rng, Slide: slide, Origin: r.Int63n(50)}
-		v := s.Origin + s.Range + r.Int63n(10000) // away from clip region
+		s := Spec{Range: rng, Slide: slide}
+		v := s.Range + r.Int63n(10000) // away from clip region
 		lo, hi := s.WindowsOf(v)
 		if lo > hi {
 			t.Fatalf("empty window range for covered value: spec %+v v=%d", s, v)
@@ -151,8 +146,8 @@ func abs(x int64) int64 {
 
 // Property: Assign returns WindowsOf's ids, its interval contains v, and
 // WindowsOf is the same at every value of the interval — over tumbling and
-// sliding specs, ranges that are no multiple of the slide, non-zero origins
-// and negative values.
+// sliding specs, ranges that are no multiple of the slide, and negative
+// values.
 func TestAssignIntervalProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 5000; trial++ {
@@ -161,7 +156,7 @@ func TestAssignIntervalProperty(t *testing.T) {
 		if r.Intn(2) == 0 {
 			slide = 1 + r.Int63n(rng)
 		}
-		s := Spec{Range: rng, Slide: slide, Origin: r.Int63n(200) - 100}
+		s := Spec{Range: rng, Slide: slide}
 		v := r.Int63n(1000) - 500
 		lo, hi, from, to := s.Assign(v)
 		if wlo, whi := s.WindowsOf(v); lo != wlo || hi != whi {
