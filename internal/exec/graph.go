@@ -50,10 +50,6 @@ type node struct {
 	// meanwhile adopts them. The node moves it from activation to activation
 	// (runner.go).
 	aliases queue.Aliases
-
-	// nm holds the node's hot-path telemetry counters; nil unless a
-	// telemetry sink is attached (telemetry.go).
-	nm *telemetry.NodeMetrics
 }
 
 func (n *node) name() string {

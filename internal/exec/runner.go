@@ -133,14 +133,8 @@ type nodeRunner struct {
 	// opened: Open succeeded, so Close is owed; exited: exit has run.
 	opened, exited bool
 
-	// Telemetry (telemetry.go): nm is the node's counter set (nil without a
-	// sink), trace the control-plane tracer (nil-safe). The pg* fields are
-	// the per-page tallies — plain ints bumped on the hot path and flushed
-	// into nm's atomics once per page, so instrumentation adds no per-tuple
-	// atomics and no allocations.
-	nm                                      *telemetry.NodeMetrics
-	trace                                   *telemetry.Tracer
-	pgTuples, pgPuncts, pgBatches, pgChecks int64
+	// trace is the control-plane tracer (telemetry.go; nil-safe).
+	trace *telemetry.Tracer
 
 	// Checkpoint state (see checkpoint.go): openInputs/inEOS track input
 	// liveness for barrier alignment; align is the in-progress alignment;
@@ -165,7 +159,6 @@ type alignState struct {
 // it.
 func (r *nodeRunner) start() error {
 	n := r.node
-	r.nm = n.nm
 	r.trace = r.graph.tracer()
 	r.shutdownOuts = newBitset(len(n.outConns))
 	var err error
@@ -202,8 +195,6 @@ func (r *nodeRunner) exit(err error) {
 			err = cerr
 		}
 	}
-	// Deferred-item replay (alignment abandon) can tally outside a page.
-	r.flushPageStats()
 	if err != nil {
 		r.fail(fmt.Errorf("exec: node %q: %w", n.name(), err))
 	}
@@ -434,29 +425,7 @@ func (r *nodeRunner) processPage(input int, p *queue.Page) (err error) {
 	r.node.aliases.Begin(p)
 	err = r.pageLoop(input, p)
 	r.node.aliases.End()
-	r.flushPageStats()
 	return err
-}
-
-// flushPageStats moves the page-local telemetry tallies into the node's
-// atomic counters — a handful of uncontended adds per page, the same
-// batching cadence the K-item control recheck already established.
-func (r *nodeRunner) flushPageStats() {
-	if nm := r.nm; nm != nil {
-		if r.pgTuples != 0 {
-			nm.TuplesIn.Add(r.pgTuples)
-		}
-		if r.pgPuncts != 0 {
-			nm.PunctsIn.Add(r.pgPuncts)
-		}
-		if r.pgBatches != 0 {
-			nm.Batches.Add(r.pgBatches)
-		}
-		if r.pgChecks != 0 {
-			nm.Rechecks.Add(r.pgChecks)
-		}
-	}
-	r.pgTuples, r.pgPuncts, r.pgBatches, r.pgChecks = 0, 0, 0, 0
 }
 
 //pace:hotpath
@@ -467,7 +436,6 @@ func (r *nodeRunner) pageLoop(input int, p *queue.Page) error {
 		// tuples within a bounded window; with nothing pending the check
 		// is one atomic load per output edge.
 		if i%DefaultControlInterval == 0 {
-			r.pgChecks++
 			if err := r.drainControl(); err != nil {
 				return err
 			}
@@ -487,11 +455,6 @@ func (r *nodeRunner) pageLoop(input int, p *queue.Page) error {
 			}
 			if err := r.batcher.ProcessTupleBatch(input, items[i:j], r); err != nil {
 				return err
-			}
-			r.pgTuples += int64(j - i)
-			r.pgBatches++
-			if r.nm != nil {
-				r.nm.BatchSize.Observe(int64(j - i))
 			}
 			i = j - 1
 			continue
@@ -530,10 +493,8 @@ func (r *nodeRunner) processItem(input int, it *queue.Item) error {
 	op := r.node.op
 	switch it.Kind {
 	case queue.ItemTuple:
-		r.pgTuples++
 		return op.ProcessTuple(input, it.Tuple, r)
 	case queue.ItemPunct:
-		r.pgPuncts++
 		if r.trace.Enabled() {
 			r.trace.Record("punct", r.node.name(), 0, it.Punct.Pattern.String())
 		}
@@ -595,9 +556,6 @@ func (r *nodeRunner) abandonAlignment() error {
 // aligning epoch was cancelled (newer arrival) or this barrier is a
 // cancelled epoch's leftover still draining (older arrival — dropped).
 func (r *nodeRunner) onBarrier(input int, epoch int64) error {
-	if r.nm != nil {
-		r.nm.BarriersIn.Add(1)
-	}
 	if r.trace.Enabled() {
 		r.trace.Record("barrier", r.node.name(), epoch, fmt.Sprintf("input %d", input))
 	}
@@ -669,9 +627,6 @@ func (r *nodeRunner) drainControl() error {
 func (r *nodeRunner) handleControl(out int, m queue.Control) error {
 	switch m.Kind {
 	case queue.CtrlFeedback:
-		if r.nm != nil {
-			r.nm.FeedbackIn.Add(1)
-		}
 		if r.trace.Enabled() {
 			r.trace.Record("feedback", r.node.name(), m.Feedback.Seq, m.Feedback.String())
 		}
@@ -745,9 +700,6 @@ func (r *nodeRunner) EmitPunctTo(port int, e punct.Embedded) {
 // SendFeedback implements Context: feedback goes to the producer feeding
 // the given input port, against the data direction.
 func (r *nodeRunner) SendFeedback(input int, f core.Feedback) {
-	if r.nm != nil {
-		r.nm.FeedbackOut.Add(1)
-	}
 	r.node.inConns[input].SendFeedback(f)
 }
 

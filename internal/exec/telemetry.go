@@ -8,14 +8,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Telemetry wiring: the runtime half of internal/telemetry. A graph with an
-// attached sink allocates one NodeMetrics per node at registration time;
-// node runners tally into plain locals during each page and flush with a
-// handful of atomic adds per page (runner.go), so instrumentation respects
-// the §2 hot-path contract — zero allocations and no per-tuple atomics.
-// Scrapes pull: counters are read off atomics, edges are snapshotted from
-// the queues' own atomic stats, and epoch lifecycle events are recorded
-// into the sink's bounded timeline as the checkpoint machinery runs.
+// Telemetry wiring: the runtime half of internal/telemetry. Every event is
+// counted once, where it flows: tuples, punctuations and control messages by
+// the edge that carries them (the queues' own atomic stats, snapshotted at
+// scrape time), feedback by the operator's Responder (pace_op_feedback_*),
+// and barriers by the capture rows that the checkpoint machinery records
+// into the sink's bounded epoch timeline. The runner's page loop counts
+// nothing for telemetry, so attaching a sink adds no work per tuple or page.
 
 // SetTelemetry attaches a telemetry sink. Call before Run; node and edge
 // registration happens inside Run, after prepare wires the plan.
@@ -33,17 +32,16 @@ func (g *Graph) tracer() *telemetry.Tracer {
 	return g.tel.Tracer
 }
 
-// registerTelemetry allocates per-node metrics and registers every node,
-// the edge-snapshot closure, and process-wide vars with the attached
-// registry. Called from Run after prepare, before node goroutines start, so
-// registration never races execution.
+// registerTelemetry registers every node's operator vars, the edge-snapshot
+// closure, and process-wide vars with the attached registry. Called from Run
+// after prepare, before node goroutines start, so registration never races
+// execution.
 func (g *Graph) registerTelemetry() {
 	if g.tel == nil {
 		return
 	}
 	reg := g.tel.Registry
 	for _, n := range g.nodes {
-		n.nm = &telemetry.NodeMetrics{}
 		var impl any = n.op
 		if n.src != nil {
 			impl = n.src
@@ -52,7 +50,7 @@ func (g *Graph) registerTelemetry() {
 		if ve, ok := impl.(telemetry.VarExporter); ok {
 			vars = ve.TelemetryVars()
 		}
-		reg.RegisterNode(int(n.id), n.name(), n.nm, vars)
+		reg.RegisterNode(int(n.id), n.name(), vars)
 	}
 	reg.AddGlobal(telemetry.Var{
 		Name:  "pace_punct_patterns_compiled_total",

@@ -445,10 +445,12 @@ func (f *Fused) applyFeedback(fb core.Feedback) (core.Feedback, bool) {
 }
 
 // TelemetryVars implements telemetry.VarExporter: each constituent's own
-// pace_op_* tuple counters (labelled step/kind, preserving the
-// per-logical-operator observability the unfused chain had) plus the
-// feedback counters of the kernel as one operator: what reached its
-// downstream end, what any constituent acted on, what left its upstream end.
+// pace_op_* tuple counters, from the operator's own TelemetryVars (labelled
+// step/kind, preserving the per-logical-operator observability the unfused
+// chain had), plus the feedback counters of the kernel as one operator: what
+// reached its downstream end, what any constituent acted on, what left its
+// upstream end. A constituent's own feedback vars are left out: its steps
+// respond through the kernel's responders, never through its own.
 func (f *Fused) TelemetryVars() []telemetry.Var {
 	exploited := func() (n int64) {
 		for i := range f.steps {
@@ -460,12 +462,12 @@ func (f *Fused) TelemetryVars() []telemetry.Var {
 	for i := range f.steps {
 		st := &f.steps[i]
 		labels := map[string]string{"step": st.name, "kind": st.kind.String()}
-		vars = append(vars,
-			telemetry.Var{Name: "pace_op_tuples_in_total", Help: "Tuples delivered to the constituent.", Labels: labels, Value: st.c.In.Load},
-			telemetry.Var{Name: "pace_op_tuples_out_total", Help: "Tuples the constituent passed on.", Labels: labels, Value: st.c.Out.Load},
-			telemetry.Var{Name: "pace_op_suppressed_tuples_total", Help: "Tuples suppressed by the constituent's guard table.", Labels: labels, Value: st.c.Suppressed.Load},
-			telemetry.Var{Name: "pace_op_punct_dropped_total", Help: "Punctuations consumed at the constituent.", Labels: labels, Value: st.c.PunctDropped.Load},
-		)
+		for _, v := range st.row.(telemetry.VarExporter).TelemetryVars() {
+			if !strings.HasPrefix(v.Name, "pace_op_feedback_") {
+				v.Labels = labels
+				vars = append(vars, v)
+			}
+		}
 	}
 	return vars
 }

@@ -101,8 +101,13 @@ func (d *Duplicate) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) erro
 
 // Characterize implements core.Characterizer: a consumer's assertion is held
 // against its port; once every other consumer has asserted a superset of it,
-// the subset is exploitable for all of them and may travel upstream.
+// the subset is exploitable for all of them and may travel upstream. Desired
+// feedback travels at once, as through Split: prioritising a subset never
+// changes the result set, so the outputs stay identical.
 func (d *Duplicate) Characterize(output int, f core.Feedback) core.ResponsePlan {
+	if f.Intent == core.Desired {
+		return core.Stateless(f, nil, core.Identity(d.Schema.Arity()))
+	}
 	if f.Intent != core.Assumed {
 		return core.ResponsePlan{Actions: []core.Action{core.ActNone}, Propagate: []*punct.Pattern{nil}}
 	}

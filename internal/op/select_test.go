@@ -202,6 +202,27 @@ func TestDuplicateRequiresUnanimity(t *testing.T) {
 	}
 }
 
+// TestPrioritizeAboveDuplicatePromotesDesired: desired feedback from one of
+// a Duplicate's consumers reaches the PRIORITIZE above it, which promotes the
+// buffered subset, as it would through a Split.
+func TestPrioritizeAboveDuplicatePromotesDesired(t *testing.T) {
+	desire := core.NewDesired(punct.OnAttr(4, 0, punct.Eq(stream.Int(2))))
+	d := &Duplicate{Schema: trafficSchema, N: 2, Mode: FeedbackExploit, Propagate: true}
+	relayed := exec.Drive(d, exec.Feedback(1, desire)).Sent[0]
+	if len(relayed) != 1 {
+		t.Fatalf("desired feedback never changes the result set; Duplicate must relay it at once: %v", relayed)
+	}
+	p := &Prioritize{Schema: trafficSchema, BufferCap: 100, Mode: FeedbackExploit}
+	var promoted []stream.Tuple
+	exec.Drive(p,
+		exec.Tuples(0, traffic(1, 1, 10, 50), traffic(2, 1, 20, 55), traffic(3, 1, 30, 60)),
+		exec.Feedback(0, relayed[0]),
+		outAt(&promoted))
+	if len(promoted) != 1 || promoted[0].At(0).AsInt() != 2 {
+		t.Fatalf("PRIORITIZE above the Duplicate promoted %v, want the one segment-2 tuple", promoted)
+	}
+}
+
 func TestDuplicateFanoutAndPunct(t *testing.T) {
 	d := &Duplicate{Schema: trafficSchema, N: 3}
 	tr := exec.Drive(d, exec.Tuples(0, traffic(1, 1, 10, 50)), exec.Punct(0, tsPunct(10)))

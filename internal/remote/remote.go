@@ -270,8 +270,8 @@ func (s *Sink) TelemetryVars() []telemetry.Var {
 	return []telemetry.Var{
 		{Name: "pace_remote_tuples_sent_total", Help: "Tuples framed onto the connection.", Value: s.sent.Load},
 		{Name: "pace_remote_frames_sent_total", Help: "Frames (tuple run, punct, barrier, EOS) written to the wire.", Value: s.framesOut.Load},
-		{Name: "pace_remote_bytes_sent_total", Help: "Bytes written to the connection.", Value: s.bytesOut.Load},
-		{Name: "pace_remote_bytes_received_total", Help: "Feedback-path bytes read from the connection.", Value: s.feedbackBy.Load},
+		{Name: "pace_remote_bytes_sent_total", Help: "Data-path bytes written to the connection.", Value: s.bytesOut.Load},
+		{Name: "pace_remote_feedback_bytes_received_total", Help: "Feedback-path bytes read from the connection.", Value: s.feedbackBy.Load},
 		{Name: "pace_remote_feedback_received_total", Help: "Feedback frames received from the remote consumer.", Value: s.feedbackIn.Load},
 	}
 }
@@ -457,8 +457,8 @@ func (s *Source) TelemetryVars() []telemetry.Var {
 	return []telemetry.Var{
 		{Name: "pace_remote_tuples_received_total", Help: "Tuples replayed from the remote producer.", Value: s.received.Load},
 		{Name: "pace_remote_frames_received_total", Help: "Frames (tuple run, punct, barrier, EOS) read from the wire.", Value: s.framesIn.Load},
-		{Name: "pace_remote_bytes_received_total", Help: "Bytes read from the connection.", Value: s.bytesIn.Load},
-		{Name: "pace_remote_bytes_sent_total", Help: "Feedback-path bytes written to the connection.", Value: s.feedbackBy.Load},
+		{Name: "pace_remote_bytes_received_total", Help: "Data-path bytes read from the connection.", Value: s.bytesIn.Load},
+		{Name: "pace_remote_feedback_bytes_sent_total", Help: "Feedback-path bytes written to the connection.", Value: s.feedbackBy.Load},
 		{Name: "pace_remote_feedback_sent_total", Help: "Feedback frames sent to the remote producer.", Value: s.feedbackOut.Load},
 		{Name: "pace_remote_deadline_hits_total", Help: "Read deadline expiries (wedged or crashed producer).", Value: s.deadlineHits.Load},
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // VarKind distinguishes monotone counters from point-in-time gauges in the
@@ -43,56 +42,6 @@ type Var struct {
 // labels to every Var.
 type VarExporter interface {
 	TelemetryVars() []Var
-}
-
-// histBounds are the histogram's inclusive upper bounds (powers of two);
-// an implicit +Inf bucket follows. Sized for batch lengths and page
-// occupancies, the quantities the runtime observes.
-var histBounds = [...]int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-
-// histBuckets includes the +Inf bucket.
-const histBuckets = len(histBounds) + 1
-
-// Histogram is a fixed-bucket histogram: atomic bucket counts plus sum and
-// count, no allocation on Observe.
-type Histogram struct {
-	counts [histBuckets]atomic.Int64
-	sum    atomic.Int64
-	count  atomic.Int64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	i := 0
-	for i < len(histBounds) && v > histBounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	h.count.Add(1)
-}
-
-// Count reports the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum reports the sum of observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// NodeMetrics is the per-node hot-path instrument set. One instance is
-// allocated per graph node at prepare time; the node's runner tallies into
-// plain locals during each page and flushes here with a handful of atomic
-// adds per page, so the steady-state tuple path allocates nothing and pays
-// at most a few uncontended atomic ops per page (§2.3's K-item batching
-// bound). Rare events (feedback, barriers) add directly.
-type NodeMetrics struct {
-	TuplesIn    atomic.Int64 // data tuples entering the node
-	PunctsIn    atomic.Int64 // punctuations entering the node
-	Batches     atomic.Int64 // batch-dispatch calls (TupleBatcher fast path)
-	Rechecks    atomic.Int64 // control-queue rechecks (every K items)
-	FeedbackIn  atomic.Int64 // feedback messages received (control path)
-	FeedbackOut atomic.Int64 // feedback messages sent upstream
-	BarriersIn  atomic.Int64 // checkpoint barriers processed
-	BatchSize   Histogram    // tuples per batch-dispatch call
 }
 
 // EdgeStat is a scrape-time snapshot of one graph edge, produced by the
@@ -144,12 +93,11 @@ func (e EdgeStat) MarshalJSON() ([]byte, error) {
 	}{fields: fields(e)})
 }
 
-// nodeEntry is one registered node: identity, hot-path metrics, and the
-// operator's own exported vars.
+// nodeEntry is one registered node: identity and the operator's own
+// exported vars.
 type nodeEntry struct {
 	ID   int
 	Name string
-	NM   *NodeMetrics
 	Vars []Var
 }
 
@@ -166,14 +114,14 @@ type Registry struct {
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// RegisterNode adds one graph node's metrics: its always-on NodeMetrics
-// plus any operator-exported vars (node/op labels are attached here).
-func (r *Registry) RegisterNode(id int, name string, nm *NodeMetrics, vars []Var) {
+// RegisterNode adds one graph node and its operator-exported vars (node/op
+// labels are attached here).
+func (r *Registry) RegisterNode(id int, name string, vars []Var) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.nodes = append(r.nodes, nodeEntry{ID: id, Name: name, NM: nm, Vars: vars})
+	r.nodes = append(r.nodes, nodeEntry{ID: id, Name: name, Vars: vars})
 	r.mu.Unlock()
 }
 
@@ -306,20 +254,6 @@ func renderLabels(sets ...map[string]string) string {
 	return b.String()
 }
 
-// nodeCounter describes one NodeMetrics field for exposition.
-var nodeCounters = []struct {
-	name, help string
-	load       func(*NodeMetrics) int64
-}{
-	{"pace_node_tuples_in_total", "Data tuples entering the node.", func(m *NodeMetrics) int64 { return m.TuplesIn.Load() }},
-	{"pace_node_puncts_in_total", "Punctuations entering the node.", func(m *NodeMetrics) int64 { return m.PunctsIn.Load() }},
-	{"pace_node_batches_total", "Batch-dispatch calls on the node's fast path.", func(m *NodeMetrics) int64 { return m.Batches.Load() }},
-	{"pace_node_control_rechecks_total", "Control-queue rechecks (every K items).", func(m *NodeMetrics) int64 { return m.Rechecks.Load() }},
-	{"pace_node_feedback_in_total", "Feedback messages received on the control path.", func(m *NodeMetrics) int64 { return m.FeedbackIn.Load() }},
-	{"pace_node_feedback_out_total", "Feedback messages sent upstream.", func(m *NodeMetrics) int64 { return m.FeedbackOut.Load() }},
-	{"pace_node_barriers_in_total", "Checkpoint barriers processed.", func(m *NodeMetrics) int64 { return m.BarriersIn.Load() }},
-}
-
 // edgeCounter describes one EdgeStat field for exposition; ring marks the
 // ones a direct edge does not have.
 var edgeCounters = []struct {
@@ -364,11 +298,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 
 	for _, n := range nodes {
 		id := map[string]string{"node": fmt.Sprint(n.ID), "op": n.Name}
-		if n.NM != nil {
-			for _, c := range nodeCounters {
-				add(c.name, c.help, Counter, renderLabels(id), c.load(n.NM))
-			}
-		}
 		for _, v := range n.Vars {
 			if v.Value == nil {
 				continue
@@ -410,30 +339,5 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		for _, s := range f.samples {
 			fmt.Fprintf(w, "%s%s %d\n", f.name, s.labels, s.value)
 		}
-	}
-
-	// Histograms last: per-node batch-size distribution.
-	const hname = "pace_node_batch_size"
-	first := true
-	for _, n := range nodes {
-		if n.NM == nil || n.NM.BatchSize.Count() == 0 {
-			continue
-		}
-		if first {
-			fmt.Fprintf(w, "# HELP %s Tuples per batch-dispatch call.\n# TYPE %s histogram\n", hname, hname)
-			first = false
-		}
-		id := map[string]string{"node": fmt.Sprint(n.ID), "op": n.Name}
-		h := &n.NM.BatchSize
-		cum := int64(0)
-		for i := range histBounds {
-			cum += h.counts[i].Load()
-			fmt.Fprintf(w, "%s_bucket%s %d\n", hname,
-				renderLabels(id, map[string]string{"le": fmt.Sprint(histBounds[i])}), cum)
-		}
-		cum += h.counts[histBuckets-1].Load()
-		fmt.Fprintf(w, "%s_bucket%s %d\n", hname, renderLabels(id, map[string]string{"le": "+Inf"}), cum)
-		fmt.Fprintf(w, "%s_sum%s %d\n", hname, renderLabels(id), h.Sum())
-		fmt.Fprintf(w, "%s_count%s %d\n", hname, renderLabels(id), h.Count())
 	}
 }

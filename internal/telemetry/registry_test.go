@@ -5,36 +5,31 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// TestNodeMetricsAllocs pins the zero-allocation contract for the
-// steady-state counter path: everything a node runner touches per page —
-// counter adds and batch-size observations — must not allocate.
-func TestNodeMetricsAllocs(t *testing.T) {
-	nm := &NodeMetrics{}
-	if n := testing.AllocsPerRun(200, func() {
-		nm.TuplesIn.Add(32)
-		nm.PunctsIn.Add(1)
-		nm.Batches.Add(1)
-		nm.Rechecks.Add(1)
-		nm.BatchSize.Observe(32)
-	}); n != 0 {
-		t.Fatalf("steady-state counter path allocates %.1f per run, want 0", n)
+// opVars stands in for an operator's exported vars: two counters, read by
+// their closures at scrape time as op.Counters' are.
+func opVars(in, out *atomic.Int64) []Var {
+	return []Var{
+		{Name: "pace_op_tuples_in_total", Help: "Tuples delivered to the operator.", Value: in.Load},
+		{Name: "pace_op_tuples_out_total", Help: "Tuples the operator emitted.", Value: out.Load},
 	}
 }
 
 // TestRegistryConcurrentScrape hammers one registry from N writer
-// goroutines standing in for node runners while /metrics-style scrapes run
-// concurrently — the -race proof that scraping never tears or locks out
-// the hot path.
+// goroutines standing in for operators counting into their vars while
+// /metrics-style scrapes run concurrently — the -race proof that scraping
+// never tears or locks out the hot path.
 func TestRegistryConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	const writers = 8
-	nms := make([]*NodeMetrics, writers)
-	for i := range nms {
-		nms[i] = &NodeMetrics{}
-		r.RegisterNode(i, "node", nms[i], nil)
+	type counters struct{ in, out atomic.Int64 }
+	cs := make([]*counters, writers)
+	for i := range cs {
+		cs[i] = &counters{}
+		r.RegisterNode(i, "node", opVars(&cs[i].in, &cs[i].out))
 	}
 	r.SetEdges(func() []EdgeStat {
 		return []EdgeStat{{Producer: "a", Consumer: "b", Tuples: 1}}
@@ -42,9 +37,9 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for _, nm := range nms {
+	for _, c := range cs {
 		wg.Add(1)
-		go func(nm *NodeMetrics) {
+		go func(c *counters) {
 			defer wg.Done()
 			for {
 				select {
@@ -52,20 +47,17 @@ func TestRegistryConcurrentScrape(t *testing.T) {
 					return
 				default:
 				}
-				nm.TuplesIn.Add(7)
-				nm.PunctsIn.Add(1)
-				nm.Batches.Add(1)
-				nm.FeedbackIn.Add(1)
-				nm.BatchSize.Observe(7)
+				c.in.Add(7)
+				c.out.Add(3)
 			}
-		}(nm)
+		}(c)
 	}
 	var out bytes.Buffer
 	for i := 0; i < 50; i++ {
 		out.Reset()
 		r.WritePrometheus(&out)
-		if !strings.Contains(out.String(), "pace_node_tuples_in_total") {
-			t.Fatalf("scrape %d missing node counters:\n%s", i, out.String())
+		if !strings.Contains(out.String(), "pace_op_tuples_in_total") {
+			t.Fatalf("scrape %d missing operator vars:\n%s", i, out.String())
 		}
 	}
 	close(stop)
@@ -90,7 +82,7 @@ func TestPrometheusLabelValuesEscapedOnce(t *testing.T) {
 		}
 	}
 	r := NewRegistry()
-	r.RegisterNode(0, `sel "fast"`, &NodeMetrics{}, nil)
+	r.RegisterNode(0, `sel "fast"`, opVars(new(atomic.Int64), new(atomic.Int64)))
 	var out bytes.Buffer
 	r.WritePrometheus(&out)
 	if want := `op="sel \"fast\""`; !strings.Contains(out.String(), want) {

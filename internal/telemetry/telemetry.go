@@ -7,15 +7,14 @@
 //
 // The package is a leaf: it imports only the standard library, so exec,
 // op, fuse, remote, punct, and plan can all depend on it without cycles.
-// Integration follows two contracts (DESIGN.md §11):
-//
-//   - hot-path counters are per-node unsharded atomics, tallied into plain
-//     locals inside the runner's page loop and flushed with a handful of
-//     atomic adds per page — the same K-item batching bound (§2.3) the
-//     control recheck already pays, and zero allocations either way;
-//   - everything the scraper reads concurrently with a running plan is an
-//     atomic or copied under a registry lock; Var closures must only read
-//     atomics.
+// Every event is counted once, where it flows (DESIGN.md §11): an edge
+// counts its tuples, punctuations and control messages (pace_edge_*), an
+// operator exports its own counters (pace_op_*, pace_remote_*) through
+// VarExporter, and process-wide vars register as globals; barriers are the
+// capture rows of the epoch timeline. The runner's page loop adds nothing.
+// Everything the scraper reads concurrently with a running plan is an
+// atomic or copied under a registry lock; Var closures must only read
+// atomics.
 package telemetry
 
 import "sync"
