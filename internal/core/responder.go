@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"maps"
 	"slices"
 	"sync/atomic"
@@ -258,11 +257,8 @@ func (r *Responder[C]) CoveredByOthers(output int, f Feedback) bool {
 }
 
 // Respond enacts the operator's response to feedback f from the consumer of
-// the given output port.
+// the given output port, which the runtime wired (exec.Graph.Add).
 func (r *Responder[C]) Respond(output int, f Feedback, ctx C) error {
-	if output < 0 || output >= len(r.held[Assumed]) {
-		return fmt.Errorf("core: feedback on output %d of an operator with %d outputs (check plan wiring)", output, len(r.held[Assumed]))
-	}
 	r.received.Add(1)
 	row := r.op.Characterize(output, f)
 	plan := row.Clamp(f.Intent, r.mode, r.propagate)
@@ -341,15 +337,13 @@ func relayKey(f Feedback) string { return f.Intent.Sigil() + f.Pattern.String() 
 
 // Observe folds punctuation into every table of the stream it belongs to —
 // Output for punctuation over the output schema: the held tables of every
-// intent; an input port otherwise — releasing the entries it covers (§4.4),
-// the one expiry rule for all feedback state. Output punctuation also
-// expires the relayed set: an entry goes once no held table covers it.
+// port and intent; an input port otherwise — releasing the entries it covers
+// (§4.4), the one expiry rule for all feedback state. Output punctuation also
+// expires the relayed set: an entry goes once no held table covers it. The
+// runtime observes what an operator emits (Emitted); Observe is for what it
+// sees elsewhere: JOIN's input side, a fused kernel's steps.
 func (r *Responder[C]) Observe(stream int, e punct.Embedded) {
-	for _, p := range r.pinned {
-		if p.stream == stream {
-			p.table.ObservePunct(e)
-		}
-	}
+	r.observePinned(stream, e)
 	if stream != Output {
 		return
 	}
@@ -358,6 +352,33 @@ func (r *Responder[C]) Observe(stream int, e punct.Embedded) {
 			t.ObservePunct(e)
 		}
 	}
+	r.expireRelayed()
+}
+
+// Emitted is Observe for punctuation the operator emits on one output port:
+// that port's held tables fold it, and the Output-pinned ones, so each table
+// folds a punctuation once however many ports it goes out on. The runtime
+// calls it at every emit (exec); an operator never does.
+func (r *Responder[C]) Emitted(port int, e punct.Embedded) {
+	r.observePinned(Output, e)
+	for _, byPort := range r.held {
+		if byPort != nil { // an intent the operator holds
+			byPort[port].ObservePunct(e)
+		}
+	}
+	r.expireRelayed()
+}
+
+func (r *Responder[C]) observePinned(stream int, e punct.Embedded) {
+	for _, p := range r.pinned {
+		if p.stream == stream {
+			p.table.ObservePunct(e)
+		}
+	}
+}
+
+// expireRelayed drops every relayed-set entry no held table covers.
+func (r *Responder[C]) expireRelayed() {
 	for key, p := range r.relayed {
 		if !r.covered(p) {
 			delete(r.relayed, key)
@@ -365,9 +386,17 @@ func (r *Responder[C]) Observe(stream int, e punct.Embedded) {
 	}
 }
 
-// covered reports whether any held table still holds feedback covering p.
+// covered reports whether any held table still holds feedback covering p. It
+// probes the tables in place: it runs per relayed entry per punctuation.
 func (r *Responder[C]) covered(p punct.Pattern) bool {
-	return slices.ContainsFunc(slices.Concat(r.held[:]...), func(t *GuardTable) bool { return t.covers(p) })
+	for _, byPort := range r.held {
+		for _, t := range byPort {
+			if t.covers(p) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Relayed returns the keys of the relayed set, sorted: what a fan-out

@@ -96,10 +96,34 @@ func TestResponderExpiresEverythingItHolds(t *testing.T) {
 			t.Fatalf("round %d: %d entries outlive the punctuation that covers them", round, n)
 		}
 	}
-	if err := r.Respond(2, NewAssumed(window(1)), &up); err == nil {
-		t.Error("feedback on an output the operator does not have must be an error")
-	}
 	if r.Received() != 30 || r.Exploited() != 30 || r.Forwarded() != 15 {
 		t.Errorf("counters %d/%d/%d, want 30/30/15", r.Received(), r.Exploited(), r.Forwarded())
+	}
+}
+
+// Punctuation an operator emits on one port is that port's: its tables and
+// the Output-pinned ones release what it covers, the other ports' keep theirs.
+func TestEmittedFoldsItsPortAlone(t *testing.T) {
+	window := punct.OnAttr(2, 0, punct.Le(ts(100)))
+	var r Responder[*upstream]
+	row := &fixedRow{plan: ResponsePlan{Actions: []Action{ActGuardOutput}}}
+	r.Bind(row, ModeExploit, false, 2, 2)
+	demand := r.Holds(Demanded)
+	pin := r.Pinned(Output, 2)
+	var up upstream
+	for port := 0; port < 2; port++ {
+		for _, f := range []Feedback{NewAssumed(window), NewDemanded(window)} {
+			if err := r.Respond(port, f, &up); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pin.Install(NewAssumed(window))
+	r.Emitted(0, punct.NewEmbedded(window))
+	if r.OutTables()[0].Active() != 0 || demand[0].Active() != 0 || pin.Active() != 0 {
+		t.Error("port 0's tables and the Output-pinned one keep what port 0's punctuation covers")
+	}
+	if r.OutTables()[1].Active() != 1 || demand[1].Active() != 1 {
+		t.Error("port 1's tables released a guard on punctuation emitted on port 0")
 	}
 }

@@ -21,9 +21,10 @@ import (
 //   - the coordinator process triggers epoch N locally; its barriers flow
 //     through the subplan and each remote sink forwards the barrier as a
 //     wire frame after everything that preceded the cut (BarrierForwarder);
-//   - the follower process's remote source hands the wire barrier to its
-//     local coordinator (BarrierReceiver → Graph.checkpointAt), which cuts
-//     the downstream subplan at the same epoch number;
+//   - the follower process's remote source hands the wire barrier to the
+//     runtime (Barrier), whose follower registers the epoch with the local
+//     coordinator (Graph.checkpointAt), which cuts the downstream subplan at
+//     the same epoch number;
 //   - each subplan persists its own snapshot.Chain locally and the follower
 //     acks (epoch, chain id) over a dedicated control connection;
 //   - the coordinator commits a snapshot.DistManifest only after its own
@@ -45,27 +46,33 @@ type BarrierForwarder interface {
 	ForwardBarrier(epoch int64, ctx Context) error
 }
 
-// BarrierReceiver is implemented by sources that replay a remote stream:
-// the installed hook hands each wire barrier to the local checkpoint
-// coordination glue (DistFollower) before the source emits anything that
-// followed the barrier on the wire.
-type BarrierReceiver interface {
-	SetBarrierHook(fn func(epoch int64) error)
+// BarrierSource is a Source whose stream carries checkpoint barriers of its
+// own (remote.Source: the wire barriers its peer's sink forwards). It hands
+// each to the runtime with Barrier at the barrier's position in its stream,
+// and is cut there and nowhere else. This matters precisely for parallel
+// remote edges: each edge's source must cut where ITS barrier sits in ITS
+// stream — cutting a second edge early (at whatever position it had reached
+// when the first edge's barrier registered the epoch) would classify that
+// edge's in-flight tuples as post-cut locally while the producer already
+// counted them as sent, losing them on recovery. Such a source is therefore
+// never cut at the poll position local sources use.
+type BarrierSource interface {
+	Source
+	CutsAtBarrier()
 }
 
-// SourceBarrierInjector is implemented by the runtime Context handed to
-// sources. A barrier-receiving source calls InjectWireBarrier at the wire
-// barrier's exact stream position (after the hook has registered the
-// epoch); the runtime cuts the source there and forwards the barrier on
-// its outputs. This matters precisely for parallel remote edges: each
-// edge's source must cut where ITS barrier sits in ITS stream — cutting a
-// second edge early (at whatever position it had reached when the first
-// edge's barrier registered the epoch) would classify that edge's
-// in-flight tuples as post-cut locally while the producer already counted
-// them as sent, losing them on recovery. Hooked sources are therefore
-// excluded from the poll-based cut local sources use.
-type SourceBarrierInjector interface {
-	InjectWireBarrier(epoch int64)
+// Barrier hands the runtime a checkpoint barrier a BarrierSource read at
+// this point of its stream, from inside Next: under the Graph runtime the
+// graph's DistFollower registers the epoch and the source is cut here. Under
+// a graph with no follower, or any other context, the barrier is dropped —
+// an uncoordinated consumer cannot cut, and the producer's coordinator
+// abandons the epoch when its ack never arrives. The error is malformed
+// coordination, which stops the subplan.
+func Barrier(ctx Context, epoch int64) error {
+	if b, ok := ctx.(interface{ Barrier(epoch int64) error }); ok {
+		return b.Barrier(epoch)
+	}
+	return nil
 }
 
 // distPeer is one control connection with serialized writes.
@@ -363,21 +370,12 @@ type DistFollower struct {
 	ackSpawned int64 // newest epoch with an ack watcher; dedups parallel edges
 }
 
-// NewDistFollower wraps a built (not yet run) graph and installs the
-// barrier hook on every BarrierReceiver source in it. Hooked sources cut
-// exclusively at their wire barriers (SourceBarrierInjector), never at the
-// poll-based position local sources use.
+// NewDistFollower wraps a built (not yet run) graph and becomes its
+// follower: every barrier a BarrierSource in it hands the runtime registers
+// here (register).
 func NewDistFollower(g *Graph, part string, chain *snapshot.Chain, ctrl net.Conn) *DistFollower {
 	df := &DistFollower{g: g, part: part, chain: chain, peer: &distPeer{part: part, conn: ctrl}}
-	for _, n := range g.nodes {
-		if n.src == nil {
-			continue
-		}
-		if br, ok := n.src.(BarrierReceiver); ok {
-			br.SetBarrierHook(df.onBarrier)
-			g.markWireBarrier(n.id)
-		}
-	}
+	g.follower = df
 	return df
 }
 
@@ -418,12 +416,13 @@ func (df *DistFollower) Handshake() (restored bool, err error) {
 	return m.Epoch != 0, nil
 }
 
-// onBarrier is the installed BarrierReceiver hook: cut this subplan at the
-// coordinator's epoch and ack once the epoch is durable. It returns an
-// error only for malformed coordination (which surfaces as a node error and
-// stops the subplan); checkpoint failures are acked with Err instead, so
-// the coordinator abandons the epoch while the stream keeps flowing.
-func (df *DistFollower) onBarrier(epoch int64) error {
+// register starts this subplan's cut of the coordinator's epoch when a
+// source hands the runtime a barrier (Barrier), and acks once the epoch is
+// durable. It returns an error only for malformed coordination (which
+// surfaces as a node error and stops the subplan); checkpoint failures are
+// acked with Err instead, so the coordinator abandons the epoch while the
+// stream keeps flowing.
+func (df *DistFollower) register(epoch int64) error {
 	done, err := df.g.checkpointAt(epoch, df.chain)
 	if err != nil {
 		return err

@@ -9,10 +9,16 @@ import (
 	"repro/internal/stream"
 )
 
+// ownCuts is a source that cuts only at barriers of its own stream
+// (BarrierSource), as remote.Source does.
+type ownCuts struct{ Source }
+
+func (ownCuts) CutsAtBarrier() {}
+
 // TestCheckpointAtSemantics pins the forced-epoch branch logic that
-// cross-process barriers rely on. The graph's only source is marked
-// wire-barrier-driven, so a forced epoch stays active (pending that
-// source's cut) for as long as the test needs.
+// cross-process barriers rely on. The graph's only source cuts at its own
+// barriers alone, so a forced epoch stays active (pending that source's
+// cut) for as long as the test needs.
 func TestCheckpointAtSemantics(t *testing.T) {
 	tuples := make([]stream.Tuple, 50)
 	for i := range tuples {
@@ -20,10 +26,9 @@ func TestCheckpointAtSemantics(t *testing.T) {
 	}
 	src := &gatedSource{name: "src", schema: oneInt, tuples: tuples, gateAt: 10}
 	g := NewGraph()
-	sid := g.AddSource(src)
+	sid := g.AddSource(ownCuts{src})
 	col := NewCollector("col", oneInt)
 	g.Add(col, From(sid))
-	g.markWireBarrier(sid)
 	chain := snapshot.NewChain(snapshot.NewMemory())
 
 	runErr := make(chan error, 1)
@@ -80,9 +85,9 @@ func TestCheckpointAtSemantics(t *testing.T) {
 	g.WaitCheckpoints()
 }
 
-// TestWireBarrierSourceSkipsPollCut: a wire-barrier-marked source must not
-// cut at the poll position — only InjectWireBarrier (driven by its own
-// in-band barrier) cuts it.
+// TestWireBarrierSourceSkipsPollCut: a source that cuts at its own barriers
+// (BarrierSource) must not cut at the poll position — only the barrier it
+// hands the runtime (Barrier) cuts it.
 func TestWireBarrierSourceSkipsPollCut(t *testing.T) {
 	tuples := make([]stream.Tuple, 20)
 	for i := range tuples {
@@ -90,9 +95,7 @@ func TestWireBarrierSourceSkipsPollCut(t *testing.T) {
 	}
 	src := &gatedSource{name: "src", schema: oneInt, tuples: tuples, gateAt: 5}
 	g := NewGraph()
-	sid := g.AddSource(src)
-	g.Add(NewCollector("col", oneInt), From(sid))
-	g.markWireBarrier(sid)
+	g.Add(NewCollector("col", oneInt), From(g.AddSource(ownCuts{src})))
 	chain := snapshot.NewChain(snapshot.NewMemory())
 
 	runErr := make(chan error, 1)
@@ -112,7 +115,7 @@ func TestWireBarrierSourceSkipsPollCut(t *testing.T) {
 	// within a few runner iterations. It must stay pending.
 	select {
 	case <-done:
-		t.Fatal("wire-barrier source was cut by the poll path")
+		t.Fatal("a source that cuts at its own barriers was cut by the poll path")
 	case <-time.After(100 * time.Millisecond):
 	}
 	g.Kill()

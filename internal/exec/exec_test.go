@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -97,16 +98,6 @@ func TestGraphEdges(t *testing.T) {
 	}
 }
 
-func TestGraphSchemasMustMatch(t *testing.T) {
-	two := stream.MustSchema(stream.F("a", stream.KindInt), stream.F("b", stream.KindInt))
-	g := NewGraph()
-	src := g.AddSource(NewSliceSource("src", oneInt))
-	g.Add(NewCollector("sink", two), From(src))
-	if err := g.Run(); err == nil {
-		t.Fatal("schema mismatch must fail Run")
-	}
-}
-
 func TestGraphRejectsDoubleConsumption(t *testing.T) {
 	g := NewGraph()
 	src := g.AddSource(NewSliceSource("src", oneInt))
@@ -125,12 +116,104 @@ func TestGraphRejectsUnconsumedOutput(t *testing.T) {
 	}
 }
 
-func TestGraphRejectsWrongInputCount(t *testing.T) {
-	g := NewGraph()
-	src := g.AddSource(NewSliceSource("src", oneInt))
-	g.Add(&passthrough{name: "p"}, From(src), From(src))
-	if err := g.Run(); err == nil {
-		t.Fatal("wiring two inputs into a one-input operator must fail")
+// TestGraphAddRefusesMiswiring: Graph.Add is the one wiring check — an
+// operator is never handed an input index or feedback on an output port the
+// plan does not have, so no operator re-checks one. Each refusal names the
+// operator and fails Run before any node opens.
+func TestGraphAddRefusesMiswiring(t *testing.T) {
+	two := &splitTwo{name: "two"}
+	for _, tc := range []struct {
+		name string
+		wire func(g *Graph, src NodeID)
+		want string
+	}{
+		{"too few inputs", func(g *Graph, src NodeID) {
+			g.Add(&mergeTwo{name: "m"}, From(src))
+		}, `operator "m" wants 2 inputs, wired 1`},
+		{"too many inputs", func(g *Graph, src NodeID) {
+			g.Add(&passthrough{name: "p"}, From(src), From(src))
+		}, `operator "p" wants 1 inputs, wired 2`},
+		{"unknown node", func(g *Graph, src NodeID) {
+			g.Add(&passthrough{name: "p"}, From(src+5))
+		}, `operator "p" input 0 wired to unknown node 5`},
+		{"output port out of range", func(g *Graph, src NodeID) {
+			s := g.Add(two, From(src))
+			g.Add(&passthrough{name: "p"}, FromPort(s, 2))
+		}, `operator "p" input 0 wired to "two" output 2, which has 2 outputs`},
+		{"schema mismatch", func(g *Graph, src NodeID) {
+			g.Add(NewCollector("sink", twoInt), From(src))
+		}, `"src" output 0 is (v:int) but "sink" input 0 wants`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewGraph()
+			tc.wire(g, g.AddSource(NewSliceSource("src", oneInt)))
+			err := g.Run()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run: %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// splitTwo forwards everything to both of its two outputs.
+type splitTwo struct {
+	Base
+	name string
+}
+
+func (s *splitTwo) Name() string                { return s.name }
+func (s *splitTwo) InSchemas() []stream.Schema  { return []stream.Schema{oneInt} }
+func (s *splitTwo) OutSchemas() []stream.Schema { return []stream.Schema{oneInt, oneInt} }
+func (s *splitTwo) ProcessTuple(_ int, t stream.Tuple, ctx Context) error {
+	ctx.EmitTo(0, t)
+	ctx.EmitTo(1, t)
+	return nil
+}
+
+// forgetful is a responding operator that relays punctuation without
+// folding it into its responder: the runtime does that at the emit.
+type forgetful struct{ Responding }
+
+func (*forgetful) Name() string                { return "forgetful" }
+func (*forgetful) InSchemas() []stream.Schema  { return []stream.Schema{oneInt} }
+func (*forgetful) OutSchemas() []stream.Schema { return []stream.Schema{oneInt} }
+func (f *forgetful) Open(Context) error {
+	f.Bind(f, core.ModeExploit, false, 1, oneInt.Arity())
+	return nil
+}
+func (*forgetful) Characterize(_ int, fb core.Feedback) core.ResponsePlan {
+	return core.Stateless(fb, []core.Action{core.ActGuardOutput})
+}
+func (*forgetful) ProcessTuple(_ int, t stream.Tuple, ctx Context) error {
+	ctx.Emit(t)
+	return nil
+}
+func (*forgetful) ProcessPunct(_ int, e punct.Embedded, ctx Context) error {
+	ctx.EmitPunct(e)
+	return nil
+}
+
+// TestRuntimeReleasesGuardsOnEmittedPunct (§4.4): an operator that emits
+// punctuation covering its output guard has that guard released by the
+// runtime, though it never calls Observe.
+func TestRuntimeReleasesGuardsOnEmittedPunct(t *testing.T) {
+	f := &forgetful{}
+	upTo := func(v int64) punct.Pattern { return punct.OnAttr(1, 0, punct.Le(stream.Int(v))) }
+	active := func(want int) Script {
+		return Call(func(*Trace) {
+			if n := f.OutTables()[0].Active(); n != want {
+				t.Errorf("output guard holds %d entries, want %d", n, want)
+			}
+		})
+	}
+	tr := Drive(f, Feedback(0, core.NewAssumed(upTo(5))), active(1),
+		Punct(0, punct.NewEmbedded(upTo(3))), active(1),
+		Punct(0, punct.NewEmbedded(upTo(10))), active(0))
+	if tr.Err != nil {
+		t.Fatal(tr.Err)
+	}
+	if n := len(tr.Out[0].Items()); n != 2 {
+		t.Errorf("%d punctuations went downstream, want 2", n)
 	}
 }
 

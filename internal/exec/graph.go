@@ -110,10 +110,9 @@ type Graph struct {
 	exitClean   map[NodeID]bool
 	staged      map[NodeID][]byte // Restore: per-node blobs
 	stagedNames map[NodeID]string // Restore: node names for drift checks
-	// wireBarrier marks sources whose cut is driven by in-band wire
-	// barriers (dist.go): the runner must not cut them at an arbitrary
-	// poll position. Written before Run (NewDistFollower), read-only after.
-	wireBarrier map[NodeID]bool
+	// follower registers the epochs of the barriers sources hand the
+	// runtime (dist.go). Set before Run (NewDistFollower), read-only after.
+	follower *DistFollower
 
 	// Two-phase checkpointing (checkpoint.go): encode/persist run on
 	// background goroutines after the barrier releases. chkWG tracks them;
@@ -125,15 +124,6 @@ type Graph struct {
 
 // NewGraph creates an empty plan with default queue options.
 func NewGraph() *Graph { return &Graph{opts: queue.DefaultOptions()} }
-
-// markWireBarrier registers a source as wire-barrier-driven; must be
-// called before Run.
-func (g *Graph) markWireBarrier(id NodeID) {
-	if g.wireBarrier == nil {
-		g.wireBarrier = make(map[NodeID]bool)
-	}
-	g.wireBarrier[id] = true
-}
 
 // SetQueueOptions overrides the inter-operator connection configuration for
 // edges wired afterwards (tests and examples shrink the page so that short

@@ -108,7 +108,6 @@ func (s *SliceSource) Next(ctx Context) (bool, error) {
 		s.pos++
 		switch {
 		case it.Kind == queue.ItemPunct:
-			s.Observe(core.Output, *it.Punct)
 			ctx.EmitPunct(*it.Punct)
 		case it.Kind != queue.ItemTuple:
 		case s.guards.Active() == 0:
@@ -235,7 +234,6 @@ func (s *ReaderSource) Next(ctx Context) (bool, error) {
 		s.lastV = t.At(s.PunctAttr)
 		if s.count%s.PunctEvery == 0 && !s.lastV.IsNull() {
 			e := punct.NewEmbedded(punct.OnAttr(s.Schema.Arity(), s.PunctAttr, punct.Le(s.lastV)))
-			s.Observe(core.Output, e)
 			ctx.EmitPunct(e)
 		}
 	}

@@ -14,6 +14,12 @@
 // counters live in the operator (atomics, read through its Stats and exported
 // through telemetry.VarExporter); the graph reports only what the queues
 // themselves count (Edges).
+//
+// The runtime owns each node's boundary: Graph.Add is the one wiring check,
+// so an operator sees only the ports the plan wired; every punctuation a
+// node emits folds into its responder first, releasing the guards it covers
+// (§4.4); and a source whose stream carries barriers (BarrierSource) is cut
+// where it hands one over (Barrier).
 package exec
 
 import (
@@ -202,7 +208,8 @@ func (Base) Close(Context) error { return nil }
 // carries the operator's core.Responder — guard tables, counters, response
 // trace — and ProcessFeedback is the responder enacting the operator's
 // Characterize; the embedding type binds it in Open (Bind) and writes no
-// feedback handler of its own.
+// feedback handler of its own, nor expires a guard: the runtime folds every
+// punctuation the node emits into the responder.
 type Responding struct {
 	Base
 	core.Responder[Context]

@@ -60,11 +60,10 @@ func (g *Graph) InputsOf(id NodeID) []Port {
 // itself the last node of a stateless chain, the one kernel that runs the
 // whole chain. into keeps its position in node order, its output wiring and
 // its output labels, which keeps a stateful node's checkpoint identity
-// stable; later node ids shift down to stay dense, and edge labels and
-// wire-barrier marks follow their nodes (labels on absorbed edges vanish with
-// the edges). with must present the chain heads' input schemas on absorbed
-// ports, the original input schemas elsewhere, and the original output
-// schemas.
+// stable; later node ids shift down to stay dense, and edge labels follow
+// their nodes (labels on absorbed edges vanish with the edges). with must
+// present the chain heads' input schemas on absorbed ports, the original
+// input schemas elsewhere, and the original output schemas.
 func (g *Graph) AbsorbChains(into NodeID, chains map[int][]NodeID, with Operator) error {
 	if g.prepared {
 		return fmt.Errorf("exec: rewrite after graph already run")
@@ -193,15 +192,6 @@ func (g *Graph) AbsorbChains(into NodeID, chains map[int][]NodeID, with Operator
 			relabeled[edgeKey{remap[k.node], k.out}] = v
 		}
 		g.labels = relabeled
-	}
-	if g.wireBarrier != nil {
-		remarked := make(map[NodeID]bool, len(g.wireBarrier))
-		for id, v := range g.wireBarrier {
-			if remap[id] >= 0 {
-				remarked[remap[id]] = v
-			}
-		}
-		g.wireBarrier = remarked
 	}
 	return nil
 }

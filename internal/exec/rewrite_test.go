@@ -28,7 +28,7 @@ func (s *shaped) ProcessTuple(_ int, t stream.Tuple, ctx Context) error {
 
 // rewriteFixture is the plan every row starts from. x is a node of another
 // branch added between the chain's nodes, so renumbering shows; b and x are
-// marked wire-barrier sources; four edges carry labels, one of them interior
+// sources that cut at their own barriers; four edges carry labels, one of them interior
 // to the chain p1→p2→p3.
 //
 //	a → p1 → p2 → p3 → m → q → sink      x → xsink
@@ -43,9 +43,9 @@ func newRewriteFixture(tapP2 bool) rewriteFixture {
 	f := rewriteFixture{g: NewGraph()}
 	g := f.g
 	f.a = g.AddSource(NewSliceSource("a", oneInt, intTuple(1), intTuple(2)))
-	f.b = g.AddSource(NewSliceSource("b", oneInt, intTuple(3)))
+	f.b = g.AddSource(ownCuts{NewSliceSource("b", oneInt, intTuple(3))})
 	f.p1 = g.Add(&passthrough{name: "p1"}, From(f.a))
-	f.x = g.AddSource(NewSliceSource("x", oneInt))
+	f.x = g.AddSource(ownCuts{NewSliceSource("x", oneInt)})
 	f.p2 = g.Add(&passthrough{name: "p2"}, From(f.p1))
 	f.p3 = g.Add(&passthrough{name: "p3"}, From(f.p2))
 	f.m = g.Add(&mergeTwo{name: "m"}, From(f.p3), From(f.b))
@@ -56,8 +56,6 @@ func newRewriteFixture(tapP2 bool) rewriteFixture {
 	if tapP2 {
 		g.Add(NewCollector("tap", oneInt), From(f.p2))
 	}
-	g.markWireBarrier(f.b)
-	g.markWireBarrier(f.x)
 	g.LabelEdge(From(f.a), "in")
 	g.LabelEdge(From(f.p2), "interior")
 	g.LabelEdge(From(f.m), "out")
@@ -66,7 +64,7 @@ func newRewriteFixture(tapP2 bool) rewriteFixture {
 }
 
 // describe renders what a rewrite may touch: node order and ids, input
-// wiring, wire-barrier marks and edge labels.
+// wiring, which sources cut at their own barriers, and edge labels.
 func describe(g *Graph) string {
 	var sb strings.Builder
 	labels := 0
@@ -78,7 +76,7 @@ func describe(g *Graph) string {
 		for _, p := range n.inputs {
 			fmt.Fprintf(&sb, " <%d.%d", p.Node, p.Out)
 		}
-		if g.wireBarrier[n.id] {
+		if _, own := n.src.(BarrierSource); own {
 			sb.WriteString(" wire")
 		}
 		for out := 0; out < n.numOutputs(); out++ {
@@ -99,7 +97,7 @@ func describe(g *Graph) string {
 // rewrite is refused leaves the graph as it was, and the two shapes the plan
 // compiler asks for — chains folded into a multi-input consumer, a chain
 // collapsed into its own last node — keep node order, wiring, labels and
-// wire-barrier marks where the unrewritten plan had them.
+// sources where the unrewritten plan had them.
 func TestRewriteAbsorbChains(t *testing.T) {
 	const untouched = `0:a "in"
 1:b wire

@@ -130,6 +130,9 @@ type nodeRunner struct {
 	shutdownOuts bitset // outputs whose consumers sent shutdown
 	stopping     bool
 	batcher      TupleBatcher // non-nil when the operator takes tuple runs whole
+	// resp is the responder behind the node, if it has one: every
+	// punctuation the node emits folds into it (EmitPunctTo).
+	resp emitObserver
 	// opened: Open succeeded, so Close is owed; exited: exit has run.
 	opened, exited bool
 
@@ -163,8 +166,10 @@ func (r *nodeRunner) start() error {
 	r.shutdownOuts = newBitset(len(n.outConns))
 	var err error
 	if n.src != nil {
+		r.resp = responderOf(n.src)
 		err = n.src.Open(r)
 	} else {
+		r.resp = responderOf(n.op)
 		r.batcher, _ = n.op.(TupleBatcher)
 		r.openInputs = len(n.inConns)
 		r.inEOS = make([]bool, len(n.inConns))
@@ -233,12 +238,11 @@ func recoverPanic(err *error) {
 }
 
 func (r *nodeRunner) sourceLoop(chain []*nodeRunner) error {
-	// A wire-barrier-driven source (a remote edge under distributed
-	// coordination) cuts only where its own in-band barrier sits, via
-	// InjectWireBarrier — a poll-based cut here could land before the
-	// edge's barrier and strand that edge's in-flight tuples on the wrong
+	// A source whose stream carries its own barriers (a remote edge) cuts
+	// only where one sits (Barrier): a poll-based cut here could land before
+	// the edge's barrier and strand that edge's in-flight tuples on the wrong
 	// side of the epoch.
-	wireCut := r.graph.wireBarrier[r.node.id]
+	_, ownCuts := r.node.src.(BarrierSource)
 	for !r.stopping {
 		if err := r.drainChain(chain); err != nil {
 			return err
@@ -249,8 +253,8 @@ func (r *nodeRunner) sourceLoop(chain []*nodeRunner) error {
 		// Between two Next calls the source's state is exactly its replay
 		// position, so saving state and injecting the barrier here makes
 		// the source's cut consistent by construction.
-		if !wireCut {
-			r.maybeCutSource()
+		if c := r.graph.pendingChk.Load(); c != nil && !ownCuts {
+			r.cutSource(c.epoch)
 		}
 		select {
 		case <-r.done:
@@ -278,27 +282,11 @@ func (r *nodeRunner) next() error {
 	return err
 }
 
-// maybeCutSource checks for a newly requested checkpoint and, if one is
-// pending, captures the source's state and emits its barrier on every
-// output.
-func (r *nodeRunner) maybeCutSource() {
-	c := r.graph.pendingChk.Load()
-	if c == nil || c.epoch <= r.lastCutEpoch {
-		return
-	}
-	r.lastCutEpoch = c.epoch
-	r.graph.cutNode(r.node, c.epoch)
-	for _, conn := range r.node.outConns {
-		conn.PutBarrier(c.epoch)
-	}
-}
-
-// InjectWireBarrier implements SourceBarrierInjector: a barrier-receiving
-// source calls it from inside Next, at the exact position its wire barrier
-// occupies in its stream, after the hook has registered the epoch. Stale
-// epochs (a cancelled epoch's frame still draining) are dropped; the
-// forwarded barrier is harmless downstream either way.
-func (r *nodeRunner) InjectWireBarrier(epoch int64) {
+// cutSource captures the source's state as its cut of a newly requested
+// epoch and emits the barrier on every output. An epoch it has already cut
+// (a cancelled epoch's barrier still draining) is dropped; the forwarded
+// barrier is harmless downstream either way.
+func (r *nodeRunner) cutSource(epoch int64) {
 	if epoch <= r.lastCutEpoch {
 		return
 	}
@@ -307,6 +295,22 @@ func (r *nodeRunner) InjectWireBarrier(epoch int64) {
 	for _, conn := range r.node.outConns {
 		conn.PutBarrier(epoch)
 	}
+}
+
+// Barrier is what exec.Barrier finds behind a source's context: the graph's
+// follower registers the epoch with the local coordinator, then the source is
+// cut here, at the barrier's position in its stream. A graph with no follower
+// is not coordinated: it cannot cut, and the barrier is dropped.
+func (r *nodeRunner) Barrier(epoch int64) error {
+	df := r.graph.follower
+	if df == nil {
+		return nil
+	}
+	if err := df.register(epoch); err != nil {
+		return err
+	}
+	r.cutSource(epoch)
+	return nil
 }
 
 // operatorLoop is an operator head's loop: the chain's control first, then a
@@ -690,11 +694,32 @@ func (r *nodeRunner) EmitBatchTo(port int, ts []stream.Tuple) {
 //pace:hotpath
 func (r *nodeRunner) EmitPunct(e punct.Embedded) { r.EmitPunctTo(0, e) }
 
-// EmitPunctTo implements Context.
+// EmitPunctTo implements Context. The punctuation first folds into the
+// node's responder (§4.4): the guards it covers on that port are released
+// here, for every operator and source alike.
 //
 //pace:hotpath
 func (r *nodeRunner) EmitPunctTo(port int, e punct.Embedded) {
+	if r.resp != nil {
+		r.resp.Emitted(port, e)
+	}
 	r.node.outConns[port].PutPunct(e)
+}
+
+// emitObserver is the part of a core.Responder the runtime drives.
+type emitObserver interface {
+	Emitted(port int, e punct.Embedded)
+}
+
+// responderOf is the responder behind a node: its operator's or source's own
+// (Responding), or the inner operator's of a wrapper that hands it the
+// emits (fuse.Prefixed); nil for a node that holds no feedback state.
+func responderOf(v any) emitObserver {
+	if w, ok := v.(interface{ Inner() Operator }); ok {
+		v = w.Inner()
+	}
+	o, _ := v.(emitObserver)
+	return o
 }
 
 // SendFeedback implements Context: feedback goes to the producer feeding

@@ -121,7 +121,6 @@ func (s *ProbeSource) Next(ctx exec.Context) (bool, error) {
 	}
 	s.now += s.cfg.Period
 	e := punct.NewEmbedded(punct.OnAttr(3, 1, punct.Lt(stream.TimeMicros(s.now))))
-	s.Observe(core.Output, e)
 	ctx.EmitPunct(e)
 	return true, nil
 }

@@ -99,7 +99,6 @@ func (s *RatedSource) Next(ctx exec.Context) (bool, error) {
 			}
 			ctx.Emit(it.Tuple)
 		case queue.ItemPunct:
-			s.Observe(core.Output, *it.Punct)
 			ctx.EmitPunct(*it.Punct)
 		}
 	}

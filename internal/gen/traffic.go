@@ -144,7 +144,6 @@ func (s *TrafficSource) Next(ctx exec.Context) (bool, error) {
 		if s.now-s.lastPct >= s.cfg.PunctEvery {
 			s.lastPct = s.now
 			e := punct.NewEmbedded(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(s.now))))
-			s.Observe(core.Output, e)
 			ctx.EmitPunct(e)
 		}
 	}

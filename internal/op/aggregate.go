@@ -186,12 +186,6 @@ func (a *Aggregate) wstartValue(wid int64) stream.Value {
 	return a.wstartTsValue(start)
 }
 
-// errUnexpectedInput keeps the formatting allocation out of the annotated
-// hot paths; it is only reached on a miswired plan.
-func (a *Aggregate) errUnexpectedInput(input int) error {
-	return fmt.Errorf("op: aggregate %q: tuple on unexpected input %d (single-input operator; check plan wiring)", a.Name(), input)
-}
-
 // ProcessTuple implements exec.Operator: a run of one through the fold loop.
 //
 //pace:hotpath
@@ -211,10 +205,7 @@ func (a *Aggregate) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) er
 // accumulator (DESIGN.md §10.5, §10.6).
 //
 //pace:hotpath
-func (a *Aggregate) ApplyTupleBatch(input int, ts []stream.Tuple, _ exec.Context) error {
-	if input != 0 {
-		return a.errUnexpectedInput(input)
-	}
+func (a *Aggregate) ApplyTupleBatch(_ int, ts []stream.Tuple, _ exec.Context) error {
 	a.inTuples += int64(len(ts))
 	exploit := a.guardsPrefix.Active() > 0
 	for i := range ts {
@@ -307,10 +298,7 @@ func (a *Aggregate) probeResult(w *aggWindow, slot int32) stream.Tuple {
 // attribute closes complete windows, emits their results, purges state, and
 // re-punctuates the output on wstart (delimiting it for downstream
 // feedback, §4.4).
-func (a *Aggregate) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error {
-	if input != 0 {
-		return fmt.Errorf("op: aggregate %q: punctuation on unexpected input %d (single-input operator; check plan wiring)", a.Name(), input)
-	}
+func (a *Aggregate) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 	attr, wm, ok := e.Pattern.Progress()
 	if !ok || attr != a.TsAttr {
 		return nil
@@ -322,7 +310,6 @@ func (a *Aggregate) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) 
 	a.flushThrough(lastFull, ctx)
 	start, _ := a.Window.Extent(lastFull)
 	outPunct := punct.NewEmbedded(punct.OnAttr(a.out.Arity(), a.wstartIdx, punct.Le(a.wstartTsValue(start))))
-	a.Observe(core.Output, outPunct)
 	ctx.EmitPunct(outPunct)
 	return nil
 }
@@ -399,10 +386,7 @@ func (a *Aggregate) emitWindow(w *aggWindow, partial *punct.Pattern, ctx exec.Co
 }
 
 // ProcessEOS implements exec.Operator.
-func (a *Aggregate) ProcessEOS(input int, ctx exec.Context) error {
-	if input != 0 {
-		return fmt.Errorf("op: aggregate %q: EOS on unexpected input %d (single-input operator; check plan wiring)", a.Name(), input)
-	}
+func (a *Aggregate) ProcessEOS(_ int, ctx exec.Context) error {
 	a.flushThrough(math.MaxInt64, ctx)
 	return nil
 }

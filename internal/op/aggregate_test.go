@@ -440,20 +440,3 @@ func TestAggregateDefinition1Property(t *testing.T) {
 		}
 	}
 }
-
-// TestAggregateRejectsUnexpectedInput pins the mis-wired-plan behaviour:
-// a tuple, punctuation, or EOS on any input other than 0 is a loud error
-// instead of silent mis-attribution.
-func TestAggregateRejectsUnexpectedInput(t *testing.T) {
-	a := minuteAvg(FeedbackIgnore, false)
-	// The guard refuses before it touches the context.
-	if err := a.ProcessTuple(1, traffic(1, 1, 10, 50), nil); err == nil {
-		t.Fatal("tuple on input 1 must error")
-	}
-	if err := a.ProcessPunct(2, tsPunct(minute), nil); err == nil {
-		t.Fatal("punctuation on input 2 must error")
-	}
-	if err := a.ProcessEOS(-1, nil); err == nil {
-		t.Fatal("EOS on input -1 must error")
-	}
-}

@@ -90,9 +90,8 @@ func (d *Duplicate) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error 
 }
 
 // ProcessPunct implements exec.Operator: punctuation is duplicated to all
-// outputs and drives guard expiration.
+// outputs; each emit expires that output's guards.
 func (d *Duplicate) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
-	d.Observe(core.Output, e)
 	for i := 0; i < d.n(); i++ {
 		ctx.EmitPunctTo(i, e)
 	}

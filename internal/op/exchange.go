@@ -133,10 +133,7 @@ func (s *Split) route(t stream.Tuple) int {
 // partition has asserted covering assumed feedback is suppressed here —
 // only that partition would ever have seen it, so no unanimity is needed
 // (contrast Duplicate, whose outputs must stay identical).
-func (s *Split) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
-	if input != 0 {
-		return fmt.Errorf("op: split %q: tuple on unexpected input %d", s.Name(), input)
-	}
+func (s *Split) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 	s.in++
 	d := s.route(t)
 	if s.perOut[d].Suppress(t) {
@@ -149,13 +146,9 @@ func (s *Split) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error 
 }
 
 // ProcessPunct implements exec.Operator: broadcast to every partition (the
-// whole-stream guarantee holds for each substream) and drive per-partition
-// guard expiration.
-func (s *Split) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error {
-	if input != 0 {
-		return fmt.Errorf("op: split %q: punctuation on unexpected input %d", s.Name(), input)
-	}
-	s.Observe(core.Output, e)
+// whole-stream guarantee holds for each substream); each emit expires that
+// partition's guards.
+func (s *Split) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 	for i := 0; i < s.n(); i++ {
 		ctx.EmitPunctTo(i, e)
 	}
@@ -170,10 +163,7 @@ func (s *Split) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) erro
 // the sequential path, which no consumer can observe — each port feeds its
 // own edge, and punctuation is processed only between batch runs, so the
 // tuples-before-punct order per port is intact.
-func (s *Split) ApplyTupleBatch(input int, ts []stream.Tuple, ctx exec.Context) error {
-	if input != 0 {
-		return fmt.Errorf("op: split %q: tuple on unexpected input %d", s.Name(), input)
-	}
+func (s *Split) ApplyTupleBatch(_ int, ts []stream.Tuple, ctx exec.Context) error {
 	n := s.n()
 	if len(s.subScratch) != n {
 		s.subScratch = make([][]stream.Tuple, n)
@@ -336,10 +326,7 @@ func (m *Merge) Open(exec.Context) error {
 
 // ProcessTuple implements exec.Operator: pass-through, with optional guard
 // suppression of subsets the downstream consumer has disclaimed.
-func (m *Merge) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
-	if input < 0 || input >= m.k() {
-		return fmt.Errorf("op: merge %q: tuple on unexpected input %d", m.Name(), input)
-	}
+func (m *Merge) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 	m.in++
 	if m.guards.Suppress(t) {
 		m.suppressed++
@@ -353,9 +340,6 @@ func (m *Merge) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error 
 // ProcessPunct implements exec.Operator: record the input's guarantee and
 // emit it downstream only once every live input covers it.
 func (m *Merge) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error {
-	if input < 0 || input >= m.k() {
-		return fmt.Errorf("op: merge %q: punctuation on unexpected input %d", m.Name(), input)
-	}
 	m.emitAligned(m.align.punct(input, e.Pattern), ctx)
 	return nil
 }
@@ -364,19 +348,14 @@ func (m *Merge) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) erro
 // matching guards (the merged stream now promises the subset complete).
 func (m *Merge) emitAligned(ps []punct.Pattern, ctx exec.Context) {
 	for _, p := range ps {
-		e := punct.NewEmbedded(p)
-		m.Observe(core.Output, e)
 		m.aligned++
-		ctx.EmitPunct(e)
+		ctx.EmitPunct(punct.NewEmbedded(p))
 	}
 }
 
 // ProcessEOS implements exec.Operator: the ended input stops constraining
 // alignment, which may release frontiers and pending patterns.
 func (m *Merge) ProcessEOS(input int, ctx exec.Context) error {
-	if input < 0 || input >= m.k() {
-		return fmt.Errorf("op: merge %q: EOS on unexpected input %d", m.Name(), input)
-	}
 	m.emitAligned(m.align.eos(input), ctx)
 	return nil
 }

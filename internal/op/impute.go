@@ -1,8 +1,6 @@
 package op
 
 import (
-	"fmt"
-
 	"repro/internal/archive"
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -72,10 +70,7 @@ func (im *Impute) Open(exec.Context) error {
 }
 
 // ProcessTuple implements exec.Operator.
-func (im *Impute) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
-	if input != 0 {
-		return fmt.Errorf("op: impute %q: tuple on unexpected input %d (single-input operator; check plan wiring)", im.Name(), input)
-	}
+func (im *Impute) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 	// The guard fires before the expensive lookup: this is the entire
 	// point of the feedback (§4.3 strategy 2, guard on input).
 	if im.guards.Suppress(t) {
@@ -117,14 +112,9 @@ func minuteOfDayOf(micros int64) int {
 // except speed, which it rewrites, so punctuation relays iff it leaves speed
 // unbound (core.AttrMap.OutputPattern): [speed ≤ 100] cannot promise that no
 // imputed speed ≤ 100 follows. A relayed punctuation also expires guards.
-func (im *Impute) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error {
-	if input != 0 {
-		return fmt.Errorf("op: impute %q: punctuation on unexpected input %d (single-input operator; check plan wiring)", im.Name(), input)
-	}
+func (im *Impute) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 	if relayed, ok := im.carried.OutputPattern(e.Pattern); ok {
-		pe := punct.NewEmbedded(relayed)
-		im.Observe(core.Output, pe)
-		ctx.EmitPunct(pe)
+		ctx.EmitPunct(punct.NewEmbedded(relayed))
 	}
 	return nil
 }

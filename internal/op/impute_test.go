@@ -181,20 +181,3 @@ func TestArchiveDiurnalProfile(t *testing.T) {
 		t.Error("per-segment dip depths must vary")
 	}
 }
-
-// TestImputeRejectsUnexpectedInput: the runner-facing index guard added to
-// every single-input operator (mirrors Aggregate's and Join's).
-func TestImputeRejectsUnexpectedInput(t *testing.T) {
-	im := newTestImpute(FeedbackIgnore)
-	// The guard refuses before it touches the context.
-	if err := im.ProcessTuple(1, trafficNull(1, 1, 0), nil); err == nil {
-		t.Error("tuple on input 1 accepted")
-	}
-	if err := im.ProcessPunct(-1, tsPunct(10), nil); err == nil {
-		t.Error("punctuation on input -1 accepted")
-	}
-	// Input 0 keeps working.
-	if tr := exec.Drive(im, exec.Tuples(0, trafficNull(1, 1, 0))); tr.Err != nil {
-		t.Fatal(tr.Err)
-	}
-}

@@ -234,19 +234,12 @@ func (j *Join) emitOuter(l stream.Tuple, ctx exec.Context) {
 
 // ProcessTuple implements exec.Operator.
 func (j *Join) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
-	if input != 0 && input != 1 {
-		return j.errInput("tuple", input)
-	}
 	if j.guardsIn[input].Suppress(t) {
 		j.suppressedIn++
 		return nil
 	}
 	j.apply(input, t, ctx)
 	return nil
-}
-
-func (j *Join) errInput(what string, input int) error {
-	return fmt.Errorf("op: join %q: %s on unexpected input %d (two-input operator; check plan wiring)", j.Name(), what, input)
 }
 
 // apply is ProcessTuple past the input-guard probe: probe the other side's
@@ -309,9 +302,6 @@ func (j *Join) runAdaptive(input int, t stream.Tuple, ctx exec.Context) {
 // (ProcessFeedback and ProcessPunct never interleave with a batch), so the
 // hoisted decision holds for the whole run.
 func (j *Join) ApplyTupleBatch(input int, ts []stream.Tuple, ctx exec.Context) error {
-	if input != 0 && input != 1 {
-		return j.errInput("tuple", input)
-	}
 	guards := j.guardsIn[input]
 	guarded := guards.Active() > 0
 	for i := range ts {
@@ -426,9 +416,6 @@ func (j *Join) tsValue(input int, v int64) stream.Value {
 // ProcessPunct implements exec.Operator: timestamp punctuation purges the
 // opposite side and may emit output punctuation and thrifty feedback.
 func (j *Join) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error {
-	if input != 0 && input != 1 {
-		return j.errInput("punctuation", input)
-	}
 	j.Observe(input, e)
 	attr, wm, ok := e.Pattern.Progress()
 	if !ok || attr != j.tsAttr(input) {
@@ -496,15 +483,11 @@ func (j *Join) emitOutputPunct(ctx exec.Context) {
 	}
 	j.lastOutWM, j.lastOutWMSet = wm, true
 	outPunct := punct.NewEmbedded(punct.OnAttr(j.out.Arity(), j.LeftTs, punct.Le(j.tsValue(0, wm))))
-	j.Observe(core.Output, outPunct)
 	ctx.EmitPunct(outPunct)
 }
 
 // ProcessEOS implements exec.Operator.
 func (j *Join) ProcessEOS(input int, ctx exec.Context) error {
-	if input != 0 && input != 1 {
-		return j.errInput("EOS", input)
-	}
 	j.wm[input].eos = true
 	j.purgeOpposite(input, math.MaxInt64, ctx)
 	return nil

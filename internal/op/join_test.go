@@ -400,20 +400,3 @@ func TestJoinDefinition1Property(t *testing.T) {
 		}
 	}
 }
-
-// TestJoinRejectsUnexpectedInput pins the mis-wired-plan behaviour: any
-// input index outside {0, 1} is a loud error instead of silently feeding
-// the right table.
-func TestJoinRejectsUnexpectedInput(t *testing.T) {
-	j := newTestJoin(FeedbackIgnore, false)
-	// The guard refuses before it touches the context.
-	if err := j.ProcessTuple(2, probe(1, 10, 50), nil); err == nil {
-		t.Fatal("tuple on input 2 must error")
-	}
-	if err := j.ProcessPunct(3, leftPunct(10), nil); err == nil {
-		t.Fatal("punctuation on input 3 must error")
-	}
-	if err := j.ProcessEOS(2, nil); err == nil {
-		t.Fatal("EOS on input 2 must error")
-	}
-}

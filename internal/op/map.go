@@ -172,9 +172,7 @@ func (m *Map) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 // attributes are all carried (core.AttrMap.OutputPattern).
 func (m *Map) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 	if relayed, ok := m.attrMap.OutputPattern(e.Pattern); ok {
-		pe := punct.NewEmbedded(relayed)
-		m.Observe(core.Output, pe)
-		ctx.EmitPunct(pe)
+		ctx.EmitPunct(punct.NewEmbedded(relayed))
 	} else {
 		m.c.PunctDropped.Add(1)
 	}

@@ -11,6 +11,13 @@
 // core.Responder enacts the row. Tests and `cmd/experiments tables` verify
 // the enacted behaviour against the tables.
 //
+// The runtime owns the boundary around an operator: it hands it only the
+// input and output ports the plan wired (exec.Graph.Add checks them), and it
+// folds every punctuation the operator emits into the responder, releasing
+// the guards that punctuation covers (§4.4). So no operator re-checks a port
+// index or expires its own output guards; Join observes only what reaches
+// its input-side tables.
+//
 // An operator that maps attributes one to one (Map, and Impute, which
 // rewrites one) declares the correspondence once, as a core.AttrMap:
 // feedback goes up it by core.SafePropagation and embedded punctuation comes

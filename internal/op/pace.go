@@ -1,8 +1,6 @@
 package op
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
@@ -109,9 +107,6 @@ func (p *Pace) Open(exec.Context) error {
 
 // ProcessTuple implements exec.Operator.
 func (p *Pace) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
-	if input < 0 || input >= p.k() {
-		return fmt.Errorf("op: pace %q: tuple on unexpected input %d (have %d inputs; check plan wiring)", p.Name(), input, p.k())
-	}
 	ts := t.At(p.TsAttr).I
 	if p.Tolerance > 0 && p.hwSet && ts < p.hw-p.Tolerance {
 		p.perIn[input].Dropped++
@@ -170,9 +165,6 @@ func (p *Pace) maybeFeedback(ctx exec.Context) {
 // inputs exactly as Merge aligns it. Dropping late tuples only removes tuples
 // from the combined stream, so every aligned promise still holds on it.
 func (p *Pace) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error {
-	if input < 0 || input >= p.k() {
-		return fmt.Errorf("op: pace %q: punctuation on unexpected input %d (have %d inputs; check plan wiring)", p.Name(), input, p.k())
-	}
 	for _, q := range p.align.punct(input, e.Pattern) {
 		ctx.EmitPunct(punct.NewEmbedded(q))
 	}
@@ -181,9 +173,6 @@ func (p *Pace) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error
 
 // ProcessEOS implements exec.Operator.
 func (p *Pace) ProcessEOS(input int, ctx exec.Context) error {
-	if input < 0 || input >= p.k() {
-		return fmt.Errorf("op: pace %q: EOS on unexpected input %d (have %d inputs; check plan wiring)", p.Name(), input, p.k())
-	}
 	for _, q := range p.align.eos(input) {
 		ctx.EmitPunct(punct.NewEmbedded(q))
 	}

@@ -232,22 +232,3 @@ func TestPrioritizeIgnoreModeIsFIFO(t *testing.T) {
 		t.Fatalf("ignore mode must stay FIFO: %v", got)
 	}
 }
-
-// TestPaceRejectsUnexpectedInput: the index guard over the K-input fan
-// (mirrors the one PR 2 gave Aggregate and Join).
-func TestPaceRejectsUnexpectedInput(t *testing.T) {
-	p := &Pace{Schema: trafficSchema, K: 2, TsAttr: 2}
-	// The guard refuses before it touches the context.
-	if err := p.ProcessTuple(2, traffic(1, 1, 10, 50), nil); err == nil {
-		t.Error("tuple on input 2 accepted (K=2)")
-	}
-	if err := p.ProcessPunct(5, tsPunct(10), nil); err == nil {
-		t.Error("punctuation on input 5 accepted")
-	}
-	if err := p.ProcessEOS(-1, nil); err == nil {
-		t.Error("EOS on input -1 accepted")
-	}
-	if tr := exec.Drive(p, exec.Tuples(1, traffic(1, 1, 10, 50)), exec.EOS(0)); tr.Err != nil {
-		t.Fatal(tr.Err)
-	}
-}

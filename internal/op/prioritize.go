@@ -112,7 +112,6 @@ func (p *Prioritize) flush(ctx exec.Context) {
 // the punctuation downstream, so the buffer flushes first.
 func (p *Prioritize) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 	p.flush(ctx)
-	p.Observe(core.Output, e)
 	ctx.EmitPunct(e)
 	return nil
 }

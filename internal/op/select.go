@@ -88,10 +88,9 @@ func (s *Select) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 }
 
 // ProcessPunct implements exec.Operator: a filter never weakens a
-// completeness guarantee, so punctuation passes through unchanged; it also
-// drives guard expiration (§4.4).
+// completeness guarantee, so punctuation passes through unchanged; the
+// runtime expires the guards it covers as it goes out (§4.4).
 func (s *Select) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
-	s.Observe(core.Output, e)
 	ctx.EmitPunct(e)
 	return nil
 }

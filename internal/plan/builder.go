@@ -540,9 +540,9 @@ func (b *Builder) DistCoordinate(part string, chain *snapshot.Chain, log *snapsh
 }
 
 // DistFollow wraps the built plan as a follower subplan (see
-// exec.DistFollower), installing barrier hooks on its remote sources, wired
-// by hand like DistCoordinate: call after the full plan is assembled, then
-// Handshake and Run.
+// exec.DistFollower) — the barriers its remote sources read register with
+// it — wired by hand like DistCoordinate: call after the full plan is
+// assembled, then Handshake and Run.
 func (b *Builder) DistFollow(part string, chain *snapshot.Chain, ctrl net.Conn) (*exec.DistFollower, error) {
 	if err := b.Err(); err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/fuse"
 	"repro/internal/op"
 	"repro/internal/punct"
 	"repro/internal/queue"
@@ -112,5 +113,53 @@ func TestConcurrentFeedbackStress(t *testing.T) {
 		if counts[5] != n/segments || counts[6] != n/segments {
 			t.Errorf("compile=%v: unsuppressed segments must be complete: %v", compile, counts)
 		}
+	}
+}
+
+// TestPrefixedAggregateReleasesItsOutputGuard (§4.4): compiled or not, the
+// aggregate's own output punctuation releases the guards a consumer's
+// feedback installed — the runtime folds every punctuation a node emits into
+// its responder, and a prefixed node's is its inner operator's.
+func TestPrefixedAggregateReleasesItsOutputGuard(t *testing.T) {
+	for _, compiled := range []bool{false, true} {
+		name := map[bool]string{false: "uncompiled", true: "compiled"}[compiled]
+		t.Run(name, func(t *testing.T) {
+			b := New()
+			out := b.Source(&exec.SliceSource{SourceName: "src", Schema: testSchema, Items: aggWorkload(2500), BatchSize: 64}).
+				SelectExpr("nonneg", punct.ExprStep{Col: 2, Name: "speed", Pred: punct.Ge(stream.Float(0))}).
+				Aggregate("avg", core.AggAvg, "ts", "speed", []string{"segment"}, window.Tumbling(1_000_000), "avg_speed")
+			// Window 0 is of no further use: asserted after its first result,
+			// covered by the punctuation that closes window 1.
+			first := core.NewAssumed(punct.OnAttr(3, out.Schema().Index("wstart"), punct.Le(stream.TimeMicros(0))))
+			out.Into(&feedbackSink{schema: out.Schema(), every: 1, fbs: []core.Feedback{first}})
+			if compiled {
+				b.Compile()
+			}
+			var agg *op.Aggregate
+			prefixed := false
+			for id := 0; id < b.Graph().NumNodes(); id++ {
+				o := b.Graph().OperatorAt(exec.NodeID(id))
+				if p, ok := o.(*fuse.Prefixed); ok {
+					o, prefixed = p.Inner(), true
+				}
+				if a, ok := o.(*op.Aggregate); ok {
+					agg = a
+				}
+			}
+			if agg == nil || prefixed != compiled {
+				t.Fatalf("plan is not the one under test:\n%s", b.Explain())
+			}
+			if err := b.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if agg.Exploited() != 1 {
+				t.Fatalf("aggregate exploited %d feedbacks, want 1", agg.Exploited())
+			}
+			for i, table := range agg.Tables() {
+				if n := table.Active(); n != 0 {
+					t.Errorf("table %d holds %d guards its own output punctuation covers", i, n)
+				}
+			}
+		})
 	}
 }

@@ -117,13 +117,14 @@ func (s *Scheme) Delimited(i int) bool {
 // checks single-attribute patterns against the watermark and closed-value
 // sets; multi-attribute patterns are covered if ANY bound attribute is
 // covered (a tuple must match all conjuncts to match p, so excluding one
-// conjunct excludes the tuple).
+// conjunct excludes the tuple). It runs per guard per punctuation, so it
+// walks the predicates in place (Pattern.Bound builds a slice).
 func (s *Scheme) CoversPattern(p Pattern) bool {
 	if p.Arity() != s.arity {
 		return false
 	}
-	for _, i := range p.Bound() {
-		if s.coversPred(i, p.Pred(i)) {
+	for i := range s.arity {
+		if pr := p.Pred(i); !pr.IsWild() && s.coversPred(i, pr) {
 			return true
 		}
 	}

@@ -77,6 +77,30 @@ func rawBarrier(w *frameWriter, epoch int64) error {
 	return w.flush(frameBarrier, 0)
 }
 
+// barrierTap is a remote Source whose barriers are observed on their way to
+// the runtime: Next runs under a context that records each one and then
+// hands it on (exec.Barrier), as the source would have.
+type barrierTap struct {
+	*Source
+	seen func(epoch int64)
+}
+
+func (b barrierTap) Next(ctx exec.Context) (bool, error) {
+	return b.Source.Next(tapCtx{ctx, b.seen})
+}
+
+type tapCtx struct {
+	exec.Context
+	seen func(epoch int64)
+}
+
+func (c tapCtx) Barrier(epoch int64) error {
+	c.seen(epoch)
+	return exec.Barrier(c.Context, epoch)
+}
+
+func (c tapCtx) Slab(n int) []stream.Value { return exec.Slab(c.Context, n) }
+
 // wireBarrier is one barrier observation on the consumer side.
 type wireBarrier struct {
 	epoch    int64
@@ -93,7 +117,7 @@ func coordinator(g *exec.Graph) *exec.DistCoordinator {
 // TestBarrierCrossesWire: a checkpoint on the producer graph forwards its
 // barrier through the remote sink as a wire frame, positioned exactly after
 // the tuples that preceded the producer's cut; the consumer source hands the
-// epoch to its hook, once per checkpoint.
+// epoch to the runtime, once per checkpoint.
 func TestBarrierCrossesWire(t *testing.T) {
 	c1, c2 := net.Pipe()
 	const total, gateAt = 600, 200
@@ -110,13 +134,12 @@ func TestBarrierCrossesWire(t *testing.T) {
 
 	rsrc := NewSource("wire-in", schema, c2)
 	barriers := make(chan wireBarrier, 4)
-	rsrc.SetBarrierHook(func(epoch int64) error {
+	tap := barrierTap{rsrc, func(epoch int64) {
 		barriers <- wireBarrier{epoch: epoch, received: counter(rsrc, "pace_remote_tuples_received_total")}
-		return nil
-	})
+	}}
 	col := exec.NewCollector("col", schema)
 	gc := exec.NewGraph()
-	sc := gc.AddSource(rsrc)
+	sc := gc.AddSource(tap)
 	gc.Add(col, exec.From(sc))
 
 	var wg sync.WaitGroup
@@ -159,9 +182,10 @@ func TestBarrierCrossesWire(t *testing.T) {
 	}
 }
 
-// TestBarrierDroppedWithoutHook: an uncoordinated consumer skips barrier
-// frames without disturbing the data stream.
-func TestBarrierDroppedWithoutHook(t *testing.T) {
+// TestBarrierDroppedWithoutFollower: an uncoordinated consumer — a graph
+// with no DistFollower — skips barrier frames without disturbing the data
+// stream.
+func TestBarrierDroppedWithoutFollower(t *testing.T) {
 	c1, c2 := net.Pipe()
 	const total, gateAt = 200, 100
 	tuples := make([]stream.Tuple, total)
@@ -173,7 +197,7 @@ func TestBarrierDroppedWithoutHook(t *testing.T) {
 	sp := gp.AddSource(src)
 	gp.Add(NewSink("wire-out", schema, c1), exec.From(sp))
 
-	rsrc := NewSource("wire-in", schema, c2) // no hook installed
+	rsrc := NewSource("wire-in", schema, c2) // its graph has no follower
 	col := exec.NewCollector("col", schema)
 	gc := exec.NewGraph()
 	gc.Add(col, exec.From(gc.AddSource(rsrc)))
@@ -236,7 +260,7 @@ func TestSinkWriteDeadline(t *testing.T) {
 // TestBarrierFrameWireRoundTrip is the property test for the barrier wire
 // frames: a random interleaving of tuple, punctuation, and barrier frames
 // written raw onto the transport replays through Source with every barrier
-// delivered to the hook in order, carrying its exact epoch, with the
+// handed to the runtime in order, carrying its exact epoch, with the
 // surrounding data intact.
 func TestBarrierFrameWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -272,13 +296,10 @@ func TestBarrierFrameWireRoundTrip(t *testing.T) {
 			w.flush(frameEOS, 0)
 		}()
 
-		rsrc := NewSource("in", schema, c2)
 		var gotBarriers []int64
-		rsrc.SetBarrierHook(func(epoch int64) error {
+		tr := exec.DriveSource(barrierTap{NewSource("in", schema, c2), func(epoch int64) {
 			gotBarriers = append(gotBarriers, epoch)
-			return nil
-		})
-		tr := exec.DriveSource(rsrc)
+		}})
 		if tr.Err != nil {
 			t.Fatalf("iteration %d: %v", iter, tr.Err)
 		}
@@ -309,9 +330,7 @@ func TestBarrierFrameCorrupt(t *testing.T) {
 		w.buf = append(binary.AppendVarint(w.buf, 1), 0)
 		w.flush(frameBarrier, 0)
 	}()
-	rsrc := NewSource("in", schema, c2)
-	rsrc.SetBarrierHook(func(int64) error { return nil })
-	if exec.DriveSource(rsrc).Err == nil {
+	if exec.DriveSource(NewSource("in", schema, c2)).Err == nil {
 		t.Error("barrier frame with a trailing byte accepted")
 	}
 

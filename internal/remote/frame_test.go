@@ -54,7 +54,8 @@ func (c *memConn) SetReadDeadline(time.Time) error  { c.readDeadlines++; return 
 func (c *memConn) SetWriteDeadline(time.Time) error { c.writeDeadlines++; return nil }
 
 // recorder is the consumer side of a wire test: a source context that keeps
-// everything it is handed, in order, with barriers slotted in by the hook.
+// everything it is handed, in order, barriers included (exec.Barrier finds
+// its Barrier method, as it finds the runtime's).
 type recorder struct {
 	exec.Context // nil: a remote source calls only the methods below
 	got          []wireItem
@@ -66,7 +67,7 @@ func (r *recorder) EmitBatch(ts []stream.Tuple) {
 	}
 }
 func (r *recorder) EmitPunct(e punct.Embedded) { r.got = append(r.got, wireItem{pat: &e.Pattern}) }
-func (r *recorder) barrier(epoch int64) error {
+func (r *recorder) Barrier(epoch int64) error {
 	r.got = append(r.got, wireItem{epoch: epoch})
 	return nil
 }
@@ -168,7 +169,6 @@ func TestRunFramingPreservesSequence(t *testing.T) {
 			}()
 			rec := &recorder{}
 			src := NewSource("in", wideSchema, c2)
-			src.SetBarrierHook(rec.barrier)
 			if err := src.Open(rec); err != nil {
 				t.Fatal(err)
 			}
@@ -428,7 +428,6 @@ func tupleBytes(ts ...stream.Tuple) []byte {
 func replay(data []byte) (*recorder, *Source, error) {
 	rec := &recorder{}
 	src := NewSource("in", schema, newMemConn(bytes.NewReader(data)))
-	src.SetBarrierHook(rec.barrier)
 	if err := src.Open(rec); err != nil {
 		return rec, src, err
 	}

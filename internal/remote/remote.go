@@ -36,11 +36,11 @@ import (
 )
 
 // Remote edges participate in distributed cuts: the sink forwards barriers
-// in-band over the wire, the source hands them to the local coordination
-// glue (exec.DistFollower).
+// in-band over the wire, the source hands them to the runtime, which cuts it
+// there.
 var (
 	_ exec.BarrierForwarder = (*Sink)(nil)
-	_ exec.BarrierReceiver  = (*Source)(nil)
+	_ exec.BarrierSource    = (*Source)(nil)
 	_ exec.TupleBatcher     = (*Sink)(nil)
 )
 
@@ -279,7 +279,7 @@ func (s *Sink) TelemetryVars() []telemetry.Var {
 // Source is an exec.Source replaying the frames a remote Sink sends;
 // feedback delivered to it is framed back over the connection.
 //
-//pace:stateless its state is the connection itself (codec, barrier hook); the supervisor re-dials and the barrier protocol re-aligns on restore
+//pace:stateless its state is the connection itself (codec); the supervisor re-dials and the barrier protocol re-aligns on restore
 type Source struct {
 	SourceName string
 	Schema     stream.Schema
@@ -301,12 +301,6 @@ type Source struct {
 	run  []stream.Tuple // the decoded run, reused; its values live in the frame's slab
 	done bool
 
-	// barrierHook (SetBarrierHook) hands wire barriers to the local
-	// checkpoint coordination glue; without one, barriers are dropped —
-	// an uncoordinated consumer cannot cut, and the producer's coordinator
-	// abandons the epoch when its ack never arrives.
-	barrierHook func(epoch int64) error
-
 	// Counters are atomics so /metrics can scrape them while the plan
 	// runs. deadlineHits counts ReadTimeout expiries (wedged producer);
 	// this package has no reconnect logic — a timed-out edge surfaces as a
@@ -316,12 +310,6 @@ type Source struct {
 	framesIn              atomic.Int64
 	bytesIn, feedbackBy   atomic.Int64
 	deadlineHits          atomic.Int64
-}
-
-// SetBarrierHook implements exec.BarrierReceiver. It must be called before
-// the plan runs.
-func (s *Source) SetBarrierHook(fn func(epoch int64) error) {
-	s.barrierHook = fn
 }
 
 // NewSource replays a remote stream from conn.
@@ -339,6 +327,10 @@ func (s *Source) Name() string {
 
 // OutSchemas implements exec.Source.
 func (s *Source) OutSchemas() []stream.Schema { return []stream.Schema{s.Schema} }
+
+// CutsAtBarrier implements exec.BarrierSource: the source is cut at the wire
+// barriers its stream carries, never at a poll position.
+func (*Source) CutsAtBarrier() {}
 
 // Open implements exec.Source.
 func (s *Source) Open(exec.Context) error {
@@ -394,19 +386,13 @@ func (s *Source) Next(ctx exec.Context) (bool, error) {
 		if n <= 0 || len(body) != n {
 			return false, fmt.Errorf("remote: malformed barrier frame (%d bytes)", len(body))
 		}
-		if s.barrierHook != nil {
-			// The hook registers the epoch with the local coordinator
-			// (forced-epoch checkpoint); the runtime then cuts this source
-			// right here — the frame's position in this edge's stream IS the
-			// cut, which is what keeps parallel remote edges consistent
-			// (each cuts at its own barrier, not when the first edge's
-			// barrier registered the epoch).
-			if err := s.barrierHook(epoch); err != nil {
-				return false, fmt.Errorf("remote: barrier epoch %d: %w", epoch, err)
-			}
-			if inj, ok := ctx.(exec.SourceBarrierInjector); ok {
-				inj.InjectWireBarrier(epoch)
-			}
+		// The runtime registers the epoch with the local coordinator and
+		// cuts this source right here: the frame's position in this edge's
+		// stream IS the cut, which is what keeps parallel remote edges
+		// consistent (each cuts at its own barrier, not when the first
+		// edge's barrier registered the epoch).
+		if err := exec.Barrier(ctx, epoch); err != nil {
+			return false, fmt.Errorf("remote: barrier epoch %d: %w", epoch, err)
 		}
 	case frameEOS:
 		if len(body) != 0 {
