@@ -46,7 +46,9 @@ func (g *GuardTable) Arity() int { return g.arity }
 // Restore replaces the table's content with a captured guard list. The
 // expiration tracker restarts empty: a guard whose subset the stream already
 // promised complete expires again at the next covering punctuation, and until
-// then can only suppress tuples the stream will never produce.
+// then can only suppress tuples the stream will never produce. So does a
+// guard installed on an empty table after its exact-value subset closed: an
+// empty table's tracker keeps only its frontier.
 func (g *GuardTable) Restore(fs []Feedback) {
 	g.guards, g.scheme = nil, punct.NewScheme(g.arity)
 	for _, f := range fs {
@@ -106,10 +108,16 @@ func (g *GuardTable) suppressScan(t stream.Tuple) bool {
 
 // ObservePunct folds embedded punctuation into the expiration tracker and
 // releases any guard whose pattern is now covered: the stream itself
-// guarantees those tuples are gone, so the guard holds no information.
+// guarantees those tuples are gone, so the guard holds no information. A
+// table left with no guard has nothing to expire, so its tracker forgets
+// the patterns it recorded and keeps only its frontier (§4.4: feedback
+// state does not accumulate, not even in the tracker).
 func (g *GuardTable) ObservePunct(e punct.Embedded) {
 	g.scheme.Observe(e)
 	g.guards = slices.DeleteFunc(g.guards, func(gd Guard) bool { return g.scheme.CoversPattern(gd.Pattern) })
+	if len(g.guards) == 0 {
+		g.scheme.Forget()
+	}
 }
 
 // covers reports whether an installed guard's pattern is implied by p: the
@@ -122,16 +130,6 @@ func (g *GuardTable) covers(p punct.Pattern) bool {
 	}
 	return false
 }
-
-// Supportable applies the §4.4 admissibility test to a candidate feedback
-// pattern using the punctuation observed so far on this port: every bound
-// attribute must be delimited. Operators may consult this before
-// installing state-bearing responses; installing a guard for
-// unsupportable feedback is still *correct*, but risks unbounded predicate
-// accumulation, so callers typically fall back to the null response.
-//
-//pace:allow-unreached §4.4's admissibility test: ROADMAP item 14's compile-time pass calls it, or it goes
-func (g *GuardTable) Supportable(p punct.Pattern) bool { return g.scheme.Supportable(p) }
 
 // Active returns the number of live guards.
 func (g *GuardTable) Active() int { return len(g.guards) }

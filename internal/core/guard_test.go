@@ -63,20 +63,6 @@ func TestGuardTableExpiration(t *testing.T) {
 	}
 }
 
-func TestGuardTableSupportable(t *testing.T) {
-	g := NewGuardTable(2)
-	if g.Supportable(punct.OnAttr(2, 0, punct.Le(ts(10)))) {
-		t.Error("nothing punctuated yet: unsupportable")
-	}
-	g.ObservePunct(punct.NewEmbedded(punct.OnAttr(2, 0, punct.Le(ts(5)))))
-	if !g.Supportable(punct.OnAttr(2, 0, punct.Le(ts(10)))) {
-		t.Error("attribute now delimited: supportable")
-	}
-	if g.Supportable(punct.OnAttr(2, 1, punct.Ge(stream.Float(1)))) {
-		t.Error("never-punctuated attribute: unsupportable")
-	}
-}
-
 func TestGuardTableMultipleDisjointGuards(t *testing.T) {
 	g := NewGuardTable(1)
 	g.Install(NewAssumed(punct.OnAttr(1, 0, punct.Eq(stream.Int(1)))))

@@ -340,7 +340,7 @@ func (m *Merge) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 // ProcessPunct implements exec.Operator: record the input's guarantee and
 // emit it downstream only once every live input covers it.
 func (m *Merge) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error {
-	m.emitAligned(m.align.punct(input, e.Pattern), ctx)
+	m.emitAligned(m.align.punct(input, e), ctx)
 	return nil
 }
 

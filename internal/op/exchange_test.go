@@ -505,7 +505,7 @@ func TestMergeAlignmentStateBounded(t *testing.T) {
 	late := punct.OnAttr(4, 0, punct.Eq(stream.Int(1))).With(2, punct.Le(stream.TimeMicros(100)))
 	script = append(script,
 		exec.Call(func(*exec.Trace) {
-			if got := len(m.align.ins[0].asserted); got != 50 {
+			if got := recordedPatterns(m.align.promised[0]); got != 50 {
 				in.Fatalf("asserted = %d, want 50", got)
 			}
 			if got := len(m.align.pending); got != 50 {
@@ -515,7 +515,7 @@ func TestMergeAlignmentStateBounded(t *testing.T) {
 		// Input 0's watermark passes every bound: its asserted list drains.
 		exec.Punct(0, tsPunct(10_000)),
 		exec.Call(func(*exec.Trace) {
-			if got := len(m.align.ins[0].asserted); got != 0 {
+			if got := recordedPatterns(m.align.promised[0]); got != 0 {
 				in.Fatalf("asserted after watermark = %d, want 0", got)
 			}
 		}),
@@ -534,9 +534,9 @@ func TestMergeAlignmentStateBounded(t *testing.T) {
 		// A late duplicate below the frontier neither re-pends nor re-asserts.
 		exec.Punct(0, punct.NewEmbedded(late)),
 		exec.Call(func(*exec.Trace) {
-			if len(m.align.ins[0].asserted) != 0 || len(m.align.pending) != 0 {
+			if recordedPatterns(m.align.promised[0]) != 0 || len(m.align.pending) != 0 {
 				in.Fatalf("late covered pattern must not accumulate state: asserted=%d pending=%d",
-					len(m.align.ins[0].asserted), len(m.align.pending))
+					recordedPatterns(m.align.promised[0]), len(m.align.pending))
 			}
 		}))
 	if tr := exec.Drive(m, script...); tr.Err != nil {
@@ -624,28 +624,58 @@ func TestRelayedSetExpires(t *testing.T) {
 
 // Each port's tables fold a punctuation once, when the runtime emits it on
 // that port: a fan-out that sends one exact-value punctuation on n ports
-// leaves the value once in every table's tracker, not once per port.
+// leaves it once in every guarded table's tracker, and a punctuation emitted
+// on one port reaches that port's tables alone. (An empty table keeps no
+// pattern, so each port first holds a guard the punctuation does not cover.)
 func TestFanOutFoldsEachPunctuationOnce(t *testing.T) {
-	eq := punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(7))))
+	eq := func(v int64) punct.Embedded { return punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(v)))) }
+	guard := core.NewAssumed(punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(minute))))
 	for _, o := range []interface {
 		exec.Operator
 		Tables() []*core.GuardTable
+		Emitted(int, punct.Embedded)
 	}{newSplit(3, 0), &Duplicate{Schema: trafficSchema, N: 3, Mode: FeedbackExploit}} {
-		if tr := exec.Drive(o, exec.Punct(0, eq)); tr.Err != nil {
+		script := []exec.Script{exec.Feedback(0, guard), exec.Feedback(1, guard), exec.Feedback(2, guard), exec.Punct(0, eq(7))}
+		if tr := exec.Drive(o, script...); tr.Err != nil {
 			t.Fatal(tr.Err)
 		}
-		for i, table := range o.Tables() {
-			if n := closedValues(table, 0); n != 1 {
-				t.Errorf("%s: table %d holds the punctuated value %d times, want once", o.Name(), i, n)
+		var guarded []*core.GuardTable
+		for _, table := range o.Tables() {
+			if table.Active() > 0 {
+				guarded = append(guarded, table)
+			}
+		}
+		if len(guarded) != 3 {
+			t.Fatalf("%s: %d tables hold the guard, want one per port", o.Name(), len(guarded))
+		}
+		for i, table := range guarded {
+			if n := recordedPatterns(tracker(table)); n != 1 {
+				t.Errorf("%s: table %d holds the punctuation %d times, want once", o.Name(), i, n)
+			}
+		}
+		o.Emitted(0, eq(8))
+		for i, table := range guarded {
+			want := 1
+			if i == 0 {
+				want = 2
+			}
+			if n := recordedPatterns(tracker(table)); n != want {
+				t.Errorf("%s: after a punctuation on port 0, table %d records %d patterns, want %d", o.Name(), i, n, want)
 			}
 		}
 	}
 }
 
-// closedValues counts the exact values a table's expiry tracker holds for
-// attribute a. The tracker exports no such count, so the test reads it.
-func closedValues(table *core.GuardTable, a int) int {
-	return reflect.ValueOf(table).Elem().FieldByName("scheme").Elem().FieldByName("closed").Index(a).Len()
+// tracker reads a guard table's expiry tracker, which the table does not
+// export.
+func tracker(table *core.GuardTable) *punct.Scheme {
+	return (*punct.Scheme)(reflect.ValueOf(table).Elem().FieldByName("scheme").UnsafePointer())
+}
+
+// recordedPatterns counts the patterns a tracker records.
+func recordedPatterns(s *punct.Scheme) int {
+	_, _, recorded := s.State()
+	return len(*recorded)
 }
 
 // Folding an emitted punctuation probes the held tables in place for every

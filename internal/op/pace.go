@@ -165,7 +165,7 @@ func (p *Pace) maybeFeedback(ctx exec.Context) {
 // inputs exactly as Merge aligns it. Dropping late tuples only removes tuples
 // from the combined stream, so every aligned promise still holds on it.
 func (p *Pace) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error {
-	for _, q := range p.align.punct(input, e.Pattern) {
+	for _, q := range p.align.punct(input, e) {
 		ctx.EmitPunct(punct.NewEmbedded(q))
 	}
 	return nil

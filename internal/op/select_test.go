@@ -102,6 +102,40 @@ func TestSelectPunctPassThroughAndExpiry(t *testing.T) {
 	}
 }
 
+// §4.4: feedback state must not accumulate, and neither may the tracker that
+// expires it. A Select whose tables hold no guard keeps only their frontier,
+// however many distinct values its stream closes; a guard whose value closed
+// before it arrived waits for the next punctuation that covers it.
+func TestSelectEmptyTableTrackerStaysBounded(t *testing.T) {
+	s := &Select{Schema: trafficSchema, Mode: FeedbackExploit}
+	segClosed := func(v int64) exec.Script {
+		return exec.Punct(0, punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(v)))))
+	}
+	script := make([]exec.Script, 0, 1004)
+	for v := range int64(1000) {
+		script = append(script, segClosed(v))
+	}
+	var most, waiting int
+	script = append(script,
+		exec.Call(func(*exec.Trace) {
+			for _, table := range s.Tables() {
+				most = max(most, recordedPatterns(tracker(table)))
+			}
+		}),
+		exec.Feedback(0, assumedOnSegment(5)),
+		exec.Call(func(*exec.Trace) { waiting = s.guards.Active() }),
+		segClosed(5))
+	if tr := exec.Drive(s, script...); tr.Err != nil {
+		t.Fatal(tr.Err)
+	}
+	if len(s.Tables()) == 0 || most > 1 {
+		t.Fatalf("after 1 000 exact-value punctuations an empty table's tracker records %d patterns, want at most 1", most)
+	}
+	if waiting != 1 || s.guards.Active() != 0 {
+		t.Errorf("a guard on a value closed before it arrived: %d active on arrival, %d after the next covering punctuation; want 1 then 0", waiting, s.guards.Active())
+	}
+}
+
 func TestSelectDefinition1(t *testing.T) {
 	// Run the same input with and without feedback; verify Def. 1.
 	input := []stream.Tuple{

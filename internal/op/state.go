@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/punct"
 	"repro/internal/snapshot"
 )
 
@@ -249,25 +250,27 @@ func (im *Impute) keepState() {
 	im.Keep(im.Name(), snapshot.Guards(im.guards), snapshot.Int64(&im.imputed, &im.skipped, &im.passed))
 }
 
-// fields declares the alignment state: per input its EOS, frontier and
-// asserted patterns, then the asserted frontier and the pending list. All of
-// it must survive recovery, otherwise a restored fan-in could re-emit
-// punctuation it already promised (downstream would purge twice, harmless)
-// or forward a pattern a lagging input has not re-covered (unsound).
+// fields declares the alignment state: per input its EOS and its tracker
+// (frontier, then recorded patterns), then the asserted frontier and the
+// pending list. All of it must survive recovery, otherwise a restored fan-in
+// could re-emit punctuation it already promised (downstream would purge
+// twice, harmless) or forward a pattern a lagging input has not re-covered
+// (unsound).
 func (al *aligner) fields() []snapshot.Field {
 	arity := al.schema.Arity()
-	frontier := func(wm []int64, set []bool) (fs []snapshot.Field) {
+	frontier := func(s *punct.Scheme) (fs []snapshot.Field) {
+		wm, set, _ := s.State()
 		for a := range wm {
 			fs = append(fs, snapshot.Int64(&wm[a]), snapshot.Bool(&set[a]))
 		}
 		return fs
 	}
-	ins := snapshot.Group(len(al.ins), func(i int) []snapshot.Field {
-		in := &al.ins[i]
-		fs := append([]snapshot.Field{snapshot.Bool(&in.eos)}, frontier(in.wm, in.wmSet)...)
-		return append(fs, snapshot.Patterns(&in.asserted, arity))
+	ins := snapshot.Group(len(al.promised), func(i int) []snapshot.Field {
+		_, _, recorded := al.promised[i].State()
+		fs := append([]snapshot.Field{snapshot.Bool(&al.ended[i])}, frontier(al.promised[i])...)
+		return append(fs, snapshot.Patterns(recorded, arity))
 	})
-	fs := append([]snapshot.Field{ins}, frontier(al.wmOut, al.wmOutSet)...)
+	fs := append([]snapshot.Field{ins}, frontier(al.sent)...)
 	return append(fs, snapshot.Patterns(&al.pending, arity))
 }
 

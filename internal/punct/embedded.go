@@ -1,6 +1,8 @@
 package punct
 
 import (
+	"slices"
+
 	"repro/internal/stream"
 )
 
@@ -18,160 +20,144 @@ func NewEmbedded(p Pattern) Embedded { return Embedded{Pattern: p} }
 // String renders the punctuation in bracket notation.
 func (e Embedded) String() string { return e.Pattern.String() }
 
-// Scheme tracks, per attribute, the strongest progress guarantee seen so
-// far from embedded punctuation, and answers which attributes are
-// "delimited" in the paper's sense (§4.4): covered by progressing embedded
-// punctuation, and therefore able to support feedback without unbounded
-// state accumulation.
+// Scheme is the one record of what a stream has promised through its
+// embedded punctuation: "no more tuples matching p", for every p observed.
+// It answers CoversPattern — has the stream promised every tuple of p? —
+// for each core.GuardTable (§4.4: a guard goes once its pattern is covered)
+// and, one per input, for the fan-in aligner (a pattern is forwarded once
+// every live input covers it).
 //
-// The tracker recognises the practical punctuation shapes — prefix
-// punctuation ≤v / <v on an ordered attribute (progress watermarks) and
-// exact-value punctuation =v / in-set (e.g. "auction #4 has closed").
+// Two representations keep it small and the steady state allocation-free:
+//
+//   - progress punctuation (Pattern.Progress, its one reader: one attribute
+//     of an integer-ordered kind bound from above) advances a per-attribute
+//     int64 frontier;
+//   - any other pattern is recorded unless already covered, replacing the
+//     recorded patterns it subsumes; a frontier that advances prunes the
+//     ones it covers.
+//
+// A pattern binding only never-punctuated attributes stays recorded until
+// Forget, which an owner with nothing left to expire calls.
 type Scheme struct {
-	arity int
-	// watermark[i] holds the highest inclusive bound asserted for
-	// attribute i by prefix punctuation, or nil if none seen.
-	watermark []*Pred
-	// closed[i] accumulates exact values asserted complete for attribute i.
-	closed [][]stream.Value
-	// seen counts punctuations observed per attribute.
-	seen []int
+	// frontier[a], when set[a], is the inclusive bound below which
+	// attribute a is promised complete.
+	frontier []int64
+	set      []bool
+	recorded []Pattern
 }
 
 // NewScheme creates a tracker for streams of the given arity.
 func NewScheme(arity int) *Scheme {
-	return &Scheme{
-		arity:     arity,
-		watermark: make([]*Pred, arity),
-		closed:    make([][]stream.Value, arity),
-		seen:      make([]int, arity),
-	}
+	return &Scheme{frontier: make([]int64, arity), set: make([]bool, arity)}
 }
 
-// Observe folds one embedded punctuation into the tracker. Only
-// single-attribute punctuations advance per-attribute guarantees;
-// multi-attribute punctuations are recorded but conservatively ignored for
-// delimitation.
+// Observe folds one embedded punctuation into the tracker. Punctuation of
+// another arity describes no tuple of this stream and is ignored.
 func (s *Scheme) Observe(e Embedded) {
-	if e.Pattern.Arity() != s.arity {
+	p := e.Pattern
+	if p.Arity() != len(s.frontier) {
 		return
 	}
-	// Inline single-bound-attribute scan: this runs per punctuation per
-	// guard table, so it must not allocate (Pattern.Bound builds a slice).
-	i := -1
-	for a := 0; a < s.arity; a++ {
-		if e.Pattern.Pred(a).IsWild() {
-			continue
+	if a, incl, ok := p.Progress(); ok {
+		if !s.set[a] || incl > s.frontier[a] {
+			s.frontier[a], s.set[a] = incl, true
+			s.recorded = slices.DeleteFunc(s.recorded, func(q Pattern) bool { return s.frontierCovers(a, q.Pred(a)) })
 		}
-		if i >= 0 {
-			return // multi-attribute: recorded nowhere, ignored for delimitation
-		}
-		i = a
-	}
-	if i < 0 {
 		return
 	}
-	s.seen[i]++
-	pr := e.Pattern.Pred(i)
-	switch pr.Op {
-	case LE, LT:
-		w := s.watermark[i]
-		switch {
-		case w == nil:
-			p := pr
-			s.watermark[i] = &p
-		case w.Op == pr.Op:
-			// Same-shape prefix bounds widen iff the new bound is strictly
-			// larger: one value comparison instead of two Implies walks
-			// (this path runs per punctuation per guard table).
-			if c, ok := pr.Val.Compare(w.Val); ok && c > 0 {
-				*w = pr // overwrite in place: no per-punct allocation
-			}
-		case widens(*w, pr):
-			*w = pr
-		}
-	case EQ:
-		s.closed[i] = append(s.closed[i], pr.Val)
-	case In:
-		s.closed[i] = append(s.closed[i], pr.Set...)
+	if s.CoversPattern(p) {
+		return
 	}
+	s.recorded = append(slices.DeleteFunc(s.recorded, func(q Pattern) bool { return q.Implies(p) }), p)
 }
 
-// widens reports whether candidate covers strictly more than current
-// (both LE/LT preds on the same attribute).
-func widens(current, candidate Pred) bool {
-	return current.Implies(candidate) && !candidate.Implies(current)
+// Forget drops the recorded patterns and keeps the frontier. A pattern
+// the dropped ones covered is covered again only by later punctuation.
+func (s *Scheme) Forget() {
+	clear(s.recorded)
+	s.recorded = s.recorded[:0]
 }
 
-// Delimited reports whether attribute i has shown progressing punctuation,
-// i.e. supports feedback whose state will eventually be released.
-func (s *Scheme) Delimited(i int) bool {
-	if i < 0 || i >= s.arity {
-		return false
-	}
-	return s.watermark[i] != nil || len(s.closed[i]) > 0
+// State exposes the tracker's content — the frontier, which attributes it
+// bounds, and the recorded patterns — for reading, for a checkpoint layout
+// to declare, and for a restore to write back.
+func (s *Scheme) State() (frontier []int64, set []bool, recorded *[]Pattern) {
+	return s.frontier, s.set, &s.recorded
 }
 
-// CoversPattern reports whether the accumulated guarantees cover the given
-// pattern (every tuple matching p is promised to never appear again). It
-// checks single-attribute patterns against the watermark and closed-value
-// sets; multi-attribute patterns are covered if ANY bound attribute is
-// covered (a tuple must match all conjuncts to match p, so excluding one
-// conjunct excludes the tuple). It runs per guard per punctuation, so it
-// walks the predicates in place (Pattern.Bound builds a slice).
+// CoversPattern reports whether the stream has promised that no more tuples
+// matching p will appear. A tuple must match every conjunct of p, so p is
+// covered when
+//
+//   - the frontier covers one of its bound conjuncts, or
+//   - p implies a recorded pattern, or
+//   - for one attribute bound by an In set, each value's share of p is
+//     covered (the set closed element by element; an = is the second case).
+//
+// It runs per guard per punctuation, so it walks the predicates in place.
 func (s *Scheme) CoversPattern(p Pattern) bool {
-	if p.Arity() != s.arity {
+	if p.Arity() != len(s.frontier) {
 		return false
 	}
-	for i := range s.arity {
-		if pr := p.Pred(i); !pr.IsWild() && s.coversPred(i, pr) {
+	for a := range s.frontier {
+		if s.frontierCovers(a, p.Pred(a)) {
+			return true
+		}
+	}
+	for _, q := range s.recorded {
+		if p.Implies(q) {
+			return true
+		}
+	}
+	for a := range s.frontier {
+		if pr := p.Pred(a); pr.Op == In && len(pr.Set) > 0 && s.coversEach(p, a, pr.Set) {
 			return true
 		}
 	}
 	return false
 }
 
-func (s *Scheme) coversPred(i int, pr Pred) bool {
-	if w := s.watermark[i]; w != nil && pr.Implies(*w) {
-		return true
-	}
-	// Exact-value feedback covered by closed values.
-	if pr.Op == EQ {
-		for _, v := range s.closed[i] {
-			if v.Equal(pr.Val) {
-				return true
-			}
-		}
-	}
-	if pr.Op == In && len(pr.Set) > 0 {
-		matched := 0
-		for _, want := range pr.Set {
-			for _, v := range s.closed[i] {
-				if v.Equal(want) {
-					matched++
-					break
-				}
-			}
-		}
-		return matched == len(pr.Set)
-	}
-	return false
-}
-
-// Supportable implements the paper's §4.4 test for feedback admissibility:
-// a feedback pattern is supportable when every bound attribute is
-// delimited, so that the guard/state it induces is guaranteed to be
-// releasable by future embedded punctuation. ("Don't show bids more than
-// $1.00" is unsupportable because amounts are never punctuated.)
-func (s *Scheme) Supportable(p Pattern) bool {
-	bound := p.Bound()
-	if len(bound) == 0 {
+// frontierCovers reports whether attribute a's frontier covers pr. The bound
+// is rebuilt in pr's ordinal kind: an attribute's values have one kind, and
+// a predicate over another kind matches none of them.
+func (s *Scheme) frontierCovers(a int, pr Pred) bool {
+	if !s.set[a] {
 		return false
 	}
-	for _, i := range bound {
-		if !s.Delimited(i) {
+	k := pr.Val.Kind
+	if pr.Op == In && len(pr.Set) > 0 {
+		k = pr.Set[0].Kind
+	}
+	if k != stream.KindTime {
+		k = stream.KindInt
+	}
+	return pr.Implies(Le(stream.Ordinal(k, s.frontier[a])))
+}
+
+// coversEach reports whether, for every v in vals, the tuples of p whose
+// attribute a equals v are covered: by the frontier, or by one recorded
+// pattern that matches v at a and that p implies elsewhere.
+func (s *Scheme) coversEach(p Pattern, a int, vals []stream.Value) bool {
+	for _, v := range vals {
+		if !s.frontierCovers(a, Eq(v)) && !s.recordedCovers(p, a, v) {
 			return false
 		}
 	}
 	return true
+}
+
+func (s *Scheme) recordedCovers(p Pattern, a int, v stream.Value) bool {
+next:
+	for _, q := range s.recorded {
+		if !q.Pred(a).Matches(v) {
+			continue
+		}
+		for i := range p.preds {
+			if i != a && !p.preds[i].Implies(q.preds[i]) {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
 }
