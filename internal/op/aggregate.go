@@ -71,9 +71,6 @@ type Aggregate struct {
 	// scratch backs probe-only tuples (prefixTuple): guards do not retain
 	// what they match against, so the buffer is reused across probes.
 	scratch []stream.Value
-	// groupScratch backs the per-tuple group-value projection; the store
-	// copies it into a window's arena when the group is new.
-	groupScratch []stream.Value
 	// batchScratch backs ProcessTupleBatch's item unwrapping, one makes
 	// ProcessTuple's tuple a run of one, and run backs the current run of
 	// results out of emitWindow. All reused, transient, never checkpointed.
@@ -163,19 +160,23 @@ func (a *Aggregate) Open(exec.Context) error {
 	return nil
 }
 
-// prefixTuple builds the output-schema tuple for a (window, group) with the
-// aggregate value left Null; group-bound and window-bound guards can be
-// evaluated against it before any aggregation work is done.
+// prefixTuple builds the output-schema tuple for a (window, the group at
+// row's columns cols) with the aggregate value left Null; group-bound and
+// window-bound guards can be evaluated against it before any aggregation
+// work is done. The fold passes an input tuple and GroupBy, a handler of
+// stored groups a window's key and the store's identity columns.
 //
 // The returned tuple aliases the operator's scratch buffer: it is valid
 // only until the next prefixTuple call and must never be emitted or
 // retained (guard probes satisfy both).
-func (a *Aggregate) prefixTuple(wid int64, groupVals []stream.Value) stream.Tuple {
+func (a *Aggregate) prefixTuple(wid int64, row []stream.Value, cols []int) stream.Tuple {
 	if cap(a.scratch) < a.out.Arity() {
 		a.scratch = make([]stream.Value, a.out.Arity())
 	}
 	vals := a.scratch[:a.out.Arity()]
-	copy(vals, groupVals)
+	for i, c := range cols {
+		vals[i] = row[c]
+	}
 	vals[a.wstartIdx] = a.wstartValue(wid)
 	vals[a.valueIdx] = stream.Null
 	return stream.NewTuple(vals...)
@@ -201,28 +202,24 @@ func (a *Aggregate) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) er
 // and its Active check is hoisted. A tuple's windows are the cached
 // assignment while its windowing value stays inside the cached interval, so
 // the loop divides only when a value leaves it. The group values are hashed
-// once per tuple and no key is encoded; the store finds or inserts the
-// accumulator (DESIGN.md §10.5, §10.6).
+// and matched where they lie in the tuple, once per tuple, and no key is
+// encoded or copied; the store finds or inserts the accumulator, copying the
+// key only for a group it has not held (DESIGN.md §10.5, §10.6).
 //
 //pace:hotpath
 func (a *Aggregate) ApplyTupleBatch(_ int, ts []stream.Tuple, _ exec.Context) error {
 	a.inTuples += int64(len(ts))
 	exploit := a.guardsPrefix.Active() > 0
 	for i := range ts {
-		t := ts[i]
+		vals := ts[i].Values
 		w := &a.assigned
-		if v := t.Values[a.TsAttr].I; v < w.from || v > w.to {
+		if v := vals[a.TsAttr].I; v < w.from || v > w.to {
 			w.lo, w.hi, w.from, w.to = a.Window.Assign(v)
 		}
 		lo, hi := w.lo, w.hi
-		key := a.groupScratch[:0]
-		for _, g := range a.GroupBy {
-			key = append(key, t.At(g))
-		}
-		a.groupScratch = key
-		h := hashKey(key)
+		h := hashKey(vals, a.GroupBy)
 		for wid := lo; wid <= hi; wid++ {
-			if exploit && a.guardsPrefix.Suppress(a.prefixTuple(wid, key)) {
+			if exploit && a.guardsPrefix.Suppress(a.prefixTuple(wid, vals, a.GroupBy)) {
 				a.inSuppressed++
 				continue
 			}
@@ -230,10 +227,10 @@ func (a *Aggregate) ApplyTupleBatch(_ int, ts []stream.Tuple, _ exec.Context) er
 				a.meter.Do(a.Cost)
 			}
 			a.folded++
-			g := a.store.upsert(wid, h, key)
+			g := a.store.upsert(wid, h, vals, a.GroupBy)
 			g.count++
 			if a.ValAttr >= 0 {
-				v := t.At(a.ValAttr)
+				v := &vals[a.ValAttr]
 				if !v.IsNull() {
 					f := v.AsFloat()
 					g.sum += f
@@ -285,7 +282,7 @@ func (a *Aggregate) value(g *aggGroup) float64 {
 // result in the scratch buffer prefixTuple uses, under the same rule: for
 // matching only, never emitted or retained.
 func (a *Aggregate) probePrefix(w *aggWindow, slot int32) stream.Tuple {
-	return a.prefixTuple(w.wid, w.key(slot))
+	return a.prefixTuple(w.wid, w.key(slot), a.store.cols)
 }
 
 func (a *Aggregate) probeResult(w *aggWindow, slot int32) stream.Tuple {

@@ -288,7 +288,7 @@ func revivedSlots(a *Aggregate) (n int) {
 		for slot := range w.groups {
 			if w.groups[slot].dead {
 				key := w.key(int32(slot))
-				if at, _ := w.lookup(hashKey(key), key); at >= 0 && !w.groups[at].dead {
+				if at, _ := w.lookup(hashKey(key, a.store.cols), key, a.store.cols); at >= 0 && !w.groups[at].dead {
 					n++
 				}
 			}
@@ -541,4 +541,76 @@ func BenchmarkAggregateFlush(b *testing.B) {
 		a.flushThrough(wid, ctx)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(a.Stats().Out), "ns/result")
+}
+
+// BenchmarkAggregateFold times the fold loop as a plan drives it: runs of 32
+// tuples (the runtime's control recheck) through ApplyTupleBatch, and at every
+// 512-tuple block the windows its punctuation completes closed — dropped, not
+// emitted, so the flush is not on the clock. Two key shapes: 256 Zipf-skewed
+// keys over 8-block windows with one tuple in 16 late within its block
+// (groupby_parallel's stream: a few hot groups, every fold a hit); and 50 000
+// uniform keys over 16-block windows (remote_checkpointed's: most folds
+// insert a group).
+func BenchmarkAggregateFold(b *testing.B) {
+	const block, run, ring = 512, 32, 1 << 13
+	zipf := func(n int) func(*rand.Rand) int64 {
+		var h, cum float64
+		for r := 1; r <= n; r++ {
+			h += 1 / float64(r)
+		}
+		table := make([]int64, 0, 4096)
+		for r := 1; r <= n; r++ {
+			cum += 1 / float64(r) / h
+			for len(table) < min(4096, int(math.Round(cum*4096))) {
+				table = append(table, int64(r-1))
+			}
+		}
+		for len(table) < 4096 {
+			table = append(table, int64(n-1))
+		}
+		return func(rng *rand.Rand) int64 { return table[rng.Intn(4096)] }
+	}
+	for _, c := range []struct {
+		name   string
+		blocks int64 // window range, in blocks
+		key    func(*rand.Rand) int64
+		late   bool
+	}{
+		{"zipf256_late", 8, zipf(256), true},
+		{"uniform50k", 16, func(rng *rand.Rand) int64 { return rng.Int63n(50_000) }, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			tuples := make([]stream.Tuple, ring)
+			late := make([]int64, ring) // how far a tuple's ts lies behind its position
+			for i := range tuples {
+				tuples[i] = traffic(c.key(rng), rng.Int63n(32), 0, float64(rng.Intn(800))/10)
+				if c.late && rng.Intn(16) == 0 {
+					late[i] = min(int64(rng.Intn(201)), int64(i%block)) // never before its block
+				}
+			}
+			ctx := discardCtx{}
+			a := &Aggregate{In: trafficSchema, Kind: core.AggAvg, TsAttr: 2, ValAttr: 3, GroupBy: []int{0},
+				Window: window.Tumbling(c.blocks * block)}
+			if err := a.Open(ctx); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += run {
+				ts := tuples[i%ring : i%ring+min(run, b.N-i)]
+				for j := range ts {
+					ts[j].Values[2] = stream.TimeMicros(int64(i+j) - late[(i+j)%ring])
+				}
+				_ = a.ApplyTupleBatch(0, ts, ctx)
+				if end := int64(i + len(ts)); end%block == 0 {
+					last := a.Window.LastFullWindow(end - 1)
+					for w := a.store.first(); w != nil && w.wid <= last; w = a.store.first() {
+						a.store.closeFirst()
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tuple")
+		})
+	}
 }

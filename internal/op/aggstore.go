@@ -16,7 +16,7 @@ import (
 // aggSpareWindows of them). Nothing that leaves the store — an emitted
 // result, a capture — may alias a window's arena (§2.4).
 type aggStore struct {
-	k     int          // group columns
+	cols  []int        // 0..k-1 for k group columns: a projected key's own
 	wins  []*aggWindow // open windows, ascending wid
 	spare []*aggWindow // closed windows kept for reuse
 	last  *aggWindow   // the window the last upsert hit
@@ -46,8 +46,12 @@ var emptyGroup = aggGroup{min: math.Inf(1), max: math.Inf(-1)}
 // keyTable holds rows of k key values side by side in an arena and an
 // open-addressing index over them: linear probing, one word per row —
 // hash<<32 | row+1, 0 for empty — in a table whose length is a power of two
-// at least twice the rows. Key identity is hashKey's and sameKey's. An
-// aggWindow keeps its groups' values in one, a joinSide its distinct keys.
+// at least twice the rows. Key identity is hashKey's and sameKey's, taken
+// where the key lies: a probe names a row of values and the k columns that
+// hold its key — an arriving tuple and its group or join columns, or a key
+// already projected and identity columns — and a key is copied into the
+// arena only when its row is added. An aggWindow keeps its groups' values in
+// one, a joinSide its distinct keys.
 type keyTable struct {
 	k     int
 	n     int            // rows
@@ -70,20 +74,20 @@ type aggWindow struct {
 	keyTable
 	wid    int64
 	groups []aggGroup
-	last   int32 // the slot the last upsert hit; -1 in an empty window
-	dead   int   // dead slots
+	dead   int // dead slots
 }
 
 func (w *aggWindow) live() int { return len(w.groups) - w.dead }
 
-// hashKey hashes group values under the identity Tuple.AppendKey encodes:
-// the kind, and the payload bits that kind uses.
+// hashKey hashes the key at row's columns cols under the identity
+// Tuple.AppendKey encodes: the kind, and the payload bits that kind uses. A
+// key hashes the same in place and projected (row[cols[i]] = key[i]).
 //
 //pace:hotpath
-func hashKey(key []stream.Value) uint32 {
-	h := uint64(len(key))
-	for i := range key {
-		v := &key[i]
+func hashKey(row []stream.Value, cols []int) uint32 {
+	h := uint64(len(cols))
+	for _, c := range cols {
+		v := &row[c]
 		var x uint64
 		switch v.Kind {
 		case stream.KindNull:
@@ -103,13 +107,13 @@ func hashKey(key []stream.Value) uint32 {
 	return uint32((h * 0xd6e8feb86659fd93) >> 32)
 }
 
-// sameKey reports whether two group-value rows are the same group: equal
-// exactly when their Tuple.AppendKey encodings are.
+// sameKey reports whether a stored key and the key at row's columns cols
+// are the same group: equal exactly when their Tuple.AppendKey encodings are.
 //
 //pace:hotpath
-func sameKey(a, b []stream.Value) bool {
-	for i := range a {
-		x, y := &a[i], &b[i]
+func sameKey(key, row []stream.Value, cols []int) bool {
+	for i, c := range cols {
+		x, y := &key[i], &row[c]
 		if x.Kind != y.Kind {
 			return false
 		}
@@ -133,7 +137,16 @@ func sameKey(a, b []stream.Value) bool {
 }
 
 // reset empties the store for group rows of k values.
-func (s *aggStore) reset(k int) { *s = aggStore{k: k} }
+func (s *aggStore) reset(k int) { *s = aggStore{cols: identCols(k)} }
+
+// identCols lists the columns 0..k-1: those of a key already projected.
+func identCols(k int) []int {
+	cols := make([]int, k)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
 
 // live counts the groups held.
 func (s *aggStore) live() int {
@@ -179,7 +192,7 @@ func (s *aggStore) window(wid int64) *aggWindow {
 	if n := len(s.spare); n > 0 {
 		w, s.spare = s.spare[n-1], s.spare[:n-1]
 	} else {
-		w = &aggWindow{keyTable: keyTable{k: s.k}, last: -1} //pace:allow-alloc amortised: a window is allocated only while fewer than aggSpareWindows have closed
+		w = &aggWindow{keyTable: keyTable{k: len(s.cols)}} //pace:allow-alloc amortised: a window is allocated only while fewer than aggSpareWindows have closed
 	}
 	w.wid = wid
 	s.wins = append(s.wins, nil)
@@ -188,36 +201,33 @@ func (s *aggStore) window(wid int64) *aggWindow {
 	return w
 }
 
-// upsert returns the accumulator of (wid, key), inserting an empty one for a
-// group not seen in that window. h is hashKey(key). The pointer is into the
-// window's slab: use it before the next upsert.
+// upsert returns the accumulator of (wid, the key at vals' columns cols),
+// inserting an empty one for a group not seen in that window. h is
+// hashKey(vals, cols). The pointer is into the window's slab: use it before
+// the next upsert.
 //
 //pace:hotpath
-func (s *aggStore) upsert(wid int64, h uint32, key []stream.Value) *aggGroup {
+func (s *aggStore) upsert(wid int64, h uint32, vals []stream.Value, cols []int) *aggGroup {
 	w := s.last
 	if w == nil || w.wid != wid {
 		w = s.window(wid)
 		s.last = w
 	}
-	slot := w.last
-	if slot < 0 || !sameKey(w.key(slot), key) {
-		slot = w.intern(h, key)
-		w.last = slot
-	}
-	return &w.groups[slot]
+	return &w.groups[w.intern(h, vals, cols)]
 }
 
-// lookup probes the index for key, whose hash is h. It returns the key's
-// row, or -1 and the index position an insert of it would take. The index
-// must have been sized: intern does it, a table that holds a row has one.
+// lookup probes the index for the key at vals' columns cols, whose hash is
+// h. It returns the key's row, or -1 and the index position an insert of it
+// would take. The index must have been sized: intern does it, a table that
+// holds a row has one.
 //
 //pace:hotpath
-func (t *keyTable) lookup(h uint32, key []stream.Value) (row int32, at uint32) {
+func (t *keyTable) lookup(h uint32, vals []stream.Value, cols []int) (row int32, at uint32) {
 	mask := uint32(len(t.index) - 1)
 	for at = h & mask; t.index[at] != 0; at = (at + 1) & mask {
 		e := t.index[at]
 		if uint32(e>>32) == h {
-			if row := int32(uint32(e)) - 1; sameKey(t.key(row), key) {
+			if row := int32(uint32(e)) - 1; sameKey(t.key(row), vals, cols) {
 				return row, at
 			}
 		}
@@ -225,29 +235,32 @@ func (t *keyTable) lookup(h uint32, key []stream.Value) (row int32, at uint32) {
 	return -1, at
 }
 
-// intern returns the row of key, appending one for a key the table has not
-// seen.
+// intern returns the row of the key at vals' columns cols, appending one for
+// a key the table has not seen.
 //
 //pace:hotpath
-func (t *keyTable) intern(h uint32, key []stream.Value) (row int32, added bool) {
+func (t *keyTable) intern(h uint32, vals []stream.Value, cols []int) (row int32, added bool) {
 	if 2*(t.n+1) > len(t.index) {
 		t.grow()
 	}
-	row, at := t.lookup(h, key)
+	row, at := t.lookup(h, vals, cols)
 	if row >= 0 {
 		return row, false
 	}
-	return t.add(at, h, key), true
+	return t.add(at, h, vals, cols), true
 }
 
-// add appends a row for key and points the index entry at — the position
-// lookup returned for it, empty or the key's own — to the new row.
+// add appends a row for the key at vals' columns cols — the one copy of it
+// the table makes — and points the index entry at — the position lookup
+// returned for it, empty or the key's own — to the new row.
 //
 //pace:hotpath
-func (t *keyTable) add(at, h uint32, key []stream.Value) int32 {
+func (t *keyTable) add(at, h uint32, vals []stream.Value, cols []int) int32 {
 	row := int32(t.n)
 	t.index[at] = uint64(h)<<32 | uint64(row+1)
-	t.vals = append(t.vals, key...) //pace:allow-alloc amortised arena growth; a recycled table already has the capacity
+	for _, c := range cols {
+		t.vals = append(t.vals, vals[c]) //pace:allow-alloc amortised arena growth; a recycled table already has the capacity
+	}
 	t.n++
 	return row
 }
@@ -279,32 +292,29 @@ func (t *keyTable) clear() {
 	t.vals, t.n = t.vals[:0], 0
 }
 
-// intern returns the slot of key's live group, appending an empty group for a
-// key the window does not hold — one it has not seen, or one whose slot was
-// purged: the tombstone keeps its place and the index entry is repointed to
-// the fresh slot. A restored twin never saw the tombstone and appends too, so
-// both hold the group at the end.
+// intern returns the slot of the live group keyed at vals' columns cols,
+// appending an empty group for a key the window does not hold — one it has
+// not seen, or one whose slot was purged: the tombstone keeps its place and
+// the index entry is repointed to the fresh slot. A restored twin never saw
+// the tombstone and appends too, so both hold the group at the end.
 //
 //pace:hotpath
-func (w *aggWindow) intern(h uint32, key []stream.Value) int32 {
+func (w *aggWindow) intern(h uint32, vals []stream.Value, cols []int) int32 {
 	if 2*(w.n+1) > len(w.index) {
 		w.grow()
 	}
-	slot, at := w.lookup(h, key)
+	slot, at := w.lookup(h, vals, cols)
 	if slot >= 0 && !w.groups[slot].dead {
 		return slot
 	}
 	w.groups = append(w.groups, emptyGroup) //pace:allow-alloc amortised slab growth; a recycled window already has the capacity
-	return w.add(at, h, key)
+	return w.add(at, h, vals, cols)
 }
 
 // purge removes one live group. Its slot becomes a tombstone.
 func (w *aggWindow) purge(slot int32) {
 	w.groups[slot].dead = true
 	w.dead++
-	if w.last == slot {
-		w.last = -1 // the next upsert must go through intern, past the tombstone
-	}
 }
 
 // closeFirst drops the open window with the smallest id, whole, and keeps
@@ -322,17 +332,18 @@ func (s *aggStore) closeFirst() {
 	if len(s.spare) < aggSpareWindows {
 		w.keyTable.clear() // a spare must not pin the strings of a closed window
 		w.groups = w.groups[:0]
-		w.last, w.dead = -1, 0
+		w.dead = 0
 		s.spare = append(s.spare, w)
 	}
 }
 
 // restore sets the accumulator of (wid, key) to a decoded one. Groups the
 // window does not hold take slots in the order they are restored, which is
-// the order the capturing store held them in.
+// the order the capturing store held them in. The key is hashed as a fold
+// hashes it in place, so later tuples of the group find it.
 func (s *aggStore) restore(wid int64, key []stream.Value, acc aggGroup) (*aggWindow, int32) {
 	w := s.window(wid)
-	slot := w.intern(hashKey(key), key)
+	slot := w.intern(hashKey(key, s.cols), key, s.cols)
 	w.groups[slot] = acc
 	return w, slot
 }
@@ -358,10 +369,11 @@ func (c *aggCapture) key(i int32) []stream.Value { return c.vals[int(i)*c.k : (i
 // capture copies the live groups, window by window in slot order.
 func (s *aggStore) capture() *aggCapture {
 	n := s.live()
-	c := &aggCapture{k: s.k,
+	k := len(s.cols)
+	c := &aggCapture{k: k,
 		wins:   make([]aggCapWindow, 0, len(s.wins)),
 		groups: make([]aggGroup, 0, n),
-		vals:   make([]stream.Value, 0, n*s.k)}
+		vals:   make([]stream.Value, 0, n*k)}
 	for _, w := range s.wins {
 		before := len(c.groups)
 		for slot := range w.groups {

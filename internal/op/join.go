@@ -249,19 +249,17 @@ func (j *Join) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
 //pace:hotpath
 func (j *Join) apply(side int, t stream.Tuple, ctx exec.Context) {
 	mine, other := &j.store.sides[side], &j.store.sides[1-side]
-	key := t.AppendProjected(j.store.key[:0], mine.cols)
-	j.store.key = key
-	h := hashKey(key)
-	if side == 0 && j.Impatient && j.store.asked.first(h, key) < 0 {
+	h := hashKey(t.Values, mine.cols)
+	if side == 0 && j.Impatient && j.store.asked.first(h, t.Values, mine.cols) < 0 {
 		ts := int64(math.MaxInt64)
 		if j.askedTs >= 0 {
-			ts = key[j.askedTs].I
+			ts = t.Values[mine.cols[j.askedTs]].I
 		}
-		j.store.asked.link(joinEntry{t: stream.Tuple{Values: slices.Clone(key)}, ts: ts, hash: h}, key) //pace:allow-alloc one copy of the key per distinct key asked for
+		j.store.asked.link(joinEntry{t: stream.Tuple{Values: t.AppendProjected(nil, mine.cols)}, ts: ts, hash: h}) //pace:allow-alloc one copy of the key per distinct key asked for
 		j.sendImpatient(t, ctx)
 	}
 	matched := false
-	for i := other.first(h, key); i >= 0; i = other.entries[i].next {
+	for i := other.first(h, t.Values, mine.cols); i >= 0; i = other.entries[i].next {
 		l, r := t, other.entries[i].t
 		if side == 1 {
 			l, r = r, l
@@ -276,7 +274,7 @@ func (j *Join) apply(side int, t stream.Tuple, ctx exec.Context) {
 	if j.ThriftyWindow != nil && j.ThriftyProbe == side {
 		j.countProbe(ts)
 	}
-	mine.link(joinEntry{t: mine.keep(t), ts: ts, hash: h, matched: matched}, key)
+	mine.link(joinEntry{t: mine.keep(t), ts: ts, hash: h, matched: matched})
 	j.runAdaptive(side, t, ctx)
 }
 

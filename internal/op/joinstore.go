@@ -14,7 +14,6 @@ type joinStore struct {
 	// feedback for: the key's values as a tuple of their own, purged like any
 	// other entry once left punctuation proves the key cannot recur.
 	asked joinSide
-	key   []stream.Value // the arriving tuple's key, gathered; reused
 }
 
 // joinSide holds one input's entries by value in a slab in arrival order,
@@ -49,14 +48,10 @@ type joinChain struct{ head, tail int32 }
 // reset empties the store. cols are the key columns of the left and the
 // right input.
 func (s *joinStore) reset(left, right []int) {
-	asked := make([]int, len(left))
-	for i := range asked {
-		asked[i] = i
-	}
 	*s = joinStore{}
 	s.sides[0].reset(left)
 	s.sides[1].reset(right)
-	s.asked.reset(asked)
+	s.asked.reset(identCols(len(left)))
 }
 
 // all lists the sides in the order blobs hold them.
@@ -66,15 +61,17 @@ func (s *joinSide) reset(cols []int) {
 	*s = joinSide{cols: cols, keys: keyTable{k: len(cols)}, minTs: math.MaxInt64}
 }
 
-// first returns the slab position of the oldest entry holding key, whose
-// hash is h, or -1; entries[i].next walks on from it.
+// first returns the slab position of the oldest entry holding the key at
+// vals' columns cols, whose hash is h, or -1; entries[i].next walks on from
+// it. The key is matched where it lies: a probing tuple and its own side's
+// key columns.
 //
 //pace:hotpath
-func (s *joinSide) first(h uint32, key []stream.Value) int32 {
+func (s *joinSide) first(h uint32, vals []stream.Value, cols []int) int32 {
 	if s.keys.n == 0 {
 		return -1
 	}
-	row, _ := s.keys.lookup(h, key)
+	row, _ := s.keys.lookup(h, vals, cols)
 	if row < 0 {
 		return -1
 	}
@@ -102,14 +99,14 @@ func (s *joinSide) keep(t stream.Tuple) stream.Tuple {
 	return stream.Tuple{Values: vals, Seq: t.Seq}
 }
 
-// link puts e at the end of the slab and of its key's chain; key is its key
-// on this side, e.hash the key's hash. An arriving tuple's entry holds the
-// side's own copy of it (keep).
+// link puts e at the end of the slab and of its key's chain: the key at this
+// side's columns of e's tuple, whose hash is e.hash. An arriving tuple's
+// entry holds the side's own copy of it (keep).
 //
 //pace:hotpath
-func (s *joinSide) link(e joinEntry, key []stream.Value) {
+func (s *joinSide) link(e joinEntry) {
 	at := int32(len(s.entries))
-	row, added := s.keys.intern(e.hash, key)
+	row, added := s.keys.intern(e.hash, e.t.Values, s.cols)
 	if added {
 		s.chains = append(s.chains, joinChain{head: at, tail: at}) //pace:allow-alloc amortised growth, one chain per distinct key held
 	} else {
@@ -149,10 +146,8 @@ func (s *joinSide) removeWhere(doomed func(*joinEntry) bool, victim func(*joinEn
 	live := s.entries[:kept]
 	s.entries, s.chains = s.entries[:0], s.chains[:0]
 	s.keys.clear()
-	var key []stream.Value
 	for i := range live {
-		key = live[i].t.AppendProjected(key[:0], s.cols)
-		s.link(live[i], key)
+		s.link(live[i])
 	}
 	return removed
 }
@@ -169,11 +164,9 @@ func (s *joinSide) purgeThrough(wm int64, victim func(*joinEntry)) {
 
 // load links decoded entries, in arrival order, onto an emptied side.
 func (s *joinSide) load(entries []joinEntry) {
-	var key []stream.Value
 	for i := range entries {
 		e := entries[i]
-		key = e.t.AppendProjected(key[:0], s.cols)
-		e.hash = hashKey(key)
-		s.link(e, key)
+		e.hash = hashKey(e.t.Values, s.cols)
+		s.link(e)
 	}
 }

@@ -146,3 +146,48 @@ func TestPrioritizeRetainsPendingAfterSlabRecycled(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeRetainsForwardedSlabs: MERGE forwards the headers of the tuples it
+// passes, whose values stay in the slabs of the pages that delivered them. Its
+// inputs arrive rebuilt in recycled slabs, and its output crosses a ring to a
+// second MERGE on another goroutine, which reads each run after the first has
+// released the page it came on: the page MERGE emits on must keep those slabs
+// alive until then.
+func TestMergeRetainsForwardedSlabs(t *testing.T) {
+	const n = 6000
+	var in [2][]stream.Tuple
+	for i := int64(0); i < n; i++ {
+		in[0] = append(in[0], probe(0, i, float64(i)+0.5))
+		in[1] = append(in[1], probe(1, i, float64(i)+0.25))
+	}
+	g := exec.NewGraph()
+	rebuilt := func(name string, ts []stream.Tuple) exec.Port {
+		return exec.From(g.Add(&rebuild{schema: probeSchema}, exec.From(g.AddSource(exec.NewSliceSource(name, probeSchema, ts...)))))
+	}
+	inner := g.Add(&Merge{OpName: "inner", Schema: probeSchema}, rebuilt("a", in[0]), rebuilt("b", in[1]))
+	outer := g.Add(&Merge{OpName: "outer", Schema: probeSchema}, exec.From(inner), exec.From(g.AddSource(exec.NewSliceSource("none", probeSchema))))
+	sink := exec.NewCollector("sink", probeSchema)
+	g.Add(sink, exec.From(outer))
+	testguard.Within(t, time.Minute, func() {
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, e := range g.Edges() {
+		if e.Producer == "inner" && e.Direct {
+			t.Fatal("inner → outer is chained: the test needs a ring between the two merges")
+		}
+	}
+	var got [2][]stream.Tuple
+	for _, tp := range sink.Tuples() {
+		if seg := tp.At(0); seg.Kind != stream.KindInt || seg.I < 0 || seg.I > 1 {
+			t.Fatalf("a forwarded tuple reads %v: its slab was recycled under it", tp)
+		}
+		got[tp.At(0).I] = append(got[tp.At(0).I], tp)
+	}
+	for i := range in {
+		if !slices.EqualFunc(got[i], in[i], func(a, b stream.Tuple) bool { return slices.EqualFunc(a.Values, b.Values, stream.Value.Equal) }) {
+			t.Fatalf("input %d: %d tuples arrived through both merges, not the %d sent as they were sent", i, len(got[i]), n)
+		}
+	}
+}

@@ -107,7 +107,7 @@ func (a *Aggregate) decodeGroups(dec *snapshot.Decoder, st *aggStore) ([]aggRef,
 			if dec.Err() != nil {
 				break
 			}
-			if len(key) != st.k {
+			if len(key) != len(st.cols) {
 				return nil, a.errGroupWidth(len(key))
 			}
 			w, slot := st.restore(wid, key, acc)
