@@ -8,15 +8,23 @@
 //	            reporting the fraction of imputed tuples that became useless
 //	speedmap    Figure 7: the speed-map plan under schemes F0–F3 across
 //	            feedback frequencies, F0 the 100% baseline
-//	all         the three in order, as one report
+//	figure1b    Figure 1(b): the motivating speed map, probe data cleaned and
+//	            aggregated for an outer join with sensor data, without and
+//	            with the join's congestion feedback
+//	zoom        §3.3: the map viewer zooms in and out, its assumed feedback
+//	            expiring with the stream's punctuation
+//	demanded    §3.4: the currency speculator demands a partial average
+//	desired     §3.4: the impatient join asks PRIORITIZE for its subset first
+//	all         every section in order, as one report
 //
 // Usage:
 //
-//	experiments [-quick] <tables|imputation|speedmap|all>
+//	experiments [-quick] <tables|imputation|speedmap|figure1b|zoom|demanded|desired|all>
 //
 // -quick shrinks the workloads (~10× faster) while preserving every shape
-// the paper reports. Performance is measured elsewhere: bench/ (see
-// BENCHMARK.json) is the engine's benchmark.
+// the paper reports; the three §3 scenarios are small at either scale.
+// Performance is measured elsewhere: bench/ (see BENCHMARK.json) is the
+// engine's benchmark.
 package main
 
 import (
@@ -40,6 +48,10 @@ var sections = []section{
 	{"tables", "--- Tables 1 & 2: operator characterizations ---", runTables},
 	{"imputation", "--- Figures 5 & 6: imputation plan without / with feedback ---", runImputation},
 	{"speedmap", "--- Figure 7: speed-map schemes × feedback frequency ---", runSpeedmap},
+	{"figure1b", "--- Figure 1(b): the speed map without / with congestion feedback ---", runFigure1b},
+	{"zoom", "--- §3.3: the map viewer zooms (event-driven assumed feedback) ---", scenario(experiments.Zoom)},
+	{"demanded", "--- §3.4: the currency speculator (demanded feedback) ---", scenario(experiments.Demanded)},
+	{"desired", "--- §3.4: the impatient join (desired feedback) ---", scenario(experiments.Desired)},
 }
 
 func main() {
@@ -136,4 +148,38 @@ func runSpeedmap(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "Paper (Figure 7): F1 ≈ 50%, F2 ≈ 39%, F3 ≈ 35% of the F0 baseline;")
 	fmt.Fprintln(w, "execution time flat in feedback frequency.")
 	return nil
+}
+
+func runFigure1b(w io.Writer, quick bool) error {
+	hours := 3 // 6:30 to 9:30, through the morning rush
+	if quick {
+		hours = 1
+	}
+	var rows [2][2]int64
+	for i, fb := range []bool{false, true} {
+		r, err := experiments.RunFigure1b(fb, hours)
+		if err != nil {
+			return err
+		}
+		rows[i] = [2]int64{r.Joined, r.SensorOnly}
+		label := "without feedback:"
+		if fb {
+			label = "with feedback:"
+		}
+		fmt.Fprintf(w, "%-17s %d map rows joined with probe data, %d sensor-only (outer); %d probe readings cleaned\n",
+			label, r.Joined, r.SensorOnly, r.CleanerInput)
+		if fb {
+			fmt.Fprintf(w, "  the join sent %d adaptive feedback punctuations; saved, as the schedule allows:\n", r.AdaptiveSent)
+			fmt.Fprintf(w, "  %d probe readings never generated, %d suppressed before the cleaning cost\n", r.ProbesSkipped, r.CleanerSkipped)
+		}
+	}
+	if rows[0] != rows[1] {
+		fmt.Fprintln(w, "VIOLATION: the feedback changed the map")
+	}
+	return nil
+}
+
+// scenario is a section that runs at one scale.
+func scenario(run func(io.Writer) error) func(io.Writer, bool) error {
+	return func(w io.Writer, _ bool) error { return run(w) }
 }

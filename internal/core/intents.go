@@ -120,8 +120,6 @@ func (r DemandedReport) Err() error {
 
 // CheckDemanded verifies the demanded-punctuation contract between a
 // reference run and an actual run with !f exploited.
-//
-//pace:allow-unreached §8's demanded-feedback reference check; ROADMAP item 24's experiment runs it, or the demanded branches go
 func CheckDemanded(reference, actual []stream.Tuple, f Feedback) DemandedReport {
 	rep := DemandedReport{}
 	remaining := map[string]int{}

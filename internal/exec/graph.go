@@ -126,8 +126,8 @@ type Graph struct {
 func NewGraph() *Graph { return &Graph{opts: queue.DefaultOptions()} }
 
 // SetQueueOptions overrides the inter-operator connection configuration for
-// edges wired afterwards (tests and examples shrink the page so that short
-// streams cross it).
+// edges wired afterwards (tests and the experiments shrink the page so that
+// short streams cross it).
 func (g *Graph) SetQueueOptions(opts queue.Options) { g.opts = opts }
 
 // AddSource adds a self-driving source node.

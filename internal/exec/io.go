@@ -15,9 +15,9 @@ import (
 )
 
 // SliceSource replays a fixed sequence of items (tuples and punctuation).
-// It is the workhorse source of tests and examples. If FeedbackAware is
-// set, tuples matching a received assumed-feedback pattern are skipped at
-// the source — the strongest possible exploitation.
+// It is the workhorse source of tests. If FeedbackAware is set, tuples
+// matching a received assumed-feedback pattern are skipped at the source —
+// the strongest possible exploitation.
 type SliceSource struct {
 	Responding
 	snapshot.State
@@ -28,9 +28,11 @@ type SliceSource struct {
 	// without materializing a queue.Item per element, before anything in
 	// Items. NewSliceSource fills it; callers may still append
 	// punctuation to Items and it plays after the tuples.
-	Tuples        []stream.Tuple
+	Tuples []stream.Tuple
+	//pace:allow-unreached removing it moves the slice source's state golden
 	FeedbackAware bool
 	// BatchSize items are emitted per Next call (default 16).
+	//pace:allow-unreached tests size a Next call to land feedback at a chosen position
 	BatchSize int
 
 	pos     int
@@ -135,6 +137,8 @@ func (s *SliceSource) item(pos int) queue.Item {
 }
 
 // Skipped returns how many tuples guards suppressed at the source.
+//
+//pace:allow-unreached reads what FeedbackAware suppressed, and goes with it
 func (s *SliceSource) Skipped() int64 { return s.skipped }
 
 // ReaderSource streams tuples decoded from an io.Reader in the text codec

@@ -14,7 +14,6 @@ import (
 	"repro/internal/punct"
 	"repro/internal/stream"
 	"repro/internal/window"
-	"repro/internal/work"
 )
 
 // Scheme is one of Figure 7's optimization schemes.
@@ -101,26 +100,27 @@ type SpeedmapResult struct {
 	Feedbacks int64
 }
 
-// viewer is the sink: it renders the visible segment of the speed map and
+// viewer is the sink: it renders the visible segments of the speed map and
 // — for schemes F1+ — produces assumed feedback describing the subset it
-// will ignore: every *other* segment, for the upcoming switch period. The
+// will ignore: the segments off screen, for the upcoming switch period. The
 // feedback's temporal extent keeps guards expirable (§4.4): each period's
-// pattern is eventually covered by wstart punctuation and released.
+// pattern is eventually covered by wstart punctuation and released, so
+// showing a segment again needs no retraction.
 //
 //pace:stateless experiment harness sink; each run starts from scratch, restore is never exercised
 type viewer struct {
 	exec.Base
-	schema     stream.Schema
-	scheme     Scheme
-	switchUS   int64
-	segments   int64
-	renderCost int
+	schema   stream.Schema
+	scheme   Scheme
+	switchUS int64
+	// hidden is the segment predicate of what is off screen during a
+	// period, if anything is.
+	hidden func(period int64) (punct.Pred, bool)
 
 	mu        sync.Mutex
 	announced int64 // last period announced
 	results   int64
 	feedbacks int64
-	meter     work.Meter
 	seq       int64
 }
 
@@ -128,17 +128,11 @@ func (v *viewer) Name() string                { return "map-viewer" }
 func (v *viewer) InSchemas() []stream.Schema  { return []stream.Schema{v.schema} }
 func (v *viewer) OutSchemas() []stream.Schema { return nil }
 
-// visibleSegment returns the segment on screen during the given period.
-func (v *viewer) visibleSegment(period int64) int64 { return period % v.segments }
-
 // ProcessTuple implements exec.Operator: render the result cell.
 func (v *viewer) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 	v.mu.Lock()
 	v.results++
 	v.mu.Unlock()
-	if v.renderCost > 0 {
-		v.meter.Do(v.renderCost)
-	}
 	return nil
 }
 
@@ -163,13 +157,16 @@ func (v *viewer) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 	return nil
 }
 
-// announce sends ¬[segment ≠ visible(p), wstart ∈ period p, *] upstream.
+// announce sends ¬[hidden(p), wstart ∈ period p, *] upstream.
 func (v *viewer) announce(period int64, ctx exec.Context) {
-	visible := v.visibleSegment(period)
+	off, ok := v.hidden(period)
+	if !ok {
+		return
+	}
 	lo := period * v.switchUS
 	hi := (period+1)*v.switchUS - 1
 	pat := punct.NewPattern(
-		punct.Ne(stream.Int(visible)),
+		off,
 		punct.Range(stream.TimeMicros(lo), stream.TimeMicros(hi)),
 		punct.Wild,
 	)
@@ -239,11 +236,14 @@ func speedmapPlan(b *plan.Builder, cfg SpeedmapConfig) speedmap {
 			Mode: aggMode, Propagate: propagate,
 		},
 	}
+	segments := int64(cfg.Segments)
 	h.view = &viewer{
 		schema:   h.avg.OutSchemas()[0],
 		scheme:   cfg.Scheme,
 		switchUS: int64(cfg.SwitchEveryMinutes) * 60_000_000,
-		segments: int64(cfg.Segments),
+		// The vehicle viewing the map follows one segment, the next one
+		// every switch period.
+		hidden: func(period int64) (punct.Pred, bool) { return punct.Ne(stream.Int(period % segments)), true },
 	}
 	b.Source(h.src).Through(h.quality).Through(h.avg).Into(h.view)
 	return h

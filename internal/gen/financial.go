@@ -10,7 +10,7 @@ import (
 )
 
 // TickSchema is the currency-tick schema for the §3.4 demanded-punctuation
-// example: (pair, ts, rate).
+// scenario: (pair, ts, rate).
 var TickSchema = stream.MustSchema(
 	stream.F("pair", stream.KindString),
 	stream.F("ts", stream.KindTime),
@@ -48,7 +48,7 @@ func (c TickConfig) withDefaults() TickConfig {
 
 // TickSource streams random-walk exchange rates in timestamp order,
 // punctuating once per stream second. It ignores feedback (exec.Base): the
-// demanded-punctuation consumer in the example is the aggregate.
+// demanded-punctuation consumer in the scenario is the aggregate.
 type TickSource struct {
 	exec.Base
 	snapshot.State

@@ -56,6 +56,7 @@ type TrafficConfig struct {
 	// Cost is burned per emitted tuple (models ingest/parse expense).
 	Cost int
 	// FeedbackAware lets assumed feedback suppress generation.
+	//pace:allow-unreached removing it moves the traffic source's state golden
 	FeedbackAware bool
 }
 

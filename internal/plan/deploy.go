@@ -262,6 +262,8 @@ func (d *Deployment) Persisted() int64 {
 // Kill stops the running part as a crash would: its connections close before
 // its nodes stop, so no closing sink sends an end of stream and each peer
 // sees the link drop. Run returns exec.ErrKilled.
+//
+//pace:allow-unreached the in-process crash of the kill-and-restore tests; a supervised process dies by SIGKILL instead (cmd/supervise)
 func (d *Deployment) Kill() {
 	d.killed.Store(true)
 	closeAll(d.conns)

@@ -8,9 +8,9 @@ import (
 )
 
 // The codec is the reproduction's stand-in for NiagaraST's XML/SAXDOM ingest
-// path: a line-oriented, schema-directed text format. It exists so examples
-// can pipe realistic data through files and so tests can express fixtures
-// compactly; the feedback mechanism itself never depends on it.
+// path: a line-oriented, schema-directed text format. It exists so
+// cmd/paceql can pipe realistic data through files and so tests can express
+// fixtures compactly; the feedback mechanism itself never depends on it.
 
 // Encoder writes tuples as one comma-separated line each.
 type Encoder struct {
