@@ -29,7 +29,7 @@ func explainFor(t *testing.T, query string) string {
 
 // TestExplainStandaloneKernel pins the standalone-kernel rendering: a
 // stateless chain feeding a plain sink becomes a standalone fused node whose
-// kernel line is the flat step table, and the sink runs on its goroutine.
+// kernel line lists its constituents, and the sink runs on its goroutine.
 func TestExplainStandaloneKernel(t *testing.T) {
 	got := explainFor(t, "SELECT speed, segment FROM traffic WHERE speed >= 50")
 	want := ` 0: source traffic

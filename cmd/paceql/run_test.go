@@ -2,6 +2,9 @@ package main
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -25,5 +28,38 @@ func TestRunReportsFailedFlush(t *testing.T) {
 		plan.Catalog{"traffic": src}, true, false, failingWriter{})
 	if !errors.Is(err, errDiskFull) {
 		t.Fatalf("run = %v, want the flush error", err)
+	}
+}
+
+// TestRunCountsTiesAtAPunctuation runs a windowed COUNT over input whose
+// first window ends in three reports at one timestamp. The source's progress
+// punctuation comes after a tuple and promises only what ordered input does —
+// nothing more below its timestamp — so no report of the tie arrives after a
+// punctuation that closed its window, whatever the spacing.
+func TestRunCountsTiesAtAPunctuation(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "traffic.csv")
+	input := "7,1970-01-01T00:00:59.999999Z,50\n" +
+		"7,1970-01-01T00:00:59.999999Z,51\n" +
+		"7,1970-01-01T00:00:59.999999Z,52\n" +
+		"7,1970-01-01T00:01:00.000000Z,53\n"
+	if err := os.WriteFile(file, []byte(input), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, every := range []int{1, 2, 3, 100} {
+		name, src, closer, err := parseStreamSpec("traffic=segment:int,ts:time,speed:float@"+file, every)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		err = run("SELECT segment, COUNT(speed) FROM traffic GROUP BY segment WINDOW 1 MINUTE ON ts",
+			plan.Catalog{name: src}, true, false, &out)
+		_ = closer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		const want = "7,1970-01-01T00:00:00.000000Z,3\n7,1970-01-01T00:01:00.000000Z,1\n"
+		if got := out.String(); got != want {
+			t.Errorf("punctuation every %d tuples: got\n%swant\n%s", every, got, want)
+		}
 	}
 }

@@ -341,7 +341,8 @@ func relayKey(f Feedback) string { return f.Intent.Sigil() + f.Pattern.String() 
 // (§4.4), the one expiry rule for all feedback state. Output punctuation also
 // expires the relayed set: an entry goes once no held table covers it. The
 // runtime observes what an operator emits (Emitted); Observe is for what it
-// sees elsewhere: JOIN's input side, a fused kernel's steps.
+// sees elsewhere: JOIN's input side, the punctuation a fused kernel's
+// constituent relays inside the kernel.
 func (r *Responder[C]) Observe(stream int, e punct.Embedded) {
 	r.observePinned(stream, e)
 	if stream != Output {
@@ -434,6 +435,8 @@ func (r *Responder[C]) Exploited() int64 { return r.exploited.Load() }
 func (r *Responder[C]) Forwarded() int64 { return r.forwarded.Load() }
 
 // Trace returns the most recent responses, oldest first, at most TraceCap.
+//
+//pace:allow-unreached the response checks read it; ROADMAP item 4's feedback lifecycle trace is its first non-test reader
 func (r *Responder[C]) Trace() []Response {
 	n := min(r.traced, TraceCap)
 	out := make([]Response, 0, n)

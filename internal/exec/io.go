@@ -143,16 +143,18 @@ func (s *SliceSource) Skipped() int64 { return s.skipped }
 
 // ReaderSource streams tuples decoded from an io.Reader in the text codec
 // (one comma-separated tuple per line; see stream.Decoder). It can emit
-// progress punctuation on an ordered attribute and exploits assumed
-// feedback when FeedbackAware.
+// progress punctuation on an attribute the input is non-decreasing on, and
+// exploits assumed feedback when FeedbackAware.
 type ReaderSource struct {
 	Responding
 	snapshot.State
 	SourceName string
 	Schema     stream.Schema
 	R          io.Reader
-	// PunctAttr, when ≥ 0, emits […, ≤v, …] punctuation on that attribute
-	// every PunctEvery tuples (assumes the input is ordered on it).
+	// PunctAttr, when ≥ 0, emits […, <v, …] punctuation on that attribute
+	// after every PunctEvery-th tuple, v being that tuple's value. It assumes
+	// the input is non-decreasing on the attribute, which promises no more
+	// below v, and no more: later tuples may still equal v.
 	PunctAttr  int
 	PunctEvery int
 	// FeedbackAware lets assumed feedback suppress decoded tuples.
@@ -161,7 +163,6 @@ type ReaderSource struct {
 	dec     *stream.Decoder
 	guards  *core.GuardTable
 	count   int
-	lastV   stream.Value
 	skipped int64
 	// base is the byte offset the current decoder started at (non-zero
 	// after a restore seeked R); base+dec.Offset() is the replay position.
@@ -234,18 +235,18 @@ func (s *ReaderSource) Next(ctx Context) (bool, error) {
 	}
 	s.count++
 	t.Seq = int64(s.count)
-	if s.PunctAttr >= 0 {
-		s.lastV = t.At(s.PunctAttr)
-		if s.count%s.PunctEvery == 0 && !s.lastV.IsNull() {
-			e := punct.NewEmbedded(punct.OnAttr(s.Schema.Arity(), s.PunctAttr, punct.Le(s.lastV)))
-			ctx.EmitPunct(e)
-		}
+	var v stream.Value // the progress bound due after t; null (the zero Value) when none is
+	if s.PunctAttr >= 0 && s.count%s.PunctEvery == 0 {
+		v = t.At(s.PunctAttr)
 	}
 	if s.guards.Suppress(t) {
 		s.skipped++
-		return true, nil
+	} else {
+		ctx.Emit(t)
 	}
-	ctx.Emit(t)
+	if !v.IsNull() {
+		ctx.EmitPunct(punct.NewEmbedded(punct.OnAttr(s.Schema.Arity(), s.PunctAttr, punct.Lt(v))))
+	}
 	return true, nil
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/punct"
+	"repro/internal/queue"
 	"repro/internal/stream"
 )
 
@@ -37,6 +38,19 @@ func TestReaderSourceDecodes(t *testing.T) {
 	}
 	if n := len(tr.Out[0].Items()) - len(tuples); n != 1 {
 		t.Errorf("puncts: %d, want 1 (every 2 tuples)", n)
+	}
+	// A punctuation promises no more of what it matches.
+	var promised []punct.Pattern
+	for _, it := range tr.Out[0].Items() {
+		if it.Kind == queue.ItemPunct {
+			promised = append(promised, it.Punct.Pattern)
+			continue
+		}
+		for _, p := range promised {
+			if p.Matches(it.Tuple) {
+				t.Errorf("tuple %v follows punctuation %v, which matches it", it.Tuple, p)
+			}
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/queue"
 	"repro/internal/remote"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 	"repro/internal/window"
 )
 
@@ -166,18 +167,25 @@ func randPattern(rng *rand.Rand, sch stream.Schema) punct.Pattern {
 }
 
 // opStats is a constituent operator's accounting, read through its own
-// Stats, Counters and CostBurned: in, out, suppressed, punctuations
-// dropped, cost.
+// pace_op_* vars and a Select's CostBurned: in, out, suppressed,
+// punctuations dropped, cost.
 func opStats(o exec.Operator) (st [5]int64) {
-	switch o := o.(type) {
-	case *op.Select:
-		st[0], st[1], st[2] = o.Stats()
-		st[4] = o.CostBurned()
-	case interface{ Counters() *op.Counters }: // Map, and Project through it
-		c := o.Counters()
-		st[0], st[1], st[2], st[3] = c.In.Load(), c.Out.Load(), c.Suppressed.Load(), c.PunctDropped.Load()
+	at := map[string]int{"pace_op_tuples_in_total": 0, "pace_op_tuples_out_total": 1,
+		"pace_op_suppressed_tuples_total": 2, "pace_op_punct_dropped_total": 3}
+	for _, v := range o.(telemetry.VarExporter).TelemetryVars() {
+		if i, ok := at[v.Name]; ok {
+			st[i] = v.Value()
+		}
+	}
+	if s, ok := o.(*op.Select); ok {
+		st[4] = s.CostBurned()
 	}
 	return st
+}
+
+// trace is a constituent operator's own feedback response trace.
+func trace(o exec.Operator) []core.Response {
+	return o.(interface{ Trace() []core.Response }).Trace()
 }
 
 func TestFusedEqualsUnfusedProperty(t *testing.T) {
@@ -237,18 +245,9 @@ func TestFusedEqualsUnfusedProperty(t *testing.T) {
 				t.Fatalf("seed %d step %d (%s): fused (in out sup dropped cost) %v, unfused %v",
 					seed, i, o.Name(), got, want)
 			}
-			var responses []core.Response
-			switch o := o.(type) {
-			case *op.Select:
-				responses = o.Trace()
-			case *op.Project:
-				responses = o.Trace()
-			case *op.Map:
-				responses = o.Trace()
-			}
-			if !reflect.DeepEqual(responses, fused.StepTrace(i)) {
+			if got, want := trace(fusedOps[i]), trace(o); !reflect.DeepEqual(want, got) {
 				t.Fatalf("seed %d step %d (%s): response traces diverge\nunfused: %+v\nfused:   %+v",
-					seed, i, o.Name(), responses, fused.StepTrace(i))
+					seed, i, o.Name(), want, got)
 			}
 		}
 	}

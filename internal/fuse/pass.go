@@ -20,8 +20,8 @@ type Fusion struct {
 
 // Rewrite compiles an assembled, not-yet-run graph in one scan. Every
 // operator that is not itself fusible anchors the chains that end at it: on
-// each of its inputs, the maximal run of fusible operators (Select, Project,
-// Map), each the sole consumer of the one before. An absorb target
+// each of its inputs, the maximal run of fusible operators (Select and Map,
+// projections included), each the sole consumer of the one before. An absorb target
 // (Aggregate, Join, Impute, Pace, exchange Split) takes all its chains, of any
 // length, as per-input prefix kernels (Prefixed): the prefix evaluates inside
 // the consumer's page loop and survivors take the batched stateful apply
@@ -29,7 +29,7 @@ type Fusion struct {
 // an already-compiled node) a chain of two or more collapses into one
 // standalone Fused node and a lone operator is left alone. A chain stops at:
 //
-//   - sources and any operator that is not Select/Project/Map;
+//   - sources and any operator that is not a Select or a Map;
 //   - any snapshot.Stater (stateful operators checkpoint per node, so their
 //     node identity must survive compilation);
 //   - nodes that are not 1-in/1-out (fan-in and fan-out);
@@ -153,14 +153,8 @@ func fusible(g *exec.Graph, id exec.NodeID) bool {
 	if _, stateful := o.(snapshot.Stater); stateful {
 		return false
 	}
-	switch o := o.(type) {
-	case *op.Select:
-	case mapper:
-		if o.Init() != nil {
-			return false // misconfigured; leave for prepare/Open to report
-		}
-	default:
-		return false
+	if _, err := constituentOf(o); err != nil {
+		return false // not Select or a mapping, or misconfigured: prepare/Open reports it
 	}
 	return len(o.InSchemas()) == 1 && g.NumOutputsAt(id) == 1
 }

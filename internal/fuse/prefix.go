@@ -1,13 +1,13 @@
 // Prefixed attaches stateless prefix kernels to a stateful consumer's input
-// ports. The kernel (a Fused step table) runs inside the consumer's page
-// loop — guard probe, compiled predicate, attribute mapping, survivors
-// gathered in the kernel's reused scratch buffer — and the survivors go
-// straight into the consumer's batched apply path (exec.TupleBatchApplier)
-// when it has one, or its per-tuple path otherwise. The wrapped node keeps the stateful operator's entire control
+// ports. The kernel (a Fused chain) runs inside the consumer's page loop —
+// each constituent's run method over the survivors in the kernel's reused
+// scratch buffer — and the survivors go straight into the consumer's batched
+// apply path (exec.TupleBatchApplier) when it has one, or its per-tuple path
+// otherwise. The wrapped node keeps the stateful operator's entire control
 // surface: barrier alignment is untouched (the runtime still sees one node),
 // snapshot capture/restore delegates to the inner operator (the prefix is
 // stateless, so capture↔restore shape is unchanged), and punctuation and
-// feedback traverse the kernel steps exactly as they would have hopped node
+// feedback traverse the constituents exactly as they would have hopped node
 // to node unfused (DESIGN.md §10.5).
 package fuse
 
@@ -114,7 +114,7 @@ func (p *Prefixed) wrap(ctx exec.Context) exec.Context {
 	return w
 }
 
-// Open implements exec.Operator: kernels build their guard tables, then the
+// Open implements exec.Operator: kernels open their constituents, then the
 // inner operator opens against the wrapped context.
 func (p *Prefixed) Open(ctx exec.Context) error {
 	for _, k := range p.kernels {
@@ -176,9 +176,9 @@ func (p *Prefixed) ProcessTupleBatch(input int, items []queue.Item, ctx exec.Con
 	return nil
 }
 
-// ProcessPunct implements exec.Operator: punctuation traverses the kernel
-// steps in chain order (observed by each step's guard table, re-expressed by
-// each mapping) before reaching the inner operator — a pattern consumed
+// ProcessPunct implements exec.Operator: punctuation traverses the kernel's
+// constituents in chain order (folded by each one's responder, re-expressed
+// by each mapping) before reaching the inner operator — a pattern consumed
 // inside the kernel stops exactly where the unfused chain would have stopped
 // it.
 func (p *Prefixed) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error {
@@ -196,7 +196,8 @@ func (p *Prefixed) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) e
 // ProcessFeedback implements exec.Operator: feedback lands on the inner
 // operator first (it is the downstream end of the absorbed chain); if the
 // inner operator propagates upstream, the wrapped context routes it through
-// that input's kernel steps in reverse order (see prefixedCtx.SendFeedback).
+// that input's kernel constituents in reverse order (see
+// prefixedCtx.SendFeedback).
 func (p *Prefixed) ProcessFeedback(output int, fb core.Feedback, ctx exec.Context) error {
 	return p.inner.ProcessFeedback(output, fb, p.wrap(ctx))
 }
@@ -266,9 +267,10 @@ func (p *Prefixed) String() string {
 }
 
 // prefixedCtx is the context the inner operator sees: identical to the
-// runtime's except that upstream feedback traverses the input's kernel steps
-// (reverse chain order, guard installs, pattern re-expression) before leaving
-// the node. Everything else, emission included, is the embedded context's.
+// runtime's except that upstream feedback traverses the input's kernel
+// constituents (reverse chain order, guard installs, pattern re-expression)
+// before leaving the node. Everything else, emission included, is the
+// embedded context's.
 type prefixedCtx struct {
 	exec.Context
 	p *Prefixed
@@ -282,7 +284,7 @@ func (c *prefixedCtx) Slab(n int) []stream.Value { return exec.Slab(c.Context, n
 // input's prefix kernel, exactly as it would hop through the unfused chain.
 func (c *prefixedCtx) SendFeedback(input int, fb core.Feedback) {
 	if k := c.p.Kernel(input); k != nil {
-		out, ok := k.applyFeedback(fb)
+		out, ok := k.applyFeedback(fb, c.Context)
 		if !ok {
 			return
 		}

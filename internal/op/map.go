@@ -2,6 +2,7 @@ package op
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -33,7 +34,7 @@ type Map struct {
 	fns      []func(stream.Tuple) stream.Value // per output attr; nil where carried
 	identity bool                              // every output attr carried in input order: no copy
 	guards   *core.GuardTable
-	c        Counters
+	c        counters
 }
 
 // MapAttr describes one output attribute of a Map.
@@ -122,14 +123,6 @@ func (m *Map) Init() error {
 	return nil
 }
 
-// Resolved returns the Map, its attribute mapping and, per output
-// attribute, the function that computes it (nil where carried), once Init
-// has succeeded. A Project promotes it, handing over the Map its Init
-// built: the fused kernel compiles either from this one description.
-func (m *Map) Resolved() (*Map, core.AttrMap, []func(stream.Tuple) stream.Value) {
-	return m, m.attrMap, m.fns
-}
-
 // Open implements exec.Operator.
 func (m *Map) Open(exec.Context) error {
 	if m.out.Arity() == 0 {
@@ -140,43 +133,86 @@ func (m *Map) Open(exec.Context) error {
 	return nil
 }
 
-// ProcessTuple implements exec.Operator.
+// Computes reports whether some output attribute is computed rather than
+// carried: a Map that only carries is a projection.
+func (m *Map) Computes() bool { return slices.Contains(m.attrMap.ToInput, -1) }
+
+// Width reports how many values MapRun writes per tuple: the output arity, or
+// 0 for a pure rename, whose tuples keep their input's Values (tuples are
+// immutable after emit, DESIGN.md §2.1).
+func (m *Map) Width() int {
+	if m.identity {
+		return 0
+	}
+	return len(m.attrMap.ToInput)
+}
+
+// ProcessTuple implements exec.Operator: a run of one through MapRun.
 //
 //pace:hotpath
 func (m *Map) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
-	m.c.In.Add(1)
-	// Carry-all maps (pure renames) share the input's Values: safe
-	// because tuples are immutable after emit (DESIGN.md §2.1).
-	out := t
-	if !m.identity {
-		vals := make([]stream.Value, len(m.Outs)) //pace:allow-alloc non-identity maps mint a new tuple whose values downstream owns
-		for i, src := range m.attrMap.ToInput {
-			if src >= 0 {
-				vals[i] = t.At(src)
-			} else {
-				vals[i] = m.fns[i](t)
-			}
-		}
-		out = stream.Tuple{Values: vals, Seq: t.Seq}
+	one := [1]stream.Tuple{t}
+	var vals []stream.Value
+	if w := m.Width(); w > 0 {
+		vals = make([]stream.Value, w) //pace:allow-alloc non-identity maps mint a new tuple whose values downstream owns
 	}
-	if m.guards.Suppress(out) {
-		m.c.Suppressed.Add(1)
-		return nil
+	if out := m.MapRun(one[:], vals); len(out) == 1 {
+		ctx.Emit(out[0])
 	}
-	m.c.Out.Add(1)
-	ctx.Emit(out)
 	return nil
 }
 
-// ProcessPunct implements exec.Operator: punctuation relays iff its bound
-// attributes are all carried (core.AttrMap.OutputPattern).
+// MapRun is the map's evaluation: it rebuilds the tuples of run through the
+// attribute mapping, column by column into vals (Width() values per tuple,
+// each row capped at its length so an append cannot reach the next), then
+// drops those its guards suppress, compacting in place. The counters move
+// once per run.
+//
+//pace:hotpath
+func (m *Map) MapRun(run []stream.Tuple, vals []stream.Value) []stream.Tuple {
+	in := len(run)
+	if w := m.Width(); w > 0 {
+		for o, src := range m.attrMap.ToInput {
+			if src >= 0 {
+				for i := range run {
+					vals[i*w+o] = run[i].Values[src]
+				}
+				continue
+			}
+			fn := m.fns[o]
+			for i := range run {
+				vals[i*w+o] = fn(run[i])
+			}
+		}
+		for i := range run {
+			run[i] = stream.Tuple{Values: vals[i*w : (i+1)*w : (i+1)*w], Seq: run[i].Seq}
+		}
+	}
+	run = m.c.suppress(m.guards, run)
+	m.c.count(in, len(run))
+	return run
+}
+
+// ProcessPunct implements exec.Operator through RelayPattern.
 func (m *Map) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
-	if relayed, ok := m.attrMap.OutputPattern(e.Pattern); ok {
+	if relayed, ok := m.RelayPattern(e.Pattern); ok {
 		ctx.EmitPunct(punct.NewEmbedded(relayed))
-	} else {
-		m.c.PunctDropped.Add(1)
 	}
 	return nil
+}
+
+// RelayPattern re-expresses punctuation p over the map's output, relayed iff
+// every attribute p binds is carried (core.AttrMap.OutputPattern; a pure
+// rename relays p itself). A punctuation it consumes is counted.
+func (m *Map) RelayPattern(p punct.Pattern) (punct.Pattern, bool) {
+	if m.identity {
+		return p, true
+	}
+	relayed, ok := m.attrMap.OutputPattern(p)
+	if !ok {
+		m.c.PunctDropped.Add(1)
+	}
+	return relayed, ok
 }
 
 // Characterize implements core.Characterizer: a computed attribute can be
@@ -184,9 +220,6 @@ func (m *Map) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 func (m *Map) Characterize(_ int, f core.Feedback) core.ResponsePlan {
 	return core.Stateless(f, guardBoth, m.attrMap)
 }
-
-// Counters returns the operator's counters, for a fused step to count into.
-func (m *Map) Counters() *Counters { return &m.c }
 
 // TelemetryVars implements telemetry.VarExporter.
 func (m *Map) TelemetryVars() []telemetry.Var {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/punct"
 	"repro/internal/queue"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 	"repro/internal/window"
 )
 
@@ -408,10 +409,14 @@ func TestFusedStepsEnactTheirConstituents(t *testing.T) {
 					if err := tr.Err; err != nil {
 						t.Fatal(err)
 					}
-					// Walk the constituents the way the feedback did.
+					// Walk the constituents the way the feedback did: each
+					// responds in its own trace and counts in its own vars.
 					cur, alive := f, true
 					for i := len(chain) - 1; i >= 0; i-- {
-						trace := fused.StepTrace(i)
+						trace := chain[i].(interface{ Trace() []core.Response }).Trace()
+						if got, want := feedbackReceived(chain[i]), int64(len(trace)); got != want {
+							t.Fatalf("step %d: pace_op_feedback_received_total %d, trace holds %d", i, got, want)
+						}
 						if !alive {
 							if len(trace) != 0 {
 								t.Fatalf("step %d responded to feedback that stopped below it", i)
@@ -434,4 +439,14 @@ func TestFusedStepsEnactTheirConstituents(t *testing.T) {
 			}
 		}
 	}
+}
+
+// feedbackReceived reads an operator's pace_op_feedback_received_total.
+func feedbackReceived(o exec.Operator) int64 {
+	for _, v := range o.(telemetry.VarExporter).TelemetryVars() {
+		if v.Name == "pace_op_feedback_received_total" {
+			return v.Value()
+		}
+	}
+	return -1
 }

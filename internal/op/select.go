@@ -44,7 +44,7 @@ type Select struct {
 	Propagate bool
 
 	guards *core.GuardTable
-	c      Counters
+	c      counters
 }
 
 // Name implements exec.Operator.
@@ -68,23 +68,44 @@ func (s *Select) Open(exec.Context) error {
 	return nil
 }
 
-// ProcessTuple implements exec.Operator.
+// ProcessTuple implements exec.Operator: a run of one through FilterRun.
 //
 //pace:hotpath
 func (s *Select) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
-	s.c.In.Add(1)
-	if s.guards.Suppress(t) {
-		s.c.Suppressed.Add(1)
-		return nil
-	}
-	if s.Cost > 0 {
-		s.c.Work.Do(s.Cost)
-	}
-	if (s.Expr == nil || s.Expr.Matches(t)) && (s.Cond == nil || s.Cond(t)) {
-		s.c.Out.Add(1)
-		ctx.Emit(t)
+	one := [1]stream.Tuple{t}
+	if out := s.FilterRun(one[:]); len(out) == 1 {
+		ctx.Emit(out[0])
 	}
 	return nil
+}
+
+// FilterRun is the select's evaluation: it keeps the tuples of run that its
+// guards do not suppress and its predicate keeps, compacted in place. Its
+// passes follow the work per tuple — the guard probe, Cost for each tuple
+// left, Expr, Cond — and the counters move once per run.
+//
+//pace:hotpath
+func (s *Select) FilterRun(run []stream.Tuple) []stream.Tuple {
+	in := len(run)
+	run = s.c.suppress(s.guards, run)
+	if s.Cost > 0 && len(run) > 0 {
+		s.c.Work.Do(s.Cost * len(run))
+	}
+	if s.Expr != nil {
+		run = s.Expr.Filter(run)
+	}
+	if s.Cond != nil {
+		k := 0
+		for _, t := range run {
+			if s.Cond(t) {
+				run[k] = t
+				k++
+			}
+		}
+		run = run[:k]
+	}
+	s.c.count(in, len(run))
+	return run
 }
 
 // ProcessPunct implements exec.Operator: a filter never weakens a
@@ -105,9 +126,6 @@ func (s *Select) Characterize(_ int, f core.Feedback) core.ResponsePlan {
 func (s *Select) Stats() (in, out, suppressed int64) {
 	return s.c.In.Load(), s.c.Out.Load(), s.c.Suppressed.Load()
 }
-
-// Counters returns the operator's counters, for a fused step to count into.
-func (s *Select) Counters() *Counters { return &s.c }
 
 // TelemetryVars implements telemetry.VarExporter.
 func (s *Select) TelemetryVars() []telemetry.Var {

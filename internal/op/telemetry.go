@@ -3,24 +3,54 @@ package op
 import (
 	"sync/atomic"
 
+	"repro/internal/core"
+	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/work"
 )
 
-// Counters is the one home of a stateless operator's (Select, Map)
-// tuple accounting and of the work its predicate burns. The operator counts
-// into it when it runs as its own node, and a fused kernel's step counts into
-// the same struct (internal/fuse), so Stats, CostBurned and the pace_op_*
-// series read the same whether the plan was compiled or not. The counters are
-// atomics so /metrics can scrape them while the plan runs; uncontended adds
-// cost a few ns, within the hot path's noise.
-type Counters struct {
+// counters is the one home of a stateless operator's (Select, Map) tuple
+// accounting and of the work its predicate burns. Its run methods (FilterRun,
+// MapRun) count into it once per run, whether the run is a page's worth in a
+// fused kernel (internal/fuse) or the one tuple of ProcessTuple, so Stats,
+// CostBurned and the pace_op_* series read the same whether the plan was
+// compiled or not. The counters are atomics so /metrics can scrape them while
+// the plan runs.
+type counters struct {
 	In, Out, Suppressed, PunctDropped atomic.Int64
 	Work                              work.Meter
 }
 
+// suppress drops the tuples of run that guards suppresses, compacting in
+// place, and counts them. An empty table (no feedback, or an ignoring
+// operator) costs one length check.
+//
+//pace:hotpath
+func (c *counters) suppress(guards *core.GuardTable, run []stream.Tuple) []stream.Tuple {
+	if guards.Active() == 0 {
+		return run
+	}
+	k := 0
+	for _, t := range run {
+		if !guards.Suppress(t) {
+			run[k] = t
+			k++
+		}
+	}
+	c.Suppressed.Add(int64(len(run) - k))
+	return run[:k]
+}
+
+// count records a run of in tuples of which out left the operator.
+//
+//pace:hotpath
+func (c *counters) count(in, out int) {
+	c.In.Add(int64(in))
+	c.Out.Add(int64(out))
+}
+
 // tupleVars renders the standard per-operator tuple accounting vars.
-func tupleVars(c *Counters) []telemetry.Var {
+func tupleVars(c *counters) []telemetry.Var {
 	return []telemetry.Var{
 		{Name: "pace_op_tuples_in_total", Help: "Tuples delivered to the operator.", Value: c.In.Load},
 		{Name: "pace_op_tuples_out_total", Help: "Tuples the operator emitted.", Value: c.Out.Load},
@@ -29,7 +59,7 @@ func tupleVars(c *Counters) []telemetry.Var {
 }
 
 // punctDroppedVar renders the punctuation a Map consumed.
-func punctDroppedVar(c *Counters) telemetry.Var {
+func punctDroppedVar(c *counters) telemetry.Var {
 	return telemetry.Var{
 		Name: "pace_op_punct_dropped_total", Help: "Punctuations consumed because bound attributes were dropped.",
 		Value: c.PunctDropped.Load,

@@ -142,8 +142,8 @@ func (b *Builder) EnableTelemetry(t *telemetry.Telemetry) *Builder {
 
 // Explain renders the (possibly compiled) plan, one line per node with its
 // input wiring — "(chained)" when the node runs on its producer's goroutine
-// (exec.Graph.Chained) — and fused nodes additionally render their kernel step
-// table, so fusion decisions are inspectable (cmd/paceql -explain). A placed
+// (exec.Graph.Chained) — and fused nodes additionally render their kernel's
+// constituents, so fusion decisions are inspectable (cmd/paceql -explain). A placed
 // plan renders each part under its name, the cut's remote sink and source
 // included.
 func (b *Builder) Explain() string {

@@ -261,8 +261,8 @@ func (p *parser) parseWhere(s Stream) (Stream, error) {
 		}
 		p.pos++
 	}
-	// Compiled flat evaluation (punct.Expr) instead of a closure tree: the
-	// same step table a fused kernel runs.
+	// Compiled flat evaluation (punct.Expr) instead of a closure tree: what
+	// the Select runs, fused or not (op.Select.FilterRun).
 	return s.SelectExpr("where", steps...), nil
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // opVars stands in for an operator's exported vars: two counters, read by
-// their closures at scrape time as op.Counters' are.
+// their closures at scrape time as a Select's or a Map's are.
 func opVars(in, out *atomic.Int64) []Var {
 	return []Var{
 		{Name: "pace_op_tuples_in_total", Help: "Tuples delivered to the operator.", Value: in.Load},
