@@ -23,6 +23,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/stream"
@@ -152,7 +153,7 @@ func parseStreamSpec(spec string, punctEvery int) (string, exec.Source, func() e
 		closer = f.Close
 	}
 	src := exec.NewReaderSource(name, schema, r)
-	src.FeedbackAware = true
+	src.Mode = core.ModeExploit
 	src.PunctEvery = punctEvery
 	for i := 0; i < schema.Arity(); i++ {
 		if schema.Field(i).Kind == stream.KindTime {

@@ -96,6 +96,23 @@ func (g *GuardTable) Suppress(t stream.Tuple) bool {
 	return g.suppressScan(t)
 }
 
+// Drop removes the tuples of run the table suppresses, compacting the
+// survivors in place, and returns them. An empty table returns run as is.
+//
+//pace:hotpath
+func (g *GuardTable) Drop(run []stream.Tuple) []stream.Tuple {
+	if len(g.guards) == 0 {
+		return run
+	}
+	kept := run[:0]
+	for _, t := range run {
+		if !g.suppressScan(t) {
+			kept = append(kept, t)
+		}
+	}
+	return kept
+}
+
 //pace:hotpath
 func (g *GuardTable) suppressScan(t stream.Tuple) bool {
 	for i := range g.guards {

@@ -254,7 +254,7 @@ func TestFeedbackFlowsUpstreamThroughRelay(t *testing.T) {
 		tuples[i] = intTuple(int64(i))
 	}
 	src := NewSliceSource("src", oneInt, tuples...)
-	src.FeedbackAware = true
+	src.Mode = core.ModeExploit
 	src.BatchSize = 1 // maximize interleaving so feedback can land mid-stream
 
 	relay := &passthrough{name: "relay", relay: true}
@@ -329,7 +329,7 @@ func TestEndToEndFeedbackSuppressesAtSource(t *testing.T) {
 		tuples[i] = intTuple(int64(i))
 	}
 	src := NewSliceSource("src", oneInt, tuples...)
-	src.FeedbackAware = true
+	src.Mode = core.ModeExploit
 	src.BatchSize = 8 // divides gateAt: a Next call ends exactly at the gate
 	relay := &passthrough{name: "relay", relay: true}
 	sink := &feedbackSink{
@@ -344,7 +344,7 @@ func TestEndToEndFeedbackSuppressesAtSource(t *testing.T) {
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := src.Skipped(); got != total-gateAt {
+	if got := src.Suppressed(); got != total-gateAt {
 		t.Errorf("source skipped %d tuples, want exactly %d", got, total-gateAt)
 	}
 	if len(relay.feedback) != 1 {

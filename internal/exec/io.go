@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/punct"
 	"repro/internal/queue"
 	"repro/internal/snapshot"
@@ -15,12 +14,10 @@ import (
 )
 
 // SliceSource replays a fixed sequence of items (tuples and punctuation).
-// It is the workhorse source of tests. If FeedbackAware is set, tuples
-// matching a received assumed-feedback pattern are skipped at the source —
-// the strongest possible exploitation.
+// It is the workhorse source of tests, and a Generator under the scripted
+// rule: its script's punctuation closes a run.
 type SliceSource struct {
-	Responding
-	snapshot.State
+	Generating
 	SourceName string
 	Schema     stream.Schema
 	Items      []queue.Item //pace:allow-unreached tests script punctuation after the tuples; the engine's sources carry tuples only
@@ -29,18 +26,11 @@ type SliceSource struct {
 	// Items. NewSliceSource fills it; callers may still append
 	// punctuation to Items and it plays after the tuples.
 	Tuples []stream.Tuple
-	//pace:allow-unreached removing it moves the slice source's state golden
-	FeedbackAware bool
-	// BatchSize items are emitted per Next call (default 16).
+	// BatchSize bounds the items one Next call plays (default 16).
 	//pace:allow-unreached tests size a Next call to land feedback at a chosen position
 	BatchSize int
 
-	pos     int
-	guards  *core.GuardTable
-	skipped int64
-	// batch backs the run-of-tuples fast path in Next; transient scratch,
-	// never part of captured state.
-	batch []stream.Tuple
+	pos int
 }
 
 // NewSliceSource builds a source over tuples only.
@@ -57,113 +47,53 @@ func (s *SliceSource) NeverBlocks() {}
 // OutSchemas implements Source.
 func (s *SliceSource) OutSchemas() []stream.Schema { return []stream.Schema{s.Schema} }
 
-// Open implements Source.
+// Open implements Source. The replay position is the durable state, so a
+// restored source resumes exactly behind the barrier it cut — the tuples
+// downstream did not capture are regenerated, nothing is replayed twice.
 func (s *SliceSource) Open(Context) error {
-	s.guards = s.BindSource(s.FeedbackAware, s.Schema.Arity())
-	// The durable state is the replay position plus the feedback guards, so a
-	// restored source resumes exactly behind the barrier it cut — the tuples
-	// downstream did not capture are regenerated, nothing is replayed twice.
-	s.Keep(s.SourceName, snapshot.Int(&s.pos), snapshot.Int64(&s.skipped), snapshot.Guards(s.guards),
-		snapshot.Then(func() error {
-			if total := len(s.Tuples) + len(s.Items); s.pos < 0 || s.pos > total {
-				return fmt.Errorf("exec: slice source %q: restored position %d outside replay log of %d items (source data changed?)",
-					s.SourceName, s.pos, total)
-			}
-			return nil
-		}))
+	s.Generate(s, Rule{}, snapshot.Int(&s.pos), snapshot.Then(func() error {
+		if total := len(s.Tuples) + len(s.Items); s.pos < 0 || s.pos > total {
+			return fmt.Errorf("exec: slice source %q: restored position %d outside replay log of %d items (source data changed?)",
+				s.SourceName, s.pos, total)
+		}
+		return nil
+	}))
 	return nil
 }
 
-// BindSource binds the responder of a source whose stream has the given
-// arity and returns its one guard table. A feedback-aware source is the
-// strongest exploiter there is — what it guards is never generated — and has
-// nothing upstream to relay to; an unaware one ignores what it is told.
-func (r *Responding) BindSource(aware bool, arity int) *core.GuardTable {
-	mode := core.ModeIgnore
-	if aware {
-		mode = core.ModeExploit
-	}
-	r.Bind(sourceRow{}, mode, false, 1, arity)
-	return r.OutTables()[0]
-}
-
-// sourceRow is a source's characterization: guard the output.
-type sourceRow struct{}
-
-// Characterize implements core.Characterizer.
-func (sourceRow) Characterize(_ int, f core.Feedback) core.ResponsePlan {
-	return core.Stateless(f, []core.Action{core.ActGuardOutput})
-}
-
-// Next implements Source. The logical stream is Tuples followed by Items; pos
-// indexes the concatenation. While the guard table is empty — always, for an
-// unaware source — runs of tuples go downstream in one emit each: feedback
-// arrives between calls, so no guard appears inside one.
-func (s *SliceSource) Next(ctx Context) (bool, error) {
+// Step implements Generator: the next BatchSize items of the stream, Tuples
+// followed by Items, up to and including the first punctuation. pos indexes
+// the concatenation.
+func (s *SliceSource) Step(run []stream.Tuple) (Run, error) {
 	n := s.BatchSize
 	if n <= 0 {
 		n = 16
 	}
-	total := len(s.Tuples) + len(s.Items)
-	for end := min(s.pos+n, total); s.pos < end; {
-		it := s.item(s.pos)
-		s.pos++
-		switch {
-		case it.Kind == queue.ItemPunct:
-			ctx.EmitPunct(*it.Punct)
-		case it.Kind != queue.ItemTuple:
-		case s.guards.Active() == 0:
-			run := append(s.batch[:0], it.Tuple)
-			for ; s.pos < end && s.item(s.pos).Kind == queue.ItemTuple; s.pos++ {
-				run = append(run, s.item(s.pos).Tuple)
-			}
-			ctx.EmitBatch(run)
-			s.batch = run[:0]
-		case s.guards.Suppress(it.Tuple):
-			s.skipped++
-		default:
-			ctx.Emit(it.Tuple)
-		}
+	end := min(s.pos+n, len(s.Tuples)+len(s.Items))
+	for ; s.pos < min(end, len(s.Tuples)); s.pos++ {
+		run = append(run, s.Tuples[s.pos])
 	}
-	return s.pos < total, nil
+	r, at := Replay(s.Items, s.pos-len(s.Tuples), end-len(s.Tuples), run)
+	s.pos = len(s.Tuples) + at
+	return r, nil
 }
-
-// item is item pos of the stream.
-func (s *SliceSource) item(pos int) queue.Item {
-	if pos < len(s.Tuples) {
-		return queue.TupleItem(s.Tuples[pos])
-	}
-	return s.Items[pos-len(s.Tuples)]
-}
-
-// Skipped returns how many tuples guards suppressed at the source.
-//
-//pace:allow-unreached reads what FeedbackAware suppressed, and goes with it
-func (s *SliceSource) Skipped() int64 { return s.skipped }
 
 // ReaderSource streams tuples decoded from an io.Reader in the text codec
-// (one comma-separated tuple per line; see stream.Decoder). It can emit
-// progress punctuation on an attribute the input is non-decreasing on, and
-// exploits assumed feedback when FeedbackAware.
+// (one comma-separated tuple per line; see stream.Decoder), one per step.
 type ReaderSource struct {
-	Responding
-	snapshot.State
+	Generating
 	SourceName string
 	Schema     stream.Schema
 	R          io.Reader
-	// PunctAttr, when ≥ 0, emits […, <v, …] punctuation on that attribute
-	// after every PunctEvery-th tuple, v being that tuple's value. It assumes
-	// the input is non-decreasing on the attribute, which promises no more
-	// below v, and no more: later tuples may still equal v.
+	// PunctAttr, when ≥ 0, is the progress attribute: every PunctEvery-th
+	// tuple closes its run with [PunctAttr < v], v being its value. That
+	// assumes the input is non-decreasing on the attribute, which promises no
+	// more below v, and no more: later tuples may still equal v.
 	PunctAttr  int
 	PunctEvery int
-	// FeedbackAware lets assumed feedback suppress decoded tuples.
-	FeedbackAware bool
 
-	dec     *stream.Decoder
-	guards  *core.GuardTable
-	count   int
-	skipped int64
+	dec   *stream.Decoder
+	count int
 	// base is the byte offset the current decoder started at (non-zero
 	// after a restore seeked R); base+dec.Offset() is the replay position.
 	base int64
@@ -183,12 +113,11 @@ func (s *ReaderSource) OutSchemas() []stream.Schema { return []stream.Schema{s.S
 // Open implements Source.
 func (s *ReaderSource) Open(Context) error {
 	s.dec = stream.NewDecoder(s.R, s.Schema)
-	s.guards = s.BindSource(s.FeedbackAware, s.Schema.Arity())
 	s.base = 0
 	if s.PunctEvery <= 0 {
 		s.PunctEvery = 100
 	}
-	s.Keep(s.SourceName, s.offsetField(), snapshot.Int(&s.count), snapshot.Int64(&s.skipped), snapshot.Guards(s.guards))
+	s.Generate(s, Rule{Progress: s.PunctAttr}, s.offsetField(), snapshot.Int(&s.count))
 	return nil
 }
 
@@ -224,30 +153,22 @@ func (s *ReaderSource) offsetField() snapshot.Field {
 	}
 }
 
-// Next implements Source: one tuple per call.
-func (s *ReaderSource) Next(ctx Context) (bool, error) {
+// Step implements Generator: one decoded tuple.
+func (s *ReaderSource) Step(run []stream.Tuple) (Run, error) {
 	t, err := s.dec.Decode()
 	if err == io.EOF {
-		return false, nil
+		return Run{Tuples: run}, nil
 	}
 	if err != nil {
-		return false, err
+		return Run{}, err
 	}
 	s.count++
 	t.Seq = int64(s.count)
-	var v stream.Value // the progress bound due after t; null (the zero Value) when none is
+	r := Run{Tuples: append(run, t), More: true}
 	if s.PunctAttr >= 0 && s.count%s.PunctEvery == 0 {
-		v = t.At(s.PunctAttr)
+		r.Upto = t.At(s.PunctAttr)
 	}
-	if s.guards.Suppress(t) {
-		s.skipped++
-	} else {
-		ctx.Emit(t)
-	}
-	if !v.IsNull() {
-		ctx.EmitPunct(punct.NewEmbedded(punct.OnAttr(s.Schema.Arity(), s.PunctAttr, punct.Lt(v))))
-	}
-	return true, nil
+	return r, nil
 }
 
 // Collector is a sink that records everything it receives. It is safe to

@@ -58,13 +58,13 @@ func TestReaderSourceFeedback(t *testing.T) {
 	schema := stream.MustSchema(stream.F("seg", stream.KindInt))
 	input := "1\n2\n1\n2\n1\n"
 	src := NewReaderSource("r", schema, strings.NewReader(input))
-	src.FeedbackAware = true
+	src.Mode = core.ModeExploit
 	tr := DriveSource(src, core.NewAssumed(punct.OnAttr(1, 0, punct.Eq(stream.Int(2)))))
 	if got := tr.Out[0].Tuples(); len(got) != 3 {
 		t.Fatalf("suppression: %v", got)
 	}
-	if src.skipped != 2 {
-		t.Errorf("skipped = %d", src.skipped)
+	if n := src.Suppressed(); n != 2 {
+		t.Errorf("suppressed = %d", n)
 	}
 }
 

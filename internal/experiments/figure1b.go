@@ -67,7 +67,6 @@ func figure1bPlan(b *plan.Builder, feedback bool, hours int) figure1b {
 			Segments: 9, VehiclesPerPeriod: 6, Period: period,
 			Duration: duration, Start: start,
 			NoiseRate: 0.05, Noise: 4, Seed: 1,
-			FeedbackAware: feedback,
 		}},
 		// Cleaning and aggregation carry real per-tuple cost (the paper's
 		// point: this is the work worth avoiding for uncongested segments).
@@ -89,6 +88,7 @@ func figure1bPlan(b *plan.Builder, feedback bool, hours int) figure1b {
 		},
 		adaptiveSent: new(atomic.Int64),
 	}
+	h.probes.Mode = mode
 	sensors := &gen.TrafficSource{Config: gen.TrafficConfig{
 		Segments: 9, DetectorsPerSegment: 1, ReportPeriod: period,
 		Duration: duration, Start: start, Noise: 2, Seed: 2,
@@ -142,7 +142,7 @@ func runFigure1b(feedback bool, hours int, compile bool) (Figure1bResult, error)
 	res.Joined, res.SensorOnly = js.Emitted, js.OuterEmitted
 	res.CleanerInput, _, res.CleanerSkipped = h.clean.Stats()
 	res.AggFoldsSkipped = h.agg.Stats().InSuppressed
-	_, res.ProbesSkipped = h.probes.Stats()
+	res.ProbesSkipped = h.probes.Suppressed()
 	res.AdaptiveSent = h.adaptiveSent.Load()
 	return res, nil
 }

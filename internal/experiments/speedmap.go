@@ -92,7 +92,6 @@ type SpeedmapResult struct {
 	Config    SpeedmapConfig
 	Elapsed   time.Duration
 	WorkUnits int64 // deterministic cost proxy (machine independent)
-	Inputs    int64
 	Results   int64
 	Agg       op.AggregateStats
 	FilterIn  int64
@@ -263,7 +262,6 @@ func runSpeedmap(cfg SpeedmapConfig, compile bool) (SpeedmapResult, error) {
 		return res, fmt.Errorf("speedmap run %v: %w", cfg.Scheme, err)
 	}
 	res.Elapsed = time.Since(start)
-	res.Inputs, _ = h.src.Stats()
 	res.Agg = h.avg.Stats()
 	res.Results = res.Agg.Out
 	res.FilterIn, _, res.FilterSup = h.quality.Stats()

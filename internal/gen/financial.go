@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/exec"
-	"repro/internal/punct"
 	"repro/internal/snapshot"
 	"repro/internal/stream"
 )
@@ -46,12 +45,12 @@ func (c TickConfig) withDefaults() TickConfig {
 	return c
 }
 
-// TickSource streams random-walk exchange rates in timestamp order,
-// punctuating once per stream second. It ignores feedback (exec.Base): the
-// demanded-punctuation consumer in the scenario is the aggregate.
+// TickSource streams random-walk exchange rates in timestamp order, one
+// stream second per step, punctuating on ts after each. No scenario asks it
+// to respond (its Mode stays ignore): the demanded-punctuation consumer in
+// the scenario is the aggregate.
 type TickSource struct {
-	exec.Base
-	snapshot.State
+	exec.Generating
 	Config TickConfig
 
 	cfg   TickConfig
@@ -78,15 +77,15 @@ func (s *TickSource) Open(exec.Context) error {
 	}
 	// The stream clock, the per-pair random-walk levels, and the RNG state
 	// replay the tick stream bit-identically from the cut.
-	s.Keep(s.Name(), snapshot.Int64(&s.now, &s.seq), s.rng.field(),
+	s.Generate(s, exec.Rule{Progress: 1}, snapshot.Int64(&s.now, &s.seq), s.rng.field(),
 		snapshot.Group(len(s.rates), func(i int) []snapshot.Field { return []snapshot.Field{snapshot.Float64(&s.rates[i])} }))
 	return nil
 }
 
-// Next implements exec.Source: one stream second per call.
-func (s *TickSource) Next(ctx exec.Context) (bool, error) {
+// Step implements exec.Generator: one stream second of ticks.
+func (s *TickSource) Step(run []stream.Tuple) (exec.Run, error) {
 	if s.now >= s.cfg.Duration {
-		return false, nil
+		return exec.Run{Tuples: run}, nil
 	}
 	const second = int64(1_000_000)
 	n := int(s.cfg.TicksPerPairPerSecond)
@@ -95,12 +94,11 @@ func (s *TickSource) Next(ctx exec.Context) (bool, error) {
 			s.seq++
 			s.rates[i] *= math.Exp(s.rng.NormFloat64() * s.cfg.Volatility)
 			ts := s.now + s.rng.Int63n(second)
-			ctx.Emit(stream.NewTuple(
+			run = append(run, stream.NewTuple(
 				stream.String_(pair), stream.TimeMicros(ts), stream.Float(s.rates[i]),
 			).WithSeq(s.seq))
 		}
 	}
 	s.now += second
-	ctx.EmitPunct(punct.NewEmbedded(punct.OnAttr(3, 1, punct.Lt(stream.TimeMicros(s.now)))))
-	return true, nil
+	return exec.Run{Tuples: run, Upto: stream.TimeMicros(s.now), More: true}, nil
 }

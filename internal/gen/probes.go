@@ -2,9 +2,7 @@ package gen
 
 import (
 	"repro/internal/archive"
-	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/punct"
 	"repro/internal/snapshot"
 	"repro/internal/stream"
 )
@@ -36,9 +34,6 @@ type ProbeConfig struct {
 	// Noise is the per-reading speed noise stddev.
 	Noise float64
 	Seed  int64
-	// FeedbackAware lets assumed feedback (e.g. from a THRIFTY JOIN or
-	// the Figure 1(b) feedback to the cleaner) suppress generation.
-	FeedbackAware bool
 }
 
 func (c ProbeConfig) withDefaults() ProbeConfig {
@@ -57,19 +52,16 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 	return c
 }
 
-// ProbeSource streams synthetic vehicle readings in timestamp order.
+// ProbeSource streams synthetic vehicle readings in timestamp order, one
+// period per step, punctuating stream progress on ts after each.
 type ProbeSource struct {
-	exec.Responding
-	snapshot.State
+	exec.Generating
 	Config ProbeConfig
 
-	cfg     ProbeConfig
-	rng     rng
-	now     int64
-	seq     int64
-	guards  *core.GuardTable
-	emitted int64
-	skipped int64
+	cfg ProbeConfig
+	rng rng
+	now int64
+	seq int64
 }
 
 // Name implements exec.Source.
@@ -83,20 +75,19 @@ func (s *ProbeSource) Open(exec.Context) error {
 	s.cfg = s.Config.withDefaults()
 	s.rng = newRNG(s.cfg.Seed)
 	s.now = s.cfg.Start
-	s.guards = s.BindSource(s.cfg.FeedbackAware, ProbeSchema.Arity())
 	// The replay position: period clock, sequence counter, RNG state.
-	s.Keep(s.Name(), snapshot.Int64(&s.now, &s.seq, &s.emitted, &s.skipped), s.rng.field(), snapshot.Guards(s.guards))
+	s.Generate(s, exec.Rule{Progress: 1}, snapshot.Int64(&s.now, &s.seq), s.rng.field())
 	return nil
 }
 
-// Next implements exec.Source: one period per call.
-func (s *ProbeSource) Next(ctx exec.Context) (bool, error) {
+// Step implements exec.Generator: one period's readings.
+func (s *ProbeSource) Step(run []stream.Tuple) (exec.Run, error) {
 	if s.now >= s.cfg.Start+s.cfg.Duration {
-		return false, nil
+		return exec.Run{Tuples: run}, nil
 	}
 	minuteOfDay := int((s.now / 60_000_000) % (24 * 60))
 	for seg := int64(0); seg < int64(s.cfg.Segments); seg++ {
-		trueSpeed := diurnal(minuteOfDay, seg)
+		trueSpeed := archive.DiurnalSpeed(minuteOfDay, seg)
 		// Congestion breeds probes: density scales inversely with speed.
 		mean := s.cfg.VehiclesPerPeriod * (60 / max(trueSpeed, 10))
 		n := s.rng.Poisson(mean)
@@ -110,25 +101,9 @@ func (s *ProbeSource) Next(ctx exec.Context) (bool, error) {
 				speed = 0
 			}
 			ts := s.now + s.rng.Int63n(s.cfg.Period)
-			t := stream.NewTuple(stream.Int(seg), stream.TimeMicros(ts), stream.Float(speed)).WithSeq(s.seq)
-			if s.guards.Suppress(t) {
-				s.skipped++
-				continue
-			}
-			s.emitted++
-			ctx.Emit(t)
+			run = append(run, stream.NewTuple(stream.Int(seg), stream.TimeMicros(ts), stream.Float(speed)).WithSeq(s.seq))
 		}
 	}
 	s.now += s.cfg.Period
-	e := punct.NewEmbedded(punct.OnAttr(3, 1, punct.Lt(stream.TimeMicros(s.now))))
-	ctx.EmitPunct(e)
-	return true, nil
-}
-
-// Stats reports (emitted, suppressed-at-source).
-func (s *ProbeSource) Stats() (emitted, skipped int64) { return s.emitted, s.skipped }
-
-// diurnal proxies the archive's ground-truth speed profile.
-func diurnal(minuteOfDay int, segment int64) float64 {
-	return archive.DiurnalSpeed(minuteOfDay, segment)
+	return exec.Run{Tuples: run, Upto: stream.TimeMicros(s.now), More: true}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
 	"repro/internal/queue"
@@ -18,24 +17,19 @@ import (
 // the (fast) clean path, so lateness is a race between arrival rate and
 // imputation service time — exactly the paper's setting.
 //
-// Pacing is deficit-based: each Next emits however many items the elapsed
-// wall clock entitles, so sleep jitter does not skew the average rate.
+// Pacing is deficit-based: each step plays however many items the elapsed
+// wall clock entitles, so sleep jitter does not skew the average rate. It is
+// a generator under the scripted rule: its punctuation items close runs.
 type RatedSource struct {
-	exec.Responding
-	snapshot.State
+	exec.Generating
 	SourceName string
 	Schema     stream.Schema
 	Items      []queue.Item
 	// PerSecond is the target emission rate (items per second).
 	PerSecond float64
-	// FeedbackAware lets assumed feedback suppress emission.
-	//pace:allow-unreached removing it moves the rated source's state golden
-	FeedbackAware bool
 
-	pos     int
-	start   time.Time
-	guards  *core.GuardTable
-	skipped int64
+	pos   int
+	start time.Time
 }
 
 // Name implements exec.Source.
@@ -52,10 +46,9 @@ func (s *RatedSource) OutSchemas() []stream.Schema { return []stream.Schema{s.Sc
 // Open implements exec.Source.
 func (s *RatedSource) Open(exec.Context) error {
 	s.start = time.Now()
-	s.guards = s.BindSource(s.FeedbackAware, s.Schema.Arity())
 	// The replay position is the item cursor; the wall-clock anchor is
 	// re-derived on restore so the target rate resumes without a burst.
-	s.Keep(s.Name(), snapshot.Int(&s.pos), snapshot.Int64(&s.skipped), snapshot.Guards(s.guards), snapshot.Then(s.resume))
+	s.Generate(s, exec.Rule{}, snapshot.Int(&s.pos), snapshot.Then(s.resume))
 	return nil
 }
 
@@ -73,42 +66,23 @@ func (s *RatedSource) resume() error {
 	return nil
 }
 
-// Next implements exec.Source.
-func (s *RatedSource) Next(ctx exec.Context) (bool, error) {
+// Step implements exec.Generator: the items now due, up to and including
+// the first punctuation.
+func (s *RatedSource) Step(run []stream.Tuple) (exec.Run, error) {
 	if s.pos >= len(s.Items) {
-		return false, nil
+		return exec.Run{Tuples: run}, nil
 	}
-	due := int(time.Since(s.start).Seconds() * s.PerSecond)
-	if due > len(s.Items) {
-		due = len(s.Items)
-	}
+	due := min(int(time.Since(s.start).Seconds()*s.PerSecond), len(s.Items))
 	if s.pos >= due {
 		// Ahead of schedule: sleep roughly one inter-arrival gap. The
 		// deficit computation absorbs oversleeping.
 		time.Sleep(time.Duration(1e9 / s.PerSecond))
-		return true, nil
+		return exec.Run{Tuples: run, More: true}, nil
 	}
-	for s.pos < due {
-		it := s.Items[s.pos]
-		s.pos++
-		switch it.Kind {
-		case queue.ItemTuple:
-			if s.guards.Suppress(it.Tuple) {
-				s.skipped++
-				continue
-			}
-			ctx.Emit(it.Tuple)
-		case queue.ItemPunct:
-			ctx.EmitPunct(*it.Punct)
-		}
-	}
-	return s.pos < len(s.Items), nil
+	var r exec.Run
+	r, s.pos = exec.Replay(s.Items, s.pos, due, run)
+	return r, nil
 }
-
-// Skipped reports tuples suppressed at the source.
-//
-//pace:allow-unreached reads what FeedbackAware suppressed, and goes with it
-func (s *RatedSource) Skipped() int64 { return s.skipped }
 
 // ImputationStream builds Experiment 1's input: n tuples alternating clean
 // and dirty (null speed), one per spacing micros of stream time, with

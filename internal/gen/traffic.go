@@ -13,12 +13,9 @@ import (
 	"time"
 
 	"repro/internal/archive"
-	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/punct"
 	"repro/internal/snapshot"
 	"repro/internal/stream"
-	"repro/internal/work"
 )
 
 // TrafficSchema is the fixed-sensor report schema used throughout the
@@ -48,16 +45,10 @@ type TrafficConfig struct {
 	NullRate float64
 	// Noise is the standard deviation of speed noise in mph.
 	Noise float64
-	// PunctEvery emits embedded punctuation on ts each time stream time
-	// advances by this many micros (0 = every report round).
-	PunctEvery int64
 	// Seed makes the stream reproducible.
 	Seed int64
-	// Cost is burned per emitted tuple (models ingest/parse expense).
+	// Cost is burned per delivered tuple (models ingest/parse expense).
 	Cost int
-	// FeedbackAware lets assumed feedback suppress generation.
-	//pace:allow-unreached removing it moves the traffic source's state golden
-	FeedbackAware bool
 }
 
 func (c TrafficConfig) withDefaults() TrafficConfig {
@@ -73,30 +64,21 @@ func (c TrafficConfig) withDefaults() TrafficConfig {
 	if c.Duration <= 0 {
 		c.Duration = int64(18*time.Hour) / 1000
 	}
-	if c.PunctEvery <= 0 {
-		c.PunctEvery = c.ReportPeriod
-	}
 	return c
 }
 
 // TrafficSource streams the synthetic sensor reports in timestamp order,
-// one detector round at a time, punctuating stream progress as it goes.
+// one segment's detector reports per step, punctuating stream progress on
+// ts as each round ends.
 type TrafficSource struct {
-	exec.Responding
-	snapshot.State
+	exec.Generating
 	Config TrafficConfig
 
-	cfg     TrafficConfig
-	rng     rng
-	now     int64 // current round's stream time
-	seg     int   // next segment within the round
-	det     int   // next detector within the segment
-	seq     int64
-	lastPct int64
-	guards  *core.GuardTable
-	emitted int64
-	skipped int64
-	meter   work.Meter
+	cfg TrafficConfig
+	rng rng
+	now int64 // current round's stream time
+	seg int   // next segment within the round
+	seq int64
 }
 
 // Name implements exec.Source.
@@ -110,45 +92,31 @@ func (s *TrafficSource) Open(exec.Context) error {
 	s.cfg = s.Config.withDefaults()
 	s.rng = newRNG(s.cfg.Seed)
 	s.now = s.cfg.Start
-	s.lastPct = s.cfg.Start - 1
-	s.guards = s.BindSource(s.cfg.FeedbackAware, TrafficSchema.Arity())
 	// The replay position is the round clock, the intra-round cursor, and the
 	// RNG state: restoring them continues the synthetic stream bit-identically.
-	s.Keep(s.Name(), snapshot.Int64(&s.now), snapshot.Int(&s.seg),
-		snapshot.Int64(&s.seq, &s.lastPct, &s.emitted, &s.skipped), s.rng.field(), snapshot.Guards(s.guards))
+	s.Generate(s, exec.Rule{Progress: 2, Cost: s.cfg.Cost},
+		snapshot.Int64(&s.now), snapshot.Int(&s.seg), snapshot.Int64(&s.seq), s.rng.field())
 	return nil
 }
 
-// Next implements exec.Source: one Next call emits one segment's worth of
-// detector reports (keeping batches modest so feedback interleaves).
-func (s *TrafficSource) Next(ctx exec.Context) (bool, error) {
+// Step implements exec.Generator: one segment's detector reports (keeping
+// runs modest so feedback interleaves).
+func (s *TrafficSource) Step(run []stream.Tuple) (exec.Run, error) {
 	if s.now >= s.cfg.Start+s.cfg.Duration {
-		return false, nil
+		return exec.Run{Tuples: run}, nil
 	}
 	minuteOfDay := int((s.now / 60_000_000) % (24 * 60))
 	for det := 0; det < s.cfg.DetectorsPerSegment; det++ {
-		t := s.makeReport(int64(s.seg), int64(det), minuteOfDay)
-		if s.guards.Suppress(t) {
-			s.skipped++
-			continue
-		}
-		if s.cfg.Cost > 0 {
-			s.meter.Do(s.cfg.Cost)
-		}
-		s.emitted++
-		ctx.Emit(t)
+		run = append(run, s.makeReport(int64(s.seg), int64(det), minuteOfDay))
 	}
+	r := exec.Run{Tuples: run, More: true}
 	s.seg++
 	if s.seg >= s.cfg.Segments {
 		s.seg = 0
 		s.now += s.cfg.ReportPeriod
-		if s.now-s.lastPct >= s.cfg.PunctEvery {
-			s.lastPct = s.now
-			e := punct.NewEmbedded(punct.OnAttr(4, 2, punct.Lt(stream.TimeMicros(s.now))))
-			ctx.EmitPunct(e)
-		}
+		r.Upto = stream.TimeMicros(s.now)
 	}
-	return true, nil
+	return r, nil
 }
 
 func (s *TrafficSource) makeReport(seg, det int64, minuteOfDay int) stream.Tuple {
@@ -168,9 +136,3 @@ func (s *TrafficSource) makeReport(seg, det int64, minuteOfDay int) stream.Tuple
 		stream.Int(seg), stream.Int(det), stream.TimeMicros(s.now), speedVal,
 	).WithSeq(s.seq)
 }
-
-// Stats reports (emitted, suppressed-at-source).
-func (s *TrafficSource) Stats() (emitted, skipped int64) { return s.emitted, s.skipped }
-
-// WorkUnits reports ingest cost burned so far.
-func (s *TrafficSource) WorkUnits() int64 { return s.meter.Total() }

@@ -64,11 +64,12 @@ type Split struct {
 	rr         int                // round-robin cursor
 	keyScratch []stream.Value     // backs routing probes for key-pinned feedback
 
-	// subScratch backs the batch path's per-port sub-batches; batchScratch
-	// backs ProcessTupleBatch's item unwrapping. Reused across batches,
-	// transient, never checkpointed.
+	// subScratch backs the batch path's per-port sub-batches, batchScratch
+	// ProcessTupleBatch's item unwrapping, and one makes ProcessTuple's tuple
+	// a run of one. Reused across batches, transient, never checkpointed.
 	subScratch   [][]stream.Tuple
 	batchScratch []stream.Tuple
+	one          [1]stream.Tuple
 
 	in, suppressed int64
 	outPer         []int64
@@ -128,21 +129,11 @@ func (s *Split) route(t stream.Tuple) int {
 	return d
 }
 
-// ProcessTuple implements exec.Operator: route by key hash (or round
-// robin) and emit to exactly one partition. A tuple whose destination
-// partition has asserted covering assumed feedback is suppressed here —
-// only that partition would ever have seen it, so no unanimity is needed
-// (contrast Duplicate, whose outputs must stay identical).
-func (s *Split) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
-	s.in++
-	d := s.route(t)
-	if s.perOut[d].Suppress(t) {
-		s.suppressed++
-		return nil
-	}
-	s.outPer[d]++
-	ctx.EmitTo(d, t)
-	return nil
+// ProcessTuple implements exec.Operator: a run of one through
+// ApplyTupleBatch.
+func (s *Split) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
+	s.one[0] = t
+	return s.ApplyTupleBatch(input, s.one[:], ctx)
 }
 
 // ProcessPunct implements exec.Operator: broadcast to every partition (the
@@ -155,14 +146,15 @@ func (s *Split) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) error {
 	return nil
 }
 
-// ApplyTupleBatch implements exec.TupleBatchApplier: the run is routed into
-// per-port sub-batches (per-tuple routing identical to ProcessTuple — the
-// round-robin cursor advances per tuple, destination guards probe per tuple)
-// and each non-empty sub-batch is emitted with one EmitBatchTo call. Order
-// within each output port is preserved; cross-port interleaving differs from
-// the sequential path, which no consumer can observe — each port feeds its
-// own edge, and punctuation is processed only between batch runs, so the
-// tuples-before-punct order per port is intact.
+// ApplyTupleBatch implements exec.TupleBatchApplier, and is the operator's
+// one routing loop: each tuple goes to exactly one partition, by key hash (or
+// round robin, the cursor advancing per tuple), and the run leaves as one
+// sub-run per port, each emitted with one EmitBatchTo call. A tuple whose
+// destination partition has asserted covering assumed feedback is suppressed
+// here — only that partition would ever have seen it, so no unanimity is
+// needed (contrast Duplicate, whose outputs must stay identical). Order
+// within each port is preserved, and punctuation is processed only between
+// runs, so the tuples-before-punct order per port is intact.
 func (s *Split) ApplyTupleBatch(_ int, ts []stream.Tuple, ctx exec.Context) error {
 	n := s.n()
 	if len(s.subScratch) != n {
@@ -182,13 +174,15 @@ func (s *Split) ApplyTupleBatch(_ int, ts []stream.Tuple, ctx exec.Context) erro
 		}
 		sub[d] = append(sub[d], t)
 	}
-	for d := 0; d < n; d++ {
-		run := sub[d]
-		if len(run) == 0 {
-			continue
-		}
+	for d, run := range sub {
 		s.outPer[d] += int64(len(run))
-		ctx.EmitBatchTo(d, run)
+		switch len(run) {
+		case 0:
+		case 1:
+			ctx.EmitTo(d, run[0]) // a lone tuple needs no chunking (ProcessTuple's run of one)
+		default:
+			ctx.EmitBatchTo(d, run)
+		}
 	}
 	return nil
 }

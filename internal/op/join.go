@@ -91,9 +91,10 @@ type Join struct {
 	emitted, outerEmitted, suppressedIn, suppressedOut, purgedByFeedback int64
 	thriftySent, impatientSent                                           int64
 
-	// batchScratch backs ProcessTupleBatch's item unwrapping; reused across
-	// batches, transient, never checkpointed.
+	// batchScratch backs ProcessTupleBatch's item unwrapping and one makes
+	// ProcessTuple's tuple a run of one; reused, transient, never checkpointed.
 	batchScratch []stream.Tuple
+	one          [1]stream.Tuple
 }
 
 // Name implements exec.Operator.
@@ -232,17 +233,14 @@ func (j *Join) emitOuter(l stream.Tuple, ctx exec.Context) {
 	ctx.Emit(t)
 }
 
-// ProcessTuple implements exec.Operator.
+// ProcessTuple implements exec.Operator: a run of one through
+// ApplyTupleBatch.
 func (j *Join) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
-	if j.guardsIn[input].Suppress(t) {
-		j.suppressedIn++
-		return nil
-	}
-	j.apply(input, t, ctx)
-	return nil
+	j.one[0] = t
+	return j.ApplyTupleBatch(input, j.one[:], ctx)
 }
 
-// apply is ProcessTuple past the input-guard probe: probe the other side's
+// apply is one tuple past the input-guard probe: probe the other side's
 // entries for partners, oldest first, then keep the tuple for partners yet
 // to come.
 //
@@ -293,10 +291,10 @@ func (j *Join) runAdaptive(input int, t stream.Tuple, ctx exec.Context) {
 	})
 }
 
-// ApplyTupleBatch implements exec.TupleBatchApplier: a symmetric hash join
-// has per-tuple probe-and-emit obligations, so the batch path keeps the
-// tuple loop but hoists the input-guard probe — one Active() check per run
-// instead of one table walk per tuple. Guards only change between runs
+// ApplyTupleBatch implements exec.TupleBatchApplier, and is the operator's
+// one data loop: a symmetric hash join has per-tuple probe-and-emit
+// obligations, so it keeps the tuple loop but hoists the input-guard probe —
+// one Active() check per run instead of one table walk per tuple. Guards only change between runs
 // (ProcessFeedback and ProcessPunct never interleave with a batch), so the
 // hoisted decision holds for the whole run.
 func (j *Join) ApplyTupleBatch(input int, ts []stream.Tuple, ctx exec.Context) error {

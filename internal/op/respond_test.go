@@ -323,40 +323,46 @@ func checkResponse(t *testing.T, c respondCase, intent core.Intent, mode op.Feed
 	}
 }
 
-// A source responds too: a feedback-aware one guards its output, an unaware
-// one ignores what it hears, and neither has anything upstream.
+// A source responds too: one under an exploiting Mode guards its output, one
+// under ModeIgnore ignores what it hears, and neither has anything upstream.
 func TestSourcesEnactTheirCharacterization(t *testing.T) {
 	pattern := punct.OnAttr(4, 0, punct.Eq(stream.Int(3)))
 	type source interface {
 		exec.Source
 		Trace() []core.Response
 	}
-	builds := map[string]func(aware bool) source{
-		"slice": func(aware bool) source {
+	builds := map[string]func() (source, *core.Mode){
+		"slice": func() (source, *core.Mode) {
 			s := exec.NewSliceSource("src", readings, probe()...)
-			s.FeedbackAware = aware
-			return s
+			return s, &s.Mode
 		},
-		"reader": func(aware bool) source {
+		"reader": func() (source, *core.Mode) {
 			s := exec.NewReaderSource("src", readings, strings.NewReader(""))
-			s.FeedbackAware = aware
-			return s
+			return s, &s.Mode
 		},
-		"rated": func(aware bool) source {
-			return &gen.RatedSource{Schema: readings, Items: []queue.Item{queue.TupleItem(reading(3, 0, 0, 1))}, PerSecond: 1e12, FeedbackAware: aware}
+		"rated": func() (source, *core.Mode) {
+			s := &gen.RatedSource{Schema: readings, Items: []queue.Item{queue.TupleItem(reading(3, 0, 0, 1))}, PerSecond: 1e12}
+			return s, &s.Mode
 		},
-		"traffic": func(aware bool) source {
-			return &gen.TrafficSource{Config: gen.TrafficConfig{Duration: 20_000_000, FeedbackAware: aware}}
+		"traffic": func() (source, *core.Mode) {
+			s := &gen.TrafficSource{Config: gen.TrafficConfig{Duration: 20_000_000}}
+			return s, &s.Mode
 		},
-		"probes": func(aware bool) source {
-			return &gen.ProbeSource{Config: gen.ProbeConfig{Duration: 20_000_000, FeedbackAware: aware}}
+		"probes": func() (source, *core.Mode) {
+			s := &gen.ProbeSource{Config: gen.ProbeConfig{Duration: 20_000_000}}
+			return s, &s.Mode
+		},
+		"ticks": func() (source, *core.Mode) {
+			s := &gen.TickSource{Config: gen.TickConfig{Duration: 1_000_000}}
+			return s, &s.Mode
 		},
 	}
 	for name, build := range builds {
-		for _, aware := range []bool{false, true} {
+		for _, mode := range []core.Mode{core.ModeIgnore, core.ModeExploit} {
 			for _, intent := range intents {
-				t.Run(fmt.Sprintf("%s/aware=%v/%s", name, aware, intent), func(t *testing.T) {
-					src := build(aware)
+				t.Run(fmt.Sprintf("%s/%v/%s", name, mode, intent), func(t *testing.T) {
+					src, m := build()
+					*m = mode
 					p := pattern
 					if n := src.OutSchemas()[0].Arity(); n != p.Arity() {
 						p = punct.OnAttr(n, 0, punct.Eq(stream.Int(3)))
@@ -369,7 +375,7 @@ func TestSourcesEnactTheirCharacterization(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := []core.Action{core.ActNone}
-					if aware && intent == core.Assumed {
+					if mode == core.ModeExploit && intent == core.Assumed {
 						want = []core.Action{core.ActGuardOutput}
 					}
 					trace := src.Trace()

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/work"
@@ -30,15 +31,9 @@ func (c *counters) suppress(guards *core.GuardTable, run []stream.Tuple) []strea
 	if guards.Active() == 0 {
 		return run
 	}
-	k := 0
-	for _, t := range run {
-		if !guards.Suppress(t) {
-			run[k] = t
-			k++
-		}
-	}
-	c.Suppressed.Add(int64(len(run) - k))
-	return run[:k]
+	kept := guards.Drop(run)
+	c.Suppressed.Add(int64(len(run) - len(kept)))
+	return kept
 }
 
 // count records a run of in tuples of which out left the operator.
@@ -54,7 +49,7 @@ func tupleVars(c *counters) []telemetry.Var {
 	return []telemetry.Var{
 		{Name: "pace_op_tuples_in_total", Help: "Tuples delivered to the operator.", Value: c.In.Load},
 		{Name: "pace_op_tuples_out_total", Help: "Tuples the operator emitted.", Value: c.Out.Load},
-		{Name: "pace_op_suppressed_tuples_total", Help: "Tuples suppressed by the operator's guard table.", Value: c.Suppressed.Load},
+		exec.SuppressedVar(c.Suppressed.Load),
 	}
 }
 

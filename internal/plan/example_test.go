@@ -57,7 +57,7 @@ func Example() {
 		).WithSeq(int64(i)))
 	}
 	src := exec.NewSliceSource("sensors", readings, tuples...)
-	src.FeedbackAware = true
+	src.Mode = core.ModeExploit
 	src.BatchSize = 8
 	filter := &op.Select{
 		OpName:    "filter",
@@ -77,7 +77,7 @@ func Example() {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("source: %d tuples suppressed before generation\n", src.Skipped())
+	fmt.Printf("source: %d tuples suppressed before generation\n", src.Suppressed())
 	fmt.Printf("sink: segment counts %v\n", sink.perSeg)
 	// Output:
 	// sink: issuing feedback ¬[2, *, *] after 50 tuples

@@ -51,7 +51,7 @@ func TestPipelineDefinition1EndToEnd(t *testing.T) {
 
 	run := func(mode op.FeedbackMode, compile bool) []stream.Tuple {
 		src := testSource("src", input...)
-		src.FeedbackAware = mode != op.FeedbackIgnore
+		src.Mode = mode
 		src.BatchSize = 16
 		b := New()
 		b.Mode, b.Propagate = mode, mode != op.FeedbackIgnore
@@ -94,7 +94,7 @@ func TestConcurrentFeedbackStress(t *testing.T) {
 	}
 	for _, compile := range []bool{false, true} {
 		src := testSource("src", input...)
-		src.FeedbackAware, src.BatchSize = true, 4
+		src.Mode, src.BatchSize = core.ModeExploit, 4
 		b := New()
 		b.Graph().SetQueueOptions(queue.Options{PageSize: 8, Depth: 2})
 		sink := &feedbackSink{schema: testSchema, every: 100, fbs: storm}

@@ -169,51 +169,29 @@ func TestParallelCheckpointRecoverIdentity(t *testing.T) {
 	}
 }
 
-// feedSource is an endless traffic source that exploits assumed feedback;
+// feedSource is an endless traffic generator that exploits assumed feedback;
 // its replay counter and guards persist through checkpoints.
 type feedSource struct {
-	exec.Responding
-	snapshot.State
-	schema  stream.Schema
-	i, ts   int64
-	guards  *core.GuardTable
-	skipped atomic.Int64
+	exec.Generating
+	schema stream.Schema
+	i, ts  int64
 }
 
 func (s *feedSource) Name() string                { return "feedsrc" }
 func (s *feedSource) OutSchemas() []stream.Schema { return []stream.Schema{s.schema} }
 func (s *feedSource) Open(exec.Context) error {
-	s.guards = s.BindSource(true, s.schema.Arity())
-	s.Keep(s.Name(), snapshot.Int64(&s.i, &s.ts), s.skippedField(), snapshot.Guards(s.guards))
+	s.Mode = core.ModeExploit
+	s.Generate(s, exec.Rule{}, snapshot.Int64(&s.i, &s.ts))
 	return nil
 }
 
-// skippedField keeps the atomic skip counter.
-func (s *feedSource) skippedField() snapshot.Field {
-	return snapshot.Field{
-		Capture: func() func(*snapshot.Encoder) {
-			n := s.skipped.Load()
-			return func(enc *snapshot.Encoder) { enc.PutInt64(n) }
-		},
-		Load: func(dec *snapshot.Decoder) error {
-			s.skipped.Store(dec.GetInt64())
-			return nil
-		},
-	}
-}
-
-func (s *feedSource) Next(ctx exec.Context) (bool, error) {
+func (s *feedSource) Step(run []stream.Tuple) (exec.Run, error) {
 	for j := 0; j < 64; j++ {
 		s.i++
 		s.ts += 500
-		t := reading(s.i%9, s.ts, 55)
-		if s.guards.Suppress(t) {
-			s.skipped.Add(1)
-			continue
-		}
-		ctx.Emit(t)
+		run = append(run, reading(s.i%9, s.ts, 55))
 	}
-	return true, nil
+	return exec.Run{Tuples: run, More: true}, nil
 }
 
 // feedSink asserts ¬[segment=2] after 10 tuples. Its persisted state is the
@@ -291,9 +269,9 @@ func TestParallelCheckpointPreservesFeedbackState(t *testing.T) {
 	b1, src1, _ := build(1 << 60)
 	runErr := make(chan error, 1)
 	go func() { runErr <- b1.Run() }()
-	for deadline := time.Now().Add(30 * time.Second); src1.skipped.Load() < 2000; {
+	for deadline := time.Now().Add(30 * time.Second); src1.Suppressed() < 2000; {
 		if time.Now().After(deadline) {
-			t.Fatalf("feedback never reached the source (skipped=%d)", src1.skipped.Load())
+			t.Fatalf("feedback never reached the source (skipped=%d)", src1.Suppressed())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -307,16 +285,16 @@ func TestParallelCheckpointPreservesFeedbackState(t *testing.T) {
 	// Phase 2: recover and run a bounded slice of the stream.
 	b2, src2, sink2 := build(30_000)
 	restoreLocal(t, b2, backend)
-	skippedAtCut := src1.skipped.Load()
+	skippedAtCut := src1.Suppressed()
 	if err := b2.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if sink2.seg2Seen.Load() != 0 {
 		t.Fatalf("disclaimed segment reappeared after recovery (%d tuples)", sink2.seg2Seen.Load())
 	}
-	if src2.skipped.Load() <= skippedAtCut {
+	if src2.Suppressed() <= skippedAtCut {
 		t.Fatalf("restored source guard inactive: skipped %d (cut had %d)",
-			src2.skipped.Load(), skippedAtCut)
+			src2.Suppressed(), skippedAtCut)
 	}
 	if !sink2.sent {
 		t.Fatal("sink assertion flag lost in restore")

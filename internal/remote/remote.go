@@ -63,8 +63,9 @@ type Sink struct {
 	WriteTimeout time.Duration
 
 	w       *frameWriter
-	pending int          // tuples in the open run (w.buf)
-	readErr atomic.Value // error from the feedback reader
+	pending int           // tuples in the open run (w.buf)
+	one     [1]queue.Item // ProcessTuple's tuple, as a run of one
+	readErr atomic.Value  // error from the feedback reader
 	closing atomic.Bool
 	started bool
 	wg      sync.WaitGroup
@@ -133,21 +134,18 @@ func (s *Sink) Open(ctx exec.Context) error {
 	return nil
 }
 
-// ProcessTuple implements exec.Operator: the tuple joins the open run.
+// ProcessTuple implements exec.Operator: a run of one through
+// ProcessTupleBatch.
 //
 //pace:hotpath
-func (s *Sink) ProcessTuple(_ int, t stream.Tuple, _ exec.Context) error {
-	s.w.buf = t.AppendBinary(s.w.buf)
-	s.pending++
-	if len(s.w.buf) >= runBytes {
-		return s.flushRun()
-	}
-	return nil
+func (s *Sink) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
+	s.one[0] = queue.TupleItem(t)
+	return s.ProcessTupleBatch(input, s.one[:], ctx)
 }
 
-// ProcessTupleBatch implements exec.TupleBatcher: a page run is encoded
-// back to back into the open run, which is closed wherever ProcessTuple
-// would close it.
+// ProcessTupleBatch implements exec.TupleBatcher, and is the sink's one
+// data loop: a run is encoded back to back into the open run, which closes
+// at runBytes.
 //
 //pace:hotpath
 func (s *Sink) ProcessTupleBatch(_ int, items []queue.Item, _ exec.Context) error {

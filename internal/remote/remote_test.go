@@ -39,7 +39,7 @@ func runDistributed(t *testing.T, conn1, conn2 net.Conn, n int, feedbackTrigger 
 	// tuples while most of the stream is ungenerated.
 	src := exec.NewSliceSource("src", schema)
 	src.Items = punctuated(tuples, 8)
-	src.FeedbackAware = true
+	src.Mode = core.ModeExploit
 	src.BatchSize = 4
 
 	sink := NewSink("wire-out", schema, conn1)
@@ -143,7 +143,7 @@ func TestRemoteEdgeOverNetPipe(t *testing.T) {
 	}
 	// The feedback crossed the wire AND the producer-side source
 	// exploited it: segment 3 generation stops.
-	if src.Skipped() == 0 {
+	if src.Suppressed() == 0 {
 		t.Error("producer-side source must exploit remote feedback")
 	}
 	// Definition 1: all non-subset tuples arrive.
