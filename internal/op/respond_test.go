@@ -360,7 +360,8 @@ func TestSourcesEnactTheirCharacterization(t *testing.T) {
 	for name, build := range builds {
 		for _, mode := range []core.Mode{core.ModeIgnore, core.ModeExploit} {
 			for _, intent := range intents {
-				t.Run(fmt.Sprintf("%s/%v/%s", name, mode, intent), func(t *testing.T) {
+				aware := mode != core.ModeIgnore // §5's feedback-aware operator
+				t.Run(fmt.Sprintf("%s/aware=%v/%s", name, aware, intent), func(t *testing.T) {
 					src, m := build()
 					*m = mode
 					p := pattern
@@ -375,7 +376,7 @@ func TestSourcesEnactTheirCharacterization(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := []core.Action{core.ActNone}
-					if mode == core.ModeExploit && intent == core.Assumed {
+					if aware && intent == core.Assumed {
 						want = []core.Action{core.ActGuardOutput}
 					}
 					trace := src.Trace()
