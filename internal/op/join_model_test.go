@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
+	"repro/internal/queue"
 	"repro/internal/snapshot"
 	"repro/internal/stream"
 )
@@ -296,7 +297,8 @@ func joinScript(t testing.TB, at string, j *Join, m *joinModel, steps []joinStep
 // JoinShape, and cuts, over random configurations (one or two join columns,
 // every feedback mode, residual predicate, LEFT OUTER, impatient). After
 // every step the operator has emitted the model's sequence and counts what
-// it counts. Every cut's capture restores to the same bytes and counts; the
+// it counts, and no tuple it emits is covered by punctuation it emitted
+// before (§3.1). Every cut's capture restores to the same bytes and counts; the
 // twin restored from it emits, for the rest of the script, what the model
 // does; and a capture encoded only after the script has gone on purging and
 // compacting has the bytes it had at the cut (§2.4: nothing captured may
@@ -329,6 +331,7 @@ func TestJoinStoreAgainstModel(t *testing.T) {
 		m.progress(0, math.MaxInt64)
 		m.progress(1, math.MaxInt64)
 		m.check(t, at+" after EOS", tr.Out[0].Tuples(), j.Stats())
+		keepsPromises(t, at, j.OutSchemas()[0].Arity(), tr.Out[0].Items())
 
 		for i, k := range cuts {
 			where := fmt.Sprintf("%s cut %d (step %d)", at, i, k.step)
@@ -369,4 +372,37 @@ func TestJoinStoreAgainstModel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// keepsPromises fails on the first tuple of items that punctuation earlier
+// among them covers: embedded punctuation promises that no later tuple on
+// its stream matches it (§3.1).
+func keepsPromises(t testing.TB, at string, arity int, items []queue.Item) {
+	t.Helper()
+	promised := punct.NewScheme(arity)
+	var said []punct.Pattern
+	for _, it := range items {
+		switch it.Kind {
+		case queue.ItemPunct:
+			promised.Observe(*it.Punct)
+			said = append(said, it.Punct.Pattern)
+		case queue.ItemTuple:
+			if promised.CoversPattern(pointOf(it.Tuple)) {
+				t.Fatalf("%s: the join emitted %v after its own punctuation %v covered it", at, it.Tuple, said)
+			}
+		}
+	}
+}
+
+// pointOf is the pattern only t matches: each attribute equal to its value
+// (a null one left wild, which can only hide a cover, never invent one).
+func pointOf(t stream.Tuple) punct.Pattern {
+	preds := make([]punct.Pred, len(t.Values))
+	for i, v := range t.Values {
+		preds[i] = punct.Wild
+		if !v.IsNull() {
+			preds[i] = punct.Eq(v)
+		}
+	}
+	return punct.NewPattern(preds...)
 }
