@@ -3,7 +3,6 @@ package op
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -16,15 +15,19 @@ import (
 
 // Join is a symmetric hash equi-join in the OOP style: both inputs build
 // hash tables; embedded punctuation on each input's timestamp attribute
-// purges state that can no longer find partners. The output schema is
-// (L, J, R): all left attributes followed by the right attributes minus the
-// join keys, matching the paper's Table 2 partition.
+// purges state that can no longer find partners. The two timestamps are a
+// join-key pair, so a tuple at or below the other input's punctuation can
+// have no partner to come: it probes and is not stored, and the output is a
+// function of the inputs, not of how they interleave (DESIGN.md §5.1). The
+// output schema is (L, J, R): all left attributes followed by the right
+// attributes minus the join keys, matching the paper's Table 2 partition.
 //
 // Optional behaviours reproduce the paper's specialized joins:
 //
 //   - LeftOuter: unmatched left tuples are emitted padded with nulls once
-//     right-side punctuation proves no partner can arrive (the Figure 1(b)
-//     speed-map join keeps all fixed-sensor readings);
+//     right-side punctuation proves no partner can arrive, on arrival if it
+//     already has (the Figure 1(b) speed-map join keeps all fixed-sensor
+//     readings);
 //   - Thrifty (§3.3 "Adaptive"): when the probe input's punctuation closes
 //     a window that received no tuples, the join sends assumed feedback to
 //     the other input for that window — "window 4 is empty, stop producing
@@ -41,8 +44,8 @@ type Join struct {
 	Left, Right stream.Schema
 	// LeftKeys/RightKeys are the equi-join attributes (parallel slices).
 	LeftKeys, RightKeys []int
-	// LeftTs/RightTs are the timestamp attributes used for state purging
-	// (-1 disables punctuation-driven purging on that side).
+	// LeftTs/RightTs are the timestamp attributes punctuation purges state
+	// by: a pair at one position of LeftKeys/RightKeys.
 	LeftTs, RightTs int
 	// Residual, if set, further filters joined pairs (e.g. the speed-map
 	// join's "sensor speed < 45" condition).
@@ -72,10 +75,6 @@ type Join struct {
 	rightCarry []int // right attrs carried to output (non-keys)
 	part       core.JoinPartition
 	inMap      [2]core.AttrMap // output attribute → attribute of input 0 / 1
-	// askedTs is the position within LeftKeys of the left timestamp
-	// attribute, or -1: when the timestamp is part of the key, left
-	// punctuation proves old keys cannot recur and the asked set sheds them.
-	askedTs int
 	// store holds the entries of both inputs and the impatient join's asked
 	// keys (joinstore.go).
 	store        joinStore
@@ -119,6 +118,9 @@ func (j *Join) OutSchemas() []stream.Schema {
 func (j *Join) mustInit() {
 	if len(j.LeftKeys) != len(j.RightKeys) || len(j.LeftKeys) == 0 {
 		panic(fmt.Sprintf("op: join %q: key lists must be non-empty and parallel", j.Name()))
+	}
+	if j.LeftTs < 0 || j.LeftTs >= j.Left.Arity() || j.RightTs < 0 || j.RightTs >= j.Right.Arity() {
+		panic(fmt.Sprintf("op: join %q: timestamps must be attributes of their inputs", j.Name()))
 	}
 	isRightKey := map[int]bool{}
 	for _, k := range j.RightKeys {
@@ -178,7 +180,6 @@ func (j *Join) mustInit() {
 		{InputArity: j.Left.Arity(), ToInput: lm},
 		{InputArity: j.Right.Arity(), ToInput: rm},
 	}
-	j.askedTs = slices.Index(j.LeftKeys, j.LeftTs)
 }
 
 // Open implements exec.Operator.
@@ -242,17 +243,15 @@ func (j *Join) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
 
 // apply is one tuple past the input-guard probe: probe the other side's
 // entries for partners, oldest first, then keep the tuple for partners yet
-// to come.
+// to come — unless the other input has promised there are none, its
+// timestamp being a key at or below that input's punctuation.
 //
 //pace:hotpath
 func (j *Join) apply(side int, t stream.Tuple, ctx exec.Context) {
 	mine, other := &j.store.sides[side], &j.store.sides[1-side]
 	h := hashKey(t.Values, mine.cols)
+	ts := j.tsOf(side, t)
 	if side == 0 && j.Impatient && j.store.asked.first(h, t.Values, mine.cols) < 0 {
-		ts := int64(math.MaxInt64)
-		if j.askedTs >= 0 {
-			ts = t.Values[mine.cols[j.askedTs]].I
-		}
 		j.store.asked.link(joinEntry{t: stream.Tuple{Values: t.AppendProjected(nil, mine.cols)}, ts: ts, hash: h}) //pace:allow-alloc one copy of the key per distinct key asked for
 		j.sendImpatient(t, ctx)
 	}
@@ -268,11 +267,16 @@ func (j *Join) apply(side int, t stream.Tuple, ctx exec.Context) {
 			j.emitJoined(l, r, ctx)
 		}
 	}
-	ts := j.tsOf(side, t)
 	if j.ThriftyWindow != nil && j.ThriftyProbe == side {
 		j.countProbe(ts)
 	}
-	mine.link(joinEntry{t: mine.keep(t), ts: ts, hash: h, matched: matched})
+	if w := &j.wm[1-side]; w.eos || w.set && ts <= w.v {
+		if side == 0 && j.LeftOuter && !matched {
+			j.emitOuter(t, ctx)
+		}
+	} else {
+		mine.link(joinEntry{t: mine.keep(t), ts: ts, hash: h, matched: matched})
+	}
 	j.runAdaptive(side, t, ctx)
 }
 
@@ -321,7 +325,7 @@ func (j *Join) ProcessTupleBatch(input int, items []queue.Item, ctx exec.Context
 	return j.ApplyTupleBatch(input, buf, ctx)
 }
 
-// tsAttr returns the timestamp attribute of an input's schema, or -1.
+// tsAttr returns the timestamp attribute of an input's schema.
 func (j *Join) tsAttr(input int) int {
 	if input == 0 {
 		return j.LeftTs
@@ -330,12 +334,18 @@ func (j *Join) tsAttr(input int) int {
 }
 
 // tsOf returns the timestamp punctuation purges t by.
-func (j *Join) tsOf(input int, t stream.Tuple) int64 {
-	attr := j.tsAttr(input)
-	if attr < 0 {
-		return math.MaxInt64
+func (j *Join) tsOf(input int, t stream.Tuple) int64 { return t.At(j.tsAttr(input)).I }
+
+// tsKeyed reports whether the timestamps are a join-key pair: only then does
+// punctuation on one input prove that the other's older entries can match
+// nothing more.
+func (j *Join) tsKeyed() bool {
+	for k, lk := range j.LeftKeys {
+		if lk == j.LeftTs && j.RightKeys[k] == j.RightTs {
+			return true
+		}
 	}
-	return t.At(attr).I
+	return false
 }
 
 // sendImpatient emits desired feedback toward input 1, describing the join
@@ -365,14 +375,9 @@ func (j *Join) countProbe(ts int64) {
 func (j *Join) checkThrifty(probeWM int64, ctx exec.Context) {
 	lastFull := j.ThriftyWindow.LastFullWindow(probeWM)
 	other := 1 - j.ThriftyProbe
-	otherTs := j.LeftTs
 	otherArity := j.Left.Arity()
 	if other == 1 {
-		otherTs = j.RightTs
 		otherArity = j.Right.Arity()
-	}
-	if otherTs < 0 {
-		return
 	}
 	for w := j.probeDone + 1; w <= lastFull; w++ {
 		if j.probeCounts[w] == 0 {
@@ -380,7 +385,7 @@ func (j *Join) checkThrifty(probeWM int64, ctx exec.Context) {
 			j.feedbackSeq++
 			ctx.SendFeedback(other, core.Feedback{
 				Intent: core.Assumed,
-				Pattern: punct.OnAttr(otherArity, otherTs,
+				Pattern: punct.OnAttr(otherArity, j.tsAttr(other),
 					punct.Range(j.tsValue(other, start), j.tsValue(other, end-1))),
 				Origin: j.Name(), Seq: j.feedbackSeq,
 			})
@@ -410,19 +415,24 @@ func (j *Join) tsValue(input int, v int64) stream.Value {
 }
 
 // ProcessPunct implements exec.Operator: timestamp punctuation purges the
-// opposite side and may emit output punctuation and thrifty feedback.
+// opposite side and may emit output punctuation and thrifty feedback. A join
+// whose timestamps are not a join-key pair is refused here, where its output
+// would start to depend on how its inputs interleave.
 func (j *Join) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error {
 	j.Observe(input, e)
 	attr, wm, ok := e.Pattern.Progress()
 	if !ok || attr != j.tsAttr(input) {
 		return nil
 	}
+	if !j.tsKeyed() {
+		return fmt.Errorf("op: join %q: timestamps %s and %s are not a pair of its join keys, so purging on punctuation would make its output depend on how its inputs interleave",
+			j.Name(), j.Left.Field(j.LeftTs).Name, j.Right.Field(j.RightTs).Name)
+	}
 	if w := &j.wm[input]; !w.set || wm > w.v {
 		w.v, w.set = wm, true
 	}
 	// No more tuples ≤ wm on this input: the other side's entries at or
-	// below can never match again, and a left key that carries its timestamp
-	// cannot be seen again.
+	// below can never match again, and a left key cannot be seen again.
 	j.purgeOpposite(input, wm, ctx)
 	if j.ThriftyWindow != nil && j.ThriftyProbe == input {
 		j.checkThrifty(wm, ctx)
@@ -453,9 +463,6 @@ func (j *Join) purgeOpposite(input int, wm int64, ctx exec.Context) {
 // emitOutputPunct asserts progress on the output's timestamp attribute
 // (the left ts position) once both inputs have punctuated.
 func (j *Join) emitOutputPunct(ctx exec.Context) {
-	if j.LeftTs < 0 || j.RightTs < 0 {
-		return
-	}
 	lw, rw := j.wm[0].v, j.wm[1].v
 	if j.wm[0].eos {
 		lw = math.MaxInt64

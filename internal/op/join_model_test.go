@@ -27,6 +27,7 @@ type joinModel struct {
 	j        *Join
 	tables   [2]map[string][]*modelEntry
 	asked    map[string]bool // never pruned, as it was before the store
+	frontier [2]int64        // per input: no tuple at or below it any more
 	arrivals int64
 	out      []stream.Tuple
 	stats    JoinStats
@@ -41,7 +42,8 @@ type modelEntry struct {
 
 func newJoinModel(j *Join) *joinModel {
 	return &joinModel{j: j, asked: map[string]bool{},
-		tables: [2]map[string][]*modelEntry{{}, {}}}
+		tables:   [2]map[string][]*modelEntry{{}, {}},
+		frontier: [2]int64{math.MinInt64, math.MinInt64}}
 }
 
 func (m *joinModel) keys(side int) []int {
@@ -93,7 +95,23 @@ func (m *joinModel) tuple(side int, t stream.Tuple) {
 		}
 		m.emit(stream.NewTuple(append(slices.Clone(l.Values), carried...)...).WithSeq(l.Seq), &m.stats.Emitted)
 	}
-	m.tables[side][k] = append(m.tables[side][k], e)
+	switch {
+	case e.ts > m.frontier[1-side]:
+		m.tables[side][k] = append(m.tables[side][k], e)
+	case side == 0 && j.LeftOuter && !e.matched:
+		// No partner can come: the timestamp is a key the right input has
+		// passed.
+		m.outer(t)
+	}
+}
+
+// outer emits a left tuple null-padded.
+func (m *joinModel) outer(l stream.Tuple) {
+	vals := slices.Clone(l.Values)
+	for range m.j.Right.Arity() - len(m.j.RightKeys) {
+		vals = append(vals, stream.Null)
+	}
+	m.emit(stream.NewTuple(vals...).WithSeq(l.Seq), &m.stats.OuterEmitted)
 }
 
 // remove drops the entries of one side that doomed picks and returns them in
@@ -122,13 +140,10 @@ func (m *joinModel) remove(side int, doomed func(*modelEntry) bool) []*modelEntr
 // progress is punctuation ts ≤ wm on an input, or its EOS (math.MaxInt64);
 // call it before the operator's, whose output guards punctuation may release.
 func (m *joinModel) progress(input int, wm int64) {
+	m.frontier[input] = max(m.frontier[input], wm)
 	for _, e := range m.remove(1-input, func(e *modelEntry) bool { return e.ts <= wm }) {
 		if input == 1 && m.j.LeftOuter && !e.matched {
-			vals := slices.Clone(e.t.Values)
-			for range m.j.Right.Arity() - len(m.j.RightKeys) {
-				vals = append(vals, stream.Null)
-			}
-			m.emit(stream.NewTuple(vals...).WithSeq(e.t.Seq), &m.stats.OuterEmitted)
+			m.outer(e.t)
 		}
 	}
 }
@@ -202,13 +217,13 @@ type joinModelCase struct {
 
 func randomJoinCase(r *rand.Rand) joinModelCase {
 	var c joinModelCase
-	keyed2 := r.Intn(2) == 0 // join on (seg, ts) rather than seg
+	tsFirst := r.Intn(2) == 0 // list the keys as (ts, seg) rather than (seg, ts)
 	mode := []FeedbackMode{FeedbackIgnore, FeedbackGuardOutput, FeedbackExploit, FeedbackExploit}[r.Intn(4)]
 	outer, residual, impatient := r.Intn(2) == 0, r.Intn(3) == 0, r.Intn(2) == 0
 	c.mk = func() *Join {
 		j := newTestJoin(mode, false)
-		if !keyed2 {
-			j.LeftKeys, j.RightKeys = []int{0}, []int{0}
+		if tsFirst {
+			j.LeftKeys, j.RightKeys = []int{1, 0}, []int{1, 0}
 		}
 		j.LeftOuter, j.Impatient = outer, impatient
 		if residual {
@@ -216,12 +231,8 @@ func randomJoinCase(r *rand.Rand) joinModelCase {
 		}
 		return j
 	}
-	// Output schema: (seg, ts, pspeed, sspeed), or (seg, ts, pspeed, right_ts,
-	// sspeed) when ts is not a join key.
-	arity, sspeed := 4, 3
-	if !keyed2 {
-		arity, sspeed = 5, 4
-	}
+	// Output schema: (seg, ts, pspeed, sspeed).
+	const arity, sspeed = 4, 3
 	speed := func() stream.Value { return stream.Float(float64(40 + r.Intn(4))) }
 	seg := func() stream.Value { return stream.Int(r.Int63n(4)) }
 	shapes := []func() punct.Pattern{

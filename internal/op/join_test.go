@@ -1,6 +1,7 @@
 package op
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -191,6 +192,66 @@ func TestJoinLeftOuterEOSFlush(t *testing.T) {
 	exec.Drive(j, exec.Tuples(0, probe(7, 100, 45)), exec.EOS(1), outAt(&got))
 	if len(got) != 1 || !got[0].At(3).IsNull() {
 		t.Fatalf("EOS must flush unmatched left tuples: %v", got)
+	}
+}
+
+// TestJoinOutputIndependentOfInterleaving: the timestamps being a join-key
+// pair, a join's output is a function of its two input streams, not of how
+// the scheduler interleaves them. Each random script — per input, tuples in
+// disorder above that input's punctuation, then its EOS, the left input the
+// longer — plays all of the left input first, then strictly alternating;
+// inner and LEFT OUTER joins emit equal multisets either way, and neither
+// emits a tuple its own punctuation already covered. Alternating, the right
+// input ends first: a left tuple after it can have no partner, and LEFT
+// OUTER still emits it.
+func TestJoinOutputIndependentOfInterleaving(t *testing.T) {
+	joined := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var inputs [2][]exec.Script
+		for in, n := range []int{40, 25} {
+			wm := int64(0)
+			for range n {
+				if r.Intn(5) == 0 {
+					wm += r.Int63n(3)
+					inputs[in] = append(inputs[in], exec.Punct(in, leftPunct(wm)))
+					continue
+				}
+				inputs[in] = append(inputs[in], exec.Tuples(in, probe(r.Int63n(3), wm+1+r.Int63n(4), float64(r.Intn(100)))))
+			}
+			inputs[in] = append(inputs[in], exec.EOS(in))
+		}
+		leftFirst := slices.Concat(inputs[0], inputs[1])
+		var alternating []exec.Script
+		for i := range len(inputs[0]) {
+			alternating = append(alternating, inputs[0][i])
+			if i < len(inputs[1]) {
+				alternating = append(alternating, inputs[1][i])
+			}
+		}
+		for _, outer := range []bool{false, true} {
+			var got [2][]string
+			for k, script := range [][]exec.Script{leftFirst, alternating} {
+				j := newTestJoin(FeedbackIgnore, false)
+				j.LeftOuter = outer
+				tr := exec.Drive(j, script...)
+				if tr.Err != nil {
+					t.Fatal(tr.Err)
+				}
+				at := fmt.Sprintf("seed %d outer=%v interleaving %d", seed, outer, k)
+				keepsPromises(t, at, j.OutSchemas()[0].Arity(), tr.Out[0].Items())
+				got[k] = tr.Out[0].Lines()
+			}
+			if !slices.Equal(got[0], got[1]) {
+				t.Fatalf("seed %d outer=%v: left first emitted %v, alternating %v", seed, outer, got[0], got[1])
+			}
+			if !outer {
+				joined += len(got[0])
+			}
+		}
+	}
+	if joined == 0 {
+		t.Fatal("no script joined a pair: the check is vacuous")
 	}
 }
 

@@ -157,15 +157,15 @@ func countOp(m op.FeedbackMode, p bool) *op.Aggregate {
 		Window: window.Tumbling(minuteUS), Mode: m, Propagate: p}
 }
 
-// joinOp joins readings (less their speed) with a per-segment limit on
-// segment: output (segment, detector, ts, limit), L = {detector, ts},
-// J = {segment}, R = {limit}.
-var rightSide = stream.MustSchema(stream.F("segment", stream.KindInt), stream.F("limit", stream.KindFloat))
+// joinOp joins readings (less their speed) with a limit per segment and
+// time on (segment, ts): output (segment, detector, ts, limit),
+// L = {detector}, J = {segment, ts}, R = {limit}.
+var limits = stream.MustSchema(stream.F("segment", stream.KindInt), stream.F("ts", stream.KindTime), stream.F("limit", stream.KindFloat))
 
 func joinOp(m op.FeedbackMode, p bool) *op.Join {
 	left := stream.MustSchema(stream.F("segment", stream.KindInt), stream.F("detector", stream.KindInt), stream.F("ts", stream.KindTime))
-	return &op.Join{Left: left, Right: rightSide, LeftKeys: []int{0}, RightKeys: []int{0},
-		LeftTs: -1, RightTs: -1, Mode: m, Propagate: p}
+	return &op.Join{Left: left, Right: limits, LeftKeys: []int{0, 2}, RightKeys: []int{0, 1},
+		LeftTs: 2, RightTs: 1, Mode: m, Propagate: p}
 }
 
 // feed runs the probe stream through a fresh operator, input by input, minus
@@ -174,10 +174,11 @@ func feed(o exec.Operator, port int, drop func(input int, t stream.Tuple) bool) 
 	var script []exec.Script
 	for input, schema := range o.InSchemas() {
 		for _, t := range probe() {
-			if schema.Arity() == 3 {
+			switch {
+			case schema.Equal(limits):
+				t = stream.NewTuple(t.At(0), t.At(2), stream.Float(45+float64(t.At(1).AsInt())*5))
+			case schema.Arity() == 3:
 				t = stream.NewTuple(t.At(0), t.At(1), t.At(2))
-			} else if schema.Arity() == 2 {
-				t = stream.NewTuple(t.At(0), stream.Float(45+float64(t.At(1).AsInt())*5))
 			}
 			if !drop(input, t) {
 				script = append(script, exec.Tuples(input, t))

@@ -139,7 +139,7 @@ func TestAggregateRestoreDropsAssumedState(t *testing.T) {
 func testJoin(mode FeedbackMode) *Join {
 	return &Join{
 		OpName: "j", Left: trafficSchema, Right: trafficSchema,
-		LeftKeys: []int{0}, RightKeys: []int{0}, LeftTs: 2, RightTs: 2,
+		LeftKeys: []int{0, 2}, RightKeys: []int{0, 2}, LeftTs: 2, RightTs: 2,
 		Mode: mode,
 	}
 }
@@ -150,11 +150,11 @@ func TestJoinStateRoundTrip(t *testing.T) {
 	feedFirst := []exec.Script{
 		exec.Tuples(0, traffic(1, 1, 10, 40)),
 		exec.Tuples(0, traffic(2, 1, 20, 30)),
-		exec.Tuples(1, traffic(1, 9, 15, 70)),
+		exec.Tuples(1, traffic(1, 9, 10, 70)), // partners left 1
 	}
 	feedRest := []exec.Script{
-		exec.Tuples(1, traffic(2, 8, 25, 75)), // partners the buffered left 2
-		exec.Tuples(0, traffic(1, 3, 30, 45)), // partners the buffered right 1
+		exec.Tuples(1, traffic(2, 8, 20, 75)), // partners the buffered left 2
+		exec.Tuples(0, traffic(1, 3, 10, 45)), // partners the buffered right 1
 		exec.Punct(0, tsPunct(100)),
 		exec.Punct(1, tsPunct(100)),
 	}

@@ -82,6 +82,34 @@ func TestBuilderJoinAndDuplicate(t *testing.T) {
 	}
 }
 
+// TestJoinOffItsTimestampsIsRefused: a join whose timestamps are not a
+// join-key pair would purge on punctuation by a rule that makes its output
+// depend on how its inputs interleave. Its plan fails at the first timestamp
+// punctuation with an error that names the join, and the same join driven
+// by hand gets the same error there, after joining what came before.
+func TestJoinOffItsTimestampsIsRefused(t *testing.T) {
+	tsLe := punct.NewEmbedded(punct.OnAttr(3, 1, punct.Le(stream.TimeMicros(20))))
+	src := testSource("s", reading(1, 10, 50), reading(2, 20, 60))
+	src.Items = []queue.Item{queue.PunctItem(tsLe)}
+	b := New()
+	outs := b.Source(src).Duplicate("dup", 2)
+	join(t, "by-segment", outs[0], outs[1], []string{"segment"}, []string{"segment"}, "ts", "ts").Collect("sink")
+	err := b.Run()
+	if err == nil || !strings.Contains(err.Error(), `join "by-segment"`) {
+		t.Fatalf("a plan joining on segment alone ran with %v, want an error naming the join", err)
+	}
+
+	j := &op.Join{OpName: "by-segment", Left: testSchema, Right: testSchema,
+		LeftKeys: []int{0}, RightKeys: []int{0}, LeftTs: 1, RightTs: 1}
+	tr := exec.Drive(j, exec.Tuples(0, reading(1, 10, 50)), exec.Tuples(1, reading(1, 20, 60)), exec.Punct(1, tsLe))
+	if tr.Err == nil || !strings.Contains(err.Error(), errors.Unwrap(tr.Err).Error()) {
+		t.Fatalf("driven by hand: %v, want the plan's error %v", tr.Err, err)
+	}
+	if got := tr.Out[0].Tuples(); len(got) != 1 {
+		t.Fatalf("driven by hand, the join emitted %v before the punctuation, want the one pair", got)
+	}
+}
+
 // TestMultiInputWiringRefusesBadAndForeignStreams: a multi-input method given
 // a stream that carries an earlier error adds nothing, and one given a stream
 // of another builder fails the plan instead of wiring whatever node of this
@@ -351,14 +379,14 @@ func join(t testing.TB, name string, l, r Stream, leftKeys, rightKeys []string, 
 	t.Helper()
 	lk, err1 := attrs(l.Schema(), leftKeys...)
 	rk, err2 := attrs(r.Schema(), rightKeys...)
-	lt, err3 := optAttr(l.Schema(), leftTs)
-	rt, err4 := optAttr(r.Schema(), rightTs)
+	lt, err3 := attrs(l.Schema(), leftTs)
+	rt, err4 := attrs(r.Schema(), rightTs)
 	if err := errors.Join(err1, err2, err3, err4); err != nil {
 		t.Fatal(err)
 	}
 	return l.Through(&op.Join{
 		OpName: name, Left: l.Schema(), Right: r.Schema(),
-		LeftKeys: lk, RightKeys: rk, LeftTs: lt, RightTs: rt,
+		LeftKeys: lk, RightKeys: rk, LeftTs: lt[0], RightTs: rt[0],
 		Mode: l.b.Mode, Propagate: l.b.Propagate,
 	}, r)
 }
