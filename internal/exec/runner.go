@@ -543,9 +543,15 @@ func (r *nodeRunner) alignmentStale() bool {
 func (r *nodeRunner) abandonAlignment() error {
 	a := r.align
 	r.align = nil
-	for in := range a.deferred {
-		for i := range a.deferred[in] {
-			if err := r.processItem(in, &a.deferred[in][i]); err != nil {
+	return r.replay(a.deferred)
+}
+
+// replay processes the items an alignment deferred, input by input, each
+// input's in arrival order.
+func (r *nodeRunner) replay(deferred [][]queue.Item) error {
+	for in := range deferred {
+		for i := range deferred[in] {
+			if err := r.processItem(in, &deferred[in][i]); err != nil {
 				return err
 			}
 		}
@@ -605,14 +611,7 @@ func (r *nodeRunner) maybeCompleteAlignment() error {
 			return err
 		}
 	}
-	for in := range a.deferred {
-		for i := range a.deferred[in] {
-			if err := r.processItem(in, &a.deferred[in][i]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return r.replay(a.deferred)
 }
 
 // drainControl handles all pending control messages without blocking, each
