@@ -179,7 +179,7 @@ func TestSpeedmapShape(t *testing.T) {
 		// 1..feedbacks, each naming every segment but the visible one, so the
 		// visible cell of those minutes and every cell of the others arrive,
 		// and no described cell leaks.
-		minutes, segments := int64(base.Hours)*60, int64(base.withDefaults().Segments)
+		minutes, segments := int64(base.Hours)*60, int64(mapSegments)
 		if results[F0] != minutes*segments {
 			t.Fatalf("F0 produced %d results, want every one of %d cells", results[F0], minutes*segments)
 		}

@@ -37,10 +37,12 @@ type ImputationConfig struct {
 	Rate float64
 	// ToleranceMicros is PACE's allowed stream-time divergence.
 	// Default 40 ms of stream time.
+	//pace:allow-unreached ROADMAP item 21 sweeps it in discrete-event time for the paper's operating point
 	ToleranceMicros int64
 	// ServiceFactor is imputation service time as a multiple of the
 	// dirty-tuple inter-arrival time. >1 means IMPUTE cannot keep up;
 	// the paper's setting corresponds to ~1.4 (≈29% overload).
+	//pace:allow-unreached ROADMAP item 21 sweeps it beside ToleranceMicros
 	ServiceFactor float64
 	// Feedback enables PACE's assumed-feedback production and IMPUTE's
 	// exploitation (Figure 6 vs Figure 5).

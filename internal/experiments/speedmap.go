@@ -44,14 +44,18 @@ type SpeedmapConfig struct {
 	SwitchEveryMinutes int
 	// Hours of simulated traffic at 20-second resolution (paper: 18).
 	Hours int
-	// Segments and Detectors give the network size (paper: 9 and 40).
-	Segments, Detectors int
-	// Stage costs in work units per tuple (see DESIGN.md cost model):
-	// IngestCost at the source, FilterCost at σQ, FoldCost per tuple
-	// folded by AVERAGE, EmitCost per produced result (result
+	// EmitCost is the work units per result AVERAGE produces (result
 	// construction + map rendering, the dominant per-result expense).
-	IngestCost, FilterCost, FoldCost, EmitCost int
+	EmitCost int
 }
+
+// The paper's network, 9 segments of 40 detectors, and the stage costs in
+// work units per tuple (see DESIGN.md cost model): ingest at the source,
+// the filter at σQ, the fold at AVERAGE.
+const (
+	mapSegments, mapDetectors        = 9, 40
+	ingestCost, filterCost, foldCost = 200, 100, 140
+)
 
 func (c SpeedmapConfig) withDefaults() SpeedmapConfig {
 	if c.SwitchEveryMinutes <= 0 {
@@ -60,29 +64,14 @@ func (c SpeedmapConfig) withDefaults() SpeedmapConfig {
 	if c.Hours <= 0 {
 		c.Hours = 18
 	}
-	if c.Segments <= 0 {
-		c.Segments = 9
-	}
-	if c.Detectors <= 0 {
-		c.Detectors = 40
-	}
-	if c.IngestCost <= 0 {
-		c.IngestCost = 200
-	}
-	if c.FilterCost <= 0 {
-		c.FilterCost = 100
-	}
-	if c.FoldCost <= 0 {
-		c.FoldCost = 140
-	}
 	if c.EmitCost <= 0 {
 		// Result production dominates per result: calibrated so that
 		// guarding AVERAGE's output alone (F1) buys roughly half the
 		// execution time, the paper's headline observation. The stage
 		// weights above then place F2 and F3 near the paper's 39%/35%.
-		inputs := int64(c.Hours) * 180 * int64(c.Segments) * int64(c.Detectors)
-		results := int64(c.Hours) * 60 * int64(c.Segments) // 1-minute windows
-		c.EmitCost = int(inputs * int64(c.IngestCost+c.FilterCost+c.FoldCost) / max(results, 1))
+		inputs := int64(c.Hours) * 180 * mapSegments * mapDetectors
+		results := int64(c.Hours) * 60 * mapSegments // 1-minute windows
+		c.EmitCost = int(inputs * (ingestCost + filterCost + foldCost) / max(results, 1))
 	}
 	return c
 }
@@ -210,13 +199,13 @@ func speedmapPlan(b *plan.Builder, cfg SpeedmapConfig) speedmap {
 	}
 	h := speedmap{
 		src: &gen.TrafficSource{Config: gen.TrafficConfig{
-			Segments:            cfg.Segments,
-			DetectorsPerSegment: cfg.Detectors,
+			Segments:            mapSegments,
+			DetectorsPerSegment: mapDetectors,
 			ReportPeriod:        period20s,
 			Duration:            int64(cfg.Hours) * 3600 * 1_000_000,
 			NullRate:            0.02,
 			Noise:               3,
-			Cost:                cfg.IngestCost,
+			Cost:                ingestCost,
 		}},
 		quality: &op.Select{
 			OpName: "sigma-quality", Schema: gen.TrafficSchema,
@@ -224,25 +213,24 @@ func speedmapPlan(b *plan.Builder, cfg SpeedmapConfig) speedmap {
 				v := t.At(3)
 				return !v.IsNull() && v.AsFloat() >= 0 && v.AsFloat() <= 120
 			},
-			Cost: cfg.FilterCost,
+			Cost: filterCost,
 			Mode: filterMode,
 		},
 		avg: &op.Aggregate{
 			OpName: "average", In: gen.TrafficSchema, Kind: core.AggAvg,
 			TsAttr: 2, ValAttr: 3, GroupBy: []int{0},
 			Window: window.Tumbling(60_000_000), ValueName: "avg_speed",
-			Cost: cfg.FoldCost, EmitCost: cfg.EmitCost,
+			Cost: foldCost, EmitCost: cfg.EmitCost,
 			Mode: aggMode, Propagate: propagate,
 		},
 	}
-	segments := int64(cfg.Segments)
 	h.view = &viewer{
 		schema:   h.avg.OutSchemas()[0],
 		scheme:   cfg.Scheme,
 		switchUS: int64(cfg.SwitchEveryMinutes) * 60_000_000,
 		// The vehicle viewing the map follows one segment, the next one
 		// every switch period.
-		hidden: func(period int64) (punct.Pred, bool) { return punct.Ne(stream.Int(period % segments)), true },
+		hidden: func(period int64) (punct.Pred, bool) { return punct.Ne(stream.Int(period % mapSegments)), true },
 	}
 	b.Source(h.src).Through(h.quality).Through(h.avg).Into(h.view)
 	return h

@@ -22,7 +22,7 @@ func Zoom(w io.Writer) error {
 	const from, to = 2, 5 // the zoomed minutes
 	cfg := SpeedmapConfig{Scheme: F3, SwitchEveryMinutes: 1, Hours: 1}.withDefaults()
 	var off []stream.Value
-	for s := int64(0); s < int64(cfg.Segments); s++ {
+	for s := int64(0); s < mapSegments; s++ {
 		if s != 3 && s != 4 {
 			off = append(off, stream.Int(s))
 		}
@@ -38,7 +38,7 @@ func Zoom(w io.Writer) error {
 	if err := b.Compile().Run(); err != nil {
 		return fmt.Errorf("zoom run: %w", err)
 	}
-	cells := int64(cfg.Hours) * 60 * int64(cfg.Segments)
+	cells := int64(cfg.Hours) * 60 * mapSegments
 	unseen := (to - from + 1) * int64(len(off))
 	_, _, filtered := h.quality.Stats()
 	fmt.Fprintf(w, "viewer: zoomed into segments 3-4 for minutes %d-%d, then out: %d assumed feedbacks ¬[%v, minute, *]\n",

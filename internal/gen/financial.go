@@ -25,9 +25,10 @@ type TickConfig struct {
 	// Duration spans the stream in micros, from stream time 0.
 	Duration int64
 	Seed     int64
-	// Volatility is the per-tick relative rate change stddev.
-	Volatility float64
 }
+
+// volatility is the per-tick relative rate change stddev.
+const volatility = 0.0005
 
 func (c TickConfig) withDefaults() TickConfig {
 	if len(c.Pairs) == 0 {
@@ -38,9 +39,6 @@ func (c TickConfig) withDefaults() TickConfig {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 60 * 1_000_000
-	}
-	if c.Volatility <= 0 {
-		c.Volatility = 0.0005
 	}
 	return c
 }
@@ -92,7 +90,7 @@ func (s *TickSource) Step(run []stream.Tuple) (exec.Run, error) {
 	for i, pair := range s.cfg.Pairs {
 		for k := 0; k < n; k++ {
 			s.seq++
-			s.rates[i] *= math.Exp(s.rng.NormFloat64() * s.cfg.Volatility)
+			s.rates[i] *= math.Exp(s.rng.NormFloat64() * volatility)
 			ts := s.now + s.rng.Int63n(second)
 			run = append(run, stream.NewTuple(
 				stream.String_(pair), stream.TimeMicros(ts), stream.Float(s.rates[i]),

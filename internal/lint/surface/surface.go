@@ -22,8 +22,10 @@
 // A field is "set to one constant everywhere" when at least two sites
 // choose its value and every value it gets is the same constant: a
 // literal that leaves the field out gives it its zero value, and a
-// default filled in (`if c.N == 0 { c.N = 9 }`) gives it a value but is
-// no site's choice. A field set at one site is that caller's choice.
+// default filled in (`if c.N == 0 { c.N = 9 }`, or `c.N = c.M`) gives it
+// a value but is no site's choice. A field set at one site is that
+// caller's choice; a field only a default fills in is no one's, an option
+// with one setting too.
 //
 // Callers are the analysed packages plus every package of each module in
 // the repository that requires this one (load.Dependents: bench/), so
@@ -236,9 +238,10 @@ func (u *usage) scan(x unit) {
 }
 
 // defaults finds the assignments in f that fill in a default, as in
-// `if c.N <= 0 { c.N = 9 }`: a constant assigned to a field the if
-// statement's condition reads. A default is the value a caller gets by
-// not choosing: it sets the field, but it is not a site that chooses.
+// `if c.N <= 0 { c.N = 9 }` or `if c.N <= 0 { c.N = c.M }`: a constant or
+// another field assigned to a field the if statement's condition reads. A
+// default is the value a caller gets by not choosing: it sets the field,
+// but it is not a site that chooses.
 func (u *usage) defaults(info *types.Info, f *ast.File) map[*ast.AssignStmt]bool {
 	out := map[*ast.AssignStmt]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -255,9 +258,17 @@ func (u *usage) defaults(info *types.Info, f *ast.File) map[*ast.AssignStmt]bool
 			}
 			return true
 		})
+		isField := func(e ast.Expr) bool {
+			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return false
+			}
+			s, ok := info.Selections[sel]
+			return ok && s.Kind() == types.FieldVal
+		}
 		for _, st := range is.Body.List {
 			as, ok := st.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 || info.Types[as.Rhs[0]].Value == nil {
+			if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 || info.Types[as.Rhs[0]].Value == nil && !isField(as.Rhs[0]) {
 				continue
 			}
 			if sel, ok := ast.Unparen(as.Lhs[0]).(*ast.SelectorExpr); ok {
@@ -633,6 +644,8 @@ func checkFields(typ string, st *ast.StructType, scope []*ast.CommentGroup, u *u
 			switch {
 			case s == nil || !s.assigned:
 				report(id, scope, "field %s.%s is never set by non-test code", typ, id.Name)
+			case s.sites == 0:
+				report(id, scope, "field %s.%s is only ever filled in by a default: no non-test code chooses it", typ, id.Name)
 			case s.sites > 1 && !s.varied && len(s.consts) == 1:
 				for v := range s.consts {
 					report(id, scope, "field %s.%s is set to %s by every non-test assignment", typ, id.Name, v)

@@ -1,6 +1,7 @@
 // Package fields: a field is set by assignment, increment, taking its
 // address, or calling a pointer method on it; a field none of them
-// touches is never set.
+// touches is never set. A default filled in, from a constant or from
+// another field, sets a field but is no site's choice.
 package fields
 
 // Config's fields are set in every way but a literal.
@@ -10,6 +11,8 @@ type Config struct {
 	Pointed  int
 	Grown    Buf
 	Never    int // want "field Config.Never is never set by non-test code"
+	Fixed    int // want "field Config.Fixed is only ever filled in by a default: no non-test code chooses it"
+	Copied   int // want "field Config.Copied is only ever filled in by a default: no non-test code chooses it"
 }
 
 // Buf grows in place.
@@ -19,7 +22,9 @@ type Buf struct{ n int }
 func (b *Buf) Grow() { b.n++ }
 
 // Read reads a config.
-func Read(c Config) int { return c.Never + c.Counted + c.Assigned + c.Pointed + c.Grown.n }
+func Read(c Config) int {
+	return c.Never + c.Counted + c.Assigned + c.Pointed + c.Grown.n + c.Fixed + c.Copied
+}
 
 func init() {
 	var c Config
@@ -28,5 +33,11 @@ func init() {
 	p := &c.Pointed
 	*p = 3
 	c.Grown.Grow()
+	if c.Fixed <= 0 {
+		c.Fixed = 9
+	}
+	if c.Copied <= 0 {
+		c.Copied = c.Assigned
+	}
 	_ = Read(c)
 }

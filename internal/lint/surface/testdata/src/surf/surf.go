@@ -13,7 +13,7 @@ type Used struct {
 	Never     int  // want "field Used.Never is never set by non-test code"
 	Fixed     bool // want "field Used.Fixed is set to true by every non-test assignment"
 	Varied    int
-	Defaulted int // Fill sets it when zero: set, though no caller chooses it
+	Defaulted int // want "field Used.Defaulted is only ever filled in by a default: no non-test code chooses it"
 }
 
 // Method is called by nothing.

@@ -26,8 +26,6 @@ type Impute struct {
 	SegAttr, DetAttr, TsAttr, SpeedAttr int
 	// Store answers the archival queries.
 	Store *archive.Store
-	// FallbackSpeed is used when the archive has no history.
-	FallbackSpeed float64
 	// Mode: FeedbackIgnore makes Impute feedback-unaware (Figure 5);
 	// anything else installs input guards (Figure 6). Impute relays no
 	// feedback upstream: Experiment 1's source reads a log it cannot skip.
@@ -62,9 +60,6 @@ func (im *Impute) Open(exec.Context) error {
 	im.guards = im.OutTables()[0]
 	im.carried = core.Identity(im.Schema.Arity())
 	im.carried.ToInput[im.SpeedAttr] = -1
-	if im.FallbackSpeed == 0 {
-		im.FallbackSpeed = 55
-	}
 	im.keepState()
 	return nil
 }
@@ -88,7 +83,7 @@ func (im *Impute) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 	minuteOfDay := minuteOfDayOf(t.At(im.TsAttr).I)
 	est, ok := im.Store.Lookup(seg, det, minuteOfDay)
 	if !ok {
-		est = im.FallbackSpeed
+		est = fallbackSpeed
 	}
 	out := t.Clone()
 	out.Values[im.SpeedAttr] = stream.Float(est)
@@ -96,6 +91,9 @@ func (im *Impute) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
 	ctx.Emit(out)
 	return nil
 }
+
+// fallbackSpeed is the estimate for a reading the archive has no history for.
+const fallbackSpeed = 55
 
 // minuteOfDayOf converts a micros timestamp to the minute-of-day bucket
 // used by the archive.

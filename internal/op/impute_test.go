@@ -50,10 +50,10 @@ func TestImputePassesCleanTuples(t *testing.T) {
 func TestImputeFallbackWithoutHistory(t *testing.T) {
 	im := &Impute{
 		Schema: trafficSchema, SegAttr: 0, DetAttr: 1, TsAttr: 2, SpeedAttr: 3,
-		Store: archive.NewStore(1), FallbackSpeed: 48,
+		Store: archive.NewStore(1),
 	}
 	got := exec.Drive(im, exec.Tuples(0, trafficNull(9, 9, 100))).Out[0].Tuples()
-	if len(got) != 1 || got[0].At(3).AsFloat() != 48 {
+	if len(got) != 1 || got[0].At(3).AsFloat() != fallbackSpeed {
 		t.Fatalf("fallback: %v", got)
 	}
 }
