@@ -251,35 +251,31 @@ func (u *usage) defaults(info *types.Info, f *ast.File) map[*ast.AssignStmt]bool
 		}
 		read := map[types.Object]bool{}
 		ast.Inspect(is.Cond, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-					read[s.Obj()] = true
-				}
+			if e, ok := n.(ast.Expr); ok && fieldOf(info, e) != nil {
+				read[fieldOf(info, e)] = true
 			}
 			return true
 		})
-		isField := func(e ast.Expr) bool {
-			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-			if !ok {
-				return false
-			}
-			s, ok := info.Selections[sel]
-			return ok && s.Kind() == types.FieldVal
-		}
 		for _, st := range is.Body.List {
 			as, ok := st.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 || info.Types[as.Rhs[0]].Value == nil && !isField(as.Rhs[0]) {
-				continue
-			}
-			if sel, ok := ast.Unparen(as.Lhs[0]).(*ast.SelectorExpr); ok {
-				if s, ok := info.Selections[sel]; ok && read[s.Obj()] {
-					out[as] = true
-				}
+			if ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 && read[fieldOf(info, as.Lhs[0])] &&
+				(info.Types[as.Rhs[0]].Value != nil || fieldOf(info, as.Rhs[0]) != nil) {
+				out[as] = true
 			}
 		}
 		return true
 	})
 	return out
+}
+
+// fieldOf is the field e selects, or nil.
+func fieldOf(info *types.Info, e ast.Expr) types.Object {
+	if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+		if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+			return s.Obj()
+		}
+	}
+	return nil
 }
 
 // iface returns the record of interface it, keyed by its method set.

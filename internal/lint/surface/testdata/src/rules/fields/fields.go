@@ -22,9 +22,7 @@ type Buf struct{ n int }
 func (b *Buf) Grow() { b.n++ }
 
 // Read reads a config.
-func Read(c Config) int {
-	return c.Never + c.Counted + c.Assigned + c.Pointed + c.Grown.n + c.Fixed + c.Copied
-}
+func Read(c Config) int { return c.Never + c.Counted + c.Assigned + c.Pointed + c.Grown.n }
 
 func init() {
 	var c Config

@@ -75,6 +75,9 @@ type Join struct {
 	rightCarry []int // right attrs carried to output (non-keys)
 	part       core.JoinPartition
 	inMap      [2]core.AttrMap // output attribute → attribute of input 0 / 1
+	// tsKeyed: LeftTs/RightTs are a pair of the join keys, so punctuation on
+	// one input proves the other's older entries can match nothing more.
+	tsKeyed bool
 	// store holds the entries of both inputs and the impatient join's asked
 	// keys (joinstore.go).
 	store        joinStore
@@ -179,6 +182,10 @@ func (j *Join) mustInit() {
 	j.inMap = [2]core.AttrMap{
 		{InputArity: j.Left.Arity(), ToInput: lm},
 		{InputArity: j.Right.Arity(), ToInput: rm},
+	}
+	j.tsKeyed = false
+	for k, lk := range j.LeftKeys {
+		j.tsKeyed = j.tsKeyed || lk == j.LeftTs && j.RightKeys[k] == j.RightTs
 	}
 }
 
@@ -336,18 +343,6 @@ func (j *Join) tsAttr(input int) int {
 // tsOf returns the timestamp punctuation purges t by.
 func (j *Join) tsOf(input int, t stream.Tuple) int64 { return t.At(j.tsAttr(input)).I }
 
-// tsKeyed reports whether the timestamps are a join-key pair: only then does
-// punctuation on one input prove that the other's older entries can match
-// nothing more.
-func (j *Join) tsKeyed() bool {
-	for k, lk := range j.LeftKeys {
-		if lk == j.LeftTs && j.RightKeys[k] == j.RightTs {
-			return true
-		}
-	}
-	return false
-}
-
 // sendImpatient emits desired feedback toward input 1, describing the join
 // key values just seen on input 0 in the right input's schema.
 func (j *Join) sendImpatient(l stream.Tuple, ctx exec.Context) {
@@ -375,10 +370,7 @@ func (j *Join) countProbe(ts int64) {
 func (j *Join) checkThrifty(probeWM int64, ctx exec.Context) {
 	lastFull := j.ThriftyWindow.LastFullWindow(probeWM)
 	other := 1 - j.ThriftyProbe
-	otherArity := j.Left.Arity()
-	if other == 1 {
-		otherArity = j.Right.Arity()
-	}
+	otherArity := [2]stream.Schema{j.Left, j.Right}[other].Arity()
 	for w := j.probeDone + 1; w <= lastFull; w++ {
 		if j.probeCounts[w] == 0 {
 			start, end := j.ThriftyWindow.Extent(w)
@@ -407,11 +399,7 @@ type watermark struct {
 
 // tsValue is v as a value of input's timestamp attribute.
 func (j *Join) tsValue(input int, v int64) stream.Value {
-	sch, attr := j.Left, j.LeftTs
-	if input == 1 {
-		sch, attr = j.Right, j.RightTs
-	}
-	return stream.Ordinal(sch.Field(attr).Kind, v)
+	return stream.Ordinal([2]stream.Schema{j.Left, j.Right}[input].Field(j.tsAttr(input)).Kind, v)
 }
 
 // ProcessPunct implements exec.Operator: timestamp punctuation purges the
@@ -424,7 +412,7 @@ func (j *Join) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error
 	if !ok || attr != j.tsAttr(input) {
 		return nil
 	}
-	if !j.tsKeyed() {
+	if !j.tsKeyed {
 		return fmt.Errorf("op: join %q: timestamps %s and %s are not a pair of its join keys, so purging on punctuation would make its output depend on how its inputs interleave",
 			j.Name(), j.Left.Field(j.LeftTs).Name, j.Right.Field(j.RightTs).Name)
 	}
