@@ -251,8 +251,10 @@ func (u *usage) defaults(info *types.Info, f *ast.File) map[*ast.AssignStmt]bool
 		}
 		read := map[types.Object]bool{}
 		ast.Inspect(is.Cond, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok && fieldOf(info, e) != nil {
-				read[fieldOf(info, e)] = true
+			if e, ok := n.(ast.Expr); ok {
+				if f := fieldOf(info, e); f != nil {
+					read[f] = true
+				}
 			}
 			return true
 		})

@@ -176,7 +176,7 @@ func TestSplitBatchApplyZeroAlloc(t *testing.T) {
 func TestJoinBatchGuardZeroAlloc(t *testing.T) {
 	j := &Join{
 		Left: trafficSchema, Right: trafficSchema,
-		LeftKeys: []int{0}, RightKeys: []int{0},
+		LeftKeys: []int{0, 2}, RightKeys: []int{0, 2},
 		LeftTs: 2, RightTs: 2, Mode: FeedbackExploit,
 	}
 	if err := j.Open(discardCtx{}); err != nil {
