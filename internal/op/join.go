@@ -462,10 +462,7 @@ func (j *Join) emitOutputPunct(ctx exec.Context) {
 	} else if !j.wm[1].set {
 		return
 	}
-	wm := lw
-	if rw < wm {
-		wm = rw
-	}
+	wm := min(lw, rw)
 	if wm == math.MaxInt64 {
 		return
 	}

@@ -102,7 +102,7 @@ func TestJoinOffItsTimestampsIsRefused(t *testing.T) {
 	j := &op.Join{OpName: "by-segment", Left: testSchema, Right: testSchema,
 		LeftKeys: []int{0}, RightKeys: []int{0}, LeftTs: 1, RightTs: 1}
 	tr := exec.Drive(j, exec.Tuples(0, reading(1, 10, 50)), exec.Tuples(1, reading(1, 20, 60)), exec.Punct(1, tsLe))
-	if tr.Err == nil || !strings.Contains(err.Error(), errors.Unwrap(tr.Err).Error()) {
+	if cause := errors.Unwrap(tr.Err); cause == nil || !strings.Contains(err.Error(), cause.Error()) {
 		t.Fatalf("driven by hand: %v, want the plan's error %v", tr.Err, err)
 	}
 	if got := tr.Out[0].Tuples(); len(got) != 1 {
