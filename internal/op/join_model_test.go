@@ -305,15 +305,15 @@ func joinScript(t testing.TB, at string, j *Join, m *joinModel, steps []joinStep
 
 // TestJoinStoreAgainstModel: random scripts of left and right tuples in
 // disorder, punctuation on either input, assumed feedback of every
-// JoinShape, and cuts, over random configurations (one or two join columns,
-// every feedback mode, residual predicate, LEFT OUTER, impatient). After
-// every step the operator has emitted the model's sequence and counts what
-// it counts, and no tuple it emits is covered by punctuation it emitted
-// before (§3.1). Every cut's capture restores to the same bytes and counts; the
-// twin restored from it emits, for the rest of the script, what the model
-// does; and a capture encoded only after the script has gone on purging and
-// compacting has the bytes it had at the cut (§2.4: nothing captured may
-// alias the slabs).
+// JoinShape, and cuts, over random configurations (the join keys (seg, ts)
+// in either order, every feedback mode, residual predicate, LEFT OUTER,
+// impatient). After every step the operator has emitted the model's
+// sequence and counts what it counts, and no tuple it emits is covered by
+// punctuation it emitted before (§3.1). Every cut's capture restores to the
+// same bytes and counts; the twin restored from it emits, for the rest of
+// the script, what the model does; and a capture encoded only after the
+// script has gone on purging and compacting has the bytes it had at the cut
+// (§2.4: nothing captured may alias the slabs).
 func TestJoinStoreAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		c := randomJoinCase(rand.New(rand.NewSource(seed)))
