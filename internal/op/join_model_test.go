@@ -26,8 +26,7 @@ import (
 type joinModel struct {
 	j        *Join
 	tables   [2]map[string][]*modelEntry
-	asked    map[string]bool // never pruned, as it was before the store
-	frontier [2]int64        // per input: no tuple at or below it any more
+	frontier [2]int64 // per input: no tuple at or below it any more
 	arrivals int64
 	out      []stream.Tuple
 	stats    JoinStats
@@ -41,7 +40,7 @@ type modelEntry struct {
 }
 
 func newJoinModel(j *Join) *joinModel {
-	return &joinModel{j: j, asked: map[string]bool{},
+	return &joinModel{j: j,
 		tables:   [2]map[string][]*modelEntry{{}, {}},
 		frontier: [2]int64{math.MinInt64, math.MinInt64}}
 }
@@ -72,10 +71,6 @@ func (m *joinModel) tuple(side int, t stream.Tuple) {
 		return
 	}
 	k := t.Key(m.keys(side))
-	if side == 0 && j.Impatient && !m.asked[k] {
-		m.asked[k] = true
-		m.stats.ImpatientSent++
-	}
 	m.arrivals++
 	e := &modelEntry{t: t, ts: j.tsOf(side, t), arrival: m.arrivals}
 	for _, o := range m.tables[1-side][k] {
@@ -97,6 +92,10 @@ func (m *joinModel) tuple(side int, t stream.Tuple) {
 	}
 	switch {
 	case e.ts > m.frontier[1-side]:
+		if side == 0 && j.Impatient && len(m.tables[0][k]) == 0 {
+			// A key the left side starts waiting on: ask for its partners.
+			m.stats.ImpatientSent++
+		}
 		m.tables[side][k] = append(m.tables[side][k], e)
 	case side == 0 && j.LeftOuter && !e.matched:
 		// No partner can come: the timestamp is a key the right input has
