@@ -29,12 +29,12 @@ import (
 //     already has (the Figure 1(b) speed-map join keeps all fixed-sensor
 //     readings);
 //   - Thrifty (§3.3 "Adaptive"): when the probe input's punctuation closes
-//     a window that received no tuples, the join sends assumed feedback to
-//     the other input for that window — "window 4 is empty, stop producing
-//     tuples for it";
-//   - Impatient (§3.4): each new key arriving on the scarce (left) input
-//     triggers desired feedback to the right input — "I have vehicle data
-//     for segment 3, period 7; prioritize its partners".
+//     a window in which the probe side holds no entry, the join sends
+//     assumed feedback to the other input for that window — "window 4 is
+//     empty, stop producing tuples for it";
+//   - Impatient (§3.4): each key the scarce (left) input's side starts
+//     holding triggers desired feedback to the right input — "I have
+//     vehicle data for segment 3, period 7; prioritize its partners".
 //
 // Feedback handling implements Table 2 via core.JoinCharacterization.
 type Join struct {
@@ -56,12 +56,13 @@ type Join struct {
 	Mode      FeedbackMode
 	Propagate bool
 	// ThriftyWindow enables empty-window detection on the probe input
-	// (ThriftyProbe side); feedback goes to the opposite input.
-	//pace:allow-unreached the §3.3 thrifty producer; removing it moves Join's state golden
+	// (ThriftyProbe side); feedback goes to the opposite input. A LEFT
+	// OUTER join must probe its left input.
+	//pace:allow-unreached the §3.3 thrifty producer, which no experiment runs; it reads the probe side and keeps no state, but removing it moves Join's state golden
 	ThriftyWindow *window.Spec
 	ThriftyProbe  int //pace:allow-unreached the §3.3 thrifty producer, as ThriftyWindow
 	// Impatient enables desired-feedback production toward input 1 for
-	// every new join key arriving on input 0.
+	// every join key the left side starts holding.
 	Impatient bool
 	// Adaptive, if set, is invoked for every accepted input tuple and may
 	// produce feedback toward either input — the §3.3 "Adaptive" source
@@ -78,16 +79,15 @@ type Join struct {
 	// tsKeyed: LeftTs/RightTs are a pair of the join keys, so punctuation on
 	// one input proves the other's older entries can match nothing more.
 	tsKeyed bool
-	// store holds the entries of both inputs and the impatient join's asked
-	// keys (joinstore.go).
+	// store holds the entries of both inputs (joinstore.go): what the join
+	// waits on, so also the keys the impatient join has asked for and the
+	// windows the thrifty join finds empty.
 	store        joinStore
 	guardsIn     [2]*core.GuardTable
 	guardsOut    *core.GuardTable
 	wm           [2]watermark // per-input punctuation progress and EOS
 	lastOutWM    int64
 	lastOutWMSet bool
-	probeCounts  map[int64]int64 // thrifty: tuples per probe window
-	probeDone    int64           // thrifty: windows already checked
 	feedbackSeq  int64
 
 	emitted, outerEmitted, suppressedIn, suppressedOut, purgedByFeedback int64
@@ -189,17 +189,20 @@ func (j *Join) mustInit() {
 	}
 }
 
-// Open implements exec.Operator.
+// Open implements exec.Operator. A thrifty LEFT OUTER join probing its right
+// input is refused: an empty right window would tell the left input to drop
+// tuples the join owes a null-padded row.
 func (j *Join) Open(exec.Context) error {
 	if j.out.Arity() == 0 {
 		j.mustInit()
+	}
+	if j.ThriftyWindow != nil && j.ThriftyProbe == 1 && j.LeftOuter {
+		return fmt.Errorf("op: join %q: a thrifty LEFT OUTER join must probe its left input: an empty right window does not make the left tuples in it useless", j.Name())
 	}
 	j.store.reset(j.LeftKeys, j.RightKeys)
 	j.Bind(j, j.Mode, j.Propagate, 1, j.out.Arity())
 	j.guardsOut = j.OutTables()[0]
 	j.guardsIn = [2]*core.GuardTable{j.Pinned(0, j.Left.Arity()), j.Pinned(1, j.Right.Arity())}
-	j.probeCounts = map[int64]int64{}
-	j.probeDone = -1
 	j.keepState()
 	return nil
 }
@@ -251,17 +254,14 @@ func (j *Join) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
 // apply is one tuple past the input-guard probe: probe the other side's
 // entries for partners, oldest first, then keep the tuple for partners yet
 // to come — unless the other input has promised there are none, its
-// timestamp being a key at or below that input's punctuation.
+// timestamp being a key at or below that input's punctuation. The impatient
+// join asks for a left key's partners when the left side starts holding it.
 //
 //pace:hotpath
 func (j *Join) apply(side int, t stream.Tuple, ctx exec.Context) {
 	mine, other := &j.store.sides[side], &j.store.sides[1-side]
 	h := hashKey(t.Values, mine.cols)
 	ts := j.tsOf(side, t)
-	if side == 0 && j.Impatient && j.store.asked.first(h, t.Values, mine.cols) < 0 {
-		j.store.asked.link(joinEntry{t: stream.Tuple{Values: t.AppendProjected(nil, mine.cols)}, ts: ts, hash: h}) //pace:allow-alloc one copy of the key per distinct key asked for
-		j.sendImpatient(t, ctx)
-	}
 	matched := false
 	for i := other.first(h, t.Values, mine.cols); i >= 0; i = other.entries[i].next {
 		l, r := t, other.entries[i].t
@@ -274,15 +274,12 @@ func (j *Join) apply(side int, t stream.Tuple, ctx exec.Context) {
 			j.emitJoined(l, r, ctx)
 		}
 	}
-	if j.ThriftyWindow != nil && j.ThriftyProbe == side {
-		j.countProbe(ts)
-	}
 	if w := &j.wm[1-side]; w.eos || w.set && ts <= w.v {
 		if side == 0 && j.LeftOuter && !matched {
 			j.emitOuter(t, ctx)
 		}
-	} else {
-		mine.link(joinEntry{t: mine.keep(t), ts: ts, hash: h, matched: matched})
+	} else if mine.link(joinEntry{t: mine.keep(t), ts: ts, hash: h, matched: matched}) && side == 0 && j.Impatient {
+		j.sendImpatient(t, ctx)
 	}
 	j.runAdaptive(side, t, ctx)
 }
@@ -357,23 +354,34 @@ func (j *Join) sendImpatient(l stream.Tuple, ctx exec.Context) {
 	j.impatientSent++
 }
 
-// countProbe tallies probe-side tuples per thrifty window.
-func (j *Join) countProbe(ts int64) {
-	lo, hi := j.ThriftyWindow.WindowsOf(ts)
-	for w := lo; w <= hi; w++ {
-		j.probeCounts[w]++
+// checkThrifty sends the other input assumed feedback for each probe window
+// that probe punctuation closes — past prev, the probe frontier before it,
+// through wm — in which the probe side holds no entry and which the other
+// input's frontier does not already cover: the timestamp being a key, the
+// other input's tuples there can match nothing. The first probe punctuation
+// checks from the earliest probe entry held, and nothing if none is.
+func (j *Join) checkThrifty(prev watermark, wm int64, ctx exec.Context) {
+	spec, probe, other := j.ThriftyWindow, &j.store.sides[j.ThriftyProbe], 1-j.ThriftyProbe
+	o, from := j.wm[other], int64(0)
+	switch {
+	case o.eos:
+		return
+	case prev.set:
+		from = spec.LastFullWindow(prev.v) + 1
+	case len(probe.entries) > 0:
+		from, _ = spec.WindowsOf(probe.minTs)
+	default:
+		return
 	}
-}
-
-// checkThrifty fires assumed feedback for every probe window closed by the
-// new probe watermark that received no tuples.
-func (j *Join) checkThrifty(probeWM int64, ctx exec.Context) {
-	lastFull := j.ThriftyWindow.LastFullWindow(probeWM)
-	other := 1 - j.ThriftyProbe
+	if o.set {
+		from = max(from, spec.LastFullWindow(o.v)+1)
+	}
 	otherArity := [2]stream.Schema{j.Left, j.Right}[other].Arity()
-	for w := j.probeDone + 1; w <= lastFull; w++ {
-		if j.probeCounts[w] == 0 {
-			start, end := j.ThriftyWindow.Extent(w)
+	last := spec.LastFullWindow(wm)
+	for w := from; w <= last; w++ {
+		// Every window short of the next one an entry lies in is empty.
+		for held := probe.firstWindowFrom(spec, w); w < min(held, last+1); w++ {
+			start, end := spec.Extent(w)
 			j.feedbackSeq++
 			ctx.SendFeedback(other, core.Feedback{
 				Intent: core.Assumed,
@@ -383,10 +391,6 @@ func (j *Join) checkThrifty(probeWM int64, ctx exec.Context) {
 			})
 			j.thriftySent++
 		}
-		delete(j.probeCounts, w)
-	}
-	if lastFull > j.probeDone {
-		j.probeDone = lastFull
 	}
 }
 
@@ -416,23 +420,23 @@ func (j *Join) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) error
 		return fmt.Errorf("op: join %q: timestamps %s and %s are not a pair of its join keys, so purging on punctuation would make its output depend on how its inputs interleave",
 			j.Name(), j.Left.Field(j.LeftTs).Name, j.Right.Field(j.RightTs).Name)
 	}
+	prev := j.wm[input]
 	if w := &j.wm[input]; !w.set || wm > w.v {
 		w.v, w.set = wm, true
 	}
 	// No more tuples ≤ wm on this input: the other side's entries at or
-	// below can never match again, and a left key cannot be seen again.
+	// below can never match again.
 	j.purgeOpposite(input, wm, ctx)
 	if j.ThriftyWindow != nil && j.ThriftyProbe == input {
-		j.checkThrifty(wm, ctx)
+		j.checkThrifty(prev, wm, ctx)
 	}
 	j.emitOutputPunct(ctx)
 	return nil
 }
 
 // purgeOpposite drops what progress to wm on input (math.MaxInt64 at its
-// EOS) proves dead: the other side's entries with ts ≤ wm — under LeftOuter,
-// unmatched left entries are emitted null-padded first, in arrival order —
-// and, for the left input, the asked keys that cannot recur.
+// EOS) proves dead: the other side's entries with ts ≤ wm. Under LeftOuter,
+// unmatched left entries are emitted null-padded first, in arrival order.
 func (j *Join) purgeOpposite(input int, wm int64, ctx exec.Context) {
 	var victim func(*joinEntry)
 	if input == 1 && j.LeftOuter {
@@ -443,9 +447,6 @@ func (j *Join) purgeOpposite(input int, wm int64, ctx exec.Context) {
 		}
 	}
 	j.store.sides[1-input].purgeThrough(wm, victim)
-	if input == 0 {
-		j.store.asked.purgeThrough(wm, nil)
-	}
 }
 
 // emitOutputPunct asserts progress on the output's timestamp attribute

@@ -14,6 +14,7 @@ import (
 	"repro/internal/queue"
 	"repro/internal/snapshot"
 	"repro/internal/stream"
+	"repro/internal/window"
 )
 
 // joinModel is the join's state written plainly — per input one map from
@@ -139,10 +140,39 @@ func (m *joinModel) remove(side int, doomed func(*modelEntry) bool) []*modelEntr
 // progress is punctuation ts ≤ wm on an input, or its EOS (math.MaxInt64);
 // call it before the operator's, whose output guards punctuation may release.
 func (m *joinModel) progress(input int, wm int64) {
+	if m.j.ThriftyWindow != nil && m.j.ThriftyProbe == input && wm < math.MaxInt64 {
+		m.thrifty(input, wm)
+	}
 	m.frontier[input] = max(m.frontier[input], wm)
 	for _, e := range m.remove(1-input, func(e *modelEntry) bool { return e.ts <= wm }) {
 		if input == 1 && m.j.LeftOuter && !e.matched {
 			m.outer(e.t)
+		}
+	}
+}
+
+// thrifty counts the empty windows probe punctuation to wm closes: those it
+// closes that earlier punctuation did not (the first closes none before the
+// window of the earliest probe entry held), in which the probe table holds
+// no entry, and which the other input's frontier does not cover.
+func (m *joinModel) thrifty(probe int, wm int64) {
+	spec, other := m.j.ThriftyWindow, 1-probe
+	var held []int64
+	for _, es := range m.tables[probe] {
+		for _, e := range es {
+			held = append(held, e.ts)
+		}
+	}
+	from := int64(math.MaxInt64)
+	if m.frontier[probe] > math.MinInt64 {
+		from = spec.LastFullWindow(m.frontier[probe]) + 1
+	} else if len(held) > 0 {
+		from, _ = spec.WindowsOf(slices.Min(held))
+	}
+	for w := from; w <= spec.LastFullWindow(wm); w++ {
+		start, end := spec.Extent(w)
+		if end-1 > m.frontier[other] && !slices.ContainsFunc(held, func(ts int64) bool { return start <= ts && ts < end }) {
+			m.stats.ThriftySent++
 		}
 	}
 }
@@ -219,12 +249,15 @@ func randomJoinCase(r *rand.Rand) joinModelCase {
 	tsFirst := r.Intn(2) == 0 // list the keys as (ts, seg) rather than (seg, ts)
 	mode := []FeedbackMode{FeedbackIgnore, FeedbackGuardOutput, FeedbackExploit, FeedbackExploit}[r.Intn(4)]
 	outer, residual, impatient := r.Intn(2) == 0, r.Intn(3) == 0, r.Intn(2) == 0
+	var thrifty *window.Spec // drawn after the script, which earlier seeds keep
+	var probe int
 	c.mk = func() *Join {
 		j := newTestJoin(mode, false)
 		if tsFirst {
 			j.LeftKeys, j.RightKeys = []int{1, 0}, []int{1, 0}
 		}
 		j.LeftOuter, j.Impatient = outer, impatient
+		j.ThriftyWindow, j.ThriftyProbe = thrifty, probe
 		if residual {
 			j.Residual = func(l, r stream.Tuple) bool { return l.At(2).AsFloat() <= r.At(2).AsFloat() }
 		}
@@ -260,6 +293,13 @@ func randomJoinCase(r *rand.Rand) joinModelCase {
 			c.steps = append(c.steps, joinStep{kind: 'f', f: core.NewAssumed(shapes[r.Intn(len(shapes))]())})
 		default:
 			c.steps = append(c.steps, joinStep{kind: 'c'})
+		}
+	}
+	if r.Intn(2) == 0 { // thrifty on either input, a LEFT OUTER join's on its left
+		size := 1 + r.Int63n(4)
+		thrifty, probe = &window.Spec{Range: size, Slide: 1 + r.Int63n(size)}, r.Intn(2)
+		if outer {
+			probe = 0
 		}
 	}
 	return c
@@ -306,7 +346,7 @@ func joinScript(t testing.TB, at string, j *Join, m *joinModel, steps []joinStep
 // disorder, punctuation on either input, assumed feedback of every
 // JoinShape, and cuts, over random configurations (the join keys (seg, ts)
 // in either order, every feedback mode, residual predicate, LEFT OUTER,
-// impatient). After every step the operator has emitted the model's
+// impatient, thrifty on either input over tumbling or sliding windows). After every step the operator has emitted the model's
 // sequence and counts what it counts, and no tuple it emits is covered by
 // punctuation it emitted before (§3.1). Every cut's capture restores to the
 // same bytes and counts; the twin restored from it emits, for the rest of
@@ -314,6 +354,7 @@ func joinScript(t testing.TB, at string, j *Join, m *joinModel, steps []joinStep
 // script has gone on purging and compacting has the bytes it had at the cut
 // (§2.4: nothing captured may alias the slabs).
 func TestJoinStoreAgainstModel(t *testing.T) {
+	var thriftySent int64
 	for seed := int64(1); seed <= 60; seed++ {
 		c := randomJoinCase(rand.New(rand.NewSource(seed)))
 		at := fmt.Sprintf("seed %d", seed)
@@ -342,6 +383,7 @@ func TestJoinStoreAgainstModel(t *testing.T) {
 		m.progress(1, math.MaxInt64)
 		m.check(t, at+" after EOS", tr.Out[0].Tuples(), j.Stats())
 		keepsPromises(t, at, j.OutSchemas()[0].Arity(), tr.Out[0].Items())
+		thriftySent += j.Stats().ThriftySent
 
 		for i, k := range cuts {
 			where := fmt.Sprintf("%s cut %d (step %d)", at, i, k.step)
@@ -382,6 +424,9 @@ func TestJoinStoreAgainstModel(t *testing.T) {
 			}
 		}
 	}
+	if thriftySent == 0 {
+		t.Fatal("no thrifty join found an empty window: its check is vacuous")
+	}
 }
 
 // keepsPromises fails on the first tuple of items that punctuation earlier
@@ -398,7 +443,7 @@ func keepsPromises(t testing.TB, at string, arity int, items []queue.Item) {
 			said = append(said, it.Punct.Pattern)
 		case queue.ItemTuple:
 			if promised.CoversPattern(pointOf(it.Tuple)) {
-				t.Fatalf("%s: the join emitted %v after its own punctuation %v covered it", at, it.Tuple, said)
+				t.Fatalf("%s: %v follows punctuation %v, which covers it", at, it.Tuple, said)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -348,6 +349,66 @@ func TestThriftyJoinDetectsEmptyWindows(t *testing.T) {
 	}
 }
 
+// TestThriftyJoinChecksFromEarliestProbeEntry: the first probe punctuation
+// checks the windows from that of the earliest probe entry held, and none
+// when none is held, not every window since the epoch: one probe tuple and
+// one probe punctuation ten days past it draw no feedback, where counting
+// from window 0 sent 14 400. And checkThrifty allocates nothing for the
+// windows it closes and finds occupied: a sliding window ten days long
+// puts one entry in 14 400 windows.
+func TestThriftyJoinChecksFromEarliestProbeEntry(t *testing.T) {
+	const minute, days = int64(60_000_000), int64(10 * 24 * 60 * 60_000_000)
+	spec := window.Tumbling(minute)
+	for name, script := range map[string][]exec.Script{
+		"one entry": {exec.Tuples(0, probe(1, days, 45)), exec.Punct(0, leftPunct(days+minute-1))},
+		"none held": {exec.Punct(0, leftPunct(days))},
+	} {
+		j := newTestJoin(FeedbackExploit, false)
+		j.ThriftyWindow = &spec
+		tr := exec.Drive(j, script...)
+		if tr.Err != nil {
+			t.Fatal(tr.Err)
+		}
+		if n := len(tr.Sent[1]); n != 0 || j.Stats().ThriftySent != 0 {
+			t.Fatalf("%s: %d thrifty feedbacks for the windows before the first probe punctuation", name, n)
+		}
+	}
+
+	long := window.Sliding(days, minute)
+	j := newTestJoin(FeedbackExploit, false)
+	j.ThriftyWindow = &long
+	var ctx discardCtx
+	if err := j.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.ProcessTuple(0, probe(1, days, 45), ctx); err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := long.WindowsOf(days); hi-lo+1 != 14_400 {
+		t.Fatalf("the entry lies in %d windows", hi-lo+1)
+	}
+	if n := testing.AllocsPerRun(5, func() { j.checkThrifty(watermark{}, 2*days, ctx) }); n != 0 || j.Stats().ThriftySent != 0 {
+		t.Fatalf("closing 14 400 occupied windows: %v allocations, %d feedbacks", n, j.Stats().ThriftySent)
+	}
+}
+
+// TestThriftyLeftOuterJoinMustProbeLeft: Open refuses a thrifty LEFT OUTER
+// join probing its right input, naming the join. An empty right window would
+// tell the left input to drop tuples the join owes a null-padded row: run,
+// it emits window 1's <1, 01:10, 45, null> and sends ¬[*, window 1, *] to
+// its left input.
+func TestThriftyLeftOuterJoinMustProbeLeft(t *testing.T) {
+	spec := window.Tumbling(60_000_000)
+	j := newTestJoin(FeedbackExploit, false)
+	j.LeftOuter, j.ThriftyWindow, j.ThriftyProbe = true, &spec, 1
+	tr := exec.Drive(j,
+		exec.Tuples(0, probe(1, 70_000_000, 45)),
+		exec.Punct(1, leftPunct(120_000_000-1)))
+	if tr.Err == nil || !strings.Contains(tr.Err.Error(), `"join"`) {
+		t.Fatalf("ran with error %v: emitted %v and sent its left input %v", tr.Err, tr.Out[0].Lines(), tr.Sent[0])
+	}
+}
+
 func TestImpatientJoinSendsDesired(t *testing.T) {
 	j := newTestJoin(FeedbackExploit, false)
 	j.Impatient = true
@@ -369,11 +430,12 @@ func TestImpatientJoinSendsDesired(t *testing.T) {
 	}
 }
 
-// TestImpatientAskedSetBounded: the set of keys already asked for holds only
-// keys that can still recur. With the timestamp among the join keys — the
-// paper's ?[period, segment, *] shape — left punctuation for a period retires
-// its keys, so over 10 000 periods × 8 segments the set, and each capture,
-// stay the size of one period; every key is still asked for exactly once.
+// TestImpatientAskedSetBounded: the keys already asked for are the keys the
+// left side holds, so the record of them shrinks with punctuation like the
+// side does. With the timestamp among the join keys — the paper's
+// ?[period, segment, *] shape — right punctuation for a period retires its
+// keys, so over 10 000 periods × 8 segments the side, and each capture, stay
+// the size of one period; every key is still asked for exactly once.
 func TestImpatientAskedSetBounded(t *testing.T) {
 	const periods, segments = 10_000, 8
 	period := func(p int64) exec.Script {
@@ -403,7 +465,7 @@ func TestImpatientAskedSetBounded(t *testing.T) {
 			}))
 		}
 		script = append(script, exec.Punct(0, leftPunct(p)), exec.Punct(1, leftPunct(p)), exec.Call(func(*exec.Trace) {
-			if n := len(j.store.asked.entries); n != 0 {
+			if n := len(j.store.sides[0].entries); n != 0 {
 				inRun{t}.Fatalf("period %d: %d keys still held after the period was punctuated shut", p, n)
 			}
 		}))

@@ -4,16 +4,12 @@ import (
 	"math"
 
 	"repro/internal/stream"
+	"repro/internal/window"
 )
 
-// joinStore is the join's state: per input, the tuples waiting for partners;
-// and, for the impatient join, the left keys already asked for.
+// joinStore is the join's state: per input, the tuples waiting for partners.
 type joinStore struct {
 	sides [2]joinSide // 0 = left input, 1 = right input
-	// asked holds one entry per left key the impatient join has sent desired
-	// feedback for: the key's values as a tuple of their own, purged like any
-	// other entry once left punctuation proves the key cannot recur.
-	asked joinSide
 }
 
 // joinSide holds one input's entries by value in a slab in arrival order,
@@ -51,11 +47,7 @@ func (s *joinStore) reset(left, right []int) {
 	*s = joinStore{}
 	s.sides[0].reset(left)
 	s.sides[1].reset(right)
-	s.asked.reset(identCols(len(left)))
 }
-
-// all lists the sides in the order blobs hold them.
-func (s *joinStore) all() [3]*joinSide { return [3]*joinSide{&s.sides[0], &s.sides[1], &s.asked} }
 
 func (s *joinSide) reset(cols []int) {
 	*s = joinSide{cols: cols, keys: keyTable{k: len(cols)}, minTs: math.MaxInt64}
@@ -101,10 +93,11 @@ func (s *joinSide) keep(t stream.Tuple) stream.Tuple {
 
 // link puts e at the end of the slab and of its key's chain: the key at this
 // side's columns of e's tuple, whose hash is e.hash. An arriving tuple's
-// entry holds the side's own copy of it (keep).
+// entry holds the side's own copy of it (keep). It reports whether the side
+// held no entry of the key before.
 //
 //pace:hotpath
-func (s *joinSide) link(e joinEntry) {
+func (s *joinSide) link(e joinEntry) bool {
 	at := int32(len(s.entries))
 	row, added := s.keys.intern(e.hash, e.t.Values, s.cols)
 	if added {
@@ -117,6 +110,19 @@ func (s *joinSide) link(e joinEntry) {
 	e.next = -1
 	s.entries = append(s.entries, e) //pace:allow-alloc amortised slab growth: every arriving tuple is retained, the entry is the state
 	s.minTs = min(s.minTs, e.ts)
+	return added
+}
+
+// firstWindowFrom returns the first window of spec from w on that an entry
+// lies in, or math.MaxInt64 if none does.
+func (s *joinSide) firstWindowFrom(spec *window.Spec, w int64) int64 {
+	first := int64(math.MaxInt64)
+	for i := range s.entries {
+		if lo, hi := spec.WindowsOf(s.entries[i].ts); hi >= w {
+			first = min(first, max(lo, w))
+		}
+	}
+	return first
 }
 
 // removeWhere drops the entries doomed picks, handing each to victim first

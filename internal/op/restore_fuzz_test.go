@@ -48,8 +48,9 @@ func FuzzOperatorRestore(f *testing.F) {
 			st := row.open()
 			var blob []byte
 			exec.Drive(st.(exec.Operator), append(row.feed(f, st),
-				exec.Tuples(1, traffic(4, 8, 310, 60)), // matches the left entry
-				exec.Punct(0, tsPunct(260)),            // purges right 3 by watermark
+				exec.Tuples(1, traffic(4, 8, 300, 60)), // matches the left entry
+				exec.Tuples(1, traffic(6, 8, 400, 60)),
+				exec.Punct(0, tsPunct(350)), // purges right 4 by watermark
 				captureAt(f, st, &blob))...)
 			f.Add(uint8(i), blob)
 		}

@@ -2,7 +2,6 @@ package op
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/core"
@@ -141,9 +140,10 @@ func (a *Aggregate) dropCovered(refs []aggRef) {
 }
 
 // joinLayout opens every Join state blob. Like aggLayout it is negative: the
-// layout before −1 began with an entry count, and −1's entries carried the
-// ids only a delta needed.
-const joinLayout = -2
+// layout before −1 began with an entry count, −1's entries carried the ids
+// only a delta needed, and −2 kept the impatient join's asked keys and the
+// thrifty join's probe window counts beside the two sides.
+const joinLayout = -3
 
 func (j *Join) keepState() {
 	j.Keep(j.Name(),
@@ -152,8 +152,7 @@ func (j *Join) keepState() {
 		snapshot.Int64(&j.wm[0].v), snapshot.Bool(&j.wm[0].set, &j.wm[0].eos),
 		snapshot.Int64(&j.wm[1].v), snapshot.Bool(&j.wm[1].set, &j.wm[1].eos),
 		snapshot.Int64(&j.lastOutWM), snapshot.Bool(&j.lastOutWMSet),
-		j.probeField(),
-		snapshot.Int64(&j.probeDone, &j.feedbackSeq),
+		snapshot.Int64(&j.feedbackSeq),
 		snapshot.Guards(j.guardsIn[0]),
 		snapshot.Guards(j.guardsIn[1]),
 		snapshot.Guards(j.guardsOut),
@@ -161,19 +160,19 @@ func (j *Join) keepState() {
 			&j.purgedByFeedback, &j.thriftySent, &j.impatientSent))
 }
 
-// storeField keeps the join's three sides — left, right, asked — each as its
+// storeField keeps the join's two sides, left then right, each as its
 // entries in arrival order. A load decodes every side before it links them
 // into an emptied store, and once the cut's input guards are in, the entries
 // they cover go (§6.3). An entry's tuple must have its side's arity: the key
 // projection indexes it.
 func (j *Join) storeField() snapshot.Field {
-	var loaded [3][]joinEntry
-	arity := [3]int{j.Left.Arity(), j.Right.Arity(), len(j.LeftKeys)}
+	var loaded [2][]joinEntry
+	arity := [2]int{j.Left.Arity(), j.Right.Arity()}
 	return snapshot.Field{
 		Capture: func() func(*snapshot.Encoder) {
-			var sides [3][]joinEntry
-			for i, side := range j.store.all() {
-				sides[i] = slices.Clone(side.entries)
+			var sides [2][]joinEntry
+			for i := range j.store.sides {
+				sides[i] = slices.Clone(j.store.sides[i].entries)
 			}
 			return func(enc *snapshot.Encoder) {
 				for _, entries := range sides {
@@ -199,45 +198,15 @@ func (j *Join) storeField() snapshot.Field {
 		},
 		Settle: func() error {
 			j.store.reset(j.LeftKeys, j.RightKeys)
-			for i, side := range j.store.all() {
-				side.load(loaded[i])
+			for i := range j.store.sides {
+				j.store.sides[i].load(loaded[i])
 			}
-			loaded = [3][]joinEntry{}
+			loaded = [2][]joinEntry{}
 			for side, guards := range j.guardsIn {
 				if guards.Active() > 0 {
 					n := j.store.sides[side].removeWhere(func(e *joinEntry) bool { return guards.Suppress(e.t) }, nil)
 					j.purgedByFeedback += int64(n)
 				}
-			}
-			return nil
-		},
-	}
-}
-
-// probeField keeps the thrifty join's tuple counts per probe window, in
-// window order.
-func (j *Join) probeField() snapshot.Field {
-	return snapshot.Field{
-		Capture: func() func(*snapshot.Encoder) {
-			wids := slices.Sorted(maps.Keys(j.probeCounts))
-			counts := make([]int64, len(wids))
-			for i, w := range wids {
-				counts[i] = j.probeCounts[w]
-			}
-			return func(enc *snapshot.Encoder) {
-				enc.PutInt(len(wids))
-				for i, w := range wids {
-					enc.PutInt64(w)
-					enc.PutInt64(counts[i])
-				}
-			}
-		},
-		Load: func(dec *snapshot.Decoder) error {
-			n := dec.GetCount()
-			j.probeCounts = make(map[int64]int64, n)
-			for i := 0; i < n && dec.Err() == nil; i++ {
-				w := dec.GetInt64()
-				j.probeCounts[w] = dec.GetInt64()
 			}
 			return nil
 		},

@@ -114,11 +114,11 @@ func stateRows() []stateRow {
 		},
 		{
 			name:   "join",
-			golden: "0302080108010404d80402404900000000000000d8040002080106011204f40302405180000000000000f403000404010804d80400d8040004010a0478007800280100c801010028010204020008020001040001010a00000676696577657200060200010400000006024059000000000000067669657765720008040001060001010a0000000006766965776572020600010600000000000602405900000000000006766965776572020802040000000008",
+			golden: "0502080108010404d80402404900000000000000d8040000d6040100c8010100c801010a020001040001010a00000676696577657200060200010400000006024059000000000000067669657765720008040001060001010a0000000006766965776572020600010600000000000602405900000000000006766965776572020802040000000406",
 			open: func() snapshot.Stater {
 				return &Join{OpName: "j", Left: trafficSchema, Right: trafficSchema,
 					LeftKeys: []int{0, 2}, RightKeys: []int{0, 2}, LeftTs: 2, RightTs: 2, LeftOuter: true,
-					Impatient: true, ThriftyWindow: &window.Spec{Range: 100, Slide: 100}, ThriftyProbe: 1,
+					Impatient: true, ThriftyWindow: &window.Spec{Range: 100, Slide: 100}, ThriftyProbe: 0,
 					Mode: FeedbackExploit, Propagate: true}
 			},
 			feed: func(_ testing.TB, st snapshot.Stater) []exec.Script {
@@ -126,14 +126,15 @@ func stateRows() []stateRow {
 				return []exec.Script{
 					exec.Tuples(0, traffic(1, 1, 10, 40)), // asks for key (1, 10)
 					exec.Tuples(0, traffic(2, 1, 20, 30)),
-					exec.Tuples(1, traffic(1, 9, 10, 70)), // matches left 1; probe window 0
+					exec.Tuples(1, traffic(1, 9, 10, 70)), // matches left 1
 					exec.Tuples(1, traffic(3, 9, 250, 70)),
 					exec.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(out, 1, punct.Eq(stream.Int(5))), 1, 3)),     // left-bound: guards input 0
 					exec.Feedback(0, goldenFeedback(core.Assumed, punct.OnAttr(out, 5, punct.Ge(stream.Float(100))), 1, 4)), // right-bound: guards input 1
-					exec.Punct(1, tsPunct(100)), // left 2 leaves unmatched; window 0 was not empty
-					exec.Punct(0, tsPunct(20)),  // output frontier ≤20; the keys asked for at or below go
-					exec.Tuples(0, traffic(4, 2, 300, 50)),
-					exec.Tuples(0, traffic(5, 3, 60, 50)), // at or below the right frontier: emitted null-padded, not kept
+					exec.Punct(1, tsPunct(100)),            // left 2 leaves unmatched
+					exec.Punct(0, tsPunct(20)),             // output frontier ≤20; the probe side holds nothing, so no window is checked
+					exec.Tuples(0, traffic(4, 2, 300, 50)), // asks for key (4, 300); probe window 3
+					exec.Tuples(0, traffic(5, 3, 60, 50)),  // at or below the right frontier: emitted null-padded, not kept, not asked for
+					exec.Punct(0, tsPunct(299)),            // probe windows 1 and 2 are empty: thrifty feedback; purges right 3
 					exec.Call(func(*exec.Trace) { joinAtCut = st.(*Join).Stats() }),
 				}
 			},
@@ -387,8 +388,9 @@ func liveState(t testing.TB, row stateRow) (st snapshot.Stater, blob []byte) {
 
 // TestStateBytesGolden: every engine Stater still writes the bytes it wrote
 // before its codec was derived from a declared layout — the Join since its
-// layout dropped the entry ids only a delta needed and its history joined on
-// (segment, ts), the timestamps being a key pair; the traffic, probe, tick
+// layout dropped the entry ids only a delta needed, its history joined on
+// (segment, ts), the timestamps being a key pair, and it kept only its two
+// sides, its thrifty probe the left input; the traffic, probe, tick
 // and rated sources since the source boundary (exec.Generating) keeps the
 // suppression count and the guards after their position and a scripted step
 // ends at its first punctuation — and a twin that restores them writes them

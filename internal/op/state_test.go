@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
+	"repro/internal/queue"
 	"repro/internal/snapshot"
 	"repro/internal/stream"
 )
@@ -229,10 +230,16 @@ func TestJoinRestoreDropsGuardedEntries(t *testing.T) {
 // row of TestStateBytesGolden.
 const joinLayout1 = "01060204080108010404d80402404900000000000000d80400040202080106011204f40302405180000000000000f4030006060002010200feffffffffffffffff01000202010400feffffffffffffffff01000402010800feffffffffffffffff0100280100c801010028010204020006020001040001010a00000676696577657200060200010400000006024059000000000000067669657765720008040001070001010a00000000000676696577657202060001070000000000000602405900000000000006766965776572020802020000000006"
 
+// joinLayout2 is a Join blob in layout −2, which kept the impatient join's
+// asked keys as a third side and the thrifty join's probe window counts: the
+// golden the build before joinLayout −3 wrote for the join row of
+// TestStateBytesGolden.
+const joinLayout2 = "0302080108010404d80402404900000000000000d8040002080106011204f40302405180000000000000f403000404010804d80400d8040004010a0478007800280100c801010028010204020008020001040001010a00000676696577657200060200010400000006024059000000000000067669657765720008040001060001010a0000000006766965776572020600010600000000000602405900000000000006766965776572020802040000000008"
+
 // TestJoinRefusesStaleLayout: a Join blob in a layout before joinLayout — one
-// with no marker (per side a count and {tuple, ts, matched} entries), or
-// layout −1 (entries with ids) — is refused with an error naming the operator
-// and the layout, not misparsed.
+// with no marker (per side a count and {tuple, ts, matched} entries), layout
+// −1 (entries with ids) or layout −2 (asked keys and probe counts) — is
+// refused with an error naming the operator and the layout, not misparsed.
 func TestJoinRefusesStaleLayout(t *testing.T) {
 	var stale [][]byte
 	for entries := 0; entries < 3; entries++ {
@@ -267,11 +274,13 @@ func TestJoinRefusesStaleLayout(t *testing.T) {
 		}
 		stale = append(stale, blob)
 	}
-	layout1, err := hex.DecodeString(joinLayout1)
-	if err != nil {
-		t.Fatal(err)
+	for _, golden := range []string{joinLayout1, joinLayout2} {
+		blob, err := hex.DecodeString(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale = append(stale, blob)
 	}
-	stale = append(stale, layout1)
 	for i, blob := range stale {
 		j := testJoin(FeedbackExploit)
 		err := exec.Drive(j, exec.Restore(blob)).Err
@@ -293,16 +302,11 @@ func TestStoredTuplesMustHaveTheirStreamsArity(t *testing.T) {
 		bad := stream.NewTuple(vals...)
 		join := snapshot.NewEncoder()
 		join.PutInt64(joinLayout)
-		for side := 0; side < 3; side++ {
-			if side == 0 {
-				join.PutInt(1)
-				join.PutTuple(bad)
-				join.PutInt64(10)
-				join.PutBool(false)
-			} else {
-				join.PutInt(0)
-			}
-		}
+		join.PutInt(1) // left side
+		join.PutTuple(bad)
+		join.PutInt64(10)
+		join.PutBool(false)
+		join.PutInt(0) // right side
 		for w := 0; w < 2; w++ {
 			join.PutInt64(0)
 			join.PutBool(false)
@@ -310,8 +314,6 @@ func TestStoredTuplesMustHaveTheirStreamsArity(t *testing.T) {
 		}
 		join.PutInt64(0)           // last output watermark
 		join.PutBool(false)        // ... unset
-		join.PutInt(0)             // probe windows
-		join.PutInt64(-1)          // probe windows checked
 		join.PutInt64(0)           // feedback sequence
 		for g := 0; g < 3+7; g++ { // guard tables, counters
 			join.PutInt(0)
@@ -655,35 +657,43 @@ func TestPrioritizeStateRoundTrip(t *testing.T) {
 	}
 }
 
-// A restored Prioritize still promotes its desired subset: a matching arrival
-// bypasses the buffer. Punctuation covering the subset releases the pattern
-// there as it would have before the cut, and the next arrival of it waits.
+// A restored Prioritize still promotes its desired subsets: a matching
+// arrival bypasses the buffer. Punctuation covering one subset releases that
+// pattern there as it would have before the cut, and the other subset is
+// still promoted. The script keeps its punctuation's promise (§3.1): no
+// tuple of the released subset arrives after it.
 func TestPrioritizeRestoredDesiredPromotesUntilPunctuated(t *testing.T) {
+	seg := func(s int64) punct.Pattern { return punct.OnAttr(4, 0, punct.Eq(stream.Int(s))) }
 	p1 := &Prioritize{Schema: trafficSchema, Mode: FeedbackExploit}
 	var blob []byte
-	exec.Drive(p1, exec.Feedback(0, core.NewDesired(punct.OnAttr(4, 0, punct.Eq(stream.Int(2))))), captureAt(t, p1, &blob))
+	exec.Drive(p1, exec.Feedback(0, core.NewDesired(seg(2)), core.NewDesired(seg(3))), captureAt(t, p1, &blob))
 
+	input := []queue.Item{
+		queue.TupleItem(traffic(1, 1, 10, 50)), queue.TupleItem(traffic(2, 1, 20, 55)),
+		queue.PunctItem(punct.NewEmbedded(seg(2))),
+		queue.TupleItem(traffic(3, 2, 30, 60)), queue.TupleItem(traffic(1, 2, 40, 65)),
+	}
+	keepsPromises(t, "the script", trafficSchema.Arity(), input)
 	p2 := &Prioritize{Schema: trafficSchema, Mode: FeedbackExploit}
 	var promoted, got []stream.Tuple
 	tr := exec.Drive(p2, exec.Restore(blob),
-		exec.Tuples(0, traffic(1, 1, 10, 50), traffic(2, 1, 20, 55)),
-		outAt(&promoted),
-		exec.Punct(0, punct.NewEmbedded(punct.OnAttr(4, 0, punct.Eq(stream.Int(2))))),
-		exec.Tuples(0, traffic(2, 2, 30, 60)),
-		outAt(&got))
+		exec.Items(0, input[:2]...), outAt(&promoted),
+		exec.Items(0, input[2:]...), outAt(&got))
 	if tr.Err != nil {
 		t.Fatal(tr.Err)
 	}
 	if len(promoted) != 1 || promoted[0].At(0).AsInt() != 2 {
 		t.Fatalf("restored twin promoted %v, want the segment-2 tuple alone", promoted)
 	}
-	if len(got) != 2 {
-		t.Fatalf("after the covering punctuation the segment-2 arrival must wait in the buffer: emitted %v", got)
+	if len(got) != 3 || got[2].At(0).AsInt() != 3 {
+		t.Fatalf("after the punctuation the segment-3 arrival must still be promoted, and segment 1's wait in the buffer: emitted %v", got)
 	}
+	held := 0
 	for _, table := range p2.Tables() {
-		if table.Active() != 0 {
-			t.Fatalf("punctuation left %v held", table.Guards())
-		}
+		held += table.Active()
+	}
+	if held != 1 {
+		t.Fatalf("the punctuation left %d patterns held, want segment 3's alone", held)
 	}
 }
 
