@@ -317,12 +317,10 @@ func (r *Responder[C]) relay(f Feedback, plan ResponsePlan, resp *Response, ctx 
 		r.relayed[key] = f.Pattern
 	}
 	sent := false
+	resp.Propagated = make([]*Feedback, len(plan.Propagate))
 	for i, pp := range plan.Propagate {
 		if pp == nil || i >= ctx.NumInputs() {
 			continue
-		}
-		if resp.Propagated == nil {
-			resp.Propagated = make([]*Feedback, len(plan.Propagate))
 		}
 		relayed := f.Relayed(*pp)
 		ctx.SendFeedback(i, relayed)

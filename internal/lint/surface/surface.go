@@ -22,8 +22,8 @@
 // A field is "set to one constant everywhere" when at least two sites
 // choose its value and every value it gets is the same constant: a
 // literal that leaves the field out gives it its zero value, and a
-// default filled in (`if c.N == 0 { c.N = 9 }`, or `c.N = c.M`) gives it
-// a value but is no site's choice. A field set at one site is that
+// default filled in (`if c.N == 0 { c.N = 9 }`, `c.N = c.M`, or any other
+// value) gives it a value but is no site's choice. A field set at one site is that
 // caller's choice; a field only a default fills in is no one's, an option
 // with one setting too.
 //
@@ -238,10 +238,10 @@ func (u *usage) scan(x unit) {
 }
 
 // defaults finds the assignments in f that fill in a default, as in
-// `if c.N <= 0 { c.N = 9 }` or `if c.N <= 0 { c.N = c.M }`: a constant or
-// another field assigned to a field the if statement's condition reads. A
-// default is the value a caller gets by not choosing: it sets the field,
-// but it is not a site that chooses.
+// `if c.N <= 0 { c.N = 9 }`, `c.N = c.M` or `c.N = 2 * c.M`: any value
+// assigned to a field the if statement's condition reads. A default is the
+// value a caller gets by not choosing: it sets the field, but it is not a
+// site that chooses.
 func (u *usage) defaults(info *types.Info, f *ast.File) map[*ast.AssignStmt]bool {
 	out := map[*ast.AssignStmt]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -260,8 +260,7 @@ func (u *usage) defaults(info *types.Info, f *ast.File) map[*ast.AssignStmt]bool
 		})
 		for _, st := range is.Body.List {
 			as, ok := st.(*ast.AssignStmt)
-			if ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 && read[fieldOf(info, as.Lhs[0])] &&
-				(info.Types[as.Rhs[0]].Value != nil || fieldOf(info, as.Rhs[0]) != nil) {
+			if ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 && read[fieldOf(info, as.Lhs[0])] {
 				out[as] = true
 			}
 		}

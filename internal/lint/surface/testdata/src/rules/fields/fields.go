@@ -1,7 +1,7 @@
 // Package fields: a field is set by assignment, increment, taking its
 // address, or calling a pointer method on it; a field none of them
-// touches is never set. A default filled in, from a constant or from
-// another field, sets a field but is no site's choice.
+// touches is never set. A default filled in, from a constant, another
+// field or an expression, sets a field but is no site's choice.
 package fields
 
 // Config's fields are set in every way but a literal.
@@ -13,6 +13,7 @@ type Config struct {
 	Never    int // want "field Config.Never is never set by non-test code"
 	Fixed    int // want "field Config.Fixed is only ever filled in by a default: no non-test code chooses it"
 	Copied   int // want "field Config.Copied is only ever filled in by a default: no non-test code chooses it"
+	Computed int // want "field Config.Computed is only ever filled in by a default: no non-test code chooses it"
 }
 
 // Buf grows in place.
@@ -36,6 +37,9 @@ func init() {
 	}
 	if c.Copied <= 0 {
 		c.Copied = c.Assigned
+	}
+	if c.Computed <= 0 {
+		c.Computed = 3 * c.Assigned / (c.Counted + 1)
 	}
 	_ = Read(c)
 }

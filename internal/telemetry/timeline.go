@@ -37,14 +37,13 @@ func NewTimeline(capacity int) *Timeline {
 	return &Timeline{ring: make([]EpochEvent, capacity)}
 }
 
-// Record appends one event, stamping At if unset; nil-receiver safe.
+// Record appends one event, stamping At with the time it is recorded;
+// nil-receiver safe.
 func (t *Timeline) Record(e EpochEvent) {
 	if t == nil {
 		return
 	}
-	if e.At.IsZero() {
-		e.At = time.Now()
-	}
+	e.At = time.Now()
 	t.mu.Lock()
 	t.ring[t.next] = e
 	t.next++
