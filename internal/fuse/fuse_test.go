@@ -188,6 +188,42 @@ func trace(o exec.Operator) []core.Response {
 	return o.(interface{ Trace() []core.Response }).Trace()
 }
 
+// promised reports whether punctuation among items matches t.
+func promised(items []queue.Item, t stream.Tuple) bool {
+	for _, it := range items {
+		if it.Kind == queue.ItemPunct && it.Punct.Pattern.Matches(t) {
+			return true
+		}
+	}
+	return false
+}
+
+// keepsPromises fails on the first tuple of items that punctuation earlier
+// among them covers, folding the punctuation into a punct.Scheme, the
+// engine's record of what a stream has promised.
+func keepsPromises(t *testing.T, seed int64, items []queue.Item) {
+	t.Helper()
+	scheme := punct.NewScheme(chainSchema.Arity())
+	for _, it := range items {
+		switch it.Kind {
+		case queue.ItemPunct:
+			scheme.Observe(*it.Punct)
+		case queue.ItemTuple:
+			// The pattern only the tuple matches.
+			preds := make([]punct.Pred, len(it.Tuple.Values))
+			for i, v := range it.Tuple.Values {
+				preds[i] = punct.Eq(v)
+				if v.IsNull() {
+					preds[i] = punct.Pred{Op: punct.IsNull}
+				}
+			}
+			if scheme.CoversPattern(punct.NewPattern(preds...)) {
+				t.Fatalf("seed %d: the script sends %v after punctuation that covers it", seed, it.Tuple)
+			}
+		}
+	}
+}
+
 func TestFusedEqualsUnfusedProperty(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -206,13 +242,27 @@ func TestFusedEqualsUnfusedProperty(t *testing.T) {
 
 		events := 20 + rng.Intn(30)
 		var script []exec.Script
+		var input []queue.Item // the stream the script plays: its tuples and punctuation
 		var seq int64
 		for i := 0; i < events; i++ {
 			switch r := rng.Intn(10); {
 			case r < 6:
-				script = append(script, exec.Tuples(0, randTuple(rng, i)))
+				// The stream keeps its punctuation's promise (§3.1): a tuple
+				// earlier punctuation matches is drawn again, and not sent if
+				// it still matches.
+				tp := randTuple(rng, i)
+				for try := 0; try < 4 && promised(input, tp); try++ {
+					tp = randTuple(rng, i)
+				}
+				if promised(input, tp) {
+					continue
+				}
+				input = append(input, queue.TupleItem(tp))
+				script = append(script, exec.Tuples(0, tp))
 			case r < 8:
-				script = append(script, exec.Punct(0, punct.NewEmbedded(randPattern(rng, chainSchema))))
+				e := punct.NewEmbedded(randPattern(rng, chainSchema))
+				input = append(input, queue.PunctItem(e))
+				script = append(script, exec.Punct(0, e))
 			default:
 				seq++
 				script = append(script, exec.Feedback(0, core.Feedback{
@@ -222,6 +272,7 @@ func TestFusedEqualsUnfusedProperty(t *testing.T) {
 				}))
 			}
 		}
+		keepsPromises(t, seed, input)
 		unfused := exec.DriveChain(unfusedOps, script...)
 		if unfused.Err != nil {
 			t.Fatalf("seed %d: unfused chain: %v", seed, unfused.Err)
