@@ -79,10 +79,10 @@ type Join struct {
 	// tsKeyed: LeftTs/RightTs are a pair of the join keys, so punctuation on
 	// one input proves the other's older entries can match nothing more.
 	tsKeyed bool
-	// store holds the entries of both inputs (joinstore.go): what the join
-	// waits on, so also the keys the impatient join has asked for and the
-	// windows the thrifty join finds empty.
-	store        joinStore
+	// sides are the join's state, per input (0 = left) the tuples waiting
+	// for partners (joinstore.go), so also the keys the impatient join has
+	// asked for and the windows the thrifty join finds empty.
+	sides        [2]joinSide
 	guardsIn     [2]*core.GuardTable
 	guardsOut    *core.GuardTable
 	wm           [2]watermark // per-input punctuation progress and EOS
@@ -199,12 +199,18 @@ func (j *Join) Open(exec.Context) error {
 	if j.ThriftyWindow != nil && j.ThriftyProbe == 1 && j.LeftOuter {
 		return fmt.Errorf("op: join %q: a thrifty LEFT OUTER join must probe its left input: an empty right window does not make the left tuples in it useless", j.Name())
 	}
-	j.store.reset(j.LeftKeys, j.RightKeys)
+	j.resetSides()
 	j.Bind(j, j.Mode, j.Propagate, 1, j.out.Arity())
 	j.guardsOut = j.OutTables()[0]
 	j.guardsIn = [2]*core.GuardTable{j.Pinned(0, j.Left.Arity()), j.Pinned(1, j.Right.Arity())}
 	j.keepState()
 	return nil
+}
+
+// resetSides empties both sides, each keyed on its input's join keys.
+func (j *Join) resetSides() {
+	j.sides[0].reset(j.LeftKeys)
+	j.sides[1].reset(j.RightKeys)
 }
 
 func (j *Join) outTuple(l, r stream.Tuple) stream.Tuple {
@@ -259,7 +265,7 @@ func (j *Join) ProcessTuple(input int, t stream.Tuple, ctx exec.Context) error {
 //
 //pace:hotpath
 func (j *Join) apply(side int, t stream.Tuple, ctx exec.Context) {
-	mine, other := &j.store.sides[side], &j.store.sides[1-side]
+	mine, other := &j.sides[side], &j.sides[1-side]
 	h := hashKey(t.Values, mine.cols)
 	ts := j.tsOf(side, t)
 	matched := false
@@ -361,7 +367,7 @@ func (j *Join) sendImpatient(l stream.Tuple, ctx exec.Context) {
 // other input's tuples there can match nothing. The first probe punctuation
 // checks from the earliest probe entry held, and nothing if none is.
 func (j *Join) checkThrifty(prev watermark, wm int64, ctx exec.Context) {
-	spec, probe, other := j.ThriftyWindow, &j.store.sides[j.ThriftyProbe], 1-j.ThriftyProbe
+	spec, probe, other := j.ThriftyWindow, &j.sides[j.ThriftyProbe], 1-j.ThriftyProbe
 	o, from := j.wm[other], int64(0)
 	switch {
 	case o.eos:
@@ -446,7 +452,7 @@ func (j *Join) purgeOpposite(input int, wm int64, ctx exec.Context) {
 			}
 		}
 	}
-	j.store.sides[1-input].purgeThrough(wm, victim)
+	j.sides[1-input].purgeThrough(wm, victim)
 }
 
 // emitOutputPunct asserts progress on the output's timestamp attribute
@@ -506,7 +512,7 @@ func (j *Join) Purge(f core.Feedback, row core.ResponsePlan) []core.Pin {
 		if pp == nil {
 			continue
 		}
-		n := j.store.sides[side].removeWhere(func(e *joinEntry) bool { return pp.Matches(e.t) }, nil)
+		n := j.sides[side].removeWhere(func(e *joinEntry) bool { return pp.Matches(e.t) }, nil)
 		j.purgedByFeedback += int64(n)
 		pins = append(pins, core.Pin{Table: j.guardsIn[side],
 			Guard: core.Feedback{Intent: core.Assumed, Pattern: *pp, Origin: f.Origin, Seq: f.Seq}})
@@ -533,7 +539,7 @@ func (j *Join) Stats() JoinStats {
 		PurgedByFeedback: j.purgedByFeedback,
 		ThriftySent:      j.thriftySent,
 		ImpatientSent:    j.impatientSent,
-		LeftEntries:      len(j.store.sides[0].entries),
-		RightEntries:     len(j.store.sides[1].entries),
+		LeftEntries:      len(j.sides[0].entries),
+		RightEntries:     len(j.sides[1].entries),
 	}
 }

@@ -465,7 +465,7 @@ func TestImpatientAskedSetBounded(t *testing.T) {
 			}))
 		}
 		script = append(script, exec.Punct(0, leftPunct(p)), exec.Punct(1, leftPunct(p)), exec.Call(func(*exec.Trace) {
-			if n := len(j.store.sides[0].entries); n != 0 {
+			if n := len(j.sides[0].entries); n != 0 {
 				inRun{t}.Fatalf("period %d: %d keys still held after the period was punctuated shut", p, n)
 			}
 		}))

@@ -7,14 +7,9 @@ import (
 	"repro/internal/window"
 )
 
-// joinStore is the join's state: per input, the tuples waiting for partners.
-type joinStore struct {
-	sides [2]joinSide // 0 = left input, 1 = right input
-}
-
 // joinSide holds one input's entries by value in a slab in arrival order,
 // chained per key from a table of the distinct keys held. Removal compacts
-// the slab in place and relinks it, so nothing that leaves the store — an
+// the slab in place and relinks it, so nothing that leaves the side — an
 // emitted result, a capture — may point into it, and no slab position
 // survives a removeWhere (§2.4).
 type joinSide struct {
@@ -40,14 +35,6 @@ type joinEntry struct {
 
 // joinChain is the first and last entry of one key.
 type joinChain struct{ head, tail int32 }
-
-// reset empties the store. cols are the key columns of the left and the
-// right input.
-func (s *joinStore) reset(left, right []int) {
-	*s = joinStore{}
-	s.sides[0].reset(left)
-	s.sides[1].reset(right)
-}
 
 func (s *joinSide) reset(cols []int) {
 	*s = joinSide{cols: cols, keys: keyTable{k: len(cols)}, minTs: math.MaxInt64}
@@ -77,7 +64,7 @@ const joinArenaValues = 512
 // keep returns a copy of t that the side owns: an input tuple's values are
 // only good until the callback that delivered it returns, and an entry stays
 // until punctuation or feedback purges it. Copies are carved from a chunk, so
-// the store allocates once per chunk, not per tuple.
+// the side allocates once per chunk, not per tuple.
 //
 //pace:hotpath
 func (s *joinSide) keep(t stream.Tuple) stream.Tuple {

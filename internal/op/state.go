@@ -162,7 +162,7 @@ func (j *Join) keepState() {
 
 // storeField keeps the join's two sides, left then right, each as its
 // entries in arrival order. A load decodes every side before it links them
-// into an emptied store, and once the cut's input guards are in, the entries
+// into emptied sides, and once the cut's input guards are in, the entries
 // they cover go (§6.3). An entry's tuple must have its side's arity: the key
 // projection indexes it.
 func (j *Join) storeField() snapshot.Field {
@@ -171,8 +171,8 @@ func (j *Join) storeField() snapshot.Field {
 	return snapshot.Field{
 		Capture: func() func(*snapshot.Encoder) {
 			var sides [2][]joinEntry
-			for i := range j.store.sides {
-				sides[i] = slices.Clone(j.store.sides[i].entries)
+			for i := range j.sides {
+				sides[i] = slices.Clone(j.sides[i].entries)
 			}
 			return func(enc *snapshot.Encoder) {
 				for _, entries := range sides {
@@ -197,14 +197,14 @@ func (j *Join) storeField() snapshot.Field {
 			return nil
 		},
 		Settle: func() error {
-			j.store.reset(j.LeftKeys, j.RightKeys)
-			for i := range j.store.sides {
-				j.store.sides[i].load(loaded[i])
+			j.resetSides()
+			for i := range j.sides {
+				j.sides[i].load(loaded[i])
 			}
 			loaded = [2][]joinEntry{}
 			for side, guards := range j.guardsIn {
 				if guards.Active() > 0 {
-					n := j.store.sides[side].removeWhere(func(e *joinEntry) bool { return guards.Suppress(e.t) }, nil)
+					n := j.sides[side].removeWhere(func(e *joinEntry) bool { return guards.Suppress(e.t) }, nil)
 					j.purgedByFeedback += int64(n)
 				}
 			}
