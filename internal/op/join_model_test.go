@@ -94,7 +94,8 @@ func (m *joinModel) tuple(side int, t stream.Tuple) {
 	switch {
 	case e.ts > m.frontier[1-side]:
 		if side == 0 && j.Impatient && len(m.tables[0][k]) == 0 {
-			// A key the left side starts waiting on: ask for its partners.
+			// A key the left side starts waiting on, again if feedback
+			// purged its entries: ask for its partners.
 			m.stats.ImpatientSent++
 		}
 		m.tables[side][k] = append(m.tables[side][k], e)
@@ -249,7 +250,7 @@ func randomJoinCase(r *rand.Rand) joinModelCase {
 	tsFirst := r.Intn(2) == 0 // list the keys as (ts, seg) rather than (seg, ts)
 	mode := []FeedbackMode{FeedbackIgnore, FeedbackGuardOutput, FeedbackExploit, FeedbackExploit}[r.Intn(4)]
 	outer, residual, impatient := r.Intn(2) == 0, r.Intn(3) == 0, r.Intn(2) == 0
-	var thrifty *window.Spec // drawn after the script, which earlier seeds keep
+	var thrifty *window.Spec // drawn after the script, so each seed keeps its script
 	var probe int
 	c.mk = func() *Join {
 		j := newTestJoin(mode, false)
@@ -346,8 +347,9 @@ func joinScript(t testing.TB, at string, j *Join, m *joinModel, steps []joinStep
 // disorder, punctuation on either input, assumed feedback of every
 // JoinShape, and cuts, over random configurations (the join keys (seg, ts)
 // in either order, every feedback mode, residual predicate, LEFT OUTER,
-// impatient, thrifty on either input over tumbling or sliding windows). After every step the operator has emitted the model's
-// sequence and counts what it counts, and no tuple it emits is covered by
+// impatient, thrifty on either input over tumbling or sliding windows).
+// After every step the operator has emitted the model's sequence and
+// counts what it counts, and no tuple it emits is covered by
 // punctuation it emitted before (§3.1). Every cut's capture restores to the
 // same bytes and counts; the twin restored from it emits, for the rest of
 // the script, what the model does; and a capture encoded only after the
