@@ -108,7 +108,7 @@ func main() {
 	flag.Uint64Var(&o.seed, "seed", 1, "fuzz: base seed; schedules seed..seed+fuzz-seeds-1 run per mode")
 	flag.IntVar(&o.fuzzSeeds, "fuzz-seeds", 4, "fuzz: seeds per mode")
 	flag.DurationVar(&o.fuzzTime, "fuzz-time", 0, "fuzz: stop starting new seeds after this long (0 = no cap)")
-	flag.StringVar(&o.telemetry, "telemetry-addr", "", "serve /metrics, /statusz, /epochz, /tracez and pprof on this address (the coordinating part's child; empty = off)")
+	flag.StringVar(&o.telemetry, "telemetry-addr", "", "serve /metrics, /statusz, /epochz and pprof on this address (the coordinating part's child; empty = off)")
 	flag.Parse()
 	if o.dir == "" && !o.fuzz {
 		fmt.Fprintln(os.Stderr, "supervise: -dir is required")
@@ -307,11 +307,7 @@ func runPart(o options) error {
 	}
 	b, sink := buildPlan(o)
 	if o.telemetry != "" {
-		// The control-plane tracer is on: supervised runs are demos and
-		// debugging runs, where /tracez earning its keep beats the
-		// (bounded, off-hot-path) recording cost.
 		tel := telemetry.New()
-		tel.Tracer.SetEnabled(true)
 		b.EnableTelemetry(tel)
 		srv, err := telemetry.Serve(o.telemetry, tel)
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/queue"
 	"repro/internal/stream"
-	"repro/internal/telemetry"
 
 	"repro/internal/punct"
 )
@@ -136,9 +135,6 @@ type nodeRunner struct {
 	// opened: Open succeeded, so Close is owed; exited: exit has run.
 	opened, exited bool
 
-	// trace is the control-plane tracer (telemetry.go; nil-safe).
-	trace *telemetry.Tracer
-
 	// Checkpoint state (see checkpoint.go): openInputs/inEOS track input
 	// liveness for barrier alignment; align is the in-progress alignment;
 	// lastCutEpoch is the newest epoch a source has cut.
@@ -162,7 +158,6 @@ type alignState struct {
 // it.
 func (r *nodeRunner) start() error {
 	n := r.node
-	r.trace = r.graph.tracer()
 	r.shutdownOuts = newBitset(len(n.outConns))
 	var err error
 	if n.src != nil {
@@ -499,9 +494,6 @@ func (r *nodeRunner) processItem(input int, it *queue.Item) error {
 	case queue.ItemTuple:
 		return op.ProcessTuple(input, it.Tuple, r)
 	case queue.ItemPunct:
-		if r.trace.Enabled() {
-			r.trace.Record("punct", r.node.name(), 0, it.Punct.Pattern.String())
-		}
 		return op.ProcessPunct(input, *it.Punct, r)
 	case queue.ItemEOS:
 		if err := op.ProcessEOS(input, r); err != nil {
@@ -566,9 +558,6 @@ func (r *nodeRunner) replay(deferred [][]queue.Item) error {
 // aligning epoch was cancelled (newer arrival) or this barrier is a
 // cancelled epoch's leftover still draining (older arrival — dropped).
 func (r *nodeRunner) onBarrier(input int, epoch int64) error {
-	if r.trace.Enabled() {
-		r.trace.Record("barrier", r.node.name(), epoch, fmt.Sprintf("input %d", input))
-	}
 	if r.align != nil && r.align.epoch != epoch {
 		if epoch < r.align.epoch {
 			return nil
@@ -630,9 +619,6 @@ func (r *nodeRunner) drainControl() error {
 func (r *nodeRunner) handleControl(out int, m queue.Control) error {
 	switch m.Kind {
 	case queue.CtrlFeedback:
-		if r.trace.Enabled() {
-			r.trace.Record("feedback", r.node.name(), m.Feedback.Seq, m.Feedback.String())
-		}
 		if src := r.node.src; src != nil {
 			return src.ProcessFeedback(out, m.Feedback, r)
 		}

@@ -23,15 +23,6 @@ func (g *Graph) SetTelemetry(t *telemetry.Telemetry) { g.tel = t }
 // Telemetry returns the attached sink (nil when none).
 func (g *Graph) Telemetry() *telemetry.Telemetry { return g.tel }
 
-// tracer returns the attached control-plane tracer; nil (always disabled)
-// without a sink.
-func (g *Graph) tracer() *telemetry.Tracer {
-	if g.tel == nil {
-		return nil
-	}
-	return g.tel.Tracer
-}
-
 // registerTelemetry registers every node's operator vars, the edge-snapshot
 // closure, and process-wide vars with the attached registry. Called from Run
 // after prepare, before node goroutines start, so registration never races

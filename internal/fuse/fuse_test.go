@@ -198,6 +198,18 @@ func promised(items []queue.Item, t stream.Tuple) bool {
 	return false
 }
 
+// drawTuple draws the tuple at position i of a stream that has sent items
+// and keeps its punctuation's promise (§3.1): a tuple earlier punctuation
+// matches is drawn again, up to four times, and not sent (ok is false) if it
+// still matches.
+func drawTuple(rng *rand.Rand, items []queue.Item, i int) (tp stream.Tuple, ok bool) {
+	tp = randTuple(rng, i)
+	for try := 0; try < 4 && promised(items, tp); try++ {
+		tp = randTuple(rng, i)
+	}
+	return tp, !promised(items, tp)
+}
+
 // keepsPromises fails on the first tuple of items that punctuation earlier
 // among them covers, folding the punctuation into a punct.Scheme, the
 // engine's record of what a stream has promised.
@@ -247,14 +259,8 @@ func TestFusedEqualsUnfusedProperty(t *testing.T) {
 		for i := 0; i < events; i++ {
 			switch r := rng.Intn(10); {
 			case r < 6:
-				// The stream keeps its punctuation's promise (§3.1): a tuple
-				// earlier punctuation matches is drawn again, and not sent if
-				// it still matches.
-				tp := randTuple(rng, i)
-				for try := 0; try < 4 && promised(input, tp); try++ {
-					tp = randTuple(rng, i)
-				}
-				if promised(input, tp) {
+				tp, ok := drawTuple(rng, input, i)
+				if !ok {
 					continue
 				}
 				input = append(input, queue.TupleItem(tp))
@@ -746,12 +752,16 @@ func TestFusedBatchEqualsPerTuple(t *testing.T) {
 		if err := batched.Open(bc); err != nil {
 			t.Fatal(err)
 		}
+		var fed []queue.Item // the stream both kernels were fed: its tuples and punctuation
 		var seq int64
 		for ev := 0; ev < 15; ev++ {
-			run := make([]queue.Item, 1+rng.Intn(7))
-			for i := range run {
-				run[i] = queue.TupleItem(randTuple(rng, ev*10+i))
+			var run []queue.Item
+			for i, n := 0, 1+rng.Intn(7); i < n; i++ {
+				if tp, ok := drawTuple(rng, fed, ev*10+i); ok {
+					run = append(run, queue.TupleItem(tp))
+				}
 			}
+			fed = append(fed, run...)
 			for _, it := range run {
 				if err := single.ProcessTuple(0, it.Tuple, sc); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
@@ -763,6 +773,7 @@ func TestFusedBatchEqualsPerTuple(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0:
 				e := punct.NewEmbedded(randPattern(rng, chainSchema))
+				fed = append(fed, queue.PunctItem(e))
 				if err := single.ProcessPunct(0, e, sc); err != nil {
 					t.Fatal(err)
 				}
@@ -784,6 +795,7 @@ func TestFusedBatchEqualsPerTuple(t *testing.T) {
 				}
 			}
 		}
+		keepsPromises(t, seed, fed)
 		if !reflect.DeepEqual(sc.items, bc.items) {
 			t.Fatalf("seed %d: emissions diverge: per-tuple %d items, batch %d items",
 				seed, len(sc.items), len(bc.items))
@@ -905,29 +917,38 @@ func TestFusedEmittedTuplesOwnTheirValues(t *testing.T) {
 			t.Fatal(err)
 		}
 		var inputs, inputCopies []stream.Tuple
+		var fed []queue.Item // the stream the kernel was fed: its tuples and punctuation
 		var seq int64
 		for ev := 0; ev < 30; ev++ {
 			when := fmt.Sprintf("seed %d event %d", seed, ev)
 			own.slabs.Begin(nil) // one callback is one activation
 			switch r := rng.Intn(10); {
 			case r < 5:
-				run := make([]queue.Item, 1+rng.Intn(70))
-				for i := range run {
-					tp := randTuple(rng, ev*100+i)
-					run[i] = queue.TupleItem(tp)
-					inputs, inputCopies = append(inputs, tp), append(inputCopies, tp.Clone())
+				var run []queue.Item
+				for i, n := 0, 1+rng.Intn(70); i < n; i++ {
+					if tp, ok := drawTuple(rng, fed, ev*100+i); ok {
+						run = append(run, queue.TupleItem(tp))
+						inputs, inputCopies = append(inputs, tp), append(inputCopies, tp.Clone())
+					}
 				}
+				fed = append(fed, run...)
 				if err := fused.ProcessTupleBatch(0, run, own); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
 			case r < 7:
-				tp := randTuple(rng, ev*100)
+				tp, ok := drawTuple(rng, fed, ev*100)
+				if !ok {
+					break
+				}
+				fed = append(fed, queue.TupleItem(tp))
 				inputs, inputCopies = append(inputs, tp), append(inputCopies, tp.Clone())
 				if err := fused.ProcessTuple(0, tp, own); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
 			case r < 8:
-				if err := fused.ProcessPunct(0, punct.NewEmbedded(randPattern(rng, chainSchema)), own); err != nil {
+				e := punct.NewEmbedded(randPattern(rng, chainSchema))
+				fed = append(fed, queue.PunctItem(e))
+				if err := fused.ProcessPunct(0, e, own); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
 			default:
@@ -948,5 +969,6 @@ func TestFusedEmittedTuplesOwnTheirValues(t *testing.T) {
 		if !reflect.DeepEqual(inputs, inputCopies) {
 			t.Fatalf("seed %d: the kernel wrote into its input tuples", seed)
 		}
+		keepsPromises(t, seed, fed)
 	}
 }

@@ -27,7 +27,7 @@ type Duplicate struct {
 
 	perOut []*core.GuardTable // feedback asserted by each consumer
 
-	in, out, suppressed int64
+	suppressed int64
 }
 
 // Name implements exec.Operator.
@@ -77,12 +77,10 @@ func (d *Duplicate) unanimous(t stream.Tuple) bool {
 
 // ProcessTuple implements exec.Operator.
 func (d *Duplicate) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
-	d.in++
 	if d.unanimous(t) {
 		d.suppressed++
 		return nil
 	}
-	d.out++
 	for i := 0; i < d.n(); i++ {
 		ctx.EmitTo(i, t)
 	}

@@ -279,7 +279,7 @@ type Merge struct {
 	guards *core.GuardTable
 	align  aligner
 
-	in, out, suppressed, aligned int64
+	suppressed int64
 }
 
 // Name implements exec.Operator.
@@ -321,12 +321,10 @@ func (m *Merge) Open(exec.Context) error {
 // ProcessTuple implements exec.Operator: pass-through, with optional guard
 // suppression of subsets the downstream consumer has disclaimed.
 func (m *Merge) ProcessTuple(_ int, t stream.Tuple, ctx exec.Context) error {
-	m.in++
 	if m.guards.Suppress(t) {
 		m.suppressed++
 		return nil
 	}
-	m.out++
 	ctx.Emit(t)
 	return nil
 }
@@ -342,7 +340,6 @@ func (m *Merge) ProcessPunct(input int, e punct.Embedded, ctx exec.Context) erro
 // matching guards (the merged stream now promises the subset complete).
 func (m *Merge) emitAligned(ps []punct.Pattern, ctx exec.Context) {
 	for _, p := range ps {
-		m.aligned++
 		ctx.EmitPunct(punct.NewEmbedded(p))
 	}
 }

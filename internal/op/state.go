@@ -270,7 +270,7 @@ func (p *Pace) keepState() {
 func (m *Merge) keepState() {
 	m.Keep(m.Name(), append(m.align.fields(),
 		snapshot.Guards(m.guards),
-		snapshot.Int64(&m.in, &m.out, &m.suppressed, &m.aligned))...)
+		snapshot.Int64(&m.suppressed))...)
 }
 
 // keepState: per-partition assumed and demanded tables (what each partition
@@ -296,14 +296,14 @@ func (s *Split) keepState() {
 
 // keepState mirrors Split's: per-consumer guards, the relayed set — whose
 // keys the blob has always recorded without the assumed sigil, since a
-// Duplicate relays assumed feedback only — and counters. Without it a
-// restored instance forgot every assertion its consumers had made and could
-// relay the same pattern upstream a second time.
+// Duplicate relays assumed feedback only — and the suppressed count.
+// Without it a restored instance forgot every assertion its consumers had
+// made and could relay the same pattern upstream a second time.
 func (d *Duplicate) keepState() {
 	d.Keep(d.Name(),
 		snapshot.Group(d.n(), func(i int) []snapshot.Field { return []snapshot.Field{snapshot.Guards(d.perOut[i])} }),
 		snapshot.Relayed(d, core.Assumed.Sigil()),
-		snapshot.Int64(&d.in, &d.out, &d.suppressed))
+		snapshot.Int64(&d.suppressed))
 }
 
 // keepState: the reorder buffer holds tuples already consumed from upstream

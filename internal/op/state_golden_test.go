@@ -182,7 +182,7 @@ func stateRows() []stateRow {
 		},
 		{
 			name:   "merge",
-			golden: "060000000801d00f01000002010401010a0000000000000000f80a01000004010401010a000000010401010e000404904e00010000000090030100000000000000f80a01000002010401010e000404904e000200010401010400000006766965776572020606040206",
+			golden: "060000000801d00f01000002010401010a0000000000000000f80a01000004010401010a000000010401010e000404904e00010000000090030100000000000000f80a01000002010401010e000404904e000200010401010400000006766965776572020602",
 			open: func() snapshot.Stater {
 				return &Merge{OpName: "m", Schema: trafficSchema, K: 3, Mode: FeedbackExploit, Propagate: true}
 			},
@@ -240,7 +240,7 @@ func stateRows() []stateRow {
 		},
 		{
 			name:   "duplicate",
-			golden: "04020001040101060000000676696577657200080400010401010600000006766965776572000800010400000404880e0006766965776572000a020c5b332c202a2c202a2c202a5d040202",
+			golden: "04020001040101060000000676696577657200080400010401010600000006766965776572000800010400000404880e0006766965776572000a020c5b332c202a2c202a2c202a5d02",
 			open: func() snapshot.Stater {
 				return &Duplicate{Schema: trafficSchema, N: 2, Mode: FeedbackExploit, Propagate: true}
 			},

@@ -11,9 +11,8 @@ import (
 
 // Server is the opt-in introspection endpoint: /metrics (Prometheus text),
 // /statusz (plan topology + live edge stats, JSON), /epochz (checkpoint
-// timeline, JSON), /tracez (event trace, JSON), and net/http/pprof under
-// /debug/pprof/. It binds eagerly (":0" works for tests) and serves in the
-// background until Close.
+// timeline, JSON), and net/http/pprof under /debug/pprof/. It binds eagerly
+// (":0" works for tests) and serves in the background until Close.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
@@ -48,14 +47,6 @@ func Serve(addr string, t *Telemetry) (*Server, error) {
 	mux.HandleFunc("/epochz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		writeJSON(w, groupEpochs(t.Timeline.Events()))
-	})
-	mux.HandleFunc("/tracez", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		evs := t.Tracer.Events()
-		if evs == nil {
-			evs = []TraceEvent{}
-		}
-		writeJSON(w, evs)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -1,9 +1,8 @@
 // Package telemetry is the engine-wide observability substrate: a
 // zero-alloc-steady-state metrics registry every runtime layer registers
-// into, a bounded-ring trace facility for punctuation/feedback/barrier
-// events, a ring-buffer timeline of checkpoint-epoch lifecycle events, and
-// an opt-in HTTP introspection server exposing all three (plus pprof)
-// without any external dependency.
+// into, a ring-buffer timeline of checkpoint-epoch lifecycle events, and an
+// opt-in HTTP introspection server exposing both (plus pprof) without any
+// external dependency.
 //
 // The package is a leaf: it imports only the standard library, so exec,
 // op, fuse, remote, punct, and plan can all depend on it without cycles.
@@ -19,27 +18,21 @@ package telemetry
 
 import "sync"
 
-// Telemetry bundles the three facilities a running plan exports: the
-// metrics registry, the event tracer, and the epoch timeline. A nil
-// *Telemetry is a valid "disabled" value everywhere — Tracer and Timeline
-// methods are nil-receiver safe, and the runtime guards the rest.
+// Telemetry bundles the two facilities a running plan exports: the metrics
+// registry and the epoch timeline. A nil *Telemetry is a valid "disabled"
+// value everywhere — Timeline methods are nil-receiver safe, and the runtime
+// guards the rest.
 type Telemetry struct {
 	Registry *Registry
-	Tracer   *Tracer
 	Timeline *Timeline
 
 	statusMu sync.Mutex
 	status   func() any
 }
 
-// New creates an enabled telemetry bundle with default ring capacities
-// (4096 trace events, 1024 epoch events).
+// New creates an enabled telemetry bundle.
 func New() *Telemetry {
-	return &Telemetry{
-		Registry: NewRegistry(),
-		Tracer:   NewTracer(4096),
-		Timeline: NewTimeline(1024),
-	}
+	return &Telemetry{Registry: NewRegistry(), Timeline: NewTimeline()}
 }
 
 // SetStatus installs the closure /statusz serves: plan topology, Explain

@@ -29,12 +29,14 @@ type Timeline struct {
 	filled bool
 }
 
-// NewTimeline creates a timeline with the given ring capacity.
-func NewTimeline(capacity int) *Timeline {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &Timeline{ring: make([]EpochEvent, capacity)}
+// timelineCap is the number of epoch events a Timeline keeps: a handful per
+// epoch, so the newest few hundred epochs.
+const timelineCap = 1024
+
+// NewTimeline creates an empty timeline holding the newest timelineCap
+// events.
+func NewTimeline() *Timeline {
+	return &Timeline{ring: make([]EpochEvent, timelineCap)}
 }
 
 // Record appends one event, stamping At with the time it is recorded;
