@@ -21,7 +21,7 @@ func explainFor(t *testing.T, query string) string {
 	t.Helper()
 	cat := plan.Catalog{"traffic": exec.NewReaderSource("traffic", explainSchema, strings.NewReader(""))}
 	var out strings.Builder
-	if err := run(query, cat, true, true, &out); err != nil {
+	if err := run(query, cat, true, &out); err != nil {
 		t.Fatal(err)
 	}
 	return out.String()

@@ -5,7 +5,8 @@
 // Each -stream flag registers one input as name=schema@file, where schema
 // is comma-separated name:kind pairs (kinds: int, float, string, time,
 // bool) and file is a text-codec file ("-" reads the sole stream from
-// stdin). Example:
+// stdin). The plan is compiled (plan.Builder.Compile) before it runs;
+// -explain prints the compiled plan instead of running it. Example:
 //
 //	paceql -stream 'traffic=segment:int,ts:time,speed:float@traffic.csv' \
 //	  'SELECT segment, AVG(speed) FROM traffic GROUP BY segment WINDOW 1 MINUTE ON ts'
@@ -38,8 +39,7 @@ func main() {
 	var streams streamFlags
 	flag.Var(&streams, "stream", "input stream as name=schema@file (repeatable)")
 	punctEvery := flag.Int("punct-every", 100, "emit progress punctuation every N tuples (on a leading time attribute)")
-	fuse := flag.Bool("fuse", true, "compile the plan: fuse stateless operator chains into flat kernels")
-	explain := flag.Bool("explain", false, "print the (compiled) plan instead of running it")
+	explain := flag.Bool("explain", false, "print the compiled plan instead of running it")
 	flag.Parse()
 	if flag.NArg() != 1 || len(streams) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: paceql -stream name=schema@file ... 'QUERY'")
@@ -65,16 +65,16 @@ func main() {
 		}
 	}()
 
-	if err := run(flag.Arg(0), cat, *fuse, *explain, os.Stdout); err != nil {
+	if err := run(flag.Arg(0), cat, *explain, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
 }
 
-// run parses the query over cat and writes its result tuples — or, with
-// explain, the (compiled) plan — to out. A tuple that fails to encode and
+// run parses and compiles the query over cat and writes its result tuples —
+// or, with explain, the compiled plan — to out. A tuple that fails to encode and
 // a flush that fails are errors: truncated output must not exit 0.
-func run(query string, cat plan.Catalog, fuse, explain bool, out io.Writer) error {
+func run(query string, cat plan.Catalog, explain bool, out io.Writer) error {
 	b, result, err := plan.Parse(query, cat)
 	if err != nil {
 		return err
@@ -90,9 +90,7 @@ func run(query string, cat plan.Catalog, fuse, explain bool, out io.Writer) erro
 		}
 	}
 	result.Into(sink)
-	if fuse {
-		b.Compile()
-	}
+	b.Compile()
 	if explain {
 		if err := b.Err(); err != nil {
 			return err

@@ -25,7 +25,7 @@ func TestRunReportsFailedFlush(t *testing.T) {
 	src := exec.NewSliceSource("traffic", explainSchema,
 		stream.NewTuple(stream.Int(1), stream.TimeMicros(0), stream.Float(60)))
 	err := run("SELECT speed, segment FROM traffic WHERE speed >= 50",
-		plan.Catalog{"traffic": src}, true, false, failingWriter{})
+		plan.Catalog{"traffic": src}, false, failingWriter{})
 	if !errors.Is(err, errDiskFull) {
 		t.Fatalf("run = %v, want the flush error", err)
 	}
@@ -52,7 +52,7 @@ func TestRunCountsTiesAtAPunctuation(t *testing.T) {
 		}
 		var out strings.Builder
 		err = run("SELECT segment, COUNT(speed) FROM traffic GROUP BY segment WINDOW 1 MINUTE ON ts",
-			plan.Catalog{name: src}, true, false, &out)
+			plan.Catalog{name: src}, false, &out)
 		_ = closer()
 		if err != nil {
 			t.Fatal(err)

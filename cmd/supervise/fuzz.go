@@ -141,7 +141,7 @@ func fuzzOne(self string, o options, work string, seed uint64, dist bool, want s
 // also what a failure prints as the repro command.
 func superviseArgs(o options, dir string, seed uint64, dist bool) []string {
 	o.dir, o.chaosSeed, o.dist = dir, seed, dist
-	return append(o.args(), "-max-restarts", fmt.Sprint(o.maxRestarts), "-restart-backoff", o.backoff.String())
+	return append(o.args(), "-max-restarts", fmt.Sprint(o.maxRestarts))
 }
 
 // superviseRun executes one supervised run (seed 0 = clean) with a

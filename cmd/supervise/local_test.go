@@ -18,14 +18,14 @@ import (
 // the distributed protocol with nobody to wait for, not a second path.
 func TestLocalPlanIsTheProtocolWithZeroFollowers(t *testing.T) {
 	policy := execpkg.CheckpointPolicy{Interval: 10 * time.Millisecond, Retain: 3}
-	bRef, sinkRef := buildPlan(options{parts: 2, minutes: 10, fuse: true})
+	bRef, sinkRef := buildPlan(options{minutes: 10})
 	if err := bRef.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := digestLine(sinkRef)
 
 	for _, dist := range []bool{false, true} {
-		o := options{parts: 2, minutes: 10, fuse: true, dist: dist}
+		o := options{minutes: 10, dist: dist}
 		// The stores outlive an incarnation: the second one restores what
 		// the first committed.
 		stores := map[string]snapshot.Backend{}

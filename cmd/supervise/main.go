@@ -2,10 +2,10 @@
 // two-phase checkpoints and restarts it from the newest committed cut after
 // a crash.
 //
-// The plan is written once (buildPlan); -dist places its aggregate on a
-// second part, "follow", so the plan runs as two processes. Every part is
-// deployed the same way (plan.Deploy): a single-process run is the
-// coordinating part with no followers. Three modes share one binary:
+// The plan is written once and compiled (buildPlan); -dist places its
+// aggregate on a second part, "follow", so the plan runs as two processes.
+// Every part is deployed the same way (plan.Deploy): a single-process run
+// is the coordinating part with no followers. Three modes share one binary:
 //
 //   - supervisor (default): spawns one child per part, restarts them all
 //     when any exits non-zero (kill -9 included) up to -max-restarts with
@@ -26,7 +26,6 @@
 package main
 
 import (
-	"cmp"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -55,13 +54,9 @@ import (
 
 type options struct {
 	dir         string
-	interval    time.Duration
-	retain      int
-	parts       int
 	minutes     int
 	crashAfter  int
 	maxRestarts int
-	backoff     time.Duration
 	child       bool
 	dist        bool
 	role        string
@@ -69,7 +64,6 @@ type options struct {
 	ackTimeout  time.Duration
 	chaosSeed   uint64
 	chaosInc    int
-	fuse        bool
 	fuzz        bool
 	seed        uint64
 	fuzzSeeds   int
@@ -89,13 +83,9 @@ func (o options) chaosPlan() *chaos.Plan {
 func main() {
 	var o options
 	flag.StringVar(&o.dir, "dir", "", "checkpoint chain directory (required)")
-	flag.DurationVar(&o.interval, "interval", 50*time.Millisecond, "checkpoint interval")
-	flag.IntVar(&o.retain, "retain", 4, "keep the newest N epochs (0 = all)")
-	flag.IntVar(&o.parts, "parts", 2, "aggregate partitions")
 	flag.IntVar(&o.minutes, "minutes", 30, "stream-minutes of synthetic traffic to process")
 	flag.IntVar(&o.crashAfter, "crash-after-epochs", 0, "SIGKILL the first incarnation after N durable epochs (0 = never)")
 	flag.IntVar(&o.maxRestarts, "max-restarts", 5, "supervisor: give up after N restarts")
-	flag.DurationVar(&o.backoff, "restart-backoff", 100*time.Millisecond, "supervisor: initial restart delay (doubles per crashing restart, resets after a healthy run)")
 	flag.BoolVar(&o.child, "child", false, "run one plan incarnation (internal)")
 	flag.BoolVar(&o.dist, "dist", false, "two-process mode: the aggregate runs on a second part, \"follow\", over TCP")
 	flag.StringVar(&o.role, "role", plan.Coordinator, "child: the part to run, coord or (under -dist) follow (internal)")
@@ -103,7 +93,6 @@ func main() {
 	flag.DurationVar(&o.ackTimeout, "ack-timeout", 10*time.Second, "dist mode: abandon an epoch when follower acks do not arrive in time")
 	flag.Uint64Var(&o.chaosSeed, "chaos-seed", 0, "fault-injection schedule seed (0 = chaos off; see internal/chaos)")
 	flag.IntVar(&o.chaosInc, "chaos-incarnation", 0, "chaos: restart generation of this child (internal)")
-	flag.BoolVar(&o.fuse, "fuse", true, "compile the plan: fuse stateless operator chains into flat kernels (must match between the run that wrote a checkpoint and the run restoring it)")
 	flag.BoolVar(&o.fuzz, "fuzz", false, "run seeded chaos schedules (single-process and -dist) and verify crash ≡ clean plus every retained epoch")
 	flag.Uint64Var(&o.seed, "seed", 1, "fuzz: base seed; schedules seed..seed+fuzz-seeds-1 run per mode")
 	flag.IntVar(&o.fuzzSeeds, "fuzz-seeds", 4, "fuzz: seeds per mode")
@@ -147,20 +136,25 @@ func logEvent(msg string, kvs ...any) {
 	fmt.Println(sb.String())
 }
 
-// healthyRun is how long a child must survive for its crash to count as
-// fresh (resetting the restart backoff) rather than part of a crash loop.
-const healthyRun = 2 * time.Second
+const (
+	// Every part's checkpoint policy, and the aggregate's partition count.
+	checkpointInterval = 50 * time.Millisecond
+	retainEpochs       = 4
+	partitions         = 2
+	// restartBackoff is the first restart delay; it doubles per crashing
+	// restart and resets after a healthy run.
+	restartBackoff = 100 * time.Millisecond
+	// healthyRun is how long a child must survive for its crash to count as
+	// fresh (resetting the restart backoff) rather than part of a crash loop.
+	healthyRun = 2 * time.Second
+)
 
 // args renders as flags the options a supervisor hands on: to its
 // children, and from -fuzz to each supervisor it starts.
 func (o options) args() []string {
 	args := []string{"-dir", o.dir,
-		"-interval", o.interval.String(),
-		"-retain", fmt.Sprint(o.retain),
-		"-parts", fmt.Sprint(o.parts),
 		"-minutes", fmt.Sprint(o.minutes),
 		"-ack-timeout", o.ackTimeout.String(),
-		"-fuse=" + fmt.Sprint(o.fuse),
 	}
 	if o.dist {
 		args = append(args, "-dist")
@@ -207,8 +201,7 @@ func runSupervisor(o options) error {
 	}
 	// Restarts back off exponentially while children keep crashing, so one
 	// that dies on startup cannot burn -max-restarts in milliseconds.
-	base := cmp.Or(max(o.backoff, 0), 100*time.Millisecond)
-	delay, restarts := base, 0
+	delay, restarts := restartBackoff, 0
 	for {
 		o.chaosInc = restarts
 		children := make([]*exec.Cmd, 0, len(parts))
@@ -259,7 +252,7 @@ func runSupervisor(o options) error {
 			return fmt.Errorf("gave up after %d restarts", o.maxRestarts)
 		}
 		if ran >= healthyRun {
-			delay = base
+			delay = restartBackoff
 		}
 		logEvent("SUPERVISOR backing off before restart", "delay", delay)
 		time.Sleep(delay)
@@ -342,7 +335,7 @@ func runPart(o options) error {
 	}
 	armKills(kills, progress)
 
-	runErr, chkErr := dep.Run(execpkg.CheckpointPolicy{Interval: o.interval, Retain: o.retain}, o.ackTimeout)
+	runErr, chkErr := dep.Run(execpkg.CheckpointPolicy{Interval: checkpointInterval, Retain: retainEpochs}, o.ackTimeout)
 	if runErr != nil {
 		return runErr
 	}
@@ -363,7 +356,7 @@ func runPart(o options) error {
 // preStage prepends the stateless normalization chain shared by every mode:
 // a keep-everything filter (ts is never null and never negative) plus a
 // carry-all rename. It is a semantic no-op whose purpose is giving the plan
-// compiler a fusible stateless prefix on the hot path; with -fuse the two
+// compiler a fusible stateless prefix on the hot path; compiled, the two
 // operators become one clean+norm kernel — a prefix on the exchange Split's
 // input port in the single-process plan, a standalone fused(clean+norm) node
 // feeding the cut's remote sink under -dist — so both compiled forms are
@@ -379,9 +372,9 @@ func preStage(s plan.Stream) plan.Stream {
 
 // aggStage is the per-partition aggregate sub-plan. The leading keep-all
 // filter is another semantic no-op: a lone stateless operator inside each
-// partition, which -fuse absorbs into that partition's aggregate as a prefix
-// kernel (fused(pclean=>agg)) — so every chaos run drives the prefixed
-// batched-fold path through kills, restores, and feedback.
+// partition, which compiling absorbs into that partition's aggregate as a
+// prefix kernel (fused(pclean=>agg)) — so every chaos run drives the
+// prefixed batched-fold path through kills, restores, and feedback.
 func aggStage(ss plan.Stream) plan.Stream {
 	ss = ss.SelectExpr("pclean", punct.ExprStep{Col: 2, Name: "ts", Pred: punct.Ge(stream.TimeMicros(0))})
 	return ss.Through(&op.Aggregate{OpName: "agg", In: gen.TrafficSchema, Kind: core.AggAvg,
@@ -394,7 +387,7 @@ const minute = int64(60_000_000)
 
 // buildPlan assembles the demo workload — every mode's, and the fuzz
 // verifier's, which must rebuild byte-identical plans to restore into:
-// deterministic synthetic traffic → Parallel(parts) per-segment average →
+// deterministic synthetic traffic → Parallel(partitions) per-segment average →
 // recording sink, with the aggregate placed on part "follow" under -dist.
 // Every node is a snapshot.Stater, so the whole plan recovers.
 func buildPlan(o options) (*plan.Builder, *execpkg.Collector) {
@@ -409,10 +402,8 @@ func buildPlan(o options) (*plan.Builder, *execpkg.Collector) {
 	if o.dist {
 		s = s.Place("follow")
 	}
-	sink := s.Parallel("part", o.parts, []string{"segment"}, aggStage).Collect("sink")
-	if o.fuse {
-		b.Compile()
-	}
+	sink := s.Parallel("part", partitions, []string{"segment"}, aggStage).Collect("sink")
+	b.Compile()
 	return b, sink
 }
 

@@ -57,7 +57,7 @@ type inflight struct {
 
 	pending  map[NodeID]bool             // nodes that have not cut yet
 	cuts     map[NodeID]snapshot.Capture // phase-1 captures; the zero Capture for a stateless node
-	err      error                       // first failure; poisons the checkpoint
+	err      error                       // first failure; once done closes, the outcome
 	hold     time.Duration               // max single-node capture duration
 	prevDone chan struct{}               // previous checkpoint's finish ticket
 	done     chan struct{}               // closed when finished or superseded
@@ -93,18 +93,6 @@ func (g *Graph) CheckpointStatuses() []CheckpointStatus {
 	return append([]CheckpointStatus(nil), g.statuses...)
 }
 
-// checkpointStatus returns the recorded outcome for one epoch.
-func (g *Graph) checkpointStatus(epoch int64) (CheckpointStatus, bool) {
-	g.chkMu.Lock()
-	defer g.chkMu.Unlock()
-	for i := len(g.statuses) - 1; i >= 0; i-- {
-		if g.statuses[i].Epoch == epoch {
-			return g.statuses[i], true
-		}
-	}
-	return CheckpointStatus{}, false
-}
-
 func (g *Graph) recordStatusLocked(st CheckpointStatus) {
 	if len(g.statuses) >= 64 {
 		g.statuses = g.statuses[1:]
@@ -115,21 +103,16 @@ func (g *Graph) recordStatusLocked(st CheckpointStatus) {
 // checkpointAt triggers a checkpoint at an externally assigned epoch — the
 // receiving half of a cross-process barrier (a DistFollower's plan must cut
 // at the coordinator's epoch number, not its own counter). It returns the
-// checkpoint's completion channel; a duplicate of the still-active epoch (a
-// parallel remote edge delivering the same barrier) returns that
-// checkpoint's channel, and a nil channel with nil error means the epoch
-// was already taken — completed or superseded — and there is nothing to
-// wait for. The outcome is readable via checkpointStatus once the channel
-// closes.
-func (g *Graph) checkpointAt(epoch int64, chain *snapshot.Chain) (<-chan struct{}, error) {
+// checkpoint; a duplicate of the still-active epoch (a parallel remote edge
+// delivering the same barrier) returns that checkpoint, and nil with a nil
+// error means the epoch was already taken — completed or superseded — and
+// there is nothing to wait for. The outcome is the checkpoint's err once
+// its done closes.
+func (g *Graph) checkpointAt(epoch int64, chain *snapshot.Chain) (*inflight, error) {
 	if epoch <= 0 {
 		return nil, fmt.Errorf("exec: checkpoint: non-positive epoch %d", epoch)
 	}
-	c, err := g.trigger(epoch, chain)
-	if err != nil || c == nil {
-		return nil, err
-	}
-	return c.done, nil
+	return g.trigger(epoch, chain)
 }
 
 // trigger starts one checkpoint: it registers the epoch so sources inject
@@ -241,10 +224,8 @@ func (g *Graph) supersedeLocked(newer int64) {
 	c := g.activeChk
 	g.activeChk = nil
 	g.retirePending()
-	g.recordStatusLocked(CheckpointStatus{
-		Epoch: c.epoch, BarrierHold: c.hold,
-		Err: fmt.Errorf("exec: checkpoint %d superseded by remote epoch %d before completing", c.epoch, newer),
-	})
+	c.err = fmt.Errorf("exec: checkpoint %d superseded by remote epoch %d before completing", c.epoch, newer)
+	g.recordStatusLocked(CheckpointStatus{Epoch: c.epoch, BarrierHold: c.hold, Err: c.err})
 	g.recordEpoch("abandon", c.epoch, "", c.hold,
 		fmt.Errorf("superseded by remote epoch %d", newer))
 	close(c.done)
@@ -282,8 +263,10 @@ func (g *Graph) ackNode(id NodeID, epoch int64, cut snapshot.Capture, err error,
 }
 
 // finishCheckpoint is phase 2: encode every captured view, assemble the
-// snapshot, persist it to the chain, and publish the status. Finishers
-// chain on prevDone so chain writes land in epoch order.
+// snapshot, persist it to the chain, and publish the outcome: c.err and the
+// status ring. The durable manifest, not this local persist, commits the
+// epoch (DESIGN.md §8.2). Finishers chain on prevDone so chain writes land
+// in epoch order.
 func (g *Graph) finishCheckpoint(c *inflight) {
 	defer g.chkWG.Done()
 	defer close(c.done)
@@ -325,14 +308,10 @@ func (g *Graph) finishCheckpoint(c *inflight) {
 		g.recordEpoch("persist", c.epoch, "", time.Since(persistStart), werr)
 	}
 	g.chkMu.Lock()
+	c.err = err
 	g.recordStatusLocked(CheckpointStatus{
 		Epoch: c.epoch, Err: err, BarrierHold: c.hold, Encode: encodeDur, Bytes: bytes,
 	})
-	if err == nil {
-		g.recordEpoch("commit", c.epoch, "", 0, nil)
-	} else {
-		g.recordEpoch("fail", c.epoch, "", 0, err)
-	}
 	g.chkMu.Unlock()
 }
 

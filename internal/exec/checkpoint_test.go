@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"runtime"
 	"slices"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/queue"
 	"repro/internal/snapshot"
 	"repro/internal/stream"
+	"repro/internal/telemetry"
 )
 
 // local wraps g as the coordinator a single-process run uses — no followers
@@ -47,6 +49,17 @@ func restoreLocal(t testing.TB, g *Graph, backend snapshot.Backend) *DistCoordin
 		t.Fatalf("RestoreCommitted: ok=%v err=%v", ok, err)
 	}
 	return dc
+}
+
+// statusOf returns the newest recorded outcome for one epoch.
+func statusOf(g *Graph, epoch int64) (CheckpointStatus, bool) {
+	sts := g.CheckpointStatuses()
+	for i := len(sts) - 1; i >= 0; i-- {
+		if sts[i].Epoch == epoch {
+			return sts[i], true
+		}
+	}
+	return CheckpointStatus{}, false
 }
 
 // gatedSource replays tuples one per Next, idling (without blocking the
@@ -605,7 +618,7 @@ func TestEncodeRunsOffTheBarrier(t *testing.T) {
 	// the barrier.
 	src.limit.Store(5000)
 	src.waitPos(t, 5000)
-	if _, ok := g.checkpointStatus(epoch); ok {
+	if _, ok := statusOf(g, epoch); ok {
 		t.Fatal("checkpoint reported done while its encode is still blocked")
 	}
 	// A second cut taken while the first still encodes persists after it:
@@ -617,11 +630,11 @@ func TestEncodeRunsOffTheBarrier(t *testing.T) {
 	epoch2 := c2.epoch
 	close(src.release)
 	g.WaitCheckpoints()
-	st, ok := g.checkpointStatus(epoch)
+	st, ok := statusOf(g, epoch)
 	if !ok || st.Err != nil {
 		t.Fatalf("checkpoint status after release: ok=%v %+v", ok, st)
 	}
-	if st2, ok := g.checkpointStatus(epoch2); !ok || st2.Err != nil {
+	if st2, ok := statusOf(g, epoch2); !ok || st2.Err != nil {
 		t.Fatalf("second checkpoint status: ok=%v %+v", ok, st2)
 	}
 	if statuses := g.CheckpointStatuses(); len(statuses) != 2 || statuses[0].Epoch != epoch {
@@ -737,12 +750,12 @@ func TestCheckpointAfterLostEpochs(t *testing.T) {
 				if err != nil || newer == nil {
 					t.Fatalf("epoch %d: %v", epoch+2, err)
 				}
-				<-pending
-				if st, _ := g1.checkpointStatus(epoch + 1); st.Err == nil || !strings.Contains(st.Err.Error(), "superseded") {
+				<-pending.done
+				if st, _ := statusOf(g1, epoch+1); st.Err == nil || !strings.Contains(st.Err.Error(), "superseded") {
 					t.Fatalf("epoch %d: %+v, want superseded", epoch+1, st)
 				}
 				close(stall)
-				<-newer
+				<-newer.done
 			}
 			src1.waitPos(t, last)
 			// Asked for as a delta, the cut is full all the same: it is all
@@ -845,6 +858,61 @@ func TestRefusedCommitAbandonsEpoch(t *testing.T) {
 				t.Fatalf("restored run recorded %d tuples, digest %08x; want %d, %08x", len(got), digest(got), total, want)
 			}
 		})
+	}
+}
+
+// TestTimelineCommitsAtTheManifest: the epoch timeline records one commit
+// per committed epoch, when its manifest is durable, and none for an epoch
+// whose manifest write was refused, although its snapshot persisted: that
+// epoch is abandoned. The status ring still reports every local outcome.
+func TestTimelineCommitsAtTheManifest(t *testing.T) {
+	src := &limitedSource{schema: incrSchema, total: 400}
+	sink := NewCollector("sink", incrSchema)
+	g := NewGraph()
+	g.Add(sink, From(g.AddSource(src)))
+	tel := telemetry.New()
+	g.SetTelemetry(tel)
+	runErr := make(chan error, 1)
+	go func() { runErr <- g.Run() }()
+	// dm0000000003 is the manifest that would commit epoch 3.
+	dc, _ := local(g, flakyBackend{snapshot.NewMemory(), func(id string) bool { return id == "dm0000000003" }})
+	for _, stop := range []int64{250, 280, 310} {
+		src.limit.Store(stop)
+		src.waitPos(t, stop)
+		epoch, err := dc.CheckpointOnce(snapshot.CaptureFull)
+		if (err != nil) != (epoch == 3) {
+			t.Fatalf("epoch %d: err=%v", epoch, err)
+		}
+	}
+	g.Kill()
+	if err := <-runErr; !errors.Is(err, ErrKilled) {
+		t.Fatalf("killed run returned %v", err)
+	}
+	g.WaitCheckpoints()
+
+	commits, abandons := map[int64]int{}, map[int64]int{}
+	for _, ev := range tel.Timeline.Events() {
+		switch ev.Phase {
+		case "commit":
+			commits[ev.Epoch]++
+		case "abandon":
+			abandons[ev.Epoch]++
+		}
+	}
+	if want := map[int64]int{1: 1, 2: 1}; !maps.Equal(commits, want) {
+		t.Errorf("commit rows per epoch = %v, want %v", commits, want)
+	}
+	if want := map[int64]int{3: 1}; !maps.Equal(abandons, want) {
+		t.Errorf("abandon rows per epoch = %v, want %v", abandons, want)
+	}
+	sts := g.CheckpointStatuses()
+	if len(sts) != 3 {
+		t.Fatalf("statuses %+v, want epochs 1..3", sts)
+	}
+	for i, st := range sts {
+		if st.Epoch != int64(i+1) || st.Err != nil {
+			t.Errorf("status %d = %+v, want epoch %d persisted", i, st, i+1)
+		}
 	}
 }
 

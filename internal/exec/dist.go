@@ -278,25 +278,22 @@ func (dc *DistCoordinator) CheckpointOnce(snapshot.CaptureMode) (int64, error) {
 		return 0, err
 	}
 	<-c.done
-	return c.epoch, dc.finishEpoch(c.epoch, nil)
+	return c.epoch, dc.finishEpoch(c, nil)
 }
 
-// finishEpoch runs the ack/commit half for a locally finished epoch; stop
-// (may be nil) aborts the wait early on shutdown. Each follower ack, the
-// manifest commit, and any abandonment are recorded into the graph's epoch
-// timeline on top of the local capture/persist events.
-func (dc *DistCoordinator) finishEpoch(epoch int64, stop <-chan struct{}) (err error) {
+// finishEpoch runs the ack/commit half for a locally finished checkpoint;
+// stop (may be nil) aborts the wait early on shutdown. Each follower ack,
+// the manifest commit, and any abandonment are recorded into the graph's
+// epoch timeline on top of the local capture/persist events.
+func (dc *DistCoordinator) finishEpoch(c *inflight, stop <-chan struct{}) (err error) {
+	epoch := c.epoch
 	defer func() {
 		if err != nil {
 			dc.g.recordEpoch("abandon", epoch, dc.part, 0, err)
 		}
 	}()
-	st, ok := dc.g.checkpointStatus(epoch)
-	switch {
-	case !ok:
-		return fmt.Errorf("exec: dist: epoch %d has no recorded outcome", epoch)
-	case st.Err != nil:
-		return fmt.Errorf("exec: dist: epoch %d abandoned: %w", epoch, st.Err)
+	if c.err != nil {
+		return fmt.Errorf("exec: dist: epoch %d abandoned: %w", epoch, c.err)
 	}
 	dc.mu.Lock()
 	peers := append([]*distPeer(nil), dc.peers...)
@@ -423,15 +420,15 @@ func (df *DistFollower) Handshake() (restored bool, err error) {
 // acked with Err instead, so the coordinator abandons the epoch while the
 // stream keeps flowing.
 func (df *DistFollower) register(epoch int64) error {
-	done, err := df.g.checkpointAt(epoch, df.chain)
+	c, err := df.g.checkpointAt(epoch, df.chain)
 	if err != nil {
 		return err
 	}
-	if done == nil {
+	if c == nil {
 		return nil // stale barrier (epoch already completed or superseded)
 	}
 	// Parallel remote edges deliver the same epoch once each and each gets
-	// the active checkpoint's channel back; exactly one ack watcher runs.
+	// the active checkpoint back; exactly one ack watcher runs.
 	df.mu.Lock()
 	if epoch <= df.ackSpawned {
 		df.mu.Unlock()
@@ -440,15 +437,11 @@ func (df *DistFollower) register(epoch int64) error {
 	df.ackSpawned = epoch
 	df.mu.Unlock()
 	go func() {
-		<-done
+		<-c.done
 		ack := snapshot.DistMsg{Kind: snapshot.DistAck, Part: df.part, Epoch: epoch}
-		st, ok := df.g.checkpointStatus(epoch)
-		switch {
-		case !ok:
-			ack.Err = "checkpoint outcome unknown"
-		case st.Err != nil:
-			ack.Err = st.Err.Error()
-		default:
+		if c.err != nil {
+			ack.Err = c.err.Error()
+		} else {
 			ack.Chain = snapshot.IDFor(epoch)
 		}
 		// Best-effort: an unsendable ack is indistinguishable from a missing

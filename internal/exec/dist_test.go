@@ -44,40 +44,40 @@ func TestCheckpointAtSemantics(t *testing.T) {
 	if _, err := g.checkpointAt(0, chain); err == nil {
 		t.Error("non-positive epoch accepted")
 	}
-	done5, err := g.checkpointAt(5, chain)
-	if err != nil || done5 == nil {
-		t.Fatalf("forced epoch 5: done=%v err=%v", done5, err)
+	c5, err := g.checkpointAt(5, chain)
+	if err != nil || c5 == nil {
+		t.Fatalf("forced epoch 5: checkpoint=%v err=%v", c5, err)
 	}
 	// Same epoch from a second remote edge: joins the active checkpoint.
 	dup, err := g.checkpointAt(5, chain)
-	if err != nil || dup != done5 {
-		t.Fatalf("duplicate epoch 5 did not join the active checkpoint (done=%v err=%v)", dup, err)
+	if err != nil || dup != c5 {
+		t.Fatalf("duplicate epoch 5 did not join the active checkpoint (checkpoint=%v err=%v)", dup, err)
 	}
 	// A stale barrier draining behind the active epoch: dropped, not an
 	// error — erroring would kill the subplan on an abandoned epoch's
 	// leftover frame.
 	stale, err := g.checkpointAt(3, chain)
 	if err != nil || stale != nil {
-		t.Fatalf("stale epoch 3 behind active 5: done=%v err=%v, want nil/nil", stale, err)
+		t.Fatalf("stale epoch 3 behind active 5: checkpoint=%v err=%v, want nil/nil", stale, err)
 	}
 	// A newer epoch supersedes the still-aligning one: epoch 5 resolves as
 	// abandoned and epoch 7 becomes the active checkpoint.
-	done7, err := g.checkpointAt(7, chain)
-	if err != nil || done7 == nil {
-		t.Fatalf("superseding epoch 7: done=%v err=%v", done7, err)
+	c7, err := g.checkpointAt(7, chain)
+	if err != nil || c7 == nil {
+		t.Fatalf("superseding epoch 7: checkpoint=%v err=%v", c7, err)
 	}
 	select {
-	case <-done5:
+	case <-c5.done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("superseded epoch 5 never resolved")
 	}
-	st, ok := g.checkpointStatus(5)
+	st, ok := statusOf(g, 5)
 	if !ok || st.Err == nil || !strings.Contains(st.Err.Error(), "superseded") {
 		t.Fatalf("superseded epoch status: %+v ok=%v", st, ok)
 	}
 	// And now a stale barrier for 5 (no longer active): dropped too.
 	if stale, err := g.checkpointAt(5, chain); err != nil || stale != nil {
-		t.Fatalf("stale epoch 5 after supersede: done=%v err=%v, want nil/nil", stale, err)
+		t.Fatalf("stale epoch 5 after supersede: checkpoint=%v err=%v, want nil/nil", stale, err)
 	}
 
 	g.Kill()
@@ -107,14 +107,14 @@ func TestWireBarrierSourceSkipsPollCut(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	done, err := g.checkpointAt(1, chain)
-	if err != nil || done == nil {
+	c, err := g.checkpointAt(1, chain)
+	if err != nil || c == nil {
 		t.Fatalf("forced epoch: %v", err)
 	}
 	// The source idles at its gate; a poll-cut would complete the epoch
 	// within a few runner iterations. It must stay pending.
 	select {
-	case <-done:
+	case <-c.done:
 		t.Fatal("a source that cuts at its own barriers was cut by the poll path")
 	case <-time.After(100 * time.Millisecond):
 	}

@@ -61,7 +61,7 @@ func (dc *DistCoordinator) checkpointLoop(p CheckpointPolicy, stop <-chan struct
 		case <-stop:
 			return first
 		}
-		if err := dc.finishEpoch(c.epoch, stop); err != nil {
+		if err := dc.finishEpoch(c, stop); err != nil {
 			note(err)
 			continue // abandoned: no manifest, no retention this cycle
 		}

@@ -6,10 +6,12 @@ import (
 )
 
 // EpochEvent is one checkpoint-lifecycle event: the epoch it belongs to,
-// the phase (trigger, capture, encode, persist, ack, commit, abandon,
-// fail), an optional part name (distributed runs), the wall time it was
-// recorded, an optional duration (e.g. barrier hold, encode time), and an
-// optional error.
+// the phase (trigger, capture, barrier-hold, encode, persist, ack, commit,
+// abandon), an optional part name (a capture's node, an ack's follower, the
+// coordinator's part on its commit and abandon), the wall time it was recorded,
+// an optional duration (e.g. barrier hold, encode time), and an optional
+// error. An epoch commits when its manifest is durable: one commit row, or
+// one abandon row, per epoch the coordinator finishes.
 type EpochEvent struct {
 	Epoch int64         `json:"epoch"`
 	Phase string        `json:"phase"`
@@ -20,8 +22,11 @@ type EpochEvent struct {
 }
 
 // Timeline is a bounded ring of epoch events, recorded by the checkpoint
-// coordinator off the hot path (a handful of events per epoch). A nil
-// *Timeline discards records, so call sites need no guard.
+// machinery off the hot path (a handful of events per epoch): trigger,
+// capture, barrier-hold, encode and persist by each part's graph, ack,
+// commit and abandon by the coordinator (and abandon by a follower whose
+// aligning epoch a newer one superseded). A nil *Timeline discards records,
+// so call sites need no guard.
 type Timeline struct {
 	mu     sync.Mutex
 	ring   []EpochEvent
