@@ -1,7 +1,6 @@
 package main
 
 import (
-	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -20,10 +19,7 @@ func TestDistSuperviseKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary and runs two supervised processes")
 	}
-	bin := filepath.Join(t.TempDir(), "supervise")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
+	bin := binary(t)
 
 	run := func(name string, extra ...string) string {
 		t.Helper()
@@ -74,5 +70,4 @@ func TestDistSuperviseKill9(t *testing.T) {
 	if strings.Contains(clean, "restored from committed") {
 		t.Error("clean run should cold start")
 	}
-	_ = os.Remove(bin)
 }

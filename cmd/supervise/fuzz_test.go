@@ -2,7 +2,6 @@ package main
 
 import (
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -17,10 +16,7 @@ func TestFuzzSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary and runs supervised chaos subprocesses")
 	}
-	bin := filepath.Join(t.TempDir(), "supervise")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
+	bin := binary(t)
 	dir := t.TempDir()
 	cmd := exec.Command(bin, "-fuzz", "-dir", dir,
 		"-seed", "1", "-fuzz-seeds", "2",

@@ -32,6 +32,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -181,11 +182,17 @@ func (o options) childArgs(part string) []string {
 // one child per part of the plan, joined over -addr under -dist. When any
 // child dies with an error the others are killed — half a plan cannot
 // complete alone — and the run restarts from the newest committed cut.
+// SIGTERM or SIGINT stops the supervisor: it forwards the signal to every
+// child and waits for them, and a child whose supervisor dies anyway is
+// killed with it (dieWithParent), so no part outlives its supervisor.
 func runSupervisor(o options) error {
 	self, err := os.Executable()
 	if err != nil {
 		return err
 	}
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(stop)
 	b, _ := buildPlan(o)
 	parts := b.Parts()
 	if o.dist && o.addr == "" {
@@ -221,6 +228,7 @@ func runSupervisor(o options) error {
 			c := exec.Command(self, args...)
 			c.Stdout = os.Stdout
 			c.Stderr = os.Stderr
+			dieWithParent(c)
 			if err := c.Start(); err != nil {
 				killAll()
 				for range children {
@@ -232,10 +240,22 @@ func runSupervisor(o options) error {
 			go func() { done <- c.Wait() }()
 		}
 		var errs []error
-		for range children {
-			if err := <-done; err != nil {
-				killAll()
-				errs = append(errs, err)
+		for waiting := len(children); waiting > 0; {
+			select {
+			case err := <-done:
+				waiting--
+				if err != nil {
+					killAll()
+					errs = append(errs, err)
+				}
+			case sig := <-stop:
+				for _, c := range children {
+					c.Process.Signal(sig)
+				}
+				for ; waiting > 0; waiting-- {
+					<-done
+				}
+				return fmt.Errorf("stopped by %v", sig)
 			}
 		}
 		if len(errs) == 0 {
@@ -255,7 +275,11 @@ func runSupervisor(o options) error {
 			delay = restartBackoff
 		}
 		logEvent("SUPERVISOR backing off before restart", "delay", delay)
-		time.Sleep(delay)
+		select {
+		case <-time.After(delay):
+		case sig := <-stop:
+			return fmt.Errorf("stopped by %v", sig)
+		}
 		delay = min(2*delay, 5*time.Second)
 	}
 }

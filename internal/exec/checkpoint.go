@@ -150,19 +150,19 @@ func (g *Graph) trigger(forceEpoch int64, chain *snapshot.Chain) (*inflight, err
 			return nil, fmt.Errorf("exec: checkpoint %d already in progress", g.activeChk.epoch)
 		}
 	}
-	if forceEpoch != 0 && forceEpoch <= g.chkEpoch {
+	if forceEpoch != 0 && forceEpoch <= g.chkEpoch.Load() {
 		// Already taken (or numbering moved past it): a duplicate barrier
 		// from a second remote edge, or a stale barrier still draining.
 		g.chkMu.Unlock()
 		return nil, nil
 	}
 	if forceEpoch != 0 {
-		g.chkEpoch = forceEpoch
+		g.chkEpoch.Store(forceEpoch)
 	} else {
-		g.chkEpoch++
+		g.chkEpoch.Add(1)
 	}
 	c := &inflight{
-		epoch:    g.chkEpoch,
+		epoch:    g.chkEpoch.Load(),
 		chain:    chain,
 		pending:  make(map[NodeID]bool, len(g.liveNodes)),
 		cuts:     make(map[NodeID]snapshot.Capture),
@@ -187,7 +187,7 @@ func (g *Graph) trigger(forceEpoch int64, chain *snapshot.Chain) (*inflight, err
 			}
 			continue
 		}
-		cut, err := captureNode(n)
+		cut, err := g.captureNode(n)
 		if err != nil && c.err == nil {
 			c.err = err
 		}
@@ -329,7 +329,7 @@ func (g *Graph) cutNode(n *node, epoch int64) {
 		return
 	}
 	start := time.Now()
-	cut, err := captureNode(n)
+	cut, err := g.captureNode(n)
 	g.ackNode(n.id, epoch, cut, err, time.Since(start))
 }
 
@@ -370,7 +370,7 @@ func (g *Graph) nodeExit(n *node, runErr error) {
 		// The active checkpoint is waiting on this node's ack; it is
 		// quiescent now, so capture on the exiting goroutine.
 		start := time.Now()
-		cut, err := captureNode(n)
+		cut, err := g.captureNode(n)
 		g.ackNode(n.id, c.epoch, cut, err, time.Since(start))
 	}
 }
@@ -388,7 +388,7 @@ func (n *node) stater() snapshot.Stater {
 // captureNode takes one node's phase-1 capture: a view of its state, encoded
 // later off the barrier. A node that is not a Stater contributes nothing; one
 // whose capture panics fails the checkpoint, not the caller.
-func captureNode(n *node) (cut snapshot.Capture, err error) {
+func (g *Graph) captureNode(n *node) (cut snapshot.Capture, err error) {
 	st := n.stater()
 	if st == nil {
 		return snapshot.Capture{}, nil
@@ -398,7 +398,7 @@ func captureNode(n *node) (cut snapshot.Capture, err error) {
 			cut, err = snapshot.Capture{}, fmt.Errorf("exec: node %q: capture state: %w", n.name(), err)
 		}
 	}()
-	defer recoverPanic(&err)
+	defer g.recoverPanic(n, &err)
 	return st.CaptureState(snapshot.CaptureFull)
 }
 
@@ -423,7 +423,7 @@ func (g *Graph) RestoreChain(snap *snapshot.Snapshot) error {
 	g.stagedNames = names
 	// Resume epoch numbering from the restored cut, so a recovered run's
 	// checkpoints extend the same chain instead of colliding with it.
-	g.chkEpoch = snap.Epoch
+	g.chkEpoch.Store(snap.Epoch)
 	return nil
 }
 

@@ -86,6 +86,11 @@ type Trace struct {
 // one-item pages, and a recording sink with one input per output of op keeps
 // what op emits. Inputs the script leaves open end after its last step, so op
 // closes as at the end of a stream.
+//
+// Every stream keeps its punctuation's promise (§3.1): a script that sends a
+// tuple its earlier punctuation covers is refused before it runs, and a
+// tuple of op's output that op's earlier punctuation covers is the run's
+// error (Collector).
 func Drive(op Operator, script ...Script) *Trace { return DriveChain([]Operator{op}, script...) }
 
 // DriveChain is Drive over ops in a line, each one's output 0 feeding the
@@ -95,6 +100,18 @@ func DriveChain(ops []Operator, script ...Script) *Trace {
 	ins := ops[0].InSchemas()
 	tr := &Trace{Sent: make([][]core.Feedback, len(ins))}
 	src := &scripted{schemas: ins, trace: tr, steps: slices.Concat(script...)}
+	fed := make([][]queue.Item, len(ins))
+	for _, st := range src.steps {
+		if st.call == nil && st.fb == nil && st.restore == nil {
+			fed[st.port] = append(fed[st.port], st.item)
+		}
+	}
+	for in, items := range fed {
+		if err := PromiseBreach(ins[in].Arity(), items); err != nil {
+			tr.Err = fmt.Errorf("exec: the script's input %d: %w", in, err)
+			return tr
+		}
+	}
 	g := NewGraph()
 	g.SetQueueOptions(queue.Options{PageSize: 1})
 	sid := g.AddSource(src)
@@ -107,7 +124,7 @@ func DriveChain(ops []Operator, script ...Script) *Trace {
 	for _, op := range ops[1:] {
 		id = g.Add(op, From(id))
 	}
-	src.sink = tr.record(g, id, ops[len(ops)-1].OutSchemas())
+	src.sink = tr.record(g, id)
 	if len(src.steps) > 0 && src.steps[0].restore != nil {
 		snap := &snapshot.Snapshot{Nodes: make([]snapshot.NodeState, len(g.nodes))}
 		for i, n := range g.nodes {
@@ -129,13 +146,15 @@ func DriveChain(ops []Operator, script ...Script) *Trace {
 //pace:allow-unreached Drive's script API, shared by the operator tests of every package
 func DriveSource(src Source, fb ...core.Feedback) *Trace {
 	tr, g := &Trace{}, NewGraph()
-	tr.record(g, g.AddSource(src), src.OutSchemas()).atOpen = fb
+	tr.record(g, g.AddSource(src)).atOpen = fb
 	tr.Err = g.Run()
 	return tr
 }
 
 // record wires a recording sink to every output of node id, if any.
-func (tr *Trace) record(g *Graph, id NodeID, outs []stream.Schema) *recorder {
+func (tr *Trace) record(g *Graph, id NodeID) *recorder {
+	n := g.nodes[id]
+	outs := n.outSchemas()
 	if len(outs) == 0 {
 		return nil
 	}
@@ -144,7 +163,7 @@ func (tr *Trace) record(g *Graph, id NodeID, outs []stream.Schema) *recorder {
 		tr.Out = append(tr.Out, NewCollector(fmt.Sprintf("out%d", k), s))
 		ports[k] = FromPort(id, k)
 	}
-	rec := &recorder{ports: tr.Out, schemas: outs}
+	rec := &recorder{of: n.name(), ports: tr.Out, schemas: outs}
 	g.Add(rec, ports...)
 	return rec
 }
@@ -202,6 +221,7 @@ func (s *scripted) ProcessFeedback(out int, f core.Feedback, _ Context) error {
 // atOpen to output 0 from Open, and a feedback step through its Context.
 type recorder struct {
 	Base
+	of      string // the driven node's name
 	ports   []*Collector
 	schemas []stream.Schema
 	atOpen  []core.Feedback
@@ -221,7 +241,10 @@ func (r *recorder) InSchemas() []stream.Schema  { return r.schemas }
 func (r *recorder) OutSchemas() []stream.Schema { return nil }
 
 func (r *recorder) ProcessTuple(in int, t stream.Tuple, ctx Context) error {
-	return r.ports[in].ProcessTuple(0, t, ctx)
+	if err := r.ports[in].ProcessTuple(0, t, ctx); err != nil {
+		return fmt.Errorf("%q output %d: %w", r.of, in, err)
+	}
+	return nil
 }
 func (r *recorder) ProcessPunct(in int, e punct.Embedded, ctx Context) error {
 	return r.ports[in].ProcessPunct(0, e, ctx)

@@ -103,7 +103,7 @@ type Graph struct {
 	running     bool
 	failCh      chan struct{} // Run's abort channel (closed on error/Kill)
 	killFn      func(error)
-	chkEpoch    int64
+	chkEpoch    atomic.Int64 // newest epoch begun; read by recoverPanic without chkMu
 	activeChk   *inflight
 	pendingChk  atomic.Pointer[inflight]
 	liveNodes   map[NodeID]bool

@@ -172,7 +172,9 @@ func (s *ReaderSource) Step(run []stream.Tuple) (Run, error) {
 }
 
 // Collector is a sink that records everything it receives. It is safe to
-// read after Graph.Run returns; a mutex also allows sampling mid-run.
+// read after Graph.Run returns; a mutex also allows sampling mid-run. Unless
+// it only counts, it holds its input to the punctuation it has received
+// (§3.1): a tuple that punctuation covers is its error.
 type Collector struct {
 	Base
 	snapshot.State
@@ -193,13 +195,14 @@ type Collector struct {
 
 	mu       sync.Mutex
 	items    []queue.Item
+	promised promises
 	tuples   atomic.Int64
 	shutdown bool
 }
 
 // NewCollector builds a named sink.
 func NewCollector(name string, schema stream.Schema) *Collector {
-	return &Collector{SinkName: name, Schema: schema}
+	return &Collector{SinkName: name, Schema: schema, promised: newPromises(schema.Arity())}
 }
 
 // Name implements Operator.
@@ -229,6 +232,10 @@ func (c *Collector) ProcessTuple(_ int, t stream.Tuple, ctx Context) error {
 		return nil
 	}
 	c.mu.Lock()
+	if err := c.promised.keep(t); err != nil {
+		c.mu.Unlock()
+		return err
+	}
 	if !c.Discard {
 		// The record outlives the callback: it owns a clone.
 		c.items = append(c.items, queue.TupleItem(t.Clone()))
@@ -266,14 +273,19 @@ func (c *Collector) ProcessPunct(_ int, e punct.Embedded, _ Context) error {
 	if !c.Discard {
 		c.items = append(c.items, queue.PunctItem(e))
 	}
+	if !c.Discard || c.Limit > 0 {
+		// The pure counter checks no tuple, so it keeps no promise.
+		c.promised.said.Observe(e)
+	}
 	c.mu.Unlock()
 	return nil
 }
 
 // recordField keeps everything received up to the cut, so a restored run
 // appends the regenerated post-cut stream to the pre-cut record — the union
-// is exactly-once. The view aliases the append-only record, whose captured
-// prefix is never mutated in place.
+// is exactly-once — and holds it to the record's punctuation. The view
+// aliases the append-only record, whose captured prefix is never mutated in
+// place.
 func (c *Collector) recordField() snapshot.Field {
 	return snapshot.Field{
 		Capture: func() func(*snapshot.Encoder) {
@@ -310,8 +322,14 @@ func (c *Collector) recordField() snapshot.Field {
 			if err := dec.Err(); err != nil {
 				return err
 			}
+			promised := newPromises(c.Schema.Arity())
+			for _, it := range items {
+				if it.Kind == queue.ItemPunct {
+					promised.said.Observe(*it.Punct)
+				}
+			}
 			c.mu.Lock()
-			c.items = items
+			c.items, c.promised = items, promised
 			c.mu.Unlock()
 			c.tuples.Store(count)
 			return nil

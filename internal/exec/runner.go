@@ -221,14 +221,18 @@ func (r *nodeRunner) close() error {
 // do runs one of the node's callbacks outside a page: a panic in it is the
 // node's error, so it names this node and not its chain's head.
 func (r *nodeRunner) do(f func(*nodeRunner) error) (err error) {
-	defer recoverPanic(&err)
+	defer r.graph.recoverPanic(r.node, &err)
 	return f(r)
 }
 
-// recoverPanic, deferred around a callback, turns its panic into its error.
-func recoverPanic(err *error) {
+// recoverPanic, deferred around a callback of n, turns its panic into its
+// error, which names the newest epoch the graph had triggered or adopted (0
+// before any), and records it on the epoch timeline (/epochz).
+func (g *Graph) recoverPanic(n *node, err *error) {
 	if v := recover(); v != nil {
-		*err = fmt.Errorf("panic: %v", v)
+		epoch := g.chkEpoch.Load()
+		*err = fmt.Errorf("panic after epoch %d: %v", epoch, v)
+		g.recordEpoch("panic", epoch, n.name(), 0, *err)
 	}
 }
 
@@ -420,7 +424,7 @@ func (r *nodeRunner) deliver(input int, p *queue.Page) {
 //
 //pace:hotpath
 func (r *nodeRunner) processPage(input int, p *queue.Page) (err error) {
-	defer recoverPanic(&err) //pace:allow-alloc err stays on the stack: recoverPanic keeps no pointer to it (go build -gcflags=-m)
+	defer r.graph.recoverPanic(r.node, &err) //pace:allow-alloc err stays on the stack: recoverPanic keeps no pointer to it (go build -gcflags=-m)
 	r.node.aliases.Begin(p)
 	err = r.pageLoop(input, p)
 	r.node.aliases.End()

@@ -542,20 +542,23 @@ func TestChainedFeedbackWithinK(t *testing.T) {
 }
 
 // TestPanicNamesItsNode: a panic in any node's callback is that node's error —
-// named after it, not after its chain's head — and the graph shuts down as on
-// any error: every node that was opened is closed, and Run returns.
-// (TestMain's leak gate checks that no goroutine outlives the run.)
+// named after it, not after its chain's head, and after the newest epoch the
+// graph had begun, which the epoch timeline (/epochz) records too — and the
+// graph shuts down as on any error: every node that was opened is closed, and
+// Run returns. (TestMain's leak gate checks that no goroutine outlives the
+// run.)
 func TestPanicNamesItsNode(t *testing.T) {
 	for _, tc := range []struct {
 		name, culprit string
 		relay, sink   string // the callback of each that panics
 		feedback      bool   // the sink sends feedback
+		epoch         int64  // the epoch the graph resumes after, as from RestoreChain
 	}{
 		{name: "chained sink's tuple", culprit: "sink", sink: "tuple"},
 		{name: "chained sink's Open", culprit: "sink", sink: "open"},
-		{name: "chained sink's Close", culprit: "sink", sink: "close"},
+		{name: "chained sink's Close", culprit: "sink", sink: "close", epoch: 7},
 		{name: "head's feedback", culprit: "relay", relay: "feedback", feedback: true},
-		{name: "head's tuple", culprit: "relay", relay: "tuple"},
+		{name: "head's tuple", culprit: "relay", relay: "tuple", epoch: 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tuples := make([]stream.Tuple, 10_000)
@@ -566,10 +569,19 @@ func TestPanicNamesItsNode(t *testing.T) {
 			sink := &bomb{passthrough: passthrough{name: "sink"}, at: tc.sink, sink: true, feedback: tc.feedback}
 			g := NewGraph()
 			g.Add(sink, From(g.Add(relay, From(g.AddSource(NewSliceSource("src", oneInt, tuples...))))))
+			g.SetTelemetry(telemetry.New())
+			g.chkEpoch.Store(tc.epoch)
 			var err error
 			testguard.Within(t, time.Minute, func() { err = g.Run() })
-			if want := fmt.Sprintf("exec: node %q: panic: boom", tc.culprit); err == nil || err.Error() != want {
+			if want := fmt.Sprintf("exec: node %q: panic after epoch %d: boom", tc.culprit, tc.epoch); err == nil || err.Error() != want {
 				t.Errorf("Run: %v, want %s", err, want)
+			}
+			want := telemetry.EpochEvent{Epoch: tc.epoch, Phase: "panic", Part: tc.culprit,
+				Err: fmt.Sprintf("panic after epoch %d: boom", tc.epoch)}
+			if evs := g.Telemetry().Timeline.Events(); len(evs) != 1 || evs[0].At.IsZero() {
+				t.Errorf("timeline %+v, want one %+v", evs, want)
+			} else if evs[0].At = (time.Time{}); evs[0] != want {
+				t.Errorf("timeline %+v, want %+v", evs[0], want)
 			}
 			for _, b := range []*bomb{relay, sink} {
 				if b.opened != b.closed {

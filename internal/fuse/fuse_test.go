@@ -210,32 +210,6 @@ func drawTuple(rng *rand.Rand, items []queue.Item, i int) (tp stream.Tuple, ok b
 	return tp, !promised(items, tp)
 }
 
-// keepsPromises fails on the first tuple of items that punctuation earlier
-// among them covers, folding the punctuation into a punct.Scheme, the
-// engine's record of what a stream has promised.
-func keepsPromises(t *testing.T, seed int64, items []queue.Item) {
-	t.Helper()
-	scheme := punct.NewScheme(chainSchema.Arity())
-	for _, it := range items {
-		switch it.Kind {
-		case queue.ItemPunct:
-			scheme.Observe(*it.Punct)
-		case queue.ItemTuple:
-			// The pattern only the tuple matches.
-			preds := make([]punct.Pred, len(it.Tuple.Values))
-			for i, v := range it.Tuple.Values {
-				preds[i] = punct.Eq(v)
-				if v.IsNull() {
-					preds[i] = punct.Pred{Op: punct.IsNull}
-				}
-			}
-			if scheme.CoversPattern(punct.NewPattern(preds...)) {
-				t.Fatalf("seed %d: the script sends %v after punctuation that covers it", seed, it.Tuple)
-			}
-		}
-	}
-}
-
 func TestFusedEqualsUnfusedProperty(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -278,7 +252,6 @@ func TestFusedEqualsUnfusedProperty(t *testing.T) {
 				}))
 			}
 		}
-		keepsPromises(t, seed, input)
 		unfused := exec.DriveChain(unfusedOps, script...)
 		if unfused.Err != nil {
 			t.Fatalf("seed %d: unfused chain: %v", seed, unfused.Err)
@@ -795,7 +768,9 @@ func TestFusedBatchEqualsPerTuple(t *testing.T) {
 				}
 			}
 		}
-		keepsPromises(t, seed, fed)
+		if err := exec.PromiseBreach(chainSchema.Arity(), fed); err != nil {
+			t.Fatalf("seed %d: the stream fed: %v", seed, err)
+		}
 		if !reflect.DeepEqual(sc.items, bc.items) {
 			t.Fatalf("seed %d: emissions diverge: per-tuple %d items, batch %d items",
 				seed, len(sc.items), len(bc.items))
@@ -969,6 +944,8 @@ func TestFusedEmittedTuplesOwnTheirValues(t *testing.T) {
 		if !reflect.DeepEqual(inputs, inputCopies) {
 			t.Fatalf("seed %d: the kernel wrote into its input tuples", seed)
 		}
-		keepsPromises(t, seed, fed)
+		if err := exec.PromiseBreach(chainSchema.Arity(), fed); err != nil {
+			t.Fatalf("seed %d: the stream fed: %v", seed, err)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/punct"
-	"repro/internal/queue"
 	"repro/internal/snapshot"
 	"repro/internal/stream"
 	"repro/internal/window"
@@ -384,7 +383,6 @@ func TestJoinStoreAgainstModel(t *testing.T) {
 		m.progress(0, math.MaxInt64)
 		m.progress(1, math.MaxInt64)
 		m.check(t, at+" after EOS", tr.Out[0].Tuples(), j.Stats())
-		keepsPromises(t, at, j.OutSchemas()[0].Arity(), tr.Out[0].Items())
 		thriftySent += j.Stats().ThriftySent
 
 		for i, k := range cuts {
@@ -429,37 +427,4 @@ func TestJoinStoreAgainstModel(t *testing.T) {
 	if thriftySent == 0 {
 		t.Fatal("no thrifty join found an empty window: its check is vacuous")
 	}
-}
-
-// keepsPromises fails on the first tuple of items that punctuation earlier
-// among them covers: embedded punctuation promises that no later tuple on
-// its stream matches it (§3.1).
-func keepsPromises(t testing.TB, at string, arity int, items []queue.Item) {
-	t.Helper()
-	promised := punct.NewScheme(arity)
-	var said []punct.Pattern
-	for _, it := range items {
-		switch it.Kind {
-		case queue.ItemPunct:
-			promised.Observe(*it.Punct)
-			said = append(said, it.Punct.Pattern)
-		case queue.ItemTuple:
-			if promised.CoversPattern(pointOf(it.Tuple)) {
-				t.Fatalf("%s: %v follows punctuation %v, which covers it", at, it.Tuple, said)
-			}
-		}
-	}
-}
-
-// pointOf is the pattern only t matches: each attribute equal to its value
-// (a null one left wild, which can only hide a cover, never invent one).
-func pointOf(t stream.Tuple) punct.Pattern {
-	preds := make([]punct.Pred, len(t.Values))
-	for i, v := range t.Values {
-		preds[i] = punct.Wild
-		if !v.IsNull() {
-			preds[i] = punct.Eq(v)
-		}
-	}
-	return punct.NewPattern(preds...)
 }

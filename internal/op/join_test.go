@@ -1,7 +1,6 @@
 package op
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -237,10 +236,8 @@ func TestJoinOutputIndependentOfInterleaving(t *testing.T) {
 				j.LeftOuter = outer
 				tr := exec.Drive(j, script...)
 				if tr.Err != nil {
-					t.Fatal(tr.Err)
+					t.Fatalf("seed %d outer=%v interleaving %d: %v", seed, outer, k, tr.Err)
 				}
-				at := fmt.Sprintf("seed %d outer=%v interleaving %d", seed, outer, k)
-				keepsPromises(t, at, j.OutSchemas()[0].Arity(), tr.Out[0].Items())
 				got[k] = tr.Out[0].Lines()
 			}
 			if !slices.Equal(got[0], got[1]) {

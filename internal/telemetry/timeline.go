@@ -7,8 +7,9 @@ import (
 
 // EpochEvent is one checkpoint-lifecycle event: the epoch it belongs to,
 // the phase (trigger, capture, barrier-hold, encode, persist, ack, commit,
-// abandon), an optional part name (a capture's node, an ack's follower, the
-// coordinator's part on its commit and abandon), the wall time it was recorded,
+// abandon, panic), an optional part name (a capture's node, an ack's
+// follower, the coordinator's part on its commit and abandon, a panicking
+// node), the wall time it was recorded,
 // an optional duration (e.g. barrier hold, encode time), and an optional
 // error. An epoch commits when its manifest is durable: one commit row, or
 // one abandon row, per epoch the coordinator finishes.
@@ -25,7 +26,8 @@ type EpochEvent struct {
 // machinery off the hot path (a handful of events per epoch): trigger,
 // capture, barrier-hold, encode and persist by each part's graph, ack,
 // commit and abandon by the coordinator (and abandon by a follower whose
-// aligning epoch a newer one superseded). A nil *Timeline discards records,
+// aligning epoch a newer one superseded), and a node's panic, under the
+// newest epoch its graph had begun. A nil *Timeline discards records,
 // so call sites need no guard.
 type Timeline struct {
 	mu     sync.Mutex
