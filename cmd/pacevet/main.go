@@ -2,7 +2,7 @@
 // runs the four internal/lint analyzers over Go package patterns:
 //
 //	hotpathalloc  //pace:hotpath functions do not allocate
-//	atomicfield   a field accessed via sync/atomic is atomic everywhere
+//	atomicfield   a field shared through sync/atomic is of a sync/atomic type
 //	staterstate   a stateful operator implements snapshot.Stater
 //	surface       exported internal/ surface is reached by non-test code
 //

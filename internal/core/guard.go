@@ -63,22 +63,11 @@ func (g *GuardTable) Restore(fs []Feedback) {
 // and is refused. Returns whether the table changed.
 func (g *GuardTable) Install(f Feedback) bool {
 	p := f.Pattern
-	if p.Arity() != g.arity {
+	if p.Arity() != g.arity || g.covers(p) {
 		return false
 	}
-	kept := g.guards[:0]
-	for _, old := range g.guards {
-		if old.Pattern.Implies(p) {
-			continue // old guard is redundant under the new one
-		}
-		if p.Implies(old.Pattern) {
-			// New guard is redundant; keep table as-is.
-			g.guards = append(kept, g.guards[len(kept):]...)
-			return false
-		}
-		kept = append(kept, old)
-	}
-	g.guards = append(kept, Guard{Pattern: p, Source: f, expr: p.Compile(stream.Schema{})})
+	g.guards = slices.DeleteFunc(g.guards, func(old Guard) bool { return old.Pattern.Implies(p) })
+	g.guards = append(g.guards, Guard{Pattern: p, Source: f, expr: p.Compile(stream.Schema{})})
 	return true
 }
 

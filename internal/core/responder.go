@@ -1,7 +1,6 @@
 package core
 
 import (
-	"maps"
 	"slices"
 	"sync/atomic"
 
@@ -159,8 +158,7 @@ const TraceCap = 32
 // suppressing less, never a wrong result (Definition 1: the null response is
 // correct), which is why an operator whose only state is its responder stays
 // //pace:stateless; an operator that is a snapshot.Stater for other reasons
-// declares its tables (snapshot.Guards) and relayed set (snapshot.Relayed,
-// which Relayed and RestoreRelayed serve) among the fields it keeps.
+// declares its tables (snapshot.Guards) among the fields it keeps.
 type Responder[C Upstream] struct {
 	op        Characterizer
 	mode      Mode
@@ -171,10 +169,6 @@ type Responder[C Upstream] struct {
 	// operator does not hold.
 	held   [numIntents][]*GuardTable
 	pinned []pinned // input-side tables (Pinned)
-	// relayed is what a fan-out operator already sent upstream: its consumers
-	// assert the same pattern one after the other and it travels once. The
-	// pattern is kept with its key so the entry can expire.
-	relayed map[string]punct.Pattern
 
 	received, exploited, forwarded atomic.Int64
 
@@ -193,7 +187,7 @@ type pinned struct {
 func (r *Responder[C]) Bind(op Characterizer, mode Mode, propagate bool, outputs, arity int) {
 	r.op, r.mode, r.propagate = op, mode, propagate
 	r.held = [numIntents][]*GuardTable{Assumed: newTables(outputs, arity)}
-	r.pinned, r.relayed, r.traced = nil, nil, 0
+	r.pinned, r.traced = nil, 0
 }
 
 func newTables(n, arity int) []*GuardTable {
@@ -211,8 +205,9 @@ func (r *Responder[C]) OutTables() []*GuardTable { return r.held[Assumed] }
 // Holds makes the responder keep feedback of the given intent per output
 // port, the way it keeps assumed feedback, and returns those tables: the
 // desired and demanded patterns PRIORITIZE promotes, the demanded ones
-// SPLIT relays once every partition asserts them. What the clamped plan
-// exploits lands in them; punctuation expires them (Observe).
+// SPLIT relays once every partition asserts them, the desired ones a fan-out
+// relays once. What the clamped plan exploits or relays lands in them;
+// punctuation expires them (Observe).
 func (r *Responder[C]) Holds(intent Intent) []*GuardTable {
 	if r.held[intent] == nil {
 		r.held[intent] = newTables(len(r.held[Assumed]), r.held[Assumed][0].arity)
@@ -256,6 +251,18 @@ func (r *Responder[C]) CoveredByOthers(output int, f Feedback) bool {
 	return tables != nil
 }
 
+// HeldElsewhere reports whether some output port other than the given one
+// already holds feedback of f's intent covering f's pattern: what one
+// consumer asked for, a fan-out need not relay again for another.
+func (r *Responder[C]) HeldElsewhere(output int, f Feedback) bool {
+	for i, t := range r.held[f.Intent] {
+		if i != output && t.covers(f.Pattern) {
+			return true
+		}
+	}
+	return false
+}
+
 // Respond enacts the operator's response to feedback f from the consumer of
 // the given output port, which the runtime wired (exec.Graph.Add).
 func (r *Responder[C]) Respond(output int, f Feedback, ctx C) error {
@@ -266,12 +273,13 @@ func (r *Responder[C]) Respond(output int, f Feedback, ctx C) error {
 
 	if plan.exploits() {
 		r.exploited.Add(1)
-		// What a consumer asserts is held against its port, in the table of
-		// its intent: the output guard, the subset to promote, and what
-		// unanimity, expiry and recovery read.
-		if tables := r.held[f.Intent]; tables != nil {
-			tables[output].Install(f)
-		}
+	}
+	// What a consumer asserts is held against its port, in the table of its
+	// intent: the output guard, the subset to promote, and what unanimity,
+	// expiry, recovery and a fan-out's relays read.
+	changed := false
+	if tables := r.held[f.Intent]; tables != nil && (plan.exploits() || plan.Did(ActPropagate)) {
+		changed = tables[output].Install(f)
 	}
 	if p, ok := r.op.(Purger); ok && (plan.Did(ActPurgeState) || plan.Did(ActCloseWindows)) {
 		if pins := p.Purge(f, row); plan.Did(ActGuardInput) {
@@ -287,7 +295,7 @@ func (r *Responder[C]) Respond(output int, f Feedback, ctx C) error {
 		u.Unblock(f, ctx)
 	}
 
-	sent := r.relay(f, plan, &resp, ctx)
+	sent := r.relay(f, plan, changed, &resp, ctx)
 	for _, a := range plan.Actions {
 		if a != ActPropagate || sent {
 			resp.Actions = append(resp.Actions, a)
@@ -302,19 +310,12 @@ func (r *Responder[C]) Respond(output int, f Feedback, ctx C) error {
 }
 
 // relay sends the plan's propagations upstream and reports whether any went.
-func (r *Responder[C]) relay(f Feedback, plan ResponsePlan, resp *Response, ctx C) bool {
-	if !plan.Did(ActPropagate) {
+// A fan-out's tables are its record of what has travelled: its consumers
+// assert the same pattern one after the other, and it relays only feedback
+// whose install changed the arrival port's table.
+func (r *Responder[C]) relay(f Feedback, plan ResponsePlan, changed bool, resp *Response, ctx C) bool {
+	if !plan.Did(ActPropagate) || len(r.held[Assumed]) > 1 && !changed {
 		return false
-	}
-	if len(r.held[Assumed]) > 1 {
-		key := relayKey(f)
-		if _, dup := r.relayed[key]; dup {
-			return false
-		}
-		if r.relayed == nil {
-			r.relayed = map[string]punct.Pattern{}
-		}
-		r.relayed[key] = f.Pattern
 	}
 	sent := false
 	resp.Propagated = make([]*Feedback, len(plan.Propagate))
@@ -331,16 +332,13 @@ func (r *Responder[C]) relay(f Feedback, plan ResponsePlan, resp *Response, ctx 
 	return sent
 }
 
-func relayKey(f Feedback) string { return f.Intent.Sigil() + f.Pattern.String() }
-
 // Observe folds punctuation into every table of the stream it belongs to —
 // Output for punctuation over the output schema: the held tables of every
 // port and intent; an input port otherwise — releasing the entries it covers
-// (§4.4), the one expiry rule for all feedback state. Output punctuation also
-// expires the relayed set: an entry goes once no held table covers it. The
-// runtime observes what an operator emits (Emitted); Observe is for what it
-// sees elsewhere: JOIN's input side, the punctuation a fused kernel's
-// constituent relays inside the kernel.
+// (§4.4), the one expiry rule for all feedback state. The runtime observes
+// what an operator emits (Emitted); Observe is for what it sees elsewhere:
+// JOIN's input side, the punctuation a fused kernel's constituent relays
+// inside the kernel.
 func (r *Responder[C]) Observe(stream int, e punct.Embedded) {
 	r.observePinned(stream, e)
 	if stream != Output {
@@ -351,7 +349,6 @@ func (r *Responder[C]) Observe(stream int, e punct.Embedded) {
 			t.ObservePunct(e)
 		}
 	}
-	r.expireRelayed()
 }
 
 // Emitted is Observe for punctuation the operator emits on one output port:
@@ -365,61 +362,12 @@ func (r *Responder[C]) Emitted(port int, e punct.Embedded) {
 			byPort[port].ObservePunct(e)
 		}
 	}
-	r.expireRelayed()
 }
 
 func (r *Responder[C]) observePinned(stream int, e punct.Embedded) {
 	for _, p := range r.pinned {
 		if p.stream == stream {
 			p.table.ObservePunct(e)
-		}
-	}
-}
-
-// expireRelayed drops every relayed-set entry no held table covers.
-func (r *Responder[C]) expireRelayed() {
-	for key, p := range r.relayed {
-		if !r.covered(p) {
-			delete(r.relayed, key)
-		}
-	}
-}
-
-// covered reports whether any held table still holds feedback covering p. It
-// probes the tables in place: it runs per relayed entry per punctuation.
-func (r *Responder[C]) covered(p punct.Pattern) bool {
-	for _, byPort := range r.held {
-		for _, t := range byPort {
-			if t.covers(p) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Relayed returns the keys of the relayed set, sorted: what a fan-out
-// operator's capture records beside its tables.
-func (r *Responder[C]) Relayed() []string {
-	return slices.Sorted(maps.Keys(r.relayed))
-}
-
-// RestoreRelayed rebuilds the relayed set from captured keys, after the
-// tables have been restored: a key names the feedback that was relayed, so
-// it is kept when a restored table holds that feedback and dropped as stale
-// otherwise (the relay can then repeat, which is harmless: the receiver's
-// table already covers it).
-func (r *Responder[C]) RestoreRelayed(keys []string) {
-	want := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		want[k] = true
-	}
-	r.relayed = map[string]punct.Pattern{}
-	for _, t := range slices.Concat(r.held[:]...) {
-		for _, g := range t.guards {
-			if k := relayKey(g.Source); want[k] {
-				r.relayed[k] = g.Pattern
-			}
 		}
 	}
 }

@@ -1,11 +1,11 @@
-// Package atomicfield mechanizes the DESIGN.md §11 scrape-safety split:
-// a struct field that is accessed through sync/atomic anywhere in the
-// program must be accessed through sync/atomic everywhere. Mixing
-// atomic.LoadInt64(&c.n) on the metrics goroutine with a plain c.n++ on
-// the node goroutine is a data race the -race detector only catches when
-// a scrape happens to land mid-increment — this analyzer catches it at
-// vet time, program-wide (the field's package rarely contains the racy
-// access, hence RunProgram).
+// Package atomicfield mechanizes the DESIGN.md §11 scrape-safety split.
+// A struct field shared with another goroutine is a sync/atomic type
+// (atomic.Int64 and kin): every access to it is then atomic, and a plain
+// c.n++ beside an atomic load of the same counter — a data race the -race
+// detector only catches when a scrape happens to land mid-increment — does
+// not compile. So the analyzer reports any sync/atomic function given a
+// struct field's address (atomic.AddInt64(&c.n, 1)): the field should be
+// of the sync/atomic type instead.
 //
 // The analyzer also guards the other half of the split: a telemetry.Var
 // whose Value is a func literal runs on the scrape goroutine, so the
@@ -24,92 +24,46 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// Analyzer enforces all-or-nothing atomic access to struct fields.
+// Analyzer enforces typed atomics for shared fields and atomic scrape reads.
 var Analyzer = &analysis.Analyzer{
-	Name:       "atomicfield",
-	Doc:        "a field accessed via sync/atomic must be accessed atomically everywhere (DESIGN.md §11)",
-	RunProgram: run,
+	Name: "atomicfield",
+	Doc:  "a field shared through sync/atomic is of a sync/atomic type (DESIGN.md §11)",
+	Run:  run,
 }
 
 const waiver = "allow-nonatomic"
 
-// fieldKey names a struct field across packages. Objects loaded from
-// export data are distinct from their source-checked counterparts, so
-// identity is by name, not by *types.Var.
-type fieldKey struct {
-	pkg   string
-	typ   string
-	field string
+func run(p *analysis.Pass) error {
+	checkAtomicCalls(p)
+	checkScrapeClosures(p)
+	return nil
 }
 
-func run(passes []*analysis.Pass) error {
-	// Pass A: find every field whose address is passed to a sync/atomic
-	// function, and remember those access sites as sanctioned.
-	atomicFields := map[fieldKey]token.Pos{} // key -> first atomic access
-	sanctioned := map[token.Pos]bool{}       // selector positions inside atomic calls
-	for _, p := range passes {
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || !isSyncAtomicCall(p.TypesInfo, call) {
-					return true
-				}
-				for _, arg := range call.Args {
-					ue, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-					if !ok || ue.Op != token.AND {
-						continue
-					}
-					sel, ok := ast.Unparen(ue.X).(*ast.SelectorExpr)
-					if !ok {
-						continue
-					}
-					key, ok := keyOf(p.TypesInfo, sel)
-					if !ok {
-						continue
-					}
-					if _, seen := atomicFields[key]; !seen {
-						atomicFields[key] = sel.Pos()
-					}
-					sanctioned[sel.Sel.Pos()] = true
-				}
+// checkAtomicCalls flags a sync/atomic function given a struct field's
+// address: with the field's own type atomic, no access to it can be plain.
+func checkAtomicCalls(p *analysis.Pass) {
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || !isSyncAtomicCall(p.TypesInfo, call) {
 				return true
-			})
-		}
-	}
-
-	// Pass B: every other access to those fields must be waived.
-	for _, p := range passes {
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
+			}
+			for _, arg := range call.Args {
+				ue, ok := ast.Unparen(arg).(*ast.UnaryExpr)
+				if !ok || ue.Op != token.AND {
+					continue
+				}
+				sel, ok := ast.Unparen(ue.X).(*ast.SelectorExpr)
 				if !ok {
-					return true
+					continue
 				}
-				key, ok := keyOf(p.TypesInfo, sel)
-				if !ok {
-					return true
+				if obj, ok := fieldOf(p.TypesInfo, sel); ok && !p.Directives().AllowedAt(sel.Pos(), waiver) {
+					p.Reportf(sel.Pos(), "sync/atomic function on field %s: use the sync/atomic type, so no access to it can be plain", obj.Name())
 				}
-				if _, isAtomic := atomicFields[key]; !isAtomic {
-					return true
-				}
-				if sanctioned[sel.Sel.Pos()] {
-					return true
-				}
-				if p.Directives().AllowedAt(sel.Pos(), waiver) {
-					return true
-				}
-				p.Reportf(sel.Pos(), "field %s.%s is accessed via sync/atomic elsewhere; this plain access races with it", key.typ, key.field)
-				return true
-			})
-		}
+			}
+			return true
+		})
 	}
-
-	// Pass C: telemetry.Var Value closures run on the scrape goroutine;
-	// plain numeric fields they read are node-local snapshot state.
-	for _, p := range passes {
-		checkScrapeClosures(p)
-	}
-	return nil
 }
 
 // checkScrapeClosures flags plain-field reads inside func-literal Values
@@ -152,27 +106,6 @@ func checkScrapeClosures(p *analysis.Pass) {
 			return true
 		})
 	}
-}
-
-// keyOf resolves a selector to a struct-field key.
-func keyOf(info *types.Info, sel *ast.SelectorExpr) (fieldKey, bool) {
-	obj, ok := fieldOf(info, sel)
-	if !ok || obj.Pkg() == nil {
-		return fieldKey{}, false
-	}
-	s, ok := info.Selections[sel]
-	if !ok {
-		return fieldKey{}, false
-	}
-	key := fieldKey{pkg: obj.Pkg().Path(), field: obj.Name()}
-	recv := s.Recv()
-	if ptr, ok := recv.Underlying().(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	if named, ok := recv.(*types.Named); ok {
-		key.typ = named.Obj().Name()
-	}
-	return key, true
 }
 
 // fieldOf resolves a selector to the struct field it selects, if any.

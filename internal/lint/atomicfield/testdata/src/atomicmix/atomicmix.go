@@ -1,7 +1,6 @@
 // Package atomicmix is the atomicfield fixture for the function-style
-// sync/atomic API: the hits field is accessed atomically in two
-// functions, so its plain accesses elsewhere are races — except the one
-// carrying a waiver.
+// sync/atomic API: a field handed to it by address should be of a
+// sync/atomic type — except where the call carries a waiver.
 package atomicmix
 
 import "sync/atomic"
@@ -9,24 +8,22 @@ import "sync/atomic"
 type counters struct {
 	hits  int64
 	drops int64
-	local int64
+	snap  int64
+	typed atomic.Int64
 }
 
 func (c *counters) scrape() int64 {
-	return atomic.LoadInt64(&c.hits) // ok: the sanctioned access style
+	return atomic.LoadInt64(&c.hits) // want "use the sync/atomic type"
 }
 
 func (c *counters) bump() {
-	atomic.AddInt64(&c.hits, 1)
-	c.drops++ // ok: drops is never touched atomically
-	c.local = 0
-}
-
-func (c *counters) reset() {
-	c.hits = 0 // want "accessed via sync/atomic elsewhere"
-	c.drops = 0
+	atomic.AddInt64(&c.hits, 1) // want "use the sync/atomic type"
+	c.drops++                   // ok: a plain field, never handed to sync/atomic
+	c.typed.Add(1)              // ok: the typed API
 }
 
 func (c *counters) read() int64 {
-	return c.hits //pace:allow-nonatomic read at snapshot barrier; all writers quiesced
+	var local int64
+	atomic.StoreInt64(&local, 1)             // ok: a local, not a struct field
+	return atomic.LoadInt64(&c.snap) + local //pace:allow-nonatomic read at snapshot barrier; all writers quiesced
 }

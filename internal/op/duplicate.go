@@ -61,6 +61,7 @@ func (d *Duplicate) OutSchemas() []stream.Schema {
 func (d *Duplicate) Open(exec.Context) error {
 	d.Bind(d, d.Mode, d.Propagate, d.n(), d.Schema.Arity())
 	d.perOut = d.OutTables()
+	d.Holds(core.Desired)
 	d.keepState()
 	return nil
 }
@@ -99,11 +100,12 @@ func (d *Duplicate) ProcessPunct(_ int, e punct.Embedded, ctx exec.Context) erro
 // Characterize implements core.Characterizer: a consumer's assertion is held
 // against its port; once every other consumer has asserted a superset of it,
 // the subset is exploitable for all of them and may travel upstream. Desired
-// feedback travels at once, as through Split: prioritising a subset never
-// changes the result set, so the outputs stay identical.
+// feedback travels unless another consumer's desired table already covers
+// it, as through Split: prioritising a subset never changes the result set,
+// so the outputs stay identical.
 func (d *Duplicate) Characterize(output int, f core.Feedback) core.ResponsePlan {
 	if f.Intent == core.Desired {
-		return core.Stateless(f, nil, core.Identity(d.Schema.Arity()))
+		return desiredFanOut(&d.Responder, output, f, d.Schema.Arity())
 	}
 	if f.Intent != core.Assumed {
 		return core.ResponsePlan{Actions: []core.Action{core.ActNone}, Propagate: []*punct.Pattern{nil}}

@@ -111,6 +111,7 @@ func (s *Split) Open(exec.Context) error {
 	}
 	s.Bind(s, s.Mode, s.Propagate, s.n(), s.Schema.Arity())
 	s.perOut = s.OutTables()
+	s.Holds(core.Desired)
 	s.outPer = make([]int64, s.n())
 	s.keepState()
 	return nil
@@ -223,28 +224,45 @@ func (s *Split) routesOnlyTo(p punct.Pattern) int {
 // Characterize implements core.Characterizer. A partition's assumed feedback
 // is held against its port — where its tuples are suppressed at once: only
 // that partition would have seen them — and its demanded feedback likewise,
-// never to suppress. Either travels upstream once it is key-pinned to that
-// partition or unanimous (an over-delivered demand would push early partials
-// at partitions that did not ask; a Merge fan-out below makes every partition
-// demand the same subset, and then the relay is exact). Desired feedback is
-// pure prioritization — it never changes the result set — and travels at once.
+// never to suppress. A key-pinned pattern travels upstream from its own
+// partition and is withheld from any other (a Merge fan-out below sends it to
+// every partition, and its own has relayed it); an unpinned one travels once
+// every partition asserts it (an over-delivered demand would push early
+// partials at partitions that did not ask). Desired feedback is pure
+// prioritization — it never changes the result set — and travels unless
+// another partition's desired table already covers it.
 func (s *Split) Characterize(output int, f core.Feedback) core.ResponsePlan {
-	relay := core.Stateless(f, nil, core.Identity(s.Schema.Arity()))
 	if f.Intent == core.Desired {
-		return relay
+		return desiredFanOut(&s.Responder, output, f, s.Schema.Arity())
 	}
 	held := core.ResponsePlan{
 		Actions:     []core.Action{core.ActGuardOutput},
 		Propagate:   []*punct.Pattern{nil},
-		Explanation: "neither key-pinned nor asserted by all partitions; withheld upstream",
+		Explanation: "neither asserted by its key's partition nor, unpinned, by all partitions; withheld upstream",
 	}
-	if s.routesOnlyTo(f.Pattern) == output || s.CoveredByOthers(output, f) {
+	pin := s.routesOnlyTo(f.Pattern)
+	if pin == output || pin < 0 && s.CoveredByOthers(output, f) {
+		relay := core.Stateless(f, nil, core.Identity(s.Schema.Arity()))
 		held.Propagate, held.Explanation = relay.Propagate, relay.Explanation
 		if relay.Did(core.ActPropagate) {
 			held.Actions = append(held.Actions, core.ActPropagate)
 		}
 	}
 	return held
+}
+
+// desiredFanOut is a fan-out's answer to desired feedback: it travels unless
+// another output port's desired table already covers it, so the same subset
+// asked for on every port — a Merge fan-out below — goes upstream once.
+func desiredFanOut(r *core.Responder[exec.Context], output int, f core.Feedback, arity int) core.ResponsePlan {
+	if r.HeldElsewhere(output, f) {
+		return core.ResponsePlan{
+			Actions:     []core.Action{core.ActNone},
+			Propagate:   []*punct.Pattern{nil},
+			Explanation: "another consumer's desired feedback covers it; withheld upstream",
+		}
+	}
+	return core.Stateless(f, nil, core.Identity(arity))
 }
 
 // Stats reports tuple accounting: total in, per-partition out, suppressed.

@@ -251,6 +251,32 @@ func TestMergeAlignsGenericPatterns(t *testing.T) {
 	}
 }
 
+// The pending list holds patterns an input's promise record drops: input 0's
+// [seg=1] is implied by its own [seg∈{1,2}], so its Scheme never records it,
+// yet the merge asserts it once input 1's [seg∈{1,3}] covers it too. An
+// aligner reading its candidates from the inputs' records would not.
+func TestMergeForwardsWhatNoInputRecorded(t *testing.T) {
+	m := newMerge(2)
+	set := func(a, b int64) punct.Embedded {
+		return punct.NewEmbedded(punct.OnAttr(4, 0, punct.OneOf(stream.Int(a), stream.Int(b))))
+	}
+	seg1 := punct.OnAttr(4, 0, punct.Eq(stream.Int(1)))
+	var got []punct.Embedded
+	tr := exec.Drive(m, exec.Punct(0, set(1, 2)), exec.Punct(0, punct.NewEmbedded(seg1)), exec.Punct(1, set(1, 3)),
+		exec.Call(func(tr *exec.Trace) {
+			if _, _, recorded := m.align.promised[0].State(); len(*recorded) != 1 {
+				inRun{t}.Fatalf("input 0 records %v, want its set alone", *recorded)
+			}
+			got = puncts(tr.Out[0])
+		}))
+	if tr.Err != nil {
+		t.Fatal(tr.Err)
+	}
+	if len(got) != 1 || !got[0].Pattern.Equal(seg1) {
+		t.Fatalf("before EOS the merge asserted %v, want [seg=1]", got)
+	}
+}
+
 func TestMergeGenericCoveredByWatermark(t *testing.T) {
 	m := newMerge(2)
 	// Input 1's ts watermark ≥ the pattern's ts bound covers it by
@@ -573,8 +599,9 @@ func TestSplitDemandedPatternsExpire(t *testing.T) {
 	}
 }
 
-// The set of patterns already relayed upstream is feedback state too: an
-// entry goes when the guards that justified the relay have expired.
+// What a fan-out has relayed upstream is what its tables hold, and they are
+// feedback state like any: a pattern relays once per round while punctuation
+// expires the last, and the capture does not grow.
 func TestRelayedSetExpires(t *testing.T) {
 	check := func(t *testing.T, o interface {
 		exec.Operator
@@ -609,17 +636,26 @@ func TestRelayedSetExpires(t *testing.T) {
 	t.Run("split", func(t *testing.T) {
 		s := newSplit(2, 0)
 		check(t, s)
-		if n := len(s.Relayed()); n > 1 {
-			t.Errorf("relayed set holds %d patterns after all expired", n)
+		if n := activeGuards(s.Tables()); n != 0 {
+			t.Errorf("tables hold %d patterns after all expired", n)
 		}
 	})
 	t.Run("duplicate", func(t *testing.T) {
 		d := &Duplicate{Schema: trafficSchema, N: 2, Mode: FeedbackExploit, Propagate: true}
 		check(t, d)
-		if n := len(d.Relayed()); n > 1 {
-			t.Errorf("relayed set holds %d patterns after all expired", n)
+		if n := activeGuards(d.Tables()); n != 0 {
+			t.Errorf("tables hold %d patterns after all expired", n)
 		}
 	})
+}
+
+// activeGuards counts the live entries of tables.
+func activeGuards(tables []*core.GuardTable) int {
+	n := 0
+	for _, table := range tables {
+		n += table.Active()
+	}
+	return n
 }
 
 // Each port's tables fold a punctuation once, when the runtime emits it on
@@ -678,14 +714,14 @@ func recordedPatterns(s *punct.Scheme) int {
 	return len(*recorded)
 }
 
-// Folding an emitted punctuation probes the held tables in place for every
-// relayed entry: no allocation per entry per punctuation.
+// Folding an emitted punctuation that releases nothing allocates nothing,
+// however many held tables it reaches.
 func TestEmittedPunctFoldAllocs(t *testing.T) {
 	s := newSplit(2, 0)
 	live := punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(minute)))
-	exec.Drive(s, exec.Feedback(0, core.NewAssumed(live)), exec.Feedback(1, core.NewAssumed(live)))
-	if len(s.Relayed()) != 1 {
-		t.Fatalf("relayed set %q, want one entry", s.Relayed())
+	tr := exec.Drive(s, exec.Feedback(0, core.NewAssumed(live)), exec.Feedback(1, core.NewAssumed(live)))
+	if len(tr.Sent[0]) != 1 {
+		t.Fatalf("relayed %v, want the unanimous pattern once", tr.Sent[0])
 	}
 	early := punct.NewEmbedded(punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(0))))
 	if n := testing.AllocsPerRun(100, func() {
@@ -694,46 +730,7 @@ func TestEmittedPunctFoldAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("folding a punctuation that releases nothing allocates %.1f per run, want 0", n)
 	}
-	if len(s.Relayed()) != 1 {
-		t.Errorf("a punctuation that covers no guard expired the relayed entry")
-	}
-}
-
-// A blob written before the relayed set expired can name patterns no table
-// holds any more: they are dropped on load, not an error.
-func TestRelayedSetRestoreDropsStaleKeys(t *testing.T) {
-	s := newSplit(2, 0)
-	live := punct.OnAttr(4, 2, punct.Le(stream.TimeMicros(minute)))
-	exec.Drive(s, exec.Feedback(0, core.NewAssumed(live)), exec.Feedback(1, core.NewAssumed(live)))
-	enc := snapshot.NewEncoder()
-	enc.PutInt(2)
-	for port := 0; port < 2; port++ {
-		guards := s.perOut[port].Guards()
-		enc.PutInt(len(guards))
-		for _, g := range guards {
-			enc.PutFeedback(g.Source)
-		}
-		enc.PutInt(0) // demanded
-	}
-	enc.PutInt(3)
-	for _, k := range []string{"?[7, *, *, *]", "¬[*, *, <=1970-01-01T00:00:00.000001Z, *]", s.Relayed()[0]} {
-		enc.PutString(k)
-	}
-	enc.PutInt(0)
-	enc.PutInt64(0)
-	enc.PutInt64(0)
-	enc.PutInt64(0)
-	enc.PutInt64(0)
-	blob, err := enc.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin := newSplit(2, 0)
-	var got []string
-	if tr := exec.Drive(twin, exec.Restore(blob), exec.Call(func(*exec.Trace) { got = twin.Relayed() })); tr.Err != nil {
-		t.Fatal(tr.Err)
-	}
-	if len(got) != 1 || got[0] != s.Relayed()[0] {
-		t.Fatalf("restored relayed set %q, want only %q", got, s.Relayed())
+	if n := activeGuards(s.Tables()); n != 2 {
+		t.Errorf("a punctuation that covers no guard left %d of the 2 guards", n)
 	}
 }

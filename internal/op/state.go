@@ -273,12 +273,13 @@ func (m *Merge) keepState() {
 		snapshot.Int64(&m.suppressed))...)
 }
 
-// keepState: per-partition assumed and demanded tables (what each partition
-// has asserted; the demanded ones only ever decide unanimity, so an unpinned
-// demand relays once every partition has demanded a covering subset), the
-// relayed set, and the round-robin cursor — the cursor matters for keyless
-// splits, where a restored run must continue the same routing sequence to
-// stay canonically identical.
+// keepState: per-partition assumed and demanded tables — what each partition
+// has asserted, and the record of what has travelled upstream: a restored
+// split relays only what changes them — and the round-robin cursor, which
+// matters for keyless splits, where a restored run must continue the same
+// routing sequence to stay canonically identical. The desired tables are not
+// kept: a desired pattern lost at a restore relays once more, and the
+// receiver's table absorbs it.
 func (s *Split) keepState() {
 	counters := []*int64{&s.in, &s.suppressed}
 	for i := range s.outPer {
@@ -289,20 +290,17 @@ func (s *Split) keepState() {
 		snapshot.Group(s.n(), func(i int) []snapshot.Field {
 			return []snapshot.Field{snapshot.Guards(s.perOut[i]), snapshot.Guards(demanded[i])}
 		}),
-		snapshot.Relayed(s, ""),
 		snapshot.Int(&s.rr),
 		snapshot.Int64(counters...))
 }
 
-// keepState mirrors Split's: per-consumer guards, the relayed set — whose
-// keys the blob has always recorded without the assumed sigil, since a
-// Duplicate relays assumed feedback only — and the suppressed count.
-// Without it a restored instance forgot every assertion its consumers had
-// made and could relay the same pattern upstream a second time.
+// keepState mirrors Split's: per-consumer assumed guards — the record of what
+// has travelled upstream — and the suppressed count. Without them a restored
+// instance forgot every assertion its consumers had made and could relay the
+// same pattern upstream a second time.
 func (d *Duplicate) keepState() {
 	d.Keep(d.Name(),
 		snapshot.Group(d.n(), func(i int) []snapshot.Field { return []snapshot.Field{snapshot.Guards(d.perOut[i])} }),
-		snapshot.Relayed(d, core.Assumed.Sigil()),
 		snapshot.Int64(&d.suppressed))
 }
 

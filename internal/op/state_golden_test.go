@@ -212,7 +212,7 @@ func stateRows() []stateRow {
 		},
 		{
 			name:   "split",
-			golden: "04040001040000000602403c40000000000006766965776572001200010401010e000000067669657765720010000200010401010a00000006766965776572020a020201040000030480ea300006766965776572000e020ec2ac5b352c202a2c202a2c202a5d0008040202",
+			golden: "04040001040000000602403c40000000000006766965776572001200010401010e000000067669657765720010000200010401010a00000006766965776572020a020201040000030480ea300006766965776572000e0008040202",
 			open: func() snapshot.Stater {
 				return &Split{Schema: trafficSchema, N: 2, Key: []int{0}, Mode: FeedbackExploit, Propagate: true}
 			},
@@ -232,15 +232,20 @@ func stateRows() []stateRow {
 					}),
 				}
 			},
-			check: func(t testing.TB, _, twin snapshot.Stater, _ []byte) {
-				if got := twin.(*Split).Relayed(); len(got) != 1 {
-					t.Fatalf("restored relayed set %v, want the key-pinned pattern", got)
+			check: func(t testing.TB, _, twin snapshot.Stater, blob []byte) {
+				// The restored partition's table records the key-pinned relay:
+				// hearing the pattern again relays nothing.
+				pinned := goldenFeedback(core.Assumed, punct.OnAttr(4, 0, punct.Eq(stream.Int(5))), 1, 5)
+				home := twin.(*Split).route(traffic(5, 0, 0, 0))
+				again := &Split{Schema: trafficSchema, N: 2, Key: []int{0}, Mode: FeedbackExploit, Propagate: true}
+				if tr := exec.Drive(again, exec.Restore(blob), exec.Feedback(home, pinned)); tr.Err != nil || len(tr.Sent[0]) != 0 {
+					t.Fatalf("restored split relayed %v (err %v), want nothing: its table holds the key-pinned pattern", tr.Sent[0], tr.Err)
 				}
 			},
 		},
 		{
 			name:   "duplicate",
-			golden: "04020001040101060000000676696577657200080400010401010600000006766965776572000800010400000404880e0006766965776572000a020c5b332c202a2c202a2c202a5d02",
+			golden: "04020001040101060000000676696577657200080400010401010600000006766965776572000800010400000404880e0006766965776572000a02",
 			open: func() snapshot.Stater {
 				return &Duplicate{Schema: trafficSchema, N: 2, Mode: FeedbackExploit, Propagate: true}
 			},
@@ -253,9 +258,13 @@ func stateRows() []stateRow {
 					exec.Tuples(0, traffic(3, 1, 10, 50), traffic(4, 1, 20, 50)),
 				}
 			},
-			check: func(t testing.TB, _, twin snapshot.Stater, _ []byte) {
-				if got := twin.(*Duplicate).Relayed(); len(got) != 1 || !strings.HasPrefix(got[0], core.Assumed.Sigil()) {
-					t.Fatalf("restored relayed set %q, want the unanimous pattern", got)
+			check: func(t testing.TB, _, _ snapshot.Stater, blob []byte) {
+				// Both restored tables hold the unanimous pattern: hearing it
+				// again on either port relays nothing.
+				f := goldenFeedback(core.Assumed, punct.OnAttr(4, 0, punct.Eq(stream.Int(3))), 0, 4)
+				again := &Duplicate{Schema: trafficSchema, N: 2, Mode: FeedbackExploit, Propagate: true}
+				if tr := exec.Drive(again, exec.Restore(blob), exec.Feedback(0, f), exec.Feedback(1, f)); tr.Err != nil || len(tr.Sent[0]) != 0 {
+					t.Fatalf("restored duplicate relayed %v (err %v), want nothing: its tables hold the unanimous pattern", tr.Sent[0], tr.Err)
 				}
 			},
 		},

@@ -3,7 +3,6 @@ package snapshot
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/punct"
@@ -237,39 +236,6 @@ func held(tables []*core.GuardTable, put func(*Encoder, core.Feedback), get func
 			}
 			if d.err == nil {
 				tables[0].Restore(fs)
-			}
-			return nil
-		},
-	}
-}
-
-// Relayed keeps a fan-out operator's relayed set (core.Responder.Relayed).
-// It follows the guard tables in the layout: a load keeps a key only while a
-// restored table holds the feedback it names. strip is a prefix the blob
-// leaves off every key — the intent sigil of a responder that relays one
-// intent only — and a load puts back.
-func Relayed(r interface {
-	Relayed() []string
-	RestoreRelayed([]string)
-}, strip string) Field {
-	return Field{
-		Capture: func() func(*Encoder) {
-			keys := r.Relayed()
-			return func(e *Encoder) {
-				e.PutInt(len(keys))
-				for _, k := range keys {
-					e.PutString(strings.TrimPrefix(k, strip))
-				}
-			}
-		},
-		Load: func(d *Decoder) error {
-			n := d.GetCount()
-			keys := make([]string, 0, n)
-			for i := 0; i < n && d.err == nil; i++ {
-				keys = append(keys, strip+d.GetString())
-			}
-			if d.err == nil {
-				r.RestoreRelayed(keys)
 			}
 			return nil
 		},

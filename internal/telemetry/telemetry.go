@@ -20,8 +20,7 @@ import "sync"
 
 // Telemetry bundles the two facilities a running plan exports: the metrics
 // registry and the epoch timeline. A nil *Telemetry is a valid "disabled"
-// value everywhere — Timeline methods are nil-receiver safe, and the runtime
-// guards the rest.
+// value everywhere: the runtime guards it. New sets both facilities.
 type Telemetry struct {
 	Registry *Registry
 	Timeline *Timeline

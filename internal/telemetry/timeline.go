@@ -27,8 +27,7 @@ type EpochEvent struct {
 // capture, barrier-hold, encode and persist by each part's graph, ack,
 // commit and abandon by the coordinator (and abandon by a follower whose
 // aligning epoch a newer one superseded), and a node's panic, under the
-// newest epoch its graph had begun. A nil *Timeline discards records,
-// so call sites need no guard.
+// newest epoch its graph had begun.
 type Timeline struct {
 	mu     sync.Mutex
 	ring   []EpochEvent
@@ -46,12 +45,8 @@ func NewTimeline() *Timeline {
 	return &Timeline{ring: make([]EpochEvent, timelineCap)}
 }
 
-// Record appends one event, stamping At with the time it is recorded;
-// nil-receiver safe.
+// Record appends one event, stamping At with the time it is recorded.
 func (t *Timeline) Record(e EpochEvent) {
-	if t == nil {
-		return
-	}
 	e.At = time.Now()
 	t.mu.Lock()
 	t.ring[t.next] = e
@@ -65,9 +60,6 @@ func (t *Timeline) Record(e EpochEvent) {
 
 // Events returns the recorded events, oldest first.
 func (t *Timeline) Events() []EpochEvent {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.filled {
